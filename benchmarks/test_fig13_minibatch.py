@@ -22,11 +22,17 @@ from _smoke import SMOKE, pick
 DIM = 100
 N = pick(6_000, 300)
 CONDITION = ThresholdCondition(0.9)
-#: (batch_left, batch_right) mini-batch shapes; None means No Batch.
+#: (batch_left, batch_right) mini-batch shapes.  No Batch pins both edges
+#: to the input size: left to itself the join derives a cache-sized block.
+NO_BATCH = (N, N)
 BATCHES = pick(
-    [None, (3_000, 3_000), (2_000, 2_000), (1_000, 1_000), (500, 500)],
-    [None, (100, 100)],
+    [NO_BATCH, (3_000, 3_000), (2_000, 2_000), (1_000, 1_000), (500, 500)],
+    [NO_BATCH, (100, 100)],
 )
+
+
+def _label(batch: tuple[int, int]) -> str:
+    return "nobatch" if batch == NO_BATCH else f"{batch[0]}x{batch[1]}"
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +42,13 @@ def data():
     return left, right
 
 
-@pytest.mark.parametrize("batch", BATCHES, ids=lambda b: "nobatch" if b is None else f"{b[0]}x{b[1]}")
+@pytest.mark.parametrize("batch", BATCHES, ids=_label)
 def test_fig13_batch(benchmark, batch, data):
     left, right = data
-    kwargs = {}
-    if batch is not None:
-        kwargs = {"batch_left": batch[0], "batch_right": batch[1]}
     benchmark.pedantic(
         tensor_join,
         args=(left, right, CONDITION),
-        kwargs=kwargs,
+        kwargs={"batch_left": batch[0], "batch_right": batch[1]},
         rounds=1,
         iterations=1,
     )
@@ -63,13 +66,9 @@ def test_fig13_report(benchmark, data):
     slowdowns = []
     reductions = []
     for batch in BATCHES:
-        kwargs = (
-            {}
-            if batch is None
-            else {"batch_left": batch[0], "batch_right": batch[1]}
-        )
         result, seconds = time_call(
-            tensor_join, left, right, CONDITION, **kwargs
+            tensor_join, left, right, CONDITION,
+            batch_left=batch[0], batch_right=batch[1],
         )
         buffer_mb = result.stats.peak_buffer_elements * 4 / 1e6
         if base_time is None:
@@ -78,8 +77,7 @@ def test_fig13_report(benchmark, data):
         reduction = base_buffer / buffer_mb
         slowdowns.append(slowdown)
         reductions.append(reduction)
-        label = "nobatch" if batch is None else f"{batch[0]}x{batch[1]}"
-        report.add(label, seconds * 1000, buffer_mb, slowdown, reduction)
+        report.add(_label(batch), seconds * 1000, buffer_mb, slowdown, reduction)
     # RAM shrinks by orders of magnitude; slowdown stays within a few x.
     # Smoke sizes are too small for the orders-of-magnitude claim.
     if not SMOKE:

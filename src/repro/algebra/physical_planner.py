@@ -39,6 +39,7 @@ from ..relational.column import Column
 from ..relational.expressions import validate_boolean
 from ..relational.schema import DataType, Field
 from ..relational.table import Table
+from ..vector.norms import normalize_rows
 from .logical import (
     EJoinNode,
     EmbedNode,
@@ -162,8 +163,6 @@ class ExecutionContext:
         results.  Invalidated by the same strided source fingerprint the
         quantized stores use.
         """
-        from ..vector.norms import normalize_rows
-
         token = _vector_token(vectors)
         with self._build_lock(("norm", *key)):
             with self.store_lock:
@@ -173,6 +172,19 @@ class ExecutionContext:
                 with self.store_lock:
                     self.norm_cache[key] = cached
             return cached[1]
+
+
+def _scan_store_key(
+    source_node: LogicalNode, column: str, model_name: str
+) -> tuple[str, str, str] | None:
+    """Context cache key of a plain table scan source (``None`` otherwise).
+
+    Only a plain scan lets the context amortize access-path state — the
+    encoded quantized store, the unit-row matrix — across queries.
+    """
+    if isinstance(source_node, ScanNode):
+        return (source_node.table_name, column, model_name)
+    return None
 
 
 def _quantized_scan_decision(
@@ -192,10 +204,7 @@ def _quantized_scan_decision(
     context cache key when the source is a plain table scan (``None``
     otherwise).
     """
-    cacheable = isinstance(source_node, ScanNode)
-    store_key = (
-        (source_node.table_name, column, model_name) if cacheable else None
-    )
+    store_key = _scan_store_key(source_node, column, model_name)
     prebuilt = store_key is not None and (
         *store_key,
         get_config().default_precision,
@@ -387,6 +396,26 @@ def _embed_column(
     return store.embed_items(table.array(column).tolist())
 
 
+def _unit_rows(
+    ctx: ExecutionContext,
+    node: LogicalNode,
+    column: str,
+    model_name: str,
+    vectors: np.ndarray,
+) -> np.ndarray:
+    """Unit rows of a scan-join input, normalized once per table scan.
+
+    A plain table scan shares the context's normalize-once matrix across
+    queries; anything else is normalized inline.  Either way the result is
+    exactly ``normalize_rows(vectors)`` — what the scan would compute
+    itself — so joins stay bit-identical.
+    """
+    key = _scan_store_key(node, column, model_name)
+    if key is None:
+        return normalize_rows(vectors)
+    return ctx.normalized_matrix_for(key, vectors)
+
+
 def _index_for_right(
     node: LogicalNode, column: str, ctx: ExecutionContext
 ) -> tuple[VectorIndex, np.ndarray | None, Table] | None:
@@ -523,28 +552,36 @@ def _execute_ejoin_impl(
         right_vectors = _embed_column(right, node.right_column, node.model_name, ctx)
         scan_strategy = strategy or "tensor"
         result = None
+        store_key = _scan_store_key(
+            node.right, node.right_column, node.model_name
+        )
+        precision = None
         if scan_strategy == "tensor":
             # The REPRO_PRECISION knob may substitute a reduced-precision
             # scan; quantized paths are additionally gated on the
             # configured accuracy floor and modelled cost (including the
-            # fit/encode build unless a cached store already amortized it)
-            # — and on the access path's circuit breaker, which walks the
-            # chain pq -> int8 -> fp32 past open or failing paths.
-            k = (
-                node.condition.k
-                if isinstance(node.condition, TopKCondition)
-                else DEFAULT_PROBE_K
-            )
-            decision, store_key = _quantized_scan_decision(
+            # fit/encode build unless a cached store already amortized it).
+            decision, _ = _quantized_scan_decision(
                 ctx,
                 node.right,
                 node.right_column,
                 node.model_name,
                 len(left_vectors),
                 right_vectors,
-                k,
+                node.condition.k
+                if isinstance(node.condition, TopKCondition)
+                else DEFAULT_PROBE_K,
             )
-            precision = _breaker_gate(store_key, decision.precision)
+            precision = decision.precision
+        elif scan_strategy in ("tensor-int8", "tensor-pq"):
+            # A forced quantized scan takes the same store cache, breaker
+            # and fallback chain as a chosen one; it falls back to fp32.
+            precision = scan_strategy.removeprefix("tensor-")
+            scan_strategy = "tensor"
+        if precision is not None:
+            # The access path's circuit breaker walks the chain
+            # pq -> int8 -> fp32 past open or failing paths.
+            precision = _breaker_gate(store_key, precision)
             while precision in ("int8", "pq"):
                 breaker_key = (
                     None if store_key is None else (*store_key, precision)
@@ -578,11 +615,20 @@ def _execute_ejoin_impl(
             if result is None and get_config().default_precision == "fp16":
                 scan_strategy = "tensor-fp16"
         if result is None:
+            normalized = scan_strategy in ("tensor", "parallel-tensor")
+            if normalized:
+                left_vectors = _unit_rows(
+                    ctx, node.left, node.left_column, node.model_name, left_vectors
+                )
+                right_vectors = _unit_rows(
+                    ctx, node.right, node.right_column, node.model_name, right_vectors
+                )
             result = ejoin(
                 left_vectors,
                 right_vectors,
                 node.condition,
                 strategy=scan_strategy,
+                assume_normalized=normalized,
                 engine=ctx.engine,
             )
     report.strategies.append(result.stats.strategy)

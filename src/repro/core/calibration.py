@@ -29,11 +29,28 @@ from .cost_model import CostParams
 from .nlj import prefetch_nlj
 from .tensor_join import tensor_join
 
+#: Timed repetitions per measurement; the minimum is reported.
+_REPEATS = 5
+
 
 def _time(fn) -> float:
-    start = time.perf_counter()
+    """Steady-state seconds of one ``fn()``: warm-up call, then min of 5.
+
+    The untimed first call pays one-off costs (BLAS thread start-up, page
+    faults, lazy imports) that would otherwise be charged to whichever
+    kernel happens to be measured first; the minimum discards scheduler
+    noise, which only ever adds time.  What is left is reported raw: a
+    machine whose BLAS calls are slow *every* time (a threaded OpenBLAS
+    on a contended 2-vCPU box pays a scheduler quantum per call) reads
+    as a slow GEMM, and should — run with one BLAS thread to fix that.
+    """
     fn()
-    return time.perf_counter() - start
+    best = float("inf")
+    for _ in range(_REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 @dataclass
@@ -105,10 +122,10 @@ def calibrate(
     if index is not None and len(index) > 0:
         queries = rng.standard_normal((16, index.dim)).astype(np.float32)
         before = index.stats.distance_computations
-        elapsed = _time(lambda: index.search_batch(queries, 8))
+        index.search_batch(queries, 8)
         distances = index.stats.distance_computations - before
         if distances > 0:
-            probe_s = elapsed / distances
+            probe_s = _time(lambda: index.search_batch(queries, 8)) / distances
 
     return CalibrationReport(
         access_per_tuple=access_s,

@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from ..embedding.base import EmbeddingModel
+from ..engine import partition_rows
 from ..errors import DimensionalityError, JoinError
 from ..index.base import VectorIndex
-from ..reliability.faults import maybe_inject
 from ..vector.norms import normalize_rows
 from .conditions import (
     JoinCondition,
@@ -57,27 +57,23 @@ def _probe_rows(
     allowed: np.ndarray | None,
     lo: int,
     hi: int,
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Probe the index for left rows ``[lo, hi)`` (one morsel)."""
-    # Fault site sits before any probe: a retried morsel re-probes the
-    # (read-only) index from scratch and lands on identical ids/scores.
-    maybe_inject("index.probe")
-    out_l: list[np.ndarray] = []
-    out_r: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
-    for i in range(lo, hi):
-        # Probe rows were normalized once, as a batch, by the caller.
-        found = index.search(left_n[i], k, allowed=allowed, assume_normalized=True)
-        ids, scores = found.ids, found.scores
-        if post_threshold is not None:
-            keep = scores >= post_threshold
-            ids, scores = ids[keep], scores[keep]
-        if len(ids) == 0:
-            continue
-        out_l.append(np.full(len(ids), i, dtype=np.int64))
-        out_r.append(ids.astype(np.int64))
-        out_s.append(scores.astype(np.float32))
-    return out_l, out_r, out_s
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe the index with left rows ``[lo, hi)`` as one batch.
+
+    ``search_batch`` carries the ``index.probe`` fault site: a retried
+    span re-probes the (read-only) index from scratch and lands on
+    identical ids/scores.  Probe rows were normalized once by the caller.
+    """
+    found = index.search_batch(
+        left_n[lo:hi], k, allowed=allowed, assume_normalized=True
+    )
+    li = np.repeat(np.arange(lo, hi, dtype=np.int64), [len(f) for f in found])
+    ri = np.concatenate([f.ids for f in found]).astype(np.int64, copy=False)
+    sc = np.concatenate([f.scores for f in found]).astype(np.float32, copy=False)
+    if post_threshold is not None:
+        keep = sc >= post_threshold
+        li, ri, sc = li[keep], ri[keep], sc[keep]
+    return li, ri, sc
 
 
 def index_join(
@@ -101,8 +97,8 @@ def index_join(
         allowed: optional pre-filter bitmap over right ids (relational
             selection pushed down to the index probe).
         probe_k: retrieval depth for threshold conditions.
-        engine: optional :class:`repro.engine.ExecutionEngine`; probe
-            batches are morselized across its workers (the index is only
+        engine: optional :class:`repro.engine.ExecutionEngine`; the probe
+            batch is split evenly across its workers (the index is only
             read, and results reassemble in probe order).
 
     Returns:
@@ -125,40 +121,30 @@ def index_join(
     left_n = normalize_rows(left_m)
     probes_before = index.stats.distance_computations
 
-    if engine is not None and engine.n_threads > 1:
-        parts = engine.map_morsels(
-            left_n.shape[0],
-            lambda m: _probe_rows(
-                left_n, index, k, post_threshold, allowed, m.start, m.stop
-            ),
+    # One probe batch per worker: a batched probe pays a fixed cost per
+    # call (per inverted list, for IVF), so spans are as large as the
+    # engine's parallelism allows.
+    parallel = engine is not None and engine.n_threads > 1
+    tasks = [
+        lambda lo=lo, hi=hi: _probe_rows(
+            left_n, index, k, post_threshold, allowed, lo, hi
         )
-    else:
-        parts = [
-            _probe_rows(
-                left_n, index, k, post_threshold, allowed, 0, left_n.shape[0]
-            )
-        ]
-    out_l: list[np.ndarray] = []
-    out_r: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
-    for part_l, part_r, part_s in parts:
-        out_l.extend(part_l)
-        out_r.extend(part_r)
-        out_s.extend(part_s)
+        for lo, hi in partition_rows(
+            stats.n_left, engine.n_threads if parallel else 1
+        )
+    ]
+    parts = engine.run(tasks) if parallel else [task() for task in tasks]
 
     stats.similarity_evaluations = (
         index.stats.distance_computations - probes_before
     )
     stats.extra["probe_k"] = k
+    if not parts:
+        result = JoinResult.empty(stats)
+    else:
+        result = JoinResult(*(np.concatenate(c) for c in zip(*parts)), stats)
     stats.seconds = time.perf_counter() - start
-    if not out_l:
-        return JoinResult.empty(stats)
-    return JoinResult(
-        np.concatenate(out_l),
-        np.concatenate(out_r),
-        np.concatenate(out_s),
-        stats,
-    )
+    return result
 
 
 def build_index_for_join(

@@ -63,6 +63,7 @@ def ejoin(
     buffer_budget_bytes: int | None = None,
     cost_params: CostParams | None = None,
     selectivity_hint: float = 1.0,
+    assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
 ) -> JoinResult:
     """Context-enhanced join of two relations over embeddings.
@@ -82,6 +83,9 @@ def ejoin(
         probe_k: retrieval depth when a threshold condition runs on an index.
         selectivity_hint: relational selectivity estimate for ``auto``'s
             access-path selection.
+        assume_normalized: both inputs are already unit rows; the
+            ``tensor`` and ``parallel-tensor`` scans then skip their own
+            normalization (other strategies normalize as usual).
         engine: execution engine the physical operators schedule on; a
             multi-threaded engine parallelizes the scan strategies (and
             ``parallel-tensor`` builds one from ``n_threads`` when absent).
@@ -141,6 +145,7 @@ def ejoin(
             batch_left=batch_left,
             batch_right=batch_right,
             buffer_budget_bytes=buffer_budget_bytes,
+            assume_normalized=assume_normalized,
             engine=engine,
         )
 
@@ -189,6 +194,7 @@ def ejoin(
             batch_left=batch_left,
             batch_right=batch_right,
             buffer_budget_bytes=buffer_budget_bytes,
+            assume_normalized=assume_normalized,
             engine=engine,
         )
 

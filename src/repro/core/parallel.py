@@ -46,6 +46,7 @@ def parallel_join(
     batch_left: int | None = None,
     batch_right: int | None = None,
     buffer_budget_bytes: int | None = None,
+    assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
 ) -> JoinResult:
     """Morselize the left relation and join morsels on engine workers.
@@ -59,6 +60,8 @@ def parallel_join(
         buffer_budget_bytes: total Figure 7 buffer budget for the tensor
             strategy's dense intermediates, split evenly across workers so
             concurrently-held blocks stay within it.
+        assume_normalized: both inputs are already unit rows (e.g. the
+            planner's normalize-once matrix); skip normalization.
         engine: a pre-configured :class:`~repro.engine.ExecutionEngine`;
             by default one is built for ``n_threads`` workers.
 
@@ -85,8 +88,8 @@ def parallel_join(
     stats.n_left, stats.n_right = len(left), len(right)
 
     # Normalize once, outside the workers (shared read-only operands).
-    left_n = normalize_rows(left)
-    right_n = normalize_rows(right)
+    left_n = left if assume_normalized else normalize_rows(left)
+    right_n = right if assume_normalized else normalize_rows(right)
 
     # Morsels run concurrently, so each worker's inner tensor_join gets
     # its share of the total budget (explicit or engine-configured),

@@ -39,6 +39,12 @@ from ..engine import BatchPolicy, ExecutionEngine
 from ..errors import DimensionalityError, JoinError
 from ..vector.norms import normalize_rows
 from ..vector.quant import Int8Quantizer, ProductQuantizer, VectorQuantizer
+from ..vector.select import (
+    TRIPLE_BYTES,
+    TopKReducer,
+    maxima_bytes,
+    select_above,
+)
 from .conditions import (
     JoinCondition,
     ThresholdCondition,
@@ -47,23 +53,13 @@ from .conditions import (
 )
 from .nlj import _as_matrix
 from .result import JoinResult, JoinStats
+from .tensor_join import resolve_block_shape
 
 #: Quantization methods the join understands.
 QUANT_METHODS = ("int8", "pq")
 
-#: Candidate-pool overflow factor: a block compresses its pool back to
-#: ``multiple * k`` per row once it exceeds this many times that size.
-POOL_FACTOR = 4
-
-#: Bytes per pooled candidate triple (int32 row, int64 right id, fp32 score).
-CANDIDATE_BYTES = 16
-
 #: Upper bound on transient gather bytes during the exact re-rank.
 _RERANK_CHUNK_BYTES = 4 << 20
-
-#: Left-block edge cap under a budget: wide right blocks amortize the
-#: per-block code cast and per-group selection overheads.
-_QUANT_LEFT_EDGE = 512
 
 
 def _default_quantizer(method: str, dim: int, **params) -> VectorQuantizer:
@@ -180,26 +176,21 @@ class QuantizedRelation:
             return prepared[1]
         return None
 
-    def scores_block(
-        self, prepared, r0: int, r1: int
-    ) -> tuple[np.ndarray, bool]:
-        """Biasless approximate scores for right rows ``[r0, r1)``.
+    def scores_block(self, prepared, r0: int, r1: int) -> np.ndarray:
+        """Biasless approximate ``(n_queries, r1 - r0)`` scores for a row range.
 
-        Returns ``(scores, transposed)``: int8 yields ``(n_queries, br)``
-        via one GEMM over the casted code block; PQ yields ``(br,
-        n_queries)`` via the one-hot CSR slice (row slicing a CSR matrix
-        is O(nnz of the slice)) so no transpose copy is paid per block.
+        int8 is one GEMM over the casted code block.  PQ multiplies the
+        one-hot CSR slice (row slicing a CSR matrix is O(nnz of the
+        slice)) and returns the transposed view of its ``(br, n_queries)``
+        product — the select reads any strides, so no copy is paid.
         """
         if self.method == "int8":
             assert isinstance(self.quantizer, Int8Quantizer)
-            return (
-                self.quantizer.scores_block(
-                    prepared, self.codes[r0:r1], include_bias=False
-                ),
-                False,
+            return self.quantizer.scores_block(
+                prepared, self.codes[r0:r1], include_bias=False
             )
         assert self.onehot is not None
-        return np.asarray(self.onehot[r0:r1] @ prepared), True
+        return np.asarray(self.onehot[r0:r1] @ prepared).T
 
     def scores_rows(self, prepared, rows: np.ndarray) -> np.ndarray:
         """Biasless approximate scores for an arbitrary row subset.
@@ -214,18 +205,6 @@ class QuantizedRelation:
             )
         assert self.onehot is not None
         return np.asarray((self.onehot[rows] @ prepared)).T
-
-
-    def reserve_bytes_per_query(self, candidates_per_row: int) -> int:
-        """Per-left-row candidate state the buffer budget must also cover.
-
-        Mirrors the fp32 join's budget semantics: the budget covers the
-        dense score intermediate plus the per-row merge state (there the
-        streaming top-k heap, here the candidate pool); operand blocks
-        (query rows, code blocks, PQ lookup tables) are not charged on
-        either side.
-        """
-        return 2 * candidates_per_row * CANDIDATE_BYTES
 
 
 @dataclass
@@ -249,22 +228,6 @@ def _empty_part() -> _QuantBlockPart:
     )
 
 
-def _rank_within_rows(
-    li: np.ndarray, sc: np.ndarray, ri: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort triples by (row, score desc, right id); return order and rank.
-
-    ``rank[i]`` is the position of the i-th *sorted* triple within its
-    row — the vectorized core of both pool compression and final top-k.
-    """
-    order = np.lexsort((ri, -sc, li))
-    li_s = li[order]
-    starts = np.flatnonzero(np.r_[True, li_s[1:] != li_s[:-1]])
-    lengths = np.diff(np.r_[starts, len(li_s)])
-    rank = np.arange(len(li_s)) - np.repeat(starts, lengths)
-    return order, rank
-
-
 def _exact_scores(
     lb: np.ndarray,
     li: np.ndarray,
@@ -280,96 +243,6 @@ def _exact_scores(
             "ij,ij->i", lb[li[c0:c1]], right_vectors[ri[c0:c1]]
         )
     return out
-
-
-def _select_above(
-    block: np.ndarray,
-    transposed: bool,
-    cuts: np.ndarray | float,
-    r0: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prescreen one score block against per-query (or scalar) cut-offs.
-
-    One broadcast SIMD compare plus a flat index scan; only the sparse
-    survivors are gathered.  ``cuts`` broadcasts along the query axis —
-    rows when ``transposed`` is false, columns otherwise.
-    """
-    if isinstance(cuts, np.ndarray):
-        mask = block >= (cuts[None, :] if transposed else cuts[:, None])
-    else:
-        mask = block >= cuts
-    flat = np.flatnonzero(mask)
-    w = block.shape[1]
-    rows = (flat // w).astype(np.int32)
-    cols = (flat % w).astype(np.int32)
-    sc = block[rows, cols]
-    if transposed:
-        li, ri = cols, rows + np.int32(r0)
-    else:
-        li, ri = rows, cols + np.int32(r0)
-    return li, ri, sc
-
-
-class _CandidatePool:
-    """Bounded per-block candidate accumulator with compress-on-overflow.
-
-    ``tau_rows`` holds each query row's admission gate: the scan compares
-    whole score blocks against it in one broadcast pass, and compression
-    tightens it as better candidates accumulate.
-    """
-
-    def __init__(self, n_rows: int, per_row: int) -> None:
-        self.n_rows = n_rows
-        self.per_row = per_row
-        self.cap = max(POOL_FACTOR * n_rows * per_row, 4096)
-        self._li: list[np.ndarray] = []
-        self._ri: list[np.ndarray] = []
-        self._sc: list[np.ndarray] = []
-        self.size = 0
-        self.tau_rows = np.full(n_rows, -np.inf, dtype=np.float32)
-
-    def append(self, li: np.ndarray, ri: np.ndarray, sc: np.ndarray) -> None:
-        if len(li) == 0:
-            return
-        self._li.append(li)
-        self._ri.append(ri)
-        self._sc.append(np.asarray(sc, dtype=np.float32))
-        self.size += len(li)
-        if self.size > self.cap:
-            self.compress()
-
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self._li:
-            return (
-                np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float32),
-            )
-        return (
-            np.concatenate(self._li),
-            np.concatenate(self._ri),
-            np.concatenate(self._sc),
-        )
-
-    def compress(self) -> None:
-        """Keep each row's best ``per_row`` candidates; tighten the gates."""
-        li, ri, sc = self.triples()
-        order, rank = _rank_within_rows(li, sc, ri)
-        keep = order[rank < self.per_row]
-        li, ri, sc = li[keep], ri[keep], sc[keep]
-        self._li, self._ri, self._sc = [li], [ri], [sc]
-        self.size = len(li)
-        # A row's gate may only rise once it retains a full complement:
-        # rows with fewer candidates must keep admitting everything.
-        counts = np.bincount(li, minlength=self.n_rows)
-        full = counts >= self.per_row
-        if full.any():
-            kth = np.full(self.n_rows, np.inf, dtype=np.float32)
-            np.minimum.at(kth, li, sc)
-            self.tau_rows[full] = np.maximum(self.tau_rows[full], kth[full])
-
-    def nbytes(self) -> int:
-        return self.size * CANDIDATE_BYTES
 
 
 #: Gate sample safety factor: gates target rank ``GATE_SLACK * ck`` in the
@@ -439,36 +312,28 @@ def _quant_topk_block(
     n_right = len(store)
     part = _empty_part()
     prepared = store.prepare_queries(lb)
-    pool = _CandidatePool(n_lb, ck)
-    gates = _sample_gates(store, prepared, ck, br)
-    if gates is not None:
-        pool.tau_rows = gates
+    # Sampled gates are the reducer's initial floors; they tighten to each
+    # row's ck-th best as blocks stream through.
+    pool = TopKReducer(n_lb, ck, floor=_sample_gates(store, prepared, ck, br))
     for r0 in range(0, n_right, br):
-        r1 = min(r0 + br, n_right)
-        block, transposed = store.scores_block(prepared, r0, r1)
+        block = store.scores_block(prepared, r0, min(r0 + br, n_right))
         part.batch_invocations += 1
         part.similarity_evaluations += block.size
+        pool.push(block, r0)
         part.peak_intermediate_bytes = max(
-            part.peak_intermediate_bytes, block.nbytes + pool.nbytes()
+            part.peak_intermediate_bytes, block.nbytes + pool.peak_bytes
         )
-        # Gates tighten between blocks as the pool compresses.
-        li, ri, sc = _select_above(block, transposed, pool.tau_rows, r0)
-        pool.append(li, ri, sc)
-    pool.compress()
-    li, ri, _ = pool.triples()
-    li = li.astype(np.int64)
+    li, ri, _ = pool.finalize()
     exact = _exact_scores(lb, li, store.vectors, ri)
     part.rerank_candidates = len(exact)
     part.similarity_evaluations += len(exact)
-    order, rank = _rank_within_rows(li, exact, ri)
-    keep = order[rank < condition.k]
-    li, ri, exact = li[keep], ri[keep], exact[keep]
+    final = TopKReducer(n_lb, condition.k)
+    final.merge(li, ri, exact)
+    li, ri, exact = final.finalize()
     if condition.min_similarity is not None:
         mask = exact >= condition.min_similarity
         li, ri, exact = li[mask], ri[mask], exact[mask]
-    part.left_ids = li + l0
-    part.right_ids = ri.astype(np.int64)
-    part.scores = exact.astype(np.float32)
+    part.left_ids, part.right_ids, part.scores = li + l0, ri, exact
     return part
 
 
@@ -484,44 +349,36 @@ def _quant_threshold_block(
     part = _empty_part()
     prepared = store.prepare_queries(lb)
     # Scan scores omit the per-query bias, so the sound cut-off
-    # ``threshold - margin`` shifts per row; the scalar prescreen uses the
-    # loosest row's cut and the per-row stage refines the survivors.
+    # ``threshold - margin`` shifts per row.
     bias = store.query_bias(prepared)
     cut_rows = np.full(lb.shape[0], condition.threshold - margin, np.float32)
     if bias is not None:
         cut_rows = cut_rows - bias
-    out_l: list[np.ndarray] = []
-    out_r: list[np.ndarray] = []
+    out: list[tuple[np.ndarray, np.ndarray]] = []
     pooled = 0
     for r0 in range(0, n_right, br):
-        r1 = min(r0 + br, n_right)
-        block, transposed = store.scores_block(prepared, r0, r1)
+        block = store.scores_block(prepared, r0, min(r0 + br, n_right))
         part.batch_invocations += 1
         part.similarity_evaluations += block.size
         # The margin makes the prescreen sound: any pair whose exact score
         # reaches the threshold has an approximate score above its cut.
-        li, ri, _ = _select_above(block, transposed, cut_rows, r0)
+        li, ri, _ = select_above(block, cut_rows)
+        pooled += len(li)
         part.peak_intermediate_bytes = max(
             part.peak_intermediate_bytes,
-            block.nbytes + (pooled + len(li)) * CANDIDATE_BYTES,
+            block.nbytes + maxima_bytes(*block.shape) + pooled * TRIPLE_BYTES,
         )
-        if len(li):
-            out_l.append(li)
-            out_r.append(ri)
-            pooled += len(li)
-    if not out_l:
-        return part
-    li = np.concatenate(out_l)
-    ri = np.concatenate(out_r).astype(np.int64)
+        out.append((li, ri + r0))
+    li, ri = (np.concatenate(column) for column in zip(*out))
     exact = _exact_scores(lb, li, store.vectors, ri)
     part.rerank_candidates = len(exact)
     part.similarity_evaluations += len(exact)
     mask = exact >= condition.threshold
     li, ri, exact = li[mask], ri[mask], exact[mask]
     order = np.lexsort((ri, li))
-    part.left_ids = li[order].astype(np.int64) + l0
+    part.left_ids = li[order] + l0
     part.right_ids = ri[order]
-    part.scores = exact[order].astype(np.float32)
+    part.scores = exact[order]
     return part
 
 
@@ -631,64 +488,21 @@ def quantized_tensor_join(
         margin = store.quantizer.score_error_bound()
     stats.extra["candidate_multiple"] = rerank_multiple
 
-    reserve = store.reserve_bytes_per_query(ck)
-    if engine is not None:
-        policy = engine.policy
-    elif policy is None:
-        policy = BatchPolicy(
-            buffer_budget_bytes=config.default_buffer_budget_bytes
-        )
-    full_budget = (
-        policy.buffer_budget_bytes
-        if buffer_budget_bytes is None
-        else buffer_budget_bytes
+    # The budget covers the score block plus the per-row candidate state,
+    # as in the fp32 join; operand blocks (query rows, code blocks, PQ
+    # lookup tables) are not charged on either side.
+    reserve = TopKReducer.state_bytes_per_row(ck)
+    bl, br = resolve_block_shape(
+        stats.n_left,
+        stats.n_right,
+        left_n.shape[1],
+        engine=engine,
+        policy=policy,
+        batch_left=batch_left,
+        batch_right=batch_right,
+        buffer_budget_bytes=buffer_budget_bytes,
+        reserve_bytes_per_left_row=reserve,
     )
-
-    def _resolve(share: int) -> tuple[int, int]:
-        eff = None if full_budget is None else max(full_budget // share, 1)
-        bl_explicit = batch_left
-        if bl_explicit is None and eff is not None:
-            # Two self-imposed caps: spend at most half the budget on
-            # per-row scan state (PQ LUT rows are large), and keep left
-            # blocks moderate so right blocks grow wide — code-cast and
-            # per-group selection overheads amortize over block width.
-            cap = eff // (2 * reserve) if reserve > 4 else stats.n_left
-            bl_explicit = max(
-                1, min(stats.n_left, cap, _QUANT_LEFT_EDGE)
-            )
-        bl, br = policy.resolve(
-            stats.n_left,
-            stats.n_right,
-            left_n.shape[1],
-            batch_left=bl_explicit,
-            batch_right=batch_right,
-            buffer_budget_bytes=eff,
-            reserve_bytes_per_left_row=reserve,
-        )
-        if (
-            engine is not None
-            and engine.n_threads > 1
-            and batch_left is None
-            and bl >= stats.n_left
-        ):
-            morsels = engine.morsels_for(stats.n_left)
-            if len(morsels) > 1:
-                bl = max(len(m) for m in morsels)
-        return bl, br
-
-    if engine is not None and engine.n_threads > 1:
-        share = 1
-        for _ in range(8):
-            bl, br = _resolve(share)
-            blocks = -(-stats.n_left // bl)
-            new_share = min(engine.n_threads, blocks)
-            if new_share <= share:
-                break
-            share = new_share
-        else:
-            bl, br = _resolve(engine.n_threads)
-    else:
-        bl, br = _resolve(1)
     stats.peak_buffer_elements = bl * br
     stats.extra["batch_shape"] = (bl, br)
 

@@ -3,11 +3,13 @@
 The join becomes a block-matrix dot product: normalize both relations once
 (cosine == dot for unit vectors), partition **along tuple boundaries, not
 dimensions**, and compute ``D = R @ S.T`` block-by-block with BLAS GEMM.
-Each block's dense intermediate is pruned to qualifying offset pairs before
-the next block runs, so peak memory is ``batch_left * batch_right`` floats
-regardless of input size (the Figure 7 buffer budget).  Top-k conditions
-stream every block through a bounded :class:`~repro.vector.topk.StreamingTopK`
-merge, so the budget also covers the candidate state, end to end.
+Each block lands in one reusable score buffer and is pruned to qualifying
+offset pairs by the shared batch-major select (:mod:`repro.vector.select`)
+before the next block overwrites it, so peak memory is ``batch_left *
+batch_right`` floats regardless of input size (the Figure 7 buffer budget).
+Top-k conditions fold every block into a bounded
+:class:`~repro.vector.select.TopKReducer`, so the budget also covers the
+candidate state, end to end.
 
 Left blocks are independent tasks; handing the join an
 :class:`~repro.engine.ExecutionEngine` schedules them on its work-stealing
@@ -25,10 +27,15 @@ import numpy as np
 from ..config import get_config
 from ..embedding.base import EmbeddingModel
 from ..engine import BatchPolicy, ExecutionEngine
-from ..engine.adaptive import CELL_BYTES as _CELL_BYTES
 from ..errors import DimensionalityError
 from ..vector.norms import normalize_rows
-from ..vector.topk import StreamingTopK
+from ..vector.select import (
+    CHUNK,
+    TopKReducer,
+    block_shape,
+    maxima_bytes,
+    select_above,
+)
 from .conditions import (
     JoinCondition,
     ThresholdCondition,
@@ -64,6 +71,87 @@ def resolve_batch_shape(
     )
 
 
+def resolve_block_shape(
+    n_left: int,
+    n_right: int,
+    dim: int,
+    *,
+    engine: ExecutionEngine | None,
+    policy: BatchPolicy | None,
+    batch_left: int | None,
+    batch_right: int | None,
+    buffer_budget_bytes: int | None,
+    reserve_bytes_per_left_row: int,
+) -> tuple[int, int]:
+    """Block edges of a blocked scan join, as the operators run them.
+
+    On top of :meth:`BatchPolicy.resolve` (explicit edges win, a budget
+    caps derived ones, ``reserve_bytes_per_left_row`` is carved out for
+    the reducer): the budget is split across the engine's concurrently
+    resident blocks, an unsplit left side is cut to the engine's morsels,
+    and derived edges shrink until the score block stays cache-resident
+    for the select pass (:func:`repro.vector.select.block_shape`).
+    """
+    if engine is not None:
+        policy = engine.policy
+    elif policy is None:
+        policy = BatchPolicy(
+            buffer_budget_bytes=get_config().default_buffer_budget_bytes
+        )
+    full_budget = (
+        policy.buffer_budget_bytes
+        if buffer_budget_bytes is None
+        else buffer_budget_bytes
+    )
+    parallel = engine is not None and engine.n_threads > 1
+
+    def _resolve(share: int) -> tuple[int, int]:
+        eff = None if full_budget is None else max(full_budget // share, 1)
+        if eff is not None:
+            # One chunk maximum rides along with every CHUNK score cells.
+            eff = max(eff - eff // (CHUNK + 1), 1)
+        bl, br = policy.resolve(
+            n_left,
+            n_right,
+            dim,
+            batch_left=batch_left,
+            batch_right=batch_right,
+            buffer_budget_bytes=eff,
+            reserve_bytes_per_left_row=reserve_bytes_per_left_row,
+        )
+        if parallel and batch_left is None and bl >= n_left:
+            # Neither the caller nor the (possibly generous) budget split
+            # the left side: cap the left edge at the engine's morsel size
+            # so the join actually parallelizes instead of degenerating to
+            # one serial full-size block.
+            morsels = engine.morsels_for(n_left)
+            if len(morsels) > 1:
+                bl = max(len(m) for m in morsels)
+        return block_shape(
+            bl,
+            br,
+            fixed_rows=batch_left is not None,
+            fixed_width=batch_right is not None,
+        )
+
+    if not parallel:
+        return _resolve(1)
+    # Split the budget by how many blocks are concurrently resident.
+    # Shrinking the budget shrinks blocks and so *raises* the block
+    # count, so iterate share = min(workers, blocks) to its fixed
+    # point (monotone, bounded by n_threads); at the fixed point
+    # holders * per-block <= budget.  A single-block join keeps the
+    # whole budget instead of paying for concurrency it never gets.
+    share = 1
+    for _ in range(8):
+        bl, br = _resolve(share)
+        new_share = min(engine.n_threads, -(-n_left // bl))
+        if new_share <= share:
+            return bl, br
+        share = new_share
+    return _resolve(engine.n_threads)  # conservative, always safe
+
+
 @dataclass
 class _BlockPart:
     """One left block's matches plus the counters it accumulated."""
@@ -74,6 +162,14 @@ class _BlockPart:
     similarity_evaluations: int = 0
     batch_invocations: int = 0
     peak_intermediate_bytes: int = 0
+
+
+def _empty_part() -> _BlockPart:
+    return _BlockPart(
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float32),
+    )
 
 
 def tensor_join(
@@ -134,68 +230,22 @@ def tensor_join(
     left_n = left_m if assume_normalized else normalize_rows(left_m)
     right_n = right_m if assume_normalized else normalize_rows(right_m)
 
-    if engine is not None:
-        policy = engine.policy
-    elif policy is None:
-        policy = BatchPolicy(
-            buffer_budget_bytes=get_config().default_buffer_budget_bytes
-        )
     reserve = (
-        StreamingTopK.state_bytes_per_row(condition.k)
+        TopKReducer.state_bytes_per_row(condition.k)
         if isinstance(condition, TopKCondition)
         else 0
     )
-    full_budget = (
-        policy.buffer_budget_bytes
-        if buffer_budget_bytes is None
-        else buffer_budget_bytes
+    bl, br = resolve_block_shape(
+        stats.n_left,
+        stats.n_right,
+        left_n.shape[1],
+        engine=engine,
+        policy=policy,
+        batch_left=batch_left,
+        batch_right=batch_right,
+        buffer_budget_bytes=buffer_budget_bytes,
+        reserve_bytes_per_left_row=reserve,
     )
-
-    def _resolve(share: int) -> tuple[int, int]:
-        eff = None if full_budget is None else max(full_budget // share, 1)
-        bl, br = policy.resolve(
-            stats.n_left,
-            stats.n_right,
-            left_n.shape[1],
-            batch_left=batch_left,
-            batch_right=batch_right,
-            buffer_budget_bytes=eff,
-            reserve_bytes_per_left_row=reserve,
-        )
-        if (
-            engine is not None
-            and engine.n_threads > 1
-            and batch_left is None
-            and bl >= stats.n_left
-        ):
-            # Neither the caller nor the (possibly generous) budget split
-            # the left side: cap the left edge at the engine's morsel size
-            # so the join actually parallelizes instead of degenerating to
-            # one serial full-size block.
-            morsels = engine.morsels_for(stats.n_left)
-            if len(morsels) > 1:
-                bl = max(len(m) for m in morsels)
-        return bl, br
-
-    if engine is not None and engine.n_threads > 1:
-        # Split the budget by how many blocks are concurrently resident.
-        # Shrinking the budget shrinks blocks and so *raises* the block
-        # count, so iterate share = min(workers, blocks) to its fixed
-        # point (monotone, bounded by n_threads); at the fixed point
-        # holders * per-block <= budget.  A single-block join keeps the
-        # whole budget instead of paying for concurrency it never gets.
-        share = 1
-        for _ in range(8):
-            bl, br = _resolve(share)
-            blocks = -(-stats.n_left // bl)
-            new_share = min(engine.n_threads, blocks)
-            if new_share <= share:
-                break
-            share = new_share
-        else:
-            bl, br = _resolve(engine.n_threads)  # conservative, always safe
-    else:
-        bl, br = _resolve(1)
     stats.peak_buffer_elements = bl * br
     stats.extra["batch_shape"] = (bl, br)
 
@@ -254,6 +304,22 @@ def _run_left_blocks(
     return engine.run([lambda span=span: block_task(span) for span in bounds])
 
 
+def _score_blocks(lb: np.ndarray, right_n: np.ndarray, br: int, part: _BlockPart):
+    """GEMM ``lb`` against each right block into one reusable buffer.
+
+    Yields ``(r0, scores)`` (Figure 6 step 1); the caller must be done
+    with ``scores`` before asking for the next block.
+    """
+    n_lb = lb.shape[0]
+    buffer = np.empty(n_lb * br, dtype=np.float32)
+    for r0 in range(0, right_n.shape[0], br):
+        rb = right_n[r0 : r0 + br]
+        out = buffer[: n_lb * len(rb)].reshape(n_lb, len(rb))
+        part.batch_invocations += 1
+        part.similarity_evaluations += out.size
+        yield r0, np.matmul(lb, rb.T, out=out)
+
+
 def _threshold_block(
     lb: np.ndarray,
     l0: int,
@@ -261,33 +327,20 @@ def _threshold_block(
     condition: ThresholdCondition,
     br: int,
 ) -> _BlockPart:
-    out_l: list[np.ndarray] = []
-    out_r: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
-    part = _BlockPart(
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float32),
-    )
-    for r0 in range(0, right_n.shape[0], br):
-        rb = right_n[r0 : r0 + br]
-        scores = lb @ rb.T  # dense GEMM block (Figure 6 step 1)
-        part.batch_invocations += 1
-        part.similarity_evaluations += scores.size
+    part = _empty_part()
+    out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for r0, scores in _score_blocks(lb, right_n, br, part):
         part.peak_intermediate_bytes = max(
-            part.peak_intermediate_bytes, scores.size * _CELL_BYTES
+            part.peak_intermediate_bytes,
+            scores.nbytes + maxima_bytes(*scores.shape),
         )
-        li, ri = np.nonzero(scores >= condition.threshold)
-        if len(li) == 0:
-            continue
+        li, ri, sc = select_above(scores, condition.threshold)
         # Map block-local offsets back via batch offsets (Fig. 6 step 2).
-        out_l.append(li.astype(np.int64) + l0)
-        out_r.append(ri.astype(np.int64) + r0)
-        out_s.append(scores[li, ri].astype(np.float32))
-    if out_l:
-        part.left_ids = np.concatenate(out_l)
-        part.right_ids = np.concatenate(out_r)
-        part.scores = np.concatenate(out_s)
+        out.append((li + l0, ri + r0, sc))
+    li, ri, sc = (np.concatenate(column) for column in zip(*out))
+    # Canonical (left asc, right asc) order, whatever the block shape.
+    order = np.lexsort((ri, li))
+    part.left_ids, part.right_ids, part.scores = li[order], ri[order], sc[order]
     return part
 
 
@@ -298,34 +351,18 @@ def _topk_block(
     condition: TopKCondition,
     br: int,
 ) -> _BlockPart:
-    k = condition.k
-    n_lb = lb.shape[0]
-    part = _BlockPart(
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float32),
-    )
-    merger = StreamingTopK(n_lb, k)
-    state_bytes = n_lb * StreamingTopK.state_bytes_per_row(k)
-    for r0 in range(0, right_n.shape[0], br):
-        rb = right_n[r0 : r0 + br]
-        scores = lb @ rb.T
-        part.batch_invocations += 1
-        part.similarity_evaluations += scores.size
+    part = _empty_part()
+    reducer = TopKReducer(lb.shape[0], condition.k)
+    for r0, scores in _score_blocks(lb, right_n, br, part):
+        reducer.push(scores, r0)
         part.peak_intermediate_bytes = max(
-            part.peak_intermediate_bytes,
-            scores.size * _CELL_BYTES + state_bytes,
+            part.peak_intermediate_bytes, scores.nbytes + reducer.peak_bytes
         )
-        merger.update_block(scores, r0)
-    cand_ids, cand_scores = merger.finalize()
-    kk = cand_ids.shape[1]
-    li = np.repeat(np.arange(n_lb, dtype=np.int64) + l0, kk)
-    ri = cand_ids.reshape(-1)
-    sc = cand_scores.reshape(-1).astype(np.float32)
+    li, ri, sc = reducer.finalize()
     if condition.min_similarity is not None:
         keep = sc >= condition.min_similarity
         li, ri, sc = li[keep], ri[keep], sc[keep]
-    part.left_ids, part.right_ids, part.scores = li, ri, sc
+    part.left_ids, part.right_ids, part.scores = li + l0, ri, sc
     return part
 
 

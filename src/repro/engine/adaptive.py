@@ -123,8 +123,13 @@ class BatchPolicy:
                 raise BufferBudgetError(
                     f"buffer budget {budget}B cannot hold one FP32 cell"
                 )
-            # Merge state + >=1 score cell per left row.
-            row_cost = reserve_bytes_per_left_row + CELL_BYTES
+            # Merge state + >=1 score cell per left row; the state takes
+            # at most half the budget, or a large reserve would squeeze
+            # the score block down to a few columns.
+            row_cost = max(
+                reserve_bytes_per_left_row + CELL_BYTES,
+                2 * reserve_bytes_per_left_row,
+            )
             if not explicit_left:
                 seed = edge if edge is not None else int(math.isqrt(cells))
                 batch_left = max(

@@ -139,6 +139,12 @@ class VectorIndex(abc.ABC):
             )
         if not assume_normalized:
             queries = normalize_rows(queries)
+        return self._search_batch(queries, k, allowed)
+
+    def _search_batch(
+        self, queries: np.ndarray, k: int, allowed: np.ndarray | None
+    ) -> list[SearchResult]:
+        """Probe validated unit-row queries; override with a batched kernel."""
         return [
             self.search(q, k, allowed=allowed, assume_normalized=True)
             for q in queries

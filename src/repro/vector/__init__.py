@@ -1,4 +1,4 @@
-"""Vector compute kernels: cosine similarity, norms, top-k selection."""
+"""Vector compute kernels: cosine similarity, norms, block select, top-k."""
 
 from .kernels import (
     Kernel,
@@ -13,6 +13,7 @@ from .kernels import (
 )
 from .norms import is_normalized, l2_norms, normalize_rows, normalize_vector
 from .quant import Int8Quantizer, ProductQuantizer, VectorQuantizer, int8_dot
+from .select import TopKReducer, select_above
 from .topk import StreamingTopK, top_k_indices, top_k_per_row
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "VectorQuantizer",
     "int8_dot",
     "StreamingTopK",
+    "TopKReducer",
     "cosine_matrix",
     "cosine_matrix_gemm",
     "cosine_matrix_scalar",
@@ -33,6 +35,7 @@ __all__ = [
     "l2_norms",
     "normalize_rows",
     "normalize_vector",
+    "select_above",
     "stable_dot_scores",
     "top_k_indices",
     "top_k_per_row",

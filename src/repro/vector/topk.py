@@ -77,16 +77,18 @@ def top_k_per_row(
 
 
 class StreamingTopK:
-    """Bounded streaming top-k merge over blockwise score production.
+    """Bounded streaming top-k merge over dense candidate batches.
 
     Holds at most ``k`` ``(right_id, score)`` candidates per left row and
-    folds each incoming block into that state immediately, so a blocked
-    top-k join never materializes more than one block's candidates beyond
-    the running winners — the per-worker analogue of a bounded merge heap,
-    kept in NumPy arrays so the merge itself is vectorized.
+    folds each incoming ``(n_rows, m)`` candidate batch into that state
+    immediately — the bounded merge heap of the serving scans (coalescer,
+    shard workers and their front-door merge), kept in NumPy arrays so the
+    merge itself is vectorized.  The join operators reduce whole score
+    blocks with :class:`repro.vector.select.TopKReducer` instead, which
+    keeps the same ``(score desc, id asc)`` order.
 
     Candidates arriving earlier win score ties (matching a full-matrix
-    ``top_k_per_row`` when blocks stream in ascending right-id order).
+    ``top_k_per_row`` when batches stream in ascending right-id order).
     """
 
     def __init__(self, n_rows: int, k: int) -> None:
@@ -98,17 +100,6 @@ class StreamingTopK:
         self.k = k
         self._ids: np.ndarray | None = None
         self._scores: np.ndarray | None = None
-
-    @staticmethod
-    def state_bytes_per_row(k: int) -> int:
-        """Upper bound on merge-state bytes held per left row.
-
-        At :meth:`update`'s transient peak, four ``k``-wide candidate sets
-        (each an int64 id plus an FP32 score) are alive simultaneously:
-        the retained winners, the incoming pruned block, and the 2k-wide
-        concatenation of both.
-        """
-        return 4 * k * (8 + 4)
 
     def update(self, ids: np.ndarray, scores: np.ndarray) -> None:
         """Fold a candidate batch ``(n_rows, m)`` into the running top-k."""
@@ -138,17 +129,6 @@ class StreamingTopK:
         keep = top_k_per_row(merged_scores, self.k)
         self._ids = np.take_along_axis(merged_ids, keep, axis=1)
         self._scores = np.take_along_axis(merged_scores, keep, axis=1)
-
-    def update_block(self, scores: np.ndarray, right_offset: int) -> None:
-        """Fold one dense score block whose columns start at ``right_offset``."""
-        scores = np.asarray(scores)
-        if scores.ndim != 2:
-            raise DimensionalityError(
-                f"expected 2-D scores, got ndim={scores.ndim}"
-            )
-        local = top_k_per_row(scores, self.k)
-        local_scores = np.take_along_axis(scores, local, axis=1)
-        self.update(local.astype(np.int64) + right_offset, local_scores)
 
     @property
     def width(self) -> int:

@@ -173,6 +173,85 @@ class TestStoreAmortization:
         execute(join_plan, ctx, report=ExecutionReport())
         assert ctx.quant_stores[key] is first  # encoded once, reused
 
+    @pytest.mark.parametrize("method", ["int8", "pq"])
+    def test_hinted_quantized_scan_builds_store_once(
+        self, ctx, join_plan, method, monkeypatch
+    ):
+        """A forced ``tensor-int8``/``tensor-pq`` hint goes through the
+        context's store cache like the REPRO_PRECISION branch does: two
+        executions encode once, a re-registered table encodes again."""
+        from dataclasses import replace
+
+        from repro.core.quantized_join import QuantizedRelation
+
+        builds = []
+        original = QuantizedRelation.build.__func__
+
+        def counting_build(cls, vectors, method_, **kwargs):
+            builds.append(method_)
+            return original(cls, vectors, method_, **kwargs)
+
+        monkeypatch.setattr(
+            QuantizedRelation, "build", classmethod(counting_build)
+        )
+        hinted = replace(join_plan, strategy_hint=f"tensor-{method}")
+        first, second = ExecutionReport(), ExecutionReport()
+        out_first = execute(hinted, ctx, report=first)
+        out_second = execute(hinted, ctx, report=second)
+        assert first.strategies == second.strategies == [f"tensor-{method}"]
+        assert builds == [method]
+        assert ("base", "emb", "hash", method) in ctx.quant_stores
+        assert out_first.array("r_id").tolist() == out_second.array("r_id").tolist()
+
+        fresh = np.random.default_rng(9).standard_normal((300, DIM))
+        ctx.catalog.register(
+            "base",
+            Table.from_arrays(
+                ctx.catalog.get("base").schema,
+                {"id": np.arange(300), "emb": fresh.astype(np.float32)},
+            ),
+            replace=True,
+        )
+        execute(hinted, ctx, report=ExecutionReport())
+        assert builds == [method, method]
+
+    def test_hinted_quantized_scan_falls_back_past_open_breaker(
+        self, ctx, join_plan
+    ):
+        from dataclasses import replace
+
+        from repro.reliability.breaker import breakers, reset_breakers
+
+        reset_breakers()
+        try:
+            for _ in range(3):
+                breakers().record_failure(("base", "emb", "hash", "int8"))
+            report = ExecutionReport()
+            execute(
+                replace(join_plan, strategy_hint="tensor-int8"), ctx, report=report
+            )
+            assert report.strategies == ["tensor"]
+        finally:
+            reset_breakers()
+
+    def test_scan_inputs_normalized_once_and_bit_identical(self, ctx, join_plan):
+        """Plain table scans share the context's unit-row matrix across
+        executions; results equal the inline-normalizing operator's."""
+        from repro.core import tensor_join
+
+        out = execute(join_plan, ctx, report=ExecutionReport())
+        cached = {key: entry[1] for key, entry in ctx.norm_cache.items()}
+        assert set(cached) == {("probes", "emb", "hash"), ("base", "emb", "hash")}
+        execute(join_plan, ctx, report=ExecutionReport())
+        for key, matrix in cached.items():
+            assert ctx.norm_cache[key][1] is matrix  # normalized once
+        direct = tensor_join(
+            ctx.catalog.get("probes").array("emb"),
+            ctx.catalog.get("base").array("emb"),
+            join_plan.condition,
+        )
+        assert np.array_equal(out.array("similarity"), direct.scores)
+
     def test_cold_one_shot_eselect_stays_fp32_for_pq(self, ctx):
         # A filtered (non-cacheable) source cannot amortize PQ training,
         # so the chooser charges the build and keeps the exact scan.

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-from hypothesis import settings as _hypothesis_settings
+import os
+
+# One BLAS thread, set before NumPy loads the library (the configuration
+# the engine's own morsel parallelism and the e2e benchmark assume).  A
+# threaded OpenBLAS call on a small contended box can stall a scheduler
+# quantum — a flat 8 ms for a 256x256x32 GEMM — which is what
+# test_calibration measures when this is left to the machine.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings as _hypothesis_settings  # noqa: E402
 
 # Property tests explore deterministically so the tier-1 gate cannot flake
 # on a lucky random walk; per-test @settings still override other fields.
 _hypothesis_settings.register_profile("deterministic", derandomize=True)
 _hypothesis_settings.load_profile("deterministic")
 
-from repro.embedding import HashingEmbedder
-from repro.relational import DataType, Field, Schema, Table
-from repro.workloads import unit_vectors
+from repro.embedding import HashingEmbedder  # noqa: E402
+from repro.relational import DataType, Field, Schema, Table  # noqa: E402
+from repro.workloads import unit_vectors  # noqa: E402
 
 
 @pytest.fixture()

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.engine import ExecutionEngine, serial_engine
 from repro.errors import BufferBudgetError, JoinError
 from repro.index import FlatIndex
-from repro.vector.topk import StreamingTopK
+from repro.vector.select import TopKReducer
 from repro.workloads import unit_vectors
 
 THRESHOLD = ThresholdCondition(0.4)
@@ -256,7 +256,7 @@ class TestTopKMemoryBudget:
     def test_budget_too_small_for_merge_state(self):
         left = unit_vectors(16, 8, seed=41)
         right = unit_vectors(16, 8, seed=42)
-        tiny = StreamingTopK.state_bytes_per_row(64) // 2
+        tiny = TopKReducer.state_bytes_per_row(64) // 2
         with pytest.raises(BufferBudgetError):
             tensor_join(
                 left, right, TopKCondition(64), buffer_budget_bytes=tiny

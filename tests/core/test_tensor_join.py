@@ -86,6 +86,86 @@ class TestBatching:
             resolve_batch_shape(10, 10, buffer_budget_bytes=2)
 
 
+class TestSelectAcrossBlockShapes:
+    """The shared select must not let the block shape show in the result:
+    same ids in the same order, scores equal up to GEMM block rounding."""
+
+    N_RIGHT = 5000
+
+    @pytest.fixture(scope="class")
+    def relations(self):
+        from repro.workloads import clustered_vectors
+
+        right, _ = clustered_vectors(self.N_RIGHT, 24, n_clusters=20, seed=7)
+        left, _ = clustered_vectors(60, 24, n_clusters=20, seed=8)
+        # Exact duplicates far apart: score ties across chunk and block
+        # boundaries that only the id tie-break can order.
+        right[4097] = right[3]
+        right[64] = right[3]
+        left[0] = right[3]
+        return left, right
+
+    @pytest.mark.parametrize("batch_right", [1, 7, 4096, N_RIGHT])
+    @pytest.mark.parametrize(
+        "condition",
+        [TopKCondition(8), TopKCondition(8, min_similarity=0.5),
+         TopKCondition(1), ThresholdCondition(0.6)],
+        ids=["top8", "top8-min", "top1", "threshold"],
+    )
+    def test_ids_identical_for_any_right_edge(self, relations, condition, batch_right):
+        left, right = relations
+        want = tensor_join(left, right, condition)
+        got = tensor_join(left, right, condition, batch_right=batch_right)
+        assert got.stats.extra["batch_shape"][1] == batch_right
+        np.testing.assert_array_equal(got.left_ids, want.left_ids)
+        np.testing.assert_array_equal(got.right_ids, want.right_ids)
+        np.testing.assert_allclose(got.scores, want.scores, atol=1e-6)
+
+    def test_matches_full_sort_oracle(self, relations):
+        left, right = relations
+        scores = normalize_rows(left) @ normalize_rows(right).T
+        want = np.argsort(-scores, axis=1, kind="stable")[:, :8]
+        got = tensor_join(left, right, TopKCondition(8))
+        np.testing.assert_array_equal(got.right_ids.reshape(len(left), 8), want)
+        assert got.right_ids[:3].tolist() == [3, 64, 4097]  # exact ties, id asc
+
+    def test_k_at_least_n_right_returns_everything(self, small_vectors):
+        left, right = small_vectors
+        result = tensor_join(left, right, TopKCondition(len(right) + 5), batch_right=16)
+        assert len(result) == len(left) * len(right)
+
+    @pytest.mark.parametrize("bl,br", [(None, None), (7, 13), (1, 4096), (60, 1)])
+    def test_threshold_pairs_in_canonical_order(self, relations, bl, br):
+        left, right = relations
+        result = tensor_join(
+            left, right, ThresholdCondition(0.6), batch_left=bl, batch_right=br
+        )
+        assert len(result) > 0
+        keys = result.left_ids * len(right) + result.right_ids
+        assert (np.diff(keys) > 0).all()  # (left asc, right asc), no duplicates
+
+    def test_threshold_equal_to_an_attained_score(self, relations):
+        left, right = relations
+        scores = normalize_rows(left) @ normalize_rows(right).T
+        attained = float(scores[5, 3])
+        result = tensor_join(left, right, ThresholdCondition(attained))
+        rows, cols = np.nonzero(scores >= np.float32(attained))
+        assert result.pairs() == set(zip(rows.tolist(), cols.tolist()))
+
+    def test_default_block_is_cache_sized_and_accounted(self, relations):
+        from repro.vector.select import BLOCK_BYTES
+
+        left, right = relations
+        wide = np.concatenate([right] * 6)  # 60 x 30,000 floats > BLOCK_BYTES
+        result = tensor_join(left, wide, TopKCondition(8))
+        bl, br = result.stats.extra["batch_shape"]
+        assert bl == len(left) and br < len(wide)
+        assert bl * br * 4 <= BLOCK_BYTES
+        assert result.stats.peak_buffer_elements == bl * br
+        # The peak covers the score buffer plus maxima and pooled triples.
+        assert result.stats.extra["peak_intermediate_bytes"] > bl * br * 4
+
+
 class TestResolveBatchShape:
     def test_defaults_to_full(self):
         assert resolve_batch_shape(100, 200) == (100, 200)

@@ -140,3 +140,143 @@ class TestIVFIndex:
 
     def test_describe(self, ivf):
         assert "nlist=12" in ivf.describe()
+
+
+class TestSearchBatch:
+    """The list-major batch probe must be indistinguishable from a loop of
+    ``search``: same id sets, scores within fp32 GEMM-vs-GEMV rounding, and
+    the same work counted."""
+
+    @staticmethod
+    def _assert_same(index, queries, k, allowed=None):
+        stats = index.stats
+        before = (stats.n_probes, stats.distance_computations, stats.hops)
+        batch = index.search_batch(queries, k, allowed=allowed)
+        mid = (stats.n_probes, stats.distance_computations, stats.hops)
+        loop = [
+            index.search(q, k, allowed=allowed) for q in normalize_rows(queries)
+        ]
+        after = (stats.n_probes, stats.distance_computations, stats.hops)
+        assert np.subtract(mid, before).tolist() == np.subtract(after, mid).tolist()
+        assert len(batch) == len(loop)
+        for got, want in zip(batch, loop):
+            assert set(got.ids.tolist()) == set(want.ids.tolist())
+            assert got.ids.dtype == np.int64 and got.scores.dtype == np.float32
+            np.testing.assert_allclose(
+                np.sort(got.scores), np.sort(want.scores), atol=1e-6
+            )
+            assert (np.diff(got.scores) <= 0).all()  # best first
+        return batch
+
+    def test_matches_loop_of_search(self, ivf):
+        self._assert_same(ivf, unit_vectors(40, DIM, seed=80), 5)
+
+    def test_unnormalized_queries_and_single_query(self, ivf):
+        queries = 3.0 * unit_vectors(1, DIM, seed=81)
+        self._assert_same(ivf, queries, 3)
+
+    def test_prefilter_bitmap(self, ivf, base):
+        allowed = np.zeros(len(base), dtype=bool)
+        allowed[::7] = True
+        batch = self._assert_same(ivf, unit_vectors(30, DIM, seed=82), 6, allowed)
+        assert all(allowed[r.ids].all() for r in batch)
+
+    def test_bitmap_excluding_everything_probed(self, ivf, base):
+        batch = self._assert_same(
+            ivf, unit_vectors(5, DIM, seed=83), 4, np.zeros(len(base), dtype=bool)
+        )
+        assert all(len(r) == 0 for r in batch)
+
+    def test_prefilter_shape_check(self, ivf):
+        with pytest.raises(IndexError_, match="bitmap"):
+            ivf.search_batch(np.ones((2, DIM)), 1, allowed=np.ones(3, dtype=bool))
+
+    def test_k_larger_than_the_probed_lists(self, base):
+        idx = IVFFlatIndex(DIM, nlist=12, nprobe=1, seed=84)
+        idx.add(base)
+        batch = self._assert_same(idx, unit_vectors(10, DIM, seed=85), 500)
+        assert all(0 < len(r) < 500 for r in batch)
+
+    def test_nprobe_at_least_nlist_is_exact(self, base):
+        idx = IVFFlatIndex(DIM, nlist=8, nprobe=64, seed=86)
+        idx.add(base)
+        queries = unit_vectors(12, DIM, seed=87)
+        batch = self._assert_same(idx, queries, 5)
+        flat = FlatIndex(DIM)
+        flat.add(base)
+        for got, q in zip(batch, queries):
+            assert got.ids.tolist() == flat.search(q, 5).ids.tolist()
+
+    def test_empty_lists(self):
+        """More lists than distinct points leaves lists empty after the
+        final assignment; probing them finds nothing and counts nothing."""
+        points = np.repeat(unit_vectors(3, DIM, seed=88), 20, axis=0)
+        idx = IVFFlatIndex(DIM, nlist=16, nprobe=16, seed=89)
+        idx.add(points)
+        assert 0 in idx.list_sizes()
+        batch = self._assert_same(idx, unit_vectors(6, DIM, seed=90), 4)
+        assert all(len(r) == 4 for r in batch)
+
+    def test_join_stats_match_the_per_query_path(self, ivf):
+        """``JoinStats.similarity_evaluations`` comes from the index's
+        distance counter, so the batched probe must not move it."""
+        from repro.core import TopKCondition, index_join
+        from repro.engine import ExecutionEngine
+
+        probes = unit_vectors(50, DIM, seed=91)
+        before = ivf.stats.distance_computations
+        for q in probes:
+            ivf.search(q, 3)
+        per_query = ivf.stats.distance_computations - before
+        serial = index_join(probes, ivf, TopKCondition(3))
+        parallel = index_join(
+            probes, ivf, TopKCondition(3), engine=ExecutionEngine(n_threads=3)
+        )
+        assert serial.stats.similarity_evaluations == per_query
+        assert parallel.stats.similarity_evaluations == per_query
+        np.testing.assert_array_equal(serial.left_ids, parallel.left_ids)
+        np.testing.assert_array_equal(serial.right_ids, parallel.right_ids)
+
+    def test_result_does_not_depend_on_the_probe_slice(self, ivf, monkeypatch):
+        """A batch is probed a cache-sized slice at a time; where the slices
+        cut must not show (scores move by GEMM block-shape rounding only)."""
+        import repro.index.ivf as ivf_module
+
+        queries = unit_vectors(23, DIM, seed=92)
+        whole = ivf.search_batch(queries, 5)
+        # Room for about 3 queries' worth of candidates per slice.
+        widest = int(np.sort(ivf.list_sizes())[-ivf.nprobe :].sum())
+        monkeypatch.setattr(ivf_module, "BLOCK_BYTES", 4 * widest * 3)
+        calls = []
+        probe_slice = ivf._probe_slice
+        monkeypatch.setattr(
+            ivf, "_probe_slice", lambda q, *a: calls.append(len(q)) or probe_slice(q, *a)
+        )
+        sliced = self._assert_same(ivf, queries, 5)
+        assert len(calls) > 3 and sum(calls) == len(queries)
+        for got, want in zip(sliced, whole):
+            assert got.ids.tolist() == want.ids.tolist()
+            np.testing.assert_allclose(got.scores, want.scores, atol=1e-6)
+
+    def test_probe_memory_does_not_grow_with_the_batch(self):
+        """The score matrix covers one slice of the batch, never all of it:
+        probing 8x the queries must not take 8x the memory."""
+        import tracemalloc
+
+        dim = 32
+        idx = IVFFlatIndex(dim, nlist=8, nprobe=4, kmeans_iters=2, seed=93)
+        idx.add(unit_vectors(20_000, dim, seed=94))
+        queries = unit_vectors(4_000, dim, seed=95)
+
+        def peak(n):
+            tracemalloc.start()
+            idx.search_batch(queries[:n], 4, assume_normalized=True)
+            held = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return held
+
+        # One dense matrix for 4,000 probes would be ~160 MB here.
+        assert peak(4_000) < 2 * peak(500) < 40e6
+
+    def test_empty_batch(self, ivf):
+        assert ivf.search_batch(np.empty((0, DIM), dtype=np.float32), 3) == []

@@ -118,7 +118,11 @@ class TestMergeTieBreaks:
 
         serial = StreamingTopK(N_ROWS, K)
         for start in range(0, corpus.shape[0], 16):
-            serial.update_block(scores[:, start : start + 16], start)
+            block = scores[:, start : start + 16]
+            local = top_k_per_row(block, K)
+            serial.update(
+                local + start, np.take_along_axis(block, local, axis=1)
+            )
 
         parts = []
         for lo, hi in ((0, 40), (40, 80)):

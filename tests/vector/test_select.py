@@ -1,0 +1,220 @@
+"""The batch-major select against a naive oracle: a full stable sort by
+``(score desc, id asc)`` for top-k, a full-width compare for thresholds."""
+
+import numpy as np
+import pytest
+
+from repro.errors import DimensionalityError
+from repro.vector.select import (
+    BLOCK_BYTES,
+    CHUNK,
+    MAX_BLOCK_ROWS,
+    MIN_STRIDE,
+    TRIPLE_BYTES,
+    TopKReducer,
+    block_shape,
+    maxima_bytes,
+    select_above,
+)
+
+
+def oracle_topk(scores: np.ndarray, k: int):
+    """Per row: ids and scores of the k best by (score desc, id asc)."""
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(scores, order, axis=1)
+
+
+def oracle_above(scores: np.ndarray, floor) -> set[tuple[int, int]]:
+    floor = np.asarray(floor, dtype=scores.dtype)
+    rows, cols = np.nonzero(scores >= (floor[:, None] if floor.ndim else floor))
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
+def reduce_blocks(scores: np.ndarray, k: int, width: int, floor=None):
+    """Stream ``scores`` through a reducer in right blocks of ``width``."""
+    reducer = TopKReducer(scores.shape[0], k, floor=floor)
+    for r0 in range(0, scores.shape[1], width):
+        reducer.push(scores[:, r0 : r0 + width], r0)
+    return reducer.finalize()
+
+
+def assert_matches_oracle(scores: np.ndarray, k: int, width: int) -> None:
+    rows, ids, picked = reduce_blocks(scores, k, width)
+    want_ids, want_scores = oracle_topk(scores, k)
+    kk = want_ids.shape[1]
+    assert rows.tolist() == np.repeat(np.arange(len(scores)), kk).tolist()
+    np.testing.assert_array_equal(ids.reshape(len(scores), kk), want_ids)
+    np.testing.assert_array_equal(picked.reshape(len(scores), kk), want_scores)
+
+
+CHUNKED = MIN_STRIDE * CHUNK  # narrowest block that takes the chunked path
+WIDE = CHUNKED + 5  # chunked path with a tail not divisible by CHUNK
+
+
+class TestSelectAbove:
+    @pytest.mark.parametrize("width", [1, CHUNK, CHUNKED - 1, CHUNKED, WIDE, 3 * WIDE])
+    def test_scalar_floor_matches_full_compare(self, width):
+        scores = np.random.default_rng(width).random((7, width)).astype(np.float32)
+        rows, cols, picked = select_above(scores, 0.8)
+        assert set(zip(rows.tolist(), cols.tolist())) == oracle_above(scores, 0.8)
+        np.testing.assert_array_equal(picked, scores[rows, cols])
+
+    def test_per_row_floors(self):
+        scores = np.random.default_rng(1).random((9, WIDE)).astype(np.float32)
+        floors = np.linspace(0.5, 0.99, 9).astype(np.float32)
+        rows, cols, _ = select_above(scores, floors)
+        assert set(zip(rows.tolist(), cols.tolist())) == oracle_above(scores, floors)
+
+    def test_floor_equal_to_attained_score_is_kept(self):
+        scores = np.random.default_rng(2).random((4, WIDE)).astype(np.float32)
+        floor = float(scores[2, 100])
+        rows, cols, _ = select_above(scores, floor)
+        assert (2, 100) in set(zip(rows.tolist(), cols.tolist()))
+        assert set(zip(rows.tolist(), cols.tolist())) == oracle_above(scores, floor)
+
+    def test_transposed_view_needs_no_copy(self):
+        scores = np.random.default_rng(3).random((WIDE, 6)).astype(np.float32)
+        rows, cols, picked = select_above(scores.T, 0.9)
+        assert set(zip(rows.tolist(), cols.tolist())) == oracle_above(
+            np.ascontiguousarray(scores.T), 0.9
+        )
+        np.testing.assert_array_equal(picked, scores.T[rows, cols])
+
+    def test_k_raises_floor_but_keeps_the_top_k(self):
+        scores = np.random.default_rng(4).random((5, WIDE)).astype(np.float32)
+        rows, cols, _ = select_above(scores, -np.inf, k=3)
+        assert len(rows) < scores.size  # it did gate
+        found = set(zip(rows.tolist(), cols.tolist()))
+        want_ids, _ = oracle_topk(scores, 3)
+        for row, ids in enumerate(want_ids):
+            assert {(row, int(i)) for i in ids} <= found
+
+    def test_nothing_qualifies(self):
+        rows, cols, picked = select_above(np.zeros((3, WIDE), np.float32), 1.0)
+        assert len(rows) == len(cols) == len(picked) == 0
+
+    def test_empty_block(self):
+        rows, _, _ = select_above(np.empty((0, WIDE), np.float32), 0.0)
+        assert len(rows) == 0
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(DimensionalityError):
+            select_above(np.zeros(4, np.float32), 0.0)
+
+
+class TestTopKReducer:
+    @pytest.mark.parametrize("width", [1, 7, CHUNK, CHUNKED, WIDE, 10_000])
+    def test_random_scores_any_block_width(self, width):
+        scores = np.random.default_rng(5).random((11, 3 * WIDE)).astype(np.float32)
+        assert_matches_oracle(scores, 5, width)
+
+    @pytest.mark.parametrize("k", [1, 4, 3 * WIDE, 3 * WIDE + 10])
+    def test_k_from_one_to_beyond_the_width(self, k):
+        scores = np.random.default_rng(6).random((3, 3 * WIDE)).astype(np.float32)
+        assert_matches_oracle(scores, k, WIDE)
+
+    def test_single_row(self):
+        scores = np.random.default_rng(7).random((1, 3 * WIDE)).astype(np.float32)
+        assert_matches_oracle(scores, 4, WIDE)
+
+    @pytest.mark.parametrize("width", [5, CHUNKED, WIDE, 10_000])
+    def test_all_equal_scores_keep_smallest_ids(self, width):
+        scores = np.full((3, 3 * CHUNKED), 0.5, dtype=np.float32)
+        _, ids, _ = reduce_blocks(scores, 4, width)
+        assert ids.reshape(3, 4).tolist() == [[0, 1, 2, 3]] * 3
+
+    def test_ties_straddling_chunk_and_block_boundaries(self):
+        """Equal best scores sit in different strided chunks, on both sides
+        of a right-block boundary and in the first and second block; the
+        smallest ids must win whatever the block width."""
+        n_cols = 2 * CHUNKED
+        scores = np.zeros((2, n_cols), dtype=np.float32)
+        # In a CHUNKED-wide block column j is in strided chunk
+        # j % MIN_STRIDE: columns 0 and 1 are in different chunks, 0 and
+        # MIN_STRIDE in the same one.
+        tied = [0, 1, MIN_STRIDE, CHUNKED - 1, CHUNKED, CHUNKED + 1, n_cols - 1]
+        scores[:, tied] = 1.0
+        for width in (CHUNKED, CHUNKED + 1, n_cols, 2 * CHUNK, 1):
+            _, ids, picked = reduce_blocks(scores, 5, width)
+            assert ids.reshape(2, 5).tolist() == [tied[:5]] * 2, width
+            assert picked.tolist() == [1.0] * 10
+
+    def test_initial_floor_drops_candidates_below_it(self):
+        scores = np.random.default_rng(8).random((4, 3 * WIDE)).astype(np.float32)
+        floor = np.full(4, 0.995, dtype=np.float32)
+        rows, ids, picked = reduce_blocks(scores, 50, WIDE, floor=floor)
+        assert set(zip(rows.tolist(), ids.tolist())) == oracle_above(scores, 0.995)
+        assert (picked >= 0.995).all()
+
+    def test_floor_tracks_kth_best(self):
+        scores = np.random.default_rng(9).random((6, 3 * WIDE)).astype(np.float32)
+        reducer = TopKReducer(6, 3)
+        assert np.isneginf(reducer.floor).all()
+        reducer.push(scores, 0)
+        _, want = oracle_topk(scores, 3)
+        np.testing.assert_array_equal(reducer.floor, want[:, -1])
+
+    def test_merge_order_does_not_matter(self):
+        rng = np.random.default_rng(10)
+        rows = np.repeat(np.arange(5), 40)
+        ids = np.tile(np.arange(40), 5)
+        scores = rng.integers(0, 6, size=200).astype(np.float32)  # many ties
+        results = []
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(200)
+            reducer = TopKReducer(5, 7)
+            for part in np.array_split(perm, 4):
+                reducer.merge(rows[part], ids[part], scores[part])
+            results.append(tuple(a.tolist() for a in reducer.finalize()))
+        assert results[0] == results[1] == results[2]
+
+    def test_pool_stays_bounded(self):
+        rng = np.random.default_rng(11)
+        reducer = TopKReducer(4, 3)
+        for r0 in range(0, 50 * WIDE, WIDE):
+            reducer.push(rng.random((4, WIDE)).astype(np.float32), r0)
+        # Far below what holding every streamed cell as a triple would take.
+        assert reducer.peak_bytes < (50 * 4 * WIDE * TRIPLE_BYTES) // 10
+        rows, _, _ = reducer.finalize()
+        assert len(rows) == 4 * 3
+
+    def test_empty_finalize(self):
+        rows, ids, picked = TopKReducer(5, 2).finalize()
+        assert len(rows) == len(ids) == len(picked) == 0
+
+    def test_invalid_arguments(self):
+        with pytest.raises(DimensionalityError, match="k must be"):
+            TopKReducer(3, 0)
+        with pytest.raises(DimensionalityError, match="n_rows"):
+            TopKReducer(-1, 2)
+        with pytest.raises(DimensionalityError, match="rows"):
+            TopKReducer(3, 2).push(np.ones((2, 4), dtype=np.float32))
+
+    def test_accounting_grows_with_k_and_tracks_pushes(self):
+        assert TopKReducer.state_bytes_per_row(1) > 0
+        assert TopKReducer.state_bytes_per_row(32) > TopKReducer.state_bytes_per_row(4)
+        reducer = TopKReducer(4, 3)
+        reducer.push(np.random.default_rng(12).random((4, WIDE)).astype(np.float32))
+        assert reducer.peak_bytes >= maxima_bytes(4, WIDE) > 0
+
+
+class TestBlockShape:
+    def test_derived_block_fits_the_target(self):
+        rows, width = block_shape(125, 40_000)
+        assert rows == 125
+        assert width % CHUNK == 0
+        assert rows * width * 4 <= BLOCK_BYTES < rows * (width + CHUNK) * 4
+
+    def test_small_inputs_untouched(self):
+        assert block_shape(30, 40) == (30, 40)
+
+    def test_pinned_edges_are_honoured(self):
+        assert block_shape(5000, 7, fixed_rows=True, fixed_width=True) == (5000, 7)
+        assert block_shape(125, 40_000, fixed_width=True) == (125, 40_000)
+        rows, width = block_shape(50_000, 40_000, fixed_rows=True)
+        assert rows == 50_000 and width == CHUNKED
+
+    def test_derived_left_edge_is_capped(self):
+        rows, width = block_shape(1_000_000, 40_000)
+        assert rows == MAX_BLOCK_ROWS
+        assert width == BLOCK_BYTES // (4 * MAX_BLOCK_ROWS)

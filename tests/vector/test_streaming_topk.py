@@ -12,13 +12,20 @@ def brute_force(scores: np.ndarray, k: int):
     return ids, np.take_along_axis(scores, ids, axis=1)
 
 
+def push_block(merger: StreamingTopK, block: np.ndarray, offset: int) -> None:
+    """Feed one score block the way the serving scans do: per-block
+    ``top_k_per_row``, then the dense candidate merge."""
+    local, picked = brute_force(block, merger.k)
+    merger.update(local + offset, picked)
+
+
 class TestStreamingTopK:
     def test_matches_full_matrix_selection(self):
         rng = np.random.default_rng(7)
         scores = rng.random((20, 50)).astype(np.float32)
         merger = StreamingTopK(20, 5)
         for r0 in range(0, 50, 13):  # uneven blocks on purpose
-            merger.update_block(scores[:, r0 : r0 + 13], r0)
+            push_block(merger, scores[:, r0 : r0 + 13], r0)
         ids, picked = merger.finalize()
         want_ids, want_scores = brute_force(scores, 5)
         np.testing.assert_array_equal(ids, want_ids)
@@ -31,7 +38,7 @@ class TestStreamingTopK:
         for block in (1, 7, 16, 64):
             merger = StreamingTopK(8, 3)
             for r0 in range(0, 64, block):
-                merger.update_block(scores[:, r0 : r0 + block], r0)
+                push_block(merger, scores[:, r0 : r0 + block], r0)
             outputs.append(merger.finalize())
         for ids, picked in outputs[1:]:
             np.testing.assert_array_equal(ids, outputs[0][0])
@@ -40,8 +47,8 @@ class TestStreamingTopK:
     def test_ties_prefer_earlier_candidates(self):
         scores = np.ones((2, 6), dtype=np.float32)
         merger = StreamingTopK(2, 2)
-        merger.update_block(scores[:, :3], 0)
-        merger.update_block(scores[:, 3:], 3)
+        push_block(merger, scores[:, :3], 0)
+        push_block(merger, scores[:, 3:], 3)
         ids, _ = merger.finalize()
         np.testing.assert_array_equal(ids, [[0, 1], [0, 1]])
 
@@ -49,14 +56,12 @@ class TestStreamingTopK:
         merger = StreamingTopK(4, 3)
         rng = np.random.default_rng(3)
         for r0 in range(0, 1000, 100):
-            merger.update_block(
-                rng.random((4, 100)).astype(np.float32), r0
-            )
+            push_block(merger, rng.random((4, 100)).astype(np.float32), r0)
             assert merger.width <= 3
 
     def test_fewer_candidates_than_k(self):
         merger = StreamingTopK(3, 10)
-        merger.update_block(np.ones((3, 4), dtype=np.float32), 0)
+        push_block(merger, np.ones((3, 4), dtype=np.float32), 0)
         ids, picked = merger.finalize()
         assert ids.shape == (3, 4)
         assert picked.shape == (3, 4)
@@ -84,11 +89,4 @@ class TestStreamingTopK:
     def test_row_count_mismatch(self):
         merger = StreamingTopK(3, 2)
         with pytest.raises(DimensionalityError, match="rows"):
-            merger.update_block(np.ones((2, 4), dtype=np.float32), 0)
-
-    def test_state_bytes_per_row_positive(self):
-        assert StreamingTopK.state_bytes_per_row(1) > 0
-        assert (
-            StreamingTopK.state_bytes_per_row(32)
-            > StreamingTopK.state_bytes_per_row(4)
-        )
+            push_block(merger, np.ones((2, 4), dtype=np.float32), 0)
