@@ -43,7 +43,6 @@ HOT_POOL = pick(24, 4)
 HOT_FRACTION = 0.5
 K = 10
 CLIENT_COUNTS = (1, 4, 16, 64)
-COALESCE_WINDOW_S = 0.002
 MODEL = "svc-model"
 
 
@@ -101,7 +100,6 @@ def _run_service(stream, clients: int, coalesce: bool):
     service = QueryService(
         engine,
         coalesce=coalesce,
-        coalesce_window_s=COALESCE_WINDOW_S,
         max_inflight=max(64, clients),
     )
     results: list = [None] * len(stream)

@@ -45,8 +45,6 @@ KPAD = 4 * K
 SHARD_COUNTS = pick((1, 2, 4, 8), (1, 2))
 CLIENT_COUNTS = pick((1, 16, 64), (1, 4))
 SCAN_REPEAT = pick(5, 2)
-BLOCK_ROWS = pick(16_384, 1_024)
-COALESCE_WINDOW_S = 0.002
 MODEL = "shard-model"
 KEY = ("corpus", "emb", MODEL)
 
@@ -105,7 +103,6 @@ def _run_service(stream, clients: int, shard_procs: int):
     service = QueryService(
         engine,
         coalesce=True,
-        coalesce_window_s=COALESCE_WINDOW_S,
         max_inflight=max(64, clients),
         shard_procs=shard_procs,
     )
@@ -211,7 +208,6 @@ def test_fig_shard_report(benchmark):
                 return pool.scan_candidates(
                     KEY, queries, n_rows=N_ROWS, topk_rows=topk_rows,
                     kpad=KPAD, thr_rows=[], thr_floors=floors[:0],
-                    block_rows=BLOCK_ROWS,
                 )
 
             first = pool_scan()  # publish + warm the workers once

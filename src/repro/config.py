@@ -54,9 +54,6 @@ class ReproConfig:
         service_admission_timeout_s: How long an over-limit submission
             waits for an execution slot before being rejected with
             backpressure.
-        service_coalesce_window_s: How long the first query of a shared-
-            scan group waits for concurrently-submitted queries on the
-            same (table, column, model) before executing the batch.
         service_coalesce_max_batch: Upper bound on queries fused into one
             shared scan.
         service_plan_cache_size: Entries in the service's logical-plan
@@ -72,7 +69,7 @@ class ReproConfig:
             it executes concurrently; admission still bounds the total).
             ``None`` means "same as ``service_max_inflight``".
         qos_ewma_alpha: Weight of each new sample in the QoS layer's
-            execution-time and arrival-rate EWMAs.
+            execution-time EWMAs.
         qos_deadline_safety: Multiplier padded onto the execution-time
             estimate before the shed/degrade decision — raise it to shed
             earlier (more conservative deadlines), lower it toward 1.0
@@ -80,12 +77,6 @@ class ReproConfig:
         qos_min_estimate_samples: Executions observed per mode before
             the tracker's estimate is trusted for shedding; a cold
             service never sheds on estimates.
-        qos_adaptive_window: Size coalescing gather windows from the
-            observed arrival rate (bounded above by
-            ``service_coalesce_window_s``) instead of using the fixed
-            window.
-        qos_window_target_batch: Arrivals the adaptive window aims to
-            gather per shared-scan group.
         qos_cache_tinylfu: Enable TinyLFU cost-aware admission on the
             service's semantic result cache.
         qos_default_min_recall: Recall floor applied to QoS submissions
@@ -189,7 +180,6 @@ class ReproConfig:
     default_rerank_multiple: int = 4
     service_max_inflight: int = 64
     service_admission_timeout_s: float = 30.0
-    service_coalesce_window_s: float = 0.002
     service_coalesce_max_batch: int = 64
     service_plan_cache_size: int = 256
     service_result_cache_size: int = 512
@@ -199,8 +189,6 @@ class ReproConfig:
     qos_ewma_alpha: float = 0.2
     qos_deadline_safety: float = 1.5
     qos_min_estimate_samples: int = 5
-    qos_adaptive_window: bool = True
-    qos_window_target_batch: int = 8
     qos_cache_tinylfu: bool = False
     qos_default_min_recall: float | None = None
     fault_rate: float = 0.0
@@ -308,9 +296,6 @@ def _config_from_env() -> ReproConfig:
     inflight = _env_number("REPRO_SERVICE_MAX_INFLIGHT", int)
     if inflight is not None:
         config.service_max_inflight = max(1, inflight)
-    window_ms = _env_number("REPRO_SERVICE_COALESCE_WINDOW_MS", float)
-    if window_ms is not None:
-        config.service_coalesce_window_s = max(0.0, window_ms) / 1000.0
     coalesce_batch = _env_number("REPRO_SERVICE_COALESCE_MAX_BATCH", int)
     if coalesce_batch is not None:
         config.service_coalesce_max_batch = max(1, coalesce_batch)
@@ -342,16 +327,10 @@ def _config_from_env() -> ReproConfig:
     min_samples = _env_number("REPRO_QOS_MIN_SAMPLES", int)
     if min_samples is not None:
         config.qos_min_estimate_samples = max(1, min_samples)
-    target = _env_number("REPRO_QOS_WINDOW_TARGET", int)
-    if target is not None:
-        config.qos_window_target_batch = max(1, target)
     min_recall = _env_number("REPRO_QOS_MIN_RECALL", float)
     if min_recall is not None:
         config.qos_default_min_recall = min(1.0, max(0.0, min_recall))
     # Boolean knobs: an explicit value set; "0" means off, anything else on.
-    adaptive = os.environ.get("REPRO_QOS_ADAPTIVE_WINDOW", "")
-    if adaptive:
-        config.qos_adaptive_window = adaptive != "0"
     tinylfu = os.environ.get("REPRO_QOS_CACHE_TINYLFU", "")
     if tinylfu:
         config.qos_cache_tinylfu = tinylfu != "0"

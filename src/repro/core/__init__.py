@@ -10,6 +10,7 @@ from .eselect import (
     eselect_index,
     exact_threshold_select,
     exact_topk_select,
+    guarded_topk_select,
 )
 from .precision import (
     PRECISIONS,
@@ -59,6 +60,7 @@ __all__ = [
     "TOPK_PRESCREEN_PAD",
     "exact_threshold_select",
     "exact_topk_select",
+    "guarded_topk_select",
     "calibrate",
     "calibrated_params",
     "eselect",

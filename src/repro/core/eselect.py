@@ -32,7 +32,6 @@ from ..errors import DimensionalityError, JoinError
 from ..index.base import VectorIndex
 from ..vector.kernels import stable_dot_scores
 from ..vector.norms import normalize_rows, normalize_vector
-from ..vector.topk import top_k_indices
 from .conditions import (
     JoinCondition,
     ThresholdCondition,
@@ -41,6 +40,7 @@ from .conditions import (
 )
 from .nlj import _as_matrix
 from .result import JoinStats
+from .scan import dense_score_block, merge_topk, rows_above, scan_candidates
 
 #: Margin subtracted from prescreen thresholds so float rounding in the
 #: approximate BLAS pass can never exclude a row the exact kernel would
@@ -131,6 +131,40 @@ def exact_topk_select(
     return ids, scores
 
 
+def guarded_topk_select(
+    normalized: np.ndarray,
+    candidates: np.ndarray,
+    floor: float,
+    qvec: np.ndarray,
+    condition: TopKCondition,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Exact top-k from prescreen candidates, complete or made so.
+
+    The one completeness rule of every served scan: each row the
+    prescreen dropped has approximate score ``<= floor``, so when
+    ``floor`` sits at least :data:`PRESCREEN_MARGIN` under the k-th best
+    *exact* candidate score no dropped row can tie or beat the top-k.
+    Otherwise one more pass collects every row within the margin of that
+    k-th score — any row that can still matter — at a fixed floor.
+    Returns ``(ids, scores, rescanned)``.
+    """
+    rescanned = False
+    if 0 < len(candidates) < len(normalized):
+        exact = stable_dot_scores(normalized[candidates], qvec)
+        kth = np.sort(exact)[::-1][min(condition.k, len(exact)) - 1]
+        if floor > kth - PRESCREEN_MARGIN:
+            candidates = rows_above(normalized, qvec, kth - PRESCREEN_MARGIN)
+            rescanned = True
+    ids, scores = exact_topk_select(
+        normalized,
+        candidates,
+        qvec,
+        condition.k,
+        min_similarity=condition.min_similarity,
+    )
+    return ids, scores, rescanned
+
+
 def eselect(
     relation,
     query,
@@ -160,34 +194,26 @@ def eselect(
             f"relation dim {matrix.shape[1]} != query dim {qvec.shape[0]}"
         )
     normalized = matrix if assume_normalized else normalize_rows(matrix)
-    approx = normalized @ qvec
-    stats.similarity_evaluations = len(approx)
+    n = len(normalized)
+    stats.similarity_evaluations = n
 
     if isinstance(condition, ThresholdCondition):
-        candidates = np.nonzero(
-            approx >= condition.threshold - PRESCREEN_MARGIN
-        )[0]
+        candidates = rows_above(
+            normalized, qvec, condition.threshold - PRESCREEN_MARGIN
+        )
         ids, scores = exact_threshold_select(
             normalized, candidates, qvec, condition.threshold
         )
     else:
         assert isinstance(condition, TopKCondition)
-        n = len(approx)
         kpad = min(n, condition.k + TOPK_PRESCREEN_PAD)
-        candidates = top_k_indices(approx, kpad)
-        if kpad < n and len(candidates):
-            # Widen to a provable superset: any row whose exact score can
-            # tie or beat the running k-th best has approximate score
-            # within the margin of it.
-            exact_cand = stable_dot_scores(normalized[candidates], qvec)
-            kth = np.sort(exact_cand)[::-1][min(condition.k, len(exact_cand)) - 1]
-            candidates = np.nonzero(approx >= kth - PRESCREEN_MARGIN)[0]
-        ids, scores = exact_topk_select(
-            normalized,
-            candidates,
-            qvec,
-            condition.k,
-            min_similarity=condition.min_similarity,
+        triples, _, _ = scan_candidates(
+            dense_score_block(normalized, qvec[None, :]),
+            0, n, 1, (0,), kpad, (), (),
+        )
+        (candidates,), (floor,) = merge_topk([triples], 1, kpad)
+        ids, scores, _ = guarded_topk_select(
+            normalized, candidates, float(floor), qvec, condition
         )
     stats.seconds = time.perf_counter() - start
     stats.pairs_emitted = len(ids)

@@ -7,10 +7,10 @@ a multi-client service:
   backpressure statistics, priority-ordered admission, and deadline
   shedding of queued waiters,
 * :mod:`~repro.service.coalescer` — cross-query shared-scan batching:
-  concurrent E-selections on the same (table, column, model) fuse into
-  one stacked blocked scan, demuxed per query through streaming top-k
-  heaps, bit-identical to serial execution; gather windows optionally
-  adapt to the observed arrival rate,
+  E-selections that queue behind a busy (table, column, model) scan
+  source fuse into one stacked blocked scan over the shared-scan core,
+  demuxed per query, bit-identical to serial execution; batches form by
+  backpressure (group commit), never by waiting on a timer,
 * :mod:`~repro.service.plan_cache` — repeated query shapes skip the
   optimizer via parameterized plan-fingerprint templates,
 * :mod:`~repro.service.semantic_cache` — exact and (opt-in) cosine
@@ -37,7 +37,6 @@ from .coalescer import (
 from .plan_cache import PlanCache, PlanCacheStats, fingerprint, parameterize, substitute
 from .qos import (
     DEFAULT_PRIORITY,
-    ArrivalRateEstimator,
     EWMA,
     ExecTimeTracker,
     FrequencySketch,
@@ -51,7 +50,6 @@ from .service import QueryService, ServiceStats, SessionHandle
 __all__ = [
     "AdmissionController",
     "AdmissionStats",
-    "ArrivalRateEstimator",
     "AsyncFrontStats",
     "AsyncQueryService",
     "CoalescerStats",

@@ -3,29 +3,28 @@
 The paper's economics argument is that embedding operators pay off when
 model invocations and scans are *batched*; within a query the tensor join
 does this with GEMM blocks.  The coalescing scheduler applies the same
-amortization **across queries**: concurrently-submitted E-selections that
-hit the same ``(table, column, model)`` scan source are fused into one
-blocked scan whose right-hand operand stacks every query vector — one
-GEMM streams the relation once for the whole group instead of once per
-query — and per-query results are demuxed from the shared score blocks
-through a :class:`~repro.vector.topk.StreamingTopK` heap (one row per
-session's query).
+amortization **across queries**: E-selections that hit the same
+``(table, column, model)`` scan source while its scan slots are busy are
+fused into one blocked scan whose operand stacks every query vector — the
+relation streams once for the whole group instead of once per query — and
+per-query candidates are demuxed from the shared score blocks by the
+shared-scan core (:func:`~repro.core.scan.scan_candidates`), the same
+function a serial :func:`~repro.core.eselect.eselect` runs as a group of
+one.
 
 Exactness: the shared scan is only a *prescreen*.  Each query's emitted
 rows are re-scored with the shape-stable exact kernel and re-selected by
-:func:`~repro.core.eselect.exact_topk_select` /
+:func:`~repro.core.eselect.guarded_topk_select` /
 :func:`~repro.core.eselect.exact_threshold_select` — the same contract
 the serial scan uses — so coalesced results are bit-identical to serial
-execution.  Threshold demux is provably complete via the prescreen
-margin; top-k demux verifies a completeness guard (heap floor at least a
-margin below the running k-th exact score) and falls back to the serial
-scan for that one query when the guard cannot prove the heap covered it.
+execution however requests happened to be grouped.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,49 +40,15 @@ from ..core.conditions import ThresholdCondition, TopKCondition
 from ..core.eselect import (
     PRESCREEN_MARGIN,
     TOPK_PRESCREEN_PAD,
-    eselect,
     exact_threshold_select,
-    exact_topk_select,
+    guarded_topk_select,
 )
+from ..core.scan import dense_score_block, merge_topk, scan_candidates
 from ..errors import ServiceError, ShardError
 from ..obs.trace import span
 from ..relational.column import Column
 from ..relational.schema import DataType, Field as SchemaField
 from ..relational.table import Table
-from ..vector.topk import StreamingTopK, top_k_per_row
-from .qos import ArrivalRateEstimator
-
-#: Fallback shared-scan block budget when no buffer budget is configured.
-DEFAULT_SCAN_BLOCK_BYTES = 8 << 20
-
-
-def _floor_pruned_candidates(
-    by_query: np.ndarray, floor: np.ndarray, offset: int
-):
-    """Block candidates that can still enter an already-full top-k heap.
-
-    A row prunes out when its approximate score is below its query's
-    current heap floor — the floor only rises, so such a row could never
-    be retained by the streaming merge anyway (the candidate superset is
-    unchanged; only wasted per-block selection work is skipped, one
-    vectorized compare per cell instead of a partition sort).  Returns
-    ``(ids, scores)`` padded to the widest query with ``-inf`` scores —
-    harmless against a heap that already holds ``k`` real candidates —
-    or ``None`` when no row survives.
-    """
-    mask = by_query >= floor[:, None]
-    counts = mask.sum(axis=1)
-    hmax = int(counts.max()) if len(counts) else 0
-    if hmax == 0:
-        return None
-    b = by_query.shape[0]
-    ids = np.full((b, hmax), -1, dtype=np.int64)
-    scores = np.full((b, hmax), -np.inf, dtype=np.float32)
-    for j in np.nonzero(counts)[0]:
-        idx = np.nonzero(mask[j])[0]
-        ids[j, : len(idx)] = idx + offset
-        scores[j, : len(idx)] = by_query[j, idx]
-    return ids, scores
 
 
 def unwrap_shared_scan(
@@ -116,14 +81,9 @@ class SharedScanRequest:
     wrappers: list[LogicalNode]
     #: Unit-normalized query vector (the eselect query contract).
     qvec: np.ndarray
-    #: The resolved query vector *before* normalization — the serial
-    #: fallback hands this to :func:`~repro.core.eselect.eselect` so its
-    #: internal normalization reproduces ``qvec`` bit-for-bit
-    #: (``normalize_vector`` is not idempotent at the last ulp).
-    qraw: np.ndarray
     tag: str
     result: Table | None = None
-    error: BaseException | None = None
+    error: Exception | None = None
     #: The submitting query's :class:`~repro.obs.trace.Trace` (or ``None``
     #: when unsampled).  The group *leader* runs the shared scan on its own
     #: thread, so follower traces cannot see it ambiently; the leader
@@ -139,15 +99,32 @@ class SharedScanRequest:
 
 
 class _Group:
-    """Requests gathered within one coalescing window."""
+    """Requests that share one scan; its first request's thread leads."""
 
-    __slots__ = ("key", "requests", "closed", "done")
+    __slots__ = ("requests", "go", "done")
 
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-        self.requests: list[SharedScanRequest] = []
-        self.closed = False
+    def __init__(self, leader: SharedScanRequest) -> None:
+        self.requests = [leader]
+        #: Set when a freed slot is handed to this (queued) group.
+        self.go = threading.Event()
         self.done = threading.Event()
+
+
+def _fail(requests: list[SharedScanRequest], exc: Exception) -> None:
+    """Give ``exc`` to every request that has no outcome yet."""
+    for req in requests:
+        if req.error is None and req.result is None:
+            req.error = exc
+
+
+class _Source:
+    """Group-commit state of one scan source."""
+
+    __slots__ = ("running", "queue")
+
+    def __init__(self) -> None:
+        self.running = 0  # group scans holding a slot
+        self.queue: deque[_Group] = deque()  # groups waiting for one
 
 
 @dataclass
@@ -179,49 +156,26 @@ class CoalescerStats:
 
 
 class CoalescingScheduler:
-    """Groups concurrent same-source E-selections into shared scans.
+    """Groups same-source E-selections into shared scans by backpressure.
 
-    The first submission for a source becomes the group *leader*: it waits
-    up to a gather window for concurrently-arriving queries on the same
-    key (skipping the wait when the in-flight probe says nobody else is
-    in flight), snapshots the group, and executes one shared blocked scan
-    for all of them on the engine's morsel scheduler.  Followers block on
-    the group's event and pick up their demuxed result.
-
-    With ``adaptive=True`` the gather window is sized per group from an
-    EWMA of observed arrival gaps — roughly the time needed for
-    ``target_batch`` more queries to arrive — instead of the fixed
-    ``window_s``.  ``window_s`` then acts as the upper bound, so the
-    adaptive window never waits *longer* than the fixed one: heavy
-    traffic batches in a fraction of the fixed window, light traffic
-    pays (almost) nothing.
+    Group commit, no timer: per scan source at most ``n_threads`` (the
+    engine's worker count) group scans run at once.  A request that finds
+    a free slot leads a scan *immediately*; one that finds none joins the
+    source's queued group (opening it, and so leading it, if need be; a
+    group holds at most ``max_batch`` requests), and a finishing scan
+    hands its slot to the oldest queued group.  An idle service therefore
+    adds no latency, and batches grow exactly as fast as the queue does.
+    Followers block on their group's event and pick up their demuxed
+    result; which group a request landed in cannot change that result
+    (exact rescore of a provable candidate superset).
     """
 
-    def __init__(
-        self,
-        engine,
-        *,
-        window_s: float = 0.002,
-        max_batch: int = 64,
-        inflight_probe=None,
-        adaptive: bool = False,
-        window_min_s: float = 0.0,
-        target_batch: int = 8,
-    ) -> None:
+    def __init__(self, engine, *, max_batch: int = 64) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         self.engine = engine  # repro.query.Engine
-        self.window_s = max(0.0, window_s)
         self.max_batch = max_batch
-        self.adaptive = adaptive
-        self.window_min_s = max(0.0, window_min_s)
-        self.target_batch = max(1, min(target_batch, max_batch))
-        self._arrivals = ArrivalRateEstimator()
-        #: Optional callable reporting how many queries are currently in
-        #: flight service-wide; lets the leader stop waiting as soon as
-        #: every in-flight query has had the chance to join the group.
-        self._inflight_probe = inflight_probe
-        self._groups: dict[tuple, _Group] = {}
+        self._sources: dict[tuple, _Source] = {}
         self._lock = threading.Lock()
         self.stats = CoalescerStats()
         #: Optional :class:`~repro.shard.ShardPool`; when set, group scans
@@ -234,92 +188,79 @@ class CoalescingScheduler:
         with self._lock:
             return self.stats.snapshot()
 
-    def current_window_s(self) -> float:
-        """The gather window a group leader would use right now."""
-        if not self.adaptive:
-            return self.window_s
-        return self._arrivals.window(
-            self.target_batch - 1, self.window_s, self.window_min_s
-        )
+    def queued(self) -> int:
+        """Requests currently waiting for a scan slot."""
+        with self._lock:
+            return sum(
+                len(group.requests)
+                for source in self._sources.values()
+                for group in source.queue
+            )
 
     # ------------------------------------------------------------------
     # Submission path (runs on client threads)
     # ------------------------------------------------------------------
     def submit(self, request: SharedScanRequest) -> Table:
-        """Join (or lead) the shared-scan group for this request's source.
+        """Lead, or join, a shared-scan group for this request's source.
 
         Blocks until the group executed; returns this request's demuxed,
         exact-rescored result (or re-raises its per-request error).
         """
         key = request.key
-        self._arrivals.observe()
+        slots = self.engine.executor.n_threads
         with self._lock:
-            group = self._groups.get(key)
-            if (
-                group is None
-                or group.closed
-                or len(group.requests) >= self.max_batch
-            ):
-                group = _Group(key)
-                self._groups[key] = group
-                is_leader = True
+            source = self._sources.setdefault(key, _Source())
+            leads = True
+            if source.running < slots:
+                source.running += 1
+                group = _Group(request)
+                group.go.set()
+            elif source.queue and len(source.queue[-1].requests) < self.max_batch:
+                group = source.queue[-1]
+                group.requests.append(request)
+                leads = False
             else:
-                is_leader = False
-            group.requests.append(request)
+                group = _Group(request)
+                source.queue.append(group)
         with span("coalesce.wait") as sp:
-            if is_leader:
-                self._lead(group)
+            if leads:
+                self._lead(key, group)
             else:
                 group.done.wait()
-            sp.set(leader=is_leader, batch=len(group.requests))
+            sp.set(leader=leads, batch=len(group.requests))
         if request.error is not None:
             raise request.error
         assert request.result is not None
         return request.result
 
-    def _lead(self, group: _Group) -> None:
-        self._gather(group)
-        with self._lock:
-            group.closed = True
-            if self._groups.get(group.key) is group:
-                del self._groups[group.key]
-            requests = list(group.requests)
+    def _lead(self, key: tuple, group: _Group) -> None:
+        """Scan for ``group`` once it holds a slot, then pass the slot on."""
+        requests = group.requests
         try:
-            self._execute_group(group.key, requests)
+            group.go.wait()
+            self._execute_group(key, requests)
+        except Exception as exc:
+            _fail(requests, exc)
         except BaseException as exc:
-            for req in requests:
-                if req.error is None and req.result is None:
-                    req.error = exc
+            # KeyboardInterrupt / SystemExit belong to this thread alone:
+            # the followers get a typed error instead of a hang.
+            _fail(
+                requests[1:],
+                ServiceError(f"shared scan leader interrupted: {exc!r}"),
+            )
+            raise
         finally:
-            group.done.set()
-
-    def _gather(self, group: _Group) -> None:
-        """Hold the group open up to the coalescing window.
-
-        The wait ends early once the group has absorbed every query the
-        service currently has in flight (nobody else could join), so an
-        uncontended service pays (almost) no coalescing latency while a
-        loaded one batches aggressively.  Under ``adaptive`` sizing the
-        window itself shrinks with the observed arrival rate.
-        """
-        window_s = self.current_window_s()
-        if window_s <= 0:
-            return
-        deadline = time.perf_counter() + window_s
-        poll = min(window_s / 8, 0.0002)
-        while True:
             with self._lock:
-                size = len(group.requests)
-            if size >= self.max_batch:
-                return
-            if self._inflight_probe is not None and size >= min(
-                self._inflight_probe(), self.max_batch
-            ):
-                return
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return
-            time.sleep(min(remaining, poll))
+                source = self._sources[key]
+                if group in source.queue:  # interrupted before its turn
+                    source.queue.remove(group)
+                elif source.queue:
+                    source.queue.popleft().go.set()
+                else:
+                    source.running -= 1
+                    if not source.running:
+                        del self._sources[key]
+            group.done.set()
 
     # ------------------------------------------------------------------
     # Shared scan execution (runs on the leader's thread)
@@ -328,11 +269,6 @@ class CoalescingScheduler:
         self, key: tuple, requests: list[SharedScanRequest]
     ) -> None:
         from ..algebra.physical_planner import _embed_column
-
-        with self._lock:
-            self.stats.groups += 1
-            self.stats.coalesced_queries += len(requests)
-            self.stats.max_batch = max(self.stats.max_batch, len(requests))
 
         scan_t0 = time.perf_counter()
         scan_c0 = time.thread_time()
@@ -348,161 +284,79 @@ class CoalescingScheduler:
         # of the embed-once prefetch.  ``urow_of[i]`` maps request i to
         # its unique scan row.
         uniq_index: dict[bytes, int] = {}
-        urow_of: list[int] = []
-        uniq_vecs: list[np.ndarray] = []
-        for req in requests:
-            digest = req.qvec.tobytes()
-            urow = uniq_index.get(digest)
-            if urow is None:
-                urow = len(uniq_vecs)
-                uniq_index[digest] = urow
-                uniq_vecs.append(req.qvec)
-            urow_of.append(urow)
-        queries = np.stack(uniq_vecs).astype(np.float32)
+        urow_of = [
+            uniq_index.setdefault(req.qvec.tobytes(), len(uniq_index))
+            for req in requests
+        ]
+        queries = np.empty((len(uniq_index), normalized.shape[1]), np.float32)
+        for urow, req in zip(urow_of, requests):
+            queries[urow] = req.qvec
         with self._lock:
-            self.stats.deduped_queries += len(requests) - len(uniq_vecs)
+            self.stats.groups += 1
+            self.stats.coalesced_queries += len(requests)
+            self.stats.max_batch = max(self.stats.max_batch, len(requests))
+            self.stats.deduped_queries += len(requests) - len(queries)
 
-        # Unique scan rows needing a top-k heap / threshold pool (a row
-        # can need both when duplicate vectors carry mixed conditions).
-        topk_rows = sorted(
-            {
-                urow_of[i]
-                for i, req in enumerate(requests)
-                if isinstance(req.node.condition, TopKCondition)
-            }
-        )
-        heap_pos = {urow: j for j, urow in enumerate(topk_rows)}
+        # Unique scan rows needing top-k candidates / threshold hits (a
+        # row can need both when duplicate vectors carry mixed conditions).
+        kmax = 0
         thr_floor: dict[int, float] = {}
-        for i, req in enumerate(requests):
-            if isinstance(req.node.condition, ThresholdCondition):
-                urow = urow_of[i]
-                bound = req.node.condition.threshold - PRESCREEN_MARGIN
+        topk_set: set[int] = set()
+        for urow, req in zip(urow_of, requests):
+            condition = req.node.condition
+            if isinstance(condition, TopKCondition):
+                topk_set.add(urow)
+                kmax = max(kmax, condition.k)
+            else:
+                bound = condition.threshold - PRESCREEN_MARGIN
                 thr_floor[urow] = min(thr_floor.get(urow, bound), bound)
+        topk_rows = sorted(topk_set)
+        heap_pos = {urow: j for j, urow in enumerate(topk_rows)}
         thr_rows = sorted(thr_floor)
         pool_pos = {urow: j for j, urow in enumerate(thr_rows)}
-        kpad = 0
-        heap = None
-        if topk_rows:
-            kpad = min(
-                n,
-                max(
-                    req.node.condition.k
-                    for req in requests
-                    if isinstance(req.node.condition, TopKCondition)
-                )
-                + TOPK_PRESCREEN_PAD,
-            )
-            kpad = max(kpad, 1)
-            heap = StreamingTopK(len(topk_rows), kpad)
         thresholds = np.asarray(
             [thr_floor[urow] for urow in thr_rows], dtype=np.float32
         )
-        pools: list[list[np.ndarray]] = [[] for _ in thr_rows]
-
-        # One blocked pass over the relation.  Each block is one stacked
-        # GEMM in (queries, rows) orientation — the relation streams once
-        # for the whole group — reduced to per-query block candidates.
-        # On a multi-threaded engine the blocks are independent scheduler
-        # tasks folded into the heap in input order; on a single-threaded
-        # engine the fold runs inline so later blocks can prune against
-        # the running heap floor with a vectorized compare instead of a
-        # per-query selection (the same superset either way).
-        all_topk = len(topk_rows) == len(queries)
-        block_rows = self._block_rows(ctx, len(queries))
+        kpad = max(1, min(n, kmax + TOPK_PRESCREEN_PAD))
 
         # Fan out to the shard-process pool when one is attached and the
         # cost model says the table is big enough to amortize dispatch.
         # The pool returns the same artifacts the in-process pass builds
-        # (merged heap + threshold hit pools), so everything downstream —
-        # floor guard, exact rescore, demux — is shared between paths,
-        # and a pool failure (ShardError) degrades to the in-process scan
+        # (per-row candidates with floors + threshold hits), so everything
+        # downstream — floor guard, exact rescore, demux — is shared, and
+        # a pool failure (ShardError) degrades to the in-process scan
         # rather than failing queries.
         shard_res = None
-        if self.shard_pool is not None and (heap is not None or thr_rows):
+        if self.shard_pool is not None:
             try:
                 shard_res = self.shard_pool.scan_candidates(
                     key,
                     queries,
                     n_rows=n,
                     topk_rows=topk_rows,
-                    kpad=max(kpad, 1),
+                    kpad=kpad,
                     thr_rows=thr_rows,
                     thr_floors=thresholds,
-                    block_rows=block_rows,
                 )
             except ShardError:
                 with self._lock:
                     self.stats.shard_fallbacks += 1
-                shard_res = None
-
-        starts: list[int] = []
-        if shard_res is None:
-            starts = list(range(0, n, block_rows))
-        with self._lock:
-            self.stats.shared_scan_blocks += (
-                shard_res.blocks if shard_res is not None else len(starts)
+        if shard_res is not None:
+            # The pool's floors include the store's score error bound, so
+            # the demux guard stays sound for quantized shard stores too.
+            heap_ids, heap_floor = shard_res.heap_ids, shard_res.heap_floor
+            thr_hits, blocks = shard_res.thr_hits, shard_res.blocks
+        else:
+            triples, thr_hits, blocks = scan_candidates(
+                dense_score_block(normalized, queries),
+                0, n, len(queries), topk_rows, kpad, thr_rows, thresholds,
+                budget_bytes=ctx.engine.policy.buffer_budget_bytes,
             )
+            heap_ids, heap_floor = merge_topk([triples], len(topk_rows), kpad)
+        with self._lock:
+            self.stats.shared_scan_blocks += blocks
             if shard_res is not None:
                 self.stats.sharded_groups += 1
-
-        def scan_block(start: int, floor: np.ndarray | None):
-            stop = min(start + block_rows, n)
-            scores = queries @ normalized[start:stop].T  # (b, rows)
-            by_query = scores if all_topk else scores[topk_rows]
-            top = None
-            if topk_rows:
-                if floor is None:
-                    local = top_k_per_row(by_query, min(kpad, stop - start))
-                    top = (
-                        local.astype(np.int64) + start,
-                        np.take_along_axis(by_query, local, axis=1),
-                    )
-                else:
-                    top = _floor_pruned_candidates(by_query, floor, start)
-            thr_hits = [
-                np.nonzero(scores[row] >= thresholds[j])[0] + start
-                for j, row in enumerate(thr_rows)
-            ]
-            return top, thr_hits
-
-        def fold(top, thr_hits) -> None:
-            if heap is not None and top is not None:
-                heap.update(*top)
-            for j, hits in enumerate(thr_hits):
-                if len(hits):
-                    pools[j].append(hits)
-
-        if shard_res is not None:
-            for j, hits in enumerate(shard_res.thr_hits):
-                if len(hits):
-                    pools[j].append(hits)
-        elif ctx.engine.n_threads > 1:
-            partials = ctx.engine.run(
-                [lambda s=s: scan_block(s, None) for s in starts]
-            )
-            for top, thr_hits in partials:
-                fold(top, thr_hits)
-        else:
-            for start in starts:
-                floor = None
-                if heap is not None and heap.width >= kpad:
-                    floor = heap.finalize()[1].min(axis=1)
-                fold(*scan_block(start, floor))
-
-        heap_ids = heap_floor = None
-        if heap is not None and shard_res is not None:
-            # The pool already merged per-shard heaps; its floor includes
-            # the store's score error bound, so the demux guard below
-            # stays sound for quantized shard stores too.
-            heap_ids = shard_res.heap_ids
-            heap_floor = shard_res.heap_floor
-        elif heap is not None:
-            heap_ids, heap_scores = heap.finalize()
-            heap_floor = (
-                heap_scores.min(axis=1)
-                if heap_scores.shape[1]
-                else np.full(len(topk_rows), -np.inf, dtype=np.float32)
-            )
 
         # Attribute the shared scan to every member query: the scan ran
         # once on the leader's thread, but each sampled trace receives a
@@ -516,11 +370,8 @@ class CoalescingScheduler:
                     wall_s=scan_wall,
                     cpu_s=scan_cpu,
                     batch=len(requests),
-                    unique_vectors=len(uniq_vecs),
-                    blocks=(
-                        shard_res.blocks if shard_res is not None
-                        else len(starts)
-                    ),
+                    unique_vectors=len(queries),
+                    blocks=blocks,
                     rows=n,
                     bytes_scanned=int(n) * int(normalized.shape[1]) * 4,
                     shards=0 if shard_res is None else shard_res.n_shards,
@@ -542,34 +393,32 @@ class CoalescingScheduler:
         # own condition, score column, and wrappers — and each fails
         # alone: a bad wrapper (e.g. projecting a missing column) must
         # not poison the other queries that happened to share its scan.
-        for i, req in enumerate(requests):
-            urow = urow_of[i]
+        for urow, req in zip(urow_of, requests):
             condition = req.node.condition
             demux_t0 = time.perf_counter()
             demux_c0 = time.thread_time()
             candidates = 0
             try:
                 if isinstance(condition, ThresholdCondition):
-                    j = pool_pos[urow]
-                    cand = (
-                        np.concatenate(pools[j])
-                        if pools[j]
-                        else np.empty(0, dtype=np.int64)
-                    )
+                    cand = thr_hits[pool_pos[urow]]
                     candidates = len(cand)
                     ids, scores = exact_threshold_select(
                         normalized, cand, req.qvec, condition.threshold
                     )
-                    req.result = self._materialize(table, ids, scores, req)
                 else:
                     j = heap_pos[urow]
                     candidates = len(heap_ids[j])
-                    ids_scores = self._demux_topk(
-                        normalized, heap_ids[j], float(heap_floor[j]), req,
-                        condition, n,
+                    ids, scores, rescanned = guarded_topk_select(
+                        normalized, heap_ids[j], float(heap_floor[j]),
+                        req.qvec, condition,
                     )
-                    req.result = self._materialize(table, *ids_scores, req)
-            except BaseException as exc:
+                    if rescanned:
+                        with self._lock:
+                            self.stats.fallbacks += 1
+                req.result = materialize_selection(
+                    table, ids, scores, req.node.score_column, req.wrappers
+                )
+            except Exception as exc:
                 req.error = exc
             if req.trace is not None:
                 req.trace.add_span(
@@ -579,66 +428,6 @@ class CoalescingScheduler:
                     candidates=candidates,
                     rows=0 if req.result is None else len(req.result),
                 )
-
-    def _demux_topk(
-        self,
-        normalized: np.ndarray,
-        candidates: np.ndarray,
-        heap_floor: float,
-        req: SharedScanRequest,
-        condition: TopKCondition,
-        n: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact top-k from shared-scan candidates, or serial fallback.
-
-        Completeness guard: every row the heap dropped has approximate
-        score <= the heap floor; if the floor sits at least the prescreen
-        margin below this query's k-th exact candidate score, no dropped
-        row can reach the top-k, so the candidate set is provably
-        complete.  Otherwise re-run this one query through the serial
-        scan — which is bit-identical by the shared exact contract.
-        """
-        if len(candidates) < n and len(candidates):
-            from ..vector.kernels import stable_dot_scores
-
-            exact = stable_dot_scores(normalized[candidates], req.qvec)
-            kth = np.sort(exact)[::-1][min(condition.k, len(exact)) - 1]
-            if heap_floor > kth - PRESCREEN_MARGIN:
-                with self._lock:
-                    self.stats.fallbacks += 1
-                result = eselect(
-                    normalized, req.qraw, condition, assume_normalized=True
-                )
-                return result.ids, result.scores
-        return exact_topk_select(
-            normalized,
-            candidates,
-            req.qvec,
-            condition.k,
-            min_similarity=condition.min_similarity,
-        )
-
-    def _block_rows(self, ctx, batch: int) -> int:
-        """Rows per shared-scan block under the configured buffer budget."""
-        from ..config import get_config
-
-        budget = ctx.engine.policy.buffer_budget_bytes
-        if budget is None:
-            budget = get_config().default_buffer_budget_bytes
-        if budget is None:
-            budget = DEFAULT_SCAN_BLOCK_BYTES
-        return max(1024, budget // max(1, 4 * batch))
-
-    @staticmethod
-    def _materialize(
-        table: Table,
-        ids: np.ndarray,
-        scores: np.ndarray,
-        req: SharedScanRequest,
-    ) -> Table:
-        return materialize_selection(
-            table, ids, scores, req.node.score_column, req.wrappers
-        )
 
 
 def materialize_selection(

@@ -3,7 +3,7 @@
 The serving gap this module closes is the one ``fig_service`` measures:
 under heavy concurrency, queue wait dominates latency and p99 collapses
 to ~46x the single-client value.  The QoS layer keeps tails flat by
-making three decisions *before* work is executed, all of which need
+making two decisions *before* work is executed, both of which need
 cheap online estimates:
 
 * **shed** — a query whose deadline is provably unmeetable (already
@@ -14,10 +14,7 @@ cheap online estimates:
 * **degrade** — when the caller states a recall floor, a query that
   cannot meet its deadline at full precision drops to an int8/PQ
   prescreen-only scan (cheaper by the compression ratio) and the
-  response is explicitly flagged ``degraded`` — never silently;
-* **adapt** — the coalescer's gather window is sized from an EWMA of
-  observed arrival gaps, so an idle service pays no batching latency
-  while a loaded one batches aggressively.
+  response is explicitly flagged ``degraded`` — never silently.
 
 Everything here is mechanism, not policy: the classes are small,
 thread-safe, and independently testable.  :class:`QueryService` and
@@ -110,46 +107,6 @@ class ExecTimeTracker:
                 mode: {"ewma_s": e.value, "n": e.n}
                 for mode, e in self._ewmas.items()
             }
-
-
-class ArrivalRateEstimator:
-    """EWMA of inter-arrival gaps, for adaptive coalesce windows.
-
-    ``window(target_extra, max_s, min_s)`` answers: "how long should a
-    shared-scan group leader hold the group open to gather roughly
-    ``target_extra`` more concurrent queries?"  Under heavy traffic the
-    gap shrinks and so does the window (less added latency, same batch
-    size); under light traffic the window collapses toward ``min_s``
-    because the leader's companion early-exit (the in-flight probe) ends
-    the wait anyway.
-    """
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        self._gap = EWMA(alpha)
-        self._last: float | None = None
-        self._lock = threading.Lock()
-
-    def observe(self, now: float | None = None) -> None:
-        """Record one arrival (call on every submission)."""
-        now = time.perf_counter() if now is None else now
-        with self._lock:
-            if self._last is not None:
-                self._gap.update(max(0.0, now - self._last))
-            self._last = now
-
-    def mean_gap(self) -> float | None:
-        """EWMA of seconds between arrivals (``None`` before 2 arrivals)."""
-        with self._lock:
-            return self._gap.value
-
-    def window(
-        self, target_extra: int, max_s: float, min_s: float = 0.0
-    ) -> float:
-        """Gather window sized to absorb ``target_extra`` more arrivals."""
-        gap = self.mean_gap()
-        if gap is None:
-            return max_s
-        return min(max_s, max(min_s, gap * max(1, target_extra)))
 
 
 @dataclass

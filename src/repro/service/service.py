@@ -224,18 +224,15 @@ class QueryService:
             shared stores all come from it).
         max_inflight: admission bound on concurrently executing queries.
         admission_timeout_s: backpressure wait before rejecting.
-        coalesce: enable cross-query shared-scan batching.
-        coalesce_window_s: how long a scan-group leader waits for
-            concurrently-submitted queries before executing (the *upper
-            bound* when the adaptive window is on).
+        coalesce: enable cross-query shared-scan batching (group commit:
+            requests arriving while a source's scan slots are busy share
+            the next scan).
         coalesce_max_batch: max queries fused into one shared scan.
         plan_cache_size: optimized-plan template cache capacity.
         result_cache_size: semantic result cache capacity (0 disables).
         result_cache_ttl_s: result cache entry time-to-live.
         near_dup_threshold: opt-in cosine threshold for approximate
             result-cache hits (``None`` keeps results exact).
-        adaptive_window: size coalesce windows from the observed arrival
-            rate instead of the fixed ``coalesce_window_s``.
         result_cache_tinylfu: enable TinyLFU cost-aware admission on the
             result cache.
         obs_enabled: master switch for per-query trace sampling.
@@ -270,13 +267,11 @@ class QueryService:
         max_inflight: int | None = None,
         admission_timeout_s: float | None = None,
         coalesce: bool = True,
-        coalesce_window_s: float | None = None,
         coalesce_max_batch: int | None = None,
         plan_cache_size: int | None = None,
         result_cache_size: int | None = None,
         result_cache_ttl_s: float | None = None,
         near_dup_threshold: float | None = None,
-        adaptive_window: bool | None = None,
         result_cache_tinylfu: bool | None = None,
         obs_enabled: bool | None = None,
         obs_sample_rate: float | None = None,
@@ -329,23 +324,11 @@ class QueryService:
         self.coalescer = (
             CoalescingScheduler(
                 engine,
-                window_s=(
-                    config.service_coalesce_window_s
-                    if coalesce_window_s is None
-                    else coalesce_window_s
-                ),
                 max_batch=(
                     config.service_coalesce_max_batch
                     if coalesce_max_batch is None
                     else coalesce_max_batch
                 ),
-                inflight_probe=lambda: self.admission.inflight,
-                adaptive=(
-                    config.qos_adaptive_window
-                    if adaptive_window is None
-                    else adaptive_window
-                ),
-                target_batch=config.qos_window_target_batch,
             )
             if coalesce
             else None
@@ -875,12 +858,10 @@ class QueryService:
             query = store.embed_items([query])[0]
         if query.ndim != 1:
             return None  # let the serial path raise its usual error
-        qraw = np.asarray(query, dtype=np.float32)
         return SharedScanRequest(
             node=node,
             wrappers=wrappers,
-            qvec=normalize_vector(qraw),
-            qraw=qraw,
+            qvec=normalize_vector(np.asarray(query, dtype=np.float32)),
             tag=tag,
             # The group leader executes on *its* thread; handing the
             # ambient trace over lets it attribute the shared scan back.

@@ -9,10 +9,10 @@ The pool owns everything multiprocess about sharded execution:
   shared-memory segments workers map zero-copy;
 * **dispatch** — one scan task per worker, carried by the flight
   recorder's bit-exact wire format over pipes;
-* **merging** — per-query :class:`~repro.vector.topk.StreamingTopK`
-  heaps come back from every shard and merge under a total order
-  (score desc, id asc), so the candidate set is independent of reply
-  arrival order and identical to a serial scan's;
+* **merging** — every shard returns its top-k candidate triples and they
+  fold under one total order (score desc, id asc;
+  :func:`~repro.core.scan.merge_topk`), so the candidate set is
+  independent of reply arrival order and identical to a serial scan's;
 * **self-healing** — a watchdog with the same policy semantics as the
   in-process engine's (:mod:`repro.reliability.watchdog`): heartbeats
   mark progress, silent workers past the stall tolerance are terminated,
@@ -40,9 +40,9 @@ import numpy as np
 
 from ..config import get_config
 from ..core.cost_model import choose_shard_fanout
+from ..core.scan import merge_topk
 from ..errors import ShardError
 from ..reliability.watchdog import WatchdogPolicy
-from ..vector.topk import StreamingTopK
 from .envelope import make_task, open_task
 from .store import SegmentOwner
 from .worker import worker_main
@@ -52,8 +52,7 @@ from .worker import worker_main
 class ShardScanResult:
     """Merged candidates from one fanned-out scan."""
 
-    heap_ids: np.ndarray          # (n_topk_rows, width) int64, best first
-    heap_scores: np.ndarray       # (n_topk_rows, width) float32
+    heap_ids: list[np.ndarray]    # per top-k row, candidate ids best first
     heap_floor: np.ndarray        # (n_topk_rows,) effective floor incl. bound
     thr_hits: list[np.ndarray]    # per threshold row, ascending global ids
     n_shards: int
@@ -315,7 +314,6 @@ class ShardPool:
         kpad: int,
         thr_rows,
         thr_floors: np.ndarray,
-        block_rows: int,
         precision: str = "fp32",
     ) -> ShardScanResult | None:
         """Fan one coalesced scan out; ``None`` means "stay in-process".
@@ -340,8 +338,7 @@ class ShardPool:
                 return self._scan_locked(
                     tuple(key), queries, n_rows=n_rows,
                     topk_rows=topk_rows, kpad=kpad, thr_rows=thr_rows,
-                    thr_floors=thr_floors, block_rows=block_rows,
-                    precision=precision,
+                    thr_floors=thr_floors, precision=precision,
                 )
             except ShardError:
                 self.stats.errors += 1
@@ -349,7 +346,7 @@ class ShardPool:
 
     def _scan_locked(
         self, key, queries, *, n_rows, topk_rows, kpad, thr_rows,
-        thr_floors, block_rows, precision,
+        thr_floors, precision,
     ) -> ShardScanResult | None:
         manifest = self._publish_locked(key, (precision,))
         if manifest.n_rows != n_rows:
@@ -375,7 +372,6 @@ class ShardPool:
             kpad=int(max(1, kpad)),
             thr_rows=thr_rows,
             thr_floors=adj_floors,
-            block_rows=int(block_rows),
             heartbeat_s=self.policy.stall_s / 4.0 if self.policy.enabled
             else 1.0,
         )
@@ -401,20 +397,18 @@ class ShardPool:
             pending[worker.shard_id] = task
         replies = self._collect(task_id, pending, respawn_budget)
 
-        heap = StreamingTopK(len(topk_rows), int(max(1, kpad)))
+        parts = []
         pools: list[list[np.ndarray]] = [[] for _ in range(len(thr_rows))]
         blocks = 0
         rows = 0
         walls: list[float] = [0.0] * self.n_procs
         for shard_id in sorted(replies):
             payload = replies[shard_id]
-            if len(topk_rows):
-                part = StreamingTopK(len(topk_rows), int(max(1, kpad)))
-                ids = np.asarray(payload["heap_ids"], dtype=np.int64)
-                scores = np.asarray(payload["heap_scores"], dtype=np.float32)
-                if ids.size:
-                    part.update(ids, scores)
-                heap.merge(part)
+            parts.append((
+                np.asarray(payload["topk_rows"], dtype=np.int64),
+                np.asarray(payload["topk_ids"], dtype=np.int64),
+                np.asarray(payload["topk_scores"], dtype=np.float32),
+            ))
             for j, hits in enumerate(payload["thr_hits"]):
                 hits = np.asarray(hits, dtype=np.int64)
                 if len(hits):
@@ -424,18 +418,14 @@ class ShardPool:
             walls[shard_id] = float(payload["wall_s"])
         self.stats.rows_scanned += rows
 
-        heap_ids, heap_scores = heap.finalize()
-        if heap_scores.shape[1]:
-            heap_floor = heap_scores.min(axis=1) + np.float32(bound)
-        else:
-            heap_floor = np.full(len(topk_rows), -np.inf, dtype=np.float32)
+        heap_ids, heap_floor = merge_topk(parts, len(topk_rows), kpad)
+        heap_floor += np.float32(bound)
         thr_hits = [
             np.concatenate(p) if p else np.empty(0, dtype=np.int64)
             for p in pools
         ]
         return ShardScanResult(
             heap_ids=heap_ids,
-            heap_scores=heap_scores,
             heap_floor=heap_floor,
             thr_hits=thr_hits,
             n_shards=self.n_procs,

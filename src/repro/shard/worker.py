@@ -3,13 +3,12 @@
 ``worker_main`` is the spawn entry point — a top-level function with
 picklable arguments only, so it works under every start method.  The
 worker is deliberately dumb: it holds zero-copy views over published
-segments, and for each scan task it runs the *existing* morsel engine
-(a single-threaded :class:`~repro.engine.executor.ExecutionEngine`) over
-its shard's blocks, folding candidates into a bounded per-query
-:class:`~repro.vector.topk.StreamingTopK` exactly like the in-process
-coalesced scan does.  All exactness decisions (margins, error bounds,
-exact rescoring) stay at the front door; the worker only ever produces
-candidate supersets.
+segments, and for each scan task it runs the shared-scan core
+(:func:`~repro.core.scan.scan_candidates`) over its shard's row range —
+the same call the in-process coalesced scan makes — with the task's
+precision picking the ``score_block`` representation.  All exactness
+decisions (margins, error bounds, exact rescoring) stay at the front
+door; the worker only ever produces candidate supersets.
 
 Liveness: during a scan the worker emits heartbeat envelopes between
 blocks, so the pool's watchdog can tell "slow but alive" from "stuck"
@@ -23,9 +22,8 @@ import time
 
 import numpy as np
 
-from ..engine.executor import ExecutionEngine
+from ..core.scan import row_major_scores, scan_candidates
 from ..errors import ShardError
-from ..vector.topk import StreamingTopK, top_k_per_row
 from .envelope import make_task, open_task
 from .store import AttachedSegment
 
@@ -33,10 +31,10 @@ from .store import AttachedSegment
 def _score_block(precision: str, views: dict, prepared, queries, start, stop):
     """One approximate score block ``(n_queries, stop - start)``."""
     if precision == "fp32":
-        return queries @ views["fp32"].array[start:stop].T
+        return row_major_scores(views["fp32"].array[start:stop], queries)
     if precision == "fp16":
         block = views["fp16"].array[start:stop].astype(np.float32)
-        return queries @ block.T
+        return row_major_scores(block, queries)
     if precision == "int8":
         quantizer = views["int8_quantizer"]
         return quantizer.scores_block(prepared, views["int8"].array[start:stop])
@@ -46,8 +44,7 @@ def _score_block(precision: str, views: dict, prepared, queries, start, stop):
     raise ShardError(f"unknown shard scan precision {precision!r}")
 
 
-def _run_scan(conn, shard_id: int, engine: ExecutionEngine, tables: dict,
-              payload: dict) -> dict:
+def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
     key = tuple(payload["key"])
     entry = tables.get(key)
     if entry is None:
@@ -65,75 +62,39 @@ def _run_scan(conn, shard_id: int, engine: ExecutionEngine, tables: dict,
         )
     lo, hi = entry["ranges"][shard_id]
     queries = np.ascontiguousarray(payload["queries"], dtype=np.float32)
-    topk_rows = np.asarray(payload["topk_rows"], dtype=np.intp)
-    kpad = int(payload["kpad"])
-    thr_rows = np.asarray(payload["thr_rows"], dtype=np.intp)
-    thr_floors = np.asarray(payload["thr_floors"], dtype=np.float32)
-    block_rows = max(1, int(payload["block_rows"]))
     hb_every_s = max(0.05, float(payload.get("heartbeat_s", 1.0)))
 
     prepared = None
     if precision == "int8" and len(queries):
         prepared = views["int8_quantizer"].prepare_queries(queries)
 
-    heap = StreamingTopK(len(topk_rows), kpad) if len(topk_rows) else None
-    all_topk = len(topk_rows) == len(queries)
-    pools: list[list[np.ndarray]] = [[] for _ in range(len(thr_rows))]
     started = time.perf_counter()
-    last_beat = [started]
+    last_beat = started
 
-    def scan_block(start: int):
-        stop = min(start + block_rows, hi)
-        scores = _score_block(precision, views, prepared, queries, start, stop)
-        top = None
-        if heap is not None:
-            by_query = scores if all_topk else scores[topk_rows]
-            local = top_k_per_row(by_query, min(kpad, stop - start))
-            top = (
-                local.astype(np.int64) + start,
-                np.take_along_axis(by_query, local, axis=1),
-            )
-        thr_hits = [
-            np.nonzero(scores[row] >= thr_floors[j])[0] + start
-            for j, row in enumerate(thr_rows)
-        ]
+    def score_block(start: int, stop: int) -> np.ndarray:
+        nonlocal last_beat
         now = time.perf_counter()
-        if now - last_beat[0] >= hb_every_s:
-            last_beat[0] = now
+        if now - last_beat >= hb_every_s:
+            last_beat = now
             conn.send(make_task("heartbeat", shard=shard_id,
                                 task_id=payload["task_id"]))
-        return top, thr_hits
+        return _score_block(precision, views, prepared, queries, start, stop)
 
-    starts = list(range(lo, hi, block_rows))
-    # The existing morsel engine schedules the blocks (single worker
-    # thread here — process parallelism replaces thread parallelism);
-    # results come back in submission order, so the ascending fold keeps
-    # the same earliest-block-wins tie behaviour as the serial scan.
-    partials = engine.run([lambda s=s: scan_block(s) for s in starts])
-    for top, thr_hits in partials:
-        if heap is not None and top is not None:
-            heap.update(*top)
-        for j, hits in enumerate(thr_hits):
-            if len(hits):
-                pools[j].append(hits)
-
-    if heap is not None:
-        heap_ids, heap_scores = heap.finalize()
-    else:
-        heap_ids = np.empty((0, 0), dtype=np.int64)
-        heap_scores = np.empty((0, 0), dtype=np.float32)
-    thr_hits_out = [
-        np.concatenate(p) if p else np.empty(0, dtype=np.int64) for p in pools
-    ]
+    (rows, ids, scores), thr_hits, blocks = scan_candidates(
+        score_block, lo, hi, len(queries),
+        payload["topk_rows"], int(payload["kpad"]),
+        payload["thr_rows"], payload["thr_floors"],
+    )
     return make_task(
         "result",
         task_id=payload["task_id"],
         shard=shard_id,
-        heap_ids=heap_ids,
-        heap_scores=heap_scores,
-        thr_hits=thr_hits_out,
+        topk_rows=rows,
+        topk_ids=ids,
+        topk_scores=scores,
+        thr_hits=thr_hits,
         rows=int(hi - lo),
-        blocks=len(starts),
+        blocks=blocks,
         wall_s=time.perf_counter() - started,
     )
 
@@ -159,7 +120,6 @@ def _attach_store(tables: dict, payload: dict) -> None:
 
 def worker_main(conn, shard_id: int) -> None:
     """Entry point of one shard worker process (runs until shutdown)."""
-    engine = ExecutionEngine(n_threads=1)
     tables: dict = {}
     try:
         while True:
@@ -185,8 +145,7 @@ def worker_main(conn, shard_id: int) -> None:
                         version=payload["version"],
                     ))
                 elif kind == "scan":
-                    conn.send(_run_scan(conn, shard_id, engine, tables,
-                                        payload))
+                    conn.send(_run_scan(conn, shard_id, tables, payload))
                 else:
                     raise ShardError(f"unknown shard task kind {kind!r}")
             except Exception as exc:  # report, keep serving

@@ -14,7 +14,7 @@ from .kernels import (
 from .norms import is_normalized, l2_norms, normalize_rows, normalize_vector
 from .quant import Int8Quantizer, ProductQuantizer, VectorQuantizer, int8_dot
 from .select import TopKReducer, select_above
-from .topk import StreamingTopK, top_k_indices, top_k_per_row
+from .topk import top_k_indices, top_k_per_row
 
 __all__ = [
     "Int8Quantizer",
@@ -22,7 +22,6 @@ __all__ = [
     "ProductQuantizer",
     "VectorQuantizer",
     "int8_dot",
-    "StreamingTopK",
     "TopKReducer",
     "cosine_matrix",
     "cosine_matrix_gemm",

@@ -144,8 +144,7 @@ class TopKReducer:
     """Running per-row top-k over streamed score blocks.
 
     Holds ``(row, id, score)`` triples: at most ``k`` retained per row,
-    sorted by ``(row, score desc, id asc)`` — the total order
-    :meth:`repro.vector.topk.StreamingTopK.merge` defines, so results do
+    sorted by ``(row, score desc, id asc)`` — a total order, so results do
     not depend on block shape or arrival order and score ties go to the
     smallest id — plus the survivors of recent blocks, folded in by one
     flat ``lexsort`` once they outgrow :data:`POOL_FACTOR` times the

@@ -74,114 +74,3 @@ def top_k_per_row(
     for row in ambiguous:
         out[row] = top_k_indices(score_matrix[row], k, descending=descending)
     return out
-
-
-class StreamingTopK:
-    """Bounded streaming top-k merge over dense candidate batches.
-
-    Holds at most ``k`` ``(right_id, score)`` candidates per left row and
-    folds each incoming ``(n_rows, m)`` candidate batch into that state
-    immediately — the bounded merge heap of the serving scans (coalescer,
-    shard workers and their front-door merge), kept in NumPy arrays so the
-    merge itself is vectorized.  The join operators reduce whole score
-    blocks with :class:`repro.vector.select.TopKReducer` instead, which
-    keeps the same ``(score desc, id asc)`` order.
-
-    Candidates arriving earlier win score ties (matching a full-matrix
-    ``top_k_per_row`` when batches stream in ascending right-id order).
-    """
-
-    def __init__(self, n_rows: int, k: int) -> None:
-        if n_rows < 0:
-            raise DimensionalityError(f"n_rows must be >= 0, got {n_rows}")
-        if k < 1:
-            raise DimensionalityError(f"k must be >= 1, got {k}")
-        self.n_rows = n_rows
-        self.k = k
-        self._ids: np.ndarray | None = None
-        self._scores: np.ndarray | None = None
-
-    def update(self, ids: np.ndarray, scores: np.ndarray) -> None:
-        """Fold a candidate batch ``(n_rows, m)`` into the running top-k."""
-        ids = np.asarray(ids)
-        scores = np.asarray(scores)
-        if ids.shape != scores.shape or ids.ndim != 2:
-            raise DimensionalityError(
-                f"candidate shapes must match and be 2-D, got {ids.shape} "
-                f"and {scores.shape}"
-            )
-        if ids.shape[0] != self.n_rows:
-            raise DimensionalityError(
-                f"expected {self.n_rows} rows, got {ids.shape[0]}"
-            )
-        if ids.shape[1] > self.k:
-            keep = top_k_per_row(scores, self.k)
-            ids = np.take_along_axis(ids, keep, axis=1)
-            scores = np.take_along_axis(scores, keep, axis=1)
-        if self._ids is None:
-            self._ids = ids.astype(np.int64, copy=True)
-            self._scores = scores.astype(np.float32, copy=True)
-            return
-        merged_ids = np.concatenate([self._ids, ids.astype(np.int64)], axis=1)
-        merged_scores = np.concatenate(
-            [self._scores, scores.astype(np.float32)], axis=1
-        )
-        keep = top_k_per_row(merged_scores, self.k)
-        self._ids = np.take_along_axis(merged_ids, keep, axis=1)
-        self._scores = np.take_along_axis(merged_scores, keep, axis=1)
-
-    @property
-    def width(self) -> int:
-        """Current number of retained candidates per row (``<= k``)."""
-        return 0 if self._ids is None else self._ids.shape[1]
-
-    def merge(self, other: "StreamingTopK") -> "StreamingTopK":
-        """Fold another heap's state into this one; returns ``self``.
-
-        Shard workers build independent heaps over disjoint right-id
-        ranges; the front door merges them in whatever order replies
-        arrive.  Arrival order must therefore not affect the result, so
-        the merge re-sorts the union by ``(score desc, id asc)`` per row
-        and keeps the first ``k`` — an associative, commutative rule.
-        It also reproduces serial tie-breaks exactly: a serial pass over
-        ascending right-id blocks keeps the earliest (smallest-id)
-        candidate of any score tie, which is precisely ``id asc``.
-        """
-        if other.n_rows != self.n_rows:
-            raise DimensionalityError(
-                f"cannot merge heaps over {other.n_rows} rows into "
-                f"{self.n_rows} rows"
-            )
-        if other._ids is None or other._scores is None:
-            return self
-        if self._ids is None or self._scores is None:
-            all_ids = other._ids.astype(np.int64)
-            all_scores = other._scores.astype(np.float32)
-        else:
-            all_ids = np.concatenate(
-                [self._ids, other._ids.astype(np.int64)], axis=1
-            )
-            all_scores = np.concatenate(
-                [self._scores, other._scores.astype(np.float32)], axis=1
-            )
-        # lexsort keys are least-significant first: primary score desc,
-        # secondary id asc — a total order, so duplicate-score candidates
-        # from different shards land identically regardless of merge order.
-        order = np.lexsort((all_ids, -all_scores), axis=1)
-        keep = order[:, : self.k]
-        self._ids = np.take_along_axis(all_ids, keep, axis=1).astype(
-            np.int64, copy=True
-        )
-        self._scores = np.take_along_axis(all_scores, keep, axis=1).astype(
-            np.float32, copy=True
-        )
-        return self
-
-    def finalize(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(ids, scores)`` of shape ``(n_rows, <=k)``, best first."""
-        if self._ids is None or self._scores is None:
-            return (
-                np.empty((self.n_rows, 0), dtype=np.int64),
-                np.empty((self.n_rows, 0), dtype=np.float32),
-            )
-        return self._ids, self._scores

@@ -92,7 +92,7 @@ def test_transient_storm_results_bit_identical(query_vectors):
     serial = [b.execute() for b in _builders(make_engine(), query_vectors)]
 
     engine = make_engine()
-    service = QueryService(engine, coalesce=True, coalesce_window_s=0.01)
+    service = QueryService(engine, coalesce=True)
     injector = install_injector(
         FaultInjector(
             0.05, seed=1234, sites=STORM_SITES, kinds=("transient",)
@@ -113,7 +113,7 @@ def test_transient_storm_results_bit_identical(query_vectors):
 def test_latency_spikes_only_slow_never_corrupt(query_vectors):
     serial = [b.execute() for b in _builders(make_engine(), query_vectors[:12])]
     engine = make_engine()
-    service = QueryService(engine, coalesce=True, coalesce_window_s=0.01)
+    service = QueryService(engine, coalesce=True)
     injector = install_injector(
         FaultInjector(
             0.2,
@@ -138,7 +138,7 @@ def test_worker_kills_recovered_bit_identically(query_vectors):
             b.execute() for b in _builders(make_engine(), query_vectors[:12])
         ]
         engine = make_engine()
-        service = QueryService(engine, coalesce=True, coalesce_window_s=0.01)
+        service = QueryService(engine, coalesce=True)
         injector = install_injector(
             FaultInjector(
                 0.3,

@@ -185,6 +185,7 @@ class TestRecorder:
 
 
 class TestCaptureOverhead:
+    @pytest.mark.perf
     def test_capture_disabled_overhead_under_2pct_p50(
         self, tmp_path, query_vectors
     ):

@@ -46,6 +46,7 @@ def _timed_submit(service, qvec):
     return time.perf_counter() - t0
 
 
+@pytest.mark.perf
 def test_sampled_out_tracing_overhead_under_three_percent():
     engine = _make_engine()
     vectors = unit_vectors(16, DIM, stream="obs-tests/ovh-queries")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import threading
 
 import pytest
-from _service_utils import DIM, MODEL, assert_tables_equal, make_engine
+from _service_utils import DIM, MODEL, assert_tables_equal, blocker, make_engine
 
 from repro.service import QueryService
 from repro.workloads import unit_vectors
@@ -14,6 +14,14 @@ from repro.workloads import unit_vectors
 pytestmark = pytest.mark.obs
 
 TOP_K = 5
+
+
+def _explain(service, i, vector):
+    with service.session(f"c{i}") as session:
+        query = service.engine.query("corpus").esimilar(
+            "emb", vector, model=MODEL, top_k=TOP_K
+        )
+        return session.execute(query, explain_analyze=True)
 
 
 def _run_clients(service, vectors):
@@ -25,12 +33,8 @@ def _run_clients(service, vectors):
 
     def worker(i):
         try:
-            with service.session(f"c{i}") as session:
-                query = service.engine.query("corpus").esimilar(
-                    "emb", vectors[i], model=MODEL, top_k=TOP_K
-                )
-                barrier.wait()
-                responses[i] = session.execute(query, explain_analyze=True)
+            barrier.wait()
+            responses[i] = _explain(service, i, vectors[i])
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
@@ -54,15 +58,19 @@ def _serial_reference(vectors):
     ]
 
 
-def test_coalesced_demux_attributes_spans_per_query(query_vectors):
+def test_coalesced_demux_attributes_spans_per_query(
+    query_vectors, hold_scan_slots
+):
     vectors = query_vectors[:8]
     with QueryService(
         make_engine(),
         result_cache_size=0,
-        coalesce_window_s=0.05,
         obs_enabled=False,
     ) as service:
-        responses = _run_clients(service, vectors)
+        held = hold_scan_slots(service, lambda i: blocker(service.engine, i))
+        responses = held.run_queued(
+            [lambda i=i, v=v: _explain(service, i, v) for i, v in enumerate(vectors)]
+        )
 
     # Unique ids, one trace each.
     ids = [r.query_id for r in responses]
@@ -79,12 +87,12 @@ def test_coalesced_demux_attributes_spans_per_query(query_vectors):
         scan = scans[0]
         assert scan.attrs["rows"] == 400
         assert scan.attrs["bytes_scanned"] > 0
-        assert 1 <= scan.attrs["batch"] <= len(vectors)
+        assert scan.attrs["batch"] == len(vectors)
         assert rescores[0].attrs["rows"] == TOP_K
         assert "coalesce.scan" in response.explain
         batches.append(scan.attrs["batch"])
-    # Barrier release + a generous window: at least one scan was shared.
-    assert max(batches) >= 2, batches
+    # Queued behind held slots, released together: ONE shared scan.
+    assert batches == [len(vectors)] * len(vectors), batches
 
     # Attribution never altered results: bit-identical to serial execution.
     for response, expected in zip(responses, _serial_reference(vectors)):
@@ -97,7 +105,6 @@ def test_sixty_four_clients_sampled_tracing():
     with QueryService(
         make_engine(),
         result_cache_size=0,
-        coalesce_window_s=0.05,
         obs_enabled=True,
         obs_sample_rate=1.0,
         obs_ring_size=256,

@@ -41,3 +41,12 @@ def assert_tables_equal(a: Table, b: Table, *, context: str = "") -> None:
         assert np.array_equal(left, right), (
             f"{context}: column {name!r} differs: {left[:5]} vs {right[:5]}"
         )
+
+
+def blocker(engine: Engine, i: int):
+    """The ``i``-th slot-holding query (``hold_scan_slots``): a top-1 over
+    ``corpus`` with a vector no test query shares."""
+    vector = np.random.default_rng(10_000 + i).standard_normal(DIM)
+    return engine.query("corpus").esimilar(
+        "emb", vector.astype(np.float32), model=MODEL, top_k=1
+    )

@@ -12,8 +12,6 @@ from _service_utils import DIM, MODEL, assert_tables_equal, make_engine
 from repro.errors import DeadlineExceededError, ServiceOverloadError
 from repro.service import (
     AdmissionController,
-    ArrivalRateEstimator,
-    CoalescingScheduler,
     EWMA,
     ExecTimeTracker,
     FrequencySketch,
@@ -63,21 +61,6 @@ def test_exec_tracker_modes_are_independent():
     assert tracker.estimate("degraded") == pytest.approx(0.01)
     snap = tracker.snapshot()
     assert snap["full"]["n"] == 1 and snap["degraded"]["n"] == 1
-
-
-def test_arrival_estimator_windows():
-    est = ArrivalRateEstimator(alpha=1.0)
-    # No arrivals yet: fall back to the max window.
-    assert est.window(7, 0.002) == 0.002
-    est.observe(now=0.0)
-    est.observe(now=0.0001)  # 100 us gaps
-    # 7 more arrivals at 100 us each: 0.7 ms, under the 2 ms cap.
-    assert est.window(7, 0.002) == pytest.approx(0.0007)
-    # The floor binds from below while gaps are tiny.
-    assert est.window(0, 0.002, 0.0005) == 0.0005
-    # The cap still binds when arrivals are slow.
-    est.observe(now=1.0)
-    assert est.window(7, 0.002) == 0.002
 
 
 def test_qos_params_relative_deadline():
@@ -208,31 +191,6 @@ def test_wait_idle_drains():
     assert not gate.wait_idle(timeout_s=0.02)
     threading.Timer(0.05, gate.release).start()
     assert gate.wait_idle(timeout_s=2.0)
-
-
-# ----------------------------------------------------------------------
-# Adaptive coalesce window
-# ----------------------------------------------------------------------
-def test_adaptive_window_bounded_by_fixed_window():
-    engine = make_engine()
-    sched = CoalescingScheduler(
-        engine, window_s=0.002, adaptive=True, target_batch=8
-    )
-    # Cold estimator: the fixed window is the fallback and the bound.
-    assert sched.current_window_s() == 0.002
-    sched._arrivals.observe(now=0.0)
-    sched._arrivals.observe(now=0.00001)  # 10 us gaps -> tiny window
-    assert sched.current_window_s() < 0.002
-    sched._arrivals.observe(now=10.0)  # huge gap -> capped at window_s
-    assert sched.current_window_s() == 0.002
-
-
-def test_fixed_window_unchanged_without_adaptive():
-    engine = make_engine()
-    sched = CoalescingScheduler(engine, window_s=0.003, adaptive=False)
-    sched._arrivals.observe(now=0.0)
-    sched._arrivals.observe(now=5.0)
-    assert sched.current_window_s() == 0.003
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_mixed_concurrent_traffic_matches_serial(query_vectors):
     ]
 
     engine = make_engine()
-    service = QueryService(engine, coalesce=True, coalesce_window_s=0.02)
+    service = QueryService(engine, coalesce=True)
     builders = _mixed_builders(engine, query_vectors[:16])
     results = [None] * len(builders)
     errors = []

@@ -28,7 +28,6 @@ def _scan(pool, queries):
         kpad=KPAD,
         thr_rows=[],
         thr_floors=np.empty(0, dtype=np.float32),
-        block_rows=512,
         precision="fp32",
     )
 

@@ -22,7 +22,6 @@ pytestmark = pytest.mark.shard
 K = 5
 KPAD = K + 32
 THRESHOLD = 0.2
-BLOCK_ROWS = 512
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,6 @@ def _scan(pool, queries, precision="fp32", *, kpad=KPAD):
         kpad=kpad,
         thr_rows=list(range(nq)),
         thr_floors=np.full(nq, THRESHOLD - PRESCREEN_MARGIN, dtype=np.float32),
-        block_rows=BLOCK_ROWS,
         precision=precision,
     )
 

@@ -28,7 +28,6 @@ def sharded_setup():
     service = QueryService(
         engine,
         coalesce=True,
-        coalesce_window_s=0.002,
         max_inflight=64,
         shard_procs=2,
     )
