@@ -125,12 +125,11 @@ def _prewarm(engine: Engine, service: QueryService, warm_stream) -> None:
     a cold tracker never sheds, by design.
     """
     ctx = engine.context(tag="prewarm")
-    table = ctx.catalog.get("corpus")
-    vectors = table.array("emb")
     key = ("corpus", "emb", MODEL)
-    ctx.normalized_matrix_for(key, vectors)
-    ctx.quant_store_for(key, vectors, "pq")
-    ctx.quant_store_for(key, vectors, "int8")
+    table = ctx.catalog.get(key[0])
+    ctx.normalized_matrix_for(key, table)
+    ctx.quant_store_for(key, table, "pq")
+    ctx.quant_store_for(key, table, "int8")
     for qvec in warm_stream:
         service.submit_qos(_builder(engine, qvec), tag="warmup")
 

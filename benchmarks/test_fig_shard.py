@@ -182,7 +182,7 @@ def test_fig_shard_report(benchmark):
     # -- raw candidate-scan throughput ---------------------------------
     engine = _fresh_engine()
     ctx = engine.context(tag="fig_shard/baseline")
-    normalized = ctx.normalized_matrix_for(KEY, _BASE)
+    normalized = ctx.normalized_matrix_for(KEY, ctx.catalog.get(KEY[0]))
     queries = unit_vectors(
         SCAN_QUERIES, DIM, stream="fig_shard/scan-queries"
     ).astype(np.float32)

@@ -53,24 +53,6 @@ from .logical import (
 )
 
 
-def _vector_token(vectors: np.ndarray) -> tuple:
-    """Cheap fingerprint of an embedding matrix for cache invalidation.
-
-    Shape plus checksums over a strided row sample: O(sample) to compute,
-    and any re-registration of a table with different data (even at equal
-    cardinality) changes it with overwhelming probability.
-    """
-    n = len(vectors)
-    if n == 0:
-        return (0, vectors.shape)
-    sample = vectors[:: max(1, n // 64)]
-    return (
-        vectors.shape,
-        float(sample.sum(dtype=np.float64)),
-        float(np.abs(sample).sum(dtype=np.float64)),
-    )
-
-
 @dataclass
 class ExecutionContext:
     """Everything physical planning needs: data, models, indexes, costs."""
@@ -85,11 +67,11 @@ class ExecutionContext:
     engine: ExecutionEngine = field(default_factory=ExecutionEngine)
     #: model_name -> shared embedding store (embed-once across the query).
     _stores: dict[str, EmbeddingStore] = field(default_factory=dict)
-    #: (table, column, model, method) -> pre-encoded quantized relation.
-    #: Like ``indexes``, these are access-path state built once per
-    #: context and amortized across queries.
+    #: (table, column, model, method) -> (source table, pre-encoded
+    #: quantized relation).  Like ``indexes``, these are access-path state
+    #: built once per context and amortized across queries.
     quant_stores: dict[tuple, object] = field(default_factory=dict)
-    #: (table, column, model) -> (source token, unit-normalized matrix).
+    #: (table, column, model) -> (source table, unit-normalized matrix).
     #: Shared-scan state: one normalization serves every query (and every
     #: concurrent session) scanning the same column under the same model.
     norm_cache: dict[tuple, tuple] = field(default_factory=dict)
@@ -125,53 +107,66 @@ class ExecutionContext:
     ) -> None:
         self.indexes[(table_name, column)] = index
 
-    def quant_store_for(
-        self,
-        key: tuple[str, str, str],
-        vectors: np.ndarray,
-        method: str,
+    def _scan_state(
+        self, kind: str, cache: dict, cache_key: tuple, table: Table, derive
     ):
-        """Fit/encode-once quantized store for a (table, column, model).
+        """Get-or-derive state of a scan source — ``cache_key`` leads with
+        ``(table name, column, model)`` — from ``table``, the registration
+        the caller executed and will materialize from:
+        ``derive(column embedding)``.
 
-        Rebuilt when the source data changed (table re-registration,
-        detected via a cheap strided fingerprint); otherwise every query
-        against the same scan source reuses the encoded codes.
+        An entry is ``(source table, state)`` and hits iff it was derived
+        from this very :class:`Table` object: one identity compare, no pass
+        over the column (whose embedding is only produced on a miss), and
+        the state can never pair with rows of another registration.  The
+        catalog mints a new version per ``register``; registering a new
+        table object — even one wrapping the same, mutated, buffer —
+        rebuilds, registering the same object again does not.
         """
+        with self._build_lock((kind, *cache_key)):
+            with self.store_lock:
+                entry = cache.get(cache_key)
+            if entry is None or entry[0] is not table:
+                _, column, model_name = cache_key[:3]
+                entry = (
+                    table,
+                    derive(_embed_column(table, column, model_name, self)),
+                )
+                with self.store_lock:
+                    cache[cache_key] = entry
+            return entry[1]
+
+    def quant_store_for(
+        self, key: tuple[str, str, str], table: Table, method: str
+    ):
+        """Fit/encode-once quantized store for a (table, column, model):
+        every query against the same registration ``table`` of the scan
+        source reuses the encoded codes."""
         from ..core.quantized_join import QuantizedRelation
 
-        full_key = (*key, method)
-        token = _vector_token(vectors)
-        with self._build_lock(("quant", *full_key)):
-            with self.store_lock:
-                store = self.quant_stores.get(full_key)
-            if store is None or getattr(store, "source_token", None) != token:
-                maybe_inject("quant.build")
-                store = QuantizedRelation.build(vectors, method)
-                store.source_token = token
-                with self.store_lock:
-                    self.quant_stores[full_key] = store
-            return store
+        def build(vectors: np.ndarray):
+            maybe_inject("quant.build")
+            return QuantizedRelation.build(vectors, method)
+
+        return self._scan_state(
+            "quant", self.quant_stores, (*key, method), table, build
+        )
 
     def normalized_matrix_for(
-        self, key: tuple[str, str, str], vectors: np.ndarray
+        self, key: tuple[str, str, str], table: Table
     ) -> np.ndarray:
-        """Normalize-once matrix for a (table, column, model) scan source.
+        """Normalize-once matrix for a (table, column, model) scan source,
+        derived from its registration ``table``.
 
-        The cached matrix is exactly ``normalize_rows(vectors)``, so scans
-        that consume it with ``assume_normalized=True`` compute the same
-        bits as a cold scan that normalizes inline — sharing never changes
-        results.  Invalidated by the same strided source fingerprint the
-        quantized stores use.
+        The cached matrix is exactly ``normalize_rows`` of the column's
+        embedding, so scans that consume it with ``assume_normalized=True``
+        compute the same bits as a cold scan that normalizes inline —
+        sharing never changes results; a hit on a string column skips its
+        embedding pass altogether.
         """
-        token = _vector_token(vectors)
-        with self._build_lock(("norm", *key)):
-            with self.store_lock:
-                cached = self.norm_cache.get(key)
-            if cached is None or cached[0] != token:
-                cached = (token, normalize_rows(vectors))
-                with self.store_lock:
-                    self.norm_cache[key] = cached
-            return cached[1]
+        return self._scan_state(
+            "norm", self.norm_cache, key, table, normalize_rows
+        )
 
 
 def _scan_store_key(
@@ -189,35 +184,25 @@ def _scan_store_key(
 
 def _quantized_scan_decision(
     ctx: "ExecutionContext",
-    source_node: LogicalNode,
-    column: str,
-    model_name: str,
+    store_key: tuple[str, str, str] | None,
     n_left: int,
-    vectors: np.ndarray,
+    n_right: int,
+    dim: int,
     k: int,
 ):
     """Shared precision gate for scan-based E-joins and E-selections.
 
-    Returns ``(decision, store_key)``: the chooser's verdict under the
-    configured ``REPRO_PRECISION`` (the fit/encode build is treated as
-    sunk only when a matching cached store already exists), plus the
-    context cache key when the source is a plain table scan (``None``
-    otherwise).
+    The chooser's verdict under the configured ``REPRO_PRECISION``; the
+    fit/encode build is treated as sunk only when the source is a plain
+    table scan (``store_key``) whose store is already cached.
     """
-    store_key = _scan_store_key(source_node, column, model_name)
     prebuilt = store_key is not None and (
         *store_key,
         get_config().default_precision,
     ) in ctx.quant_stores
-    decision = choose_scan_precision(
-        n_left,
-        len(vectors),
-        k,
-        vectors.shape[1] if vectors.ndim == 2 else 1,
-        params=ctx.cost_params,
-        store_built=prebuilt,
+    return choose_scan_precision(
+        n_left, n_right, k, dim, params=ctx.cost_params, store_built=prebuilt
     )
-    return decision, store_key
 
 
 #: Breaker fallback chain for quantized scan precisions.  Each step down
@@ -299,8 +284,15 @@ def _execute_eselect(
     from ..core.quantized_join import quantized_eselect
 
     table = _execute(node.child, ctx, report)
-    vectors = _embed_column(table, node.column, node.model_name, ctx)
     model = ctx.models.get(node.model_name)
+    # A plain table scan source keeps its scan-ready state (unit rows,
+    # encoded store) in the context; only other sources embed here.
+    store_key = _scan_store_key(node.child, node.column, node.model_name)
+    vectors = (
+        None
+        if store_key is not None
+        else _embed_column(table, node.column, node.model_name, ctx)
+    )
     query = node.query
     if not isinstance(query, np.ndarray):
         query = ctx.store_for(node.model_name).embed_items([query])[0]
@@ -309,13 +301,17 @@ def _execute_eselect(
         if isinstance(node.condition, TopKCondition)
         else DEFAULT_PROBE_K
     )
-    # A plain table scan source lets the context cache the encoded store;
-    # a cold one-shot selection stays on the exact fp32 scan unless the
+    # A cold one-shot selection stays on the exact fp32 scan unless the
     # compressed scan wins even with the build charged.
     with span("planner.eselect") as sp:
         n_fallbacks = len(report.fallbacks)
-        decision, store_key = _quantized_scan_decision(
-            ctx, node.child, node.column, node.model_name, 1, vectors, k
+        decision = _quantized_scan_decision(
+            ctx,
+            store_key,
+            1,
+            table.num_rows,
+            _embedding_dim(table, node.column, model),
+            k,
         )
         precision = _breaker_gate(store_key, decision.precision)
         result = None
@@ -327,7 +323,7 @@ def _execute_eselect(
                 relation = vectors
                 if store_key is not None:
                     relation = ctx.quant_store_for(
-                        store_key, vectors, precision
+                        store_key, table, precision
                     )
                 result = quantized_eselect(
                     relation, query, node.condition, method=precision
@@ -351,10 +347,9 @@ def _execute_eselect(
                 # queries and sessions; eselect's exact-rescore contract
                 # makes the shared and inline-normalized paths
                 # bit-identical.
-                normalized = ctx.normalized_matrix_for(store_key, vectors)
                 result = eselect(
-                    normalized, query, node.condition, model=model,
-                    assume_normalized=True,
+                    ctx.normalized_matrix_for(store_key, table), query,
+                    node.condition, model=model, assume_normalized=True,
                 )
             else:
                 result = eselect(vectors, query, node.condition, model=model)
@@ -376,44 +371,60 @@ def _execute_embed(
     node: EmbedNode, ctx: ExecutionContext, report: ExecutionReport
 ) -> Table:
     table = _execute(node.child, ctx, report)
-    store = ctx.store_for(node.model_name)
-    items = table.array(node.column).tolist()
-    vectors = store.embed_items(items)
-    dim = store.model.dim
+    store, codes = _encode_column(table, node.column, node.model_name, ctx)
     return table.with_column(
-        Column(Field(node.output_column, DataType.TENSOR, dim=dim), vectors)
+        Column(
+            Field(node.output_column, DataType.TENSOR, dim=store.model.dim),
+            store.vectors[codes],
+        )
     )
+
+
+def _encode_column(
+    table: Table, column: str, model_name: str, ctx: ExecutionContext
+) -> tuple[EmbeddingStore, np.ndarray]:
+    """A context-rich column as codes into the shared embed-once store:
+    ``store.vectors[codes]`` is its embedding, equal values share a code."""
+    store = ctx.store_for(model_name)
+    return store, store.add_items(table.array(column).tolist())
 
 
 def _embed_column(
     table: Table, column: str, model_name: str, ctx: ExecutionContext
 ) -> np.ndarray:
     """Embedding of a table column, via the shared embed-once store."""
-    field_ = table.schema.field(column)
-    if field_.dtype is DataType.TENSOR:
+    if table.schema.field(column).dtype is DataType.TENSOR:
         return table.array(column)
-    store = ctx.store_for(model_name)
-    return store.embed_items(table.array(column).tolist())
+    store, codes = _encode_column(table, column, model_name, ctx)
+    return store.vectors[codes]
 
 
-def _unit_rows(
-    ctx: ExecutionContext,
-    node: LogicalNode,
-    column: str,
-    model_name: str,
-    vectors: np.ndarray,
-) -> np.ndarray:
-    """Unit rows of a scan-join input, normalized once per table scan.
+def _join_keys(
+    table: Table, column: str, model_name: str, ctx: ExecutionContext
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Left E-join input as one vector per *distinct* key.
 
-    A plain table scan shares the context's normalize-once matrix across
-    queries; anything else is normalized inline.  Either way the result is
-    exactly ``normalize_rows(vectors)`` — what the scan would compute
-    itself — so joins stay bit-identical.
+    ``E_mu`` is a function of the value and both condition families are
+    per left tuple, so ``R |><|_E S == R |><|_code (delta_code(R) |><|_E
+    S)``: the join runs over the distinct codes and
+    :meth:`~repro.core.result.JoinResult.expand_left` hands every row its
+    key's pairs.  Returns ``(vectors, inverse)`` with ``inverse[r]`` the
+    key of row ``r`` — ``None`` when rows and keys coincide (tensor
+    columns, which carry no codes, and columns without a repeated value).
     """
-    key = _scan_store_key(node, column, model_name)
-    if key is None:
-        return normalize_rows(vectors)
-    return ctx.normalized_matrix_for(key, vectors)
+    if table.schema.field(column).dtype is DataType.TENSOR:
+        return table.array(column), None
+    store, codes = _encode_column(table, column, model_name, ctx)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    if len(distinct) == len(codes):
+        return store.vectors[codes], None
+    return store.vectors[distinct], inverse
+
+
+def _embedding_dim(table: Table, column: str, model) -> int:
+    """Width of ``_embed_column(table, column, ...)`` without producing it."""
+    field_ = table.schema.field(column)
+    return field_.dim if field_.dtype is DataType.TENSOR else model.dim
 
 
 def _index_for_right(
@@ -473,9 +484,23 @@ def _execute_ejoin_impl(
 ) -> Table:
     left = _execute(node.left, ctx, report)
     model = ctx.models.get(node.model_name)
+    indexed = _index_for_right(node.right, node.right_column, ctx)
+    # One vector per distinct left key; only the per-pair baseline with no
+    # index in sight never asks for them.
+    left_vectors = inverse = None
+    if node.prefetch or indexed is not None:
+        left_vectors, inverse = _join_keys(
+            left, node.left_column, node.model_name, ctx
+        )
+
+    def finish(result, right_table: Table) -> Table:
+        report.strategies.append(result.stats.strategy)
+        report.join_stats.append(result.stats)
+        if inverse is not None:
+            result = result.expand_left(inverse)
+        return result.materialize(left, right_table)
 
     # --- index access path -------------------------------------------------
-    indexed = _index_for_right(node.right, node.right_column, ctx)
     index_table = _right_table_name(node.right)
     index_breaker_key = (
         None
@@ -498,7 +523,7 @@ def _execute_ejoin_impl(
             and not breakers().allow(index_breaker_key)
         )
         decision = choose_access_path(
-            left.num_rows,
+            len(left_vectors),
             len(index),
             k,
             index.dim,
@@ -515,7 +540,6 @@ def _execute_ejoin_impl(
                 f"right input column {node.right_column!r}"
             )
         index, bitmap, base = indexed
-        left_vectors = _embed_column(left, node.left_column, node.model_name, ctx)
         try:
             result = index_join(
                 left_vectors, index, node.condition, allowed=bitmap,
@@ -532,105 +556,123 @@ def _execute_ejoin_impl(
         else:
             if index_breaker_key is not None:
                 breakers().record_success(index_breaker_key)
-            report.strategies.append(result.stats.strategy)
-            report.join_stats.append(result.stats)
-            return result.materialize(left, base)
+            return finish(result, base)
 
     # --- scan access path ----------------------------------------------------
     right = _execute(node.right, ctx, report)
     if not node.prefetch:
-        # Unoptimized logical plan: model invoked per pair (the paper's
-        # cautionary baseline).  Only sensible for tiny demonstration inputs.
+        # Unoptimized logical plan: model invoked per pair, per row (the
+        # paper's cautionary baseline).  Only sensible for tiny
+        # demonstration inputs.  It joins the rows themselves — never
+        # the distinct keys, even if an index that lost asked for them.
         result = naive_nlj(
             left.array(node.left_column).tolist(),
             right.array(node.right_column).tolist(),
             model,
             node.condition,
         )
-    else:
-        left_vectors = _embed_column(left, node.left_column, node.model_name, ctx)
-        right_vectors = _embed_column(right, node.right_column, node.model_name, ctx)
-        scan_strategy = strategy or "tensor"
-        result = None
-        store_key = _scan_store_key(
-            node.right, node.right_column, node.model_name
-        )
-        precision = None
-        if scan_strategy == "tensor":
-            # The REPRO_PRECISION knob may substitute a reduced-precision
-            # scan; quantized paths are additionally gated on the
-            # configured accuracy floor and modelled cost (including the
-            # fit/encode build unless a cached store already amortized it).
-            decision, _ = _quantized_scan_decision(
-                ctx,
-                node.right,
-                node.right_column,
-                node.model_name,
-                len(left_vectors),
-                right_vectors,
-                node.condition.k
-                if isinstance(node.condition, TopKCondition)
-                else DEFAULT_PROBE_K,
+        report.strategies.append(result.stats.strategy)
+        report.join_stats.append(result.stats)
+        return result.materialize(left, right)
+    # A plain table scan on the right keeps its scan-ready state (unit
+    # rows, encoded stores) in the context, valid for this registration of
+    # the table; only other sources are embedded here.
+    store_key = _scan_store_key(node.right, node.right_column, node.model_name)
+    right_vectors = (
+        None
+        if store_key is not None
+        else _embed_column(right, node.right_column, node.model_name, ctx)
+    )
+    scan_strategy = strategy or "tensor"
+    result = None
+    precision = None
+    if scan_strategy == "tensor":
+        # The REPRO_PRECISION knob may substitute a reduced-precision
+        # scan; quantized paths are additionally gated on the
+        # configured accuracy floor and modelled cost (including the
+        # fit/encode build unless a cached store already amortized it).
+        precision = _quantized_scan_decision(
+            ctx,
+            store_key,
+            len(left_vectors),
+            right.num_rows,
+            _embedding_dim(right, node.right_column, model),
+            node.condition.k
+            if isinstance(node.condition, TopKCondition)
+            else DEFAULT_PROBE_K,
+        ).precision
+    elif scan_strategy in ("tensor-int8", "tensor-pq"):
+        # A forced quantized scan takes the same store cache, breaker
+        # and fallback chain as a chosen one; it falls back to fp32.
+        precision = scan_strategy.removeprefix("tensor-")
+        scan_strategy = "tensor"
+    if precision is not None:
+        # The access path's circuit breaker walks the chain
+        # pq -> int8 -> fp32 past open or failing paths.
+        precision = _breaker_gate(store_key, precision)
+        while precision in ("int8", "pq"):
+            breaker_key = (
+                None if store_key is None else (*store_key, precision)
             )
-            precision = decision.precision
-        elif scan_strategy in ("tensor-int8", "tensor-pq"):
-            # A forced quantized scan takes the same store cache, breaker
-            # and fallback chain as a chosen one; it falls back to fp32.
-            precision = scan_strategy.removeprefix("tensor-")
-            scan_strategy = "tensor"
-        if precision is not None:
-            # The access path's circuit breaker walks the chain
-            # pq -> int8 -> fp32 past open or failing paths.
-            precision = _breaker_gate(store_key, precision)
-            while precision in ("int8", "pq"):
-                breaker_key = (
-                    None if store_key is None else (*store_key, precision)
+            try:
+                right_input = right_vectors
+                if store_key is not None:
+                    right_input = ctx.quant_store_for(
+                        store_key, right, precision
+                    )
+                result = ejoin(
+                    left_vectors,
+                    right_input,
+                    node.condition,
+                    strategy=f"tensor-{precision}",
+                    engine=ctx.engine,
                 )
-                try:
-                    right_input = right_vectors
-                    if store_key is not None:
-                        right_input = ctx.quant_store_for(
-                            store_key, right_vectors, precision
-                        )
-                    result = ejoin(
-                        left_vectors,
-                        right_input,
-                        node.condition,
-                        strategy=f"tensor-{precision}",
-                        engine=ctx.engine,
-                    )
-                except Exception:
-                    if breaker_key is not None:
-                        breakers().record_failure(breaker_key)
-                        report.fallbacks.append(
-                            "/".join(map(str, breaker_key))
-                        )
-                    precision = _breaker_gate(
-                        store_key, _PRECISION_FALLBACK[precision]
-                    )
-                    continue
+            except Exception:
                 if breaker_key is not None:
-                    breakers().record_success(breaker_key)
-                break
-            if result is None and get_config().default_precision == "fp16":
-                scan_strategy = "tensor-fp16"
-        if result is None:
-            normalized = scan_strategy in ("tensor", "parallel-tensor")
-            if normalized:
-                left_vectors = _unit_rows(
-                    ctx, node.left, node.left_column, node.model_name, left_vectors
+                    breakers().record_failure(breaker_key)
+                    report.fallbacks.append(
+                        "/".join(map(str, breaker_key))
+                    )
+                precision = _breaker_gate(
+                    store_key, _PRECISION_FALLBACK[precision]
                 )
-                right_vectors = _unit_rows(
-                    ctx, node.right, node.right_column, node.model_name, right_vectors
+                continue
+            if breaker_key is not None:
+                breakers().record_success(breaker_key)
+            break
+        if result is None and get_config().default_precision == "fp16":
+            scan_strategy = "tensor-fp16"
+    if result is None:
+        normalized = scan_strategy in ("tensor", "parallel-tensor")
+        if normalized:
+            # Exactly ``normalize_rows`` of either side — what the scan
+            # would compute itself — so joins stay bit-identical; a tensor
+            # column under a plain scan shares the context's matrix.
+            left_key = None
+            if left.schema.field(node.left_column).dtype is DataType.TENSOR:
+                left_key = _scan_store_key(
+                    node.left, node.left_column, node.model_name
                 )
-            result = ejoin(
-                left_vectors,
-                right_vectors,
-                node.condition,
-                strategy=scan_strategy,
-                assume_normalized=normalized,
-                engine=ctx.engine,
+            left_vectors = (
+                normalize_rows(left_vectors)
+                if left_key is None
+                else ctx.normalized_matrix_for(left_key, left)
             )
-    report.strategies.append(result.stats.strategy)
-    report.join_stats.append(result.stats)
-    return result.materialize(left, right)
+            right_vectors = (
+                normalize_rows(right_vectors)
+                if store_key is None
+                else ctx.normalized_matrix_for(store_key, right)
+            )
+        elif right_vectors is None:
+            right_vectors = _embed_column(
+                right, node.right_column, node.model_name, ctx
+            )
+        result = ejoin(
+            left_vectors,
+            right_vectors,
+            node.condition,
+            strategy=scan_strategy,
+            assume_normalized=normalized,
+            engine=ctx.engine,
+        )
+    return finish(result, right)

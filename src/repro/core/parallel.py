@@ -94,7 +94,8 @@ def parallel_join(
     # Morsels run concurrently, so each worker's inner tensor_join gets
     # its share of the total budget (explicit or engine-configured),
     # divided by how many morsels can actually be in flight at once.
-    n_morsels = len(engine.morsels_for(len(left_n)))
+    row_work = len(right_n) * left_n.shape[1] if left_n.ndim == 2 else None
+    n_morsels = len(engine.morsels_for(len(left_n), row_work=row_work))
     worker_budget = engine.worker_budget(
         buffer_budget_bytes, concurrency=n_morsels
     )
@@ -119,7 +120,7 @@ def parallel_join(
             )
         return _offset_result(part, morsel.start)
 
-    results = engine.map_morsels(len(left_n), run_morsel)
+    results = engine.map_morsels(len(left_n), run_morsel, row_work=row_work)
 
     merged = JoinResult.concat(results, stats)
     stats.similarity_evaluations = sum(

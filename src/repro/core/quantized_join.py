@@ -86,9 +86,6 @@ class QuantizedRelation:
     method: str
     build_seconds: float = 0.0
     onehot: sparse.csr_matrix | None = field(default=None, repr=False)
-    #: Cache-invalidation fingerprint of the source data, set by owners
-    #: that reuse stores across queries (the physical planner).
-    source_token: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -80,6 +80,33 @@ class JoinResult:
     def __len__(self) -> int:
         return len(self.left_ids)
 
+    def expand_left(self, inverse: np.ndarray) -> "JoinResult":
+        """The join over the rows that a join over their distinct keys
+        stands for.
+
+        ``self`` joined one left row per *distinct* key and ``inverse[r]``
+        is the key of original row ``r`` (``np.unique(...,
+        return_inverse=True)``).  Both condition families are per left
+        tuple, so row ``r`` gets exactly its key's pairs: rows ascending,
+        a key's pairs in the order the operator emitted them — the order
+        the join over all rows would have produced.  Relies on what every
+        operator emits: left ids grouped in ascending order.
+        """
+        inverse = np.asarray(inverse, dtype=np.int64)
+        n_keys = int(inverse.max()) + 1 if len(inverse) else 0
+        per_key = np.bincount(self.left_ids, minlength=n_keys)
+        first = np.cumsum(per_key) - per_key
+        per_row = per_key[inverse]
+        left_ids = np.repeat(np.arange(len(inverse)), per_row)
+        # Pair j of row r is pair j of its key.
+        rank = np.arange(len(left_ids)) - np.repeat(
+            np.cumsum(per_row) - per_row, per_row
+        )
+        take = np.repeat(first[inverse], per_row) + rank
+        return JoinResult(
+            left_ids, self.right_ids[take], self.scores[take], self.stats
+        )
+
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------

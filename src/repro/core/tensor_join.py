@@ -88,7 +88,8 @@ def resolve_block_shape(
     On top of :meth:`BatchPolicy.resolve` (explicit edges win, a budget
     caps derived ones, ``reserve_bytes_per_left_row`` is carved out for
     the reducer): the budget is split across the engine's concurrently
-    resident blocks, an unsplit left side is cut to the engine's morsels,
+    resident blocks, an unsplit left side is cut to the engine's morsels
+    (none smaller than the engine's task-work floor),
     and derived edges shrink until the score block stays cache-resident
     for the select pass (:func:`repro.vector.select.block_shape`).
     """
@@ -124,7 +125,7 @@ def resolve_block_shape(
             # the left side: cap the left edge at the engine's morsel size
             # so the join actually parallelizes instead of degenerating to
             # one serial full-size block.
-            morsels = engine.morsels_for(n_left)
+            morsels = engine.morsels_for(n_left, row_work=n_right * dim)
             if len(morsels) > 1:
                 bl = max(len(m) for m in morsels)
         return block_shape(

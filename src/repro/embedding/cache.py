@@ -13,6 +13,7 @@ Two pieces of Section III-C / IV-A live here:
 from __future__ import annotations
 
 import threading
+from itertools import count, repeat
 
 import numpy as np
 
@@ -33,7 +34,11 @@ class EmbeddingStore:
         self.model = model
         self._items: list = []
         self._key_to_id: dict = {}
-        self._vectors = np.empty((0, model.dim), dtype=np.float32)
+        # Append-only buffer, grown geometrically: rows below ``len(self)``
+        # are never rewritten, so a ``vectors`` view a reader holds stays
+        # valid (and complete for the ids it was handed) while later
+        # appends land behind it or in a bigger buffer.
+        self._buffer = np.empty((0, model.dim), dtype=np.float32)
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -44,40 +49,53 @@ class EmbeddingStore:
     def vectors(self) -> np.ndarray:
         """The ``(n, dim)`` embedding matrix (no copy)."""
         with self._lock:
-            return self._vectors
+            return self._buffer[: len(self._items)]
 
     def add_items(self, items: list) -> np.ndarray:
-        """Embed and store new items; returns their ids.
+        """Codes of ``items`` — their row ids in :attr:`vectors` — embedding
+        and storing the ones not seen before.
 
         Items already present are *not* re-embedded (each unique item incurs
         model cost M exactly once — the linear model-cost bound of the
-        prefetch formulation).
+        prefetch formulation).  Equal items get equal codes, so a consumer
+        can work on ``np.unique(codes)`` and pay its own per-item cost once
+        per distinct item too.
         """
         with self._lock:
-            new_items = [it for it in items if it not in self._key_to_id]
-            if new_items:
+            codes = np.fromiter(
+                map(self._key_to_id.get, items, repeat(-1)),
+                dtype=np.int64,
+                count=len(items),
+            )
+            missing = np.flatnonzero(codes < 0)
+            if len(missing):
                 # De-duplicate while preserving order.
-                seen: dict = {}
-                uniques = [seen.setdefault(it, it) for it in new_items if it not in seen]
+                uniques = list(dict.fromkeys(items[i] for i in missing))
                 vectors = self.model.embed_batch(uniques)
                 base = len(self._items)
-                for offset, item in enumerate(uniques):
-                    self._key_to_id[item] = base + offset
+                self._append(vectors)
+                self._key_to_id.update(zip(uniques, count(base)))
                 self._items.extend(uniques)
-                self._vectors = (
-                    vectors
-                    if len(self._vectors) == 0
-                    else np.vstack([self._vectors, vectors])
-                )
-            return np.asarray(
-                [self._key_to_id[it] for it in items], dtype=np.int64
+                codes[missing] = [self._key_to_id[items[i]] for i in missing]
+            return codes
+
+    def _append(self, vectors: np.ndarray) -> None:
+        size = len(self._items)
+        needed = size + len(vectors)
+        if needed > len(self._buffer):
+            grown = np.empty(
+                (max(needed, 2 * len(self._buffer), 1024), self.model.dim),
+                dtype=np.float32,
             )
+            grown[:size] = self._buffer[:size]
+            self._buffer = grown
+        self._buffer[size:needed] = vectors
 
     def embed_items(self, items: list) -> np.ndarray:
         """Embeddings for ``items`` (adding any that are missing)."""
         with self._lock:
-            ids = self.add_items(items)
-            return self._vectors[ids]
+            codes = self.add_items(items)
+            return self.vectors[codes]
 
     def id_of(self, item) -> int:
         with self._lock:
@@ -100,7 +118,7 @@ class EmbeddingStore:
             if len(self._items) == 0:
                 raise EmbeddingError("cannot decode against an empty store")
             vector = np.asarray(vector, dtype=np.float32)
-            sims = self._vectors @ vector
+            sims = self.vectors @ vector
             return self._items[int(np.argmax(sims))]
 
     def items(self) -> list:

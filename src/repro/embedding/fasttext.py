@@ -21,7 +21,12 @@ import numpy as np
 from ..config import get_config
 from ..errors import ModelNotFittedError, VocabularyError
 from .base import EmbeddingModel
-from .hashing_model import char_ngrams, hash_ngram
+from .hashing_model import (
+    bucket_means,
+    char_ngrams,
+    embed_subwords,
+    hash_ngram,
+)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -199,14 +204,26 @@ class FastTextModel(EmbeddingModel):
             raise ModelNotFittedError(
                 "FastTextModel.fit() must be called before embedding"
             )
-        out = np.empty((len(items), self.dim), dtype=np.float32)
-        for row, item in enumerate(items):
-            word = str(item).lower()
-            wid = self._word_to_id.get(word)
-            grams = (
-                self._word_grams[wid] if wid is not None else self._gram_ids(word)
+        words = [str(item).lower() for item in items]
+        wids = list(map(self._word_to_id.get, words))
+        # Unseen words hash their subwords now; vocabulary words keep the
+        # bucket ids ``fit`` stored for them.
+        fresh = [row for row, wid in enumerate(wids) if wid is None]
+        seen = [row for row, wid in enumerate(wids) if wid is not None]
+        out = np.empty((len(words), self.dim), dtype=np.float32)
+        out[fresh] = embed_subwords(
+            [words[row] for row in fresh],
+            self._w_in,
+            self.n_min,
+            self.n_max,
+            unique=True,
+        )
+        if seen:
+            stored = [self._word_grams[wids[row]] for row in seen]
+            sizes = np.fromiter(map(len, stored), dtype=np.int64, count=len(seen))
+            out[seen] = bucket_means(
+                self._w_in, np.concatenate(stored), np.cumsum(sizes) - sizes
             )
-            out[row] = self._w_in[grams].mean(axis=0)
         return out
 
     def nearest_neighbors(

@@ -28,6 +28,15 @@ from .scheduler import SchedulerStats, WorkStealingScheduler
 #: Minimum morsels per worker the engine aims for, so stealing has slack.
 MORSELS_PER_WORKER = 4
 
+#: Multiply-adds (score cells x dim) under which a task is not worth
+#: scheduling on its own: ~1.5 ms of one core's GEMM on the reference box.
+#: Tasks that short spend as long handing the GIL back and forth around
+#: their NumPy calls as they spend running.  Measured on a top-1 join of
+#: 835 x 8,000 x 64 over two workers, interleaved: eight 105-row tasks
+#: (54 M each) p50 8.9 ms, four 209-row tasks (107 M) 7.0 ms, two 418-row
+#: tasks 6.4 ms.  A 125 x 40,000 x 128 morsel is 640 M.
+MIN_TASK_WORK = 3 << 25
+
 #: Cap on distinct per-tag counters retained in :class:`EngineStats`.
 #: A long-running service tags every query uniquely; without a bound the
 #: attribution dict would grow one entry per query forever.  Beyond the
@@ -173,30 +182,46 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def morsels_for(self, n_rows: int) -> list[Morsel]:
+    def morsels_for(
+        self, n_rows: int, *, row_work: int | None = None
+    ) -> list[Morsel]:
         """Morselize ``[0, n_rows)`` for this engine's worker count.
 
         Uses the configured morsel size, shrunk so every worker sees at
         least :data:`MORSELS_PER_WORKER` morsels when the input allows it —
         otherwise a skewed morsel pins its worker with nothing to steal.
+        A caller that knows what a row costs (``row_work`` multiply-adds:
+        right rows x dim for a scan join) is not shrunk under
+        :data:`MIN_TASK_WORK` a morsel: fewer morsels per worker first,
+        then fewer morsels than workers, down to one.  The configured
+        morsel size stays an upper bound either way.
         """
         if n_rows <= 0:
             return []
         rows = self.morsel_rows
         if self.n_threads > 1:
-            target = -(-n_rows // (self.n_threads * MORSELS_PER_WORKER))
-            rows = max(1, min(rows, target))
+            n_morsels = self.n_threads * MORSELS_PER_WORKER
+            if row_work is not None:
+                affordable = n_rows * row_work // MIN_TASK_WORK
+                if affordable >= self.n_threads:  # whole rounds of workers
+                    affordable -= affordable % self.n_threads
+                n_morsels = max(1, min(n_morsels, affordable))
+            rows = max(1, min(rows, -(-n_rows // n_morsels)))
         return make_morsels(n_rows, rows, tag=self.tag)
 
     def map_morsels(
-        self, n_rows: int, task: Callable[[Morsel], object]
+        self,
+        n_rows: int,
+        task: Callable[[Morsel], object],
+        *,
+        row_work: int | None = None,
     ) -> list:
         """Run ``task`` over every morsel of ``[0, n_rows)``.
 
         Returns per-morsel results in input (sequence) order, so callers
         can concatenate them and obtain exactly the single-threaded result.
         """
-        morsels = self.morsels_for(n_rows)
+        morsels = self.morsels_for(n_rows, row_work=row_work)
         return self.run([lambda m=m: task(m) for m in morsels])
 
     def run(self, tasks: Sequence[Callable[[], object]]) -> list:

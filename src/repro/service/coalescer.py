@@ -268,15 +268,12 @@ class CoalescingScheduler:
     def _execute_group(
         self, key: tuple, requests: list[SharedScanRequest]
     ) -> None:
-        from ..algebra.physical_planner import _embed_column
-
         scan_t0 = time.perf_counter()
         scan_c0 = time.thread_time()
         table_name, column, model_name = key
         ctx = self.engine.context(tag=f"svc/scan/{table_name}.{column}")
         table = ctx.catalog.get(table_name)
-        vectors = _embed_column(table, column, model_name, ctx)
-        normalized = ctx.normalized_matrix_for(key, vectors)
+        normalized = ctx.normalized_matrix_for(key, table)
         n = len(normalized)
 
         # Deduplicate query vectors: concurrent clients asking the same

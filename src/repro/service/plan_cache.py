@@ -15,23 +15,27 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
+from typing import NamedTuple, get_args, get_type_hints
 
 from ..algebra.logical import ESelectNode, LogicalNode
 from ..algebra.optimizer import Optimizer
 from ..obs.trace import span
 from ..relational.catalog import Catalog
+from ..relational.expressions import Expression
 
 
-class PlanParam:
-    """Placeholder for a volatile query payload inside a plan template."""
+class PlanParam(NamedTuple):
+    """Placeholder for a volatile query payload inside a plan template.
 
-    __slots__ = ("index",)
+    Two placeholders are the same when they stand for the same position
+    (tuple equality and hash), so templates compare by structure.
+    """
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    index: int
 
-    def __repr__(self) -> str:  # renders into the fingerprint string
+    def __repr__(self) -> str:
         return f"?{self.index}"
 
 
@@ -50,12 +54,18 @@ def parameterize(plan: LogicalNode) -> tuple[LogicalNode, list]:
         ):
             params.append(node.query)
             node = replace(node, query=PlanParam(len(params) - 1))
-        children = node.children()
-        if children:
-            node = node.with_children([rebuild(c) for c in children])
-        return node
+        return _with_rebuilt_children(node, rebuild)
 
     return rebuild(plan), params
+
+
+def _with_rebuilt_children(node: LogicalNode, rebuild) -> LogicalNode:
+    """``node`` over ``rebuild`` of its children; itself when none changed."""
+    children = node.children()
+    rebuilt = [rebuild(c) for c in children]
+    if any(new is not old for new, old in zip(rebuilt, children)):
+        node = node.with_children(rebuilt)
+    return node
 
 
 def substitute(template: LogicalNode, params: list) -> LogicalNode:
@@ -64,18 +74,69 @@ def substitute(template: LogicalNode, params: list) -> LogicalNode:
     def rebuild(node: LogicalNode) -> LogicalNode:
         if isinstance(node, ESelectNode) and isinstance(node.query, PlanParam):
             node = replace(node, query=params[node.query.index])
-        children = node.children()
-        if children:
-            node = node.with_children([rebuild(c) for c in children])
-        return node
+        return _with_rebuilt_children(node, rebuild)
 
     return rebuild(template)
 
 
-def fingerprint(plan: LogicalNode) -> tuple[str, list]:
-    """Structural fingerprint string plus the extracted volatile payloads."""
+#: node class -> getter of its compared, non-child field values (a
+#: predicate expression by its ``repr``).
+_OWN_FIELDS: dict[type, object] = {}
+
+
+def _mentions(hint, target: type) -> bool:
+    """Whether a resolved annotation is ``target`` or holds it anywhere
+    (``target | None``, ``tuple[target, ...]``)."""
+    return hint is target or any(
+        _mentions(arg, target) for arg in get_args(hint)
+    )
+
+
+def _own_fields(cls: type):
+    # Classified once per class, on the *resolved* annotations — however
+    # they are spelled or wrapped — so the per-plan walk stays a getter.
+    hints = get_type_hints(cls)
+    names = [
+        f.name
+        for f in fields(cls)
+        if f.compare and not _mentions(hints[f.name], LogicalNode)
+    ]
+    predicates = {n for n in names if _mentions(hints[n], Expression)}
+    if predicates:
+
+        def getter(node):
+            return tuple(
+                repr(getattr(node, name))
+                if name in predicates
+                else getattr(node, name)
+                for name in names
+            )
+
+    else:
+        getter = attrgetter(*names) if names else lambda node: ()
+    _OWN_FIELDS[cls] = getter
+    return getter
+
+
+def structure(node: LogicalNode) -> tuple:
+    """Hashable structural identity of a plan (template): the class and
+    *every* compared field of every node, children in order.
+
+    Two plans get equal keys iff they differ in nothing an execution can
+    see — unlike ``explain()``, a display string that leaves fields out
+    (``ESelectNode.score_column``).  The nodes themselves cannot be the
+    key: a predicate :class:`Expression` overloads ``==`` as operator
+    sugar and hashes by identity, so it enters by its ``repr``.
+    """
+    cls = type(node)
+    getter = _OWN_FIELDS.get(cls) or _own_fields(cls)
+    return (cls.__name__, getter(node), *map(structure, node.children()))
+
+
+def fingerprint(plan: LogicalNode) -> tuple[tuple, list]:
+    """Structural fingerprint plus the extracted volatile payloads."""
     template, params = parameterize(plan)
-    return template.explain(), params
+    return structure(template), params
 
 
 @dataclass
@@ -100,7 +161,7 @@ class PlanCache:
     stats: PlanCacheStats = field(default_factory=PlanCacheStats)
 
     def __post_init__(self) -> None:
-        self._entries: OrderedDict[str, LogicalNode] = OrderedDict()
+        self._entries: OrderedDict[tuple, LogicalNode] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -109,7 +170,7 @@ class PlanCache:
 
     def optimize(
         self, plan: LogicalNode, *, catalog: Catalog | None = None
-    ) -> tuple[LogicalNode, str, list]:
+    ) -> tuple[LogicalNode, tuple, list]:
         """Optimized plan for ``plan``, via the template cache.
 
         Returns ``(optimized, fingerprint_key, payloads)`` — the key and
@@ -117,7 +178,7 @@ class PlanCache:
         """
         with span("plan.cache") as sp:
             template, params = parameterize(plan)
-            key = template.explain()
+            key = structure(template)
             with self._lock:
                 cached = self._entries.get(key)
                 if cached is not None:

@@ -153,7 +153,7 @@ class SemanticResultCache:
     # Public API
     # ------------------------------------------------------------------
     def lookup(
-        self, fingerprint: str, versions: tuple, params: list
+        self, fingerprint: tuple, versions: tuple, params: list
     ) -> Table | None:
         """Cached result for this (shape, data-version, payload) query."""
         now = time.monotonic()
@@ -196,7 +196,7 @@ class SemanticResultCache:
 
     def store(
         self,
-        fingerprint: str,
+        fingerprint: tuple,
         versions: tuple,
         params: list,
         result: Table,

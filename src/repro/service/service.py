@@ -819,16 +819,13 @@ class QueryService:
         emitted rows may miss true neighbours within ``1 - min_recall``,
         which is exactly what the caller's recall floor licensed.
         """
-        from ..algebra.physical_planner import _embed_column
-
         match = unwrap_shared_scan(optimized)
         assert match is not None  # guarded by _degraded_precision
         wrappers, node = match
         ctx = self.engine.context(tag=tag)
         table = ctx.catalog.get(node.child.table_name)
-        vectors = _embed_column(table, node.column, node.model_name, ctx)
         key = (node.child.table_name, node.column, node.model_name)
-        store = ctx.quant_store_for(key, vectors, precision)
+        store = ctx.quant_store_for(key, table, precision)
         query = node.query
         if not isinstance(query, np.ndarray):
             query = ctx.store_for(node.model_name).embed_items([query])[0]

@@ -213,8 +213,6 @@ class ShardPool:
             return self._publish_locked(tuple(key), tuple(precisions))
 
     def _publish_locked(self, key: tuple, precisions: tuple) -> _Manifest:
-        from ..algebra.physical_planner import _embed_column
-
         table_name, column, model_name = key
         ctx = self.engine.context(tag=f"shard/publish/{table_name}.{column}")
         version = ctx.catalog.version(table_name)
@@ -233,8 +231,7 @@ class ShardPool:
             return manifest
 
         table = ctx.catalog.get(table_name)
-        vectors = _embed_column(table, column, model_name, ctx)
-        normalized = ctx.normalized_matrix_for(key, vectors)
+        normalized = ctx.normalized_matrix_for(key, table)
         if manifest is None:
             shard_map = ctx.catalog.shard_map(table_name, self.n_procs)
             manifest = _Manifest(
@@ -260,7 +257,7 @@ class ShardPool:
                 # Cauchy-Schwarz over unit queries, plus GEMM noise slack.
                 manifest.bounds[precision] = resid + 1e-5
             elif precision in ("int8", "pq"):
-                store = ctx.quant_store_for(key, vectors, precision)
+                store = ctx.quant_store_for(key, table, precision)
                 manifest.specs[precision] = self._owner.publish(store.codes)
                 manifest.quantizers[precision] = store.quantizer
                 manifest.bounds[precision] = float(

@@ -49,6 +49,18 @@ MIN_STRIDE = 32
 #: block a GEMM just wrote is still cache-resident for the chunk-max pass.
 BLOCK_BYTES = 4 << 20
 
+#: A whole score strip (block rows x every column) up to this size is
+#: left as one block.  Cutting it to :data:`BLOCK_BYTES` buys L2
+#: residency at the price of narrow chunks (the chunk-max pass over a
+#: 2,496-wide block costs 2x per cell what it does at 8,000) and a GEMM,
+#: a select and a fold per piece: on 836 x 8,000 x 64, top-1, one thread,
+#: 209 x 2,496 blocks take 13.3 ms, 209 x 8,000 (6.7 MB) 10.3 ms.  The
+#: bound is set by memory, not by where the cut starts to win (a 20 MB
+#: strip, 125 x 40,000 x 128, is still 12% faster whole on one thread; at
+#: 40 MB the cut wins, 24.8 vs 26.5 ms): twice this bound buys 0.9 ms
+#: more on the join above and costs every worker a 13 MB buffer.
+STRIP_BYTES = 8 << 20
+
 #: Derived left edges stop here: past it, a block within
 #: :data:`BLOCK_BYTES` would be too narrow to chunk or to feed a GEMM.
 MAX_BLOCK_ROWS = 1024
@@ -68,11 +80,12 @@ def block_shape(
 
     ``rows``/``width`` are upper bounds (the input size, or what a buffer
     budget allows); an edge the caller pinned (``fixed_*``) is returned
-    untouched.  The derived width is a whole number of chunks.
+    untouched.  The derived width is a whole number of chunks — or all of
+    ``width``, when the strip is within :data:`STRIP_BYTES`.
     """
     if not fixed_rows:
         rows = min(rows, MAX_BLOCK_ROWS)
-    if not fixed_width:
+    if not fixed_width and 4 * rows * width > STRIP_BYTES:
         fit = BLOCK_BYTES // (4 * max(rows, 1)) // CHUNK * CHUNK
         width = min(width, max(fit, MIN_STRIDE * CHUNK))
     return rows, width
@@ -175,6 +188,7 @@ class TopKReducer:
         self._cap = POOL_FACTOR * n_rows * k
         self._triples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._size = 0
+        self._folded = True  # nothing merged since the last fold
         #: Largest footprint so far beside the score block: chunk maxima
         #: plus pooled triples.
         self.peak_bytes = 0
@@ -212,6 +226,7 @@ class TopKReducer:
         """Add candidate triples; fold once the pool outgrows its cap."""
         self._triples.append((rows, ids, scores.astype(np.float32, copy=False)))
         self._size += len(rows)
+        self._folded = False
         self.peak_bytes = max(self.peak_bytes, scratch + self._size * TRIPLE_BYTES)
         if self._size > self._cap or (
             self._cold and self._size >= self.n_rows * self.k
@@ -230,6 +245,7 @@ class TopKReducer:
         keep = order[rank < self.k]
         self._triples = [(rows[keep], ids[keep], scores[keep])]
         self._size = len(keep)
+        self._folded = True
         kth = order[rank == self.k - 1]  # rows holding a full complement
         self.floor[rows[kth]] = np.maximum(self.floor[rows[kth]], scores[kth])
         self._cold = bool(np.isneginf(self.floor).any())
@@ -239,5 +255,6 @@ class TopKReducer:
         if not self._triples:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, np.empty(0, dtype=np.float32)
-        self._fold()
+        if not self._folded:  # a scan that ends on a fold is already sorted
+            self._fold()
         return self._triples[0]

@@ -224,10 +224,14 @@ class TestTopKMemoryBudget:
         assert engine.stats.morsels_dispatched > 1
         assert result.pairs() == tensor_join(left, right, THRESHOLD).pairs()
 
-    def test_small_join_splits_for_parallelism_within_budget(self):
-        """A small engine-parallel join is morselized for concurrency, and
-        the budget bounds the concurrently-resident blocks; an engine-less
-        join of the same size keeps the full budget for its single block."""
+    def test_join_splits_for_parallelism_within_budget(self, monkeypatch):
+        """A join whose tasks are worth scheduling is morselized for
+        concurrency, and the budget bounds the concurrently-resident
+        blocks; an engine-less join of the same size keeps the full budget
+        for its single block."""
+        from repro.engine import executor
+
+        monkeypatch.setattr(executor, "MIN_TASK_WORK", 1)
         left = unit_vectors(100, 16, seed=55)
         right = unit_vectors(100, 16, seed=56)
         budget = 64 * 1024
@@ -243,6 +247,20 @@ class TestTopKMemoryBudget:
         assert serial.stats.extra["batch_shape"] == (100, 100)
         assert par.pairs() == serial.pairs()
 
+    def test_join_under_the_task_floor_is_not_split(self):
+        """100 x 100 x 16 multiply-adds are not worth a scheduler run: the
+        engine join is the serial join — one block, the whole budget, no
+        morsel dispatched."""
+        left = unit_vectors(100, 16, seed=55)
+        right = unit_vectors(100, 16, seed=56)
+        engine = ExecutionEngine(n_threads=8)
+        par = tensor_join(
+            left, right, THRESHOLD, buffer_budget_bytes=64 * 1024, engine=engine
+        )
+        assert par.stats.extra["batch_shape"] == (100, 100)
+        assert engine.stats.morsels_dispatched == 0
+        assert par.pairs() == tensor_join(left, right, THRESHOLD).pairs()
+
     def test_parallel_join_budget_split(self):
         left = unit_vectors(300, 16, seed=53)
         right = unit_vectors(300, 16, seed=54)
@@ -251,7 +269,8 @@ class TestTopKMemoryBudget:
             left, right, THRESHOLD, n_threads=4,
             buffer_budget_bytes=budget,
         )
-        assert result.stats.peak_buffer_elements * 4 * 4 <= budget
+        resident = min(4, result.stats.extra["morsels"])
+        assert result.stats.peak_buffer_elements * 4 * resident <= budget
 
     def test_budget_too_small_for_merge_state(self):
         left = unit_vectors(16, 8, seed=41)

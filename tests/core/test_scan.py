@@ -236,8 +236,9 @@ def _attained_score(engine, table, vector, rank: int) -> float:
     """The ``rank``-th best exact score of ``vector`` over ``table`` — a
     threshold some row attains exactly."""
     ctx = engine.context(tag="scan-tests")
-    vectors = ctx.catalog.get(table).array("emb")
-    normalized = ctx.normalized_matrix_for((table, "emb", MODEL), vectors)
+    normalized = ctx.normalized_matrix_for(
+        (table, "emb", MODEL), ctx.catalog.get(table)
+    )
     exact = stable_dot_scores(normalized, normalize_vector(vector))
     return float(np.sort(exact)[-rank])
 

@@ -9,6 +9,7 @@ get-or-build is serialized by the engine's store lock.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -179,6 +180,65 @@ def test_embedding_store_concurrent_add_items_consistent():
     assert len(store) == len(words)
     expected = model.embed_batch(words)
     assert np.array_equal(store.embed_items(words), expected)
+
+
+def test_embedding_store_ids_and_views_stable_across_growth():
+    """Writers grow the store through 100+ appends (and several buffer
+    reallocations) while readers hold views: an id handed out once always
+    names the same vector, in any view taken at or after that time."""
+    model = HashingEmbedder(dim=DIM)
+    store = EmbeddingStore(model)
+    steps, per_step = 100, 30
+    errors: list = []
+    barrier = threading.Barrier(4)
+
+    def writer(w: int) -> None:
+        try:
+            barrier.wait()
+            for step in range(steps):
+                words = [f"w{w}-s{step}-{i}" for i in range(per_step)]
+                view_before = store.vectors
+                ids = store.add_items(words + words[:3])  # in-batch duplicates
+                assert ids[-3:].tolist() == ids[:3].tolist()
+                view = store.vectors
+                assert np.array_equal(view[ids[:per_step]], model.embed_batch(words))
+                assert store.add_items(words).tolist() == ids[:per_step].tolist()
+                # The older view is still what it was: appends land behind it.
+                assert np.array_equal(view_before, view[: len(view_before)])
+        except BaseException as exc:
+            errors.append(exc)
+
+    def reader() -> None:
+        try:
+            barrier.wait()
+            held: list[tuple[np.ndarray, np.ndarray]] = []
+            for _ in range(steps):
+                view = store.vectors
+                held.append((view, view.copy()))
+            for view, snapshot in held:
+                assert np.array_equal(view, snapshot)  # never rewritten
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=writer, args=(w,), daemon=True) for w in range(3)
+    ] + [threading.Thread(target=reader, daemon=True)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over mid-update, often
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(store) == 3 * steps * per_step
+    assert store.vectors.base is not None  # a view of the grown buffer, no copy
+    items = store.items()
+    assert np.array_equal(store.vectors, model.embed_batch(items))
+    assert [store.id_of(item) for item in items[::97]] == list(range(0, len(items), 97))
 
 
 def test_tagged_engine_views_share_stats():

@@ -74,6 +74,39 @@ class TestMorselization:
     def test_empty_input(self):
         assert ExecutionEngine(n_threads=2).morsels_for(0) == []
 
+    def test_known_row_work_keeps_morsels_over_the_task_floor(self):
+        """835 x 8,000 x 64 used to be cut into eight 105-row morsels of
+        54 M multiply-adds; with the work known they come out at the
+        floor's size or above, in whole rounds of workers."""
+        from repro.engine.executor import MIN_TASK_WORK
+
+        engine = ExecutionEngine(n_threads=2)
+        assert sorted(len(m) for m in engine.morsels_for(835)) == [104] * 5 + [105] * 3
+        morsels = engine.morsels_for(835, row_work=8_000 * 64)
+        assert sorted(len(m) for m in morsels) == [208, 209, 209, 209]
+        assert all(len(m) * 8_000 * 64 >= MIN_TASK_WORK for m in morsels)
+        assert morsels[0].start == 0 and morsels[-1].stop == 835
+
+    def test_large_joins_morselize_exactly_as_without_row_work(self):
+        """1,000 x 40,000 x 128 morsels are 6x over the floor: unchanged."""
+        engine = ExecutionEngine(n_threads=2)
+        plain = engine.morsels_for(1000)
+        assert engine.morsels_for(1000, row_work=40_000 * 128) == plain
+        assert [len(m) for m in plain] == [125] * 8
+
+    def test_work_under_one_task_is_not_split(self):
+        engine = ExecutionEngine(n_threads=4)
+        assert len(engine.morsels_for(100, row_work=100 * 16)) == 1
+        # Work for fewer tasks than workers: that many morsels, not four.
+        from repro.engine.executor import MIN_TASK_WORK
+
+        row_work = MIN_TASK_WORK // 50
+        assert len(engine.morsels_for(150, row_work=row_work)) == 2
+
+    def test_configured_morsel_size_stays_an_upper_bound(self):
+        engine = ExecutionEngine(n_threads=2, morsel_rows=10)
+        assert max(len(m) for m in engine.morsels_for(100, row_work=1)) <= 10
+
 
 class TestMapMorsels:
     @pytest.mark.parametrize("n_threads", [1, 4])

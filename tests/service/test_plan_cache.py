@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from repro.algebra.logical import plan_equal
+from repro.algebra.logical import LogicalNode, plan_equal
 from repro.algebra.optimizer import Optimizer
+from repro.relational.expressions import Expression
 from repro.service import PlanCache, fingerprint, parameterize, substitute
 
 from _service_utils import MODEL
 
 pytestmark = pytest.mark.service
+
+
+@dataclass(frozen=True)
+class _Maybe(LogicalNode):
+    """A node shape no current class has: optional child, optional predicate."""
+
+    child: LogicalNode | None
+    where: Expression | None = None
+    tag: str = ""
+
+    def children(self):
+        return [] if self.child is None else [self.child]
 
 
 def _topk_plan(engine, qvec, k=5):
@@ -85,3 +100,158 @@ def test_filter_constants_are_part_of_the_shape(service_engine, query_vectors):
         .plan
     )
     assert fingerprint(plan_a)[0] != fingerprint(plan_b)[0]
+
+
+def test_score_column_is_part_of_the_shape(service_engine, query_vectors):
+    """``explain()`` leaves ``score_column`` out, so a key made of it let two
+    queries that differ only there share a plan — and the second answer
+    carried the first one's column name."""
+    q = query_vectors[0]
+    plans = [
+        service_engine.query("corpus")
+        .esimilar("emb", q, model=MODEL, top_k=3, score_column=name)
+        .plan
+        for name in ("similarity", "score")
+    ]
+    assert plans[0].explain() == plans[1].explain()  # the display string cannot tell
+    assert fingerprint(plans[0])[0] != fingerprint(plans[1])[0]
+
+
+def test_every_node_field_reaches_the_key():
+    """Each compared field of each logical node class changes the key when
+    it alone changes, and the key holds no node and no expression object
+    (nodes hash a predicate by identity; the key must not)."""
+    from dataclasses import fields, replace
+
+    from repro.algebra import logical
+    from repro.core.conditions import ThresholdCondition, TopKCondition
+    from repro.relational import Col
+    from repro.relational.expressions import Expression
+    from repro.service.plan_cache import structure
+
+    scan = logical.ScanNode("t")
+    samples = [
+        scan,
+        logical.FilterNode(scan, Col("a") > 1),
+        logical.ProjectNode(scan, ("a", "b")),
+        logical.LimitNode(scan, 3),
+        logical.EmbedNode(scan, "a", "m", "a_vec"),
+        logical.ESelectNode(scan, "a", "q", "m", TopKCondition(2), "s"),
+        logical.EquiJoinNode(scan, scan, "a", "b"),
+        logical.EJoinNode(scan, scan, "a", "b", "m", TopKCondition(2), True, "tensor"),
+    ]
+    covered = {type(node) for node in samples}
+    assert covered == {
+        cls
+        for cls in vars(logical).values()
+        if isinstance(cls, type)
+        and issubclass(cls, logical.LogicalNode)
+        and cls is not logical.LogicalNode
+    }
+    other = {
+        str: "zz",
+        int: 99,
+        bool: False,
+        tuple: ("z",),
+        TopKCondition: ThresholdCondition(0.5),
+        logical.ScanNode: logical.ScanNode("u"),
+    }
+
+    def flat(key):
+        for part in key:
+            yield from flat(part) if isinstance(part, tuple) else (part,)
+
+    for node in samples:
+        key = structure(node)
+        hash(key)
+        assert not any(
+            isinstance(p, (logical.LogicalNode, Expression)) for p in flat(key)
+        )
+        assert structure(replace(node)) == key
+        for f in fields(node):
+            if not f.compare:
+                continue
+            value = getattr(node, f.name)
+            changed = (
+                Col("a") > 2 if isinstance(value, Expression) else other[type(value)]
+            )
+            assert structure(replace(node, **{f.name: changed})) != key, (
+                type(node).__name__,
+                f.name,
+            )
+
+
+def test_optional_child_and_predicate_fields_are_classified_by_type():
+    """A node field typed ``LogicalNode | None`` is a child (kept out of the
+    node's own part) and one typed ``Expression | None`` enters by ``repr``
+    — whatever the annotation's spelling."""
+    from repro.algebra.logical import ScanNode
+    from repro.relational import Col
+    from repro.service.plan_cache import structure
+
+    bare = structure(_Maybe(None))
+    assert bare == ("_Maybe", ("None", ""))
+    full = structure(_Maybe(ScanNode("t"), Col("a") > 1, "x"))
+    assert full == ("_Maybe", (repr(Col("a") > 1), "x"), ("ScanNode", "t"))
+    assert full == structure(_Maybe(ScanNode("t"), Col("a") > 1, "x"))
+    assert full != structure(_Maybe(ScanNode("t"), Col("a") > 2, "x"))
+
+
+def test_cached_results_equal_uncached_for_every_builder_option(query_vectors):
+    """Differential: one base query, each builder option varied one at a
+    time; a service with plan and result caches must answer every variant
+    exactly as an uncached engine does — name of the score column
+    included."""
+    from repro.relational import Col
+    from repro.service import QueryService
+
+    from _service_utils import assert_tables_equal, make_engine
+
+    base = dict(column="emb", model=MODEL, top_k=4, min_similarity=None,
+                score_column="similarity")
+    variants = [
+        {},
+        {"top_k": 6},
+        {"min_similarity": 0.1},
+        {"score_column": "score"},
+        {"top_k": None, "threshold": 0.2},
+        {"top_k": None, "threshold": 0.2, "score_column": "score"},
+    ]
+
+    def build(engine, overrides, qvec, *, where=None, select=None, limit=None):
+        options = {**base, **overrides}
+        builder = engine.query("corpus")
+        if where is not None:
+            builder = builder.where(Col("id") >= where)
+        builder = builder.esimilar(options.pop("column"), qvec, **options)
+        if select is not None:
+            builder = builder.select(select)
+        if limit is not None:
+            builder = builder.limit(limit)
+        return builder
+
+    shapes = [
+        dict(),
+        dict(where=50),
+        dict(where=120),
+        dict(limit=2),
+        dict(select=["id"]),
+    ]
+    reference = make_engine()
+    engine = make_engine()
+    service = QueryService(engine, coalesce=False)
+    with service.session("differential") as session:
+        for round_ in range(2):  # second round is served from the caches
+            for overrides in variants:
+                for shape in shapes:
+                    if "select" in shape and overrides.get("score_column"):
+                        continue
+                    qvec = query_vectors[0]
+                    got = session.execute(build(engine, overrides, qvec, **shape))
+                    want = build(reference, overrides, qvec, **shape).execute()
+                    assert_tables_equal(
+                        got, want, context=f"round {round_} {overrides} {shape}"
+                    )
+    snapshot = service.stats_snapshot()
+    assert snapshot["plan_cache"]["hits"] > 0
+    assert snapshot["result_cache"]["exact_hits"] > 0

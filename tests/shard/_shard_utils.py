@@ -47,7 +47,7 @@ def make_engine(vectors: np.ndarray | None = None) -> Engine:
     return engine
 
 
-def normalized_for(engine: Engine, vectors: np.ndarray) -> np.ndarray:
+def normalized_for(engine: Engine) -> np.ndarray:
     """The engine's normalized scan matrix for the corpus key."""
     ctx = engine.context(tag="shard-tests")
-    return ctx.normalized_matrix_for(KEY, vectors)
+    return ctx.normalized_matrix_for(KEY, ctx.catalog.get(KEY[0]))

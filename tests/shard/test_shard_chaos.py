@@ -42,7 +42,7 @@ def _kill_worker(pool, shard_id: int = 0) -> None:
 def test_killed_worker_respawns_and_results_stay_exact(query_vectors):
     vectors = corpus_vectors()
     engine = make_engine(vectors)
-    normalized = normalized_for(engine, vectors)
+    normalized = normalized_for(engine)
     pool = ShardPool(engine, 2, min_rows=1)
     prefix = pool.segment_prefix
     try:

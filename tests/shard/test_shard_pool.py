@@ -29,7 +29,7 @@ def setup():
     vectors = corpus_vectors()
     engine = make_engine(vectors)
     pool = ShardPool(engine, 2, min_rows=1)
-    yield engine, pool, normalized_for(engine, vectors)
+    yield engine, pool, normalized_for(engine)
     pool.close()
 
 

@@ -208,6 +208,16 @@ class TestBlockShape:
     def test_small_inputs_untouched(self):
         assert block_shape(30, 40) == (30, 40)
 
+    def test_a_strip_within_the_bound_stays_whole(self):
+        """209 x 8,000 fp32 scores are 6.7 MB: one block, not three narrow
+        ones; 125 x 40,000 (20 MB) is cut exactly as before."""
+        from repro.vector.select import STRIP_BYTES
+
+        assert 209 * 8_000 * 4 <= STRIP_BYTES < 125 * 40_000 * 4
+        assert block_shape(209, 8_000) == (209, 8_000)
+        assert block_shape(125, 40_000) == (125, 8_384)
+        assert block_shape(418, 8_000) == (418, 2_496)  # 13 MB: cut
+
     def test_pinned_edges_are_honoured(self):
         assert block_shape(5000, 7, fixed_rows=True, fixed_width=True) == (5000, 7)
         assert block_shape(125, 40_000, fixed_width=True) == (125, 40_000)
