@@ -143,7 +143,9 @@ class OrderEJoinInputs(RewriteRule):
 
     Only fires for symmetric (threshold) conditions — top-k is defined per
     left tuple and cannot be flipped — and only when both inputs bottom out
-    at catalogued scans so cardinalities are known.
+    at catalogued scans so cardinalities are known.  A join forced onto an
+    index probe keeps its sides: the index is registered on the right
+    table, and after a swap the planner would find none to probe.
     """
 
     name = "order-ejoin-inputs"
@@ -168,8 +170,8 @@ class OrderEJoinInputs(RewriteRule):
         right_n = self._cardinality(node.right)
         if left_n is None or right_n is None:
             return None
-        if right_n <= left_n:
-            # Already smaller-inner; just mark to stop re-application.
+        if right_n <= left_n or node.strategy_hint == "index":
+            # Nothing to swap; just mark to stop re-application.
             marked = EJoinNode(
                 node.left, node.right, node.left_column, node.right_column,
                 node.model_name, node.condition, prefetch=node.prefetch,

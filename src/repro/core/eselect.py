@@ -207,11 +207,11 @@ def eselect(
     else:
         assert isinstance(condition, TopKCondition)
         kpad = min(n, condition.k + TOPK_PRESCREEN_PAD)
-        triples, _, _ = scan_candidates(
+        scan = scan_candidates(
             dense_score_block(normalized, qvec[None, :]),
             0, n, 1, (0,), kpad, (), (),
         )
-        (candidates,), (floor,) = merge_topk([triples], 1, kpad)
+        (candidates,), (floor,) = merge_topk([scan.triples], 1, kpad)
         ids, scores, _ = guarded_topk_select(
             normalized, candidates, float(floor), qvec, condition
         )

@@ -183,8 +183,7 @@ def prefetch_nlj(
     heuristic).
 
     ``assume_normalized`` skips normalization for inputs that are already
-    unit rows (e.g. morsel chunks of a relation normalized once by
-    :func:`~repro.core.parallel.parallel_join`).
+    unit rows (e.g. the planner's normalize-once matrix).
 
     An ``engine`` (:class:`repro.engine.ExecutionEngine`) morselizes the
     outer loop across its workers; morsel results reassemble in row order,

@@ -13,26 +13,17 @@ partition barrier.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..engine import ExecutionEngine, Morsel, partition_rows
+from ..engine import ExecutionEngine, partition_rows
 from ..errors import JoinError
 from ..vector.kernels import Kernel
-from ..vector.norms import normalize_rows
 from .conditions import JoinCondition, validate_condition
 from .nlj import prefetch_nlj
-from .result import JoinResult, JoinStats
+from .result import JoinResult
 from .tensor_join import tensor_join
 
 __all__ = ["parallel_join", "partition_rows"]
-
-
-def _offset_result(part: JoinResult, offset: int) -> JoinResult:
-    return JoinResult(
-        part.left_ids + offset, part.right_ids, part.scores, part.stats
-    )
 
 
 def parallel_join(
@@ -49,11 +40,12 @@ def parallel_join(
     assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
 ) -> JoinResult:
-    """Morselize the left relation and join morsels on engine workers.
+    """Join on an engine's workers, the left relation cut into morsels.
 
     Args:
-        strategy: ``"tensor"`` (GEMM blocks per morsel) or ``"nlj"``
-            (prefetch NLJ per morsel).
+        strategy: ``"tensor"`` (:func:`tensor_join`) or ``"nlj"``
+            (:func:`prefetch_nlj`), each run with ``engine=`` — their left
+            blocks are the morsels.
         n_threads: worker count; defaults to the machine's CPU count.
             Ignored when an explicit ``engine`` is supplied.
         kernel: similarity kernel for the NLJ strategy.
@@ -83,54 +75,27 @@ def parallel_join(
     if engine is None:
         engine = ExecutionEngine(n_threads=n_threads)
 
-    stats = JoinStats(strategy=f"parallel-{strategy}/{engine.n_threads}t")
-    start = time.perf_counter()
-    stats.n_left, stats.n_right = len(left), len(right)
-
-    # Normalize once, outside the workers (shared read-only operands).
-    left_n = left if assume_normalized else normalize_rows(left)
-    right_n = right if assume_normalized else normalize_rows(right)
-
-    # Morsels run concurrently, so each worker's inner tensor_join gets
-    # its share of the total budget (explicit or engine-configured),
-    # divided by how many morsels can actually be in flight at once.
-    row_work = len(right_n) * left_n.shape[1] if left_n.ndim == 2 else None
-    n_morsels = len(engine.morsels_for(len(left_n), row_work=row_work))
-    worker_budget = engine.worker_budget(
-        buffer_budget_bytes, concurrency=n_morsels
-    )
-
-    def run_morsel(morsel: Morsel) -> JoinResult:
-        chunk = left_n[morsel.start : morsel.stop]
-        if strategy == "tensor":
-            part = tensor_join(
-                chunk,
-                right_n,
-                condition,
-                batch_left=batch_left,
-                batch_right=batch_right,
-                buffer_budget_bytes=worker_budget,
-                assume_normalized=True,
-                policy=engine.policy,  # calibrated block sizing per morsel
-            )
-        else:
-            part = prefetch_nlj(
-                chunk, right_n, condition, kernel=kernel,
-                assume_normalized=True,
-            )
-        return _offset_result(part, morsel.start)
-
-    results = engine.map_morsels(len(left_n), run_morsel, row_work=row_work)
-
-    merged = JoinResult.concat(results, stats)
-    stats.similarity_evaluations = sum(
-        r.stats.similarity_evaluations for r in results
-    )
-    stats.batch_invocations = sum(r.stats.batch_invocations for r in results)
-    stats.peak_buffer_elements = max(
-        (r.stats.peak_buffer_elements for r in results), default=0
-    )
-    stats.extra["morsels"] = len(results)
-    stats.seconds = time.perf_counter() - start
-    stats.pairs_emitted = len(merged)
-    return merged
+    # Both operators cut their own left side to the engine's morsels (the
+    # tensor join also splits the budget over the blocks resident at once).
+    if strategy == "tensor":
+        result = tensor_join(
+            left,
+            right,
+            condition,
+            batch_left=batch_left,
+            batch_right=batch_right,
+            buffer_budget_bytes=buffer_budget_bytes,
+            assume_normalized=assume_normalized,
+            engine=engine,
+        )
+        shape = result.stats.extra.get("batch_shape")  # absent: an empty side
+        morsels = -(-len(left) // shape[0]) if shape else 0
+    else:
+        result = prefetch_nlj(
+            left, right, condition, kernel=kernel,
+            assume_normalized=assume_normalized, engine=engine,
+        )
+        morsels = len(engine.morsels_for(len(left))) if engine.n_threads > 1 else 1
+    result.stats.strategy = f"parallel-{strategy}/{engine.n_threads}t"
+    result.stats.extra["morsels"] = morsels
+    return result

@@ -1,46 +1,58 @@
-"""The shared-scan core: one blocked prescreen under every served scan.
+"""The blocked scan: the one loop under every scan join and served scan.
 
-A served E-selection costs one pass over the relation (Section III-C,
-``|R| * (A + M + C)``), and the pass is the same whether it answers one
-query (:func:`~repro.core.eselect.eselect`), a coalesced group of them
-(:mod:`repro.service.coalescer`) or one shard's row range
-(:mod:`repro.shard.worker`): stream row blocks, score each against every
-query, prune the score block to candidates *immediately* (Section IV-C) —
-top-k rows through a :class:`~repro.vector.select.TopKReducer` whose
-running floor gates every block after the first, threshold rows through
-:func:`~repro.vector.select.select_above` at a fixed floor.  What differs
-is only the *representation* scanned, and that is the ``score_block``
-callable (fp32 rows, an fp16 cast, int8 codes, PQ ADC tables).
+The paper's tensor formulation (Section IV-C, Figures 6-7) is one loop:
+score a block of the relation against every query row, prune the score
+block to qualifying cells *immediately*, keep a bounded buffer.  That loop
+is :func:`scan_candidates` and nothing else in the package walks right
+blocks.  Callers differ only in the *representation* scanned — the
+``score_block`` closure they hand in (fp32 rows, an fp16 upcast, int8
+codes or PQ one-hot rows through the quantizer's ``scorer``), with its
+score-error ``bound`` and per-query ``bias`` — and in their exact
+finalizer: served scans (:func:`~repro.core.eselect.eselect`,
+:mod:`repro.service.coalescer`, :mod:`repro.shard.worker`) re-score
+candidates with the shape-stable exact kernel, the fp32 join emits the
+GEMM's own scores, the quantized join re-ranks in fp32.
 
-The core is a prescreen: it returns candidate *supersets*.  Callers
-re-score candidates with the shape-stable exact kernel, so emitted ids
-and scores never depend on block edges, grouping or sharding.
+:func:`scan_join` is the other half every join shares: cut the left side
+into blocks, run them inline or on the engine, add up the parts.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..vector.select import TopKReducer, block_shape, select_above
+from ..engine import ExecutionEngine, executor
+from ..vector.kernels import row_major_scores
+from ..vector.select import TopKReducer, block_shape, maxima_bytes, select_above
+from .result import JoinResult, JoinStats
 
 #: ``(rows, ids, scores)`` candidate triples sorted by
 #: ``(row, score desc, id asc)`` — :meth:`TopKReducer.finalize`'s order.
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+#: Budgeted bytes of top-k state per scanned row, beside the score block.
+state_bytes_per_row = TopKReducer.state_bytes_per_row
 
-def row_major_scores(block: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """``(n_queries, len(block))`` scores of fp32 ``block`` rows, copy-free.
 
-    The product runs row-major — ``block @ queries.T``, a plain GEMV for
-    one query — because OpenBLAS streams a tall operand about twice as
-    fast from the left as transposed on the right; the returned
-    query-major array is a view of it.
-    """
-    if len(queries) == 1:
-        return (block @ queries[0])[None, :]
-    return (block @ queries.T).T
+@dataclass
+class ScanResult:
+    """What one :func:`scan_candidates` pass found, and what it cost."""
+
+    #: Top-k rows' candidates; ``row`` indexes ``topk_rows``.  A row left
+    #: with fewer than ``kpad`` triples dropped no cell.
+    triples: Triples
+    #: Threshold rows' hits sorted by ``(row, id)``; ``row`` indexes
+    #: ``thr_rows``.
+    hits: Triples
+    blocks: int = 0
+    #: Score cells computed (``n_queries`` x rows scanned).
+    cells: int = 0
+    #: The largest score block plus what the select held beside it (chunk
+    #: maxima, pooled top-k triples).
+    peak_bytes: int = 0
 
 
 def dense_score_block(
@@ -60,6 +72,12 @@ def _take_rows(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return scores[rows]
 
 
+def split_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> list[np.ndarray]:
+    """``values`` cut into one array per row, ``rows`` being sorted."""
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1))
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def scan_candidates(
     score_block: Callable[[int, int], np.ndarray],
     lo: int,
@@ -71,79 +89,101 @@ def scan_candidates(
     thr_floors,
     *,
     budget_bytes: int | None = None,
-) -> tuple[Triples, list[np.ndarray], int]:
-    """One blocked prescreen pass over relation rows ``[lo, hi)``.
+    width: int | None = None,
+    bound: float = 0.0,
+    bias: np.ndarray | None = None,
+) -> ScanResult:
+    """One blocked pass over relation rows ``[lo, hi)``.
 
     Args:
         score_block: ``(start, stop) -> (n_queries, stop - start)``
             approximate fp32 scores, any strides.
         topk_rows: sorted query rows that need their ``kpad`` best cells.
-        thr_rows: sorted query rows that need every cell ``>=`` their
-            entry of ``thr_floors`` (a row may appear in both lists).
+        thr_rows: sorted query rows that need every cell whose true score
+            reaches their entry of ``thr_floors`` (a scalar serves every
+            row; a row may appear in both lists).
         budget_bytes: optional cap on one fp32 score block; block edges
             otherwise keep the block cache-resident for the select pass
             (:func:`~repro.vector.select.block_shape`).
-
-    Returns:
-        ``(triples, thr_hits, blocks)`` — the top-k rows' candidates with
-        ``row`` indexing ``topk_rows``, one ascending id array per
-        threshold row, and the number of blocks scored.  A top-k row left
-        with fewer than ``kpad`` triples dropped no cell.
+        width: rows per block, for a caller that resolved its own shape.
+        bound: the representation's score error; threshold floors drop by
+            it, so no row whose true score reaches its floor is missed.
+        bias: per-query constant ``score_block`` leaves out of its scores
+            (the int8 affine term).  Ranking within a row does not need
+            it; threshold floors are shifted by it and returned scores
+            carry it.
     """
     topk_rows = np.asarray(topk_rows, dtype=np.intp)
     thr_rows = np.asarray(thr_rows, dtype=np.intp)
-    thr_floors = np.asarray(thr_floors, dtype=np.float32)
+    floors = np.broadcast_to(
+        np.asarray(thr_floors, dtype=np.float32) - np.float32(bound),
+        (len(thr_rows),),
+    )
+    if bias is not None:
+        floors = floors - bias[thr_rows]
     reducer = TopKReducer(len(topk_rows), max(1, kpad)) if len(topk_rows) else None
-    width = hi - lo
-    if budget_bytes is not None:
-        width = min(width, max(budget_bytes // (4 * max(n_queries, 1)), 1))
-    _, width = block_shape(n_queries, width)
-    hit_rows: list[np.ndarray] = []
-    hit_ids: list[np.ndarray] = []
-    starts = range(lo, hi, width) if hi > lo else ()
-    for start in starts:
-        scores = score_block(start, min(start + width, hi))
+    if width is None:
+        width = hi - lo
+        if budget_bytes is not None:
+            width = min(width, max(budget_bytes // (4 * max(n_queries, 1)), 1))
+        _, width = block_shape(n_queries, width)
+    empty = np.empty(0, dtype=np.int64)
+    no_triples = (empty, empty, np.empty(0, dtype=np.float32))
+    scan = ScanResult(no_triples, no_triples)
+    hits: list[Triples] = []
+    for start in range(lo, hi, max(width, 1)):
+        stop = min(start + width, hi)
+        scores = score_block(start, stop)
+        beside = 0
         if reducer is not None:
             reducer.push(_take_rows(scores, topk_rows), start)
+            beside += reducer.peak_bytes
         if len(thr_rows):
-            rows, cols, _ = select_above(_take_rows(scores, thr_rows), thr_floors)
-            hit_rows.append(rows)
-            hit_ids.append(cols + start)
-    empty = np.empty(0, dtype=np.int64)
-    triples = (
-        reducer.finalize()
-        if reducer is not None
-        else (empty, empty, np.empty(0, dtype=np.float32))
-    )
-    thr_hits = [empty] * len(thr_rows)
-    if hit_rows:
-        rows, ids = np.concatenate(hit_rows), np.concatenate(hit_ids)
+            rows, cols, found = select_above(_take_rows(scores, thr_rows), floors)
+            hits.append((rows, cols + start, found))
+            beside += maxima_bytes(len(thr_rows), stop - start)
+        scan.blocks += 1
+        scan.cells += n_queries * (stop - start)
+        scan.peak_bytes = max(scan.peak_bytes, 4 * n_queries * (stop - start) + beside)
+    if reducer is not None:
+        scan.triples = reducer.finalize()
+    if hits:
+        rows, ids, found = (np.concatenate(column) for column in zip(*hits))
+        # Canonical (row asc, id asc) order, whatever the block shape.
         order = np.lexsort((ids, rows))
-        rows, ids = rows[order], ids[order].astype(np.int64, copy=False)
-        bounds = np.searchsorted(rows, np.arange(len(thr_rows) + 1))
-        thr_hits = [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    return triples, thr_hits, len(starts)
+        scan.hits = rows[order], ids[order].astype(np.int64, copy=False), found[order]
+    if bias is not None:
+        rows, ids, found = scan.triples
+        scan.triples = rows, ids, found + bias[topk_rows[rows]]
+        rows, ids, found = scan.hits
+        scan.hits = rows, ids, found + bias[thr_rows[rows]]
+    return scan
 
 
 def rows_above(normalized: np.ndarray, qvec: np.ndarray, floor: float) -> np.ndarray:
     """Ascending ids of the rows scoring ``>= floor`` against one query —
     a group of one fixed-floor pass over the fp32 relation."""
-    _, (ids,), _ = scan_candidates(
+    return scan_candidates(
         dense_score_block(normalized, qvec[None, :]),
-        0, len(normalized), 1, (), 0, (0,), (floor,),
-    )
-    return ids
+        0, len(normalized), 1, (), 0, (0,), floor,
+    ).hits[1]
+
+
+def fold_topk(parts: list[Triples], n_rows: int, k: int) -> Triples:
+    """Each row's ``k`` best of ``parts`` by ``(score desc, id asc)`` —
+    the reducer's total order, so the fold does not depend on how the
+    candidates were cut into parts or in which order parts arrive."""
+    reducer = TopKReducer(n_rows, max(1, k))
+    for part in parts:
+        reducer.merge(*part)
+    return reducer.finalize()
 
 
 def merge_topk(
     parts: list[Triples], n_rows: int, kpad: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-row candidates and floors from the triples of disjoint spans.
-
-    Spans (engine workers, shard processes) reduce independently; their
-    triples fold under the reducer's total order ``(score desc, id asc)``,
-    so the merged set does not depend on how the relation was cut or in
-    which order parts arrive.
+    """Per-row candidates and floors from the triples of disjoint spans
+    (engine workers, shard processes), each reduced independently.
 
     Returns:
         ``(ids, floors)`` — each row's candidate ids best first, and the
@@ -151,15 +191,56 @@ def merge_topk(
         ``kpad``-th best, or ``-inf`` for a row that dropped nothing.
     """
     kpad = max(1, kpad)
-    if len(parts) == 1:
-        rows, ids, scores = parts[0]
-    else:
-        reducer = TopKReducer(n_rows, kpad)
-        for part in parts:
-            reducer.merge(*part)
-        rows, ids, scores = reducer.finalize()
+    rows, ids, scores = parts[0] if len(parts) == 1 else fold_topk(parts, n_rows, kpad)
     bounds = np.searchsorted(rows, np.arange(n_rows + 1))
     full = np.diff(bounds) >= kpad
     floors = np.full(n_rows, -np.inf, dtype=np.float32)
     floors[full] = scores[bounds[1:][full] - 1]
     return [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])], floors
+
+
+def scan_join(
+    stats: JoinStats,
+    batch_left: int,
+    dim: int,
+    engine: ExecutionEngine | None,
+    join_block: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, ScanResult]],
+) -> JoinResult:
+    """Join ``batch_left``-row left blocks against the right side and add
+    up the parts — the one place a scan join is cut into engine tasks.
+
+    ``join_block(l0, l1)`` scans the whole right side for left rows
+    ``[l0, l1)`` and returns ``(left_ids, right_ids, scores, scan)`` with
+    block-local left ids, already finalized.  Blocks are self-contained
+    tasks over shared read-only operands, so a multi-threaded engine runs
+    them on its workers; results come back in block order either way.  A
+    join whose whole work is under :data:`~repro.engine.executor.
+    MIN_TASK_WORK` multiply-adds is not worth one scheduler run and stays
+    on the caller's thread.
+    """
+    spans = [
+        (l0, min(l0 + batch_left, stats.n_left))
+        for l0 in range(0, stats.n_left, batch_left)
+    ]
+    work = stats.n_left * stats.n_right * dim
+    if (
+        engine is None
+        or engine.n_threads == 1
+        or len(spans) == 1
+        or work < executor.MIN_TASK_WORK
+    ):
+        parts = [join_block(*span) for span in spans]
+    else:
+        parts = engine.run([lambda span=span: join_block(*span) for span in spans])
+    peak = 0
+    for _, _, _, scan in parts:
+        stats.similarity_evaluations += scan.cells
+        stats.batch_invocations += scan.blocks
+        peak = max(peak, scan.peak_bytes)
+    stats.extra["peak_intermediate_bytes"] = peak
+    return JoinResult(
+        np.concatenate([part[0] + l0 for (l0, _), part in zip(spans, parts)]),
+        np.concatenate([part[1] for part in parts]),
+        np.concatenate([part[2] for part in parts]),
+        stats,
+    )

@@ -3,24 +3,24 @@
 The join becomes a block-matrix dot product: normalize both relations once
 (cosine == dot for unit vectors), partition **along tuple boundaries, not
 dimensions**, and compute ``D = R @ S.T`` block-by-block with BLAS GEMM.
-Each block lands in one reusable score buffer and is pruned to qualifying
-offset pairs by the shared batch-major select (:mod:`repro.vector.select`)
-before the next block overwrites it, so peak memory is ``batch_left *
-batch_right`` floats regardless of input size (the Figure 7 buffer budget).
-Top-k conditions fold every block into a bounded
-:class:`~repro.vector.select.TopKReducer`, so the budget also covers the
-candidate state, end to end.
+The loop itself is :func:`repro.core.scan.scan_candidates`; this module
+hands it the fp32 representation — a closure that GEMMs each right block
+into one reusable score buffer — so every block is pruned to qualifying
+offset pairs before the next overwrites it and peak memory is ``batch_left
+* batch_right`` floats regardless of input size (the Figure 7 buffer
+budget).  Top-k conditions fold into the scan's bounded reducer, so the
+budget also covers the candidate state, end to end.  The finalizer is the
+identity: the GEMM's own scores are the emitted scores.
 
-Left blocks are independent tasks; handing the join an
-:class:`~repro.engine.ExecutionEngine` schedules them on its work-stealing
-workers, with batch shapes resolved by the engine's (possibly calibrated)
-:class:`~repro.engine.BatchPolicy`.
+Left blocks are independent tasks (:func:`repro.core.scan.scan_join`);
+handing the join an :class:`~repro.engine.ExecutionEngine` schedules them
+on its work-stealing workers, with batch shapes resolved by the engine's
+(possibly calibrated) :class:`~repro.engine.BatchPolicy`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,21 +29,11 @@ from ..embedding.base import EmbeddingModel
 from ..engine import BatchPolicy, ExecutionEngine
 from ..errors import DimensionalityError
 from ..vector.norms import normalize_rows
-from ..vector.select import (
-    CHUNK,
-    TopKReducer,
-    block_shape,
-    maxima_bytes,
-    select_above,
-)
-from .conditions import (
-    JoinCondition,
-    ThresholdCondition,
-    TopKCondition,
-    validate_condition,
-)
+from ..vector.select import CHUNK, block_shape
+from .conditions import JoinCondition, TopKCondition, validate_condition
 from .nlj import _as_matrix
 from .result import JoinResult, JoinStats
+from .scan import scan_candidates, scan_join, state_bytes_per_row
 
 
 def resolve_batch_shape(
@@ -77,7 +67,6 @@ def resolve_block_shape(
     dim: int,
     *,
     engine: ExecutionEngine | None,
-    policy: BatchPolicy | None,
     batch_left: int | None,
     batch_right: int | None,
     buffer_budget_bytes: int | None,
@@ -93,12 +82,11 @@ def resolve_block_shape(
     and derived edges shrink until the score block stays cache-resident
     for the select pass (:func:`repro.vector.select.block_shape`).
     """
-    if engine is not None:
-        policy = engine.policy
-    elif policy is None:
-        policy = BatchPolicy(
-            buffer_budget_bytes=get_config().default_buffer_budget_bytes
-        )
+    policy = (
+        BatchPolicy(buffer_budget_bytes=get_config().default_buffer_budget_bytes)
+        if engine is None
+        else engine.policy
+    )
     full_budget = (
         policy.buffer_budget_bytes
         if buffer_budget_bytes is None
@@ -120,11 +108,12 @@ def resolve_block_shape(
             buffer_budget_bytes=eff,
             reserve_bytes_per_left_row=reserve_bytes_per_left_row,
         )
-        if parallel and batch_left is None and bl >= n_left:
+        if engine is not None and batch_left is None and bl >= n_left:
             # Neither the caller nor the (possibly generous) budget split
             # the left side: cap the left edge at the engine's morsel size
             # so the join actually parallelizes instead of degenerating to
-            # one serial full-size block.
+            # one serial full-size block (a one-worker engine keeps its
+            # configured morsels, so it runs the blocks its siblings run).
             morsels = engine.morsels_for(n_left, row_work=n_right * dim)
             if len(morsels) > 1:
                 bl = max(len(m) for m in morsels)
@@ -153,26 +142,6 @@ def resolve_block_shape(
     return _resolve(engine.n_threads)  # conservative, always safe
 
 
-@dataclass
-class _BlockPart:
-    """One left block's matches plus the counters it accumulated."""
-
-    left_ids: np.ndarray
-    right_ids: np.ndarray
-    scores: np.ndarray
-    similarity_evaluations: int = 0
-    batch_invocations: int = 0
-    peak_intermediate_bytes: int = 0
-
-
-def _empty_part() -> _BlockPart:
-    return _BlockPart(
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float32),
-    )
-
-
 def tensor_join(
     left,
     right,
@@ -184,7 +153,6 @@ def tensor_join(
     buffer_budget_bytes: int | None = None,
     assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
-    policy: BatchPolicy | None = None,
 ) -> JoinResult:
     """Scan-based exact E-join via blocked GEMM.
 
@@ -204,10 +172,6 @@ def tensor_join(
         engine: execution engine scheduling left blocks across its workers
             and resolving batch shapes via its calibrated policy.  ``None``
             runs blocks inline with policy defaults from the global config.
-        policy: batch-shape policy for engine-less calls (e.g. per-morsel
-            joins inside :func:`~repro.core.parallel.parallel_join`, which
-            forwards its engine's calibrated policy); ignored when an
-            ``engine`` is supplied.
 
     Returns:
         Sparse offset-pair :class:`JoinResult`; ``stats`` records peak
@@ -231,140 +195,47 @@ def tensor_join(
     left_n = left_m if assume_normalized else normalize_rows(left_m)
     right_n = right_m if assume_normalized else normalize_rows(right_m)
 
-    reserve = (
-        TopKReducer.state_bytes_per_row(condition.k)
-        if isinstance(condition, TopKCondition)
-        else 0
-    )
+    topk = isinstance(condition, TopKCondition)
     bl, br = resolve_block_shape(
         stats.n_left,
         stats.n_right,
         left_n.shape[1],
         engine=engine,
-        policy=policy,
         batch_left=batch_left,
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
-        reserve_bytes_per_left_row=reserve,
+        reserve_bytes_per_left_row=state_bytes_per_row(condition.k) if topk else 0,
     )
     stats.peak_buffer_elements = bl * br
     stats.extra["batch_shape"] = (bl, br)
 
-    parts = _run_left_blocks(left_n, right_n, condition, bl, br, engine)
-    for part in parts:
-        stats.similarity_evaluations += part.similarity_evaluations
-        stats.batch_invocations += part.batch_invocations
-        stats.extra["peak_intermediate_bytes"] = max(
-            stats.extra.get("peak_intermediate_bytes", 0),
-            part.peak_intermediate_bytes,
+    def join_block(l0: int, l1: int):
+        lb = left_n[l0:l1]
+        rows = np.arange(len(lb))
+        # Every right block's GEMM lands in this task's one buffer
+        # (Figure 6 step 1); the scan is done with a block before it asks
+        # for the next.
+        buffer = np.empty(len(lb) * br, dtype=np.float32)
+
+        def score_block(r0: int, r1: int) -> np.ndarray:
+            out = buffer[: len(lb) * (r1 - r0)].reshape(len(lb), r1 - r0)
+            return np.matmul(lb, right_n[r0:r1].T, out=out)
+
+        wanted = (
+            (rows, condition.k, (), ()) if topk else ((), 0, rows, condition.threshold)
         )
-    populated = [p for p in parts if len(p.left_ids)]
-    if not populated:
-        result = JoinResult.empty(stats)
-    else:
-        result = JoinResult(
-            np.concatenate([p.left_ids for p in populated]),
-            np.concatenate([p.right_ids for p in populated]),
-            np.concatenate([p.scores for p in populated]),
-            stats,
+        scan = scan_candidates(
+            score_block, 0, stats.n_right, len(lb), *wanted, width=br
         )
+        li, ri, sc = scan.triples if topk else scan.hits
+        if topk and condition.min_similarity is not None:
+            keep = sc >= condition.min_similarity
+            li, ri, sc = li[keep], ri[keep], sc[keep]
+        return li, ri, sc, scan
+
+    result = scan_join(stats, bl, left_n.shape[1], engine, join_block)
     stats.seconds = time.perf_counter() - start
-    stats.pairs_emitted = len(result)
     return result
-
-
-def _run_left_blocks(
-    left_n: np.ndarray,
-    right_n: np.ndarray,
-    condition: JoinCondition,
-    bl: int,
-    br: int,
-    engine: ExecutionEngine | None,
-) -> list[_BlockPart]:
-    """Join every left block against the right relation.
-
-    Each block is a self-contained task over shared read-only operands, so
-    a multi-threaded engine schedules them on its work-stealing workers;
-    results come back in block order, keeping output identical to the
-    inline loop.
-    """
-    n = left_n.shape[0]
-    bounds = [(l0, min(l0 + bl, n)) for l0 in range(0, n, bl)]
-
-    def block_task(span: tuple[int, int]) -> _BlockPart:
-        l0, l1 = span
-        if isinstance(condition, ThresholdCondition):
-            return _threshold_block(
-                left_n[l0:l1], l0, right_n, condition, br
-            )
-        assert isinstance(condition, TopKCondition)
-        return _topk_block(left_n[l0:l1], l0, right_n, condition, br)
-
-    if engine is None or engine.n_threads == 1 or len(bounds) == 1:
-        return [block_task(span) for span in bounds]
-    return engine.run([lambda span=span: block_task(span) for span in bounds])
-
-
-def _score_blocks(lb: np.ndarray, right_n: np.ndarray, br: int, part: _BlockPart):
-    """GEMM ``lb`` against each right block into one reusable buffer.
-
-    Yields ``(r0, scores)`` (Figure 6 step 1); the caller must be done
-    with ``scores`` before asking for the next block.
-    """
-    n_lb = lb.shape[0]
-    buffer = np.empty(n_lb * br, dtype=np.float32)
-    for r0 in range(0, right_n.shape[0], br):
-        rb = right_n[r0 : r0 + br]
-        out = buffer[: n_lb * len(rb)].reshape(n_lb, len(rb))
-        part.batch_invocations += 1
-        part.similarity_evaluations += out.size
-        yield r0, np.matmul(lb, rb.T, out=out)
-
-
-def _threshold_block(
-    lb: np.ndarray,
-    l0: int,
-    right_n: np.ndarray,
-    condition: ThresholdCondition,
-    br: int,
-) -> _BlockPart:
-    part = _empty_part()
-    out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for r0, scores in _score_blocks(lb, right_n, br, part):
-        part.peak_intermediate_bytes = max(
-            part.peak_intermediate_bytes,
-            scores.nbytes + maxima_bytes(*scores.shape),
-        )
-        li, ri, sc = select_above(scores, condition.threshold)
-        # Map block-local offsets back via batch offsets (Fig. 6 step 2).
-        out.append((li + l0, ri + r0, sc))
-    li, ri, sc = (np.concatenate(column) for column in zip(*out))
-    # Canonical (left asc, right asc) order, whatever the block shape.
-    order = np.lexsort((ri, li))
-    part.left_ids, part.right_ids, part.scores = li[order], ri[order], sc[order]
-    return part
-
-
-def _topk_block(
-    lb: np.ndarray,
-    l0: int,
-    right_n: np.ndarray,
-    condition: TopKCondition,
-    br: int,
-) -> _BlockPart:
-    part = _empty_part()
-    reducer = TopKReducer(lb.shape[0], condition.k)
-    for r0, scores in _score_blocks(lb, right_n, br, part):
-        reducer.push(scores, r0)
-        part.peak_intermediate_bytes = max(
-            part.peak_intermediate_bytes, scores.nbytes + reducer.peak_bytes
-        )
-    li, ri, sc = reducer.finalize()
-    if condition.min_similarity is not None:
-        keep = sc >= condition.min_similarity
-        li, ri, sc = li[keep], ri[keep], sc[keep]
-    part.left_ids, part.right_ids, part.scores = li + l0, ri, sc
-    return part
 
 
 def tensor_join_non_batched(

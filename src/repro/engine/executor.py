@@ -263,34 +263,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Batch shaping
     # ------------------------------------------------------------------
-    def worker_budget(
-        self,
-        buffer_budget_bytes: int | None = None,
-        *,
-        concurrency: int | None = None,
-    ) -> int | None:
-        """Per-worker share of the buffer budget.
-
-        An explicit budget wins over the policy's; the total is split by
-        the number of workers that can actually hold a dense block at
-        once — ``min(n_threads, concurrency)`` when the caller knows how
-        many tasks exist — so the *sum* of resident intermediates honours
-        the configured bound without over-shrinking few-block joins.
-        """
-        budget = (
-            self.policy.buffer_budget_bytes
-            if buffer_budget_bytes is None
-            else buffer_budget_bytes
-        )
-        holders = (
-            self.n_threads
-            if concurrency is None
-            else min(self.n_threads, max(concurrency, 1))
-        )
-        if budget is not None and holders > 1:
-            budget = budget // holders
-        return budget
-
     def calibrate(self, model, **kwargs) -> BatchPolicy:
         """Measure this machine and adopt a calibrated batch policy.
 

@@ -43,7 +43,12 @@ from ..core.eselect import (
     exact_threshold_select,
     guarded_topk_select,
 )
-from ..core.scan import dense_score_block, merge_topk, scan_candidates
+from ..core.scan import (
+    dense_score_block,
+    merge_topk,
+    scan_candidates,
+    split_rows,
+)
 from ..errors import ServiceError, ShardError
 from ..obs.trace import span
 from ..relational.column import Column
@@ -344,12 +349,17 @@ class CoalescingScheduler:
             heap_ids, heap_floor = shard_res.heap_ids, shard_res.heap_floor
             thr_hits, blocks = shard_res.thr_hits, shard_res.blocks
         else:
-            triples, thr_hits, blocks = scan_candidates(
+            scan = scan_candidates(
                 dense_score_block(normalized, queries),
                 0, n, len(queries), topk_rows, kpad, thr_rows, thresholds,
                 budget_bytes=ctx.engine.policy.buffer_budget_bytes,
             )
-            heap_ids, heap_floor = merge_topk([triples], len(topk_rows), kpad)
+            heap_ids, heap_floor = merge_topk(
+                [scan.triples], len(topk_rows), kpad
+            )
+            hit_rows, hit_ids, _ = scan.hits
+            thr_hits = split_rows(hit_rows, hit_ids, len(thr_rows))
+            blocks = scan.blocks
         with self._lock:
             self.stats.shared_scan_blocks += blocks
             if shard_res is not None:

@@ -22,26 +22,10 @@ import time
 
 import numpy as np
 
-from ..core.scan import row_major_scores, scan_candidates
+from ..core.scan import row_major_scores, scan_candidates, split_rows
 from ..errors import ShardError
 from .envelope import make_task, open_task
 from .store import AttachedSegment
-
-
-def _score_block(precision: str, views: dict, prepared, queries, start, stop):
-    """One approximate score block ``(n_queries, stop - start)``."""
-    if precision == "fp32":
-        return row_major_scores(views["fp32"].array[start:stop], queries)
-    if precision == "fp16":
-        block = views["fp16"].array[start:stop].astype(np.float32)
-        return row_major_scores(block, queries)
-    if precision == "int8":
-        quantizer = views["int8_quantizer"]
-        return quantizer.scores_block(prepared, views["int8"].array[start:stop])
-    if precision == "pq":
-        quantizer = views["pq_quantizer"]
-        return quantizer.adc_scores(queries, views["pq"].array[start:stop])
-    raise ShardError(f"unknown shard scan precision {precision!r}")
 
 
 def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
@@ -64,9 +48,14 @@ def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
     queries = np.ascontiguousarray(payload["queries"], dtype=np.float32)
     hb_every_s = max(0.05, float(payload.get("heartbeat_s", 1.0)))
 
-    prepared = None
-    if precision == "int8" and len(queries):
-        prepared = views["int8_quantizer"].prepare_queries(queries)
+    if precision in ("fp32", "fp16"):
+        rows, bias = views[precision].array, None
+
+        def score(block: np.ndarray) -> np.ndarray:
+            return row_major_scores(block.astype(np.float32, copy=False), queries)
+    else:
+        rows = views[f"{precision}_rows"]
+        score, bias = views[f"{precision}_quantizer"].scorer(queries)
 
     started = time.perf_counter()
     last_beat = started
@@ -78,23 +67,26 @@ def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
             last_beat = now
             conn.send(make_task("heartbeat", shard=shard_id,
                                 task_id=payload["task_id"]))
-        return _score_block(precision, views, prepared, queries, start, stop)
+        return score(rows[start:stop])
 
-    (rows, ids, scores), thr_hits, blocks = scan_candidates(
+    scan = scan_candidates(
         score_block, lo, hi, len(queries),
         payload["topk_rows"], int(payload["kpad"]),
         payload["thr_rows"], payload["thr_floors"],
+        bias=bias,
     )
+    topk_rows, topk_ids, topk_scores = scan.triples
+    hit_rows, hit_ids, _ = scan.hits
     return make_task(
         "result",
         task_id=payload["task_id"],
         shard=shard_id,
-        topk_rows=rows,
-        topk_ids=ids,
-        topk_scores=scores,
-        thr_hits=thr_hits,
+        topk_rows=topk_rows,
+        topk_ids=topk_ids,
+        topk_scores=topk_scores,
+        thr_hits=split_rows(hit_rows, hit_ids, len(payload["thr_rows"])),
         rows=int(hi - lo),
-        blocks=blocks,
+        blocks=scan.blocks,
         wall_s=time.perf_counter() - started,
     )
 
@@ -103,19 +95,28 @@ def _attach_store(tables: dict, payload: dict) -> None:
     key = tuple(payload["key"])
     old = tables.pop(key, None)
     if old is not None:
-        for view in old["views"].values():
-            if isinstance(view, AttachedSegment):
-                view.close()
+        _close_views(old["views"])
     views: dict = {}
     for precision, spec in payload["specs"].items():
         views[precision] = AttachedSegment(spec)
     for name, quantizer in (payload.get("quantizers") or {}).items():
         views[f"{name}_quantizer"] = quantizer
+        # What the quantizer's scorer streams (PQ: the one-hot CSR of the
+        # codes), built once per publish, not once per block.
+        views[f"{name}_rows"] = quantizer.scan_rows(views[name].array)
     tables[key] = {
         "version": payload["version"],
         "ranges": [tuple(r) for r in payload["ranges"]],
         "views": views,
     }
+
+
+def _close_views(views: dict) -> None:
+    segments = [v for v in views.values() if isinstance(v, AttachedSegment)]
+    # Scan rows can be a segment's own array, and a live view pins the map.
+    views.clear()
+    for segment in segments:
+        segment.close()
 
 
 def worker_main(conn, shard_id: int) -> None:
@@ -161,9 +162,7 @@ def worker_main(conn, shard_id: int) -> None:
                     break
     finally:
         for entry in tables.values():
-            for view in entry["views"].values():
-                if isinstance(view, AttachedSegment):
-                    view.close()
+            _close_views(entry["views"])
         try:
             conn.close()
         except OSError:

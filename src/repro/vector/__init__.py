@@ -13,7 +13,6 @@ from .kernels import (
 )
 from .norms import is_normalized, l2_norms, normalize_rows, normalize_vector
 from .quant import Int8Quantizer, ProductQuantizer, VectorQuantizer, int8_dot
-from .select import TopKReducer, select_above
 from .topk import top_k_indices, top_k_per_row
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "ProductQuantizer",
     "VectorQuantizer",
     "int8_dot",
-    "TopKReducer",
     "cosine_matrix",
     "cosine_matrix_gemm",
     "cosine_matrix_scalar",
@@ -34,7 +32,6 @@ __all__ = [
     "l2_norms",
     "normalize_rows",
     "normalize_vector",
-    "select_above",
     "stable_dot_scores",
     "top_k_indices",
     "top_k_per_row",

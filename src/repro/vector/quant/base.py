@@ -21,6 +21,7 @@ Two error notions matter downstream:
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 
 import numpy as np
 
@@ -77,4 +78,23 @@ class VectorQuantizer(abc.ABC):
 
         Sound for the rows the quantizer was fitted on (the join encodes
         exactly the relation it was fitted against).
+        """
+
+    def scan_rows(self, codes: np.ndarray):
+        """What a scan streams for ``codes``, sliceable by row range: the
+        codes themselves unless the quantizer scores another layout."""
+        return codes
+
+    @abc.abstractmethod
+    def scorer(
+        self, queries: np.ndarray
+    ) -> tuple[Callable[..., np.ndarray], np.ndarray | None]:
+        """Fold ``queries`` into the representation once: ``(score, bias)``.
+
+        ``score(block)`` maps a row range of :meth:`scan_rows` to
+        ``(n_queries, len(block))`` approximate scores, any strides, with
+        the per-query constant ``bias`` left out (``None``: nothing is) —
+        ``score(block) + bias[:, None] == queries @ decode(codes).T``.
+        Ranking within a query does not need the bias, so a scan adds it
+        to the cells it keeps instead of to every cell.
         """

@@ -182,6 +182,16 @@ class ProductQuantizer(VectorQuantizer):
             shape=(n, self.m * self.ks_eff),
         )
 
+    def scan_rows(self, codes: np.ndarray) -> sparse.csr_matrix:
+        return self.onehot(codes)
+
+    def scorer(self, queries: np.ndarray):
+        # (m * ks, n_queries): the orientation the CSR product consumes;
+        # the scores are the transposed view of its (rows, n_queries)
+        # product, and the select reads any strides.
+        tables = np.ascontiguousarray(self.lookup_tables(queries).T)
+        return (lambda block: np.asarray(block @ tables).T), None
+
     def adc_scores(self, queries: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Dense ``(n_queries, n_codes)`` ADC block (convenience path)."""
         luts = self.lookup_tables(queries)

@@ -19,10 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import DimensionalityError
+from ..kernels import row_major_scores
 from .base import VectorQuantizer
 
 #: Smallest per-dimension scale; guards constant dimensions.
 MIN_SCALE = 1e-12
+
+#: Query rows up to which the asymmetric scan runs row-major
+#: (``codes @ weights.T``): OpenBLAS streams a thin product faster from
+#: the tall operand's side.  150,000 x 128 codes in one block, min ms,
+#: query-major vs row-major: 2 queries 39.2 vs 31.5, 16 55.7 vs 47.2,
+#: 64 74.8 vs 64.0; one query and a join's 125-row blocks tie (31.9 vs
+#: 32.9, 114.9 vs 122.3; at 125 x 8,384 3.23 vs 3.11).
+THIN_QUERIES = 64
 
 #: Largest dim-chunk whose int8 dot partial sums stay exactly representable
 #: in fp32: ``1024 * 128 * 128 < 2**24``.
@@ -135,6 +144,14 @@ class Int8Quantizer(VectorQuantizer):
         if include_bias:
             scores += bias[:, None]
         return scores
+
+    def scorer(self, queries: np.ndarray):
+        weights, bias = self.prepare_queries(queries)
+        if len(weights) <= THIN_QUERIES:
+            return (
+                lambda block: row_major_scores(block.astype(np.float32), weights)
+            ), bias
+        return (lambda block: weights @ block.astype(np.float32).T), bias
 
 
 def int8_dot(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:

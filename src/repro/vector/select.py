@@ -168,23 +168,17 @@ class TopKReducer:
     Args:
         n_rows: rows of every block pushed.
         k: candidates kept per row.
-        floor: optional initial per-row floors (e.g. sampled admission
-            gates); rows may then end with fewer than ``k`` candidates.
     """
 
-    def __init__(self, n_rows: int, k: int, floor: np.ndarray | None = None) -> None:
+    def __init__(self, n_rows: int, k: int) -> None:
         if n_rows < 0:
             raise DimensionalityError(f"n_rows must be >= 0, got {n_rows}")
         if k < 1:
             raise DimensionalityError(f"k must be >= 1, got {k}")
         self.n_rows = n_rows
         self.k = k
-        self.floor = (
-            np.full(n_rows, -np.inf, dtype=np.float32)
-            if floor is None
-            else np.array(floor, dtype=np.float32)
-        )
-        self._cold = bool(np.isneginf(self.floor).any())
+        self.floor = np.full(n_rows, -np.inf, dtype=np.float32)
+        self._cold = n_rows > 0
         self._cap = POOL_FACTOR * n_rows * k
         self._triples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._size = 0

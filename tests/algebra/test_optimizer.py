@@ -87,6 +87,21 @@ class TestOrderEJoinInputs:
         node = make_ejoin(condition=TopKCondition(2))
         assert rule.apply(node) is None
 
+    def test_index_hint_keeps_the_indexed_side_right(self, catalog):
+        """The index lives on the right table; a swap would leave the
+        planner nothing to probe."""
+        rule = OrderEJoinInputs(catalog)
+        node = make_ejoin(left="people", right="people_big")
+        node = EJoinNode(
+            node.left, node.right, node.left_column, node.right_column,
+            node.model_name, node.condition, strategy_hint="index",
+        )
+        result = rule.apply(node)
+        assert result.right.table_name == "people_big"
+        assert result.strategy_hint == "index"
+        assert result.metadata["ordered"] and "swapped" not in result.metadata
+        assert rule.apply(result) is None
+
 
 class TestVisibleColumns:
     def test_scan_from_catalog(self, catalog):

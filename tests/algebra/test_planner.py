@@ -155,6 +155,37 @@ class TestEJoinExecution:
         }
         assert all(i < 10 for i in matched_ids)
 
+    def test_optimized_index_threshold_join_probes_the_larger_table(self, ctx):
+        """Regression: the smaller-inner rewrite swapped a threshold join
+        hinted onto the index away from the (larger) table that has it,
+        and planning raised PlanError."""
+        from repro.algebra import Optimizer
+
+        small = ctx.catalog.get("feed").take(list(range(20)))
+        ctx.catalog.register("feed_small", small)
+        model = ctx.models.get("hash")
+        words = ctx.catalog.get("words").array("word").tolist()
+        assert len(words) > small.num_rows
+        index = FlatIndex(model.dim)
+        index.add(model.embed_batch(words))
+        ctx.register_index("words", "word", index)
+        plan = EJoinNode(
+            ScanNode("feed_small"), ScanNode("words"), "text", "word", "hash",
+            ThresholdCondition(0.8), strategy_hint="index",
+        )
+        report = ExecutionReport()
+        out = execute(Optimizer(catalog=ctx.catalog).optimize(plan), ctx, report=report)
+        assert report.strategies == ["index/flatindex"]
+        scan = execute(
+            EJoinNode(
+                ScanNode("feed_small"), ScanNode("words"), "text", "word",
+                "hash", ThresholdCondition(0.8), strategy_hint="tensor",
+            ),
+            ctx,
+        )
+        key = lambda t: sorted(zip(t.array("text").tolist(), t.array("word").tolist()))
+        assert out.num_rows > 0 and set(key(out)) <= set(key(scan))
+
     def test_index_hint_without_index_raises(self, ctx):
         with pytest.raises(PlanError, match="registered index"):
             execute(self.make_join(strategy="index"), ctx)

@@ -130,6 +130,7 @@ def test_latency_spikes_only_slow_never_corrupt(query_vectors):
         assert_tables_equal(got, want, context=f"query {i}")
 
 
+@pytest.mark.usefixtures("schedule_every_task")
 def test_worker_kills_recovered_bit_identically(query_vectors):
     """Abrupt worker deaths: watchdog/sweep recovery, results exact."""
     configure(default_threads=4, default_morsel_rows=32)
@@ -156,6 +157,7 @@ def test_worker_kills_recovered_bit_identically(query_vectors):
         configure(default_threads=None, default_morsel_rows=1024)
 
 
+@pytest.mark.usefixtures("schedule_every_task")
 def test_injected_hangs_bounded_by_watchdog(query_vectors):
     """A hang far longer than any query must not set the pace: the
     watchdog stalls the hung worker out and re-runs its morsel."""

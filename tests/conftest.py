@@ -36,6 +36,16 @@ def small_vectors() -> tuple[np.ndarray, np.ndarray]:
 
 
 @pytest.fixture()
+def schedule_every_task(monkeypatch):
+    """Lift the engine's task-work floor: toy joins run inline under it
+    (``repro.engine.executor.MIN_TASK_WORK``), and a test that is about
+    morsels, workers or ``engine.run`` needs them scheduled."""
+    from repro.engine import executor
+
+    monkeypatch.setattr(executor, "MIN_TASK_WORK", 1)
+
+
+@pytest.fixture()
 def hash_model() -> HashingEmbedder:
     return HashingEmbedder(dim=16, seed=7)
 

@@ -1,5 +1,6 @@
 """Engine-executed operators: exactness, memory bounds, and plumbing."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -46,6 +47,7 @@ class TestEngineExactness:
         multi = parallel_join(left, right, TopKCondition(5), n_threads=4)
         assert sorted_triples(multi) == sorted_triples(single)
 
+    @pytest.mark.usefixtures("schedule_every_task")
     def test_tensor_join_with_parallel_engine(self, small_vectors):
         left, right = small_vectors
         engine = ExecutionEngine(n_threads=3)
@@ -79,6 +81,7 @@ class TestEngineExactness:
             == len(left) * len(right)
         )
 
+    @pytest.mark.usefixtures("schedule_every_task")
     def test_ejoin_forwards_engine(self, small_vectors):
         left, right = small_vectors
         engine = ExecutionEngine(n_threads=2, morsel_rows=8)
@@ -209,6 +212,7 @@ class TestTopKMemoryBudget:
         assert self._concurrent_bytes(result, engine) <= budget
 
     @pytest.mark.parametrize("budget", [None, 1 << 30])
+    @pytest.mark.usefixtures("schedule_every_task")
     def test_parallel_engine_tensor_join_actually_parallelizes(self, budget):
         """An engine-parallel tensor join must split into blocks rather
         than one serial full block — with no budget AND with a budget so
@@ -224,14 +228,12 @@ class TestTopKMemoryBudget:
         assert engine.stats.morsels_dispatched > 1
         assert result.pairs() == tensor_join(left, right, THRESHOLD).pairs()
 
-    def test_join_splits_for_parallelism_within_budget(self, monkeypatch):
+    @pytest.mark.usefixtures("schedule_every_task")
+    def test_join_splits_for_parallelism_within_budget(self):
         """A join whose tasks are worth scheduling is morselized for
         concurrency, and the budget bounds the concurrently-resident
         blocks; an engine-less join of the same size keeps the full budget
         for its single block."""
-        from repro.engine import executor
-
-        monkeypatch.setattr(executor, "MIN_TASK_WORK", 1)
         left = unit_vectors(100, 16, seed=55)
         right = unit_vectors(100, 16, seed=56)
         budget = 64 * 1024
@@ -260,6 +262,33 @@ class TestTopKMemoryBudget:
         assert par.stats.extra["batch_shape"] == (100, 100)
         assert engine.stats.morsels_dispatched == 0
         assert par.pairs() == tensor_join(left, right, THRESHOLD).pairs()
+
+    def test_blocks_under_the_task_floor_run_inline(self):
+        """3,000 x 500 x 8 is three MAX_BLOCK_ROWS left blocks of 4 M
+        multiply-adds: 12 M in all, not worth one scheduler run."""
+        from repro.engine.executor import MIN_TASK_WORK
+
+        left = unit_vectors(3000, 8, seed=59)
+        right = unit_vectors(500, 8, seed=60)
+        assert 3000 * 500 * 8 < MIN_TASK_WORK
+        engine = ExecutionEngine(n_threads=2)
+        result = tensor_join(left, right, THRESHOLD, engine=engine)
+        bl, _ = result.stats.extra["batch_shape"]
+        assert -(-3000 // bl) == 3  # still three blocks
+        assert engine.stats.morsels_dispatched == 0 and engine.stats.runs == 0
+        assert result.pairs() == tensor_join(left, right, THRESHOLD).pairs()
+
+    def test_blocks_over_the_task_floor_are_dispatched(self):
+        left = unit_vectors(1000, 128, seed=61)
+        right = unit_vectors(40_000, 128, seed=62)
+        engine = ExecutionEngine(n_threads=2)
+        result = tensor_join(left, right, TopKCondition(8), engine=engine)
+        assert result.stats.extra["batch_shape"] == (125, 8384)
+        assert engine.stats.morsels_dispatched == 8
+        par = parallel_join(left, right, TopKCondition(8), engine=engine)
+        assert par.stats.extra["morsels"] == 8
+        assert engine.stats.morsels_dispatched == 16
+        assert np.array_equal(par.right_ids, result.right_ids)
 
     def test_parallel_join_budget_split(self):
         left = unit_vectors(300, 16, seed=53)

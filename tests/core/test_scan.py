@@ -5,6 +5,8 @@ Part A drives :func:`repro.core.scan.scan_candidates` directly with each
 float64 oracle: candidates are a superset of the true answer.  Part B
 checks the consequence end to end: a serial ``eselect``, a coalesced group
 and a 2-shard group return ``np.array_equal`` tables for every group size.
+Part C holds every join entry point over the core to the same oracle, for
+every way the join can be cut into blocks and tasks.
 """
 
 from __future__ import annotations
@@ -14,14 +16,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import PRESCREEN_MARGIN, TOPK_PRESCREEN_PAD
+from repro.core import (
+    PRESCREEN_MARGIN,
+    TOPK_PRESCREEN_PAD,
+    QuantizedRelation,
+    ThresholdCondition,
+    TopKCondition,
+    ejoin,
+    parallel_join,
+    prefetch_nlj,
+    quantized_eselect,
+    quantized_tensor_join,
+    tensor_join,
+    tensor_join_non_batched,
+)
 from repro.core.scan import (
     dense_score_block,
     merge_topk,
     row_major_scores,
     scan_candidates,
+    split_rows,
 )
 from repro.embedding import HashingEmbedder
+from repro.engine import ExecutionEngine
 from repro.query import Engine
 from repro.relational import Catalog, DataType, Field, Table
 from repro.relational.column import Column
@@ -52,28 +69,26 @@ def queries() -> np.ndarray:
 # Part A — the core against a float64 oracle, per representation
 # ---------------------------------------------------------------------------
 def _representation(name: str, corpus: np.ndarray, q: np.ndarray):
-    """``(score_block, bound)``: the callable the core scans and the
-    representation's provable score error (what the pool widens by)."""
+    """``(score_block, bound, bias)``: the closure the core scans, the
+    representation's provable score error and the per-query constant the
+    closure leaves out."""
     if name == "fp32":
-        return (dense_score_block(corpus, q)), 0.0
+        return dense_score_block(corpus, q), 0.0, None
     if name == "fp16":
         half = corpus.astype(np.float16)
         resid = np.linalg.norm(corpus - half.astype(np.float32), axis=1).max()
         return (
             lambda a, b: row_major_scores(half[a:b].astype(np.float32), q)
-        ), float(resid) + 1e-5
+        ), float(resid) + 1e-5, None
     if name == "int8":
         quantizer = Int8Quantizer(DIM).fit(corpus)
-        codes = quantizer.encode(corpus)
-        prepared = quantizer.prepare_queries(q)
-        return (
-            lambda a, b: quantizer.scores_block(prepared, codes[a:b])
-        ), float(quantizer.score_error_bound())
-    quantizer = ProductQuantizer(DIM, m=4, ks=16, seed=5).fit(corpus)
-    codes = quantizer.encode(corpus)
+    else:
+        quantizer = ProductQuantizer(DIM, m=4, ks=16, seed=5).fit(corpus)
+    rows = quantizer.scan_rows(quantizer.encode(corpus))
+    score, bias = quantizer.scorer(q)
     return (
-        lambda a, b: quantizer.adc_scores(q, codes[a:b])
-    ), float(quantizer.score_error_bound())
+        lambda a, b: score(rows[a:b])
+    ), float(quantizer.score_error_bound()), bias
 
 
 @pytest.mark.parametrize("representation", ["fp32", "fp16", "int8", "pq"])
@@ -90,20 +105,23 @@ def test_candidates_are_a_superset_of_the_oracle_answer(
     corpus, queries, representation, n_queries, lo, hi, block_rows
 ):
     q = queries[:n_queries]
-    score_block, bound = _representation(representation, corpus, q)
+    score_block, bound, bias = _representation(representation, corpus, q)
     # Even rows want top-k, odd rows a threshold, row 0 both (a duplicate
     # vector whose members carry different conditions).
     topk_rows = sorted({0, *range(0, n_queries, 2)})
     thr_rows = sorted({0, *range(1, n_queries, 2)})
     kpad = K + TOPK_PRESCREEN_PAD
-    floors = np.full(len(thr_rows), THRESHOLD - PRESCREEN_MARGIN - bound, np.float32)
-    triples, thr_hits, blocks = scan_candidates(
-        score_block, lo, hi, n_queries, topk_rows, kpad, thr_rows, floors,
+    scan = scan_candidates(
+        score_block, lo, hi, n_queries, topk_rows, kpad, thr_rows,
+        THRESHOLD - PRESCREEN_MARGIN,
         budget_bytes=None if block_rows is None else 4 * n_queries * block_rows,
+        bound=bound, bias=bias,
     )
     width = hi - lo if block_rows is None else block_rows
-    assert blocks == -(-(hi - lo) // width)
-    cand_ids, cand_floor = merge_topk([triples], len(topk_rows), kpad)
+    assert scan.blocks == -(-(hi - lo) // width)
+    assert scan.cells == n_queries * (hi - lo)
+    assert scan.peak_bytes >= 4 * n_queries * min(width, hi - lo)
+    cand_ids, cand_floor = merge_topk([scan.triples], len(topk_rows), kpad)
 
     oracle = q.astype(np.float64) @ corpus[lo:hi].astype(np.float64).T
     proved = 0
@@ -119,32 +137,45 @@ def test_candidates_are_a_superset_of_the_oracle_answer(
             proved += 1
     if representation == "fp32":
         assert proved == len(topk_rows)  # no error bound: never needs the rescan
-    for j, row in enumerate(thr_rows):
-        hits = thr_hits[j]
+    hit_rows, hit_ids, hit_scores = scan.hits
+    # Returned scores carry the bias: they are the approximate scores.
+    assert np.allclose(
+        hit_scores, oracle[np.asarray(thr_rows)[hit_rows], hit_ids - lo],
+        atol=bound + PRESCREEN_MARGIN,
+    )
+    for j, hits in enumerate(split_rows(hit_rows, hit_ids, len(thr_rows))):
         assert np.all(np.diff(hits) > 0), "threshold hits must ascend, no repeats"
         assert not len(hits) or (hits[0] >= lo and hits[-1] < hi)
-        answer = np.flatnonzero(oracle[row] >= THRESHOLD) + lo
+        answer = np.flatnonzero(oracle[thr_rows[j]] >= THRESHOLD) + lo
         assert set(answer.tolist()) <= set(hits.tolist())
 
 
 def test_k_at_least_n_keeps_every_row(corpus, queries):
     n = 50
-    triples, _, _ = scan_candidates(
+    scan = scan_candidates(
         dense_score_block(corpus, queries[:3]),
         0, n, 3, (0, 1, 2), n + 7, (), (),
     )
-    ids, floors = merge_topk([triples], 3, n + 7)
+    ids, floors = merge_topk([scan.triples], 3, n + 7)
     assert all(sorted(row.tolist()) == list(range(n)) for row in ids)
     assert np.all(np.isneginf(floors))  # nothing dropped, nothing to guard
 
 
 def test_empty_range_scans_nothing(corpus, queries):
-    triples, thr_hits, blocks = scan_candidates(
+    scan = scan_candidates(
         dense_score_block(corpus, queries[:2]),
         10, 10, 2, (0,), 3, (1,), (0.1,),
     )
-    assert blocks == 0 and all(len(part) == 0 for part in triples)
-    assert [len(hits) for hits in thr_hits] == [0]
+    assert scan.blocks == scan.cells == scan.peak_bytes == 0
+    assert all(len(part) == 0 for part in scan.triples + scan.hits)
+
+
+def test_pinned_width_is_the_block_width(corpus, queries):
+    scan = scan_candidates(
+        dense_score_block(corpus, queries[:2]),
+        0, 100, 2, (0, 1), 3, (), (), width=7,
+    )
+    assert scan.blocks == -(-100 // 7)
 
 
 def test_score_view_is_not_a_copy(corpus, queries):
@@ -306,3 +337,142 @@ def test_more_ties_than_the_pad_force_the_second_pass(
         for i, (want, table) in enumerate(zip(serial, got)):
             _assert_same(want, table, f"{name} ties, member {i}")
         assert service.stats_snapshot()["coalescer"]["fallbacks"] - before >= 2
+
+
+# ---------------------------------------------------------------------------
+# Part C — every join entry point == the float64 oracle, however it is cut
+# ---------------------------------------------------------------------------
+J_LEFT, J_RIGHT, J_K = 11, 14, 3
+
+
+def _grid_vectors(n: int, seed: int) -> np.ndarray:
+    """Rows with four +-1 entries out of ``DIM``: every norm is exactly 2,
+    so unit rows are +-0.5 and every dot product is a multiple of 0.25 —
+    exact in fp32 in any summation order, and full of ties."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, DIM), dtype=np.float32)
+    for row in out:
+        row[rng.choice(DIM, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    return out
+
+
+@pytest.fixture(scope="module")
+def join_inputs():
+    left, right = _grid_vectors(J_LEFT, 1), _grid_vectors(J_RIGHT, 2)
+    right[5] = right[2] = right[9]  # exact ties for whoever ranks them
+    scores = (left.astype(np.float64) / 2.0) @ (right.astype(np.float64) / 2.0).T
+    return left, right, scores
+
+
+def _join_conditions(scores: np.ndarray) -> dict:
+    kth = np.sort(scores, axis=1)[:, -J_K]
+    tied_rows = ((scores == kth[:, None]).sum(axis=1) > 1).sum()
+    assert tied_rows >= J_LEFT // 2  # ties at the k-th place, most rows
+    return {
+        "topk-ties": TopKCondition(J_K),
+        "threshold-attained": ThresholdCondition(float(scores[3, 4])),
+        "k-beyond-n": TopKCondition(J_RIGHT + 1),
+        "min-similarity": TopKCondition(J_K + 2, min_similarity=0.25),
+    }
+
+
+def _oracle_join(scores: np.ndarray, condition) -> tuple[np.ndarray, np.ndarray]:
+    """(left ids, right ids) in the operators' order, NumPy float64 only."""
+    if isinstance(condition, ThresholdCondition):
+        return np.nonzero(scores >= condition.threshold)
+    left_ids, right_ids = [], []
+    for i, row in enumerate(scores):
+        order = np.lexsort((np.arange(len(row)), -row))[: condition.k]
+        if condition.min_similarity is not None:
+            order = order[row[order] >= condition.min_similarity]
+        left_ids += [i] * len(order)
+        right_ids += order.tolist()
+    return np.asarray(left_ids), np.asarray(right_ids)
+
+
+SHAPES = {
+    "derived": {},
+    "explicit": {"batch_left": 3, "batch_right": 7},
+    "budget": {"buffer_budget_bytes": 2048},
+}
+ENGINES = {"none": None, "1t": 1, "2t": 2}
+
+
+def _fp32_entry_points(left, right, condition, shape, engine):
+    yield "tensor_join", tensor_join(left, right, condition, engine=engine, **shape)
+    kwargs = {"engine": engine} if engine is not None else {"n_threads": 2}
+    yield "parallel_join", parallel_join(left, right, condition, **shape, **kwargs)
+    for strategy in ("tensor", "parallel-tensor"):
+        yield f"ejoin/{strategy}", ejoin(
+            left, right, condition, strategy=strategy, engine=engine, **shape
+        )
+
+
+@pytest.mark.usefixtures("schedule_every_task")
+@pytest.mark.parametrize("threads", ENGINES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize(
+    "case", ["topk-ties", "threshold-attained", "k-beyond-n", "min-similarity"]
+)
+def test_fp32_joins_equal_the_oracle_and_each_other(join_inputs, case, shape, threads):
+    left, right, scores = join_inputs
+    condition = _join_conditions(scores)[case]
+    want_l, want_r = _oracle_join(scores, condition)
+    assert len(want_l) > 0
+    n_threads = ENGINES[threads]
+    engine = None if n_threads is None else ExecutionEngine(n_threads=n_threads)
+    results = dict(_fp32_entry_points(left, right, condition, SHAPES[shape], engine))
+    results["non_batched"] = tensor_join_non_batched(left, right, condition)
+    results["prefetch_nlj"] = prefetch_nlj(left, right, condition)
+    for name, got in results.items():
+        assert np.array_equal(got.left_ids, want_l), name
+        assert np.array_equal(got.right_ids, want_r), name
+        assert np.array_equal(got.scores, scores[want_l, want_r].astype(np.float32)), name
+        assert got.stats.pairs_emitted == len(want_l), name
+    if n_threads == 2 and shape != "derived":
+        assert engine.stats.morsels_dispatched > 0  # the cut ran on workers
+
+
+@pytest.mark.quant
+@pytest.mark.usefixtures("schedule_every_task")
+@pytest.mark.parametrize("threads", ENGINES)
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize(
+    "case", ["topk-ties", "threshold-attained", "k-beyond-n", "min-similarity"]
+)
+def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, threads):
+    """Threshold results are exactly the oracle's set (sound prescreen,
+    exact re-rank); top-k with every row re-ranked is the fp32 answer."""
+    left, right, scores = join_inputs
+    condition = _join_conditions(scores)[case]
+    want_l, want_r = _oracle_join(scores, condition)
+    n_threads = ENGINES[threads]
+    engine = None if n_threads is None else ExecutionEngine(n_threads=n_threads)
+    store = QuantizedRelation.build(right, method, m=4, ks=8, seed=3)
+    kwargs = dict(rerank_multiple=J_RIGHT, engine=engine, **SHAPES[shape])
+    results = {
+        "quantized_tensor_join": quantized_tensor_join(
+            left, store, condition, **kwargs
+        ),
+        "ejoin": ejoin(
+            left, right, condition, strategy=f"tensor-{method}",
+            engine=engine, **SHAPES[shape],
+        ),
+    }
+    for name, got in results.items():
+        if isinstance(condition, TopKCondition) and name == "ejoin":
+            continue  # default rerank multiple: a recall path, not an exact one
+        assert np.array_equal(got.left_ids, want_l), name
+        assert np.array_equal(got.right_ids, want_r), name
+        assert np.array_equal(got.scores, scores[want_l, want_r].astype(np.float32)), name
+        assert got.stats.extra["rerank_candidates"] >= len(want_l)
+    # The selection is the join of one left row.
+    budget = SHAPES[shape].get("buffer_budget_bytes")
+    for row in (0, 3):
+        got = quantized_eselect(
+            store, left[row], condition,
+            rerank_multiple=J_RIGHT, buffer_budget_bytes=budget,
+        )
+        assert np.array_equal(got.ids, want_r[want_l == row]), row
+        assert got.stats.strategy == f"eselect/{method}"

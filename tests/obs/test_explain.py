@@ -61,6 +61,7 @@ def test_explain_analyze_direct_path(obs_engine, query_vectors):
     assert "planner.eselect" in response.explain
 
 
+@pytest.mark.usefixtures("schedule_every_task")
 def test_explain_analyze_ejoin_shows_engine_run():
     # Big enough that the tensor join splits into multiple blocks and
     # actually runs on the morsel executor (small joins execute inline).

@@ -11,7 +11,12 @@ from repro.core import (
     exact_topk_select,
     guarded_topk_select,
 )
-from repro.core.scan import dense_score_block, merge_topk, scan_candidates
+from repro.core.scan import (
+    dense_score_block,
+    merge_topk,
+    scan_candidates,
+    split_rows,
+)
 from repro.vector.norms import normalize_rows
 
 DIM = 4
@@ -53,13 +58,14 @@ def test_any_cut_of_the_scan_selects_like_a_full_exact_pass(scan, k, pad, thresh
     floors = np.full(n_queries, threshold - PRESCREEN_MARGIN, np.float32)
     parts, hits = [], [[] for _ in rows]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        triples, thr_hits, _ = scan_candidates(
+        span = scan_candidates(
             dense_score_block(relation, queries),
             lo, hi, n_queries, rows, kpad, rows, floors,
             budget_bytes=4 * n_queries * block_rows,
         )
-        parts.append(triples)
-        for j, found in enumerate(thr_hits):
+        parts.append(span.triples)
+        hit_rows, hit_ids, _ = span.hits
+        for j, found in enumerate(split_rows(hit_rows, hit_ids, n_queries)):
             hits[j].append(found)
     cand_ids, cand_floor = merge_topk(parts, n_queries, kpad)
     everything = np.arange(n)

@@ -218,12 +218,10 @@ def test_session_lifecycle(query_vectors):
         )
 
 
-def test_per_query_morsel_tagging(query_vectors, monkeypatch):
-    from repro.engine import ExecutionEngine, executor
+@pytest.mark.usefixtures("schedule_every_task")  # morsels carry the tag
+def test_per_query_morsel_tagging(query_vectors):
+    from repro.engine import ExecutionEngine
 
-    # The test join is far under the engine's task-work floor; lift it so
-    # the join is morselized and its morsels can carry the tag.
-    monkeypatch.setattr(executor, "MIN_TASK_WORK", 1)
     engine = make_engine()
     # The physical operators only schedule on the engine when it has
     # workers; pin two so tagging is exercised regardless of host CPUs.

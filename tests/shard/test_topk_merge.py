@@ -101,11 +101,10 @@ class TestMergeTieBreaks:
         )
 
         def scan(lo, hi):
-            triples, _, _ = scan_candidates(
+            return scan_candidates(
                 dense_score_block(corpus, queries),
                 lo, hi, N_ROWS, range(N_ROWS), K, (), (),
-            )
-            return triples
+            ).triples
 
         serial = _state([scan(0, 80)])
         parts = [scan(0, 40), scan(40, 80)]

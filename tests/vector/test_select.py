@@ -30,9 +30,9 @@ def oracle_above(scores: np.ndarray, floor) -> set[tuple[int, int]]:
     return set(zip(rows.tolist(), cols.tolist()))
 
 
-def reduce_blocks(scores: np.ndarray, k: int, width: int, floor=None):
+def reduce_blocks(scores: np.ndarray, k: int, width: int):
     """Stream ``scores`` through a reducer in right blocks of ``width``."""
-    reducer = TopKReducer(scores.shape[0], k, floor=floor)
+    reducer = TopKReducer(scores.shape[0], k)
     for r0 in range(0, scores.shape[1], width):
         reducer.push(scores[:, r0 : r0 + width], r0)
     return reducer.finalize()
@@ -138,13 +138,6 @@ class TestTopKReducer:
             _, ids, picked = reduce_blocks(scores, 5, width)
             assert ids.reshape(2, 5).tolist() == [tied[:5]] * 2, width
             assert picked.tolist() == [1.0] * 10
-
-    def test_initial_floor_drops_candidates_below_it(self):
-        scores = np.random.default_rng(8).random((4, 3 * WIDE)).astype(np.float32)
-        floor = np.full(4, 0.995, dtype=np.float32)
-        rows, ids, picked = reduce_blocks(scores, 50, WIDE, floor=floor)
-        assert set(zip(rows.tolist(), ids.tolist())) == oracle_above(scores, 0.995)
-        assert (picked >= 0.995).all()
 
     def test_floor_tracks_kth_best(self):
         scores = np.random.default_rng(9).random((6, 3 * WIDE)).astype(np.float32)
