@@ -259,16 +259,15 @@ def _auto_strategy(
     precision = get_config().default_precision
     if precision == "fp16":
         return "tensor-fp16"
-    if precision in ("int8", "pq"):
+    vectors = isinstance(right, np.ndarray) and right.ndim == 2
+    # Raw items take their dimension from the model; with neither, the
+    # tensor join below rejects the input.
+    if precision in ("int8", "pq") and (vectors or model is not None):
         if isinstance(condition, TopKCondition):
             k = condition.k
         else:
             k = DEFAULT_PROBE_K if probe_k is None else probe_k
-        dim = (
-            right.shape[1]
-            if isinstance(right, np.ndarray) and right.ndim == 2
-            else get_config().default_dim
-        )
+        dim = right.shape[1] if vectors else model.dim
         decision = choose_scan_precision(
             n_left, n_right, k, dim, params=cost_params, store_built=False
         )

@@ -224,6 +224,7 @@ def prefetch_nlj(
             lambda m: _nlj_rows(
                 left_n, right_n, condition, kernel, m.start, m.stop
             ),
+            row_work=right_n.shape[0] * right_n.shape[1],
         )
     else:
         parts = [
@@ -237,6 +238,7 @@ def prefetch_nlj(
         out_right.extend(part_right)
         out_scores.extend(part_scores)
     stats.similarity_evaluations = left_n.shape[0] * right_n.shape[0]
+    stats.extra["morsels"] = len(parts)
 
     stats.seconds = time.perf_counter() - start
     if not out_left:

@@ -89,13 +89,11 @@ def parallel_join(
             engine=engine,
         )
         shape = result.stats.extra.get("batch_shape")  # absent: an empty side
-        morsels = -(-len(left) // shape[0]) if shape else 0
+        result.stats.extra["morsels"] = -(-len(left) // shape[0]) if shape else 0
     else:
         result = prefetch_nlj(
             left, right, condition, kernel=kernel,
             assume_normalized=assume_normalized, engine=engine,
-        )
-        morsels = len(engine.morsels_for(len(left))) if engine.n_threads > 1 else 1
+        )  # reports the morsels it cut
     result.stats.strategy = f"parallel-{strategy}/{engine.n_threads}t"
-    result.stats.extra["morsels"] = morsels
     return result

@@ -161,7 +161,6 @@ class ExecutionEngine:
         #: accumulate across the engine's lifetime.
         self.retry_policy = RetryPolicy.from_config()
         self.watchdog = WatchdogPolicy.from_config()
-        self._retry_budget_n = config.retry_budget
         #: Attribution tag stamped on this engine's scheduler runs; set
         #: via :meth:`with_tag` so concurrent queries sharing one engine
         #: each carry their own tag.
@@ -220,8 +219,12 @@ class ExecutionEngine:
 
         Returns per-morsel results in input (sequence) order, so callers
         can concatenate them and obtain exactly the single-threaded result.
+        With ``row_work`` given, a map whose whole work is under
+        :data:`MIN_TASK_WORK` runs inline, as a scan join's blocks do.
         """
         morsels = self.morsels_for(n_rows, row_work=row_work)
+        if row_work is not None and n_rows * row_work < MIN_TASK_WORK:
+            return [task(m) for m in morsels]  # not worth one scheduler run
         return self.run([lambda m=m: task(m) for m in morsels])
 
     def run(self, tasks: Sequence[Callable[[], object]]) -> list:
@@ -240,7 +243,7 @@ class ExecutionEngine:
         # thread) bound backoff; a standalone run gets its own budget.
         budget = current_retry_budget()
         if budget is None:
-            budget = RetryBudget(self._retry_budget_n)
+            budget = RetryBudget()
         bound = self.retry_policy.bind(
             deadline=current_deadline(), budget=budget
         )

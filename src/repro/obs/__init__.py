@@ -22,9 +22,9 @@ could only count in isolation:
 * :mod:`~repro.obs.server` — the stdlib HTTP introspection endpoint
   (``/metrics``, ``/health``, ``/traces``, ``/slow``).
 
-Knobs: ``REPRO_OBS_ENABLED``, ``REPRO_OBS_SAMPLE``, ``REPRO_OBS_RING``,
-``REPRO_OBS_SITES``, ``REPRO_OBS_CAPTURE``, ``REPRO_OBS_CAPTURE_MAX_MB``,
-``REPRO_OBS_CAPTURE_KEEP``, ``REPRO_OBS_HTTP_PORT``, ``REPRO_OBS_SLOW_K``
+Sampling, ring size, site gating, capture rotation and the slow-log
+capacity are ``QueryService`` keywords; ``REPRO_OBS_CAPTURE`` and
+``REPRO_OBS_HTTP_PORT`` say where a deployment captures and listens
 (see ``docs/OBSERVABILITY.md``).
 """
 

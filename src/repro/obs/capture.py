@@ -15,9 +15,9 @@ Design constraints, in order:
 * **cheap enabled** — one ``json.dumps`` plus one buffered write per
   query, under a lock only for the write itself.  The digest is a single
   pass over the result columns' bytes;
-* **bounded on disk** — the file rotates once it exceeds
-  ``obs_capture_max_mb`` (``path`` -> ``path.1`` -> ...), keeping at
-  most ``obs_capture_keep`` rotated generations;
+* **bounded on disk** — the file rotates once it exceeds ``max_bytes``
+  (``path`` -> ``path.1`` -> ...), keeping at most ``keep`` rotated
+  generations;
 * **bit-exact round trips** — query vectors serialize as float lists
   (float32 -> float64 widening is exact, and Python's JSON repr of a
   float64 round-trips exactly), so a replayed query is *the same* query.
@@ -45,7 +45,6 @@ from ..algebra.logical import (
     ProjectNode,
     ScanNode,
 )
-from ..config import get_config
 from ..core.conditions import ThresholdCondition, TopKCondition
 from ..errors import DeadlineExceededError, ReproError, ServiceOverloadError
 
@@ -221,7 +220,6 @@ def _classify_outcome(error: BaseException | None) -> str:
 class WorkloadRecorder:
     """Append-only JSONL workload capture with size-bounded rotation.
 
-    Every knob defaults to the ``REPRO_OBS_CAPTURE*`` configuration.
     The recorder's clock starts at construction; each record's
     ``arrival_s`` is the submission's offset on that clock, which is
     what paced replay uses to reproduce the original inter-arrival gaps.
@@ -231,17 +229,12 @@ class WorkloadRecorder:
         self,
         path: str | Path,
         *,
-        max_bytes: int | None = None,
-        keep: int | None = None,
+        max_bytes: int = 64 << 20,
+        keep: int = 1,
     ) -> None:
-        config = get_config()
         self.path = Path(path)
-        self.max_bytes = (
-            int(config.obs_capture_max_mb * 2**20)
-            if max_bytes is None
-            else int(max_bytes)
-        )
-        self.keep = config.obs_capture_keep if keep is None else int(keep)
+        self.max_bytes = int(max_bytes)
+        self.keep = int(keep)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()

@@ -35,20 +35,9 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..config import get_config
+from ..config import get_config, mix32
 
 _local = threading.local()
-
-
-def _mix32(x: int) -> int:
-    """Cheap deterministic 32-bit mix (same family as the fault injector)."""
-    x &= 0xFFFFFFFF
-    x ^= x >> 16
-    x = (x * 0x7FEB352D) & 0xFFFFFFFF
-    x ^= x >> 15
-    x = (x * 0x846CA68B) & 0xFFFFFFFF
-    x ^= x >> 16
-    return x
 
 
 @dataclass
@@ -304,8 +293,7 @@ def parse_sites(raw) -> frozenset | None:
 class Tracer:
     """Sampling decisions plus the bounded ring of completed traces.
 
-    Every knob defaults to the ``REPRO_OBS_*`` configuration.  Sampling
-    is deterministic: submission *n* is traced iff
+    Sampling is deterministic: submission *n* is traced iff
     ``mix32(seed ^ n) < rate * 2**32`` — replay-identical for a pinned
     seed, uniformly spread for any rate.
     """
@@ -313,21 +301,18 @@ class Tracer:
     def __init__(
         self,
         *,
-        enabled: bool | None = None,
-        sample_rate: float | None = None,
-        ring_size: int | None = None,
+        enabled: bool = True,
+        sample_rate: float = 0.01,
+        ring_size: int = 256,
         sites=None,
         seed: int | None = None,
     ) -> None:
-        config = get_config()
-        self.enabled = config.obs_enabled if enabled is None else bool(enabled)
-        rate = config.obs_sample_rate if sample_rate is None else sample_rate
-        self.sample_rate = min(1.0, max(0.0, float(rate)))
-        size = config.obs_ring_size if ring_size is None else ring_size
-        self.ring: deque[Trace] = deque(maxlen=max(1, int(size)))
-        self.sites = parse_sites(config.obs_sites if sites is None else sites)
+        self.enabled = bool(enabled)
+        self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
+        self.ring: deque[Trace] = deque(maxlen=max(1, int(ring_size)))
+        self.sites = parse_sites(sites)
         self.seed = (
-            config.stream_seed("obs.sampler") if seed is None else int(seed)
+            get_config().stream_seed("obs.sampler") if seed is None else int(seed)
         )
         self._threshold = int(self.sample_rate * 0x100000000)
         self._n = 0
@@ -351,7 +336,7 @@ class Tracer:
                 n = self._n
                 self._n += 1
                 self.considered += 1
-                if _mix32(self.seed ^ n) >= self._threshold:
+                if mix32(self.seed ^ n) >= self._threshold:
                     return None
                 self.sampled += 1
         return Trace(query_id, tag, sites=self.sites)

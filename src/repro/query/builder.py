@@ -147,8 +147,8 @@ class Engine:
         """A :class:`~repro.service.QueryService` fronting this engine.
 
         Keyword arguments are forwarded to the service constructor
-        (``max_inflight``, ``coalesce``, cache sizes, QoS knobs, ...);
-        anything unspecified falls back to the global config.  Use
+        (``max_inflight``, ``coalesce``, cache sizes, tracing, ...);
+        anything unspecified keeps its component's default.  Use
         :meth:`QueryService.submit` for plain exact serving,
         :meth:`QueryService.submit_qos` for deadline/priority/recall
         terms, and wrap the service in

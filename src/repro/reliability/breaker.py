@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 import time
 
-from ..config import get_config
 from ..obs.metrics import registry as _metrics
 
 CLOSED = "closed"
@@ -42,13 +41,19 @@ def _count_transition(to: str) -> None:
     _metrics().counter("repro_breaker_transitions_total", to=to).inc()
 
 
+#: Consecutive access-path failures that trip a breaker open.
+THRESHOLD = 3
+#: Seconds an open breaker waits before admitting one half-open trial.
+COOLDOWN_S = 30.0
+
+
 class CircuitBreaker:
     """One access path's failure state (thread-safe)."""
 
     def __init__(
         self,
-        threshold: int = 3,
-        cooldown_s: float = 30.0,
+        threshold: int = THRESHOLD,
+        cooldown_s: float = COOLDOWN_S,
         *,
         clock=time.monotonic,
     ) -> None:
@@ -130,18 +135,13 @@ class BreakerRegistry:
 
     def __init__(
         self,
-        threshold: int | None = None,
-        cooldown_s: float | None = None,
+        threshold: int = THRESHOLD,
+        cooldown_s: float = COOLDOWN_S,
         *,
         clock=time.monotonic,
     ) -> None:
-        config = get_config()
-        self.threshold = (
-            config.breaker_threshold if threshold is None else threshold
-        )
-        self.cooldown_s = (
-            config.breaker_cooldown_s if cooldown_s is None else cooldown_s
-        )
+        self.threshold = threshold
+        self.cooldown_s = cooldown_s
         self._clock = clock
         self._breakers: dict[tuple, CircuitBreaker] = {}
         self._lock = threading.Lock()

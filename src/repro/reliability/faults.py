@@ -30,7 +30,7 @@ import threading
 import time
 import zlib
 
-from ..config import get_config
+from ..config import get_config, mix32
 from ..errors import PermanentFault, TransientFault, WorkerKilledFault
 
 #: Every injection site wired into the engine and service layers.
@@ -45,17 +45,6 @@ SITES = (
 
 #: Fault kinds the injector can draw.
 KINDS = ("transient", "permanent", "latency", "hang", "kill")
-
-
-def _mix32(x: int) -> int:
-    """Cheap deterministic 32-bit mix (xorshift-multiply)."""
-    x &= 0xFFFFFFFF
-    x ^= x >> 16
-    x = (x * 0x7FEB352D) & 0xFFFFFFFF
-    x ^= x >> 15
-    x = (x * 0x846CA68B) & 0xFFFFFFFF
-    x ^= x >> 16
-    return x
 
 
 class FaultStats:
@@ -123,26 +112,18 @@ class FaultInjector:
 
     @classmethod
     def from_config(cls) -> "FaultInjector | None":
-        """Build from ``REPRO_FAULT_*`` knobs; ``None`` when rate is 0."""
+        """Build from the config's ``fault_rate`` / ``fault_seed`` /
+        ``fault_kinds`` (every site armed); ``None`` when the rate is 0."""
         config = get_config()
         if config.fault_rate <= 0.0:
             return None
-        sites = [s.strip() for s in config.fault_sites.split(",") if s.strip()]
         kinds = [k.strip() for k in config.fault_kinds.split(",") if k.strip()]
         seed = (
             config.stream_seed("fault-injector")
             if config.fault_seed is None
             else config.fault_seed
         )
-        return cls(
-            config.fault_rate,
-            seed=seed,
-            sites=sites or None,
-            kinds=kinds or ("transient",),
-            latency_s=config.fault_latency_ms / 1000.0,
-            hang_s=config.fault_hang_s,
-            max_faults=config.fault_max,
-        )
+        return cls(config.fault_rate, seed=seed, kinds=kinds)
 
     def decide(self, site: str) -> str | None:
         """The kind injected at this site hit, or ``None`` (pure w.r.t.
@@ -160,10 +141,10 @@ class FaultInjector:
                     and self.stats.injected >= self.max_faults
                 ):
                     return None
-        h = _mix32(self.seed ^ zlib.crc32(site.encode("utf-8")) ^ _mix32(n))
+        h = mix32(self.seed ^ zlib.crc32(site.encode("utf-8")) ^ mix32(n))
         if h / 2.0**32 >= self.rate:
             return None
-        kind = self.kinds[_mix32(h ^ 0xA5A5A5A5) % len(self.kinds)]
+        kind = self.kinds[mix32(h ^ 0xA5A5A5A5) % len(self.kinds)]
         with self.stats._lock:
             self.stats.injected += 1
             self.stats.by_site[site] = self.stats.by_site.get(site, 0) + 1

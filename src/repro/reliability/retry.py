@@ -62,7 +62,7 @@ class RetryBudget:
 
     __slots__ = ("_left", "_lock")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int = 16) -> None:
         self._left = max(0, int(n))
         self._lock = threading.Lock()
 

@@ -38,7 +38,7 @@ class WatchdogPolicy:
 
     @property
     def enabled(self) -> bool:
-        """``REPRO_WATCHDOG_STALL_S=0`` disables stall detection."""
+        """``stall_s=0`` disables stall detection."""
         return self.stall_s > 0.0
 
     @property

@@ -67,7 +67,7 @@ class AdmissionController:
     whether it is now first in line.
     """
 
-    max_inflight: int
+    max_inflight: int = 64
     timeout_s: float = 30.0
     stats: AdmissionStats = field(default_factory=AdmissionStats)
 

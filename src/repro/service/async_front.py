@@ -4,9 +4,9 @@
 thousand connected-but-mostly-idle clients would cost ten thousand OS
 threads.  :class:`AsyncQueryService` decouples *connections* from
 *execution*: any number of coroutines ``await submit(...)`` at the cost
-of a heap entry each, while a small pool of dispatcher threads (sized by
-``REPRO_QOS_WORKERS``, defaulting to the admission bound) drains the
-queue into the blocking service.
+of a heap entry each, while a small pool of dispatcher threads (``workers``,
+defaulting to the admission bound) drains the queue into the blocking
+service.
 
 The queue is deadline- and priority-aware:
 
@@ -34,7 +34,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..config import get_config
 from ..errors import DeadlineExceededError, ServiceError
 from .qos import DEFAULT_PRIORITY, QueryResponse
 from .service import QueryService
@@ -135,15 +134,12 @@ class AsyncQueryService:
     Args:
         service: the blocking service to dispatch into.
         workers: dispatcher thread count — the front's concurrency
-            toward the service.  Defaults to ``config.qos_workers``,
-            falling back to the service's admission bound (more workers
-            than slots would only queue inside admission instead).
+            toward the service.  Defaults to the service's admission
+            bound (more workers than slots would only queue inside
+            admission instead).
     """
 
     def __init__(self, service: QueryService, *, workers: int | None = None) -> None:
-        config = get_config()
-        if workers is None:
-            workers = config.qos_workers
         if workers is None:
             workers = service.admission.max_inflight
         self.service = service

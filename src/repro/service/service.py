@@ -74,6 +74,12 @@ from .qos import (
 from .semantic_cache import SemanticResultCache, params_signature, table_versions
 
 
+def _given(**kwargs) -> dict:
+    """The keywords a caller actually passed: ``None`` leaves a setting to
+    the default of the constructor that consumes it."""
+    return {name: value for name, value in kwargs.items() if value is not None}
+
+
 class _InflightResult:
     """Singleflight slot: one execution that duplicates wait on."""
 
@@ -256,8 +262,11 @@ class QueryService:
             bit-identical to serial, and pool failures degrade to the
             in-process scan.
 
-    Every knob defaults to the ``REPRO_SERVICE_*`` / ``REPRO_QOS_*`` /
-    ``REPRO_OBS_*`` configuration.
+    ``None`` leaves a setting to the default of the component that
+    consumes it (``docs/TUNING.md`` lists them); only ``capture_path``,
+    ``http_port`` and ``shard_procs`` fall back to the process-wide
+    config (``REPRO_OBS_CAPTURE`` / ``REPRO_OBS_HTTP_PORT`` /
+    ``REPRO_SHARD_PROCS``).
     """
 
     def __init__(
@@ -287,49 +296,19 @@ class QueryService:
         config = get_config()
         self.engine = engine
         self.admission = AdmissionController(
-            config.service_max_inflight if max_inflight is None else max_inflight,
-            timeout_s=(
-                config.service_admission_timeout_s
-                if admission_timeout_s is None
-                else admission_timeout_s
-            ),
+            **_given(max_inflight=max_inflight, timeout_s=admission_timeout_s)
         )
-        self.plans = PlanCache(
-            config.service_plan_cache_size
-            if plan_cache_size is None
-            else plan_cache_size
-        )
+        self.plans = PlanCache(**_given(capacity=plan_cache_size))
         self.results = SemanticResultCache(
-            capacity=(
-                config.service_result_cache_size
-                if result_cache_size is None
-                else result_cache_size
-            ),
-            ttl_s=(
-                config.service_result_cache_ttl_s
-                if result_cache_ttl_s is None
-                else result_cache_ttl_s
-            ),
-            near_dup_threshold=(
-                config.service_near_dup_threshold
-                if near_dup_threshold is None
-                else near_dup_threshold
-            ),
-            tinylfu=(
-                config.qos_cache_tinylfu
-                if result_cache_tinylfu is None
-                else result_cache_tinylfu
-            ),
+            **_given(
+                capacity=result_cache_size,
+                ttl_s=result_cache_ttl_s,
+                near_dup_threshold=near_dup_threshold,
+                tinylfu=result_cache_tinylfu,
+            )
         )
         self.coalescer = (
-            CoalescingScheduler(
-                engine,
-                max_batch=(
-                    config.service_coalesce_max_batch
-                    if coalesce_max_batch is None
-                    else coalesce_max_batch
-                ),
-            )
+            CoalescingScheduler(engine, **_given(max_batch=coalesce_max_batch))
             if coalesce
             else None
         )
@@ -342,21 +321,19 @@ class QueryService:
             self.coalescer.shard_pool = self.shard_pool
         self.stats = ServiceStats()
         self.qos = QoSStats()
-        self.qos_tracker = ExecTimeTracker(
-            alpha=config.qos_ewma_alpha,
-            safety=config.qos_deadline_safety,
-            min_samples=config.qos_min_estimate_samples,
-        )
+        self.qos_tracker = ExecTimeTracker()
         self._stats_lock = threading.Lock()
         self._inflight_results: dict[tuple, _InflightResult] = {}
         self._singleflight_lock = threading.Lock()
         self._sessions = 0
         self._closed = False
         self.tracer = Tracer(
-            enabled=obs_enabled,
-            sample_rate=obs_sample_rate,
-            ring_size=obs_ring_size,
-            sites=obs_sites,
+            **_given(
+                enabled=obs_enabled,
+                sample_rate=obs_sample_rate,
+                ring_size=obs_ring_size,
+                sites=obs_sites,
+            )
         )
         self.metrics_registry = metrics_registry()
         #: Hot-path metric handles, resolved once: submission outcomes
@@ -379,21 +356,14 @@ class QueryService:
             "repro_query_latency_seconds"
         )
         self._query_ids = itertools.count(1)
-        self.slow_log = SlowQueryLog(
-            config.obs_slow_k if slow_k is None else slow_k
-        )
+        self.slow_log = SlowQueryLog(**_given(k=slow_k))
         capture = (
             config.obs_capture_path if capture_path is None else capture_path
         )
+        max_bytes = None if capture_max_mb is None else int(capture_max_mb * 2**20)
         self.recorder: WorkloadRecorder | None = (
             WorkloadRecorder(
-                capture,
-                max_bytes=(
-                    None
-                    if capture_max_mb is None
-                    else int(capture_max_mb * 2**20)
-                ),
-                keep=capture_keep,
+                capture, **_given(max_bytes=max_bytes, keep=capture_keep)
             )
             if capture
             else None
@@ -477,9 +447,8 @@ class QueryService:
             deadline_s: deadline relative to now, in seconds (``None``:
                 no deadline).
             priority: larger values win admission first among waiters.
-            min_recall: recall floor for degradation; ``None`` falls back
-                to ``config.qos_default_min_recall`` (itself ``None`` by
-                default, forbidding degradation).
+            min_recall: recall floor for degradation; ``None`` forbids
+                degradation.
             tag: morsel-attribution tag for the engine scheduler.
             timeout_s: admission backpressure bound.
             explain_analyze: force-trace this query (bypassing sampling)
@@ -488,9 +457,6 @@ class QueryService:
         if self._closed:
             raise ServiceError("service is shut down")
         start = time.perf_counter()
-        config = get_config()
-        if min_recall is None:
-            min_recall = config.qos_default_min_recall
         qos = QoSParams.from_relative(
             deadline_s, priority=priority, min_recall=min_recall, now=start
         )
@@ -550,7 +516,6 @@ class QueryService:
         timeout_s: float | None,
     ) -> QueryResponse:
         """The admitted lifetime of one submission (runs inside its scope)."""
-        config = get_config()
         with span("admission") as sp:
             sp.set(priority=qos.priority)
             try:
@@ -574,10 +539,7 @@ class QueryService:
             # budget down into every engine run this query performs, so
             # morsel retries are deadline-aware and budget-capped without
             # threading QoS through operator signatures.
-            with deadline_scope(
-                qos.deadline,
-                retry_budget=RetryBudget(config.retry_budget),
-            ):
+            with deadline_scope(qos.deadline, retry_budget=RetryBudget()):
                 response = self._run_admitted(plan, qos, tag, start)
             with self._stats_lock:
                 self.stats.completed += 1

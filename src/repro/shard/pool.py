@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import get_config
 from ..core.cost_model import choose_shard_fanout
 from ..core.scan import merge_topk
 from ..errors import ShardError
@@ -116,34 +115,39 @@ SHARD_PRECISIONS = ("fp32", "fp16", "int8", "pq")
 
 
 class ShardPool:
-    """A persistent pool of shard worker processes behind one engine."""
+    """A persistent pool of shard worker processes behind one engine.
+
+    Args:
+        n_procs: worker processes (one contiguous row range each).
+        start_method: ``multiprocessing`` start method.  ``"spawn"`` is
+            the only one safe whatever the parent's threads are doing;
+            forks of a threaded service deadlock on inherited locks.
+        stall_s: seconds without a heartbeat or reply before a worker is
+            declared stuck and respawned (``0`` disables stall detection).
+        max_respawns: respawns tolerated per scan before it raises
+            :class:`~repro.errors.ShardError` (the service then scans
+            in-process).
+        min_rows: smallest table worth fanning out; below it dispatch and
+            IPC dominate and the scan stays in-process.
+    """
 
     def __init__(
         self,
         engine,
         n_procs: int,
         *,
-        start_method: str | None = None,
-        stall_s: float | None = None,
-        max_respawns: int | None = None,
-        min_rows: int | None = None,
+        start_method: str = "spawn",
+        stall_s: float = 10.0,
+        max_respawns: int = 2,
+        min_rows: int = 16384,
     ) -> None:
-        cfg = get_config()
         if n_procs < 1:
             raise ShardError(f"n_procs must be >= 1, got {n_procs}")
         self.engine = engine  # repro.query.Engine
         self.n_procs = int(n_procs)
-        self.min_rows = cfg.shard_min_rows if min_rows is None else min_rows
-        self.policy = WatchdogPolicy(
-            stall_s=cfg.shard_stall_s if stall_s is None else stall_s,
-            max_respawns=(
-                cfg.shard_max_respawns if max_respawns is None
-                else max_respawns
-            ),
-        )
-        self._mp = multiprocessing.get_context(
-            start_method or cfg.shard_start_method
-        )
+        self.min_rows = min_rows
+        self.policy = WatchdogPolicy(stall_s=stall_s, max_respawns=max_respawns)
+        self._mp = multiprocessing.get_context(start_method)
         self._owner = SegmentOwner()
         self.segment_prefix = self._owner.prefix
         self._manifests: dict[tuple, _Manifest] = {}

@@ -58,12 +58,14 @@ class TestEngineExactness:
         assert sorted_triples(par) == sorted_triples(seq)
         assert engine.stats.morsels_dispatched > 0
 
+    @pytest.mark.usefixtures("schedule_every_task")
     def test_nlj_with_parallel_engine(self, small_vectors):
         left, right = small_vectors
         engine = ExecutionEngine(n_threads=3, morsel_rows=4)
         par = prefetch_nlj(left, right, THRESHOLD, engine=engine)
         seq = prefetch_nlj(left, right, THRESHOLD)
         assert sorted_triples(par) == sorted_triples(seq)
+        assert par.stats.extra["morsels"] == engine.stats.morsels_dispatched > 1
 
     def test_index_join_with_parallel_engine(self, small_vectors):
         left, right = small_vectors
@@ -277,6 +279,18 @@ class TestTopKMemoryBudget:
         assert -(-3000 // bl) == 3  # still three blocks
         assert engine.stats.morsels_dispatched == 0 and engine.stats.runs == 0
         assert result.pairs() == tensor_join(left, right, THRESHOLD).pairs()
+
+    def test_nlj_under_the_task_floor_runs_inline(self):
+        """The NLJ prices a left row like the scan joins do (right rows x
+        dim), so a toy join costs no scheduler run — and
+        ``parallel_join`` reports the one morsel that call cut."""
+        left = unit_vectors(100, 16, seed=55)
+        right = unit_vectors(100, 16, seed=56)
+        engine = ExecutionEngine(n_threads=8)
+        par = parallel_join(left, right, THRESHOLD, strategy="nlj", engine=engine)
+        assert par.stats.extra["morsels"] == 1
+        assert engine.stats.runs == 0 and engine.stats.morsels_dispatched == 0
+        assert par.pairs() == prefetch_nlj(left, right, THRESHOLD).pairs()
 
     def test_blocks_over_the_task_floor_are_dispatched(self):
         left = unit_vectors(1000, 128, seed=61)

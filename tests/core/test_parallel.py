@@ -50,6 +50,7 @@ class TestParallelJoin:
         seq = tensor_join(left, right, THRESHOLD)
         assert par.pairs() == seq.pairs()
 
+    @pytest.mark.usefixtures("schedule_every_task")
     @pytest.mark.parametrize("n_threads", [1, 3])
     def test_nlj_matches_sequential(self, small_vectors, n_threads):
         left, right = small_vectors
@@ -83,6 +84,7 @@ class TestParallelJoin:
         with pytest.raises(JoinError, match="unknown parallel strategy"):
             parallel_join(left, right, THRESHOLD, strategy="hash")
 
+    @pytest.mark.usefixtures("schedule_every_task")
     def test_scalar_kernel_supported(self, small_vectors):
         left, right = small_vectors
         par = parallel_join(

@@ -67,23 +67,36 @@ class TestEnvOverrides:
         import subprocess
         import sys
 
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
+        cases = [
+            (
+                {"REPRO_THREADS": "2", "REPRO_BUFFER_BUDGET_MB": "0.5"},
                 "import repro; c = repro.get_config(); "
                 "print(c.default_threads, c.default_buffer_budget_bytes)",
-            ],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONPATH": "src",
-                "REPRO_THREADS": "2",
-                "REPRO_BUFFER_BUDGET_MB": "0.5",
-            },
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["2", "524288"]
+                ["2", "524288"],
+            ),
+            # The path CI's chaos shard depends on: the three variables
+            # arm the process-wide injector at import, every site live.
+            (
+                {
+                    "REPRO_FAULT_RATE": "0.01",
+                    "REPRO_FAULT_SEED": "20240",
+                    "REPRO_FAULT_KINDS": "latency",
+                },
+                "import repro; from repro.reliability import active_injector; "
+                "i = active_injector(); "
+                "print(i.rate, i.seed, ','.join(i.kinds), i.sites)",
+                ["0.01", "20240", "latency", "None"],
+            ),
+        ]
+        for env, code, expected in cases:
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": "src", **env},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == expected, env
 
     def test_precision_env_applies(self):
         import subprocess
