@@ -43,7 +43,7 @@ from .core import (
     tensor_join,
 )
 from .embedding import EmbeddingModel, FastTextModel, HashingEmbedder
-from .engine import BatchPolicy, ExecutionEngine
+from .engine import ExecutionEngine
 from .index import FlatIndex, HNSWIndex, IVFPQIndex
 from .obs import MetricsRegistry, Trace, Tracer, render_explain
 from .query import Engine
@@ -60,7 +60,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "AsyncQueryService",
-    "BatchPolicy",
     "Catalog",
     "Col",
     "DataType",

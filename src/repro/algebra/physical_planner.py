@@ -12,6 +12,7 @@ enabled by the optimizer.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,21 +212,40 @@ def _quantized_scan_decision(
 _PRECISION_FALLBACK = {"pq": "int8", "int8": "fp32"}
 
 
-def _breaker_gate(store_key: tuple | None, precision: str) -> str:
-    """Walk ``precision`` down the fallback chain past open breakers.
+def _quantized_scan(
+    store_key: tuple | None,
+    precision: str,
+    report: "ExecutionReport",
+    run: Callable[[str], object],
+):
+    """Run a scan at the first precision of the ``pq -> int8`` chain whose
+    breaker lets it through and which does not fail.
 
     ``store_key`` is the ``(table, column, model)`` access-path identity;
     uncacheable sources (``None``) carry no breaker state and keep the
-    cost model's choice.
+    cost model's choice.  ``run(precision)`` builds (or fetches) the store
+    and scans it; a failure feeds that access path's breaker, is reported
+    as a fallback and moves one step down the chain.  Returns ``(result,
+    precision)``, ``result`` being ``None`` once the chain has ended on
+    the exact fp32 scan, which the caller runs.
     """
-    if store_key is None:
-        return precision
-    registry = breakers()
-    while precision in ("pq", "int8"):
-        if registry.allow((*store_key, precision)):
-            return precision
-        precision = _PRECISION_FALLBACK[precision]
-    return precision
+    while precision in _PRECISION_FALLBACK:
+        key = None if store_key is None else (*store_key, precision)
+        if key is not None and not breakers().allow(key):
+            precision = _PRECISION_FALLBACK[precision]
+            continue
+        try:
+            result = run(precision)
+        except Exception:
+            if key is not None:
+                breakers().record_failure(key)
+                report.fallbacks.append("/".join(map(str, key)))
+            precision = _PRECISION_FALLBACK[precision]
+            continue
+        if key is not None:
+            breakers().record_success(key)
+        return result, precision
+    return None, precision
 
 
 @dataclass
@@ -313,34 +333,18 @@ def _execute_eselect(
             _embedding_dim(table, node.column, model),
             k,
         )
-        precision = _breaker_gate(store_key, decision.precision)
-        result = None
-        while precision in ("int8", "pq"):
-            breaker_key = (
-                None if store_key is None else (*store_key, precision)
+
+        def quantized(precision: str):
+            relation = vectors
+            if store_key is not None:
+                relation = ctx.quant_store_for(store_key, table, precision)
+            return quantized_eselect(
+                relation, query, node.condition, method=precision
             )
-            try:
-                relation = vectors
-                if store_key is not None:
-                    relation = ctx.quant_store_for(
-                        store_key, table, precision
-                    )
-                result = quantized_eselect(
-                    relation, query, node.condition, method=precision
-                )
-            except Exception:
-                # Store build or compressed scan failed: feed the breaker
-                # and fall down the chain toward the exact fp32 scan.
-                if breaker_key is not None:
-                    breakers().record_failure(breaker_key)
-                    report.fallbacks.append("/".join(map(str, breaker_key)))
-                precision = _breaker_gate(
-                    store_key, _PRECISION_FALLBACK[precision]
-                )
-                continue
-            if breaker_key is not None:
-                breakers().record_success(breaker_key)
-            break
+
+        result, precision = _quantized_scan(
+            store_key, decision.precision, report, quantized
+        )
         if result is None:
             if store_key is not None:
                 # Scan sources share one normalize-once matrix across
@@ -609,37 +613,19 @@ def _execute_ejoin_impl(
     if precision is not None:
         # The access path's circuit breaker walks the chain
         # pq -> int8 -> fp32 past open or failing paths.
-        precision = _breaker_gate(store_key, precision)
-        while precision in ("int8", "pq"):
-            breaker_key = (
-                None if store_key is None else (*store_key, precision)
+        def quantized(precision: str):
+            right_input = right_vectors
+            if store_key is not None:
+                right_input = ctx.quant_store_for(store_key, right, precision)
+            return ejoin(
+                left_vectors,
+                right_input,
+                node.condition,
+                strategy=f"tensor-{precision}",
+                engine=ctx.engine,
             )
-            try:
-                right_input = right_vectors
-                if store_key is not None:
-                    right_input = ctx.quant_store_for(
-                        store_key, right, precision
-                    )
-                result = ejoin(
-                    left_vectors,
-                    right_input,
-                    node.condition,
-                    strategy=f"tensor-{precision}",
-                    engine=ctx.engine,
-                )
-            except Exception:
-                if breaker_key is not None:
-                    breakers().record_failure(breaker_key)
-                    report.fallbacks.append(
-                        "/".join(map(str, breaker_key))
-                    )
-                precision = _breaker_gate(
-                    store_key, _PRECISION_FALLBACK[precision]
-                )
-                continue
-            if breaker_key is not None:
-                breakers().record_success(breaker_key)
-            break
+
+        result, _ = _quantized_scan(store_key, precision, report, quantized)
         if result is None and get_config().default_precision == "fp16":
             scan_strategy = "tensor-fp16"
     if result is None:

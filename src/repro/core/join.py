@@ -20,6 +20,7 @@ from .cost_model import CostParams, choose_access_path, choose_scan_precision
 from .index_join import DEFAULT_PROBE_K, index_join
 from .nlj import naive_nlj, prefetch_nlj
 from .parallel import parallel_join
+from .precision import tensor_join_fp16
 from .quantized_join import quantized_tensor_join
 from .result import JoinResult
 from .tensor_join import tensor_join
@@ -134,71 +135,40 @@ def ejoin(
             left, right, condition, model=model, kernel=kernel, engine=engine
         )
 
-    if strategy == "tensor":
-        if right is None:
-            raise JoinError("tensor strategy requires an explicit right input")
-        return tensor_join(
-            left,
-            right,
-            condition,
-            model=model,
-            batch_left=batch_left,
-            batch_right=batch_right,
-            buffer_budget_bytes=buffer_budget_bytes,
-            assume_normalized=assume_normalized,
-            engine=engine,
-        )
-
-    if strategy == "tensor-fp16":
-        if right is None:
-            raise JoinError("tensor-fp16 requires an explicit right input")
-        from .precision import tensor_join_fp16
-
-        return tensor_join_fp16(
-            left,
-            right,
-            condition,
-            model=model,
-            batch_left=batch_left,
-            batch_right=batch_right,
-            buffer_budget_bytes=buffer_budget_bytes,
-            engine=engine,
-        )
-
-    if strategy in ("tensor-int8", "tensor-pq"):
+    if strategy != "index":
+        # Every scan strategy is the one operator body behind a
+        # representation of the right side, under one block shape.
         if right is None:
             raise JoinError(f"{strategy} requires an explicit right input")
-        return quantized_tensor_join(
-            left,
-            right,
-            condition,
-            method=strategy.removeprefix("tensor-"),
-            model=model,
+        shape = dict(
             batch_left=batch_left,
             batch_right=batch_right,
             buffer_budget_bytes=buffer_budget_bytes,
             engine=engine,
         )
-
-    if strategy == "parallel-tensor":
-        if right is None:
-            raise JoinError("parallel-tensor requires an explicit right input")
-        left_v = _resolve_vectors(left, model)
-        right_v = _resolve_vectors(right, model)
+        if strategy == "tensor":
+            return tensor_join(
+                left, right, condition, model=model,
+                assume_normalized=assume_normalized, **shape,
+            )
+        if strategy == "tensor-fp16":
+            return tensor_join_fp16(left, right, condition, model=model, **shape)
+        if strategy in ("tensor-int8", "tensor-pq"):
+            return quantized_tensor_join(
+                left, right, condition, model=model,
+                method=strategy.removeprefix("tensor-"), **shape,
+            )
+        assert strategy == "parallel-tensor"
         return parallel_join(
-            left_v,
-            right_v,
+            _resolve_vectors(left, model),
+            _resolve_vectors(right, model),
             condition,
             strategy="tensor",
             n_threads=n_threads,
-            batch_left=batch_left,
-            batch_right=batch_right,
-            buffer_budget_bytes=buffer_budget_bytes,
             assume_normalized=assume_normalized,
-            engine=engine,
+            **shape,
         )
 
-    assert strategy == "index"
     if index is None:
         raise JoinError("index strategy requires a built vector index")
     return index_join(

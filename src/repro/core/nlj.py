@@ -52,6 +52,19 @@ def _as_matrix(side, model: EmbeddingModel | None, stats: JoinStats) -> np.ndarr
     return vectors
 
 
+def _as_matrices(
+    left, right, model: EmbeddingModel | None, stats: JoinStats
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both join inputs as matrices of one dimensionality."""
+    left_m = _as_matrix(left, model, stats)
+    right_m = _as_matrix(right, model, stats)
+    if left_m.shape[1] != right_m.shape[1]:
+        raise DimensionalityError(
+            f"dimensionality mismatch: {left_m.shape[1]} vs {right_m.shape[1]}"
+        )
+    return left_m, right_m
+
+
 def _emit_threshold_row(
     scores: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,12 +208,7 @@ def prefetch_nlj(
     stats = JoinStats(strategy=f"prefetch-nlj/{kernel.value}")
     start = time.perf_counter()
 
-    left_m = _as_matrix(left, model, stats)
-    right_m = _as_matrix(right, model, stats)
-    if left_m.shape[1] != right_m.shape[1]:
-        raise DimensionalityError(
-            f"dimensionality mismatch: {left_m.shape[1]} vs {right_m.shape[1]}"
-        )
+    left_m, right_m = _as_matrices(left, right, model, stats)
     stats.n_left, stats.n_right = len(left_m), len(right_m)
 
     if swap_loops:

@@ -8,7 +8,8 @@ and the accuracy effect faithfully:
 
 * operands are stored as float16 (half the bytes — measurable),
 * blocks are upcast to float32 on entry to the GEMM (how real FP16 pipelines
-  accumulate in FP32),
+  accumulate in FP32) — one left task and one right block at a time, so no
+  fp32 copy of either relation ever exists beside the fp16 one,
 * scores therefore carry FP16 quantization error, quantified by
   :func:`precision_error_bound` and tested against it.
 """
@@ -20,12 +21,14 @@ import time
 import numpy as np
 
 from ..embedding.base import EmbeddingModel
-from ..errors import DimensionalityError, JoinError
+from ..errors import JoinError
 from ..vector.norms import normalize_rows
 from .conditions import JoinCondition, validate_condition
-from .nlj import _as_matrix
+from .nlj import _as_matrices
+from .quantized_join import quantized_tensor_join
 from .result import JoinResult, JoinStats
-from .tensor_join import tensor_join
+from .scan import scan_join
+from .tensor_join import dense_scorer, tensor_join
 
 #: Supported storage precisions for the tensor join operands.  ``fp32`` /
 #: ``fp16`` scan exactly at full/half operand width; ``int8`` / ``pq``
@@ -33,12 +36,20 @@ from .tensor_join import tensor_join
 #: exact fp32 re-rank, :mod:`repro.core.quantized_join`).
 PRECISIONS = ("fp32", "fp16", "int8", "pq")
 
+#: Rows normalized at a time on the way into fp16 storage.
+_QUANTIZE_ROWS = 4096
+
 
 def quantize_fp16(matrix: np.ndarray) -> np.ndarray:
-    """Normalize then quantize unit rows to float16 storage."""
-    return normalize_rows(np.asarray(matrix, dtype=np.float32)).astype(
-        np.float16
-    )
+    """Normalize then quantize unit rows to float16 storage, a slab of
+    rows at a time: the only whole-matrix allocation is the fp16 one."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    out = np.empty(matrix.shape, dtype=np.float16)
+    for start in range(0, len(matrix), _QUANTIZE_ROWS):
+        out[start : start + _QUANTIZE_ROWS] = normalize_rows(
+            matrix[start : start + _QUANTIZE_ROWS]
+        )
+    return out
 
 
 def precision_error_bound(dim: int) -> float:
@@ -72,38 +83,24 @@ def tensor_join_fp16(
     validate_condition(condition)
     stats = JoinStats(strategy="tensor-fp16")
     start = time.perf_counter()
-    left_m = _as_matrix(left, model, stats)
-    right_m = _as_matrix(right, model, stats)
-    if left_m.shape[1] != right_m.shape[1]:
-        raise DimensionalityError(
-            f"dimensionality mismatch: {left_m.shape[1]} vs {right_m.shape[1]}"
-        )
-    left_h = quantize_fp16(left_m)
-    right_h = quantize_fp16(right_m)
+    left_h, right_h = map(quantize_fp16, _as_matrices(left, right, model, stats))
     stats.extra["operand_bytes"] = int(left_h.nbytes + right_h.nbytes)
-    stats.n_left, stats.n_right = len(left_h), len(right_h)
-    if stats.n_left == 0 or stats.n_right == 0:
-        stats.seconds = time.perf_counter() - start
-        return JoinResult.empty(stats)
-
-    # Upcast block-by-block: storage stays FP16, accumulation is FP32.
-    # Batch shapes are left to tensor_join's policy so buffer budgets
-    # (explicit or configured) apply to FP16 joins too.
-    inner = tensor_join(
-        left_h.astype(np.float32),
-        right_h.astype(np.float32),
+    # Storage stays FP16, accumulation is FP32: ``normalize_rows`` upcasts
+    # the block it is handed and re-normalizes it (quantization perturbs
+    # norms).
+    result = scan_join(
+        stats,
+        left_h,
+        len(right_h),
         condition,
+        dense_scorer(right_h, normalize_rows),
         batch_left=batch_left,
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
-        assume_normalized=False,  # re-normalize: quantization perturbs norms
         engine=engine,
     )
-    stats.peak_buffer_elements = inner.stats.peak_buffer_elements
-    stats.batch_invocations = inner.stats.batch_invocations
-    stats.similarity_evaluations = inner.stats.similarity_evaluations
     stats.seconds = time.perf_counter() - start
-    return JoinResult(inner.left_ids, inner.right_ids, inner.scores, stats)
+    return result
 
 
 def join_with_precision(
@@ -119,32 +116,8 @@ def join_with_precision(
     """Dispatch a tensor join at the requested operand precision."""
     if precision not in PRECISIONS:
         raise JoinError(f"unknown precision {precision!r}; have {PRECISIONS}")
-    if precision == "fp32":
-        return tensor_join(
-            left,
-            right,
-            condition,
-            model=model,
-            batch_left=batch_left,
-            batch_right=batch_right,
-        )
+    common = dict(model=model, batch_left=batch_left, batch_right=batch_right)
     if precision in ("int8", "pq"):
-        from .quantized_join import quantized_tensor_join
-
-        return quantized_tensor_join(
-            left,
-            right,
-            condition,
-            method=precision,
-            model=model,
-            batch_left=batch_left,
-            batch_right=batch_right,
-        )
-    return tensor_join_fp16(
-        left,
-        right,
-        condition,
-        model=model,
-        batch_left=batch_left,
-        batch_right=batch_right,
-    )
+        return quantized_tensor_join(left, right, condition, method=precision, **common)
+    join = tensor_join if precision == "fp32" else tensor_join_fp16
+    return join(left, right, condition, **common)

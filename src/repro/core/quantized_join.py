@@ -6,23 +6,18 @@ quantization.  The join becomes a two-phase scan:
 
 1. **Approximate pass** — the right relation is scanned as codes
    (``dim`` bytes/row for int8, ``m`` bytes/row for PQ) block by block
-   under the Figure 7 buffer budget.  The loop is
-   :func:`repro.core.scan.scan_candidates`; this module hands it the
-   quantizer's ``scorer`` (a BLAS GEMM over casted codes, or an ADC
-   sparse product) as the ``score_block`` closure, plus the quantizer's
-   error ``bound`` and per-query ``bias`` for threshold joins.
-2. **Exact re-rank** (the finalizer) — each left row's best
-   ``multiple * k`` approximate candidates (or, for threshold joins,
-   everything above ``threshold - error_bound``) are re-scored against
-   the stored fp32 rows, then folded to ``k`` or filtered at the
-   threshold, so the emitted scores are exact and threshold results
-   provably contain every true match (the quantizer's error bound makes
-   the approximate filter sound).
-
-Left blocks are independent tasks (:func:`repro.core.scan.scan_join`), so
-a multi-threaded :class:`~repro.engine.ExecutionEngine` schedules them
-exactly like the fp32 tensor join, with the budget split across
-concurrently resident blocks.
+   under the Figure 7 buffer budget.  The operator is
+   :func:`repro.core.scan.scan_join`, the body every scan join shares;
+   this module hands it the codes representation: the quantizer's
+   ``scorer`` (a BLAS GEMM over casted codes, or an ADC sparse product)
+   with its per-query ``bias``, and the quantizer's error ``bound``.
+2. **Exact re-rank** — each left row's best ``multiple * k``
+   approximate candidates (or, for threshold joins, everything above
+   ``threshold - error_bound``) are re-scored against the stored fp32
+   rows (:func:`_exact_scores`, the representation's ``rerank``), then
+   folded to ``k`` or filtered at the threshold, so the emitted scores
+   are exact and threshold results provably contain every true match
+   (the quantizer's error bound makes the approximate filter sound).
 """
 
 from __future__ import annotations
@@ -39,26 +34,16 @@ from ..engine import ExecutionEngine
 from ..errors import DimensionalityError, JoinError
 from ..vector.norms import normalize_rows
 from ..vector.quant import Int8Quantizer, ProductQuantizer, VectorQuantizer
-from ..vector.select import TRIPLE_BYTES
 from .conditions import JoinCondition, TopKCondition, validate_condition
-from .nlj import _as_matrix
+from .nlj import _as_matrices, _as_matrix
 from .result import JoinResult, JoinStats
-from .scan import fold_topk, scan_candidates, scan_join, state_bytes_per_row
-from .tensor_join import resolve_block_shape
+from .scan import scan_join
 
 #: Quantization methods the join understands.
 QUANT_METHODS = ("int8", "pq")
 
 #: Upper bound on transient gather bytes during the exact re-rank.
 _RERANK_CHUNK_BYTES = 4 << 20
-
-
-def _default_quantizer(method: str, dim: int, **params) -> VectorQuantizer:
-    if method == "int8":
-        return Int8Quantizer(dim)
-    if method == "pq":
-        return ProductQuantizer(dim, **params)
-    raise JoinError(f"unknown quantization method {method!r}; have {QUANT_METHODS}")
 
 
 @dataclass
@@ -119,7 +104,10 @@ class QuantizedRelation:
             )
         normalized = vectors if assume_normalized else normalize_rows(vectors)
         if quantizer is None:
-            quantizer = _default_quantizer(method, vectors.shape[1], **params)
+            dim = vectors.shape[1]
+            quantizer = (
+                Int8Quantizer(dim) if method == "int8" else ProductQuantizer(dim, **params)
+            )
         freshly_fitted = not quantizer.fitted
         if freshly_fitted:
             quantizer.fit(normalized)
@@ -223,91 +211,55 @@ def quantized_tensor_join(
 
     stats = JoinStats(strategy=f"tensor-{method}")
     start = time.perf_counter()
-    left_m = _as_matrix(left, model, stats)
     if store is None:
-        right_m = _as_matrix(right, model, stats)
-        if left_m.shape[1] != right_m.shape[1]:
-            raise DimensionalityError(
-                f"dimensionality mismatch: {left_m.shape[1]} vs "
-                f"{right_m.shape[1]}"
-            )
-        if right_m.shape[0] and right_m.shape[1]:
-            store = QuantizedRelation.build(
-                right_m, method, quantizer=quantizer
-            )
+        left_m, right_m = _as_matrices(left, right, model, stats)
+        stats.n_right = len(right_m)
+        if right_m.size:
+            store = QuantizedRelation.build(right_m, method, quantizer=quantizer)
             stats.extra["build_seconds"] = store.build_seconds
-        n_right = right_m.shape[0]
     else:
-        n_right = len(store)
-    if left_m.shape[1] and store is not None and left_m.shape[1] != store.dim:
-        raise DimensionalityError(
-            f"dimensionality mismatch: {left_m.shape[1]} vs {store.dim}"
-        )
-    stats.n_left, stats.n_right = len(left_m), n_right
-    if stats.n_left == 0 or stats.n_right == 0 or store is None:
+        left_m = _as_matrix(left, model, stats)
+        stats.n_right = len(store)
+        if left_m.shape[1] and left_m.shape[1] != store.dim:
+            raise DimensionalityError(
+                f"dimensionality mismatch: {left_m.shape[1]} vs {store.dim}"
+            )
+    stats.n_left = len(left_m)
+    if store is None or not len(left_m):  # an empty side: nothing to encode or scan
         stats.seconds = time.perf_counter() - start
         return JoinResult.empty(stats)
 
     left_n = normalize_rows(left_m)
     stats.extra["bytes_per_code"] = store.quantizer.bytes_per_code
     stats.extra["operand_bytes"] = int(left_n.nbytes) + store.code_bytes
-
-    topk = isinstance(condition, TopKCondition)
-    ck = min(rerank_multiple * condition.k, n_right) if topk else 0
-    bound = store.quantizer.score_error_bound()
     stats.extra["candidate_multiple"] = rerank_multiple
 
-    # The budget covers the score block plus the per-row candidate state,
-    # as in the fp32 join; operand blocks (query rows, code blocks, PQ
-    # lookup tables) are not charged on either side.
-    bl, br = resolve_block_shape(
-        stats.n_left,
-        stats.n_right,
-        left_n.shape[1],
-        engine=engine,
+    def scorer(lb: np.ndarray, width: int):
+        score, bias = store.quantizer.scorer(lb)
+        return (lambda r0, r1: score(store.scan_rows[r0:r1])), bias
+
+    n_right = len(store)
+    result = scan_join(
+        stats,
+        left_n,
+        n_right,
+        condition,
+        scorer,
+        # Any pair whose exact score reaches the threshold has an
+        # approximate one above ``threshold - bound``; a top-k row keeps
+        # its best ``multiple * k`` approximate cells.
+        bound=store.quantizer.score_error_bound(),
+        keep=(
+            min(rerank_multiple * condition.k, n_right)
+            if isinstance(condition, TopKCondition)
+            else None
+        ),
+        rerank=lambda lb, li, ri: _exact_scores(lb, li, store.vectors, ri),
         batch_left=batch_left,
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
-        reserve_bytes_per_left_row=state_bytes_per_row(ck),
+        engine=engine,
     )
-    stats.peak_buffer_elements = bl * br
-    stats.extra["batch_shape"] = (bl, br)
-
-    def join_block(l0: int, l1: int):
-        lb = left_n[l0:l1]
-        rows = np.arange(len(lb))
-        score, bias = store.quantizer.scorer(lb)
-
-        def score_block(r0: int, r1: int) -> np.ndarray:
-            return score(store.scan_rows[r0:r1])
-
-        # Top-k rows keep their best ``ck`` approximate cells; the bound
-        # makes the threshold prescreen sound: any pair whose exact score
-        # reaches the threshold has an approximate one above
-        # ``threshold - bound``.
-        wanted = (rows, ck, (), ()) if topk else ((), 0, rows, condition.threshold)
-        scan = scan_candidates(
-            score_block, 0, n_right, len(lb), *wanted,
-            width=br, bound=bound, bias=bias,
-        )
-        li, ri, _ = scan.triples if topk else scan.hits
-        if not topk:  # the candidate pool is an intermediate here
-            scan.peak_bytes += len(li) * TRIPLE_BYTES
-        # Exact finalizer: re-rank the candidates in fp32, then fold to k
-        # or filter at the threshold.
-        exact = _exact_scores(lb, li, store.vectors, ri)
-        scan.cells += len(exact)
-        if topk:
-            li, ri, exact = fold_topk([(li, ri, exact)], len(lb), condition.k)
-            floor = condition.min_similarity
-        else:
-            floor = condition.threshold
-        if floor is not None:
-            keep = exact >= floor
-            li, ri, exact = li[keep], ri[keep], exact[keep]
-        return li, ri, exact, scan
-
-    result = scan_join(stats, bl, left_n.shape[1], engine, join_block)
     # Every re-ranked candidate is one evaluation on top of the code scan.
     stats.extra["rerank_candidates"] = (
         stats.similarity_evaluations - stats.n_left * stats.n_right

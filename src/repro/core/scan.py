@@ -10,11 +10,13 @@ codes or PQ one-hot rows through the quantizer's ``scorer``), with its
 score-error ``bound`` and per-query ``bias`` — and in their exact
 finalizer: served scans (:func:`~repro.core.eselect.eselect`,
 :mod:`repro.service.coalescer`, :mod:`repro.shard.worker`) re-score
-candidates with the shape-stable exact kernel, the fp32 join emits the
-GEMM's own scores, the quantized join re-ranks in fp32.
+candidates with the shape-stable exact kernel, the fp32 and fp16 joins
+emit the GEMM's own scores, the quantized join re-ranks in fp32.
 
-:func:`scan_join` is the other half every join shares: cut the left side
-into blocks, run them inline or on the engine, add up the parts.
+:func:`scan_join` is the one operator body under every scan join: ask
+:func:`~repro.vector.select.scan_shape` for the block, cut the left side,
+scan each left block with the representation's scorer, finalize, run the
+blocks inline or on the engine, add up the parts.
 """
 
 from __future__ import annotations
@@ -24,17 +26,22 @@ from typing import Callable
 
 import numpy as np
 
-from ..engine import ExecutionEngine, executor
+from ..engine import ExecutionEngine, serial_engine
 from ..vector.kernels import row_major_scores
-from ..vector.select import TopKReducer, block_shape, maxima_bytes, select_above
+from ..vector.select import (
+    TRIPLE_BYTES,
+    TopKReducer,
+    maxima_bytes,
+    scan_shape,
+    select_above,
+    worth_scheduling,
+)
+from .conditions import JoinCondition, TopKCondition
 from .result import JoinResult, JoinStats
 
 #: ``(rows, ids, scores)`` candidate triples sorted by
 #: ``(row, score desc, id asc)`` — :meth:`TopKReducer.finalize`'s order.
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-#: Budgeted bytes of top-k state per scanned row, beside the score block.
-state_bytes_per_row = TopKReducer.state_bytes_per_row
 
 
 @dataclass
@@ -102,9 +109,9 @@ def scan_candidates(
         thr_rows: sorted query rows that need every cell whose true score
             reaches their entry of ``thr_floors`` (a scalar serves every
             row; a row may appear in both lists).
-        budget_bytes: optional cap on one fp32 score block; block edges
-            otherwise keep the block cache-resident for the select pass
-            (:func:`~repro.vector.select.block_shape`).
+        budget_bytes: optional cap on one fp32 score block; the width is
+            :func:`~repro.vector.select.scan_shape`'s for ``n_queries``
+            pinned left rows.
         width: rows per block, for a caller that resolved its own shape.
         bound: the representation's score error; threshold floors drop by
             it, so no row whose true score reaches its floor is missed.
@@ -123,10 +130,10 @@ def scan_candidates(
         floors = floors - bias[thr_rows]
     reducer = TopKReducer(len(topk_rows), max(1, kpad)) if len(topk_rows) else None
     if width is None:
-        width = hi - lo
-        if budget_bytes is not None:
-            width = min(width, max(budget_bytes // (4 * max(n_queries, 1)), 1))
-        _, width = block_shape(n_queries, width)
+        _, width = scan_shape(
+            max(n_queries, 1), hi - lo,
+            batch_left=max(n_queries, 1), buffer_budget_bytes=budget_bytes, workers=1,
+        )
     empty = np.empty(0, dtype=np.int64)
     no_triples = (empty, empty, np.empty(0, dtype=np.float32))
     scan = ScanResult(no_triples, no_triples)
@@ -201,33 +208,91 @@ def merge_topk(
 
 def scan_join(
     stats: JoinStats,
-    batch_left: int,
-    dim: int,
-    engine: ExecutionEngine | None,
-    join_block: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, ScanResult]],
+    left: np.ndarray,
+    n_right: int,
+    condition: JoinCondition,
+    scorer: Callable[[np.ndarray, int], tuple[Callable, np.ndarray | None]],
+    *,
+    bound: float = 0.0,
+    keep: int | None = None,
+    rerank: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    batch_left: int | None = None,
+    batch_right: int | None = None,
+    buffer_budget_bytes: int | None = None,
+    engine: ExecutionEngine | None = None,
 ) -> JoinResult:
-    """Join ``batch_left``-row left blocks against the right side and add
-    up the parts — the one place a scan join is cut into engine tasks.
+    """The body of every scan join; the public joins are validated
+    wrappers that pick a representation of the right side.
 
-    ``join_block(l0, l1)`` scans the whole right side for left rows
-    ``[l0, l1)`` and returns ``(left_ids, right_ids, scores, scan)`` with
-    block-local left ids, already finalized.  Blocks are self-contained
-    tasks over shared read-only operands, so a multi-threaded engine runs
-    them on its workers; results come back in block order either way.  A
-    join whose whole work is under :data:`~repro.engine.executor.
-    MIN_TASK_WORK` multiply-adds is not worth one scheduler run and stays
-    on the caller's thread.
+    Args:
+        left: left rows as the scorer takes them; only sliced here.
+        scorer: the representation — ``scorer(left_block, width) ->
+            (score_block, bias)``, ``score_block(r0, r1)`` being asked for
+            right blocks at most ``width`` rows wide.
+        bound: its score error; a threshold prescreen drops its floor by
+            it so ``rerank`` sees every true match.
+        keep: candidates a top-k row keeps (``condition.k`` by default; a
+            re-ranked representation keeps a multiple).
+        rerank: ``(left_block, left_ids, right_ids) -> exact scores``.
+            ``None``: the scanned scores are the emitted ones.  Otherwise
+            candidates are re-scored (and counted as evaluations), then
+            folded to ``condition.k`` or filtered at the threshold.
+        engine: runs the left blocks — self-contained tasks over shared
+            read-only operands, results in block order; ``None`` is one
+            worker.  A join whose whole work does not repay one scheduler
+            run stays on the caller's thread.
     """
-    spans = [
-        (l0, min(l0 + batch_left, stats.n_left))
-        for l0 in range(0, stats.n_left, batch_left)
-    ]
-    work = stats.n_left * stats.n_right * dim
+    stats.n_left, stats.n_right = len(left), n_right
+    if stats.n_left == 0 or n_right == 0:
+        return JoinResult.empty(stats)
+    engine = engine or serial_engine()
+    topk = isinstance(condition, TopKCondition)
+    if keep is None and topk:
+        keep = condition.k
+    dim = left.shape[1]
+    # The budget covers the score block plus the per-row candidate state;
+    # operand blocks (query rows, code blocks, PQ lookup tables) are not
+    # charged.
+    bl, br = scan_shape(
+        stats.n_left, n_right, batch_left=batch_left, batch_right=batch_right,
+        buffer_budget_bytes=(
+            engine.buffer_budget_bytes if buffer_budget_bytes is None else buffer_budget_bytes
+        ),
+        reserve_bytes_per_row=TopKReducer.state_bytes_per_row(keep) if topk else 0,
+        workers=engine.n_threads, morsel_rows=engine.morsel_rows, row_work=n_right * dim,
+    )
+    stats.peak_buffer_elements = bl * br
+    stats.extra["batch_shape"] = (bl, br)
+
+    def join_block(l0: int, l1: int):
+        lb = left[l0:l1]
+        rows = np.arange(len(lb))
+        score_block, bias = scorer(lb, br)
+        wanted = (rows, keep, (), ()) if topk else ((), 0, rows, condition.threshold)
+        scan = scan_candidates(
+            score_block, 0, n_right, len(lb), *wanted,
+            width=br, bound=bound, bias=bias,
+        )
+        li, ri, scores = scan.triples if topk else scan.hits
+        floor = condition.min_similarity if topk else None
+        if rerank is not None:
+            if not topk:  # the candidate pool is an intermediate here
+                scan.peak_bytes += len(li) * TRIPLE_BYTES
+                floor = condition.threshold
+            scores = rerank(lb, li, ri)
+            scan.cells += len(scores)
+            if topk:
+                li, ri, scores = fold_topk([(li, ri, scores)], len(lb), condition.k)
+        if floor is not None:
+            kept = scores >= floor
+            li, ri, scores = li[kept], ri[kept], scores[kept]
+        return li, ri, scores, scan
+
+    spans = [(l0, min(l0 + bl, stats.n_left)) for l0 in range(0, stats.n_left, bl)]
     if (
-        engine is None
-        or engine.n_threads == 1
+        engine.n_threads == 1
         or len(spans) == 1
-        or work < executor.MIN_TASK_WORK
+        or not worth_scheduling(stats.n_left * n_right * dim)
     ):
         parts = [join_block(*span) for span in spans]
     else:

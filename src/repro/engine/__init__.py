@@ -1,21 +1,20 @@
 """Morsel-driven parallel execution engine (Section V-A at system scope).
 
 The engine unifies what the seed implemented per operator: partitioning
-(:mod:`~repro.engine.morsel`), worker scheduling with work stealing
-(:mod:`~repro.engine.scheduler`), and adaptive GEMM batch sizing fed by
-cost-model calibration (:mod:`~repro.engine.adaptive`).  Physical join
-operators in :mod:`repro.core` execute through an
+(:mod:`~repro.engine.morsel`) and worker scheduling with work stealing
+(:mod:`~repro.engine.scheduler`).  Physical join operators in
+:mod:`repro.core` execute through an
 :class:`~repro.engine.executor.ExecutionEngine` rather than owning thread
-pools and batch heuristics themselves.
+pools themselves; block shapes come from the one rule in
+:func:`repro.vector.select.scan_shape`, fed the engine's worker count,
+morsel size and buffer budget.
 """
 
-from .adaptive import BatchPolicy
 from .executor import EngineStats, ExecutionEngine, serial_engine
 from .morsel import Morsel, make_morsels, partition_rows
 from .scheduler import SchedulerStats, WorkStealingScheduler
 
 __all__ = [
-    "BatchPolicy",
     "EngineStats",
     "ExecutionEngine",
     "Morsel",

@@ -1,12 +1,12 @@
-"""The execution engine: morsel scheduling plus batch-shape policy.
+"""The execution engine: morsel scheduling and the numbers a shape needs.
 
-One :class:`ExecutionEngine` instance owns everything the physical join
+One :class:`ExecutionEngine` instance owns what the physical join
 operators used to decide ad hoc: how the left relation is partitioned
-(morsels), who runs them (the work-stealing scheduler), and how large the
-dense GEMM blocks inside each morsel may grow (the adaptive
-:class:`~repro.engine.adaptive.BatchPolicy`, optionally fed by
-:mod:`repro.core.calibration` measurements).  Operators stay pure
-functions over row ranges; the engine decides placement and shape.
+(morsels) and who runs them (the work-stealing scheduler).  It also
+carries the three numbers the one shape rule
+(:func:`repro.vector.select.scan_shape`) takes from an executor — worker
+count, morsel size, Figure 7 buffer budget.  Operators stay pure
+functions over row ranges; the engine decides placement.
 """
 
 from __future__ import annotations
@@ -21,21 +21,9 @@ from ..obs.trace import span
 from ..reliability.retry import RetryBudget, RetryPolicy
 from ..reliability.runtime import current_deadline, current_retry_budget
 from ..reliability.watchdog import WatchdogPolicy
-from .adaptive import BatchPolicy
+from ..vector.select import task_rows, worth_scheduling
 from .morsel import Morsel, make_morsels
 from .scheduler import SchedulerStats, WorkStealingScheduler
-
-#: Minimum morsels per worker the engine aims for, so stealing has slack.
-MORSELS_PER_WORKER = 4
-
-#: Multiply-adds (score cells x dim) under which a task is not worth
-#: scheduling on its own: ~1.5 ms of one core's GEMM on the reference box.
-#: Tasks that short spend as long handing the GIL back and forth around
-#: their NumPy calls as they spend running.  Measured on a top-1 join of
-#: 835 x 8,000 x 64 over two workers, interleaved: eight 105-row tasks
-#: (54 M each) p50 8.9 ms, four 209-row tasks (107 M) 7.0 ms, two 418-row
-#: tasks 6.4 ms.  A 125 x 40,000 x 128 morsel is 640 M.
-MIN_TASK_WORK = 3 << 25
 
 #: Cap on distinct per-tag counters retained in :class:`EngineStats`.
 #: A long-running service tags every query uniquely; without a bound the
@@ -124,8 +112,9 @@ class ExecutionEngine:
         n_threads: worker count; ``None`` uses the configured CPU count.
         morsel_rows: upper bound on rows per morsel; ``None`` uses the
             configured default.
-        policy: batch-shape policy; ``None`` builds one from the configured
-            buffer budget.
+        buffer_budget_bytes: Figure 7 budget of the joins run on this
+            engine (a join's own ``buffer_budget_bytes=`` overrides it);
+            ``None`` uses the configured default.
         work_stealing: override the configured work-stealing toggle.
     """
 
@@ -134,7 +123,7 @@ class ExecutionEngine:
         *,
         n_threads: int | None = None,
         morsel_rows: int | None = None,
-        policy: BatchPolicy | None = None,
+        buffer_budget_bytes: int | None = None,
         work_stealing: bool | None = None,
     ) -> None:
         config = get_config()
@@ -146,10 +135,10 @@ class ExecutionEngine:
         )
         if self.morsel_rows < 1:
             raise ValueError(f"morsel_rows must be >= 1, got {self.morsel_rows}")
-        self.policy = (
-            BatchPolicy(buffer_budget_bytes=config.default_buffer_budget_bytes)
-            if policy is None
-            else policy
+        self.buffer_budget_bytes = (
+            config.default_buffer_budget_bytes
+            if buffer_budget_bytes is None
+            else buffer_budget_bytes
         )
         self.work_stealing = (
             config.work_stealing if work_stealing is None else work_stealing
@@ -169,7 +158,7 @@ class ExecutionEngine:
     def with_tag(self, tag: str | None) -> "ExecutionEngine":
         """A shallow view of this engine that tags its scheduler runs.
 
-        The view shares the scheduler configuration, batch policy, and
+        The view shares the scheduler configuration, buffer budget, and
         (crucially) the cumulative :class:`EngineStats` with the parent —
         only the attribution tag differs, so a service can hand each
         concurrent query a tagged handle onto one shared engine.
@@ -184,28 +173,10 @@ class ExecutionEngine:
     def morsels_for(
         self, n_rows: int, *, row_work: int | None = None
     ) -> list[Morsel]:
-        """Morselize ``[0, n_rows)`` for this engine's worker count.
-
-        Uses the configured morsel size, shrunk so every worker sees at
-        least :data:`MORSELS_PER_WORKER` morsels when the input allows it —
-        otherwise a skewed morsel pins its worker with nothing to steal.
-        A caller that knows what a row costs (``row_work`` multiply-adds:
-        right rows x dim for a scan join) is not shrunk under
-        :data:`MIN_TASK_WORK` a morsel: fewer morsels per worker first,
-        then fewer morsels than workers, down to one.  The configured
-        morsel size stays an upper bound either way.
-        """
-        if n_rows <= 0:
-            return []
-        rows = self.morsel_rows
-        if self.n_threads > 1:
-            n_morsels = self.n_threads * MORSELS_PER_WORKER
-            if row_work is not None:
-                affordable = n_rows * row_work // MIN_TASK_WORK
-                if affordable >= self.n_threads:  # whole rounds of workers
-                    affordable -= affordable % self.n_threads
-                n_morsels = max(1, min(n_morsels, affordable))
-            rows = max(1, min(rows, -(-n_rows // n_morsels)))
+        """Morselize ``[0, n_rows)`` for this engine's worker count: tasks
+        of :func:`~repro.vector.select.task_rows` rows, the cut a scan
+        join's left side gets."""
+        rows = task_rows(n_rows, self.n_threads, self.morsel_rows, row_work)
         return make_morsels(n_rows, rows, tag=self.tag)
 
     def map_morsels(
@@ -219,11 +190,11 @@ class ExecutionEngine:
 
         Returns per-morsel results in input (sequence) order, so callers
         can concatenate them and obtain exactly the single-threaded result.
-        With ``row_work`` given, a map whose whole work is under
-        :data:`MIN_TASK_WORK` runs inline, as a scan join's blocks do.
+        With ``row_work`` given, a map whose whole work does not repay a
+        scheduler run stays inline, as a scan join's blocks do.
         """
         morsels = self.morsels_for(n_rows, row_work=row_work)
-        if row_work is not None and n_rows * row_work < MIN_TASK_WORK:
+        if row_work is not None and not worth_scheduling(n_rows * row_work):
             return [task(m) for m in morsels]  # not worth one scheduler run
         return self.run([lambda m=m: task(m) for m in morsels])
 
@@ -262,24 +233,6 @@ class ExecutionEngine:
             )
         self.stats.record(run_stats, tag=self.tag)
         return results
-
-    # ------------------------------------------------------------------
-    # Batch shaping
-    # ------------------------------------------------------------------
-    def calibrate(self, model, **kwargs) -> BatchPolicy:
-        """Measure this machine and adopt a calibrated batch policy.
-
-        Runs :func:`repro.core.calibration.calibrate` (imported lazily —
-        the core layer executes through this engine) and replaces the
-        policy, keeping any configured buffer budget.
-        """
-        from ..core.calibration import calibrate
-
-        report = calibrate(model, **kwargs)
-        self.policy = BatchPolicy.from_calibration(
-            report, buffer_budget_bytes=self.policy.buffer_budget_bytes
-        )
-        return self.policy
 
 
 def serial_engine() -> ExecutionEngine:

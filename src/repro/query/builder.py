@@ -87,6 +87,10 @@ class Engine:
             config.default_morsel_rows,
             config.default_buffer_budget_bytes,
             config.work_stealing,
+            config.retry_max_attempts,
+            config.retry_base_ms,
+            config.retry_cap_ms,
+            config.watchdog_stall_s,
         )
 
     @property

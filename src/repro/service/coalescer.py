@@ -352,7 +352,7 @@ class CoalescingScheduler:
             scan = scan_candidates(
                 dense_score_block(normalized, queries),
                 0, n, len(queries), topk_rows, kpad, thr_rows, thresholds,
-                budget_bytes=ctx.engine.policy.buffer_budget_bytes,
+                budget_bytes=ctx.engine.buffer_budget_bytes,
             )
             heap_ids, heap_floor = merge_topk(
                 [scan.triples], len(topk_rows), kpad

@@ -25,15 +25,20 @@ score ``t`` satisfies ``t >= m``, and every cell ``>= t`` — the whole
 top-k with all its ties — survives the gate.
 
 The block should still be cache-resident when this runs
-(:func:`block_shape`), so the one pass over it costs L2 bandwidth, not
+(:func:`scan_shape`), so the one pass over it costs L2 bandwidth, not
 DRAM bandwidth.  Scores must be NaN-free.
+
+:func:`scan_shape` is the one rule that says which block a scan runs;
+every constant it weighs is named here and nowhere else.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import DimensionalityError
+from ..errors import BufferBudgetError, DimensionalityError
 
 #: Cells per strided chunk: one maximum stands in for this many cells.
 CHUNK = 32
@@ -42,7 +47,7 @@ CHUNK = 32
 #: compare over the whole block is cheaper than the chunk bookkeeping
 #: (measured: a block that has a floor breaks even near 4,096 columns, a
 #: cold one — which ranks maxima instead of cells — near 800; every
-#: derived block is at least this wide, see :func:`block_shape`).
+#: derived block is at least this wide, see :func:`scan_shape`).
 MIN_STRIDE = 32
 
 #: Target bytes of one fp32 score block — about one core's L2, so the
@@ -65,6 +70,25 @@ STRIP_BYTES = 8 << 20
 #: :data:`BLOCK_BYTES` would be too narrow to chunk or to feed a GEMM.
 MAX_BLOCK_ROWS = 1024
 
+#: Tasks per worker a cut left side aims for, so stealing has slack.
+MORSELS_PER_WORKER = 4
+
+#: Multiply-adds (score cells x dim) under which a task is not worth
+#: scheduling on its own: ~1.5 ms of one core's GEMM on the reference box.
+#: Tasks that short spend as long handing the GIL back and forth around
+#: their NumPy calls as they spend running.  Measured on a top-1 join of
+#: 835 x 8,000 x 64 over two workers, interleaved: eight 105-row tasks
+#: (54 M each) p50 8.9 ms, four 209-row tasks (107 M) 7.0 ms, two 418-row
+#: tasks 6.4 ms.  A 125 x 40,000 x 128 morsel is 640 M.
+MIN_TASK_WORK = 3 << 25
+
+#: Left rows under which a task is not cut either: every task streams the
+#: whole right side once, and a GEMM this short no longer amortises it.
+#: 125 x 40,000 x 128 top-10 on one worker: one 125-row task 25 ms, two of
+#: 63 rows 31 ms, four of 32 rows 38 ms; on two workers six 21-row tasks
+#: take 61 ms where the one 125-row task takes 34.
+MIN_TASK_ROWS = 100
+
 #: Bytes per candidate triple (int64 row, int64 id, fp32 score).
 TRIPLE_BYTES = 20
 
@@ -73,22 +97,117 @@ TRIPLE_BYTES = 20
 POOL_FACTOR = 2
 
 
-def block_shape(
-    rows: int, width: int, *, fixed_rows: bool = False, fixed_width: bool = False
-) -> tuple[int, int]:
-    """Shrink derived block edges so the fp32 block fits :data:`BLOCK_BYTES`.
+def task_rows(
+    n_rows: int, workers: int, morsel_rows: int, row_work: int | None = None
+) -> int:
+    """Rows of one task when ``n_rows`` are cut for ``workers`` workers.
 
-    ``rows``/``width`` are upper bounds (the input size, or what a buffer
-    budget allows); an edge the caller pinned (``fixed_*``) is returned
-    untouched.  The derived width is a whole number of chunks — or all of
-    ``width``, when the strip is within :data:`STRIP_BYTES`.
+    :data:`MORSELS_PER_WORKER` tasks a worker, at most ``morsel_rows``
+    rows each.  With a row priced (``row_work`` multiply-adds: right rows
+    x dim for a scan join) no task goes under :data:`MIN_TASK_WORK` or
+    :data:`MIN_TASK_ROWS`: fewer tasks per worker first, then fewer tasks
+    than workers, down to one — for one worker exactly as for many, which
+    is what keeps a lone worker's score blocks wide.  One worker and no
+    price means nobody to steal and nothing to size a cut by: its tasks
+    are ``morsel_rows``.
     """
-    if not fixed_rows:
-        rows = min(rows, MAX_BLOCK_ROWS)
-    if not fixed_width and 4 * rows * width > STRIP_BYTES:
-        fit = BLOCK_BYTES // (4 * max(rows, 1)) // CHUNK * CHUNK
-        width = min(width, max(fit, MIN_STRIDE * CHUNK))
-    return rows, width
+    if row_work is None and workers == 1:
+        return morsel_rows
+    n_tasks = workers * MORSELS_PER_WORKER
+    if row_work is not None:
+        affordable = min(n_rows * row_work // MIN_TASK_WORK, n_rows // MIN_TASK_ROWS)
+        if affordable >= workers:  # whole rounds of workers
+            affordable -= affordable % workers
+        n_tasks = max(1, min(n_tasks, affordable))
+    return max(1, min(morsel_rows, -(-n_rows // n_tasks)))
+
+
+def worth_scheduling(work: int) -> bool:
+    """Whether ``work`` multiply-adds repay one scheduler run."""
+    return work >= MIN_TASK_WORK
+
+
+def scan_shape(
+    n_left: int,
+    n_right: int,
+    *,
+    batch_left: int | None = None,
+    batch_right: int | None = None,
+    buffer_budget_bytes: int | None = None,
+    reserve_bytes_per_row: int = 0,
+    workers: int | None = None,
+    morsel_rows: int | None = None,
+    row_work: int | None = None,
+) -> tuple[int, int]:
+    """The ``(batch_left, batch_right)`` block a blocked scan runs — the
+    one shape rule, in order:
+
+    1. Explicit edges win: a pinned edge is clamped to the input, never to
+       the budget or a cache.
+    2. A budget caps derived edges, square-ish, after giving up the chunk
+       maxima (one per :data:`CHUNK` cells) and ``reserve_bytes_per_row``
+       of reducer state per left row (at most half of it, or a large
+       reserve would squeeze the block to a few columns); it is split over
+       the ``workers`` blocks resident at once unless it leaves one block.
+    3. A left side nothing has cut yet is cut to a worker's task
+       (:func:`task_rows`: ``morsel_rows`` bounds it, ``row_work`` prices
+       a row).
+    4. Derived edges are sized for the select pass: at most
+       :data:`MAX_BLOCK_ROWS` rows, and a strip over :data:`STRIP_BYTES`
+       is cut to whole chunks within :data:`BLOCK_BYTES`, never under
+       ``MIN_STRIDE * CHUNK`` columns.
+
+    ``workers=None``: nobody runs the shape — no maxima, no split, steps
+    3-4 skipped; what the edges and the Figure 7 budget alone allow.  A
+    served scan is the rule with ``batch_left = n_queries``.
+    """
+    if (batch_left is not None and batch_left < 1) or (
+        batch_right is not None and batch_right < 1
+    ):
+        raise BufferBudgetError(f"invalid batch shape ({batch_left}, {batch_right})")
+    if n_left <= 0 or n_right <= 0:
+        return max(n_left, 1), max(n_right, 1)
+
+    def derive(budget: int | None) -> tuple[int, int]:
+        bl, br = batch_left, batch_right
+        if budget is not None and (bl is None or br is None):
+            if workers is not None:
+                budget = max(budget - budget // (CHUNK + 1), 1)
+            cells = budget // 4
+            if cells < 1:
+                raise BufferBudgetError(
+                    f"buffer budget {budget}B cannot hold one FP32 cell"
+                )
+            if bl is None:
+                row_cost = max(reserve_bytes_per_row + 4, 2 * reserve_bytes_per_row)
+                bl = max(1, min(n_left, math.isqrt(cells), budget // row_cost))
+            free_cells = cells - bl * reserve_bytes_per_row // 4
+            if free_cells < bl and batch_left is None:
+                raise BufferBudgetError(
+                    f"buffer budget {budget}B cannot hold one score column "
+                    f"plus merge state for {bl} left rows"
+                )
+            if br is None:
+                br = max(free_cells // bl, 1)
+        uncut = batch_left is None and (bl is None or bl >= n_left)
+        bl = n_left if bl is None else min(bl, n_left)
+        br = n_right if br is None else min(br, n_right)
+        if workers is None:
+            return bl, br
+        if uncut:
+            rows = task_rows(n_left, workers, morsel_rows or n_left, row_work)
+            bl = -(-n_left // -(-n_left // rows))  # the largest of even tasks
+        if batch_left is None:
+            bl = min(bl, MAX_BLOCK_ROWS)
+        if batch_right is None and 4 * bl * br > STRIP_BYTES:
+            fit = BLOCK_BYTES // (4 * bl) // CHUNK * CHUNK
+            br = min(br, max(fit, MIN_STRIDE * CHUNK))
+        return bl, br
+
+    bl, br = derive(buffer_budget_bytes)
+    if buffer_budget_bytes is not None and (workers or 1) > 1 and bl < n_left:
+        bl, br = derive(max(buffer_budget_bytes // workers, 1))
+    return bl, br
 
 
 def maxima_bytes(rows: int, width: int) -> int:

@@ -166,3 +166,69 @@ def test_index_breaker_success_closes_again():
     assert registry.snapshot()["base/emb/hash/index"]["state"] == "open"
     registry.record_success(key)
     assert registry.snapshot()["base/emb/hash/index"]["state"] == "closed"
+
+
+def test_join_and_selection_walk_the_same_chain_past_a_tripped_pq_breaker():
+    """``_execute_ejoin`` and ``_execute_eselect`` share one precision
+    walk: past an open pq breaker to int8, past a failing int8 build to
+    the exact scan with the same fallback string, straight to the exact
+    scan once int8 has tripped too, and back onto int8 when it heals."""
+    from repro.algebra import ESelectNode
+    from repro.reliability.faults import clear_injector
+
+    configure(default_precision="pq", default_min_recall=0.9)
+    ctx = make_ctx()
+    join = make_join(strategy_hint="tensor-pq")
+    select = ESelectNode(
+        ScanNode("base"), "emb", np.ones(DIM, dtype=np.float32), "hash",
+        TopKCondition(5),
+    )
+
+    def run(plan):
+        report = ExecutionReport()
+        return execute(plan, ctx, report=report), report
+
+    def states():
+        return {
+            key.rsplit("/", 1)[1]: entry["state"]
+            for key, entry in breakers().snapshot().items()
+        }
+
+    # Healthy: the join builds the pq store, the selection amortizes it.
+    assert run(join)[1].strategies == ["tensor-pq"]
+    assert run(select)[1].strategies == ["eselect/pq"]
+    exact_join = execute(make_join(strategy_hint="tensor"), make_ctx())
+    configure(default_precision="fp32")
+    exact_select = execute(select, make_ctx())
+    configure(default_precision="pq", default_min_recall=0.9)
+
+    for _ in range(3):
+        breakers().record_failure(("base", "emb", "hash", "pq"))
+    assert states() == {"pq": "open"}
+    install_injector(
+        FaultInjector(1.0, seed=5, sites=("quant.build",), kinds=("permanent",))
+    )
+    # pq is open, int8 cannot build: both land on the exact scan and name
+    # the path that failed.  Join, selection, join: int8 trips on the third.
+    for plan, strategy, reference in (
+        (join, "tensor", exact_join),
+        (select, "eselect/scan", exact_select),
+        (join, "tensor", exact_join),
+    ):
+        out, report = run(plan)
+        assert report.fallbacks == ["base/emb/hash/int8"]
+        assert report.strategies == [strategy]
+        assert_tables_equal(out, reference, context=f"{strategy} fallback")
+    assert states() == {"pq": "open", "int8": "open"}
+    # Both open: neither operator touches a quantized path or reports one.
+    for plan, strategy in ((join, "tensor"), (select, "eselect/scan")):
+        _, report = run(plan)
+        assert report.fallbacks == [] and report.strategies == [strategy]
+
+    # int8 heals (pq stays tripped): both operators settle on int8.
+    clear_injector()
+    breakers().record_success(("base", "emb", "hash", "int8"))
+    for plan, strategy in ((join, "tensor-int8"), (select, "eselect/int8")):
+        _, report = run(plan)
+        assert report.fallbacks == [] and report.strategies == [strategy]
+    assert states() == {"pq": "open", "int8": "closed"}

@@ -37,12 +37,14 @@ def small_vectors() -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.fixture()
 def schedule_every_task(monkeypatch):
-    """Lift the engine's task-work floor: toy joins run inline under it
-    (``repro.engine.executor.MIN_TASK_WORK``), and a test that is about
-    morsels, workers or ``engine.run`` needs them scheduled."""
-    from repro.engine import executor
+    """Lift the shape rule's task floors: toy joins run inline, as one
+    task, under them (``repro.vector.select.MIN_TASK_WORK`` /
+    ``MIN_TASK_ROWS``), and a test that is about morsels, workers or
+    ``engine.run`` needs them cut and scheduled."""
+    from repro.vector import select
 
-    monkeypatch.setattr(executor, "MIN_TASK_WORK", 1)
+    monkeypatch.setattr(select, "MIN_TASK_WORK", 1)
+    monkeypatch.setattr(select, "MIN_TASK_ROWS", 1)
 
 
 @pytest.fixture()

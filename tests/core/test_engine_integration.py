@@ -93,20 +93,6 @@ class TestEngineExactness:
         assert result.stats.strategy == "parallel-tensor/2t"
         assert engine.stats.runs > 0
 
-    def test_calibrated_policy_reaches_parallel_morsels(self):
-        """parallel_join forwards the engine's calibrated policy, so inner
-        tensor joins use adaptive block sizing, not full-chunk blocks."""
-        from repro.engine import BatchPolicy
-
-        left = unit_vectors(2000, 100, seed=61)
-        right = unit_vectors(2000, 100, seed=62)
-        engine = ExecutionEngine(n_threads=2, morsel_rows=2048)
-        engine.policy = BatchPolicy(gemm_seconds_per_fma=3e-9)
-        edge = engine.policy.adaptive_edge(100)
-        result = parallel_join(left, right, THRESHOLD, engine=engine)
-        # Without the policy each morsel would run one chunk x 2000 block.
-        assert result.stats.peak_buffer_elements <= edge * edge
-
     def test_parallel_join_reports_morsels(self, small_vectors):
         left, right = small_vectors
         result = parallel_join(left, right, THRESHOLD, n_threads=2)
@@ -230,8 +216,7 @@ class TestTopKMemoryBudget:
         assert engine.stats.morsels_dispatched > 1
         assert result.pairs() == tensor_join(left, right, THRESHOLD).pairs()
 
-    @pytest.mark.usefixtures("schedule_every_task")
-    def test_join_splits_for_parallelism_within_budget(self):
+    def test_join_splits_for_parallelism_within_budget(self, request):
         """A join whose tasks are worth scheduling is morselized for
         concurrency, and the budget bounds the concurrently-resident
         blocks; an engine-less join of the same size keeps the full budget
@@ -239,16 +224,19 @@ class TestTopKMemoryBudget:
         left = unit_vectors(100, 16, seed=55)
         right = unit_vectors(100, 16, seed=56)
         budget = 64 * 1024
+        serial = tensor_join(
+            left, right, THRESHOLD, buffer_budget_bytes=budget
+        )
+        assert serial.stats.extra["batch_shape"] == (100, 100)
+        # With the task floors lifted one worker would cut its left side
+        # too; the engine-less shape above is the one under the real floors.
+        request.getfixturevalue("schedule_every_task")
         engine = ExecutionEngine(n_threads=8)
         par = tensor_join(
             left, right, THRESHOLD, buffer_budget_bytes=budget, engine=engine
         )
         assert self._concurrent_bytes(par, engine) <= budget
         assert par.stats.extra["batch_shape"][0] < 100  # actually split
-        serial = tensor_join(
-            left, right, THRESHOLD, buffer_budget_bytes=budget
-        )
-        assert serial.stats.extra["batch_shape"] == (100, 100)
         assert par.pairs() == serial.pairs()
 
     def test_join_under_the_task_floor_is_not_split(self):
@@ -268,7 +256,7 @@ class TestTopKMemoryBudget:
     def test_blocks_under_the_task_floor_run_inline(self):
         """3,000 x 500 x 8 is three MAX_BLOCK_ROWS left blocks of 4 M
         multiply-adds: 12 M in all, not worth one scheduler run."""
-        from repro.engine.executor import MIN_TASK_WORK
+        from repro.vector.select import MIN_TASK_WORK
 
         left = unit_vectors(3000, 8, seed=59)
         right = unit_vectors(500, 8, seed=60)

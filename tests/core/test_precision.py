@@ -96,6 +96,30 @@ class TestFp16Join:
         assert full.pairs() == batched.pairs()
 
 
+    def test_no_fp32_copy_of_the_right_side_is_made(self):
+        """Storage stays FP16: the right side is normalised into fp16 a
+        slab at a time and upcast one block at a time, so the call's peak
+        is the fp16 copy (0.5x) plus one block — not the fp16 copy beside
+        a whole upcast and a whole normalised copy (over 2x)."""
+        import tracemalloc
+
+        from repro.workloads import unit_vectors
+
+        left = unit_vectors(64, 128, seed=3)
+        right = unit_vectors(20_000, 128, seed=4)
+        tracemalloc.start()
+        try:
+            result = tensor_join_fp16(
+                left, right, TopKCondition(5), batch_right=2048
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.stats.extra["batch_shape"] == (64, 2048)
+        assert result.stats.extra["operand_bytes"] == (left.nbytes + right.nbytes) // 2
+        assert peak < 1.0 * right.nbytes, peak / right.nbytes
+
+
 class TestDispatch:
     def test_fp32_dispatch(self, small_vectors):
         left, right = small_vectors

@@ -1,104 +1,40 @@
-"""Unit tests for adaptive batch-shape policy."""
+"""The shape rule's edge-and-budget arithmetic (steps 1-2 of
+``repro.vector.select.scan_shape``), as ``BatchPolicy.resolve`` pinned it
+before the rule took it over; the full shape table is in
+``tests/vector/test_select.py``."""
 
 import pytest
 
-from repro.engine import BatchPolicy
+from repro.engine import ExecutionEngine
 from repro.errors import BufferBudgetError
-
-
-class FakeCalibration:
-    """Duck-typed stand-in for core.calibration.CalibrationReport."""
-
-    def __init__(self, gemm_per_dim_element: float):
-        self.gemm_per_dim_element = gemm_per_dim_element
-
-
-class TestAdaptiveEdge:
-    def test_no_measurement_means_no_edge(self):
-        assert BatchPolicy().adaptive_edge(100) is None
-
-    def test_edge_targets_block_time(self):
-        # 1e-9 s per dim-element, 100-D, 0.02 s target -> 2e5 cells.
-        policy = BatchPolicy(
-            gemm_seconds_per_fma=1e-9, target_block_seconds=0.02
-        )
-        edge = policy.adaptive_edge(100)
-        assert edge is not None
-        assert policy.min_edge <= edge <= policy.max_edge
-        # The edge^2 block should take roughly the target time.
-        assert edge * edge * 100 * 1e-9 == pytest.approx(0.02, rel=0.1)
-
-    def test_edge_clamped(self):
-        fast = BatchPolicy(gemm_seconds_per_fma=1e-15)
-        assert fast.adaptive_edge(1) == fast.max_edge
-        slow = BatchPolicy(gemm_seconds_per_fma=1.0)
-        assert slow.adaptive_edge(1024) == slow.min_edge
-
-    def test_from_calibration(self):
-        policy = BatchPolicy.from_calibration(
-            FakeCalibration(2e-9), buffer_budget_bytes=1 << 20
-        )
-        assert policy.gemm_seconds_per_fma == 2e-9
-        assert policy.buffer_budget_bytes == 1 << 20
+from repro.vector.select import scan_shape
 
 
 class TestResolve:
     def test_defaults_to_full_matrix(self):
-        assert BatchPolicy().resolve(100, 200, 8) == (100, 200)
+        assert scan_shape(100, 200) == (100, 200)
 
     def test_explicit_batches_clamped_to_inputs(self):
-        assert BatchPolicy().resolve(
-            10, 10, 8, batch_left=50, batch_right=3
-        ) == (10, 3)
+        assert scan_shape(10, 10, batch_left=50, batch_right=3) == (10, 3)
 
     def test_budget_square(self):
-        bl, br = BatchPolicy().resolve(
-            1000, 1000, 8, buffer_budget_bytes=4 * 10_000
-        )
+        bl, br = scan_shape(1000, 1000, buffer_budget_bytes=4 * 10_000)
         assert bl * br <= 10_000
         assert bl == br == 100
 
     def test_budget_below_one_cell(self):
         with pytest.raises(BufferBudgetError, match="FP32 cell"):
-            BatchPolicy().resolve(10, 10, 8, buffer_budget_bytes=2)
+            scan_shape(10, 10, buffer_budget_bytes=2)
 
     def test_empty_relations(self):
-        assert BatchPolicy().resolve(0, 5, 8) == (1, 5)
-        assert BatchPolicy().resolve(5, 0, 8) == (5, 1)
-        assert BatchPolicy().resolve(0, 0, 8) == (1, 1)
-
-    def test_calibrated_edge_seeds_shape(self):
-        policy = BatchPolicy(
-            gemm_seconds_per_fma=1e-9, target_block_seconds=0.02
-        )
-        bl, br = policy.resolve(100_000, 100_000, 100)
-        edge = policy.adaptive_edge(100)
-        assert (bl, br) == (edge, edge)
-
-    def test_derived_right_edge_capped_by_calibrated_edge(self):
-        """A huge budget must not inflate batch_right past the time-target
-        edge (one wide block would defeat work stealing)."""
-        policy = BatchPolicy(
-            buffer_budget_bytes=1 << 30, gemm_seconds_per_fma=3e-9
-        )
-        edge = policy.adaptive_edge(100)
-        bl, br = policy.resolve(100_000, 1_000_000, 100)
-        assert bl == edge and br <= edge
-
-    def test_budget_caps_calibrated_edge(self):
-        policy = BatchPolicy(
-            gemm_seconds_per_fma=1e-12, buffer_budget_bytes=4 * 10_000
-        )
-        bl, br = policy.resolve(100_000, 100_000, 100)
-        assert bl * br <= 10_000
+        assert scan_shape(0, 5) == (1, 5)
+        assert scan_shape(5, 0) == (5, 1)
+        assert scan_shape(0, 0) == (1, 1)
 
     def test_reserve_shrinks_dense_block(self):
-        plain = BatchPolicy().resolve(
-            1000, 1000, 8, buffer_budget_bytes=40_000
-        )
-        reserved = BatchPolicy().resolve(
-            1000, 1000, 8, buffer_budget_bytes=40_000,
-            reserve_bytes_per_left_row=36,
+        plain = scan_shape(1000, 1000, buffer_budget_bytes=40_000)
+        reserved = scan_shape(
+            1000, 1000, buffer_budget_bytes=40_000, reserve_bytes_per_row=36
         )
         assert reserved[0] * reserved[1] < plain[0] * plain[1]
         # Dense block plus reserved state stays within the budget.
@@ -107,27 +43,35 @@ class TestResolve:
 
     def test_reserve_too_large_for_budget(self):
         with pytest.raises(BufferBudgetError):
-            BatchPolicy().resolve(
-                1000, 1000, 8, buffer_budget_bytes=64,
-                reserve_bytes_per_left_row=1 << 20,
+            scan_shape(
+                1000, 1000, buffer_budget_bytes=64, reserve_bytes_per_row=1 << 20
             )
 
     def test_explicit_sizes_never_budget_capped(self):
         """A caller pinning both edges (mini-batch ablations) gets exactly
         those edges even when they exceed the budget."""
-        policy = BatchPolicy(buffer_budget_bytes=4 * 100)
-        assert policy.resolve(
-            5000, 5000, 8, batch_left=2000, batch_right=2000
+        assert scan_shape(
+            5000, 5000, batch_left=2000, batch_right=2000, buffer_budget_bytes=4 * 100
         ) == (2000, 2000)
 
     def test_single_explicit_edge_kept_other_derived(self):
-        bl, br = BatchPolicy().resolve(
-            1000, 1000, 8, batch_left=50, buffer_budget_bytes=4 * 1000
-        )
+        bl, br = scan_shape(1000, 1000, batch_left=50, buffer_budget_bytes=4 * 1000)
         assert bl == 50
         assert br == 1000 // 50  # remaining budget cells per left row
 
-    def test_instance_budget_used_when_not_overridden(self):
-        policy = BatchPolicy(buffer_budget_bytes=4 * 100)
-        bl, br = policy.resolve(1000, 1000, 8)
-        assert bl * br <= 100
+    def test_instance_budget_used_when_not_overridden(self, small_vectors):
+        """An engine's own budget shapes the joins run on it; a join's
+        ``buffer_budget_bytes=`` overrides it."""
+        from repro.core import ThresholdCondition, tensor_join
+
+        left, right = small_vectors
+        engine = ExecutionEngine(n_threads=1, buffer_budget_bytes=4 * 100)
+        own = tensor_join(left, right, ThresholdCondition(0.4), engine=engine)
+        assert own.stats.peak_buffer_elements <= 100
+        assert own.stats.extra["peak_intermediate_bytes"] <= 4 * 100
+        wide = tensor_join(
+            left, right, ThresholdCondition(0.4), engine=engine,
+            buffer_budget_bytes=1 << 20,
+        )
+        assert wide.stats.peak_buffer_elements > 100
+        assert wide.pairs() == own.pairs()

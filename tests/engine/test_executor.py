@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import configure, get_config
-from repro.engine import BatchPolicy, ExecutionEngine, serial_engine
+from repro.engine import ExecutionEngine, serial_engine
 
 
 @pytest.fixture()
@@ -36,7 +36,7 @@ class TestEngineConstruction:
         engine = ExecutionEngine()
         assert engine.n_threads == 3
         assert engine.morsel_rows == 77
-        assert engine.policy.buffer_budget_bytes == 4096
+        assert engine.buffer_budget_bytes == 4096
         assert engine.work_stealing is False
 
     def test_explicit_arguments_win(self, restore_config):
@@ -78,7 +78,7 @@ class TestMorselization:
         """835 x 8,000 x 64 used to be cut into eight 105-row morsels of
         54 M multiply-adds; with the work known they come out at the
         floor's size or above, in whole rounds of workers."""
-        from repro.engine.executor import MIN_TASK_WORK
+        from repro.vector.select import MIN_TASK_WORK
 
         engine = ExecutionEngine(n_threads=2)
         assert sorted(len(m) for m in engine.morsels_for(835)) == [104] * 5 + [105] * 3
@@ -98,10 +98,12 @@ class TestMorselization:
         engine = ExecutionEngine(n_threads=4)
         assert len(engine.morsels_for(100, row_work=100 * 16)) == 1
         # Work for fewer tasks than workers: that many morsels, not four.
-        from repro.engine.executor import MIN_TASK_WORK
+        from repro.vector.select import MIN_TASK_WORK
 
-        row_work = MIN_TASK_WORK // 50
-        assert len(engine.morsels_for(150, row_work=row_work)) == 2
+        row_work = MIN_TASK_WORK // 100
+        assert len(engine.morsels_for(300, row_work=row_work)) == 2
+        # Nor is a priced cut ever under MIN_TASK_ROWS rows a morsel.
+        assert len(engine.morsels_for(150, row_work=MIN_TASK_WORK)) == 1
 
     def test_configured_morsel_size_stays_an_upper_bound(self):
         engine = ExecutionEngine(n_threads=2, morsel_rows=10)
@@ -132,17 +134,3 @@ class TestMapMorsels:
             1000, lambda m: float(data[m.start : m.stop].sum())
         )
         assert sum(parts) == pytest.approx(float(data.sum()))
-
-
-class TestCalibration:
-    def test_calibrate_adopts_measured_policy(self, hash_model):
-        engine = ExecutionEngine(n_threads=1)
-        engine.policy = BatchPolicy(buffer_budget_bytes=1 << 20)
-        policy = engine.calibrate(hash_model, dim=16, n_rows=128)
-        assert policy.gemm_seconds_per_fma is not None
-        assert policy.gemm_seconds_per_fma > 0
-        assert policy.buffer_budget_bytes == 1 << 20
-        assert engine.policy is policy
-        # The calibrated policy produces a usable batch shape.
-        bl, br = engine.policy.resolve(10_000, 10_000, 16)
-        assert 1 <= bl <= 10_000 and 1 <= br <= 10_000

@@ -17,10 +17,11 @@ from repro.algebra.logical import EJoinNode, ScanNode
 from repro.algebra.physical_planner import ExecutionReport, execute
 from repro.core import ThresholdCondition, TopKCondition, ejoin, tensor_join
 from repro.embedding import HashingEmbedder
-from repro.engine import BatchPolicy, ExecutionEngine, executor
+from repro.engine import ExecutionEngine
 from repro.index import IVFFlatIndex
 from repro.query import Engine
 from repro.relational import Catalog, DataType, Field, Schema, Table
+from repro.vector import select
 
 DIM = 16
 MODEL = "m"
@@ -60,9 +61,10 @@ feeds = st.one_of(
 def schedule_every_task():
     """These joins are far under the engine's task-work floor; lift it so
     morsels exist and duplicates can straddle them."""
-    floor, executor.MIN_TASK_WORK = executor.MIN_TASK_WORK, 1
+    floors = select.MIN_TASK_WORK, select.MIN_TASK_ROWS
+    select.MIN_TASK_WORK = select.MIN_TASK_ROWS = 1
     yield
-    executor.MIN_TASK_WORK = floor
+    select.MIN_TASK_WORK, select.MIN_TASK_ROWS = floors
 
 
 def _model() -> HashingEmbedder:
@@ -71,11 +73,7 @@ def _model() -> HashingEmbedder:
 
 def _small_cut_executor() -> ExecutionEngine:
     """Two workers, 3-row morsels, a budget that cuts both block edges."""
-    return ExecutionEngine(
-        n_threads=2,
-        morsel_rows=3,
-        policy=BatchPolicy(buffer_budget_bytes=2048),
-    )
+    return ExecutionEngine(n_threads=2, morsel_rows=3, buffer_budget_bytes=2048)
 
 
 def _engine(texts: list[str], *, index: bool) -> Engine:

@@ -4,7 +4,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import DimensionalityError
+from repro.core import resolve_batch_shape
+from repro.engine import ExecutionEngine
+from repro.errors import BufferBudgetError, DimensionalityError
 from repro.vector.select import (
     BLOCK_BYTES,
     CHUNK,
@@ -12,8 +14,8 @@ from repro.vector.select import (
     MIN_STRIDE,
     TRIPLE_BYTES,
     TopKReducer,
-    block_shape,
     maxima_bytes,
+    scan_shape,
     select_above,
 )
 
@@ -191,6 +193,15 @@ class TestTopKReducer:
         assert reducer.peak_bytes >= maxima_bytes(4, WIDE) > 0
 
 
+def block_shape(rows, width, *, fixed_rows=False, fixed_width=False):
+    """Step 4 of the rule alone: one worker, bounds ``rows x width``."""
+    return scan_shape(
+        rows, width, workers=1,
+        batch_left=rows if fixed_rows else None,
+        batch_right=width if fixed_width else None,
+    )
+
+
 class TestBlockShape:
     def test_derived_block_fits_the_target(self):
         rows, width = block_shape(125, 40_000)
@@ -219,5 +230,115 @@ class TestBlockShape:
 
     def test_derived_left_edge_is_capped(self):
         rows, width = block_shape(1_000_000, 40_000)
-        assert rows == MAX_BLOCK_ROWS
+        assert rows <= MAX_BLOCK_ROWS
         assert width == BLOCK_BYTES // (4 * MAX_BLOCK_ROWS)
+
+
+TWO_THREADS = dict(n_threads=2)
+ONE_THREAD_125 = dict(n_threads=1, morsel_rows=125)
+ONE_THREAD = dict(n_threads=1)
+
+
+def _join_shape(n_left, n_right, dim, k, engine, **edges):
+    """The rule as ``scan_join`` asks it for an engine's join."""
+    engine = ExecutionEngine(**engine)
+    return scan_shape(
+        n_left, n_right,
+        **{"buffer_budget_bytes": engine.buffer_budget_bytes, **edges},
+        reserve_bytes_per_row=TopKReducer.state_bytes_per_row(k) if k else 0,
+        workers=engine.n_threads, morsel_rows=engine.morsel_rows,
+        row_work=n_right * dim,
+    )
+
+
+class TestShapeTable:
+    """The one shape table: literal ``(batch_left, batch_right)`` of
+    ``resolve_block_shape`` at d0f3588 (PR 18), which the rule replaced.
+    The ``ONE_THREAD`` rows (an engine-less join is one worker with the
+    default 1,024-row morsels) are the rows that changed on purpose: an
+    uncut left side is now cut for one worker like for many, so its strip
+    is no longer cut to the narrowest width the select can chunk."""
+
+    @pytest.mark.parametrize(
+        "case, engine, expected",
+        [
+            # (n_left, n_right, dim, k), engine, shape — unchanged rows
+            ((1000, 40_000, 128, 10), TWO_THREADS, (125, 8384)),
+            ((1000, 40_000, 128, 10), ONE_THREAD_125, (125, 8384)),
+            ((1000, 40_000, 128, None), TWO_THREADS, (125, 8384)),
+            ((1000, 40_000, 128, None), ONE_THREAD_125, (125, 8384)),
+            ((835, 8000, 64, 1), TWO_THREADS, (209, 8000)),
+            ((835, 8000, 64, 1), ONE_THREAD_125, (120, 8000)),
+            ((209, 8000, 64, 1), TWO_THREADS, (209, 8000)),
+            ((209, 8000, 64, 1), ONE_THREAD_125, (105, 8000)),
+            ((1, 150_000, 128, 10), TWO_THREADS, (1, 150_000)),
+            ((1, 150_000, 128, 10), ONE_THREAD_125, (1, 150_000)),
+            ((157, 2311, 24, 5), TWO_THREADS, (157, 2311)),
+            ((157, 2311, 24, 5), ONE_THREAD_125, (79, 2311)),
+            ((3000, 500, 8, 3), TWO_THREADS, (1000, 500)),
+            ((3000, 500, 8, 3), ONE_THREAD_125, (125, 500)),
+            ((5000, 5000, 100, None), TWO_THREADS, (625, 1664)),
+            ((5000, 5000, 100, None), ONE_THREAD_125, (125, 5000)),
+            ((209, 8000, 64, 1), ONE_THREAD, (209, 8000)),
+            ((157, 2311, 24, 5), ONE_THREAD, (157, 2311)),
+            ((125, 40_000, 128, 10), ONE_THREAD, (125, 8384)),
+            ((5000, 5000, 100, None), ONE_THREAD, (1000, 1024)),
+            # changed on purpose: one worker, uncut left side, strip over
+            # STRIP_BYTES — was (1000, 1024), (1000, 1024), (835, 1248)
+            ((1000, 40_000, 128, 10), ONE_THREAD, (250, 4192)),
+            ((1000, 40_000, 128, None), ONE_THREAD, (250, 4192)),
+            ((835, 8000, 64, 1), ONE_THREAD, (209, 8000)),
+            # changed on purpose: tasks under MIN_TASK_ROWS rows are not
+            # cut — was (21, 40000) on two workers
+            ((125, 40_000, 128, 10), TWO_THREADS, (125, 8384)),
+        ],
+    )
+    def test_derived_shapes(self, case, engine, expected):
+        assert _join_shape(*case, engine) == expected
+
+    @pytest.mark.parametrize(
+        "engine, edges, expected",
+        [
+            (TWO_THREADS, dict(buffer_budget_bytes=1 << 20), (356, 207)),
+            (ONE_THREAD, dict(buffer_budget_bytes=1 << 20), (504, 354)),
+            (TWO_THREADS, dict(batch_left=125), (125, 8384)),
+            (ONE_THREAD, dict(batch_left=125), (125, 8384)),
+            (TWO_THREADS, dict(batch_right=1100), (125, 1100)),
+            (TWO_THREADS, dict(batch_left=3, batch_right=7), (3, 7)),
+            # changed on purpose (one worker, uncut left): was (1000, 1100)
+            (ONE_THREAD, dict(batch_right=1100), (250, 1100)),
+        ],
+    )
+    def test_edges_and_budgets(self, engine, edges, expected):
+        assert _join_shape(1000, 40_000, 128, 10, engine, **edges) == expected
+
+    def test_the_engine_less_name_stops_after_the_budget(self):
+        assert resolve_batch_shape(1000, 40_000) == (1000, 40_000)
+        assert resolve_batch_shape(
+            1000, 40_000, buffer_budget_bytes=1 << 20
+        ) == (512, 512)
+
+    def test_a_served_scan_is_the_rule_with_the_queries_pinned(self):
+        """``scan_candidates`` asks for ``batch_left = n_queries``."""
+        assert scan_shape(2, 150_000, batch_left=2, workers=1) == (2, 150_000)
+        assert scan_shape(64, 150_000, batch_left=64, workers=1) == (64, 16_384)
+        rows, width = scan_shape(
+            64, 150_000, batch_left=64, buffer_budget_bytes=1 << 20, workers=1
+        )
+        assert rows == 64 and 4 * 64 * width + 4 * 64 * (width // CHUNK) <= 1 << 20
+
+    def test_a_split_budget_is_never_exceeded(self):
+        """More workers than the parent's fixed point settled on still
+        hold ``workers`` blocks within the budget."""
+        for workers in (2, 4, 8):
+            rows, width = scan_shape(
+                4000, 4000, buffer_budget_bytes=16 << 20, workers=workers,
+                morsel_rows=1024, row_work=4000 * 8,
+            )
+            assert workers * 4 * rows * width <= 16 << 20
+
+    def test_invalid_edges_and_budgets(self):
+        with pytest.raises(BufferBudgetError, match="invalid batch shape"):
+            scan_shape(10, 10, batch_left=0, workers=1)
+        with pytest.raises(BufferBudgetError, match="FP32 cell"):
+            scan_shape(10, 10, buffer_budget_bytes=3, workers=1)
