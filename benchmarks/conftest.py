@@ -3,7 +3,7 @@
 Scale note: the paper's inputs (up to 1M x 1M tuples, 48 hardware threads,
 C++/MKL) are scaled down ~100x so a Python interpreter reproduces the
 *shape* of every figure in minutes.  Scale factors per experiment are
-documented in EXPERIMENTS.md.
+documented in each file's docstring and in README "Benchmarks".
 """
 
 from __future__ import annotations

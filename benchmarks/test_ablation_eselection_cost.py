@@ -28,16 +28,7 @@ def model():
     return HashingEmbedder(dim=DIM, seed=29)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_eselect_cell(benchmark, n):
-    relation = unit_vectors(n, DIM, stream=f"esel/{n}")
-    query = unit_vectors(1, DIM, stream="esel/q")[0]
-    benchmark.pedantic(
-        eselect, args=(relation, query, CONDITION), rounds=1, iterations=1
-    )
-
-
-def test_eselection_cost_report(benchmark, model):
+def test_eselection_cost_report(model):
     report = FigureReport(
         "ablation_eselection",
         "E-selection cost: linear in |R|, model term dominates inline "
@@ -62,4 +53,3 @@ def test_eselection_cost_report(benchmark, model):
     # Inline model cost dominates the pre-embedded scan.
     report.note("prefetching removes M from the per-query critical path")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -28,15 +28,7 @@ SIZES = pick([(500, 5_000), (1_000, 10_000)], [(50, 500)])
 CONDITION = TopKCondition(1)
 
 
-@pytest.mark.parametrize("precision", ["fp32", "fp16"])
-def test_fp16_cell(benchmark, precision):
-    left = unit_vectors(500, DIM, stream="fp16/l")
-    right = unit_vectors(5_000, DIM, stream="fp16/r")
-    fn = tensor_join if precision == "fp32" else tensor_join_fp16
-    benchmark.pedantic(fn, args=(left, right, CONDITION), rounds=1, iterations=1)
-
-
-def test_fp16_report(benchmark):
+def test_fp16_report():
     report = FigureReport(
         "ablation_fp16",
         "FP16 vs FP32 tensor-join operands: memory halves, top-1 agreement "
@@ -65,4 +57,3 @@ def test_fp16_report(benchmark):
         f"{precision_error_bound(DIM):.4f} cosine units"
     )
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

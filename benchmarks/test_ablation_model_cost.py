@@ -14,8 +14,6 @@ latency and shows that:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, naive_nlj, prefetch_nlj
 from repro.embedding import HashingEmbedder
@@ -35,19 +33,7 @@ def _words(n: int, prefix: str) -> list[str]:
     return [f"{prefix}-{i}" for i in range(n)]
 
 
-@pytest.mark.parametrize("latency", LATENCIES)
-def test_model_cost_cell(benchmark, latency):
-    model = HashingEmbedder(dim=32, simulated_latency_s=latency)
-    benchmark.pedantic(
-        prefetch_nlj,
-        args=(_words(N_LEFT, "l"), _words(N_RIGHT, "r"), CONDITION),
-        kwargs={"model": model},
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_model_cost_report(benchmark):
+def test_model_cost_report():
     report = FigureReport(
         "ablation_model_cost",
         "model cost M sweep: naive pays |R||S| calls, prefetch |R|+|S| "
@@ -95,4 +81,3 @@ def test_model_cost_report(benchmark):
     report.note("monetary column = calls x price: prefetch saves "
                 f"{2 * N_LEFT * N_RIGHT - (N_LEFT + N_RIGHT)} calls per join")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -10,8 +10,6 @@ vector indexes).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, tensor_join
 from repro.vector import normalize_rows
@@ -24,20 +22,7 @@ CONDITION = ThresholdCondition(0.9)
 SIZES = pick([(2_000, 2_000), (6_000, 6_000)], [(200, 200)])
 
 
-@pytest.mark.parametrize("n", [s[0] for s in SIZES])
-def test_ablation_cell(benchmark, n):
-    left = normalize_rows(random_vectors(n, DIM, stream=f"abl/l/{n}"))
-    right = normalize_rows(random_vectors(n, DIM, stream=f"abl/r/{n}"))
-    benchmark.pedantic(
-        tensor_join,
-        args=(left, right, CONDITION),
-        kwargs={"assume_normalized": True},
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_ablation_report(benchmark):
+def test_ablation_report():
     report = FigureReport(
         "ablation_normalization",
         "tensor join: normalize per join vs pre-normalized storage",
@@ -62,4 +47,3 @@ def test_ablation_report(benchmark):
     report.note("normalization is O((|R|+|S|)*d) vs the O(|R|*|S|*d) join; "
                 "the saving shrinks as the join grows")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -51,16 +51,7 @@ def _run(variant: str, n_left: int, n_right: int, model: HashingEmbedder):
 VARIANTS = ["naive-nosimd", "naive-simd", "prefetch-nosimd", "prefetch-simd"]
 
 
-@pytest.mark.parametrize("n_left,n_right", SIZES)
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_fig08_variant(benchmark, variant, n_left, n_right, model):
-    """One (variant, size) cell of Figure 8."""
-    benchmark.pedantic(
-        _run, args=(variant, n_left, n_right, model), rounds=1, iterations=1
-    )
-
-
-def test_fig08_report(benchmark, model):
+def test_fig08_report(model):
     """Full Figure 8 series with shape assertions."""
     report = FigureReport(
         "fig08",
@@ -95,4 +86,3 @@ def test_fig08_report(benchmark, model):
         "prefetch turns |R|*|S| model calls into |R|+|S| (cost model Sec IV-A)"
     )
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

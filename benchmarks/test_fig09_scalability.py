@@ -39,20 +39,7 @@ def data():
     return left, right
 
 
-@pytest.mark.parametrize("n_threads", _threads())
-def test_fig09_simd_threads(benchmark, n_threads, data):
-    left, right = data
-    benchmark.pedantic(
-        parallel_join,
-        args=(left, right, CONDITION),
-        kwargs={"strategy": "nlj", "n_threads": n_threads,
-                "kernel": Kernel.VECTORIZED},
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig09_report(benchmark, data):
+def test_fig09_report(data):
     left, right = data
     report = FigureReport(
         "fig09",
@@ -78,4 +65,3 @@ def test_fig09_report(benchmark, data):
             )
     report.note(f"scalar series uses {N_SCALAR}x{N_SCALAR} (pure-Python kernel)")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.bench import FigureReport, time_call
 from repro.core import TopKCondition, prefetch_nlj, tensor_join
 from repro.workloads import unit_vectors
@@ -40,25 +38,7 @@ def _make(total_fp32: int, dim: int):
     return left, right
 
 
-@pytest.mark.parametrize("total_fp32", OPS_CLUSTERS)
-@pytest.mark.parametrize("dim", DIMS)
-def test_fig11_tensor(benchmark, total_fp32, dim):
-    left, right = _make(total_fp32, dim)
-    benchmark.pedantic(
-        tensor_join, args=(left, right, CONDITION), rounds=1, iterations=1
-    )
-
-
-@pytest.mark.parametrize("total_fp32", OPS_CLUSTERS[:2])
-@pytest.mark.parametrize("dim", DIMS)
-def test_fig11_nlj(benchmark, total_fp32, dim):
-    left, right = _make(total_fp32, dim)
-    benchmark.pedantic(
-        prefetch_nlj, args=(left, right, CONDITION), rounds=1, iterations=1
-    )
-
-
-def test_fig11_report(benchmark):
+def test_fig11_report():
     report = FigureReport(
         "fig11",
         "per-FP32-element time: vectorized NLJ vs tensor (largest cluster "
@@ -84,4 +64,3 @@ def test_fig11_report(benchmark):
             )
     report.note("tensor pays off with enough tuples to batch (paper Fig 11)")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

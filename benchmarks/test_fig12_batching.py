@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.bench import FigureReport, time_call
 from repro.core import TopKCondition, tensor_join, tensor_join_non_batched
 from repro.workloads import unit_vectors
@@ -33,15 +31,7 @@ def _make(total_fp32: int, dim: int):
     return left, right
 
 
-@pytest.mark.parametrize("total_fp32", OPS_CLUSTERS)
-@pytest.mark.parametrize("batched", ["full", "non"])
-def test_fig12_cell(benchmark, total_fp32, batched):
-    left, right = _make(total_fp32, 64)
-    fn = tensor_join if batched == "full" else tensor_join_non_batched
-    benchmark.pedantic(fn, args=(left, right, CONDITION), rounds=1, iterations=1)
-
-
-def test_fig12_report(benchmark):
+def test_fig12_report():
     report = FigureReport(
         "fig12",
         "fully-batched vs non-batched tensor join (ns per FP32 element)",
@@ -76,4 +66,3 @@ def test_fig12_report(benchmark):
         "ratio > 1 means fully-batched wins"
     )
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -42,19 +42,7 @@ def data():
     return left, right
 
 
-@pytest.mark.parametrize("batch", BATCHES, ids=_label)
-def test_fig13_batch(benchmark, batch, data):
-    left, right = data
-    benchmark.pedantic(
-        tensor_join,
-        args=(left, right, CONDITION),
-        kwargs={"batch_left": batch[0], "batch_right": batch[1]},
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig13_report(benchmark, data):
+def test_fig13_report(data):
     left, right = data
     report = FigureReport(
         "fig13",
@@ -90,4 +78,3 @@ def test_fig13_report(benchmark, data):
         )
     report.note("paper: negligible slowdown for orders-of-magnitude RAM savings")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -33,16 +33,7 @@ def pool():
     return unit_vectors(10_000, DIM, stream="f14/pool")
 
 
-@pytest.mark.parametrize("n_left,n_right", SIZES)
-@pytest.mark.parametrize("strategy", ["tensor", "nlj"])
-def test_fig14_cell(benchmark, strategy, n_left, n_right, pool):
-    left = pool[:n_left]
-    right = pool[:n_right]
-    fn = tensor_join if strategy == "tensor" else prefetch_nlj
-    benchmark.pedantic(fn, args=(left, right, CONDITION), rounds=1, iterations=1)
-
-
-def test_fig14_report(benchmark, pool):
+def test_fig14_report(pool):
     report = FigureReport(
         "fig14",
         "tensor vs NLJ end-to-end, 100-D (paper: up to 1M x 1M)",
@@ -70,4 +61,3 @@ def test_fig14_report(benchmark, pool):
         assert max(gains) >= 2, (
             f"tensor advantage should reach >= 2x, got {max(gains):.1f}x"
         )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

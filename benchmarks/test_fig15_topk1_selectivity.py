@@ -13,37 +13,13 @@ crossing or approaching the scan (crossover location is scale-dependent).
 
 from __future__ import annotations
 
-from _scan_probe import probe_with_prefilter, run_sweep, scan_with_filter
+from _scan_probe import run_sweep
 from repro.core import TopKCondition
 
 CONDITION = TopKCondition(1)
 
 
-def test_fig15_scan_low_selectivity(benchmark, scan_probe_data, hnsw_lo, selectivity_bitmaps):
-    probes, base = scan_probe_data
-    bitmap = selectivity_bitmaps[1]
-    benchmark.pedantic(
-        scan_with_filter,
-        args=(probes, base, bitmap, CONDITION),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig15_index_high_selectivity(benchmark, scan_probe_data, hnsw_lo, selectivity_bitmaps):
-    probes, base = scan_probe_data
-    bitmap = selectivity_bitmaps[100]
-    benchmark.pedantic(
-        probe_with_prefilter,
-        args=(probes, hnsw_lo, bitmap, CONDITION),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig15_report(
-    benchmark, scan_probe_data, hnsw_lo, hnsw_hi, selectivity_bitmaps
-):
+def test_fig15_report(scan_probe_data, hnsw_lo, hnsw_hi, selectivity_bitmaps):
     probes, base = scan_probe_data
     report, times = run_sweep(
         "fig15",
@@ -70,4 +46,3 @@ def test_fig15_report(
         "scale-dependent, shape (scan wins low, index improves high) holds"
     )
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -10,35 +10,13 @@ selectivity; the Lo index is slower than it was for k=1 relative to scan.
 
 from __future__ import annotations
 
-from _scan_probe import probe_with_prefilter, run_sweep, scan_with_filter
+from _scan_probe import run_sweep
 from repro.core import TopKCondition
 
 CONDITION = TopKCondition(32)
 
 
-def test_fig16_scan_cell(benchmark, scan_probe_data, selectivity_bitmaps):
-    probes, base = scan_probe_data
-    benchmark.pedantic(
-        scan_with_filter,
-        args=(probes, base, selectivity_bitmaps[40], CONDITION),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig16_index_cell(benchmark, scan_probe_data, hnsw_lo, selectivity_bitmaps):
-    probes, base = scan_probe_data
-    benchmark.pedantic(
-        probe_with_prefilter,
-        args=(probes, hnsw_lo, selectivity_bitmaps[40], CONDITION),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig16_report(
-    benchmark, scan_probe_data, hnsw_lo, hnsw_hi, selectivity_bitmaps
-):
+def test_fig16_report(scan_probe_data, hnsw_lo, hnsw_hi, selectivity_bitmaps):
     probes, base = scan_probe_data
     report, times = run_sweep(
         "fig16",
@@ -59,4 +37,3 @@ def test_fig16_report(
         )
     report.note("paper: Lo crossover shifts to ~80%; Hi never wins at k=32")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

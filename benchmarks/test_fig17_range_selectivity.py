@@ -13,11 +13,7 @@ scan returns at least as many qualifying pairs as the top-k-limited index.
 
 from __future__ import annotations
 
-from _scan_probe import (
-    probe_with_prefilter,
-    run_sweep,
-    scan_with_filter,
-)
+from _scan_probe import probe_with_prefilter, run_sweep
 from repro.core import ThresholdCondition
 
 #: 256-D random unit vectors rarely exceed 0.2 cosine; 0.18 yields a thin,
@@ -25,29 +21,7 @@ from repro.core import ThresholdCondition
 CONDITION = ThresholdCondition(0.18)
 
 
-def test_fig17_scan_cell(benchmark, scan_probe_data, selectivity_bitmaps):
-    probes, base = scan_probe_data
-    benchmark.pedantic(
-        scan_with_filter,
-        args=(probes, base, selectivity_bitmaps[40], CONDITION),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig17_index_cell(benchmark, scan_probe_data, hnsw_lo, selectivity_bitmaps):
-    probes, base = scan_probe_data
-    benchmark.pedantic(
-        probe_with_prefilter,
-        args=(probes, hnsw_lo, selectivity_bitmaps[40], CONDITION),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_fig17_report(
-    benchmark, scan_probe_data, hnsw_lo, hnsw_hi, selectivity_bitmaps
-):
+def test_fig17_report(scan_probe_data, hnsw_lo, hnsw_hi, selectivity_bitmaps):
     probes, base = scan_probe_data
     report, times = run_sweep(
         "fig17",
@@ -85,4 +59,3 @@ def test_fig17_report(
         "(build-time distance limitation, Table I)"
     )
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

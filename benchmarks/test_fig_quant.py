@@ -63,7 +63,7 @@ def _recall(got, ref) -> float:
     return len(got.pairs() & ref.pairs()) / max(len(ref.pairs()), 1)
 
 
-def test_fig_quant_report(benchmark):
+def test_fig_quant_report():
     left, right = _workload()
     condition = TopKCondition(K)
     report = FigureReport(
@@ -130,4 +130,3 @@ def test_fig_quant_report(benchmark):
                 f"{method} scans only {shrink:.1f}x fewer bytes than fp32"
             )
             assert recall >= 0.95, f"{method} recall {recall:.3f} < 0.95"
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -31,7 +31,7 @@ N_BASE = pick(4_000, 400)
 N_PROBE = pick(100, 20)
 
 
-def test_table1_report(benchmark):
+def test_table1_report():
     probes = unit_vectors(N_PROBE, DIM, stream="t1/probe")
     base = unit_vectors(N_BASE, DIM, stream="t1/base")
 
@@ -79,4 +79,3 @@ def test_table1_report(benchmark):
     report.note("scan: exact, any expression; index: approximate, build-time "
                 "distance + mandatory top-k")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

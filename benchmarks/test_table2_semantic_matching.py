@@ -30,17 +30,7 @@ def trained():
     return corpus, model
 
 
-def test_table2_training_benchmark(benchmark):
-    corpus = generate_corpus(n_sentences=600, sentence_length=(5, 8), seed=12)
-
-    def train():
-        model = FastTextModel(dim=32, window=3, negatives=3, seed=12)
-        return model.fit(corpus.sentences, epochs=1)
-
-    benchmark.pedantic(train, rounds=1, iterations=1)
-
-
-def test_table2_report(benchmark, trained):
+def test_table2_report(trained):
     corpus, model = trained
     report = FigureReport(
         "table2",
@@ -65,4 +55,3 @@ def test_table2_report(benchmark, trained):
     report.note("matches include synonyms, plural forms, and misspellings, "
                 "as in the paper's Table II")
     report.emit()
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -47,7 +47,7 @@ def build_engine() -> repro.Engine:
 
 def main() -> None:
     engine = build_engine()
-    # shard_procs is all it takes; REPRO_SHARD_PROCS=2 does the same.
+    # shard_procs is all it takes (0, the default, builds no pool).
     service = engine.serve(max_inflight=16, coalesce=True, shard_procs=SHARD_PROCS)
     segment_prefix = service.shard_pool.segment_prefix
 

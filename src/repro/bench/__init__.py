@@ -1,27 +1,11 @@
 """Benchmark harness for reproducing the paper's figures and tables."""
 
-from .compare import compare_dirs, compare_reports, load_reports
-from .harness import (
-    RESULTS_DIR,
-    FigureReport,
-    Seconds,
-    git_revision,
-    latency_percentiles,
-    median_time,
-    speedup,
-    time_call,
-)
+from .harness import RESULTS_DIR, FigureReport, git_revision, speedup, time_call
 
 __all__ = [
     "FigureReport",
     "RESULTS_DIR",
-    "Seconds",
-    "compare_dirs",
-    "compare_reports",
     "git_revision",
-    "latency_percentiles",
-    "load_reports",
-    "median_time",
     "speedup",
     "time_call",
 ]

@@ -7,18 +7,18 @@ Usage::
     python -m repro.bench fig08 fig14    # run selected figures
     python -m repro.bench --list         # show available experiments
     python -m repro.bench --smoke        # minimal sizes (CI smoke run)
-    python -m repro.bench --compare DIR  # diff current BENCH_*.json vs DIR
 
 Engine knobs (``--threads``, ``--buffer-budget-mb``, ``--morsel-rows``)
 are forwarded to the benchmark process through ``REPRO_*`` environment
 variables, so figure runs exercise the morsel-driven engine exactly as
 configured.  Reports are printed and persisted under ``bench_results/``.
+These are *shape* reproductions of the paper's figures; regressions are
+gated by ``benchmarks/e2e/run.py`` and ``repeat.py --against`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -39,11 +39,6 @@ EXPERIMENTS = {
     "fig16": "test_fig16_topk32_selectivity.py",
     "fig17": "test_fig17_range_selectivity.py",
     "fig_quant": "test_fig_quant.py",
-    "fig_service": "test_fig_service.py",
-    "fig_qos": "test_fig_qos.py",
-    "fig_chaos": "test_fig_chaos.py",
-    "fig_obs": "test_fig_obs.py",
-    "fig_shard": "test_fig_shard.py",
     "ablation-normalization": "test_ablation_normalization.py",
     "ablation-eselection": "test_ablation_eselection_cost.py",
     "ablation-fp16": "test_ablation_fp16.py",
@@ -61,43 +56,6 @@ def find_benchmarks_dir() -> Path:
     raise SystemExit(
         "benchmarks/ directory not found; run from the repository checkout"
     )
-
-
-def run_compare(args, parser) -> int:
-    """The ``--compare`` entry point: diff report dirs, exit 1 on regression."""
-    from .compare import (
-        DEFAULT_THRESHOLD_PCT,
-        compare_dirs,
-        render_comparison,
-    )
-
-    baseline = Path(args.compare)
-    if not baseline.is_dir():
-        parser.error(f"--compare baseline directory not found: {baseline}")
-    if args.compare_current is not None:
-        current = Path(args.compare_current)
-    else:
-        current = Path("bench_results")
-        if args.smoke:
-            current = current / "smoke"
-    if not current.is_dir():
-        parser.error(f"current report directory not found: {current}")
-    threshold = (
-        DEFAULT_THRESHOLD_PCT
-        if args.compare_threshold is None
-        else args.compare_threshold
-    )
-    result = compare_dirs(baseline, current, threshold_pct=threshold)
-    print(render_comparison(result))
-    if args.compare_output:
-        out = Path(args.compare_output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"comparison written to {out}")
-    return 0 if result["ok"] else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,54 +96,12 @@ def main(argv: list[str] | None = None) -> int:
         metavar="ROWS",
         help="maximum tuples per engine morsel",
     )
-    parser.add_argument(
-        "--shard-procs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard worker processes for the service scan (default: 0, off)",
-    )
-    parser.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE_DIR",
-        help=(
-            "compare BENCH_*.json reports against this baseline directory "
-            "instead of running benchmarks; exits 1 on a p50 regression "
-            "beyond the threshold"
-        ),
-    )
-    parser.add_argument(
-        "--compare-current",
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory holding the current reports for --compare "
-            "(default: bench_results, or bench_results/smoke with --smoke)"
-        ),
-    )
-    parser.add_argument(
-        "--compare-threshold",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="p50 regression threshold percent for --compare (default: 20)",
-    )
-    parser.add_argument(
-        "--compare-output",
-        default=None,
-        metavar="FILE",
-        help="write the --compare result as JSON to this file",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
         for name in EXPERIMENTS:
             print(name)
         return 0
-
-    if args.compare is not None:
-        return run_compare(args, parser)
 
     bench_dir = find_benchmarks_dir()
     selected = args.experiments or list(EXPERIMENTS)
@@ -208,15 +124,12 @@ def main(argv: list[str] | None = None) -> int:
         env["REPRO_BUFFER_BUDGET_MB"] = str(args.buffer_budget_mb)
     if args.morsel_rows is not None:
         env["REPRO_MORSEL_ROWS"] = str(max(1, args.morsel_rows))
-    if args.shard_procs is not None:
-        env["REPRO_SHARD_PROCS"] = str(max(0, args.shard_procs))
 
     command = [
         sys.executable,
         "-m",
         "pytest",
         *files,
-        "--benchmark-only",
         "-q",
         "-s",
         "-p",

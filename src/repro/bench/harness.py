@@ -2,16 +2,14 @@
 
 Each figure benchmark produces a series of (x, series-name, time) rows; the
 harness renders them as aligned text tables mirroring what the paper plots,
-and persists them under ``bench_results/`` so EXPERIMENTS.md can quote
-measured numbers.
+and persists them under ``bench_results/`` so README "Benchmarks" can
+quote measured numbers.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -36,23 +34,26 @@ def git_revision() -> str:
 
 
 def _config_snapshot() -> dict:
-    """Engine knobs in effect for this benchmark process."""
-    from ..config import get_config
+    """Engine knobs and machine environment of this benchmark process."""
+    from ..config import cpu_count, get_config
 
     config = get_config()
     return {
         "seed": config.seed,
-        "threads": config.default_threads,
+        "threads": cpu_count(),
+        # What the process may run on: the affinity mask where the OS has one.
+        "cpus": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "morsel_rows": config.default_morsel_rows,
         "buffer_budget_bytes": config.default_buffer_budget_bytes,
         "precision": config.default_precision,
         "rerank_multiple": config.default_rerank_multiple,
         "work_stealing": config.work_stealing,
-        "shard_procs": config.shard_procs,
-        # Total OS processes doing scan work: the front door plus any
-        # shard workers.  Recorded so --compare can refuse to diff runs
-        # measured at different parallelism silently.
-        "processes": 1 + config.shard_procs,
         "smoke": os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0"),
     }
 
@@ -76,70 +77,17 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
-def latency_percentiles(samples) -> dict:
-    """p50/p95/p99 (linear-interpolated) plus sample count of ``samples``.
-
-    Returns an empty dict for an empty input — callers can splat the
-    result into reports unconditionally.
-    """
-    values = sorted(float(s) for s in samples)
-    if not values:
-        return {}
-
-    def pct(p: float) -> float:
-        if len(values) == 1:
-            return values[0]
-        rank = (len(values) - 1) * (p / 100.0)
-        lo, hi = math.floor(rank), math.ceil(rank)
-        return values[lo] + (values[hi] - values[lo]) * (rank - lo)
-
-    return {"p50": pct(50), "p95": pct(95), "p99": pct(99), "n": len(values)}
-
-
-class Seconds(float):
-    """A seconds value that remembers the raw per-repeat samples.
-
-    Behaves exactly like ``float`` in arithmetic and formatting, so every
-    existing report column keeps working — but reports can additionally
-    derive latency percentiles from ``samples``, which is how *every*
-    scenario timed through :func:`time_call` / :func:`median_time` gains
-    p50/p95/p99 in its text and JSON outputs without per-scenario code.
-    """
-
-    samples: tuple
-
-    def __new__(cls, value: float, samples=()) -> "Seconds":
-        obj = super().__new__(cls, value)
-        obj.samples = tuple(float(s) for s in samples)
-        return obj
-
-    @property
-    def percentiles(self) -> dict:
-        return latency_percentiles(self.samples)
-
-
-def time_call(fn, *args, repeat: int = 1, **kwargs) -> tuple[object, Seconds]:
+def time_call(fn, *args, repeat: int = 1, **kwargs) -> tuple[object, float]:
     """Run ``fn`` ``repeat`` times; return (last result, best seconds)."""
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    times = []
+    best = float("inf")
     result = None
     for _ in range(repeat):
         start = time.perf_counter()
         result = fn(*args, **kwargs)
-        times.append(time.perf_counter() - start)
-    return result, Seconds(min(times), times)
-
-
-def median_time(fn, *args, repeat: int = 3, **kwargs) -> tuple[object, Seconds]:
-    """Run ``fn`` ``repeat`` times; return (last result, median seconds)."""
-    times = []
-    result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        times.append(time.perf_counter() - start)
-    return result, Seconds(statistics.median(times), times)
+        best = min(best, time.perf_counter() - start)
+    return result, best
 
 
 @dataclass
@@ -183,32 +131,9 @@ class FigureReport:
         lines.append("-" * len(header))
         for r in table:
             lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(r))))
-        for entry in self._latency_entries():
-            p = entry["percentiles"]
-            lines.append(
-                f"latency [{entry['row_label']}] {entry['column']}: "
-                f"p50={p['p50']:.4g}s p95={p['p95']:.4g}s "
-                f"p99={p['p99']:.4g}s (n={p['n']})"
-            )
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-    def _latency_entries(self) -> list[dict]:
-        """Percentile records for every multi-sample timing cell."""
-        entries = []
-        for row_idx, row in enumerate(self.rows):
-            for col_idx, value in enumerate(row):
-                if isinstance(value, Seconds) and len(value.samples) > 1:
-                    entries.append(
-                        {
-                            "row": row_idx,
-                            "row_label": str(row[0]),
-                            "column": self.columns[col_idx],
-                            "percentiles": value.percentiles,
-                        }
-                    )
-        return entries
 
     def save(self, directory: Path | None = None) -> Path:
         directory = results_dir() if directory is None else directory
@@ -221,16 +146,15 @@ class FigureReport:
         """Machine-readable report: rows plus run provenance.
 
         Wall times live in the rows (whatever time columns the scenario
-        measures); ``config`` and ``git_rev`` pin down the engine knobs
-        and code revision they were measured at, so the perf trajectory
-        is comparable across PRs.
+        measures); ``config`` and ``git_rev`` pin down the engine knobs,
+        the machine (usable CPUs, BLAS threads as set) and the code
+        revision they were measured at: a number carries its environment.
         """
         return {
             "figure": self.figure,
             "title": self.title,
             "columns": list(self.columns),
             "rows": [_jsonable(row) for row in self.rows],
-            "latency": self._latency_entries(),
             "notes": list(self.notes),
             "config": _config_snapshot(),
             "git_rev": git_revision(),

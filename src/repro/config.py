@@ -82,8 +82,6 @@ class ReproConfig:
             Empty (the default) disables capture entirely.
         obs_http_port: TCP port for the live introspection endpoint.
             ``None`` starts no server; ``0`` binds an ephemeral port.
-        shard_procs: Shard worker *processes* backing the coalesced shared
-            scan; ``0`` keeps every scan in-process.
     """
 
     seed: int = DEFAULT_SEED
@@ -103,7 +101,6 @@ class ReproConfig:
     watchdog_stall_s: float = 5.0
     obs_capture_path: str = ""
     obs_http_port: int | None = None
-    shard_procs: int = 0
 
     def stream_seed(self, name: str) -> int:
         """Derive a deterministic per-stream seed from the base seed."""
@@ -183,9 +180,6 @@ def _config_from_env() -> ReproConfig:
     http_port = _env_number("REPRO_OBS_HTTP_PORT", int)
     if http_port is not None and 0 <= http_port <= 65535:
         config.obs_http_port = http_port
-    shard_procs = _env_number("REPRO_SHARD_PROCS", int)
-    if shard_procs is not None:
-        config.shard_procs = max(0, shard_procs)
     return config
 
 

@@ -24,17 +24,36 @@ instead of verifying results.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from pathlib import Path
 
-from ..bench.harness import latency_percentiles
 from ..errors import ReproError
 from .capture import load_workload, plan_from_dict, result_digest
 
 
 class ReplayError(ReproError):
     """The workload cannot be replayed as requested."""
+
+
+def latency_percentiles(samples) -> dict:
+    """p50/p95/p99 (linear-interpolated) plus sample count of ``samples``.
+
+    Returns an empty dict for an empty input.
+    """
+    values = sorted(float(s) for s in samples)
+    if not values:
+        return {}
+
+    def pct(p: float) -> float:
+        if len(values) == 1:
+            return values[0]
+        rank = (len(values) - 1) * (p / 100.0)
+        lo, hi = math.floor(rank), math.ceil(rank)
+        return values[lo] + (values[hi] - values[lo]) * (rank - lo)
+
+    return {"p50": pct(50), "p95": pct(95), "p99": pct(99), "n": len(values)}
 
 
 def _capture_summary(records: list[dict]) -> dict:

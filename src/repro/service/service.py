@@ -263,10 +263,9 @@ class QueryService:
             in-process scan.
 
     ``None`` leaves a setting to the default of the component that
-    consumes it (``docs/TUNING.md`` lists them); only ``capture_path``,
-    ``http_port`` and ``shard_procs`` fall back to the process-wide
-    config (``REPRO_OBS_CAPTURE`` / ``REPRO_OBS_HTTP_PORT`` /
-    ``REPRO_SHARD_PROCS``).
+    consumes it (``docs/TUNING.md`` lists them); only ``capture_path``
+    and ``http_port`` fall back to the process-wide config
+    (``REPRO_OBS_CAPTURE`` / ``REPRO_OBS_HTTP_PORT``).
     """
 
     def __init__(
@@ -291,7 +290,7 @@ class QueryService:
         capture_keep: int | None = None,
         slow_k: int | None = None,
         http_port: int | None = None,
-        shard_procs: int | None = None,
+        shard_procs: int = 0,
     ) -> None:
         config = get_config()
         self.engine = engine
@@ -312,12 +311,11 @@ class QueryService:
             if coalesce
             else None
         )
-        procs = config.shard_procs if shard_procs is None else shard_procs
         self.shard_pool = None
-        if procs and self.coalescer is not None:
+        if shard_procs and self.coalescer is not None:
             from ..shard import ShardPool
 
-            self.shard_pool = ShardPool(engine, procs)
+            self.shard_pool = ShardPool(engine, shard_procs)
             self.coalescer.shard_pool = self.shard_pool
         self.stats = ServiceStats()
         self.qos = QoSStats()

@@ -102,12 +102,14 @@ def test_transient_storm_results_bit_identical(query_vectors):
     results, errors = _drive(service, builders)
 
     assert errors == []
-    assert injector.stats.snapshot()["injected"] > 0, "storm never fired"
+    injected = injector.stats.snapshot()["injected"]
+    assert injected > 0, "storm never fired"
     for i, (got, want) in enumerate(zip(results, serial)):
         assert_tables_equal(got, want, context=f"query {i}")
     health = service.health()
-    assert health.retries["retries"] > 0  # recovery actually happened
-    assert health.faults["injected"] == injector.stats.snapshot()["injected"]
+    # Nothing failed, so every injected fault was answered by a retry.
+    assert health.retries["retries"] >= injected
+    assert health.faults["injected"] == injected
 
 
 def test_latency_spikes_only_slow_never_corrupt(query_vectors):

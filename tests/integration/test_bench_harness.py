@@ -1,18 +1,19 @@
 """Unit tests for the benchmark harness."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.bench import FigureReport, git_revision, median_time, speedup, time_call
+from repro.bench import FigureReport, git_revision, speedup, time_call
 
 
 class TestTimeCall:
     def test_returns_result_and_time(self):
         result, seconds = time_call(lambda x: x * 2, 21)
         assert result == 42
-        assert seconds >= 0
+        assert type(seconds) is float and seconds >= 0
 
     def test_repeat_takes_best(self):
         calls = []
@@ -28,11 +29,6 @@ class TestTimeCall:
     def test_invalid_repeat(self):
         with pytest.raises(ValueError):
             time_call(lambda: None, repeat=0)
-
-    def test_median_time(self):
-        result, seconds = median_time(lambda: "ok", repeat=3)
-        assert result == "ok"
-        assert seconds >= 0
 
 
 class TestSpeedup:
@@ -76,6 +72,24 @@ class TestFigureReport:
         report = FigureReport("figY", "empty", ("col",))
         assert "figY" in report.render()
 
+    def test_render_golden(self):
+        assert self.make().render() == (
+            "== figX: demo ==\n"
+            "a    b       \n"
+            "-------------\n"
+            "1    2.5     \n"
+            "row  0.000123\n"
+            "note: a note"
+        )
+
+    def test_to_json_golden(self):
+        payload = self.make().to_json()
+        assert sorted(payload) == [
+            "columns", "config", "created_at", "figure", "git_rev", "notes",
+            "rows", "title",
+        ]
+        assert payload["rows"] == [[1, 2.5], ["row", 0.000123]]
+
 
 class TestMachineReadableReport:
     def make(self):
@@ -96,8 +110,17 @@ class TestMachineReadableReport:
 
     def test_json_carries_config_and_revision(self, tmp_path):
         payload = json.loads(self.make().save_json(tmp_path).read_text())
-        assert "precision" in payload["config"]
-        assert "buffer_budget_bytes" in payload["config"]
+        config = payload["config"]
+        assert "precision" in config
+        assert "buffer_budget_bytes" in config
+        # A number carries its environment: resolved workers, usable CPUs,
+        # BLAS threads as set.
+        assert isinstance(config["threads"], int) and config["threads"] >= 1
+        assert isinstance(config["cpus"], int) and config["cpus"] >= 1
+        assert config["openblas_num_threads"] == os.environ.get(
+            "OPENBLAS_NUM_THREADS"
+        )
+        assert "omp_num_threads" in config
         assert isinstance(payload["git_rev"], str) and payload["git_rev"]
         assert payload["created_at"]
 

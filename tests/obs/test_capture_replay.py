@@ -11,7 +11,6 @@ import pytest
 from _service_utils import DIM, MODEL, make_engine
 
 from repro import QueryService
-from repro.bench import latency_percentiles
 from repro.core.conditions import ThresholdCondition, TopKCondition
 from repro.errors import DeadlineExceededError, ServiceOverloadError
 from repro.obs.capture import (
@@ -23,7 +22,7 @@ from repro.obs.capture import (
     plan_to_dict,
     result_digest,
 )
-from repro.obs.replay import ReplayError, WorkloadReplayer
+from repro.obs.replay import ReplayError, WorkloadReplayer, latency_percentiles
 from repro.workloads import unit_vectors
 
 pytestmark = pytest.mark.obs

@@ -8,8 +8,6 @@ import pytest
 
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     registry,

@@ -80,6 +80,24 @@ def test_sampled_out_tracing_overhead_under_three_percent():
     )
 
 
+def test_sampled_out_path_traces_nothing():
+    """The deterministic half of the gate above, in tier-1."""
+    engine = _make_engine()
+    vectors = unit_vectors(4, DIM, stream="obs-tests/ovh-sampled-out")
+    with QueryService(
+        engine,
+        coalesce=False,
+        result_cache_size=0,
+        obs_enabled=True,
+        obs_sample_rate=1e-6,
+    ) as service:
+        for qvec in vectors:
+            _timed_submit(service, qvec)
+        assert service.tracer.considered == len(vectors)
+        assert service.tracer.sampled == 0
+        assert not service.recent_traces()
+
+
 def test_full_tracing_produces_complete_traces():
     engine = _make_engine()
     vectors = unit_vectors(4, DIM, stream="obs-tests/ovh-full")
