@@ -1,80 +1,61 @@
-"""Streaming E-join inside a classic operator pipeline.
+"""One E-join pipeline on the engine's one execution path.
 
 Run with:  python examples/streaming_pipeline.py
 
-Places the context-enhanced join where it belongs in an analytical engine:
-as a batch-at-a-time physical operator composed with scans, filters, sorts
-and aggregation — the "extended relational operators + algebra" picture of
-the paper's Figure 4.  Also demonstrates plan-level cost estimation and the
-IVF-Flat index as an alternative access path.
+Filter -> context-enhanced join -> sort -> limit, declared once through the
+query builder: the optimizer pushes the filter and prefetches embeddings,
+the planner runs every node as a ``Table`` primitive — the extended
+relational algebra of the paper's Figure 4.  Then a per-word count over
+the joined column, and the same join through an IVF-Flat index as the
+alternative access path.
 """
 
 from __future__ import annotations
 
-from repro import HashingEmbedder, TopKCondition
+import numpy as np
+
+from repro import Catalog, Col, Engine, HashingEmbedder, TopKCondition
 from repro.core import index_join
 from repro.index import IVFFlatIndex
-from repro.relational import Col
-from repro.relational.operators import (
-    AggSpec,
-    Aggregate,
-    EJoinOperator,
-    Filter,
-    Limit,
-    Scan,
-    Sort,
-)
 from repro.workloads import generate_dirty_strings
 
 
 def main() -> None:
     workload = generate_dirty_strings(n_feed=400, seed=33)
     model = HashingEmbedder(dim=48, seed=33)
+    catalog = Catalog()
+    catalog.register("feed", workload.feed)
+    catalog.register("catalog", workload.catalog)
+    engine = Engine(catalog)
+    engine.models.register("hash", model)
 
-    # A full physical pipeline: scan -> relational filter -> streaming
-    # E-join -> sort by similarity -> limit.
-    pipeline = Limit(
-        Sort(
-            EJoinOperator(
-                Filter(Scan(workload.feed, batch_size=64), Col("views") > 1000),
-                Scan(workload.catalog),
-                "text",
-                "word",
-                model,
-                TopKCondition(1),
-            ),
-            "similarity",
-            descending=True,
-        ),
-        10,
-    )
-    print("physical plan:")
-    print(pipeline.explain())
+    def integrate(query):
+        return query.ejoin(
+            "catalog", left_on="text", right_on="word", model="hash", top_k=1
+        )
 
-    out = pipeline.execute()
+    popular = integrate(engine.query("feed").where(Col("views") > 1000))
+    print("optimized plan:")
+    print(popular.explain())
+
+    out = popular.execute().sort_by("similarity", descending=True).head(10)
+    assert out.num_rows == 10 and (out.array("views") > 1000).all()
     print("\ntop-10 most confident integrations:")
     for row in out.to_dicts():
         print(f"  {row['text']:>16} -> {row['word']:<14} "
               f"sim={row['similarity']:.3f} views={row['views']}")
 
-    # Aggregate over the joined stream: how many feed rows map onto each
-    # catalog word?
-    counts = Aggregate(
-        EJoinOperator(
-            Scan(workload.feed, batch_size=64),
-            Scan(workload.catalog),
-            "text",
-            "word",
-            model,
-            TopKCondition(1),
-        ),
-        ["word"],
-        [AggSpec("count", None, "n"), AggSpec("mean", "similarity", "avg_sim")],
-    ).execute()
-    top = counts.sort_by("n", descending=True).head(5)
+    # Group the joined rows by catalog word: how many feed rows map onto
+    # each, and how confidently?
+    joined = integrate(engine.query("feed")).execute()
+    assert joined.num_rows == workload.feed.num_rows  # top-1: one match per row
+    words, inverse, counts = np.unique(
+        joined.array("word").astype(str), return_inverse=True, return_counts=True
+    )
+    mean_sim = np.bincount(inverse, weights=joined.array("similarity")) / counts
     print("\nmost-referenced catalog words:")
-    for row in top.to_dicts():
-        print(f"  {row['word']:<14} n={row['n']:<4} avg_sim={row['avg_sim']:.2f}")
+    for g in np.argsort(-counts, kind="stable")[:5]:
+        print(f"  {words[g]:<14} n={counts[g]:<4} avg_sim={mean_sim[g]:.2f}")
 
     # The same join through an IVF-Flat index (the coarse-quantizer cousin
     # of HNSW): cheap to build, exhaustive within probed clusters.

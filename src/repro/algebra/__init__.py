@@ -1,6 +1,5 @@
 """Extended relational algebra, rewrite rules, optimizer, physical planner."""
 
-from .costing import PlanEstimate, compare_plans, estimate_cost
 from .logical import (
     EJoinNode,
     EmbedNode,
@@ -11,28 +10,14 @@ from .logical import (
     LogicalNode,
     ProjectNode,
     ScanNode,
-    plan_equal,
     walk,
 )
-from .optimizer import OptimizationTrace, Optimizer, visible_columns
+from .optimizer import Optimizer
 from .physical_planner import ExecutionContext, ExecutionReport, execute
-from .rules import (
-    OrderEJoinInputs,
-    PrefetchEmbeddings,
-    PushFilterBelowEmbed,
-    PushFilterBelowESelect,
-    PushFilterIntoEJoin,
-    RewriteRule,
-    default_rules,
-)
 
 __all__ = [
     "EJoinNode",
-    "PlanEstimate",
-    "compare_plans",
-    "estimate_cost",
     "ESelectNode",
-    "PushFilterBelowESelect",
     "EmbedNode",
     "EquiJoinNode",
     "ExecutionContext",
@@ -40,18 +25,9 @@ __all__ = [
     "FilterNode",
     "LimitNode",
     "LogicalNode",
-    "OptimizationTrace",
     "Optimizer",
-    "OrderEJoinInputs",
-    "PrefetchEmbeddings",
     "ProjectNode",
-    "PushFilterBelowEmbed",
-    "PushFilterIntoEJoin",
-    "RewriteRule",
     "ScanNode",
-    "default_rules",
     "execute",
-    "plan_equal",
-    "visible_columns",
     "walk",
 ]

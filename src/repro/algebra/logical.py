@@ -249,8 +249,3 @@ def walk(node: LogicalNode):
     yield node
     for child in node.children():
         yield from walk(child)
-
-
-def plan_equal(a: LogicalNode, b: LogicalNode) -> bool:
-    """Structural plan equality (dataclass equality is recursive)."""
-    return a == b

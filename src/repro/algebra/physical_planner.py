@@ -1,9 +1,11 @@
 """Physical planning and execution of logical plans.
 
-Bridges the extended algebra to the physical operators: relational nodes
-map onto :mod:`repro.relational.operators`; :class:`EmbedNode` runs the
-model through an :class:`~repro.embedding.cache.EmbeddingStore` (embed-once
-semantics); :class:`EJoinNode` is dispatched to a physical join strategy —
+The one execution path: :func:`_execute` walks the logical plan and runs
+relational nodes as :class:`~repro.relational.table.Table` primitives
+(``mask`` / ``select`` / ``slice`` / ``equi_join``); :class:`EmbedNode` runs
+the model through an :class:`~repro.embedding.cache.EmbeddingStore`
+(embed-once semantics); :class:`EJoinNode` is dispatched to a physical join
+strategy —
 tensor scan, index probe (with relational pre-filtering pushed into the
 probe), or the deliberately-naive per-pair NLJ when prefetching was not
 enabled by the optimizer.
@@ -286,10 +288,7 @@ def _execute(node: LogicalNode, ctx: ExecutionContext, report: ExecutionReport) 
     if isinstance(node, EquiJoinNode):
         left = _execute(node.left, ctx, report)
         right = _execute(node.right, ctx, report)
-        from ..relational.operators import HashJoin, Scan
-
-        op = HashJoin(Scan(left), Scan(right), node.left_key, node.right_key)
-        return op.execute()
+        return left.equi_join(right, node.left_key, node.right_key)
     if isinstance(node, EJoinNode):
         return _execute_ejoin(node, ctx, report)
     if isinstance(node, ESelectNode):

@@ -207,11 +207,6 @@ def configure(**overrides) -> ReproConfig:
     return _config
 
 
-def set_seed(seed: int) -> None:
-    """Reset the global base seed (affects subsequently created streams)."""
-    _config.seed = int(seed)
-
-
 def rng(name: str = "default") -> np.random.Generator:
     """Convenience accessor: deterministic generator for ``name``."""
     return _config.rng(name)

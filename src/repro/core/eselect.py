@@ -6,14 +6,10 @@ similarity to the query satisfies theta.  Its cost is the paper's
 E-Selection Cost equation, ``|R| * (A + M + C)`` — linear, with the model
 term removable by prefetching exactly as in the join.
 
-Both access paths are provided:
-
-* :func:`eselect` — scan-based, exact, any condition;
-* :func:`eselect_index` — probe-based, approximate, top-k-native.
-
-The scan path runs as **prescreen + exact rescore**: a fast BLAS pass
-produces approximate scores whose only job is to select a provable
-candidate superset, and the emitted rows are then re-scored with the
+:func:`eselect` is scan-based and exact under any condition.  It runs as
+**prescreen + exact rescore**: a fast BLAS pass produces approximate scores
+whose only job is to select a provable candidate superset, and the
+emitted rows are then re-scored with the
 shape-stable :func:`~repro.vector.kernels.stable_dot_scores` kernel.
 Emitted ids and scores are therefore a pure function of the data and the
 query — independent of how the scan was blocked or batched — which is
@@ -29,7 +25,6 @@ import numpy as np
 
 from ..embedding.base import EmbeddingModel
 from ..errors import DimensionalityError, JoinError
-from ..index.base import VectorIndex
 from ..vector.kernels import stable_dot_scores
 from ..vector.norms import normalize_rows, normalize_vector
 from .conditions import (
@@ -215,46 +210,6 @@ def eselect(
         ids, scores, _ = guarded_topk_select(
             normalized, candidates, float(floor), qvec, condition
         )
-    stats.seconds = time.perf_counter() - start
-    stats.pairs_emitted = len(ids)
-    return SelectionResult(ids, scores, stats)
-
-
-def eselect_index(
-    index: VectorIndex,
-    query,
-    condition: JoinCondition,
-    *,
-    model: EmbeddingModel | None = None,
-    allowed: np.ndarray | None = None,
-    probe_k: int = 32,
-) -> SelectionResult:
-    """Probe-based E-selection against a built vector index.
-
-    Threshold conditions are emulated via top-``probe_k`` retrieval plus a
-    post-filter — the same build-time-distance limitation as the index join.
-    """
-    validate_condition(condition)
-    if probe_k < 1:
-        raise JoinError(f"probe_k must be >= 1, got {probe_k}")
-    stats = JoinStats(strategy=f"eselect/{type(index).__name__.lower()}")
-    start = time.perf_counter()
-    stats.n_left = len(index)
-    qvec = _query_vector(query, model, stats)
-    if qvec.shape[0] != index.dim:
-        raise DimensionalityError(
-            f"query dim {qvec.shape[0]} != index dim {index.dim}"
-        )
-    if isinstance(condition, TopKCondition):
-        k, post = condition.k, condition.min_similarity
-    else:
-        assert isinstance(condition, ThresholdCondition)
-        k, post = probe_k, condition.threshold
-    found = index.search(qvec, k, allowed=allowed, assume_normalized=True)
-    ids, scores = found.ids, found.scores
-    if post is not None:
-        keep = scores >= post
-        ids, scores = ids[keep], scores[keep]
     stats.seconds = time.perf_counter() - start
     stats.pairs_emitted = len(ids)
     return SelectionResult(ids, scores, stats)

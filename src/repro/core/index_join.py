@@ -145,21 +145,3 @@ def index_join(
         result = JoinResult(*(np.concatenate(c) for c in zip(*parts)), stats)
     stats.seconds = time.perf_counter() - start
     return result
-
-
-def build_index_for_join(
-    right,
-    index_factory,
-    *,
-    model: EmbeddingModel | None = None,
-) -> VectorIndex:
-    """Build an index over the right relation's vectors.
-
-    ``index_factory`` is a callable ``dim -> VectorIndex`` (e.g.
-    ``lambda d: HNSWIndex(d, m=16)``).  Raw items are prefetch-embedded.
-    """
-    stats = JoinStats()
-    right_m = _as_matrix(right, model, stats)
-    index = index_factory(right_m.shape[1])
-    index.add(right_m)
-    return index

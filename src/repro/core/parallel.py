@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import ExecutionEngine, partition_rows
+from ..engine import ExecutionEngine
 from ..errors import JoinError
 from ..vector.kernels import Kernel
 from .conditions import JoinCondition, validate_condition
 from .nlj import prefetch_nlj
 from .result import JoinResult
 from .tensor_join import tensor_join
-
-__all__ = ["parallel_join", "partition_rows"]
 
 
 def parallel_join(

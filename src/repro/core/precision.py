@@ -21,20 +21,12 @@ import time
 import numpy as np
 
 from ..embedding.base import EmbeddingModel
-from ..errors import JoinError
 from ..vector.norms import normalize_rows
 from .conditions import JoinCondition, validate_condition
 from .nlj import _as_matrices
-from .quantized_join import quantized_tensor_join
 from .result import JoinResult, JoinStats
 from .scan import scan_join
-from .tensor_join import dense_scorer, tensor_join
-
-#: Supported storage precisions for the tensor join operands.  ``fp32`` /
-#: ``fp16`` scan exactly at full/half operand width; ``int8`` / ``pq``
-#: dispatch to the quantized access paths (approximate code scan plus
-#: exact fp32 re-rank, :mod:`repro.core.quantized_join`).
-PRECISIONS = ("fp32", "fp16", "int8", "pq")
+from .tensor_join import dense_scorer
 
 #: Rows normalized at a time on the way into fp16 storage.
 _QUANTIZE_ROWS = 4096
@@ -101,23 +93,3 @@ def tensor_join_fp16(
     )
     stats.seconds = time.perf_counter() - start
     return result
-
-
-def join_with_precision(
-    left,
-    right,
-    condition: JoinCondition,
-    *,
-    precision: str = "fp32",
-    model: EmbeddingModel | None = None,
-    batch_left: int | None = None,
-    batch_right: int | None = None,
-) -> JoinResult:
-    """Dispatch a tensor join at the requested operand precision."""
-    if precision not in PRECISIONS:
-        raise JoinError(f"unknown precision {precision!r}; have {PRECISIONS}")
-    common = dict(model=model, batch_left=batch_left, batch_right=batch_right)
-    if precision in ("int8", "pq"):
-        return quantized_tensor_join(left, right, condition, method=precision, **common)
-    join = tensor_join if precision == "fp32" else tensor_join_fp16
-    return join(left, right, condition, **common)

@@ -1,16 +1,10 @@
 """Embedding substrate: models, training corpus, cache, registry."""
 
-from .base import EmbeddingModel, ModelUsage
+from .base import EmbeddingModel
 from .cache import EmbeddingStore
-from .corpus import (
-    DEFAULT_TOPICS,
-    SemanticCorpus,
-    generate_corpus,
-    make_misspelling,
-    pluralize,
-)
+from .corpus import DEFAULT_TOPICS, generate_corpus, make_misspelling, pluralize
 from .fasttext import FastTextModel
-from .hashing_model import HashingEmbedder, char_ngrams, hash_ngram
+from .hashing_model import HashingEmbedder
 from .registry import ModelRegistry, default_registry
 
 __all__ = [
@@ -20,12 +14,8 @@ __all__ = [
     "FastTextModel",
     "HashingEmbedder",
     "ModelRegistry",
-    "ModelUsage",
-    "SemanticCorpus",
-    "char_ngrams",
     "default_registry",
     "generate_corpus",
-    "hash_ngram",
     "make_misspelling",
     "pluralize",
 ]

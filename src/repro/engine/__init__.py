@@ -10,17 +10,11 @@ pools themselves; block shapes come from the one rule in
 morsel size and buffer budget.
 """
 
-from .executor import EngineStats, ExecutionEngine, serial_engine
-from .morsel import Morsel, make_morsels, partition_rows
-from .scheduler import SchedulerStats, WorkStealingScheduler
+from .executor import ExecutionEngine, serial_engine
+from .morsel import partition_rows
 
 __all__ = [
-    "EngineStats",
     "ExecutionEngine",
-    "Morsel",
-    "SchedulerStats",
-    "WorkStealingScheduler",
-    "make_morsels",
     "partition_rows",
     "serial_engine",
 ]

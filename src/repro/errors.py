@@ -107,10 +107,6 @@ class WorkerKilledFault(ReproError):
     """
 
 
-class CircuitOpenError(PermanentError):
-    """An access path was requested while its circuit breaker is open."""
-
-
 class ServiceError(ReproError):
     """The concurrent query service was misused or failed internally."""
 

@@ -1,38 +1,15 @@
 """Vector index substrate: flat exact index and from-scratch HNSW."""
 
-from .base import IndexStats, SearchResult, VectorIndex
-from .filtering import (
-    bitmap_from_indices,
-    bitmap_from_predicate,
-    bitmap_selectivity,
-    combine_and,
-)
+from .base import SearchResult, VectorIndex
 from .flat import FlatIndex
 from .ivf import IVFFlatIndex, kmeans
-from .ivfpq import IVFPQIndex
-from .hnsw import (
-    HNSWIndex,
-    PAPER_CONFIG_HI,
-    PAPER_CONFIG_LO,
-    SCALED_CONFIG_HI,
-    SCALED_CONFIG_LO,
-)
+from .hnsw import HNSWIndex
 
 __all__ = [
     "FlatIndex",
     "HNSWIndex",
     "IVFFlatIndex",
-    "IVFPQIndex",
     "kmeans",
-    "IndexStats",
-    "PAPER_CONFIG_HI",
-    "PAPER_CONFIG_LO",
-    "SCALED_CONFIG_HI",
-    "SCALED_CONFIG_LO",
     "SearchResult",
     "VectorIndex",
-    "bitmap_from_indices",
-    "bitmap_from_predicate",
-    "bitmap_selectivity",
-    "combine_and",
 ]

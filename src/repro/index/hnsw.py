@@ -31,13 +31,6 @@ from ..errors import IndexError_
 from ..vector.norms import normalize_vector
 from .base import SearchResult, VectorIndex
 
-#: Paper configurations (Section VI-E): Hi = M 64 / efC 512, Lo = M 32 / efC 256.
-PAPER_CONFIG_HI = {"m": 64, "ef_construction": 512}
-PAPER_CONFIG_LO = {"m": 32, "ef_construction": 256}
-#: Scaled-down counterparts keeping the 2x Hi/Lo ratio (see EXPERIMENTS.md).
-SCALED_CONFIG_HI = {"m": 16, "ef_construction": 128}
-SCALED_CONFIG_LO = {"m": 8, "ef_construction": 64}
-
 
 class HNSWIndex(VectorIndex):
     """Approximate cosine top-k index with HNSW graph layout."""

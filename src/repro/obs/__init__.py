@@ -30,26 +30,12 @@ capacity are ``QueryService`` keywords; ``REPRO_OBS_CAPTURE`` and
 
 from importlib import import_module
 
-from .critical_path import SlowQueryLog, critical_path, summarize_trace
+from .critical_path import SlowQueryLog
 from .explain import render_explain
 from .export import prometheus_text, traces_jsonl
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry,
-    reset_registry,
-)
+from .metrics import Counter, registry, reset_registry
 from .server import ObservabilityServer
-from .trace import (
-    Span,
-    Trace,
-    Tracer,
-    current_trace,
-    query_scope,
-    span,
-)
+from .trace import Tracer, current_trace, query_scope, span
 
 # capture/replay pull in the plan algebra, which is not importable while
 # the core packages are still initializing — and ``repro.obs`` *is*
@@ -57,14 +43,8 @@ from .trace import (
 # module-level attributes (PEP 562) break the cycle without making
 # callers spell out submodules.
 _LAZY = {
-    "UnsupportedPlanError": ".capture",
     "WorkloadRecorder": ".capture",
-    "load_workload": ".capture",
-    "plan_from_dict": ".capture",
-    "plan_to_dict": ".capture",
-    "result_digest": ".capture",
     "WorkloadReplayer": ".replay",
-    "replay_workload": ".replay",
 }
 
 
@@ -77,30 +57,17 @@ def __getattr__(name: str):
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "ObservabilityServer",
     "SlowQueryLog",
-    "Span",
-    "Trace",
     "Tracer",
-    "UnsupportedPlanError",
     "WorkloadRecorder",
     "WorkloadReplayer",
-    "critical_path",
     "current_trace",
-    "load_workload",
-    "plan_from_dict",
-    "plan_to_dict",
     "prometheus_text",
     "query_scope",
     "registry",
     "render_explain",
-    "replay_workload",
     "reset_registry",
-    "result_digest",
     "span",
-    "summarize_trace",
     "traces_jsonl",
 ]

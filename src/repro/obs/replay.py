@@ -241,8 +241,3 @@ class WorkloadReplayer:
             "mismatches": mismatches,
             "ok": mismatched == 0 and hard_errors == 0,
         }
-
-
-def replay_workload(workload, service, **kwargs) -> dict:
-    """One-call convenience: build a replayer and run it."""
-    return WorkloadReplayer(workload, **kwargs).run(service)

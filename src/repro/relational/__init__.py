@@ -1,17 +1,8 @@
-"""Relational engine substrate: columnar storage, expressions, operators."""
+"""Relational engine substrate: columnar tables, expressions, catalog."""
 
-from .catalog import Catalog, ColumnStats
-from .column import Column, date_to_days, days_to_date
-from .expressions import (
-    Col,
-    Comparison,
-    Expression,
-    InList,
-    Literal,
-    StringPredicate,
-    selectivity,
-)
-from .io import load_table, save_table
+from .catalog import Catalog
+from .column import Column, date_to_days
+from .expressions import Col, Expression, selectivity
 from .schema import DataType, Field, Schema
 from .table import Table
 
@@ -19,19 +10,11 @@ __all__ = [
     "Catalog",
     "Col",
     "Column",
-    "ColumnStats",
-    "Comparison",
     "DataType",
     "Expression",
     "Field",
-    "InList",
-    "Literal",
     "Schema",
-    "StringPredicate",
     "Table",
     "date_to_days",
-    "load_table",
-    "save_table",
-    "days_to_date",
     "selectivity",
 ]

@@ -268,40 +268,6 @@ class InList(Expression):
         return f"({self.child!r} in {self.values!r})"
 
 
-@dataclass(eq=False)
-class StringPredicate(Expression):
-    """Exact string predicates (prefix/suffix/contains).
-
-    These are the "well-specified pattern" string operations a traditional
-    RDBMS supports (paper Section I) — contrast with the semantic similarity
-    the E-operators provide.
-    """
-
-    kind: str  # "prefix" | "suffix" | "contains"
-    child: Expression
-    needle: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("prefix", "suffix", "contains"):
-            raise ExpressionError(f"unknown string predicate {self.kind!r}")
-
-    def evaluate(self, table: Table) -> np.ndarray:
-        data = self.child.evaluate(table)
-        if self.kind == "prefix":
-            test = lambda s: str(s).startswith(self.needle)
-        elif self.kind == "suffix":
-            test = lambda s: str(s).endswith(self.needle)
-        else:
-            test = lambda s: self.needle in str(s)
-        return np.asarray([test(v) for v in data], dtype=bool)
-
-    def columns(self) -> set[str]:
-        return self.child.columns()
-
-    def __repr__(self) -> str:
-        return f"{self.kind}({self.child!r}, {self.needle!r})"
-
-
 def validate_boolean(expr: Expression, table: Table) -> np.ndarray:
     """Evaluate ``expr`` and insist the result is a boolean bitmap."""
     result = expr.evaluate(table)

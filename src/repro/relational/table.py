@@ -214,6 +214,38 @@ class Table:
             cols[out] = other.columns[name].rename(out)
         return Table(schema, cols)
 
+    def equi_join(
+        self,
+        other: "Table",
+        left_key: str,
+        right_key: str,
+    ) -> "Table":
+        """Hash equi-join: build on ``other``, probe with ``self``.
+
+        Output is left-major with each left row's matches in ascending
+        right position; overlapping names take ``l_`` / ``r_``.  Similarity
+        predicates over embeddings need pairwise comparison, not hashing
+        (paper Section IV-A), so tensor keys are rejected.
+        """
+        for table, key in ((self, left_key), (other, right_key)):
+            if table.schema.field(key).dtype is DataType.TENSOR:
+                raise TypeMismatchError(
+                    "equi-join over tensor keys is not meaningful; use an "
+                    "E-join (similarity) operator instead"
+                )
+        positions: dict[object, list[int]] = {}
+        for j, key in enumerate(other.array(right_key)):
+            positions.setdefault(key, []).append(j)
+        left_idx: list[int] = []
+        right_idx: list[int] = []
+        for i, key in enumerate(self.array(left_key)):
+            matches = positions.get(key, ())
+            left_idx.extend([i] * len(matches))
+            right_idx.extend(matches)
+        return self.take(np.asarray(left_idx, dtype=np.intp)).zip_columns(
+            other.take(np.asarray(right_idx, dtype=np.intp))
+        )
+
     def sort_by(self, name: str, *, descending: bool = False) -> "Table":
         col = self.column(name)
         if col.dtype in (DataType.STRING, DataType.CONTEXT):

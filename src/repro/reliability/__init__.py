@@ -8,39 +8,18 @@ bit-identical results — the layer trades latency for availability,
 never accuracy.
 """
 
-from .breaker import (
-    BreakerRegistry,
-    CircuitBreaker,
-    breakers,
-    reset_breakers,
-)
-from .faults import (
-    KINDS,
-    SITES,
-    FaultInjector,
-    active_injector,
-    clear_injector,
-    install_injector,
-    maybe_inject,
-    reload_from_config,
-)
+from .breaker import breakers, reset_breakers
+from .faults import active_injector, clear_injector, install_injector, maybe_inject
 from .health import ServiceHealth
-from .retry import BoundRetry, RetryBudget, RetryPolicy, RetryStats
+from .retry import BoundRetry, RetryBudget, RetryPolicy
 from .runtime import current_deadline, current_retry_budget, deadline_scope
-from .watchdog import WatchdogEvents, WatchdogPolicy
+from .watchdog import WatchdogPolicy
 
 __all__ = [
-    "KINDS",
-    "SITES",
     "BoundRetry",
-    "BreakerRegistry",
-    "CircuitBreaker",
-    "FaultInjector",
     "RetryBudget",
     "RetryPolicy",
-    "RetryStats",
     "ServiceHealth",
-    "WatchdogEvents",
     "WatchdogPolicy",
     "active_injector",
     "breakers",
@@ -50,6 +29,5 @@ __all__ = [
     "deadline_scope",
     "install_injector",
     "maybe_inject",
-    "reload_from_config",
     "reset_breakers",
 ]

@@ -1,7 +1,7 @@
 """Deterministic, seedable fault injection (the chaos-testing substrate).
 
 Every failure-hardened layer of the engine calls :func:`maybe_inject` at
-its *injection site* — engine worker loops, BLAS kernel wrappers,
+its *injection site* — engine worker loops, the exact re-score kernel,
 quantized-store builds, index probes, the service dispatcher.  With no
 injector installed (the production default, ``REPRO_FAULT_RATE=0``) the
 call is one module-global ``None`` check; with one installed, each site
@@ -32,16 +32,6 @@ import zlib
 
 from ..config import get_config, mix32
 from ..errors import PermanentFault, TransientFault, WorkerKilledFault
-
-#: Every injection site wired into the engine and service layers.
-SITES = (
-    "engine.worker",
-    "kernel.gemm",
-    "kernel.rescore",
-    "quant.build",
-    "index.probe",
-    "service.dispatch",
-)
 
 #: Fault kinds the injector can draw.
 KINDS = ("transient", "permanent", "latency", "hang", "kill")

@@ -1,9 +1,10 @@
-"""Watchdog policy and event counters for worker self-healing.
+"""Watchdog policy for worker self-healing.
 
 The mechanism lives in :class:`~repro.engine.scheduler.WorkStealingScheduler`
 (heartbeats, respawn, re-enqueue); this module holds the *policy* — how
 long a silent worker is tolerated, how often to look, how many respawns
-one run may consume — and the counters the health snapshot reports.
+one run may consume; the counters the health snapshot reports are the
+scheduler's own (``SchedulerStats``).
 
 Two properties keep the watchdog (nearly) free when nothing is wrong:
 
@@ -17,8 +18,6 @@ Two properties keep the watchdog (nearly) free when nothing is wrong:
 """
 
 from __future__ import annotations
-
-import threading
 
 from ..config import get_config
 
@@ -49,23 +48,3 @@ class WatchdogPolicy:
         watchdog ≤1.25× detection latency without busy-waiting.
         """
         return min(self.stall_s / 4.0, 0.05) if self.enabled else 0.05
-
-
-class WatchdogEvents:
-    """Thread-safe counters for everything the watchdog did."""
-
-    def __init__(self) -> None:
-        self.stalls = 0
-        self.worker_deaths = 0
-        self.respawns = 0
-        self.reenqueued = 0
-        self._lock = threading.Lock()
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "stalls": self.stalls,
-                "worker_deaths": self.worker_deaths,
-                "respawns": self.respawns,
-                "reenqueued": self.reenqueued,
-            }

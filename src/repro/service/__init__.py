@@ -13,9 +13,8 @@ a multi-client service:
   backpressure (group commit), never by waiting on a timer,
 * :mod:`~repro.service.plan_cache` — repeated query shapes skip the
   optimizer via parameterized plan-fingerprint templates,
-* :mod:`~repro.service.semantic_cache` — exact and (opt-in) cosine
-  near-duplicate result caching with TTL, LRU eviction, catalog-version
-  invalidation, and (opt-in) TinyLFU cost-aware admission,
+* :mod:`~repro.service.semantic_cache` — exact-key result caching with
+  TTL, LRU eviction and catalog-version invalidation,
 * :mod:`~repro.service.qos` — the QoS primitives: deadlines, priorities,
   EWMA estimators, and the explicit ``degraded`` response contract,
 * :mod:`~repro.service.service` — the :class:`QueryService` facade and
@@ -25,54 +24,13 @@ a multi-client service:
   bounded dispatcher pool.
 """
 
-from .admission import AdmissionController, AdmissionStats
-from .async_front import AsyncFrontStats, AsyncQueryService
-from .coalescer import (
-    CoalescerStats,
-    CoalescingScheduler,
-    SharedScanRequest,
-    materialize_selection,
-    unwrap_shared_scan,
-)
-from .plan_cache import PlanCache, PlanCacheStats, fingerprint, parameterize, substitute
-from .qos import (
-    DEFAULT_PRIORITY,
-    EWMA,
-    ExecTimeTracker,
-    FrequencySketch,
-    QoSParams,
-    QoSStats,
-    QueryResponse,
-)
-from .semantic_cache import ResultCacheStats, SemanticResultCache, table_versions
-from .service import QueryService, ServiceStats, SessionHandle
+from .async_front import AsyncQueryService
+from .qos import QueryResponse
+from .service import QueryService, SessionHandle
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionStats",
-    "AsyncFrontStats",
     "AsyncQueryService",
-    "CoalescerStats",
-    "CoalescingScheduler",
-    "DEFAULT_PRIORITY",
-    "EWMA",
-    "ExecTimeTracker",
-    "FrequencySketch",
-    "PlanCache",
-    "PlanCacheStats",
-    "QoSParams",
-    "QoSStats",
     "QueryResponse",
     "QueryService",
-    "ResultCacheStats",
-    "SemanticResultCache",
-    "ServiceStats",
     "SessionHandle",
-    "SharedScanRequest",
-    "fingerprint",
-    "materialize_selection",
-    "parameterize",
-    "substitute",
-    "table_versions",
-    "unwrap_shared_scan",
 ]

@@ -1,10 +1,12 @@
 """Tail-latency QoS primitives: deadlines, priorities, and estimators.
 
-The serving gap this module closes is the one ``fig_service`` measures:
-under heavy concurrency, queue wait dominates latency and p99 collapses
-to ~46x the single-client value.  The QoS layer keeps tails flat by
-making two decisions *before* work is executed, both of which need
-cheap online estimates:
+The serving gap this module closes opens once clients outnumber execution
+slots: queue wait dominates latency and p99 collapses to a large multiple
+of the single-client value.  (No frozen workload runs in that regime:
+``serve_hot`` in ``benchmarks/e2e/README.md`` prices this scaffold on the
+uncontended path; the 64-client shed cell is ROADMAP item 1.)  The QoS
+layer keeps tails flat by making two decisions *before* work is executed,
+both of which need cheap online estimates:
 
 * **shed** — a query whose deadline is provably unmeetable (already
   expired, or the execution-time EWMA says even the cheapest path cannot
@@ -26,8 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..relational.table import Table
 
@@ -207,69 +207,3 @@ class QoSStats:
             "deadline_met": self.deadline_met,
             "deadline_missed": self.deadline_missed,
         }
-
-
-def _mix(h: int, salt: int) -> int:
-    """Cheap 32-bit integer mix (xorshift-multiply)."""
-    x = (h ^ salt) & 0xFFFFFFFF
-    x = (x * 0x9E3779B1) & 0xFFFFFFFF
-    x ^= x >> 15
-    x = (x * 0x85EBCA6B) & 0xFFFFFFFF
-    x ^= x >> 13
-    return x
-
-
-class FrequencySketch:
-    """Count-min sketch with periodic halving — TinyLFU's frequency memory.
-
-    Estimates how often a key has been *asked for* recently, in O(depth)
-    per record/estimate and a fixed few KiB of memory.  After
-    ``sample_multiple * width`` recordings every counter halves, so stale
-    popularity decays and the sketch tracks the current workload.
-
-    Used by :class:`~repro.service.semantic_cache.SemanticResultCache`
-    for cost-aware admission: a new entry only displaces the LRU victim
-    when ``frequency * cost`` says it is worth more.
-    """
-
-    def __init__(
-        self, width: int = 2048, depth: int = 4, sample_multiple: int = 8
-    ) -> None:
-        if width < 2 or depth < 1:
-            raise ValueError("width must be >= 2 and depth >= 1")
-        w = 1
-        while w < width:
-            w <<= 1
-        self._table = np.zeros((depth, w), dtype=np.uint32)
-        self._mask = w - 1
-        self._salts = [
-            _mix(0xB5297A4D * (i + 1), 0x68E31DA4) for i in range(depth)
-        ]
-        self._ops = 0
-        self._sample = max(1, sample_multiple) * w
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def key_hash(key) -> int:
-        """Stable-within-process 32-bit hash of any hashable key."""
-        return hash(key) & 0xFFFFFFFF
-
-    def record(self, h: int) -> None:
-        """Count one access of the key hashed to ``h``."""
-        with self._lock:
-            for i, salt in enumerate(self._salts):
-                self._table[i, _mix(h, salt) & self._mask] += 1
-            self._ops += 1
-            if self._ops >= self._sample:
-                self._table >>= 1
-                self._ops //= 2
-
-    def estimate(self, h: int) -> int:
-        """Approximate recent access count of the key hashed to ``h``."""
-        with self._lock:
-            return int(
-                min(
-                    self._table[i, _mix(h, salt) & self._mask]
-                    for i, salt in enumerate(self._salts)
-                )
-            )

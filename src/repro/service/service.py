@@ -237,10 +237,6 @@ class QueryService:
         plan_cache_size: optimized-plan template cache capacity.
         result_cache_size: semantic result cache capacity (0 disables).
         result_cache_ttl_s: result cache entry time-to-live.
-        near_dup_threshold: opt-in cosine threshold for approximate
-            result-cache hits (``None`` keeps results exact).
-        result_cache_tinylfu: enable TinyLFU cost-aware admission on the
-            result cache.
         obs_enabled: master switch for per-query trace sampling.
         obs_sample_rate: fraction of submissions traced (deterministic
             counter-hash schedule; ``explain_analyze`` bypasses it).
@@ -279,8 +275,6 @@ class QueryService:
         plan_cache_size: int | None = None,
         result_cache_size: int | None = None,
         result_cache_ttl_s: float | None = None,
-        near_dup_threshold: float | None = None,
-        result_cache_tinylfu: bool | None = None,
         obs_enabled: bool | None = None,
         obs_sample_rate: float | None = None,
         obs_ring_size: int | None = None,
@@ -299,12 +293,7 @@ class QueryService:
         )
         self.plans = PlanCache(**_given(capacity=plan_cache_size))
         self.results = SemanticResultCache(
-            **_given(
-                capacity=result_cache_size,
-                ttl_s=result_cache_ttl_s,
-                near_dup_threshold=near_dup_threshold,
-                tinylfu=result_cache_tinylfu,
-            )
+            **_given(capacity=result_cache_size, ttl_s=result_cache_ttl_s)
         )
         self.coalescer = (
             CoalescingScheduler(engine, **_given(max_batch=coalesce_max_batch))
@@ -661,13 +650,9 @@ class QueryService:
             result = self._dispatch(optimized, qos, tag)
             exec_seconds = time.perf_counter() - exec_start
             self.qos_tracker.observe("full", exec_seconds)
-            # The seconds it took to compute weigh this entry in TinyLFU
-            # cost-aware admission duels.
             with span("cache.store") as sp:
                 sp.set(cost_s=exec_seconds)
-                self.results.store(
-                    fkey, versions, params, result, cost=exec_seconds
-                )
+                self.results.store(fkey, versions, params, result)
             slot.result = result
         except (KeyboardInterrupt, SystemExit):
             # Waiters still get a resolved future — a clean service error,

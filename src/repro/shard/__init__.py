@@ -10,28 +10,11 @@ exact-rescores, so sharded results are bit-identical to serial for every
 precision.
 """
 
-from .envelope import ENVELOPE_VERSION, make_task, open_task
-from .pool import SHARD_PRECISIONS, ShardPool, ShardScanResult
-from .store import (
-    AttachedSegment,
-    SegmentOwner,
-    SegmentSpec,
-    leaked_segments,
-    segment_prefix,
-)
-from .worker import worker_main
+from .pool import ShardPool
+from .store import leaked_segments, segment_prefix
 
 __all__ = [
-    "ENVELOPE_VERSION",
-    "SHARD_PRECISIONS",
-    "AttachedSegment",
-    "SegmentOwner",
-    "SegmentSpec",
     "ShardPool",
-    "ShardScanResult",
     "leaked_segments",
-    "make_task",
-    "open_task",
     "segment_prefix",
-    "worker_main",
 ]

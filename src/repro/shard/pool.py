@@ -110,10 +110,6 @@ class _Manifest:
     bounds: dict = field(default_factory=dict)       # precision -> float
 
 
-#: Supported shard-scan precisions, in publish-cost order.
-SHARD_PRECISIONS = ("fp32", "fp16", "int8", "pq")
-
-
 class ShardPool:
     """A persistent pool of shard worker processes behind one engine.
 

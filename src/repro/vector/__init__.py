@@ -2,16 +2,12 @@
 
 from .kernels import (
     Kernel,
-    cosine_matrix,
     cosine_matrix_gemm,
-    cosine_matrix_scalar,
     cosine_matrix_vectorized,
     cosine_scalar,
-    cosine_vectorized,
-    dot_scalar,
     stable_dot_scores,
 )
-from .norms import is_normalized, l2_norms, normalize_rows, normalize_vector
+from .norms import normalize_rows, normalize_vector
 from .quant import Int8Quantizer, ProductQuantizer, VectorQuantizer, int8_dot
 from .topk import top_k_indices, top_k_per_row
 
@@ -21,15 +17,9 @@ __all__ = [
     "ProductQuantizer",
     "VectorQuantizer",
     "int8_dot",
-    "cosine_matrix",
     "cosine_matrix_gemm",
-    "cosine_matrix_scalar",
     "cosine_matrix_vectorized",
     "cosine_scalar",
-    "cosine_vectorized",
-    "dot_scalar",
-    "is_normalized",
-    "l2_norms",
     "normalize_rows",
     "normalize_vector",
     "stable_dot_scores",

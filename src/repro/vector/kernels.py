@@ -45,17 +45,6 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def dot_scalar(a: np.ndarray, b: np.ndarray) -> float:
-    """Pure-Python dot product (the NO-SIMD kernel)."""
-    _check_pair(a, b)
-    total = 0.0
-    av = a.tolist()
-    bv = b.tolist()
-    for x, y in zip(av, bv):
-        total += x * y
-    return total
-
-
 def cosine_scalar(a: np.ndarray, b: np.ndarray) -> float:
     """Pure-Python cosine similarity between two vectors."""
     _check_pair(a, b)
@@ -70,35 +59,6 @@ def cosine_scalar(a: np.ndarray, b: np.ndarray) -> float:
     if denom < ZERO_NORM_EPS:
         return 0.0
     return dot / denom
-
-
-def cosine_vectorized(a: np.ndarray, b: np.ndarray) -> float:
-    """NumPy cosine similarity between two vectors (the SIMD kernel)."""
-    _check_pair(a, b)
-    dot = float(a @ b)
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if denom < ZERO_NORM_EPS:
-        return 0.0
-    return dot / denom
-
-
-def cosine_matrix_scalar(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """All-pairs cosine via pure-Python loops: ``(n, m)`` result.
-
-    Deliberately interpreted row-by-row — this is the performance baseline
-    for the "NO-SIMD" series in Figure 8.
-    """
-    left = np.asarray(left)
-    right = np.asarray(right)
-    if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
-        raise DimensionalityError(
-            f"incompatible shapes {left.shape} x {right.shape}"
-        )
-    out = np.empty((left.shape[0], right.shape[0]), dtype=np.float32)
-    for i in range(left.shape[0]):
-        for j in range(right.shape[0]):
-            out[i, j] = cosine_scalar(left[i], right[j])
-    return out
 
 
 def cosine_matrix_vectorized(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -185,23 +145,3 @@ def stable_dot_scores(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
         np.float64
     )
     return products.sum(axis=1).astype(np.float32)
-
-
-_MATRIX_KERNELS = {
-    Kernel.SCALAR: cosine_matrix_scalar,
-    Kernel.VECTORIZED: cosine_matrix_vectorized,
-    Kernel.GEMM: cosine_matrix_gemm,
-}
-
-
-def cosine_matrix(
-    left: np.ndarray, right: np.ndarray, *, kernel: Kernel = Kernel.GEMM
-) -> np.ndarray:
-    """Dispatch an all-pairs cosine computation to the chosen kernel.
-
-    Chaos-testing injection site ``kernel.gemm``: the fault (if any)
-    fires *before* the BLAS call, so a retried invocation recomputes the
-    identical result from the unchanged operands.
-    """
-    maybe_inject("kernel.gemm")
-    return _MATRIX_KERNELS[kernel](left, right)

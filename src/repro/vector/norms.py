@@ -47,12 +47,3 @@ def normalize_vector(vec: np.ndarray) -> np.ndarray:
     if norm < ZERO_NORM_EPS:
         return np.zeros_like(vec)
     return vec / np.float32(norm)
-
-
-def is_normalized(matrix: np.ndarray, *, atol: float = 1e-3) -> bool:
-    """True if every non-zero row has unit norm within tolerance."""
-    norms = l2_norms(np.asarray(matrix, dtype=np.float32))
-    nonzero = norms > ZERO_NORM_EPS
-    if not np.any(nonzero):
-        return True
-    return bool(np.allclose(norms[nonzero], 1.0, atol=atol))

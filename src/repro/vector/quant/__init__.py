@@ -7,11 +7,10 @@ beyond fp16).
 """
 
 from .base import VectorQuantizer
-from .pq import MAX_KS, ProductQuantizer
+from .pq import ProductQuantizer
 from .scalar import Int8Quantizer, int8_dot
 
 __all__ = [
-    "MAX_KS",
     "Int8Quantizer",
     "ProductQuantizer",
     "VectorQuantizer",

@@ -1,15 +1,7 @@
 """Seeded synthetic workload generators."""
 
-from .selectivity import (
-    SEL_ATTR,
-    filter_bitmap,
-    selectivity_predicate,
-    selectivity_values,
-    vector_relation,
-)
 from .strings import DirtyStringWorkload, generate_dirty_strings
 from .synthetic import (
-    clustered_vectors,
     embedding_like_vectors,
     paired_relations,
     random_vectors,
@@ -18,15 +10,9 @@ from .synthetic import (
 
 __all__ = [
     "DirtyStringWorkload",
-    "SEL_ATTR",
-    "clustered_vectors",
     "embedding_like_vectors",
-    "filter_bitmap",
     "generate_dirty_strings",
     "paired_relations",
     "random_vectors",
-    "selectivity_predicate",
-    "selectivity_values",
     "unit_vectors",
-    "vector_relation",
 ]

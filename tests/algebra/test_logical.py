@@ -10,7 +10,6 @@ from repro.algebra import (
     LimitNode,
     ProjectNode,
     ScanNode,
-    plan_equal,
     walk,
 )
 from repro.core import ThresholdCondition
@@ -85,9 +84,9 @@ class TestTraversal:
         assert lines[1].startswith("  Scan")
 
     def test_plan_equality(self):
-        assert plan_equal(make_ejoin(), make_ejoin())
+        assert make_ejoin() == make_ejoin()
         other = EJoinNode(
             ScanNode("feed"), ScanNode("words"), "text", "word", "model",
             ThresholdCondition(0.8),
         )
-        assert not plan_equal(make_ejoin(), other)
+        assert make_ejoin() != other

@@ -8,12 +8,11 @@ from repro.algebra import (
     FilterNode,
     Optimizer,
     ProjectNode,
-    PushFilterBelowEmbed,
     ScanNode,
-    default_rules,
-    visible_columns,
     walk,
 )
+from repro.algebra.optimizer import visible_columns
+from repro.algebra.rules import PushFilterBelowEmbed, default_rules
 from repro.algebra.rules import OrderEJoinInputs, PrefetchEmbeddings
 from repro.core import ThresholdCondition, TopKCondition
 from repro.relational import Catalog, Col

@@ -12,7 +12,6 @@ from repro.algebra import (
     ScanNode,
     execute,
 )
-from repro.algebra.costing import estimate_cost
 from repro.config import configure
 from repro.core import TopKCondition, choose_scan_precision
 from repro.embedding import HashingEmbedder, ModelRegistry
@@ -296,23 +295,3 @@ class TestFp16Knob:
         configure(default_precision="fp16")
         got = ejoin(left, right, TopKCondition(2), strategy="auto")
         assert got.stats.strategy == "tensor-fp16"
-
-
-class TestCosting:
-    def test_quantized_precision_changes_breakdown(self, ctx, join_plan):
-        fp32 = estimate_cost(join_plan, ctx.catalog, precision="fp32")
-        int8 = estimate_cost(join_plan, ctx.catalog, precision="int8")
-        assert "ejoin-tensor" in fp32.breakdown
-        assert "ejoin-tensor-int8" in int8.breakdown
-        assert int8.cost < fp32.cost
-
-    def test_default_precision_comes_from_config(self, ctx, join_plan):
-        configure(default_precision="pq")
-        # PQ training never amortizes over this small cold join, so the
-        # cold estimate stays on the fp32 equation; a warm engine whose
-        # store already exists is modelled via assume_stores_built.
-        cold = estimate_cost(join_plan, ctx.catalog)
-        assert "ejoin-tensor" in cold.breakdown
-        warm = estimate_cost(join_plan, ctx.catalog, assume_stores_built=True)
-        assert "ejoin-tensor-pq" in warm.breakdown
-        assert warm.cost < cold.cost

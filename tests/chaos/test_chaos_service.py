@@ -25,7 +25,6 @@ pytestmark = pytest.mark.chaos
 
 #: The storm arms every site a non-degraded query can cross.
 STORM_SITES = (
-    "kernel.gemm",
     "kernel.rescore",
     "engine.worker",
     "service.dispatch",

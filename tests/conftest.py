@@ -9,8 +9,7 @@ import time
 # One BLAS thread, set before NumPy loads the library (the configuration
 # the engine's own morsel parallelism and the e2e benchmark assume).  A
 # threaded OpenBLAS call on a small contended box can stall a scheduler
-# quantum — a flat 8 ms for a 256x256x32 GEMM — which is what
-# test_calibration measures when this is left to the machine.
+# quantum — a flat 8 ms for a 256x256x32 GEMM, on every call.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402

@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    CostParams,
-    choose_access_path,
-    crossover_selectivity,
+from repro.core import CostParams, choose_access_path, crossover_selectivity
+from repro.core.cost_model import (
     e_selection_cost,
     index_probe_cost,
     naive_nlj_cost,

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    ThresholdCondition,
-    TopKCondition,
-    eselect,
-    eselect_index,
-)
+from repro.core import ThresholdCondition, TopKCondition, eselect
 from repro.errors import DimensionalityError, JoinError
-from repro.index import FlatIndex, HNSWIndex
 from repro.vector import normalize_rows
 
 
@@ -71,50 +65,3 @@ class TestScanSelection:
         assert result.stats.similarity_evaluations == len(relation)
         assert result.stats.pairs_emitted == len(result)
 
-
-class TestIndexSelection:
-    @pytest.fixture()
-    def index(self, relation):
-        idx = FlatIndex(relation.shape[1])
-        idx.add(relation)
-        return idx
-
-    def test_topk_matches_scan(self, relation, query, index):
-        got = eselect_index(index, query, TopKCondition(4))
-        expected = eselect(relation, query, TopKCondition(4))
-        assert got.ids.tolist() == expected.ids.tolist()
-
-    def test_threshold_emulation_complete_with_large_probe_k(
-        self, relation, query, index
-    ):
-        got = eselect_index(
-            index, query, ThresholdCondition(0.3), probe_k=len(relation)
-        )
-        expected = eselect(relation, query, ThresholdCondition(0.3))
-        assert set(got.ids.tolist()) == set(expected.ids.tolist())
-
-    def test_small_probe_k_truncates(self, relation, query, index):
-        got = eselect_index(index, query, ThresholdCondition(-1.0), probe_k=3)
-        assert len(got) == 3
-
-    def test_prefilter(self, relation, query, index):
-        allowed = np.zeros(len(relation), dtype=bool)
-        allowed[:10] = True
-        got = eselect_index(index, query, TopKCondition(5), allowed=allowed)
-        assert set(got.ids.tolist()) <= set(range(10))
-
-    def test_hnsw_variant(self, relation, query):
-        idx = HNSWIndex(relation.shape[1], m=8, ef_construction=64, seed=8)
-        idx.add(relation)
-        got = eselect_index(idx, query, TopKCondition(3))
-        expected = eselect(relation, query, TopKCondition(3))
-        overlap = set(got.ids.tolist()) & set(expected.ids.tolist())
-        assert len(overlap) >= 2
-
-    def test_invalid_probe_k(self, query, index):
-        with pytest.raises(JoinError):
-            eselect_index(index, query, ThresholdCondition(0.1), probe_k=0)
-
-    def test_dim_mismatch(self, index):
-        with pytest.raises(DimensionalityError):
-            eselect_index(index, np.ones(5, dtype=np.float32), TopKCondition(1))

@@ -7,7 +7,6 @@ from repro.core import (
     DEFAULT_PROBE_K,
     ThresholdCondition,
     TopKCondition,
-    build_index_for_join,
     index_join,
     tensor_join,
 )
@@ -116,18 +115,3 @@ class TestValidation:
     def test_raw_items_need_model(self, flat_index):
         with pytest.raises(JoinError, match="model"):
             index_join(["a", "b"], flat_index, TopKCondition(1))
-
-
-class TestBuildIndexForJoin:
-    def test_from_vectors(self, small_vectors):
-        _, right = small_vectors
-        idx = build_index_for_join(right, lambda d: FlatIndex(d))
-        assert len(idx) == len(right)
-        assert idx.dim == right.shape[1]
-
-    def test_from_raw_items(self, hash_model):
-        idx = build_index_for_join(
-            ["a", "b", "c"], lambda d: FlatIndex(d), model=hash_model
-        )
-        assert len(idx) == 3
-        assert idx.dim == hash_model.dim

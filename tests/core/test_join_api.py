@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    STRATEGIES,
-    ThresholdCondition,
-    TopKCondition,
-    ejoin,
-    tensor_join,
-)
+from repro.core import ThresholdCondition, TopKCondition, ejoin, tensor_join
+from repro.core.join import STRATEGIES
 from repro.errors import JoinError
 from repro.index import FlatIndex
 

@@ -6,10 +6,10 @@ from repro.core import (
     ThresholdCondition,
     TopKCondition,
     parallel_join,
-    partition_rows,
     prefetch_nlj,
     tensor_join,
 )
+from repro.engine import partition_rows
 from repro.errors import JoinError
 from repro.vector import Kernel
 

@@ -1,18 +1,15 @@
 """Unit tests for the reduced-precision tensor join."""
 
 import numpy as np
-import pytest
 
 from repro.core import (
     ThresholdCondition,
     TopKCondition,
-    join_with_precision,
     precision_error_bound,
-    quantize_fp16,
     tensor_join,
     tensor_join_fp16,
 )
-from repro.errors import JoinError
+from repro.core.precision import quantize_fp16
 from repro.vector import normalize_rows
 
 
@@ -118,38 +115,3 @@ class TestFp16Join:
         assert result.stats.extra["batch_shape"] == (64, 2048)
         assert result.stats.extra["operand_bytes"] == (left.nbytes + right.nbytes) // 2
         assert peak < 1.0 * right.nbytes, peak / right.nbytes
-
-
-class TestDispatch:
-    def test_fp32_dispatch(self, small_vectors):
-        left, right = small_vectors
-        result = join_with_precision(
-            left, right, TopKCondition(1), precision="fp32"
-        )
-        assert result.stats.strategy == "tensor"
-
-    def test_fp16_dispatch(self, small_vectors):
-        left, right = small_vectors
-        result = join_with_precision(
-            left, right, TopKCondition(1), precision="fp16"
-        )
-        assert result.stats.strategy == "tensor-fp16"
-
-    def test_int8_dispatch(self, small_vectors):
-        left, right = small_vectors
-        result = join_with_precision(
-            left, right, TopKCondition(1), precision="int8"
-        )
-        assert result.stats.strategy == "tensor-int8"
-
-    def test_pq_dispatch(self, small_vectors):
-        left, right = small_vectors
-        result = join_with_precision(
-            left, right, TopKCondition(1), precision="pq"
-        )
-        assert result.stats.strategy == "tensor-pq"
-
-    def test_unknown_precision(self, small_vectors):
-        left, right = small_vectors
-        with pytest.raises(JoinError, match="unknown precision"):
-            join_with_precision(left, right, TopKCondition(1), precision="int4")

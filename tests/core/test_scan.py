@@ -23,7 +23,6 @@ from repro.core import (
     ThresholdCondition,
     TopKCondition,
     ejoin,
-    join_with_precision,
     parallel_join,
     prefetch_nlj,
     quantized_eselect,
@@ -400,11 +399,6 @@ SHAPES = {
 ENGINES = {"none": None, "1t": 1, "2t": 2}
 
 
-def _edges(shape: dict) -> dict:
-    """The explicit edges of a shape: all ``join_with_precision`` takes."""
-    return {k: v for k, v in shape.items() if k.startswith("batch_")}
-
-
 def _fp32_entry_points(left, right, condition, shape, engine):
     yield "tensor_join", tensor_join(left, right, condition, engine=engine, **shape)
     # +-0.5 is exact in fp16 too: the fp16 representation of the same
@@ -412,10 +406,6 @@ def _fp32_entry_points(left, right, condition, shape, engine):
     yield "tensor_join_fp16", tensor_join_fp16(
         left, right, condition, engine=engine, **shape
     )
-    for precision in ("fp32", "fp16"):
-        yield f"join_with_precision/{precision}", join_with_precision(
-            left, right, condition, precision=precision, **_edges(shape)
-        )
     kwargs = {"engine": engine} if engine is not None else {"n_threads": 2}
     yield "parallel_join", parallel_join(left, right, condition, **shape, **kwargs)
     for strategy in ("tensor", "parallel-tensor"):
@@ -474,9 +464,6 @@ def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, thre
         "ejoin": ejoin(
             left, right, condition, strategy=f"tensor-{method}",
             engine=engine, **SHAPES[shape],
-        ),
-        "join_with_precision": join_with_precision(
-            left, right, condition, precision=method, **_edges(SHAPES[shape])
         ),
     }
     for name, got in results.items():

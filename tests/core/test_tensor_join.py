@@ -94,7 +94,7 @@ class TestSelectAcrossBlockShapes:
 
     @pytest.fixture(scope="class")
     def relations(self):
-        from repro.workloads import clustered_vectors
+        from repro.workloads.synthetic import clustered_vectors
 
         right, _ = clustered_vectors(self.N_RIGHT, 24, n_clusters=20, seed=7)
         left, _ = clustered_vectors(60, 24, n_clusters=20, seed=8)

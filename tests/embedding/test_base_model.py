@@ -5,7 +5,7 @@ import pytest
 
 from repro.embedding import EmbeddingModel, HashingEmbedder
 from repro.errors import EmbeddingError
-from repro.vector import l2_norms
+from repro.vector.norms import l2_norms
 
 
 class ConstantModel(EmbeddingModel):

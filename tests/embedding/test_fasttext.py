@@ -5,7 +5,7 @@ import pytest
 
 from repro.embedding import FastTextModel, generate_corpus
 from repro.errors import ModelNotFittedError, VocabularyError
-from repro.vector import cosine_vectorized
+from repro.vector import cosine_scalar
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestSemantics:
         db1 = model.embed("dbms")
         db2 = model.embed("postgres")
         music = model.embed("guitar")
-        assert cosine_vectorized(db1, db2) > cosine_vectorized(db1, music)
+        assert cosine_scalar(db1, db2) > cosine_scalar(db1, music)
 
     def test_nearest_neighbors_topical(self, model, corpus):
         neighbors = [w for w, _ in model.nearest_neighbors("dbms", k=5)]
@@ -99,7 +99,7 @@ class TestSemantics:
         original = model.embed("postgres")
         misspelled = model.embed("postgers")  # transposition, OOV
         other = model.embed("violin")
-        assert cosine_vectorized(original, misspelled) > cosine_vectorized(
+        assert cosine_scalar(original, misspelled) > cosine_scalar(
             original, other
         )
 

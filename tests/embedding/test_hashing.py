@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.embedding import HashingEmbedder, char_ngrams, hash_ngram
-from repro.vector import cosine_vectorized
+from repro.embedding import HashingEmbedder
+from repro.embedding.hashing_model import char_ngrams, hash_ngram
+from repro.vector import cosine_scalar
 
 
 class TestCharNgrams:
@@ -64,14 +65,14 @@ class TestHashingEmbedder:
         word = model.embed("barbecue")
         typo = model.embed("barbeque")
         unrelated = model.embed("xylophone")
-        assert cosine_vectorized(word, typo) > cosine_vectorized(word, unrelated)
+        assert cosine_scalar(word, typo) > cosine_scalar(word, unrelated)
 
     def test_plural_closer_than_unrelated(self):
         model = HashingEmbedder(dim=64, seed=5)
         word = model.embed("cloth")
         plural = model.embed("cloths")
         unrelated = model.embed("quasar")
-        assert cosine_vectorized(word, plural) > cosine_vectorized(word, unrelated)
+        assert cosine_scalar(word, plural) > cosine_scalar(word, unrelated)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -82,6 +83,6 @@ class TestHashingEmbedder:
     def test_identical_strings_similarity_one(self):
         model = HashingEmbedder(dim=32, seed=5)
         a = model.embed("postgres")
-        assert cosine_vectorized(a, model.embed("postgres")) == pytest.approx(
+        assert cosine_scalar(a, model.embed("postgres")) == pytest.approx(
             1.0, abs=1e-5
         )

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embedding import FastTextModel, HashingEmbedder, char_ngrams, hash_ngram
+from repro.embedding import FastTextModel, HashingEmbedder
+from repro.embedding.hashing_model import char_ngrams, hash_ngram
 from repro.embedding.hashing_model import bucket_means, subword_buckets
 from repro.vector.norms import normalize_rows
 

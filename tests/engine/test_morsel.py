@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Morsel, make_morsels, partition_rows
+from repro.engine import partition_rows
+from repro.engine.morsel import Morsel, make_morsels
 from repro.errors import JoinError
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.engine import SchedulerStats, WorkStealingScheduler
+from repro.engine.scheduler import SchedulerStats, WorkStealingScheduler
 from repro.errors import JoinError
 
 

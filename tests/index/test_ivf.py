@@ -6,7 +6,8 @@ import pytest
 from repro.errors import IndexError_, IndexNotBuiltError
 from repro.index import FlatIndex, IVFFlatIndex, kmeans
 from repro.vector import normalize_rows
-from repro.workloads import clustered_vectors, unit_vectors
+from repro.workloads import unit_vectors
+from repro.workloads.synthetic import clustered_vectors
 
 DIM = 16
 

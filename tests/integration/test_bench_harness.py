@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.bench import FigureReport, git_revision, speedup, time_call
+from repro.bench import FigureReport, speedup, time_call
+from repro.bench.harness import git_revision
 
 
 class TestTimeCall:

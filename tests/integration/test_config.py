@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.config import ReproConfig, cpu_count, get_config, rng, set_seed
+from repro.config import ReproConfig, configure, cpu_count, get_config, rng
 
 
 class TestStreams:
@@ -19,13 +19,13 @@ class TestStreams:
     def test_seed_changes_streams(self):
         original = get_config().seed
         try:
-            set_seed(1)
+            configure(seed=1)
             a = rng("s").standard_normal(4)
-            set_seed(2)
+            configure(seed=2)
             b = rng("s").standard_normal(4)
             assert not np.allclose(a, b)
         finally:
-            set_seed(original)
+            configure(seed=original)
 
     def test_stream_seed_deterministic(self):
         cfg = ReproConfig(seed=5)

@@ -15,12 +15,12 @@ from repro.core import (
     TopKCondition,
     ejoin,
     eselect,
-    eselect_index,
     index_join,
     tensor_join,
 )
 from repro.index import FlatIndex, HNSWIndex, IVFFlatIndex
-from repro.workloads import clustered_vectors, unit_vectors
+from repro.workloads import unit_vectors
+from repro.workloads.synthetic import clustered_vectors
 
 DIM = 24
 
@@ -84,13 +84,6 @@ class TestESelectionConsistency:
         )
         assert sel.ids.tolist() == join.right_ids.tolist()
         assert np.allclose(sel.scores, join.scores, atol=1e-5)
-
-    def test_eselect_index_matches_scan_on_flat(self, data, indexes):
-        probes, base = data
-        query = probes[1]
-        scan = eselect(base, query, TopKCondition(7))
-        probe = eselect_index(indexes["flat"], query, TopKCondition(7))
-        assert scan.ids.tolist() == probe.ids.tolist()
 
     def test_threshold_selection_subset_of_threshold_join(self, data):
         probes, base = data

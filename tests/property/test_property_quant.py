@@ -25,7 +25,8 @@ from repro.core import (
 )
 from repro.vector import normalize_rows
 from repro.vector.quant import Int8Quantizer, ProductQuantizer
-from repro.workloads import clustered_vectors, embedding_like_vectors
+from repro.workloads import embedding_like_vectors
+from repro.workloads.synthetic import clustered_vectors
 
 pytestmark = pytest.mark.quant
 

@@ -8,9 +8,9 @@ from repro.core import (
     PRESCREEN_MARGIN,
     TopKCondition,
     exact_threshold_select,
-    exact_topk_select,
     guarded_topk_select,
 )
+from repro.core.eselect import exact_topk_select
 from repro.core.scan import (
     dense_score_block,
     merge_topk,

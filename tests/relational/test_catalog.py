@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.relational import Catalog, ColumnStats, DataType, Field, Schema, Table
+from repro.relational import Catalog, DataType, Field, Schema, Table
+from repro.relational.catalog import ColumnStats
 
 
 @pytest.fixture()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError, TypeMismatchError
-from repro.relational import Column, DataType, Field, date_to_days, days_to_date
+from repro.relational import Column, DataType, Field, date_to_days
+from repro.relational.column import days_to_date
 
 
 class TestDateConversion:

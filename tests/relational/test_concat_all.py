@@ -1,11 +1,10 @@
-"""Tests for n-ary table/column concatenation and O(n) operator output."""
+"""Tests for n-ary table/column concatenation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SchemaError, TypeMismatchError
 from repro.relational import Column, DataType, Field, Schema, Table
-from repro.relational.operators import Scan
 
 
 @pytest.fixture()
@@ -83,15 +82,3 @@ class TestColumnConcatAll:
         with pytest.raises(TypeMismatchError, match="at least one"):
             Column.concat_all([])
 
-
-class TestOperatorExecute:
-    def test_execute_materializes_all_batches_once(self, schema):
-        table = make_table(schema, 0, 1000)
-        out = Scan(table, batch_size=64).execute()
-        assert out.num_rows == 1000
-        assert out.array("id").tolist() == list(range(1000))
-
-    def test_execute_empty_input(self, schema):
-        out = Scan(Table.empty(schema)).execute()
-        assert out.num_rows == 0
-        assert out.schema.names == schema.names

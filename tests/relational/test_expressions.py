@@ -9,7 +9,6 @@ from repro.errors import ExpressionError
 from repro.relational import Col, DataType, Field, Schema, Table, selectivity
 from repro.relational.expressions import (
     Literal,
-    StringPredicate,
     lift,
     validate_boolean,
 )
@@ -100,23 +99,6 @@ class TestInList:
     def test_strings(self, table):
         bitmap = Col("name").is_in(["ada", "eve"]).evaluate(table)
         assert bitmap.tolist() == [True, False, False, False, True]
-
-
-class TestStringPredicate:
-    def test_prefix_suffix_contains(self, table):
-        assert StringPredicate("prefix", Col("name"), "a").evaluate(table).tolist() == [
-            True, False, False, False, False,
-        ]
-        assert StringPredicate("suffix", Col("name"), "b").evaluate(table).tolist() == [
-            False, True, False, False, False,
-        ]
-        assert StringPredicate("contains", Col("name"), "v").evaluate(table).tolist() == [
-            False, False, False, False, True,
-        ]
-
-    def test_unknown_kind(self):
-        with pytest.raises(ExpressionError):
-            StringPredicate("regex", Col("name"), "a")
 
 
 class TestValidation:

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import PermanentFault, TransientFault, WorkerKilledFault
 from repro.reliability.faults import (
     KINDS,
-    SITES,
     FaultInjector,
     active_injector,
     clear_injector,
@@ -119,14 +118,3 @@ def test_install_and_clear_hooks():
         maybe_inject("engine.worker")
     finally:
         install_injector(previous)
-
-
-def test_declared_sites_cover_the_wired_hooks():
-    assert set(SITES) == {
-        "engine.worker",
-        "kernel.gemm",
-        "kernel.rescore",
-        "quant.build",
-        "index.probe",
-        "service.dispatch",
-    }

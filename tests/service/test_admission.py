@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.errors import ServiceError, ServiceOverloadError
-from repro.service import AdmissionController
+from repro.service.admission import AdmissionController
 
 pytestmark = pytest.mark.service
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import QueryService, unwrap_shared_scan
+from repro.service import QueryService
+from repro.service.coalescer import unwrap_shared_scan
 
 from _service_utils import MODEL, assert_tables_equal, blocker
 

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.algebra.logical import LogicalNode, plan_equal
+from repro.algebra.logical import LogicalNode
 from repro.algebra.optimizer import Optimizer
 from repro.relational.expressions import Expression
-from repro.service import PlanCache, fingerprint, parameterize, substitute
+from repro.service.plan_cache import PlanCache, fingerprint, parameterize, substitute
 
 from _service_utils import MODEL
 
@@ -58,7 +58,7 @@ def test_parameterize_substitute_roundtrip(service_engine, query_vectors):
     template, params = parameterize(plan)
     assert len(params) == 1
     rebuilt = substitute(template, params)
-    assert plan_equal(rebuilt, plan) or rebuilt.explain() == plan.explain()
+    assert rebuilt == plan or rebuilt.explain() == plan.explain()
 
 
 def test_cached_optimization_matches_direct(service_engine, query_vectors):

@@ -1,4 +1,4 @@
-"""QoS primitives: estimators, sketch, priority admission, degradation."""
+"""QoS primitives: estimators, priority admission, degradation."""
 
 from __future__ import annotations
 
@@ -10,15 +10,10 @@ import pytest
 
 from _service_utils import DIM, MODEL, assert_tables_equal, make_engine
 from repro.errors import DeadlineExceededError, ServiceOverloadError
-from repro.service import (
-    AdmissionController,
-    EWMA,
-    ExecTimeTracker,
-    FrequencySketch,
-    QoSParams,
-    QueryService,
-    SemanticResultCache,
-)
+from repro.service import QueryService
+from repro.service.admission import AdmissionController
+from repro.service.qos import EWMA, ExecTimeTracker, QoSParams
+from repro.service.semantic_cache import SemanticResultCache
 from repro.workloads import unit_vectors
 
 pytestmark = [pytest.mark.service, pytest.mark.qos]
@@ -72,54 +67,9 @@ def test_qos_params_relative_deadline():
 
 
 # ----------------------------------------------------------------------
-# Frequency sketch + TinyLFU cache admission
+# Result cache eviction
 # ----------------------------------------------------------------------
-def test_sketch_counts_and_decays():
-    sketch = FrequencySketch(width=64, depth=4, sample_multiple=1)
-    h = FrequencySketch.key_hash(("hot", 1))
-    for _ in range(10):
-        sketch.record(h)
-    assert sketch.estimate(h) >= 5  # halving may have fired once
-    cold = FrequencySketch.key_hash(("cold", 2))
-    assert sketch.estimate(cold) <= sketch.estimate(h)
-
-
-def test_sketch_estimate_is_overcount_only():
-    sketch = FrequencySketch(width=256, depth=4)
-    keys = [FrequencySketch.key_hash(i) for i in range(50)]
-    for h in keys:
-        sketch.record(h)
-    for h in keys:
-        assert sketch.estimate(h) >= 1
-
-
-def test_tinylfu_protects_hot_entry_from_one_off_scan():
-    cache = SemanticResultCache(capacity=1, ttl_s=60.0, tinylfu=True)
-    hot_params = [np.ones(4, dtype=np.float32)]
-    cold_params = [np.zeros(4, dtype=np.float32)]
-    sentinel_hot = object()
-    cache.store("fp", ("v",), hot_params, sentinel_hot, cost=1.0)
-    for _ in range(8):  # the workload keeps asking for the hot entry
-        assert cache.lookup("fp", ("v",), hot_params) is sentinel_hot
-    # A one-off insert must not displace it: its frequency*cost loses.
-    cache.store("fp", ("v",), cold_params, object(), cost=1.0)
-    assert cache.lookup("fp", ("v",), hot_params) is sentinel_hot
-    assert cache.stats.admission_rejects == 1
-
-
-def test_tinylfu_admits_more_valuable_newcomer():
-    cache = SemanticResultCache(capacity=1, ttl_s=60.0, tinylfu=True)
-    old_params = [np.ones(4, dtype=np.float32)]
-    new_params = [np.zeros(4, dtype=np.float32)]
-    cache.store("fp", ("v",), old_params, object(), cost=0.001)
-    sentinel_new = object()
-    for _ in range(8):  # demand accrues for the newcomer before insert
-        cache.lookup("fp", ("v",), new_params)
-    cache.store("fp", ("v",), new_params, sentinel_new, cost=1.0)
-    assert cache.lookup("fp", ("v",), new_params) is sentinel_new
-
-
-def test_lru_eviction_unchanged_without_tinylfu():
+def test_lru_eviction_beyond_capacity():
     cache = SemanticResultCache(capacity=1, ttl_s=60.0)
     a = [np.ones(4, dtype=np.float32)]
     b = [np.zeros(4, dtype=np.float32)]

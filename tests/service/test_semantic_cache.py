@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.service import SemanticResultCache, fingerprint, table_versions
+from repro.service.plan_cache import fingerprint
+from repro.service.semantic_cache import SemanticResultCache, table_versions
 
 from _service_utils import MODEL, assert_tables_equal, make_corpus_table, make_engine
 
@@ -44,7 +45,7 @@ def test_same_shape_different_vector_misses(service_engine, query_vectors):
     assert cache.lookup(fkey, versions, other_params) is None
 
 
-def test_near_duplicate_hit_is_opt_in(service_engine, query_vectors):
+def test_nearby_vector_with_different_bits_misses(service_engine, query_vectors):
     q = query_vectors[0].astype(np.float32)
     nearby = q + np.float32(1e-4)  # cosine ~ 1.0 but different bits
     exact_only = SemanticResultCache(capacity=8, ttl_s=60.0)
@@ -53,17 +54,6 @@ def test_near_duplicate_hit_is_opt_in(service_engine, query_vectors):
     exact_only.store(fkey, versions, params, result)
     _, _, near_params = _key_parts(service_engine, nearby, top_k=5)
     assert exact_only.lookup(fkey, versions, near_params) is None
-
-    near_ok = SemanticResultCache(
-        capacity=8, ttl_s=60.0, near_dup_threshold=0.999
-    )
-    near_ok.store(fkey, versions, params, result)
-    hit = near_ok.lookup(fkey, versions, near_params)
-    assert hit is result
-    assert near_ok.stats.near_hits == 1
-    # A genuinely different query still misses.
-    _, _, far_params = _key_parts(service_engine, query_vectors[5], top_k=5)
-    assert near_ok.lookup(fkey, versions, far_params) is None
 
 
 def test_ttl_expiry(service_engine, query_vectors, monkeypatch):

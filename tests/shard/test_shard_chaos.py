@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from _shard_utils import KEY, N_ROWS, corpus_vectors, make_engine, normalized_for
-from repro.core import PRESCREEN_MARGIN, exact_topk_select
+from repro.core import PRESCREEN_MARGIN
+from repro.core.eselect import exact_topk_select
 from repro.errors import ShardError
 from repro.shard import ShardPool, leaked_segments
 

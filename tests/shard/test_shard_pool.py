@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from _shard_utils import KEY, N_ROWS, corpus_vectors, make_engine, normalized_for
-from repro.core import PRESCREEN_MARGIN, exact_threshold_select, exact_topk_select
-from repro.shard import SHARD_PRECISIONS, ShardPool, leaked_segments
+from repro.core import PRESCREEN_MARGIN, exact_threshold_select
+from repro.core.eselect import exact_topk_select
+from repro.shard import ShardPool, leaked_segments
 
 pytestmark = pytest.mark.shard
 
@@ -48,7 +49,7 @@ def _scan(pool, queries, precision="fp32", *, kpad=KPAD):
 
 
 class TestExactness:
-    @pytest.mark.parametrize("precision", SHARD_PRECISIONS)
+    @pytest.mark.parametrize("precision", ("fp32", "fp16", "int8", "pq"))
     def test_rescored_results_bit_identical_to_serial(
         self, setup, query_vectors, precision
     ):

@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShardError
-from repro.shard import (
-    AttachedSegment,
-    SegmentOwner,
-    SegmentSpec,
-    leaked_segments,
-)
+from repro.shard import leaked_segments
+from repro.shard.store import AttachedSegment, SegmentOwner, SegmentSpec
 
 pytestmark = pytest.mark.shard
 

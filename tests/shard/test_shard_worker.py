@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.shard import SegmentOwner, leaked_segments
+from repro.shard import leaked_segments
+from repro.shard.store import SegmentOwner
 from repro.shard.envelope import open_task
 from repro.shard.worker import _attach_store, _close_views, _run_scan
 from repro.vector import Int8Quantizer, ProductQuantizer

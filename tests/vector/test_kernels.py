@@ -5,14 +5,9 @@ import pytest
 
 from repro.errors import DimensionalityError
 from repro.vector import (
-    Kernel,
-    cosine_matrix,
     cosine_matrix_gemm,
-    cosine_matrix_scalar,
     cosine_matrix_vectorized,
     cosine_scalar,
-    cosine_vectorized,
-    dot_scalar,
 )
 
 
@@ -35,45 +30,39 @@ def matrices():
 
 
 class TestPairKernels:
-    def test_dot_scalar_matches_numpy(self, pair):
-        a, b = pair
-        assert dot_scalar(a, b) == pytest.approx(float(a @ b), rel=1e-5)
-
     def test_cosine_scalar_matches_vectorized(self, pair):
         a, b = pair
-        assert cosine_scalar(a, b) == pytest.approx(
-            cosine_vectorized(a, b), abs=1e-5
-        )
+        vectorized = cosine_matrix_vectorized(a[None, :], b[None, :])[0, 0]
+        assert cosine_scalar(a, b) == pytest.approx(float(vectorized), abs=1e-5)
 
     def test_cosine_self_is_one(self, pair):
         a, _ = pair
-        assert cosine_vectorized(a, a) == pytest.approx(1.0, abs=1e-5)
+        assert cosine_scalar(a, a) == pytest.approx(1.0, abs=1e-5)
 
     def test_cosine_opposite_is_minus_one(self, pair):
         a, _ = pair
-        assert cosine_vectorized(a, -a) == pytest.approx(-1.0, abs=1e-5)
+        assert cosine_scalar(a, -a) == pytest.approx(-1.0, abs=1e-5)
 
     def test_cosine_zero_vector(self):
         z = np.zeros(4, dtype=np.float32)
         o = np.ones(4, dtype=np.float32)
         assert cosine_scalar(z, o) == 0.0
-        assert cosine_vectorized(z, o) == 0.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionalityError):
-            cosine_vectorized(np.ones(3), np.ones(4))
         with pytest.raises(DimensionalityError):
             cosine_scalar(np.ones(3), np.ones(4))
 
     def test_requires_1d(self):
         with pytest.raises(DimensionalityError):
-            dot_scalar(np.ones((2, 2)), np.ones((2, 2)))
+            cosine_scalar(np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestMatrixKernels:
     def test_all_kernels_agree(self, matrices):
         left, right = matrices
-        scalar = cosine_matrix_scalar(left, right)
+        scalar = np.asarray(
+            [[cosine_scalar(row, col) for col in right] for row in left]
+        )
         vectorized = cosine_matrix_vectorized(left, right)
         gemm = cosine_matrix_gemm(left, right)
         assert np.allclose(scalar, vectorized, atol=1e-4)
@@ -81,30 +70,24 @@ class TestMatrixKernels:
 
     def test_result_shape(self, matrices):
         left, right = matrices
-        assert cosine_matrix(left, right).shape == (7, 9)
+        assert cosine_matrix_gemm(left, right).shape == (7, 9)
 
     def test_values_in_range(self, matrices):
         left, right = matrices
-        scores = cosine_matrix(left, right)
+        scores = cosine_matrix_gemm(left, right)
         assert scores.min() >= -1.0 - 1e-5
         assert scores.max() <= 1.0 + 1e-5
-
-    def test_dispatch_by_kernel_enum(self, matrices):
-        left, right = matrices
-        for kernel in Kernel:
-            out = cosine_matrix(left, right, kernel=kernel)
-            assert out.shape == (7, 9)
 
     def test_zero_row_handling(self):
         left = np.zeros((2, 3), dtype=np.float32)
         right = np.ones((2, 3), dtype=np.float32)
-        for fn in (cosine_matrix_scalar, cosine_matrix_vectorized, cosine_matrix_gemm):
+        for fn in (cosine_matrix_vectorized, cosine_matrix_gemm):
             assert np.allclose(fn(left, right), 0.0)
 
     def test_shape_mismatch(self, matrices):
         left, right = matrices
         bad = right[:, :5]
-        for fn in (cosine_matrix_scalar, cosine_matrix_vectorized, cosine_matrix_gemm):
+        for fn in (cosine_matrix_vectorized, cosine_matrix_gemm):
             with pytest.raises(DimensionalityError):
                 fn(left, bad)
 

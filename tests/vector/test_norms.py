@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DimensionalityError
-from repro.vector import is_normalized, l2_norms, normalize_rows, normalize_vector
+from repro.vector import normalize_rows, normalize_vector
+from repro.vector.norms import l2_norms
 
 
 class TestL2Norms:
@@ -57,15 +58,3 @@ class TestNormalizeVector:
     def test_requires_1d(self):
         with pytest.raises(DimensionalityError):
             normalize_vector(np.ones((2, 2)))
-
-
-class TestIsNormalized:
-    def test_detects_normalized(self):
-        m = normalize_rows(np.random.default_rng(2).standard_normal((5, 4)))
-        assert is_normalized(m)
-
-    def test_detects_unnormalized(self):
-        assert not is_normalized(np.full((2, 3), 5.0))
-
-    def test_all_zero_is_normalized(self):
-        assert is_normalized(np.zeros((3, 2)))

@@ -10,8 +10,8 @@ from repro.core import (
     TopKCondition,
     eselect,
     exact_threshold_select,
-    exact_topk_select,
 )
+from repro.core.eselect import exact_topk_select
 from repro.vector import normalize_rows, normalize_vector, stable_dot_scores
 from repro.workloads import unit_vectors
 

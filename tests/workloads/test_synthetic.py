@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.vector import l2_norms
-from repro.workloads import (
-    clustered_vectors,
-    paired_relations,
-    random_vectors,
-    unit_vectors,
-)
+from repro.vector.norms import l2_norms
+from repro.workloads import paired_relations, random_vectors, unit_vectors
+from repro.workloads.synthetic import clustered_vectors
 
 
 class TestRandomVectors:
