@@ -20,8 +20,17 @@ The queue is deadline- and priority-aware:
   shed/degrade machinery sees the time actually left, not the client's
   original budget.
 
-Results come back as :class:`~repro.service.qos.QueryResponse`, resolved
-onto the submitting coroutine's event loop via
+Only a request that has something to execute is queued.  ``submit``
+first probes the service's result cache on the event loop itself
+(:meth:`QueryService.probe`: one plan walk, one payload digest, one dict
+lookup under the cache's own short lock — never the admission condition or
+the singleflight lock, so the loop cannot block behind an execution); a
+cached answer is completed right there, without a future, a heap entry or
+a thread hand-off.  A miss is queued with what the probe computed, so the
+dispatcher does not key it again.
+
+Queued results come back as :class:`~repro.service.qos.QueryResponse`,
+resolved onto the submitting coroutine's event loop via
 ``loop.call_soon_threadsafe`` — the only thread-to-loop handoff asyncio
 sanctions.
 """
@@ -64,42 +73,21 @@ class AsyncFrontStats:
         }
 
 
+@dataclass(slots=True)
 class _Pending:
-    """One queued submission: QoS terms plus the future to resolve."""
+    """One submission's QoS terms; queued ones add what the loop's probe
+    keyed and the future to resolve."""
 
-    __slots__ = (
-        "query",
-        "priority",
-        "deadline",
-        "min_recall",
-        "tag",
-        "timeout_s",
-        "explain_analyze",
-        "future",
-        "loop",
-    )
-
-    def __init__(
-        self,
-        query,
-        priority,
-        deadline,
-        min_recall,
-        tag,
-        timeout_s,
-        explain_analyze,
-        future,
-        loop,
-    ) -> None:
-        self.query = query
-        self.priority = priority
-        self.deadline = deadline
-        self.min_recall = min_recall
-        self.tag = tag
-        self.timeout_s = timeout_s
-        self.explain_analyze = explain_analyze
-        self.future = future
-        self.loop = loop
+    query: object
+    priority: int
+    deadline: float | None
+    min_recall: float | None
+    tag: str
+    timeout_s: float | None
+    explain_analyze: bool
+    keyed: tuple | None = None
+    future: asyncio.Future | None = None
+    loop: asyncio.AbstractEventLoop | None = None
 
 
 def _resolve(pending: _Pending, result=None, error: BaseException | None = None):
@@ -223,31 +211,22 @@ class AsyncQueryService:
         timeout_s: float | None = None,
         explain_analyze: bool = False,
     ) -> QueryResponse:
-        """Queue a query and await its :class:`QueryResponse`.
+        """Answer a cached query at once; queue any other and await its
+        :class:`QueryResponse`.
 
         The deadline clock starts *now* — time spent queued in the front
         counts against it, and only the residual budget is forwarded to
         the service at dispatch.  ``explain_analyze=True`` force-traces
-        the dispatched query and attaches the rendered span tree to
-        ``response.explain``.
+        the query; ``response.explain`` renders the span tree when read.
         """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        deadline = (
-            None
-            if deadline_s is None
-            else time.perf_counter() + float(deadline_s)
-        )
         pending = _Pending(
             query,
             priority,
-            deadline,
+            None if deadline_s is None else time.perf_counter() + float(deadline_s),
             min_recall,
             tag,
             timeout_s,
             explain_analyze,
-            future,
-            loop,
         )
         with self._cond:
             if self._closed:
@@ -256,12 +235,24 @@ class AsyncQueryService:
                 raise ServiceError(
                     "async front not started (use `async with` or .start())"
                 )
-            self._seq += 1
             self.stats.submitted += 1
+        try:
+            pending.keyed, _, cached = self.service.probe(query)
+        except Exception:
+            cached = None  # the dispatcher's submit fails it, counted
+        if cached is not None:
+            return self._serve(pending, cached)
+        pending.loop = asyncio.get_running_loop()
+        pending.future = pending.loop.create_future()
+        with self._cond:
+            if self._closed:  # closed while the probe ran: nobody would pop it
+                self.stats.rejected_on_close += 1
+                raise ServiceError("async front closed before dispatch")
+            self._seq += 1
             heapq.heappush(self._heap, [-priority, self._seq, pending])
             self.stats.queued_peak = max(self.stats.queued_peak, len(self._heap))
             self._cond.notify()
-        return await future
+        return await pending.future
 
     @property
     def queued(self) -> int:
@@ -289,8 +280,10 @@ class AsyncQueryService:
                     self._cond.notify_all()
 
     def _dispatch(self, pending: _Pending) -> None:
-        now = time.perf_counter()
-        if pending.deadline is not None and now >= pending.deadline:
+        if (
+            pending.deadline is not None
+            and time.perf_counter() >= pending.deadline
+        ):
             with self._cond:
                 self.stats.shed_expired += 1
             _resolve(
@@ -300,32 +293,41 @@ class AsyncQueryService:
                 ),
             )
             return
-        remaining = (
-            None if pending.deadline is None else pending.deadline - now
-        )
+        try:
+            response = self._serve(pending)
+        except (KeyboardInterrupt, SystemExit):
+            # The caller's future still resolves (a clean service error),
+            # but the interrupt itself propagates and takes the dispatch
+            # worker down — it belongs to the interpreter, not the query.
+            _resolve(pending, error=ServiceError("execution interrupted"))
+            raise
+        except Exception as exc:
+            _resolve(pending, error=exc)
+            return
+        _resolve(pending, result=response)
+
+    def _serve(self, pending: _Pending, cached=None) -> QueryResponse:
+        """The service's answer plus the front's count of it: on a
+        dispatcher for a queued miss, on the event loop for ``cached``."""
         try:
             response = self.service.submit_qos(
                 pending.query,
-                deadline_s=remaining,
+                deadline_s=(
+                    None
+                    if pending.deadline is None
+                    else pending.deadline - time.perf_counter()
+                ),
                 priority=pending.priority,
                 min_recall=pending.min_recall,
                 tag=pending.tag,
                 timeout_s=pending.timeout_s,
                 explain_analyze=pending.explain_analyze,
+                probed=(pending.keyed, cached),
             )
-        except (KeyboardInterrupt, SystemExit) as exc:
-            # The caller's future still resolves (a clean service error),
-            # but the interrupt itself propagates and takes the dispatch
-            # worker down — it belongs to the interpreter, not the query.
+        except BaseException:
             with self._cond:
                 self.stats.failed += 1
-            _resolve(pending, error=ServiceError("execution interrupted"))
-            raise exc
-        except Exception as exc:
-            with self._cond:
-                self.stats.failed += 1
-            _resolve(pending, error=exc)
-            return
+            raise
         with self._cond:
             self.stats.completed += 1
-        _resolve(pending, result=response)
+        return response

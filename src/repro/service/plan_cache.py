@@ -4,11 +4,14 @@ Service traffic is shape-repetitive — millions of users issue the same
 template ("top-k over corpus.embedding under model m") with different
 query payloads.  The cache therefore keys on a **parameterized
 fingerprint**: the logical plan with every E-selection query payload
-replaced by a positional placeholder.  On a miss the optimizer runs once
-on the placeholder plan (rewrite rules are structural and never inspect
-query payloads); on a hit the cached optimized template is re-instantiated
-by substituting the new payloads — identical to optimizing the concrete
-plan directly, without paying the fixpoint rewrite walk.
+replaced by a positional placeholder.  :func:`fingerprint` reads that key
+off the plan in one walk without building anything; the service keys a
+request with it once, before it knows whether anything will execute.  On
+a plan-cache miss the optimizer runs once on the placeholder plan (rewrite
+rules are structural and never inspect query payloads); on a hit the
+cached optimized template is re-instantiated by substituting the new
+payloads — identical to optimizing the concrete plan directly, without
+paying the fixpoint rewrite walk.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import NamedTuple, get_args, get_type_hints
 
-from ..algebra.logical import ESelectNode, LogicalNode
+from ..algebra.logical import ESelectNode, LogicalNode, ScanNode
 from ..algebra.optimizer import Optimizer
 from ..obs.trace import span
 from ..relational.catalog import Catalog
@@ -39,49 +42,51 @@ class PlanParam(NamedTuple):
         return f"?{self.index}"
 
 
-def parameterize(plan: LogicalNode) -> tuple[LogicalNode, list]:
-    """Split a plan into (template with placeholders, payload list).
-
-    Placeholders are numbered in pre-order traversal, so structurally
-    identical plans always produce the same template and an aligned
-    payload order.
-    """
-    params: list = []
-
-    def rebuild(node: LogicalNode) -> LogicalNode:
-        if isinstance(node, ESelectNode) and not isinstance(
-            node.query, PlanParam
-        ):
-            params.append(node.query)
-            node = replace(node, query=PlanParam(len(params) - 1))
-        return _with_rebuilt_children(node, rebuild)
-
-    return rebuild(plan), params
-
-
-def _with_rebuilt_children(node: LogicalNode, rebuild) -> LogicalNode:
-    """``node`` over ``rebuild`` of its children; itself when none changed."""
+def _rebind(node: LogicalNode, swap) -> LogicalNode:
+    """``node`` with every E-selection payload ``q`` replaced by ``swap(q)``
+    (pre-order); subtrees nothing changed in are shared, not copied."""
+    if isinstance(node, ESelectNode):
+        query = swap(node.query)
+        if query is not node.query:
+            node = replace(node, query=query)
     children = node.children()
-    rebuilt = [rebuild(c) for c in children]
+    rebuilt = [_rebind(child, swap) for child in children]
     if any(new is not old for new, old in zip(rebuilt, children)):
         node = node.with_children(rebuilt)
     return node
 
 
+def parameterize(plan: LogicalNode) -> tuple[LogicalNode, list]:
+    """Split a plan into (template with placeholders, payload list).
+
+    Placeholders are numbered in pre-order traversal, so structurally
+    identical plans always produce the same template and an aligned
+    payload order.  Only a plan-cache miss builds the template; keying a
+    request (:func:`fingerprint`) does not.
+    """
+    params: list = []
+
+    def placeholder(query):
+        if isinstance(query, PlanParam):
+            return query
+        params.append(query)
+        return PlanParam(len(params) - 1)
+
+    return _rebind(plan, placeholder), params
+
+
 def substitute(template: LogicalNode, params: list) -> LogicalNode:
     """Re-instantiate a template by filling placeholders from ``params``."""
-
-    def rebuild(node: LogicalNode) -> LogicalNode:
-        if isinstance(node, ESelectNode) and isinstance(node.query, PlanParam):
-            node = replace(node, query=params[node.query.index])
-        return _with_rebuilt_children(node, rebuild)
-
-    return rebuild(template)
+    return _rebind(
+        template, lambda q: params[q.index] if isinstance(q, PlanParam) else q
+    )
 
 
 #: node class -> getter of its compared, non-child field values (a
 #: predicate expression by its ``repr``).
 _OWN_FIELDS: dict[type, object] = {}
+#: E-selection class -> position of ``query`` among those values.
+_QUERY_AT: dict[type, int] = {}
 
 
 def _mentions(hint, target: type) -> bool:
@@ -101,6 +106,8 @@ def _own_fields(cls: type):
         for f in fields(cls)
         if f.compare and not _mentions(hints[f.name], LogicalNode)
     ]
+    if issubclass(cls, ESelectNode):
+        _QUERY_AT[cls] = names.index("query")
     predicates = {n for n in names if _mentions(hints[n], Expression)}
     if predicates:
 
@@ -118,6 +125,31 @@ def _own_fields(cls: type):
     return getter
 
 
+def _key(node: LogicalNode, params: list | None, tables: set | None) -> tuple:
+    """The one plan walk: a node's class, own fields and children's keys.
+
+    With ``params`` given, each concrete E-selection payload moves into it
+    (pre-order, as :func:`parameterize` numbers them) and its placeholder
+    takes its place in the key; base-table names collect in ``tables``.
+    """
+    cls = type(node)
+    own = (_OWN_FIELDS.get(cls) or _own_fields(cls))(node)
+    if params is not None:
+        if cls is ScanNode:
+            tables.add(node.table_name)
+        elif isinstance(node, ESelectNode) and not isinstance(
+            node.query, PlanParam
+        ):
+            at = _QUERY_AT[cls]
+            own = (*own[:at], PlanParam(len(params)), *own[at + 1 :])
+            params.append(node.query)
+    return (
+        cls.__name__,
+        own,
+        *[_key(child, params, tables) for child in node.children()],
+    )
+
+
 def structure(node: LogicalNode) -> tuple:
     """Hashable structural identity of a plan (template): the class and
     *every* compared field of every node, children in order.
@@ -128,15 +160,22 @@ def structure(node: LogicalNode) -> tuple:
     key: a predicate :class:`Expression` overloads ``==`` as operator
     sugar and hashes by identity, so it enters by its ``repr``.
     """
-    cls = type(node)
-    getter = _OWN_FIELDS.get(cls) or _own_fields(cls)
-    return (cls.__name__, getter(node), *map(structure, node.children()))
+    return _key(node, None, None)
 
 
-def fingerprint(plan: LogicalNode) -> tuple[tuple, list]:
-    """Structural fingerprint plus the extracted volatile payloads."""
-    template, params = parameterize(plan)
-    return structure(template), params
+class Fingerprint(NamedTuple):
+    """One walk of a request's plan: ``structure`` of its template, the
+    payloads the placeholders stand for, the base tables it reads (sorted)."""
+
+    key: tuple
+    params: list
+    tables: tuple
+
+
+def fingerprint(plan: LogicalNode) -> Fingerprint:
+    params: list = []
+    tables: set = set()
+    return Fingerprint(_key(plan, params, tables), params, tuple(sorted(tables)))
 
 
 @dataclass
@@ -169,16 +208,20 @@ class PlanCache:
             return len(self._entries)
 
     def optimize(
-        self, plan: LogicalNode, *, catalog: Catalog | None = None
-    ) -> tuple[LogicalNode, tuple, list]:
+        self,
+        plan: LogicalNode,
+        *,
+        catalog: Catalog | None = None,
+        shape: Fingerprint | None = None,
+    ) -> LogicalNode:
         """Optimized plan for ``plan``, via the template cache.
 
-        Returns ``(optimized, fingerprint_key, payloads)`` — the key and
-        payloads double as the semantic result cache's lookup key parts.
+        ``shape`` is ``fingerprint(plan)`` when the caller already has it
+        (the service does: it keyed the request before probing the
+        result cache).
         """
         with span("plan.cache") as sp:
-            template, params = parameterize(plan)
-            key = structure(template)
+            key, params, _ = shape or fingerprint(plan)
             with self._lock:
                 cached = self._entries.get(key)
                 if cached is not None:
@@ -186,7 +229,9 @@ class PlanCache:
                     self.stats.hits += 1
             sp.set(hit=cached is not None, params=len(params))
             if cached is None:
-                cached = Optimizer(catalog=catalog).optimize(template)
+                cached = Optimizer(catalog=catalog).optimize(
+                    parameterize(plan)[0]
+                )
                 with self._lock:
                     self.stats.misses += 1
                     if self.capacity > 0:
@@ -195,7 +240,7 @@ class PlanCache:
                         while len(self._entries) > self.capacity:
                             self._entries.popitem(last=False)
                             self.stats.evictions += 1
-            return substitute(cached, params), key, params
+            return substitute(cached, params)
 
     def stats_snapshot(self) -> dict:
         """Consistent counter copy taken under the cache lock."""

@@ -28,7 +28,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
+from ..obs.explain import render_explain
 from ..relational.table import Table
 
 #: Priority of a submission that did not ask for one.  Higher wins.
@@ -175,8 +177,13 @@ class QueryResponse:
     #: The query's :class:`~repro.obs.trace.Trace` when it was sampled
     #: (or forced via ``explain_analyze=True``); ``None`` otherwise.
     trace: object | None = None
-    #: Rendered EXPLAIN ANALYZE tree; only set for ``explain_analyze=True``.
-    explain: str | None = None
+
+    @cached_property
+    def explain(self) -> str | None:
+        """EXPLAIN ANALYZE tree of a traced query (``explain_analyze=True``
+        forces the trace), rendered from ``trace`` when first read — the
+        query itself never pays for the string."""
+        return None if self.trace is None else render_explain(self.trace)
 
 
 @dataclass

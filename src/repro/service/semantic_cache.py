@@ -4,7 +4,9 @@ Caches materialized per-query results keyed by (plan-shape fingerprint,
 catalog table versions, query payload signature).  A hit needs the same
 plan shape over the same table versions with a bitwise-equal query
 payload: the cached table is returned as-is, so repeated queries cost
-nothing and stay bit-identical to serial execution.
+nothing and stay bit-identical to serial execution.  The caller builds
+that key — the expensive parts, the plan walk and the payload digest,
+once per request — and hands the same tuple to ``lookup`` and ``store``.
 
 Entries are invalidated by catalog version (any re-registration of a
 referenced table changes the key — the same fingerprint-invalidation
@@ -22,17 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..algebra.logical import LogicalNode, ScanNode, walk
 from ..relational.catalog import Catalog
 from ..relational.table import Table
 
 
-def table_versions(plan: LogicalNode, catalog: Catalog) -> tuple:
-    """(name, version) for every base table a plan reads, sorted."""
-    names = sorted(
-        {n.table_name for n in walk(plan) if isinstance(n, ScanNode)}
-    )
-    return tuple((name, catalog.version(name)) for name in names)
+def table_versions(tables: tuple, catalog: Catalog) -> tuple:
+    """(name, version) now, for the base tables a plan reads
+    (``fingerprint(plan).tables``)."""
+    return tuple((name, catalog.version(name)) for name in tables)
 
 
 def _param_signature(param) -> tuple:
@@ -110,11 +109,9 @@ class SemanticResultCache:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def lookup(
-        self, fingerprint: tuple, versions: tuple, params: list
-    ) -> Table | None:
-        """Cached result for this (shape, data-version, payload) query."""
-        key = (fingerprint, versions, params_signature(params))
+    def lookup(self, key: tuple) -> Table | None:
+        """Cached result under ``key``: ``(plan fingerprint, table
+        versions, params_signature(payloads))``."""
         with self._lock:
             entry = self._live(key, time.monotonic())
             if entry is not None:
@@ -124,13 +121,10 @@ class SemanticResultCache:
             self.stats.misses += 1
             return None
 
-    def store(
-        self, fingerprint: tuple, versions: tuple, params: list, result: Table
-    ) -> None:
+    def store(self, key: tuple, result: Table) -> None:
         """Insert a computed result, evicting LRU beyond capacity."""
         if self.capacity <= 0:
             return
-        key = (fingerprint, versions, params_signature(params))
         with self._lock:
             self._entries.pop(key, None)  # refresh TTL/LRU position on re-store
             self._entries[key] = _Entry(result, time.monotonic() + self.ttl_s)

@@ -2,12 +2,14 @@
 
 ``QueryService`` is the serving layer the ROADMAP's "heavy traffic"
 north-star lands on: clients open lightweight sessions and submit
-declarative queries from their own threads; the service applies admission
-control (bounded in-flight work, backpressure rejections), skips repeated
-work through the plan cache and the semantic result cache, fuses
-concurrent same-source E-selections into shared scans via the coalescing
-scheduler, and drives the engine's morsel scheduler with per-query tags
-so scheduled work is attributable per query.
+declarative queries from their own threads; the service keys each request
+once and answers it from the semantic result cache when it can — on the
+caller's thread, with nothing an execution needs — and otherwise applies
+admission control (bounded in-flight work, backpressure rejections),
+skips the optimizer through the plan cache, fuses concurrent same-source
+E-selections into shared scans via the coalescing scheduler, and drives
+the engine's morsel scheduler with per-query tags so scheduled work is
+attributable per query.
 
 On top of that sits the **QoS layer** (:meth:`QueryService.submit_qos`):
 per-query deadlines, priorities, and recall floors.  A query whose
@@ -43,7 +45,6 @@ from ..errors import DeadlineExceededError, ServiceError, SessionClosedError
 from ..obs.adapter import publish_service
 from ..obs.capture import WorkloadRecorder
 from ..obs.critical_path import SlowQueryLog
-from ..obs.explain import render_explain
 from ..obs.export import prometheus_text, traces_jsonl
 from ..obs.metrics import registry as metrics_registry
 from ..obs.server import ObservabilityServer
@@ -63,7 +64,7 @@ from .coalescer import (
     materialize_selection,
     unwrap_shared_scan,
 )
-from .plan_cache import PlanCache
+from .plan_cache import PlanCache, fingerprint
 from .qos import (
     DEFAULT_PRIORITY,
     ExecTimeTracker,
@@ -381,7 +382,8 @@ class QueryService:
         timeout_s: float | None = None,
         explain_analyze: bool = False,
     ) -> Table:
-        """Admit, plan, and execute one query; blocks until the result.
+        """Answer one query — from the result cache, or admit, plan, and
+        execute it; blocks until the result.
 
         The no-QoS entry point: no deadline, default priority, never
         degraded — the returned table is always bit-identical to serial
@@ -413,8 +415,14 @@ class QueryService:
         tag: str = "svc/anon",
         timeout_s: float | None = None,
         explain_analyze: bool = False,
+        probed: tuple | None = None,
     ) -> QueryResponse:
         """Submit with QoS terms; return the result plus its QoS metadata.
+
+        A request is keyed once and looked up in the result cache before
+        anything else is spent on it: a cached answer takes no execution
+        slot, no retry budget and no optimized plan, and returns on the
+        calling thread.  Only a miss is admitted, planned and executed.
 
         The deadline drives three decisions, all *before* execution:
 
@@ -438,8 +446,11 @@ class QueryService:
                 degradation.
             tag: morsel-attribution tag for the engine scheduler.
             timeout_s: admission backpressure bound.
-            explain_analyze: force-trace this query (bypassing sampling)
-                and attach the rendered span tree to ``response.explain``.
+            explain_analyze: force-trace this query (bypassing sampling);
+                ``response.explain`` renders the span tree when read.
+            probed: the async front's hand-off, not a caller's argument —
+                what :meth:`probe` already returned for this query
+                (``(keyed, cached)``), so it is not keyed twice.
         """
         if self._closed:
             raise ServiceError("service is shut down")
@@ -460,7 +471,7 @@ class QueryService:
         try:
             with query_scope(trace):
                 response = self._submit_scoped(
-                    plan, qos, tag, start, timeout_s=timeout_s
+                    plan, qos, tag, start, timeout_s, probed
                 )
         except BaseException as exc:
             error = exc
@@ -489,9 +500,41 @@ class QueryService:
                     pass
         response.query_id = query_id
         response.trace = trace
-        if explain_analyze and trace is not None:
-            response.explain = render_explain(trace)
         return response
+
+    def probe(self, query, keyed: tuple | None = None) -> tuple:
+        """Key ``query`` (unless ``keyed`` already) and look its result up.
+
+        Returns ``(keyed, key, cached)``: ``keyed`` is the plan's
+        fingerprint and payload signature — the two expensive parts,
+        computed once per request and valid for as long as the plan is;
+        ``key`` adds everything else that can change a result, read at
+        this instant: table data versions, the index epoch (registering
+        an index can flip the physical access path — approximate for
+        HNSW/IVF), and the precision config (quantized scans are
+        approximate for top-k, so results cached under one
+        REPRO_PRECISION mode must not survive a config change).  Takes
+        only the result cache's lock, so the async front calls it on the
+        event loop.
+        """
+        if keyed is None:
+            plan = query.plan if isinstance(query, QueryBuilder) else query
+            shape = fingerprint(plan)
+            keyed = (shape, params_signature(shape.params))
+        shape, signature = keyed
+        config = get_config()
+        versions = (
+            *table_versions(shape.tables, self.engine.catalog),
+            ("__indexes__", self.engine.index_epoch),
+            (
+                "__precision__",
+                config.default_precision,
+                config.default_min_recall,
+                config.default_rerank_multiple,
+            ),
+        )
+        key = (shape.key, versions, signature)
+        return keyed, key, self.results.lookup(key)
 
     def _submit_scoped(
         self,
@@ -499,10 +542,28 @@ class QueryService:
         qos: QoSParams,
         tag: str,
         start: float,
-        *,
         timeout_s: float | None,
+        probed: tuple | None,
     ) -> QueryResponse:
-        """The admitted lifetime of one submission (runs inside its scope)."""
+        """One submission inside its trace scope: probe, and only on a miss
+        the admitted lifetime."""
+        keyed, cached = probed or (None, None)
+        key = None
+        # An already-expired deadline skips the probe: admission sheds it
+        # below, whether or not the answer is cached.
+        if qos.deadline is None or start < qos.deadline:
+            try:
+                with span("cache.lookup") as sp:
+                    if cached is None:
+                        keyed, key, cached = self.probe(plan, keyed)
+                    sp.set(hit=cached is not None)
+            except Exception as exc:
+                self._count_failed(exc, submitted=1)
+                raise
+            if cached is not None:
+                return self._complete(
+                    self._respond(cached, qos, start, cache_hit=True)
+                )
         with span("admission") as sp:
             sp.set(priority=qos.priority)
             try:
@@ -527,62 +588,49 @@ class QueryService:
             # morsel retries are deadline-aware and budget-capped without
             # threading QoS through operator signatures.
             with deadline_scope(qos.deadline, retry_budget=RetryBudget()):
-                response = self._run_admitted(plan, qos, tag, start)
-            with self._stats_lock:
-                self.stats.completed += 1
-                if response.degraded:
-                    self.qos.degraded += 1
-                if response.deadline_met is True:
-                    self.qos.deadline_met += 1
-                elif response.deadline_met is False:
-                    self.qos.deadline_missed += 1
-            self._m_completed.inc()
-            self._m_latency.observe(response.latency_s)
-            return response
+                response = self._run_admitted(plan, keyed, key, qos, tag, start)
+            return self._complete(response)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
-            with self._stats_lock:
-                self.stats.failed += 1
-            if isinstance(exc, DeadlineExceededError):
-                self._m_shed.inc()
-            else:
-                self._m_failed.inc()
+            self._count_failed(exc)
             raise
         finally:
             self.admission.release()
 
-    def _run_admitted(
-        self, plan, qos: QoSParams, tag: str, start: float
-    ) -> QueryResponse:
-        """Plan, consult caches, decide shed/degrade/full, and execute."""
-        optimized, fkey, params = self.plans.optimize(
-            plan, catalog=self.engine.catalog
-        )
-        # The cache key covers everything that can change a result:
-        # table data versions, the index epoch (registering an index
-        # can flip the physical access path — approximate for
-        # HNSW/IVF), and the precision config (quantized scans are
-        # approximate for top-k, so results cached under one
-        # REPRO_PRECISION mode must not survive a config change).
-        config = get_config()
-        versions = (
-            *table_versions(optimized, self.engine.catalog),
-            ("__indexes__", self.engine.index_epoch),
-            (
-                "__precision__",
-                config.default_precision,
-                config.default_min_recall,
-                config.default_rerank_multiple,
-            ),
-        )
-        with span("cache.lookup") as sp:
-            cached = self.results.lookup(fkey, versions, params)
-            sp.set(hit=cached is not None)
-        if cached is not None:
-            with self._stats_lock:
+    def _complete(self, response: QueryResponse) -> QueryResponse:
+        """The one completion step, for a cached answer and an executed one."""
+        with self._stats_lock:
+            if response.cache_hit:  # never admitted, so not yet counted
+                self.stats.submitted += 1
                 self.stats.result_cache_hits += 1
-            return self._respond(cached, qos, start, cache_hit=True)
+            self.stats.completed += 1
+            if response.degraded:
+                self.qos.degraded += 1
+            if response.deadline_met is True:
+                self.qos.deadline_met += 1
+            elif response.deadline_met is False:
+                self.qos.deadline_missed += 1
+        self._m_completed.inc()
+        self._m_latency.observe(response.latency_s)
+        return response
+
+    def _count_failed(self, exc: Exception, *, submitted: int = 0) -> None:
+        with self._stats_lock:
+            self.stats.submitted += submitted
+            self.stats.failed += 1
+        if isinstance(exc, DeadlineExceededError):
+            self._m_shed.inc()
+        else:
+            self._m_failed.inc()
+
+    def _run_admitted(
+        self, plan, keyed: tuple, key: tuple, qos: QoSParams, tag: str, start: float
+    ) -> QueryResponse:
+        """Plan a result-cache miss, decide shed/degrade/full, and execute."""
+        optimized = self.plans.optimize(
+            plan, catalog=self.engine.catalog, shape=keyed[0]
+        )
         remaining = qos.remaining()
         if remaining is not None:
             estimate = self.qos_tracker.estimate("full")
@@ -629,13 +677,12 @@ class QueryService:
         # Singleflight: an identical query already executing means this
         # one just waits for that result — the result cache cannot catch
         # duplicates that arrive mid-execution.
-        sf_key = (fkey, versions, params_signature(params))
         with self._singleflight_lock:
-            slot = self._inflight_results.get(sf_key)
+            slot = self._inflight_results.get(key)
             owner = slot is None
             if owner:
                 slot = _InflightResult()
-                self._inflight_results[sf_key] = slot
+                self._inflight_results[key] = slot
         if not owner:
             with span("singleflight.wait"):
                 slot.done.wait()
@@ -652,7 +699,7 @@ class QueryService:
             self.qos_tracker.observe("full", exec_seconds)
             with span("cache.store") as sp:
                 sp.set(cost_s=exec_seconds)
-                self.results.store(fkey, versions, params, result)
+                self.results.store(key, result)
             slot.result = result
         except (KeyboardInterrupt, SystemExit):
             # Waiters still get a resolved future — a clean service error,
@@ -665,7 +712,7 @@ class QueryService:
             raise
         finally:
             with self._singleflight_lock:
-                del self._inflight_results[sf_key]
+                del self._inflight_results[key]
             slot.done.set()
         return self._respond(result, qos, start)
 

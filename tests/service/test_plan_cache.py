@@ -34,10 +34,15 @@ def _topk_plan(engine, qvec, k=5):
 
 
 def test_same_shape_same_fingerprint(service_engine, query_vectors):
-    key_a, params_a = fingerprint(_topk_plan(service_engine, query_vectors[0]))
-    key_b, params_b = fingerprint(_topk_plan(service_engine, query_vectors[1]))
+    key_a, params_a, tables_a = fingerprint(
+        _topk_plan(service_engine, query_vectors[0])
+    )
+    key_b, params_b, tables_b = fingerprint(
+        _topk_plan(service_engine, query_vectors[1])
+    )
     assert key_a == key_b
     assert not np.array_equal(params_a[0], params_b[0])
+    assert tables_a == tables_b == ("corpus",)
 
 
 def test_different_shapes_different_fingerprints(service_engine, query_vectors):
@@ -66,7 +71,7 @@ def test_cached_optimization_matches_direct(service_engine, query_vectors):
     catalog = service_engine.catalog
     for qvec in query_vectors[:4]:
         plan = _topk_plan(service_engine, qvec)
-        via_cache, _, _ = cache.optimize(plan, catalog=catalog)
+        via_cache = cache.optimize(plan, catalog=catalog)
         direct = Optimizer(catalog=catalog).optimize(plan)
         assert via_cache.explain() == direct.explain()
     assert cache.stats.misses == 1
@@ -197,61 +202,115 @@ def test_optional_child_and_predicate_fields_are_classified_by_type():
     assert full != structure(_Maybe(ScanNode("t"), Col("a") > 2, "x"))
 
 
+_BASE = dict(column="emb", model=MODEL, top_k=4, min_similarity=None,
+             score_column="similarity")
+_VARIANTS = [
+    {},
+    {"top_k": 6},
+    {"min_similarity": 0.1},
+    {"score_column": "score"},
+    {"top_k": None, "threshold": 0.2},
+    {"top_k": None, "threshold": 0.2, "score_column": "score"},
+]
+_SHAPES = [
+    dict(),
+    dict(where=50),
+    dict(where=120),
+    dict(limit=2),
+    dict(select=["id"]),
+]
+
+
+def _build(engine, overrides, qvec, *, where=None, select=None, limit=None):
+    from repro.relational import Col
+
+    options = {**_BASE, **overrides}
+    builder = engine.query("corpus")
+    if where is not None:
+        builder = builder.where(Col("id") >= where)
+    builder = builder.esimilar(options.pop("column"), qvec, **options)
+    if select is not None:
+        builder = builder.select(select)
+    if limit is not None:
+        builder = builder.limit(limit)
+    return builder
+
+
+def _every_builder_option():
+    """``(overrides, shape)``: one base query, each option varied alone."""
+    for overrides in _VARIANTS:
+        for shape in _SHAPES:
+            if "select" in shape and overrides.get("score_column"):
+                continue
+            yield overrides, shape
+
+
+def test_one_walk_yields_the_parameterized_key(service_engine, query_vectors):
+    """``fingerprint`` builds no template, yet its key is the structure of
+    the one ``parameterize`` builds, its payloads are that template's, in
+    order, and its tables are the plan's scans — for every builder option,
+    for two E-selections in one plan, and across a join."""
+    from repro.algebra.logical import ScanNode, walk
+    from repro.service.plan_cache import structure
+
+    q0, q1 = query_vectors[:2]
+    plans = [
+        _build(service_engine, overrides, q0, **shape).plan
+        for overrides, shape in _every_builder_option()
+    ]
+    twice = (
+        service_engine.query("corpus")
+        .esimilar("emb", q0, model=MODEL, top_k=9, score_column="s0")
+        .esimilar("emb", q1, model=MODEL, top_k=3, score_column="s1")
+    )
+    joined = twice.join(
+        service_engine.query("other").esimilar("emb", q1, model=MODEL, top_k=5),
+        left_on="id",
+        right_on="id",
+    )
+    plans += [twice.plan, joined.plan]
+    for plan in plans:
+        template, params = parameterize(plan)
+        shape = fingerprint(plan)
+        assert shape.key == structure(template), plan.explain()
+        assert len(shape.params) == len(params)
+        assert all(a is b for a, b in zip(shape.params, params))
+        assert shape.tables == tuple(
+            sorted({n.table_name for n in walk(plan) if isinstance(n, ScanNode)})
+        )
+        hash(shape.key)
+    assert len(fingerprint(twice.plan).params) == 2
+    assert fingerprint(joined.plan).tables == ("corpus", "other")
+    # A template keys as itself: nothing left to extract.
+    template, _ = parameterize(joined.plan)
+    assert fingerprint(template) == (structure(template), [], ("corpus", "other"))
+
+
 def test_cached_results_equal_uncached_for_every_builder_option(query_vectors):
     """Differential: one base query, each builder option varied one at a
     time; a service with plan and result caches must answer every variant
     exactly as an uncached engine does — name of the score column
-    included."""
-    from repro.relational import Col
+    included.  The result cache answers the second round; a second payload
+    of each shape then reaches the plan cache's templates."""
     from repro.service import QueryService
 
     from _service_utils import assert_tables_equal, make_engine
 
-    base = dict(column="emb", model=MODEL, top_k=4, min_similarity=None,
-                score_column="similarity")
-    variants = [
-        {},
-        {"top_k": 6},
-        {"min_similarity": 0.1},
-        {"score_column": "score"},
-        {"top_k": None, "threshold": 0.2},
-        {"top_k": None, "threshold": 0.2, "score_column": "score"},
-    ]
-
-    def build(engine, overrides, qvec, *, where=None, select=None, limit=None):
-        options = {**base, **overrides}
-        builder = engine.query("corpus")
-        if where is not None:
-            builder = builder.where(Col("id") >= where)
-        builder = builder.esimilar(options.pop("column"), qvec, **options)
-        if select is not None:
-            builder = builder.select(select)
-        if limit is not None:
-            builder = builder.limit(limit)
-        return builder
-
-    shapes = [
-        dict(),
-        dict(where=50),
-        dict(where=120),
-        dict(limit=2),
-        dict(select=["id"]),
-    ]
     reference = make_engine()
     engine = make_engine()
     service = QueryService(engine, coalesce=False)
     with service.session("differential") as session:
-        for round_ in range(2):  # second round is served from the caches
-            for overrides in variants:
-                for shape in shapes:
-                    if "select" in shape and overrides.get("score_column"):
-                        continue
-                    qvec = query_vectors[0]
-                    got = session.execute(build(engine, overrides, qvec, **shape))
-                    want = build(reference, overrides, qvec, **shape).execute()
-                    assert_tables_equal(
-                        got, want, context=f"round {round_} {overrides} {shape}"
-                    )
+        # Rounds 0-1 repeat one payload (round 1: result-cache hits, which
+        # plan nothing); round 2 brings a new payload of every shape.
+        for round_, qvec in enumerate(query_vectors[[0, 0, 1]]):
+            for overrides, shape in _every_builder_option():
+                got = session.execute(_build(engine, overrides, qvec, **shape))
+                want = _build(reference, overrides, qvec, **shape).execute()
+                assert_tables_equal(
+                    got, want, context=f"round {round_} {overrides} {shape}"
+                )
     snapshot = service.stats_snapshot()
-    assert snapshot["plan_cache"]["hits"] > 0
-    assert snapshot["result_cache"]["exact_hits"] > 0
+    executed = snapshot["plan_cache"]["hits"] + snapshot["plan_cache"]["misses"]
+    assert snapshot["plan_cache"]["hits"] == snapshot["plan_cache"]["misses"] > 0
+    assert snapshot["result_cache"]["exact_hits"] == executed // 2
+    assert snapshot["service"]["completed"] == 3 * executed // 2

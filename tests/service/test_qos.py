@@ -13,7 +13,7 @@ from repro.errors import DeadlineExceededError, ServiceOverloadError
 from repro.service import QueryService
 from repro.service.admission import AdmissionController
 from repro.service.qos import EWMA, ExecTimeTracker, QoSParams
-from repro.service.semantic_cache import SemanticResultCache
+from repro.service.semantic_cache import SemanticResultCache, params_signature
 from repro.workloads import unit_vectors
 
 pytestmark = [pytest.mark.service, pytest.mark.qos]
@@ -71,13 +71,13 @@ def test_qos_params_relative_deadline():
 # ----------------------------------------------------------------------
 def test_lru_eviction_beyond_capacity():
     cache = SemanticResultCache(capacity=1, ttl_s=60.0)
-    a = [np.ones(4, dtype=np.float32)]
-    b = [np.zeros(4, dtype=np.float32)]
-    cache.store("fp", ("v",), a, object())
+    a = ("fp", ("v",), params_signature([np.ones(4, dtype=np.float32)]))
+    b = ("fp", ("v",), params_signature([np.zeros(4, dtype=np.float32)]))
+    cache.store(a, object())
     sentinel = object()
-    cache.store("fp", ("v",), b, sentinel)
-    assert cache.lookup("fp", ("v",), a) is None
-    assert cache.lookup("fp", ("v",), b) is sentinel
+    cache.store(b, sentinel)
+    assert cache.lookup(a) is None
+    assert cache.lookup(b) is sentinel
 
 
 # ----------------------------------------------------------------------

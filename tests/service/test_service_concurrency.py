@@ -91,14 +91,18 @@ def test_mixed_concurrent_traffic_matches_serial(query_vectors):
 def test_repeated_traffic_hits_caches(query_vectors):
     engine = make_engine()
     service = QueryService(engine, coalesce=False)
-    builder = lambda: engine.query("corpus").esimilar(
-        "emb", query_vectors[0], model=MODEL, top_k=3
+    builder = lambda i=0: engine.query("corpus").esimilar(
+        "emb", query_vectors[i], model=MODEL, top_k=3
     )
     first = service.submit(builder())
     again = service.submit(builder())
     assert again is first  # exact semantic-cache hit returns the cached table
     assert service.stats.result_cache_hits == 1
-    assert service.plans.stats.hits >= 1
+    # A cached answer plans nothing; the next payload of the shape reuses
+    # the optimized template.
+    assert (service.plans.stats.hits, service.plans.stats.misses) == (0, 1)
+    service.submit(builder(1))
+    assert (service.plans.stats.hits, service.plans.stats.misses) == (1, 1)
 
 
 def test_singleflight_suppresses_concurrent_duplicates(
