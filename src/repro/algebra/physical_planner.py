@@ -14,21 +14,23 @@ enabled by the optimizer.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import get_config
-from ..core.conditions import TopKCondition
+from ..core.conditions import ThresholdCondition, TopKCondition
 from ..core.cost_model import (
     CostParams,
     choose_access_path,
     choose_scan_precision,
 )
+from ..core.eselect import eselect
 from ..core.index_join import DEFAULT_PROBE_K, index_join
 from ..core.join import ejoin
 from ..core.nlj import naive_nlj
+from ..core.quantized_join import QuantizedRelation, quantized_eselect
 from ..embedding.cache import EmbeddingStore
 from ..embedding.registry import ModelRegistry, default_registry
 from ..engine import ExecutionEngine
@@ -145,8 +147,6 @@ class ExecutionContext:
         """Fit/encode-once quantized store for a (table, column, model):
         every query against the same registration ``table`` of the scan
         source reuses the encoded codes."""
-        from ..core.quantized_join import QuantizedRelation
-
         def build(vectors: np.ndarray):
             maybe_inject("quant.build")
             return QuantizedRelation.build(vectors, method)
@@ -183,6 +183,11 @@ def _scan_store_key(
     if isinstance(source_node, ScanNode):
         return (source_node.table_name, column, model_name)
     return None
+
+
+def _probe_k(condition) -> int:
+    """Candidates a probe fetches per row, as the cost model prices it."""
+    return condition.k if isinstance(condition, TopKCondition) else DEFAULT_PROBE_K
 
 
 def _quantized_scan_decision(
@@ -299,9 +304,6 @@ def _execute(node: LogicalNode, ctx: ExecutionContext, report: ExecutionReport) 
 def _execute_eselect(
     node: ESelectNode, ctx: ExecutionContext, report: ExecutionReport
 ) -> Table:
-    from ..core.eselect import eselect
-    from ..core.quantized_join import quantized_eselect
-
     table = _execute(node.child, ctx, report)
     model = ctx.models.get(node.model_name)
     # A plain table scan source keeps its scan-ready state (unit rows,
@@ -312,14 +314,7 @@ def _execute_eselect(
         if store_key is not None
         else _embed_column(table, node.column, node.model_name, ctx)
     )
-    query = node.query
-    if not isinstance(query, np.ndarray):
-        query = ctx.store_for(node.model_name).embed_items([query])[0]
-    k = (
-        node.condition.k
-        if isinstance(node.condition, TopKCondition)
-        else DEFAULT_PROBE_K
-    )
+    query = eselect_query(node, ctx.store_for)
     # A cold one-shot selection stays on the exact fp32 scan unless the
     # compressed scan wins even with the build charged.
     with span("planner.eselect") as sp:
@@ -330,7 +325,7 @@ def _execute_eselect(
             1,
             table.num_rows,
             _embedding_dim(table, node.column, model),
-            k,
+            _probe_k(node.condition),
         )
 
         def quantized(precision: str):
@@ -345,17 +340,14 @@ def _execute_eselect(
             store_key, decision.precision, report, quantized
         )
         if result is None:
-            if store_key is not None:
-                # Scan sources share one normalize-once matrix across
-                # queries and sessions; eselect's exact-rescore contract
-                # makes the shared and inline-normalized paths
-                # bit-identical.
-                result = eselect(
-                    ctx.normalized_matrix_for(store_key, table), query,
-                    node.condition, model=model, assume_normalized=True,
-                )
-            else:
-                result = eselect(vectors, query, node.condition, model=model)
+            # Scan sources share one normalize-once matrix across queries
+            # and sessions; eselect's exact-rescore contract makes the
+            # shared and inline-normalized paths bit-identical.
+            shared = store_key is not None
+            result = eselect(
+                ctx.normalized_matrix_for(store_key, table) if shared else vectors,
+                query, node.condition, assume_normalized=shared,
+            )
         report.strategies.append(result.stats.strategy)
         report.join_stats.append(result.stats)
         sp.set(
@@ -364,10 +356,57 @@ def _execute_eselect(
             rows=table.num_rows,
             fallbacks=len(report.fallbacks) - n_fallbacks,
         )
-    out = table.take(result.ids)
-    return out.with_column(
-        Column(Field(node.score_column, DataType.FLOAT32), result.scores)
+    return materialize_selection(table, result.ids, result.scores, node.score_column)
+
+
+def eselect_query(node: ESelectNode, store_for: Callable) -> np.ndarray:
+    """An E-selection's query as a vector: a raw item goes through the
+    shared embed-once store ``store_for(model name)`` hands out."""
+    query = node.query
+    if not isinstance(query, np.ndarray):
+        query = store_for(node.model_name).embed_items([query])[0]
+    return query
+
+
+def unwrap_selection(
+    plan: LogicalNode,
+) -> tuple[list[LogicalNode], ESelectNode] | None:
+    """Match ``Project*/Limit*( ESelect( Scan(t) ) )``: an E-selection over
+    a base table scan, which a shared scan or the degraded path can run
+    itself and hand to :func:`materialize_selection`.  Returns ``(wrappers
+    outermost-first, eselect node)``, else ``None``."""
+    wrappers: list[LogicalNode] = []
+    node = plan
+    while isinstance(node, (ProjectNode, LimitNode)):
+        wrappers.append(node)
+        node = node.child
+    if not isinstance(node, ESelectNode) or not isinstance(node.child, ScanNode):
+        return None
+    if not isinstance(node.condition, (ThresholdCondition, TopKCondition)):
+        return None
+    return wrappers, node
+
+
+def materialize_selection(
+    table: Table,
+    ids: np.ndarray,
+    scores: np.ndarray,
+    score_column: str,
+    wrappers: Sequence[LogicalNode] = (),
+) -> Table:
+    """An E-selection's output table, under the ``Project`` / ``Limit``
+    nodes (outermost first) of a plan whose selection the caller ran
+    itself: a coalesced group, the degraded path."""
+    out = table.take(ids).with_column(
+        Column(Field(score_column, DataType.FLOAT32), scores)
     )
+    for wrapper in reversed(wrappers):
+        if isinstance(wrapper, ProjectNode):
+            out = out.select(list(wrapper.names))
+        else:
+            assert isinstance(wrapper, LimitNode)
+            out = out.slice(0, wrapper.n)
+    return out
 
 
 def _execute_embed(
@@ -514,11 +553,6 @@ def _execute_ejoin_impl(
     if strategy is None and indexed is not None:
         index, bitmap, base = indexed
         sel = 1.0 if bitmap is None else float(bitmap.mean()) if len(bitmap) else 0.0
-        k = (
-            node.condition.k
-            if isinstance(node.condition, TopKCondition)
-            else DEFAULT_PROBE_K
-        )
         # A tripped index breaker feeds the cost model as "no index":
         # its cost is infinite, so the chooser lands on the exact scan.
         index_open = (
@@ -528,7 +562,7 @@ def _execute_ejoin_impl(
         decision = choose_access_path(
             len(left_vectors),
             len(index),
-            k,
+            _probe_k(node.condition),
             index.dim,
             selectivity=sel,
             params=ctx.cost_params,
@@ -600,9 +634,7 @@ def _execute_ejoin_impl(
             len(left_vectors),
             right.num_rows,
             _embedding_dim(right, node.right_column, model),
-            node.condition.k
-            if isinstance(node.condition, TopKCondition)
-            else DEFAULT_PROBE_K,
+            _probe_k(node.condition),
         ).precision
     elif scan_strategy in ("tensor-int8", "tensor-pq"):
         # A forced quantized scan takes the same store cache, breaker

@@ -1,14 +1,7 @@
 """Core contribution: context-enhanced join operators and cost model."""
 
 from .conditions import JoinCondition, ThresholdCondition, TopKCondition
-from .eselect import (
-    PRESCREEN_MARGIN,
-    TOPK_PRESCREEN_PAD,
-    SelectionResult,
-    eselect,
-    exact_threshold_select,
-    guarded_topk_select,
-)
+from .eselect import SelectionResult, eselect, select_group
 from .precision import precision_error_bound, tensor_join_fp16
 from .cost_model import (
     CostParams,
@@ -27,12 +20,9 @@ from .tensor_join import resolve_batch_shape, tensor_join, tensor_join_non_batch
 
 __all__ = [
     "CostParams",
-    "PRESCREEN_MARGIN",
     "SelectionResult",
-    "TOPK_PRESCREEN_PAD",
-    "exact_threshold_select",
-    "guarded_topk_select",
     "eselect",
+    "select_group",
     "precision_error_bound",
     "tensor_join_fp16",
     "DEFAULT_PROBE_K",

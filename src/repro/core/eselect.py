@@ -20,6 +20,8 @@ bit-identical results to serial execution.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .conditions import (
 )
 from .nlj import _as_matrix
 from .result import JoinStats
-from .scan import dense_score_block, merge_topk, rows_above, scan_candidates
+from .scan import dense_score_block, merge_topk, scan_candidates, split_rows
 
 #: Margin subtracted from prescreen thresholds so float rounding in the
 #: approximate BLAS pass can never exclude a row the exact kernel would
@@ -66,13 +68,21 @@ class SelectionResult:
         return len(self.ids)
 
 
+def _as_query(query) -> np.ndarray:
+    """A query vector as fp32: one dimension, every value finite."""
+    query = np.asarray(query, dtype=np.float32)
+    if query.ndim != 1:
+        raise DimensionalityError(
+            f"query must be a 1-D vector, got ndim={query.ndim}"
+        )
+    if not np.isfinite(query).all():
+        raise JoinError("the query vector holds a non-finite value")
+    return query
+
+
 def _query_vector(query, model: EmbeddingModel | None, stats: JoinStats) -> np.ndarray:
     if isinstance(query, np.ndarray):
-        if query.ndim != 1:
-            raise DimensionalityError(
-                f"query must be a 1-D vector, got ndim={query.ndim}"
-            )
-        return normalize_vector(np.asarray(query, dtype=np.float32))
+        return normalize_vector(_as_query(query))
     if model is None:
         raise JoinError("a raw query item requires an embedding model")
     stats.model_calls += 1
@@ -81,83 +91,139 @@ def _query_vector(query, model: EmbeddingModel | None, stats: JoinStats) -> np.n
     return normalize_vector(model.embed(query))
 
 
-def exact_threshold_select(
+def exact_select(
     normalized: np.ndarray,
     candidates: np.ndarray,
     qvec: np.ndarray,
-    threshold: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact threshold selection over a prescreened candidate superset.
-
-    ``candidates`` must contain every row whose *exact* score could reach
-    ``threshold`` (guaranteed when they were selected with approximate
-    score >= ``threshold - PRESCREEN_MARGIN``).  Returns ``(ids, scores)``
-    in ascending-id order with shape-stable exact scores — identical for
-    any candidate superset, so serial and coalesced scans agree bitwise.
-    """
-    candidates = np.asarray(candidates, dtype=np.int64)
-    exact = stable_dot_scores(normalized[candidates], qvec)
-    keep = exact >= threshold
-    return candidates[keep], exact[keep]
-
-
-def exact_topk_select(
-    normalized: np.ndarray,
-    candidates: np.ndarray,
-    qvec: np.ndarray,
-    k: int,
-    *,
-    min_similarity: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k selection over a prescreened candidate superset.
-
-    ``candidates`` must contain every row whose exact score ties or beats
-    the true k-th best.  Selection is by (exact score descending, id
-    ascending) — :func:`top_k_indices` semantics — so any valid superset
-    yields the same ids and scores.
-    """
-    candidates = np.asarray(candidates, dtype=np.int64)
-    exact = stable_dot_scores(normalized[candidates], qvec)
-    order = np.lexsort((candidates, -exact))[: min(k, len(candidates))]
-    ids, scores = candidates[order], exact[order]
-    if min_similarity is not None:
-        keep = scores >= min_similarity
-        ids, scores = ids[keep], scores[keep]
-    return ids, scores
-
-
-def guarded_topk_select(
-    normalized: np.ndarray,
-    candidates: np.ndarray,
-    floor: float,
-    qvec: np.ndarray,
-    condition: TopKCondition,
+    condition: JoinCondition,
+    floor: float = -np.inf,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Exact top-k from prescreen candidates, complete or made so.
+    """The exact finalizer of every served scan: score a prescreened
+    candidate set once, select, and prove the selection — or widen it.
 
-    The one completeness rule of every served scan: each row the
-    prescreen dropped has approximate score ``<= floor``, so when
-    ``floor`` sits at least :data:`PRESCREEN_MARGIN` under the k-th best
-    *exact* candidate score no dropped row can tie or beat the top-k.
-    Otherwise one more pass collects every row within the margin of that
-    k-th score — any row that can still matter — at a fixed floor.
-    Returns ``(ids, scores, rescanned)``.
+    Scores are :func:`~repro.vector.kernels.stable_dot_scores`', so every
+    candidate superset of the answer yields the same ids and scores.  A
+    threshold's candidates (approximate score within
+    :data:`PRESCREEN_MARGIN` of it) are one by construction and come out
+    in ascending-id order.  A top-k's — selected by (score descending, id
+    ascending), then cut at ``min_similarity`` — are one if proved: every
+    row the prescreen dropped scores ``<= floor`` approximately (``-inf``:
+    none was dropped), so with ``floor`` a margin under the k-th best
+    exact candidate score no dropped row can tie or beat the top-k.
+    Otherwise one fixed-floor pass collects every row within the margin of
+    that score.  Returns ``(ids, scores, rescanned)``.
     """
     rescanned = False
-    if 0 < len(candidates) < len(normalized):
+    while True:
+        candidates = np.asarray(candidates, dtype=np.int64)
         exact = stable_dot_scores(normalized[candidates], qvec)
-        kth = np.sort(exact)[::-1][min(condition.k, len(exact)) - 1]
-        if floor > kth - PRESCREEN_MARGIN:
-            candidates = rows_above(normalized, qvec, kth - PRESCREEN_MARGIN)
-            rescanned = True
-    ids, scores = exact_topk_select(
-        normalized,
-        candidates,
-        qvec,
-        condition.k,
-        min_similarity=condition.min_similarity,
-    )
+        if isinstance(condition, ThresholdCondition):
+            keep = exact >= condition.threshold
+            return candidates[keep], exact[keep], False
+        keep = np.lexsort((candidates, -exact))[: condition.k]
+        if rescanned or not 0 < len(candidates) < len(normalized):
+            break
+        bar = exact[keep[-1]] - PRESCREEN_MARGIN
+        if floor <= bar:
+            break
+        candidates = scan_candidates(
+            dense_score_block(normalized, qvec[None, :]),
+            0, len(normalized), 1, (), 0, (0,), bar,
+        ).hits[1]
+        rescanned = True
+    ids, scores = candidates[keep], exact[keep]
+    if condition.min_similarity is not None:
+        keep = scores >= condition.min_similarity
+        ids, scores = ids[keep], scores[keep]
     return ids, scores, rescanned
+
+
+class GroupSelection(NamedTuple):
+    """One shared prescreen, and the exact selection of each request on it."""
+
+    #: ``select(i) -> (ids, scores, candidates, rescanned)`` of request ``i``.
+    select: Callable[[int], tuple[np.ndarray, np.ndarray, int, bool]]
+    unique: int  # distinct query vectors: rows of the stacked scan operand
+    blocks: int
+    fanned: object | None  # what ``scan=`` answered (``None``: in process)
+
+
+def select_group(
+    normalized: np.ndarray,
+    qvecs,
+    conditions,
+    *,
+    scan: Callable | None = None,
+    budget_bytes: int | None = None,
+) -> GroupSelection:
+    """Exact E-selections of a group of requests over one scan of
+    ``normalized`` — everything that makes a served selection exact.
+
+    Request ``i`` is the unit query ``qvecs[i]`` under ``conditions[i]``.
+    Equal vectors share a scan row (which may then need both top-k
+    candidates and threshold hits), the relation streams once for the
+    group, and :func:`exact_select` finalizes each request on its row's
+    candidates — so no answer depends on who shared the scan.
+    :func:`eselect` is a group of one.
+
+    Args:
+        scan: a drop-in for the in-process pass, called like
+            :meth:`repro.shard.ShardPool.scan_candidates` without its key
+            and answering like it; ``None`` from it declines.
+        budget_bytes: cap on one score block of the in-process pass.
+    """
+    n = len(normalized)
+    row_of: dict[bytes, int] = {}
+    urows = [row_of.setdefault(np.asarray(q).tobytes(), len(row_of)) for q in qvecs]
+    queries = np.empty((len(row_of), normalized.shape[1]), dtype=np.float32)
+    for urow, qvec in zip(urows, qvecs):
+        queries[urow] = qvec
+    if not np.isfinite(queries).all():
+        raise JoinError("a query vector holds a non-finite value")
+    kmax = 0
+    topk_set: set[int] = set()
+    thr_floor: dict[int, float] = {}
+    for urow, condition in zip(urows, conditions):
+        if isinstance(condition, TopKCondition):
+            topk_set.add(urow)
+            kmax = max(kmax, condition.k)
+        else:
+            floor = condition.threshold - PRESCREEN_MARGIN
+            thr_floor[urow] = min(thr_floor.get(urow, floor), floor)
+    topk_rows, thr_rows = sorted(topk_set), sorted(thr_floor)
+    floors = np.asarray([thr_floor[urow] for urow in thr_rows], dtype=np.float32)
+    kpad = max(1, min(n, kmax + TOPK_PRESCREEN_PAD))
+
+    fanned = None if scan is None else scan(
+        queries, n_rows=n, topk_rows=topk_rows, kpad=kpad,
+        thr_rows=thr_rows, thr_floors=floors,
+    )
+    if fanned is not None:
+        cand_ids, cand_floor = fanned.heap_ids, fanned.heap_floor
+        thr_hits, blocks = fanned.thr_hits, fanned.blocks
+    else:
+        found = scan_candidates(
+            dense_score_block(normalized, queries),
+            0, n, len(queries), topk_rows, kpad, thr_rows, floors,
+            budget_bytes=budget_bytes,
+        )
+        cand_ids, cand_floor = merge_topk([found.triples], len(topk_rows), kpad)
+        thr_hits = split_rows(found.hits[0], found.hits[1], len(thr_rows))
+        blocks = found.blocks
+    topk_of = dict(zip(topk_rows, zip(cand_ids, cand_floor)))
+    hits_of = dict(zip(thr_rows, thr_hits))
+
+    def select(i: int):
+        if isinstance(conditions[i], TopKCondition):
+            candidates, floor = topk_of[urows[i]]
+        else:
+            candidates, floor = hits_of[urows[i]], -np.inf
+        ids, scores, rescanned = exact_select(
+            normalized, candidates, queries[urows[i]], conditions[i], float(floor)
+        )
+        return ids, scores, len(candidates), rescanned
+
+    return GroupSelection(select, len(queries), blocks, fanned)
 
 
 def eselect(
@@ -189,27 +255,8 @@ def eselect(
             f"relation dim {matrix.shape[1]} != query dim {qvec.shape[0]}"
         )
     normalized = matrix if assume_normalized else normalize_rows(matrix)
-    n = len(normalized)
-    stats.similarity_evaluations = n
-
-    if isinstance(condition, ThresholdCondition):
-        candidates = rows_above(
-            normalized, qvec, condition.threshold - PRESCREEN_MARGIN
-        )
-        ids, scores = exact_threshold_select(
-            normalized, candidates, qvec, condition.threshold
-        )
-    else:
-        assert isinstance(condition, TopKCondition)
-        kpad = min(n, condition.k + TOPK_PRESCREEN_PAD)
-        scan = scan_candidates(
-            dense_score_block(normalized, qvec[None, :]),
-            0, n, 1, (0,), kpad, (), (),
-        )
-        (candidates,), (floor,) = merge_topk([scan.triples], 1, kpad)
-        ids, scores, _ = guarded_topk_select(
-            normalized, candidates, float(floor), qvec, condition
-        )
+    stats.similarity_evaluations = len(normalized)
+    ids, scores, _, _ = select_group(normalized, [qvec], [condition]).select(0)
     stats.seconds = time.perf_counter() - start
     stats.pairs_emitted = len(ids)
     return SelectionResult(ids, scores, stats)

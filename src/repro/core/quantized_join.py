@@ -13,7 +13,8 @@ quantization.  The join becomes a two-phase scan:
    with its per-query ``bias``, and the quantizer's error ``bound``.
 2. **Exact re-rank** — each left row's best ``multiple * k``
    approximate candidates (or, for threshold joins, everything above
-   ``threshold - error_bound``) are re-scored against the stored fp32
+   ``threshold - error_bound``, one scanned block at a time so that only
+   true matches pool) are re-scored against the stored fp32
    rows (:func:`_exact_scores`, the representation's ``rerank``), then
    folded to ``k`` or filtered at the threshold, so the emitted scores
    are exact and threshold results provably contain every true match
@@ -32,9 +33,10 @@ from ..config import get_config
 from ..embedding.base import EmbeddingModel
 from ..engine import ExecutionEngine
 from ..errors import DimensionalityError, JoinError
-from ..vector.norms import normalize_rows
+from ..vector.norms import finite_norms, normalize_rows
 from ..vector.quant import Int8Quantizer, ProductQuantizer, VectorQuantizer
 from .conditions import JoinCondition, TopKCondition, validate_condition
+from .eselect import SelectionResult, _as_query
 from .nlj import _as_matrices, _as_matrix
 from .result import JoinResult, JoinStats
 from .scan import scan_join
@@ -102,6 +104,8 @@ class QuantizedRelation:
             raise JoinError(
                 f"unknown quantization method {method!r}; have {QUANT_METHODS}"
             )
+        if assume_normalized:
+            finite_norms(vectors)  # the rejection normalize_rows makes
         normalized = vectors if assume_normalized else normalize_rows(vectors)
         if quantizer is None:
             dim = vectors.shape[1]
@@ -277,22 +281,15 @@ def quantized_eselect(
     model: EmbeddingModel | None = None,
     rerank_multiple: int | None = None,
     buffer_budget_bytes: int | None = None,
-):
+) -> SelectionResult:
     """Quantized-scan E-selection: the one-query special case of the join.
 
     ``relation`` may be raw vectors or a pre-built
     :class:`QuantizedRelation`.  Returns a
     :class:`~repro.core.eselect.SelectionResult` with exact fp32 scores.
     """
-    from .eselect import SelectionResult
-
-    query = np.asarray(query, dtype=np.float32)
-    if query.ndim != 1:
-        raise DimensionalityError(
-            f"query must be a 1-D vector, got ndim={query.ndim}"
-        )
     result = quantized_tensor_join(
-        query[None, :],
+        _as_query(query)[None, :],
         relation,
         condition,
         method=method,

@@ -8,10 +8,10 @@ blocks.  Callers differ only in the *representation* scanned — the
 ``score_block`` closure they hand in (fp32 rows, an fp16 upcast, int8
 codes or PQ one-hot rows through the quantizer's ``scorer``), with its
 score-error ``bound`` and per-query ``bias`` — and in their exact
-finalizer: served scans (:func:`~repro.core.eselect.eselect`,
-:mod:`repro.service.coalescer`, :mod:`repro.shard.worker`) re-score
-candidates with the shape-stable exact kernel, the fp32 and fp16 joins
-emit the GEMM's own scores, the quantized join re-ranks in fp32.
+finalizer: served scans (:func:`~repro.core.eselect.select_group`, over
+its own pass or the shard workers') re-score candidates with the
+shape-stable exact kernel, the fp32 and fp16 joins emit the GEMM's own
+scores, the quantized join re-ranks in fp32.
 
 :func:`scan_join` is the one operator body under every scan join: ask
 :func:`~repro.vector.select.scan_shape` for the block, cut the left side,
@@ -29,7 +29,6 @@ import numpy as np
 from ..engine import ExecutionEngine, serial_engine
 from ..vector.kernels import row_major_scores
 from ..vector.select import (
-    TRIPLE_BYTES,
     TopKReducer,
     maxima_bytes,
     scan_shape,
@@ -99,6 +98,7 @@ def scan_candidates(
     width: int | None = None,
     bound: float = 0.0,
     bias: np.ndarray | None = None,
+    refine: Callable[[np.ndarray, np.ndarray, np.ndarray], Triples] | None = None,
 ) -> ScanResult:
     """One blocked pass over relation rows ``[lo, hi)``.
 
@@ -119,6 +119,10 @@ def scan_candidates(
             (the int8 affine term).  Ranking within a row does not need
             it; threshold floors are shifted by it and returned scores
             carry it.
+        refine: ``(rows, ids, scores) -> triples`` applied to each block's
+            threshold hits before they are pooled (an exact re-score and
+            filter), so what the scan holds across blocks is output, not
+            candidates.
     """
     topk_rows = np.asarray(topk_rows, dtype=np.intp)
     thr_rows = np.asarray(thr_rows, dtype=np.intp)
@@ -147,7 +151,10 @@ def scan_candidates(
             beside += reducer.peak_bytes
         if len(thr_rows):
             rows, cols, found = select_above(_take_rows(scores, thr_rows), floors)
-            hits.append((rows, cols + start, found))
+            if bias is not None:
+                found = found + bias[thr_rows[rows]]
+            found = rows, cols + start, found
+            hits.append(found if refine is None else refine(*found))
             beside += maxima_bytes(len(thr_rows), stop - start)
         scan.blocks += 1
         scan.cells += n_queries * (stop - start)
@@ -162,18 +169,7 @@ def scan_candidates(
     if bias is not None:
         rows, ids, found = scan.triples
         scan.triples = rows, ids, found + bias[topk_rows[rows]]
-        rows, ids, found = scan.hits
-        scan.hits = rows, ids, found + bias[thr_rows[rows]]
     return scan
-
-
-def rows_above(normalized: np.ndarray, qvec: np.ndarray, floor: float) -> np.ndarray:
-    """Ascending ids of the rows scoring ``>= floor`` against one query —
-    a group of one fixed-floor pass over the fp32 relation."""
-    return scan_candidates(
-        dense_score_block(normalized, qvec[None, :]),
-        0, len(normalized), 1, (), 0, (0,), floor,
-    ).hits[1]
 
 
 def fold_topk(parts: list[Triples], n_rows: int, k: int) -> Triples:
@@ -236,7 +232,8 @@ def scan_join(
         rerank: ``(left_block, left_ids, right_ids) -> exact scores``.
             ``None``: the scanned scores are the emitted ones.  Otherwise
             candidates are re-scored (and counted as evaluations), then
-            folded to ``condition.k`` or filtered at the threshold.
+            folded to ``condition.k`` or filtered at the threshold — a
+            threshold join's block by block, as the scan finds them.
         engine: runs the left blocks — self-contained tasks over shared
             read-only operands, results in block order; ``None`` is one
             worker.  A join whose whole work does not repay one scheduler
@@ -264,28 +261,37 @@ def scan_join(
     stats.peak_buffer_elements = bl * br
     stats.extra["batch_shape"] = (bl, br)
 
+    floor = condition.min_similarity if topk else condition.threshold
+
     def join_block(l0: int, l1: int):
         lb = left[l0:l1]
         rows = np.arange(len(lb))
         score_block, bias = scorer(lb, br)
+        reranked = 0
+
+        def finalize(li, ri, scores):
+            nonlocal reranked
+            if rerank is not None:
+                scores = rerank(lb, li, ri)
+                reranked += len(scores)
+                if topk:
+                    li, ri, scores = fold_topk([(li, ri, scores)], len(lb), condition.k)
+            if floor is not None:
+                kept = scores >= floor
+                li, ri, scores = li[kept], ri[kept], scores[kept]
+            return li, ri, scores
+
+        # A top-k row's candidates are final only after the last block; a
+        # threshold block's are final at once, so they are re-ranked before
+        # they pool and the pool stays inside the buffer budget (a scanned
+        # threshold join's hits were filtered by the scan itself).
         wanted = (rows, keep, (), ()) if topk else ((), 0, rows, condition.threshold)
         scan = scan_candidates(
-            score_block, 0, n_right, len(lb), *wanted,
-            width=br, bound=bound, bias=bias,
+            score_block, 0, n_right, len(lb), *wanted, width=br, bound=bound,
+            bias=bias, refine=None if topk or rerank is None else finalize,
         )
-        li, ri, scores = scan.triples if topk else scan.hits
-        floor = condition.min_similarity if topk else None
-        if rerank is not None:
-            if not topk:  # the candidate pool is an intermediate here
-                scan.peak_bytes += len(li) * TRIPLE_BYTES
-                floor = condition.threshold
-            scores = rerank(lb, li, ri)
-            scan.cells += len(scores)
-            if topk:
-                li, ri, scores = fold_topk([(li, ri, scores)], len(lb), condition.k)
-        if floor is not None:
-            kept = scores >= floor
-            li, ri, scores = li[kept], ri[kept], scores[kept]
+        li, ri, scores = finalize(*scan.triples) if topk else scan.hits
+        scan.cells += reranked
         return li, ri, scores, scan
 
     spans = [(l0, min(l0 + bl, stats.n_left)) for l0 in range(0, stats.n_left, bl)]

@@ -7,17 +7,16 @@ amortization **across queries**: E-selections that hit the same
 ``(table, column, model)`` scan source while its scan slots are busy are
 fused into one blocked scan whose operand stacks every query vector — the
 relation streams once for the whole group instead of once per query — and
-per-query candidates are demuxed from the shared score blocks by the
-shared-scan core (:func:`~repro.core.scan.scan_candidates`), the same
-function a serial :func:`~repro.core.eselect.eselect` runs as a group of
-one.
+each query's exact answer is selected from the shared candidates by
+:func:`~repro.core.eselect.select_group`, the same function a serial
+:func:`~repro.core.eselect.eselect` runs as a group of one.
 
-Exactness: the shared scan is only a *prescreen*.  Each query's emitted
-rows are re-scored with the shape-stable exact kernel and re-selected by
-:func:`~repro.core.eselect.guarded_topk_select` /
-:func:`~repro.core.eselect.exact_threshold_select` — the same contract
-the serial scan uses — so coalesced results are bit-identical to serial
-execution however requests happened to be grouped.
+This module only schedules: which requests share a scan, on whose thread,
+counted and traced for whom, and failing alone.  What makes a served
+selection exact — row sets, prescreen margins, the exact re-score and
+its completeness proof — is ``select_group``'s, so coalesced results are
+bit-identical to serial execution however requests happened to be
+grouped.
 """
 
 from __future__ import annotations
@@ -25,57 +24,21 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..algebra.logical import (
-    ESelectNode,
-    LimitNode,
-    LogicalNode,
-    ProjectNode,
-    ScanNode,
+from ..algebra.logical import ESelectNode, LogicalNode, ScanNode
+from ..algebra.physical_planner import (
+    eselect_query,
+    materialize_selection,
+    unwrap_selection,
 )
-from ..core.conditions import ThresholdCondition, TopKCondition
-from ..core.eselect import (
-    PRESCREEN_MARGIN,
-    TOPK_PRESCREEN_PAD,
-    exact_threshold_select,
-    guarded_topk_select,
-)
-from ..core.scan import (
-    dense_score_block,
-    merge_topk,
-    scan_candidates,
-    split_rows,
-)
+from ..core import select_group
 from ..errors import ServiceError, ShardError
-from ..obs.trace import span
-from ..relational.column import Column
-from ..relational.schema import DataType, Field as SchemaField
+from ..obs.trace import current_trace, span
 from ..relational.table import Table
-
-
-def unwrap_shared_scan(
-    plan: LogicalNode,
-) -> tuple[list[LogicalNode], ESelectNode] | None:
-    """Match ``Project*/Limit*( ESelect( Scan(t) ) )`` plan shapes.
-
-    Returns ``(wrappers outermost-first, eselect node)`` when the plan is
-    a coalesceable E-selection over a base table scan, else ``None``.
-    """
-    wrappers: list[LogicalNode] = []
-    node = plan
-    while isinstance(node, (ProjectNode, LimitNode)):
-        wrappers.append(node)
-        node = node.child
-    if not isinstance(node, ESelectNode):
-        return None
-    if not isinstance(node.child, ScanNode):
-        return None
-    if not isinstance(node.condition, (ThresholdCondition, TopKCondition)):
-        return None
-    return wrappers, node
+from ..vector.norms import normalize_vector
 
 
 @dataclass
@@ -86,7 +49,6 @@ class SharedScanRequest:
     wrappers: list[LogicalNode]
     #: Unit-normalized query vector (the eselect query contract).
     qvec: np.ndarray
-    tag: str
     result: Table | None = None
     error: Exception | None = None
     #: The submitting query's :class:`~repro.obs.trace.Trace` (or ``None``
@@ -95,6 +57,21 @@ class SharedScanRequest:
     #: attributes the work back by appending completed *foreign* spans
     #: (``coalesce.scan``, ``rescore``) to every member's trace.
     trace: object | None = None
+
+    @classmethod
+    def of(cls, plan: LogicalNode, store_for) -> "SharedScanRequest | None":
+        """The calling query's request, if ``plan`` is a coalesceable
+        E-selection of one well-formed query vector (anything else takes
+        the serial path, which raises that path's usual errors)."""
+        match = unwrap_selection(plan)
+        if match is None:
+            return None
+        wrappers, node = match
+        query = eselect_query(node, store_for)
+        if query.ndim != 1 or not np.isfinite(query).all():
+            return None
+        qvec = normalize_vector(np.asarray(query, dtype=np.float32))
+        return cls(node, wrappers, qvec, trace=current_trace())
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -148,16 +125,7 @@ class CoalescerStats:
     shard_fallbacks: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "groups": self.groups,
-            "coalesced_queries": self.coalesced_queries,
-            "deduped_queries": self.deduped_queries,
-            "max_batch": self.max_batch,
-            "shared_scan_blocks": self.shared_scan_blocks,
-            "fallbacks": self.fallbacks,
-            "sharded_groups": self.sharded_groups,
-            "shard_fallbacks": self.shard_fallbacks,
-        }
+        return asdict(self)
 
 
 class CoalescingScheduler:
@@ -281,87 +249,36 @@ class CoalescingScheduler:
         normalized = ctx.normalized_matrix_for(key, table)
         n = len(normalized)
 
-        # Deduplicate query vectors: concurrent clients asking the same
-        # (hot) question share one scan row — the service-level analogue
-        # of the embed-once prefetch.  ``urow_of[i]`` maps request i to
-        # its unique scan row.
-        uniq_index: dict[bytes, int] = {}
-        urow_of = [
-            uniq_index.setdefault(req.qvec.tobytes(), len(uniq_index))
-            for req in requests
-        ]
-        queries = np.empty((len(uniq_index), normalized.shape[1]), np.float32)
-        for urow, req in zip(urow_of, requests):
-            queries[urow] = req.qvec
         with self._lock:
             self.stats.groups += 1
             self.stats.coalesced_queries += len(requests)
             self.stats.max_batch = max(self.stats.max_batch, len(requests))
-            self.stats.deduped_queries += len(requests) - len(queries)
 
-        # Unique scan rows needing top-k candidates / threshold hits (a
-        # row can need both when duplicate vectors carry mixed conditions).
-        kmax = 0
-        thr_floor: dict[int, float] = {}
-        topk_set: set[int] = set()
-        for urow, req in zip(urow_of, requests):
-            condition = req.node.condition
-            if isinstance(condition, TopKCondition):
-                topk_set.add(urow)
-                kmax = max(kmax, condition.k)
-            else:
-                bound = condition.threshold - PRESCREEN_MARGIN
-                thr_floor[urow] = min(thr_floor.get(urow, bound), bound)
-        topk_rows = sorted(topk_set)
-        heap_pos = {urow: j for j, urow in enumerate(topk_rows)}
-        thr_rows = sorted(thr_floor)
-        pool_pos = {urow: j for j, urow in enumerate(thr_rows)}
-        thresholds = np.asarray(
-            [thr_floor[urow] for urow in thr_rows], dtype=np.float32
-        )
-        kpad = max(1, min(n, kmax + TOPK_PRESCREEN_PAD))
-
-        # Fan out to the shard-process pool when one is attached and the
-        # cost model says the table is big enough to amortize dispatch.
-        # The pool returns the same artifacts the in-process pass builds
-        # (per-row candidates with floors + threshold hits), so everything
-        # downstream — floor guard, exact rescore, demux — is shared, and
-        # a pool failure (ShardError) degrades to the in-process scan
-        # rather than failing queries.
-        shard_res = None
-        if self.shard_pool is not None:
+        # Fan out to the shard-process pool when one is attached and its
+        # cost model says the table is big enough to amortize dispatch; a
+        # pool failure (ShardError) degrades to the in-process scan rather
+        # than failing queries.
+        def shard_scan(queries, **wanted):
             try:
-                shard_res = self.shard_pool.scan_candidates(
-                    key,
-                    queries,
-                    n_rows=n,
-                    topk_rows=topk_rows,
-                    kpad=kpad,
-                    thr_rows=thr_rows,
-                    thr_floors=thresholds,
-                )
+                return self.shard_pool.scan_candidates(key, queries, **wanted)
             except ShardError:
                 with self._lock:
                     self.stats.shard_fallbacks += 1
-        if shard_res is not None:
-            # The pool's floors include the store's score error bound, so
-            # the demux guard stays sound for quantized shard stores too.
-            heap_ids, heap_floor = shard_res.heap_ids, shard_res.heap_floor
-            thr_hits, blocks = shard_res.thr_hits, shard_res.blocks
-        else:
-            scan = scan_candidates(
-                dense_score_block(normalized, queries),
-                0, n, len(queries), topk_rows, kpad, thr_rows, thresholds,
-                budget_bytes=ctx.engine.buffer_budget_bytes,
-            )
-            heap_ids, heap_floor = merge_topk(
-                [scan.triples], len(topk_rows), kpad
-            )
-            hit_rows, hit_ids, _ = scan.hits
-            thr_hits = split_rows(hit_rows, hit_ids, len(thr_rows))
-            blocks = scan.blocks
+
+        group = select_group(
+            normalized,
+            [req.qvec for req in requests],
+            [req.node.condition for req in requests],
+            scan=None if self.shard_pool is None else shard_scan,
+            budget_bytes=ctx.engine.buffer_budget_bytes,
+        )
+        shard_res = group.fanned
         with self._lock:
-            self.stats.shared_scan_blocks += blocks
+            # Concurrent clients asking the same (hot) question share one
+            # scan row — the service-level analogue of the embed-once
+            # prefetch.
+            self.stats.deduped_queries += len(requests) - group.unique
+            self.stats.shared_scan_blocks += group.blocks
             if shard_res is not None:
                 self.stats.sharded_groups += 1
 
@@ -377,8 +294,8 @@ class CoalescingScheduler:
                     wall_s=scan_wall,
                     cpu_s=scan_cpu,
                     batch=len(requests),
-                    unique_vectors=len(queries),
-                    blocks=blocks,
+                    unique_vectors=group.unique,
+                    blocks=group.blocks,
                     rows=n,
                     bytes_scanned=int(n) * int(normalized.shape[1]) * 4,
                     shards=0 if shard_res is None else shard_res.n_shards,
@@ -395,33 +312,19 @@ class CoalescingScheduler:
                             shard=sid,
                         )
 
-        # Per-request demux: exact selection from the shared candidates.
-        # Duplicate vectors share candidates but each request applies its
-        # own condition, score column, and wrappers — and each fails
-        # alone: a bad wrapper (e.g. projecting a missing column) must
-        # not poison the other queries that happened to share its scan.
-        for urow, req in zip(urow_of, requests):
-            condition = req.node.condition
+        # Each request's exact selection from the shared candidates, under
+        # its own score column and wrappers — and each fails alone: a bad
+        # wrapper (e.g. projecting a missing column) must not poison the
+        # other queries that happened to share its scan.
+        for i, req in enumerate(requests):
             demux_t0 = time.perf_counter()
             demux_c0 = time.thread_time()
             candidates = 0
             try:
-                if isinstance(condition, ThresholdCondition):
-                    cand = thr_hits[pool_pos[urow]]
-                    candidates = len(cand)
-                    ids, scores = exact_threshold_select(
-                        normalized, cand, req.qvec, condition.threshold
-                    )
-                else:
-                    j = heap_pos[urow]
-                    candidates = len(heap_ids[j])
-                    ids, scores, rescanned = guarded_topk_select(
-                        normalized, heap_ids[j], float(heap_floor[j]),
-                        req.qvec, condition,
-                    )
-                    if rescanned:
-                        with self._lock:
-                            self.stats.fallbacks += 1
+                ids, scores, candidates, rescanned = group.select(i)
+                if rescanned:
+                    with self._lock:
+                        self.stats.fallbacks += 1
                 req.result = materialize_selection(
                     table, ids, scores, req.node.score_column, req.wrappers
                 )
@@ -435,28 +338,3 @@ class CoalescingScheduler:
                     candidates=candidates,
                     rows=0 if req.result is None else len(req.result),
                 )
-
-
-def materialize_selection(
-    table: Table,
-    ids: np.ndarray,
-    scores: np.ndarray,
-    score_column: str,
-    wrappers: list[LogicalNode],
-) -> Table:
-    """Mirror the planner's E-selection materialization + plan wrappers.
-
-    Shared by the coalescer's per-request demux and the QoS layer's
-    degraded (quantized prescreen-only) execution path, so both produce
-    tables shaped exactly like the serial planner's output.
-    """
-    out = table.take(ids).with_column(
-        Column(SchemaField(score_column, DataType.FLOAT32), scores)
-    )
-    for wrapper in reversed(wrappers):
-        if isinstance(wrapper, ProjectNode):
-            out = out.select(list(wrapper.names))
-        else:
-            assert isinstance(wrapper, LimitNode)
-            out = out.slice(0, wrapper.n)
-    return out

@@ -35,9 +35,13 @@ import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..algebra.physical_planner import ExecutionReport, execute
+from ..algebra.physical_planner import (
+    ExecutionReport,
+    eselect_query,
+    execute,
+    materialize_selection,
+    unwrap_selection,
+)
 from ..config import get_config
 from ..core.cost_model import quantized_recall_estimate
 from ..core.quantized_join import quantized_eselect
@@ -48,7 +52,7 @@ from ..obs.critical_path import SlowQueryLog
 from ..obs.export import prometheus_text, traces_jsonl
 from ..obs.metrics import registry as metrics_registry
 from ..obs.server import ObservabilityServer
-from ..obs.trace import Tracer, current_trace, query_scope, span
+from ..obs.trace import Tracer, query_scope, span
 from ..query.builder import Engine, QueryBuilder
 from ..relational.table import Table
 from ..reliability.breaker import breakers
@@ -56,14 +60,8 @@ from ..reliability.faults import active_injector, maybe_inject
 from ..reliability.health import ServiceHealth
 from ..reliability.retry import RetryBudget
 from ..reliability.runtime import current_retry_budget, deadline_scope
-from ..vector.norms import normalize_vector
 from .admission import AdmissionController
-from .coalescer import (
-    CoalescingScheduler,
-    SharedScanRequest,
-    materialize_selection,
-    unwrap_shared_scan,
-)
+from .coalescer import CoalescingScheduler, SharedScanRequest
 from .plan_cache import PlanCache, fingerprint
 from .qos import (
     DEFAULT_PRIORITY,
@@ -758,7 +756,12 @@ class QueryService:
         )
 
     def _execute(self, optimized, tag: str) -> Table:
-        request = self._shared_scan_request(optimized, tag)
+        request = None
+        # Quantized scan substitution is a per-query planner decision: under
+        # an int8 / pq default every query takes the normal path.
+        quantized = get_config().default_precision in ("int8", "pq")
+        if self.coalescer is not None and not quantized:
+            request = SharedScanRequest.of(optimized, self.engine.embed_store_for)
         if request is not None:
             with self._stats_lock:
                 self.stats.coalesced += 1
@@ -792,7 +795,7 @@ class QueryService:
         """
         if min_recall is None or min_recall > 1.0:
             return None
-        if unwrap_shared_scan(optimized) is None:
+        if unwrap_selection(optimized) is None:
             return None
         rerank = get_config().default_rerank_multiple
         for precision in ("pq", "int8"):  # cheapest codes first
@@ -811,50 +814,15 @@ class QueryService:
         emitted rows may miss true neighbours within ``1 - min_recall``,
         which is exactly what the caller's recall floor licensed.
         """
-        match = unwrap_shared_scan(optimized)
-        assert match is not None  # guarded by _degraded_precision
-        wrappers, node = match
+        wrappers, node = unwrap_selection(optimized)  # _degraded_precision matched it
         ctx = self.engine.context(tag=tag)
         table = ctx.catalog.get(node.child.table_name)
         key = (node.child.table_name, node.column, node.model_name)
         store = ctx.quant_store_for(key, table, precision)
-        query = node.query
-        if not isinstance(query, np.ndarray):
-            query = ctx.store_for(node.model_name).embed_items([query])[0]
+        query = eselect_query(node, ctx.store_for)
         result = quantized_eselect(store, query, node.condition)
         return materialize_selection(
             table, result.ids, result.scores, node.score_column, wrappers
-        )
-
-    def _shared_scan_request(
-        self, optimized, tag: str
-    ) -> SharedScanRequest | None:
-        """Build a coalescer request when the plan and config allow it."""
-        if self.coalescer is None:
-            return None
-        if get_config().default_precision in ("int8", "pq"):
-            # Quantized scan substitution is a per-query planner decision;
-            # those queries take the normal path (still sharing the
-            # context-cached quantized stores).
-            return None
-        match = unwrap_shared_scan(optimized)
-        if match is None:
-            return None
-        wrappers, node = match
-        query = node.query
-        if not isinstance(query, np.ndarray):
-            store = self.engine.embed_store_for(node.model_name)
-            query = store.embed_items([query])[0]
-        if query.ndim != 1:
-            return None  # let the serial path raise its usual error
-        return SharedScanRequest(
-            node=node,
-            wrappers=wrappers,
-            qvec=normalize_vector(np.asarray(query, dtype=np.float32)),
-            tag=tag,
-            # The group leader executes on *its* thread; handing the
-            # ambient trace over lets it attribute the shared scan back.
-            trace=current_trace(),
         )
 
     # ------------------------------------------------------------------

@@ -5,32 +5,35 @@ Part A drives :func:`repro.core.scan.scan_candidates` directly with each
 float64 oracle: candidates are a superset of the true answer.  Part B
 checks the consequence end to end: a serial ``eselect``, a coalesced group
 and a 2-shard group return ``np.array_equal`` tables for every group size.
-Part C holds every join entry point over the core to the same oracle, for
-every way the join can be cut into blocks and tasks.
+Part C holds every join and selection entry point over the core to the
+same oracle, for every way the scan can be cut into blocks, tasks and
+groups — and checks that each of them rejects a non-finite row or query.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    PRESCREEN_MARGIN,
-    TOPK_PRESCREEN_PAD,
     QuantizedRelation,
     ThresholdCondition,
     TopKCondition,
     ejoin,
+    eselect,
     parallel_join,
     prefetch_nlj,
     quantized_eselect,
     quantized_tensor_join,
+    select_group,
     tensor_join,
     tensor_join_fp16,
     tensor_join_non_batched,
 )
+from repro.core.eselect import PRESCREEN_MARGIN, TOPK_PRESCREEN_PAD
 from repro.core.scan import (
     dense_score_block,
     merge_topk,
@@ -39,13 +42,14 @@ from repro.core.scan import (
     split_rows,
 )
 from repro.embedding import HashingEmbedder
+from repro.errors import JoinError
 from repro.engine import ExecutionEngine
 from repro.query import Engine
 from repro.relational import Catalog, DataType, Field, Table
 from repro.relational.column import Column
 from repro.service import QueryService
 from repro.vector import Int8Quantizer, ProductQuantizer, stable_dot_scores
-from repro.vector.norms import normalize_vector
+from repro.vector.norms import normalize_rows, normalize_vector
 from repro.workloads import unit_vectors
 
 DIM = 16
@@ -391,6 +395,21 @@ def _oracle_join(scores: np.ndarray, condition) -> tuple[np.ndarray, np.ndarray]
     return np.asarray(left_ids), np.asarray(right_ids)
 
 
+def _assert_within_budget(stats, shape: dict) -> None:
+    """A budgeted scan holds its score block, chunk maxima and pooled
+    candidates inside the Figure 7 buffer."""
+    if "buffer_budget_bytes" in shape:
+        assert stats.extra["peak_intermediate_bytes"] <= shape["buffer_budget_bytes"]
+
+
+def _assert_selection(got, row_scores: np.ndarray, condition, context) -> None:
+    """``got`` is the oracle's selection for one query: ids in the
+    operators' order, their scores bit for bit."""
+    want = np.asarray(_oracle_join(row_scores[None, :], condition)[1], dtype=np.int64)
+    assert np.array_equal(got.ids, want), context
+    assert np.array_equal(got.scores, row_scores[want].astype(np.float32)), context
+
+
 SHAPES = {
     "derived": {},
     "explicit": {"batch_left": 3, "batch_right": 7},
@@ -435,6 +454,8 @@ def test_fp32_joins_equal_the_oracle_and_each_other(join_inputs, case, shape, th
         assert np.array_equal(got.right_ids, want_r), name
         assert np.array_equal(got.scores, scores[want_l, want_r].astype(np.float32)), name
         assert got.stats.pairs_emitted == len(want_l), name
+        if name not in ("non_batched", "prefetch_nlj"):  # these take no shape
+            _assert_within_budget(got.stats, SHAPES[shape])
     if n_threads == 2 and shape != "derived":
         assert engine.stats.morsels_dispatched > 0  # the cut ran on workers
 
@@ -477,6 +498,7 @@ def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, thre
         assert np.array_equal(got.right_ids, want_r), name
         assert np.array_equal(got.scores, scores[want_l, want_r].astype(np.float32)), name
         assert got.stats.extra["rerank_candidates"] >= len(want_l)
+        _assert_within_budget(got.stats, SHAPES[shape])
     # The selection is the join of one left row.
     budget = SHAPES[shape].get("buffer_budget_bytes")
     for row in (0, 3):
@@ -484,5 +506,189 @@ def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, thre
             store, left[row], condition,
             rerank_multiple=J_RIGHT, buffer_budget_bytes=budget,
         )
-        assert np.array_equal(got.ids, want_r[want_l == row]), row
+        _assert_selection(got, scores[row], condition, f"row {row}")
         assert got.stats.strategy == f"eselect/{method}"
+        _assert_within_budget(got.stats, SHAPES[shape])
+
+
+@pytest.mark.quant
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_quantized_threshold_pool_stays_inside_the_budget(corpus, queries, method):
+    """A threshold block's hits are re-ranked and filtered before they
+    pool, so what the scan holds across blocks is emitted pairs: the pool
+    of candidates used to sit outside the budget (0.6 MB int8, 4.3 MB PQ
+    against 64 KiB on this 64 x 3,300 join)."""
+    store = QuantizedRelation.build(corpus, method, m=4, ks=16, seed=5)
+    condition, budget = ThresholdCondition(0.3), 64 * 1024
+    free = quantized_tensor_join(queries, store, condition)
+    tight = quantized_tensor_join(queries, store, condition, buffer_budget_bytes=budget)
+    assert len(free) > 10 * len(queries)
+    assert tight.stats.extra["rerank_candidates"] * 20 > budget  # the pool it no longer holds
+    assert tight.stats.extra["peak_intermediate_bytes"] <= budget
+    assert tight.stats.extra["rerank_candidates"] == free.stats.extra["rerank_candidates"]
+    for name in ("left_ids", "right_ids", "scores"):
+        assert np.array_equal(getattr(tight, name), getattr(free, name)), name
+
+
+def _two_span_scan(normalized: np.ndarray):
+    """A ``scan=`` drop-in that answers like a 2-shard pool: two row spans
+    scanned apart, candidates folded by :func:`merge_topk`."""
+
+    def scan(queries, *, n_rows, topk_rows, kpad, thr_rows, thr_floors):
+        spans = [
+            scan_candidates(
+                dense_score_block(normalized, queries), lo, hi, len(queries),
+                topk_rows, kpad, thr_rows, thr_floors,
+            )
+            for lo, hi in ((0, n_rows // 2), (n_rows // 2, n_rows))
+        ]
+        ids, floors = merge_topk([span.triples for span in spans], len(topk_rows), kpad)
+        hits = zip(*(split_rows(span.hits[0], span.hits[1], len(thr_rows)) for span in spans))
+        return SimpleNamespace(
+            heap_ids=ids, heap_floor=floors, blocks=sum(span.blocks for span in spans),
+            thr_hits=[np.concatenate(parts) for parts in hits],
+        )
+
+    return scan
+
+
+@pytest.mark.parametrize("cut", ["one-block", "budget", "two-span"])
+@pytest.mark.parametrize("size", [1, 2, 8])
+def test_selections_equal_the_oracle_for_every_group(join_inputs, size, cut):
+    """``eselect`` is ``select_group`` with one member, and a member's answer
+    does not depend on the group: members 2i and 2i + 1 repeat one vector
+    under different conditions, so scan rows need candidates and hits."""
+    left, right, scores = join_inputs
+    conditions = list(_join_conditions(scores).values())
+    members = [(i // 2, conditions[(i + i // 2) % len(conditions)]) for i in range(size)]
+    normalized = normalize_rows(right)
+    unique = -(-size // 2)
+    group = select_group(
+        normalized,
+        [normalize_vector(left[row]) for row, _ in members],
+        [condition for _, condition in members],
+        scan=_two_span_scan(normalized) if cut == "two-span" else None,
+        budget_bytes=4 * 4 * unique if cut == "budget" else None,
+    )
+    assert group.unique == unique
+    if cut != "two-span":  # ~four rows a block: the budget reached the scan
+        assert (group.blocks > 2) == (cut == "budget")
+    assert (group.fanned is not None) == (cut == "two-span")
+    for i, (row, condition) in enumerate(members):
+        ids, found, candidates, _ = group.select(i)
+        assert candidates >= len(ids)
+        got = SimpleNamespace(ids=ids, scores=found)
+        _assert_selection(got, scores[row], condition, (i, row, condition))
+        _assert_selection(eselect(right, left[row], condition), scores[row], condition, row)
+
+
+@pytest.mark.quant
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_quantized_topk_is_licensed_approximate(corpus, queries, method):
+    """Under the default ``rerank_multiple`` a quantized top-k may miss a
+    neighbour outside its candidate multiple and nothing else: what it
+    emits carries exact scores, best first, and recall stays high."""
+    store = QuantizedRelation.build(corpus, method, m=8, ks=64, seed=3)
+    oracle = queries[:8].astype(np.float64) @ corpus.astype(np.float64).T
+    hit = 0
+    for query, row in zip(queries[:8], oracle):
+        got = quantized_eselect(store, query, TopKCondition(K))
+        assert len(got) == K and len(set(got.ids.tolist())) == K
+        assert np.allclose(got.scores, row[got.ids], atol=1e-6)
+        assert np.all(np.diff(got.scores) <= 0)
+        hit += len(set(got.ids.tolist()) & set(np.argsort(-row)[:K].tolist()))
+    assert hit / (8 * K) >= {"int8": 0.95, "pq": 0.6}[method]
+
+
+def _poisoned(rows: np.ndarray) -> np.ndarray:
+    out = rows.copy()
+    out[min(9, len(out) - 1), 2] = np.nan
+    return out
+
+
+@pytest.mark.quant
+def test_every_entry_point_rejects_a_non_finite_row_or_query(join_inputs):
+    """One NaN cell used to take a reducer slot (``tensor_join``: a pair
+    short), poison the fitted range (int8 / PQ: no rows at all) or blank a
+    selection silently; every front door now raises a typed error."""
+    left, right, _ = join_inputs
+    condition = TopKCondition(J_K)
+    bad_right, bad_left, bad_query = _poisoned(right), _poisoned(left), _poisoned(left)[9]
+    inf_right = right.copy()
+    inf_right[0, 0] = np.inf
+    calls = {
+        "tensor_join/right": lambda: tensor_join(left, bad_right, condition),
+        "tensor_join/left": lambda: tensor_join(bad_left, right, condition),
+        "tensor_join/inf": lambda: tensor_join(left, inf_right, condition),
+        "tensor_join_fp16": lambda: tensor_join_fp16(left, bad_right, condition),
+        "int8_join": lambda: quantized_tensor_join(left, bad_right, condition, method="int8"),
+        "pq_join/left": lambda: quantized_tensor_join(bad_left, right, condition, method="pq"),
+        "build/assume_normalized": lambda: QuantizedRelation.build(
+            bad_right, "int8", assume_normalized=True
+        ),
+        "eselect/relation": lambda: eselect(bad_right, left[0], condition),
+        "eselect/query": lambda: eselect(right, bad_query, condition),
+        "quantized_eselect/relation": lambda: quantized_eselect(bad_right, left[0], condition),
+        "quantized_eselect/query": lambda: quantized_eselect(right, bad_query, condition),
+        "select_group/query": lambda: select_group(
+            normalize_rows(right), [normalize_vector(left[0]), bad_query], [condition] * 2
+        ),
+    }
+    for name, call in calls.items():
+        with pytest.raises(JoinError, match="non-finite"):
+            call()
+        assert name  # the failing entry point shows in the traceback's locals
+    # A zero row is not an error: it scores 0 against everything.
+    zero_right = right.copy()
+    zero_right[4] = 0.0
+    got = eselect(zero_right, left[0], ThresholdCondition(0.0))
+    assert 4 in got.ids and got.scores[got.ids.tolist().index(4)] == 0.0
+
+
+@pytest.mark.service
+def test_the_service_rejects_a_non_finite_query_alone(services, queries):
+    """A NaN query is refused at the front door — never queued into a
+    group, whose other members it would fail."""
+    engine, coalesced, _ = services
+    before = coalesced.stats_snapshot()["coalescer"]["coalesced_queries"]
+    bad = np.full(DIM, np.nan, dtype=np.float32)
+    for cond in ({"top_k": K}, {"threshold": THRESHOLD}):
+        with pytest.raises(JoinError, match="non-finite"):
+            coalesced.submit(_build(engine, "plain", bad, cond))
+    assert coalesced.stats_snapshot()["coalescer"]["coalesced_queries"] == before
+    catalog = Catalog()
+    catalog.register("poisoned", _table(_poisoned(unit_vectors(40, DIM, seed=1))))
+    other = Engine(catalog)
+    other.models.register(MODEL, HashingEmbedder(dim=DIM))
+    service = QueryService(other, coalesce=True)
+    try:
+        with pytest.raises(JoinError, match="non-finite"):
+            service.submit(_build(other, "poisoned", queries[0], {"top_k": K}))
+    finally:
+        service.shutdown()
+
+
+def test_a_proved_topk_scores_its_candidates_once(corpus, queries, monkeypatch):
+    """The finalizer re-scores a candidate set once; only an unproved
+    floor (more ties than the pad) costs the second, widened, set."""
+    import repro.core.eselect as _  # noqa: F401  (``repro.core.eselect`` is the function)
+    from importlib import import_module
+
+    module = import_module("repro.core.eselect")
+    calls = []
+
+    def counted(rows, vec):
+        calls.append(len(rows))
+        return stable_dot_scores(rows, vec)
+
+    monkeypatch.setattr(module, "stable_dot_scores", counted)
+    eselect(corpus, queries[0], TopKCondition(K))
+    assert calls == [K + TOPK_PRESCREEN_PAD]
+    calls.clear()
+    eselect(corpus, queries[0], ThresholdCondition(THRESHOLD))
+    assert len(calls) == 1
+    calls.clear()
+    ties = _ties_corpus()
+    got = eselect(ties, ties[3], TopKCondition(K))
+    assert len(calls) == 2 and calls[1] >= 60  # widened to every tied row
+    assert got.ids.tolist() == [0, 3, 8, 16, 24]

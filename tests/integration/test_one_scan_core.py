@@ -12,6 +12,14 @@ Which ``(batch_left, batch_right)`` a scan runs is
 :func:`repro.vector.select.scan_shape`'s decision alone: the constants it
 weighs and any budget-to-edge arithmetic (an ``isqrt``, a ``// (4 * rows)``)
 named anywhere else is a second shape rule growing.
+
+What makes a served selection *exact* — the prescreen margin and pad, the
+fp32 ``score_block``, the finalizer that re-scores candidates and proves
+or widens them — is :func:`repro.core.eselect.select_group`'s alone: named
+only under ``core/``, with the scan's own parts also reaching the shard
+pool and worker, which run the same pass over a row range.  ``service/``
+schedules; a margin or a candidate fold named there is the rule being
+written out a second time.
 """
 
 import ast
@@ -36,14 +44,23 @@ IVF_MAY_NAME = {"BLOCK_BYTES"}
 DELETED = ("BatchPolicy", "resolve_block_shape", "adaptive_edge", "from_calibration")
 
 
-def _references(tree: ast.AST, wanted=None) -> list[tuple[int, str]]:
+#: The exactness rule of served scans: ``core/`` only.
+EXACT_RULE = {"PRESCREEN_MARGIN", "TOPK_PRESCREEN_PAD", "dense_score_block", "exact_select"}
+#: The scan's parts: ``core/`` plus the shard pool and its worker.
+SCAN_PARTS = {"merge_topk", "split_rows", "scan_candidates"}
+SCAN_PARTS_ALLOWED = {"shard/pool.py", "shard/worker.py"}
+#: What ``service/coalescer.py`` may import from ``repro.core``.
+COALESCER_MAY_IMPORT = {"select_group", "ThresholdCondition", "TopKCondition"}
+
+
+def _references(tree: ast.AST, wanted=None, *, attributes=True) -> list[tuple[int, str]]:
     wanted = PRIMITIVES if wanted is None else wanted
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names = [node.id]
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            names = [node.attr] if attributes else []
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name.rpartition(".")[2] for alias in node.names]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -128,3 +145,80 @@ def test_block_shapes_are_only_derived_by_the_shape_rule():
     rule = ast.parse((PACKAGE / SHAPE_RULE).read_text(encoding="utf-8"))
     assert {name for _, name in _references(rule, SHAPE_NAMES)} == SHAPE_NAMES
     assert _cells_from_bytes(rule)  # the walk sees what it guards
+
+
+def _core_imports(tree: ast.AST) -> dict[str, set[str]]:
+    """``module -> names`` of every ``from`` import reaching ``repro.core``."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = (node.module or "").removeprefix("repro.")
+        if module.split(".")[0] == "core":
+            found.setdefault(module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_the_exactness_rule_of_served_scans_is_only_named_under_core():
+    if not PACKAGE.is_dir():
+        pytest.skip("sources only present in a repository checkout")
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relative = path.relative_to(PACKAGE).as_posix()
+        if relative.startswith("core/"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offenders += [
+            f"{relative}:{line} names {name}" for line, name in _references(tree, EXACT_RULE)
+        ]
+        if relative not in SCAN_PARTS_ALLOWED:
+            # A method of that name on another object is not the core's
+            # function (``ShardPool.scan_candidates``, which the coalescer
+            # hands to ``scan=``); reaching the function takes an import.
+            offenders += [
+                f"{relative}:{line} names {name}"
+                for line, name in _references(tree, SCAN_PARTS, attributes=False)
+            ]
+            offenders += [
+                f"{relative} imports {module}"
+                for module in _core_imports(tree)
+                if module.split(".")[1:2] == ["scan"]
+            ]
+    coalescer = ast.parse((PACKAGE / "service/coalescer.py").read_text(encoding="utf-8"))
+    imported = _core_imports(coalescer)
+    offenders += [
+        f"service/coalescer.py imports {sorted(names)} from {module}"
+        for module, names in imported.items()
+        if module != "core" or not names <= COALESCER_MAY_IMPORT
+    ]
+    assert not offenders, (
+        "what makes a served selection exact belongs to "
+        "core/eselect.py::select_group: " + "; ".join(offenders)
+    )
+    # Not vacuous: the walk sees the one finalizer, the constants and the
+    # allowed users of the scan's parts, and the coalescer's one import.
+    eselect = ast.parse((PACKAGE / "core/eselect.py").read_text(encoding="utf-8"))
+    assert {name for _, name in _references(eselect, EXACT_RULE)} == EXACT_RULE
+    for relative in sorted(SCAN_PARTS_ALLOWED):
+        tree = ast.parse((PACKAGE / relative).read_text(encoding="utf-8"))
+        assert _references(tree, SCAN_PARTS, attributes=False), relative
+    assert "select_group" in imported["core"]
+
+
+def test_one_function_rescores_prescreen_candidates():
+    """``stable_dot_scores`` — the kernel that defines a served score — is
+    called by exactly one function of the package, the finalizer."""
+    if not PACKAGE.is_dir():
+        pytest.skip("sources only present in a repository checkout")
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "stable_dot_scores"
+                for node in ast.walk(func)
+            ):
+                callers.append(f"{path.relative_to(PACKAGE).as_posix()}::{func.name}")
+    assert callers == ["core/eselect.py::exact_select"], callers

@@ -4,13 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    PRESCREEN_MARGIN,
-    TopKCondition,
-    exact_threshold_select,
-    guarded_topk_select,
-)
-from repro.core.eselect import exact_topk_select
+from repro.core import ThresholdCondition, TopKCondition
+from repro.core.eselect import PRESCREEN_MARGIN, exact_select
 from repro.core.scan import (
     dense_score_block,
     merge_topk,
@@ -69,12 +64,11 @@ def test_any_cut_of_the_scan_selects_like_a_full_exact_pass(scan, k, pad, thresh
             hits[j].append(found)
     cand_ids, cand_floor = merge_topk(parts, n_queries, kpad)
     everything = np.arange(n)
+    topk, above = TopKCondition(k), ThresholdCondition(threshold)
     for j, qvec in enumerate(queries):
-        got = guarded_topk_select(
-            relation, cand_ids[j], float(cand_floor[j]), qvec, TopKCondition(k)
-        )
-        want = exact_topk_select(relation, everything, qvec, k)
+        got = exact_select(relation, cand_ids[j], qvec, topk, float(cand_floor[j]))
+        want = exact_select(relation, everything, qvec, topk)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        got = exact_threshold_select(relation, np.concatenate(hits[j]), qvec, threshold)
-        want = exact_threshold_select(relation, everything, qvec, threshold)
+        got = exact_select(relation, np.concatenate(hits[j]), qvec, above)
+        want = exact_select(relation, everything, qvec, above)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

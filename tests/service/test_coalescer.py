@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 import threading
+from importlib import import_module
 import time
 
 import numpy as np
 import pytest
 
+from repro.algebra.physical_planner import unwrap_selection
+from repro.core import ThresholdCondition
 from repro.errors import ServiceError
 from repro.service import QueryService
-from repro.service.coalescer import unwrap_shared_scan
 
 from _service_utils import MODEL, assert_tables_equal, blocker
 
@@ -61,17 +63,17 @@ def test_unwrap_shared_scan_shapes(service_engine, query_vectors):
     plain = service_engine.query("corpus").esimilar(
         "emb", q, model=MODEL, top_k=3
     )
-    match = unwrap_shared_scan(plain.optimized_plan())
+    match = unwrap_selection(plain.optimized_plan())
     assert match is not None and match[1].column == "emb"
 
     wrapped = plain.select(["id", "similarity"]).limit(2)
-    match = unwrap_shared_scan(wrapped.optimized_plan())
+    match = unwrap_selection(wrapped.optimized_plan())
     assert match is not None and len(match[0]) == 2
 
     joined = service_engine.query("corpus").ejoin(
         "other", left_on="emb", right_on="emb", model=MODEL, top_k=2
     )
-    assert unwrap_shared_scan(joined.optimized_plan()) is None
+    assert unwrap_selection(joined.optimized_plan()) is None
 
 
 def test_coalesced_topk_bit_identical(
@@ -313,12 +315,15 @@ def test_interrupted_leader_fails_followers_with_service_error(
 ):
     """``KeyboardInterrupt`` in a demux belongs to the leader's thread
     alone; followers get a typed error and none stays blocked."""
-    import repro.service.coalescer as mod
+    mod = import_module("repro.core.eselect")  # ``repro.core.eselect`` is the function
+    exact_select = mod.exact_select
 
-    def interrupt(*_args, **_kwargs):
-        raise KeyboardInterrupt
+    def interrupt(normalized, candidates, qvec, condition, floor=-np.inf):
+        if isinstance(condition, ThresholdCondition):
+            raise KeyboardInterrupt
+        return exact_select(normalized, candidates, qvec, condition, floor)
 
-    monkeypatch.setattr(mod, "exact_threshold_select", interrupt)
+    monkeypatch.setattr(mod, "exact_select", interrupt)
     service = _service(service_engine)
     builders = [
         _build(service_engine, query_vectors[0], {"top_k": 2}),
@@ -338,15 +343,14 @@ def test_fallback_path_still_exact(
     service_engine, query_vectors, hold_scan_slots, monkeypatch
 ):
     """Force the completeness guard's extra pass and check exactness holds."""
-    import repro.service.coalescer as mod
+    mod = import_module("repro.core.eselect")  # ``repro.core.eselect`` is the function
+    exact_select = mod.exact_select
 
-    guarded = mod.guarded_topk_select
-
-    def paranoid(normalized, candidates, floor, qvec, condition):
+    def paranoid(normalized, candidates, qvec, condition, floor):
         # Pretend the candidate floor proves nothing: always rescan.
-        return guarded(normalized, candidates, np.inf, qvec, condition)
+        return exact_select(normalized, candidates, qvec, condition, np.inf)
 
-    monkeypatch.setattr(mod, "guarded_topk_select", paranoid)
+    monkeypatch.setattr(mod, "exact_select", paranoid)
     serial = [_serial(service_engine, q, top_k=5) for q in query_vectors[:6]]
     service = _service(service_engine)
     got, held = _grouped(

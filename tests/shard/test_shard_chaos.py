@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from _shard_utils import KEY, N_ROWS, corpus_vectors, make_engine, normalized_for
-from repro.core import PRESCREEN_MARGIN
-from repro.core.eselect import exact_topk_select
+from repro.core import TopKCondition
+from repro.core.eselect import PRESCREEN_MARGIN, exact_select
 from repro.errors import ShardError
 from repro.shard import ShardPool, leaked_segments
 
@@ -61,11 +61,15 @@ def test_killed_worker_respawns_and_results_stay_exact(query_vectors):
 
         all_rows = np.arange(N_ROWS)
         for j, qvec in enumerate(query_vectors):
-            ids_ref, scores_ref = exact_topk_select(normalized, all_rows, qvec, K)
-            assert result.heap_floor[j] <= np.min(scores_ref) - PRESCREEN_MARGIN
-            ids_got, scores_got = exact_topk_select(
-                normalized, result.heap_ids[j], qvec, K
+            ids_ref, scores_ref, _ = exact_select(
+                normalized, all_rows, qvec, TopKCondition(K)
             )
+            assert result.heap_floor[j] <= np.min(scores_ref) - PRESCREEN_MARGIN
+            ids_got, scores_got, rescanned = exact_select(
+                normalized, result.heap_ids[j], qvec, TopKCondition(K),
+                float(result.heap_floor[j]),
+            )
+            assert not rescanned  # the floor above proves the candidates
             assert np.array_equal(ids_got, ids_ref)
             assert np.array_equal(scores_got, scores_ref)
     finally:

@@ -2,7 +2,7 @@
 
 Exactness here means the end-to-end contract: pool candidates are
 provable supersets, and the front door's float64 exact rescore over them
-(:func:`exact_topk_select` / :func:`exact_threshold_select`) yields ids
+(:func:`repro.core.eselect.exact_select`) yields ids
 and scores bit-identical to the same rescore over *all* rows — for every
 published precision, on a corpus built so every score ties across the
 shard boundary.
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from _shard_utils import KEY, N_ROWS, corpus_vectors, make_engine, normalized_for
-from repro.core import PRESCREEN_MARGIN, exact_threshold_select
-from repro.core.eselect import exact_topk_select
+from repro.core import ThresholdCondition, TopKCondition
+from repro.core.eselect import PRESCREEN_MARGIN, exact_select
 from repro.shard import ShardPool, leaked_segments
 
 pytestmark = pytest.mark.shard
@@ -23,6 +23,7 @@ pytestmark = pytest.mark.shard
 K = 5
 KPAD = K + 32
 THRESHOLD = 0.2
+TOPK, ABOVE = TopKCondition(K), ThresholdCondition(THRESHOLD)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ class TestExactness:
         all_rows = np.arange(N_ROWS)
         compared = 0
         for j, qvec in enumerate(query_vectors):
-            ids_ref, scores_ref = exact_topk_select(normalized, all_rows, qvec, K)
+            ids_ref, scores_ref, _ = exact_select(normalized, all_rows, qvec, TOPK)
             kth = np.min(scores_ref) if len(scores_ref) else -np.inf
             # Soundness first, for every precision: any row the shards
             # dropped must provably score at or below the merged floor.
@@ -75,11 +76,11 @@ class TestExactness:
             )
             # Threshold hits are supersets independent of the top-k floor,
             # so their exact rescore is bitwise-stable for every precision.
-            thr_ids_ref, thr_scores_ref = exact_threshold_select(
-                normalized, all_rows, qvec, THRESHOLD
+            thr_ids_ref, thr_scores_ref, _ = exact_select(
+                normalized, all_rows, qvec, ABOVE
             )
-            thr_ids_got, thr_scores_got = exact_threshold_select(
-                normalized, result.thr_hits[j], qvec, THRESHOLD
+            thr_ids_got, thr_scores_got, _ = exact_select(
+                normalized, result.thr_hits[j], qvec, ABOVE
             )
             assert np.array_equal(thr_ids_got, thr_ids_ref)
             assert np.array_equal(thr_scores_got, thr_scores_ref)
@@ -94,9 +95,11 @@ class TestExactness:
                 )
                 continue
             compared += 1
-            ids_got, scores_got = exact_topk_select(
-                normalized, result.heap_ids[j], qvec, K
+            ids_got, scores_got, rescanned = exact_select(
+                normalized, result.heap_ids[j], qvec, TOPK,
+                float(result.heap_floor[j]),
             )
+            assert not rescanned
             assert np.array_equal(ids_got, ids_ref), (
                 f"query {j} precision {precision}: top-{K} ids diverge"
             )
@@ -115,7 +118,7 @@ class TestExactness:
         result = _scan(pool, query_vectors)
         half = N_ROWS // 2
         for j, qvec in enumerate(query_vectors):
-            ids, _ = exact_topk_select(normalized, result.heap_ids[j], qvec, K)
+            ids, _, _ = exact_select(normalized, result.heap_ids[j], qvec, TOPK)
             # Every selected row's equal-scoring twin lives in the other
             # shard; with K an odd count some pairs split, but at least
             # one duplicate pair must have been kept whole.

@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    ThresholdCondition,
-    TopKCondition,
-    eselect,
-    exact_threshold_select,
-)
-from repro.core.eselect import exact_topk_select
+from repro.core import ThresholdCondition, TopKCondition, eselect
+from repro.core.eselect import exact_select
 from repro.vector import normalize_rows, normalize_vector, stable_dot_scores
 from repro.workloads import unit_vectors
 
@@ -73,10 +68,10 @@ class TestExactSelectors:
             np.union1d(true_ids, rng.choice(len(matrix), size=50, replace=False))
         )
         outputs = [
-            exact_threshold_select(matrix, cand, query, t)
+            exact_select(matrix, cand, query, ThresholdCondition(t))
             for cand in (tight, wide, padded)
         ]
-        for ids, scores in outputs[1:]:
+        for ids, scores, _ in outputs[1:]:
             assert np.array_equal(ids, outputs[0][0])
             assert np.array_equal(scores, outputs[0][1])
 
@@ -91,10 +86,10 @@ class TestExactSelectors:
             true_top, rng.choice(len(matrix), size=60, replace=False)
         )
         outputs = [
-            exact_topk_select(matrix, cand, query, k)
+            exact_select(matrix, cand, query, TopKCondition(k))
             for cand in (true_top, wide, padded)
         ]
-        for ids, scores in outputs[1:]:
+        for ids, scores, _ in outputs[1:]:
             assert np.array_equal(ids, outputs[0][0])
             assert np.array_equal(scores, outputs[0][1])
 
@@ -103,7 +98,7 @@ class TestExactSelectors:
             normalize_vector(np.ones(8, dtype=np.float32)), (6, 1)
         )
         query = normalize_vector(np.ones(8, dtype=np.float32))
-        ids, _ = exact_topk_select(matrix, np.arange(6), query, 3)
+        ids, _, _ = exact_select(matrix, np.arange(6), query, TopKCondition(3))
         assert ids.tolist() == [0, 1, 2]
 
 
