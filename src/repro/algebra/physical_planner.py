@@ -34,7 +34,7 @@ from ..core.quantized_join import QuantizedRelation, quantized_eselect
 from ..embedding.cache import EmbeddingStore
 from ..embedding.registry import ModelRegistry, default_registry
 from ..engine import ExecutionEngine
-from ..errors import PlanError
+from ..errors import BufferBudgetError, JoinError, PlanError
 from ..index.base import VectorIndex
 from ..obs.trace import span
 from ..reliability.breaker import breakers
@@ -232,7 +232,8 @@ def _quantized_scan(
     uncacheable sources (``None``) carry no breaker state and keep the
     cost model's choice.  ``run(precision)`` builds (or fetches) the store
     and scans it; a failure feeds that access path's breaker, is reported
-    as a fallback and moves one step down the chain.  Returns ``(result,
+    as a fallback and moves one step down the chain — an input error
+    (:class:`~repro.errors.JoinError`) is raised as it is.  Returns ``(result,
     precision)``, ``result`` being ``None`` once the chain has ended on
     the exact fp32 scan, which the caller runs.
     """
@@ -243,7 +244,13 @@ def _quantized_scan(
             continue
         try:
             result = run(precision)
-        except Exception:
+        except Exception as exc:
+            # An input error (a NaN row, mismatched dimensions) is not the
+            # path's failure: every scan down the chain raises it again.
+            # A budget too small is the path's — its candidate state is
+            # the larger.
+            if isinstance(exc, JoinError) and not isinstance(exc, BufferBudgetError):
+                raise
             if key is not None:
                 breakers().record_failure(key)
                 report.fallbacks.append("/".join(map(str, key)))

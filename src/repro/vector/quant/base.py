@@ -96,5 +96,7 @@ class VectorQuantizer(abc.ABC):
         the per-query constant ``bias`` left out (``None``: nothing is) —
         ``score(block) + bias[:, None] == queries @ decode(codes).T``.
         Ranking within a query does not need the bias, so a scan adds it
-        to the cells it keeps instead of to every cell.
+        to the cells it keeps instead of to every cell.  A block is the
+        caller's until it asks for the next one: ``score`` may reuse its
+        buffer, and is one thread's.
         """

@@ -151,7 +151,24 @@ class Int8Quantizer(VectorQuantizer):
             return (
                 lambda block: row_major_scores(block.astype(np.float32), weights)
             ), bias
-        return (lambda block: weights @ block.astype(np.float32).T), bias
+        # A join's left task: every right block is cast into one buffer
+        # and scored into another, both this scorer's own (a scorer is
+        # built per task, so no two threads share them) and sized by the
+        # first block, the widest a scan asks for.
+        cast = np.empty((0, self.dim), dtype=np.float32)
+        scores = np.empty(0, dtype=np.float32)
+
+        def score(block: np.ndarray) -> np.ndarray:
+            nonlocal cast, scores
+            if len(block) > len(cast):
+                cast = np.empty((len(block), self.dim), dtype=np.float32)
+                scores = np.empty(len(weights) * len(block), dtype=np.float32)
+            rows = cast[: len(block)]
+            np.copyto(rows, block)
+            out = scores[: len(weights) * len(block)].reshape(len(weights), len(block))
+            return np.matmul(weights, rows.T, out=out)
+
+        return score, bias
 
 
 def int8_dot(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:

@@ -24,9 +24,9 @@ hold a cell ``>= m``, so at least k cells reach ``m``, the row's k-th best
 score ``t`` satisfies ``t >= m``, and every cell ``>= t`` — the whole
 top-k with all its ties — survives the gate.
 
-The block should still be cache-resident when this runs
-(:func:`scan_shape`), so the one pass over it costs L2 bandwidth, not
-DRAM bandwidth.  Scores must be NaN-free.
+The pass gets cheaper per cell as the block widens (fewer maxima to
+rank, fewer folds), which is what :func:`scan_shape` sizes a block for.
+Scores must be NaN-free.
 
 :func:`scan_shape` is the one rule that says which block a scan runs;
 every constant it weighs is named here and nowhere else.
@@ -50,25 +50,39 @@ CHUNK = 32
 #: derived block is at least this wide, see :func:`scan_shape`).
 MIN_STRIDE = 32
 
-#: Target bytes of one fp32 score block — about one core's L2, so the
-#: block a GEMM just wrote is still cache-resident for the chunk-max pass.
-BLOCK_BYTES = 4 << 20
-
-#: A whole score strip (block rows x every column) up to this size is
-#: left as one block.  Cutting it to :data:`BLOCK_BYTES` buys L2
-#: residency at the price of narrow chunks (the chunk-max pass over a
-#: 2,496-wide block costs 2x per cell what it does at 8,000) and a GEMM,
-#: a select and a fold per piece: on 836 x 8,000 x 64, top-1, one thread,
-#: 209 x 2,496 blocks take 13.3 ms, 209 x 8,000 (6.7 MB) 10.3 ms.  The
-#: bound is set by memory, not by where the cut starts to win (a 20 MB
-#: strip, 125 x 40,000 x 128, is still 12% faster whole on one thread; at
-#: 40 MB the cut wins, 24.8 vs 26.5 ms): twice this bound buys 0.9 ms
-#: more on the join above and costs every worker a 13 MB buffer.
-STRIP_BYTES = 8 << 20
+#: Bytes of one fp32 score block; a strip (block rows x every column)
+#: over it is cut to whole chunks within it.  What a block buys is
+#: amortisation, not cache residency — this box has 4 MB of L2 and at
+#: every left edge the select and the fold get cheaper per cell as the
+#: block widens while the GEMM does not care, until the block's own
+#: writes go to DRAM (``tools/sweep_blocks.py``, 1,000 x 40,000 x 128
+#: top-8, one thread, edge 500: 4 MiB blocks 86 + 36 + 4 ms of GEMM +
+#: select + fold, 8 MiB 83 + 23 + 3, 16 MiB 84 + 20 + 3, 32 MiB 86 + 20
+#: + 2, the whole 76 MiB strip 106 + 21 + 1; 834 x 8,000 x 64 top-1, edge
+#: 209: 2 MiB 15.3 ms, 4 MiB 13.6, the whole 6.4 MiB strip 11.9).  Every
+#: worker holds one block, so the bound is set by memory: 16 MiB buys a
+#: 1,000 x 40,000 join 3 ms of CPU more and costs each worker 8 MB.
+BLOCK_BYTES = 8 << 20
 
 #: Derived left edges stop here: past it, a block within
-#: :data:`BLOCK_BYTES` would be too narrow to chunk or to feed a GEMM.
+#: :data:`BLOCK_BYTES` is narrower than 2,048 columns, where the select
+#: costs twice per cell what it does at 4,192 (the sweep's edge 1,000:
+#: 1,024 columns 53 ms, 2,080 32, 4,192 23).
 MAX_BLOCK_ROWS = 1024
+
+#: Left rows a task of a large join keeps at least, when the left side
+#: has them.  Every left task re-reads the whole right side, and per right
+#: block pays a BLAS re-pack, an int8 or fp16 cast, a select and a fold;
+#: the taller the task, the fewer times.  The sweep's 1,000 x 40,000 x 128
+#: GEMM alone: 63-row tasks 74-77 GFLOP/s, 125 rows 96-98, 250 rows
+#: 107-110, 500 rows 117-124, 1,000 rows 119-130 — at 500 the tax is
+#: under a tenth.
+#: Tall tasks give up :data:`MORSELS_PER_WORKER`'s stealing slack, which
+#: a join pays for in scheduling jitter whatever its size: only a join
+#: whose work the :data:`MIN_TASK_WORK` floor was not already rationing
+#: takes them (834 x 8,000 x 64 on two workers keeps four 209-row tasks:
+#: ``ejoin_strings`` read 9.35 ms an op so, 9.63 in two of 417).
+WIDE_TASK_ROWS = 500
 
 #: Tasks per worker a cut left side aims for, so stealing has slack.
 MORSELS_PER_WORKER = 4
@@ -86,7 +100,8 @@ MIN_TASK_WORK = 3 << 25
 #: whole right side once, and a GEMM this short no longer amortises it.
 #: 125 x 40,000 x 128 top-10 on one worker: one 125-row task 25 ms, two of
 #: 63 rows 31 ms, four of 32 rows 38 ms; on two workers six 21-row tasks
-#: take 61 ms where the one 125-row task takes 34.
+#: take 61 ms where the one 125-row task takes 34 (the sweep's GEMM
+#: alone: 63-row blocks 76 GFLOP/s, 125-row ones 97).
 MIN_TASK_ROWS = 100
 
 #: Bytes per candidate triple (int64 row, int64 id, fp32 score).
@@ -105,9 +120,11 @@ def task_rows(
     :data:`MORSELS_PER_WORKER` tasks a worker, at most ``morsel_rows``
     rows each.  With a row priced (``row_work`` multiply-adds: right rows
     x dim for a scan join) no task goes under :data:`MIN_TASK_WORK` or
-    :data:`MIN_TASK_ROWS`: fewer tasks per worker first, then fewer tasks
-    than workers, down to one — for one worker exactly as for many, which
-    is what keeps a lone worker's score blocks wide.  One worker and no
+    :data:`MIN_TASK_ROWS`, and a join with work to spare keeps its tasks
+    at :data:`WIDE_TASK_ROWS` rows or over unless that leaves a worker
+    without one: fewer tasks per worker first, then fewer tasks than
+    workers, down to one — for one worker exactly as for many, which is
+    what keeps a lone worker's score blocks wide.  One worker and no
     price means nobody to steal and nothing to size a cut by: its tasks
     are ``morsel_rows``.
     """
@@ -115,7 +132,10 @@ def task_rows(
         return morsel_rows
     n_tasks = workers * MORSELS_PER_WORKER
     if row_work is not None:
-        affordable = min(n_rows * row_work // MIN_TASK_WORK, n_rows // MIN_TASK_ROWS)
+        by_work = n_rows * row_work // MIN_TASK_WORK
+        affordable = min(by_work, n_rows // MIN_TASK_ROWS)
+        if by_work > n_tasks:
+            affordable = min(affordable, max(n_rows // WIDE_TASK_ROWS, workers))
         if affordable >= workers:  # whole rounds of workers
             affordable -= affordable % workers
         n_tasks = max(1, min(n_tasks, affordable))
@@ -153,8 +173,8 @@ def scan_shape(
        (:func:`task_rows`: ``morsel_rows`` bounds it, ``row_work`` prices
        a row).
     4. Derived edges are sized for the select pass: at most
-       :data:`MAX_BLOCK_ROWS` rows, and a strip over :data:`STRIP_BYTES`
-       is cut to whole chunks within :data:`BLOCK_BYTES`, never under
+       :data:`MAX_BLOCK_ROWS` rows, and a strip over :data:`BLOCK_BYTES`
+       is cut to whole chunks within it, never under
        ``MIN_STRIDE * CHUNK`` columns.
 
     ``workers=None``: nobody runs the shape — no maxima, no split, steps
@@ -199,7 +219,7 @@ def scan_shape(
             bl = -(-n_left // -(-n_left // rows))  # the largest of even tasks
         if batch_left is None:
             bl = min(bl, MAX_BLOCK_ROWS)
-        if batch_right is None and 4 * bl * br > STRIP_BYTES:
+        if batch_right is None and 4 * bl * br > BLOCK_BYTES:
             fit = BLOCK_BYTES // (4 * bl) // CHUNK * CHUNK
             br = min(br, max(fit, MIN_STRIDE * CHUNK))
         return bl, br
@@ -272,6 +292,38 @@ def select_above(
     return rows, cols, scores
 
 
+def _triple_order(rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """``np.lexsort((ids, -scores, rows))`` of fp32 ``scores`` — the
+    reducer's total order — as sorts of one 64-bit key.
+
+    The key is ``row << 32`` plus the fp32 bits of ``-score`` mapped to
+    the signed integer of the same order (``-0.0`` first normalised to
+    ``+0.0``, which the float compare calls equal).  Ids are only looked
+    at inside runs of equal keys, where a second key — the run's number
+    ``<< 32`` plus the id — restores ``id asc``; PQ scores tie in almost
+    every run, fp32 and int8 ones in almost none.  12,500 triples sort in
+    0.4 ms where the three-key lexsort takes 2.6 (36,000: 1.2 vs 10.6; the
+    twelve folds of a 500-row PQ top-8 task 24 ms vs 70).  A row past 2^31
+    or an id outside ``[0, 2^32)`` does not fit a key: the lexsort itself
+    runs.
+    """
+    if len(rows) and not (
+        rows.max() < 1 << 31 and ids.min() >= 0 and ids.max() < 1 << 32
+    ):
+        return np.lexsort((ids, -scores, rows))
+    bits = (-scores + np.float32(0.0)).view(np.int32)
+    key = (rows.astype(np.int64) << 32) + (bits ^ ((bits >> 31) & 0x7FFFFFFF))
+    order = np.argsort(key)
+    key = key[order]
+    same = key[1:] == key[:-1]
+    if same.any():
+        tied = np.flatnonzero(np.r_[False, same] | np.r_[same, False])
+        run, key = order[tied], key[tied]
+        number = np.cumsum(np.r_[True, key[1:] != key[:-1]])
+        order[tied] = run[np.argsort((number << 32) + ids[run])]
+    return order
+
+
 class TopKReducer:
     """Running per-row top-k over streamed score blocks.
 
@@ -279,7 +331,7 @@ class TopKReducer:
     sorted by ``(row, score desc, id asc)`` — a total order, so results do
     not depend on block shape or arrival order and score ties go to the
     smallest id — plus the survivors of recent blocks, folded in by one
-    flat ``lexsort`` once they outgrow :data:`POOL_FACTOR` times the
+    flat sort (:func:`_triple_order`) once they outgrow :data:`POOL_FACTOR` times the
     retained set.  ``floor[row]`` is the score a new cell must reach to
     matter: the row's k-th best as of the last fold, ``-inf`` until it
     holds k.
@@ -349,7 +401,7 @@ class TopKReducer:
     def _fold(self) -> None:
         """Keep each row's ``k`` best triples and raise the floors."""
         rows, ids, scores = (np.concatenate(c) for c in zip(*self._triples))
-        order = np.lexsort((ids, -scores, rows))
+        order = _triple_order(rows, ids, scores)
         sorted_rows = rows[order]
         starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
         rank = np.arange(len(rows)) - np.repeat(

@@ -74,6 +74,44 @@ def _restore_precision():
     configure(default_precision="fp32", default_min_recall=0.95)
 
 
+@pytest.mark.parametrize("forced", [None, "tensor-int8", "tensor-pq"])
+def test_an_input_error_is_raised_once_and_trips_no_breaker(forced, monkeypatch):
+    """A NaN row is the caller's error, not the quantized path's: the
+    ``JoinError`` leaves the first scan that meets it — no breaker
+    failure, no fallback entry, no second scan raising it again."""
+    from repro.algebra import physical_planner
+    from repro.errors import JoinError
+
+    if forced is None:
+        configure(default_precision="int8", default_min_recall=0.9)
+    ctx = make_ctx()
+    poisoned = ctx.catalog.get("base").array("emb").copy()
+    poisoned[7] = np.nan
+    ctx.catalog.register(
+        "base",
+        Table.from_arrays(
+            ctx.catalog.get("base").schema,
+            {"id": np.arange(len(poisoned)), "emb": poisoned},
+        ),
+        replace=True,
+    )
+    scans = []
+    ejoin = physical_planner.ejoin
+    monkeypatch.setattr(
+        physical_planner, "ejoin",
+        lambda *args, **kwargs: scans.append(kwargs["strategy"]) or ejoin(*args, **kwargs),
+    )
+    report = ExecutionReport()
+    with pytest.raises(JoinError, match="non-finite"):
+        execute(make_join(strategy_hint=forced), ctx, report=report)
+    assert report.fallbacks == []
+    assert all(
+        entry["failures"] == 0 and entry["state"] == "closed"
+        for entry in breakers().snapshot().values()
+    )
+    assert len(scans) <= 1  # the store build may raise before any scan
+
+
 def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
     """Failing int8 store builds: every query still answers exactly via
     the fp32 scan; after the threshold the breaker stops even trying."""

@@ -37,13 +37,15 @@ def small_vectors() -> tuple[np.ndarray, np.ndarray]:
 @pytest.fixture()
 def schedule_every_task(monkeypatch):
     """Lift the shape rule's task floors: toy joins run inline, as one
-    task, under them (``repro.vector.select.MIN_TASK_WORK`` /
-    ``MIN_TASK_ROWS``), and a test that is about morsels, workers or
+    task (or one a worker), under them
+    (``repro.vector.select.MIN_TASK_WORK`` / ``MIN_TASK_ROWS`` /
+    ``WIDE_TASK_ROWS``), and a test that is about morsels, workers or
     ``engine.run`` needs them cut and scheduled."""
     from repro.vector import select
 
     monkeypatch.setattr(select, "MIN_TASK_WORK", 1)
     monkeypatch.setattr(select, "MIN_TASK_ROWS", 1)
+    monkeypatch.setattr(select, "WIDE_TASK_ROWS", 1)
 
 
 @pytest.fixture()

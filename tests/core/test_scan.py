@@ -530,6 +530,57 @@ def test_quantized_threshold_pool_stays_inside_the_budget(corpus, queries, metho
         assert np.array_equal(getattr(tight, name), getattr(free, name)), name
 
 
+@pytest.mark.quant
+@pytest.mark.usefixtures("schedule_every_task")
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"batch_left": 100, "batch_right": 1_000},  # four right blocks, the last short
+        {"buffer_budget_bytes": 64 * 1024},
+        {},
+    ],
+    ids=["explicit", "budget", "derived"],
+)
+@pytest.mark.parametrize(
+    "condition", [TopKCondition(K), ThresholdCondition(THRESHOLD)], ids=["topk", "threshold"]
+)
+@pytest.mark.parametrize("representation", ["int8", "fp16"])
+def test_wide_left_blocks_answer_alike_on_one_and_two_threads(
+    corpus, representation, condition, shape
+):
+    """A left block over ``THIN_QUERIES`` rows casts every right block
+    into buffers its *task* owns (int8 codes to fp32, scores beside them;
+    fp16 rows upcast per block): tasks running side by side on two
+    workers must emit what one worker emits, and a budget still bounds
+    the score block plus what the select holds beside it."""
+    left = corpus[-300:]
+    if representation == "int8":
+        store = QuantizedRelation.build(corpus, "int8")
+        join = lambda engine: quantized_tensor_join(  # noqa: E731
+            left, store, condition, engine=engine, **shape
+        )
+    else:
+        join = lambda engine: tensor_join_fp16(  # noqa: E731
+            left, corpus, condition, engine=engine, **shape
+        )
+    serial = join(None)
+    assert len(serial) >= len(left)
+    for threads in (1, 2):
+        engine = ExecutionEngine(n_threads=threads)
+        got = join(engine)
+        if threads == 2:
+            assert engine.stats.morsels_dispatched >= 2
+        assert np.array_equal(got.left_ids, serial.left_ids), threads
+        assert np.array_equal(got.right_ids, serial.right_ids), threads
+        if "batch_left" in shape or representation == "int8":
+            # Same blocks, same GEMM calls — or exact re-ranked scores.
+            assert np.array_equal(got.scores, serial.scores), threads
+        else:  # a worker's task is its own left edge: GEMM rounding
+            np.testing.assert_allclose(got.scores, serial.scores, atol=1e-6)
+        _assert_within_budget(got.stats, shape)
+    _assert_within_budget(serial.stats, shape)
+
+
 def _two_span_scan(normalized: np.ndarray):
     """A ``scan=`` drop-in that answers like a 2-shard pool: two row spans
     scanned apart, candidates folded by :func:`merge_topk`."""

@@ -153,11 +153,11 @@ class TestSelectAcrossBlockShapes:
         assert result.pairs() == set(zip(rows.tolist(), cols.tolist()))
 
     def test_default_block_is_cache_sized_and_accounted(self, relations):
-        from repro.vector.select import BLOCK_BYTES, STRIP_BYTES
+        from repro.vector.select import BLOCK_BYTES
 
         left, right = relations
         wide = np.concatenate([right] * 15)  # 60 x 75,000 floats
-        assert len(left) * len(wide) * 4 > STRIP_BYTES
+        assert len(left) * len(wide) * 4 > BLOCK_BYTES
         result = tensor_join(left, wide, TopKCondition(8))
         bl, br = result.stats.extra["batch_shape"]
         assert bl == len(left) and br < len(wide)

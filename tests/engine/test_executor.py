@@ -77,7 +77,9 @@ class TestMorselization:
     def test_known_row_work_keeps_morsels_over_the_task_floor(self):
         """835 x 8,000 x 64 used to be cut into eight 105-row morsels of
         54 M multiply-adds; with the work known they come out at the
-        floor's size or above, in whole rounds of workers."""
+        floor's size or above, in whole rounds of workers.  (Four
+        minimum tasks in all: not a join that trades its stealing slack
+        for ``WIDE_TASK_ROWS``-row tasks.)"""
         from repro.vector.select import MIN_TASK_WORK
 
         engine = ExecutionEngine(n_threads=2)
@@ -88,11 +90,18 @@ class TestMorselization:
         assert morsels[0].start == 0 and morsels[-1].stop == 835
 
     def test_large_joins_morselize_exactly_as_without_row_work(self):
-        """1,000 x 40,000 x 128 morsels are 6x over the floor: unchanged."""
+        """1,000 x 40,000 x 128 morsels are 6x over the work floor.  With
+        no price they are cut as ever; priced, two workers get 500 rows
+        each (every task re-reads and re-packs the whole right side: the
+        sweep's GEMM runs at 96 GFLOP/s in 125-row blocks, 124 in 500-row
+        ones), eight workers keep a task each — today's 125 rows."""
         engine = ExecutionEngine(n_threads=2)
         plain = engine.morsels_for(1000)
-        assert engine.morsels_for(1000, row_work=40_000 * 128) == plain
         assert [len(m) for m in plain] == [125] * 8
+        priced = engine.morsels_for(1000, row_work=40_000 * 128)
+        assert [len(m) for m in priced] == [500] * 2
+        eight = ExecutionEngine(n_threads=8)
+        assert eight.morsels_for(1000, row_work=40_000 * 128) == plain
 
     def test_work_under_one_task_is_not_split(self):
         engine = ExecutionEngine(n_threads=4)

@@ -35,7 +35,7 @@ ALLOWED = {"vector/select.py", "core/scan.py", "index/ivf.py"}
 #: What the shape rule weighs; ``index/ivf.py`` sizes its probe slices
 #: by ``BLOCK_BYTES`` too (inverted lists, not right blocks).
 SHAPE_NAMES = {
-    "BLOCK_BYTES", "STRIP_BYTES", "MAX_BLOCK_ROWS", "MORSELS_PER_WORKER",
+    "BLOCK_BYTES", "WIDE_TASK_ROWS", "MAX_BLOCK_ROWS", "MORSELS_PER_WORKER",
     "MIN_TASK_WORK", "MIN_TASK_ROWS", "isqrt",
 }
 SHAPE_RULE = "vector/select.py"

@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import resolve_batch_shape
 from repro.engine import ExecutionEngine
@@ -14,6 +16,7 @@ from repro.vector.select import (
     MIN_STRIDE,
     TRIPLE_BYTES,
     TopKReducer,
+    _triple_order,
     maxima_bytes,
     scan_shape,
     select_above,
@@ -193,6 +196,82 @@ class TestTopKReducer:
         assert reducer.peak_bytes >= maxima_bytes(4, WIDE) > 0
 
 
+#: Scores that tie exactly, both zeros, both infinities, a denormal —
+#: beside any finite fp32.
+_SCORES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 1e-40, float("-inf"), float("inf")]
+) | st.floats(width=32, allow_nan=False)
+#: Few rows and ids, so runs of equal ``(row, score)`` and duplicate
+#: triples are common; one row and one id too large for a 64-bit key.
+_TRIPLES = st.lists(
+    st.tuples(
+        st.integers(0, 3) | st.just((1 << 31) + 5),
+        st.integers(0, 5) | st.sampled_from([(1 << 32) - 1, 1 << 32]),
+        _SCORES,
+    ),
+    max_size=60,
+)
+
+
+class TestFoldOrder:
+    """The fold's one-key sort is the three-key lexsort it replaced."""
+
+    @staticmethod
+    def columns(triples):
+        rows, ids, scores = zip(*triples) if triples else ((), (), ())
+        return (
+            np.array(rows, dtype=np.int64),
+            np.array(ids, dtype=np.int64),
+            np.array(scores, dtype=np.float32),
+        )
+
+    @given(_TRIPLES)
+    @example([(0, 5, 0.0), (0, 0, -0.0)])  # equal scores: the id decides
+    @example([(0, 1, float("-inf")), (0, 0, float("-inf")), (0, 2, 1e-40)])
+    @settings(max_examples=300, deadline=None)
+    def test_order_is_row_then_score_desc_then_id_asc(self, triples):
+        rows, ids, scores = self.columns(triples)
+        got = _triple_order(rows, ids, scores)
+        want = np.lexsort((ids, -scores, rows))
+        # The triples in order, not the permutation: duplicates of one
+        # triple (and +0.0 beside -0.0) may swap places.
+        for column in (rows, ids, scores):
+            np.testing.assert_array_equal(column[got], column[want])
+
+    @given(_TRIPLES, st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_keeps_each_rows_k_best_of_that_order(self, triples, k):
+        rows, ids, scores = self.columns([t for t in triples if t[0] < 4])
+        reducer = TopKReducer(4, k)
+        for part in np.array_split(np.arange(len(rows)), 3):
+            reducer.merge(rows[part], ids[part], scores[part])
+        order = np.lexsort((ids, -scores, rows))
+        rank = np.arange(len(rows)) - np.searchsorted(rows[order], rows[order])
+        want = order[rank < k]
+        for got, column in zip(reducer.finalize(), (rows, ids, scores)):
+            np.testing.assert_array_equal(got, column[want])
+
+    def test_rows_or_ids_past_the_key_take_the_lexsort(self, monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            np, "lexsort", lambda keys: calls.append(len(keys)) or lexsort(keys)
+        )
+        scores = np.array([0.5, 0.5, 0.25], dtype=np.float32)
+        small = np.array([2, 1, 0])
+        assert _triple_order(small, small, scores).tolist() == [2, 1, 0]
+        assert calls == []  # no tie, no lexsort
+        for rows, ids in (
+            (np.array([1 << 31, 1, 0]), small),
+            (small, np.array([1 << 32, 1, 0])),
+            (small, np.array([-1, 1, 0])),
+        ):
+            assert _triple_order(rows, ids, scores).tolist() == np.lexsort(
+                (ids, -scores, rows)
+            ).tolist()
+        assert calls == [3, 3, 3, 3, 3, 3]  # the fallback, then the oracle
+
+
 def block_shape(rows, width, *, fixed_rows=False, fixed_width=False):
     """Step 4 of the rule alone: one worker, bounds ``rows x width``."""
     return scan_shape(
@@ -214,13 +293,15 @@ class TestBlockShape:
 
     def test_a_strip_within_the_bound_stays_whole(self):
         """209 x 8,000 fp32 scores are 6.7 MB: one block, not three narrow
-        ones; 125 x 40,000 (20 MB) is cut exactly as before."""
-        from repro.vector.select import STRIP_BYTES
-
-        assert 209 * 8_000 * 4 <= STRIP_BYTES < 125 * 40_000 * 4
+        ones.  One bound since PR 24 (the sweep, 834 x 8,000 x 64, edge
+        209: the whole 6.4 MiB strip 11.9 ms, cut at 4 MiB 13.6, at 2 MiB
+        15.3 — the wider the cheaper, so the bound is the memory a worker
+        may hold): 125 x 40,000 (20 MB) is cut to 8 MiB blocks, twice as
+        wide as the 4 MiB ones before (edge 125: 134.2 -> 126.5 ms)."""
+        assert 209 * 8_000 * 4 <= BLOCK_BYTES < 125 * 40_000 * 4
         assert block_shape(209, 8_000) == (209, 8_000)
-        assert block_shape(125, 40_000) == (125, 8_384)
-        assert block_shape(418, 8_000) == (418, 2_496)  # 13 MB: cut
+        assert block_shape(125, 40_000) == (125, 16_768)
+        assert block_shape(418, 8_000) == (418, 4_992)  # 13 MB: cut
 
     def test_pinned_edges_are_honoured(self):
         assert block_shape(5000, 7, fixed_rows=True, fixed_width=True) == (5000, 7)
@@ -237,6 +318,7 @@ class TestBlockShape:
 TWO_THREADS = dict(n_threads=2)
 ONE_THREAD_125 = dict(n_threads=1, morsel_rows=125)
 ONE_THREAD = dict(n_threads=1)
+EIGHT_THREADS = dict(n_threads=8)
 
 
 def _join_shape(n_left, n_right, dim, k, engine, **edges):
@@ -252,21 +334,31 @@ def _join_shape(n_left, n_right, dim, k, engine, **edges):
 
 
 class TestShapeTable:
-    """The one shape table: literal ``(batch_left, batch_right)`` of
-    ``resolve_block_shape`` at d0f3588 (PR 18), which the rule replaced.
-    The ``ONE_THREAD`` rows (an engine-less join is one worker with the
-    default 1,024-row morsels) are the rows that changed on purpose: an
-    uncut left side is now cut for one worker like for many, so its strip
-    is no longer cut to the narrowest width the select can chunk."""
+    """The one shape table: literal ``(batch_left, batch_right)`` of the
+    rule as ``scan_join`` asks it.  The ``ONE_THREAD`` rows are an
+    engine-less join (one worker with the default 1,024-row morsels).
+    PR 24 re-pinned every row whose strip is over ``BLOCK_BYTES`` (8 MiB,
+    was a 4 MiB block under an 8 MiB strip bound) or whose join has work
+    to spare and ``WIDE_TASK_ROWS`` left rows a task; each carries the
+    reading of ``tools/sweep_blocks.py`` (one thread, GEMM + select +
+    fold ms; ``docs/measurements/PR-24.md``) the new value rests on."""
 
     @pytest.mark.parametrize(
         "case, engine, expected",
         [
-            # (n_left, n_right, dim, k), engine, shape — unchanged rows
-            ((1000, 40_000, 128, 10), TWO_THREADS, (125, 8384)),
-            ((1000, 40_000, 128, 10), ONE_THREAD_125, (125, 8384)),
-            ((1000, 40_000, 128, None), TWO_THREADS, (125, 8384)),
-            ((1000, 40_000, 128, None), ONE_THREAD_125, (125, 8384)),
+            # (n_left, n_right, dim, k), engine, shape
+            # Two workers get 2 x 500 rows, not 8 x 125: the GEMM runs at
+            # 124 GFLOP/s where it ran at 96, and 10 right blocks a task
+            # are folded where 5 x 4 were: (125, 8384) 134.2 ms ->
+            # (500, 4192) 108.9.
+            ((1000, 40_000, 128, 10), TWO_THREADS, (500, 4192)),
+            # 125-row morsels pinned: only the block widens, 4 -> 8 MiB
+            # (edge 125: 8,384 columns 134.2 ms, 16,768 126.5).
+            ((1000, 40_000, 128, 10), ONE_THREAD_125, (125, 16_768)),
+            ((1000, 40_000, 128, None), TWO_THREADS, (500, 4192)),
+            ((1000, 40_000, 128, None), ONE_THREAD_125, (125, 16_768)),
+            # Not a join with work to spare (4 x MIN_TASK_WORK in all):
+            # it keeps its four tasks and their stealing slack.
             ((835, 8000, 64, 1), TWO_THREADS, (209, 8000)),
             ((835, 8000, 64, 1), ONE_THREAD_125, (120, 8000)),
             ((209, 8000, 64, 1), TWO_THREADS, (209, 8000)),
@@ -277,20 +369,30 @@ class TestShapeTable:
             ((157, 2311, 24, 5), ONE_THREAD_125, (79, 2311)),
             ((3000, 500, 8, 3), TWO_THREADS, (1000, 500)),
             ((3000, 500, 8, 3), ONE_THREAD_125, (125, 500)),
-            ((5000, 5000, 100, None), TWO_THREADS, (625, 1664)),
+            # The > 4,000-row left side (ROADMAP item 2): 625-row tasks
+            # as before, blocks twice as wide — was (625, 1664) (edge 500:
+            # the select at 2,080 columns 35.6 ms, at 4,192 23.2).
+            ((5000, 5000, 100, None), TWO_THREADS, (625, 3328)),
             ((5000, 5000, 100, None), ONE_THREAD_125, (125, 5000)),
             ((209, 8000, 64, 1), ONE_THREAD, (209, 8000)),
             ((157, 2311, 24, 5), ONE_THREAD, (157, 2311)),
-            ((125, 40_000, 128, 10), ONE_THREAD, (125, 8384)),
-            ((5000, 5000, 100, None), ONE_THREAD, (1000, 1024)),
-            # changed on purpose: one worker, uncut left side, strip over
-            # STRIP_BYTES — was (1000, 1024), (1000, 1024), (835, 1248)
-            ((1000, 40_000, 128, 10), ONE_THREAD, (250, 4192)),
-            ((1000, 40_000, 128, None), ONE_THREAD, (250, 4192)),
+            # One 125-row task: the block widens, 4 -> 8 MiB, as above.
+            ((125, 40_000, 128, 10), ONE_THREAD, (125, 16_768)),
+            # Was (1000, 1024), the narrowest chunkable width: edge
+            # 1,000 at 1,024 columns 143.7 ms, at 2,080 117.2.
+            ((5000, 5000, 100, None), ONE_THREAD, (1000, 2080)),
+            # A lone worker's tasks are 500 rows like anyone's — was
+            # (250, 4192): 124.4 -> 108.9 ms.
+            ((1000, 40_000, 128, 10), ONE_THREAD, (500, 4192)),
+            ((1000, 40_000, 128, None), ONE_THREAD, (500, 4192)),
             ((835, 8000, 64, 1), ONE_THREAD, (209, 8000)),
-            # changed on purpose: tasks under MIN_TASK_ROWS rows are not
-            # cut — was (21, 40000) on two workers
-            ((125, 40_000, 128, 10), TWO_THREADS, (125, 8384)),
+            # Tasks under MIN_TASK_ROWS rows are not cut; the block
+            # widens, 4 -> 8 MiB.
+            ((125, 40_000, 128, 10), TWO_THREADS, (125, 16_768)),
+            # Never fewer tasks than workers: eight workers keep 8 x 125
+            # rows (96 GFLOP/s on all eight beats 124 on two).
+            ((1000, 40_000, 128, 10), EIGHT_THREADS, (125, 16_768)),
+            ((2000, 40_000, 128, 10), EIGHT_THREADS, (250, 8384)),
         ],
     )
     def test_derived_shapes(self, case, engine, expected):
@@ -301,12 +403,16 @@ class TestShapeTable:
         [
             (TWO_THREADS, dict(buffer_budget_bytes=1 << 20), (356, 207)),
             (ONE_THREAD, dict(buffer_budget_bytes=1 << 20), (504, 354)),
-            (TWO_THREADS, dict(batch_left=125), (125, 8384)),
-            (ONE_THREAD, dict(batch_left=125), (125, 8384)),
-            (TWO_THREADS, dict(batch_right=1100), (125, 1100)),
+            # A budget caps derived edges before the task floor applies:
+            # the two rows above did not move.  A pinned left edge only
+            # gets the wider block (edge 125: 134.2 -> 126.5 ms) ...
+            (TWO_THREADS, dict(batch_left=125), (125, 16_768)),
+            (ONE_THREAD, dict(batch_left=125), (125, 16_768)),
+            # ... and a pinned width only the taller task (GEMM 96 -> 124
+            # GFLOP/s); were (125, 1100) and (250, 1100).
+            (TWO_THREADS, dict(batch_right=1100), (500, 1100)),
             (TWO_THREADS, dict(batch_left=3, batch_right=7), (3, 7)),
-            # changed on purpose (one worker, uncut left): was (1000, 1100)
-            (ONE_THREAD, dict(batch_right=1100), (250, 1100)),
+            (ONE_THREAD, dict(batch_right=1100), (500, 1100)),
         ],
     )
     def test_edges_and_budgets(self, engine, edges, expected):
@@ -321,7 +427,9 @@ class TestShapeTable:
     def test_a_served_scan_is_the_rule_with_the_queries_pinned(self):
         """``scan_candidates`` asks for ``batch_left = n_queries``."""
         assert scan_shape(2, 150_000, batch_left=2, workers=1) == (2, 150_000)
-        assert scan_shape(64, 150_000, batch_left=64, workers=1) == (64, 16_384)
+        # One block constant: 8 MiB of a 64-query group is 32,768 columns
+        # (was 16,384; the select is the cheaper per cell the wider).
+        assert scan_shape(64, 150_000, batch_left=64, workers=1) == (64, 32_768)
         rows, width = scan_shape(
             64, 150_000, batch_left=64, buffer_budget_bytes=1 << 20, workers=1
         )
