@@ -31,7 +31,8 @@ from ..core.index_join import DEFAULT_PROBE_K, index_join
 from ..core.join import ejoin
 from ..core.nlj import naive_nlj
 from ..core.quantized_join import QuantizedRelation, quantized_eselect
-from ..embedding.cache import EmbeddingStore
+from ..core.result import TopKMemo
+from ..embedding.cache import EmbeddingStore, shared_store
 from ..embedding.registry import ModelRegistry, default_registry
 from ..engine import ExecutionEngine
 from ..errors import BufferBudgetError, JoinError, PlanError
@@ -80,6 +81,11 @@ class ExecutionContext:
     #: Shared-scan state: one normalization serves every query (and every
     #: concurrent session) scanning the same column under the same model.
     norm_cache: dict[tuple, tuple] = field(default_factory=dict)
+    #: (table, column, model) -> (source table,
+    #: :class:`~repro.core.result.TopKMemo`): the top-k pairs of every
+    #: embed-once code joined against that source under the last top-k
+    #: condition, so a string is scanned once per registration.
+    topk_memos: dict[tuple, tuple] = field(default_factory=dict)
     #: Serializes bookkeeping on every shared store above.  Contexts
     #: minted by one :class:`~repro.query.builder.Engine` share its lock
     #: (and its store dicts), so concurrent sessions cannot duplicate or
@@ -100,12 +106,10 @@ class ExecutionContext:
             return lock
 
     def store_for(self, model_name: str) -> EmbeddingStore:
-        with self.store_lock:
-            if model_name not in self._stores:
-                self._stores[model_name] = EmbeddingStore(
-                    self.models.get(model_name)
-                )
-            return self._stores[model_name]
+        """The embed-once store of the model registered as ``model_name``."""
+        return shared_store(
+            self._stores, model_name, self.models.get(model_name), self.store_lock
+        )
 
     def register_index(
         self, table_name: str, column: str, index: VectorIndex
@@ -113,53 +117,66 @@ class ExecutionContext:
         self.indexes[(table_name, column)] = index
 
     def _scan_state(
-        self, kind: str, cache: dict, cache_key: tuple, table: Table, derive
+        self, kind: str, cache: dict, cache_key: tuple, table: Table, derive,
+        store: EmbeddingStore | None = None, tag=None,
     ):
-        """Get-or-derive state of a scan source — ``cache_key`` leads with
-        ``(table name, column, model)`` — from ``table``, the registration
-        the caller executed and will materialize from:
-        ``derive(column embedding)``.
+        """Get-or-``derive(store)`` state of a scan source — ``cache_key``
+        leads with ``(table name, column, model)`` — for ``table``, the
+        registration the caller executed and will materialize from.
 
-        An entry is ``(source table, state)`` and hits iff it was derived
-        from this very :class:`Table` object: one identity compare, no pass
-        over the column (whose embedding is only produced on a miss), and
-        the state can never pair with rows of another registration.  The
+        An entry is ``(source table, state, embed-once store, tag)`` and
+        hits iff it was derived from this very :class:`Table` object with
+        ``store`` — by default the registered model's, which
+        :meth:`store_for` replaces with the model — and for an equal
+        ``tag``: identity compares, no pass over the column (whose
+        embedding is only produced on a miss), and the state can never pair
+        with rows of another registration or vectors of another model.  The
         catalog mints a new version per ``register``; registering a new
-        table object — even one wrapping the same, mutated, buffer —
-        rebuilds, registering the same object again does not.
+        table object — even one wrapping the same, mutated, buffer — or a
+        new model rebuilds, registering the same object again does not.
         """
+        if store is None:
+            store = self.store_for(cache_key[2])
         with self._build_lock((kind, *cache_key)):
             with self.store_lock:
                 entry = cache.get(cache_key)
-            if entry is None or entry[0] is not table:
-                _, column, model_name = cache_key[:3]
-                entry = (
-                    table,
-                    derive(_embed_column(table, column, model_name, self)),
-                )
+            # ``!=`` on the tail: the store by identity, the tag by value.
+            if entry is None or entry[0] is not table or entry[2:] != (store, tag):
+                entry = (table, derive(store), store, tag)
                 with self.store_lock:
                     cache[cache_key] = entry
             return entry[1]
 
     def quant_store_for(
-        self, key: tuple[str, str, str], table: Table, method: str
+        self,
+        key: tuple[str, str, str],
+        table: Table,
+        method: str,
+        store: EmbeddingStore | None = None,
     ):
         """Fit/encode-once quantized store for a (table, column, model):
         every query against the same registration ``table`` of the scan
-        source reuses the encoded codes."""
-        def build(vectors: np.ndarray):
+        source reuses the encoded codes (embedded with ``store`` if
+        given)."""
+        def build(store: EmbeddingStore):
+            vectors = _embed_column(table, key[1], key[2], self, store)
             maybe_inject("quant.build")
             return QuantizedRelation.build(vectors, method)
 
         return self._scan_state(
-            "quant", self.quant_stores, (*key, method), table, build
+            "quant", self.quant_stores, (*key, method), table, build,
+            store=store,
         )
 
     def normalized_matrix_for(
-        self, key: tuple[str, str, str], table: Table
+        self,
+        key: tuple[str, str, str],
+        table: Table,
+        store: EmbeddingStore | None = None,
     ) -> np.ndarray:
         """Normalize-once matrix for a (table, column, model) scan source,
-        derived from its registration ``table``.
+        derived from its registration ``table`` — embedded with ``store``
+        if given, the one whose codes the caller holds.
 
         The cached matrix is exactly ``normalize_rows`` of the column's
         embedding, so scans that consume it with ``assume_normalized=True``
@@ -168,7 +185,33 @@ class ExecutionContext:
         embedding pass altogether.
         """
         return self._scan_state(
-            "norm", self.norm_cache, key, table, normalize_rows
+            "norm", self.norm_cache, key, table,
+            lambda store: normalize_rows(
+                _embed_column(table, key[1], key[2], self, store)
+            ),
+            store=store,
+        )
+
+    def topk_memo_for(
+        self,
+        key: tuple[str, str, str],
+        table: Table,
+        condition: TopKCondition,
+        store: EmbeddingStore,
+    ) -> TopKMemo | None:
+        """The top-k pairs each code of ``store`` has joined against the
+        registration ``table`` of a scan source under ``condition`` — valid
+        for exactly what the unit-row matrix is.  One memo per source: a
+        new condition replaces it.  ``None`` while a code's pairs would
+        take more bytes than its row in ``store``, or once ``store``, whose
+        codes the caller holds, is no longer the registered model's."""
+        width = min(condition.k, table.num_rows)
+        too_wide = TopKMemo.bytes_per_key(width) > 4 * store.model.dim
+        if too_wide or store is not self.store_for(key[2]):
+            return None
+        return self._scan_state(
+            "memo", self.topk_memos, key, table, lambda _: TopKMemo(width),
+            store=store, tag=(condition.k, condition.min_similarity),
         )
 
 
@@ -430,44 +473,56 @@ def _execute_embed(
 
 
 def _encode_column(
-    table: Table, column: str, model_name: str, ctx: ExecutionContext
+    table: Table,
+    column: str,
+    model_name: str,
+    ctx: ExecutionContext,
+    store: EmbeddingStore | None = None,
 ) -> tuple[EmbeddingStore, np.ndarray]:
-    """A context-rich column as codes into the shared embed-once store:
-    ``store.vectors[codes]`` is its embedding, equal values share a code."""
-    store = ctx.store_for(model_name)
+    """A context-rich column as codes into the shared embed-once store
+    (``store`` if given): ``store.vectors[codes]`` is its embedding, equal
+    values share a code."""
+    if store is None:
+        store = ctx.store_for(model_name)
     return store, store.add_items(table.array(column).tolist())
 
 
 def _embed_column(
-    table: Table, column: str, model_name: str, ctx: ExecutionContext
+    table: Table,
+    column: str,
+    model_name: str,
+    ctx: ExecutionContext,
+    store: EmbeddingStore | None = None,
 ) -> np.ndarray:
     """Embedding of a table column, via the shared embed-once store."""
     if table.schema.field(column).dtype is DataType.TENSOR:
         return table.array(column)
-    store, codes = _encode_column(table, column, model_name, ctx)
+    store, codes = _encode_column(table, column, model_name, ctx, store)
     return store.vectors[codes]
 
 
 def _join_keys(
     table: Table, column: str, model_name: str, ctx: ExecutionContext
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, EmbeddingStore | None, np.ndarray | None]:
     """Left E-join input as one vector per *distinct* key.
 
     ``E_mu`` is a function of the value and both condition families are
     per left tuple, so ``R |><|_E S == R |><|_code (delta_code(R) |><|_E
     S)``: the join runs over the distinct codes and
     :meth:`~repro.core.result.JoinResult.expand_left` hands every row its
-    key's pairs.  Returns ``(vectors, inverse)`` with ``inverse[r]`` the
-    key of row ``r`` — ``None`` when rows and keys coincide (tensor
-    columns, which carry no codes, and columns without a repeated value).
+    key's pairs.  Returns ``(vectors, inverse, store, keys)``:
+    ``inverse[r]`` is the key of row ``r`` — ``None`` when rows and keys
+    coincide (tensor columns, which carry no codes, and columns without a
+    repeated value) — and ``keys`` the keys' codes in the embed-once
+    ``store``; both ``None`` for a tensor column.
     """
     if table.schema.field(column).dtype is DataType.TENSOR:
-        return table.array(column), None
+        return table.array(column), None, None, None
     store, codes = _encode_column(table, column, model_name, ctx)
     distinct, inverse = np.unique(codes, return_inverse=True)
     if len(distinct) == len(codes):
-        return store.vectors[codes], None
-    return store.vectors[distinct], inverse
+        return store.vectors[codes], None, store, codes
+    return store.vectors[distinct], inverse, store, distinct
 
 
 def _embedding_dim(table: Table, column: str, model) -> int:
@@ -516,15 +571,15 @@ def _execute_ejoin(
         n_strategies = len(report.strategies)
         n_fallbacks = len(report.fallbacks)
         out = _execute_ejoin_impl(node, ctx, report)
+        joined = len(report.strategies) > n_strategies
         sp.set(
-            strategy=(
-                report.strategies[-1]
-                if len(report.strategies) > n_strategies
-                else None
-            ),
+            strategy=report.strategies[-1] if joined else None,
             fallbacks=len(report.fallbacks) - n_fallbacks,
             rows=out.num_rows,
         )
+        extra = report.join_stats[-1].extra if joined else {}
+        if "memo_hits" in extra:
+            sp.set(memo_hits=extra["memo_hits"], memo_misses=extra["memo_misses"])
         return out
 
 
@@ -536,9 +591,9 @@ def _execute_ejoin_impl(
     indexed = _index_for_right(node.right, node.right_column, ctx)
     # One vector per distinct left key; only the per-pair baseline with no
     # index in sight never asks for them.
-    left_vectors = inverse = None
+    left_vectors = inverse = store = keys = None
     if node.prefetch or indexed is not None:
-        left_vectors, inverse = _join_keys(
+        left_vectors, inverse, store, keys = _join_keys(
             left, node.left_column, node.model_name, ctx
         )
 
@@ -619,13 +674,15 @@ def _execute_ejoin_impl(
         report.join_stats.append(result.stats)
         return result.materialize(left, right)
     # A plain table scan on the right keeps its scan-ready state (unit
-    # rows, encoded stores) in the context, valid for this registration of
-    # the table; only other sources are embedded here.
+    # rows, encoded stores, the memo) in the context, valid for this
+    # registration of the table; only other sources are embedded here.
+    # Both sides embed with ``store``, the one the left keys came from,
+    # even if the model is replaced while the query runs.
     store_key = _scan_store_key(node.right, node.right_column, node.model_name)
     right_vectors = (
         None
         if store_key is not None
-        else _embed_column(right, node.right_column, node.model_name, ctx)
+        else _embed_column(right, node.right_column, node.model_name, ctx, store)
     )
     scan_strategy = strategy or "tensor"
     result = None
@@ -654,7 +711,9 @@ def _execute_ejoin_impl(
         def quantized(precision: str):
             right_input = right_vectors
             if store_key is not None:
-                right_input = ctx.quant_store_for(store_key, right, precision)
+                right_input = ctx.quant_store_for(
+                    store_key, right, precision, store
+                )
             return ejoin(
                 left_vectors,
                 right_input,
@@ -666,8 +725,42 @@ def _execute_ejoin_impl(
         result, _ = _quantized_scan(store_key, precision, report, quantized)
         if result is None and get_config().default_precision == "fp16":
             scan_strategy = "tensor-fp16"
+    normalized = scan_strategy in ("tensor", "parallel-tensor")
+    # A key's top-k pairs against one registration of a plain scan are a
+    # function of the key: on the exact fp32 scan, the keys this
+    # registration has joined are gathered from its memo and only the
+    # rest are scanned.  The choices above are priced on every key, as
+    # for a cold context, so a warm memo never changes the access path.
+    memo = None
+    if (
+        result is None
+        and normalized
+        and keys is not None
+        and store_key is not None
+        and isinstance(node.condition, TopKCondition)
+    ):
+        memo = ctx.topk_memo_for(store_key, right, node.condition, store)
+    if memo is not None:
+        unknown = memo.unknown(keys)
+        scanned = ejoin(
+            normalize_rows(left_vectors[unknown], copy=False),
+            ctx.normalized_matrix_for(store_key, right, store),
+            node.condition,
+            strategy=scan_strategy,
+            assume_normalized=True,
+            engine=ctx.engine,
+        )
+        with ctx.store_lock:
+            memo.put(keys[unknown], scanned)
+        n_scanned = int(np.count_nonzero(unknown))
+        stats = scanned.stats
+        stats.n_left = len(keys)
+        stats.extra.update(memo_hits=len(keys) - n_scanned, memo_misses=n_scanned)
+        report.strategies.append(stats.strategy)
+        report.join_stats.append(stats)
+        rows = keys if inverse is None else keys[inverse]
+        return memo.expand(rows, stats).materialize(left, right)
     if result is None:
-        normalized = scan_strategy in ("tensor", "parallel-tensor")
         if normalized:
             # Exactly ``normalize_rows`` of either side — what the scan
             # would compute itself — so joins stay bit-identical; a tensor
@@ -685,11 +778,11 @@ def _execute_ejoin_impl(
             right_vectors = (
                 normalize_rows(right_vectors)
                 if store_key is None
-                else ctx.normalized_matrix_for(store_key, right)
+                else ctx.normalized_matrix_for(store_key, right, store)
             )
         elif right_vectors is None:
             right_vectors = _embed_column(
-                right, node.right_column, node.model_name, ctx
+                right, node.right_column, node.model_name, ctx, store
             )
         result = ejoin(
             left_vectors,

@@ -187,3 +187,82 @@ class JoinResult:
         return JoinResult(
             self.left_ids[keep], self.right_ids[keep], self.scores[keep], self.stats
         )
+
+
+class TopKMemo:
+    """Each left key's top-k pairs against one right side, kept across joins.
+
+    :meth:`JoinResult.expand_left` carried across queries: a key is a code
+    of the embed-once store, and under a top-k condition its pairs against
+    one right relation are a function of the key alone, so a key joined
+    once need not be scanned again.  Row ``key`` holds ``count[key]`` pairs
+    in the order the scan emitted them (score descending, id ascending);
+    ``count == -1`` means "never joined".  The rows are three arrays
+    indexed by code, grown geometrically like the store's buffer, so a hit
+    is a gather, not a Python loop over keys.  Which right registration,
+    store and condition a memo stands for is its owner's business
+    (``ExecutionContext.topk_memo_for``).
+    """
+
+    def __init__(self, width: int) -> None:
+        #: Pairs a key can hold: ``min(k, right rows)``.
+        self.width = width
+        self._rows = (
+            np.full(0, -1, dtype=np.int64),
+            np.empty((0, width), dtype=np.int64),
+            np.empty((0, width), dtype=np.float32),
+        )
+
+    @staticmethod
+    def bytes_per_key(width: int) -> int:
+        """Bytes of one key's row: its count, ``width`` ids and scores."""
+        return 8 + 12 * width
+
+    def unknown(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the ``keys`` no join has stored yet."""
+        count = self._rows[0]
+        out = np.ones(len(keys), dtype=bool)
+        inside = keys < len(count)
+        out[inside] = count[keys[inside]] < 0
+        return out
+
+    def put(self, keys: np.ndarray, joined: JoinResult) -> None:
+        """Remember ``joined``, a join whose left row ``i`` is the distinct
+        key ``keys[i]``.  A key already known keeps its pairs, so racing
+        joins of one key leave what the first one stored.  Callers
+        serialize ``put``; readers need no lock — a row is complete before
+        its count is set, and growth publishes filled copies.
+        """
+        count, ids, scores = self._rows
+        need = int(keys.max()) + 1 if len(keys) else 0
+        if need > len(count):
+            grow = max(need, 2 * len(count), 1024) - len(count)
+            count = np.concatenate([count, np.full(grow, -1, dtype=np.int64)])
+            ids = np.concatenate([ids, np.empty((grow, self.width), dtype=np.int64)])
+            scores = np.concatenate(
+                [scores, np.empty((grow, self.width), dtype=np.float32)]
+            )
+        per_key = np.bincount(joined.left_ids, minlength=len(keys))
+        fresh = count[keys] < 0
+        take = fresh[joined.left_ids]
+        rank = np.arange(len(joined)) - (np.cumsum(per_key) - per_key)[joined.left_ids]
+        rows = keys[joined.left_ids[take]]
+        ids[rows, rank[take]] = joined.right_ids[take]
+        scores[rows, rank[take]] = joined.scores[take]
+        count[keys[fresh]] = per_key[fresh]
+        self._rows = count, ids, scores
+
+    def expand(self, codes: np.ndarray, stats: JoinStats) -> JoinResult:
+        """The join over rows whose keys are ``codes``, every one known:
+        what :meth:`JoinResult.expand_left` makes of a join over the keys —
+        rows ascending, each with its key's pairs in their stored order."""
+        count, ids, scores = self._rows
+        per_row = count[codes]
+        cells = np.repeat(codes * self.width - (np.cumsum(per_row) - per_row), per_row)
+        cells += np.arange(len(cells))
+        return JoinResult(
+            np.repeat(np.arange(len(codes)), per_row),
+            ids.ravel()[cells],
+            scores.ravel()[cells],
+            stats,
+        )

@@ -124,3 +124,17 @@ class EmbeddingStore:
     def items(self) -> list:
         with self._lock:
             return list(self._items)
+
+
+def shared_store(
+    stores: dict[str, EmbeddingStore], name: str, model: EmbeddingModel, lock
+) -> EmbeddingStore:
+    """``stores[name]``, the embed-once store of the model registered as
+    ``name`` — made anew when ``model``, the one registered now, is not the
+    one it embeds with, so a replaced model's vectors and codes never
+    answer for its successor.  ``lock`` guards ``stores``."""
+    with lock:
+        store = stores.get(name)
+        if store is None or store.model is not model:
+            store = stores[name] = EmbeddingStore(model)
+        return store

@@ -16,6 +16,9 @@ class ModelRegistry:
 
     def __init__(self) -> None:
         self._models: dict[str, EmbeddingModel] = {}
+        #: Counter of registrations: a replaced model changes every answer
+        #: that embeds under its name (a result-cache key component).
+        self.epoch = 0
 
     def register(
         self, name: str, model: EmbeddingModel, *, replace: bool = False
@@ -23,6 +26,7 @@ class ModelRegistry:
         if name in self._models and not replace:
             raise EmbeddingError(f"model {name!r} already registered")
         self._models[name] = model
+        self.epoch += 1
 
     def get(self, name: str) -> EmbeddingModel:
         if name not in self._models:

@@ -40,7 +40,7 @@ from ..algebra.optimizer import Optimizer
 from ..algebra.physical_planner import ExecutionContext, ExecutionReport, execute
 from ..core.conditions import ThresholdCondition, TopKCondition
 from ..core.cost_model import CostParams
-from ..embedding.cache import EmbeddingStore
+from ..embedding.cache import EmbeddingStore, shared_store
 from ..embedding.registry import ModelRegistry
 from ..engine import ExecutionEngine
 from ..errors import PlanError
@@ -64,6 +64,7 @@ class Engine:
         self._quant_stores: dict[tuple, object] = {}
         self._embed_stores: dict[str, EmbeddingStore] = {}
         self._norm_cache: dict[tuple, tuple] = {}
+        self._topk_memos: dict[tuple, tuple] = {}
         # One lock serializes get-or-build on every shared store, so
         # concurrent sessions (the query service) cannot duplicate or
         # corrupt encode/normalize/fit work.
@@ -120,12 +121,10 @@ class Engine:
 
     def embed_store_for(self, model_name: str) -> EmbeddingStore:
         """Shared embed-once store for ``model_name`` (get-or-create)."""
-        with self._store_lock:
-            if model_name not in self._embed_stores:
-                self._embed_stores[model_name] = EmbeddingStore(
-                    self.models.get(model_name)
-                )
-            return self._embed_stores[model_name]
+        return shared_store(
+            self._embed_stores, model_name, self.models.get(model_name),
+            self._store_lock,
+        )
 
     def register_index(self, table: str, column: str, index: VectorIndex) -> None:
         """Attach a built vector index to ``table.column``.
@@ -174,6 +173,7 @@ class Engine:
             cost_params=self.cost_params,
             quant_stores=self._quant_stores,
             norm_cache=self._norm_cache,
+            topk_memos=self._topk_memos,
             store_lock=self._store_lock,
             engine=self.executor.with_tag(tag),
             query_tag=tag,

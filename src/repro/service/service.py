@@ -509,7 +509,8 @@ class QueryService:
         ``key`` adds everything else that can change a result, read at
         this instant: table data versions, the index epoch (registering
         an index can flip the physical access path — approximate for
-        HNSW/IVF), and the precision config (quantized scans are
+        HNSW/IVF), the model registry's epoch (a replaced model embeds
+        differently), and the precision config (quantized scans are
         approximate for top-k, so results cached under one
         REPRO_PRECISION mode must not survive a config change).  Takes
         only the result cache's lock, so the async front calls it on the
@@ -524,6 +525,7 @@ class QueryService:
         versions = (
             *table_versions(shape.tables, self.engine.catalog),
             ("__indexes__", self.engine.index_epoch),
+            ("__models__", self.engine.models.epoch),
             (
                 "__precision__",
                 config.default_precision,

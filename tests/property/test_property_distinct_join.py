@@ -4,6 +4,9 @@ The planner joins one vector per *distinct* left string and expands the
 pairs back to rows.  The property: whatever the multiset of strings, the
 access path and the morsel / block cut, the planner's result has the ids
 — and the row order — of the same operator run over one vector per *row*.
+Across queries the identity holds per registration of the right side: a
+top-k join gathers the keys it has joined before, and a sequence of joins
+answers, op by op, what a fresh context answers.
 """
 
 from __future__ import annotations
@@ -76,20 +79,21 @@ def _small_cut_executor() -> ExecutionEngine:
     return ExecutionEngine(n_threads=2, morsel_rows=3, buffer_budget_bytes=2048)
 
 
-def _engine(texts: list[str], *, index: bool) -> Engine:
-    catalog = Catalog()
-    catalog.register(
-        "feed",
-        Table.from_arrays(
-            Schema.of(Field("lid", DataType.INT64), Field("text", DataType.STRING)),
-            {"lid": np.arange(len(texts)), "text": np.asarray(texts, dtype=object)},
-        ),
+def _feed(texts: list[str]) -> Table:
+    return Table.from_arrays(
+        Schema.of(Field("lid", DataType.INT64), Field("text", DataType.STRING)),
+        {"lid": np.arange(len(texts)), "text": np.asarray(texts, dtype=object)},
     )
+
+
+def _engine(texts: list[str], *, index: bool, right: list[str] = RIGHT) -> Engine:
+    catalog = Catalog()
+    catalog.register("feed", _feed(texts))
     catalog.register(
         "words",
         Table.from_arrays(
             Schema.of(Field("wid", DataType.INT64), Field("word", DataType.STRING)),
-            {"wid": np.arange(len(RIGHT)), "word": RIGHT},
+            {"wid": np.arange(len(right)), "word": right},
         ),
     )
     engine = Engine(catalog)
@@ -221,3 +225,58 @@ def test_expand_left_keeps_each_keys_own_order():
     assert out.left_ids.tolist() == [0, 0, 0, 1, 1, 3, 3, 3, 4, 4]
     assert out.right_ids.tolist() == [5, 9, 1, 7, 3, 5, 9, 1, 7, 3]
     assert np.allclose(out.scores, [0.7, 0.6, 0.5, 0.9, 0.8, 0.7, 0.6, 0.5, 0.9, 0.8])
+
+
+#: ``(right words, condition)`` of the join sequences below.  Duplicate
+#: catalog rows tie exactly; the three-row catalog holds fewer rows than k.
+SEQUENCE_CASES = [
+    (RIGHT + RIGHT[:8], TopKCondition(1)),
+    (RIGHT + RIGHT[:8], TopKCondition(3)),
+    (RIGHT + RIGHT[:8], TopKCondition(3, min_similarity=0.5)),
+    (RIGHT[:2] + RIGHT[:1], TopKCondition(4)),
+]
+#: An empty feed, a feed with one distinct key, and overlapping feeds.
+FIXED_SEQUENCE = [[], [POOL[0]] * 5, POOL[:9], POOL[::-1] + [POOL[3]], [], POOL[4:7] * 3]
+
+
+def _case_id(value) -> str:
+    return f"{len(value)}-rows" if isinstance(value, list) else str(value)
+
+
+def _check_sequence(batches, right, condition, strategy) -> int:
+    """Run ``batches`` one after another against one registration of
+    ``right`` and each against a fresh context; returns the keys the
+    sequence found already joined."""
+    engine = _engine([], index=False, right=right)
+    hits = 0
+    for op, texts in enumerate(batches):
+        engine.catalog.register("feed", _feed(texts), replace=True)
+        got, stats = _join(engine, condition, strategy)
+        want, cold = _join(_engine(texts, index=False, right=right), condition, strategy)
+        assert got.array("lid").tolist() == want.array("lid").tolist(), op
+        # By word: which of two duplicate rows wins an exact tie depends on
+        # the GEMM shape a key is scored in, at a fresh context too.
+        assert got.array("word").tolist() == want.array("word").tolist(), op
+        # A key's scores come from the GEMM block it was first joined in
+        # (the repo-wide contract: block rounding, <= 1e-6).
+        np.testing.assert_allclose(
+            got.array("similarity"), want.array("similarity"), rtol=0, atol=1e-6
+        )
+        assert stats.n_left == cold.n_left == len(set(texts))
+        assert stats.extra["memo_misses"] + stats.extra["memo_hits"] == stats.n_left
+        assert stats.similarity_evaluations == stats.extra["memo_misses"] * len(right)
+        hits += stats.extra["memo_hits"]
+    return hits
+
+
+@pytest.mark.parametrize("strategy", ["tensor", "parallel-tensor"])
+@pytest.mark.parametrize("right,condition", SEQUENCE_CASES, ids=_case_id)
+@given(batches=st.lists(feeds, min_size=1, max_size=5))
+@settings(max_examples=15, deadline=None)
+def test_join_sequence_answers_like_a_fresh_context(batches, right, condition, strategy):
+    _check_sequence(batches, right, condition, strategy)
+
+
+@pytest.mark.parametrize("right,condition", SEQUENCE_CASES, ids=_case_id)
+def test_fixed_join_sequence_gathers_what_it_joined(right, condition):
+    assert _check_sequence(FIXED_SEQUENCE, right, condition, "tensor") > 0

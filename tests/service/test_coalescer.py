@@ -20,7 +20,7 @@ from repro.core import ThresholdCondition
 from repro.errors import ServiceError
 from repro.service import QueryService
 
-from _service_utils import MODEL, assert_tables_equal, blocker
+from _service_utils import DIM, MODEL, assert_tables_equal, blocker
 
 pytestmark = pytest.mark.service
 
@@ -285,6 +285,23 @@ def test_register_index_invalidates_result_cache(service_engine, query_vectors):
     service_engine.register_index("corpus", "emb", index)
     service.submit(builder())  # key changed: miss, re-executes
     assert service.stats.result_cache_hits == 1
+
+
+def test_replaced_model_invalidates_result_cache(service_engine):
+    """A raw query item embeds through the model registered under its
+    name: after a replacement the cached answer is the old model's."""
+    from repro.embedding import HashingEmbedder
+
+    service = QueryService(service_engine, coalesce=False)
+    builder = lambda: service_engine.query("corpus").esimilar(
+        "emb", "a raw query string", model=MODEL, top_k=3
+    )
+    before = service.submit(builder())
+    service_engine.models.register(MODEL, HashingEmbedder(dim=DIM, seed=9), replace=True)
+    after = service.submit(builder())
+    assert service.stats.result_cache_hits == 0
+    assert_tables_equal(after, builder().execute(), context="after the replacement")
+    assert not np.array_equal(after.array("id"), before.array("id"))
 
 
 def test_group_error_propagates_to_all_members(
