@@ -3,10 +3,13 @@
 Many coroutine clients share one engine through ``AsyncQueryService``:
 idle connections cost a heap entry each (not a thread), a bounded
 dispatcher pool drains them in priority order, and each query carries a
-deadline and a recall floor.  Under pressure the service degrades
-deadline-pressed queries to a quantized prescreen (explicitly flagged)
-or sheds provably-unmeetable ones with ``DeadlineExceededError`` —
-everything else comes back bit-identical to serial execution.
+deadline and its permission to degrade (``min_recall``).  Under pressure
+the service sheds provably-unmeetable queries with
+``DeadlineExceededError``; while its degraded estimate is cold it may
+run a deadline-pressed selection over int8 codes instead (the exact ids,
+explicitly flagged — not a faster scan in NumPy, so once timed it sheds
+those too).  Everything else comes back bit-identical to serial
+execution.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ async def client(engine, front, worker: int, outcomes: dict) -> None:
                 query,
                 deadline_s=0.25,
                 priority=worker % 3,  # a few service classes
-                min_recall=0.9,  # allows int8/PQ degradation under pressure
+                min_recall=0.9,  # below 1.0: may degrade to int8 codes, flagged
             )
         except DeadlineExceededError:
             outcomes["shed"] += 1

@@ -239,7 +239,7 @@ def _quantized_scan_decision(
     n_left: int,
     n_right: int,
     dim: int,
-    k: int,
+    condition,
 ):
     """Shared precision gate for scan-based E-joins and E-selections.
 
@@ -252,7 +252,9 @@ def _quantized_scan_decision(
         get_config().default_precision,
     ) in ctx.quant_stores
     return choose_scan_precision(
-        n_left, n_right, k, dim, params=ctx.cost_params, store_built=prebuilt
+        n_left, n_right, _probe_k(condition), dim,
+        topk=isinstance(condition, TopKCondition),
+        params=ctx.cost_params, store_built=prebuilt,
     )
 
 
@@ -375,7 +377,7 @@ def _execute_eselect(
             1,
             table.num_rows,
             _embedding_dim(table, node.column, model),
-            _probe_k(node.condition),
+            node.condition,
         )
 
         def quantized(precision: str):
@@ -689,16 +691,16 @@ def _execute_ejoin_impl(
     precision = None
     if scan_strategy == "tensor":
         # The REPRO_PRECISION knob may substitute a reduced-precision
-        # scan; quantized paths are additionally gated on the
-        # configured accuracy floor and modelled cost (including the
-        # fit/encode build unless a cached store already amortized it).
+        # scan; quantized paths are additionally gated on their modelled
+        # cost (including the fit/encode build unless a cached store
+        # already amortized it).
         precision = _quantized_scan_decision(
             ctx,
             store_key,
             len(left_vectors),
             right.num_rows,
             _embedding_dim(right, node.right_column, model),
-            _probe_k(node.condition),
+            node.condition,
         ).precision
     elif scan_strategy in ("tensor-int8", "tensor-pq"):
         # A forced quantized scan takes the same store cache, breaker

@@ -52,7 +52,6 @@ def _config_snapshot() -> dict:
         "morsel_rows": config.default_morsel_rows,
         "buffer_budget_bytes": config.default_buffer_budget_bytes,
         "precision": config.default_precision,
-        "rerank_multiple": config.default_rerank_multiple,
         "work_stealing": config.work_stealing,
         "smoke": os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0"),
     }

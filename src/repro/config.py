@@ -58,11 +58,7 @@ class ReproConfig:
         default_precision: Operand precision scan joins run at when the
             caller does not pin one: ``fp32`` (exact), ``fp16`` (half-
             precision storage), or the quantized access paths ``int8`` /
-            ``pq`` (approximate scan + exact re-rank).
-        default_min_recall: Accuracy floor the optimizer must respect
-            before it may substitute a quantized access path.
-        default_rerank_multiple: Top-k candidate multiple for quantized
-            scans — each probe re-ranks ``multiple * k`` candidates in fp32.
+            ``pq`` (approximate scan + exact re-rank, exact answers).
         fault_rate: Probability that one fault-injection site hit injects
             a fault (chaos testing).  ``0.0`` never installs the injector,
             so production paths pay one ``None`` check.
@@ -90,8 +86,6 @@ class ReproConfig:
     default_buffer_budget_bytes: int | None = None
     work_stealing: bool = True
     default_precision: str = "fp32"
-    default_min_recall: float = 0.95
-    default_rerank_multiple: int = 4
     fault_rate: float = 0.0
     fault_seed: int | None = None
     fault_kinds: str = "transient"
@@ -164,9 +158,6 @@ def _config_from_env() -> ReproConfig:
                 RuntimeWarning,
                 stacklevel=2,
             )
-    rerank = _env_number("REPRO_RERANK_MULTIPLE", int)
-    if rerank is not None:
-        config.default_rerank_multiple = max(1, rerank)
     # Fault injection: the CI chaos shard arms it through these three.
     fault_rate = _env_number("REPRO_FAULT_RATE", float)
     if fault_rate is not None:

@@ -8,7 +8,6 @@ from .cost_model import (
     choose_access_path,
     choose_scan_precision,
     crossover_selectivity,
-    quantized_recall_estimate,
 )
 from .index_join import DEFAULT_PROBE_K, index_join
 from .join import ejoin
@@ -32,7 +31,6 @@ __all__ = [
     "QuantizedRelation",
     "choose_scan_precision",
     "quantized_eselect",
-    "quantized_recall_estimate",
     "quantized_tensor_join",
     "ThresholdCondition",
     "TopKCondition",

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import JoinError
+from .scan import TOPK_PRESCREEN_PAD
 
 
 @dataclass
@@ -301,23 +302,6 @@ def quantized_build_cost(
     return n_base * per_row
 
 
-def quantized_recall_estimate(
-    precision: str, *, rerank_multiple: int = 4
-) -> float:
-    """Heuristic recall@k estimate for a quantized scan with re-ranking.
-
-    int8's score error is bounded by half the affine step norm — tiny
-    against typical score gaps — while PQ's grows with the quantization
-    residual; the candidate multiple recovers boundary misses roughly
-    proportionally.  Constants calibrated against the ``fig_quant``
-    embedding-like workload (int8 measures ~1.0, PQ ~0.97 at multiple 8).
-    """
-    base_miss = {"fp32": 0.0, "fp16": 0.002, "int8": 0.04, "pq": 0.2}
-    if precision not in base_miss:
-        raise JoinError(f"unknown precision {precision!r}")
-    return 1.0 - base_miss[precision] / max(rerank_multiple, 1)
-
-
 @dataclass(frozen=True)
 class PrecisionDecision:
     """Outcome of quantized-vs-fp32 scan selection."""
@@ -325,7 +309,6 @@ class PrecisionDecision:
     precision: str  # chosen operand precision for the scan
     fp32_cost: float
     quantized_cost: float
-    estimated_recall: float
 
 
 def choose_scan_precision(
@@ -334,60 +317,52 @@ def choose_scan_precision(
     k: int,
     dim: int,
     *,
+    topk: bool = True,
     precision: str | None = None,
     params: CostParams | None = None,
-    rerank_multiple: int | None = None,
-    min_recall: float | None = None,
     pq_m: int = 8,
     store_built: bool = False,
 ) -> PrecisionDecision:
-    """Pick the scan's operand precision under an accuracy constraint.
+    """Pick the scan's operand precision: the cheaper of fp32 and codes.
 
-    The configured (or requested) precision is adopted only when its
-    estimated recall clears ``min_recall`` *and* its modelled cost beats
-    the fp32 scan; otherwise the decision falls back to fp32.  ``None``
-    arguments default from the process-wide config (the
-    ``REPRO_PRECISION`` knob).  Unless ``store_built`` says a
-    pre-encoded :class:`~repro.core.quantized_join.QuantizedRelation`
-    already exists, the one-time fit/encode cost is charged too — a
-    single probe over a cold relation should stay on the exact scan.
+    Either answers exactly (a quantized top-k is proved or rescanned), so
+    the configured (or requested) precision is adopted when its modelled
+    cost — a code scan plus each row's ``k +`` ``TOPK_PRESCREEN_PAD``
+    exact re-ranks — beats the fp32 scan.  ``precision=None`` defaults
+    from the process-wide config (the ``REPRO_PRECISION`` knob).  Unless
+    ``store_built`` says a pre-encoded
+    :class:`~repro.core.quantized_join.QuantizedRelation` already exists,
+    the one-time fit/encode cost is charged too — a single probe over a
+    cold relation should stay on the fp32 scan.
+
+    A PQ ``topk`` join stays on fp32 whatever the price: PQ's error bound
+    proves no top-k row, so every row also takes the fixed-floor pass — a
+    second code scan and thousands of exact re-ranks, measured at 0.07x
+    of fp32 — which this model does not price.
     """
     from ..config import get_config
 
-    config = get_config()
-    precision = config.default_precision if precision is None else precision
-    rerank_multiple = (
-        config.default_rerank_multiple
-        if rerank_multiple is None
-        else rerank_multiple
-    )
-    min_recall = (
-        config.default_min_recall if min_recall is None else min_recall
-    )
+    if precision is None:
+        precision = get_config().default_precision
     params = params or CostParams()
     params.validate()
     fp32 = tensor_join_cost(n_left, n_base, dim, params)
-    if precision not in ("int8", "pq"):
-        return PrecisionDecision("fp32", fp32, math.inf, 1.0)
-    recall = quantized_recall_estimate(
-        precision, rerank_multiple=rerank_multiple
-    )
+    if precision not in ("int8", "pq") or (precision == "pq" and topk):
+        return PrecisionDecision("fp32", fp32, math.inf)
     quantized = quantized_scan_join_cost(
         n_left,
         n_base,
         dim,
         params,
         bytes_per_code=precision_code_bytes(precision, dim, pq_m=pq_m),
-        rerank_k=min(rerank_multiple * k, n_base),
+        rerank_k=min(k + TOPK_PRESCREEN_PAD, n_base),
         lut_adds=pq_m if precision == "pq" else None,
     )
     if not store_built:
         quantized += quantized_build_cost(
             n_base, dim, params, precision=precision
         )
-    if recall >= min_recall and quantized < fp32:
-        return PrecisionDecision(precision, fp32, quantized, recall)
-    return PrecisionDecision("fp32", fp32, quantized, 1.0)
+    return PrecisionDecision(precision if quantized < fp32 else "fp32", fp32, quantized)
 
 
 # ----------------------------------------------------------------------

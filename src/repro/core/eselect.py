@@ -37,18 +37,15 @@ from .conditions import (
 )
 from .nlj import _as_matrix
 from .result import JoinStats
-from .scan import dense_score_block, merge_topk, scan_candidates, split_rows
-
-#: Margin subtracted from prescreen thresholds so float rounding in the
-#: approximate BLAS pass can never exclude a row the exact kernel would
-#: emit.  Dot products of unit vectors deviate from the exact value by
-#: O(d * eps_fp32) ~ 1e-4 at d = 2048; 1e-3 is a safe bound for any
-#: realistic embedding dimensionality.
-PRESCREEN_MARGIN = 1e-3
-
-#: Extra prescreen candidates retained beyond ``k`` for top-k conditions,
-#: before the margin-widening pass proves the candidate set complete.
-TOPK_PRESCREEN_PAD = 32
+from .scan import (
+    PRESCREEN_MARGIN,
+    TOPK_PRESCREEN_PAD,
+    dense_score_block,
+    merge_topk,
+    prove_topk,
+    scan_candidates,
+    split_rows,
+)
 
 
 class SelectionResult:
@@ -106,36 +103,30 @@ def exact_select(
     threshold's candidates (approximate score within
     :data:`PRESCREEN_MARGIN` of it) are one by construction and come out
     in ascending-id order.  A top-k's — selected by (score descending, id
-    ascending), then cut at ``min_similarity`` — are one if proved: every
-    row the prescreen dropped scores ``<= floor`` approximately (``-inf``:
-    none was dropped), so with ``floor`` a margin under the k-th best
-    exact candidate score no dropped row can tie or beat the top-k.
-    Otherwise one fixed-floor pass collects every row within the margin of
-    that score.  Returns ``(ids, scores, rescanned)``.
+    ascending), then cut at ``min_similarity`` — are one once
+    :func:`~repro.core.scan.prove_topk` proves them: every row the
+    prescreen dropped scores ``<= floor`` approximately (``-inf``: none
+    was dropped), and the fp32 scan's bound is zero, so with ``floor`` a
+    margin under the k-th best exact candidate score no dropped row can
+    tie or beat the top-k.  Otherwise one fixed-floor pass collects every
+    row within the margin of that score.  Returns ``(ids, scores,
+    rescanned)``.
     """
-    rescanned = False
-    while True:
-        candidates = np.asarray(candidates, dtype=np.int64)
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if isinstance(condition, ThresholdCondition):
         exact = stable_dot_scores(normalized[candidates], qvec)
-        if isinstance(condition, ThresholdCondition):
-            keep = exact >= condition.threshold
-            return candidates[keep], exact[keep], False
-        keep = np.lexsort((candidates, -exact))[: condition.k]
-        if rescanned or not 0 < len(candidates) < len(normalized):
-            break
-        bar = exact[keep[-1]] - PRESCREEN_MARGIN
-        if floor <= bar:
-            break
-        candidates = scan_candidates(
-            dense_score_block(normalized, qvec[None, :]),
-            0, len(normalized), 1, (), 0, (0,), bar,
-        ).hits[1]
-        rescanned = True
-    ids, scores = candidates[keep], exact[keep]
+        keep = exact >= condition.threshold
+        return candidates[keep], exact[keep], False
+    (_, ids, scores), failed, _ = prove_topk(
+        np.zeros(len(candidates), dtype=np.intp), candidates,
+        np.full(1, floor, dtype=np.float32), condition.k, len(normalized),
+        lambda _, ids: stable_dot_scores(normalized[ids], qvec),
+        lambda _: (dense_score_block(normalized, qvec[None, :]), None),
+    )
     if condition.min_similarity is not None:
         keep = scores >= condition.min_similarity
         ids, scores = ids[keep], scores[keep]
-    return ids, scores, rescanned
+    return ids, scores, len(failed) > 0
 
 
 class GroupSelection(NamedTuple):

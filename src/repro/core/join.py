@@ -220,7 +220,7 @@ def _auto_strategy(
     # Scan path: the configured precision may substitute a reduced-
     # precision scan (fp16 storage, or quantized codes + exact re-rank)
     # for the fp32 tensor formulation.  Quantized substitution goes
-    # through the same cost/recall gate the planner applies — including
+    # through the same cost comparison the planner applies — including
     # the per-call fit/encode build, which ejoin cannot amortize — so a
     # join too small to pay for quantizer training stays on fp32.
     from ..config import get_config
@@ -233,13 +233,14 @@ def _auto_strategy(
     # Raw items take their dimension from the model; with neither, the
     # tensor join below rejects the input.
     if precision in ("int8", "pq") and (vectors or model is not None):
-        if isinstance(condition, TopKCondition):
+        topk = isinstance(condition, TopKCondition)
+        if topk:
             k = condition.k
         else:
             k = DEFAULT_PROBE_K if probe_k is None else probe_k
         dim = right.shape[1] if vectors else model.dim
         decision = choose_scan_precision(
-            n_left, n_right, k, dim, params=cost_params, store_built=False
+            n_left, n_right, k, dim, topk=topk, params=cost_params, store_built=False
         )
         if decision.precision in ("int8", "pq"):
             return f"tensor-{decision.precision}"

@@ -11,14 +11,16 @@ quantization.  The join becomes a two-phase scan:
    this module hands it the codes representation: the quantizer's
    ``scorer`` (a BLAS GEMM over casted codes, or an ADC sparse product)
    with its per-query ``bias``, and the quantizer's error ``bound``.
-2. **Exact re-rank** — each left row's best ``multiple * k``
-   approximate candidates (or, for threshold joins, everything above
-   ``threshold - error_bound``, one scanned block at a time so that only
-   true matches pool) are re-scored against the stored fp32
-   rows (:func:`_exact_scores`, the representation's ``rerank``), then
-   folded to ``k`` or filtered at the threshold, so the emitted scores
-   are exact and threshold results provably contain every true match
-   (the quantizer's error bound makes the approximate filter sound).
+2. **Exact re-rank** — each left row's best ``k +``
+   :data:`~repro.core.scan.TOPK_PRESCREEN_PAD` approximate candidates
+   (or, for threshold joins, everything above ``threshold -
+   error_bound``, one scanned block at a time so that only true matches
+   pool) are re-scored against the stored fp32 rows
+   (:func:`_exact_scores`, the representation's ``rerank``).  A
+   threshold join keeps what reaches the threshold; a top-k row is
+   proved by :func:`~repro.core.scan.prove_topk` — its dropped cells'
+   floor plus the quantizer's error bound under its k-th exact score —
+   or rescanned at that score.  Both answers equal the fp32 join's.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from ..engine import ExecutionEngine
 from ..errors import DimensionalityError, JoinError
 from ..vector.norms import finite_norms, normalize_rows
 from ..vector.quant import Int8Quantizer, ProductQuantizer, VectorQuantizer
-from .conditions import JoinCondition, TopKCondition, validate_condition
+from .conditions import JoinCondition, validate_condition
 from .eselect import SelectionResult, _as_query
 from .nlj import _as_matrices, _as_matrix
 from .result import JoinResult, JoinStats
@@ -155,7 +157,6 @@ def quantized_tensor_join(
     *,
     method: str | None = None,
     model: EmbeddingModel | None = None,
-    rerank_multiple: int | None = None,
     batch_left: int | None = None,
     batch_right: int | None = None,
     buffer_budget_bytes: int | None = None,
@@ -173,18 +174,16 @@ def quantized_tensor_join(
         method: ``"int8"`` or ``"pq"``; defaults to the configured
             ``default_precision`` when that is quantized, else ``"int8"``.
             Ignored (taken from the store) when ``right`` is pre-built.
-        rerank_multiple: top-k candidate multiple — each left row re-ranks
-            its best ``multiple * k`` approximate candidates in fp32.
-            ``multiple * k >= |S|`` degenerates to the exact join.
         buffer_budget_bytes: Figure 7 budget covering the approximate
             score block, the per-row candidate pool (and PQ lookup
             tables); split across workers under a multi-threaded engine.
 
     Returns:
         :class:`JoinResult` with **exact** fp32 scores for every emitted
-        pair.  Threshold joins contain every true match (the quantizer
-        error bound makes the prescreen sound); top-k joins may miss a
-        true neighbour only when it falls outside the candidate multiple.
+        pair and the fp32 join's pairs: the quantizer error bound makes
+        the threshold prescreen sound and proves each top-k row
+        (``stats.extra["rescanned_rows"]`` counts the rows it could not
+        prove on their first candidates).
     """
     validate_condition(condition)
     config = get_config()
@@ -208,10 +207,6 @@ def quantized_tensor_join(
         raise JoinError(
             f"unknown quantization method {method!r}; have {QUANT_METHODS}"
         )
-    if rerank_multiple is None:
-        rerank_multiple = config.default_rerank_multiple
-    if rerank_multiple < 1:
-        raise JoinError(f"rerank_multiple must be >= 1, got {rerank_multiple}")
 
     stats = JoinStats(strategy=f"tensor-{method}")
     start = time.perf_counter()
@@ -236,37 +231,30 @@ def quantized_tensor_join(
     left_n = normalize_rows(left_m)
     stats.extra["bytes_per_code"] = store.quantizer.bytes_per_code
     stats.extra["operand_bytes"] = int(left_n.nbytes) + store.code_bytes
-    stats.extra["candidate_multiple"] = rerank_multiple
 
     def scorer(lb: np.ndarray, width: int):
         score, bias = store.quantizer.scorer(lb)
         return (lambda r0, r1: score(store.scan_rows[r0:r1])), bias
 
-    n_right = len(store)
     result = scan_join(
         stats,
         left_n,
-        n_right,
+        len(store),
         condition,
         scorer,
-        # Any pair whose exact score reaches the threshold has an
-        # approximate one above ``threshold - bound``; a top-k row keeps
-        # its best ``multiple * k`` approximate cells.
+        # Any pair whose exact score reaches a floor has an approximate
+        # one above ``floor - bound``.
         bound=store.quantizer.score_error_bound(),
-        keep=(
-            min(rerank_multiple * condition.k, n_right)
-            if isinstance(condition, TopKCondition)
-            else None
-        ),
         rerank=lambda lb, li, ri: _exact_scores(lb, li, store.vectors, ri),
         batch_left=batch_left,
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
         engine=engine,
     )
-    # Every re-ranked candidate is one evaluation on top of the code scan.
-    stats.extra["rerank_candidates"] = (
-        stats.similarity_evaluations - stats.n_left * stats.n_right
+    # Every re-ranked candidate is one evaluation on top of the code scans
+    # (one per left row, and one per rescanned top-k row).
+    stats.extra["rerank_candidates"] = stats.similarity_evaluations - stats.n_right * (
+        stats.n_left + stats.extra["rescanned_rows"]
     )
     stats.seconds = time.perf_counter() - start
     return result
@@ -279,7 +267,6 @@ def quantized_eselect(
     *,
     method: str | None = None,
     model: EmbeddingModel | None = None,
-    rerank_multiple: int | None = None,
     buffer_budget_bytes: int | None = None,
 ) -> SelectionResult:
     """Quantized-scan E-selection: the one-query special case of the join.
@@ -294,7 +281,6 @@ def quantized_eselect(
         condition,
         method=method,
         model=model,
-        rerank_multiple=rerank_multiple,
         buffer_budget_bytes=buffer_budget_bytes,
     )
     stats = result.stats

@@ -13,6 +13,10 @@ its own pass or the shard workers') re-score candidates with the
 shape-stable exact kernel, the fp32 and fp16 joins emit the GEMM's own
 scores, the quantized join re-ranks in fp32.
 
+A re-scored top-k is exact by one rule, :func:`prove_topk`: a row whose
+dropped cells provably score under its k-th exact candidate keeps its
+candidates, and the rest take one fixed-floor pass.
+
 :func:`scan_join` is the one operator body under every scan join: ask
 :func:`~repro.vector.select.scan_shape` for the block, cut the left side,
 scan each left block with the representation's scorer, finalize, run the
@@ -27,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from ..engine import ExecutionEngine, serial_engine
+from ..errors import BufferBudgetError
 from ..vector.kernels import row_major_scores
 from ..vector.select import (
     TopKReducer,
@@ -41,6 +46,17 @@ from .result import JoinResult, JoinStats
 #: ``(rows, ids, scores)`` candidate triples sorted by
 #: ``(row, score desc, id asc)`` — :meth:`TopKReducer.finalize`'s order.
 Triples = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Margin subtracted from prescreen floors so float rounding in the
+#: approximate BLAS pass can never exclude a row the exact kernel would
+#: emit.  Dot products of unit vectors deviate from the exact value by
+#: O(d * eps_fp32) ~ 1e-4 at d = 2048; 1e-3 is a safe bound for any
+#: realistic embedding dimensionality.
+PRESCREEN_MARGIN = 1e-3
+
+#: Extra prescreen candidates a top-k row keeps beyond ``k``, so that
+#: :func:`prove_topk` proves almost every row without a second pass.
+TOPK_PRESCREEN_PAD = 32
 
 
 @dataclass
@@ -195,11 +211,84 @@ def merge_topk(
     """
     kpad = max(1, kpad)
     rows, ids, scores = parts[0] if len(parts) == 1 else fold_topk(parts, n_rows, kpad)
+    bounds, floors = _last_of_full_rows(rows, scores, n_rows, kpad)
+    return [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])], floors
+
+
+def _last_of_full_rows(
+    rows: np.ndarray, scores: np.ndarray, n_rows: int, kpad: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row bounds into triples sorted by row, and each row's last score
+    if it holds ``kpad`` triples (``-inf`` otherwise)."""
     bounds = np.searchsorted(rows, np.arange(n_rows + 1))
     full = np.diff(bounds) >= kpad
-    floors = np.full(n_rows, -np.inf, dtype=np.float32)
-    floors[full] = scores[bounds[1:][full] - 1]
-    return [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])], floors
+    last = np.full(n_rows, -np.inf, dtype=np.float32)
+    last[full] = scores[bounds[1:][full] - 1]
+    return bounds, last
+
+
+def prove_topk(
+    rows: np.ndarray,
+    ids: np.ndarray,
+    floors: np.ndarray,
+    k: int,
+    n: int,
+    rescore: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rescan: Callable[[np.ndarray], tuple[Callable, np.ndarray | None]],
+    *,
+    bound: float = 0.0,
+    width: int | None = None,
+) -> tuple[Triples, np.ndarray, ScanResult | None]:
+    """Each query row's exact top-k from its approximate candidates: the
+    one proof every re-scored top-k takes.
+
+    Query row ``r < len(floors)`` holds the candidate ids ``ids[rows ==
+    r]`` of relation rows ``[0, n)``, and ``floors[r]`` is the approximate
+    score no cell it dropped exceeds (:func:`merge_topk`'s; ``-inf``: it
+    dropped none).  ``rescore(rows, ids)`` gives exact scores.  A dropped
+    cell scores at most ``floor + bound`` exactly, so a row is proved when
+    ``floor + bound + PRESCREEN_MARGIN`` is at or below its k-th exact
+    candidate score: no dropped cell can tie or beat its top-k.  The rows
+    that fail take one batched pass: ``rescan(failed)`` gives their
+    ``(score_block, bias)`` over ``[0, n)``, :func:`scan_candidates` keeps
+    every cell whose approximate score may reach a margin under the k-th
+    exact score, re-scored block by block (``refine=``), and the rows are
+    folded again.
+
+    Returns:
+        ``(triples, failed, rescanned)`` — every row's exact top-k by
+        ``(row, score desc, id asc)``, the rows that took the pass, and
+        what the pass scanned (``None``: no row did).
+    """
+    n_rows = len(floors)
+    held = np.bincount(rows, minlength=n_rows)
+    reducer = TopKReducer(n_rows, k)
+    reducer.merge(rows, ids, rescore(rows, ids))
+    rows, ids, exact = reducer.finalize()
+    kth = reducer.floor  # a row's k-th exact score, -inf below k candidates
+    failed = np.flatnonzero((floors + bound + PRESCREEN_MARGIN > kth) & (held < n))
+    if not len(failed):
+        return (rows, ids, exact), failed, None
+    bars = kth[failed] - PRESCREEN_MARGIN
+
+    def refine(r: np.ndarray, i: np.ndarray, _) -> Triples:
+        scores = rescore(failed[r], i)
+        kept = scores >= bars[r]
+        return r[kept], i[kept], scores[kept]
+
+    score_block, bias = rescan(failed)
+    rescanned = scan_candidates(
+        score_block, 0, n, len(failed), (), 0, np.arange(len(failed)), bars,
+        width=width, bound=bound, bias=bias, refine=refine,
+    )
+    r, i, scores = rescanned.hits
+    proved = np.ones(n_rows, dtype=bool)
+    proved[failed] = False
+    kept = proved[rows]
+    triples = fold_topk(
+        [(rows[kept], ids[kept], exact[kept]), (failed[r], i, scores)], n_rows, k
+    )
+    return triples, failed, rescanned
 
 
 def scan_join(
@@ -210,7 +299,6 @@ def scan_join(
     scorer: Callable[[np.ndarray, int], tuple[Callable, np.ndarray | None]],
     *,
     bound: float = 0.0,
-    keep: int | None = None,
     rerank: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
     batch_left: int | None = None,
     batch_right: int | None = None,
@@ -226,14 +314,16 @@ def scan_join(
             (score_block, bias)``, ``score_block(r0, r1)`` being asked for
             right blocks at most ``width`` rows wide.
         bound: its score error; a threshold prescreen drops its floor by
-            it so ``rerank`` sees every true match.
-        keep: candidates a top-k row keeps (``condition.k`` by default; a
-            re-ranked representation keeps a multiple).
+            it so ``rerank`` sees every true match, and a top-k row's
+            proof adds it to the row's floor.
         rerank: ``(left_block, left_ids, right_ids) -> exact scores``.
             ``None``: the scanned scores are the emitted ones.  Otherwise
-            candidates are re-scored (and counted as evaluations), then
-            folded to ``condition.k`` or filtered at the threshold — a
-            threshold join's block by block, as the scan finds them.
+            candidates are re-scored (and counted as evaluations): a
+            top-k row keeps ``k +`` :data:`TOPK_PRESCREEN_PAD` (down to
+            ``k`` under a budget too small for their state) and is
+            proved or rescanned by :func:`prove_topk` (the rows that were
+            go to ``stats.extra["rescanned_rows"]``); a threshold join's
+            are filtered block by block, as the scan finds them.
         engine: runs the left blocks — self-contained tasks over shared
             read-only operands, results in block order; ``None`` is one
             worker.  A join whose whole work does not repay one scheduler
@@ -244,20 +334,33 @@ def scan_join(
         return JoinResult.empty(stats)
     engine = engine or serial_engine()
     topk = isinstance(condition, TopKCondition)
-    if keep is None and topk:
-        keep = condition.k
     dim = left.shape[1]
-    # The budget covers the score block plus the per-row candidate state;
-    # operand blocks (query rows, code blocks, PQ lookup tables) are not
-    # charged.
-    bl, br = scan_shape(
-        stats.n_left, n_right, batch_left=batch_left, batch_right=batch_right,
-        buffer_budget_bytes=(
-            engine.buffer_budget_bytes if buffer_budget_bytes is None else buffer_budget_bytes
-        ),
-        reserve_bytes_per_row=TopKReducer.state_bytes_per_row(keep) if topk else 0,
-        workers=engine.n_threads, morsel_rows=engine.morsel_rows, row_work=n_right * dim,
-    )
+    keeps = [condition.k] if topk else [None]
+    if topk and rerank is not None:
+        # A re-ranked row keeps k + PAD candidates for its proof, fewer when
+        # the budget cannot hold their state: a shorter list only sends
+        # more rows to the fixed-floor pass.
+        most = max(condition.k, min(condition.k + TOPK_PRESCREEN_PAD, n_right))
+        keeps = range(most, condition.k - 1, -1)
+    for keep in keeps:
+        # The budget covers the score block plus the per-row candidate
+        # state; operand blocks (query rows, code blocks, PQ lookup tables)
+        # are not charged.
+        try:
+            bl, br = scan_shape(
+                stats.n_left, n_right, batch_left=batch_left, batch_right=batch_right,
+                buffer_budget_bytes=(
+                    engine.buffer_budget_bytes
+                    if buffer_budget_bytes is None else buffer_budget_bytes
+                ),
+                reserve_bytes_per_row=TopKReducer.state_bytes_per_row(keep) if topk else 0,
+                workers=engine.n_threads, morsel_rows=engine.morsel_rows,
+                row_work=n_right * dim,
+            )
+            break
+        except BufferBudgetError:
+            if keep == keeps[-1]:
+                raise
     stats.peak_buffer_elements = bl * br
     stats.extra["batch_shape"] = (bl, br)
 
@@ -269,17 +372,16 @@ def scan_join(
         score_block, bias = scorer(lb, br)
         reranked = 0
 
-        def finalize(li, ri, scores):
+        def exact(li, ri):
             nonlocal reranked
-            if rerank is not None:
-                scores = rerank(lb, li, ri)
-                reranked += len(scores)
-                if topk:
-                    li, ri, scores = fold_topk([(li, ri, scores)], len(lb), condition.k)
-            if floor is not None:
-                kept = scores >= floor
-                li, ri, scores = li[kept], ri[kept], scores[kept]
-            return li, ri, scores
+            reranked += len(li)
+            return rerank(lb, li, ri)
+
+        def at_floor(li, ri, scores):
+            if floor is None:
+                return li, ri, scores
+            kept = scores >= floor
+            return li[kept], ri[kept], scores[kept]
 
         # A top-k row's candidates are final only after the last block; a
         # threshold block's are final at once, so they are re-ranked before
@@ -288,11 +390,28 @@ def scan_join(
         wanted = (rows, keep, (), ()) if topk else ((), 0, rows, condition.threshold)
         scan = scan_candidates(
             score_block, 0, n_right, len(lb), *wanted, width=br, bound=bound,
-            bias=bias, refine=None if topk or rerank is None else finalize,
+            bias=bias,
+            refine=None if topk or rerank is None else lambda li, ri, _: at_floor(
+                li, ri, exact(li, ri)
+            ),
         )
-        li, ri, scores = finalize(*scan.triples) if topk else scan.hits
+        found, failed = scan.hits, ()
+        if topk:
+            found = scan.triples
+            if rerank is not None:
+                li, ri, scores = found
+                _, floors = _last_of_full_rows(li, scores, len(lb), keep)
+                found, failed, rescanned = prove_topk(
+                    li, ri, floors, condition.k, n_right, exact,
+                    lambda unproved: scorer(lb[unproved], br), bound=bound, width=br,
+                )
+                if rescanned is not None:
+                    scan.blocks += rescanned.blocks
+                    scan.cells += rescanned.cells
+                    scan.peak_bytes = max(scan.peak_bytes, rescanned.peak_bytes)
+            found = at_floor(*found)
         scan.cells += reranked
-        return li, ri, scores, scan
+        return (*found, scan, len(failed))
 
     spans = [(l0, min(l0 + bl, stats.n_left)) for l0 in range(0, stats.n_left, bl)]
     if (
@@ -304,11 +423,13 @@ def scan_join(
     else:
         parts = engine.run([lambda span=span: join_block(*span) for span in spans])
     peak = 0
-    for _, _, _, scan in parts:
+    for _, _, _, scan, _ in parts:
         stats.similarity_evaluations += scan.cells
         stats.batch_invocations += scan.blocks
         peak = max(peak, scan.peak_bytes)
     stats.extra["peak_intermediate_bytes"] = peak
+    if rerank is not None:
+        stats.extra["rescanned_rows"] = sum(part[4] for part in parts)
     return JoinResult(
         np.concatenate([part[0] + l0 for (l0, _), part in zip(spans, parts)]),
         np.concatenate([part[1] for part in parts]),

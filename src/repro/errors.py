@@ -129,7 +129,7 @@ class DeadlineExceededError(ServiceError):
     async front's priority queue) when the deadline passes before an
     execution slot frees up, and at dispatch when the execution-time
     estimate proves the deadline cannot be met even by the degraded
-    (quantized prescreen-only) path."""
+    (int8 code scan) path."""
 
 
 class ShardError(ServiceError):

@@ -266,8 +266,8 @@ class WorkloadRecorder:
 
         ``response`` is the :class:`~repro.service.qos.QueryResponse` on
         success; ``error`` the raised exception otherwise.  Degraded
-        responses are recorded without a digest — an approximate result
-        is not a replay baseline.
+        responses are recorded without a digest — their re-ranked scores
+        are not the exact path's, so not a replay baseline.
         """
         if self._closed:
             return None

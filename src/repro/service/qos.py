@@ -13,10 +13,11 @@ both of which need cheap online estimates:
   finish in time) fails fast with
   :class:`~repro.errors.DeadlineExceededError` instead of occupying an
   execution slot it cannot use;
-* **degrade** — when the caller states a recall floor, a query that
-  cannot meet its deadline at full precision drops to an int8/PQ
-  prescreen-only scan (cheaper by the compression ratio) and the
-  response is explicitly flagged ``degraded`` — never silently.
+* **degrade** — when the caller allows it (``min_recall < 1``), a
+  selection that cannot meet its deadline at full precision runs over
+  int8 codes (a quarter of the bytes, the same ids) and the response is
+  explicitly flagged ``degraded`` — never silently.  The code scan is not
+  faster in NumPy, so once its EWMA is warm the same query is shed.
 
 Everything here is mechanism, not policy: the classes are small,
 thread-safe, and independently testable.  :class:`QueryService` and
@@ -118,9 +119,9 @@ class QoSParams:
     Attributes:
         deadline: absolute ``time.perf_counter()`` deadline, or ``None``.
         priority: larger values are scheduled (and admitted) first.
-        min_recall: recall floor under which the service may *degrade*
-            the query to a quantized prescreen-only scan instead of
-            shedding it when the deadline is tight.  ``None`` forbids
+        min_recall: below ``1.0``, the caller's permission to *degrade*
+            the query to an int8 code scan instead of shedding it when
+            the deadline is tight.  ``None`` (or ``1.0``) forbids
             degradation: the query either runs at full precision or is
             shed.
     """
@@ -158,9 +159,10 @@ class QueryResponse:
     ``table`` is the materialized result.  ``degraded`` is the explicit
     flag the exactness contract requires: ``False`` means the result is
     bit-identical to serial fp32 execution; ``True`` means the query ran
-    on the quantized prescreen-only path under its stated recall floor
-    (``precision`` says which codec).  Degraded responses are never
-    cached and never silent.
+    over quantized codes because its caller allowed it (``precision``
+    says which codec): the exact ids, scores re-ranked in fp32 rather
+    than by the serial kernel.  Degraded responses are never cached and
+    never silent.
     """
 
     table: Table
@@ -198,7 +200,7 @@ class QoSStats:
     #: Shed because the execution-time estimate proved the deadline
     #: unmeetable even by the cheapest allowed path.
     shed_unmeetable: int = 0
-    #: Queries executed on the degraded (quantized prescreen-only) path.
+    #: Queries executed on the degraded (int8 code scan) path.
     degraded: int = 0
     #: Queries that completed before their deadline.
     deadline_met: int = 0

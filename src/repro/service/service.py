@@ -12,20 +12,23 @@ the engine's morsel scheduler with per-query tags so scheduled work is
 attributable per query.
 
 On top of that sits the **QoS layer** (:meth:`QueryService.submit_qos`):
-per-query deadlines, priorities, and recall floors.  A query whose
-deadline is provably unmeetable is shed with
-:class:`~repro.errors.DeadlineExceededError` before it wastes an
-execution slot; one that states a recall floor may instead be *degraded*
-to a quantized prescreen-only scan that fits the deadline — and the
-response carries an explicit ``degraded`` flag, never a silent
-approximation.
+per-query deadlines, priorities, and permission to degrade
+(``min_recall``).  A query whose deadline is provably unmeetable is shed
+with :class:`~repro.errors.DeadlineExceededError` before it wastes an
+execution slot; a selection whose caller allows it may instead be
+*degraded* to an int8 code scan — and the response carries an explicit
+``degraded`` flag, never a silent change.  The code scan reads a quarter
+of the bytes but is not faster in NumPy (the codes are cast for the
+GEMV, and a clustered corpus sends about half the top-k selections to
+the proof's second pass), so once the tracker has timed it the same
+query is shed instead.
 
 Throughput — not single-query latency — is the service's contract, but
 correctness is non-negotiable: every result returned **without** the
 ``degraded`` flag is bit-identical to executing the same query serially
 on the underlying engine.  Degraded results bypass the result cache and
-singleflight entirely, so an approximate table can never be replayed as
-an exact answer.
+singleflight entirely, so their re-ranked scores are never replayed as
+the exact path's.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from ..algebra.physical_planner import (
     unwrap_selection,
 )
 from ..config import get_config
-from ..core.cost_model import quantized_recall_estimate
 from ..core.quantized_join import quantized_eselect
 from ..errors import DeadlineExceededError, ServiceError, SessionClosedError
 from ..obs.adapter import publish_service
@@ -156,9 +158,9 @@ class SessionHandle:
                 meet it; a late-but-started query still returns (with
                 ``deadline_met=False``).
             priority: larger values win admission and scheduling first.
-            min_recall: recall floor under which the service may degrade
-                a deadline-pressed query to a quantized prescreen-only
-                scan (response flagged ``degraded``).  ``None`` forbids
+            min_recall: below ``1.0``, lets the service degrade a
+                deadline-pressed selection to an int8 code scan
+                (response flagged ``degraded``).  ``None`` forbids
                 degradation.
             timeout_s: admission backpressure bound (overload wait).
             explain_analyze: force-trace this query and attach the
@@ -426,9 +428,10 @@ class QueryService:
 
         * already expired (at submission or while queued for admission)
           → shed with :class:`~repro.errors.DeadlineExceededError`;
-        * execution-time estimate proves full precision unmeetable and
-          ``min_recall`` admits a quantized path that fits → run the
-          degraded (prescreen-only) scan, response flagged ``degraded``;
+        * execution-time estimate proves full precision unmeetable,
+          ``min_recall`` allows degrading and the degraded estimate is
+          unknown or fits → run the selection over int8 codes, response
+          flagged ``degraded``;
         * estimate proves even the cheapest allowed path unmeetable →
           shed with ``DeadlineExceededError``.
 
@@ -440,8 +443,10 @@ class QueryService:
             deadline_s: deadline relative to now, in seconds (``None``:
                 no deadline).
             priority: larger values win admission first among waiters.
-            min_recall: recall floor for degradation; ``None`` forbids
-                degradation.
+            min_recall: the caller's permission to degrade: below ``1.0``
+                a selection may run over int8 codes (whose top-k and
+                threshold answers are proved exact, their scores re-ranked
+                in fp32); ``None`` or ``1.0`` forbids it.
             tag: morsel-attribution tag for the engine scheduler.
             timeout_s: admission backpressure bound.
             explain_analyze: force-trace this query (bypassing sampling);
@@ -510,28 +515,22 @@ class QueryService:
         this instant: table data versions, the index epoch (registering
         an index can flip the physical access path — approximate for
         HNSW/IVF), the model registry's epoch (a replaced model embeds
-        differently), and the precision config (quantized scans are
-        approximate for top-k, so results cached under one
-        REPRO_PRECISION mode must not survive a config change).  Takes
-        only the result cache's lock, so the async front calls it on the
-        event loop.
+        differently), and the precision config (an fp16 scan's scores are
+        approximate and a quantized one's re-ranked, so results cached
+        under one REPRO_PRECISION mode must not survive a config change).
+        Takes only the result cache's lock, so the async front calls it on
+        the event loop.
         """
         if keyed is None:
             plan = query.plan if isinstance(query, QueryBuilder) else query
             shape = fingerprint(plan)
             keyed = (shape, params_signature(shape.params))
         shape, signature = keyed
-        config = get_config()
         versions = (
             *table_versions(shape.tables, self.engine.catalog),
             ("__indexes__", self.engine.index_epoch),
             ("__models__", self.engine.models.epoch),
-            (
-                "__precision__",
-                config.default_precision,
-                config.default_min_recall,
-                config.default_rerank_multiple,
-            ),
+            ("__precision__", get_config().default_precision),
         )
         key = (shape.key, versions, signature)
         return keyed, key, self.results.lookup(key)
@@ -636,8 +635,8 @@ class QueryService:
             estimate = self.qos_tracker.estimate("full")
             if estimate is not None and estimate > remaining:
                 # Full precision provably misses the deadline.  Degrade if
-                # the recall floor admits a quantized path that fits,
-                # otherwise shed now rather than burn a slot for nothing.
+                # the caller allows it and the code scan fits, otherwise
+                # shed now rather than burn a slot for nothing.
                 precision = self._degraded_precision(optimized, qos.min_recall)
                 degraded_est = self.qos_tracker.estimate("degraded")
                 if precision is None or (
@@ -670,7 +669,8 @@ class QueryService:
                         "degraded", time.perf_counter() - exec_start
                     )
                 # Degraded tables bypass the result cache and singleflight:
-                # an approximate answer must never be replayed as exact.
+                # their scores are the code path's fp32 re-rank, not the
+                # exact path's bits, so they never stand in for its answer.
                 return self._respond(
                     table, qos, start, degraded=True, precision=precision
                 )
@@ -784,37 +784,27 @@ class QueryService:
         return result
 
     # ------------------------------------------------------------------
-    # Degraded (quantized prescreen-only) execution
+    # Degraded (int8 code scan) execution
     # ------------------------------------------------------------------
-    def _degraded_precision(
-        self, optimized, min_recall: float | None
-    ) -> str | None:
-        """Cheapest quantized codec clearing the recall floor, or ``None``.
-
-        ``None`` also covers plans the degraded path cannot run (anything
-        but ``Project*/Limit*(ESelect(Scan))``) — those queries shed
-        rather than degrade.
+    @staticmethod
+    def _degraded_precision(optimized, min_recall: float | None) -> str | None:
+        """``"int8"`` when the caller allows degrading (``min_recall <
+        1.0``) and the plan is a selection the code path runs
+        (``Project*/Limit*(ESelect(Scan))``), else ``None`` — those
+        queries shed rather than degrade.  PQ is never offered: its
+        bound proves no top-k row, so every row would scan twice.
         """
-        if min_recall is None or min_recall > 1.0:
+        if min_recall is None or min_recall >= 1.0:
             return None
-        if unwrap_selection(optimized) is None:
-            return None
-        rerank = get_config().default_rerank_multiple
-        for precision in ("pq", "int8"):  # cheapest codes first
-            estimate = quantized_recall_estimate(
-                precision, rerank_multiple=rerank
-            )
-            if estimate >= min_recall:
-                return precision
-        return None
+        return None if unwrap_selection(optimized) is None else "int8"
 
     def _execute_degraded(self, optimized, precision: str, tag: str) -> Table:
-        """Quantized prescreen-only E-selection for a deadline-pressed query.
+        """Quantized E-selection for a deadline-pressed query.
 
         Streams the compressed codes (shared, build-once via the engine
         context's quantized store cache) instead of the fp32 matrix; the
-        emitted rows may miss true neighbours within ``1 - min_recall``,
-        which is exactly what the caller's recall floor licensed.
+        emitted rows are the exact selection's, their scores the codes'
+        fp32 re-rank.
         """
         wrappers, node = unwrap_selection(optimized)  # _degraded_precision matched it
         ctx = self.engine.context(tag=tag)

@@ -6,8 +6,7 @@ column stores into ``multiprocessing.shared_memory`` segments mapped as
 zero-copy numpy views, and fans the coalesced shared scan out across a
 persistent pool of spawn-safe worker processes.  Workers return bounded
 per-query heaps; the front door merges them under a total order and
-exact-rescores, so sharded results are bit-identical to serial for every
-precision.
+exact-rescores, so sharded results are bit-identical to serial.
 """
 
 from .pool import ShardPool

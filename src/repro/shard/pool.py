@@ -4,9 +4,8 @@ The pool owns everything multiprocess about sharded execution:
 
 * **publishing** — each (table, column, model) scan source is normalized
   once, cut into contiguous row ranges by the catalog's
-  :class:`~repro.relational.catalog.ShardMap`, and its scan-ready
-  representations (fp32, and on demand fp16/int8/PQ) are copied into
-  shared-memory segments workers map zero-copy;
+  :class:`~repro.relational.catalog.ShardMap`, and its fp32 unit rows are
+  copied into one shared-memory segment workers map zero-copy;
 * **dispatch** — one scan task per worker, carried by the flight
   recorder's bit-exact wire format over pipes;
 * **merging** — every shard returns its top-k candidate triples and they
@@ -21,12 +20,9 @@ The pool owns everything multiprocess about sharded execution:
   :class:`~repro.errors.ShardError`, which callers treat as "fall back
   to the exact in-process scan".
 
-Exactness: workers only produce candidate supersets.  For quantized
-precisions the pool widens thresholds by the store's provable score
-error bound before dispatch and widens the merged heap floor by the same
-bound after, so the front door's existing margin guard and float64 exact
-rescore make the final rows a pure function of (data, query, condition)
-— bit-identical to serial for every precision.
+Exactness: workers only produce candidate supersets.  The front door's
+margin guard and float64 exact rescore make the final rows a pure
+function of (data, query, condition) — bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +48,7 @@ class ShardScanResult:
     """Merged candidates from one fanned-out scan."""
 
     heap_ids: list[np.ndarray]    # per top-k row, candidate ids best first
-    heap_floor: np.ndarray        # (n_topk_rows,) effective floor incl. bound
+    heap_floor: np.ndarray        # (n_topk_rows,) approximate dropped-cell floor
     thr_hits: list[np.ndarray]    # per threshold row, ascending global ids
     n_shards: int
     blocks: int
@@ -105,9 +101,7 @@ class _Manifest:
     n_rows: int
     dim: int
     ranges: tuple
-    specs: dict = field(default_factory=dict)        # precision -> SegmentSpec
-    quantizers: dict = field(default_factory=dict)   # "int8"/"pq" -> quantizer
-    bounds: dict = field(default_factory=dict)       # precision -> float
+    spec: object  # the fp32 rows' SegmentSpec
 
 
 class ShardPool:
@@ -200,79 +194,45 @@ class ShardPool:
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
-    def publish(self, key: tuple, precisions=("fp32",)) -> _Manifest:
-        """Publish (or refresh) the scan stores for one source key.
+    def publish(self, key: tuple) -> _Manifest:
+        """Publish (or refresh) the fp32 scan rows of one source key.
 
-        Idempotent per (catalog version, precision); a version bump
-        unlinks the stale segments and re-publishes from the current
-        table.  Returns the owner-side manifest.
+        Idempotent per catalog version; a version bump unlinks the stale
+        segment and re-publishes from the current table.  Returns the
+        owner-side manifest.
         """
         with self._lock:
             if self._closed:
                 raise ShardError("shard pool is closed")
-            return self._publish_locked(tuple(key), tuple(precisions))
+            return self._publish_locked(tuple(key))
 
-    def _publish_locked(self, key: tuple, precisions: tuple) -> _Manifest:
+    def _publish_locked(self, key: tuple) -> _Manifest:
         table_name, column, model_name = key
         ctx = self.engine.context(tag=f"shard/publish/{table_name}.{column}")
         version = ctx.catalog.version(table_name)
         manifest = self._manifests.get(key)
-        if manifest is not None and manifest.version != version:
-            for spec in manifest.specs.values():
-                self._owner.unlink(spec.name)
-            manifest = None
+        if manifest is not None:
+            if manifest.version == version:
+                return manifest
+            self._owner.unlink(manifest.spec.name)
             self._manifests.pop(key, None)
             self._publish_msgs.pop(key, None)
-        missing = [
-            p for p in precisions
-            if manifest is None or p not in manifest.specs
-        ]
-        if manifest is not None and not missing:
-            return manifest
 
-        table = ctx.catalog.get(table_name)
-        normalized = ctx.normalized_matrix_for(key, table)
-        if manifest is None:
-            shard_map = ctx.catalog.shard_map(table_name, self.n_procs)
-            manifest = _Manifest(
-                version=version,
-                n_rows=len(normalized),
-                dim=int(normalized.shape[1]) if normalized.ndim == 2 else 0,
-                ranges=shard_map.ranges,
-            )
-            self._manifests[key] = manifest
-        for precision in missing:
-            if precision == "fp32":
-                manifest.specs[precision] = self._owner.publish(normalized)
-                manifest.bounds[precision] = 0.0
-            elif precision == "fp16":
-                half = normalized.astype(np.float16)
-                err = normalized - half.astype(np.float32)
-                resid = (
-                    float(np.sqrt(np.einsum("ij,ij->i", err, err)).max())
-                    if len(err)
-                    else 0.0
-                )
-                manifest.specs[precision] = self._owner.publish(half)
-                # Cauchy-Schwarz over unit queries, plus GEMM noise slack.
-                manifest.bounds[precision] = resid + 1e-5
-            elif precision in ("int8", "pq"):
-                store = ctx.quant_store_for(key, table, precision)
-                manifest.specs[precision] = self._owner.publish(store.codes)
-                manifest.quantizers[precision] = store.quantizer
-                manifest.bounds[precision] = float(
-                    store.quantizer.score_error_bound()
-                )
-            else:
-                raise ShardError(f"unknown shard precision {precision!r}")
-
+        normalized = ctx.normalized_matrix_for(key, ctx.catalog.get(table_name))
+        manifest = _Manifest(
+            version=version,
+            n_rows=len(normalized),
+            dim=int(normalized.shape[1]) if normalized.ndim == 2 else 0,
+            ranges=ctx.catalog.shard_map(table_name, self.n_procs).ranges,
+            spec=self._owner.publish(normalized),
+        )
+        self._manifests[key] = manifest
         message = make_task(
             "publish",
             key=list(key),
             version=version,
             ranges=[list(r) for r in manifest.ranges],
-            specs=dict(manifest.specs),
-            quantizers=dict(manifest.quantizers),
+            spec=manifest.spec,
         )
         self._publish_msgs[key] = message
         self.stats.publishes += 1
@@ -311,14 +271,10 @@ class ShardPool:
         kpad: int,
         thr_rows,
         thr_floors: np.ndarray,
-        precision: str = "fp32",
     ) -> ShardScanResult | None:
         """Fan one coalesced scan out; ``None`` means "stay in-process".
 
-        ``thr_floors`` are the front door's margin-adjusted thresholds;
-        the pool subtracts the store's score error bound before dispatch
-        and adds it back onto the merged heap floor, keeping the
-        candidate sets provable supersets for every precision.
+        ``thr_floors`` are the front door's margin-adjusted thresholds.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float32)
         dim = int(queries.shape[1]) if queries.ndim == 2 else 0
@@ -335,27 +291,22 @@ class ShardPool:
                 return self._scan_locked(
                     tuple(key), queries, n_rows=n_rows,
                     topk_rows=topk_rows, kpad=kpad, thr_rows=thr_rows,
-                    thr_floors=thr_floors, precision=precision,
+                    thr_floors=thr_floors,
                 )
             except ShardError:
                 self.stats.errors += 1
                 raise
 
     def _scan_locked(
-        self, key, queries, *, n_rows, topk_rows, kpad, thr_rows,
-        thr_floors, precision,
+        self, key, queries, *, n_rows, topk_rows, kpad, thr_rows, thr_floors,
     ) -> ShardScanResult | None:
-        manifest = self._publish_locked(key, (precision,))
+        manifest = self._publish_locked(key)
         if manifest.n_rows != n_rows:
             # The table changed under us mid-flight; the caller's exact
             # in-process path is the safe answer.
             return None
-        bound = manifest.bounds[precision]
         topk_rows = np.asarray(topk_rows, dtype=np.int64)
         thr_rows = np.asarray(thr_rows, dtype=np.int64)
-        adj_floors = (
-            np.asarray(thr_floors, dtype=np.float32) - np.float32(bound)
-        )
         self._task_seq += 1
         task_id = self._task_seq
         task = make_task(
@@ -363,12 +314,11 @@ class ShardPool:
             task_id=task_id,
             key=list(key),
             version=manifest.version,
-            precision=precision,
             queries=queries,
             topk_rows=topk_rows,
             kpad=int(max(1, kpad)),
             thr_rows=thr_rows,
-            thr_floors=adj_floors,
+            thr_floors=np.asarray(thr_floors, dtype=np.float32),
             heartbeat_s=self.policy.stall_s / 4.0 if self.policy.enabled
             else 1.0,
         )
@@ -416,7 +366,6 @@ class ShardPool:
         self.stats.rows_scanned += rows
 
         heap_ids, heap_floor = merge_topk(parts, len(topk_rows), kpad)
-        heap_floor += np.float32(bound)
         thr_hits = [
             np.concatenate(p) if p else np.empty(0, dtype=np.int64)
             for p in pools

@@ -5,10 +5,10 @@ picklable arguments only, so it works under every start method.  The
 worker is deliberately dumb: it holds zero-copy views over published
 segments, and for each scan task it runs the shared-scan core
 (:func:`~repro.core.scan.scan_candidates`) over its shard's row range —
-the same call the in-process coalesced scan makes — with the task's
-precision picking the ``score_block`` representation.  All exactness
-decisions (margins, error bounds, exact rescoring) stay at the front
-door; the worker only ever produces candidate supersets.
+the same call the in-process coalesced scan makes — over the published
+fp32 unit rows.  All exactness decisions (margins, exact rescoring)
+stay at the front door; the worker only ever produces candidate
+supersets.
 
 Liveness: during a scan the worker emits heartbeat envelopes between
 blocks, so the pool's watchdog can tell "slow but alive" from "stuck"
@@ -38,25 +38,10 @@ def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
             f"shard {shard_id} store for {key} is at version "
             f"{entry['version']}, task wants {payload['version']}"
         )
-    precision = payload["precision"]
-    views = entry["views"]
-    if precision not in views:
-        raise ShardError(
-            f"shard {shard_id} store for {key} lacks precision {precision!r}"
-        )
+    rows = entry["segment"].array
     lo, hi = entry["ranges"][shard_id]
     queries = np.ascontiguousarray(payload["queries"], dtype=np.float32)
     hb_every_s = max(0.05, float(payload.get("heartbeat_s", 1.0)))
-
-    if precision in ("fp32", "fp16"):
-        rows, bias = views[precision].array, None
-
-        def score(block: np.ndarray) -> np.ndarray:
-            return row_major_scores(block.astype(np.float32, copy=False), queries)
-    else:
-        rows = views[f"{precision}_rows"]
-        score, bias = views[f"{precision}_quantizer"].scorer(queries)
-
     started = time.perf_counter()
     last_beat = started
 
@@ -67,13 +52,12 @@ def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
             last_beat = now
             conn.send(make_task("heartbeat", shard=shard_id,
                                 task_id=payload["task_id"]))
-        return score(rows[start:stop])
+        return row_major_scores(rows[start:stop], queries)
 
     scan = scan_candidates(
         score_block, lo, hi, len(queries),
         payload["topk_rows"], int(payload["kpad"]),
         payload["thr_rows"], payload["thr_floors"],
-        bias=bias,
     )
     topk_rows, topk_ids, topk_scores = scan.triples
     hit_rows, hit_ids, _ = scan.hits
@@ -95,28 +79,12 @@ def _attach_store(tables: dict, payload: dict) -> None:
     key = tuple(payload["key"])
     old = tables.pop(key, None)
     if old is not None:
-        _close_views(old["views"])
-    views: dict = {}
-    for precision, spec in payload["specs"].items():
-        views[precision] = AttachedSegment(spec)
-    for name, quantizer in (payload.get("quantizers") or {}).items():
-        views[f"{name}_quantizer"] = quantizer
-        # What the quantizer's scorer streams (PQ: the one-hot CSR of the
-        # codes), built once per publish, not once per block.
-        views[f"{name}_rows"] = quantizer.scan_rows(views[name].array)
+        old["segment"].close()
     tables[key] = {
         "version": payload["version"],
         "ranges": [tuple(r) for r in payload["ranges"]],
-        "views": views,
+        "segment": AttachedSegment(payload["spec"]),
     }
-
-
-def _close_views(views: dict) -> None:
-    segments = [v for v in views.values() if isinstance(v, AttachedSegment)]
-    # Scan rows can be a segment's own array, and a live view pins the map.
-    views.clear()
-    for segment in segments:
-        segment.close()
 
 
 def worker_main(conn, shard_id: int) -> None:
@@ -162,7 +130,7 @@ def worker_main(conn, shard_id: int) -> None:
                     break
     finally:
         for entry in tables.values():
-            _close_views(entry["views"])
+            entry["segment"].close()
         try:
             conn.close()
         except OSError:

@@ -6,16 +6,14 @@ side is represented by its codes, so approximate similarities are exactly
 ``q . decode(code)`` — the standard ADC (asymmetric distance computation)
 formulation FAISS/Milvus use for their SQ8/PQ index families.
 
-Two error notions matter downstream:
-
-* :meth:`VectorQuantizer.score_error_bound` — a *sound* upper bound on
-  ``|q . x - q . decode(encode(x))|`` for unit-norm queries over the data
-  the quantizer was fitted on.  Threshold scans subtract it from the
-  predicate so the approximate pass never drops a true match; the exact
-  re-rank then restores precision.
-* the candidate multiple — top-k scans over-retrieve ``multiple * k``
-  approximate candidates and re-rank them in fp32, trading a bounded
-  amount of extra exact compute for recall.
+One error notion matters downstream:
+:meth:`VectorQuantizer.score_error_bound` — a *sound* upper bound on
+``|q . x - q . decode(encode(x))|`` for unit-norm queries over the data
+the quantizer was fitted on.  Threshold scans subtract it from the
+predicate so the approximate pass never drops a true match, and a top-k
+row is proved complete when its dropped cells' floor plus the bound sits
+under its k-th exact score (:func:`repro.core.scan.prove_topk`); the
+exact re-rank then restores precision.
 """
 
 from __future__ import annotations

@@ -400,13 +400,17 @@ class TopKReducer:
 
     def _fold(self) -> None:
         """Keep each row's ``k`` best triples and raise the floors."""
-        rows, ids, scores = (np.concatenate(c) for c in zip(*self._triples))
+        rows, ids, scores = (
+            self._triples[0]
+            if len(self._triples) == 1
+            else (np.concatenate(c) for c in zip(*self._triples))
+        )
         order = _triple_order(rows, ids, scores)
         sorted_rows = rows[order]
-        starts = np.flatnonzero(np.r_[True, sorted_rows[1:] != sorted_rows[:-1]])
-        rank = np.arange(len(rows)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(rows)])
-        )
+        position = np.arange(len(rows))
+        first = np.ones(len(rows), dtype=bool)  # a row's first sorted triple
+        first[1:] = sorted_rows[1:] != sorted_rows[:-1]
+        rank = position - np.maximum.accumulate(np.where(first, position, 0))
         keep = order[rank < self.k]
         self._triples = [(rows[keep], ids[keep], scores[keep])]
         self._size = len(keep)

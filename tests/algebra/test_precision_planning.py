@@ -13,7 +13,9 @@ from repro.algebra import (
     execute,
 )
 from repro.config import configure
-from repro.core import TopKCondition, choose_scan_precision
+from repro.core import CostParams, ThresholdCondition, TopKCondition, choose_scan_precision
+from repro.core.cost_model import quantized_build_cost, quantized_scan_join_cost
+from repro.core.scan import TOPK_PRESCREEN_PAD
 from repro.embedding import HashingEmbedder, ModelRegistry
 from repro.relational import Catalog, DataType, Field, Schema, Table
 
@@ -42,6 +44,7 @@ def ctx() -> ExecutionContext:
     catalog.register("probes", table(40, 1))
     catalog.register("probes_many", table(800, 4))
     catalog.register("base", table(300, 2))
+    catalog.register("base_wide", table(1000, 5))
     models = ModelRegistry()
     models.register("hash", HashingEmbedder(dim=DIM, seed=3))
     return ExecutionContext(catalog, models=models)
@@ -63,7 +66,7 @@ def join_plan() -> EJoinNode:
 @pytest.fixture(autouse=True)
 def _restore_precision():
     yield
-    configure(default_precision="fp32", default_min_recall=0.95)
+    configure(default_precision="fp32")
 
 
 class TestChooser:
@@ -74,20 +77,43 @@ class TestChooser:
         assert decision.precision == "int8"
         assert decision.quantized_cost < decision.fp32_cost
 
-    def test_accuracy_floor_gates_pq(self):
-        decision = choose_scan_precision(
-            1000, 50_000, 10, 128, precision="pq", min_recall=0.999
-        )
-        assert decision.precision == "fp32"
-
     def test_fp32_default(self):
         decision = choose_scan_precision(1000, 50_000, 10, 128)
         assert decision.precision == "fp32"
 
+    def test_quantized_cost_reranks_k_plus_the_pad(self):
+        """No candidate multiple: each probe re-ranks ``k +``
+        ``TOPK_PRESCREEN_PAD`` codes, at most the whole base."""
+        params = CostParams()
+        for n_base in (50_000, 20):
+            decision = choose_scan_precision(
+                1000, n_base, 10, 128, precision="int8", params=params
+            )
+            want = quantized_scan_join_cost(
+                1000, n_base, 128, params, bytes_per_code=128,
+                rerank_k=min(10 + TOPK_PRESCREEN_PAD, n_base),
+            ) + quantized_build_cost(n_base, 128, params, precision="int8")
+            assert decision.quantized_cost == pytest.approx(want)
+
+    def test_pq_topk_is_not_adopted_over_fp32(self):
+        """PQ's bound proves no top-k row, so every row would take the
+        fixed-floor pass too: however cheap its code scan prices, a PQ
+        top-k stays on fp32.  A PQ threshold scan is still priced."""
+        for store_built in (False, True):
+            topk = choose_scan_precision(
+                1000, 50_000, 10, 128, precision="pq", store_built=store_built
+            )
+            assert topk.precision == "fp32"
+        threshold = choose_scan_precision(
+            1000, 50_000, 10, 128, topk=False, precision="pq", store_built=True
+        )
+        assert threshold.precision == "pq"
+        assert threshold.quantized_cost < threshold.fp32_cost
+
 
 class TestPlanner:
     def test_ejoin_picks_int8_scan(self, ctx, join_plan):
-        configure(default_precision="int8", default_min_recall=0.9)
+        configure(default_precision="int8")
         report = ExecutionReport()
         out = execute(join_plan, ctx, report=report)
         assert report.strategies == ["tensor-int8"]
@@ -95,18 +121,19 @@ class TestPlanner:
 
     def test_ejoin_picks_pq_once_probes_amortize_training(self, ctx):
         # PQ codebook training is expensive: a 40-probe join stays fp32,
-        # a wide probe batch amortizes the build and flips to pq.
-        configure(default_precision="pq", default_min_recall=0.9)
+        # a wide probe batch amortizes the build and flips to pq.  (A
+        # threshold join: a PQ top-k stays on fp32 whatever it costs.)
+        configure(default_precision="pq")
         small = EJoinNode(
-            ScanNode("probes"), ScanNode("base"), "emb", "emb", "hash",
-            TopKCondition(3), prefetch=True,
+            ScanNode("probes"), ScanNode("base_wide"), "emb", "emb", "hash",
+            ThresholdCondition(0.5), prefetch=True,
         )
         report = ExecutionReport()
         execute(small, ctx, report=report)
         assert report.strategies == ["tensor"]
         big = EJoinNode(
-            ScanNode("probes_many"), ScanNode("base"), "emb", "emb", "hash",
-            TopKCondition(3), prefetch=True,
+            ScanNode("probes_many"), ScanNode("base_wide"), "emb", "emb", "hash",
+            ThresholdCondition(0.5), prefetch=True,
         )
         report = ExecutionReport()
         out = execute(big, ctx, report=report)
@@ -117,12 +144,6 @@ class TestPlanner:
         execute(small, ctx, report=report)
         assert report.strategies == ["tensor-pq"]
 
-    def test_fp32_when_floor_unreachable(self, ctx, join_plan):
-        configure(default_precision="pq", default_min_recall=0.999)
-        report = ExecutionReport()
-        execute(join_plan, ctx, report=report)
-        assert report.strategies == ["tensor"]
-
     def test_fp32_by_default(self, ctx, join_plan):
         report = ExecutionReport()
         execute(join_plan, ctx, report=report)
@@ -131,7 +152,7 @@ class TestPlanner:
     def test_eselect_picks_quantized_scan_once_store_exists(
         self, ctx, join_plan
     ):
-        configure(default_precision="int8", default_min_recall=0.9)
+        configure(default_precision="int8")
         # A join over the same scan source pays the build and caches the
         # encoded store; the subsequent selection amortizes it.
         execute(join_plan, ctx, report=ExecutionReport())
@@ -154,15 +175,38 @@ class TestPlanner:
         configure(default_precision="int8")
         report_q = ExecutionReport()
         got = execute(join_plan, ctx, report=report_q)
-        ref_pairs = set(zip(ref.array("l_id").tolist(), ref.array("r_id").tolist()))
-        got_pairs = set(zip(got.array("l_id").tolist(), got.array("r_id").tolist()))
-        overlap = len(ref_pairs & got_pairs) / len(ref_pairs)
-        assert overlap >= 0.9
+        assert report_q.strategies == ["tensor-int8"]
+        for column in ("l_id", "r_id"):
+            assert got.array(column).tolist() == ref.array(column).tolist()
+
+    def test_pq_topk_plan_stays_fp32(self, ctx):
+        """Under REPRO_PRECISION=pq the planner keeps a top-k join on the
+        fp32 scan, even over a store a threshold join already built; a
+        forced PQ top-k is proved (or rescanned) into the fp32 answer."""
+        from dataclasses import replace
+
+        topk = EJoinNode(
+            ScanNode("probes_many"), ScanNode("base_wide"), "emb", "emb", "hash",
+            TopKCondition(3), prefetch=True,
+        )
+        ref = execute(topk, ctx, report=ExecutionReport())
+        configure(default_precision="pq")
+        report = ExecutionReport()
+        execute(replace(topk, condition=ThresholdCondition(0.5)), ctx, report=report)
+        assert report.strategies == ["tensor-pq"]
+        report = ExecutionReport()
+        execute(topk, ctx, report=report)
+        assert report.strategies == ["tensor"]
+        report = ExecutionReport()
+        got = execute(replace(topk, strategy_hint="tensor-pq"), ctx, report=report)
+        assert report.strategies == ["tensor-pq"]
+        for column in ("l_id", "r_id"):
+            assert got.array(column).tolist() == ref.array(column).tolist()
 
 
 class TestStoreAmortization:
     def test_quant_store_cached_across_executions(self, ctx, join_plan):
-        configure(default_precision="int8", default_min_recall=0.9)
+        configure(default_precision="int8")
         report = ExecutionReport()
         execute(join_plan, ctx, report=report)
         assert report.strategies == ["tensor-int8"]
@@ -256,13 +300,13 @@ class TestStoreAmortization:
         # so the chooser charges the build and keeps the exact scan.
         from repro.relational import Col
 
-        configure(default_precision="pq", default_min_recall=0.5)
+        configure(default_precision="pq")
         plan = ESelectNode(
             FilterNode(ScanNode("base"), Col("id") >= 0),
             "emb",
             np.ones(DIM, dtype=np.float32),
             "hash",
-            TopKCondition(5),
+            ThresholdCondition(0.5),
         )
         report = ExecutionReport()
         execute(plan, ctx, report=report)
@@ -270,10 +314,10 @@ class TestStoreAmortization:
 
     def test_build_cost_gates_cold_chooser(self):
         cold = choose_scan_precision(
-            1, 20_000, 10, 128, precision="pq", store_built=False
+            1, 20_000, 10, 128, topk=False, precision="pq", store_built=False
         )
         warm = choose_scan_precision(
-            1, 20_000, 10, 128, precision="pq", store_built=True
+            1, 20_000, 10, 128, topk=False, precision="pq", store_built=True
         )
         assert cold.precision == "fp32"
         assert warm.quantized_cost < cold.quantized_cost

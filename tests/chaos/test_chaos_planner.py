@@ -18,7 +18,7 @@ from repro.algebra import (
     execute,
 )
 from repro.config import configure
-from repro.core import TopKCondition
+from repro.core import ThresholdCondition, TopKCondition
 from repro.embedding import HashingEmbedder, ModelRegistry
 from repro.index import FlatIndex
 from repro.reliability.breaker import breakers
@@ -71,7 +71,7 @@ def make_join(**kwargs) -> EJoinNode:
 @pytest.fixture(autouse=True)
 def _restore_precision():
     yield
-    configure(default_precision="fp32", default_min_recall=0.95)
+    configure(default_precision="fp32")
 
 
 @pytest.mark.parametrize("forced", [None, "tensor-int8", "tensor-pq"])
@@ -83,7 +83,7 @@ def test_an_input_error_is_raised_once_and_trips_no_breaker(forced, monkeypatch)
     from repro.errors import JoinError
 
     if forced is None:
-        configure(default_precision="int8", default_min_recall=0.9)
+        configure(default_precision="int8")
     ctx = make_ctx()
     poisoned = ctx.catalog.get("base").array("emb").copy()
     poisoned[7] = np.nan
@@ -117,7 +117,7 @@ def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
     the fp32 scan; after the threshold the breaker stops even trying."""
     reference = execute(make_join(), make_ctx())  # clean fp32 scan
 
-    configure(default_precision="int8", default_min_recall=0.9)
+    configure(default_precision="int8")
     clean = ExecutionReport()
     execute(make_join(), make_ctx(), report=clean)
     assert clean.strategies == ["tensor-int8"]  # faults are the only cause
@@ -149,7 +149,7 @@ def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
 def test_pq_faults_walk_the_chain_down_to_int8():
     """A failing pq store falls to int8 (still quantized) when only the
     pq path is broken, not all the way to fp32."""
-    configure(default_precision="pq", default_min_recall=0.9)
+    configure(default_precision="pq")
     ctx = make_ctx()
     # Pre-open only the pq breaker; int8 stays healthy.
     for _ in range(3):
@@ -214,12 +214,13 @@ def test_join_and_selection_walk_the_same_chain_past_a_tripped_pq_breaker():
     from repro.algebra import ESelectNode
     from repro.reliability.faults import clear_injector
 
-    configure(default_precision="pq", default_min_recall=0.9)
+    configure(default_precision="pq")
     ctx = make_ctx()
     join = make_join(strategy_hint="tensor-pq")
+    # A threshold selection: a PQ top-k stays on the exact scan.
     select = ESelectNode(
         ScanNode("base"), "emb", np.ones(DIM, dtype=np.float32), "hash",
-        TopKCondition(5),
+        ThresholdCondition(0.3),
     )
 
     def run(plan):
@@ -238,7 +239,7 @@ def test_join_and_selection_walk_the_same_chain_past_a_tripped_pq_breaker():
     exact_join = execute(make_join(strategy_hint="tensor"), make_ctx())
     configure(default_precision="fp32")
     exact_select = execute(select, make_ctx())
-    configure(default_precision="pq", default_min_recall=0.9)
+    configure(default_precision="pq")
 
     for _ in range(3):
         breakers().record_failure(("base", "emb", "hash", "pq"))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import configure, get_config
+from repro.config import configure
 from repro.core import (
     QuantizedRelation,
     ThresholdCondition,
@@ -13,8 +13,10 @@ from repro.core import (
     quantized_tensor_join,
     tensor_join,
 )
+from repro.core.scan import TOPK_PRESCREEN_PAD
 from repro.engine import ExecutionEngine, serial_engine
 from repro.errors import DimensionalityError, JoinError
+from repro.vector import ProductQuantizer
 from repro.workloads import embedding_like_vectors, unit_vectors
 
 pytestmark = pytest.mark.quant
@@ -30,16 +32,14 @@ def relations() -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestExactness:
-    """Full candidate multiple == the exact fp32 join, scores included."""
+    """Default settings == the exact fp32 join, scores included."""
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_topk_full_multiple_matches_fp32(self, relations, method):
+    def test_topk_matches_fp32(self, relations, method):
         left, right = relations
         condition = TopKCondition(5)
         ref = tensor_join(left, right, condition).sorted()
-        got = quantized_tensor_join(
-            left, right, condition, method=method, rerank_multiple=100
-        ).sorted()
+        got = quantized_tensor_join(left, right, condition, method=method).sorted()
         assert got.pairs() == ref.pairs()
         np.testing.assert_allclose(got.scores, ref.scores, atol=1e-5)
 
@@ -58,26 +58,24 @@ class TestExactness:
         left = unit_vectors(4, 8, seed=41)
         right = np.vstack([left[0], left[0], left[0], left[1]])
         got = quantized_tensor_join(
-            left[:1], right, TopKCondition(2), method=method,
-            rerank_multiple=10,
+            left[:1], right, TopKCondition(2), method=method
         ).sorted()
         assert got.right_ids.tolist() == [0, 1]
 
 
 class TestRecall:
-    @pytest.mark.parametrize("method,multiple", [("int8", 4), ("pq", 12)])
-    def test_modest_multiple_recall_floor(self, method, multiple):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_embedding_like_recall_is_one(self, method):
+        """Clustered, low-rank rows — where a candidate multiple used to
+        miss neighbours — come out as the fp32 join's pairs."""
         data, _ = embedding_like_vectors(
             4096 + 128, 64, rank=16, n_clusters=128, noise=1.0, seed=43
         )
         left, right = data[:128], data[128:]
         condition = TopKCondition(10)
         ref = tensor_join(left, right, condition)
-        got = quantized_tensor_join(
-            left, right, condition, method=method, rerank_multiple=multiple
-        )
-        recall = len(got.pairs() & ref.pairs()) / len(ref.pairs())
-        assert recall >= 0.95, f"{method} recall {recall:.3f}"
+        got = quantized_tensor_join(left, right, condition, method=method)
+        assert got.pairs() == ref.pairs()
 
 
 class TestBatchingAndEngine:
@@ -87,14 +85,28 @@ class TestBatchingAndEngine:
         store = QuantizedRelation.build(right, method)
         condition = TopKCondition(3)
         small = quantized_tensor_join(
-            left, store, condition, rerank_multiple=4,
-            buffer_budget_bytes=8 << 10,
+            left, store, condition, buffer_budget_bytes=8 << 10,
         )
         large = quantized_tensor_join(
-            left, store, condition, rerank_multiple=4,
-            buffer_budget_bytes=8 << 20,
+            left, store, condition, buffer_budget_bytes=8 << 20,
         )
         assert small.pairs() == large.pairs()
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_budget_too_small_for_the_pad_keeps_fewer(self, relations, method, k):
+        """2 KiB over two workers cannot hold a row's ``k +``
+        ``TOPK_PRESCREEN_PAD`` candidates: the row keeps fewer, so more
+        rows take the fixed-floor pass, and the answer is still fp32's."""
+        left, right = relations
+        condition = TopKCondition(k)
+        engine = ExecutionEngine(n_threads=2, morsel_rows=3, buffer_budget_bytes=2048)
+        store = QuantizedRelation.build(right, method)
+        got = quantized_tensor_join(left, store, condition, engine=engine)
+        assert got.pairs() == tensor_join(left, right, condition).pairs()
+        assert got.stats.extra["peak_intermediate_bytes"] <= 2048
+        roomy = quantized_tensor_join(left, store, condition)
+        assert got.stats.extra["rescanned_rows"] >= roomy.stats.extra["rescanned_rows"]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_engine_matches_serial(self, relations, method):
@@ -102,23 +114,19 @@ class TestBatchingAndEngine:
         store = QuantizedRelation.build(right, method)
         condition = TopKCondition(3)
         serial = quantized_tensor_join(
-            left, store, condition, rerank_multiple=4, engine=serial_engine()
+            left, store, condition, engine=serial_engine()
         )
         engine = ExecutionEngine(n_threads=4, morsel_rows=16)
         parallel = quantized_tensor_join(
-            left, store, condition, rerank_multiple=4, engine=engine,
-            buffer_budget_bytes=64 << 10,
+            left, store, condition, engine=engine, buffer_budget_bytes=64 << 10,
         )
         assert parallel.pairs() == serial.pairs()
 
     def test_explicit_batch_edges(self, relations):
         left, right = relations
-        ref = quantized_tensor_join(
-            left, right, TopKCondition(3), method="int8", rerank_multiple=4
-        )
+        ref = quantized_tensor_join(left, right, TopKCondition(3), method="int8")
         got = quantized_tensor_join(
-            left, right, TopKCondition(3), method="int8", rerank_multiple=4,
-            batch_left=7, batch_right=13,
+            left, right, TopKCondition(3), method="int8", batch_left=7, batch_right=13
         )
         assert got.pairs() == ref.pairs()
 
@@ -144,11 +152,39 @@ class TestStoreAndStats:
         assert store.codes.nbytes == len(right) * 4
 
     def test_rerank_candidates_tracked(self, relations):
+        """Each row re-ranks ``k + TOPK_PRESCREEN_PAD`` codes, and a row
+        the bound cannot prove re-ranks what its second pass kept."""
         left, right = relations
-        got = quantized_tensor_join(
-            left, right, TopKCondition(4), method="int8", rerank_multiple=3
+        got = quantized_tensor_join(left, right, TopKCondition(4), method="int8")
+        first = len(left) * (4 + TOPK_PRESCREEN_PAD)
+        assert got.stats.extra["rerank_candidates"] >= first
+        assert (got.stats.extra["rerank_candidates"] > first) == (
+            got.stats.extra["rescanned_rows"] > 0
         )
-        assert 0 < got.stats.extra["rerank_candidates"] <= len(left) * 12
+        assert got.stats.similarity_evaluations == got.stats.extra[
+            "rerank_candidates"
+        ] + len(right) * (len(left) + got.stats.extra["rescanned_rows"])
+        threshold = quantized_tensor_join(left, right, ThresholdCondition(0.4), method="int8")
+        assert threshold.stats.extra["rescanned_rows"] == 0
+
+    def test_pq_scan_builds_the_one_hot_once(self, relations, monkeypatch):
+        """PQ's one-hot CSR is built with the store; the fixed-floor pass
+        of the rows its bound cannot prove scans it again, never rebuilds."""
+        left, right = relations
+        built = []
+        onehot = ProductQuantizer.onehot
+        monkeypatch.setattr(
+            ProductQuantizer, "onehot",
+            lambda self, codes: built.append(len(codes)) or onehot(self, codes),
+        )
+        store = QuantizedRelation.build(right, "pq", m=4, ks=16)
+        assert built == [len(right)]
+        condition = TopKCondition(5)
+        got = quantized_tensor_join(left, store, condition, buffer_budget_bytes=8 << 10)
+        assert got.stats.extra["rescanned_rows"] > 0
+        assert got.pairs() == tensor_join(left, right, condition).pairs()
+        quantized_eselect(store, left[0], condition)
+        assert built == [len(right)]  # a join and a selection, one build
 
     def test_method_conflict_with_store(self, relations):
         _, right = relations
@@ -189,8 +225,7 @@ class TestStoreAndStats:
     def test_min_similarity_applied_on_exact_scores(self, relations):
         left, right = relations
         got = quantized_tensor_join(
-            left, right, TopKCondition(5, min_similarity=0.3),
-            method="int8", rerank_multiple=100,
+            left, right, TopKCondition(5, min_similarity=0.3), method="int8"
         )
         assert (got.scores >= 0.3).all()
 
@@ -202,8 +237,7 @@ class TestDispatch:
         for strategy in ("tensor-int8", "tensor-pq"):
             got = ejoin(left, right, TopKCondition(3), strategy=strategy)
             assert got.stats.strategy == strategy
-            # Generous default multiple on tiny data: near-exact.
-            assert len(got.pairs() & ref) / len(ref) >= 0.9
+            assert got.pairs() == ref
 
     def test_auto_respects_configured_precision(self, relations):
         left, right = relations
@@ -218,20 +252,9 @@ class TestDispatch:
 
     def test_quantized_eselect(self, relations):
         left, right = relations
-        result = quantized_eselect(
-            right, left[0], TopKCondition(5), method="int8",
-            rerank_multiple=100,
-        )
+        result = quantized_eselect(right, left[0], TopKCondition(5), method="int8")
         from repro.core import eselect
 
         ref = eselect(right, left[0], TopKCondition(5))
         assert result.stats.strategy == "eselect/int8"
-        assert set(result.ids.tolist()) == set(ref.ids.tolist())
-
-    def test_rerank_multiple_default_from_config(self, relations):
-        left, right = relations
-        assert get_config().default_rerank_multiple == 4
-        got = quantized_tensor_join(
-            left, right, TopKCondition(2), method="int8"
-        )
-        assert got.stats.extra["candidate_multiple"] == 4
+        assert result.ids.tolist() == ref.ids.tolist()

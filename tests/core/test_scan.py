@@ -37,6 +37,7 @@ from repro.core.eselect import PRESCREEN_MARGIN, TOPK_PRESCREEN_PAD
 from repro.core.scan import (
     dense_score_block,
     merge_topk,
+    prove_topk,
     row_major_scores,
     scan_candidates,
     split_rows,
@@ -164,6 +165,39 @@ def test_k_at_least_n_keeps_every_row(corpus, queries):
     ids, floors = merge_topk([scan.triples], 3, n + 7)
     assert all(sorted(row.tolist()) == list(range(n)) for row in ids)
     assert np.all(np.isneginf(floors))  # nothing dropped, nothing to guard
+
+
+def test_prove_topk_rescans_exactly_the_rows_it_cannot_prove(corpus, queries):
+    """Approximate scores within ``bound`` of exact ones: a row whose floor
+    plus the bound and margin reaches its k-th exact candidate takes the
+    one pass — scored on its own — and every row comes out exact."""
+    n_queries, bound, kpad = 8, 0.12, K + TOPK_PRESCREEN_PAD
+    exact = queries[:n_queries] @ corpus.T
+    noise = np.random.default_rng(5).uniform(-bound, bound, exact.shape)
+    approx = (exact + noise).astype(np.float32)
+    scan = scan_candidates(
+        lambda a, b: approx[:, a:b], 0, N_PLAIN, n_queries, range(n_queries), kpad, (), ()
+    )
+    rows, ids, _ = scan.triples
+    _, floors = merge_topk([scan.triples], n_queries, kpad)
+    kth = np.array([np.sort(exact[r, ids[rows == r]])[-K] for r in range(n_queries)])
+    unproved = np.flatnonzero(floors + bound + PRESCREEN_MARGIN > kth)
+    assert 0 < len(unproved) < n_queries
+    asked = []
+
+    def rescan(failed):
+        asked.append(failed.tolist())
+        return (lambda a, b: approx[failed, a:b]), None
+
+    (got_rows, got_ids, got_scores), failed, rescanned = prove_topk(
+        rows, ids, floors, K, N_PLAIN, lambda r, i: exact[r, i], rescan, bound=bound
+    )
+    assert failed.tolist() == unproved.tolist() and asked == [unproved.tolist()]
+    assert rescanned.cells == len(unproved) * N_PLAIN
+    for r in range(n_queries):
+        want = np.lexsort((np.arange(N_PLAIN), -exact[r]))[:K]
+        assert got_ids[got_rows == r].tolist() == want.tolist(), r
+        assert np.array_equal(got_scores[got_rows == r], exact[r, want]), r
 
 
 def test_empty_range_scans_nothing(corpus, queries):
@@ -470,17 +504,17 @@ def test_fp32_joins_equal_the_oracle_and_each_other(join_inputs, case, shape, th
 )
 def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, threads):
     """Threshold results are exactly the oracle's set (sound prescreen,
-    exact re-rank); top-k with every row re-ranked is the fp32 answer."""
+    exact re-rank); a top-k is the oracle's at default settings too (each
+    row proved by the error bound or rescanned at a fixed floor)."""
     left, right, scores = join_inputs
     condition = _join_conditions(scores)[case]
     want_l, want_r = _oracle_join(scores, condition)
     n_threads = ENGINES[threads]
     engine = None if n_threads is None else ExecutionEngine(n_threads=n_threads)
     store = QuantizedRelation.build(right, method, m=4, ks=8, seed=3)
-    kwargs = dict(rerank_multiple=J_RIGHT, engine=engine, **SHAPES[shape])
     results = {
         "quantized_tensor_join": quantized_tensor_join(
-            left, store, condition, **kwargs
+            left, store, condition, engine=engine, **SHAPES[shape]
         ),
         "ejoin": ejoin(
             left, right, condition, strategy=f"tensor-{method}",
@@ -488,12 +522,6 @@ def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, thre
         ),
     }
     for name, got in results.items():
-        if (
-            isinstance(condition, TopKCondition)
-            and name != "quantized_tensor_join"
-            and got.stats.extra["candidate_multiple"] * condition.k < J_RIGHT
-        ):
-            continue  # default rerank multiple: a recall path, not an exact one
         assert np.array_equal(got.left_ids, want_l), name
         assert np.array_equal(got.right_ids, want_r), name
         assert np.array_equal(got.scores, scores[want_l, want_r].astype(np.float32)), name
@@ -502,10 +530,7 @@ def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, thre
     # The selection is the join of one left row.
     budget = SHAPES[shape].get("buffer_budget_bytes")
     for row in (0, 3):
-        got = quantized_eselect(
-            store, left[row], condition,
-            rerank_multiple=J_RIGHT, buffer_budget_bytes=budget,
-        )
+        got = quantized_eselect(store, left[row], condition, buffer_budget_bytes=budget)
         _assert_selection(got, scores[row], condition, f"row {row}")
         assert got.stats.strategy == f"eselect/{method}"
         _assert_within_budget(got.stats, SHAPES[shape])
@@ -633,22 +658,42 @@ def test_selections_equal_the_oracle_for_every_group(join_inputs, size, cut):
         _assert_selection(eselect(right, left[row], condition), scores[row], condition, row)
 
 
+def _clustered(n: int, seed: int) -> np.ndarray:
+    """Rows tight around 40 centres: a query's neighbours crowd its k-th
+    place within the int8 error bound."""
+    rng = np.random.default_rng(seed)
+    centres = unit_vectors(40, DIM, stream="scan-tests/centres")
+    rows = centres[rng.integers(0, 40, n)] + 0.05 * rng.standard_normal((n, DIM))
+    return rows.astype(np.float32)
+
+
 @pytest.mark.quant
 @pytest.mark.parametrize("method", ["int8", "pq"])
-def test_quantized_topk_is_licensed_approximate(corpus, queries, method):
-    """Under the default ``rerank_multiple`` a quantized top-k may miss a
-    neighbour outside its candidate multiple and nothing else: what it
-    emits carries exact scores, best first, and recall stays high."""
-    store = QuantizedRelation.build(corpus, method, m=8, ks=64, seed=3)
-    oracle = queries[:8].astype(np.float64) @ corpus.astype(np.float64).T
-    hit = 0
-    for query, row in zip(queries[:8], oracle):
-        got = quantized_eselect(store, query, TopKCondition(K))
-        assert len(got) == K and len(set(got.ids.tolist())) == K
-        assert np.allclose(got.scores, row[got.ids], atol=1e-6)
-        assert np.all(np.diff(got.scores) <= 0)
-        hit += len(set(got.ids.tolist()) & set(np.argsort(-row)[:K].tolist()))
-    assert hit / (8 * K) >= {"int8": 0.95, "pq": 0.6}[method]
+@pytest.mark.parametrize("table", ["clustered", "thrice"])
+def test_quantized_topk_is_exact(method, table):
+    """At default settings a quantized top-k join and selection are the
+    float64 oracle's answer: ids, order, scores to fp32 rounding.  With
+    every right row three times over, more copies tie near the k-th place
+    than the error bound can separate, so rows take the fixed-floor pass."""
+    queries, right = _clustered(64, 18), _clustered(N_PLAIN, 17)
+    if table == "thrice":
+        right = np.repeat(right[: N_PLAIN // 3], 3, axis=0)
+    store = QuantizedRelation.build(right, method, m=8, ks=64, seed=3)
+    scores = (
+        normalize_rows(queries).astype(np.float64) @ normalize_rows(right).astype(np.float64).T
+    )
+    condition = TopKCondition(K)
+    want_l, want_r = _oracle_join(scores, condition)
+    got = quantized_tensor_join(queries, store, condition)
+    assert np.array_equal(got.left_ids, want_l)
+    assert np.array_equal(got.right_ids, want_r)
+    np.testing.assert_allclose(got.scores, scores[want_l, want_r], atol=1e-6)
+    if table == "thrice":
+        assert got.stats.extra["rescanned_rows"] > 0
+    for row in range(0, len(queries), 8):
+        selected = quantized_eselect(store, queries[row], condition)
+        assert np.array_equal(selected.ids, want_r[want_l == row]), row
+        np.testing.assert_allclose(selected.scores, scores[row, selected.ids], atol=1e-6)
 
 
 def _poisoned(rows: np.ndarray) -> np.ndarray:

@@ -106,19 +106,14 @@ class TestEnvOverrides:
             [
                 sys.executable,
                 "-c",
-                "import repro; c = repro.get_config(); "
-                "print(c.default_precision, c.default_rerank_multiple)",
+                "import repro; print(repro.get_config().default_precision)",
             ],
             capture_output=True,
             text=True,
-            env={
-                "PYTHONPATH": "src",
-                "REPRO_PRECISION": "int8",
-                "REPRO_RERANK_MULTIPLE": "8",
-            },
+            env={"PYTHONPATH": "src", "REPRO_PRECISION": "int8"},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["int8", "8"]
+        assert proc.stdout.split() == ["int8"]
 
     def test_unknown_precision_warns_and_falls_back(self):
         import subprocess

@@ -15,7 +15,8 @@ named anywhere else is a second shape rule growing.
 
 What makes a served selection *exact* — the prescreen margin and pad, the
 fp32 ``score_block``, the finalizer that re-scores candidates and proves
-or widens them — is :func:`repro.core.eselect.select_group`'s alone: named
+or widens them (through :func:`repro.core.scan.prove_topk`, the one proof
+every re-scored top-k takes) — is :func:`repro.core.eselect.select_group`'s alone: named
 only under ``core/``, with the scan's own parts also reaching the shard
 pool and worker, which run the same pass over a row range.  ``service/``
 schedules; a margin or a candidate fold named there is the rule being
@@ -45,7 +46,9 @@ DELETED = ("BatchPolicy", "resolve_block_shape", "adaptive_edge", "from_calibrat
 
 
 #: The exactness rule of served scans: ``core/`` only.
-EXACT_RULE = {"PRESCREEN_MARGIN", "TOPK_PRESCREEN_PAD", "dense_score_block", "exact_select"}
+EXACT_RULE = {
+    "PRESCREEN_MARGIN", "TOPK_PRESCREEN_PAD", "dense_score_block", "exact_select", "prove_topk",
+}
 #: The scan's parts: ``core/`` plus the shard pool and its worker.
 SCAN_PARTS = {"merge_topk", "split_rows", "scan_candidates"}
 SCAN_PARTS_ALLOWED = {"shard/pool.py", "shard/worker.py"}

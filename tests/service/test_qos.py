@@ -194,7 +194,7 @@ def test_degrades_under_recall_floor_instead_of_shedding():
         _topk(engine, qvec), deadline_s=5.0, min_recall=0.9
     )
     assert response.degraded
-    assert response.precision in ("int8", "pq")
+    assert response.precision == "int8"
     assert response.table.num_rows == 5
     assert "similarity" in response.table.schema.names
     assert service.stats_snapshot()["qos"]["degraded"] == 1
@@ -209,6 +209,38 @@ def test_sheds_unmeetable_without_recall_floor():
     with pytest.raises(DeadlineExceededError):
         service.submit_qos(_topk(engine, qvec), deadline_s=5.0)
     assert service.stats_snapshot()["qos"]["shed_unmeetable"] == 1
+
+
+def test_min_recall_of_one_sheds_rather_than_degrades():
+    engine = make_engine()
+    service = QueryService(engine)
+    for _ in range(service.qos_tracker.min_samples):
+        service.qos_tracker.observe("full", 10.0)
+    qvec = unit_vectors(1, DIM, stream="qos/one")[0]
+    with pytest.raises(DeadlineExceededError):
+        service.submit_qos(_topk(engine, qvec), deadline_s=5.0, min_recall=1.0)
+    snap = service.stats_snapshot()["qos"]
+    assert snap["shed_unmeetable"] == 1 and snap["degraded"] == 0
+
+
+def test_degraded_selection_is_the_exact_answer():
+    """Any ``min_recall`` below 1.0 degrades to int8 codes, whose top-k is
+    proved: the rows and their order are the exact selection's."""
+    engine = make_engine()
+    service = QueryService(engine)
+    for _ in range(service.qos_tracker.min_samples):
+        service.qos_tracker.observe("full", 10.0)
+    qvec = unit_vectors(1, DIM, stream="qos/exact")[0]
+    response = service.submit_qos(
+        _topk(engine, qvec, k=8), deadline_s=5.0, min_recall=0.1
+    )
+    assert response.degraded
+    assert response.precision == "int8"
+    serial = _topk(engine, qvec, k=8).execute()
+    assert response.table.array("id").tolist() == serial.array("id").tolist()
+    np.testing.assert_allclose(
+        response.table.array("similarity"), serial.array("similarity"), atol=1e-6
+    )
 
 
 def test_degraded_result_not_cached_as_exact():

@@ -29,7 +29,6 @@ def _scan(pool, queries):
         kpad=KPAD,
         thr_rows=[],
         thr_floors=np.empty(0, dtype=np.float32),
-        precision="fp32",
     )
 
 

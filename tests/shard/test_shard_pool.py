@@ -1,11 +1,10 @@
-"""ShardPool: fan-out exactness across precisions, costing, and hygiene.
+"""ShardPool: fan-out exactness, costing, and hygiene.
 
 Exactness here means the end-to-end contract: pool candidates are
 provable supersets, and the front door's float64 exact rescore over them
 (:func:`repro.core.eselect.exact_select`) yields ids
-and scores bit-identical to the same rescore over *all* rows — for every
-published precision, on a corpus built so every score ties across the
-shard boundary.
+and scores bit-identical to the same rescore over *all* rows — on a
+corpus built so every score ties across the shard boundary.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def setup():
     pool.close()
 
 
-def _scan(pool, queries, precision="fp32", *, kpad=KPAD):
+def _scan(pool, queries, *, kpad=KPAD):
     nq = len(queries)
     return pool.scan_candidates(
         KEY,
@@ -45,37 +44,31 @@ def _scan(pool, queries, precision="fp32", *, kpad=KPAD):
         kpad=kpad,
         thr_rows=list(range(nq)),
         thr_floors=np.full(nq, THRESHOLD - PRESCREEN_MARGIN, dtype=np.float32),
-        precision=precision,
     )
 
 
 class TestExactness:
-    @pytest.mark.parametrize("precision", ("fp32", "fp16", "int8", "pq"))
-    def test_rescored_results_bit_identical_to_serial(
-        self, setup, query_vectors, precision
-    ):
+    def test_rescored_results_bit_identical_to_serial(self, setup, query_vectors):
         engine, pool, normalized = setup
-        result = _scan(pool, query_vectors, precision)
+        result = _scan(pool, query_vectors)
         assert result is not None, "pool declined a fan-out-worthy scan"
         assert result.n_shards == 2
         assert result.rows == N_ROWS  # the shards partition every row once
         all_rows = np.arange(N_ROWS)
-        compared = 0
         for j, qvec in enumerate(query_vectors):
             ids_ref, scores_ref, _ = exact_select(normalized, all_rows, qvec, TOPK)
             kth = np.min(scores_ref) if len(scores_ref) else -np.inf
-            # Soundness first, for every precision: any row the shards
-            # dropped must provably score at or below the merged floor.
+            # Soundness first: any row the shards dropped must provably
+            # score at or below the merged floor.
             dropped = np.setdiff1d(all_rows, result.heap_ids[j])
             exact_dropped = normalized[dropped] @ np.asarray(
                 qvec, dtype=np.float64
             )
             assert np.all(exact_dropped <= result.heap_floor[j] + 1e-5), (
-                f"query {j} precision {precision}: dropped row beats the "
-                f"merged heap floor"
+                f"query {j}: dropped row beats the merged heap floor"
             )
             # Threshold hits are supersets independent of the top-k floor,
-            # so their exact rescore is bitwise-stable for every precision.
+            # so their exact rescore is bitwise-stable.
             thr_ids_ref, thr_scores_ref, _ = exact_select(
                 normalized, all_rows, qvec, ABOVE
             )
@@ -84,34 +77,20 @@ class TestExactness:
             )
             assert np.array_equal(thr_ids_got, thr_ids_ref)
             assert np.array_equal(thr_scores_got, thr_scores_ref)
-            if result.heap_floor[j] > kth - PRESCREEN_MARGIN:
-                # The front door detects that the widened floor cannot
-                # prove the candidate set complete and falls back to the
-                # serial path — trivially exact.  fp32 has a zero error
-                # bound, so it must never need that escape hatch.
-                assert precision != "fp32", (
-                    f"query {j}: fp32 merged heap floor above the exact "
-                    f"k-th score"
-                )
-                continue
-            compared += 1
+            # fp32 has a zero error bound: the merged floor proves the
+            # candidates without the front door's fixed-floor pass.
+            assert result.heap_floor[j] <= kth - PRESCREEN_MARGIN, (
+                f"query {j}: merged heap floor above the exact k-th score"
+            )
             ids_got, scores_got, rescanned = exact_select(
                 normalized, result.heap_ids[j], qvec, TOPK,
                 float(result.heap_floor[j]),
             )
             assert not rescanned
             assert np.array_equal(ids_got, ids_ref), (
-                f"query {j} precision {precision}: top-{K} ids diverge"
+                f"query {j}: top-{K} ids diverge"
             )
             assert np.array_equal(scores_got, scores_ref)
-        if precision != "pq":
-            # PQ's coarse error bound can legitimately push every query
-            # onto the fallback path at this corpus size; the tighter
-            # precisions must exercise the candidate rescore.
-            assert compared > 0, (
-                f"precision {precision}: every query fell back; the "
-                f"candidate path went untested"
-            )
 
     def test_cross_boundary_duplicates_both_kept(self, setup, query_vectors):
         _, pool, normalized = setup

@@ -16,10 +16,18 @@ k >= n, a k-th place tied past the prescreen pad} x {random rows, 60-way
 ties, duplicate rows straddling block edges, an empty and a one-row table}
 x {``eselect``, ``QueryBuilder.execute``, coalesced groups of 1-8 behind
 held scan slots (duplicate vectors carrying different conditions), a
-2-shard service, the degraded int8 and PQ paths}.  A NaN row or query is a
-case of its own kind: those are reported apart (PR 23 rejects them; the
-parent answered wrongly or not at all).  An exception digests as its type
-name.  Exit status 1 on any difference outside the non-finite cases.
+2-shard service, the degraded path, ``quantized_eselect`` over int8 and
+PQ codes at default settings}.  A NaN row or query is a case of its own
+kind: those are reported apart (they are rejected; an older parent answered
+wrongly or not at all).  An exception digests as its type name.
+
+Every answer is also held to a float64 oracle (NumPy only): a top-k's ids
+in order, a threshold's ascending and exact up to rows within 1e-6 of it.
+``--emit`` exits 1 on any miss.  Against ``--parent`` a digest may differ
+only on a quantized top-k the parent missed and this checkout does not
+(the parent kept a multiple of k candidates, no proof); those are counted
+apart.  Exit status 1 on any other difference outside the non-finite
+cases.
 """
 
 from __future__ import annotations
@@ -86,13 +94,29 @@ def _unit(np, rows):
     return rows / np.where(norms == 0, 1, norms)
 
 
-def digests() -> dict[str, str]:
+def _meets_oracle(np, rows, query, cond, ids) -> bool:
+    """Whether ``ids`` answer ``cond`` over float64 ``rows`` and ``query``."""
+    scores = _unit(np, rows.astype(np.float64)) @ _unit(np, query.astype(np.float64)[None, :])[0]
+    ids = np.asarray(ids, dtype=np.int64)
+    if "threshold" in cond:
+        near = np.abs(scores - cond["threshold"]) <= 1e-6
+        want = np.flatnonzero(scores >= cond["threshold"])
+        odd = np.setxor1d(ids, want)
+        return bool(np.all(np.diff(ids) > 0) and near[odd].all())
+    order = np.lexsort((np.arange(len(scores)), -scores))[: cond["top_k"]]
+    if cond.get("min_similarity") is not None:
+        order = order[scores[order] >= cond["min_similarity"]]
+    return bool(np.array_equal(ids, order))
+
+
+def digests() -> dict[str, dict]:
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import _HeldSlots  # the deterministic group former
 
     from repro.core import ThresholdCondition, TopKCondition, eselect
+    from repro.core.quantized_join import QuantizedRelation, quantized_eselect
     from repro.embedding import HashingEmbedder
     from repro.engine import ExecutionEngine
     from repro.obs.capture import result_digest
@@ -107,14 +131,31 @@ def digests() -> dict[str, str]:
             Column(Field("emb", DataType.TENSOR, dim=DIM), rows),
         ])
 
-    def outcome(call, digest=result_digest):
-        try:
-            return digest(call())
-        except Exception as exc:
-            return f"error:{type(exc).__name__}"
+    def record(result, rows, query, cond):
+        """``{"digest", "oracle"}`` of a result: a selection or a table."""
+        if isinstance(result, BaseException):
+            return {"digest": f"error:{type(result).__name__}", "oracle": None}
+        if isinstance(result, Table):
+            digest, ids = result_digest(result), result.array("id")
+        else:
+            digest = hashlib.sha256(result.ids.tobytes() + result.scores.tobytes()).hexdigest()
+            ids = result.ids
+        return {"digest": digest, "oracle": _meets_oracle(np, rows, query, cond, ids)}
 
-    def selection_digest(result):
-        return hashlib.sha256(result.ids.tobytes() + result.scores.tobytes()).hexdigest()
+    def outcome(call, rows, query, cond):
+        try:
+            return record(call(), rows, query, cond)
+        except Exception as exc:
+            return record(exc, rows, query, cond)
+
+    stores: dict = {}
+
+    def store(name, method):
+        if (name, method) not in stores:
+            stores[name, method] = QuantizedRelation.build(
+                tables[name], method, m=4, ks=16, seed=3
+            )
+        return stores[name, method]
 
     def condition(cond):
         if "threshold" in cond:
@@ -151,14 +192,14 @@ def digests() -> dict[str, str]:
             return build(name, vector.astype(np.float32), {"top_k": 1})
         return make
 
-    def degraded(name, query, cond, floor):
+    def degraded(name, query, cond):
         response = pressed.submit_qos(
-            build(name, query, cond), deadline_s=5.0, min_recall=floor
+            build(name, query, cond), deadline_s=5.0, min_recall=0.9
         )
         assert response.degraded
         return response.table
 
-    out: dict[str, str] = {}
+    out: dict[str, dict] = {}
     bad = np.full(DIM, np.nan, np.float32)
     try:
         for name, rows in tables.items():
@@ -173,20 +214,23 @@ def digests() -> dict[str, str]:
                     ("nonfinite-query/thr", bad, {"threshold": 0.35}),
                 ]
             for case, query, cond in cases + alone:
+                terms = rows, query, cond
                 out[f"{case}/eselect"] = outcome(
-                    lambda: eselect(rows, query, condition(cond)), selection_digest
+                    lambda: eselect(rows, query, condition(cond)), *terms
                 )
-                out[f"{case}/execute"] = outcome(build(name, query, cond).execute)
-                for floor, codec in ((0.97, "int8"), (0.9, "pq")):
-                    out[f"{case}/degraded-{codec}"] = outcome(
-                        lambda: degraded(name, query, cond, floor)
+                out[f"{case}/execute"] = outcome(build(name, query, cond).execute, *terms)
+                out[f"{case}/degraded"] = outcome(lambda: degraded(name, query, cond), *terms)
+                for method in ("int8", "pq"):
+                    out[f"{case}/{method}"] = outcome(
+                        lambda: quantized_eselect(store(name, method), query, condition(cond)),
+                        *terms,
                     )
                 if query is bad or not grouped:
                     # Never queued behind held slots: the change declines
                     # to coalesce a NaN query and fails a NaN table's scan.
                     for label, service in (("coalesced", coalesced), ("sharded", sharded)):
                         out[f"{case}/{label}1"] = outcome(
-                            lambda: service.submit(build(name, query, cond))
+                            lambda: service.submit(build(name, query, cond)), *terms
                         )
             # Groups of 1..8 in rotation; from the second member on, every
             # other member repeats its predecessor's vector under its own
@@ -205,12 +249,8 @@ def digests() -> dict[str, str]:
                         ])
                     finally:
                         held.restore()
-                    for (case, _, _), result in zip(members, got):
-                        out[f"{case}/{label}{len(members)}"] = (
-                            f"error:{type(result).__name__}"
-                            if isinstance(result, BaseException)
-                            else result_digest(result)
-                        )
+                    for (case, query, cond), result in zip(members, got):
+                        out[f"{case}/{label}{len(members)}"] = record(result, rows, query, cond)
                 start, size = start + size, size % 8 + 1
         assert coalesced.stats_snapshot()["coalescer"]["fallbacks"] > 0  # ties rescanned
         assert sharded.stats_snapshot()["coalescer"]["sharded_groups"] > 0
@@ -226,8 +266,12 @@ def main() -> int:
     parser.add_argument("--emit", type=Path, help="write this checkout's digests here")
     args = parser.parse_args()
     if args.emit is not None:
-        args.emit.write_text(json.dumps(digests(), indent=0, sort_keys=True) + "\n")
-        return 0
+        out = digests()
+        args.emit.write_text(json.dumps(out, indent=0, sort_keys=True) + "\n")
+        misses = _misses(out)
+        for case in misses:
+            print("oracle:", case, file=sys.stderr)
+        return 1 if misses else 0
     if args.parent is None:
         parser.error("--parent DIR or --emit FILE is required")
     sides = {}
@@ -235,25 +279,49 @@ def main() -> int:
         for name, root in (("parent", args.parent.resolve()), ("change", ROOT)):
             env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
             emitted = Path(scratch) / f"{name}.json"
+            # Exit status 1 is an oracle miss, counted below for each side.
             subprocess.run(
-                [sys.executable, __file__, "--emit", str(emitted)], env=env, check=True
+                [sys.executable, __file__, "--emit", str(emitted)], env=env,
+                stderr=subprocess.DEVNULL,
             )
             sides[name] = json.loads(emitted.read_text())
-    assert sides["parent"].keys() == sides["change"].keys()
-    apart = sorted(case for case in sides["change"] if case.startswith("nonfinite"))
+    parent, change = sides["parent"], sides["change"]
+    assert parent.keys() == change.keys()
+    apart = sorted(case for case in change if case.startswith("nonfinite"))
     differing = sorted(
         case
-        for case, digest in sides["change"].items()
-        if digest != sides["parent"][case] and case not in apart
+        for case, got in change.items()
+        if got["digest"] != parent[case]["digest"] and case not in apart
     )
+    # Allowed only where the parent missed the oracle and this checkout
+    # meets it: a quantized top-k the proof made exact.
+    fixed = [
+        case for case in differing
+        if case.rsplit("/", 1)[1] in ("degraded", "int8", "pq")
+        and parent[case]["oracle"] is False and change[case]["oracle"] is True
+    ]
+    differing = [case for case in differing if case not in fixed]
+    misses = _misses(change)
     print(
-        f"{len(sides['change']) - len(apart)} cases, "
-        f"{len(differing)} differences {differing[:10]}"
+        f"{len(change) - len(apart)} cases, {len(differing)} differences "
+        f"{differing[:10]}, {len(fixed)} quantized top-k the parent missed and "
+        f"this checkout does not; oracle misses: parent {len(_misses(parent))}, "
+        f"change {len(misses)} {misses[:10]}"
     )
     print(f"{len(apart)} non-finite cases (parent -> change):")
     for case in apart:
-        print(f"  {case}: {sides['parent'][case][:16]} -> {sides['change'][case][:16]}")
-    return 1 if differing else 0
+        print(
+            f"  {case}: {parent[case]['digest'][:16]} -> {change[case]['digest'][:16]}"
+        )
+    return 1 if differing or misses else 0
+
+
+def _misses(out: dict[str, dict]) -> list[str]:
+    """Cases outside the non-finite kind whose answer is not the oracle's."""
+    return sorted(
+        case for case, got in out.items()
+        if got["oracle"] is False and not case.startswith("nonfinite")
+    )
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import time
 
+from repro.core.scan import TOPK_PRESCREEN_PAD
 from repro.core.tensor_join import dense_scorer
 from repro.vector.quant import Int8Quantizer
 from repro.vector.select import CHUNK, MIN_STRIDE, TopKReducer
@@ -33,9 +34,6 @@ from repro.workloads.synthetic import clustered_vectors
 #: ``ejoin_strings`` one (distinct left strings x catalog).
 JOINS = ((1000, 40_000, 128, 8), (834, 8000, 64, 1))
 BLOCK_MIB = (2, 4, 8, 16, 32)
-#: An int8 join keeps ``rerank_multiple * k`` candidates a row.
-INT8_KEEP_MULTIPLE = 4
-
 
 class TimedReducer(TopKReducer):
     fold_s = 0.0
@@ -92,7 +90,7 @@ def sweep(n_left, n_right, dim, k, edges, repeat):
     print("|---|---|---|---|---|---|---|---|---|")
     for name, scorer, keep in (
         ("fp32", dense_scorer(right), k),
-        ("int8", int8_scorer, INT8_KEEP_MULTIPLE * k),
+        ("int8", int8_scorer, k + TOPK_PRESCREEN_PAD),  # what a row keeps for its proof
     ):
         for edge in edges:
             for width in widths_for(edge, n_right):
