@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..config import get_config
+from ..core.caps import CapPartition, build_caps
 from ..core.conditions import ThresholdCondition, TopKCondition
 from ..core.cost_model import (
     CostParams,
@@ -77,7 +78,8 @@ class ExecutionContext:
     #: quantized relation).  Like ``indexes``, these are access-path state
     #: built once per context and amortized across queries.
     quant_stores: dict[tuple, object] = field(default_factory=dict)
-    #: (table, column, model) -> (source table, unit-normalized matrix).
+    #: (table, column, model) -> (source table, unit-normalized matrix);
+    #: (table, column, model, "caps") -> (source table, cap partition).
     #: Shared-scan state: one normalization serves every query (and every
     #: concurrent session) scanning the same column under the same model.
     norm_cache: dict[tuple, tuple] = field(default_factory=dict)
@@ -190,6 +192,15 @@ class ExecutionContext:
                 _embed_column(table, key[1], key[2], self, store)
             ),
             store=store,
+        )
+
+    def cap_partition_for(self, key: tuple, table: Table, store=None) -> CapPartition | None:
+        """The cap partition (:func:`~repro.core.caps.build_caps`) of a scan
+        source's unit-row matrix, valid for what that matrix is; ``None``:
+        the source declined one."""
+        return self._scan_state(
+            "caps", self.norm_cache, (*key, "caps"), table,
+            lambda store: build_caps(self.normalized_matrix_for(key, table, store)), store=store,
         )
 
     def topk_memo_for(
@@ -742,6 +753,10 @@ def _execute_ejoin_impl(
         and isinstance(node.condition, TopKCondition)
     ):
         memo = ctx.topk_memo_for(store_key, right, node.condition, store)
+    # A plain scan's fp32 joins score only the rows its caps do not prove out.
+    caps = None
+    if result is None and normalized and store_key is not None:
+        caps = ctx.cap_partition_for(store_key, right, store)
     if memo is not None:
         unknown = memo.unknown(keys)
         scanned = ejoin(
@@ -751,6 +766,7 @@ def _execute_ejoin_impl(
             strategy=scan_strategy,
             assume_normalized=True,
             engine=ctx.engine,
+            caps=caps,
         )
         with ctx.store_lock:
             memo.put(keys[unknown], scanned)
@@ -763,6 +779,7 @@ def _execute_ejoin_impl(
         rows = keys if inverse is None else keys[inverse]
         return memo.expand(rows, stats).materialize(left, right)
     if result is None:
+        flip = None
         if normalized:
             # Exactly ``normalize_rows`` of either side — what the scan
             # would compute itself — so joins stay bit-identical; a tensor
@@ -782,16 +799,24 @@ def _execute_ejoin_impl(
                 if store_key is None
                 else ctx.normalized_matrix_for(store_key, right, store)
             )
+            # A threshold join is symmetric (the optimizer puts the smaller
+            # side right): without caps of its own it runs on the left side's.
+            if caps is None and left_key and isinstance(node.condition, ThresholdCondition):
+                flip = ctx.cap_partition_for(left_key, left)
         elif right_vectors is None:
             right_vectors = _embed_column(
                 right, node.right_column, node.model_name, ctx, store
             )
+        sides = (left_vectors, right_vectors)
         result = ejoin(
-            left_vectors,
-            right_vectors,
+            *(sides if flip is None else sides[::-1]),
             node.condition,
             strategy=scan_strategy,
             assume_normalized=normalized,
             engine=ctx.engine,
+            caps=caps if flip is None else flip,
         )
+        if flip is not None:
+            result.stats.n_left, result.stats.n_right = result.stats.n_right, result.stats.n_left
+            result = replace(result, left_ids=result.right_ids, right_ids=result.left_ids).sorted()
     return finish(result, right)

@@ -66,6 +66,7 @@ def ejoin(
     selectivity_hint: float = 1.0,
     assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
+    caps=None,
 ) -> JoinResult:
     """Context-enhanced join of two relations over embeddings.
 
@@ -90,6 +91,8 @@ def ejoin(
         engine: execution engine the physical operators schedule on; a
             multi-threaded engine parallelizes the scan strategies (and
             ``parallel-tensor`` builds one from ``n_threads`` when absent).
+        caps: the ``tensor`` / ``parallel-tensor`` scans' cap partition of
+            ``right`` (:func:`~repro.core.tensor_join.tensor_join`).
 
     Returns:
         :class:`JoinResult` of matched offset pairs and their similarities.
@@ -149,7 +152,7 @@ def ejoin(
         if strategy == "tensor":
             return tensor_join(
                 left, right, condition, model=model,
-                assume_normalized=assume_normalized, **shape,
+                assume_normalized=assume_normalized, caps=caps, **shape,
             )
         if strategy == "tensor-fp16":
             return tensor_join_fp16(left, right, condition, model=model, **shape)
@@ -166,6 +169,7 @@ def ejoin(
             strategy="tensor",
             n_threads=n_threads,
             assume_normalized=assume_normalized,
+            caps=caps,
             **shape,
         )
 

@@ -37,6 +37,7 @@ def parallel_join(
     buffer_budget_bytes: int | None = None,
     assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
+    caps=None,
 ) -> JoinResult:
     """Join on an engine's workers, the left relation cut into morsels.
 
@@ -54,6 +55,7 @@ def parallel_join(
             planner's normalize-once matrix); skip normalization.
         engine: a pre-configured :class:`~repro.engine.ExecutionEngine`;
             by default one is built for ``n_threads`` workers.
+        caps: the tensor strategy's cap partition (:func:`tensor_join`).
 
     The result is identical to the single-threaded operator (partitioning
     is along tuples; both condition families are per-left-tuple, and
@@ -85,6 +87,7 @@ def parallel_join(
             buffer_budget_bytes=buffer_budget_bytes,
             assume_normalized=assume_normalized,
             engine=engine,
+            caps=caps,
         )
         shape = result.stats.extra.get("batch_shape")  # absent: an empty side
         result.stats.extra["morsels"] = -(-len(left) // shape[0]) if shape else 0

@@ -34,6 +34,7 @@ from ..engine import ExecutionEngine, serial_engine
 from ..errors import BufferBudgetError
 from ..vector.kernels import row_major_scores
 from ..vector.select import (
+    TRIPLE_BYTES,
     TopKReducer,
     maxima_bytes,
     scan_shape,
@@ -138,7 +139,7 @@ def scan_candidates(
         refine: ``(rows, ids, scores) -> triples`` applied to each block's
             threshold hits before they are pooled (an exact re-score and
             filter), so what the scan holds across blocks is output, not
-            candidates.
+            candidates (which ``peak_bytes`` and a budget count until then).
     """
     topk_rows = np.asarray(topk_rows, dtype=np.intp)
     thr_rows = np.asarray(thr_rows, dtype=np.intp)
@@ -153,6 +154,7 @@ def scan_candidates(
         _, width = scan_shape(
             max(n_queries, 1), hi - lo,
             batch_left=max(n_queries, 1), buffer_budget_bytes=budget_bytes, workers=1,
+            survivor_bytes=0 if refine is None else TRIPLE_BYTES,
         )
     empty = np.empty(0, dtype=np.int64)
     no_triples = (empty, empty, np.empty(0, dtype=np.float32))
@@ -172,6 +174,7 @@ def scan_candidates(
             found = rows, cols + start, found
             hits.append(found if refine is None else refine(*found))
             beside += maxima_bytes(len(thr_rows), stop - start)
+            beside += 0 if refine is None else TRIPLE_BYTES * len(rows)
         scan.blocks += 1
         scan.cells += n_queries * (stop - start)
         scan.peak_bytes = max(scan.peak_bytes, 4 * n_queries * (stop - start) + beside)
@@ -238,6 +241,7 @@ def prove_topk(
     *,
     bound: float = 0.0,
     width: int | None = None,
+    budget_bytes: int | None = None,
 ) -> tuple[Triples, np.ndarray, ScanResult | None]:
     """Each query row's exact top-k from its approximate candidates: the
     one proof every re-scored top-k takes.
@@ -253,7 +257,7 @@ def prove_topk(
     ``(score_block, bias)`` over ``[0, n)``, :func:`scan_candidates` keeps
     every cell whose approximate score may reach a margin under the k-th
     exact score, re-scored block by block (``refine=``), and the rows are
-    folded again.
+    folded again (in ``budget_bytes``' blocks, if given, else ``width``).
 
     Returns:
         ``(triples, failed, rescanned)`` — every row's exact top-k by
@@ -279,7 +283,8 @@ def prove_topk(
     score_block, bias = rescan(failed)
     rescanned = scan_candidates(
         score_block, 0, n, len(failed), (), 0, np.arange(len(failed)), bars,
-        width=width, bound=bound, bias=bias, refine=refine,
+        width=width if budget_bytes is None else None, budget_bytes=budget_bytes,
+        bound=bound, bias=bias, refine=refine,
     )
     r, i, scores = rescanned.hits
     proved = np.ones(n_rows, dtype=bool)
@@ -304,6 +309,7 @@ def scan_join(
     batch_right: int | None = None,
     buffer_budget_bytes: int | None = None,
     engine: ExecutionEngine | None = None,
+    caps: Callable[[np.ndarray, int], ScanResult | None] | None = None,
 ) -> JoinResult:
     """The body of every scan join; the public joins are validated
     wrappers that pick a representation of the right side.
@@ -328,6 +334,9 @@ def scan_join(
             read-only operands, results in block order; ``None`` is one
             worker.  A join whose whole work does not repay one scheduler
             run stays on the caller's thread.
+        caps: ``caps(left_block, dense block bytes)``: the block joined on
+            the right side's caps (:func:`repro.core.caps.cap_join`) or
+            ``None``; not under explicit edges (``extra["cap_tasks"]``).
     """
     stats.n_left, stats.n_right = len(left), n_right
     if stats.n_left == 0 or n_right == 0:
@@ -342,18 +351,17 @@ def scan_join(
         # more rows to the fixed-floor pass.
         most = max(condition.k, min(condition.k + TOPK_PRESCREEN_PAD, n_right))
         keeps = range(most, condition.k - 1, -1)
+    budget = engine.buffer_budget_bytes if buffer_budget_bytes is None else buffer_budget_bytes
     for keep in keeps:
         # The budget covers the score block plus the per-row candidate
-        # state; operand blocks (query rows, code blocks, PQ lookup tables)
-        # are not charged.
+        # state (a threshold block's, its candidates); operand blocks
+        # (query rows, code blocks, PQ lookup tables) are not charged.
         try:
             bl, br = scan_shape(
                 stats.n_left, n_right, batch_left=batch_left, batch_right=batch_right,
-                buffer_budget_bytes=(
-                    engine.buffer_budget_bytes
-                    if buffer_budget_bytes is None else buffer_budget_bytes
-                ),
+                buffer_budget_bytes=budget,
                 reserve_bytes_per_row=TopKReducer.state_bytes_per_row(keep) if topk else 0,
+                survivor_bytes=TRIPLE_BYTES if rerank is not None and not topk else 0,
                 workers=engine.n_threads, morsel_rows=engine.morsel_rows,
                 row_work=n_right * dim,
             )
@@ -365,9 +373,20 @@ def scan_join(
     stats.extra["batch_shape"] = (bl, br)
 
     floor = condition.min_similarity if topk else condition.threshold
+    caps = None if batch_left or batch_right else caps  # explicit edges: dense
+
+    def at_floor(li, ri, scores):
+        if floor is None:
+            return li, ri, scores
+        kept = scores >= floor
+        return li[kept], ri[kept], scores[kept]
 
     def join_block(l0: int, l1: int):
         lb = left[l0:l1]
+        scan = None if caps is None else caps(lb, 4 * len(lb) * br)
+        if scan is not None:
+            found = at_floor(*scan.triples) if topk else scan.hits
+            return (*found, scan, 0, 1)
         rows = np.arange(len(lb))
         score_block, bias = scorer(lb, br)
         reranked = 0
@@ -376,12 +395,6 @@ def scan_join(
             nonlocal reranked
             reranked += len(li)
             return rerank(lb, li, ri)
-
-        def at_floor(li, ri, scores):
-            if floor is None:
-                return li, ri, scores
-            kept = scores >= floor
-            return li[kept], ri[kept], scores[kept]
 
         # A top-k row's candidates are final only after the last block; a
         # threshold block's are final at once, so they are re-ranked before
@@ -404,6 +417,7 @@ def scan_join(
                 found, failed, rescanned = prove_topk(
                     li, ri, floors, condition.k, n_right, exact,
                     lambda unproved: scorer(lb[unproved], br), bound=bound, width=br,
+                    budget_bytes=None if budget is None else 4 * len(lb) * br,
                 )
                 if rescanned is not None:
                     scan.blocks += rescanned.blocks
@@ -411,7 +425,7 @@ def scan_join(
                     scan.peak_bytes = max(scan.peak_bytes, rescanned.peak_bytes)
             found = at_floor(*found)
         scan.cells += reranked
-        return (*found, scan, len(failed))
+        return (*found, scan, len(failed), 0)
 
     spans = [(l0, min(l0 + bl, stats.n_left)) for l0 in range(0, stats.n_left, bl)]
     if (
@@ -423,13 +437,15 @@ def scan_join(
     else:
         parts = engine.run([lambda span=span: join_block(*span) for span in spans])
     peak = 0
-    for _, _, _, scan, _ in parts:
+    for _, _, _, scan, _, _ in parts:
         stats.similarity_evaluations += scan.cells
         stats.batch_invocations += scan.blocks
         peak = max(peak, scan.peak_bytes)
     stats.extra["peak_intermediate_bytes"] = peak
     if rerank is not None:
         stats.extra["rescanned_rows"] = sum(part[4] for part in parts)
+    if caps is not None:
+        stats.extra["cap_tasks"] = sum(part[5] for part in parts)
     return JoinResult(
         np.concatenate([part[0] + l0 for (l0, _), part in zip(spans, parts)]),
         np.concatenate([part[1] for part in parts]),

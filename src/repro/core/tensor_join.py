@@ -21,6 +21,7 @@ work-stealing workers, and the block shape is
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from ..embedding.base import EmbeddingModel
 from ..engine import ExecutionEngine
 from ..vector.norms import normalize_rows
 from ..vector.select import scan_shape
+from .caps import CapPartition, cap_join
 from .conditions import JoinCondition, validate_condition
 from .nlj import _as_matrices, prefetch_nlj
 from .result import JoinResult, JoinStats
@@ -70,6 +72,7 @@ def tensor_join(
     buffer_budget_bytes: int | None = None,
     assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
+    caps: CapPartition | None = None,
 ) -> JoinResult:
     """Scan-based exact E-join via blocked GEMM.
 
@@ -90,6 +93,8 @@ def tensor_join(
             workers; its worker count, morsel size and buffer budget feed
             the shape rule.  ``None`` runs blocks inline, as one worker
             with the global config's defaults.
+        caps: ``right``'s cap partition (:func:`repro.core.caps.build_caps`):
+            a left block scores only the caps its bounds keep, if few.
 
     Returns:
         Sparse offset-pair :class:`JoinResult`; ``stats`` records peak
@@ -111,6 +116,7 @@ def tensor_join(
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
         engine=engine,
+        caps=None if caps is None else partial(cap_join, caps, condition),
     )
     stats.seconds = time.perf_counter() - start
     return result

@@ -15,9 +15,9 @@ import numpy as np
 
 from ..config import get_config
 from ..errors import IndexError_
-from ..vector.norms import normalize_rows, normalize_vector
+from ..vector.norms import normalize_rows
 from ..vector.select import BLOCK_BYTES, TopKReducer, select_above
-from ..vector.topk import top_k_indices, top_k_per_row
+from ..vector.topk import top_k_per_row
 from .base import SearchResult, VectorIndex
 
 
@@ -35,7 +35,8 @@ def kmeans(
     by argmax dot with mean-and-renormalize updates.  Non-spherical (the
     product-quantizer codebooks, whose subspace slices are not unit
     vectors): assignment by Euclidean distance with plain mean updates.
-    Empty clusters are reseeded from random points either way.
+    Empty clusters are reseeded from random points either way.  A stable
+    sort gathers each cluster's rows in input order, as a mask would.
     """
     if n_clusters < 1:
         raise IndexError_(f"n_clusters must be >= 1, got {n_clusters}")
@@ -52,15 +53,75 @@ def kmeans(
                 "ij,ij->i", centroids, centroids
             )
             assign = np.argmax(obj, axis=1)
-        for c in range(n_clusters):
-            members = data[assign == c]
-            if len(members) == 0:
+        order = np.argsort(assign, kind="stable")
+        grouped = data[order]
+        bounds = np.searchsorted(assign[order], np.arange(n_clusters + 1))
+        for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo == hi:
                 centroids[c] = data[int(rng.integers(n))]
             else:
-                centroids[c] = members.mean(axis=0)
+                centroids[c] = grouped[lo:hi].mean(axis=0)
         if spherical:
             centroids = normalize_rows(centroids)
     return centroids
+
+
+def probe_lists(
+    queries: np.ndarray, packed: np.ndarray, packed_ids: np.ndarray, starts: np.ndarray,
+    pair_rows: np.ndarray, pair_lists: np.ndarray, *, k: int | None = None,
+    floors=-np.inf, packed_ok: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The list-major probe: query row ``pair_rows[i]`` scores list
+    ``pair_lists[i]`` (``packed[starts[c]:starts[c + 1]]``, ids
+    ``packed_ids[...]``; ``packed_ok`` masks rows out), pairs sorted by row.
+    Each list costs one GEMM of the rows that probe it; a row's lists fill
+    its strip of one ``-inf``-padded ``(n_queries, widest)`` matrix in the
+    order given; one :func:`select_above` pass (``k=`` and/or per-row
+    ``floors``) and one :class:`TopKReducer` fold give ``(rows, ids,
+    scores)`` by ``(row, score desc, id asc)`` — without a ``k``, every cell
+    at its floor by ``(row, id)``."""
+    n_q = len(queries)
+    sizes = np.diff(starts)[pair_lists]
+    lead = np.cumsum(sizes) - sizes  # each pair's strip, all rows end to end
+    edges = np.append(lead, sizes.sum())[np.searchsorted(pair_rows, np.arange(n_q + 1))]
+    width = int(np.diff(edges).max(initial=0))
+    pairs = np.argsort(pair_lists, kind="stable")  # grouped by list
+    bounds = np.searchsorted(pair_lists[pairs], np.arange(len(starts)))
+    grouped, cells, row = queries[pair_rows[pairs]], sizes[pairs], pair_rows[pairs]
+    # Blocks hold their pairs' cells pair after pair; runs of ~64K cells are
+    # scattered into the strips at once (small index arrays, few calls).
+    held = np.concatenate(([0], np.cumsum(cells)))
+    shift = row * width + lead[pairs] - edges[row] - held[:-1]
+    scores = np.full(n_q * width, -np.inf, np.float32)
+
+    def put(first: int, last: int, blocks: list) -> None:
+        at = np.repeat(shift[first:last], cells[first:last]) + np.arange(held[first], held[last])
+        scores[at] = np.concatenate([np.empty(0, np.float32), *blocks])
+
+    blocks, first = [], 0
+    probed = np.flatnonzero(np.diff(bounds) * np.diff(starts))
+    for lo, hi, s, e in zip(
+        *(edge[probed].tolist() for edge in (bounds[:-1], bounds[1:], starts[:-1], starts[1:]))
+    ):
+        blocks.append(grouped[lo:hi] @ packed[s:e].T)
+        if packed_ok is not None:
+            blocks[-1][:, ~packed_ok[s:e]] = -np.inf
+        blocks[-1] = blocks[-1].ravel()
+        if held[hi] - held[first] >= 1 << 16:
+            put(first, hi, blocks)
+            blocks, first = [], hi
+    put(first, len(pairs), blocks)
+    rows, cols, found = select_above(scores.reshape(n_q, width), floors, k=k)
+    real = found > -np.inf  # drop strip padding and masked rows
+    rows, at, found = rows[real], edges[rows[real]] + cols[real], found[real]
+    slot = np.searchsorted(lead, at, side="right") - 1
+    ids = packed_ids[starts[pair_lists[slot]] + at - lead[slot]]
+    if k is None:
+        order = np.lexsort((ids, rows))
+        return rows[order], ids[order], found[order]
+    reducer = TopKReducer(n_q, k)
+    reducer.merge(rows, ids, found)
+    return reducer.finalize()
 
 
 class IVFFlatIndex(VectorIndex):
@@ -140,32 +201,10 @@ class IVFFlatIndex(VectorIndex):
         allowed: np.ndarray | None = None,
         assume_normalized: bool = False,
     ) -> SearchResult:
-        self._require_built()
-        assert self._centroids is not None
-        query = np.asarray(query, dtype=np.float32)
+        query = np.asarray(query, dtype=np.float32)[None, :]
         if not assume_normalized:
-            query = normalize_vector(query)
-
-        probe_lists = self._probe_lists(query[None, :])[0]
-        self.stats.count(probes=1, distances=len(self._centroids))
-        spans = [
-            slice(self._starts[c], self._starts[c + 1]) for c in probe_lists
-        ]
-        candidates = np.concatenate([self._packed_ids[s] for s in spans])
-        if len(candidates) == 0:
-            return SearchResult(
-                ids=np.empty(0, dtype=np.int64),
-                scores=np.empty(0, dtype=np.float32),
-            )
-        sims = np.concatenate([self._packed[s] for s in spans]) @ query
-        self.stats.count(distances=len(candidates), hops=len(probe_lists))
-        if allowed is not None:
-            mask = self._bitmap(allowed)[candidates]
-            candidates, sims = candidates[mask], sims[mask]
-        best = top_k_indices(sims, k)
-        return SearchResult(
-            ids=candidates[best], scores=sims[best].astype(np.float32)
-        )
+            query = normalize_rows(query)
+        return self._search_batch(query, k, allowed)[0]
 
     def _search_batch(
         self, queries: np.ndarray, k: int, allowed: np.ndarray | None
@@ -199,48 +238,20 @@ class IVFFlatIndex(VectorIndex):
         k: int,
         packed_ok: np.ndarray | None,
     ) -> list[SearchResult]:
-        """Probe one slice of queries with their ``probe`` lists, list by list.
-
-        (Query, list) pairs are grouped by list and each probed list
-        costs one GEMM against its contiguous packed rows, written into
-        that query's strip of a dense ``(n_queries, max candidates)``
-        score matrix; one select pass over the matrix and one flat merge
-        give every query's top-k.  Visits the same lists and counts the
-        same work as a loop of :meth:`search`.
-        """
+        """:func:`probe_lists` over one slice of queries and their lists;
+        the same lists and counts as a loop of :meth:`search`."""
         n_q, nlist = len(queries), len(self._centroids)
-        sizes = np.diff(self._starts)[probe]
-        ends = np.cumsum(sizes, axis=1)
-        strips = ends - sizes  # column where each (query, probe) strip starts
-        totals = ends[:, -1]
+        totals = np.diff(self._starts)[probe].sum(axis=1)
         self.stats.count(
             probes=n_q,
             distances=n_q * nlist + int(totals.sum()),
             hops=probe.shape[1] * int(np.count_nonzero(totals)),
         )
-        scores = np.full((n_q, int(totals.max())), -np.inf, np.float32)
-        pairs = np.argsort(probe, axis=None, kind="stable")  # grouped by list
-        bounds = np.searchsorted(probe.ravel()[pairs], np.arange(nlist + 1))
-        pair_query = pairs // probe.shape[1]
-        pair_strip = strips.ravel()[pairs]
-        for c in np.flatnonzero(np.diff(bounds) * np.diff(self._starts)):
-            s, e = self._starts[c], self._starts[c + 1]
-            rows = pair_query[bounds[c] : bounds[c + 1]]
-            block = queries[rows] @ self._packed[s:e].T
-            if packed_ok is not None:
-                block[:, ~packed_ok[s:e]] = -np.inf
-            cols = pair_strip[bounds[c] : bounds[c + 1], None] + np.arange(e - s)
-            scores[rows[:, None], cols] = block
-        rows, cols, found = select_above(scores, -np.inf, k=k)
-        real = found > -np.inf  # drop strip padding and disallowed ids
-        rows, cols, found = rows[real], cols[real], found[real]
-        slot = (cols[:, None] >= strips[rows]).sum(axis=1) - 1
-        ids = self._packed_ids[
-            self._starts[probe[rows, slot]] + cols - strips[rows, slot]
-        ]
-        reducer = TopKReducer(n_q, k)
-        reducer.merge(rows, ids, found)
-        rows, ids, found = reducer.finalize()
+        rows, ids, found = probe_lists(
+            queries, self._packed, self._packed_ids, self._starts,
+            np.repeat(np.arange(n_q), probe.shape[1]), probe.ravel(),
+            k=k, packed_ok=packed_ok,
+        )
         cuts = np.searchsorted(rows, np.arange(1, n_q))
         return [
             SearchResult(ids=i, scores=f)

@@ -69,6 +69,8 @@ class Engine:
         # concurrent sessions (the query service) cannot duplicate or
         # corrupt encode/normalize/fit work.
         self._store_lock = threading.RLock()
+        # Per-source build locks: sessions racing a cold source build once.
+        self._store_key_locks: dict = {}
         # One morsel-driven executor is shared by every query on this
         # engine (built lazily so later ``repro.configure(...)`` calls
         # still take effect): cumulative scheduling stats in one place,
@@ -175,6 +177,7 @@ class Engine:
             norm_cache=self._norm_cache,
             topk_memos=self._topk_memos,
             store_lock=self._store_lock,
+            store_key_locks=self._store_key_locks,
             engine=self.executor.with_tag(tag),
             query_tag=tag,
         )

@@ -155,6 +155,7 @@ def scan_shape(
     batch_right: int | None = None,
     buffer_budget_bytes: int | None = None,
     reserve_bytes_per_row: int = 0,
+    survivor_bytes: int = 0,
     workers: int | None = None,
     morsel_rows: int | None = None,
     row_work: int | None = None,
@@ -165,10 +166,12 @@ def scan_shape(
     1. Explicit edges win: a pinned edge is clamped to the input, never to
        the budget or a cache.
     2. A budget caps derived edges, square-ish, after giving up the chunk
-       maxima (one per :data:`CHUNK` cells) and ``reserve_bytes_per_row``
+       maxima (one per :data:`CHUNK` cells), ``reserve_bytes_per_row``
        of reducer state per left row (at most half of it, or a large
-       reserve would squeeze the block to a few columns); it is split over
-       the ``workers`` blocks resident at once unless it leaves one block.
+       reserve would squeeze the block to a few columns) and
+       ``survivor_bytes`` a cell (a re-scored threshold's candidates); it
+       is split over the ``workers`` blocks resident at once unless it
+       leaves one block.
     3. A left side nothing has cut yet is cut to a worker's task
        (:func:`task_rows`: ``morsel_rows`` bounds it, ``row_work`` prices
        a row).
@@ -193,15 +196,16 @@ def scan_shape(
         if budget is not None and (bl is None or br is None):
             if workers is not None:
                 budget = max(budget - budget // (CHUNK + 1), 1)
-            cells = budget // 4
+            cell_bytes = 4 + survivor_bytes
+            cells = budget // cell_bytes
             if cells < 1:
                 raise BufferBudgetError(
                     f"buffer budget {budget}B cannot hold one FP32 cell"
                 )
             if bl is None:
-                row_cost = max(reserve_bytes_per_row + 4, 2 * reserve_bytes_per_row)
+                row_cost = max(reserve_bytes_per_row + cell_bytes, 2 * reserve_bytes_per_row)
                 bl = max(1, min(n_left, math.isqrt(cells), budget // row_cost))
-            free_cells = cells - bl * reserve_bytes_per_row // 4
+            free_cells = cells - bl * reserve_bytes_per_row // cell_bytes
             if free_cells < bl and batch_left is None:
                 raise BufferBudgetError(
                     f"buffer budget {budget}B cannot hold one score column "

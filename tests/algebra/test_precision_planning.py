@@ -284,7 +284,12 @@ class TestStoreAmortization:
 
         out = execute(join_plan, ctx, report=ExecutionReport())
         cached = {key: entry[1] for key, entry in ctx.norm_cache.items()}
-        assert set(cached) == {("probes", "emb", "hash"), ("base", "emb", "hash")}
+        # The right side's cap partition sits beside its unit rows (declined
+        # here: too few rows to pay for one).
+        assert set(cached) == {
+            ("probes", "emb", "hash"), ("base", "emb", "hash"), ("base", "emb", "hash", "caps"),
+        }
+        assert cached[("base", "emb", "hash", "caps")] is None
         execute(join_plan, ctx, report=ExecutionReport())
         for key, matrix in cached.items():
             assert ctx.norm_cache[key][1] is matrix  # normalized once

@@ -54,6 +54,48 @@ class TestKMeans:
         # the property under test, not global optimality.
         assert agreement / len(vectors) > 0.8
 
+    @staticmethod
+    def reference(data, n_clusters, *, n_iters, rng, spherical):
+        """The per-cluster mask loop ``kmeans`` replaced, and how many
+        clusters it found empty."""
+        n = data.shape[0]
+        centroids = data[rng.choice(n, size=n_clusters, replace=False)].copy()
+        empty = 0
+        for _ in range(n_iters):
+            if spherical:
+                assign = np.argmax(data @ centroids.T, axis=1)
+            else:
+                obj = data @ centroids.T - 0.5 * np.einsum("ij,ij->i", centroids, centroids)
+                assign = np.argmax(obj, axis=1)
+            for c in range(n_clusters):
+                members = data[assign == c]
+                if len(members) == 0:
+                    empty += 1
+                    centroids[c] = data[int(rng.integers(n))]
+                else:
+                    centroids[c] = members.mean(axis=0)
+            if spherical:
+                centroids = normalize_rows(centroids)
+        return centroids, empty
+
+    @pytest.mark.parametrize("spherical", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_the_mask_loop(self, spherical, seed):
+        rng = np.random.default_rng(seed)
+        spread = rng.standard_normal((500, DIM)).astype(np.float32)
+        # Rows repeated many times over: equal initial centroids tie, and
+        # all but the first of them are left empty and reseeded.
+        repeated = rng.standard_normal((6, DIM)).astype(np.float32)[rng.integers(0, 6, 300)]
+        data = np.concatenate([spread, repeated])
+        if spherical:
+            data = normalize_rows(data)
+        want, empty = self.reference(
+            data, 40, n_iters=6, rng=np.random.default_rng(seed), spherical=spherical
+        )
+        got = kmeans(data, 40, n_iters=6, rng=np.random.default_rng(seed), spherical=spherical)
+        assert empty > 0
+        assert np.array_equal(got, want)
+
 
 class TestIVFIndex:
     def test_validation(self):
@@ -254,7 +296,8 @@ class TestSearchBatch:
             ivf, "_probe_slice", lambda q, *a: calls.append(len(q)) or probe_slice(q, *a)
         )
         sliced = self._assert_same(ivf, queries, 5)
-        assert len(calls) > 3 and sum(calls) == len(queries)
+        # The batch's slices, then the loop's searches: a batch of one each.
+        assert len(calls) > 3 + len(queries) and sum(calls) == 2 * len(queries)
         for got, want in zip(sliced, whole):
             assert got.ids.tolist() == want.ids.tolist()
             np.testing.assert_allclose(got.scores, want.scores, atol=1e-6)

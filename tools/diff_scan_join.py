@@ -18,7 +18,11 @@ grid rows full of ties, random rows, every right row three times over (so
 copies straddle any block edge), an empty and a one-row side} x {serial,
 an engine of 1 and of 2 threads, the ``REPRO_THREADS`` engine, that engine
 under a budget of 64 KiB a worker}, task floors lowered so the engines
-really cut.
+really cut.  Two clustered tables (4,500 right rows around 48 directions)
+join in fp32 only, on every condition and mode.  Every fp32 join is
+offered the right side's cap partition (``repro.core.caps``) where this
+checkout has one: on the clustered tables it is kept, and a task its
+bounds prune joins on the caps; every other table's partition declines.
 
 int8 and PQ run at default settings: every top-k row is proved by the
 quantizer's error bound or rescanned at a fixed floor.
@@ -36,7 +40,12 @@ the budget.  Against the parent: ids and order exact — except an int8 or
 PQ top-k the parent got wrong (it kept a multiple of k candidates, no
 proof) and this checkout gets right, counted apart; scores exact where
 they are re-ranked (int8, PQ) or the arithmetic is (grid), within 1 ulp
-of a unit score (2^-23) where the GEMM's own scores are emitted.
+of a unit score (2^-23) where the GEMM's own scores are emitted.  A join
+that ran on the caps scores cells in other GEMMs than the parent's: each
+row holds the parent's ids, where the two differ position by position
+the pairs' float64 scores are within ``SWAP_TOLERANCE`` (a threshold's
+extra or missing pairs within it of the threshold), and a pair's score
+is within ``DIM x 2^-24`` of the parent's.
 ``--emit`` holds what must not depend on the thread count: id digests,
 score digests where exact, and whether an int8 or PQ top-k equals the
 oracle.  An exception digests as its type name.  Exit status 1 on any
@@ -90,11 +99,24 @@ def _tables(np):
         out[f"grid{seed}"] = (_grid(np, 70, 10 + seed), _grid(np, 330, 20 + seed), True)
         out[f"plain{seed}"] = (plain(150), plain(1300), False)
         out[f"dups{seed}"] = (plain(90), plain(300)[np.arange(900) // 3], False)
+    for seed in range(2):
+        out[f"clustered{seed}"] = (
+            _clustered(np, 200, 30 + seed), _clustered(np, 4_500, 40 + seed), False
+        )
     out["empty-left"] = (plain(0), plain(40), False)
     out["empty-right"] = (plain(40), plain(0), False)
     out["one-left"] = (plain(1), plain(700), False)
     out["one-right"] = (plain(130), plain(1), False)
     return out
+
+
+def _clustered(np, n, seed):
+    """Unit rows around 48 fixed directions (~0.97 to their own): a right
+    side a cap partition prunes."""
+    rng = np.random.default_rng(seed)
+    around = _unit64(np, np.random.default_rng(7).standard_normal((48, DIM)))
+    noise = rng.standard_normal((n, DIM)) * (0.25 / DIM**0.5)
+    return _unit64(np, around[rng.integers(0, 48, n)] + noise).astype(np.float32)
 
 
 def _unit64(np, rows):
@@ -203,6 +225,12 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
     from repro.core.quantized_join import QuantizedRelation, quantized_tensor_join
     from repro.engine import ExecutionEngine
     from repro.vector import select
+    from repro.vector.norms import normalize_rows
+
+    try:
+        from repro.core.caps import build_caps
+    except ImportError:  # a checkout without cap partitions
+        build_caps = None
 
     # Without this these joins are too small for an engine to cut
     # (tests/conftest.py::schedule_every_task).  WIDE_TASK_ROWS stays: the
@@ -229,10 +257,13 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
         stores = {
             method: QuantizedRelation.build(right, method, m=4, ks=16, seed=3)
             for method in ("int8", "pq")
-            if len(right)
+            if len(right) and not name.startswith("clustered")
         }
+        offered = {}
+        if build_caps is not None:
+            offered["caps"] = build_caps(normalize_rows(right)) if len(right) else None
         joins = {
-            "fp32": (tensor_join, right, {}, TOLERANCE),
+            "fp32": (tensor_join, right, offered, TOLERANCE),
             "fp16": (tensor_join_fp16, right, {}, precision_error_bound(DIM)),
             # Default settings: every top-k row proved or rescanned.
             **{
@@ -243,6 +274,8 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
                 for method in ("int8", "pq")
             },
         }
+        if name.startswith("clustered"):
+            joins = {"fp32": joins["fp32"]}
         for label, cond in _conditions(np, scores).items():
             condition = (
                 ThresholdCondition(cond["threshold"]) if "threshold" in cond
@@ -263,6 +296,11 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
                         "scores": sha(got.scores) if stable
                         else got.scores.view(np.int32).tolist() if raw else None,
                     }
+                    if raw and offered and representation == "fp32":
+                        # Cap tasks run, or "declined": no partition kept.
+                        out[case]["caps"] = got.stats.extra.get("cap_tasks", "declined")
+                    if raw and name.startswith("clustered") and len(got) <= 100_000:
+                        out[case]["pairs"] = [got.left_ids.tolist(), got.right_ids.tolist()]
                     why = _oracle_check(
                         np, scores, cond, exact, slack,
                         got.left_ids, got.right_ids, got.scores,
@@ -284,6 +322,37 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
                     ):
                         complaints.append(f"{case}: over the buffer budget")
     return out, complaints
+
+
+def _off_parent(np, tables, case: str, parent: dict, change: dict) -> str | None:
+    """Why a join that ran on the caps is not the parent's answer up to
+    fp32 rounding, or ``None``."""
+    name, label = case.split("/")[:2]
+    left, right, _ = tables[name]
+    oracle = _unit64(np, left) @ _unit64(np, right).T
+    cond = _conditions(np, oracle)[label]
+    if "pairs" not in parent or "pairs" not in change:
+        return None if change["ids"] == parent["ids"] else "ids differ, no pairs kept"
+    (pl, pr), (cl, cr) = (np.array(side["pairs"], dtype=np.int64) for side in (parent, change))
+    ps, cs = (np.array(side["scores"], dtype=np.int32).view(np.float32) for side in (parent, change))
+    width = oracle.shape[1]
+    if "threshold" in cond:
+        # A pair either side of the threshold by fp32 rounding may differ.
+        odd = np.setxor1d(pl * width + pr, cl * width + cr)
+        if (np.abs(oracle.ravel()[odd] - cond["threshold"]) > SWAP_TOLERANCE).any():
+            return "a pair clearly inside or outside the threshold differs"
+    else:
+        if not np.array_equal(pl, cl):
+            return "a row holds another number of pairs"
+        moved = pr != cr
+        if (np.abs(oracle[pl[moved], pr[moved]] - oracle[cl[moved], cr[moved]]) > SWAP_TOLERANCE).any():
+            return "ids differ beyond fp32 rounding"
+    _, at_parent, at_change = np.intersect1d(
+        pl * width + pr, cl * width + cr, return_indices=True
+    )
+    if np.abs(ps[at_parent] - cs[at_change]).max(initial=0.0) > SWAP_TOLERANCE:
+        return "a score further than DIM x 2^-24 from the parent's"
+    return None
 
 
 def _apart(a: list[int], b: list[int]) -> float:
@@ -328,9 +397,24 @@ def main() -> int:
                 status = done.returncode
             sides[name] = json.loads(emitted.read_text())
     assert sides["parent"].keys() == sides["change"].keys()
+    import numpy as np
+
+    tables = _tables(np)
     ids, fixed, scores, widest = [], [], [], 0.0
+    capped, off, declined, existing = [], [], [], []
     for case, change in sides["change"].items():
         parent = sides["parent"][case]
+        if "caps" in change and not case.startswith("clustered"):
+            existing.append(case)
+        if change.get("caps") not in (None, 0, "declined"):
+            # Scored on the caps: the parent's answer up to fp32 rounding.
+            capped.append(case)
+            why = _off_parent(np, tables, case, parent, change)
+            if why:
+                off.append(f"{case}: {why}")
+            continue
+        if "caps" in change:
+            declined.append(case)
         if change["ids"] != parent["ids"]:
             # Allowed only where the parent missed the oracle and this
             # checkout meets it: a quantized top-k the proof made exact.
@@ -343,6 +427,7 @@ def main() -> int:
                 scores.append(case)
         elif change["scores"] != parent["scores"]:
             scores.append(case)
+    unrefused = [case for case in existing if case not in declined]
     print(
         f"{len(sides['change'])} cases: {len(ids)} id / order differences {ids[:8]}, "
         f"{len(fixed)} int8 / PQ top-k the parent missed and this checkout does not, "
@@ -350,7 +435,13 @@ def main() -> int:
         f"(GEMM-emitted scores at most {widest / ULP:.2f} ulp apart), oracle "
         f"{'clean' if status == 0 else 'COMPLAINTS (above)'}"
     )
-    return 1 if ids or scores or status else 0
+    print(
+        f"cap partitions: {len(capped)} cases ran the cap path, {len(off)} of them off "
+        f"the parent beyond fp32 rounding {off[:4]}; {len(declined)} fp32 cases declined, "
+        f"{len(existing) - len(unrefused)} of the {len(existing)} on the existing tables "
+        f"{unrefused[:4]}"
+    )
+    return 1 if ids or scores or off or unrefused or status else 0
 
 
 if __name__ == "__main__":
