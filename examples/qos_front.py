@@ -1,15 +1,11 @@
-"""Asyncio QoS serving: deadlines, priorities, degraded responses.
+"""Asyncio QoS serving: deadlines, priorities, shedding.
 
 Many coroutine clients share one engine through ``AsyncQueryService``:
 idle connections cost a heap entry each (not a thread), a bounded
 dispatcher pool drains them in priority order, and each query carries a
-deadline and its permission to degrade (``min_recall``).  Under pressure
-the service sheds provably-unmeetable queries with
-``DeadlineExceededError``; while its degraded estimate is cold it may
-run a deadline-pressed selection over int8 codes instead (the exact ids,
-explicitly flagged — not a faster scan in NumPy, so once timed it sheds
-those too).  Everything else comes back bit-identical to serial
-execution.
+deadline.  Under pressure the service sheds provably-unmeetable queries
+with ``DeadlineExceededError``; everything else comes back bit-identical
+to serial execution — in time (``ok``) or late (``late``).
 """
 
 from __future__ import annotations
@@ -56,14 +52,11 @@ async def client(engine, front, worker: int, outcomes: dict) -> None:
                 query,
                 deadline_s=0.25,
                 priority=worker % 3,  # a few service classes
-                min_recall=0.9,  # below 1.0: may degrade to int8 codes, flagged
             )
         except DeadlineExceededError:
             outcomes["shed"] += 1
             continue
-        if response.degraded:
-            outcomes["degraded"] += 1  # flagged, never silent
-        elif response.deadline_met:
+        if response.deadline_met:
             outcomes["ok"] += 1
         else:
             outcomes["late"] += 1
@@ -74,7 +67,7 @@ async def serve() -> dict:
     # Few execution slots relative to the client count: the front's
     # queue, not a thread per connection, absorbs the difference.
     service = engine.serve(max_inflight=4)
-    outcomes = {"ok": 0, "degraded": 0, "late": 0, "shed": 0}
+    outcomes = {"ok": 0, "late": 0, "shed": 0}
     async with AsyncQueryService(service, workers=4) as front:
         await asyncio.gather(
             *(client(engine, front, w, outcomes) for w in range(N_CLIENTS))

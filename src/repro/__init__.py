@@ -16,7 +16,7 @@ A hybrid vector-relational engine in pure Python/NumPy:
 * :mod:`repro.query` — declarative query builder,
 * :mod:`repro.service` — concurrent query service: admission control,
   cross-query shared-scan batching, plan + exact-key result caches, and
-  a QoS layer (deadlines, priorities, degraded-precision serving, an
+  a QoS layer (deadlines, priorities, shedding of unmeetable work, an
   asyncio submission front),
 * :mod:`repro.obs` — unified observability: metrics registry, per-query
   span tracing with a bounded ring, Prometheus/JSONL exporters, and

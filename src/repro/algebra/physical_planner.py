@@ -435,7 +435,7 @@ def unwrap_selection(
     plan: LogicalNode,
 ) -> tuple[list[LogicalNode], ESelectNode] | None:
     """Match ``Project*/Limit*( ESelect( Scan(t) ) )``: an E-selection over
-    a base table scan, which a shared scan or the degraded path can run
+    a base table scan, which a shared scan can run
     itself and hand to :func:`materialize_selection`.  Returns ``(wrappers
     outermost-first, eselect node)``, else ``None``."""
     wrappers: list[LogicalNode] = []
@@ -459,7 +459,7 @@ def materialize_selection(
 ) -> Table:
     """An E-selection's output table, under the ``Project`` / ``Limit``
     nodes (outermost first) of a plan whose selection the caller ran
-    itself: a coalesced group, the degraded path."""
+    itself: a coalesced group."""
     out = table.take(ids).with_column(
         Column(Field(score_column, DataType.FLOAT32), scores)
     )

@@ -128,8 +128,7 @@ class DeadlineExceededError(ServiceError):
     deadline has already passed, while queued (for admission or in the
     async front's priority queue) when the deadline passes before an
     execution slot frees up, and at dispatch when the execution-time
-    estimate proves the deadline cannot be met even by the degraded
-    (int8 code scan) path."""
+    estimate exceeds the time left before the deadline."""
 
 
 class ShardError(ServiceError):

@@ -258,16 +258,14 @@ class WorkloadRecorder:
         arrival_s: float,
         deadline_s: float | None = None,
         priority: int = 0,
-        min_recall: float | None = None,
         response=None,
         error: BaseException | None = None,
     ) -> dict | None:
         """Append one submission's record; returns it (``None`` if closed).
 
         ``response`` is the :class:`~repro.service.qos.QueryResponse` on
-        success; ``error`` the raised exception otherwise.  Degraded
-        responses are recorded without a digest — their re-ranked scores
-        are not the exact path's, so not a replay baseline.
+        success, recorded with its result's digest; ``error`` the raised
+        exception otherwise.
         """
         if self._closed:
             return None
@@ -284,23 +282,17 @@ class WorkloadRecorder:
             "arrival_s": round(float(arrival_s), 9),
             "deadline_s": deadline_s,
             "priority": priority,
-            "min_recall": min_recall,
             "plan": plan_dict,
             "outcome": outcome,
             "error": None if error is None else f"{type(error).__name__}: {error}",
             "latency_s": None,
-            "degraded": False,
             "cache_hit": False,
-            "precision": None,
             "digest": None,
         }
         if response is not None:
             record["latency_s"] = round(float(response.latency_s), 9)
-            record["degraded"] = bool(response.degraded)
             record["cache_hit"] = bool(response.cache_hit)
-            record["precision"] = response.precision
-            if not response.degraded:
-                record["digest"] = result_digest(response.table)
+            record["digest"] = result_digest(response.table)
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
             if self._closed:

@@ -15,11 +15,12 @@ digests the fresh result and compares bit-for-bit.  The run report pairs
 the capture's latency/QPS numbers with the replay's, which is the
 before/after comparison a perf-affecting change should publish.
 
-Replay is *exact-path only* by default: captured QoS terms (deadline,
-recall floor) are not re-applied, because a deadline raced against a
+Replay ignores captured QoS terms by default: a deadline raced against a
 different machine's clock sheds different queries and destroys digest
-comparability.  Pass ``apply_qos=True`` to rehearse shedding behaviour
-instead of verifying results.
+comparability.  Pass ``apply_qos=True`` to re-apply each record's deadline
+and priority and rehearse shedding; whatever is not shed is still
+digest-checked.  The recall floor and degrade flags an older capture
+carried are ignored.
 """
 
 from __future__ import annotations
@@ -126,33 +127,19 @@ class WorkloadReplayer:
                     time.sleep(delay)
             start = time.perf_counter()
             outcome: dict = {"query_id": record["query_id"]}
+            qos = (
+                {"deadline_s": record["deadline_s"], "priority": record["priority"] or 0}
+                if self.apply_qos
+                else {}
+            )
             try:
-                if self.apply_qos:
-                    response = service.submit_qos(
-                        plans[i],
-                        deadline_s=record["deadline_s"],
-                        priority=record["priority"] or 0,
-                        min_recall=(
-                            1.0
-                            if record["min_recall"] is None
-                            else record["min_recall"]
-                        ),
-                        tag=record["tag"],
-                    )
-                else:
-                    # Exact path: no deadline, recall floor 1.0, so every
-                    # replayed result is digest-comparable.
-                    response = service.submit_qos(
-                        plans[i], min_recall=1.0, tag=record["tag"]
-                    )
+                response = service.submit_qos(plans[i], tag=record["tag"], **qos)
             except Exception as exc:  # noqa: BLE001 - tallied per query
                 outcome["error"] = f"{type(exc).__name__}: {exc}"
                 outcome["latency_s"] = time.perf_counter() - start
             else:
                 outcome["latency_s"] = time.perf_counter() - start
-                outcome["degraded"] = response.degraded
-                if not response.degraded:
-                    outcome["digest"] = result_digest(response.table)
+                outcome["digest"] = result_digest(response.table)
             results[i] = outcome
 
         def worker() -> None:

@@ -3,7 +3,7 @@
 :meth:`~repro.service.service.QueryService.health` assembles this from
 the live components — breaker registry, engine retry stats, scheduler
 watchdog counters, the active fault injector (if any), and the QoS
-shed/degrade counters — so operators and the bench harness read one
+shed/deadline counters — so operators and the bench harness read one
 coherent picture instead of five scattered snapshots.
 """
 
@@ -26,7 +26,7 @@ class ServiceHealth:
         retries: engine retry counters (attempts/retries/giveups/...).
         watchdog: watchdog event counters (stalls/deaths/respawns/...).
         faults: active fault-injector stats (empty when disarmed).
-        qos: shed/degrade/deadline counters from the QoS layer.
+        qos: shed/deadline counters from the QoS layer.
         service: completed/failed/shed counters from the service proper.
         shard: shard-process pool health (procs/alive/deaths/respawns);
             empty when sharded execution is disabled.

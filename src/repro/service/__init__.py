@@ -16,7 +16,8 @@ a multi-client service:
 * :mod:`~repro.service.semantic_cache` — exact-key result caching with
   TTL, LRU eviction and catalog-version invalidation,
 * :mod:`~repro.service.qos` — the QoS primitives: deadlines, priorities,
-  EWMA estimators, and the explicit ``degraded`` response contract,
+  the execution-time EWMA that sheds unmeetable deadlines, and the
+  annotated response,
 * :mod:`~repro.service.service` — the :class:`QueryService` facade and
   per-client :class:`SessionHandle`,
 * :mod:`~repro.service.async_front` — :class:`AsyncQueryService`, an

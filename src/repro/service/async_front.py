@@ -15,10 +15,9 @@ The queue is deadline- and priority-aware:
 * an entry whose deadline expires while still queued is shed with
   :class:`~repro.errors.DeadlineExceededError` without ever touching the
   service — the front's analogue of admission-queue shedding;
-* the remaining QoS terms (residual deadline, priority, recall floor)
-  are forwarded to :meth:`QueryService.submit_qos`, so the service's
-  shed/degrade machinery sees the time actually left, not the client's
-  original budget.
+* the remaining QoS terms (residual deadline, priority) are forwarded to
+  :meth:`QueryService.submit_qos`, so the service's shed decision sees
+  the time actually left, not the client's original budget.
 
 Only a request that has something to execute is queued.  ``submit``
 first probes the service's result cache on the event loop itself
@@ -81,7 +80,6 @@ class _Pending:
     query: object
     priority: int
     deadline: float | None
-    min_recall: float | None
     tag: str
     timeout_s: float | None
     explain_analyze: bool
@@ -206,7 +204,6 @@ class AsyncQueryService:
         *,
         deadline_s: float | None = None,
         priority: int = DEFAULT_PRIORITY,
-        min_recall: float | None = None,
         tag: str = "async/anon",
         timeout_s: float | None = None,
         explain_analyze: bool = False,
@@ -223,7 +220,6 @@ class AsyncQueryService:
             query,
             priority,
             None if deadline_s is None else time.perf_counter() + float(deadline_s),
-            min_recall,
             tag,
             timeout_s,
             explain_analyze,
@@ -318,7 +314,6 @@ class AsyncQueryService:
                     else pending.deadline - time.perf_counter()
                 ),
                 priority=pending.priority,
-                min_recall=pending.min_recall,
                 tag=pending.tag,
                 timeout_s=pending.timeout_s,
                 explain_analyze=pending.explain_analyze,

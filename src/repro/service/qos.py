@@ -5,19 +5,12 @@ slots: queue wait dominates latency and p99 collapses to a large multiple
 of the single-client value.  (No frozen workload runs in that regime:
 ``serve_hot`` in ``benchmarks/e2e/README.md`` prices this scaffold on the
 uncontended path; the 64-client shed cell is ROADMAP item 1.)  The QoS
-layer keeps tails flat by making two decisions *before* work is executed,
-both of which need cheap online estimates:
-
-* **shed** — a query whose deadline is provably unmeetable (already
-  expired, or the execution-time EWMA says even the cheapest path cannot
-  finish in time) fails fast with
-  :class:`~repro.errors.DeadlineExceededError` instead of occupying an
-  execution slot it cannot use;
-* **degrade** — when the caller allows it (``min_recall < 1``), a
-  selection that cannot meet its deadline at full precision runs over
-  int8 codes (a quarter of the bytes, the same ids) and the response is
-  explicitly flagged ``degraded`` — never silently.  The code scan is not
-  faster in NumPy, so once its EWMA is warm the same query is shed.
+layer keeps tails flat by one decision made *before* work is executed:
+a query whose deadline is provably unmeetable — already expired, or the
+execution-time EWMA says it cannot finish in time — is **shed**, failing
+fast with :class:`~repro.errors.DeadlineExceededError` instead of
+occupying an execution slot it cannot use.  There is no second, cheaper
+execution mode: every answer the service returns is the exact one.
 
 Everything here is mechanism, not policy: the classes are small,
 thread-safe, and independently testable.  :class:`QueryService` and
@@ -43,7 +36,7 @@ class EWMA:
 
     ``alpha`` is the weight of each new observation; the first
     observation seeds the average directly.  Thread-safety is the
-    caller's job (the trackers below hold their own locks).
+    caller's job (the tracker below holds its own lock).
     """
 
     __slots__ = ("alpha", "value", "n")
@@ -67,12 +60,12 @@ class EWMA:
 
 
 class ExecTimeTracker:
-    """Per-mode EWMA of observed execution seconds (queue wait excluded).
+    """EWMA of observed execution seconds (queue wait excluded).
 
-    Feeds the shed/degrade decision: ``estimate(mode)`` returns the
-    safety-padded expected execution time, or ``None`` until at least
-    ``min_samples`` observations exist — a cold tracker never sheds, so
-    the first queries of a fresh service always run and seed it.
+    Feeds the shed decision: :meth:`estimate` returns the safety-padded
+    expected execution time, or ``None`` until at least ``min_samples``
+    observations exist — a cold tracker never sheds, so the first queries
+    of a fresh service always run and seed it.
     """
 
     def __init__(
@@ -84,32 +77,24 @@ class ExecTimeTracker:
     ) -> None:
         self.safety = max(1.0, float(safety))
         self.min_samples = max(1, int(min_samples))
-        self._ewmas: dict[str, EWMA] = {}
-        self._alpha = alpha
+        self._ewma = EWMA(alpha)
         self._lock = threading.Lock()
 
-    def observe(self, mode: str, seconds: float) -> None:
-        """Record one completed execution of ``mode`` ("full"/"degraded")."""
+    def observe(self, seconds: float) -> None:
+        """Record one completed execution."""
         with self._lock:
-            ewma = self._ewmas.get(mode)
-            if ewma is None:
-                ewma = self._ewmas[mode] = EWMA(self._alpha)
-            ewma.update(max(0.0, seconds))
+            self._ewma.update(max(0.0, seconds))
 
-    def estimate(self, mode: str) -> float | None:
-        """Safety-padded expected seconds for ``mode``, if warmed up."""
+    def estimate(self) -> float | None:
+        """Safety-padded expected seconds, once warmed up."""
         with self._lock:
-            ewma = self._ewmas.get(mode)
-            if ewma is None or ewma.n < self.min_samples or ewma.value is None:
+            if self._ewma.n < self.min_samples:
                 return None
-            return ewma.value * self.safety
+            return self._ewma.value * self.safety
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {
-                mode: {"ewma_s": e.value, "n": e.n}
-                for mode, e in self._ewmas.items()
-            }
+            return {"ewma_s": self._ewma.value, "n": self._ewma.n}
 
 
 @dataclass
@@ -119,16 +104,10 @@ class QoSParams:
     Attributes:
         deadline: absolute ``time.perf_counter()`` deadline, or ``None``.
         priority: larger values are scheduled (and admitted) first.
-        min_recall: below ``1.0``, the caller's permission to *degrade*
-            the query to an int8 code scan instead of shedding it when
-            the deadline is tight.  ``None`` (or ``1.0``) forbids
-            degradation: the query either runs at full precision or is
-            shed.
     """
 
     deadline: float | None = None
     priority: int = DEFAULT_PRIORITY
-    min_recall: float | None = None
 
     @classmethod
     def from_relative(
@@ -136,13 +115,12 @@ class QoSParams:
         deadline_s: float | None,
         *,
         priority: int = DEFAULT_PRIORITY,
-        min_recall: float | None = None,
         now: float | None = None,
     ) -> "QoSParams":
         """Build params from a deadline *relative to now* (seconds)."""
         now = time.perf_counter() if now is None else now
         deadline = None if deadline_s is None else now + float(deadline_s)
-        return cls(deadline=deadline, priority=priority, min_recall=min_recall)
+        return cls(deadline=deadline, priority=priority)
 
     def remaining(self, now: float | None = None) -> float | None:
         """Seconds until the deadline (negative if passed); None if unset."""
@@ -156,18 +134,15 @@ class QoSParams:
 class QueryResponse:
     """A service result plus the QoS metadata callers must see.
 
-    ``table`` is the materialized result.  ``degraded`` is the explicit
-    flag the exactness contract requires: ``False`` means the result is
-    bit-identical to serial fp32 execution; ``True`` means the query ran
-    over quantized codes because its caller allowed it (``precision``
-    says which codec): the exact ids, scores re-ranked in fp32 rather
-    than by the serial kernel.  Degraded responses are never cached and
-    never silent.
+    ``table`` is the materialized result, bit-identical to serial
+    execution of the same query.
     """
 
+    #: Always ``False``: no path degrades an answer.  A class constant,
+    #: not a field, kept because ``benchmarks/e2e/workloads.py`` reads it.
+    degraded = False
+
     table: Table
-    degraded: bool = False
-    precision: str = "fp32"
     latency_s: float = 0.0
     #: ``None`` when the query carried no deadline; otherwise whether the
     #: result was produced before it (a late result is still returned —
@@ -190,7 +165,7 @@ class QueryResponse:
 
 @dataclass
 class QoSStats:
-    """Counters for the deadline/priority/degradation machinery."""
+    """Counters for the deadline/priority machinery."""
 
     #: Submissions that carried a deadline.
     with_deadline: int = 0
@@ -198,10 +173,8 @@ class QoSStats:
     #: while queued in the async front / admission queue).
     shed_expired: int = 0
     #: Shed because the execution-time estimate proved the deadline
-    #: unmeetable even by the cheapest allowed path.
+    #: unmeetable.
     shed_unmeetable: int = 0
-    #: Queries executed on the degraded (int8 code scan) path.
-    degraded: int = 0
     #: Queries that completed before their deadline.
     deadline_met: int = 0
     #: Queries that completed after their deadline (late, not shed).
@@ -212,7 +185,6 @@ class QoSStats:
             "with_deadline": self.with_deadline,
             "shed_expired": self.shed_expired,
             "shed_unmeetable": self.shed_unmeetable,
-            "degraded": self.degraded,
             "deadline_met": self.deadline_met,
             "deadline_missed": self.deadline_missed,
         }

@@ -12,23 +12,14 @@ the engine's morsel scheduler with per-query tags so scheduled work is
 attributable per query.
 
 On top of that sits the **QoS layer** (:meth:`QueryService.submit_qos`):
-per-query deadlines, priorities, and permission to degrade
-(``min_recall``).  A query whose deadline is provably unmeetable is shed
-with :class:`~repro.errors.DeadlineExceededError` before it wastes an
-execution slot; a selection whose caller allows it may instead be
-*degraded* to an int8 code scan — and the response carries an explicit
-``degraded`` flag, never a silent change.  The code scan reads a quarter
-of the bytes but is not faster in NumPy (the codes are cast for the
-GEMV, and a clustered corpus sends about half the top-k selections to
-the proof's second pass), so once the tracker has timed it the same
-query is shed instead.
+per-query deadlines and priorities, and one rule — a query whose
+execution-time estimate exceeds the time left before its deadline is
+shed with :class:`~repro.errors.DeadlineExceededError` before it wastes
+an execution slot.  There is no cheaper mode to fall back to.
 
 Throughput — not single-query latency — is the service's contract, but
-correctness is non-negotiable: every result returned **without** the
-``degraded`` flag is bit-identical to executing the same query serially
-on the underlying engine.  Degraded results bypass the result cache and
-singleflight entirely, so their re-ranked scores are never replayed as
-the exact path's.
+correctness is non-negotiable: every result returned is bit-identical to
+executing the same query serially on the underlying engine.
 """
 
 from __future__ import annotations
@@ -38,15 +29,8 @@ import threading
 import time
 from dataclasses import dataclass
 
-from ..algebra.physical_planner import (
-    ExecutionReport,
-    eselect_query,
-    execute,
-    materialize_selection,
-    unwrap_selection,
-)
+from ..algebra.physical_planner import ExecutionReport, execute
 from ..config import get_config
-from ..core.quantized_join import quantized_eselect
 from ..errors import DeadlineExceededError, ServiceError, SessionClosedError
 from ..obs.adapter import publish_service
 from ..obs.capture import WorkloadRecorder
@@ -146,7 +130,6 @@ class SessionHandle:
         *,
         deadline_s: float | None = None,
         priority: int = DEFAULT_PRIORITY,
-        min_recall: float | None = None,
         timeout_s: float | None = None,
         explain_analyze: bool = False,
     ) -> QueryResponse:
@@ -158,10 +141,6 @@ class SessionHandle:
                 meet it; a late-but-started query still returns (with
                 ``deadline_met=False``).
             priority: larger values win admission and scheduling first.
-            min_recall: below ``1.0``, lets the service degrade a
-                deadline-pressed selection to an int8 code scan
-                (response flagged ``degraded``).  ``None`` forbids
-                degradation.
             timeout_s: admission backpressure bound (overload wait).
             explain_analyze: force-trace this query and attach the
                 rendered span tree to ``response.explain``.
@@ -172,7 +151,6 @@ class SessionHandle:
                 query,
                 deadline_s=deadline_s,
                 priority=priority,
-                min_recall=min_recall,
                 tag=f"{self.name}/q{seq}",
                 timeout_s=timeout_s,
                 explain_analyze=explain_analyze,
@@ -256,7 +234,7 @@ class QueryService:
             (``0`` disables; requires ``coalesce=True`` to take effect).
             The pool publishes column stores into shared memory once and
             fans group scans out across the processes; results stay
-            bit-identical to serial, and pool failures degrade to the
+            bit-identical to serial, and pool failures fall back to the
             in-process scan.
 
     ``None`` leaves a setting to the default of the component that
@@ -385,11 +363,11 @@ class QueryService:
         """Answer one query — from the result cache, or admit, plan, and
         execute it; blocks until the result.
 
-        The no-QoS entry point: no deadline, default priority, never
-        degraded — the returned table is always bit-identical to serial
-        execution.  Called from client threads; the service has no worker
-        pool of its own; concurrency is whatever the callers bring,
-        bounded by admission control.
+        The no-QoS entry point: no deadline, default priority — the
+        returned table is bit-identical to serial execution.  Called from
+        client threads; the service has no worker pool of its own;
+        concurrency is whatever the callers bring, bounded by admission
+        control.
 
         With ``explain_analyze=True`` the query is force-traced and the
         full :class:`~repro.service.qos.QueryResponse` is returned
@@ -398,7 +376,6 @@ class QueryService:
         """
         response = self.submit_qos(
             query,
-            min_recall=1.0,
             tag=tag,
             timeout_s=timeout_s,
             explain_analyze=explain_analyze,
@@ -411,7 +388,6 @@ class QueryService:
         *,
         deadline_s: float | None = None,
         priority: int = DEFAULT_PRIORITY,
-        min_recall: float | None = None,
         tag: str = "svc/anon",
         timeout_s: float | None = None,
         explain_analyze: bool = False,
@@ -424,16 +400,10 @@ class QueryService:
         slot, no retry budget and no optimized plan, and returns on the
         calling thread.  Only a miss is admitted, planned and executed.
 
-        The deadline drives three decisions, all *before* execution:
-
-        * already expired (at submission or while queued for admission)
-          → shed with :class:`~repro.errors.DeadlineExceededError`;
-        * execution-time estimate proves full precision unmeetable,
-          ``min_recall`` allows degrading and the degraded estimate is
-          unknown or fits → run the selection over int8 codes, response
-          flagged ``degraded``;
-        * estimate proves even the cheapest allowed path unmeetable →
-          shed with ``DeadlineExceededError``.
+        The deadline sheds a query, always *before* execution, with
+        :class:`~repro.errors.DeadlineExceededError` when it has already
+        expired (at submission or while queued for admission) or when the
+        execution-time estimate exceeds the time left.
 
         A query that *starts* in time but finishes late is returned
         anyway, with ``deadline_met=False`` — shedding never discards
@@ -443,10 +413,6 @@ class QueryService:
             deadline_s: deadline relative to now, in seconds (``None``:
                 no deadline).
             priority: larger values win admission first among waiters.
-            min_recall: the caller's permission to degrade: below ``1.0``
-                a selection may run over int8 codes (whose top-k and
-                threshold answers are proved exact, their scores re-ranked
-                in fp32); ``None`` or ``1.0`` forbids it.
             tag: morsel-attribution tag for the engine scheduler.
             timeout_s: admission backpressure bound.
             explain_analyze: force-trace this query (bypassing sampling);
@@ -458,9 +424,7 @@ class QueryService:
         if self._closed:
             raise ServiceError("service is shut down")
         start = time.perf_counter()
-        qos = QoSParams.from_relative(
-            deadline_s, priority=priority, min_recall=min_recall, now=start
-        )
+        qos = QoSParams.from_relative(deadline_s, priority=priority, now=start)
         plan = query.plan if isinstance(query, QueryBuilder) else query
         if qos.deadline is not None:
             with self._stats_lock:
@@ -494,7 +458,6 @@ class QueryService:
                         arrival_s=arrival_s,
                         deadline_s=deadline_s,
                         priority=priority,
-                        min_recall=min_recall,
                         response=response,
                         error=error,
                     )
@@ -604,8 +567,6 @@ class QueryService:
                 self.stats.submitted += 1
                 self.stats.result_cache_hits += 1
             self.stats.completed += 1
-            if response.degraded:
-                self.qos.degraded += 1
             if response.deadline_met is True:
                 self.qos.deadline_met += 1
             elif response.deadline_met is False:
@@ -626,54 +587,23 @@ class QueryService:
     def _run_admitted(
         self, plan, keyed: tuple, key: tuple, qos: QoSParams, tag: str, start: float
     ) -> QueryResponse:
-        """Plan a result-cache miss, decide shed/degrade/full, and execute."""
+        """Plan a result-cache miss, shed it if its deadline is provably
+        unmeetable, and execute it."""
         optimized = self.plans.optimize(
             plan, catalog=self.engine.catalog, shape=keyed[0]
         )
         remaining = qos.remaining()
-        if remaining is not None:
-            estimate = self.qos_tracker.estimate("full")
-            if estimate is not None and estimate > remaining:
-                # Full precision provably misses the deadline.  Degrade if
-                # the caller allows it and the code scan fits, otherwise
-                # shed now rather than burn a slot for nothing.
-                precision = self._degraded_precision(optimized, qos.min_recall)
-                degraded_est = self.qos_tracker.estimate("degraded")
-                if precision is None or (
-                    degraded_est is not None and degraded_est > remaining
-                ):
-                    with self._stats_lock:
-                        self.qos.shed_unmeetable += 1
-                    with span("qos.decision") as sp:
-                        sp.set(
-                            action="shed",
-                            estimate_s=estimate,
-                            remaining_s=remaining,
-                        )
-                    raise DeadlineExceededError(
-                        f"estimated execution {estimate:.3g}s exceeds the "
-                        f"{remaining:.3g}s left before the deadline"
-                    )
-                with span("qos.degraded") as sp:
-                    sp.set(precision=precision, remaining_s=remaining)
-                    exec_start = time.perf_counter()
-                    retry = self.engine.executor.retry_policy.bind(
-                        deadline=qos.deadline, budget=current_retry_budget()
-                    )
-                    table = retry.call(
-                        lambda: self._execute_degraded(
-                            optimized, precision, tag
-                        )
-                    )
-                    self.qos_tracker.observe(
-                        "degraded", time.perf_counter() - exec_start
-                    )
-                # Degraded tables bypass the result cache and singleflight:
-                # their scores are the code path's fp32 re-rank, not the
-                # exact path's bits, so they never stand in for its answer.
-                return self._respond(
-                    table, qos, start, degraded=True, precision=precision
-                )
+        estimate = None if remaining is None else self.qos_tracker.estimate()
+        if estimate is not None and estimate > remaining:
+            # Shed now rather than burn a slot for nothing.
+            with self._stats_lock:
+                self.qos.shed_unmeetable += 1
+            with span("qos.decision") as sp:
+                sp.set(action="shed", estimate_s=estimate, remaining_s=remaining)
+            raise DeadlineExceededError(
+                f"estimated execution {estimate:.3g}s exceeds the "
+                f"{remaining:.3g}s left before the deadline"
+            )
         # Singleflight: an identical query already executing means this
         # one just waits for that result — the result cache cannot catch
         # duplicates that arrive mid-execution.
@@ -696,7 +626,7 @@ class QueryService:
             exec_start = time.perf_counter()
             result = self._dispatch(optimized, qos, tag)
             exec_seconds = time.perf_counter() - exec_start
-            self.qos_tracker.observe("full", exec_seconds)
+            self.qos_tracker.observe(exec_seconds)
             with span("cache.store") as sp:
                 sp.set(cost_s=exec_seconds)
                 self.results.store(key, result)
@@ -742,16 +672,12 @@ class QueryService:
         qos: QoSParams,
         start: float,
         *,
-        degraded: bool = False,
-        precision: str = "fp32",
         cache_hit: bool = False,
     ) -> QueryResponse:
         now = time.perf_counter()
         met = None if qos.deadline is None else now <= qos.deadline
         return QueryResponse(
             table=table,
-            degraded=degraded,
-            precision=precision,
             latency_s=now - start,
             deadline_met=met,
             cache_hit=cache_hit,
@@ -782,40 +708,6 @@ class QueryService:
                 fallbacks=len(report.fallbacks),
             )
         return result
-
-    # ------------------------------------------------------------------
-    # Degraded (int8 code scan) execution
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _degraded_precision(optimized, min_recall: float | None) -> str | None:
-        """``"int8"`` when the caller allows degrading (``min_recall <
-        1.0``) and the plan is a selection the code path runs
-        (``Project*/Limit*(ESelect(Scan))``), else ``None`` — those
-        queries shed rather than degrade.  PQ is never offered: its
-        bound proves no top-k row, so every row would scan twice.
-        """
-        if min_recall is None or min_recall >= 1.0:
-            return None
-        return None if unwrap_selection(optimized) is None else "int8"
-
-    def _execute_degraded(self, optimized, precision: str, tag: str) -> Table:
-        """Quantized E-selection for a deadline-pressed query.
-
-        Streams the compressed codes (shared, build-once via the engine
-        context's quantized store cache) instead of the fp32 matrix; the
-        emitted rows are the exact selection's, their scores the codes'
-        fp32 re-rank.
-        """
-        wrappers, node = unwrap_selection(optimized)  # _degraded_precision matched it
-        ctx = self.engine.context(tag=tag)
-        table = ctx.catalog.get(node.child.table_name)
-        key = (node.child.table_name, node.column, node.model_name)
-        store = ctx.quant_store_for(key, table, precision)
-        query = eselect_query(node, ctx.store_for)
-        result = quantized_eselect(store, query, node.condition)
-        return materialize_selection(
-            table, result.ids, result.scores, node.score_column, wrappers
-        )
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -97,9 +97,8 @@ class ShardPoolStats:
 class _Manifest:
     """Owner-side record of one published scan source."""
 
-    version: int
-    n_rows: int
-    dim: int
+    version: int  # publish sequence number, stamped on the workers' copy
+    matrix: np.ndarray  # the unit-row matrix the segment holds a copy of
     ranges: tuple
     spec: object  # the fp32 rows' SegmentSpec
 
@@ -142,6 +141,7 @@ class ShardPool:
         self.segment_prefix = self._owner.prefix
         self._manifests: dict[tuple, _Manifest] = {}
         self._publish_msgs: dict[tuple, dict] = {}
+        self._publish_seq = 0
         self._lock = threading.RLock()
         self.stats = ShardPoolStats()
         self._task_seq = 0
@@ -197,9 +197,10 @@ class ShardPool:
     def publish(self, key: tuple) -> _Manifest:
         """Publish (or refresh) the fp32 scan rows of one source key.
 
-        Idempotent per catalog version; a version bump unlinks the stale
-        segment and re-publishes from the current table.  Returns the
-        owner-side manifest.
+        Idempotent while the engine's unit-row matrix of the source is the
+        object published — the planner's identity rule, so a new
+        registration or a replaced model unlinks the stale segment and
+        re-publishes.  Returns the owner-side manifest.
         """
         with self._lock:
             if self._closed:
@@ -209,20 +210,19 @@ class ShardPool:
     def _publish_locked(self, key: tuple) -> _Manifest:
         table_name, column, model_name = key
         ctx = self.engine.context(tag=f"shard/publish/{table_name}.{column}")
-        version = ctx.catalog.version(table_name)
+        normalized = ctx.normalized_matrix_for(key, ctx.catalog.get(table_name))
         manifest = self._manifests.get(key)
         if manifest is not None:
-            if manifest.version == version:
+            if manifest.matrix is normalized:
                 return manifest
             self._owner.unlink(manifest.spec.name)
             self._manifests.pop(key, None)
             self._publish_msgs.pop(key, None)
 
-        normalized = ctx.normalized_matrix_for(key, ctx.catalog.get(table_name))
+        self._publish_seq += 1
         manifest = _Manifest(
-            version=version,
-            n_rows=len(normalized),
-            dim=int(normalized.shape[1]) if normalized.ndim == 2 else 0,
+            version=self._publish_seq,
+            matrix=normalized,
             ranges=ctx.catalog.shard_map(table_name, self.n_procs).ranges,
             spec=self._owner.publish(normalized),
         )
@@ -230,7 +230,7 @@ class ShardPool:
         message = make_task(
             "publish",
             key=list(key),
-            version=version,
+            version=manifest.version,
             ranges=[list(r) for r in manifest.ranges],
             spec=manifest.spec,
         )
@@ -301,7 +301,7 @@ class ShardPool:
         self, key, queries, *, n_rows, topk_rows, kpad, thr_rows, thr_floors,
     ) -> ShardScanResult | None:
         manifest = self._publish_locked(key)
-        if manifest.n_rows != n_rows:
+        if len(manifest.matrix) != n_rows:
             # The table changed under us mid-flight; the caller's exact
             # in-process path is the safe answer.
             return None

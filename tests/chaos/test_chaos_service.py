@@ -2,9 +2,9 @@
 
 The acceptance contract these tests pin down: with deterministic faults
 injected into kernels, workers, and the dispatcher, every result the
-service returns without the ``degraded`` flag is bit-identical to
-fault-free serial execution; kills and hangs are recovered within the
-watchdog's bound instead of hanging the query.
+service returns is bit-identical to fault-free serial execution; kills
+and hangs are recovered within the watchdog's bound instead of hanging
+the query.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from _chaos_utils import MODEL, assert_tables_equal, make_engine
 
 pytestmark = pytest.mark.chaos
 
-#: The storm arms every site a non-degraded query can cross.
+#: The storm arms every site a served query can cross.
 STORM_SITES = (
     "kernel.rescore",
     "engine.worker",

@@ -126,6 +126,7 @@ class TestRecorder:
             assert record["plan"]["op"] == "eselect"
             assert record["digest"] is not None
             assert record["latency_s"] > 0
+            assert not {"min_recall", "degraded", "precision"} & record.keys()
         arrivals = [r["arrival_s"] for r in records]
         assert arrivals == sorted(arrivals)
 
@@ -314,14 +315,11 @@ class TestReplay:
                 "arrival_s": 0.0,
                 "deadline_s": None,
                 "priority": 0,
-                "min_recall": None,
                 "plan": None,
                 "outcome": "completed",
                 "error": None,
                 "latency_s": 0.001,
-                "degraded": False,
                 "cache_hit": False,
-                "precision": "fp32",
                 "digest": "ab",
             }
         ]
@@ -329,6 +327,38 @@ class TestReplay:
             report = WorkloadReplayer(records, mode="closed").run(fresh)
         assert report["ok"]
         assert report["digests"]["skipped_unsupported"] == 1
+
+    @pytest.mark.parametrize("apply_qos", [False, True])
+    def test_older_record_keys_are_ignored(self, apply_qos, query_vectors):
+        """A record from a capture that still wrote a recall floor and the
+        degrade flags replays like any other and matches its digest."""
+        engine = make_engine()
+        builder = engine.query("corpus").esimilar(
+            "emb", query_vectors[0], model=MODEL, top_k=5
+        )
+        record = {
+            "v": 1,
+            "query_id": "q1",
+            "tag": "t",
+            "arrival_s": 0.0,
+            "deadline_s": 30.0,
+            "priority": 2,
+            "min_recall": 0.9,
+            "plan": plan_to_dict(builder.plan),
+            "outcome": "completed",
+            "error": None,
+            "latency_s": 0.001,
+            "degraded": False,
+            "cache_hit": False,
+            "precision": "fp32",
+            "digest": result_digest(builder.execute()),
+        }
+        with QueryService(make_engine(), result_cache_size=0) as fresh:
+            report = WorkloadReplayer(
+                [record], mode="closed", apply_qos=apply_qos
+            ).run(fresh)
+        assert report["ok"], report["mismatches"]
+        assert report["digests"]["matched"] == 1
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(ReplayError):

@@ -33,7 +33,6 @@ def test_submit_returns_exact_response():
             return await front.submit(_topk(engine, qvec))
 
     response = _run(go())
-    assert not response.degraded
     serial = _topk(engine, qvec).execute()
     assert_tables_equal(serial, response.table, context="async front")
     assert front_stats(service)["completed"] == 1
@@ -148,12 +147,11 @@ def test_residual_deadline_forwarded_to_service():
     async def go():
         async with AsyncQueryService(service, workers=1) as front:
             await front.submit(
-                _topk(engine, qvec), deadline_s=30.0, min_recall=0.5, priority=3
+                _topk(engine, qvec), deadline_s=30.0, priority=3
             )
 
     _run(go())
     assert 0 < seen["deadline_s"] <= 30.0
-    assert seen["min_recall"] == 0.5
     assert seen["priority"] == 3
 
 

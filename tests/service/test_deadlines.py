@@ -5,7 +5,6 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from _service_utils import DIM, MODEL, assert_tables_equal, make_engine
@@ -70,7 +69,6 @@ def test_deadline_expiring_while_executing_returns_late_result():
     qvec = unit_vectors(1, DIM, stream="dl/late")[0]
     response = service.submit_qos(_topk(engine, qvec), deadline_s=0.02)
     assert response.deadline_met is False
-    assert not response.degraded
     serial = _topk(engine, qvec).execute()
     assert_tables_equal(serial, response.table, context="late result")
     snap = service.stats_snapshot()["qos"]
@@ -120,48 +118,3 @@ def test_tight_deadline_singleton_overtakes_waiting_batch():
     assert order[0] == "singleton", f"priority inversion: order={order}"
     assert len(order) == 5
 
-
-def test_degraded_flag_carried_through_session_and_snapshot():
-    engine = make_engine()
-    service = QueryService(engine)
-    for _ in range(service.qos_tracker.min_samples):
-        service.qos_tracker.observe("full", 10.0)
-    qvec = unit_vectors(1, DIM, stream="dl/flag")[0]
-    with service.session("edge") as session:
-        response = session.execute_qos(
-            _topk(engine, qvec), deadline_s=5.0, min_recall=0.9
-        )
-    assert response.degraded is True
-    assert response.precision == "int8"
-    assert response.deadline_met is True
-    snap = service.stats_snapshot()["qos"]
-    assert snap["degraded"] == 1
-    # Degraded responses are explicit, never silent: the plain-submit
-    # path (exactness contract) refuses to degrade at all.
-    table = service.submit(_topk(engine, qvec))
-    serial = _topk(engine, qvec).execute()
-    assert_tables_equal(serial, table, context="plain submit after degrade")
-
-
-def test_degraded_scores_are_exact_for_emitted_rows():
-    """The rows a degraded selection emits carry exact fp32 scores
-    (quantized scan + exact re-rank contract)."""
-    engine = make_engine()
-    service = QueryService(engine)
-    for _ in range(service.qos_tracker.min_samples):
-        service.qos_tracker.observe("full", 10.0)
-    qvec = unit_vectors(1, DIM, stream="dl/scores")[0]
-    response = service.submit_qos(
-        _topk(engine, qvec, k=3), deadline_s=5.0, min_recall=0.9
-    )
-    assert response.degraded
-    serial = _topk(engine, qvec, k=3).execute()
-    serial_scores = {
-        int(i): float(s)
-        for i, s in zip(serial.array("id"), serial.array("similarity"))
-    }
-    for row_id, score in zip(
-        response.table.array("id"), response.table.array("similarity")
-    ):
-        if int(row_id) in serial_scores:
-            assert score == np.float32(serial_scores[int(row_id)])

@@ -1,18 +1,20 @@
-"""QoS primitives: estimators, priority admission, degradation."""
+"""QoS primitives: estimators, priority admission, shedding."""
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from _service_utils import DIM, MODEL, assert_tables_equal, make_engine
 from repro.errors import DeadlineExceededError, ServiceOverloadError
-from repro.service import QueryService
+from repro.service import AsyncQueryService, QueryService
 from repro.service.admission import AdmissionController
-from repro.service.qos import EWMA, ExecTimeTracker, QoSParams
+from repro.service.qos import EWMA, ExecTimeTracker, QoSParams, QueryResponse
 from repro.service.semantic_cache import SemanticResultCache, params_signature
 from repro.workloads import unit_vectors
 
@@ -39,23 +41,21 @@ def test_ewma_rejects_bad_alpha():
 
 def test_exec_tracker_cold_never_estimates():
     tracker = ExecTimeTracker(min_samples=3)
-    assert tracker.estimate("full") is None
-    tracker.observe("full", 0.1)
-    tracker.observe("full", 0.1)
-    assert tracker.estimate("full") is None  # still below min_samples
-    tracker.observe("full", 0.1)
-    estimate = tracker.estimate("full")
+    assert tracker.estimate() is None
+    tracker.observe(0.1)
+    tracker.observe(0.1)
+    assert tracker.estimate() is None  # still below min_samples
+    tracker.observe(0.1)
+    estimate = tracker.estimate()
     assert estimate == pytest.approx(0.1 * tracker.safety)
 
 
-def test_exec_tracker_modes_are_independent():
-    tracker = ExecTimeTracker(min_samples=1, safety=1.0)
-    tracker.observe("full", 1.0)
-    tracker.observe("degraded", 0.01)
-    assert tracker.estimate("full") == pytest.approx(1.0)
-    assert tracker.estimate("degraded") == pytest.approx(0.01)
-    snap = tracker.snapshot()
-    assert snap["full"]["n"] == 1 and snap["degraded"]["n"] == 1
+def test_exec_tracker_is_one_ewma():
+    tracker = ExecTimeTracker(alpha=0.5, min_samples=1, safety=1.0)
+    tracker.observe(1.0)
+    tracker.observe(0.0)
+    assert tracker.estimate() == pytest.approx(0.5)
+    assert tracker.snapshot() == {"ewma_s": pytest.approx(0.5), "n": 2}
 
 
 def test_qos_params_relative_deadline():
@@ -155,8 +155,6 @@ def test_submit_qos_no_deadline_matches_submit():
     service = QueryService(engine, result_cache_size=0)
     qvec = unit_vectors(1, DIM, stream="qos/basic")[0]
     response = service.submit_qos(_topk(engine, qvec))
-    assert not response.degraded
-    assert response.precision == "fp32"
     assert response.deadline_met is None
     assert response.latency_s > 0
     serial = _topk(engine, qvec).execute()
@@ -182,84 +180,61 @@ def test_generous_deadline_met_and_counted():
     assert snap["deadline_met"] == 1
 
 
-def test_degrades_under_recall_floor_instead_of_shedding():
+@pytest.mark.parametrize("door", ["submit_qos", "session", "async"])
+def test_sheds_unmeetable(door):
+    """Every QoS door sheds a deadline the warm tracker proves unmeetable,
+    before anything executes."""
     engine = make_engine()
     service = QueryService(engine)
-    # Warm the tracker with an inflated execution-time estimate so a
-    # modest deadline becomes provably unmeetable at full precision.
+    executed = []
+    service._execute = lambda *args: executed.append(args)
     for _ in range(service.qos_tracker.min_samples):
-        service.qos_tracker.observe("full", 10.0)
-    qvec = unit_vectors(1, DIM, stream="qos/degrade")[0]
-    response = service.submit_qos(
-        _topk(engine, qvec), deadline_s=5.0, min_recall=0.9
-    )
-    assert response.degraded
-    assert response.precision == "int8"
-    assert response.table.num_rows == 5
-    assert "similarity" in response.table.schema.names
-    assert service.stats_snapshot()["qos"]["degraded"] == 1
+        service.qos_tracker.observe(10.0)
+    query = _topk(engine, unit_vectors(1, DIM, stream="qos/shed")[0])
+
+    async def front():
+        async with AsyncQueryService(service) as front:
+            return await front.submit(query, deadline_s=5.0)
+
+    submit = {
+        "submit_qos": lambda: service.submit_qos(query, deadline_s=5.0),
+        "session": lambda: service.session().execute_qos(query, deadline_s=5.0),
+        "async": lambda: asyncio.run(front()),
+    }[door]
+    with pytest.raises(DeadlineExceededError):
+        submit()
+    assert service.stats_snapshot()["qos"]["shed_unmeetable"] == 1
+    assert executed == []
 
 
-def test_sheds_unmeetable_without_recall_floor():
+def test_shed_leaves_nothing_in_the_result_cache():
+    """A shed query produced no result, so the same query without a
+    deadline executes in full and answers exactly."""
     engine = make_engine()
     service = QueryService(engine)
     for _ in range(service.qos_tracker.min_samples):
-        service.qos_tracker.observe("full", 10.0)
-    qvec = unit_vectors(1, DIM, stream="qos/shed")[0]
+        service.qos_tracker.observe(10.0)
+    qvec = unit_vectors(1, DIM, stream="qos/nocache")[0]
     with pytest.raises(DeadlineExceededError):
         service.submit_qos(_topk(engine, qvec), deadline_s=5.0)
-    assert service.stats_snapshot()["qos"]["shed_unmeetable"] == 1
-
-
-def test_min_recall_of_one_sheds_rather_than_degrades():
-    engine = make_engine()
-    service = QueryService(engine)
-    for _ in range(service.qos_tracker.min_samples):
-        service.qos_tracker.observe("full", 10.0)
-    qvec = unit_vectors(1, DIM, stream="qos/one")[0]
-    with pytest.raises(DeadlineExceededError):
-        service.submit_qos(_topk(engine, qvec), deadline_s=5.0, min_recall=1.0)
-    snap = service.stats_snapshot()["qos"]
-    assert snap["shed_unmeetable"] == 1 and snap["degraded"] == 0
-
-
-def test_degraded_selection_is_the_exact_answer():
-    """Any ``min_recall`` below 1.0 degrades to int8 codes, whose top-k is
-    proved: the rows and their order are the exact selection's."""
-    engine = make_engine()
-    service = QueryService(engine)
-    for _ in range(service.qos_tracker.min_samples):
-        service.qos_tracker.observe("full", 10.0)
-    qvec = unit_vectors(1, DIM, stream="qos/exact")[0]
-    response = service.submit_qos(
-        _topk(engine, qvec, k=8), deadline_s=5.0, min_recall=0.1
-    )
-    assert response.degraded
-    assert response.precision == "int8"
-    serial = _topk(engine, qvec, k=8).execute()
-    assert response.table.array("id").tolist() == serial.array("id").tolist()
-    np.testing.assert_allclose(
-        response.table.array("similarity"), serial.array("similarity"), atol=1e-6
-    )
-
-
-def test_degraded_result_not_cached_as_exact():
-    engine = make_engine()
-    service = QueryService(engine)
-    for _ in range(service.qos_tracker.min_samples):
-        service.qos_tracker.observe("full", 10.0)
-    qvec = unit_vectors(1, DIM, stream="qos/nocache")[0]
-    degraded = service.submit_qos(
-        _topk(engine, qvec), deadline_s=5.0, min_recall=0.9
-    )
-    assert degraded.degraded
-    # The same query without a deadline must execute at full precision —
-    # a cache hit off the degraded run would be a silent approximation.
-    exact = service.submit_qos(_topk(engine, qvec))
-    assert not exact.degraded
-    assert not exact.cache_hit
+    response = service.submit_qos(_topk(engine, qvec))
+    assert not response.cache_hit
     serial = _topk(engine, qvec).execute()
-    assert_tables_equal(serial, exact.table, context="post-degrade")
+    assert_tables_equal(serial, response.table, context="after shed")
+
+
+def test_response_carries_no_degrade_fields():
+    """``degraded`` is a read-only constant no caller can set, and there
+    is no precision field: every response is the full-precision answer."""
+    names = {f.name for f in fields(QueryResponse)}
+    assert not {"degraded", "precision"} & names
+    engine = make_engine()
+    service = QueryService(engine)
+    qvec = unit_vectors(1, DIM, stream="qos/fields")[0]
+    response = service.submit_qos(_topk(engine, qvec), deadline_s=30.0)
+    assert response.degraded is False
+    with pytest.raises(TypeError):
+        QueryResponse(response.table, degraded=True)
 
 
 def test_cold_tracker_never_sheds():
@@ -301,7 +276,6 @@ def test_stats_snapshot_has_qos_section():
         "with_deadline",
         "shed_expired",
         "shed_unmeetable",
-        "degraded",
         "deadline_met",
         "deadline_missed",
         "exec_estimates",

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _shard_utils import MODEL, corpus_vectors, make_engine
+from repro.embedding import HashingEmbedder
+from repro.query import Engine
+from repro.relational import Catalog, DataType, Field, Schema, Table
 from repro.service import QueryService
 from repro.shard import leaked_segments
 from repro.workloads import unit_vectors
@@ -123,6 +127,47 @@ def test_shutdown_releases_all_segments():
             )
     service.shutdown()
     assert leaked_segments(prefix) == []
+
+
+def test_replaced_model_republishes_a_string_column():
+    """A model replaced under its name leaves the catalog version alone;
+    the pool must still scan the string column's rows under the new model."""
+    words = [f"word-{i}" for i in range(600)]
+    catalog = Catalog()
+    catalog.register(
+        "w",
+        Table.from_arrays(
+            Schema.of(Field("word", DataType.STRING), Field("wid", DataType.INT64)),
+            {"word": words, "wid": np.arange(len(words))},
+        ),
+    )
+    engine = Engine(catalog)
+    engine.models.register("m", HashingEmbedder(dim=16, seed=9))
+    # Near-free dispatch and no row floor: the pool fans out 600 rows.
+    engine.cost_params = replace(engine.cost_params, shard_dispatch=1e-9)
+    service = QueryService(engine, coalesce=True, shard_procs=2)
+    service.shard_pool.min_rows = 1
+
+    def served(**condition):
+        return service.submit(
+            engine.query("w").esimilar("word", "wrod-7", model="m", **condition)
+        )
+
+    try:
+        served(threshold=0.3)
+        engine.models.register("m", HashingEmbedder(dim=16, seed=1), replace=True)
+        for condition in ({"threshold": 0.3}, {"top_k": 5}):
+            want = engine.query("w").esimilar(
+                "word", "wrod-7", model="m", **condition
+            ).execute()
+            got = served(**condition)
+            for name in want.schema.names:
+                assert np.array_equal(got.array(name), want.array(name)), condition
+        snap = service.stats_snapshot()
+        assert snap["shard"]["scans"] == 3 and snap["shard"]["errors"] == 0
+        assert snap["shard"]["publishes"] == 2
+    finally:
+        service.shutdown()
 
 
 def test_service_without_shard_procs_has_no_pool():

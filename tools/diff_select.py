@@ -16,18 +16,19 @@ k >= n, a k-th place tied past the prescreen pad} x {random rows, 60-way
 ties, duplicate rows straddling block edges, an empty and a one-row table}
 x {``eselect``, ``QueryBuilder.execute``, coalesced groups of 1-8 behind
 held scan slots (duplicate vectors carrying different conditions), a
-2-shard service, the degraded path, ``quantized_eselect`` over int8 and
-PQ codes at default settings}.  A NaN row or query is a case of its own
+2-shard service, ``quantized_eselect`` over int8 and PQ codes at default
+settings}.  A NaN row or query is a case of its own
 kind: those are reported apart (they are rejected; an older parent answered
 wrongly or not at all).  An exception digests as its type name.
 
 Every answer is also held to a float64 oracle (NumPy only): a top-k's ids
 in order, a threshold's ascending and exact up to rows within 1e-6 of it.
-``--emit`` exits 1 on any miss.  Against ``--parent`` a digest may differ
-only on a quantized top-k the parent missed and this checkout does not
-(the parent kept a multiple of k candidates, no proof); those are counted
-apart.  Exit status 1 on any other difference outside the non-finite
-cases.
+``--emit`` exits 1 on any miss.  Against ``--parent`` each checkout emits
+with its own copy of this script and the cases both sides emit are
+compared; a case only the parent emits is listed as behaviour removed.  A digest may differ only on a quantized top-k the
+parent missed and this checkout does not (the parent kept a multiple of k
+candidates, no proof); those are counted apart.  Exit status 1 on any
+other difference outside the non-finite cases.
 """
 
 from __future__ import annotations
@@ -179,9 +180,6 @@ def digests() -> dict[str, dict]:
     coalesced = QueryService(engine, **common)
     sharded = QueryService(engine, shard_procs=2, **common)
     sharded.shard_pool.min_rows = 1
-    pressed = QueryService(engine, result_cache_size=0)
-    for _ in range(pressed.qos_tracker.min_samples):
-        pressed.qos_tracker.observe("full", 10.0)  # any deadline degrades
 
     def build(name, query, cond):
         return engine.query(name).esimilar("emb", query, model="m", **cond)
@@ -191,13 +189,6 @@ def digests() -> dict[str, dict]:
             vector = np.random.default_rng(20_000 + i).standard_normal(DIM)
             return build(name, vector.astype(np.float32), {"top_k": 1})
         return make
-
-    def degraded(name, query, cond):
-        response = pressed.submit_qos(
-            build(name, query, cond), deadline_s=5.0, min_recall=0.9
-        )
-        assert response.degraded
-        return response.table
 
     out: dict[str, dict] = {}
     bad = np.full(DIM, np.nan, np.float32)
@@ -219,7 +210,6 @@ def digests() -> dict[str, dict]:
                     lambda: eselect(rows, query, condition(cond)), *terms
                 )
                 out[f"{case}/execute"] = outcome(build(name, query, cond).execute, *terms)
-                out[f"{case}/degraded"] = outcome(lambda: degraded(name, query, cond), *terms)
                 for method in ("int8", "pq"):
                     out[f"{case}/{method}"] = outcome(
                         lambda: quantized_eselect(store(name, method), query, condition(cond)),
@@ -255,7 +245,7 @@ def digests() -> dict[str, dict]:
         assert coalesced.stats_snapshot()["coalescer"]["fallbacks"] > 0  # ties rescanned
         assert sharded.stats_snapshot()["coalescer"]["sharded_groups"] > 0
     finally:
-        for service in (coalesced, sharded, pressed):
+        for service in (coalesced, sharded):
             service.shutdown()
     return out
 
@@ -281,23 +271,25 @@ def main() -> int:
             emitted = Path(scratch) / f"{name}.json"
             # Exit status 1 is an oracle miss, counted below for each side.
             subprocess.run(
-                [sys.executable, __file__, "--emit", str(emitted)], env=env,
+                [sys.executable, str(root / "tools" / "diff_select.py"), "--emit", str(emitted)],
+                env=env,
                 stderr=subprocess.DEVNULL,
             )
             sides[name] = json.loads(emitted.read_text())
     parent, change = sides["parent"], sides["change"]
-    assert parent.keys() == change.keys()
+    removed = sorted(parent.keys() - change.keys())
     apart = sorted(case for case in change if case.startswith("nonfinite"))
     differing = sorted(
         case
         for case, got in change.items()
-        if got["digest"] != parent[case]["digest"] and case not in apart
+        if case in parent and got["digest"] != parent[case]["digest"]
+        and case not in apart
     )
     # Allowed only where the parent missed the oracle and this checkout
     # meets it: a quantized top-k the proof made exact.
     fixed = [
         case for case in differing
-        if case.rsplit("/", 1)[1] in ("degraded", "int8", "pq")
+        if case.rsplit("/", 1)[1] in ("int8", "pq")
         and parent[case]["oracle"] is False and change[case]["oracle"] is True
     ]
     differing = [case for case in differing if case not in fixed]
@@ -308,6 +300,7 @@ def main() -> int:
         f"this checkout does not; oracle misses: parent {len(_misses(parent))}, "
         f"change {len(misses)} {misses[:10]}"
     )
+    print(f"{len(removed)} parent-only cases (behaviour removed): {removed[:5]}")
     print(f"{len(apart)} non-finite cases (parent -> change):")
     for case in apart:
         print(
