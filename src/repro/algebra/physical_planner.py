@@ -159,11 +159,12 @@ class ExecutionContext:
         """Fit/encode-once quantized store for a (table, column, model):
         every query against the same registration ``table`` of the scan
         source reuses the encoded codes (embedded with ``store`` if
-        given)."""
+        given).  Its re-rank rows are the source's one unit-row matrix
+        (:meth:`normalized_matrix_for`), not a copy."""
         def build(store: EmbeddingStore):
-            vectors = _embed_column(table, key[1], key[2], self, store)
+            unit = self.normalized_matrix_for(key, table, store)
             maybe_inject("quant.build")
-            return QuantizedRelation.build(vectors, method)
+            return QuantizedRelation.build(unit, method, assume_normalized=True)
 
         return self._scan_state(
             "quant", self.quant_stores, (*key, method), table, build,
@@ -718,6 +719,14 @@ def _execute_ejoin_impl(
         # and fallback chain as a chosen one; it falls back to fp32.
         precision = scan_strategy.removeprefix("tensor-")
         scan_strategy = "tensor"
+    # A plain scan's exact joins -- fp32, int8 and PQ -- score only the
+    # rows its caps do not prove out; fp16, which the configured precision
+    # puts in place of an fp32 "tensor" scan, keeps none.
+    caps = None
+    if store_key is not None and scan_strategy in ("tensor", "parallel-tensor") and not (
+        precision == "fp32" and get_config().default_precision == "fp16"
+    ):
+        caps = ctx.cap_partition_for(store_key, right, store)
     if precision is not None:
         # The access path's circuit breaker walks the chain
         # pq -> int8 -> fp32 past open or failing paths.
@@ -733,6 +742,7 @@ def _execute_ejoin_impl(
                 node.condition,
                 strategy=f"tensor-{precision}",
                 engine=ctx.engine,
+                caps=caps,
             )
 
         result, _ = _quantized_scan(store_key, precision, report, quantized)
@@ -753,10 +763,6 @@ def _execute_ejoin_impl(
         and isinstance(node.condition, TopKCondition)
     ):
         memo = ctx.topk_memo_for(store_key, right, node.condition, store)
-    # A plain scan's fp32 joins score only the rows its caps do not prove out.
-    caps = None
-    if result is None and normalized and store_key is not None:
-        caps = ctx.cap_partition_for(store_key, right, store)
     if memo is not None:
         unknown = memo.unknown(keys)
         scanned = ejoin(

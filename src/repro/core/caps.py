@@ -1,4 +1,4 @@
-"""Cap bounds: skip the right rows of an fp32 scan join that cannot match.
+"""Cap bounds: skip the right rows of an exact scan join that cannot match.
 
 A *cap partition* of the right side's unit rows proves rows out before the
 GEMM scores them (Ram & Gray's cone trees, KDD 2012).  Cap ``c`` has a unit
@@ -9,6 +9,8 @@ a cap is kept when ``s`` reaches ``cos(theta + arccos floor)``.  A threshold
 task keeps the ``(row, cap)`` pairs whose ``ub`` reaches it; a top-k task
 each row's nearest caps until they hold ``k`` rows, then every cap whose
 ``ub`` reaches its k-th score (``prove_topk``'s rule), on ``probe_lists``.
+The bound is on the exact score and a task scores its kept cells from
+the unit rows, so the fp32, int8 and PQ scan joins share one partition.
 Each constant quotes rows of ``tools/sweep_blocks.py --caps`` (one thread)."""
 
 from __future__ import annotations

@@ -91,8 +91,9 @@ def ejoin(
         engine: execution engine the physical operators schedule on; a
             multi-threaded engine parallelizes the scan strategies (and
             ``parallel-tensor`` builds one from ``n_threads`` when absent).
-        caps: the ``tensor`` / ``parallel-tensor`` scans' cap partition of
-            ``right`` (:func:`~repro.core.tensor_join.tensor_join`).
+        caps: the ``tensor`` / ``parallel-tensor`` / ``tensor-int8`` /
+            ``tensor-pq`` scans' cap partition of ``right``
+            (:func:`~repro.core.tensor_join.tensor_join`).
 
     Returns:
         :class:`JoinResult` of matched offset pairs and their similarities.
@@ -159,7 +160,7 @@ def ejoin(
         if strategy in ("tensor-int8", "tensor-pq"):
             return quantized_tensor_join(
                 left, right, condition, model=model,
-                method=strategy.removeprefix("tensor-"), **shape,
+                method=strategy.removeprefix("tensor-"), caps=caps, **shape,
             )
         assert strategy == "parallel-tensor"
         return parallel_join(

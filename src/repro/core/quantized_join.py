@@ -21,12 +21,20 @@ quantization.  The join becomes a two-phase scan:
    proved by :func:`~repro.core.scan.prove_topk` — its dropped cells'
    floor plus the quantizer's error bound under its k-th exact score —
    or rescanned at that score.  Both answers equal the fp32 join's.
+
+Handed the right side's cap partition (:mod:`repro.core.caps`), a left
+task first tries the cap path, exactly as the fp32 join does: the cap bound
+is on the exact score and the caps hold the same unit rows the re-rank
+reads, so a task its bounds prune scores its kept cells exactly and
+neither streams the codes nor re-ranks.  The codes stay the prescreen of
+every task the caps decline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -37,6 +45,7 @@ from ..engine import ExecutionEngine
 from ..errors import DimensionalityError, JoinError
 from ..vector.norms import finite_norms, normalize_rows
 from ..vector.quant import Int8Quantizer, ProductQuantizer, VectorQuantizer
+from .caps import CapPartition, cap_join
 from .conditions import JoinCondition, validate_condition
 from .eselect import SelectionResult, _as_query
 from .nlj import _as_matrices, _as_matrix
@@ -162,6 +171,7 @@ def quantized_tensor_join(
     buffer_budget_bytes: int | None = None,
     engine: ExecutionEngine | None = None,
     quantizer: VectorQuantizer | None = None,
+    caps: CapPartition | None = None,
 ) -> JoinResult:
     """Quantized-code scan E-join with exact fp32 re-ranking.
 
@@ -177,6 +187,9 @@ def quantized_tensor_join(
         buffer_budget_bytes: Figure 7 budget covering the approximate
             score block, the per-row candidate pool (and PQ lookup
             tables); split across workers under a multi-threaded engine.
+        caps: the cap partition of ``right``'s unit rows
+            (:func:`repro.core.caps.build_caps`): a left block scores only
+            the caps its bounds keep, if few, and skips the codes.
 
     Returns:
         :class:`JoinResult` with **exact** fp32 scores for every emitted
@@ -250,11 +263,7 @@ def quantized_tensor_join(
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
         engine=engine,
-    )
-    # Every re-ranked candidate is one evaluation on top of the code scans
-    # (one per left row, and one per rescanned top-k row).
-    stats.extra["rerank_candidates"] = stats.similarity_evaluations - stats.n_right * (
-        stats.n_left + stats.extra["rescanned_rows"]
+        caps=None if caps is None else partial(cap_join, caps, condition),
     )
     stats.seconds = time.perf_counter() - start
     return result

@@ -329,7 +329,8 @@ def scan_join(
             ``k`` under a budget too small for their state) and is
             proved or rescanned by :func:`prove_topk` (the rows that were
             go to ``stats.extra["rescanned_rows"]``); a threshold join's
-            are filtered block by block, as the scan finds them.
+            are filtered block by block, as the scan finds them.  The
+            re-scored cells go to ``stats.extra["rerank_candidates"]``.
         engine: runs the left blocks — self-contained tasks over shared
             read-only operands, results in block order; ``None`` is one
             worker.  A join whose whole work does not repay one scheduler
@@ -337,6 +338,8 @@ def scan_join(
         caps: ``caps(left_block, dense block bytes)``: the block joined on
             the right side's caps (:func:`repro.core.caps.cap_join`) or
             ``None``; not under explicit edges (``extra["cap_tasks"]``).
+            Its scores are exact, so a block joined on them is neither
+            scanned in ``scorer``'s representation nor re-ranked.
     """
     stats.n_left, stats.n_right = len(left), n_right
     if stats.n_left == 0 or n_right == 0:
@@ -386,7 +389,7 @@ def scan_join(
         scan = None if caps is None else caps(lb, 4 * len(lb) * br)
         if scan is not None:
             found = at_floor(*scan.triples) if topk else scan.hits
-            return (*found, scan, 0, 1)
+            return (*found, scan, 0, 1, 0)
         rows = np.arange(len(lb))
         score_block, bias = scorer(lb, br)
         reranked = 0
@@ -425,7 +428,7 @@ def scan_join(
                     scan.peak_bytes = max(scan.peak_bytes, rescanned.peak_bytes)
             found = at_floor(*found)
         scan.cells += reranked
-        return (*found, scan, len(failed), 0)
+        return (*found, scan, len(failed), 0, reranked)
 
     spans = [(l0, min(l0 + bl, stats.n_left)) for l0 in range(0, stats.n_left, bl)]
     if (
@@ -437,13 +440,14 @@ def scan_join(
     else:
         parts = engine.run([lambda span=span: join_block(*span) for span in spans])
     peak = 0
-    for _, _, _, scan, _, _ in parts:
+    for _, _, _, scan, _, _, _ in parts:
         stats.similarity_evaluations += scan.cells
         stats.batch_invocations += scan.blocks
         peak = max(peak, scan.peak_bytes)
     stats.extra["peak_intermediate_bytes"] = peak
     if rerank is not None:
         stats.extra["rescanned_rows"] = sum(part[4] for part in parts)
+        stats.extra["rerank_candidates"] = sum(part[6] for part in parts)
     if caps is not None:
         stats.extra["cap_tasks"] = sum(part[5] for part in parts)
     return JoinResult(

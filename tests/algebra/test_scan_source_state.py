@@ -133,6 +133,30 @@ def test_reregistering_the_same_table_keeps_the_state(setup):
     assert ctx.quant_store_for(key, engine.catalog.get("r"), "int8") is store
 
 
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_quantized_store_reranks_from_the_unit_matrix(setup, method):
+    """A source keeps one unit-row matrix: its quantized store re-ranks from
+    that very buffer, and both are rebuilt together on a re-registration
+    and on a model replacement."""
+    engine, base, _ = setup
+    key = ("r", "emb", "m")
+
+    def state():
+        ctx, table = engine.context(), engine.catalog.get("r")
+        store = ctx.quant_store_for(key, table, method)
+        matrix = ctx.normalized_matrix_for(key, table)
+        assert np.shares_memory(store.vectors, matrix)
+        return matrix, store
+
+    first = state()
+    assert all(a is b for a, b in zip(state(), first))  # hits: nothing rebuilt
+    engine.catalog.register("r", _table("rid", base.copy()), replace=True)
+    reregistered = state()
+    assert not any(a is b for a, b in zip(reregistered, first))
+    engine.models.register("m", HashingEmbedder(dim=DIM, seed=9), replace=True)
+    assert not any(a is b for a, b in zip(state(), reregistered))
+
+
 def test_string_scan_source_hit_does_no_per_row_work():
     """A plain scan of a string column keeps its unit matrix: the second
     query neither calls the model nor looks a single word up."""

@@ -1,7 +1,7 @@
-"""Cap bounds (``repro.core.caps``): an fp32 scan join that scores only the
-right rows its cap partition cannot prove out equals the dense join and a
-float64 oracle, and declines — to the dense join, bit for bit — wherever
-the partition would not pay."""
+"""Cap bounds (``repro.core.caps``): an fp32, int8 or PQ scan join that
+scores only the right rows its cap partition cannot prove out equals the
+dense join and a float64 oracle, and declines — to the dense join, bit for
+bit — wherever the partition would not pay."""
 
 from __future__ import annotations
 
@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from repro.algebra import physical_planner
 from repro.core import ThresholdCondition, TopKCondition, tensor_join
 from repro.core import caps as caps_module
+from repro.core import quantized_join
 from repro.core.caps import CapPartition, build_caps, cap_join
+from repro.core.quantized_join import QuantizedRelation, quantized_tensor_join
 from repro.embedding import HashingEmbedder
 from repro.engine import ExecutionEngine
 from repro.query import Engine
@@ -62,10 +64,20 @@ def oracle(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left.astype(np.float64) @ right.astype(np.float64).T
 
 
-def joined(left, right, condition, part, **keywords):
-    dense = tensor_join(left, right, condition, assume_normalized=True, **keywords)
-    capped = tensor_join(left, right, condition, assume_normalized=True, caps=part, **keywords)
-    return dense, capped
+def joined(left, right, condition, part, representation="fp32", **keywords):
+    """The dense join and the join offered ``part``, in fp32 or on int8 / PQ
+    codes of ``right``."""
+    if representation == "fp32":
+        join, keywords = tensor_join, dict(keywords, assume_normalized=True)
+    else:
+        join = quantized_tensor_join
+        right = QuantizedRelation.build(
+            right, representation, assume_normalized=True,
+            **({"m": 4, "ks": 16, "seed": 3} if representation == "pq" else {}),
+        )
+    return join(left, right, condition, **keywords), join(
+        left, right, condition, caps=part, **keywords
+    )
 
 
 def assert_same_answer(dense, capped, exact: np.ndarray) -> None:
@@ -97,6 +109,7 @@ def clustered_part(clustered_join, small_sources):  # built after MIN_CAPS is lo
     return part
 
 
+@pytest.mark.parametrize("representation", ["fp32", "int8", "pq"])
 @pytest.mark.parametrize(
     "condition",
     [
@@ -107,9 +120,11 @@ def clustered_part(clustered_join, small_sources):  # built after MIN_CAPS is lo
     ],
     ids=["topk", "topk-min", "min-above-all", "threshold"],
 )
-def test_cap_path_equals_dense_and_oracle(clustered_join, clustered_part, condition):
+def test_cap_path_equals_dense_and_oracle(
+    clustered_join, clustered_part, condition, representation
+):
     left, right, exact = clustered_join
-    dense, capped = joined(left, right, condition, clustered_part)
+    dense, capped = joined(left, right, condition, clustered_part, representation)
     if getattr(condition, "min_similarity", None) == 1.0:
         assert exact.max() < 1.0 and len(dense) == len(capped) == 0
     assert capped.stats.extra["cap_tasks"] >= 1
@@ -211,11 +226,66 @@ def test_explicit_batch_edges_run_the_dense_loop(clustered_join, clustered_part)
     assert np.array_equal(dense.scores, capped.scores)
 
 
+@pytest.mark.parametrize("every_other", [False, True], ids=["all-on-caps", "every-other"])
+@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("condition", [TopKCondition(5), ThresholdCondition(0.9)], ids=["topk", "threshold"])
+def test_rerank_candidates_are_the_code_scanned_tasks(
+    clustered_join, clustered_part, condition, method, every_other, monkeypatch,
+    schedule_every_task,
+):
+    """A task on the caps re-ranks nothing; ``rerank_candidates`` is what the
+    tasks that scanned codes handed the re-rank, whatever share that is
+    (``every_other``: the odd tasks' caps decline)."""
+    left, right, _ = clustered_join
+    store = QuantizedRelation.build(right, method, assume_normalized=True)
+    reranked, tasks = [], []
+    exact_scores = quantized_join._exact_scores
+    monkeypatch.setattr(
+        quantized_join, "_exact_scores",
+        lambda lb, li, *rest: reranked.append(len(li)) or exact_scores(lb, li, *rest),
+    )
+    if every_other:
+        def every_other_task(*args):
+            tasks.append(len(tasks) % 2)
+            return cap_join(*args) if tasks[-1] else None
+
+        monkeypatch.setattr(quantized_join, "cap_join", every_other_task)
+    extra = quantized_tensor_join(left, store, condition, caps=clustered_part).stats.extra
+    assert extra["rerank_candidates"] == sum(reranked) >= 0
+    if every_other:
+        assert 0 < extra["cap_tasks"] == sum(tasks) < len(tasks)
+        assert extra["rerank_candidates"] > 0
+    else:
+        assert extra["cap_tasks"] >= 1 and extra["rerank_candidates"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Where a partition declines
 # ---------------------------------------------------------------------------
 def test_uniform_rows_decline():
     assert build_caps(unit_vectors(6_000, DIM, seed=5)) is None
+
+
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_a_declining_source_still_scans_codes(method, monkeypatch):
+    """Uniform rows' partition, built with the source check waved through:
+    every task's bounds keep all its cells, so each declines and the codes
+    are scanned, re-ranked and proved — bit for bit the join with no caps."""
+    left, right = unit_vectors(200, DIM, seed=4), unit_vectors(6_000, DIM, seed=5)
+    monkeypatch.setattr(caps_module, "DECLINE_SHARE", 1.0)
+    part = build_caps(right)
+    monkeypatch.setattr(caps_module, "DECLINE_SHARE", 0.25)
+    assert part is not None
+    dense, capped = joined(left, right, TopKCondition(5), part, method)
+    extra = capped.stats.extra
+    assert extra["cap_tasks"] == 0
+    assert extra["rescanned_rows"] == dense.stats.extra["rescanned_rows"]
+    assert extra["rerank_candidates"] == dense.stats.extra["rerank_candidates"] > 0
+    for got, want in zip(
+        (capped.left_ids, capped.right_ids, capped.scores),
+        (dense.left_ids, dense.right_ids, dense.scores),
+    ):
+        assert np.array_equal(got, want)
 
 
 def test_sources_below_one_cap_or_the_minimum_decline(monkeypatch):
@@ -291,10 +361,10 @@ def engine():
     return engine
 
 
-def _join(engine: Engine):
+def _join(engine: Engine, strategy: str = "tensor"):
     query = (
         engine.query("l")
-        .ejoin("r", left_on="vec", right_on="vec", model="m", top_k=5, strategy="tensor")
+        .ejoin("r", left_on="vec", right_on="vec", model="m", top_k=5, strategy=strategy)
         .select(["lid", "rid", "similarity"])
     )
     return query.execute(), query.last_report.join_stats[-1]
@@ -316,6 +386,19 @@ def test_the_planner_joins_on_the_partition(engine):
     rows = dense.left_ids[moved]
     assert (np.abs(exact[rows, dense.right_ids[moved]] - exact[rows, out.array("rid")[moved]])
             <= SWAP_TOLERANCE).all()
+
+
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_a_forced_quantized_join_runs_on_the_partition(engine, method):
+    """The one partition the fp32 scan uses serves a forced int8 / PQ join
+    of the same source, with the fp32 join's ids."""
+    out, stats = _join(engine, f"tensor-{method}")
+    assert stats.strategy == f"tensor-{method}" and stats.extra["cap_tasks"] > 0
+    part = _partition(engine)
+    want, _ = _join(engine, "parallel-tensor")
+    assert _partition(engine) is part
+    for column in ("lid", "rid"):
+        assert np.array_equal(out.array(column), want.array(column))
 
 
 def test_rebuilt_after_reregistration_and_model_replacement(engine):

@@ -19,10 +19,12 @@ copies straddle any block edge), an empty and a one-row side} x {serial,
 an engine of 1 and of 2 threads, the ``REPRO_THREADS`` engine, that engine
 under a budget of 64 KiB a worker}, task floors lowered so the engines
 really cut.  Two clustered tables (4,500 right rows around 48 directions)
-join in fp32 only, on every condition and mode.  Every fp32 join is
-offered the right side's cap partition (``repro.core.caps``) where this
-checkout has one: on the clustered tables it is kept, and a task its
-bounds prune joins on the caps; every other table's partition declines.
+join in fp32, int8 and PQ, on every condition and mode.  Every fp32 join
+is offered the right side's cap partition (``repro.core.caps``) where this
+checkout has one, and every int8 / PQ join where this checkout's
+``quantized_tensor_join`` takes one: on the clustered tables it is kept,
+and a task its bounds prune joins on the caps; every other table's
+partition declines.
 
 int8 and PQ run at default settings: every top-k row is proved by the
 quantizer's error bound or rescanned at a fixed floor.
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -231,6 +234,7 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
         from repro.core.caps import build_caps
     except ImportError:  # a checkout without cap partitions
         build_caps = None
+    quantized_caps = "caps" in inspect.signature(quantized_tensor_join).parameters
 
     # Without this these joins are too small for an engine to cut
     # (tests/conftest.py::schedule_every_task).  WIDE_TASK_ROWS stays: the
@@ -257,7 +261,7 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
         stores = {
             method: QuantizedRelation.build(right, method, m=4, ks=16, seed=3)
             for method in ("int8", "pq")
-            if len(right) and not name.startswith("clustered")
+            if len(right)
         }
         offered = {}
         if build_caps is not None:
@@ -269,13 +273,13 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
             **{
                 method: (
                     quantized_tensor_join, stores.get(method, right),
-                    {"method": method}, TOLERANCE,
+                    {"method": method, **(offered if quantized_caps else {})}, TOLERANCE,
                 )
                 for method in ("int8", "pq")
             },
         }
         if name.startswith("clustered"):
-            joins = {"fp32": joins["fp32"]}
+            del joins["fp16"]
         for label, cond in _conditions(np, scores).items():
             condition = (
                 ThresholdCondition(cond["threshold"]) if "threshold" in cond
@@ -290,13 +294,17 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
                     except Exception as exc:
                         out[case] = {"ids": f"error:{type(exc).__name__}", "scores": None}
                         continue
-                    stable = exact or representation in ("int8", "pq")
+                    # A clustered table's int8 / PQ scores come from cap
+                    # GEMMs as its fp32 scores do: only the re-rank's are stable.
+                    stable = exact or (
+                        representation in ("int8", "pq") and not name.startswith("clustered")
+                    )
                     out[case] = {
                         "ids": sha(got.left_ids.astype(np.int64), got.right_ids.astype(np.int64)),
                         "scores": sha(got.scores) if stable
                         else got.scores.view(np.int32).tolist() if raw else None,
                     }
-                    if raw and offered and representation == "fp32":
+                    if raw and "caps" in keywords:
                         # Cap tasks run, or "declined": no partition kept.
                         out[case]["caps"] = got.stats.extra.get("cap_tasks", "declined")
                     if raw and name.startswith("clustered") and len(got) <= 100_000:
@@ -402,6 +410,7 @@ def main() -> int:
     tables = _tables(np)
     ids, fixed, scores, widest = [], [], [], 0.0
     capped, off, declined, existing = [], [], [], []
+    by_representation = {"fp32": 0, "int8": 0, "pq": 0}
     for case, change in sides["change"].items():
         parent = sides["parent"][case]
         if "caps" in change and not case.startswith("clustered"):
@@ -409,6 +418,7 @@ def main() -> int:
         if change.get("caps") not in (None, 0, "declined"):
             # Scored on the caps: the parent's answer up to fp32 rounding.
             capped.append(case)
+            by_representation[case.split("/")[2]] += 1
             why = _off_parent(np, tables, case, parent, change)
             if why:
                 off.append(f"{case}: {why}")
@@ -436,8 +446,10 @@ def main() -> int:
         f"{'clean' if status == 0 else 'COMPLAINTS (above)'}"
     )
     print(
-        f"cap partitions: {len(capped)} cases ran the cap path, {len(off)} of them off "
-        f"the parent beyond fp32 rounding {off[:4]}; {len(declined)} fp32 cases declined, "
+        f"cap partitions: {len(capped)} cases ran the cap path ("
+        + ", ".join(f"{rep} {n}" for rep, n in by_representation.items())
+        + f"), {len(off)} of them off the parent beyond fp32 rounding {off[:4]}; "
+        f"{len(declined)} cases declined, "
         f"{len(existing) - len(unrefused)} of the {len(existing)} on the existing tables "
         f"{unrefused[:4]}"
     )
