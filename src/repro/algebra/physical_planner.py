@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -136,14 +137,17 @@ class ExecutionContext:
         catalog mints a new version per ``register``; registering a new
         table object — even one wrapping the same, mutated, buffer — or a
         new model rebuilds, registering the same object again does not.
+        ``derive=None`` only looks: a miss is ``None``, and nothing is built.
         """
         if store is None:
             store = self.store_for(cache_key[2])
-        with self._build_lock((kind, *cache_key)):
+        with self._build_lock((kind, *cache_key)) if derive else nullcontext():
             with self.store_lock:
                 entry = cache.get(cache_key)
             # ``!=`` on the tail: the store by identity, the tag by value.
             if entry is None or entry[0] is not table or entry[2:] != (store, tag):
+                if derive is None:
+                    return None
                 entry = (table, derive(store), store, tag)
                 with self.store_lock:
                     cache[cache_key] = entry
@@ -195,14 +199,16 @@ class ExecutionContext:
             store=store,
         )
 
-    def cap_partition_for(self, key: tuple, table: Table, store=None) -> CapPartition | None:
+    def cap_partition_for(
+        self, key: tuple, table: Table, store=None, *, cached: bool = False
+    ) -> CapPartition | None:
         """The cap partition (:func:`~repro.core.caps.build_caps`) of a scan
         source's unit-row matrix, valid for what that matrix is; ``None``:
-        the source declined one."""
-        return self._scan_state(
-            "caps", self.norm_cache, (*key, "caps"), table,
-            lambda store: build_caps(self.normalized_matrix_for(key, table, store)), store=store,
+        the source declined one, or (``cached``) none is built yet."""
+        derive = None if cached else (
+            lambda store: build_caps(self.normalized_matrix_for(key, table, store))
         )
+        return self._scan_state("caps", self.norm_cache, (*key, "caps"), table, derive, store=store)
 
     def topk_memo_for(
         self,
@@ -557,19 +563,13 @@ def _index_for_right(
     relational predicate becomes a pre-filter bitmap over stored ids, as in
     Milvus).  Returns (index, bitmap, base_table).
     """
-    if isinstance(node, ScanNode):
-        index = ctx.indexes.get((node.table_name, column))
-        if index is None:
-            return None
-        return index, None, ctx.catalog.get(node.table_name)
-    if isinstance(node, FilterNode) and isinstance(node.child, ScanNode):
-        index = ctx.indexes.get((node.child.table_name, column))
-        if index is None:
-            return None
-        base = ctx.catalog.get(node.child.table_name)
-        bitmap = validate_boolean(node.predicate, base)
-        return index, bitmap, base
-    return None
+    name = _right_table_name(node)
+    index = None if name is None else ctx.indexes.get((name, column))
+    if index is None:
+        return None
+    base = ctx.catalog.get(name)
+    bitmap = None if isinstance(node, ScanNode) else validate_boolean(node.predicate, base)
+    return index, bitmap, base
 
 
 def _right_table_name(node: LogicalNode) -> str | None:
@@ -589,10 +589,11 @@ def _execute_ejoin(
     with span("planner.ejoin") as sp:
         n_strategies = len(report.strategies)
         n_fallbacks = len(report.fallbacks)
-        out = _execute_ejoin_impl(node, ctx, report, names)
+        out = _execute_ejoin_impl(node, ctx, report, names, sp)
         joined = len(report.strategies) > n_strategies
         sp.set(
             strategy=report.strategies[-1] if joined else None,
+            access="index" if joined and report.strategies[-1].startswith("index") else "scan",
             fallbacks=len(report.fallbacks) - n_fallbacks,
             rows=out.num_rows,
         )
@@ -603,7 +604,7 @@ def _execute_ejoin(
 
 
 def _execute_ejoin_impl(
-    node: EJoinNode, ctx: ExecutionContext, report: ExecutionReport, names
+    node: EJoinNode, ctx: ExecutionContext, report: ExecutionReport, names, sp
 ) -> Table:
     left = _execute(node.left, ctx, report)
     model = ctx.models.get(node.model_name)
@@ -640,6 +641,11 @@ def _execute_ejoin_impl(
             index_breaker_key is not None
             and not breakers().allow(index_breaker_key)
         )
+        # A plain source whose cap partition is cached scans on it (fp16
+        # keeps none); one not built yet is not built to be priced.
+        store_key = _scan_store_key(node.right, node.right_column, node.model_name)
+        part = store_key and ctx.cap_partition_for(store_key, base, store, cached=True)
+        fp16 = get_config().default_precision == "fp16"
         decision = choose_access_path(
             len(left_vectors),
             len(index),
@@ -648,8 +654,13 @@ def _execute_ejoin_impl(
             selectivity=sel,
             params=ctx.cost_params,
             index_available=not index_open,
+            caps=part.probe_terms(node.condition) if part and not fp16 else None,
+            index_lists=index.probe_terms(),
         )
         strategy = "index" if decision.choice == "index" else "tensor"
+        sp.set(cost_scan=decision.scan_cost, cost_index=decision.index_cost)
+        if decision.caps_share is not None:
+            sp.set(caps_share=decision.caps_share)
 
     if strategy == "index":
         if indexed is None:

@@ -16,7 +16,7 @@ quotes rows of ``tools/sweep_blocks.py --caps`` (one thread)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -58,13 +58,16 @@ class CapPartition:
     """Unit rows grouped by cap: cap ``c`` is ``rows[starts[c]:starts[c +
     1]]``, source rows ``ids[...]``, float64 unit ``centres[c]``, and
     ``radius[c]`` its lowest member cosine ``m``.  ``axes[c]`` is ``[centre,
-    m, sqrt(1 - m^2)]`` in fp32: what :func:`keep` multiplies."""
+    m, sqrt(1 - m^2)]`` in fp32: what :func:`keep` multiplies.
+    ``kept_share`` is the share of a top-8 join's cells the bounds kept
+    when :func:`build_caps` checked the partition on its own rows."""
 
     rows: np.ndarray
     ids: np.ndarray
     starts: np.ndarray
     centres: np.ndarray
     radius: np.ndarray
+    kept_share: float = 0.0
     axes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -76,6 +79,15 @@ class CapPartition:
         """``scan_join``'s ``caps=``: :func:`cap_join` on these caps, and
         the bytes of bound state a left row holds on them."""
         return partial(cap_join, self, condition), STATE_BYTES * len(self.radius)
+
+    def probe_terms(self, condition) -> tuple[int, float] | None:
+        """What a top-k join on these caps is priced by, as an exact IVF:
+        each left row's centre products and the measured share of the right
+        rows it scores; ``None`` for a join that would decline."""
+        n = len(self.ids)
+        if not isinstance(condition, TopKCondition) or min(condition.k, n) > DECLINE_SHARE * n:
+            return None
+        return len(self.radius), self.kept_share
 
 
 def build_caps(unit_rows: np.ndarray) -> CapPartition | None:
@@ -102,7 +114,11 @@ def build_caps(unit_rows: np.ndarray) -> CapPartition | None:
         radius.append((members @ centres[-1]).min())
     part = CapPartition(rows, ids, starts, np.array(centres), np.clip(radius, -1.0, 1.0))
     check = unit_rows[rng.choice(n, min(n, 256), replace=False)]
-    return part if cap_join(part, TopKCondition(8), check, np.inf) is not None else None
+    scan = cap_join(part, TopKCondition(8), check, np.inf)
+    if scan is None:
+        return None
+    kept = scan.cells - len(check) * len(part.radius)  # less the centre products
+    return replace(part, kept_share=kept / (len(check) * n))
 
 
 def keep(part: CapPartition, s: np.ndarray, floors) -> tuple[np.ndarray, np.ndarray]:

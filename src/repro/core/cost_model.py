@@ -208,6 +208,16 @@ def index_join_cost(
     return n_left * probe + model
 
 
+def probed_scan_cost(
+    n_left: int, n_base: int, dim: int, params: CostParams, lists: int, share: float
+) -> float:
+    """Each left row scores ``lists`` centres, then ``share`` of the
+    ``n_base`` rows, at GEMM cost: an IVF probe (share ``nprobe / nlist``)
+    and a cap-bounded scan (its measured ``kept_share``) alike."""
+    c = params.compute_per_dim * dim * params.gemm_efficiency
+    return n_left * (lists + share * n_base) * (params.access + c)
+
+
 def scan_join_cost_filtered(
     n_left: int,
     n_base: int,
@@ -375,6 +385,8 @@ class AccessPathDecision:
     choice: str  # "scan" | "index"
     scan_cost: float
     index_cost: float
+    #: The cap partition's measured share when the scan was priced on it.
+    caps_share: float | None = None
 
     @property
     def ratio(self) -> float:
@@ -394,30 +406,35 @@ def choose_access_path(
     params: CostParams | None = None,
     ef_search: int = 64,
     index_available: bool = True,
+    caps: tuple[int, float] | None = None,
+    index_lists: tuple[int, float] | None = None,
 ) -> AccessPathDecision:
     """Selectivity-driven scan-vs-index decision (Section VI-E takeaway).
 
     Low selectivity favours the scan (it filters cheaply and computes on
     the survivors); high selectivity with small ``k`` favours the index.
+    ``caps``, ``(centres, kept share)`` of a cap partition that will take
+    the join, can only move an index pick onto the exact scan: the index
+    must also beat the caps priced as :func:`probed_scan_cost`, an IVF
+    (``index_lists``, ``(nlist, nprobe / nlist)``) by the same formula, a
+    graph by its own.  The reported costs are the deciding comparison's.
     """
     params = params or CostParams()
     params.validate()
-    scan = scan_join_cost_filtered(
-        n_left, n_base, dim, params, selectivity=selectivity
-    )
+    scan = scan_join_cost_filtered(n_left, n_base, dim, params, selectivity=selectivity)
     if not index_available:
         return AccessPathDecision("scan", scan, math.inf)
     index = index_join_cost(
-        n_left,
-        n_base,
-        k,
-        dim,
-        params,
-        ef_search=ef_search,
-        selectivity=selectivity,
+        n_left, n_base, k, dim, params, ef_search=ef_search, selectivity=selectivity
     )
-    choice = "scan" if scan <= index else "index"
-    return AccessPathDecision(choice, scan, index)
+    if scan <= index:
+        return AccessPathDecision("scan", scan, index)
+    if caps is None:
+        return AccessPathDecision("index", scan, index)
+    scan = probed_scan_cost(n_left, n_base, dim, params, *caps)
+    if index_lists is not None:
+        index = probed_scan_cost(n_left, n_base, dim, params, *index_lists)
+    return AccessPathDecision("scan" if scan <= index else "index", scan, index, caps[1])
 
 
 def crossover_selectivity(

@@ -93,7 +93,8 @@ def ejoin(
             ``parallel-tensor`` builds one from ``n_threads`` when absent).
         caps: the ``tensor`` / ``parallel-tensor`` / ``tensor-int8`` /
             ``tensor-pq`` scans' cap partition of ``right``
-            (:func:`~repro.core.tensor_join.tensor_join`).
+            (:func:`~repro.core.tensor_join.tensor_join`); ``auto`` prices a
+            top-k scan on it against ``index``, as the planner does.
 
     Returns:
         :class:`JoinResult` of matched offset pairs and their similarities.
@@ -121,6 +122,7 @@ def ejoin(
             probe_k=probe_k,
             cost_params=cost_params,
             selectivity_hint=selectivity_hint,
+            caps=caps,
         )
 
     if strategy == "naive-nlj":
@@ -197,8 +199,11 @@ def _auto_strategy(
     probe_k: int | None,
     cost_params: CostParams | None,
     selectivity_hint: float,
+    caps,
 ) -> str:
     """Cost-based physical strategy selection."""
+    from ..config import get_config
+
     n_left = len(left)
     if index is not None:
         n_base = len(index)
@@ -207,6 +212,7 @@ def _auto_strategy(
             k = condition.k
         else:
             k = DEFAULT_PROBE_K if probe_k is None else probe_k
+        fp16 = get_config().default_precision == "fp16"  # fp16 scans keep no caps
         decision = choose_access_path(
             n_left,
             n_base,
@@ -214,6 +220,8 @@ def _auto_strategy(
             dim,
             selectivity=selectivity_hint,
             params=cost_params,
+            caps=caps.probe_terms(condition) if caps and right is not None and not fp16 else None,
+            index_lists=index.probe_terms(),
         )
         if decision.choice == "index":
             return "index"
@@ -228,8 +236,6 @@ def _auto_strategy(
     # through the same cost comparison the planner applies — including
     # the per-call fit/encode build, which ejoin cannot amortize — so a
     # join too small to pay for quantizer training stays on fp32.
-    from ..config import get_config
-
     n_right = len(right)
     precision = get_config().default_precision
     if precision == "fp16":

@@ -150,6 +150,10 @@ class VectorIndex(abc.ABC):
             for q in queries
         ]
 
+    def probe_terms(self) -> tuple[int, float] | None:
+        """``(lists, share of the rows)`` a probe scores; ``None``: a graph."""
+        return None
+
     def _require_built(self) -> None:
         if len(self._vectors) == 0:
             raise IndexNotBuiltError(

@@ -254,6 +254,10 @@ class IVFFlatIndex(VectorIndex):
             for i, f in zip(np.split(ids, cuts), np.split(found, cuts))
         ]
 
+    def probe_terms(self) -> tuple[int, float]:
+        lists = len(self._starts) - 1
+        return lists, min(self.nprobe, lists) / max(lists, 1)
+
     def list_sizes(self) -> list[int]:
         """Inverted-list occupancy (diagnostics)."""
         return np.diff(self._starts).tolist()

@@ -8,6 +8,7 @@ from repro.core.cost_model import (
     index_probe_cost,
     naive_nlj_cost,
     prefetch_nlj_cost,
+    probed_scan_cost,
     scan_join_cost_filtered,
     tensor_join_cost,
 )
@@ -110,6 +111,37 @@ class TestAccessPathSelection:
             100, 100_000, 100, params, selectivity=0.01
         )
         assert filtered < full
+
+
+class TestCapPricing:
+    """A cached cap partition prices the scan as a probed scan, like an IVF
+    (``(lists, share)``), and can only move an index pick onto the scan."""
+
+    #: ``ejoin_vectors``: 1,000 x 40,000 x 128, 625 caps, IVF 128 / 8.
+    SHAPE, CAPS, IVF = (1_000, 40_000, 8, 128), (625, 0.0065), (128, 8 / 128)
+
+    def test_caps_beat_an_ivf_that_beat_the_dense_scan(self):
+        assert choose_access_path(*self.SHAPE).choice == "index"
+        decision = choose_access_path(*self.SHAPE, caps=self.CAPS, index_lists=self.IVF)
+        assert decision.choice == "scan" and decision.caps_share == self.CAPS[1]
+        assert decision.scan_cost == probed_scan_cost(
+            1_000, 40_000, 128, CostParams(), *self.CAPS
+        )
+
+    def test_an_ivf_probing_less_than_the_caps_keep_stays(self):
+        decision = choose_access_path(*self.SHAPE, caps=(625, 0.1), index_lists=self.IVF)
+        assert decision.choice == "index" and decision.index_cost < decision.scan_cost
+
+    def test_a_dense_scan_pick_never_moves_onto_the_index(self):
+        shape = (200, 4_500, 5, 16)
+        assert choose_access_path(*shape).choice == "scan"
+        decision = choose_access_path(*shape, caps=(70, 0.2), index_lists=(64, 1 / 64))
+        assert decision.choice == "scan" and decision.caps_share is None
+
+    def test_a_graph_keeps_its_own_price(self):
+        dense = choose_access_path(*self.SHAPE)
+        decision = choose_access_path(*self.SHAPE, caps=self.CAPS)
+        assert decision.index_cost == dense.index_cost and decision.choice == "scan"
 
 
 class TestCrossover:

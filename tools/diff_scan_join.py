@@ -33,6 +33,16 @@ partition declines.
 int8 and PQ run at default settings: every top-k row is proved by the
 quantizer's error bound or rescanned at a fixed floor.
 
+The auto family (``auto/...``) runs the planner with no strategy and an
+IVF index registered on the right side of the two clustered tables and of
+two with 9,000 right rows, on every condition and engine, from a cold
+engine and after a forced scan cached the right side's caps: where the
+caps are priced and win, the join leaves the index for the exact scan.
+Every answer a scan gave is held to the oracle (a top-k to the int8 / PQ
+set rule below).  Against the parent a case may differ only where it left
+the index: by ids where the parent's index missed the oracle, else by
+scores within ``SWAP_TOLERANCE``.
+
 Against the oracle (NumPy float64, no ``repro``): on the grid tables ids,
 order and scores are exact, and so are an int8 or PQ top-k's ids and
 order on every table (each row holds the oracle's set of ids; two of
@@ -63,6 +73,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -90,6 +101,13 @@ ULP = 2.0**-23
 #: (row 1,270), which the fp32 scores of an int8 / PQ join on the caps
 #: order the other way, so :func:`_meets_oracle`'s set rule cannot hold.
 WIDE_CONDITIONS = ("topk",)
+#: The auto family: the planner joins a clustered table with no strategy and
+#: an IVF index ``(nlist, nprobe)`` registered on the right side, from a
+#: cold engine and after a forced scan cached the right side's caps.  "ivf"
+#: probes ``ejoin_vectors``' share of the rows, "fine" fewer rows in many
+#: more lists (it misses).  The dense scan wins on the 4,500-row tables at
+#: the parent already; on the 9,000-row ones the parent picks the index.
+AUTO_INDEXES = {"ivf": (128, 8), "fine": (1024, 4)}
 
 
 def _grid(np, n, seed):
@@ -341,7 +359,106 @@ def records(raw: bool) -> tuple[dict[str, dict], list[str]]:
                         > shape["buffer_budget_bytes"]
                     ):
                         complaints.append(f"{case}: over the buffer budget")
+    _auto_records(np, out, complaints, raw, sha)
     return out, complaints
+
+
+def _auto_tables(np) -> dict:
+    tables = _tables(np)
+    tables = {name: tables[name] for name in ("clustered0", "clustered1")}
+    for seed in range(2):
+        tables[f"clustered-ivf{seed}"] = (
+            _clustered(np, 200, 70 + seed), _clustered(np, 9_000, 80 + seed), False
+        )
+    return tables
+
+
+def _auto_records(np, out, complaints, raw, sha) -> None:
+    """The auto family: ``auto/<index>/<table>/<condition>/<cold|cached>/
+    <mode>``.  A scan's answer is held to the oracle (a top-k to the int8 /
+    PQ set rule); ``path`` records whether the index answered."""
+    from repro.embedding import HashingEmbedder
+    from repro.engine import ExecutionEngine
+    from repro.index import IVFFlatIndex
+    from repro.query import Engine
+    from repro.relational import Catalog, DataType, Field, Schema, Table
+
+    def vec_table(key, vectors):
+        schema = Schema.of(Field(key, DataType.INT64), Field("vec", DataType.TENSOR, dim=DIM))
+        return Table.from_arrays(schema, {key: np.arange(len(vectors)), "vec": vectors})
+
+    def make_engine(left, right, index):
+        catalog = Catalog()
+        catalog.register("l", vec_table("lid", left))
+        catalog.register("r", vec_table("rid", right))
+        engine = Engine(catalog)
+        engine.models.register("m", HashingEmbedder(dim=DIM))
+        engine.register_index("r", "vec", index)
+        return engine
+
+    def join(engine, strategy=None, **terms):
+        query = engine.query("l").ejoin(
+            "r", left_on="vec", right_on="vec", model="m", strategy=strategy, **terms,
+        ).select(["lid", "rid", "similarity"])
+        return query.execute(), query.last_report.join_stats[-1]
+
+    executors = {
+        "1t": lambda: ExecutionEngine(n_threads=1),
+        "2t": lambda: ExecutionEngine(n_threads=2),
+        "env": ExecutionEngine,
+        "budget": lambda: ExecutionEngine(
+            buffer_budget_bytes=BUDGET_BYTES * ExecutionEngine().n_threads
+        ),
+    }
+    verdicts = {}
+    for (lists, (nlist, nprobe)), (name, (left, right, _)) in itertools.product(
+        AUTO_INDEXES.items(), _auto_tables(np).items()
+    ):
+        scores = _unit64(np, left) @ _unit64(np, right).T
+        index = IVFFlatIndex(DIM, nlist=nlist, nprobe=nprobe, seed=0)
+        index.add(right)
+        warm = make_engine(left, right, index)
+        join(warm, "parallel-tensor", top_k=K)  # caches the right side's caps
+        for label, cond in _conditions(np, scores).items():
+            for state, mode in itertools.product(("cold", "cached"), executors):
+                case = f"auto/{lists}/{name}/{label}/{state}/{mode}"
+                engine = warm if state == "cached" else make_engine(left, right, index)
+                engine.executor = executors[mode]()
+                try:
+                    got, stats = join(engine, **cond)
+                except Exception as exc:
+                    out[case] = {"ids": f"error:{type(exc).__name__}", "scores": None, "path": None}
+                    continue
+                left_ids, right_ids = (got.array(c).astype(np.int64) for c in ("lid", "rid"))
+                found = got.array("similarity")
+                if "threshold" in cond:  # the optimizer may swap the sides
+                    order = np.lexsort((right_ids, left_ids))
+                    left_ids, right_ids, found = left_ids[order], right_ids[order], found[order]
+                path = "index" if stats.strategy.startswith("index") else "scan"
+                # Scores hang on how the engine cut the work: compared
+                # with the parent's (--raw), not emitted.
+                scored = sha(found)
+                out[case] = {"ids": sha(left_ids, right_ids), "scores": scored if raw else None,
+                             "path": path}
+                if raw and len(found) <= 100_000:
+                    out[case]["bits"] = found.view(np.int32).tolist()
+                # Modes mostly agree: each distinct answer is checked once.
+                answer = (name, label, path, out[case]["ids"], scored)
+                if answer not in verdicts:
+                    meets = None
+                    if "top_k" in cond:
+                        meets = _meets_oracle(np, scores, cond, left_ids, right_ids)
+                    why = None
+                    if path == "scan":  # an index is approximate: held to the parent only
+                        why = _oracle_check(
+                            np, scores, cond, False, TOLERANCE, left_ids, right_ids, found
+                        ) or (meets is False and "ids / order differ from the oracle") or None
+                    verdicts[answer] = meets, why
+                meets, why = verdicts[answer]
+                if meets is not None:
+                    out[case]["oracle"] = meets
+                if why:
+                    complaints.append(f"{case}: {why}")
 
 
 def _off_parent(np, tables, case: str, parent: dict, change: dict) -> str | None:
@@ -423,8 +540,24 @@ def main() -> int:
     ids, fixed, scores, widest = [], [], [], 0.0
     capped, off, declined, existing = [], [], [], []
     by_representation = {"fp32": 0, "int8": 0, "pq": 0}
+    auto = {"cases": 0, "moved": [], "fixed": [], "off": []}
     for case, change in sides["change"].items():
         parent = sides["parent"][case]
+        if case.startswith("auto/"):
+            auto["cases"] += 1
+            if change["path"] != parent["path"]:
+                auto["moved"].append(case)
+            if change["ids"] != parent["ids"]:
+                # Only where the parent's index missed and the scan meets.
+                missed = parent.get("oracle") is False and change.get("oracle") is True
+                (auto["fixed"] if missed else auto["off"]).append(case)
+            elif change["scores"] != parent["scores"] and not (
+                # A scan's GEMM rounds a cell other than the probe's did.
+                case in auto["moved"] and "bits" in change
+                and _apart(change["bits"], parent["bits"]) <= SWAP_TOLERANCE
+            ):
+                auto["off"].append(case)
+            continue
         if "caps" in change and not case.startswith("clustered"):
             existing.append(case)
         if change.get("caps") not in (None, 0, "declined"):
@@ -465,7 +598,13 @@ def main() -> int:
         f"{len(existing) - len(unrefused)} of the {len(existing)} on the existing tables "
         f"{unrefused[:4]}"
     )
-    return 1 if ids or scores or off or unrefused or status else 0
+    print(
+        f"auto with an IVF index: {auto['cases']} cases, {len(auto['moved'])} moved off the "
+        f"parent's path {auto['moved'][:4]}, {len(auto['fixed'])} id differences where the "
+        f"parent's index missed the oracle and this checkout meets it {auto['fixed']}, "
+        f"{len(auto['off'])} other differences {auto['off'][:8]}"
+    )
+    return 1 if ids or scores or off or unrefused or status or auto["off"] else 0
 
 
 if __name__ == "__main__":

@@ -33,6 +33,19 @@ caps, folds), for 500 and 1,000 left rows; and the 1,000-row join on a
 500-row ones, interleaved, median and wins::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/sweep_blocks.py --caps
+
+``--access`` prints the table behind the access-path chooser's pick between
+the IVF probe and the cap-bounded scan: on ``ejoin_vectors``-shaped rows
+(40,000 x 128 around 256 centres, IVF ``nlist`` 128 / ``nprobe`` 8, then
+``nprobe`` 1, which probes fewer rows than the caps keep), for
+each ``n_left`` in {1, 8, 64, 256, 1000} and ``k`` in {1, 8, 32}, the IVF
+join, the join on the cap partition and the dense join on one worker
+(min of ``--repeat``, interleaved), the IVF's recall of the exact ids,
+what ``choose_access_path`` picks with the partition cached, and its
+regret: the pick's ms over the fastest of the three::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/sweep_blocks.py --access
+    PYTHONPATH=src python tools/sweep_blocks.py --access --quick   # CI: rot only
 """
 
 from __future__ import annotations
@@ -45,9 +58,12 @@ import numpy as np
 from repro.core import caps
 from repro.core import scan as scan_module
 from repro.core.conditions import ThresholdCondition, TopKCondition
+from repro.core.cost_model import choose_access_path
+from repro.core.index_join import index_join
 from repro.core.scan import TOPK_PRESCREEN_PAD
 from repro.core.tensor_join import dense_scorer, tensor_join
 from repro.engine import ExecutionEngine
+from repro.index import IVFFlatIndex
 from repro.vector.norms import normalize_rows
 from repro.vector.quant import Int8Quantizer
 from repro.vector.select import CHUNK, MIN_STRIDE, TopKReducer
@@ -242,6 +258,56 @@ def sweep_cap_tasks(n_left, n_right, dim, repeat, rows):
               f"| {1e3 * np.median(times[False]):.1f} | {tasks[False]} | {wins}/{2 * repeat} |")
 
 
+def sweep_access(n_lefts, ks, lists, repeat, rows):
+    """One row per ``(n_left, k)``: IVF, cap and dense ms, the pick, regret."""
+    left, right = rows[: max(n_lefts)], rows[max(n_lefts) :]
+    n_right, dim = right.shape
+    index = IVFFlatIndex(dim, nlist=lists[0], nprobe=lists[1], seed=3)
+    index.add(right)
+    part, engine = caps.build_caps(right), ExecutionEngine(n_threads=1)
+    if part is None:
+        print("\n(no partition: the source declined)")
+        return
+    print(f"\n## access paths: {n_right} x {dim}, IVF nlist {lists[0]} nprobe {lists[1]}, "
+          f"{len(part.radius)} caps (kept share {100 * part.kept_share:.2f}%), "
+          f"one worker, min of {repeat}")
+    print("| n_left | k | IVF ms | IVF recall | cap ms | dense ms | pick | regret |")
+    print("|---|---|---|---|---|---|---|---|")
+    for n_left in n_lefts:
+        for k in ks:
+            condition, queries = TopKCondition(k), left[:n_left]
+            paths = {
+                "IVF": lambda: index_join(queries, index, condition, engine=engine),
+                "cap": lambda: tensor_join(
+                    queries, right, condition, assume_normalized=True, engine=engine, caps=part
+                ),
+                "dense": lambda: tensor_join(
+                    queries, right, condition, assume_normalized=True, engine=engine
+                ),
+            }
+            best, got = {name: np.inf for name in paths}, {}
+            for _ in range(repeat):
+                for name, call in paths.items():
+                    out, took = _timed(call)
+                    best[name] = min(best[name], took)
+                    if name != "dense":
+                        got[name] = out
+            exact = set(zip(got["cap"].left_ids.tolist(), got["cap"].right_ids.tolist()))
+            found = set(zip(got["IVF"].left_ids.tolist(), got["IVF"].right_ids.tolist()))
+            decision = choose_access_path(
+                n_left, n_right, k, dim, caps=part.probe_terms(condition),
+                index_lists=index.probe_terms(),
+            )
+            # A scan of a source with a partition runs on it.
+            pick = "IVF" if decision.choice == "index" else "cap"
+            declined = "" if got["cap"].stats.extra["cap_tasks"] else " (declined)"
+            print(
+                f"| {n_left} | {k} | {1e3 * best['IVF']:.2f} | {len(exact & found) / len(exact):.3f} "
+                f"| {1e3 * best['cap']:.2f}{declined} | {1e3 * best['dense']:.2f} | {pick} "
+                f"| {best[pick] / min(best.values()):.2f} |"
+            )
+
+
 def _timed(call):
     start = time.perf_counter()
     out = call()
@@ -252,8 +318,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="toy sizes, one pass")
     parser.add_argument("--caps", action="store_true", help="the cap partition's table")
+    parser.add_argument("--access", action="store_true", help="the IVF-vs-caps pick's table")
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
+    if args.access:
+        if args.quick:
+            rows = embedding_like_vectors(4208, 16, rank=16, seed=5)[0]
+            sweep_access((1, 8), (1, 8), (16, 2), 1, rows)
+        else:
+            rows = ejoin_vectors_like(41_000, 128, 5)
+            for lists in ((128, 8), (128, 1)):  # the benchmark's index, and a coarser probe
+                sweep_access((1, 8, 64, 256, 1000), (1, 8, 32), lists, args.repeat, rows)
+        return 0
     if args.caps or args.quick:
         per_cap = caps.ROWS_PER_CAP, caps.SAMPLE_PER_CAP, caps.CAP_ITERS
         settings = [(rows, *per_cap[1:]) for rows in (32, 64, 96, 128)] + [
