@@ -61,6 +61,76 @@ from .logical import (
 )
 
 
+class SourceState:
+    """Derived state of every plain ``Scan(table)`` source, and the one
+    version rule it follows.  An :class:`~repro.query.builder.Engine`
+    owns one and hands it to every context it mints, so state built by
+    one query amortizes across every later query and concurrent session.
+
+    An entry is keyed ``(table, column, model, representation)`` — the
+    representation one of ``"unit"`` (the unit-row matrix), ``"caps"``
+    (its cap partition), ``"int8"`` / ``"pq"`` (quantized stores) and
+    ``"memo"`` (the top-k memo) — and is ``(source table, state,
+    embed-once store, tag)``.  It is valid for *one registration* of the
+    table under *one model object*: a lookup hits iff the entry was
+    derived from this very :class:`~repro.relational.table.Table` — the
+    one the caller executed and will materialize rows from — with this
+    very embed-once store (:meth:`store_for` makes a new one when the
+    model registered under the name is replaced), and for an equal
+    ``tag`` (the memo's condition).  Identity compares, no pass over the
+    column: a new table object replaces the entry even when it wraps the
+    same, mutated buffer; registering the same object again rebuilds
+    nothing; and state never pairs with rows of another registration or
+    vectors of another model.
+
+    Builds hold a per-entry lock, so sessions racing a cold source build
+    it once while unrelated sources never serialize; :attr:`lock`
+    guards the bookkeeping (and a memo's ``put``).
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.RLock()
+        self._entries: dict[tuple, tuple] = {}
+        self._build_locks: dict[tuple, threading.Lock] = {}
+        self._embed_stores: dict[str, EmbeddingStore] = {}
+
+    def store_for(self, model_name: str, model) -> EmbeddingStore:
+        """The embed-once store of ``model``, registered as ``model_name``."""
+        return shared_store(self._embed_stores, model_name, model, self.lock)
+
+    def get(self, key: tuple, table: Table, store: EmbeddingStore, derive=None, tag=None):
+        """The state under ``key`` valid for ``table`` and ``store`` (and
+        ``tag``) — ``derive(store)`` made and kept on a miss.  With no
+        ``derive`` it only looks: a miss is ``None``, and nothing is built."""
+        with self._build_lock(key) if derive else nullcontext():
+            with self.lock:
+                entry = self._entries.get(key)
+            # ``!=`` on the tail: the store by identity, the tag by value.
+            if entry is None or entry[0] is not table or entry[2:] != (store, tag):
+                if derive is None:
+                    return None
+                entry = (table, derive(store), store, tag)
+                with self.lock:
+                    self._entries[key] = entry
+            return entry[1]
+
+    def entries(self, representation: str) -> dict[tuple, tuple]:
+        """``(table, column, model) -> entry`` of one representation: a copy."""
+        with self.lock:
+            return {
+                key[:3]: entry
+                for key, entry in self._entries.items()
+                if key[3] == representation
+            }
+
+    def _build_lock(self, key: tuple) -> threading.Lock:
+        with self.lock:
+            lock = self._build_locks.get(key)
+            if lock is None:
+                lock = self._build_locks[key] = threading.Lock()
+            return lock
+
+
 @dataclass
 class ExecutionContext:
     """Everything physical planning needs: data, models, indexes, costs."""
@@ -73,85 +143,29 @@ class ExecutionContext:
     #: Morsel-driven executor every engine-executed physical operator
     #: schedules on (thread count / buffer budget come from the config).
     engine: ExecutionEngine = field(default_factory=ExecutionEngine)
-    #: model_name -> shared embedding store (embed-once across the query).
-    _stores: dict[str, EmbeddingStore] = field(default_factory=dict)
-    #: (table, column, model, method) -> (source table, pre-encoded
-    #: quantized relation).  Like ``indexes``, these are access-path state
-    #: built once per context and amortized across queries.
-    quant_stores: dict[tuple, object] = field(default_factory=dict)
-    #: (table, column, model) -> (source table, unit-normalized matrix);
-    #: (table, column, model, "caps") -> (source table, cap partition).
-    #: Shared-scan state: one normalization serves every query (and every
-    #: concurrent session) scanning the same column under the same model.
-    norm_cache: dict[tuple, tuple] = field(default_factory=dict)
-    #: (table, column, model) -> (source table,
-    #: :class:`~repro.core.result.TopKMemo`): the top-k pairs of every
-    #: embed-once code joined against that source under the last top-k
-    #: condition, so a string is scanned once per registration.
-    topk_memos: dict[tuple, tuple] = field(default_factory=dict)
-    #: Serializes bookkeeping on every shared store above.  Contexts
-    #: minted by one :class:`~repro.query.builder.Engine` share its lock
-    #: (and its store dicts), so concurrent sessions cannot duplicate or
-    #: corrupt encode/normalize/fit work.  Heavyweight builds hold a
-    #: *per-source* lock from ``store_key_locks`` instead, so cold
-    #: queries on unrelated sources never serialize on each other.
-    store_lock: threading.RLock = field(default_factory=threading.RLock)
-    #: source key -> build lock (shared across contexts like the stores).
-    store_key_locks: dict = field(default_factory=dict)
-    #: Attribution tag for this query's scheduler runs (service-assigned).
-    query_tag: str | None = None
-
-    def _build_lock(self, key: tuple) -> threading.Lock:
-        with self.store_lock:
-            lock = self.store_key_locks.get(key)
-            if lock is None:
-                lock = self.store_key_locks[key] = threading.Lock()
-            return lock
+    #: Access-path state of every scan source and the embed-once stores,
+    #: shared by every context one :class:`~repro.query.builder.Engine`
+    #: mints.
+    sources: SourceState = field(default_factory=SourceState)
 
     def store_for(self, model_name: str) -> EmbeddingStore:
         """The embed-once store of the model registered as ``model_name``."""
-        return shared_store(
-            self._stores, model_name, self.models.get(model_name), self.store_lock
-        )
+        return self.sources.store_for(model_name, self.models.get(model_name))
 
     def register_index(
         self, table_name: str, column: str, index: VectorIndex
     ) -> None:
         self.indexes[(table_name, column)] = index
 
-    def _scan_state(
-        self, kind: str, cache: dict, cache_key: tuple, table: Table, derive,
-        store: EmbeddingStore | None = None, tag=None,
+    def _source(
+        self, key: tuple, representation: str, table: Table,
+        store: EmbeddingStore | None, derive, tag=None,
     ):
-        """Get-or-``derive(store)`` state of a scan source — ``cache_key``
-        leads with ``(table name, column, model)`` — for ``table``, the
-        registration the caller executed and will materialize from.
-
-        An entry is ``(source table, state, embed-once store, tag)`` and
-        hits iff it was derived from this very :class:`Table` object with
-        ``store`` — by default the registered model's, which
-        :meth:`store_for` replaces with the model — and for an equal
-        ``tag``: identity compares, no pass over the column (whose
-        embedding is only produced on a miss), and the state can never pair
-        with rows of another registration or vectors of another model.  The
-        catalog mints a new version per ``register``; registering a new
-        table object — even one wrapping the same, mutated, buffer — or a
-        new model rebuilds, registering the same object again does not.
-        ``derive=None`` only looks: a miss is ``None``, and nothing is built.
-        """
+        """:meth:`SourceState.get` for the ``(table, column, model)``
+        source ``key``; ``store`` defaults to the registered model's."""
         if store is None:
-            store = self.store_for(cache_key[2])
-        with self._build_lock((kind, *cache_key)) if derive else nullcontext():
-            with self.store_lock:
-                entry = cache.get(cache_key)
-            # ``!=`` on the tail: the store by identity, the tag by value.
-            if entry is None or entry[0] is not table or entry[2:] != (store, tag):
-                if derive is None:
-                    return None
-                entry = (table, derive(store), store, tag)
-                with self.store_lock:
-                    cache[cache_key] = entry
-            return entry[1]
+            store = self.store_for(key[2])
+        return self.sources.get((*key, representation), table, store, derive, tag)
 
     def quant_store_for(
         self,
@@ -159,21 +173,21 @@ class ExecutionContext:
         table: Table,
         method: str,
         store: EmbeddingStore | None = None,
+        *,
+        cached: bool = False,
     ):
         """Fit/encode-once quantized store for a (table, column, model):
         every query against the same registration ``table`` of the scan
         source reuses the encoded codes (embedded with ``store`` if
         given).  Its re-rank rows are the source's one unit-row matrix
-        (:meth:`normalized_matrix_for`), not a copy."""
+        (:meth:`normalized_matrix_for`), not a copy.  ``cached`` only
+        looks: ``None`` while no valid store is built."""
         def build(store: EmbeddingStore):
             unit = self.normalized_matrix_for(key, table, store)
             maybe_inject("quant.build")
             return QuantizedRelation.build(unit, method, assume_normalized=True)
 
-        return self._scan_state(
-            "quant", self.quant_stores, (*key, method), table, build,
-            store=store,
-        )
+        return self._source(key, method, table, store, None if cached else build)
 
     def normalized_matrix_for(
         self,
@@ -191,12 +205,11 @@ class ExecutionContext:
         sharing never changes results; a hit on a string column skips its
         embedding pass altogether.
         """
-        return self._scan_state(
-            "norm", self.norm_cache, key, table,
+        return self._source(
+            key, "unit", table, store,
             lambda store: normalize_rows(
                 _embed_column(table, key[1], key[2], self, store)
             ),
-            store=store,
         )
 
     def cap_partition_for(
@@ -208,7 +221,7 @@ class ExecutionContext:
         derive = None if cached else (
             lambda store: build_caps(self.normalized_matrix_for(key, table, store))
         )
-        return self._scan_state("caps", self.norm_cache, (*key, "caps"), table, derive, store=store)
+        return self._source(key, "caps", table, store, derive)
 
     def topk_memo_for(
         self,
@@ -227,9 +240,9 @@ class ExecutionContext:
         too_wide = TopKMemo.bytes_per_key(width) > 4 * store.model.dim
         if too_wide or store is not self.store_for(key[2]):
             return None
-        return self._scan_state(
-            "memo", self.topk_memos, key, table, lambda _: TopKMemo(width),
-            store=store, tag=(condition.k, condition.min_similarity),
+        return self._source(
+            key, "memo", table, store, lambda _: TopKMemo(width),
+            tag=(condition.k, condition.min_similarity),
         )
 
 
@@ -254,6 +267,7 @@ def _probe_k(condition) -> int:
 def _quantized_scan_decision(
     ctx: "ExecutionContext",
     store_key: tuple[str, str, str] | None,
+    table: Table,
     n_left: int,
     n_right: int,
     dim: int,
@@ -263,12 +277,12 @@ def _quantized_scan_decision(
 
     The chooser's verdict under the configured ``REPRO_PRECISION``; the
     fit/encode build is treated as sunk only when the source is a plain
-    table scan (``store_key``) whose store is already cached.
+    table scan (``store_key``) whose store is built and valid for its
+    registration ``table``.
     """
-    prebuilt = store_key is not None and (
-        *store_key,
-        get_config().default_precision,
-    ) in ctx.quant_stores
+    prebuilt = store_key is not None and ctx.quant_store_for(
+        store_key, table, get_config().default_precision, cached=True
+    ) is not None
     return choose_scan_precision(
         n_left, n_right, _probe_k(condition), dim,
         topk=isinstance(condition, TopKCondition),
@@ -395,6 +409,7 @@ def _execute_eselect(
         decision = _quantized_scan_decision(
             ctx,
             store_key,
+            table,
             1,
             table.num_rows,
             _embedding_dim(table, node.column, model),
@@ -725,6 +740,7 @@ def _execute_ejoin_impl(
         precision = _quantized_scan_decision(
             ctx,
             store_key,
+            right,
             len(left_vectors),
             right.num_rows,
             _embedding_dim(right, node.right_column, model),
@@ -790,7 +806,7 @@ def _execute_ejoin_impl(
             engine=ctx.engine,
             caps=caps,
         )
-        with ctx.store_lock:
+        with ctx.sources.lock:
             memo.put(keys[unknown], scanned)
         n_scanned = int(np.count_nonzero(unknown))
         stats = scanned.stats

@@ -11,15 +11,13 @@ functions over row ranges; the engine decides placement.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from ..config import cpu_count, get_config
-from ..obs.trace import span
-from ..reliability.retry import RetryBudget, RetryPolicy
-from ..reliability.runtime import current_deadline, current_retry_budget
+from ..obs.trace import QueryScope, current_scope, span
+from ..reliability.retry import RetryPolicy
 from ..reliability.watchdog import WatchdogPolicy
 from ..vector.select import task_rows, worth_scheduling
 from .morsel import Morsel, make_morsels
@@ -145,27 +143,11 @@ class ExecutionEngine:
         )
         self.stats = EngineStats()
         #: Engine-wide retry parameters; bound per run with the ambient
-        #: deadline and a fresh per-query budget.  The policy's stats
+        #: query scope's deadline and retry budget.  The policy's stats
         #: object is shared by every bound view, so retry counters
         #: accumulate across the engine's lifetime.
         self.retry_policy = RetryPolicy.from_config()
         self.watchdog = WatchdogPolicy.from_config()
-        #: Attribution tag stamped on this engine's scheduler runs; set
-        #: via :meth:`with_tag` so concurrent queries sharing one engine
-        #: each carry their own tag.
-        self.tag: str | None = None
-
-    def with_tag(self, tag: str | None) -> "ExecutionEngine":
-        """A shallow view of this engine that tags its scheduler runs.
-
-        The view shares the scheduler configuration, buffer budget, and
-        (crucially) the cumulative :class:`EngineStats` with the parent —
-        only the attribution tag differs, so a service can hand each
-        concurrent query a tagged handle onto one shared engine.
-        """
-        view = copy.copy(self)
-        view.tag = tag
-        return view
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -177,7 +159,7 @@ class ExecutionEngine:
         of :func:`~repro.vector.select.task_rows` rows, the cut a scan
         join's left side gets."""
         rows = task_rows(n_rows, self.n_threads, self.morsel_rows, row_work)
-        return make_morsels(n_rows, rows, tag=self.tag)
+        return make_morsels(n_rows, rows)
 
     def map_morsels(
         self,
@@ -209,14 +191,13 @@ class ExecutionEngine:
         scheduler = WorkStealingScheduler(
             self.n_threads, work_stealing=self.work_stealing
         )
-        # Bind the retry policy to this run: the ambient deadline and
-        # per-query budget (set by the service's QoS dispatch on this
-        # thread) bound backoff; a standalone run gets its own budget.
-        budget = current_retry_budget()
-        if budget is None:
-            budget = RetryBudget()
+        # Bind the retry policy to this run: the ambient query scope's
+        # deadline and per-query budget (opened by the service on this
+        # thread) bound backoff, and its tag attributes the run; a
+        # standalone run gets its own budget and no tag.
+        scope = current_scope() or QueryScope()
         bound = self.retry_policy.bind(
-            deadline=current_deadline(), budget=budget
+            deadline=scope.deadline, budget=scope.retry_budget()
         )
         # The span lives on the *dispatching* thread — the one carrying
         # the ambient query trace; worker threads never see the scope,
@@ -226,12 +207,12 @@ class ExecutionEngine:
                 tasks, stats=run_stats, retry=bound, watchdog=self.watchdog
             )
             sp.set(
-                tag=self.tag,
+                tag=scope.tag,
                 morsels=run_stats.n_tasks,
                 steals=run_stats.steals,
                 retries=run_stats.retries,
             )
-        self.stats.record(run_stats, tag=self.tag)
+        self.stats.record(run_stats, tag=scope.tag)
         return results
 
 

@@ -24,16 +24,12 @@ class Morsel:
     """A contiguous range ``[start, stop)`` of left-relation rows.
 
     ``seq`` is the morsel's position in input order; schedulers return
-    results sorted by it, making execution order unobservable.  ``tag``
-    optionally names the query (or shared-scan group) the morsel belongs
-    to, so a service running many queries on one engine can attribute
-    scheduled work per query in the engine's counters.
+    results sorted by it, making execution order unobservable.
     """
 
     seq: int
     start: int
     stop: int
-    tag: str | None = None
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -58,7 +54,7 @@ def partition_rows(n: int, n_parts: int) -> list[tuple[int, int]]:
     ]
 
 
-def make_morsels(n: int, morsel_rows: int, *, tag: str | None = None) -> list[Morsel]:
+def make_morsels(n: int, morsel_rows: int) -> list[Morsel]:
     """Cut ``[0, n)`` into morsels of at most ``morsel_rows`` tuples."""
     if morsel_rows < 1:
         raise JoinError(f"morsel_rows must be >= 1, got {morsel_rows}")
@@ -66,6 +62,6 @@ def make_morsels(n: int, morsel_rows: int, *, tag: str | None = None) -> list[Mo
         return []
     n_parts = -(-n // morsel_rows)  # ceil division
     return [
-        Morsel(seq, start, stop, tag)
+        Morsel(seq, start, stop)
         for seq, (start, stop) in enumerate(partition_rows(n, n_parts))
     ]

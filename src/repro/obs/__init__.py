@@ -1,13 +1,13 @@
 """Unified observability: metrics, tracing, EXPLAIN, flight recorder.
 
-``repro.obs`` correlates what the sixteen per-layer ``*Stats`` classes
-could only count in isolation:
+``repro.obs`` correlates what the per-layer ``*Stats`` classes could
+only count in isolation:
 
 * :mod:`~repro.obs.metrics` — process-wide :class:`MetricsRegistry`
   (counters, gauges, log-bucketed histograms with p50/p95/p99),
-* :mod:`~repro.obs.trace` — span-based :class:`Tracer` with ambient
-  :func:`query_scope` propagation (the ``deadline_scope`` pattern,
-  generalized) and a bounded ring of recent traces,
+* :mod:`~repro.obs.trace` — span-based :class:`Tracer`, the one ambient
+  per-query :class:`QueryScope` (trace, deadline, tag, retry budget)
+  and a bounded ring of recent traces,
 * :mod:`~repro.obs.export` — Prometheus-style text exposition and
   JSON-lines trace dumps,
 * :mod:`~repro.obs.explain` — the ``explain_analyze=True`` per-query
@@ -35,7 +35,7 @@ from .explain import render_explain
 from .export import prometheus_text, traces_jsonl
 from .metrics import Counter, registry, reset_registry
 from .server import ObservabilityServer
-from .trace import Tracer, current_trace, query_scope, span
+from .trace import QueryScope, Tracer, current_trace, span
 
 # capture/replay pull in the plan algebra, which is not importable while
 # the core packages are still initializing — and ``repro.obs`` *is*
@@ -58,13 +58,13 @@ def __getattr__(name: str):
 __all__ = [
     "Counter",
     "ObservabilityServer",
+    "QueryScope",
     "SlowQueryLog",
     "Tracer",
     "WorkloadRecorder",
     "WorkloadReplayer",
     "current_trace",
     "prometheus_text",
-    "query_scope",
     "registry",
     "render_explain",
     "reset_registry",

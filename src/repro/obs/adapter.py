@@ -1,6 +1,6 @@
 """Thin adapter publishing the existing ``*Stats`` classes as metrics.
 
-None of the sixteen ``*Stats`` dataclasses change API: they keep their
+None of the fifteen ``*Stats`` dataclasses change API: they keep their
 counters and ``snapshot()`` methods, and this module flattens those
 snapshots into registry gauges on demand (every :meth:`QueryService.metrics`
 call).  Pull-based publication matches how Prometheus scrapes anyway,

@@ -1,6 +1,6 @@
 """Process-wide metrics registry: counters, gauges, and log histograms.
 
-The repo's telemetry grew as sixteen disconnected ``*Stats`` dataclasses;
+The repo's telemetry grew as fifteen disconnected ``*Stats`` dataclasses;
 this module gives them one place to land.  Three metric kinds cover what
 a serving stack needs:
 

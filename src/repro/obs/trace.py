@@ -1,12 +1,12 @@
-"""Span-based per-query tracing with ambient context propagation.
+"""Span-based per-query tracing, and the one ambient per-query scope.
 
-This generalizes the ``deadline_scope`` pattern from
-:mod:`repro.reliability.runtime`: the service opens a :func:`query_scope`
-around execution, and every layer below — plan cache, coalescer, engine,
-physical planner — calls :func:`span` without any parameter threading.
-It works for the same reason the deadline scope does: the service
-executes queries on the submitting (caller) thread, so the scope set at
-dispatch is visible to everything the query runs on that thread.
+The service opens one :class:`QueryScope` per submission; it carries the
+query's trace, deadline, tag and retry budget, and every layer below —
+plan cache, coalescer, engine, physical planner — reads it (:func:`span`,
+:func:`current_scope`) without any parameter threading.  It works
+because the service executes queries on the submitting (caller) thread,
+so the scope set at dispatch is visible to everything the query runs on
+that thread.
 
 Two kinds of span cover the coalesced execution path:
 
@@ -32,12 +32,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..config import get_config, mix32
+from ..reliability.retry import RetryBudget
 
-_local = threading.local()
+
+class _Ambient(threading.local):
+    scope: "QueryScope | None" = None
+
+
+_local = _Ambient()
 
 
 @dataclass
@@ -234,45 +239,81 @@ def span(name: str, **attrs):
     gated off) it is a shared no-op singleton, so instrumentation sites
     cost one thread-local read when sampled out.
     """
-    trace = getattr(_local, "trace", None)
+    scope = _local.scope
+    trace = None if scope is None else scope.trace
     if trace is None or not trace.allows(name):
         return _NULL_SPAN
     return _SpanHandle(trace, name, attrs)
 
 
+def current_scope() -> "QueryScope | None":
+    """The ambient query scope of the calling thread, if any."""
+    return _local.scope
+
+
 def current_trace() -> Trace | None:
     """The ambient trace of the calling thread, if any."""
-    return getattr(_local, "trace", None)
+    scope = _local.scope
+    return None if scope is None else scope.trace
 
 
-@contextmanager
-def query_scope(trace: Trace | None):
-    """Make ``trace`` ambient for this thread and open its root span.
+class QueryScope:
+    """One query's ambient state on the thread that runs it: its trace,
+    deadline (``perf_counter`` clock), attribution tag and retry budget.
 
-    ``None`` is a valid (and the common) scope: it masks any outer trace
-    and makes every :func:`span` call below a no-op.  On exit the trace's
-    ``status`` is resolved to ``"ok"`` or ``"failed"`` (with the error
-    recorded) unless the body already set something more specific.
+    Entering makes the scope ambient for this thread and, with a trace,
+    opens the trace's root ``query`` span; leaving restores the outer
+    scope, exception or not.  A scope masks any outer one: ``trace=None``
+    (the common case) makes every :func:`span` below a no-op, and an
+    unset deadline is no deadline.  On exit the trace's ``status``
+    resolves to ``"ok"`` or ``"failed"`` (with the error recorded) unless
+    the body already set something more specific.
+
+    Engine worker threads do not inherit the scope and need not: an
+    engine run reads it once, on the dispatching thread.
     """
-    prev = getattr(_local, "trace", None)
-    _local.trace = trace
-    if trace is None:
+
+    __slots__ = ("trace", "deadline", "tag", "_budget", "_outer", "_root")
+
+    def __init__(
+        self,
+        trace: Trace | None = None,
+        *,
+        deadline: float | None = None,
+        tag: str | None = None,
+    ) -> None:
+        self.trace = trace
+        self.deadline = deadline
+        self.tag = tag
+        self._budget: RetryBudget | None = None
+
+    def retry_budget(self) -> RetryBudget:
+        """The per-query budget every engine run and the service-level
+        retry share — made on first use, so a cached answer makes none."""
+        if self._budget is None:
+            self._budget = RetryBudget()
+        return self._budget
+
+    def __enter__(self) -> "QueryScope":
+        self._outer = _local.scope
+        _local.scope = self
+        if self.trace is not None:
+            self._root = _SpanHandle(self.trace, "query", {}).__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
         try:
-            yield None
+            trace = self.trace
+            if trace is not None:
+                self._root.__exit__(exc_type, exc, tb)
+                if exc is not None:
+                    trace.status = "failed"
+                    trace.error = f"{exc_type.__name__}: {exc}"
+                elif trace.status == "running":
+                    trace.status = "ok"
         finally:
-            _local.trace = prev
-        return
-    try:
-        with _SpanHandle(trace, "query", {}):
-            yield trace
-        if trace.status == "running":
-            trace.status = "ok"
-    except BaseException as exc:
-        trace.status = "failed"
-        trace.error = f"{type(exc).__name__}: {exc}"
-        raise
-    finally:
-        _local.trace = prev
+            _local.scope = self._outer
+        return False
 
 
 def parse_sites(raw) -> frozenset | None:

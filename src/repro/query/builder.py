@@ -37,10 +37,15 @@ from ..algebra.logical import (
     ScanNode,
 )
 from ..algebra.optimizer import Optimizer
-from ..algebra.physical_planner import ExecutionContext, ExecutionReport, execute
+from ..algebra.physical_planner import (
+    ExecutionContext,
+    ExecutionReport,
+    SourceState,
+    execute,
+)
 from ..core.conditions import ThresholdCondition, TopKCondition
 from ..core.cost_model import CostParams
-from ..embedding.cache import EmbeddingStore, shared_store
+from ..embedding.cache import EmbeddingStore
 from ..embedding.registry import ModelRegistry
 from ..engine import ExecutionEngine
 from ..errors import PlanError
@@ -61,21 +66,15 @@ class Engine:
     def __post_init__(self) -> None:
         self._indexes: dict[tuple[str, str], VectorIndex] = {}
         self._index_epoch = 0
-        self._quant_stores: dict[tuple, object] = {}
-        self._embed_stores: dict[str, EmbeddingStore] = {}
-        self._norm_cache: dict[tuple, tuple] = {}
-        self._topk_memos: dict[tuple, tuple] = {}
-        # One lock serializes get-or-build on every shared store, so
-        # concurrent sessions (the query service) cannot duplicate or
-        # corrupt encode/normalize/fit work.
-        self._store_lock = threading.RLock()
-        # Per-source build locks: sessions racing a cold source build once.
-        self._store_key_locks: dict = {}
+        #: Every scan source's derived state and the embed-once stores,
+        #: shared by every context (so every query and session) this
+        #: engine mints.
+        self.sources = SourceState()
         # One morsel-driven executor is shared by every query on this
         # engine (built lazily so later ``repro.configure(...)`` calls
         # still take effect): cumulative scheduling stats in one place,
-        # and the query service can attribute morsels per query via
-        # tagged views.
+        # attributed per query by the tag of the ambient query scope.
+        self._executor_lock = threading.Lock()
         self._executor: ExecutionEngine | None = None
         self._executor_signature: tuple | None = None
         self._executor_pinned = False
@@ -106,7 +105,7 @@ class Engine:
         already-constructed engine.  Assigning an executor explicitly
         pins it, disabling config tracking.
         """
-        with self._store_lock:
+        with self._executor_lock:
             if self._executor is not None and self._executor_pinned:
                 return self._executor
             signature = self._current_executor_signature()
@@ -117,16 +116,13 @@ class Engine:
 
     @executor.setter
     def executor(self, engine: ExecutionEngine) -> None:
-        with self._store_lock:
+        with self._executor_lock:
             self._executor = engine
             self._executor_pinned = True
 
     def embed_store_for(self, model_name: str) -> EmbeddingStore:
         """Shared embed-once store for ``model_name`` (get-or-create)."""
-        return shared_store(
-            self._embed_stores, model_name, self.models.get(model_name),
-            self._store_lock,
-        )
+        return self.sources.store_for(model_name, self.models.get(model_name))
 
     def register_index(self, table: str, column: str, index: VectorIndex) -> None:
         """Attach a built vector index to ``table.column``.
@@ -163,28 +159,18 @@ class Engine:
 
         return QueryService(self, **kwargs)
 
-    def context(self, *, tag: str | None = None) -> ExecutionContext:
-        # The store dicts are shared (not copied) so encoded/normalized/
-        # embedded relations built during one query amortize across every
-        # later query on this engine, like registered indexes.  ``tag``
-        # names the query for per-query morsel attribution in the shared
-        # executor's stats.
-        ctx = ExecutionContext(
+    def context(self) -> ExecutionContext:
+        """A context over this engine's catalog, models, registered indexes
+        (a snapshot), executor and scan-source state (shared, so state one
+        query builds amortizes across every later one)."""
+        return ExecutionContext(
             self.catalog,
             models=self.models,
+            indexes=dict(self._indexes),
             cost_params=self.cost_params,
-            quant_stores=self._quant_stores,
-            norm_cache=self._norm_cache,
-            topk_memos=self._topk_memos,
-            store_lock=self._store_lock,
-            store_key_locks=self._store_key_locks,
-            engine=self.executor.with_tag(tag),
-            query_tag=tag,
+            engine=self.executor,
+            sources=self.sources,
         )
-        ctx._stores = self._embed_stores
-        for key, index in self._indexes.items():
-            ctx.indexes[key] = index
-        return ctx
 
 
 @dataclass

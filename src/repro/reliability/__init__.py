@@ -12,7 +12,6 @@ from .breaker import breakers, reset_breakers
 from .faults import active_injector, clear_injector, install_injector, maybe_inject
 from .health import ServiceHealth
 from .retry import BoundRetry, RetryBudget, RetryPolicy
-from .runtime import current_deadline, current_retry_budget, deadline_scope
 from .watchdog import WatchdogPolicy
 
 __all__ = [
@@ -24,9 +23,6 @@ __all__ = [
     "active_injector",
     "breakers",
     "clear_injector",
-    "current_deadline",
-    "current_retry_budget",
-    "deadline_scope",
     "install_injector",
     "maybe_inject",
     "reset_breakers",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..errors import DeadlineExceededError, ServiceError, ServiceOverloadError
 
@@ -43,15 +43,7 @@ class AdmissionStats:
     queue_wait_seconds: float = 0.0
 
     def snapshot(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "deadline_shed": self.deadline_shed,
-            "peak_inflight": self.peak_inflight,
-            "queue_wait_seconds": self.queue_wait_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass

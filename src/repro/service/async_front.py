@@ -40,7 +40,7 @@ import asyncio
 import heapq
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..errors import DeadlineExceededError, ServiceError
 from .qos import DEFAULT_PRIORITY, QueryResponse
@@ -62,14 +62,7 @@ class AsyncFrontStats:
     queued_peak: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed_expired": self.shed_expired,
-            "rejected_on_close": self.rejected_on_close,
-            "queued_peak": self.queued_peak,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)

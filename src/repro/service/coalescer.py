@@ -243,9 +243,8 @@ class CoalescingScheduler:
     ) -> None:
         scan_t0 = time.perf_counter()
         scan_c0 = time.thread_time()
-        table_name, column, model_name = key
-        ctx = self.engine.context(tag=f"svc/scan/{table_name}.{column}")
-        table = ctx.catalog.get(table_name)
+        ctx = self.engine.context()
+        table = ctx.catalog.get(key[0])
         normalized = ctx.normalized_matrix_for(key, table)
         n = len(normalized)
 

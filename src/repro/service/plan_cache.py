@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from operator import attrgetter
 from typing import NamedTuple, get_args, get_type_hints
 
@@ -185,11 +185,7 @@ class PlanCacheStats:
     evictions: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 @dataclass

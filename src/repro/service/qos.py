@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from ..obs.explain import render_explain
@@ -181,10 +181,4 @@ class QoSStats:
     deadline_missed: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "with_deadline": self.with_deadline,
-            "shed_expired": self.shed_expired,
-            "shed_unmeetable": self.shed_unmeetable,
-            "deadline_met": self.deadline_met,
-            "deadline_missed": self.deadline_missed,
-        }
+        return asdict(self)

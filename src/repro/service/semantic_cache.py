@@ -9,8 +9,7 @@ that key — the expensive parts, the plan walk and the payload digest,
 once per request — and hands the same tuple to ``lookup`` and ``store``.
 
 Entries are invalidated by catalog version (any re-registration of a
-referenced table changes the key — the same fingerprint-invalidation
-contract as ``Engine._quant_stores``), expire after a TTL, and are evicted
+referenced table changes the key), expire after a TTL, and are evicted
 LRU beyond capacity.
 """
 
@@ -20,7 +19,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,13 +60,7 @@ class ResultCacheStats:
     invalidations: int = 0
 
     def snapshot(self) -> dict:
-        return {
-            "exact_hits": self.exact_hits,
-            "misses": self.misses,
-            "expirations": self.expirations,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -38,14 +38,12 @@ from ..obs.critical_path import SlowQueryLog
 from ..obs.export import prometheus_text, traces_jsonl
 from ..obs.metrics import registry as metrics_registry
 from ..obs.server import ObservabilityServer
-from ..obs.trace import Tracer, query_scope, span
+from ..obs.trace import QueryScope, Tracer, current_scope, span
 from ..query.builder import Engine, QueryBuilder
 from ..relational.table import Table
 from ..reliability.breaker import breakers
 from ..reliability.faults import active_injector, maybe_inject
 from ..reliability.health import ServiceHealth
-from ..reliability.retry import RetryBudget
-from ..reliability.runtime import current_retry_budget, deadline_scope
 from .admission import AdmissionController
 from .coalescer import CoalescingScheduler, SharedScanRequest
 from .plan_cache import PlanCache, fingerprint
@@ -436,10 +434,11 @@ class QueryService:
         response = None
         error: BaseException | None = None
         try:
-            with query_scope(trace):
-                response = self._submit_scoped(
-                    plan, qos, tag, start, timeout_s, probed
-                )
+            # The one per-query scope: every layer below reads the trace,
+            # deadline, tag and retry budget from it, none takes them as
+            # parameters.
+            with QueryScope(trace, deadline=qos.deadline, tag=tag):
+                response = self._submit_scoped(plan, qos, start, timeout_s, probed)
         except BaseException as exc:
             error = exc
             raise
@@ -502,12 +501,11 @@ class QueryService:
         self,
         plan,
         qos: QoSParams,
-        tag: str,
         start: float,
         timeout_s: float | None,
         probed: tuple | None,
     ) -> QueryResponse:
-        """One submission inside its trace scope: probe, and only on a miss
+        """One submission inside its query scope: probe, and only on a miss
         the admitted lifetime."""
         keyed, cached = probed or (None, None)
         key = None
@@ -545,13 +543,7 @@ class QueryService:
         with self._stats_lock:
             self.stats.submitted += 1
         try:
-            # The ambient scope carries the deadline and a per-query retry
-            # budget down into every engine run this query performs, so
-            # morsel retries are deadline-aware and budget-capped without
-            # threading QoS through operator signatures.
-            with deadline_scope(qos.deadline, retry_budget=RetryBudget()):
-                response = self._run_admitted(plan, keyed, key, qos, tag, start)
-            return self._complete(response)
+            return self._complete(self._run_admitted(plan, keyed, key, qos, start))
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -585,7 +577,7 @@ class QueryService:
             self._m_failed.inc()
 
     def _run_admitted(
-        self, plan, keyed: tuple, key: tuple, qos: QoSParams, tag: str, start: float
+        self, plan, keyed: tuple, key: tuple, qos: QoSParams, start: float
     ) -> QueryResponse:
         """Plan a result-cache miss, shed it if its deadline is provably
         unmeetable, and execute it."""
@@ -624,7 +616,7 @@ class QueryService:
             return self._respond(slot.result, qos, start)
         try:
             exec_start = time.perf_counter()
-            result = self._dispatch(optimized, qos, tag)
+            result = self._dispatch(optimized)
             exec_seconds = time.perf_counter() - exec_start
             self.qos_tracker.observe(exec_seconds)
             with span("cache.store") as sp:
@@ -646,7 +638,7 @@ class QueryService:
             slot.done.set()
         return self._respond(result, qos, start)
 
-    def _dispatch(self, optimized, qos: QoSParams, tag: str) -> Table:
+    def _dispatch(self, optimized) -> Table:
         """Execute a planned query under the service-level retry wrapper.
 
         Engine runs already retry at morsel granularity; this outer layer
@@ -654,15 +646,17 @@ class QueryService:
         calls made inline on the dispatching thread, store builds, the
         ``service.dispatch`` injection site itself.  Queries are pure, so
         whole-query re-execution is as bit-safe as morsel re-execution;
-        the shared per-query budget (ambient scope) caps the total.
+        the query scope's deadline bounds it and its per-query budget,
+        shared with every engine run, caps the total.
         """
 
         def attempt() -> Table:
             maybe_inject("service.dispatch")
-            return self._execute(optimized, tag)
+            return self._execute(optimized)
 
+        scope = current_scope()
         retry = self.engine.executor.retry_policy.bind(
-            deadline=qos.deadline, budget=current_retry_budget()
+            deadline=scope.deadline, budget=scope.retry_budget()
         )
         return retry.call(attempt)
 
@@ -683,7 +677,7 @@ class QueryService:
             cache_hit=cache_hit,
         )
 
-    def _execute(self, optimized, tag: str) -> Table:
+    def _execute(self, optimized) -> Table:
         request = None
         # Quantized scan substitution is a per-query planner decision: under
         # an int8 / pq default every query takes the normal path.
@@ -698,7 +692,7 @@ class QueryService:
                 return self.coalescer.submit(request)
         with self._stats_lock:
             self.stats.direct += 1
-        ctx = self.engine.context(tag=tag)
+        ctx = self.engine.context()
         report = ExecutionReport()
         with span("execute") as sp:
             result = execute(optimized, ctx, report=report)

@@ -210,8 +210,8 @@ class ShardPool:
             return self._publish_locked(tuple(key))
 
     def _publish_locked(self, key: tuple) -> _Manifest:
-        table_name, column, model_name = key
-        ctx = self.engine.context(tag=f"shard/publish/{table_name}.{column}")
+        table_name = key[0]
+        ctx = self.engine.context()
         normalized = ctx.normalized_matrix_for(key, ctx.catalog.get(table_name))
         manifest = self._manifests.get(key)
         if manifest is not None:

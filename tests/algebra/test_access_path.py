@@ -98,7 +98,7 @@ def test_a_cold_source_keeps_the_index_and_builds_no_partition(engine):
     _, stats = run(engine)
     assert stats.strategy.startswith("index")
     assert cached(engine) is None
-    assert ("r", "vec", "m", "caps") not in engine._norm_cache
+    assert ("r", "vec", "m") not in engine.sources.entries("caps")
 
 
 def test_a_reregistered_source_is_priced_cold(engine):
@@ -122,7 +122,7 @@ def test_a_declining_source_keeps_the_index_pick(right):
     params = CostParams(probe_hop=2.0)
     engine = make_engine(right, params)
     run(engine, "parallel-tensor")
-    assert ("r", "vec", "m", "caps") in engine._norm_cache and cached(engine) is None
+    assert ("r", "vec", "m") in engine.sources.entries("caps") and cached(engine) is None
     _, stats = run(engine)
     assert stats.strategy.startswith("index") and parent_pick(K, len(right), params) == "index"
 
@@ -174,11 +174,11 @@ def test_ejoin_auto_and_the_planner_make_the_same_pick(engine):
 def test_the_planner_span_prices_each_alternative(engine):
     """``planner.ejoin`` records the path taken and both prices, and the
     caps' measured share when they were priced."""
-    from repro.obs.trace import Trace, query_scope
+    from repro.obs.trace import QueryScope, Trace
 
     def traced() -> dict:
         trace = Trace("q", "t")
-        with query_scope(trace):
+        with QueryScope(trace):
             run(engine)
         (span,) = trace.find("planner.ejoin")
         return span.attrs

@@ -156,7 +156,7 @@ class TestPlanner:
         # A join over the same scan source pays the build and caches the
         # encoded store; the subsequent selection amortizes it.
         execute(join_plan, ctx, report=ExecutionReport())
-        assert ("base", "emb", "hash", "int8") in ctx.quant_stores
+        assert ("base", "emb", "hash") in ctx.sources.entries("int8")
         plan = ESelectNode(
             ScanNode("base"),
             "emb",
@@ -168,6 +168,43 @@ class TestPlanner:
         out = execute(plan, ctx, report=report)
         assert report.strategies == ["eselect/int8"]
         assert out.num_rows == 5
+
+    @pytest.mark.parametrize("change", ["reregistered-table", "replaced-model"])
+    def test_a_changed_source_is_priced_cold(self, ctx, join_plan, change):
+        """The chooser asks whether the int8 store is valid for the
+        registration and model it executes: once either changes, a
+        one-shot selection is priced with its build again, as a fresh
+        context prices it."""
+        configure(default_precision="int8")
+        plan = ESelectNode(
+            ScanNode("base"), "emb", np.ones(DIM, dtype=np.float32), "hash",
+            TopKCondition(5),
+        )
+
+        def strategy(context: ExecutionContext) -> str:
+            report = ExecutionReport()
+            execute(plan, context, report=report)
+            (picked,) = report.strategies
+            return picked
+
+        assert strategy(ctx) == "eselect/scan"
+        execute(join_plan, ctx, report=ExecutionReport())  # builds the store
+        assert strategy(ctx) == "eselect/int8"
+        if change == "reregistered-table":
+            base = ctx.catalog.get("base")
+            fresh = np.random.default_rng(11).standard_normal((base.num_rows, DIM))
+            ctx.catalog.register(
+                "base",
+                Table.from_arrays(
+                    base.schema,
+                    {"id": np.arange(base.num_rows), "emb": fresh.astype(np.float32)},
+                ),
+                replace=True,
+            )
+        else:
+            ctx.models.register("hash", HashingEmbedder(dim=DIM, seed=9), replace=True)
+        assert strategy(ctx) == "eselect/scan"
+        assert strategy(ExecutionContext(ctx.catalog, models=ctx.models)) == "eselect/scan"
 
     def test_quantized_results_close_to_fp32(self, ctx, join_plan):
         report_fp32 = ExecutionReport()
@@ -210,11 +247,11 @@ class TestStoreAmortization:
         report = ExecutionReport()
         execute(join_plan, ctx, report=report)
         assert report.strategies == ["tensor-int8"]
-        key = ("base", "emb", "hash", "int8")
-        assert key in ctx.quant_stores
-        first = ctx.quant_stores[key]
+        key = ("base", "emb", "hash")
+        assert key in ctx.sources.entries("int8")
+        first = ctx.sources.entries("int8")[key]
         execute(join_plan, ctx, report=ExecutionReport())
-        assert ctx.quant_stores[key] is first  # encoded once, reused
+        assert ctx.sources.entries("int8")[key] is first  # encoded once, reused
 
     @pytest.mark.parametrize("method", ["int8", "pq"])
     def test_hinted_quantized_scan_builds_store_once(
@@ -243,7 +280,7 @@ class TestStoreAmortization:
         out_second = execute(hinted, ctx, report=second)
         assert first.strategies == second.strategies == [f"tensor-{method}"]
         assert builds == [method]
-        assert ("base", "emb", "hash", method) in ctx.quant_stores
+        assert ("base", "emb", "hash") in ctx.sources.entries(method)
         assert out_first.array("r_id").tolist() == out_second.array("r_id").tolist()
 
         fresh = np.random.default_rng(9).standard_normal((300, DIM))
@@ -283,16 +320,25 @@ class TestStoreAmortization:
         from repro.core import tensor_join
 
         out = execute(join_plan, ctx, report=ExecutionReport())
-        cached = {key: entry[1] for key, entry in ctx.norm_cache.items()}
+
+        def cached():
+            return {
+                (*key, rep): entry[1]
+                for rep in ("unit", "caps")
+                for key, entry in ctx.sources.entries(rep).items()
+            }
+
+        first = cached()
         # The right side's cap partition sits beside its unit rows (declined
         # here: too few rows to pay for one).
-        assert set(cached) == {
-            ("probes", "emb", "hash"), ("base", "emb", "hash"), ("base", "emb", "hash", "caps"),
+        assert set(first) == {
+            ("probes", "emb", "hash", "unit"), ("base", "emb", "hash", "unit"),
+            ("base", "emb", "hash", "caps"),
         }
-        assert cached[("base", "emb", "hash", "caps")] is None
+        assert first[("base", "emb", "hash", "caps")] is None
         execute(join_plan, ctx, report=ExecutionReport())
-        for key, matrix in cached.items():
-            assert ctx.norm_cache[key][1] is matrix  # normalized once
+        for key, matrix in first.items():
+            assert cached()[key] is matrix  # normalized once
         direct = tensor_join(
             ctx.catalog.get("probes").array("emb"),
             ctx.catalog.get("base").array("emb"),

@@ -91,14 +91,14 @@ def test_state_is_keyed_on_the_registered_table(setup):
     key = ("r", "emb", "m")
     table = engine.catalog.get("r")
     matrix = ctx.normalized_matrix_for(key, table)
-    assert ctx.norm_cache[key][0] is table
+    assert ctx.sources.entries("unit")[key][0] is table
     assert ctx.normalized_matrix_for(key, table) is matrix  # a hit: no work
     engine.catalog.register("r", _table("rid", base.copy()), replace=True)
     fresh = engine.catalog.get("r")
     rebuilt = ctx.normalized_matrix_for(key, fresh)
     assert rebuilt is not matrix
-    assert ctx.norm_cache[key][0] is fresh
-    assert list(ctx.norm_cache) == [key]  # one entry per source, replaced
+    assert ctx.sources.entries("unit")[key][0] is fresh
+    assert list(ctx.sources.entries("unit")) == [key]  # one entry per source, replaced
 
 
 def test_state_comes_from_the_table_the_caller_holds(setup):
@@ -230,12 +230,12 @@ def _clean(engine: Engine, right="w", **join) -> Table:
 
 
 def _memo(engine: Engine):
-    (entry,) = engine._topk_memos.values()
+    (entry,) = engine.sources.entries("memo").values()
     return entry[1]
 
 
 def _known(engine: Engine) -> int:
-    return sum(int((e[1]._rows[0] >= 0).sum()) for e in engine._topk_memos.values())
+    return sum(int((e[1]._rows[0] >= 0).sum()) for e in engine.sources.entries("memo").values())
 
 
 def _assert_same(got: Table, want: Table) -> None:
@@ -364,7 +364,7 @@ def test_memo_bytes_per_code_stay_within_the_store_row(k):
     # One past the rule, and no memo is kept.
     other = _words_engine()
     _clean(other, top_k=(4 * DIM - 8) // 12 + 1)
-    assert not other._topk_memos
+    assert not other.sources.entries("memo")
 
 
 def test_one_memo_per_source_whatever_the_conditions():
@@ -377,11 +377,11 @@ def test_one_memo_per_source_whatever_the_conditions():
     ]
     for join in conditions + conditions[::-1]:
         _assert_same(_clean(engine, **join), _clean(_words_engine(), **join))
-    assert len(engine._topk_memos) == 1
-    (entry,) = engine._topk_memos.values()
+    assert len(engine.sources.entries("memo")) == 1
+    (entry,) = engine.sources.entries("memo").values()
     assert entry[3] == (1, None)  # the last condition's
     store = engine.embed_store_for("m")
-    total = sum(part.nbytes for e in engine._topk_memos.values() for part in e[1]._rows)
+    total = sum(part.nbytes for e in engine.sources.entries("memo").values() for part in e[1]._rows)
     assert total <= len(entry[1]._rows[0]) * store.vectors.itemsize * store.model.dim
 
 
@@ -439,7 +439,7 @@ def test_a_model_replaced_mid_query_leaves_no_mismatched_memo_rows(monkeypatch):
     _assert_same(_clean(engine), _clean(_words_engine(old, feed=feed)))
     assert engine.models.get("m") is new
     _assert_same(_clean(engine), _clean(_words_engine(new, feed=feed)))
-    for entry in engine._topk_memos.values():
+    for entry in engine.sources.entries("memo").values():
         assert entry[2] is engine.embed_store_for("m")
 
 

@@ -375,7 +375,7 @@ def _join(engine: Engine, strategy: str = "tensor"):
 
 
 def _partition(engine: Engine):
-    return engine._norm_cache[("r", "vec", "m", "caps")][1]
+    return engine.sources.entries("caps")[("r", "vec", "m")][1]
 
 
 def test_the_planner_joins_on_the_partition(engine):

@@ -18,6 +18,7 @@ import pytest
 import repro.config as config_mod
 from repro.embedding import HashingEmbedder
 from repro.embedding.cache import EmbeddingStore
+from repro.obs.trace import QueryScope
 from repro.query import Engine
 from repro.relational import Catalog, DataType, Field, Table
 from repro.relational.column import Column
@@ -146,7 +147,7 @@ def test_concurrent_quantized_store_built_once():
         for i, (a, b) in enumerate(zip(serial, results)):
             _assert_equal(a, b, f"quant query {i}")
         stores = [
-            key for key in engine._quant_stores if key[0] == "right"
+            key for key in engine.sources.entries("int8") if key[0] == "right"
         ]
         assert len(stores) <= 1  # racing builds deduplicated by the lock
     finally:
@@ -241,12 +242,14 @@ def test_embedding_store_ids_and_views_stable_across_growth():
     assert [store.id_of(item) for item in items[::97]] == list(range(0, len(items), 97))
 
 
-def test_tagged_engine_views_share_stats():
+def test_scope_tags_share_one_engines_stats():
     engine = _make_engine()
-    ctx_a = engine.context(tag="qa")
-    ctx_b = engine.context(tag="qb")
-    ctx_a.engine.run([lambda: 1, lambda: 2])
-    ctx_b.engine.run([lambda: 3])
+    ctx_a = engine.context()
+    ctx_b = engine.context()
+    with QueryScope(tag="qa"):
+        ctx_a.engine.run([lambda: 1, lambda: 2])
+    with QueryScope(tag="qb"):
+        ctx_b.engine.run([lambda: 3])
     stats = engine.executor.stats
     assert stats.by_tag == {"qa": 2, "qb": 1}
     assert stats.morsels_dispatched == 3
@@ -260,7 +263,8 @@ def test_by_tag_attribution_is_bounded():
     engine = ExecutionEngine(n_threads=1)
     extra = 50
     for i in range(MAX_TRACKED_TAGS + extra):
-        engine.with_tag(f"q{i}").run([lambda: None])
+        with QueryScope(tag=f"q{i}"):
+            engine.run([lambda: None])
     stats = engine.stats
     assert len(stats.by_tag) <= MAX_TRACKED_TAGS + 1  # incl. the aggregate
     assert sum(stats.by_tag.values()) == MAX_TRACKED_TAGS + extra

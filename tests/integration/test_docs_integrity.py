@@ -1,6 +1,6 @@
-"""Documentation integrity: docs/ARCHITECTURE.md must name modules and
-objects that exist, every paper figure keeps its benchmark, and the README
-lists every example."""
+"""Documentation integrity: every doc (``docs/*.md`` and the README) must
+name modules and objects that exist, every paper figure keeps its
+benchmark, and the README lists every example."""
 
 import importlib
 import re
@@ -33,10 +33,19 @@ def _resolves(dotted: str) -> bool:
 class TestArchitectureDoc:
     def test_every_referenced_module_exists(self):
         _skip_unless_checkout()
-        text = ARCHITECTURE.read_text(encoding="utf-8")
-        referenced = set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text))
-        assert referenced, "ARCHITECTURE.md should name the modules it describes"
-        missing = sorted(name for name in referenced if not _resolves(name))
+        docs = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
+        referenced = {
+            (path.name, name)
+            for path in docs
+            for name in re.findall(
+                r"\brepro(?:\.[A-Za-z_]\w*)+", path.read_text(encoding="utf-8")
+            )
+        }
+        named = {doc for doc, _ in referenced}
+        assert {"ARCHITECTURE.md", "README.md"} <= named, (
+            "the docs should name the modules they describe"
+        )
+        missing = sorted(ref for ref in referenced if not _resolves(ref[1]))
         assert not missing, missing
 
     def test_every_figure_has_a_benchmark(self):

@@ -51,7 +51,7 @@ MAX_EXPORTED = 170
 DELETED_MODULES = (
     "relational/operators", "algebra/costing.py", "core/calibration.py",
     "index/ivfpq.py", "index/filtering.py", "relational/io.py",
-    "workloads/selectivity.py",
+    "workloads/selectivity.py", "reliability/runtime.py",
 )
 DELETED = (
     "HashJoin", "Scan", "Sort", "Limit", "Aggregate", "AggSpec", "Filter",
@@ -67,6 +67,9 @@ DELETED = (
     # only core/ names; the prescreen constants stay there, unexported.
     "exact_threshold_select", "exact_topk_select", "guarded_topk_select",
     "PRESCREEN_MARGIN", "TOPK_PRESCREEN_PAD",
+    # One ambient QueryScope holds the trace, deadline, tag and retry
+    # budget these four carried separately.
+    "query_scope", "deadline_scope", "current_deadline", "current_retry_budget",
 )
 
 pytestmark = pytest.mark.skipif(

@@ -15,7 +15,7 @@ from repro.obs.critical_path import (
     self_times,
     summarize_trace,
 )
-from repro.obs.trace import Trace, query_scope, span
+from repro.obs.trace import QueryScope, Trace, span
 
 pytestmark = pytest.mark.obs
 
@@ -62,7 +62,7 @@ class TestCriticalPath:
 
     def test_accepts_live_trace_objects(self):
         trace = Trace("q9", "tag")
-        with query_scope(trace):
+        with QueryScope(trace):
             with span("work"):
                 with span("inner"):
                     pass

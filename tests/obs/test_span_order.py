@@ -15,7 +15,7 @@ import pytest
 
 from repro.obs.critical_path import critical_path, self_times, summarize_trace
 from repro.obs.export import traces_jsonl
-from repro.obs.trace import Trace, query_scope, span
+from repro.obs.trace import QueryScope, Trace, span
 
 pytestmark = pytest.mark.obs
 
@@ -94,7 +94,7 @@ class TestTracesJsonlDeterminism:
 
     def test_real_trace_with_foreign_spans_round_trips(self):
         trace = Trace("q2", "svc")
-        with query_scope(trace):
+        with QueryScope(trace):
             with span("query"):
                 with span("scan"):
                     pass

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.trace import Trace, Tracer, current_trace, query_scope, span
+from repro.obs.trace import (
+    QueryScope,
+    Trace,
+    Tracer,
+    current_scope,
+    current_trace,
+    span,
+)
 
 pytestmark = pytest.mark.obs
 
@@ -19,7 +26,7 @@ class TestAmbientPropagation:
 
     def test_nesting_records_parent_links(self):
         trace = Trace("q1", "t")
-        with query_scope(trace):
+        with QueryScope(trace):
             assert current_trace() is trace
             with span("a"):
                 with span("b") as sp:
@@ -39,7 +46,7 @@ class TestAmbientPropagation:
     def test_scope_failure_marks_trace(self):
         trace = Trace("q1", "t")
         with pytest.raises(RuntimeError, match="boom"):
-            with query_scope(trace):
+            with QueryScope(trace):
                 with span("a"):
                     raise RuntimeError("boom")
         assert trace.status == "failed"
@@ -48,23 +55,50 @@ class TestAmbientPropagation:
         assert "boom" in trace.spans[1].attrs["error"]
 
     def test_none_trace_scope_is_cheap_and_transparent(self):
-        with query_scope(None):
+        with QueryScope(None):
             assert current_trace() is None
             with span("a"):
                 pass
 
     def test_scopes_restore_outer_trace(self):
         outer, inner = Trace("q1", "t"), Trace("q2", "t")
-        with query_scope(outer):
-            with query_scope(inner):
+        with QueryScope(outer):
+            with QueryScope(inner):
                 assert current_trace() is inner
             assert current_trace() is outer
+
+    def test_a_failing_nested_scope_restores_the_outer_one(self):
+        """A scope opened inside another on the same thread — a coalescer
+        leader running its group inside its own query — hands back the
+        outer trace, deadline and tag even when its body raises."""
+        outer_trace, inner_trace = Trace("q1", "outer"), Trace("q2", "inner")
+        with QueryScope(outer_trace, deadline=10.0, tag="outer") as outer:
+            with pytest.raises(RuntimeError, match="leader"):
+                with QueryScope(inner_trace, deadline=5.0, tag="inner") as inner:
+                    assert current_scope() is inner
+                    assert (current_trace(), inner.deadline, inner.tag) == (
+                        inner_trace, 5.0, "inner"
+                    )
+                    raise RuntimeError("leader failed")
+            assert current_scope() is outer
+            assert (current_trace(), outer.deadline, outer.tag) == (
+                outer_trace, 10.0, "outer"
+            )
+            assert inner_trace.status == "failed"
+            assert outer_trace.status == "running"
+        assert current_scope() is None
+        assert outer_trace.status == "ok"
+
+    def test_the_retry_budget_is_made_once_on_first_use(self):
+        scope = QueryScope()
+        assert scope._budget is None  # a cached answer allocates none
+        assert scope.retry_budget() is scope.retry_budget()
 
 
 class TestForeignSpans:
     def test_foreign_span_parents_at_root(self):
         trace = Trace("q1", "t")
-        with query_scope(trace):
+        with QueryScope(trace):
             pass
         trace.add_span("coalesce.scan", wall_s=0.01, cpu_s=0.008, batch=4)
         foreign = trace.spans[-1]
@@ -86,7 +120,7 @@ class TestSiteGating:
         assert trace.allows("coalesce.scan")
         assert trace.allows("planner.eselect")
         assert not trace.allows("admission")
-        with query_scope(trace):
+        with QueryScope(trace):
             with span("admission"):
                 pass
             with span("coalesce.wait"):
@@ -138,7 +172,7 @@ class TestRing:
 
     def test_to_dict_shape(self):
         trace = Trace("q1", "cli/q1")
-        with query_scope(trace):
+        with QueryScope(trace):
             with span("a") as sp:
                 sp.set(rows=2)
         snap = trace.to_dict()
@@ -150,7 +184,7 @@ class TestRing:
 
     def test_to_dict_emits_absolute_span_starts(self):
         trace = Trace("q2", "cli/q2")
-        with query_scope(trace):
+        with QueryScope(trace):
             with span("a"):
                 with span("b"):
                     pass

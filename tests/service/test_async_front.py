@@ -163,9 +163,9 @@ def test_close_drain_false_rejects_queued():
     # close() to reach the still-queued rest.
     real_execute = service._execute
 
-    def slow_execute(plan, tag):
+    def slow_execute(plan):
         time.sleep(0.1)
-        return real_execute(plan, tag)
+        return real_execute(plan)
 
     service._execute = slow_execute
 

@@ -61,9 +61,9 @@ def test_deadline_expiring_while_executing_returns_late_result():
     # discarded mid-flight.
     real_execute = service._execute
 
-    def slow_execute(plan, tag):
+    def slow_execute(plan):
         time.sleep(0.08)
-        return real_execute(plan, tag)
+        return real_execute(plan)
 
     service._execute = slow_execute
     qvec = unit_vectors(1, DIM, stream="dl/late")[0]

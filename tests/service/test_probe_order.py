@@ -36,10 +36,10 @@ class _BlockedExecution:
         self._gate = threading.Event()
         execute = service._execute
 
-        def gated(optimized, tag):
+        def gated(optimized):
             self.entered.release()
             assert self._gate.wait(30.0), "never released"
-            return execute(optimized, tag)
+            return execute(optimized)
 
         service._execute = gated
 

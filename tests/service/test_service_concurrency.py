@@ -119,10 +119,10 @@ def test_singleflight_suppresses_concurrent_duplicates(
     entered = threading.Event()
     original = svc_mod.QueryService._execute
 
-    def gated(self, optimized, tag):
+    def gated(self, optimized):
         entered.set()
         release.wait(timeout=5.0)
-        return original(self, optimized, tag)
+        return original(self, optimized)
 
     monkeypatch.setattr(svc_mod.QueryService, "_execute", gated)
     builder = lambda: engine.query("corpus").esimilar(
@@ -164,10 +164,10 @@ def test_admission_backpressure_rejects(query_vectors):
 
     original = svc_mod.QueryService._execute
 
-    def slow_execute(self, optimized, tag):
+    def slow_execute(self, optimized):
         entered.set()
         release.wait(timeout=5.0)
-        return original(self, optimized, tag)
+        return original(self, optimized)
 
     svc_mod.QueryService._execute = slow_execute
     try:
