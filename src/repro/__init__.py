@@ -18,7 +18,7 @@ A hybrid vector-relational engine in pure Python/NumPy:
   cross-query shared-scan batching, plan + exact-key result caches, and
   a QoS layer (deadlines, priorities, shedding of unmeetable work, an
   asyncio submission front),
-* :mod:`repro.obs` — unified observability: metrics registry, per-query
+* :mod:`repro.obs` — unified observability: per-service metrics, per-query
   span tracing with a bounded ring, Prometheus/JSONL exporters, and
   ``EXPLAIN ANALYZE``,
 * :mod:`repro.workloads` — seeded synthetic workload generators,

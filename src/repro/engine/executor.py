@@ -84,7 +84,7 @@ class EngineStats:
     def snapshot(self) -> dict:
         """Consistent copy of every counter, taken under the lock.
 
-        Reporting paths (service stats/health, the metrics adapter) must
+        Reporting paths (service stats/health/metrics) must
         use this instead of reading fields directly: a concurrent
         :meth:`record` would otherwise interleave mid-read and produce
         counters that never coexisted.

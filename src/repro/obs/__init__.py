@@ -1,10 +1,12 @@
 """Unified observability: metrics, tracing, EXPLAIN, flight recorder.
 
 ``repro.obs`` correlates what the per-layer ``*Stats`` classes could
-only count in isolation:
+only count in isolation.  Those classes stay the one source of every
+count: :meth:`QueryService.metrics` renders the service's own snapshots,
+so there is no process-wide copy to drift from them.
 
-* :mod:`~repro.obs.metrics` — process-wide :class:`MetricsRegistry`
-  (counters, gauges, log-bucketed histograms with p50/p95/p99),
+* :mod:`~repro.obs.metrics` — the log-bucketed latency
+  :class:`~repro.obs.metrics.Histogram` (p50/p95/p99) a service owns,
 * :mod:`~repro.obs.trace` — span-based :class:`Tracer`, the one ambient
   per-query :class:`QueryScope` (trace, deadline, tag, retry budget)
   and a bounded ring of recent traces,
@@ -12,8 +14,6 @@ only count in isolation:
   JSON-lines trace dumps,
 * :mod:`~repro.obs.explain` — the ``explain_analyze=True`` per-query
   span tree,
-* :mod:`~repro.obs.adapter` — publishes the existing ``*Stats``
-  snapshots into the registry without changing their APIs,
 * :mod:`~repro.obs.capture` / :mod:`~repro.obs.replay` — the flight
   recorder: JSONL workload capture with result digests, and
   deterministic paced/closed replay verifying them bit-identical,
@@ -33,13 +33,12 @@ from importlib import import_module
 from .critical_path import SlowQueryLog
 from .explain import render_explain
 from .export import prometheus_text, traces_jsonl
-from .metrics import Counter, registry, reset_registry
 from .server import ObservabilityServer
 from .trace import QueryScope, Tracer, current_trace, span
 
 # capture/replay pull in the plan algebra, which is not importable while
 # the core packages are still initializing — and ``repro.obs`` *is*
-# imported that early (the breaker registry publishes metrics).  Lazy
+# imported that early (the engine's executor reads the query scope).  Lazy
 # module-level attributes (PEP 562) break the cycle without making
 # callers spell out submodules.
 _LAZY = {
@@ -56,7 +55,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Counter",
     "ObservabilityServer",
     "QueryScope",
     "SlowQueryLog",
@@ -65,9 +63,7 @@ __all__ = [
     "WorkloadReplayer",
     "current_trace",
     "prometheus_text",
-    "registry",
     "render_explain",
-    "reset_registry",
     "span",
     "traces_jsonl",
 ]

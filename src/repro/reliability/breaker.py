@@ -25,20 +25,9 @@ from __future__ import annotations
 import threading
 import time
 
-from ..obs.metrics import registry as _metrics
-
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-
-def _count_transition(to: str) -> None:
-    """Publish one breaker state transition into the metrics registry.
-
-    Transitions are rare (bounded by faults and cooldowns), so the
-    get-or-create lookup is fine here; hot paths never reach this.
-    """
-    _metrics().counter("repro_breaker_transitions_total", to=to).inc()
 
 
 #: Consecutive access-path failures that trip a breaker open.
@@ -65,7 +54,10 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = 0.0
         self._trial_inflight = False
+        #: Transitions into each state, counted once here: the service's
+        #: ``repro_breaker_transitions_total{to}`` sums them over paths.
         self.trips = 0
+        self.half_opens = 0
         #: Recoveries: transitions back to ``closed`` from open/half-open.
         self.closes = 0
 
@@ -90,7 +82,7 @@ class CircuitBreaker:
                     return False
                 self._state = HALF_OPEN
                 self._trial_inflight = True
-                _count_transition(HALF_OPEN)
+                self.half_opens += 1
                 return True
             # half_open: only the single in-flight trial is allowed.
             if self._trial_inflight:
@@ -106,7 +98,6 @@ class CircuitBreaker:
             self._trial_inflight = False
             if recovered:
                 self.closes += 1
-                _count_transition(CLOSED)
 
     def record_failure(self) -> None:
         with self._lock:
@@ -114,7 +105,6 @@ class CircuitBreaker:
             if self._state == HALF_OPEN or self._failures >= self.threshold:
                 if self._state != OPEN:
                     self.trips += 1
-                    _count_transition(OPEN)
                 self._state = OPEN
                 self._opened_at = self._clock()
                 self._failures = 0
@@ -126,6 +116,7 @@ class CircuitBreaker:
                 "state": self._state,
                 "failures": self._failures,
                 "trips": self.trips,
+                "half_opens": self.half_opens,
                 "closes": self.closes,
             }
 

@@ -9,7 +9,7 @@ coherent picture instead of five scattered snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -43,14 +43,4 @@ class ServiceHealth:
     shard: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "breakers": dict(self.breakers),
-            "open_breakers": self.open_breakers,
-            "retries": dict(self.retries),
-            "watchdog": dict(self.watchdog),
-            "faults": dict(self.faults),
-            "qos": dict(self.qos),
-            "service": dict(self.service),
-            "shard": dict(self.shard),
-        }
+        return asdict(self)

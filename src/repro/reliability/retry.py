@@ -89,9 +89,9 @@ class RetryPolicy:
 
     def __init__(
         self,
-        max_attempts: int = 3,
-        base_s: float = 0.001,
-        cap_s: float = 0.05,
+        max_attempts: int,
+        base_s: float,
+        cap_s: float,
         *,
         seed: int = 0,
         clock=time.monotonic,

@@ -27,7 +27,7 @@ class WatchdogPolicy:
 
     __slots__ = ("stall_s", "max_respawns")
 
-    def __init__(self, stall_s: float = 5.0, max_respawns: int = 8) -> None:
+    def __init__(self, stall_s: float, max_respawns: int = 8) -> None:
         self.stall_s = max(0.0, float(stall_s))
         self.max_respawns = max(0, int(max_respawns))
 

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from ..algebra.physical_planner import ExecutionReport, execute
 from ..config import get_config
 from ..errors import DeadlineExceededError, ServiceError, SessionClosedError
-from ..obs.adapter import publish_service
 from ..obs.capture import WorkloadRecorder
 from ..obs.critical_path import SlowQueryLog
-from ..obs.export import prometheus_text, traces_jsonl
-from ..obs.metrics import registry as metrics_registry
+from ..obs.export import METRIC_HELP, prometheus_text, snapshot_rows, traces_jsonl
+from ..obs.metrics import Histogram
 from ..obs.server import ObservabilityServer
 from ..obs.trace import QueryScope, Tracer, current_scope, span
 from ..query.builder import Engine, QueryBuilder
@@ -197,6 +196,12 @@ class ServiceStats:
     #: (singleflight): the result cache cannot catch duplicates that
     #: arrive while the first copy is still running, this does.
     singleflight_hits: int = 0
+    #: Of ``failed``: the deadline sheds (a submission whose deadline
+    #: expired while it waited for admission is ``QoSStats.shed_expired``).
+    shed: int = 0
+    #: Submissions admission refused under backpressure (never admitted,
+    #: so in neither ``submitted`` nor ``failed``).
+    rejected: int = 0
 
 
 class QueryService:
@@ -299,26 +304,8 @@ class QueryService:
                 sites=obs_sites,
             )
         )
-        self.metrics_registry = metrics_registry()
-        #: Hot-path metric handles, resolved once: submission outcomes
-        #: and a latency histogram are the only metrics the service
-        #: updates live — everything else is pull-published by
-        #: :meth:`metrics` through the adapter.
-        self._m_completed = self.metrics_registry.counter(
-            "repro_queries_total", outcome="completed"
-        )
-        self._m_failed = self.metrics_registry.counter(
-            "repro_queries_total", outcome="failed"
-        )
-        self._m_shed = self.metrics_registry.counter(
-            "repro_queries_total", outcome="shed"
-        )
-        self._m_rejected = self.metrics_registry.counter(
-            "repro_queries_total", outcome="rejected"
-        )
-        self._m_latency = self.metrics_registry.histogram(
-            "repro_query_latency_seconds"
-        )
+        #: The one distribution no ``*Stats`` snapshot holds.
+        self._latency = Histogram()
         self._query_ids = itertools.count(1)
         self.slow_log = SlowQueryLog(**_given(k=slow_k))
         capture = (
@@ -535,10 +522,10 @@ class QueryService:
             except DeadlineExceededError:
                 with self._stats_lock:
                     self.qos.shed_expired += 1
-                self._m_shed.inc()
                 raise
             except Exception:
-                self._m_rejected.inc()
+                with self._stats_lock:
+                    self.stats.rejected += 1
                 raise
         with self._stats_lock:
             self.stats.submitted += 1
@@ -563,18 +550,15 @@ class QueryService:
                 self.qos.deadline_met += 1
             elif response.deadline_met is False:
                 self.qos.deadline_missed += 1
-        self._m_completed.inc()
-        self._m_latency.observe(response.latency_s)
+        self._latency.observe(response.latency_s)
         return response
 
     def _count_failed(self, exc: Exception, *, submitted: int = 0) -> None:
         with self._stats_lock:
             self.stats.submitted += submitted
             self.stats.failed += 1
-        if isinstance(exc, DeadlineExceededError):
-            self._m_shed.inc()
-        else:
-            self._m_failed.inc()
+            if isinstance(exc, DeadlineExceededError):
+                self.stats.shed += 1
 
     def _run_admitted(
         self, plan, keyed: tuple, key: tuple, qos: QoSParams, start: float
@@ -711,17 +695,34 @@ class QueryService:
         return self.results.invalidate_table(name)
 
     def stats_snapshot(self) -> dict:
-        """One merged dict of every layer's counters."""
+        """One merged dict of every layer's counters.
+
+        ``ServiceStats.shed`` / ``rejected`` are not listed here: they
+        render only as ``repro_queries_total`` outcomes (:meth:`metrics`).
+        """
+        return self._snapshot()[0]
+
+    def _snapshot(self) -> tuple[dict, dict]:
+        """:meth:`stats_snapshot` plus the ``repro_queries_total`` outcomes,
+        the service's counters all read in one short hold of
+        ``_stats_lock`` (released before any other layer is read)."""
         with self._stats_lock:
+            stats = self.stats
             service = {
-                "submitted": self.stats.submitted,
-                "completed": self.stats.completed,
-                "failed": self.stats.failed,
-                "coalesced": self.stats.coalesced,
-                "direct": self.stats.direct,
-                "result_cache_hits": self.stats.result_cache_hits,
-                "singleflight_hits": self.stats.singleflight_hits,
+                "submitted": stats.submitted,
+                "completed": stats.completed,
+                "failed": stats.failed,
+                "coalesced": stats.coalesced,
+                "direct": stats.direct,
+                "result_cache_hits": stats.result_cache_hits,
+                "singleflight_hits": stats.singleflight_hits,
                 "sessions": self._sessions,
+            }
+            outcomes = {
+                "completed": stats.completed,
+                "failed": stats.failed - stats.shed,
+                "shed": stats.shed + self.qos.shed_expired,
+                "rejected": stats.rejected,
             }
             qos = self.qos.snapshot()
         qos["exec_estimates"] = self.qos_tracker.snapshot()
@@ -740,7 +741,7 @@ class QueryService:
         if self.shard_pool is not None:
             snapshot["shard"] = self.shard_pool.stats_snapshot()
         snapshot["engine"] = self.engine.executor.stats.snapshot()
-        return snapshot
+        return snapshot, outcomes
 
     def health(self) -> ServiceHealth:
         """One coherent reliability snapshot of the running service.
@@ -797,15 +798,68 @@ class QueryService:
     # Observability exports
     # ------------------------------------------------------------------
     def metrics(self) -> str:
-        """Prometheus-style text exposition of every layer's counters.
+        """Prometheus-style text exposition of this service's counters.
 
-        Pull-based: each call syncs the ``*Stats`` snapshots into the
-        process-wide registry through the adapter, then renders the
-        whole registry (including the live counters and any breaker
-        transition counts) as text.
+        Pull-based and per service: each call reads the snapshots below
+        (:meth:`_metric_rows`) and renders them; nothing is counted twice.
         """
-        publish_service(self, self.metrics_registry)
-        return prometheus_text(self.metrics_registry)
+        rows, paths = self._metric_rows()
+        return prometheus_text(rows, help={**paths, **METRIC_HELP})
+
+    def _metric_rows(self) -> tuple[list, dict]:
+        """Flatten what :meth:`metrics` exposes into ``(name, labels, value)``
+        rows, plus the snapshot path each gauge family was read from.
+
+        The sources: :meth:`stats_snapshot`, :meth:`health`'s retries,
+        watchdog, faults and per-path breakers, the tracer's counters,
+        the recorder's snapshot and the slow-log length.
+        """
+        rows: list = []
+        paths: dict = {}
+        snapshot, outcomes = self._snapshot()
+        rows += [
+            ("repro_queries_total", {"outcome": outcome}, n)
+            for outcome, n in outcomes.items()
+        ]
+        snapshot_rows(rows, paths, "repro", "stats_snapshot()", snapshot)
+        health = self.health()
+        for prefix, field in (
+            ("retry", "retries"), ("watchdog", "watchdog"), ("fault", "faults")
+        ):
+            snapshot_rows(
+                rows, paths, f"repro_{prefix}", f"health().{field}",
+                getattr(health, field),
+            )
+        rows.append(("repro_breakers_open_total", {}, float(health.open_breakers)))
+        transitions = {"open": 0, "half_open": 0, "closed": 0}
+        for path, snap in health.breakers.items():
+            labels = {"path": path}
+            rows.append(
+                ("repro_breaker_open", labels, float(snap["state"] != "closed"))
+            )
+            rows.append(("repro_breaker_trips", labels, float(snap["trips"])))
+            rows.append(("repro_breaker_closes", labels, float(snap["closes"])))
+            transitions["open"] += snap["trips"]
+            transitions["half_open"] += snap["half_opens"]
+            transitions["closed"] += snap["closes"]
+        rows += [
+            ("repro_breaker_transitions_total", {"to": to}, n)
+            for to, n in transitions.items()
+            if n
+        ]
+        rows.append(("repro_query_latency_seconds", {}, self._latency))
+        rows += [
+            ("repro_obs_traces_retained", {}, float(len(self.tracer.ring))),
+            ("repro_obs_traces_sampled", {}, float(self.tracer.sampled)),
+            ("repro_obs_submissions_considered", {}, float(self.tracer.considered)),
+            ("repro_slow_queries_retained", {}, float(len(self.slow_log))),
+        ]
+        if self.recorder is not None:
+            snapshot_rows(
+                rows, paths, "repro_capture", "recorder.stats_snapshot()",
+                self.recorder.stats_snapshot(),
+            )
+        return rows, paths
 
     def recent_traces(self) -> list:
         """Completed sampled/forced traces, oldest first (bounded ring)."""

@@ -16,16 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "service"))
 
 from _service_utils import DIM, make_engine  # noqa: E402
 
-from repro.obs.metrics import reset_registry  # noqa: E402
 from repro.workloads import unit_vectors  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    """Each test starts from (and leaves behind) an empty process registry."""
-    reset_registry()
-    yield
-    reset_registry()
 
 
 @pytest.fixture

@@ -233,6 +233,40 @@ class TestCaptureOverhead:
         )
 
 
+    def test_capture_less_miss_calls_nothing_in_capture(self, tmp_path, query_vectors):
+        """The wall-clock gate above, counted: with no capture path a miss
+        calls no function defined in ``obs/capture.py``; with one it does."""
+        import cProfile
+        import pstats
+
+        def capture_calls(service) -> int:
+            with service.session("calls") as session:
+                for qvec in query_vectors[:2]:  # warm up
+                    session.execute(_query(service, qvec))
+                profile = cProfile.Profile()
+                profile.enable()
+                session.execute(_query(service, query_vectors[2]))
+                profile.disable()
+            return sum(
+                1
+                for file, _, _ in pstats.Stats(profile).stats
+                if file.replace("\\", "/").endswith("obs/capture.py")
+            )
+
+        with QueryService(make_engine(), result_cache_size=0) as service:
+            assert capture_calls(service) == 0
+        with QueryService(
+            make_engine(),
+            result_cache_size=0,
+            capture_path=str(tmp_path / "calls.jsonl"),
+        ) as service:
+            assert capture_calls(service) > 0
+
+
+def _query(service, qvec):
+    return service.engine.query("corpus").esimilar("emb", qvec, model=MODEL, top_k=5)
+
+
 class TestReplay:
     def _capture(self, tmp_path, *, clients=4, queries=24):
         """Drive a concurrent fig_service-style workload under capture."""

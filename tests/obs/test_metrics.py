@@ -1,4 +1,5 @@
-"""Metrics registry: counters, gauges, log-histogram percentiles, export."""
+"""Log-histogram percentiles, the exposition renderer, and the metrics a
+service renders from its own snapshots."""
 
 from __future__ import annotations
 
@@ -6,62 +7,29 @@ import math
 
 import pytest
 
-from repro.obs.export import prometheus_text
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    registry,
-    reset_registry,
-)
-from repro.reliability.breaker import CircuitBreaker
+from repro import QueryService
+from repro.errors import DeadlineExceededError, SchemaError, ServiceOverloadError
+from repro.obs.export import prometheus_text, snapshot_rows
+from repro.obs.metrics import Histogram
+from repro.reliability.breaker import breakers, reset_breakers
 
 pytestmark = pytest.mark.obs
 
 
-class TestCounterGauge:
-    def test_counter_is_monotone(self):
-        reg = MetricsRegistry()
-        c = reg.counter("events_total")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
-    def test_gauge_set_and_add(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("inflight")
-        g.set(3)
-        g.add(-1)
-        assert g.value == 2.0
-
-    def test_get_or_create_returns_same_object(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x_total", a="1") is reg.counter("x_total", a="1")
-        assert reg.counter("x_total", a="1") is not reg.counter("x_total", a="2")
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("x_total")
-        # Same conflict across label sets of one name.
-        with pytest.raises(ValueError, match="already registered"):
-            reg.histogram("x_total", path="a")
-
-
 class TestHistogram:
     def test_empty_percentile_is_none(self):
-        h = Histogram("lat", {})
+        h = Histogram()
         assert h.percentile(50) is None
         assert h.count == 0
 
     def test_single_value_clamps_all_percentiles(self):
-        h = Histogram("lat", {})
+        h = Histogram()
         h.observe(0.005)
         assert h.percentile(50) == 0.005
         assert h.percentile(99) == 0.005
 
     def test_percentiles_are_ordered_and_clamped(self):
-        h = Histogram("lat", {})
+        h = Histogram()
         for _ in range(50):
             h.observe(0.001)
         for _ in range(50):
@@ -72,19 +40,19 @@ class TestHistogram:
         assert p99 == 0.004  # interpolation clamps to the observed max
 
     def test_below_min_value_lands_in_bucket_zero(self):
-        h = Histogram("lat", {})
+        h = Histogram()
         h.observe(1e-9)
         assert h.count == 1
         assert h.percentile(50) == 1e-9
 
     def test_nan_and_negative_ignored(self):
-        h = Histogram("lat", {})
+        h = Histogram()
         h.observe(float("nan"))
         h.observe(-1.0)
         assert h.count == 0
 
     def test_snapshot_shape(self):
-        h = Histogram("lat", {})
+        h = Histogram()
         for v in (0.001, 0.002, 0.004):
             h.observe(v)
         snap = h.snapshot()
@@ -93,56 +61,173 @@ class TestHistogram:
         assert set(snap) == {"count", "sum", "p50", "p95", "p99"}
 
 
-class TestRegistrySnapshotAndExport:
-    def test_snapshot_key_format(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", b="2", a="1").set(5)
-        reg.counter("c_total").inc()
-        snap = reg.snapshot()
-        assert snap["g{a=1,b=2}"] == 5.0
-        assert snap["c_total"] == 1
+class TestSnapshotRowsAndExposition:
+    def test_nested_keys_join_into_names(self):
+        """Nested snapshot keys join with ``_`` under the prefix, sanitized
+        to the name charset; each name remembers the path it came from."""
+        rows: list = []
+        paths: dict = {}
+        snap = {"engine": {"steals": 3, "hit-rate": 0.5}, "up": True, "mode": "x"}
+        snapshot_rows(rows, paths, "repro", "stats_snapshot()", snap)
+        assert rows == [
+            ("repro_engine_steals", {}, 3.0),
+            ("repro_engine_hit_rate", {}, 0.5),
+            ("repro_up", {}, 1.0),
+        ]
+        assert paths["repro_engine_steals"] == 'stats_snapshot()["engine"]["steals"]'
+        assert paths["repro_engine_hit_rate"] == (
+            'stats_snapshot()["engine"]["hit-rate"]'
+        )
 
     def test_prometheus_text_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x_total", outcome="ok").inc(3)
-        h = reg.histogram("repro_lat_seconds")
+        h = Histogram()
         h.observe(0.002)
-        text = prometheus_text(reg)
-        assert "# TYPE repro_x_total counter" in text
-        assert 'repro_x_total{outcome="ok"} 3' in text
+        text = prometheus_text(
+            [
+                ("repro_queries_total", {"outcome": "completed"}, 3),
+                ("repro_lat_seconds", {}, h),
+            ]
+        )
+        assert "# TYPE repro_queries_total counter" in text
+        assert 'repro_queries_total{outcome="completed"} 3' in text
         assert "# TYPE repro_lat_seconds summary" in text
         assert "repro_lat_seconds_count 1" in text
         assert 'repro_lat_seconds{quantile="0.5"} 0.002' in text
         assert text.endswith("\n")
 
     def test_prometheus_escapes_label_values(self):
-        reg = MetricsRegistry()
-        reg.gauge("g", path='a"b\nc').set(1)
-        text = prometheus_text(reg)
+        text = prometheus_text([("g", {"path": 'a"b\nc'}, 1.0)])
+        assert "# TYPE g gauge" in text
         assert 'path="a\\"b\\nc"' in text
 
     def test_empty_histogram_quantiles_render_nan(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat")
-        text = prometheus_text(reg)
+        text = prometheus_text([("lat", {}, Histogram())])
         assert 'lat{quantile="0.99"} NaN' in text
 
 
-class TestProcessRegistry:
-    def test_registry_is_process_wide_until_reset(self):
-        r1 = registry()
-        assert registry() is r1
-        reset_registry()
-        assert registry() is not r1
+class TestBreakerTransitions:
+    def test_breaker_transitions_render_in_metrics(self, obs_engine):
+        """A breaker's transitions, counted once on the breaker in the
+        process breaker registry, render as the service's
+        ``repro_breaker_transitions_total{to}``; a state never entered
+        renders no sample."""
+        reset_breakers()
+        try:
+            registry = breakers()
+            registry.cooldown_s = 0.0
+            key = ("corpus", "emb", "m", "index")
+            with QueryService(obs_engine) as service:
+                for _ in range(registry.threshold):
+                    registry.record_failure(key)  # trips open
+                text = service.metrics()
+                assert 'repro_breaker_transitions_total{to="open"} 1' in text
+                assert 'to="half_open"' not in text and 'to="closed"' not in text
+                assert registry.allow(key)  # half-open trial after zero cooldown
+                registry.record_success(key)  # recovers
+                text = service.metrics()
+            assert 'repro_breaker_transitions_total{to="open"} 1' in text
+            assert 'repro_breaker_transitions_total{to="half_open"} 1' in text
+            assert 'repro_breaker_transitions_total{to="closed"} 1' in text
+            assert 'repro_breaker_trips{path="corpus/emb/m/index"} 1.0' in text
+            assert 'repro_breaker_closes{path="corpus/emb/m/index"} 1.0' in text
+            assert registry.get(key).half_opens == 1
+        finally:
+            reset_breakers()
 
-    def test_breaker_transitions_land_in_registry(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=0.0)
-        breaker.record_failure()
-        breaker.record_failure()  # trips open
-        opened = registry().counter("repro_breaker_transitions_total", to="open")
-        assert opened.value == 1
-        assert breaker.allow()  # half-open trial after zero cooldown
-        breaker.record_success()  # recovers
-        closed = registry().counter("repro_breaker_transitions_total", to="closed")
-        assert closed.value == 1
-        assert breaker.closes == 1
+
+def _families(text: str) -> dict[str, list[str]]:
+    """``family -> [its # HELP / # TYPE lines]`` of an exposition."""
+    headers: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        if line.startswith(("# HELP ", "# TYPE ")):
+            headers.setdefault(line.split(" ", 3)[2], []).append(line)
+    return headers
+
+
+class TestServiceExposition:
+    def test_each_service_renders_only_its_own_counts(self, obs_engine, query_vectors):
+        """Two services in one process: the second one's metrics show
+        nothing the first one counted."""
+        def query(qvec):
+            return obs_engine.query("corpus").esimilar("emb", qvec, model="m", top_k=5)
+
+        with QueryService(obs_engine) as first:
+            for qvec in query_vectors[:5]:
+                first.submit(query(qvec))
+            assert "repro_coalescer_groups 5.0" in first.metrics()
+        with QueryService(obs_engine, coalesce=False) as second:
+            second.submit(query(query_vectors[5]))
+            text = second.metrics()
+        assert "repro_coalescer_" not in text
+        assert 'repro_queries_total{outcome="completed"} 1\n' in text
+        assert "repro_query_latency_seconds_count 1\n" in text
+        assert "repro_service_completed 1.0\n" in text
+
+    def test_every_submission_lands_in_one_outcome(self, obs_engine, query_vectors):
+        """One completed, one failed, one shed and one rejected submission
+        each count once, under their own ``repro_queries_total`` outcome."""
+        def query(qvec, column="emb"):
+            return obs_engine.query("corpus").esimilar(
+                column, qvec, model="m", top_k=5
+            )
+
+        with QueryService(
+            obs_engine, coalesce=False, max_inflight=1, admission_timeout_s=0.02
+        ) as service:
+            service.submit(query(query_vectors[0]))
+            with pytest.raises(SchemaError):
+                service.submit(query(query_vectors[1], column="missing"))
+            with pytest.raises(DeadlineExceededError):
+                service.submit_qos(query(query_vectors[2]), deadline_s=-0.001)
+            service.admission.acquire()  # hold the only slot
+            try:
+                with pytest.raises(ServiceOverloadError):
+                    service.submit(query(query_vectors[3]))
+            finally:
+                service.admission.release()
+            text = service.metrics()
+        for outcome in ("completed", "failed", "shed", "rejected"):
+            assert f'repro_queries_total{{outcome="{outcome}"}} 1\n' in text
+
+    def test_scrape_reads_other_layers_outside_the_stats_lock(self, obs_engine):
+        """A scrape holds the service's stats lock only while it reads the
+        service's own counters: every other layer is read without it, so
+        running submissions never wait on a whole flattening."""
+        with QueryService(obs_engine) as service:
+            held = []
+            for layer in (service.admission, service.plans, service.results,
+                          service.coalescer):
+                def spy(snapshot=layer.stats_snapshot):
+                    held.append(service._stats_lock.locked())
+                    return snapshot()
+
+                layer.stats_snapshot = spy
+            text = service.metrics()
+        assert held == [False] * 4
+        assert 'repro_queries_total{outcome="completed"} 0\n' in text
+
+    def test_one_help_and_one_type_per_family(self, obs_engine, query_vectors, tmp_path):
+        """A real service's exposition: one ``# HELP`` then one ``# TYPE``
+        per family, each HELP from the help table or the snapshot path
+        the family was read from, never a class docstring."""
+        from repro.obs.export import METRIC_HELP
+
+        with QueryService(obs_engine, capture_path=str(tmp_path / "c.jsonl")) as service:
+            for qvec in query_vectors[:3]:
+                service.submit(
+                    obs_engine.query("corpus").esimilar("emb", qvec, model="m", top_k=5)
+                )
+            text = service.metrics()
+        families = _families(text)
+        assert len(families) > 50
+        for family, (help_line, type_line, *extra) in families.items():
+            assert not extra, (family, extra)
+            assert help_line.startswith(f"# HELP {family} ")
+            assert type_line.startswith(f"# TYPE {family} ")
+            help_text = help_line.split(" ", 3)[3]
+            assert help_text == METRIC_HELP.get(family) or help_text.startswith(
+                ("stats_snapshot()[", "health().", "recorder.stats_snapshot()[")
+            ), (family, help_text)
+        assert families["repro_engine_steals"][0].endswith(
+            'stats_snapshot()["engine"]["steals"]'
+        )

@@ -5,11 +5,14 @@ observability disabled, one enabled at a sampling rate that never fires —
 and the sampled-out median must stay within a few percent of the
 disabled median.  The interleaving (alternating which service goes first
 each round) cancels cache/thermal drift; the absolute slack term absorbs
-timer granularity on sub-millisecond queries.
+timer granularity on sub-millisecond queries.  That wall-clock gate is
+``perf``-marked; its tier-1 twin counts Python calls instead.
 """
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import statistics
 import time
 
@@ -116,3 +119,38 @@ def test_full_tracing_produces_complete_traces():
         assert trace.status == "ok"
         names = {s.name for s in trace.spans}
         assert {"query", "admission", "cache.lookup", "execute"} <= names
+
+
+def _profiled_calls(service, qvec) -> int:
+    """Python-level calls one ``submit`` makes on the calling thread."""
+    query = service.engine.query("corpus").esimilar(
+        "emb", qvec, model=MODEL, top_k=10
+    )
+    profile = cProfile.Profile()
+    profile.enable()
+    service.submit(query)
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def test_sampled_out_miss_makes_at_most_two_more_calls(obs_engine, query_vectors):
+    """The wall-clock gate above, counted: a sampled-out miss makes at most
+    two Python calls more than the same miss with observability off (the
+    sampling decision), and full tracing makes many more, so the count
+    resolves what a timer cannot."""
+    common = dict(coalesce=False, result_cache_size=0)
+    with QueryService(obs_engine, obs_enabled=False, **common) as off, QueryService(
+        obs_engine, obs_enabled=True, obs_sample_rate=1e-6, **common
+    ) as sampled, QueryService(
+        obs_engine, obs_enabled=True, obs_sample_rate=1.0, **common
+    ) as traced:
+        services = (off, sampled, traced)
+        for qvec in query_vectors[:2]:  # warm every service alike
+            for service in services:
+                _timed_submit(service, qvec)
+        n_off, n_sampled, n_traced = (
+            _profiled_calls(service, query_vectors[2]) for service in services
+        )
+        assert sampled.tracer.sampled == 0
+    assert n_sampled <= n_off + 2, (n_off, n_sampled)
+    assert n_traced > n_sampled + 100, (n_sampled, n_traced)
