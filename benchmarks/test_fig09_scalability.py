@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.bench import FigureReport, time_call
-from repro.core import ThresholdCondition, parallel_join
+from repro.core import ThresholdCondition, prefetch_nlj
+from repro.engine import ExecutionEngine
 from repro.vector import Kernel
 from repro.workloads import unit_vectors
 
@@ -51,13 +52,12 @@ def test_fig09_report(data):
         lv, rv = left[:nl], right[:nl]
         for t in _threads():
             _, seconds = time_call(
-                parallel_join,
+                prefetch_nlj,
                 lv,
                 rv,
                 CONDITION,
-                strategy="nlj",
-                n_threads=t,
                 kernel=kernel,
+                engine=ExecutionEngine(n_threads=t),
             )
             baseline.setdefault(kernel, seconds)
             report.add(

@@ -30,10 +30,11 @@ from ..core.cost_model import (
 )
 from ..core.eselect import eselect
 from ..core.index_join import DEFAULT_PROBE_K, index_join
-from ..core.join import ejoin
+from ..core.join import STRATEGIES, ejoin, run_scan
 from ..core.nlj import naive_nlj
 from ..core.quantized_join import QuantizedRelation, quantized_eselect
 from ..core.result import TopKMemo
+from ..core.tensor_join import unit_rows
 from ..embedding.cache import EmbeddingStore, shared_store
 from ..embedding.registry import ModelRegistry, default_registry
 from ..engine import ExecutionEngine
@@ -656,11 +657,10 @@ def _execute_ejoin_impl(
             index_breaker_key is not None
             and not breakers().allow(index_breaker_key)
         )
-        # A plain source whose cap partition is cached scans on it (fp16
-        # keeps none); one not built yet is not built to be priced.
+        # A plain source whose cap partition is cached scans on it; one not
+        # built yet is not built to be priced.
         store_key = _scan_store_key(node.right, node.right_column, node.model_name)
         part = store_key and ctx.cap_partition_for(store_key, base, store, cached=True)
-        fp16 = get_config().default_precision == "fp16"
         decision = choose_access_path(
             len(left_vectors),
             len(index),
@@ -669,7 +669,7 @@ def _execute_ejoin_impl(
             selectivity=sel,
             params=ctx.cost_params,
             index_available=not index_open,
-            caps=part.probe_terms(node.condition) if part and not fp16 else None,
+            caps=part.probe_terms(node.condition) if part else None,
             index_lists=index.probe_terms(),
         )
         strategy = "index" if decision.choice == "index" else "tensor"
@@ -719,7 +719,7 @@ def _execute_ejoin_impl(
         report.join_stats.append(result.stats)
         return result.materialize(left, right, names=names)
     # A plain table scan on the right keeps its scan-ready state (unit
-    # rows, encoded stores, the memo) in the context, valid for this
+    # rows, encoded stores, caps, the memo) in the context, valid for this
     # registration of the table; only other sources are embedded here.
     # Both sides embed with ``store``, the one the left keys came from,
     # even if the model is replaced while the query runs.
@@ -729,14 +729,19 @@ def _execute_ejoin_impl(
         if store_key is not None
         else _embed_column(right, node.right_column, node.model_name, ctx, store)
     )
-    scan_strategy = strategy or "tensor"
-    result = None
-    precision = None
-    if scan_strategy == "tensor":
-        # The REPRO_PRECISION knob may substitute a reduced-precision
-        # scan; quantized paths are additionally gated on their modelled
-        # cost (including the fit/encode build unless a cached store
-        # already amortized it).
+    strategy = strategy or "tensor"
+    access, precision, _ = STRATEGIES[strategy]
+    if access != "scan":
+        if right_vectors is None:
+            right_vectors = _embed_column(right, node.right_column, node.model_name, ctx, store)
+        result = ejoin(
+            left_vectors, right_vectors, node.condition, strategy=strategy, engine=ctx.engine
+        )
+        return finish(result, right)
+    if strategy == "tensor":
+        # The REPRO_PRECISION knob may substitute codes, gated on their
+        # modelled cost (including the fit/encode build unless a cached
+        # store already amortized it).
         precision = _quantized_scan_decision(
             ctx,
             store_key,
@@ -746,65 +751,46 @@ def _execute_ejoin_impl(
             _embedding_dim(right, node.right_column, model),
             node.condition,
         ).precision
-    elif scan_strategy in ("tensor-int8", "tensor-pq"):
-        # A forced quantized scan takes the same store cache, breaker
-        # and fallback chain as a chosen one; it falls back to fp32.
-        precision = scan_strategy.removeprefix("tensor-")
-        scan_strategy = "tensor"
-    # A plain scan's exact joins -- fp32, int8 and PQ -- score only the
-    # rows its caps do not prove out; fp16, which the configured precision
-    # puts in place of an fp32 "tensor" scan, keeps none.
-    caps = None
-    if store_key is not None and scan_strategy in ("tensor", "parallel-tensor") and not (
-        precision == "fp32" and get_config().default_precision == "fp16"
-    ):
-        caps = ctx.cap_partition_for(store_key, right, store)
-    if precision is not None:
+    # Every scan of a plain source -- fp32, int8 and PQ -- scores only the
+    # rows its caps do not prove out.
+    caps = None if store_key is None else ctx.cap_partition_for(store_key, right, store)
+
+    def scan(left_rows, representation, precision: str, caps=caps):
+        return run_scan(
+            strategy, precision, left_rows, representation, node.condition,
+            engine=ctx.engine, caps=caps,
+        )
+
+    result = None
+    if precision != "fp32":
         # The access path's circuit breaker walks the chain
         # pq -> int8 -> fp32 past open or failing paths.
         def quantized(precision: str):
-            right_input = right_vectors
-            if store_key is not None:
-                right_input = ctx.quant_store_for(
-                    store_key, right, precision, store
-                )
-            return ejoin(
-                left_vectors,
-                right_input,
-                node.condition,
-                strategy=f"tensor-{precision}",
-                engine=ctx.engine,
-                caps=caps,
-            )
+            if not right.num_rows:  # no rows to encode: nothing to scan
+                return scan(left_vectors, unit_rows(np.empty((0, 0), np.float32)), precision)
+            if store_key is None:
+                codes = QuantizedRelation.build(right_vectors, precision)
+            else:
+                codes = ctx.quant_store_for(store_key, right, precision, store)
+            return scan(left_vectors, codes.representation(), precision)
 
         result, _ = _quantized_scan(store_key, precision, report, quantized)
-        if result is None and get_config().default_precision == "fp16":
-            scan_strategy = "tensor-fp16"
-    normalized = scan_strategy in ("tensor", "parallel-tensor")
+    if result is not None:
+        return finish(result, right)
     # A key's top-k pairs against one registration of a plain scan are a
     # function of the key: on the exact fp32 scan, the keys this
     # registration has joined are gathered from its memo and only the
     # rest are scanned.  The choices above are priced on every key, as
     # for a cold context, so a warm memo never changes the access path.
     memo = None
-    if (
-        result is None
-        and normalized
-        and keys is not None
-        and store_key is not None
-        and isinstance(node.condition, TopKCondition)
-    ):
+    if keys is not None and store_key is not None and isinstance(node.condition, TopKCondition):
         memo = ctx.topk_memo_for(store_key, right, node.condition, store)
     if memo is not None:
         unknown = memo.unknown(keys)
-        scanned = ejoin(
+        scanned = scan(
             normalize_rows(left_vectors[unknown], copy=False),
-            ctx.normalized_matrix_for(store_key, right, store),
-            node.condition,
-            strategy=scan_strategy,
-            assume_normalized=True,
-            engine=ctx.engine,
-            caps=caps,
+            unit_rows(ctx.normalized_matrix_for(store_key, right, store)),
+            "fp32",
         )
         with ctx.sources.lock:
             memo.put(keys[unknown], scanned)
@@ -816,45 +802,30 @@ def _execute_ejoin_impl(
         report.join_stats.append(stats)
         rows = keys if inverse is None else keys[inverse]
         return memo.expand(rows, stats).materialize(left, right, names=names)
-    if result is None:
-        flip = None
-        if normalized:
-            # Exactly ``normalize_rows`` of either side — what the scan
-            # would compute itself — so joins stay bit-identical; a tensor
-            # column under a plain scan shares the context's matrix.
-            left_key = None
-            if left.schema.field(node.left_column).dtype is DataType.TENSOR:
-                left_key = _scan_store_key(
-                    node.left, node.left_column, node.model_name
-                )
-            left_vectors = (
-                normalize_rows(left_vectors)
-                if left_key is None
-                else ctx.normalized_matrix_for(left_key, left)
-            )
-            right_vectors = (
-                normalize_rows(right_vectors)
-                if store_key is None
-                else ctx.normalized_matrix_for(store_key, right, store)
-            )
-            # A threshold join is symmetric (the optimizer puts the smaller
-            # side right): without caps of its own it runs on the left side's.
-            if caps is None and left_key and isinstance(node.condition, ThresholdCondition):
-                flip = ctx.cap_partition_for(left_key, left)
-        elif right_vectors is None:
-            right_vectors = _embed_column(
-                right, node.right_column, node.model_name, ctx, store
-            )
-        sides = (left_vectors, right_vectors)
-        result = ejoin(
-            *(sides if flip is None else sides[::-1]),
-            node.condition,
-            strategy=scan_strategy,
-            assume_normalized=normalized,
-            engine=ctx.engine,
-            caps=caps if flip is None else flip,
-        )
-        if flip is not None:
-            result.stats.n_left, result.stats.n_right = result.stats.n_right, result.stats.n_left
-            result = replace(result, left_ids=result.right_ids, right_ids=result.left_ids).sorted()
+    # Exactly ``normalize_rows`` of either side — what the scan would
+    # compute itself — so joins stay bit-identical; a tensor column under
+    # a plain scan shares the context's matrix.
+    left_key = None
+    if left.schema.field(node.left_column).dtype is DataType.TENSOR:
+        left_key = _scan_store_key(node.left, node.left_column, node.model_name)
+    left_n = (
+        normalize_rows(left_vectors)
+        if left_key is None
+        else ctx.normalized_matrix_for(left_key, left)
+    )
+    right_n = (
+        normalize_rows(right_vectors)
+        if store_key is None
+        else ctx.normalized_matrix_for(store_key, right, store)
+    )
+    # A threshold join is symmetric (the optimizer puts the smaller side
+    # right): without caps of its own it runs on the left side's.
+    flip = None
+    if caps is None and left_key and isinstance(node.condition, ThresholdCondition):
+        flip = ctx.cap_partition_for(left_key, left)
+    if flip is None:
+        return finish(scan(left_n, unit_rows(right_n), "fp32"), right)
+    result = scan(right_n, unit_rows(left_n), "fp32", caps=flip)
+    result.stats.n_left, result.stats.n_right = result.stats.n_right, result.stats.n_left
+    result = replace(result, left_ids=result.right_ids, right_ids=result.left_ids).sorted()
     return finish(result, right)

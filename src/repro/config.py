@@ -20,6 +20,10 @@ import numpy as np
 #: reproducibility" setup in the paper's evaluation.
 DEFAULT_SEED = 42
 
+#: Operand precisions a scan may run at: what ``REPRO_PRECISION`` and
+#: ``configure(default_precision=)`` accept.
+PRECISIONS = ("fp32", "int8", "pq")
+
 
 def mix32(x: int) -> int:
     """Cheap deterministic 32-bit mix (xorshift-multiply): the hash under
@@ -56,9 +60,9 @@ class ReproConfig:
         work_stealing: Whether engine workers steal queued morsels from
             each other (disable to get static partitioning).
         default_precision: Operand precision scan joins run at when the
-            caller does not pin one: ``fp32`` (exact), ``fp16`` (half-
-            precision storage), or the quantized access paths ``int8`` /
-            ``pq`` (approximate scan + exact re-rank, exact answers).
+            caller does not pin one (:data:`PRECISIONS`): ``fp32`` (exact),
+            or the quantized access paths ``int8`` / ``pq`` (approximate
+            scan + exact re-rank, exact answers).
         fault_rate: Probability that one fault-injection site hit injects
             a fault (chaos testing).  ``0.0`` never installs the injector,
             so production paths pay one ``None`` check.
@@ -149,12 +153,12 @@ def _config_from_env() -> ReproConfig:
         config.default_buffer_budget_bytes = budget_bytes
     precision = os.environ.get("REPRO_PRECISION", "")
     if precision:
-        if precision in ("fp32", "fp16", "int8", "pq"):
+        if precision in PRECISIONS:
             config.default_precision = precision
         else:
             warnings.warn(
                 f"ignoring unknown REPRO_PRECISION={precision!r} "
-                "(expected fp32|fp16|int8|pq)",
+                f"(expected {'|'.join(PRECISIONS)})",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -194,6 +198,9 @@ def configure(**overrides) -> ReproConfig:
     for name, value in overrides.items():
         if name not in valid:
             raise AttributeError(f"unknown config field {name!r}")
+        if name == "default_precision" and value not in PRECISIONS:
+            raise ValueError(f"unknown precision {value!r}; have {PRECISIONS}")
+    for name, value in overrides.items():
         setattr(_config, name, value)
     return _config
 

@@ -12,7 +12,6 @@ from .cost_model import (
 from .index_join import DEFAULT_PROBE_K, index_join
 from .join import ejoin
 from .nlj import naive_nlj, prefetch_nlj
-from .parallel import parallel_join
 from .quantized_join import QuantizedRelation, quantized_eselect, quantized_tensor_join
 from .result import JoinResult, JoinStats
 from .tensor_join import resolve_batch_shape, tensor_join, tensor_join_non_batched
@@ -39,7 +38,6 @@ __all__ = [
     "ejoin",
     "index_join",
     "naive_nlj",
-    "parallel_join",
     "prefetch_nlj",
     "resolve_batch_shape",
     "tensor_join",

@@ -76,8 +76,8 @@ class CapPartition:
         object.__setattr__(self, "axes", axes.astype(np.float32))
 
     def task(self, condition) -> tuple[partial, int]:
-        """``scan_join``'s ``caps=``: :func:`cap_join` on these caps, and
-        the bytes of bound state a left row holds on them."""
+        """What ``scan_join(caps=)`` runs: :func:`cap_join` on these caps,
+        and the bytes of bound state a left row holds on them."""
         return partial(cap_join, self, condition), STATE_BYTES * len(self.radius)
 
     def probe_terms(self, condition) -> tuple[int, float] | None:

@@ -245,8 +245,6 @@ def precision_code_bytes(precision: str, dim: int, *, pq_m: int = 8) -> int:
     """Stored bytes per vector at each operand precision."""
     if precision == "fp32":
         return 4 * dim
-    if precision == "fp16":
-        return 2 * dim
     if precision == "int8":
         return dim
     if precision == "pq":

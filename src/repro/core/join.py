@@ -8,6 +8,8 @@ paper's holistic optimization story.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..embedding.base import EmbeddingModel
@@ -15,37 +17,70 @@ from ..engine import ExecutionEngine
 from ..errors import JoinError
 from ..index.base import VectorIndex
 from ..vector.kernels import Kernel
+from .caps import CapPartition
 from .conditions import JoinCondition, TopKCondition, validate_condition
 from .cost_model import CostParams, choose_access_path, choose_scan_precision
 from .index_join import DEFAULT_PROBE_K, index_join
 from .nlj import naive_nlj, prefetch_nlj
-from .parallel import parallel_join
-from .precision import tensor_join_fp16
 from .quantized_join import quantized_tensor_join
-from .result import JoinResult
+from .result import JoinResult, JoinStats
+from .scan import Representation, scan_join
 from .tensor_join import tensor_join
 
-#: Valid strategy names for :func:`ejoin`.
-STRATEGIES = (
-    "auto",
-    "naive-nlj",
-    "nlj",
-    "nlj-scalar",
-    "tensor",
-    "tensor-fp16",
-    "tensor-int8",
-    "tensor-pq",
-    "parallel-tensor",
-    "index",
-)
+#: Every strategy :func:`ejoin` takes: ``label -> (access path, what it
+#: reads, engine)``.  A scan reads one representation of the right side
+#: (``fp32`` unit rows or ``int8`` / ``pq`` codes), an NLJ one kernel.
+#: ``"threads"`` builds an ``ExecutionEngine(n_threads)`` when the caller
+#: hands none and names its worker count in the label
+#: (``parallel-tensor/<n>t``); ``None`` runs on the caller's engine, if any.
+#: In the planner ``tensor`` lets the precision chooser substitute codes,
+#: and the other scan labels pin theirs.
+STRATEGIES = {
+    "auto": ("auto", None, None),
+    "naive-nlj": ("naive-nlj", None, None),
+    "nlj": ("nlj", Kernel.VECTORIZED, None),
+    "nlj-scalar": ("nlj", Kernel.SCALAR, None),
+    "tensor": ("scan", "fp32", None),
+    "tensor-int8": ("scan", "int8", None),
+    "tensor-pq": ("scan", "pq", None),
+    "parallel-tensor": ("scan", "fp32", "threads"),
+    "index": ("index", None, None),
+}
+_SCAN_LABELS = {
+    reads: label
+    for label, (access, reads, engine_kind) in STRATEGIES.items()
+    if access == "scan" and engine_kind is None
+}
 
 
-def _resolve_vectors(side, model: EmbeddingModel | None) -> np.ndarray:
-    if isinstance(side, np.ndarray):
-        return np.asarray(side, dtype=np.float32)
-    if model is None:
-        raise JoinError("raw join inputs require an embedding model")
-    return model.embed_batch(list(side))
+def _scan_label(strategy: str, precision: str, engine: ExecutionEngine | None) -> str:
+    """What a scan run under label ``strategy`` at ``precision`` reports:
+    a threaded label with its worker count, else the label that reads
+    ``precision`` (the codes the chooser put in place of ``tensor``'s fp32,
+    or the fp32 a code scan fell back to)."""
+    if STRATEGIES[strategy][2] == "threads":
+        return f"{strategy}/{engine.n_threads}t"
+    return _SCAN_LABELS[precision]
+
+
+def run_scan(
+    strategy: str,
+    precision: str,
+    left: np.ndarray,
+    representation: Representation,
+    condition: JoinCondition,
+    *,
+    engine: ExecutionEngine,
+    caps: CapPartition | None = None,
+) -> JoinResult:
+    """:func:`~repro.core.scan.scan_join` of a right side whose
+    ``representation`` (at ``precision``) the caller picked itself — the
+    planner, from a source's cached state — under scan label ``strategy``."""
+    stats = JoinStats(strategy=_scan_label(strategy, precision, engine))
+    start = time.perf_counter()
+    result = scan_join(stats, left, representation, condition, engine=engine, caps=caps)
+    stats.seconds = time.perf_counter() - start
+    return result
 
 
 def ejoin(
@@ -77,8 +112,7 @@ def ejoin(
         condition: :class:`ThresholdCondition` or :class:`TopKCondition`.
         model: embedding model for raw inputs (prefetch-embedded once,
             except under ``strategy="naive-nlj"`` which embeds per pair).
-        strategy: one of ``auto | naive-nlj | nlj | nlj-scalar | tensor |
-            parallel-tensor | index``.
+        strategy: a label of :data:`STRATEGIES`.
         index: pre-built vector index over the right relation (enables the
             ``index`` strategy and informs ``auto``).
         allowed: pre-filter bitmap over right ids (index strategy).
@@ -103,7 +137,7 @@ def ejoin(
         raise JoinError("a join condition is required")
     validate_condition(condition)
     if strategy not in STRATEGIES:
-        raise JoinError(f"unknown strategy {strategy!r}; have {STRATEGIES}")
+        raise JoinError(f"unknown strategy {strategy!r}; have {tuple(STRATEGIES)}")
     if engine is not None and n_threads is not None:
         # Rejected up front so the error does not depend on which strategy
         # "auto" happens to select for this input size.
@@ -124,69 +158,45 @@ def ejoin(
             selectivity_hint=selectivity_hint,
             caps=caps,
         )
+    access, reads, engine_kind = STRATEGIES[strategy]
 
-    if strategy == "naive-nlj":
-        if model is None:
-            raise JoinError("naive-nlj joins raw items; an embedding model "
-                            "is required")
-        if right is None:
-            raise JoinError("naive-nlj requires an explicit right input")
-        return naive_nlj(list(left), list(right), model, condition)
-
-    if strategy in ("nlj", "nlj-scalar"):
-        if right is None:
-            raise JoinError(f"{strategy} requires an explicit right input")
-        kernel = Kernel.SCALAR if strategy == "nlj-scalar" else Kernel.VECTORIZED
-        return prefetch_nlj(
-            left, right, condition, model=model, kernel=kernel, engine=engine
-        )
-
-    if strategy != "index":
-        # Every scan strategy is the one operator body behind a
-        # representation of the right side, under one block shape.
-        if right is None:
-            raise JoinError(f"{strategy} requires an explicit right input")
-        shape = dict(
-            batch_left=batch_left,
-            batch_right=batch_right,
-            buffer_budget_bytes=buffer_budget_bytes,
+    if access == "index":
+        if index is None:
+            raise JoinError("index strategy requires a built vector index")
+        return index_join(
+            left, index, condition, model=model, allowed=allowed, probe_k=probe_k,
             engine=engine,
         )
-        if strategy == "tensor":
-            return tensor_join(
-                left, right, condition, model=model,
-                assume_normalized=assume_normalized, caps=caps, **shape,
-            )
-        if strategy == "tensor-fp16":
-            return tensor_join_fp16(left, right, condition, model=model, **shape)
-        if strategy in ("tensor-int8", "tensor-pq"):
-            return quantized_tensor_join(
-                left, right, condition, model=model,
-                method=strategy.removeprefix("tensor-"), caps=caps, **shape,
-            )
-        assert strategy == "parallel-tensor"
-        return parallel_join(
-            _resolve_vectors(left, model),
-            _resolve_vectors(right, model),
-            condition,
-            strategy="tensor",
-            n_threads=n_threads,
-            assume_normalized=assume_normalized,
-            caps=caps,
-            **shape,
-        )
+    if access == "naive-nlj" and model is None:
+        raise JoinError("naive-nlj joins raw items; an embedding model is required")
+    if right is None:
+        raise JoinError(f"{strategy} requires an explicit right input")
+    if access == "naive-nlj":
+        return naive_nlj(list(left), list(right), model, condition)
+    if access == "nlj":
+        return prefetch_nlj(left, right, condition, model=model, kernel=reads, engine=engine)
 
-    if index is None:
-        raise JoinError("index strategy requires a built vector index")
-    return index_join(
-        left,
-        index,
-        condition,
-        model=model,
-        allowed=allowed,
-        probe_k=probe_k,
+    # Every scan is the one operator body behind a representation of the
+    # right side, under one block shape.
+    if engine_kind == "threads" and engine is None:
+        engine = ExecutionEngine(n_threads=n_threads)
+    shape = dict(
+        batch_left=batch_left,
+        batch_right=batch_right,
+        buffer_budget_bytes=buffer_budget_bytes,
         engine=engine,
+        caps=caps,
     )
+    if reads == "fp32":
+        result = tensor_join(
+            left, right, condition, model=model, assume_normalized=assume_normalized, **shape
+        )
+    else:
+        result = quantized_tensor_join(
+            left, right, condition, model=model, method=reads, **shape
+        )
+    result.stats.strategy = _scan_label(strategy, reads, engine)
+    return result
 
 
 def _auto_strategy(
@@ -204,23 +214,18 @@ def _auto_strategy(
     """Cost-based physical strategy selection."""
     from ..config import get_config
 
+    topk = isinstance(condition, TopKCondition)
+    k = condition.k if topk else DEFAULT_PROBE_K if probe_k is None else probe_k
     n_left = len(left)
     if index is not None:
-        n_base = len(index)
-        dim = index.dim
-        if isinstance(condition, TopKCondition):
-            k = condition.k
-        else:
-            k = DEFAULT_PROBE_K if probe_k is None else probe_k
-        fp16 = get_config().default_precision == "fp16"  # fp16 scans keep no caps
         decision = choose_access_path(
             n_left,
-            n_base,
+            len(index),
             k,
-            dim,
+            index.dim,
             selectivity=selectivity_hint,
             params=cost_params,
-            caps=caps.probe_terms(condition) if caps and right is not None and not fp16 else None,
+            caps=caps.probe_terms(condition) if caps and right is not None else None,
             index_lists=index.probe_terms(),
         )
         if decision.choice == "index":
@@ -230,31 +235,22 @@ def _auto_strategy(
         if index is None:
             raise JoinError("auto strategy needs either right input or index")
         return "index"
-    # Scan path: the configured precision may substitute a reduced-
-    # precision scan (fp16 storage, or quantized codes + exact re-rank)
-    # for the fp32 tensor formulation.  Quantized substitution goes
-    # through the same cost comparison the planner applies — including
-    # the per-call fit/encode build, which ejoin cannot amortize — so a
-    # join too small to pay for quantizer training stays on fp32.
+    # Scan path: the configured precision may substitute quantized codes
+    # + exact re-rank for the fp32 tensor formulation, through the same
+    # cost comparison the planner applies — including the per-call
+    # fit/encode build, which ejoin cannot amortize — so a join too small
+    # to pay for quantizer training stays on fp32.
     n_right = len(right)
-    precision = get_config().default_precision
-    if precision == "fp16":
-        return "tensor-fp16"
     vectors = isinstance(right, np.ndarray) and right.ndim == 2
     # Raw items take their dimension from the model; with neither, the
     # tensor join below rejects the input.
-    if precision in ("int8", "pq") and (vectors or model is not None):
-        topk = isinstance(condition, TopKCondition)
-        if topk:
-            k = condition.k
-        else:
-            k = DEFAULT_PROBE_K if probe_k is None else probe_k
+    if get_config().default_precision != "fp32" and (vectors or model is not None):
         dim = right.shape[1] if vectors else model.dim
-        decision = choose_scan_precision(
+        precision = choose_scan_precision(
             n_left, n_right, k, dim, topk=topk, params=cost_params, store_built=False
-        )
-        if decision.precision in ("int8", "pq"):
-            return f"tensor-{decision.precision}"
+        ).precision
+        if precision != "fp32":
+            return _SCAN_LABELS[precision]
     # Single-threaded tensor for small inputs, parallel beyond.
     if n_left * n_right >= 4_000_000 and isinstance(left, np.ndarray):
         return "parallel-tensor"

@@ -8,9 +8,10 @@ quantization.  The join becomes a two-phase scan:
    (``dim`` bytes/row for int8, ``m`` bytes/row for PQ) block by block
    under the Figure 7 buffer budget.  The operator is
    :func:`repro.core.scan.scan_join`, the body every scan join shares;
-   this module hands it the codes representation: the quantizer's
-   ``scorer`` (a BLAS GEMM over casted codes, or an ADC sparse product)
-   with its per-query ``bias``, and the quantizer's error ``bound``.
+   this module hands it the codes representation
+   (:meth:`QuantizedRelation.representation`): the quantizer's ``scorer``
+   (a BLAS GEMM over casted codes, or an ADC sparse product) with its
+   per-query ``bias``, and the quantizer's error ``bound``.
 2. **Exact re-rank** — each left row's best ``k +``
    :data:`~repro.core.scan.TOPK_PRESCREEN_PAD` approximate candidates
    (or, for threshold joins, everything above ``threshold -
@@ -49,7 +50,7 @@ from .conditions import JoinCondition, validate_condition
 from .eselect import SelectionResult, _as_query
 from .nlj import _as_matrices, _as_matrix
 from .result import JoinResult, JoinStats
-from .scan import scan_join
+from .scan import Representation, scan_join
 
 #: Quantization methods the join understands.
 QUANT_METHODS = ("int8", "pq")
@@ -138,6 +139,27 @@ class QuantizedRelation:
             method=method,
             build_seconds=time.perf_counter() - start,
             scan_rows=quantizer.scan_rows(codes),
+        )
+
+    def representation(self) -> Representation:
+        """The codes as a scan streams them: the quantizer's ``scorer``
+        over :attr:`scan_rows` (a BLAS GEMM over casted codes, or an ADC
+        sparse product) with its per-query ``bias`` and error ``bound``,
+        re-ranked against the fp32 rows; left rows are normalized first."""
+
+        def scorer(lb: np.ndarray, width: int):
+            score, bias = self.quantizer.scorer(lb)
+            return (lambda r0, r1: score(self.scan_rows[r0:r1])), bias
+
+        return Representation(
+            self.scan_rows,
+            scorer,
+            row_bytes=self.quantizer.bytes_per_code,
+            # Any pair whose exact score reaches a floor has an approximate
+            # one above ``floor - bound``.
+            bound=self.quantizer.score_error_bound(),
+            rerank=lambda lb, li, ri: _exact_scores(lb, li, self.vectors, ri),
+            prepare=normalize_rows,
         )
 
 
@@ -240,29 +262,19 @@ def quantized_tensor_join(
         stats.seconds = time.perf_counter() - start
         return JoinResult.empty(stats)
 
-    left_n = normalize_rows(left_m)
-    stats.extra["bytes_per_code"] = store.quantizer.bytes_per_code
-    stats.extra["operand_bytes"] = int(left_n.nbytes) + store.code_bytes
-
-    def scorer(lb: np.ndarray, width: int):
-        score, bias = store.quantizer.scorer(lb)
-        return (lambda r0, r1: score(store.scan_rows[r0:r1])), bias
-
+    codes = store.representation()
+    stats.extra["bytes_per_code"] = codes.row_bytes
+    stats.extra["operand_bytes"] = 4 * left_m.size + store.code_bytes
     result = scan_join(
         stats,
-        left_n,
-        len(store),
+        left_m,
+        codes,
         condition,
-        scorer,
-        # Any pair whose exact score reaches a floor has an approximate
-        # one above ``floor - bound``.
-        bound=store.quantizer.score_error_bound(),
-        rerank=lambda lb, li, ri: _exact_scores(lb, li, store.vectors, ri),
         batch_left=batch_left,
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
         engine=engine,
-        caps=None if caps is None else caps.task(condition),
+        caps=caps,
     )
     stats.seconds = time.perf_counter() - start
     return result

@@ -20,13 +20,18 @@ candidates, and the rest take one fixed-floor pass.
 :func:`scan_join` is the one operator body under every scan join: ask
 :func:`~repro.vector.select.scan_shape` for the block, cut the left side,
 scan each left block with the representation's scorer, finalize, run the
-blocks inline or on the engine, add up the parts.
+blocks inline or on the engine, add up the parts.  What it scans is one
+:class:`Representation` of the right side — fp32 unit rows
+(:func:`~repro.core.tensor_join.unit_rows`), fp16 rows
+(:func:`~repro.core.precision.fp16_rows`) or int8 / PQ codes
+(:meth:`~repro.core.quantized_join.QuantizedRelation.representation`) —
+so the paper's precision ablation (Section V-A-2) changes data, not code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -44,6 +49,9 @@ from ..vector.select import (
 )
 from .conditions import JoinCondition, TopKCondition
 from .result import JoinResult, JoinStats
+
+if TYPE_CHECKING:
+    from .caps import CapPartition
 
 #: ``(rows, ids, scores)`` candidate triples sorted by
 #: ``(row, score desc, id asc)`` — :meth:`TopKReducer.finalize`'s order.
@@ -89,6 +97,39 @@ class ScanResult:
     #: The largest score block plus what the select held beside it (chunk
     #: maxima, pooled top-k triples).
     peak_bytes: int = 0
+
+
+def _unchanged(left: np.ndarray) -> np.ndarray:
+    return left
+
+
+@dataclass(frozen=True)
+class Representation:
+    """The right side of a scan join as the scan streams it.
+
+    ``scorer(left_block, width) -> (score_block, bias)``: ``score_block(r0,
+    r1)`` scores right rows ``[r0, r1)`` — asked for blocks at most
+    ``width`` rows wide — against the left block, leaving out the per-left-
+    row constant ``bias`` (``None``: none).
+    """
+
+    #: What ``scorer`` slices; ``rows.shape[0]`` right rows.
+    rows: object
+    scorer: Callable[[np.ndarray, int], tuple[Callable, np.ndarray | None]]
+    #: Bytes one right row costs the scan.
+    row_bytes: int
+    #: The scanned scores' error: a threshold prescreen drops its floor by
+    #: it so ``rerank`` sees every true match, and a top-k row's proof adds
+    #: it to the row's floor.
+    bound: float = 0.0
+    #: ``(left_block, left_ids, right_ids) -> exact scores``.  ``None``: the
+    #: scanned scores are the emitted ones.
+    rerank: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    #: The left side as ``scorer`` takes it, from the caller's left rows.
+    prepare: Callable[[np.ndarray], np.ndarray] = _unchanged
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
 
 
 def dense_score_block(
@@ -312,51 +353,46 @@ def prove_topk(
 def scan_join(
     stats: JoinStats,
     left: np.ndarray,
-    n_right: int,
+    representation: Representation,
     condition: JoinCondition,
-    scorer: Callable[[np.ndarray, int], tuple[Callable, np.ndarray | None]],
     *,
-    bound: float = 0.0,
-    rerank: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    engine: ExecutionEngine | None = None,
+    caps: CapPartition | None = None,
     batch_left: int | None = None,
     batch_right: int | None = None,
     buffer_budget_bytes: int | None = None,
-    engine: ExecutionEngine | None = None,
-    caps: tuple[Callable[[np.ndarray, int], ScanResult | None], int] | None = None,
 ) -> JoinResult:
     """The body of every scan join; the public joins are validated
     wrappers that pick a representation of the right side.
 
     Args:
-        left: left rows as the scorer takes them; only sliced here.
-        scorer: the representation — ``scorer(left_block, width) ->
-            (score_block, bias)``, ``score_block(r0, r1)`` being asked for
-            right blocks at most ``width`` rows wide.
-        bound: its score error; a threshold prescreen drops its floor by
-            it so ``rerank`` sees every true match, and a top-k row's
-            proof adds it to the row's floor.
-        rerank: ``(left_block, left_ids, right_ids) -> exact scores``.
-            ``None``: the scanned scores are the emitted ones.  Otherwise
-            candidates are re-scored (and counted as evaluations): a
-            top-k row keeps ``k +`` :data:`TOPK_PRESCREEN_PAD` (down to
-            ``k`` under a budget too small for their state) and is
-            proved or rescanned by :func:`prove_topk` (the rows that were
-            go to ``stats.extra["rescanned_rows"]``); a threshold join's
-            are filtered block by block, as the scan finds them.  The
-            re-scored cells go to ``stats.extra["rerank_candidates"]``.
+        left: left rows, as ``representation.prepare`` takes them.
+        representation: the right side.  With a ``rerank``, candidates are
+            re-scored (and counted as evaluations): a top-k row keeps ``k +``
+            :data:`TOPK_PRESCREEN_PAD` (down to ``k`` under a budget too
+            small for their state) and is proved or rescanned by
+            :func:`prove_topk` (the rows that were go to
+            ``stats.extra["rescanned_rows"]``); a threshold join's are
+            filtered block by block, as the scan finds them.  The re-scored
+            cells go to ``stats.extra["rerank_candidates"]``.
         engine: runs the left blocks — self-contained tasks over shared
             read-only operands, results in block order; ``None`` is one
             worker.  A join whose whole work does not repay one scheduler
-            run stays on the caller's thread.
-        caps: ``(task, row_bytes)`` (``CapPartition.task``): ``task(rows,
-            dense blocks' bytes)`` joins left rows on the right side's
-            caps or returns ``None``; ``row_bytes`` sizes a cap task; not
-            under explicit edges (``extra["cap_tasks"]``).  Its scores are
-            exact: rows on the caps are neither scanned nor re-ranked.
+            run stays on the caller's thread.  ``stats.extra["morsels"]``
+            counts the left blocks.
+        caps: the right side's :class:`~repro.core.caps.CapPartition`: a
+            left task joins on its caps (its ``task(condition)``) unless
+            they decline; not under explicit edges (``extra["cap_tasks"]``).
+            Its scores are exact: rows on the caps are neither scanned nor
+            re-ranked.
     """
+    n_right, scorer = len(representation), representation.scorer
+    bound, rerank = representation.bound, representation.rerank
     stats.n_left, stats.n_right = len(left), n_right
     if stats.n_left == 0 or n_right == 0:
+        stats.extra["morsels"] = 0
         return JoinResult.empty(stats)
+    left = representation.prepare(left)
     engine = engine or serial_engine()
     topk = isinstance(condition, TopKCondition)
     dim = left.shape[1]
@@ -389,7 +425,8 @@ def scan_join(
     stats.extra["batch_shape"] = (bl, br)
 
     floor = condition.min_similarity if topk else condition.threshold
-    caps = None if batch_left or batch_right else caps  # explicit edges: dense
+    # Explicit edges scan dense.
+    caps = None if caps is None or batch_left or batch_right else caps.task(condition)
 
     def at_floor(li, ri, scores):
         if floor is None:
@@ -455,6 +492,7 @@ def scan_join(
         return engine.run([lambda span=span: block(*span) for span in spans])
 
     spans = [(l0, min(l0 + bl, stats.n_left)) for l0 in range(0, stats.n_left, bl)]
+    stats.extra["morsels"] = len(spans)
     parts, dense = [], spans
     if caps is not None:
         # A cap task holds state as wide as the caps, not the right side: it

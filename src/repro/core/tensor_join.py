@@ -4,13 +4,13 @@ The join becomes a block-matrix dot product: normalize both relations once
 (cosine == dot for unit vectors), partition **along tuple boundaries, not
 dimensions**, and compute ``D = R @ S.T`` block-by-block with BLAS GEMM.
 The operator is :func:`repro.core.scan.scan_join`, the body every scan
-join shares; this module hands it the fp32 representation — a scorer that
-GEMMs each right block into one reusable score buffer — so every block is
-pruned to qualifying offset pairs before the next overwrites it and peak
-memory is ``batch_left * batch_right`` floats regardless of input size
-(the Figure 7 buffer budget).  Top-k conditions fold into the scan's
-bounded reducer, so the budget also covers the candidate state, end to
-end.  There is no re-rank: the GEMM's own scores are the emitted scores.
+join shares; this module hands it the fp32 representation,
+:func:`unit_rows` — a scorer that GEMMs each right block into one reusable
+score buffer — so every block is pruned to qualifying offset pairs before
+the next overwrites it and peak memory is ``batch_left * batch_right``
+floats regardless of input size (the Figure 7 buffer budget).  Top-k
+conditions fold into the scan's bounded reducer, so the budget also covers
+the candidate state, end to end.  There is no re-rank: the GEMM's own scores are the emitted scores.
 
 Left blocks are independent tasks; handing the join an
 :class:`~repro.engine.ExecutionEngine` schedules them on its
@@ -32,7 +32,7 @@ from .caps import CapPartition
 from .conditions import JoinCondition, validate_condition
 from .nlj import _as_matrices, prefetch_nlj
 from .result import JoinResult, JoinStats
-from .scan import scan_join
+from .scan import Representation, scan_join
 
 
 #: The engine-less name of the shape rule: with no ``workers`` it stops
@@ -41,11 +41,11 @@ from .scan import scan_join
 resolve_batch_shape = scan_shape
 
 
-def dense_scorer(right_n: np.ndarray, prepare=lambda block: block):
-    """The scorer of dense unit rows: one GEMM per right block, every
-    block of a task landing in that task's one buffer (Figure 6 step 1 —
-    the scan is done with a block before it asks for the next).
-    ``prepare`` turns a stored left/right block into fp32 unit rows."""
+def dense_scorer(rows: np.ndarray, prepare=lambda block: block):
+    """The scorer of dense rows: one GEMM per right block, every block of
+    a task landing in that task's one buffer (Figure 6 step 1 — the scan
+    is done with a block before it asks for the next).  ``prepare`` turns
+    a stored left/right block into fp32 unit rows."""
 
     def scorer(lb: np.ndarray, width: int):
         lb = prepare(lb)
@@ -53,11 +53,17 @@ def dense_scorer(right_n: np.ndarray, prepare=lambda block: block):
 
         def score_block(r0: int, r1: int) -> np.ndarray:
             out = buffer[: len(lb) * (r1 - r0)].reshape(len(lb), r1 - r0)
-            return np.matmul(lb, prepare(right_n[r0:r1]).T, out=out)
+            return np.matmul(lb, prepare(rows[r0:r1]).T, out=out)
 
         return score_block, None
 
     return scorer
+
+
+def unit_rows(right_n: np.ndarray) -> Representation:
+    """The fp32 representation: unit rows scanned as they are, against
+    unit left rows; the GEMM's own scores are the emitted ones."""
+    return Representation(right_n, dense_scorer(right_n), row_bytes=4 * right_n.shape[1])
 
 
 def tensor_join(
@@ -108,14 +114,13 @@ def tensor_join(
     result = scan_join(
         stats,
         left_m,
-        len(right_m),
+        unit_rows(right_m),
         condition,
-        dense_scorer(right_m),
         batch_left=batch_left,
         batch_right=batch_right,
         buffer_budget_bytes=buffer_budget_bytes,
         engine=engine,
-        caps=None if caps is None else caps.task(condition),
+        caps=caps,
     )
     stats.seconds = time.perf_counter() - start
     return result

@@ -45,6 +45,7 @@ from ..algebra.physical_planner import (
 )
 from ..core.conditions import ThresholdCondition, TopKCondition
 from ..core.cost_model import CostParams
+from ..core.join import STRATEGIES
 from ..embedding.cache import EmbeddingStore
 from ..embedding.registry import ModelRegistry
 from ..engine import ExecutionEngine
@@ -244,10 +245,13 @@ class QueryBuilder:
         """Context-enhanced similarity join.
 
         Exactly one of ``threshold`` (range condition) or ``top_k`` must be
-        given; ``min_similarity`` optionally refines ``top_k``.
+        given; ``min_similarity`` optionally refines ``top_k``.  ``strategy``
+        pins a label of :data:`~repro.core.join.STRATEGIES`.
         """
         if (threshold is None) == (top_k is None):
             raise PlanError("specify exactly one of threshold= or top_k=")
+        if strategy is not None and strategy not in STRATEGIES:
+            raise PlanError(f"unknown strategy {strategy!r}; have {tuple(STRATEGIES)}")
         if threshold is not None:
             condition = ThresholdCondition(threshold)
         else:

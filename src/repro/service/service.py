@@ -464,9 +464,9 @@ class QueryService:
         this instant: table data versions, the index epoch (registering
         an index can flip the physical access path — approximate for
         HNSW/IVF), the model registry's epoch (a replaced model embeds
-        differently), and the precision config (an fp16 scan's scores are
-        approximate and a quantized one's re-ranked, so results cached
-        under one REPRO_PRECISION mode must not survive a config change).
+        differently), and the precision config (a quantized scan's scores
+        are re-ranked, so results cached under one REPRO_PRECISION mode
+        must not survive a config change).
         Takes only the result cache's lock, so the async front calls it on
         the event loop.
         """

@@ -295,6 +295,20 @@ class TestStoreAmortization:
         execute(hinted, ctx, report=ExecutionReport())
         assert builds == [method, method]
 
+    @pytest.mark.parametrize("method", ["int8", "pq"])
+    def test_hinted_quantized_scan_of_an_empty_source_is_empty(self, ctx, join_plan, method):
+        """No rows means nothing to encode: the hinted code scan answers
+        empty under its own label (it used to fail fitting the quantizer)."""
+        from dataclasses import replace
+
+        empty = ctx.catalog.get("base").slice(0, 0)
+        ctx.catalog.register("base", empty, replace=True)
+        report = ExecutionReport()
+        out = execute(replace(join_plan, strategy_hint=f"tensor-{method}"), ctx, report=report)
+        assert out.num_rows == 0
+        assert report.strategies == [f"tensor-{method}"]
+        assert report.fallbacks == []
+
     def test_hinted_quantized_scan_falls_back_past_open_breaker(
         self, ctx, join_plan
     ):
@@ -372,21 +386,3 @@ class TestStoreAmortization:
         )
         assert cold.precision == "fp32"
         assert warm.quantized_cost < cold.quantized_cost
-
-
-class TestFp16Knob:
-    def test_planner_picks_fp16_scan(self, ctx, join_plan):
-        configure(default_precision="fp16")
-        report = ExecutionReport()
-        execute(join_plan, ctx, report=report)
-        assert report.strategies == ["tensor-fp16"]
-
-    def test_ejoin_auto_picks_fp16(self):
-        from repro.core import ejoin
-        from repro.workloads import unit_vectors
-
-        left = unit_vectors(10, 8, seed=1)
-        right = unit_vectors(20, 8, seed=2)
-        configure(default_precision="fp16")
-        got = ejoin(left, right, TopKCondition(2), strategy="auto")
-        assert got.stats.strategy == "tensor-fp16"

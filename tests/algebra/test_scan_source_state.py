@@ -11,7 +11,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import get_config
 from repro.query import Engine
 from repro.relational import Catalog, Col, DataType, Field, Schema, Table
 from repro.embedding import HashingEmbedder
@@ -282,12 +281,11 @@ def test_memo_answers_a_repeated_feed_without_scanning():
         "index",
         pytest.param("int8", marks=pytest.mark.quant),
         pytest.param("pq", marks=pytest.mark.quant),
-        "fp16",
         "filtered-right",
         "tensor-left",
     ],
 )
-def test_other_paths_neither_read_nor_fill_the_memo(path, monkeypatch):
+def test_other_paths_neither_read_nor_fill_the_memo(path):
     """Every memo row is poisoned (best match row 0, score 2.0) before the
     path runs on the same keys plus new ones: its answer is a fresh
     engine's, and no row it joined was stored."""
@@ -314,8 +312,6 @@ def test_other_paths_neither_read_nor_fill_the_memo(path, monkeypatch):
             target.register_index("w", "word", index)
         return _clean(target, **join)
 
-    if path == "fp16":
-        monkeypatch.setattr(get_config(), "default_precision", "fp16")
     _assert_same(run(engine), run(fresh))
     assert _known(engine) == known
 
@@ -451,15 +447,11 @@ def test_a_model_replaced_mid_query_leaves_no_mismatched_memo_rows(monkeypatch):
         "parallel-tensor",
         pytest.param("tensor-int8", marks=pytest.mark.quant),
         pytest.param("tensor-pq", marks=pytest.mark.quant),
-        "fp16",
     ],
 )
-def test_a_replaced_model_answers_like_a_fresh_engine(strategy, monkeypatch):
+def test_a_replaced_model_answers_like_a_fresh_engine(strategy):
     """Store, unit matrices, quantized stores and memo all follow the model
     object registered under a name — a wider one included."""
-    if strategy == "fp16":
-        monkeypatch.setattr(get_config(), "default_precision", "fp16")
-        strategy = None
     engine = _words_engine(HashingEmbedder(dim=DIM, seed=1))
     _clean(engine, strategy=strategy)
     engine.query("w").esimilar("word", "wrod-7", model="m", top_k=3).execute()

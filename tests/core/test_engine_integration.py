@@ -8,7 +8,6 @@ from repro.core import (
     TopKCondition,
     ejoin,
     index_join,
-    parallel_join,
     prefetch_nlj,
     resolve_batch_shape,
     tensor_join,
@@ -36,15 +35,15 @@ class TestEngineExactness:
     def test_parallel_tensor_matches_single_thread_exactly(self, n_threads):
         left = unit_vectors(257, 16, seed=5)
         right = unit_vectors(301, 16, seed=6)
-        single = parallel_join(left, right, THRESHOLD, n_threads=1)
-        multi = parallel_join(left, right, THRESHOLD, n_threads=n_threads)
+        single = ejoin(left, right, THRESHOLD, strategy="parallel-tensor", n_threads=1)
+        multi = ejoin(left, right, THRESHOLD, strategy="parallel-tensor", n_threads=n_threads)
         assert sorted_triples(multi) == sorted_triples(single)
 
     def test_parallel_topk_matches_single_thread_exactly(self):
         left = unit_vectors(100, 8, seed=9)
         right = unit_vectors(120, 8, seed=10)
-        single = parallel_join(left, right, TopKCondition(5), n_threads=1)
-        multi = parallel_join(left, right, TopKCondition(5), n_threads=4)
+        single = ejoin(left, right, TopKCondition(5), strategy="parallel-tensor", n_threads=1)
+        multi = ejoin(left, right, TopKCondition(5), strategy="parallel-tensor", n_threads=4)
         assert sorted_triples(multi) == sorted_triples(single)
 
     @pytest.mark.usefixtures("schedule_every_task")
@@ -95,14 +94,14 @@ class TestEngineExactness:
 
     def test_parallel_join_reports_morsels(self, small_vectors):
         left, right = small_vectors
-        result = parallel_join(left, right, THRESHOLD, n_threads=2)
+        result = ejoin(left, right, THRESHOLD, strategy="parallel-tensor", n_threads=2)
         assert result.stats.extra["morsels"] >= 1
 
     def test_conflicting_threads_and_engine_rejected(self, small_vectors):
         left, right = small_vectors
         with pytest.raises(JoinError, match="not both"):
-            parallel_join(
-                left, right, THRESHOLD,
+            ejoin(
+                left, right, THRESHOLD, strategy="parallel-tensor",
                 n_threads=2, engine=ExecutionEngine(n_threads=4),
             )
 
@@ -271,11 +270,11 @@ class TestTopKMemoryBudget:
     def test_nlj_under_the_task_floor_runs_inline(self):
         """The NLJ prices a left row like the scan joins do (right rows x
         dim), so a toy join costs no scheduler run — and
-        ``parallel_join`` reports the one morsel that call cut."""
+        it reports the one morsel that call cut."""
         left = unit_vectors(100, 16, seed=55)
         right = unit_vectors(100, 16, seed=56)
         engine = ExecutionEngine(n_threads=8)
-        par = parallel_join(left, right, THRESHOLD, strategy="nlj", engine=engine)
+        par = prefetch_nlj(left, right, THRESHOLD, engine=engine)
         assert par.stats.extra["morsels"] == 1
         assert engine.stats.runs == 0 and engine.stats.morsels_dispatched == 0
         assert par.pairs() == prefetch_nlj(left, right, THRESHOLD).pairs()
@@ -290,7 +289,7 @@ class TestTopKMemoryBudget:
         # (tools/sweep_blocks.py: 134.2 -> 108.9 ms on one thread).
         assert result.stats.extra["batch_shape"] == (500, 4192)
         assert engine.stats.morsels_dispatched == 2
-        par = parallel_join(left, right, TopKCondition(8), engine=engine)
+        par = ejoin(left, right, TopKCondition(8), strategy="parallel-tensor", engine=engine)
         assert par.stats.extra["morsels"] == 2
         assert engine.stats.morsels_dispatched == 4
         assert np.array_equal(par.right_ids, result.right_ids)
@@ -299,8 +298,8 @@ class TestTopKMemoryBudget:
         left = unit_vectors(300, 16, seed=53)
         right = unit_vectors(300, 16, seed=54)
         budget = 64 * 1024
-        result = parallel_join(
-            left, right, THRESHOLD, n_threads=4,
+        result = ejoin(
+            left, right, THRESHOLD, strategy="parallel-tensor", n_threads=4,
             buffer_budget_bytes=budget,
         )
         resident = min(4, result.stats.extra["morsels"])

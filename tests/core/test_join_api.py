@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import ThresholdCondition, TopKCondition, ejoin, tensor_join
+from repro.core import (
+    ThresholdCondition,
+    TopKCondition,
+    ejoin,
+    quantized_tensor_join,
+    tensor_join,
+)
 from repro.core.join import STRATEGIES
+from repro.engine import ExecutionEngine
 from repro.errors import JoinError
 from repro.index import FlatIndex
 
@@ -43,6 +50,37 @@ class TestDispatch:
             strategy="naive-nlj",
         )
         assert (0, 0) in result.pairs()
+
+    @pytest.mark.usefixtures("schedule_every_task")
+    def test_every_scan_label_reads_one_representation(self, small_vectors):
+        """A scan label reads exactly one representation of the right side:
+        ``ejoin`` under it is that representation's door, bit for bit —
+        ``parallel-tensor`` the fp32 door on an ``n_threads`` engine."""
+        left, right = small_vectors
+        scans = {
+            label: (reads, engine_kind)
+            for label, (access, reads, engine_kind) in STRATEGIES.items()
+            if access == "scan"
+        }
+        assert scans == {
+            "tensor": ("fp32", None),
+            "tensor-int8": ("int8", None),
+            "tensor-pq": ("pq", None),
+            "parallel-tensor": ("fp32", "threads"),
+        }
+        for condition in (THRESHOLD, TopKCondition(3)):
+            for label, (reads, engine_kind) in scans.items():
+                threads = {"n_threads": 2} if engine_kind else {}
+                got = ejoin(left, right, condition, strategy=label, **threads)
+                if reads == "fp32":
+                    engine = ExecutionEngine(n_threads=2) if engine_kind else None
+                    want = tensor_join(left, right, condition, engine=engine)
+                else:
+                    want = quantized_tensor_join(left, right, condition, method=reads)
+                assert len(got) > 0, label
+                for name in ("left_ids", "right_ids", "scores"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), label
+                assert got.stats.strategy == (f"{label}/2t" if engine_kind else label)
 
     def test_strategy_names_constant(self):
         assert "auto" in STRATEGIES and "tensor" in STRATEGIES

@@ -1,15 +1,17 @@
-"""Unit tests for data-parallel join execution."""
+"""Unit tests for data-parallel join execution: ``parallel-tensor`` is the
+fp32 scan on an ``ExecutionEngine(n_threads)``, the parallel NLJ is
+``prefetch_nlj(engine=)``."""
 
 import pytest
 
 from repro.core import (
     ThresholdCondition,
     TopKCondition,
-    parallel_join,
+    ejoin,
     prefetch_nlj,
     tensor_join,
 )
-from repro.engine import partition_rows
+from repro.engine import ExecutionEngine, partition_rows
 from repro.errors import JoinError
 from repro.vector import Kernel
 
@@ -46,7 +48,7 @@ class TestParallelJoin:
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_tensor_matches_sequential(self, small_vectors, n_threads):
         left, right = small_vectors
-        par = parallel_join(left, right, THRESHOLD, n_threads=n_threads)
+        par = ejoin(left, right, THRESHOLD, strategy="parallel-tensor", n_threads=n_threads)
         seq = tensor_join(left, right, THRESHOLD)
         assert par.pairs() == seq.pairs()
 
@@ -54,8 +56,8 @@ class TestParallelJoin:
     @pytest.mark.parametrize("n_threads", [1, 3])
     def test_nlj_matches_sequential(self, small_vectors, n_threads):
         left, right = small_vectors
-        par = parallel_join(
-            left, right, THRESHOLD, strategy="nlj", n_threads=n_threads
+        par = prefetch_nlj(
+            left, right, THRESHOLD, engine=ExecutionEngine(n_threads=n_threads)
         )
         seq = prefetch_nlj(left, right, THRESHOLD)
         assert par.pairs() == seq.pairs()
@@ -63,36 +65,35 @@ class TestParallelJoin:
     def test_topk_partition_safe(self, small_vectors):
         """Top-k is per left tuple, so left-partitioning preserves it."""
         left, right = small_vectors
-        par = parallel_join(left, right, TopKCondition(3), n_threads=4)
+        par = ejoin(left, right, TopKCondition(3), strategy="parallel-tensor", n_threads=4)
         seq = tensor_join(left, right, TopKCondition(3))
         assert par.pairs() == seq.pairs()
 
     def test_more_threads_than_rows(self, small_vectors):
         left, right = small_vectors
-        par = parallel_join(left[:2], right, THRESHOLD, n_threads=16)
+        par = ejoin(left[:2], right, THRESHOLD, strategy="parallel-tensor", n_threads=16)
         seq = tensor_join(left[:2], right, THRESHOLD)
         assert par.pairs() == seq.pairs()
 
     def test_stats_aggregated(self, small_vectors):
         left, right = small_vectors
-        result = parallel_join(left, right, THRESHOLD, n_threads=3)
+        result = ejoin(left, right, THRESHOLD, strategy="parallel-tensor", n_threads=3)
         assert result.stats.similarity_evaluations == len(left) * len(right)
         assert result.stats.strategy == "parallel-tensor/3t"
 
     def test_unknown_strategy(self, small_vectors):
         left, right = small_vectors
-        with pytest.raises(JoinError, match="unknown parallel strategy"):
-            parallel_join(left, right, THRESHOLD, strategy="hash")
+        with pytest.raises(JoinError, match="unknown strategy"):
+            ejoin(left, right, THRESHOLD, strategy="parallel-hash", n_threads=2)
 
     @pytest.mark.usefixtures("schedule_every_task")
     def test_scalar_kernel_supported(self, small_vectors):
         left, right = small_vectors
-        par = parallel_join(
+        par = prefetch_nlj(
             left[:5],
             right[:5],
             THRESHOLD,
-            strategy="nlj",
-            n_threads=2,
+            engine=ExecutionEngine(n_threads=2),
             kernel=Kernel.SCALAR,
         )
         seq = prefetch_nlj(left[:5], right[:5], THRESHOLD)
@@ -100,8 +101,9 @@ class TestParallelJoin:
 
     def test_batching_forwarded(self, small_vectors):
         left, right = small_vectors
-        par = parallel_join(
-            left, right, THRESHOLD, n_threads=2, batch_left=4, batch_right=6
+        par = ejoin(
+            left, right, THRESHOLD, strategy="parallel-tensor", n_threads=2,
+            batch_left=4, batch_right=6,
         )
         assert par.stats.peak_buffer_elements <= 24
         assert par.pairs() == tensor_join(left, right, THRESHOLD).pairs()

@@ -24,7 +24,6 @@ from repro.core import (
     TopKCondition,
     ejoin,
     eselect,
-    parallel_join,
     prefetch_nlj,
     quantized_eselect,
     quantized_tensor_join,
@@ -460,7 +459,9 @@ def _fp32_entry_points(left, right, condition, shape, engine):
         left, right, condition, engine=engine, **shape
     )
     kwargs = {"engine": engine} if engine is not None else {"n_threads": 2}
-    yield "parallel_join", parallel_join(left, right, condition, **shape, **kwargs)
+    yield "parallel-tensor", ejoin(
+        left, right, condition, strategy="parallel-tensor", **shape, **kwargs
+    )
     for strategy in ("tensor", "parallel-tensor"):
         yield f"ejoin/{strategy}", ejoin(
             left, right, condition, strategy=strategy, engine=engine, **shape

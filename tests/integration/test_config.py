@@ -119,21 +119,38 @@ class TestEnvOverrides:
         import subprocess
         import sys
 
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import repro; print(repro.get_config().default_precision)",
-            ],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "REPRO_PRECISION": "int3"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "fp32"
+        for precision in ("int3", "fp16"):  # fp16 is the ablation's, not a served scan's
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "import repro; print(repro.get_config().default_precision)",
+                ],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": "src", "REPRO_PRECISION": precision},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "fp32", precision
 
 
 class TestConfigure:
+    def test_rejects_unknown_precision(self):
+        """``configure`` accepts the precisions ``REPRO_PRECISION`` does and
+        nothing else: an unknown one used to be stored and read as fp32."""
+        from repro.config import PRECISIONS, configure, get_config
+
+        import pytest
+
+        before = get_config().default_precision
+        for precision in ("int3", "fp16"):
+            with pytest.raises(ValueError, match="unknown precision"):
+                configure(default_precision=precision)
+            assert get_config().default_precision == before
+        for precision in PRECISIONS:
+            assert configure(default_precision=precision).default_precision == precision
+        configure(default_precision=before)
+
     def test_rejects_method_names(self):
         from repro.config import configure
 

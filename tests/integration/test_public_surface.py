@@ -51,6 +51,7 @@ DELETED_MODULES = (
     "relational/operators", "algebra/costing.py", "core/calibration.py",
     "index/ivfpq.py", "index/filtering.py", "relational/io.py",
     "workloads/selectivity.py", "reliability/runtime.py", "obs/adapter.py",
+    "core/parallel.py",
 )
 DELETED = (
     "HashJoin", "Scan", "Sort", "Limit", "Aggregate", "AggSpec", "Filter",
@@ -73,6 +74,9 @@ DELETED = (
     # registry that held a second copy of them is gone.
     "Counter", "Gauge", "MetricsRegistry", "registry", "reset_registry",
     "publish_service", "publish_nested",
+    # parallel-tensor is the fp32 scan on an ExecutionEngine(n_threads), and
+    # the parallel NLJ is prefetch_nlj(engine=): no third door.
+    "parallel_join",
 )
 
 pytestmark = pytest.mark.skipif(

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core import (
     ThresholdCondition,
     TopKCondition,
-    parallel_join,
+    ejoin,
     prefetch_nlj,
     tensor_join,
     tensor_join_non_batched,
@@ -132,7 +132,7 @@ class TestParallelEquivalence:
     def test_partitioned_execution_same_result(self, left, right, threads, t):
         cond = ThresholdCondition(t)
         assert (
-            parallel_join(left, right, cond, n_threads=threads).pairs()
+            ejoin(left, right, cond, strategy="parallel-tensor", n_threads=threads).pairs()
             == tensor_join(left, right, cond).pairs()
         )
 

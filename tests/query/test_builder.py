@@ -38,6 +38,17 @@ class TestConstruction:
                 threshold=0.9, top_k=1,
             )
 
+    @pytest.mark.parametrize("strategy", ["tensor_int8", "tensor-fp16"])
+    def test_unknown_strategy_rejected_at_build_time(self, engine, strategy):
+        """A typo or a removed label fails when the plan is built, naming
+        the valid labels -- not at ``execute()``, deep in the join."""
+        q = engine.query("feed")
+        with pytest.raises(PlanError, match="unknown strategy.*'tensor-int8'"):
+            q.ejoin(
+                "words", left_on="text", right_on="word", model="hash",
+                top_k=1, strategy=strategy,
+            )
+
     def test_builder_immutability(self, engine):
         base = engine.query("feed")
         filtered = base.where(Col("views") > 100)

@@ -24,7 +24,7 @@ arithmetic), random, tripled, empty and one-row sides x :data:`MODES`,
 every fp32 / int8 / PQ join offered the right side's cap partition (kept
 on the clustered tables, declined on every other), plus ``auto/`` planner
 joins with an IVF index registered, cold and with the caps cached.
-``ejoin_keys``: 50 sequences of 12 string E-joins on one engine (Zipf
+``ejoin_keys``: 45 sequences of 12 string E-joins on one engine (Zipf
 feeds, two models, the right side re-registered at op 6, a model replaced
 at op 9), each also asked of a cold engine.  ``equi_join``: 240 seeded
 ``QueryBuilder.join`` plans.
@@ -119,7 +119,6 @@ KEY_PATHS = {
     "parallel": {"strategy": "parallel-tensor"},
     "int8": {"strategy": "tensor-int8"},
     "pq": {"strategy": "tensor-pq"},
-    "fp16": {},
     "filtered": {},
     "tensor-left": {"left_on": "emb"},
     "index": {"strategy": "index"},
@@ -733,7 +732,6 @@ def _words(rng, n):
 def ejoin_keys(raw: bool):
     """``<condition>/<path>/op<nn>`` -> ``{"ids", "oracle"}`` (``oracle``:
     a cold engine gave the same ids); ``raw`` adds the warm scores."""
-    from repro.config import get_config
     from repro.embedding import HashingEmbedder
     from repro.index import FlatIndex, IVFFlatIndex
     from repro.obs.capture import result_digest
@@ -784,57 +782,51 @@ def ejoin_keys(raw: bool):
         return result_digest(ids), sha(out.array("similarity"))
 
     out: dict[str, dict] = {}
-    config = get_config()
-    precision = config.default_precision
-    try:
-        for label, cond in KEY_CONDITIONS.items():
-            right_words = catalog_words[:3] + catalog_words[:1] if label == "k-past-n" else catalog_words
-            for path in KEY_PATHS:
-                config.default_precision = "fp16" if path == "fp16" else precision
-                case = f"{label}/{path}"
-                seq = np.random.default_rng(zlib.crc32(case.encode()))
-                models = {name: HashingEmbedder(dim=DIM, seed=5 + i) for i, name in enumerate(MODELS)}
-                right = word_table(right_words)
-                warm = Engine(Catalog())
-                warm.catalog.register("words", right)
-                for name, model in models.items():
-                    warm.models.register(name, model)
-                if path in INDEXED:
-                    build_index(warm, right, path)
-                for op in range(OPS):
-                    if op == REREGISTER_AT:
-                        changed = list(right_words)
-                        changed[1] = pool[-1]  # a stranger: some feed row's best match
-                        right = word_table(changed)
-                        warm.catalog.register("words", right, replace=True)
-                        if path in INDEXED:
-                            build_index(warm, right, path)
-                    if op == REPLACE_AT and path not in INDEXED:  # the index holds m1's vectors
-                        models["m2"] = HashingEmbedder(dim=DIM, seed=11)
-                        warm.models.register("m2", models["m2"], replace=True)
-                    if op == 0:
-                        texts = []
-                    elif op == 1:
-                        texts = [pool[int(seq.integers(len(pool)))]] * 5
-                    else:
-                        texts = [pool[i] for i in seq.choice(len(pool), FEED_ROWS, p=zipf)]
-                    feed = feed_table(texts, seed=op)
-                    warm.catalog.register("feed", feed, replace=True)
-                    model = "m1" if path in INDEXED else MODELS[op % 2]
-                    cold = Engine(Catalog())
-                    cold.catalog.register("words", right)
-                    cold.catalog.register("feed", feed)
-                    for name, obj in models.items():
-                        cold.models.register(name, obj)
+    for label, cond in KEY_CONDITIONS.items():
+        right_words = catalog_words[:3] + catalog_words[:1] if label == "k-past-n" else catalog_words
+        for path in KEY_PATHS:
+            case = f"{label}/{path}"
+            seq = np.random.default_rng(zlib.crc32(case.encode()))
+            models = {name: HashingEmbedder(dim=DIM, seed=5 + i) for i, name in enumerate(MODELS)}
+            right = word_table(right_words)
+            warm = Engine(Catalog())
+            warm.catalog.register("words", right)
+            for name, model in models.items():
+                warm.models.register(name, model)
+            if path in INDEXED:
+                build_index(warm, right, path)
+            for op in range(OPS):
+                if op == REREGISTER_AT:
+                    changed = list(right_words)
+                    changed[1] = pool[-1]  # a stranger: some feed row's best match
+                    right = word_table(changed)
+                    warm.catalog.register("words", right, replace=True)
                     if path in INDEXED:
-                        build_index(cold, right, path)
-                    ids, scores = answer(warm, path, cond, model)
-                    cold_ids, _ = answer(cold, path, cond, model)
-                    record = out[f"{case}/op{op:02d}"] = {"ids": ids, "oracle": ids == cold_ids}
-                    if raw:  # GEMM-emitted scores depend on how the work was cut
-                        record["scores"] = scores
-    finally:
-        config.default_precision = precision
+                        build_index(warm, right, path)
+                if op == REPLACE_AT and path not in INDEXED:  # the index holds m1's vectors
+                    models["m2"] = HashingEmbedder(dim=DIM, seed=11)
+                    warm.models.register("m2", models["m2"], replace=True)
+                if op == 0:
+                    texts = []
+                elif op == 1:
+                    texts = [pool[int(seq.integers(len(pool)))]] * 5
+                else:
+                    texts = [pool[i] for i in seq.choice(len(pool), FEED_ROWS, p=zipf)]
+                feed = feed_table(texts, seed=op)
+                warm.catalog.register("feed", feed, replace=True)
+                model = "m1" if path in INDEXED else MODELS[op % 2]
+                cold = Engine(Catalog())
+                cold.catalog.register("words", right)
+                cold.catalog.register("feed", feed)
+                for name, obj in models.items():
+                    cold.models.register(name, obj)
+                if path in INDEXED:
+                    build_index(cold, right, path)
+                ids, scores = answer(warm, path, cond, model)
+                cold_ids, _ = answer(cold, path, cond, model)
+                record = out[f"{case}/op{op:02d}"] = {"ids": ids, "oracle": ids == cold_ids}
+                if raw:  # GEMM-emitted scores depend on how the work was cut
+                    record["scores"] = scores
     return out, misses(out, "warm ids differ from a cold engine's")
 
 
