@@ -89,12 +89,9 @@ class Trace:
         "_t0",
         "_stack",
         "_lock",
-        "_sites",
     )
 
-    def __init__(
-        self, query_id: str, tag: str, *, sites: frozenset | None = None
-    ) -> None:
+    def __init__(self, query_id: str, tag: str) -> None:
         self.query_id = query_id
         self.tag = tag
         self.status = "running"
@@ -105,25 +102,16 @@ class Trace:
         self._t0 = time.perf_counter()
         self._stack = [-1]
         self._lock = threading.Lock()
-        self._sites = sites
-
-    def allows(self, name: str) -> bool:
-        """Site gating: record ``site.detail`` spans iff ``site`` is enabled."""
-        if self._sites is None:
-            return True
-        return name.split(".", 1)[0] in self._sites
 
     def add_span(
         self, name: str, *, wall_s: float, cpu_s: float = 0.0, **attrs
-    ) -> int | None:
+    ) -> int:
         """Append a completed span from a foreign thread (coalescer leader).
 
         The span is parented at the root and stamped as ending "now" on
         the trace's clock, so explain trees show where the shared work
         landed inside this query's timeline.
         """
-        if not self.allows(name):
-            return None
         end_s = time.perf_counter() - self._t0
         with self._lock:
             index = len(self.spans)
@@ -235,13 +223,13 @@ class _SpanHandle:
 def span(name: str, **attrs):
     """A timed span on the calling thread's ambient trace.
 
-    Returns a context manager; with no trace in scope (or the span's site
-    gated off) it is a shared no-op singleton, so instrumentation sites
-    cost one thread-local read when sampled out.
+    Returns a context manager; with no trace in scope it is a shared no-op
+    singleton, so instrumentation sites cost one thread-local read when
+    sampled out.
     """
     scope = _local.scope
     trace = None if scope is None else scope.trace
-    if trace is None or not trace.allows(name):
+    if trace is None:
         return _NULL_SPAN
     return _SpanHandle(trace, name, attrs)
 
@@ -316,21 +304,6 @@ class QueryScope:
         return False
 
 
-def parse_sites(raw) -> frozenset | None:
-    """Normalize a sites spec (comma string or iterable) to a frozenset.
-
-    Empty (the default) means "every site" and maps to ``None``.
-    """
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        parts = [part.strip() for part in raw.split(",")]
-    else:
-        parts = [str(part).strip() for part in raw]
-    sites = frozenset(part for part in parts if part)
-    return sites or None
-
-
 class Tracer:
     """Sampling decisions plus the bounded ring of completed traces.
 
@@ -345,13 +318,11 @@ class Tracer:
         enabled: bool = True,
         sample_rate: float = 0.01,
         ring_size: int = 256,
-        sites=None,
         seed: int | None = None,
     ) -> None:
         self.enabled = bool(enabled)
         self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
         self.ring: deque[Trace] = deque(maxlen=max(1, int(ring_size)))
-        self.sites = parse_sites(sites)
         self.seed = (
             get_config().stream_seed("obs.sampler") if seed is None else int(seed)
         )
@@ -367,8 +338,7 @@ class Tracer:
     ) -> Trace | None:
         """A new :class:`Trace` if this submission should be traced.
 
-        ``force`` (the ``explain_analyze`` path) bypasses sampling but
-        still honours site gating.
+        ``force`` (the ``explain_analyze`` path) bypasses sampling.
         """
         if not force:
             if not self.enabled or self._threshold <= 0:
@@ -380,7 +350,7 @@ class Tracer:
                 if mix32(self.seed ^ n) >= self._threshold:
                     return None
                 self.sampled += 1
-        return Trace(query_id, tag, sites=self.sites)
+        return Trace(query_id, tag)
 
     def record(self, trace: Trace) -> None:
         """Retire a completed trace into the ring (oldest evicted)."""

@@ -149,12 +149,12 @@ class Engine:
         """A :class:`~repro.service.QueryService` fronting this engine.
 
         Keyword arguments are forwarded to the service constructor
-        (``max_inflight``, ``coalesce``, cache sizes, tracing, ...);
-        anything unspecified keeps its component's default.  Use
-        :meth:`QueryService.submit` for plain exact serving,
-        :meth:`QueryService.submit_qos` for deadline/priority/recall
-        terms, and wrap the service in
-        :class:`~repro.service.AsyncQueryService` for asyncio clients.
+        (``max_inflight``, ``coalesce``, the result cache's size,
+        tracing, ...); anything unspecified keeps its component's default.
+        Use :meth:`QueryService.submit` for plain exact serving,
+        :meth:`QueryService.submit_qos` for deadline/priority terms, and
+        wrap the service in :class:`~repro.service.AsyncQueryService` for
+        asyncio clients.
         """
         from ..service import QueryService
 

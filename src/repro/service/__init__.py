@@ -13,13 +13,13 @@ a multi-client service:
   backpressure (group commit), never by waiting on a timer,
 * :mod:`~repro.service.plan_cache` — repeated query shapes skip the
   optimizer via parameterized plan-fingerprint templates,
-* :mod:`~repro.service.semantic_cache` — exact-key result caching with
+* :mod:`~repro.service.result_cache` — exact-key result caching with
   TTL, LRU eviction and catalog-version invalidation,
-* :mod:`~repro.service.qos` — the QoS primitives: deadlines, priorities,
-  the execution-time EWMA that sheds unmeetable deadlines, and the
-  annotated response,
+* :mod:`~repro.service.qos` — the default priority, the execution-time
+  EWMA that sheds unmeetable deadlines, and the annotated response,
 * :mod:`~repro.service.service` — the :class:`QueryService` facade and
-  per-client :class:`SessionHandle`,
+  per-client :class:`SessionHandle`; deadlines, priorities and the QoS
+  counters live on its one submission path,
 * :mod:`~repro.service.async_front` — :class:`AsyncQueryService`, an
   asyncio submission front holding thousands of idle connections over a
   bounded dispatcher pool.

@@ -110,8 +110,11 @@ class AdmissionController:
         timeout_s: float | None = None,
         priority: int = 0,
         deadline: float | None = None,
-    ) -> None:
+    ) -> bool:
         """Wait for an execution slot; raise on backpressure or deadline.
+
+        Returns whether the slot came only after queueing behind others —
+        what a caller waited through may have changed what it will do.
 
         Args:
             timeout_s: backpressure bound — how long to wait for a slot
@@ -136,7 +139,7 @@ class AdmissionController:
             self._prune()
             if self._inflight < self.max_inflight and not self._waiters:
                 self._admit(start)
-                return
+                return False
             self._seq += 1
             entry = [-priority, self._seq, True]
             heapq.heappush(self._waiters, entry)
@@ -150,7 +153,7 @@ class AdmissionController:
                     heapq.heappop(self._waiters)
                     self._admit(start)
                     self._cond.notify_all()  # let the next waiter re-check
-                    return
+                    return True
                 now = time.perf_counter()
                 limit = give_up if deadline is None else min(give_up, deadline)
                 if now >= limit:

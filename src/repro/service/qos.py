@@ -1,4 +1,5 @@
-"""Tail-latency QoS primitives: deadlines, priorities, and estimators.
+"""Tail-latency QoS primitives: the default priority, the execution-time
+estimator, and the annotated response.
 
 The serving gap this module closes opens once clients outnumber execution
 slots: queue wait dominates latency and p99 collapses to a large multiple
@@ -20,8 +21,7 @@ thread-safe, and independently testable.  :class:`QueryService` and
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..obs.explain import render_explain
@@ -30,104 +30,50 @@ from ..relational.table import Table
 #: Priority of a submission that did not ask for one.  Higher wins.
 DEFAULT_PRIORITY = 0
 
-
-class EWMA:
-    """Exponentially weighted moving average with a sample counter.
-
-    ``alpha`` is the weight of each new observation; the first
-    observation seeds the average directly.  Thread-safety is the
-    caller's job (the tracker below holds its own lock).
-    """
-
-    __slots__ = ("alpha", "value", "n")
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.value: float | None = None
-        self.n = 0
-
-    def update(self, sample: float) -> float:
-        sample = float(sample)
-        self.value = (
-            sample
-            if self.value is None
-            else self.value + self.alpha * (sample - self.value)
-        )
-        self.n += 1
-        return self.value
+#: Weight of each new observation in the execution-time EWMA; the first
+#: observation seeds the average directly.
+ALPHA = 0.2
+#: Multiplier on the estimate before it is compared to the time left.
+SAFETY = 1.5
+#: Observations before an estimate is trusted: a cold tracker never sheds.
+MIN_SAMPLES = 5
 
 
 class ExecTimeTracker:
     """EWMA of observed execution seconds (queue wait excluded).
 
-    Feeds the shed decision: :meth:`estimate` returns the safety-padded
-    expected execution time, or ``None`` until at least ``min_samples``
+    Feeds the shed decision: :meth:`estimate` returns the ``SAFETY``-padded
+    expected execution time, or ``None`` until at least ``MIN_SAMPLES``
     observations exist — a cold tracker never sheds, so the first queries
     of a fresh service always run and seed it.
     """
 
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.2,
-        safety: float = 1.5,
-        min_samples: int = 5,
-    ) -> None:
-        self.safety = max(1.0, float(safety))
-        self.min_samples = max(1, int(min_samples))
-        self._ewma = EWMA(alpha)
+    def __init__(self) -> None:
+        self._value: float | None = None
+        self._n = 0
         self._lock = threading.Lock()
 
     def observe(self, seconds: float) -> None:
         """Record one completed execution."""
+        sample = max(0.0, float(seconds))
         with self._lock:
-            self._ewma.update(max(0.0, seconds))
+            self._value = (
+                sample
+                if self._value is None
+                else self._value + ALPHA * (sample - self._value)
+            )
+            self._n += 1
 
     def estimate(self) -> float | None:
         """Safety-padded expected seconds, once warmed up."""
         with self._lock:
-            if self._ewma.n < self.min_samples:
+            if self._n < MIN_SAMPLES:
                 return None
-            return self._ewma.value * self.safety
+            return self._value * SAFETY
 
     def snapshot(self) -> dict:
         with self._lock:
-            return {"ewma_s": self._ewma.value, "n": self._ewma.n}
-
-
-@dataclass
-class QoSParams:
-    """Per-query quality-of-service contract.
-
-    Attributes:
-        deadline: absolute ``time.perf_counter()`` deadline, or ``None``.
-        priority: larger values are scheduled (and admitted) first.
-    """
-
-    deadline: float | None = None
-    priority: int = DEFAULT_PRIORITY
-
-    @classmethod
-    def from_relative(
-        cls,
-        deadline_s: float | None,
-        *,
-        priority: int = DEFAULT_PRIORITY,
-        now: float | None = None,
-    ) -> "QoSParams":
-        """Build params from a deadline *relative to now* (seconds)."""
-        now = time.perf_counter() if now is None else now
-        deadline = None if deadline_s is None else now + float(deadline_s)
-        return cls(deadline=deadline, priority=priority)
-
-    def remaining(self, now: float | None = None) -> float | None:
-        """Seconds until the deadline (negative if passed); None if unset."""
-        if self.deadline is None:
-            return None
-        now = time.perf_counter() if now is None else now
-        return self.deadline - now
+            return {"ewma_s": self._value, "n": self._n}
 
 
 @dataclass
@@ -161,24 +107,3 @@ class QueryResponse:
         forces the trace), rendered from ``trace`` when first read — the
         query itself never pays for the string."""
         return None if self.trace is None else render_explain(self.trace)
-
-
-@dataclass
-class QoSStats:
-    """Counters for the deadline/priority machinery."""
-
-    #: Submissions that carried a deadline.
-    with_deadline: int = 0
-    #: Shed because the deadline had already expired (at submission or
-    #: while queued in the async front / admission queue).
-    shed_expired: int = 0
-    #: Shed because the execution-time estimate proved the deadline
-    #: unmeetable.
-    shed_unmeetable: int = 0
-    #: Queries that completed before their deadline.
-    deadline_met: int = 0
-    #: Queries that completed after their deadline (late, not shed).
-    deadline_missed: int = 0
-
-    def snapshot(self) -> dict:
-        return asdict(self)

@@ -64,7 +64,7 @@ class ResultCacheStats:
 
 
 @dataclass
-class SemanticResultCache:
+class ResultCache:
     """TTL + LRU cache of exact query results."""
 
     capacity: int = 512

@@ -3,7 +3,7 @@
 ``QueryService`` is the serving layer the ROADMAP's "heavy traffic"
 north-star lands on: clients open lightweight sessions and submit
 declarative queries from their own threads; the service keys each request
-once and answers it from the semantic result cache when it can — on the
+once and answers it from the result cache when it can — on the
 caller's thread, with nothing an execution needs — and otherwise applies
 admission control (bounded in-flight work, backpressure rejections),
 skips the optimizer through the plan cache, fuses concurrent same-source
@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 from ..algebra.physical_planner import ExecutionReport, execute
@@ -46,31 +47,14 @@ from ..reliability.health import ServiceHealth
 from .admission import AdmissionController
 from .coalescer import CoalescingScheduler, SharedScanRequest
 from .plan_cache import PlanCache, fingerprint
-from .qos import (
-    DEFAULT_PRIORITY,
-    ExecTimeTracker,
-    QoSParams,
-    QoSStats,
-    QueryResponse,
-)
-from .semantic_cache import SemanticResultCache, params_signature, table_versions
+from .qos import DEFAULT_PRIORITY, ExecTimeTracker, QueryResponse
+from .result_cache import ResultCache, params_signature, table_versions
 
 
 def _given(**kwargs) -> dict:
     """The keywords a caller actually passed: ``None`` leaves a setting to
     the default of the constructor that consumes it."""
     return {name: value for name, value in kwargs.items() if value is not None}
-
-
-class _InflightResult:
-    """Singleflight slot: one execution that duplicates wait on."""
-
-    __slots__ = ("done", "result", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Table | None = None
-        self.error: BaseException | None = None
 
 
 class SessionHandle:
@@ -106,20 +90,10 @@ class SessionHandle:
         :class:`~repro.service.qos.QueryResponse` (carrying the rendered
         span tree in ``.explain``) instead of the bare table.
         """
-        seq = self._next_seq()
-        try:
-            return self.service.submit(
-                query,
-                tag=f"{self.name}/q{seq}",
-                timeout_s=timeout_s,
-                explain_analyze=explain_analyze,
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            with self._lock:
-                self.errors += 1
-            raise
+        response = self.execute_qos(
+            query, timeout_s=timeout_s, explain_analyze=explain_analyze
+        )
+        return response if explain_analyze else response.table
 
     def execute_qos(
         self,
@@ -196,12 +170,17 @@ class ServiceStats:
     #: (singleflight): the result cache cannot catch duplicates that
     #: arrive while the first copy is still running, this does.
     singleflight_hits: int = 0
-    #: Of ``failed``: the deadline sheds (a submission whose deadline
-    #: expired while it waited for admission is ``QoSStats.shed_expired``).
+    #: Of ``failed``: the deadline sheds.  A shed before admission and a
+    #: backpressure rejection are admission's ``deadline_shed`` and
+    #: ``rejected``: never admitted, so in neither count here.
     shed: int = 0
-    #: Submissions admission refused under backpressure (never admitted,
-    #: so in neither ``submitted`` nor ``failed``).
-    rejected: int = 0
+    #: The QoS counts: submissions that carried a deadline; of ``shed``,
+    #: those the execution-time estimate proved unmeetable; completions
+    #: before and after their deadline (late, not shed).
+    with_deadline: int = 0
+    shed_unmeetable: int = 0
+    deadline_met: int = 0
+    deadline_missed: int = 0
 
 
 class QueryService:
@@ -211,24 +190,16 @@ class QueryService:
         engine: the query engine to front (catalog, models, indexes and
             shared stores all come from it).
         max_inflight: admission bound on concurrently executing queries.
-        admission_timeout_s: backpressure wait before rejecting.
         coalesce: enable cross-query shared-scan batching (group commit:
             requests arriving while a source's scan slots are busy share
             the next scan).
         coalesce_max_batch: max queries fused into one shared scan.
-        plan_cache_size: optimized-plan template cache capacity.
-        result_cache_size: semantic result cache capacity (0 disables).
-        result_cache_ttl_s: result cache entry time-to-live.
+        result_cache_size: result cache capacity (0 disables).
         obs_enabled: master switch for per-query trace sampling.
         obs_sample_rate: fraction of submissions traced (deterministic
             counter-hash schedule; ``explain_analyze`` bypasses it).
-        obs_ring_size: completed traces retained for
-            :meth:`recent_traces`.
-        obs_sites: comma-separated span-site allowlist (empty: all).
         capture_path: JSONL workload-capture file; empty/``None`` (the
             default) disables the flight recorder entirely.
-        capture_max_mb: capture file size bound before rotation.
-        capture_keep: rotated capture generations retained.
         slow_k: slow-query log capacity (top-K slowest retired traces).
         http_port: start the live introspection endpoint on this port
             (``0`` picks a free one; ``None``, the default, serves
@@ -251,32 +222,21 @@ class QueryService:
         engine: Engine,
         *,
         max_inflight: int | None = None,
-        admission_timeout_s: float | None = None,
         coalesce: bool = True,
         coalesce_max_batch: int | None = None,
-        plan_cache_size: int | None = None,
         result_cache_size: int | None = None,
-        result_cache_ttl_s: float | None = None,
         obs_enabled: bool | None = None,
         obs_sample_rate: float | None = None,
-        obs_ring_size: int | None = None,
-        obs_sites: str | None = None,
         capture_path: str | None = None,
-        capture_max_mb: float | None = None,
-        capture_keep: int | None = None,
         slow_k: int | None = None,
         http_port: int | None = None,
         shard_procs: int = 0,
     ) -> None:
         config = get_config()
         self.engine = engine
-        self.admission = AdmissionController(
-            **_given(max_inflight=max_inflight, timeout_s=admission_timeout_s)
-        )
-        self.plans = PlanCache(**_given(capacity=plan_cache_size))
-        self.results = SemanticResultCache(
-            **_given(capacity=result_cache_size, ttl_s=result_cache_ttl_s)
-        )
+        self.admission = AdmissionController(**_given(max_inflight=max_inflight))
+        self.plans = PlanCache()
+        self.results = ResultCache(**_given(capacity=result_cache_size))
         self.coalescer = (
             CoalescingScheduler(engine, **_given(max_batch=coalesce_max_batch))
             if coalesce
@@ -289,20 +249,15 @@ class QueryService:
             self.shard_pool = ShardPool(engine, shard_procs)
             self.coalescer.shard_pool = self.shard_pool
         self.stats = ServiceStats()
-        self.qos = QoSStats()
         self.qos_tracker = ExecTimeTracker()
         self._stats_lock = threading.Lock()
-        self._inflight_results: dict[tuple, _InflightResult] = {}
+        #: Singleflight slots: one execution's future, that duplicates wait on.
+        self._inflight_results: dict[tuple, Future] = {}
         self._singleflight_lock = threading.Lock()
         self._sessions = 0
         self._closed = False
         self.tracer = Tracer(
-            **_given(
-                enabled=obs_enabled,
-                sample_rate=obs_sample_rate,
-                ring_size=obs_ring_size,
-                sites=obs_sites,
-            )
+            **_given(enabled=obs_enabled, sample_rate=obs_sample_rate)
         )
         #: The one distribution no ``*Stats`` snapshot holds.
         self._latency = Histogram()
@@ -311,13 +266,8 @@ class QueryService:
         capture = (
             config.obs_capture_path if capture_path is None else capture_path
         )
-        max_bytes = None if capture_max_mb is None else int(capture_max_mb * 2**20)
         self.recorder: WorkloadRecorder | None = (
-            WorkloadRecorder(
-                capture, **_given(max_bytes=max_bytes, keep=capture_keep)
-            )
-            if capture
-            else None
+            WorkloadRecorder(capture) if capture else None
         )
         self._http_server: ObservabilityServer | None = None
         port = config.obs_http_port if http_port is None else http_port
@@ -409,11 +359,11 @@ class QueryService:
         if self._closed:
             raise ServiceError("service is shut down")
         start = time.perf_counter()
-        qos = QoSParams.from_relative(deadline_s, priority=priority, now=start)
+        deadline = None if deadline_s is None else start + float(deadline_s)
         plan = query.plan if isinstance(query, QueryBuilder) else query
-        if qos.deadline is not None:
+        if deadline is not None:
             with self._stats_lock:
-                self.qos.with_deadline += 1
+                self.stats.with_deadline += 1
         query_id = f"q{next(self._query_ids)}"
         trace = self.tracer.maybe_trace(query_id, tag, force=explain_analyze)
         recorder = self.recorder
@@ -424,8 +374,28 @@ class QueryService:
             # The one per-query scope: every layer below reads the trace,
             # deadline, tag and retry budget from it, none takes them as
             # parameters.
-            with QueryScope(trace, deadline=qos.deadline, tag=tag):
-                response = self._submit_scoped(plan, qos, start, timeout_s, probed)
+            with QueryScope(trace, deadline=deadline, tag=tag):
+                table, cache_hit = self._submit_scoped(
+                    plan, priority, deadline, start, timeout_s, probed
+                )
+            now = time.perf_counter()
+            response = QueryResponse(
+                table,
+                latency_s=now - start,
+                deadline_met=None if deadline is None else now <= deadline,
+                cache_hit=cache_hit,
+                query_id=query_id,
+                trace=trace,
+            )
+            # The one completion step, for a cached answer and an executed one.
+            with self._stats_lock:
+                self.stats.completed += 1
+                self.stats.result_cache_hits += cache_hit
+                if response.deadline_met is True:
+                    self.stats.deadline_met += 1
+                elif response.deadline_met is False:
+                    self.stats.deadline_missed += 1
+            self._latency.observe(response.latency_s)
         except BaseException as exc:
             error = exc
             raise
@@ -450,8 +420,6 @@ class QueryService:
                 except Exception:
                     # A full disk must degrade capture, never serving.
                     pass
-        response.query_id = query_id
-        response.trace = trace
         return response
 
     def probe(self, query, keyed: tuple | None = None) -> tuple:
@@ -487,18 +455,20 @@ class QueryService:
     def _submit_scoped(
         self,
         plan,
-        qos: QoSParams,
+        priority: int,
+        deadline: float | None,
         start: float,
         timeout_s: float | None,
         probed: tuple | None,
-    ) -> QueryResponse:
-        """One submission inside its query scope: probe, and only on a miss
-        the admitted lifetime."""
+    ) -> tuple[Table, bool]:
+        """One submission inside its query scope: key once, probe, and only
+        on a miss admit it and :meth:`_run_admitted`.  Returns the answer
+        and whether the result cache gave it."""
         keyed, cached = probed or (None, None)
         key = None
         # An already-expired deadline skips the probe: admission sheds it
         # below, whether or not the answer is cached.
-        if qos.deadline is None or start < qos.deadline:
+        if deadline is None or start < deadline:
             try:
                 with span("cache.lookup") as sp:
                     if cached is None:
@@ -508,29 +478,20 @@ class QueryService:
                 self._count_failed(exc, submitted=1)
                 raise
             if cached is not None:
-                return self._complete(
-                    self._respond(cached, qos, start, cache_hit=True)
-                )
+                with self._stats_lock:  # never admitted, so not yet counted
+                    self.stats.submitted += 1
+                return cached, True
+        # A shed or a rejection is admission's count alone: never admitted,
+        # so the service counts it nowhere.
         with span("admission") as sp:
-            sp.set(priority=qos.priority)
-            try:
-                self.admission.acquire(
-                    timeout_s=timeout_s,
-                    priority=qos.priority,
-                    deadline=qos.deadline,
-                )
-            except DeadlineExceededError:
-                with self._stats_lock:
-                    self.qos.shed_expired += 1
-                raise
-            except Exception:
-                with self._stats_lock:
-                    self.stats.rejected += 1
-                raise
+            sp.set(priority=priority)
+            queued = self.admission.acquire(
+                timeout_s=timeout_s, priority=priority, deadline=deadline
+            )
         with self._stats_lock:
             self.stats.submitted += 1
         try:
-            return self._complete(self._run_admitted(plan, keyed, key, qos, start))
+            return self._run_admitted(plan, keyed, key, deadline, queued)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -538,20 +499,6 @@ class QueryService:
             raise
         finally:
             self.admission.release()
-
-    def _complete(self, response: QueryResponse) -> QueryResponse:
-        """The one completion step, for a cached answer and an executed one."""
-        with self._stats_lock:
-            if response.cache_hit:  # never admitted, so not yet counted
-                self.stats.submitted += 1
-                self.stats.result_cache_hits += 1
-            self.stats.completed += 1
-            if response.deadline_met is True:
-                self.qos.deadline_met += 1
-            elif response.deadline_met is False:
-                self.qos.deadline_missed += 1
-        self._latency.observe(response.latency_s)
-        return response
 
     def _count_failed(self, exc: Exception, *, submitted: int = 0) -> None:
         with self._stats_lock:
@@ -561,19 +508,29 @@ class QueryService:
                 self.stats.shed += 1
 
     def _run_admitted(
-        self, plan, keyed: tuple, key: tuple, qos: QoSParams, start: float
-    ) -> QueryResponse:
-        """Plan a result-cache miss, shed it if its deadline is provably
-        unmeetable, and execute it."""
+        self, plan, keyed: tuple, key: tuple, deadline: float | None, queued: bool
+    ) -> tuple[Table, bool]:
+        """An admitted miss: probe again if it queued, plan it, shed it if
+        its deadline is provably unmeetable, then wait for an identical
+        execution already running or run it and store the result."""
+        if queued:
+            # An identical query may have finished while this one waited.
+            # Probed through ``keyed``, so the versions are read now: a
+            # table re-registered during the wait still misses.
+            with span("cache.lookup") as sp:
+                keyed, key, cached = self.probe(plan, keyed)
+                sp.set(hit=cached is not None)
+            if cached is not None:
+                return cached, True
         optimized = self.plans.optimize(
             plan, catalog=self.engine.catalog, shape=keyed[0]
         )
-        remaining = qos.remaining()
+        remaining = None if deadline is None else deadline - time.perf_counter()
         estimate = None if remaining is None else self.qos_tracker.estimate()
         if estimate is not None and estimate > remaining:
             # Shed now rather than burn a slot for nothing.
             with self._stats_lock:
-                self.qos.shed_unmeetable += 1
+                self.stats.shed_unmeetable += 1
             with span("qos.decision") as sp:
                 sp.set(action="shed", estimate_s=estimate, remaining_s=remaining)
             raise DeadlineExceededError(
@@ -587,79 +544,51 @@ class QueryService:
             slot = self._inflight_results.get(key)
             owner = slot is None
             if owner:
-                slot = _InflightResult()
-                self._inflight_results[key] = slot
+                slot = self._inflight_results[key] = Future()
         if not owner:
             with span("singleflight.wait"):
-                slot.done.wait()
-            if slot.error is not None:
-                raise slot.error
+                result = slot.result()  # the owner's error raises here
             with self._stats_lock:
                 self.stats.singleflight_hits += 1
-            assert slot.result is not None
-            return self._respond(slot.result, qos, start)
+            return result, False
+
+        # Engine runs already retry at morsel granularity; this outer layer
+        # covers transient faults raised *outside* a scheduler run — kernel
+        # calls made inline on this thread, store builds, the
+        # ``service.dispatch`` injection site itself.  Queries are pure, so
+        # whole-query re-execution is as bit-safe as morsel re-execution;
+        # the deadline bounds it and the query scope's budget, shared with
+        # every engine run, caps the total.
+        def attempt() -> Table:
+            maybe_inject("service.dispatch")
+            return self._execute(optimized)
+
+        retry = self.engine.executor.retry_policy.bind(
+            deadline=deadline, budget=current_scope().retry_budget()
+        )
         try:
             exec_start = time.perf_counter()
-            result = self._dispatch(optimized)
+            result = retry.call(attempt)
             exec_seconds = time.perf_counter() - exec_start
             self.qos_tracker.observe(exec_seconds)
             with span("cache.store") as sp:
                 sp.set(cost_s=exec_seconds)
                 self.results.store(key, result)
-            slot.result = result
-        except (KeyboardInterrupt, SystemExit):
-            # Waiters still get a resolved future — a clean service error,
-            # not the interpreter-level interrupt, which belongs to the
-            # thread that received it.
-            slot.error = ServiceError("execution interrupted")
-            raise
-        except Exception as exc:
-            slot.error = exc
+            slot.set_result(result)
+        except BaseException as exc:
+            # Waiters still get a resolved future — for an interrupt a
+            # clean service error, not the interpreter-level interrupt,
+            # which belongs to the thread that received it.
+            slot.set_exception(
+                exc
+                if isinstance(exc, Exception)
+                else ServiceError("execution interrupted")
+            )
             raise
         finally:
             with self._singleflight_lock:
                 del self._inflight_results[key]
-            slot.done.set()
-        return self._respond(result, qos, start)
-
-    def _dispatch(self, optimized) -> Table:
-        """Execute a planned query under the service-level retry wrapper.
-
-        Engine runs already retry at morsel granularity; this outer layer
-        covers transient faults raised *outside* a scheduler run — kernel
-        calls made inline on the dispatching thread, store builds, the
-        ``service.dispatch`` injection site itself.  Queries are pure, so
-        whole-query re-execution is as bit-safe as morsel re-execution;
-        the query scope's deadline bounds it and its per-query budget,
-        shared with every engine run, caps the total.
-        """
-
-        def attempt() -> Table:
-            maybe_inject("service.dispatch")
-            return self._execute(optimized)
-
-        scope = current_scope()
-        retry = self.engine.executor.retry_policy.bind(
-            deadline=scope.deadline, budget=scope.retry_budget()
-        )
-        return retry.call(attempt)
-
-    @staticmethod
-    def _respond(
-        table: Table,
-        qos: QoSParams,
-        start: float,
-        *,
-        cache_hit: bool = False,
-    ) -> QueryResponse:
-        now = time.perf_counter()
-        met = None if qos.deadline is None else now <= qos.deadline
-        return QueryResponse(
-            table=table,
-            latency_s=now - start,
-            deadline_met=met,
-            cache_hit=cache_hit,
-        )
+        return result, False
 
     def _execute(self, optimized) -> Table:
         request = None
@@ -697,15 +626,19 @@ class QueryService:
     def stats_snapshot(self) -> dict:
         """One merged dict of every layer's counters.
 
-        ``ServiceStats.shed`` / ``rejected`` are not listed here: they
-        render only as ``repro_queries_total`` outcomes (:meth:`metrics`).
+        ``ServiceStats.shed`` is not listed here: it renders only in the
+        ``repro_queries_total`` outcomes (:meth:`metrics`).
         """
         return self._snapshot()[0]
 
     def _snapshot(self) -> tuple[dict, dict]:
         """:meth:`stats_snapshot` plus the ``repro_queries_total`` outcomes,
         the service's counters all read in one short hold of
-        ``_stats_lock`` (released before any other layer is read)."""
+        ``_stats_lock`` (taken after admission is read, released before any
+        other layer is).  Admission owns the counts of sheds before admission
+        and of rejections; the outcomes and ``qos.shed_expired`` read them
+        from it."""
+        admission = self.admission.stats_snapshot()
         with self._stats_lock:
             stats = self.stats
             service = {
@@ -721,10 +654,10 @@ class QueryService:
             outcomes = {
                 "completed": stats.completed,
                 "failed": stats.failed - stats.shed,
-                "shed": stats.shed + self.qos.shed_expired,
-                "rejected": stats.rejected,
+                "shed": stats.shed + admission["deadline_shed"],
+                "rejected": admission["rejected"],
             }
-            qos = self.qos.snapshot()
+            qos = self._qos(admission)
         qos["exec_estimates"] = self.qos_tracker.snapshot()
         # Every component snapshot below is taken under that component's
         # own lock (``stats_snapshot`` / ``EngineStats.snapshot``), so
@@ -732,7 +665,7 @@ class QueryService:
         snapshot = {
             "service": service,
             "qos": qos,
-            "admission": self.admission.stats_snapshot(),
+            "admission": admission,
             "plan_cache": self.plans.stats_snapshot(),
             "result_cache": self.results.stats_snapshot(),
         }
@@ -743,6 +676,17 @@ class QueryService:
         snapshot["engine"] = self.engine.executor.stats.snapshot()
         return snapshot, outcomes
 
+    def _qos(self, admission: dict) -> dict:
+        """The ``qos`` block; called under ``_stats_lock``."""
+        stats = self.stats
+        return {
+            "with_deadline": stats.with_deadline,
+            "shed_expired": admission["deadline_shed"],
+            "shed_unmeetable": stats.shed_unmeetable,
+            "deadline_met": stats.deadline_met,
+            "deadline_missed": stats.deadline_missed,
+        }
+
     def health(self) -> ServiceHealth:
         """One coherent reliability snapshot of the running service.
 
@@ -752,6 +696,11 @@ class QueryService:
         retry, watchdog, fault-injection, QoS, and service counters come
         along so the cause is visible in the same picture.
         """
+        return self._health(self.admission.stats_snapshot())
+
+    def _health(self, admission: dict) -> ServiceHealth:
+        """:meth:`health` over an admission snapshot already read, so a
+        scrape reads admission once."""
         engine_snap = self.engine.executor.stats.snapshot()
         registry = breakers()
         open_breakers = registry.open_count()
@@ -768,7 +717,7 @@ class QueryService:
                 "completed": self.stats.completed,
                 "failed": self.stats.failed,
             }
-            qos = self.qos.snapshot()
+            qos = self._qos(admission)
         shard = (
             self.shard_pool.worker_health()
             if self.shard_pool is not None
@@ -822,7 +771,7 @@ class QueryService:
             for outcome, n in outcomes.items()
         ]
         snapshot_rows(rows, paths, "repro", "stats_snapshot()", snapshot)
-        health = self.health()
+        health = self._health(snapshot["admission"])
         for prefix, field in (
             ("retry", "retries"), ("watchdog", "watchdog"), ("fault", "faults")
         ):

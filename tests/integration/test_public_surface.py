@@ -51,7 +51,7 @@ DELETED_MODULES = (
     "relational/operators", "algebra/costing.py", "core/calibration.py",
     "index/ivfpq.py", "index/filtering.py", "relational/io.py",
     "workloads/selectivity.py", "reliability/runtime.py", "obs/adapter.py",
-    "core/parallel.py",
+    "core/parallel.py", "service/semantic_cache.py",
 )
 DELETED = (
     "HashJoin", "Scan", "Sort", "Limit", "Aggregate", "AggSpec", "Filter",

@@ -171,9 +171,7 @@ class TestServiceExposition:
                 column, qvec, model="m", top_k=5
             )
 
-        with QueryService(
-            obs_engine, coalesce=False, max_inflight=1, admission_timeout_s=0.02
-        ) as service:
+        with QueryService(obs_engine, coalesce=False, max_inflight=1) as service:
             service.submit(query(query_vectors[0]))
             with pytest.raises(SchemaError):
                 service.submit(query(query_vectors[1], column="missing"))
@@ -182,12 +180,18 @@ class TestServiceExposition:
             service.admission.acquire()  # hold the only slot
             try:
                 with pytest.raises(ServiceOverloadError):
-                    service.submit(query(query_vectors[3]))
+                    service.submit(query(query_vectors[3]), timeout_s=0.02)
             finally:
                 service.admission.release()
             text = service.metrics()
+            admission = service.stats_snapshot()["admission"]
         for outcome in ("completed", "failed", "shed", "rejected"):
             assert f'repro_queries_total{{outcome="{outcome}"}} 1\n' in text
+        # One owner per count: the shed before admission and the rejection
+        # are admission's, and the outcomes read them from it.
+        assert (admission["deadline_shed"], admission["rejected"]) == (1, 1)
+        assert "repro_admission_deadline_shed 1.0\n" in text
+        assert "repro_admission_rejected 1.0\n" in text
 
     def test_scrape_reads_other_layers_outside_the_stats_lock(self, obs_engine):
         """A scrape holds the service's stats lock only while it reads the

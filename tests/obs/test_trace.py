@@ -1,4 +1,4 @@
-"""Span tracer: ambient propagation, sampling, site gating, the ring."""
+"""Span tracer: ambient propagation, sampling, the ring."""
 
 from __future__ import annotations
 
@@ -111,29 +111,6 @@ class TestForeignSpans:
         trace = Trace("q1", "t")
         trace.add_span("rescore", wall_s=0.001)
         assert trace.spans[0].parent == -1
-
-
-class TestSiteGating:
-    def test_sites_gate_by_prefix(self):
-        tracer = Tracer(enabled=True, sample_rate=1.0, sites="coalesce,planner", seed=1)
-        trace = tracer.maybe_trace("q1", "t")
-        assert trace.allows("coalesce.scan")
-        assert trace.allows("planner.eselect")
-        assert not trace.allows("admission")
-        with QueryScope(trace):
-            with span("admission"):
-                pass
-            with span("coalesce.wait"):
-                pass
-        # The root "query" span is never gated; "admission" was.
-        assert [s.name for s in trace.spans] == ["query", "coalesce.wait"]
-        # Foreign appends honour the same gate.
-        assert trace.add_span("rescore", wall_s=0.001) is None
-        assert len(trace.spans) == 2
-
-    def test_empty_sites_allows_everything(self):
-        trace = Trace("q1", "t")
-        assert trace.allows("anything.at.all")
 
 
 class TestSampling:

@@ -107,7 +107,6 @@ def test_sixty_four_clients_sampled_tracing():
         result_cache_size=0,
         obs_enabled=True,
         obs_sample_rate=1.0,
-        obs_ring_size=256,
     ) as service:
         responses = _run_clients(service, vectors)
         retained = service.recent_traces()

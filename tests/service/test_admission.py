@@ -16,7 +16,7 @@ pytestmark = pytest.mark.service
 def test_admits_up_to_limit():
     gate = AdmissionController(3)
     for _ in range(3):
-        gate.acquire()
+        assert gate.acquire() is False  # a free slot: nothing queued
     assert gate.inflight == 3
     for _ in range(3):
         gate.release()
@@ -40,17 +40,23 @@ def test_blocked_submission_proceeds_when_slot_frees():
     gate = AdmissionController(1, timeout_s=5.0)
     gate.acquire()
     acquired = threading.Event()
+    queued = []
 
     def waiter():
-        gate.acquire()
+        queued.append(gate.acquire())
         acquired.set()
 
     thread = threading.Thread(target=waiter, daemon=True)
     thread.start()
     time.sleep(0.02)
     assert not acquired.is_set()
+    give_up = time.monotonic() + 5.0
+    while gate.stats_snapshot()["waiting"] != 1:  # parked behind the slot
+        assert time.monotonic() < give_up, "the waiter never queued"
+        time.sleep(0.001)
     gate.release()
     assert acquired.wait(timeout=2.0)
+    assert queued == [True]  # the slot came only after queueing
     assert gate.stats.queue_wait_seconds > 0
     gate.release()
 

@@ -35,13 +35,13 @@ def test_deadline_expired_at_submit_sheds_before_admission():
 
 def test_deadline_expiring_while_queued_sheds():
     engine = make_engine()
-    service = QueryService(engine, max_inflight=1, admission_timeout_s=5.0)
+    service = QueryService(engine, max_inflight=1)
     qvec = unit_vectors(2, DIM, stream="dl/queued")
     service.admission.acquire()  # hold the only slot
     try:
         start = time.perf_counter()
         with pytest.raises(DeadlineExceededError):
-            service.submit_qos(_topk(engine, qvec[0]), deadline_s=0.05)
+            service.submit_qos(_topk(engine, qvec[0]), deadline_s=0.05, timeout_s=5.0)
         waited = time.perf_counter() - start
         assert waited < 2.0  # shed at the deadline, not the 5 s timeout
         assert service.stats_snapshot()["qos"]["shed_expired"] == 1

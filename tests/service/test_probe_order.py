@@ -12,6 +12,7 @@ import asyncio
 import cProfile
 import pstats
 import threading
+import time
 
 import pytest
 
@@ -33,10 +34,12 @@ class _BlockedExecution:
 
     def __init__(self, service) -> None:
         self.entered = threading.Semaphore(0)
+        self.calls = 0
         self._gate = threading.Event()
         execute = service._execute
 
         def gated(optimized):
+            self.calls += 1
             self.entered.release()
             assert self._gate.wait(30.0), "never released"
             return execute(optimized)
@@ -52,7 +55,7 @@ class _BlockedExecution:
 
 def test_cached_answer_needs_no_admission_slot():
     engine = make_engine()
-    service = QueryService(engine, max_inflight=1, admission_timeout_s=0.05)
+    service = QueryService(engine, max_inflight=1)
     cached_q, blocked_q = unit_vectors(2, DIM, stream="probe/slot")
     first = service.submit(_topk(engine, cached_q))
     blocked = _BlockedExecution(service)
@@ -64,7 +67,7 @@ def test_cached_answer_needs_no_admission_slot():
     try:
         before = service.admission.stats_snapshot()
         assert before["inflight"] == 1
-        response = service.submit_qos(_topk(engine, cached_q))
+        response = service.submit_qos(_topk(engine, cached_q), timeout_s=0.05)
         assert response.cache_hit and response.table is first
         after = service.admission.stats_snapshot()
         assert (after["admitted"], after["submitted"], after["inflight"]) == (
@@ -75,6 +78,48 @@ def test_cached_answer_needs_no_admission_slot():
     finally:
         blocked.release()
         holder.join(30.0)
+
+
+def test_a_miss_that_queued_is_probed_again_before_it_executes():
+    """An identical query that waited in the admission queue while its
+    twin executed is answered from the result its twin stored, not
+    executed a second time, and is counted once as a cache hit."""
+    engine = make_engine()
+    service = QueryService(engine, max_inflight=1)
+    qvec = unit_vectors(1, DIM, stream="probe/requeue")[0]
+    blocked = _BlockedExecution(service)
+    answers = {}
+
+    def submit(name):
+        answers[name] = service.submit_qos(_topk(engine, qvec))
+
+    first = threading.Thread(target=submit, args=("first",), daemon=True)
+    first.start()
+    blocked.wait_entered()  # the one slot is taken and stays taken
+    twin = threading.Thread(target=submit, args=("twin",), daemon=True)
+    twin.start()
+    try:
+        give_up = time.monotonic() + 30.0
+        while service.admission.stats_snapshot()["waiting"] != 1:
+            assert time.monotonic() < give_up, "the twin never queued"
+            time.sleep(0.001)
+    finally:
+        blocked.release()
+    first.join(30.0)
+    twin.join(30.0)
+    assert not first.is_alive() and not twin.is_alive()
+    assert blocked.calls == 1
+    assert not answers["first"].cache_hit
+    assert answers["twin"].cache_hit
+    assert answers["twin"].table is answers["first"].table
+    snap = service.stats_snapshot()
+    service_counts = snap["service"]
+    assert (
+        service_counts["submitted"],
+        service_counts["completed"],
+        service_counts["result_cache_hits"],
+    ) == (2, 2, 1)
+    assert snap["admission"]["admitted"] == 2
 
 
 def test_front_answers_a_cached_query_while_its_dispatcher_is_blocked():
@@ -247,7 +292,7 @@ def test_cached_submit_stays_inside_its_call_budget():
     called = {
         f"{file.rsplit('/', 1)[-1]}:{name}" for file, _, name in stats.stats
     }
-    assert "service.py:submit_qos" in called and "semantic_cache.py:lookup" in called
+    assert "service.py:submit_qos" in called and "result_cache.py:lookup" in called
     assert not called & {
         "dataclasses.py:replace", "threading.py:wait", "admission.py:acquire"
     }

@@ -12,10 +12,17 @@ import pytest
 
 from _service_utils import DIM, MODEL, assert_tables_equal, make_engine
 from repro.errors import DeadlineExceededError, ServiceOverloadError
+from repro.obs.trace import Tracer
 from repro.service import AsyncQueryService, QueryService
 from repro.service.admission import AdmissionController
-from repro.service.qos import EWMA, ExecTimeTracker, QoSParams, QueryResponse
-from repro.service.semantic_cache import SemanticResultCache, params_signature
+from repro.service.qos import (
+    ALPHA,
+    MIN_SAMPLES,
+    SAFETY,
+    ExecTimeTracker,
+    QueryResponse,
+)
+from repro.service.result_cache import ResultCache, params_signature
 from repro.workloads import unit_vectors
 
 pytestmark = [pytest.mark.service, pytest.mark.qos]
@@ -25,52 +32,40 @@ pytestmark = [pytest.mark.service, pytest.mark.qos]
 # Estimators
 # ----------------------------------------------------------------------
 def test_ewma_seeds_and_converges():
-    ewma = EWMA(alpha=0.5)
-    assert ewma.value is None and ewma.n == 0
-    assert ewma.update(10.0) == 10.0
-    assert ewma.update(0.0) == 5.0
-    assert ewma.n == 2
-
-
-def test_ewma_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        EWMA(alpha=0.0)
-    with pytest.raises(ValueError):
-        EWMA(alpha=1.5)
+    tracker = ExecTimeTracker()
+    assert tracker.snapshot() == {"ewma_s": None, "n": 0}
+    tracker.observe(10.0)
+    assert tracker.snapshot() == {"ewma_s": 10.0, "n": 1}
+    tracker.observe(0.0)
+    assert tracker.snapshot() == {"ewma_s": pytest.approx(10.0 * (1 - ALPHA)), "n": 2}
 
 
 def test_exec_tracker_cold_never_estimates():
-    tracker = ExecTimeTracker(min_samples=3)
+    tracker = ExecTimeTracker()
     assert tracker.estimate() is None
-    tracker.observe(0.1)
-    tracker.observe(0.1)
-    assert tracker.estimate() is None  # still below min_samples
+    for _ in range(MIN_SAMPLES - 1):
+        tracker.observe(0.1)
+    assert tracker.estimate() is None  # still below MIN_SAMPLES
     tracker.observe(0.1)
     estimate = tracker.estimate()
-    assert estimate == pytest.approx(0.1 * tracker.safety)
+    assert estimate == pytest.approx(0.1 * SAFETY)
 
 
 def test_exec_tracker_is_one_ewma():
-    tracker = ExecTimeTracker(alpha=0.5, min_samples=1, safety=1.0)
+    tracker = ExecTimeTracker()
     tracker.observe(1.0)
-    tracker.observe(0.0)
-    assert tracker.estimate() == pytest.approx(0.5)
-    assert tracker.snapshot() == {"ewma_s": pytest.approx(0.5), "n": 2}
-
-
-def test_qos_params_relative_deadline():
-    params = QoSParams.from_relative(0.5, now=100.0)
-    assert params.deadline == pytest.approx(100.5)
-    assert params.remaining(now=100.2) == pytest.approx(0.3)
-    assert QoSParams.from_relative(None).deadline is None
-    assert QoSParams().remaining() is None
+    for _ in range(MIN_SAMPLES - 1):
+        tracker.observe(0.0)
+    ewma = (1 - ALPHA) ** (MIN_SAMPLES - 1)
+    assert tracker.estimate() == pytest.approx(ewma * SAFETY)
+    assert tracker.snapshot() == {"ewma_s": pytest.approx(ewma), "n": MIN_SAMPLES}
 
 
 # ----------------------------------------------------------------------
 # Result cache eviction
 # ----------------------------------------------------------------------
 def test_lru_eviction_beyond_capacity():
-    cache = SemanticResultCache(capacity=1, ttl_s=60.0)
+    cache = ResultCache(capacity=1, ttl_s=60.0)
     a = ("fp", ("v",), params_signature([np.ones(4, dtype=np.float32)]))
     b = ("fp", ("v",), params_signature([np.zeros(4, dtype=np.float32)]))
     cache.store(a, object())
@@ -188,7 +183,7 @@ def test_sheds_unmeetable(door):
     service = QueryService(engine)
     executed = []
     service._execute = lambda *args: executed.append(args)
-    for _ in range(service.qos_tracker.min_samples):
+    for _ in range(MIN_SAMPLES):
         service.qos_tracker.observe(10.0)
     query = _topk(engine, unit_vectors(1, DIM, stream="qos/shed")[0])
 
@@ -212,7 +207,7 @@ def test_shed_leaves_nothing_in_the_result_cache():
     deadline executes in full and answers exactly."""
     engine = make_engine()
     service = QueryService(engine)
-    for _ in range(service.qos_tracker.min_samples):
+    for _ in range(MIN_SAMPLES):
         service.qos_tracker.observe(10.0)
     qvec = unit_vectors(1, DIM, stream="qos/nocache")[0]
     with pytest.raises(DeadlineExceededError):
@@ -281,3 +276,60 @@ def test_stats_snapshot_has_qos_section():
         "exec_estimates",
     ):
         assert key in snap["qos"]
+
+
+def test_snapshot_has_the_keys_the_benchmark_reads():
+    """The benchmark's traced run reads these counters through a lookup
+    that answers 0 for a missing key, so a renamed one would zero a
+    per-layer metric without failing anything there."""
+    engine = make_engine()
+    service = QueryService(engine)
+    query = _topk(engine, unit_vectors(1, DIM, stream="qos/bench-keys")[0])
+    assert not service.submit_qos(query).cache_hit
+    assert service.submit_qos(query).cache_hit
+    snap = service.stats_snapshot()
+    read = {
+        "service": (
+            "submitted", "result_cache_hits", "singleflight_hits", "coalesced"
+        ),
+        "plan_cache": ("hits", "misses"),
+        "coalescer": ("groups", "coalesced_queries"),
+        "admission": ("rejected",),
+    }
+    missing = [
+        f"{section}.{key}"
+        for section, keys in read.items()
+        for key in keys
+        if key not in snap.get(section, {})
+    ]
+    assert not missing, missing
+
+
+#: Keywords no constructor takes, because nothing set them: seven service
+#: settings, the tracker's tuning (the ``ALPHA`` / ``SAFETY`` /
+#: ``MIN_SAMPLES`` constants) and the tracer's span-site gate.
+REMOVED_KEYWORDS = [
+    (QueryService, "admission_timeout_s", 1.0),
+    (QueryService, "plan_cache_size", 8),
+    (QueryService, "result_cache_ttl_s", 60.0),
+    (QueryService, "obs_ring_size", 8),
+    (QueryService, "obs_sites", "query"),
+    (QueryService, "capture_max_mb", 1.0),
+    (QueryService, "capture_keep", 1),
+    (ExecTimeTracker, "alpha", 0.5),
+    (ExecTimeTracker, "safety", 1.0),
+    (ExecTimeTracker, "min_samples", 1),
+    (Tracer, "sites", "query"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, keyword, value",
+    REMOVED_KEYWORDS,
+    ids=[f"{cls.__name__}-{keyword}" for cls, keyword, _ in REMOVED_KEYWORDS],
+)
+def test_removed_settings_stay_removed(cls, keyword, value):
+    """A removed keyword is a ``TypeError``, never a silently kept default."""
+    args = (make_engine(),) if cls is QueryService else ()
+    with pytest.raises(TypeError):
+        cls(*args, **{keyword: value})

@@ -1,4 +1,4 @@
-"""Semantic result cache: exact hits, TTL, LRU, invalidation."""
+"""Result cache: exact hits, TTL, LRU, invalidation."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.service.plan_cache import fingerprint
-from repro.service.semantic_cache import (
-    SemanticResultCache,
+from repro.service.result_cache import (
+    ResultCache,
     params_signature,
     table_versions,
 )
@@ -31,7 +31,7 @@ def _result(engine, qvec, **cond):
 
 
 def test_exact_hit_returns_same_result(service_engine, query_vectors):
-    cache = SemanticResultCache(capacity=8, ttl_s=60.0)
+    cache = ResultCache(capacity=8, ttl_s=60.0)
     q = query_vectors[0]
     key = _key(service_engine, q, top_k=5)
     assert cache.lookup(key) is None
@@ -43,7 +43,7 @@ def test_exact_hit_returns_same_result(service_engine, query_vectors):
 
 
 def test_same_shape_different_vector_misses(service_engine, query_vectors):
-    cache = SemanticResultCache(capacity=8, ttl_s=60.0)
+    cache = ResultCache(capacity=8, ttl_s=60.0)
     key = _key(service_engine, query_vectors[0], top_k=5)
     cache.store(key, _result(service_engine, query_vectors[0], top_k=5))
     other = _key(service_engine, query_vectors[1], top_k=5)
@@ -54,17 +54,17 @@ def test_same_shape_different_vector_misses(service_engine, query_vectors):
 def test_nearby_vector_with_different_bits_misses(service_engine, query_vectors):
     q = query_vectors[0].astype(np.float32)
     nearby = q + np.float32(1e-4)  # cosine ~ 1.0 but different bits
-    exact_only = SemanticResultCache(capacity=8, ttl_s=60.0)
+    exact_only = ResultCache(capacity=8, ttl_s=60.0)
     exact_only.store(_key(service_engine, q, top_k=5), _result(service_engine, q, top_k=5))
     assert exact_only.lookup(_key(service_engine, nearby, top_k=5)) is None
 
 
 def test_ttl_expiry(service_engine, query_vectors, monkeypatch):
-    import repro.service.semantic_cache as mod
+    import repro.service.result_cache as mod
 
     now = [1000.0]
     monkeypatch.setattr(mod.time, "monotonic", lambda: now[0])
-    cache = SemanticResultCache(capacity=8, ttl_s=10.0)
+    cache = ResultCache(capacity=8, ttl_s=10.0)
     key = _key(service_engine, query_vectors[0], top_k=5)
     cache.store(key, _result(service_engine, query_vectors[0], top_k=5))
     assert cache.lookup(key) is not None
@@ -75,7 +75,7 @@ def test_ttl_expiry(service_engine, query_vectors, monkeypatch):
 
 
 def test_capacity_lru_eviction(service_engine, query_vectors):
-    cache = SemanticResultCache(capacity=2, ttl_s=60.0)
+    cache = ResultCache(capacity=2, ttl_s=60.0)
     keys = [_key(service_engine, query_vectors[i], top_k=5) for i in range(3)]
     results = [_result(service_engine, query_vectors[i], top_k=5) for i in range(3)]
     cache.store(keys[0], results[0])
@@ -89,7 +89,7 @@ def test_capacity_lru_eviction(service_engine, query_vectors):
 
 
 def test_table_version_invalidates(service_engine, query_vectors):
-    cache = SemanticResultCache(capacity=8, ttl_s=60.0)
+    cache = ResultCache(capacity=8, ttl_s=60.0)
     q = query_vectors[0]
     key = _key(service_engine, q, top_k=5)
     cache.store(key, _result(service_engine, q, top_k=5))

@@ -151,12 +151,7 @@ def test_singleflight_suppresses_concurrent_duplicates(
 
 def test_admission_backpressure_rejects(query_vectors):
     engine = make_engine()
-    service = QueryService(
-        engine,
-        max_inflight=1,
-        admission_timeout_s=0.02,
-        coalesce=False,
-    )
+    service = QueryService(engine, max_inflight=1, coalesce=False)
     release = threading.Event()
     entered = threading.Event()
 
@@ -185,7 +180,8 @@ def test_admission_backpressure_rejects(query_vectors):
             service.submit(
                 engine.query("corpus").esimilar(
                     "emb", query_vectors[1], model=MODEL, top_k=2
-                )
+                ),
+                timeout_s=0.02,
             )
     finally:
         release.set()
