@@ -8,8 +8,8 @@ each row's ``k + 32`` best codes, proved complete by the quantizer's
 error bound or rescanned at a fixed floor.  What that buys, and what this
 figure gates, is footprint: at an equal (tight, Figure-7-regime) buffer
 budget the scan reads >= 3.9x (int8) / >= 30x (PQ) fewer bytes while
-recall@10 stays >= 0.95 — the footprint axis the optimizer reasons about
-via ``REPRO_PRECISION``.  It does not buy wall-clock in NumPy — the int8
+recall@10 stays >= 0.95 — the footprint a query buys by naming the
+``tensor-int8`` / ``tensor-pq`` strategy.  It does not buy wall-clock in NumPy — the int8
 join casts to fp32 and runs the same GEMM, the rows its bound cannot
 prove scan twice, and PQ's bound proves none — so the ``speedup`` column
 is reported, not gated.
@@ -27,7 +27,6 @@ from repro.bench import FigureReport, speedup, time_call
 from repro.core import (
     QuantizedRelation,
     TopKCondition,
-    choose_scan_precision,
     quantized_tensor_join,
     tensor_join,
 )
@@ -107,14 +106,6 @@ def test_fig_quant_report():
         )
         measured[method] = (fp32_mb / (store.code_bytes / 1e6), recall)
 
-    decision = choose_scan_precision(
-        N_LEFT, N_RIGHT, K, DIM, precision="int8"
-    )
-    report.note(
-        f"optimizer under REPRO_PRECISION=int8 picks: {decision.precision} "
-        f"(fp32 cost {decision.fp32_cost:.3g}, quantized "
-        f"{decision.quantized_cost:.3g})"
-    )
     report.note(
         f"rows rescanned at a fixed floor: int8 {rescanned['int8']}, pq "
         f"{rescanned['pq']} of {N_LEFT}; scores of emitted pairs are exact "
@@ -122,7 +113,6 @@ def test_fig_quant_report():
     )
     report.emit()
 
-    assert decision.precision == "int8"
     if not SMOKE:
         fewer_bytes = {"int8": 3.9, "pq": 30.0}
         for method, (shrink, recall) in measured.items():

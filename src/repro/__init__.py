@@ -8,8 +8,8 @@ A hybrid vector-relational engine in pure Python/NumPy:
   quantized representations (int8, product quantization),
 * :mod:`repro.index` — flat, IVF and HNSW vector indexes,
 * :mod:`repro.core` — the paper's contribution: E-join operators, tensor
-  formulation, quantized access paths, cost model, access-path and
-  precision selection,
+  formulation, quantized access paths, cost model, access-path
+  selection,
 * :mod:`repro.engine` — morsel-driven parallel executor: work-stealing
   scheduling over GIL-releasing kernels,
 * :mod:`repro.algebra` — extended relational algebra and optimizer,

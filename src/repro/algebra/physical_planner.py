@@ -20,19 +20,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..config import get_config
 from ..core.caps import CapPartition, build_caps
 from ..core.conditions import ThresholdCondition, TopKCondition
-from ..core.cost_model import (
-    CostParams,
-    choose_access_path,
-    choose_scan_precision,
-)
+from ..core.cost_model import CostParams, choose_access_path
 from ..core.eselect import eselect
 from ..core.index_join import DEFAULT_PROBE_K, index_join
 from ..core.join import STRATEGIES, ejoin, run_scan
 from ..core.nlj import naive_nlj
-from ..core.quantized_join import QuantizedRelation, quantized_eselect
+from ..core.quantized_join import QuantizedRelation
 from ..core.result import TopKMemo
 from ..core.tensor_join import unit_rows
 from ..embedding.cache import EmbeddingStore, shared_store
@@ -174,21 +169,18 @@ class ExecutionContext:
         table: Table,
         method: str,
         store: EmbeddingStore | None = None,
-        *,
-        cached: bool = False,
     ):
         """Fit/encode-once quantized store for a (table, column, model):
         every query against the same registration ``table`` of the scan
         source reuses the encoded codes (embedded with ``store`` if
         given).  Its re-rank rows are the source's one unit-row matrix
-        (:meth:`normalized_matrix_for`), not a copy.  ``cached`` only
-        looks: ``None`` while no valid store is built."""
+        (:meth:`normalized_matrix_for`), not a copy."""
         def build(store: EmbeddingStore):
             unit = self.normalized_matrix_for(key, table, store)
             maybe_inject("quant.build")
             return QuantizedRelation.build(unit, method, assume_normalized=True)
 
-        return self._source(key, method, table, store, None if cached else build)
+        return self._source(key, method, table, store, build)
 
     def normalized_matrix_for(
         self,
@@ -265,32 +257,6 @@ def _probe_k(condition) -> int:
     return condition.k if isinstance(condition, TopKCondition) else DEFAULT_PROBE_K
 
 
-def _quantized_scan_decision(
-    ctx: "ExecutionContext",
-    store_key: tuple[str, str, str] | None,
-    table: Table,
-    n_left: int,
-    n_right: int,
-    dim: int,
-    condition,
-):
-    """Shared precision gate for scan-based E-joins and E-selections.
-
-    The chooser's verdict under the configured ``REPRO_PRECISION``; the
-    fit/encode build is treated as sunk only when the source is a plain
-    table scan (``store_key``) whose store is built and valid for its
-    registration ``table``.
-    """
-    prebuilt = store_key is not None and ctx.quant_store_for(
-        store_key, table, get_config().default_precision, cached=True
-    ) is not None
-    return choose_scan_precision(
-        n_left, n_right, _probe_k(condition), dim,
-        topk=isinstance(condition, TopKCondition),
-        params=ctx.cost_params, store_built=prebuilt,
-    )
-
-
 #: Breaker fallback chain for quantized scan precisions.  Each step down
 #: is strictly more exact, ending on the fp32 scan — so routing around a
 #: failing access path never weakens results, only speed.
@@ -308,12 +274,12 @@ def _quantized_scan(
 
     ``store_key`` is the ``(table, column, model)`` access-path identity;
     uncacheable sources (``None``) carry no breaker state and keep the
-    cost model's choice.  ``run(precision)`` builds (or fetches) the store
+    hinted precision.  ``run(precision)`` builds (or fetches) the store
     and scans it; a failure feeds that access path's breaker, is reported
     as a fallback and moves one step down the chain — an input error
-    (:class:`~repro.errors.JoinError`) is raised as it is.  Returns ``(result,
-    precision)``, ``result`` being ``None`` once the chain has ended on
-    the exact fp32 scan, which the caller runs.
+    (:class:`~repro.errors.JoinError`) is raised as it is.  Returns the
+    result, or ``None`` once the chain has ended on the exact fp32 scan,
+    which the caller runs.
     """
     while precision in _PRECISION_FALLBACK:
         key = None if store_key is None else (*store_key, precision)
@@ -336,8 +302,8 @@ def _quantized_scan(
             continue
         if key is not None:
             breakers().record_success(key)
-        return result, precision
-    return None, precision
+        return result
+    return None
 
 
 @dataclass
@@ -393,9 +359,8 @@ def _execute_eselect(
     node: ESelectNode, ctx: ExecutionContext, report: ExecutionReport
 ) -> Table:
     table = _execute(node.child, ctx, report)
-    model = ctx.models.get(node.model_name)
-    # A plain table scan source keeps its scan-ready state (unit rows,
-    # encoded store) in the context; only other sources embed here.
+    # A plain table scan source keeps its unit rows in the context; only
+    # other sources embed here.
     store_key = _scan_store_key(node.child, node.column, node.model_name)
     vectors = (
         None
@@ -403,48 +368,18 @@ def _execute_eselect(
         else _embed_column(table, node.column, node.model_name, ctx)
     )
     query = eselect_query(node, ctx.store_for)
-    # A cold one-shot selection stays on the exact fp32 scan unless the
-    # compressed scan wins even with the build charged.
     with span("planner.eselect") as sp:
-        n_fallbacks = len(report.fallbacks)
-        decision = _quantized_scan_decision(
-            ctx,
-            store_key,
-            table,
-            1,
-            table.num_rows,
-            _embedding_dim(table, node.column, model),
-            node.condition,
+        # Scan sources share one normalize-once matrix across queries and
+        # sessions; eselect's exact-rescore contract makes the shared and
+        # inline-normalized paths bit-identical.
+        shared = store_key is not None
+        result = eselect(
+            ctx.normalized_matrix_for(store_key, table) if shared else vectors,
+            query, node.condition, assume_normalized=shared,
         )
-
-        def quantized(precision: str):
-            relation = vectors
-            if store_key is not None:
-                relation = ctx.quant_store_for(store_key, table, precision)
-            return quantized_eselect(
-                relation, query, node.condition, method=precision
-            )
-
-        result, precision = _quantized_scan(
-            store_key, decision.precision, report, quantized
-        )
-        if result is None:
-            # Scan sources share one normalize-once matrix across queries
-            # and sessions; eselect's exact-rescore contract makes the
-            # shared and inline-normalized paths bit-identical.
-            shared = store_key is not None
-            result = eselect(
-                ctx.normalized_matrix_for(store_key, table) if shared else vectors,
-                query, node.condition, assume_normalized=shared,
-            )
         report.strategies.append(result.stats.strategy)
         report.join_stats.append(result.stats)
-        sp.set(
-            precision=precision if precision in ("int8", "pq") else "fp32",
-            strategy=result.stats.strategy,
-            rows=table.num_rows,
-            fallbacks=len(report.fallbacks) - n_fallbacks,
-        )
+        sp.set(strategy=result.stats.strategy, rows=table.num_rows)
     return materialize_selection(table, result.ids, result.scores, node.score_column)
 
 
@@ -562,12 +497,6 @@ def _join_keys(
     if len(distinct) == len(codes):
         return store.vectors[codes], None, store, codes
     return store.vectors[distinct], inverse, store, distinct
-
-
-def _embedding_dim(table: Table, column: str, model) -> int:
-    """Width of ``_embed_column(table, column, ...)`` without producing it."""
-    field_ = table.schema.field(column)
-    return field_.dim if field_.dtype is DataType.TENSOR else model.dim
 
 
 def _index_for_right(
@@ -738,19 +667,6 @@ def _execute_ejoin_impl(
             left_vectors, right_vectors, node.condition, strategy=strategy, engine=ctx.engine
         )
         return finish(result, right)
-    if strategy == "tensor":
-        # The REPRO_PRECISION knob may substitute codes, gated on their
-        # modelled cost (including the fit/encode build unless a cached
-        # store already amortized it).
-        precision = _quantized_scan_decision(
-            ctx,
-            store_key,
-            right,
-            len(left_vectors),
-            right.num_rows,
-            _embedding_dim(right, node.right_column, model),
-            node.condition,
-        ).precision
     # Every scan of a plain source -- fp32, int8 and PQ -- scores only the
     # rows its caps do not prove out.
     caps = None if store_key is None else ctx.cap_partition_for(store_key, right, store)
@@ -774,7 +690,7 @@ def _execute_ejoin_impl(
                 codes = ctx.quant_store_for(store_key, right, precision, store)
             return scan(left_vectors, codes.representation(), precision)
 
-        result, _ = _quantized_scan(store_key, precision, report, quantized)
+        result = _quantized_scan(store_key, precision, report, quantized)
     if result is not None:
         return finish(result, right)
     # A key's top-k pairs against one registration of a plain scan are a

@@ -51,8 +51,6 @@ def _config_snapshot() -> dict:
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "morsel_rows": config.default_morsel_rows,
         "buffer_budget_bytes": config.default_buffer_budget_bytes,
-        "precision": config.default_precision,
-        "work_stealing": config.work_stealing,
         "smoke": os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0"),
     }
 

@@ -20,10 +20,6 @@ import numpy as np
 #: reproducibility" setup in the paper's evaluation.
 DEFAULT_SEED = 42
 
-#: Operand precisions a scan may run at: what ``REPRO_PRECISION`` and
-#: ``configure(default_precision=)`` accept.
-PRECISIONS = ("fp32", "int8", "pq")
-
 
 def mix32(x: int) -> int:
     """Cheap deterministic 32-bit mix (xorshift-multiply): the hash under
@@ -57,12 +53,6 @@ class ReproConfig:
         default_buffer_budget_bytes: Process-wide Figure 7 buffer budget for
             dense join intermediates.  ``None`` leaves batch shapes to the
             operator defaults.
-        work_stealing: Whether engine workers steal queued morsels from
-            each other (disable to get static partitioning).
-        default_precision: Operand precision scan joins run at when the
-            caller does not pin one (:data:`PRECISIONS`): ``fp32`` (exact),
-            or the quantized access paths ``int8`` / ``pq`` (approximate
-            scan + exact re-rank, exact answers).
         fault_rate: Probability that one fault-injection site hit injects
             a fault (chaos testing).  ``0.0`` never installs the injector,
             so production paths pay one ``None`` check.
@@ -88,8 +78,6 @@ class ReproConfig:
     default_threads: int | None = None
     default_morsel_rows: int = 1024
     default_buffer_budget_bytes: int | None = None
-    work_stealing: bool = True
-    default_precision: str = "fp32"
     fault_rate: float = 0.0
     fault_seed: int | None = None
     fault_kinds: str = "transient"
@@ -151,17 +139,6 @@ def _config_from_env() -> ReproConfig:
     budget_bytes = _env_number("REPRO_BUFFER_BUDGET_MB", _budget)
     if budget_bytes is not None:
         config.default_buffer_budget_bytes = budget_bytes
-    precision = os.environ.get("REPRO_PRECISION", "")
-    if precision:
-        if precision in PRECISIONS:
-            config.default_precision = precision
-        else:
-            warnings.warn(
-                f"ignoring unknown REPRO_PRECISION={precision!r} "
-                f"(expected {'|'.join(PRECISIONS)})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     # Fault injection: the CI chaos shard arms it through these three.
     fault_rate = _env_number("REPRO_FAULT_RATE", float)
     if fault_rate is not None:
@@ -195,11 +172,9 @@ def configure(**overrides) -> ReproConfig:
                                default_buffer_budget_bytes=64 << 20)
     """
     valid = {f.name for f in fields(ReproConfig)}
-    for name, value in overrides.items():
+    for name in overrides:
         if name not in valid:
             raise AttributeError(f"unknown config field {name!r}")
-        if name == "default_precision" and value not in PRECISIONS:
-            raise ValueError(f"unknown precision {value!r}; have {PRECISIONS}")
     for name, value in overrides.items():
         setattr(_config, name, value)
     return _config

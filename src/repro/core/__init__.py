@@ -6,7 +6,6 @@ from .precision import precision_error_bound, tensor_join_fp16
 from .cost_model import (
     CostParams,
     choose_access_path,
-    choose_scan_precision,
     crossover_selectivity,
 )
 from .index_join import DEFAULT_PROBE_K, index_join
@@ -28,7 +27,6 @@ __all__ = [
     "JoinResult",
     "JoinStats",
     "QuantizedRelation",
-    "choose_scan_precision",
     "quantized_eselect",
     "quantized_tensor_join",
     "ThresholdCondition",

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 from ..errors import JoinError
-from .scan import TOPK_PRESCREEN_PAD
 
 
 @dataclass
@@ -236,141 +235,6 @@ def scan_join_cost_filtered(
     effective = int(round(sel * n_base))
     filter_pass = n_base * params.access
     return tensor_join_cost(n_left, effective, dim, params) + filter_pass
-
-
-# ----------------------------------------------------------------------
-# Quantized access paths (Section V-A-2 carried to int8/PQ)
-# ----------------------------------------------------------------------
-def precision_code_bytes(precision: str, dim: int, *, pq_m: int = 8) -> int:
-    """Stored bytes per vector at each operand precision."""
-    if precision == "fp32":
-        return 4 * dim
-    if precision == "int8":
-        return dim
-    if precision == "pq":
-        return pq_m
-    raise JoinError(f"unknown precision {precision!r}")
-
-
-def quantized_scan_join_cost(
-    n_left: int,
-    n_base: int,
-    dim: int,
-    params: CostParams,
-    *,
-    bytes_per_code: int,
-    rerank_k: int,
-    lut_adds: int | None = None,
-) -> float:
-    """Quantized tensor-join cost: compressed scan plus exact re-rank.
-
-    The pairwise access term scales with the code-to-fp32 byte ratio (the
-    memory-traffic lever quantization pulls); the approximate compute term
-    runs ``lut_adds`` fused adds per pair (``dim`` for int8's GEMM over
-    codes, ``m`` for PQ's table lookups).  Each probe then re-ranks
-    ``rerank_k`` candidates at full precision.
-    """
-    full_bytes = 4.0 * dim
-    traffic = min(bytes_per_code / full_bytes, 1.0)
-    adds = dim if lut_adds is None else lut_adds
-    c_approx = params.compute_per_dim * adds * params.gemm_efficiency
-    scan = n_left * n_base * (params.access * traffic + c_approx)
-    c_full = params.compute_per_dim * dim
-    rerank = n_left * rerank_k * (params.access + c_full)
-    model = (n_left + n_base) * params.model
-    return scan + rerank + model
-
-
-def quantized_build_cost(
-    n_base: int,
-    dim: int,
-    params: CostParams,
-    *,
-    precision: str,
-    pq_ks: int = 256,
-    kmeans_iters: int = 10,
-) -> float:
-    """One-time cost of fitting and encoding a quantized relation.
-
-    int8 pays one elementwise pass over the relation (min/max fit plus
-    affine encode); PQ additionally trains ``ks`` centroids per subspace
-    with ``kmeans_iters`` GEMM-assignment sweeps.  Charged by the
-    precision chooser whenever no pre-built store amortizes it — this is
-    what keeps one-shot selections on the exact fp32 scan.
-    """
-    per_row = params.compute_per_dim * dim
-    if precision == "pq":
-        per_row += (
-            kmeans_iters
-            * pq_ks
-            * params.compute_per_dim
-            * dim
-            * params.gemm_efficiency
-        )
-    return n_base * per_row
-
-
-@dataclass(frozen=True)
-class PrecisionDecision:
-    """Outcome of quantized-vs-fp32 scan selection."""
-
-    precision: str  # chosen operand precision for the scan
-    fp32_cost: float
-    quantized_cost: float
-
-
-def choose_scan_precision(
-    n_left: int,
-    n_base: int,
-    k: int,
-    dim: int,
-    *,
-    topk: bool = True,
-    precision: str | None = None,
-    params: CostParams | None = None,
-    pq_m: int = 8,
-    store_built: bool = False,
-) -> PrecisionDecision:
-    """Pick the scan's operand precision: the cheaper of fp32 and codes.
-
-    Either answers exactly (a quantized top-k is proved or rescanned), so
-    the configured (or requested) precision is adopted when its modelled
-    cost — a code scan plus each row's ``k +`` ``TOPK_PRESCREEN_PAD``
-    exact re-ranks — beats the fp32 scan.  ``precision=None`` defaults
-    from the process-wide config (the ``REPRO_PRECISION`` knob).  Unless
-    ``store_built`` says a pre-encoded
-    :class:`~repro.core.quantized_join.QuantizedRelation` already exists,
-    the one-time fit/encode cost is charged too — a single probe over a
-    cold relation should stay on the fp32 scan.
-
-    A PQ ``topk`` join stays on fp32 whatever the price: PQ's error bound
-    proves no top-k row, so every row also takes the fixed-floor pass — a
-    second code scan and thousands of exact re-ranks, measured at 0.07x
-    of fp32 — which this model does not price.
-    """
-    from ..config import get_config
-
-    if precision is None:
-        precision = get_config().default_precision
-    params = params or CostParams()
-    params.validate()
-    fp32 = tensor_join_cost(n_left, n_base, dim, params)
-    if precision not in ("int8", "pq") or (precision == "pq" and topk):
-        return PrecisionDecision("fp32", fp32, math.inf)
-    quantized = quantized_scan_join_cost(
-        n_left,
-        n_base,
-        dim,
-        params,
-        bytes_per_code=precision_code_bytes(precision, dim, pq_m=pq_m),
-        rerank_k=min(k + TOPK_PRESCREEN_PAD, n_base),
-        lut_adds=pq_m if precision == "pq" else None,
-    )
-    if not store_built:
-        quantized += quantized_build_cost(
-            n_base, dim, params, precision=precision
-        )
-    return PrecisionDecision(precision if quantized < fp32 else "fp32", fp32, quantized)
 
 
 # ----------------------------------------------------------------------

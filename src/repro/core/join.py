@@ -19,7 +19,7 @@ from ..index.base import VectorIndex
 from ..vector.kernels import Kernel
 from .caps import CapPartition
 from .conditions import JoinCondition, TopKCondition, validate_condition
-from .cost_model import CostParams, choose_access_path, choose_scan_precision
+from .cost_model import CostParams, choose_access_path
 from .index_join import DEFAULT_PROBE_K, index_join
 from .nlj import naive_nlj, prefetch_nlj
 from .quantized_join import quantized_tensor_join
@@ -33,8 +33,7 @@ from .tensor_join import tensor_join
 #: ``"threads"`` builds an ``ExecutionEngine(n_threads)`` when the caller
 #: hands none and names its worker count in the label
 #: (``parallel-tensor/<n>t``); ``None`` runs on the caller's engine, if any.
-#: In the planner ``tensor`` lets the precision chooser substitute codes,
-#: and the other scan labels pin theirs.
+#: The label is the one rule that picks what a scan reads.
 STRATEGIES = {
     "auto": ("auto", None, None),
     "naive-nlj": ("naive-nlj", None, None),
@@ -56,8 +55,7 @@ _SCAN_LABELS = {
 def _scan_label(strategy: str, precision: str, engine: ExecutionEngine | None) -> str:
     """What a scan run under label ``strategy`` at ``precision`` reports:
     a threaded label with its worker count, else the label that reads
-    ``precision`` (the codes the chooser put in place of ``tensor``'s fp32,
-    or the fp32 a code scan fell back to)."""
+    ``precision`` (the fp32 a code scan fell back to, if it did)."""
     if STRATEGIES[strategy][2] == "threads":
         return f"{strategy}/{engine.n_threads}t"
     return _SCAN_LABELS[precision]
@@ -151,7 +149,6 @@ def ejoin(
             left,
             right,
             condition,
-            model=model,
             index=index,
             probe_k=probe_k,
             cost_params=cost_params,
@@ -204,7 +201,6 @@ def _auto_strategy(
     right,
     condition: JoinCondition,
     *,
-    model: EmbeddingModel | None,
     index: VectorIndex | None,
     probe_k: int | None,
     cost_params: CostParams | None,
@@ -212,8 +208,6 @@ def _auto_strategy(
     caps,
 ) -> str:
     """Cost-based physical strategy selection."""
-    from ..config import get_config
-
     topk = isinstance(condition, TopKCondition)
     k = condition.k if topk else DEFAULT_PROBE_K if probe_k is None else probe_k
     n_left = len(left)
@@ -235,23 +229,7 @@ def _auto_strategy(
         if index is None:
             raise JoinError("auto strategy needs either right input or index")
         return "index"
-    # Scan path: the configured precision may substitute quantized codes
-    # + exact re-rank for the fp32 tensor formulation, through the same
-    # cost comparison the planner applies — including the per-call
-    # fit/encode build, which ejoin cannot amortize — so a join too small
-    # to pay for quantizer training stays on fp32.
-    n_right = len(right)
-    vectors = isinstance(right, np.ndarray) and right.ndim == 2
-    # Raw items take their dimension from the model; with neither, the
-    # tensor join below rejects the input.
-    if get_config().default_precision != "fp32" and (vectors or model is not None):
-        dim = right.shape[1] if vectors else model.dim
-        precision = choose_scan_precision(
-            n_left, n_right, k, dim, topk=topk, params=cost_params, store_built=False
-        ).precision
-        if precision != "fp32":
-            return _SCAN_LABELS[precision]
     # Single-threaded tensor for small inputs, parallel beyond.
-    if n_left * n_right >= 4_000_000 and isinstance(left, np.ndarray):
+    if n_left * len(right) >= 4_000_000 and isinstance(left, np.ndarray):
         return "parallel-tensor"
     return "tensor"

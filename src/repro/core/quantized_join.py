@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from ..config import get_config
 from ..embedding.base import EmbeddingModel
 from ..engine import ExecutionEngine
 from ..errors import DimensionalityError, JoinError
@@ -202,9 +201,8 @@ def quantized_tensor_join(
             :class:`QuantizedRelation` (so repeated joins amortize the
             fit/encode build exactly like an index build).
         condition: threshold or top-k join condition.
-        method: ``"int8"`` or ``"pq"``; defaults to the configured
-            ``default_precision`` when that is quantized, else ``"int8"``.
-            Ignored (taken from the store) when ``right`` is pre-built.
+        method: ``"int8"`` (``None``) or ``"pq"``.  Ignored (taken from
+            the store) when ``right`` is pre-built.
         buffer_budget_bytes: Figure 7 budget covering the approximate
             score block, the per-row candidate pool (and PQ lookup
             tables); split across workers under a multi-threaded engine.
@@ -220,7 +218,6 @@ def quantized_tensor_join(
         prove on their first candidates).
     """
     validate_condition(condition)
-    config = get_config()
     if isinstance(right, QuantizedRelation):
         store = right
         if method is not None and method != store.method:
@@ -230,12 +227,7 @@ def quantized_tensor_join(
             )
         method = store.method
     else:
-        if method is None:
-            method = (
-                config.default_precision
-                if config.default_precision in QUANT_METHODS
-                else "int8"
-            )
+        method = "int8" if method is None else method
         store = None
     if method not in QUANT_METHODS:
         raise JoinError(

@@ -113,7 +113,6 @@ class ExecutionEngine:
         buffer_budget_bytes: Figure 7 budget of the joins run on this
             engine (a join's own ``buffer_budget_bytes=`` overrides it);
             ``None`` uses the configured default.
-        work_stealing: override the configured work-stealing toggle.
     """
 
     def __init__(
@@ -122,7 +121,6 @@ class ExecutionEngine:
         n_threads: int | None = None,
         morsel_rows: int | None = None,
         buffer_budget_bytes: int | None = None,
-        work_stealing: bool | None = None,
     ) -> None:
         config = get_config()
         self.n_threads = (
@@ -137,9 +135,6 @@ class ExecutionEngine:
             config.default_buffer_budget_bytes
             if buffer_budget_bytes is None
             else buffer_budget_bytes
-        )
-        self.work_stealing = (
-            config.work_stealing if work_stealing is None else work_stealing
         )
         self.stats = EngineStats()
         #: Engine-wide retry parameters; bound per run with the ambient
@@ -188,9 +183,7 @@ class ExecutionEngine:
         order.
         """
         run_stats = SchedulerStats()
-        scheduler = WorkStealingScheduler(
-            self.n_threads, work_stealing=self.work_stealing
-        )
+        scheduler = WorkStealingScheduler(self.n_threads)
         # Bind the retry policy to this run: the ambient query scope's
         # deadline and per-query budget (opened by the service on this
         # thread) bound backoff, and its tag attributes the run; a

@@ -3,7 +3,7 @@
 The service's ``submit(..., explain_analyze=True)`` forces a trace and
 hands it here; the output is one line per span — name, wall and CPU
 milliseconds, then the span's attributes (operator, rows, bytes scanned,
-precision, cache/breaker/retry events) — indented as a tree under the
+cache/breaker/retry events) — indented as a tree under the
 root ``query`` span.  Foreign spans appended by the coalescer leader
 (the shared scan, this query's demux/rescore) render as children of the
 root, where they executed from this query's point of view.

@@ -89,7 +89,6 @@ class Engine:
             cpu_count(),
             config.default_morsel_rows,
             config.default_buffer_budget_bytes,
-            config.work_stealing,
             config.retry_max_attempts,
             config.retry_base_ms,
             config.retry_cap_ms,

@@ -431,10 +431,8 @@ class QueryService:
         ``key`` adds everything else that can change a result, read at
         this instant: table data versions, the index epoch (registering
         an index can flip the physical access path — approximate for
-        HNSW/IVF), the model registry's epoch (a replaced model embeds
-        differently), and the precision config (a quantized scan's scores
-        are re-ranked, so results cached under one REPRO_PRECISION mode
-        must not survive a config change).
+        HNSW/IVF) and the model registry's epoch (a replaced model embeds
+        differently).
         Takes only the result cache's lock, so the async front calls it on
         the event loop.
         """
@@ -447,7 +445,6 @@ class QueryService:
             *table_versions(shape.tables, self.engine.catalog),
             ("__indexes__", self.engine.index_epoch),
             ("__models__", self.engine.models.epoch),
-            ("__precision__", get_config().default_precision),
         )
         key = (shape.key, versions, signature)
         return keyed, key, self.results.lookup(key)
@@ -592,10 +589,7 @@ class QueryService:
 
     def _execute(self, optimized) -> Table:
         request = None
-        # Quantized scan substitution is a per-query planner decision: under
-        # an int8 / pq default every query takes the normal path.
-        quantized = get_config().default_precision in ("int8", "pq")
-        if self.coalescer is not None and not quantized:
+        if self.coalescer is not None:
             request = SharedScanRequest.of(optimized, self.engine.embed_store_for)
         if request is not None:
             with self._stats_lock:

@@ -1,8 +1,9 @@
 """Chaos: planner access paths route around injected faults via breakers.
 
 Fallback never changes answers, only speed: every fallback target in the
-chain (pq -> int8 -> fp32 scan, index -> scan) is an exact path, so the
-results under faults must be bit-identical to a clean fp32/scan run.
+chain of a hinted code scan (pq -> int8 -> fp32 scan) and of an index
+(index -> scan) is an exact path, so the results under faults must be
+bit-identical to a clean fp32/scan run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.algebra import (
     ScanNode,
     execute,
 )
-from repro.config import configure
 from repro.core import ThresholdCondition, TopKCondition
 from repro.embedding import HashingEmbedder, ModelRegistry
 from repro.index import FlatIndex
@@ -68,12 +68,6 @@ def make_join(**kwargs) -> EJoinNode:
     )
 
 
-@pytest.fixture(autouse=True)
-def _restore_precision():
-    yield
-    configure(default_precision="fp32")
-
-
 @pytest.mark.parametrize("forced", [None, "tensor-int8", "tensor-pq"])
 def test_an_input_error_is_raised_once_and_trips_no_breaker(forced, monkeypatch):
     """A NaN row is the caller's error, not the quantized path's: the
@@ -82,8 +76,6 @@ def test_an_input_error_is_raised_once_and_trips_no_breaker(forced, monkeypatch)
     from repro.algebra import physical_planner
     from repro.errors import JoinError
 
-    if forced is None:
-        configure(default_precision="int8")
     ctx = make_ctx()
     poisoned = ctx.catalog.get("base").array("emb").copy()
     poisoned[7] = np.nan
@@ -113,13 +105,13 @@ def test_an_input_error_is_raised_once_and_trips_no_breaker(forced, monkeypatch)
 
 
 def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
-    """Failing int8 store builds: every query still answers exactly via
-    the fp32 scan; after the threshold the breaker stops even trying."""
+    """Failing int8 store builds: every hinted query still answers exactly
+    via the fp32 scan; after the threshold the breaker stops even trying."""
     reference = execute(make_join(), make_ctx())  # clean fp32 scan
+    hinted = make_join(strategy_hint="tensor-int8")
 
-    configure(default_precision="int8")
     clean = ExecutionReport()
-    execute(make_join(), make_ctx(), report=clean)
+    execute(hinted, make_ctx(), report=clean)
     assert clean.strategies == ["tensor-int8"]  # faults are the only cause
 
     ctx = make_ctx()
@@ -128,7 +120,7 @@ def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
     )
     for _ in range(3):  # default breaker threshold
         report = ExecutionReport()
-        out = execute(make_join(), ctx, report=report)
+        out = execute(hinted, ctx, report=report)
         assert report.fallbacks == ["base/emb/hash/int8"]
         assert report.strategies == ["tensor"]
         assert_tables_equal(out, reference, context="int8 fallback")
@@ -138,7 +130,7 @@ def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
     # the failing build path at all.
     checks_before = injector.stats.snapshot()["by_site"].get("quant.build", 0)
     report = ExecutionReport()
-    out = execute(make_join(), ctx, report=report)
+    out = execute(hinted, ctx, report=report)
     assert report.fallbacks == []
     assert report.strategies == ["tensor"]
     assert_tables_equal(out, reference, context="breaker-gated")
@@ -146,18 +138,63 @@ def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
     assert checks_after == checks_before
 
 
+def test_pq_build_faults_walk_the_whole_chain_to_exact():
+    """With every store build failing, a hinted pq join names both paths
+    it fell past, answers from the exact scan, and trips both breakers."""
+    reference = execute(make_join(), make_ctx())
+    ctx = make_ctx()
+    install_injector(
+        FaultInjector(1.0, seed=6, sites=("quant.build",), kinds=("permanent",))
+    )
+    for _ in range(3):
+        report = ExecutionReport()
+        out = execute(make_join(strategy_hint="tensor-pq"), ctx, report=report)
+        assert report.fallbacks == ["base/emb/hash/pq", "base/emb/hash/int8"]
+        assert report.strategies == ["tensor"]
+        assert_tables_equal(out, reference, context="pq -> int8 -> fp32")
+    snapshot = breakers().snapshot()
+    assert snapshot["base/emb/hash/pq"]["state"] == "open"
+    assert snapshot["base/emb/hash/int8"]["state"] == "open"
+
+
+def test_selection_has_no_fallback_edge():
+    """A selection reads the unit rows whatever the quantized paths'
+    health: it never builds a store, consults a breaker or reports a
+    fallback, and answers as on a clean context."""
+    from repro.algebra import ESelectNode
+
+    select = ESelectNode(
+        ScanNode("base"), "emb", np.ones(DIM, dtype=np.float32), "hash",
+        ThresholdCondition(0.3),
+    )
+    reference = execute(select, make_ctx())
+    for precision in ("pq", "int8"):
+        for _ in range(3):
+            breakers().record_failure(("base", "emb", "hash", precision))
+    injector = install_injector(
+        FaultInjector(1.0, seed=7, sites=("quant.build",), kinds=("permanent",))
+    )
+    report = ExecutionReport()
+    out = execute(select, make_ctx(), report=report)
+    assert report.fallbacks == [] and report.strategies == ["eselect/scan"]
+    assert_tables_equal(out, reference, context="selection")
+    assert injector.stats.snapshot()["by_site"].get("quant.build", 0) == 0
+
+
 def test_pq_faults_walk_the_chain_down_to_int8():
-    """A failing pq store falls to int8 (still quantized) when only the
-    pq path is broken, not all the way to fp32."""
-    configure(default_precision="pq")
+    """A hinted pq scan falls to int8 (still quantized) when only the pq
+    path is broken, not all the way to fp32."""
     ctx = make_ctx()
     # Pre-open only the pq breaker; int8 stays healthy.
     for _ in range(3):
         breakers().record_failure(("base", "emb", "hash", "pq"))
     report = ExecutionReport()
-    out = execute(make_join(), ctx, report=report)
-    assert report.strategies in (["tensor-int8"], ["tensor"])
-    assert out.num_rows > 0
+    out = execute(make_join(strategy_hint="tensor-pq"), ctx, report=report)
+    assert report.strategies == ["tensor-int8"]
+    assert report.fallbacks == []
+    exact = execute(make_join(), make_ctx())
+    for column in ("l_id", "r_id"):
+        assert out.array(column).tolist() == exact.array(column).tolist()
 
 
 def test_index_probe_faults_fall_back_to_scan_and_trip_breaker():
@@ -206,26 +243,19 @@ def test_index_breaker_success_closes_again():
     assert registry.snapshot()["base/emb/hash/index"]["state"] == "closed"
 
 
-def test_join_and_selection_walk_the_same_chain_past_a_tripped_pq_breaker():
-    """``_execute_ejoin`` and ``_execute_eselect`` share one precision
-    walk: past an open pq breaker to int8, past a failing int8 build to
-    the exact scan with the same fallback string, straight to the exact
-    scan once int8 has tripped too, and back onto int8 when it heals."""
-    from repro.algebra import ESelectNode
+def test_join_walks_the_chain_past_a_tripped_pq_breaker():
+    """A hinted pq join walks past an open pq breaker to int8, past a
+    failing int8 build to the exact scan, naming the path that failed,
+    straight to the exact scan once int8 has tripped too, and back onto
+    int8 when it heals."""
     from repro.reliability.faults import clear_injector
 
-    configure(default_precision="pq")
     ctx = make_ctx()
     join = make_join(strategy_hint="tensor-pq")
-    # A threshold selection: a PQ top-k stays on the exact scan.
-    select = ESelectNode(
-        ScanNode("base"), "emb", np.ones(DIM, dtype=np.float32), "hash",
-        ThresholdCondition(0.3),
-    )
 
-    def run(plan):
+    def run():
         report = ExecutionReport()
-        return execute(plan, ctx, report=report), report
+        return execute(join, ctx, report=report), report
 
     def states():
         return {
@@ -233,13 +263,8 @@ def test_join_and_selection_walk_the_same_chain_past_a_tripped_pq_breaker():
             for key, entry in breakers().snapshot().items()
         }
 
-    # Healthy: the join builds the pq store, the selection amortizes it.
-    assert run(join)[1].strategies == ["tensor-pq"]
-    assert run(select)[1].strategies == ["eselect/pq"]
-    exact_join = execute(make_join(strategy_hint="tensor"), make_ctx())
-    configure(default_precision="fp32")
-    exact_select = execute(select, make_ctx())
-    configure(default_precision="pq")
+    assert run()[1].strategies == ["tensor-pq"]
+    exact = execute(make_join(strategy_hint="tensor"), make_ctx())
 
     for _ in range(3):
         breakers().record_failure(("base", "emb", "hash", "pq"))
@@ -247,27 +272,21 @@ def test_join_and_selection_walk_the_same_chain_past_a_tripped_pq_breaker():
     install_injector(
         FaultInjector(1.0, seed=5, sites=("quant.build",), kinds=("permanent",))
     )
-    # pq is open, int8 cannot build: both land on the exact scan and name
-    # the path that failed.  Join, selection, join: int8 trips on the third.
-    for plan, strategy, reference in (
-        (join, "tensor", exact_join),
-        (select, "eselect/scan", exact_select),
-        (join, "tensor", exact_join),
-    ):
-        out, report = run(plan)
+    # pq is open, int8 cannot build: the exact scan answers, and int8
+    # trips on the third failure.
+    for _ in range(3):
+        out, report = run()
         assert report.fallbacks == ["base/emb/hash/int8"]
-        assert report.strategies == [strategy]
-        assert_tables_equal(out, reference, context=f"{strategy} fallback")
+        assert report.strategies == ["tensor"]
+        assert_tables_equal(out, exact, context="int8 fallback")
     assert states() == {"pq": "open", "int8": "open"}
-    # Both open: neither operator touches a quantized path or reports one.
-    for plan, strategy in ((join, "tensor"), (select, "eselect/scan")):
-        _, report = run(plan)
-        assert report.fallbacks == [] and report.strategies == [strategy]
+    # Both open: the join touches no quantized path and reports none.
+    _, report = run()
+    assert report.fallbacks == [] and report.strategies == ["tensor"]
 
-    # int8 heals (pq stays tripped): both operators settle on int8.
+    # int8 heals (pq stays tripped): the join settles on int8.
     clear_injector()
     breakers().record_success(("base", "emb", "hash", "int8"))
-    for plan, strategy in ((join, "tensor-int8"), (select, "eselect/int8")):
-        _, report = run(plan)
-        assert report.fallbacks == [] and report.strategies == [strategy]
+    _, report = run()
+    assert report.fallbacks == [] and report.strategies == ["tensor-int8"]
     assert states() == {"pq": "open", "int8": "closed"}

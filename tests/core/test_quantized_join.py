@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import configure
 from repro.core import (
     QuantizedRelation,
     ThresholdCondition,
@@ -239,16 +238,18 @@ class TestDispatch:
             assert got.stats.strategy == strategy
             assert got.pairs() == ref
 
-    def test_auto_respects_configured_precision(self, relations):
+    def test_auto_scans_fp32(self, relations):
+        """``auto`` picks an access path, never codes: only a
+        ``tensor-int8`` / ``tensor-pq`` label reads them."""
         left, right = relations
-        configure(default_precision="int8")
-        try:
-            got = ejoin(left, right, TopKCondition(3), strategy="auto")
-            assert got.stats.strategy == "tensor-int8"
-        finally:
-            configure(default_precision="fp32")
         got = ejoin(left, right, TopKCondition(3), strategy="auto")
         assert got.stats.strategy == "tensor"
+
+    def test_method_defaults_to_int8(self, relations):
+        left, right = relations
+        got = quantized_tensor_join(left, right, TopKCondition(3))
+        assert got.stats.strategy == "tensor-int8"
+        assert got.pairs() == tensor_join(left, right, TopKCondition(3)).pairs()
 
     def test_quantized_eselect(self, relations):
         left, right = relations

@@ -15,7 +15,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.config as config_mod
 from repro.embedding import HashingEmbedder
 from repro.embedding.cache import EmbeddingStore
 from repro.obs.trace import QueryScope
@@ -125,33 +124,35 @@ def test_concurrent_repeats_on_one_engine_match_first_run():
 
 
 @pytest.mark.quant
-def test_concurrent_quantized_store_built_once():
-    """Racing eselects under a quantized precision build one store."""
-    original = config_mod.get_config().default_precision
-    config_mod.configure(default_precision="int8")
-    try:
-        engine = _make_engine()
-        qvecs = unit_vectors(8, DIM, stream="conc/quant")
-        builders = [
-            engine.query("right").esimilar("emb", q, model=MODEL, top_k=3)
-            for q in qvecs
+def test_concurrent_quantized_store_built_once(monkeypatch):
+    """Racing hinted ``tensor-int8`` joins build one store."""
+    from repro.core.quantized_join import QuantizedRelation
+
+    builds = []
+    original = QuantizedRelation.build.__func__
+
+    def counting_build(cls, vectors, method, **kwargs):
+        builds.append(method)
+        return original(cls, vectors, method, **kwargs)
+
+    def joins(engine: Engine) -> list:
+        return [
+            engine.query("left").ejoin(
+                "right", left_on="emb", right_on="emb", model=MODEL,
+                top_k=1 + i % 4, strategy="tensor-int8",
+            )
+            for i in range(8)
         ]
-        serial_engine = _make_engine()
-        serial = [
-            serial_engine.query("right")
-            .esimilar("emb", q, model=MODEL, top_k=3)
-            .execute()
-            for q in qvecs
-        ]
-        results = _run_concurrently(engine, builders, 4)
-        for i, (a, b) in enumerate(zip(serial, results)):
-            _assert_equal(a, b, f"quant query {i}")
-        stores = [
-            key for key in engine.sources.entries("int8") if key[0] == "right"
-        ]
-        assert len(stores) <= 1  # racing builds deduplicated by the lock
-    finally:
-        config_mod.configure(default_precision=original)
+
+    serial_engine = _make_engine()
+    serial = [b.execute() for b in joins(serial_engine)]
+    monkeypatch.setattr(QuantizedRelation, "build", classmethod(counting_build))
+    engine = _make_engine()
+    results = _run_concurrently(engine, joins(engine), 4)
+    for i, (a, b) in enumerate(zip(serial, results)):
+        _assert_equal(a, b, f"quant join {i}")
+    assert builds == ["int8"]  # racing builds deduplicated by the lock
+    assert list(engine.sources.entries("int8")) == [("right", "emb", MODEL)]
 
 
 def test_embedding_store_concurrent_add_items_consistent():

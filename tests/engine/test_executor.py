@@ -14,14 +14,12 @@ def restore_config():
         config.default_threads,
         config.default_morsel_rows,
         config.default_buffer_budget_bytes,
-        config.work_stealing,
     )
     yield config
     (
         config.default_threads,
         config.default_morsel_rows,
         config.default_buffer_budget_bytes,
-        config.work_stealing,
     ) = saved
 
 
@@ -31,13 +29,11 @@ class TestEngineConstruction:
             default_threads=3,
             default_morsel_rows=77,
             default_buffer_budget_bytes=4096,
-            work_stealing=False,
         )
         engine = ExecutionEngine()
         assert engine.n_threads == 3
         assert engine.morsel_rows == 77
         assert engine.buffer_budget_bytes == 4096
-        assert engine.work_stealing is False
 
     def test_explicit_arguments_win(self, restore_config):
         configure(default_threads=2)

@@ -112,8 +112,8 @@ class TestMachineReadableReport:
     def test_json_carries_config_and_revision(self, tmp_path):
         payload = json.loads(self.make().save_json(tmp_path).read_text())
         config = payload["config"]
-        assert "precision" in config
         assert "buffer_budget_bytes" in config
+        assert not {"precision", "work_stealing"} & config.keys()  # no such settings
         # A number carries its environment: resolved workers, usable CPUs,
         # BLAS threads as set.
         assert isinstance(config["threads"], int) and config["threads"] >= 1

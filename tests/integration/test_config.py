@@ -1,6 +1,7 @@
 """Unit tests for global configuration and seeding."""
 
 import numpy as np
+import pytest
 
 from repro.config import ReproConfig, configure, cpu_count, get_config, rng
 
@@ -98,67 +99,60 @@ class TestEnvOverrides:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.split() == expected, env
 
-    def test_precision_env_applies(self):
+    @pytest.mark.parametrize("precision", ["int8", "pq"])
+    def test_precision_env_changes_no_plan(self, precision):
+        """``REPRO_PRECISION`` is not read: only a strategy hint puts a
+        scan on codes, so a planner join still scans fp32 and a selection
+        still reads the unit rows — even over a source a join has encoded."""
         import subprocess
         import sys
 
+        code = """
+import numpy as np
+from repro.algebra import (
+    EJoinNode, ESelectNode, ExecutionContext, ExecutionReport, ScanNode, execute,
+)
+from repro.core import ThresholdCondition
+from repro.embedding import HashingEmbedder, ModelRegistry
+from repro.relational import Catalog, DataType, Field, Schema, Table
+
+schema = Schema.of(Field("id", DataType.INT64), Field("emb", DataType.TENSOR, dim=16))
+rng = np.random.default_rng(0)
+catalog = Catalog()
+for name, n in (("l", 800), ("r", 1000)):
+    emb = rng.standard_normal((n, 16)).astype(np.float32)
+    catalog.register(name, Table.from_arrays(schema, {"id": np.arange(n), "emb": emb}))
+models = ModelRegistry()
+models.register("h", HashingEmbedder(dim=16, seed=3))
+ctx = ExecutionContext(catalog, models=models)
+join = EJoinNode(
+    ScanNode("l"), ScanNode("r"), "emb", "emb", "h", ThresholdCondition(0.5),
+    prefetch=True,
+)
+select = ESelectNode(
+    ScanNode("r"), "emb", np.ones(16, dtype=np.float32), "h", ThresholdCondition(0.3)
+)
+report = ExecutionReport()
+for plan in (join, select):
+    execute(plan, ctx, report=report)
+print(*report.strategies)
+"""
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import repro; print(repro.get_config().default_precision)",
-            ],
+            [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "REPRO_PRECISION": "int8"},
+            env={"PYTHONPATH": "src", "REPRO_PRECISION": precision},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["int8"]
-
-    def test_unknown_precision_warns_and_falls_back(self):
-        import subprocess
-        import sys
-
-        for precision in ("int3", "fp16"):  # fp16 is the ablation's, not a served scan's
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-c",
-                    "import repro; print(repro.get_config().default_precision)",
-                ],
-                capture_output=True,
-                text=True,
-                env={"PYTHONPATH": "src", "REPRO_PRECISION": precision},
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == "fp32", precision
+        assert proc.stdout.split() == ["tensor", "eselect/scan"]
 
 
 class TestConfigure:
-    def test_rejects_unknown_precision(self):
-        """``configure`` accepts the precisions ``REPRO_PRECISION`` does and
-        nothing else: an unknown one used to be stored and read as fp32."""
-        from repro.config import PRECISIONS, configure, get_config
-
-        import pytest
-
-        before = get_config().default_precision
-        for precision in ("int3", "fp16"):
-            with pytest.raises(ValueError, match="unknown precision"):
-                configure(default_precision=precision)
-            assert get_config().default_precision == before
-        for precision in PRECISIONS:
-            assert configure(default_precision=precision).default_precision == precision
-        configure(default_precision=before)
-
-    def test_rejects_method_names(self):
-        from repro.config import configure
-
-        import pytest
-
-        with pytest.raises(AttributeError, match="rng"):
-            configure(rng=42)
+    @pytest.mark.parametrize("name", ["rng", "default_precision", "work_stealing"])
+    def test_rejects_unknown_fields(self, name):
+        """A method name or a removed setting is no field: ``configure``
+        raises rather than store a value nothing reads."""
+        with pytest.raises(AttributeError, match=name):
+            configure(**{name: 42})
         # rng must still be callable afterwards
-        from repro.config import rng
-
         assert rng("still-works").standard_normal(1).shape == (1,)

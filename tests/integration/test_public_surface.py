@@ -77,6 +77,9 @@ DELETED = (
     # parallel-tensor is the fp32 scan on an ExecutionEngine(n_threads), and
     # the parallel NLJ is prefetch_nlj(engine=): no third door.
     "parallel_join",
+    # What a scan reads is its strategy label's: no chooser substitutes
+    # codes for fp32.
+    "choose_scan_precision",
 )
 
 pytestmark = pytest.mark.skipif(

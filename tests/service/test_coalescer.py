@@ -377,3 +377,23 @@ def test_fallback_path_still_exact(
     for i, (a, b) in enumerate(zip(serial, got)):
         assert_tables_equal(a, b, context=f"query {i}")
     assert service.coalescer.stats.fallbacks >= 6
+
+
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_selection_coalesces_beside_an_encoded_source(service_engine, query_vectors, method):
+    """A hinted join that encoded ``corpus`` leaves later selections on the
+    shared scan: what a selection reads is no setting, so nothing turns
+    coalescing off."""
+    service = _service(service_engine)
+    service.submit(
+        service_engine.query("other").ejoin(
+            "corpus", left_on="emb", right_on="emb", model=MODEL, top_k=2,
+            strategy=f"tensor-{method}",
+        )
+    )
+    assert ("corpus", "emb", MODEL) in service_engine.sources.entries(method)
+    for q in query_vectors[:3]:
+        got = service.submit(_build(service_engine, q, {"top_k": 4}))
+        assert_tables_equal(got, _serial(service_engine, q, top_k=4), context=method)
+    assert (service.stats.coalesced, service.stats.direct) == (3, 1)
+    assert service.stats_snapshot()["coalescer"]["coalesced_queries"] == 3

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _service_utils import DIM, MODEL, assert_tables_equal, make_engine
+from repro.engine import ExecutionEngine
 from repro.errors import DeadlineExceededError, ServiceOverloadError
 from repro.obs.trace import Tracer
 from repro.service import AsyncQueryService, QueryService
@@ -307,7 +308,8 @@ def test_snapshot_has_the_keys_the_benchmark_reads():
 
 #: Keywords no constructor takes, because nothing set them: seven service
 #: settings, the tracker's tuning (the ``ALPHA`` / ``SAFETY`` /
-#: ``MIN_SAMPLES`` constants) and the tracer's span-site gate.
+#: ``MIN_SAMPLES`` constants), the tracer's span-site gate and the
+#: engine's work-stealing toggle.
 REMOVED_KEYWORDS = [
     (QueryService, "admission_timeout_s", 1.0),
     (QueryService, "plan_cache_size", 8),
@@ -320,6 +322,7 @@ REMOVED_KEYWORDS = [
     (ExecTimeTracker, "safety", 1.0),
     (ExecTimeTracker, "min_samples", 1),
     (Tracer, "sites", "query"),
+    (ExecutionEngine, "work_stealing", False),
 ]
 
 

@@ -107,28 +107,26 @@ def test_table_version_invalidates(service_engine, query_vectors):
     assert len(cache) == 0
 
 
-def test_precision_config_change_invalidates_service_cache(query_vectors):
-    """Quantized scans are approximate for top-k, so results cached under
-    one precision config must not be served after the config changes."""
-    import repro.config as config_mod
-
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_strategy_hint_separates_cached_joins(method):
+    """What a scan reads is named by the plan's strategy hint, so it is
+    part of the result-cache key: a hinted code join and the fp32 join of
+    the same shape are cached apart, each hit its own serial answer."""
     engine = make_engine()
     service = engine.serve(coalesce=False)
-    builder = lambda: engine.query("corpus").esimilar(
-        "emb", query_vectors[0], model=MODEL, top_k=4
-    )
-    service.submit(builder())
-    service.submit(builder())
-    assert service.stats.result_cache_hits == 1
-    original = config_mod.get_config().default_precision
-    config_mod.configure(default_precision="int8")
-    try:
-        refreshed = service.submit(builder())  # key changed: re-executes
-        assert service.stats.result_cache_hits == 1
-        serial = builder().execute()
-        assert_tables_equal(refreshed, serial, context="post-config-change")
-    finally:
-        config_mod.configure(default_precision=original)
+
+    def join(strategy):
+        return engine.query("other").ejoin(
+            "corpus", left_on="emb", right_on="emb", model=MODEL, top_k=3,
+            strategy=strategy,
+        )
+
+    for hits, strategy in enumerate((None, f"tensor-{method}")):
+        service.submit(join(strategy))
+        assert service.stats.result_cache_hits == hits  # the other one missed
+        cached = service.submit(join(strategy))
+        assert service.stats.result_cache_hits == hits + 1
+        assert_tables_equal(cached, join(strategy).execute(), context=strategy or "tensor")
 
 
 def test_service_level_cache_correctness(query_vectors):
