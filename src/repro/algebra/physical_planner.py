@@ -31,12 +31,12 @@ from ..core.quantized_join import QuantizedRelation
 from ..core.result import TopKMemo
 from ..core.tensor_join import unit_rows
 from ..embedding.cache import EmbeddingStore, shared_store
-from ..embedding.registry import ModelRegistry, default_registry
+from ..embedding.registry import ModelRegistry
 from ..engine import ExecutionEngine
 from ..errors import BufferBudgetError, JoinError, PlanError
 from ..index.base import VectorIndex
 from ..obs.trace import span
-from ..reliability.breaker import breakers
+from ..reliability.breaker import BreakerRegistry
 from ..reliability.faults import maybe_inject
 from ..relational.catalog import Catalog
 from ..relational.column import Column
@@ -129,10 +129,11 @@ class SourceState:
 
 @dataclass
 class ExecutionContext:
-    """Everything physical planning needs: data, models, indexes, costs."""
+    """Everything physical planning needs: data, models, indexes, costs,
+    and the access paths' derived state and circuit breakers."""
 
     catalog: Catalog
-    models: ModelRegistry = field(default_factory=default_registry)
+    models: ModelRegistry = field(default_factory=ModelRegistry)
     #: (table_name, column_name) -> built vector index over that column.
     indexes: dict[tuple[str, str], VectorIndex] = field(default_factory=dict)
     cost_params: CostParams = field(default_factory=CostParams)
@@ -143,6 +144,8 @@ class ExecutionContext:
     #: shared by every context one :class:`~repro.query.builder.Engine`
     #: mints.
     sources: SourceState = field(default_factory=SourceState)
+    #: Circuit breakers of the access paths, owned by the same engine.
+    breakers: BreakerRegistry = field(default_factory=BreakerRegistry)
 
     def store_for(self, model_name: str) -> EmbeddingStore:
         """The embed-once store of the model registered as ``model_name``."""
@@ -268,22 +271,23 @@ def _quantized_scan(
     precision: str,
     report: "ExecutionReport",
     run: Callable[[str], object],
+    breakers: BreakerRegistry,
 ):
     """Run a scan at the first precision of the ``pq -> int8`` chain whose
     breaker lets it through and which does not fail.
 
-    ``store_key`` is the ``(table, column, model)`` access-path identity;
-    uncacheable sources (``None``) carry no breaker state and keep the
-    hinted precision.  ``run(precision)`` builds (or fetches) the store
-    and scans it; a failure feeds that access path's breaker, is reported
-    as a fallback and moves one step down the chain — an input error
+    ``store_key`` is the ``(table, column, model)`` access-path identity
+    in ``breakers``; uncacheable sources (``None``) carry no breaker state
+    and keep the hinted precision.  ``run(precision)`` builds (or fetches)
+    the store and scans it; a failure feeds that access path's breaker, is
+    reported as a fallback and moves one step down the chain — an input error
     (:class:`~repro.errors.JoinError`) is raised as it is.  Returns the
     result, or ``None`` once the chain has ended on the exact fp32 scan,
     which the caller runs.
     """
     while precision in _PRECISION_FALLBACK:
         key = None if store_key is None else (*store_key, precision)
-        if key is not None and not breakers().allow(key):
+        if key is not None and not breakers.allow(key):
             precision = _PRECISION_FALLBACK[precision]
             continue
         try:
@@ -296,12 +300,12 @@ def _quantized_scan(
             if isinstance(exc, JoinError) and not isinstance(exc, BufferBudgetError):
                 raise
             if key is not None:
-                breakers().record_failure(key)
+                breakers.record_failure(key)
                 report.fallbacks.append("/".join(map(str, key)))
             precision = _PRECISION_FALLBACK[precision]
             continue
         if key is not None:
-            breakers().record_success(key)
+            breakers.record_success(key)
         return result
     return None
 
@@ -584,7 +588,7 @@ def _execute_ejoin_impl(
         # its cost is infinite, so the chooser lands on the exact scan.
         index_open = (
             index_breaker_key is not None
-            and not breakers().allow(index_breaker_key)
+            and not ctx.breakers.allow(index_breaker_key)
         )
         # A plain source whose cap partition is cached scans on it; one not
         # built yet is not built to be priced.
@@ -623,12 +627,12 @@ def _execute_ejoin_impl(
             # to the exact scan path below (trading speed, not accuracy).
             if index_breaker_key is None:
                 raise
-            breakers().record_failure(index_breaker_key)
+            ctx.breakers.record_failure(index_breaker_key)
             report.fallbacks.append("/".join(map(str, index_breaker_key)))
             strategy = "tensor"
         else:
             if index_breaker_key is not None:
-                breakers().record_success(index_breaker_key)
+                ctx.breakers.record_success(index_breaker_key)
             return finish(result, base)
 
     # --- scan access path ----------------------------------------------------
@@ -690,7 +694,7 @@ def _execute_ejoin_impl(
                 codes = ctx.quant_store_for(store_key, right, precision, store)
             return scan(left_vectors, codes.representation(), precision)
 
-        result = _quantized_scan(store_key, precision, report, quantized)
+        result = _quantized_scan(store_key, precision, report, quantized, ctx.breakers)
     if result is not None:
         return finish(result, right)
     # A key's top-k pairs against one registration of a plain scan are a

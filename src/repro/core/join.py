@@ -18,9 +18,8 @@ from ..errors import JoinError
 from ..index.base import VectorIndex
 from ..vector.kernels import Kernel
 from .caps import CapPartition
-from .conditions import JoinCondition, TopKCondition, validate_condition
-from .cost_model import CostParams, choose_access_path
-from .index_join import DEFAULT_PROBE_K, index_join
+from .conditions import JoinCondition, validate_condition
+from .index_join import index_join
 from .nlj import naive_nlj, prefetch_nlj
 from .quantized_join import quantized_tensor_join
 from .result import JoinResult, JoinStats
@@ -35,7 +34,6 @@ from .tensor_join import tensor_join
 #: (``parallel-tensor/<n>t``); ``None`` runs on the caller's engine, if any.
 #: The label is the one rule that picks what a scan reads.
 STRATEGIES = {
-    "auto": ("auto", None, None),
     "naive-nlj": ("naive-nlj", None, None),
     "nlj": ("nlj", Kernel.VECTORIZED, None),
     "nlj-scalar": ("nlj", Kernel.SCALAR, None),
@@ -87,7 +85,7 @@ def ejoin(
     condition: JoinCondition | None = None,
     *,
     model: EmbeddingModel | None = None,
-    strategy: str = "auto",
+    strategy: str = "tensor",
     index: VectorIndex | None = None,
     allowed: np.ndarray | None = None,
     probe_k: int | None = None,
@@ -95,8 +93,6 @@ def ejoin(
     batch_left: int | None = None,
     batch_right: int | None = None,
     buffer_budget_bytes: int | None = None,
-    cost_params: CostParams | None = None,
-    selectivity_hint: float = 1.0,
     assume_normalized: bool = False,
     engine: ExecutionEngine | None = None,
     caps=None,
@@ -111,12 +107,10 @@ def ejoin(
         model: embedding model for raw inputs (prefetch-embedded once,
             except under ``strategy="naive-nlj"`` which embeds per pair).
         strategy: a label of :data:`STRATEGIES`.
-        index: pre-built vector index over the right relation (enables the
-            ``index`` strategy and informs ``auto``).
+        index: pre-built vector index over the right relation (the
+            ``index`` strategy probes it).
         allowed: pre-filter bitmap over right ids (index strategy).
         probe_k: retrieval depth when a threshold condition runs on an index.
-        selectivity_hint: relational selectivity estimate for ``auto``'s
-            access-path selection.
         assume_normalized: both inputs are already unit rows; the
             ``tensor`` and ``parallel-tensor`` scans then skip their own
             normalization (other strategies normalize as usual).
@@ -125,8 +119,7 @@ def ejoin(
             ``parallel-tensor`` builds one from ``n_threads`` when absent).
         caps: the ``tensor`` / ``parallel-tensor`` / ``tensor-int8`` /
             ``tensor-pq`` scans' cap partition of ``right``
-            (:func:`~repro.core.tensor_join.tensor_join`); ``auto`` prices a
-            top-k scan on it against ``index``, as the planner does.
+            (:func:`~repro.core.tensor_join.tensor_join`).
 
     Returns:
         :class:`JoinResult` of matched offset pairs and their similarities.
@@ -137,24 +130,11 @@ def ejoin(
     if strategy not in STRATEGIES:
         raise JoinError(f"unknown strategy {strategy!r}; have {tuple(STRATEGIES)}")
     if engine is not None and n_threads is not None:
-        # Rejected up front so the error does not depend on which strategy
-        # "auto" happens to select for this input size.
         raise JoinError(
             "pass either n_threads or a pre-configured engine, not both "
             "(the engine already fixes the worker count)"
         )
 
-    if strategy == "auto":
-        strategy = _auto_strategy(
-            left,
-            right,
-            condition,
-            index=index,
-            probe_k=probe_k,
-            cost_params=cost_params,
-            selectivity_hint=selectivity_hint,
-            caps=caps,
-        )
     access, reads, engine_kind = STRATEGIES[strategy]
 
     if access == "index":
@@ -194,42 +174,3 @@ def ejoin(
         )
     result.stats.strategy = _scan_label(strategy, reads, engine)
     return result
-
-
-def _auto_strategy(
-    left,
-    right,
-    condition: JoinCondition,
-    *,
-    index: VectorIndex | None,
-    probe_k: int | None,
-    cost_params: CostParams | None,
-    selectivity_hint: float,
-    caps,
-) -> str:
-    """Cost-based physical strategy selection."""
-    topk = isinstance(condition, TopKCondition)
-    k = condition.k if topk else DEFAULT_PROBE_K if probe_k is None else probe_k
-    n_left = len(left)
-    if index is not None:
-        decision = choose_access_path(
-            n_left,
-            len(index),
-            k,
-            index.dim,
-            selectivity=selectivity_hint,
-            params=cost_params,
-            caps=caps.probe_terms(condition) if caps and right is not None else None,
-            index_lists=index.probe_terms(),
-        )
-        if decision.choice == "index":
-            return "index"
-    if right is None:
-        # Only the index holds the base side; a scan is impossible.
-        if index is None:
-            raise JoinError("auto strategy needs either right input or index")
-        return "index"
-    # Single-threaded tensor for small inputs, parallel beyond.
-    if n_left * len(right) >= 4_000_000 and isinstance(left, np.ndarray):
-        return "parallel-tensor"
-    return "tensor"

@@ -5,7 +5,7 @@ from .cache import EmbeddingStore
 from .corpus import DEFAULT_TOPICS, generate_corpus, make_misspelling, pluralize
 from .fasttext import FastTextModel
 from .hashing_model import HashingEmbedder
-from .registry import ModelRegistry, default_registry
+from .registry import ModelRegistry
 
 __all__ = [
     "DEFAULT_TOPICS",
@@ -14,7 +14,6 @@ __all__ = [
     "FastTextModel",
     "HashingEmbedder",
     "ModelRegistry",
-    "default_registry",
     "generate_corpus",
     "make_misspelling",
     "pluralize",

@@ -12,7 +12,7 @@ from .base import EmbeddingModel
 
 
 class ModelRegistry:
-    """Process-local name → model mapping."""
+    """Name → model mapping of one engine (or one execution context)."""
 
     def __init__(self) -> None:
         self._models: dict[str, EmbeddingModel] = {}
@@ -40,11 +40,3 @@ class ModelRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._models
-
-
-_default_registry = ModelRegistry()
-
-
-def default_registry() -> ModelRegistry:
-    """The process-wide default registry."""
-    return _default_registry

@@ -54,6 +54,7 @@ from ..index.base import VectorIndex
 from ..relational.catalog import Catalog
 from ..relational.expressions import Expression
 from ..relational.table import Table
+from ..reliability.breaker import BreakerRegistry
 
 
 @dataclass
@@ -69,8 +70,9 @@ class Engine:
         self._index_epoch = 0
         #: Every scan source's derived state and the embed-once stores,
         #: shared by every context (so every query and session) this
-        #: engine mints.
+        #: engine mints, and the circuit breakers of its access paths.
         self.sources = SourceState()
+        self.breakers = BreakerRegistry()
         # One morsel-driven executor is shared by every query on this
         # engine (built lazily so later ``repro.configure(...)`` calls
         # still take effect): cumulative scheduling stats in one place,
@@ -161,8 +163,8 @@ class Engine:
 
     def context(self) -> ExecutionContext:
         """A context over this engine's catalog, models, registered indexes
-        (a snapshot), executor and scan-source state (shared, so state one
-        query builds amortizes across every later one)."""
+        (a snapshot), executor, scan-source state (shared, so state one
+        query builds amortizes across every later one) and breakers."""
         return ExecutionContext(
             self.catalog,
             models=self.models,
@@ -170,6 +172,7 @@ class Engine:
             cost_params=self.cost_params,
             engine=self.executor,
             sources=self.sources,
+            breakers=self.breakers,
         )
 
 
@@ -245,12 +248,16 @@ class QueryBuilder:
 
         Exactly one of ``threshold`` (range condition) or ``top_k`` must be
         given; ``min_similarity`` optionally refines ``top_k``.  ``strategy``
-        pins a label of :data:`~repro.core.join.STRATEGIES`.
+        pins a label of :data:`~repro.core.join.STRATEGIES`; with none, the
+        physical planner picks the access path.
         """
         if (threshold is None) == (top_k is None):
             raise PlanError("specify exactly one of threshold= or top_k=")
         if strategy is not None and strategy not in STRATEGIES:
-            raise PlanError(f"unknown strategy {strategy!r}; have {tuple(STRATEGIES)}")
+            raise PlanError(
+                f"unknown strategy {strategy!r}; have {tuple(STRATEGIES)} "
+                "(omit it to let the planner choose)"
+            )
         if threshold is not None:
             condition = ThresholdCondition(threshold)
         else:

@@ -1,5 +1,9 @@
 """Reliability layer: fault injection, retries, breakers, watchdog.
 
+Breaker state is per engine (:class:`~repro.reliability.breaker.BreakerRegistry`,
+owned by each :class:`~repro.query.Engine`); the fault injector is the one
+process-wide piece, armed by tests and the chaos shard.
+
 See ``docs/RELIABILITY.md`` for the fault model and the
 exactness-under-retry argument.  The short version: morsels, kernel
 calls, and store builds are pure, so every recovery mechanism here
@@ -8,7 +12,6 @@ bit-identical results — the layer trades latency for availability,
 never accuracy.
 """
 
-from .breaker import breakers, reset_breakers
 from .faults import active_injector, clear_injector, install_injector, maybe_inject
 from .health import ServiceHealth
 from .retry import BoundRetry, RetryBudget, RetryPolicy
@@ -21,9 +24,7 @@ __all__ = [
     "ServiceHealth",
     "WatchdogPolicy",
     "active_injector",
-    "breakers",
     "clear_injector",
     "install_injector",
     "maybe_inject",
-    "reset_breakers",
 ]

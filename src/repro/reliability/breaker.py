@@ -2,12 +2,14 @@
 
 A breaker guards one *access path* — keyed by
 ``(table, column, model, precision)`` for quantized scan paths and
-``(table, column, model, "index")`` for index probes.  The planner asks
-:meth:`BreakerRegistry.allow` before committing to a path; a tripped
-breaker makes the path unavailable, and the planner falls back down its
-chain (pq → int8 → fp32 scan; index → exact tensor scan).  Because the
-fallback target is the *exact* path, breaker fallbacks never weaken the
-exactness contract — they trade speed for availability, not accuracy.
+``(table, column, model, "index")`` for index probes — in the
+:class:`BreakerRegistry` of the engine that runs the path (its contexts'
+``breakers``).  The planner asks :meth:`BreakerRegistry.allow` before
+committing to a path; a tripped breaker makes the path unavailable, and
+the planner falls back down its chain (pq → int8 → fp32 scan; index →
+exact tensor scan).  Because the fallback target is the *exact* path,
+breaker fallbacks never weaken the exactness contract — they trade speed
+for availability, not accuracy.
 
 State machine (classic three-state breaker):
 
@@ -122,7 +124,9 @@ class CircuitBreaker:
 
 
 class BreakerRegistry:
-    """All breakers of one process, keyed by access-path tuple."""
+    """All breakers of one engine, keyed by access-path tuple: each
+    :class:`~repro.query.Engine` owns one and hands it to every context it
+    mints, so one engine's failing path never gates another's."""
 
     def __init__(
         self,
@@ -171,24 +175,3 @@ class BreakerRegistry:
     def reset(self) -> None:
         with self._lock:
             self._breakers.clear()
-
-
-#: Process-wide registry; the planner and tests share it.
-_registry: BreakerRegistry | None = None
-_registry_lock = threading.Lock()
-
-
-def breakers() -> BreakerRegistry:
-    """The process-wide breaker registry (created lazily)."""
-    global _registry
-    with _registry_lock:
-        if _registry is None:
-            _registry = BreakerRegistry()
-        return _registry
-
-
-def reset_breakers() -> None:
-    """Drop all breaker state (tests; config changes)."""
-    global _registry
-    with _registry_lock:
-        _registry = None

@@ -41,7 +41,6 @@ from ..obs.server import ObservabilityServer
 from ..obs.trace import QueryScope, Tracer, current_scope, span
 from ..query.builder import Engine, QueryBuilder
 from ..relational.table import Table
-from ..reliability.breaker import breakers
 from ..reliability.faults import active_injector, maybe_inject
 from ..reliability.health import ServiceHealth
 from .admission import AdmissionController
@@ -685,8 +684,9 @@ class QueryService:
         """One coherent reliability snapshot of the running service.
 
         ``status`` is ``"degraded"`` (not an error — the service still
-        serves) whenever any circuit breaker is routing around a failing
-        access path or the watchdog has observed worker loss; breaker,
+        serves) whenever a circuit breaker of this service's engine is
+        routing around a failing access path or the watchdog has observed
+        worker loss; breaker,
         retry, watchdog, fault-injection, QoS, and service counters come
         along so the cause is visible in the same picture.
         """
@@ -696,7 +696,7 @@ class QueryService:
         """:meth:`health` over an admission snapshot already read, so a
         scrape reads admission once."""
         engine_snap = self.engine.executor.stats.snapshot()
-        registry = breakers()
+        registry = self.engine.breakers
         open_breakers = registry.open_count()
         watchdog = {
             "stalls": engine_snap["watchdog_stalls"],

@@ -1,22 +1,23 @@
-"""The access-path pick prices the cap-bounded scan: a top-k ``auto`` join
-whose right source already has a cached cap partition runs on it when that
-is cheaper than the IVF probe, and gets the exact answer; with no cached
-partition, or one that would not take the join, the pick is the dense
-scan's against the index, as before.  No test here reads a clock."""
+"""The access-path pick prices the cap-bounded scan: a top-k join with no
+strategy hint whose right source already has a cached cap partition runs
+on it when that is cheaper than the IVF probe, and gets the exact answer;
+with no cached partition, or one that would not take the join, the pick is
+the dense scan's against the index, as before.  No test here reads a
+clock."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import TopKCondition, ejoin
+from repro.core import TopKCondition
 from repro.core import caps as caps_module
 from repro.core.cost_model import CostParams, choose_access_path
 from repro.embedding import HashingEmbedder
 from repro.index import IVFFlatIndex
 from repro.query import Engine
 from repro.relational import Catalog, DataType, Field, Schema, Table
-from repro.reliability.breaker import breakers, reset_breakers
+from repro.reliability.faults import FaultInjector, clear_injector, install_injector
 from repro.vector.norms import normalize_rows
 from repro.workloads import unit_vectors
 
@@ -52,13 +53,6 @@ def make_engine(right: np.ndarray, params: CostParams | None = None) -> Engine:
 @pytest.fixture()
 def engine():
     return make_engine(clustered(N_RIGHT, 2))
-
-
-@pytest.fixture(autouse=True)
-def fresh_breakers():
-    reset_breakers()
-    yield
-    reset_breakers()
 
 
 def run(engine: Engine, strategy: str | None = None, k: int = K):
@@ -140,7 +134,7 @@ def test_k_over_the_decline_share_keeps_the_parent_pick(engine):
 def test_a_tripped_index_breaker_lands_on_the_scan(engine):
     run(engine, "parallel-tensor")
     for _ in range(3):  # the default breaker threshold
-        breakers().record_failure((*KEY, "index"))
+        engine.breakers.record_failure((*KEY, "index"))
     _, stats = run(engine)
     assert stats.strategy == "tensor" and stats.extra["cap_tasks"] >= 1
 
@@ -152,22 +146,44 @@ def test_kept_share_is_measured_below_the_decline_share(engine):
     assert part.probe_terms(TopKCondition(K)) == (len(part.radius), part.kept_share)
 
 
-def test_ejoin_auto_and_the_planner_make_the_same_pick(engine):
-    left = engine.catalog.get("l").array("vec")
-    right = engine.catalog.get("r").array("vec")
-    index = engine.context().indexes[("r", "vec")]
-    condition = TopKCondition(K)
+def test_each_engine_owns_its_index_breaker():
+    """Engine A's failing probe trips A's breaker only: B, healthy with its
+    own index, stays ``ok``, keeps its unhinted pick on its index, and its
+    own successful probe leaves A's breaker open."""
+    first, second = (make_engine(clustered(N_RIGHT, 2)) for _ in range(2))
+    install_injector(
+        FaultInjector(1.0, seed=9, sites=("index.probe",), kinds=("permanent",))
+    )
+    try:
+        for _ in range(3):  # the default breaker threshold
+            _, stats = run(first, "index")
+            assert stats.strategy == "tensor"
+    finally:
+        clear_injector()
+    index_path = "r/vec/m/index"
+    assert first.breakers.snapshot()[index_path]["state"] == "open"
 
-    def core_pick(part) -> str:
-        got = ejoin(left, right, condition, strategy="auto", index=index, caps=part)
-        return "index" if got.stats.strategy.startswith("index") else "scan"
+    with second.serve() as service:
+        health = service.health()
+    assert health.status == "ok" and health.open_breakers == 0
+    assert run(second)[1].strategy.startswith("index")
+    assert run(second, "index")[1].strategy.startswith("index")
+    assert first.breakers.snapshot()[index_path]["state"] == "open"
+    with first.serve() as service:
+        assert service.health().status == "degraded"
 
-    def planner_pick() -> str:
-        return "index" if run(engine)[1].strategy.startswith("index") else "scan"
 
-    assert core_pick(None) == planner_pick() == "index"
-    run(engine, "parallel-tensor")
-    assert core_pick(cached(engine)) == planner_pick() == "scan"
+def test_an_engines_contexts_carry_its_one_registry(engine):
+    """Every context an engine mints reads the engine's breakers; a context
+    built bare gets a registry of its own."""
+    from repro.algebra import ExecutionContext
+
+    assert engine.context().breakers is engine.breakers
+    assert engine.context().breakers is engine.context().breakers
+    assert make_engine(clustered(64, 4)).breakers is not engine.breakers
+    bare = ExecutionContext(engine.catalog)
+    assert bare.breakers is not engine.breakers
+    assert bare.breakers is not ExecutionContext(engine.catalog).breakers
 
 
 @pytest.mark.obs

@@ -187,19 +187,11 @@ class TestStoreAmortization:
     ):
         from dataclasses import replace
 
-        from repro.reliability.breaker import breakers, reset_breakers
-
-        reset_breakers()
-        try:
-            for _ in range(3):
-                breakers().record_failure(("base", "emb", "hash", "int8"))
-            report = ExecutionReport()
-            execute(
-                replace(join_plan, strategy_hint="tensor-int8"), ctx, report=report
-            )
-            assert report.strategies == ["tensor"]
-        finally:
-            reset_breakers()
+        for _ in range(3):
+            ctx.breakers.record_failure(("base", "emb", "hash", "int8"))
+        report = ExecutionReport()
+        execute(replace(join_plan, strategy_hint="tensor-int8"), ctx, report=report)
+        assert report.strategies == ["tensor"]
 
     def test_scan_inputs_normalized_once_and_bit_identical(self, ctx, join_plan):
         """Plain table scans share the context's unit-row matrix across

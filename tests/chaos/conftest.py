@@ -1,8 +1,9 @@
 """Fixtures for the chaos suite: clean reliability state per test.
 
-Every test here installs a process-wide fault injector and exercises the
-process-wide breaker registry, so each one starts and ends with both
-cleared — a leaked injector would poison whatever test runs next.
+Every test here installs the process-wide fault injector, so each one
+starts and ends with it cleared — a leaked injector would poison whatever
+test runs next.  Breaker state needs no clearing: it lives on the engine
+(or context) each test builds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from _chaos_utils import DIM
-from repro.reliability.breaker import reset_breakers
 from repro.reliability.faults import clear_injector
 from repro.workloads import unit_vectors
 
@@ -19,10 +19,8 @@ from repro.workloads import unit_vectors
 @pytest.fixture(autouse=True)
 def _clean_reliability_state():
     clear_injector()
-    reset_breakers()
     yield
     clear_injector()
-    reset_breakers()
 
 
 @pytest.fixture()

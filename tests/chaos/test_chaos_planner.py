@@ -21,7 +21,6 @@ from repro.algebra import (
 from repro.core import ThresholdCondition, TopKCondition
 from repro.embedding import HashingEmbedder, ModelRegistry
 from repro.index import FlatIndex
-from repro.reliability.breaker import breakers
 from repro.reliability.faults import FaultInjector, install_injector
 from repro.relational import Catalog, DataType, Field, Schema, Table
 
@@ -99,7 +98,7 @@ def test_an_input_error_is_raised_once_and_trips_no_breaker(forced, monkeypatch)
     assert report.fallbacks == []
     assert all(
         entry["failures"] == 0 and entry["state"] == "closed"
-        for entry in breakers().snapshot().values()
+        for entry in ctx.breakers.snapshot().values()
     )
     assert len(scans) <= 1  # the store build may raise before any scan
 
@@ -124,7 +123,7 @@ def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
         assert report.fallbacks == ["base/emb/hash/int8"]
         assert report.strategies == ["tensor"]
         assert_tables_equal(out, reference, context="int8 fallback")
-    assert breakers().snapshot()["base/emb/hash/int8"]["state"] == "open"
+    assert ctx.breakers.snapshot()["base/emb/hash/int8"]["state"] == "open"
 
     # Open breaker: the planner routes straight to fp32 without touching
     # the failing build path at all.
@@ -152,7 +151,7 @@ def test_pq_build_faults_walk_the_whole_chain_to_exact():
         assert report.fallbacks == ["base/emb/hash/pq", "base/emb/hash/int8"]
         assert report.strategies == ["tensor"]
         assert_tables_equal(out, reference, context="pq -> int8 -> fp32")
-    snapshot = breakers().snapshot()
+    snapshot = ctx.breakers.snapshot()
     assert snapshot["base/emb/hash/pq"]["state"] == "open"
     assert snapshot["base/emb/hash/int8"]["state"] == "open"
 
@@ -168,14 +167,15 @@ def test_selection_has_no_fallback_edge():
         ThresholdCondition(0.3),
     )
     reference = execute(select, make_ctx())
+    ctx = make_ctx()
     for precision in ("pq", "int8"):
         for _ in range(3):
-            breakers().record_failure(("base", "emb", "hash", precision))
+            ctx.breakers.record_failure(("base", "emb", "hash", precision))
     injector = install_injector(
         FaultInjector(1.0, seed=7, sites=("quant.build",), kinds=("permanent",))
     )
     report = ExecutionReport()
-    out = execute(select, make_ctx(), report=report)
+    out = execute(select, ctx, report=report)
     assert report.fallbacks == [] and report.strategies == ["eselect/scan"]
     assert_tables_equal(out, reference, context="selection")
     assert injector.stats.snapshot()["by_site"].get("quant.build", 0) == 0
@@ -187,7 +187,7 @@ def test_pq_faults_walk_the_chain_down_to_int8():
     ctx = make_ctx()
     # Pre-open only the pq breaker; int8 stays healthy.
     for _ in range(3):
-        breakers().record_failure(("base", "emb", "hash", "pq"))
+        ctx.breakers.record_failure(("base", "emb", "hash", "pq"))
     report = ExecutionReport()
     out = execute(make_join(strategy_hint="tensor-pq"), ctx, report=report)
     assert report.strategies == ["tensor-int8"]
@@ -195,6 +195,25 @@ def test_pq_faults_walk_the_chain_down_to_int8():
     exact = execute(make_join(), make_ctx())
     for column in ("l_id", "r_id"):
         assert out.array(column).tolist() == exact.array(column).tolist()
+
+
+@pytest.mark.parametrize("method", ["int8", "pq"])
+def test_a_tripped_code_breaker_stays_with_its_context(method):
+    """A code path tripped on one context is closed on another: that one
+    builds its own store and scans the codes its hint names."""
+    tripped = make_ctx()
+    for _ in range(3):
+        tripped.breakers.record_failure(("base", "emb", "hash", method))
+    hinted = make_join(strategy_hint=f"tensor-{method}")
+    report = ExecutionReport()
+    execute(hinted, tripped, report=report)
+    assert report.strategies == [{"int8": "tensor", "pq": "tensor-int8"}[method]]
+    healthy = make_ctx()
+    report = ExecutionReport()
+    execute(hinted, healthy, report=report)
+    assert report.strategies == [f"tensor-{method}"] and report.fallbacks == []
+    assert healthy.breakers.open_count() == 0
+    assert tripped.breakers.open_count() == 1
 
 
 def test_index_probe_faults_fall_back_to_scan_and_trip_breaker():
@@ -217,9 +236,9 @@ def test_index_probe_faults_fall_back_to_scan_and_trip_breaker():
         assert report.fallbacks == ["base/emb/hash/index"]
         assert report.strategies == ["tensor"]
         assert_tables_equal(out, reference, context="index fallback")
-    assert breakers().snapshot()["base/emb/hash/index"]["state"] == "open"
+    assert ctx.breakers.snapshot()["base/emb/hash/index"]["state"] == "open"
 
-    # Auto path with the breaker open: the cost model sees "no index"
+    # Unhinted join with the breaker open: the cost model sees "no index"
     # and lands on the scan without a single probe.
     probes_before = injector.stats.snapshot()["by_site"].get("index.probe", 0)
     report = ExecutionReport()
@@ -235,7 +254,7 @@ def test_index_probe_faults_fall_back_to_scan_and_trip_breaker():
 def test_index_breaker_success_closes_again():
     """A healthy probe after the cooldown trial closes the breaker."""
     key = ("base", "emb", "hash", "index")
-    registry = breakers()
+    registry = make_ctx().breakers
     for _ in range(3):
         registry.record_failure(key)
     assert registry.snapshot()["base/emb/hash/index"]["state"] == "open"
@@ -260,14 +279,14 @@ def test_join_walks_the_chain_past_a_tripped_pq_breaker():
     def states():
         return {
             key.rsplit("/", 1)[1]: entry["state"]
-            for key, entry in breakers().snapshot().items()
+            for key, entry in ctx.breakers.snapshot().items()
         }
 
     assert run()[1].strategies == ["tensor-pq"]
     exact = execute(make_join(strategy_hint="tensor"), make_ctx())
 
     for _ in range(3):
-        breakers().record_failure(("base", "emb", "hash", "pq"))
+        ctx.breakers.record_failure(("base", "emb", "hash", "pq"))
     assert states() == {"pq": "open"}
     install_injector(
         FaultInjector(1.0, seed=5, sites=("quant.build",), kinds=("permanent",))
@@ -286,7 +305,7 @@ def test_join_walks_the_chain_past_a_tripped_pq_breaker():
 
     # int8 heals (pq stays tripped): the join settles on int8.
     clear_injector()
-    breakers().record_success(("base", "emb", "hash", "int8"))
+    ctx.breakers.record_success(("base", "emb", "hash", "int8"))
     _, report = run()
     assert report.fallbacks == [] and report.strategies == ["tensor-int8"]
     assert states() == {"pq": "open", "int8": "closed"}

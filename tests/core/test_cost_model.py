@@ -92,6 +92,15 @@ class TestAccessPathSelection:
         )
         assert decision.choice == "index"
 
+    def test_a_cheap_probe_moves_a_small_join_onto_the_index(self, params):
+        """30 x 40 x 8, top-1: the scan wins at default prices and at 1%
+        selectivity; a near-free probe wins at full selectivity."""
+        shape = (30, 40, 1, 8)
+        assert choose_access_path(*shape, params=params).choice == "scan"
+        assert choose_access_path(*shape, selectivity=0.01, params=params).choice == "scan"
+        cheap = CostParams(probe_hop=0.0001, probe_beam=0.001)
+        assert choose_access_path(*shape, params=cheap).choice == "index"
+
     def test_no_index_forces_scan(self, params):
         decision = choose_access_path(
             1_000, 1_000_000, 1, 100, selectivity=1.0, index_available=False

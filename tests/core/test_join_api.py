@@ -83,7 +83,22 @@ class TestDispatch:
                 assert got.stats.strategy == (f"{label}/2t" if engine_kind else label)
 
     def test_strategy_names_constant(self):
-        assert "auto" in STRATEGIES and "tensor" in STRATEGIES
+        """Every label names one path; none asks ``ejoin`` to choose one."""
+        assert "auto" not in STRATEGIES and "tensor" in STRATEGIES
+        assert len(STRATEGIES) == 8
+
+    def test_defaults_to_the_fp32_scan(self):
+        """With no label ``ejoin`` runs the one-worker fp32 scan whatever
+        the input size, an index at hand or not: it picks nothing."""
+        rng = np.random.default_rng(80)
+        left = rng.standard_normal((2100, 4)).astype(np.float32)
+        right = rng.standard_normal((2100, 4)).astype(np.float32)
+        index = FlatIndex(4)
+        index.add(right)
+        condition = ThresholdCondition(0.99)
+        got = ejoin(left, right, condition, index=index)
+        assert got.stats.strategy == "tensor"
+        assert got.pairs() == tensor_join(left, right, condition).pairs()
 
 
 class TestValidation:
@@ -111,63 +126,6 @@ class TestValidation:
         left, right = small_vectors
         with pytest.raises(JoinError, match="model"):
             ejoin(left, right, THRESHOLD, strategy="naive-nlj")
-
-    def test_auto_without_inputs(self, small_vectors):
-        left, _ = small_vectors
-        with pytest.raises(JoinError, match="right input or index"):
-            ejoin(left, None, THRESHOLD, strategy="auto")
-
-
-class TestAutoSelection:
-    def test_auto_small_input_uses_tensor(self, small_vectors):
-        left, right = small_vectors
-        result = ejoin(left, right, THRESHOLD, strategy="auto")
-        assert result.stats.strategy == "tensor"
-
-    def test_auto_large_input_parallel(self):
-        rng = np.random.default_rng(80)
-        left = rng.standard_normal((2100, 4)).astype(np.float32)
-        right = rng.standard_normal((2100, 4)).astype(np.float32)
-        result = ejoin(left, right, ThresholdCondition(0.99), strategy="auto")
-        assert result.stats.strategy.startswith("parallel-tensor")
-
-    def test_auto_prefers_index_at_full_selectivity(self, small_vectors, flat_index):
-        """With an index and no filter, the cost model picks the probe for
-        top-1 against a large-enough base (emulated via cost params)."""
-        left, right = small_vectors
-        from repro.core import CostParams
-
-        cheap_probe = CostParams(probe_hop=0.0001, probe_beam=0.001)
-        result = ejoin(
-            left,
-            right,
-            TopKCondition(1),
-            strategy="auto",
-            index=flat_index,
-            cost_params=cheap_probe,
-            selectivity_hint=1.0,
-        )
-        assert result.stats.strategy.startswith("index")
-
-    def test_auto_prefers_scan_at_low_selectivity(self, small_vectors, flat_index):
-        left, right = small_vectors
-        result = ejoin(
-            left,
-            right,
-            TopKCondition(1),
-            strategy="auto",
-            index=flat_index,
-            selectivity_hint=0.01,
-        )
-        assert result.stats.strategy == "tensor"
-
-    def test_auto_index_only_base(self, small_vectors, flat_index):
-        left, _ = small_vectors
-        result = ejoin(
-            left, None, TopKCondition(1), strategy="auto", index=flat_index,
-            selectivity_hint=0.0001,
-        )
-        assert result.stats.strategy.startswith("index")
 
 
 class TestRawItems:

@@ -238,13 +238,6 @@ class TestDispatch:
             assert got.stats.strategy == strategy
             assert got.pairs() == ref
 
-    def test_auto_scans_fp32(self, relations):
-        """``auto`` picks an access path, never codes: only a
-        ``tensor-int8`` / ``tensor-pq`` label reads them."""
-        left, right = relations
-        got = ejoin(left, right, TopKCondition(3), strategy="auto")
-        assert got.stats.strategy == "tensor"
-
     def test_method_defaults_to_int8(self, relations):
         left, right = relations
         got = quantized_tensor_join(left, right, TopKCondition(3))

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.embedding import HashingEmbedder, ModelRegistry, default_registry
+from repro.algebra import ExecutionContext
+from repro.embedding import HashingEmbedder, ModelRegistry
 from repro.errors import EmbeddingError
+from repro.relational import Catalog
 
 
 class TestRegistry:
@@ -33,5 +35,11 @@ class TestRegistry:
         with pytest.raises(EmbeddingError, match="unknown model"):
             reg.get("nope")
 
-    def test_default_registry_is_singleton(self):
-        assert default_registry() is default_registry()
+    def test_contexts_built_without_models_share_no_registry(self):
+        """A context's default registry is its own: a model registered
+        through one context is unknown to another."""
+        first, second = ExecutionContext(Catalog()), ExecutionContext(Catalog())
+        first.models.register("m", HashingEmbedder(dim=8))
+        assert "m" not in second.models
+        with pytest.raises(EmbeddingError, match="unknown model"):
+            second.store_for("m")

@@ -36,7 +36,6 @@ ALLOWED = {
     "DirtyStringWorkload": "type: what generate_dirty_strings returns",
     "install_injector": "hook: arms the process-global fault injector",
     "clear_injector": "hook: disarms it (tests/conftest.py, every test)",
-    "reset_breakers": "hook: clears the process-global breaker registry",
     "FlatIndex": "ref: exact index the approximate ones are checked against",
     "cosine_matrix_vectorized": "ref: row-at-a-time kernel the GEMM must match",
     "crossover_selectivity": "paper Table 1 equation, consumer is ROADMAP item 6",
@@ -80,6 +79,9 @@ DELETED = (
     # What a scan reads is its strategy label's: no chooser substitutes
     # codes for fp32.
     "choose_scan_precision",
+    # Breakers and models belong to an engine (or a context): no
+    # process-wide registry of either.
+    "breakers", "reset_breakers", "default_registry",
 )
 
 pytestmark = pytest.mark.skipif(

@@ -11,7 +11,6 @@ from repro import QueryService
 from repro.errors import DeadlineExceededError, SchemaError, ServiceOverloadError
 from repro.obs.export import prometheus_text, snapshot_rows
 from repro.obs.metrics import Histogram
-from repro.reliability.breaker import breakers, reset_breakers
 
 pytestmark = pytest.mark.obs
 
@@ -108,31 +107,42 @@ class TestSnapshotRowsAndExposition:
 class TestBreakerTransitions:
     def test_breaker_transitions_render_in_metrics(self, obs_engine):
         """A breaker's transitions, counted once on the breaker in the
-        process breaker registry, render as the service's
+        engine's breaker registry, render as the service's
         ``repro_breaker_transitions_total{to}``; a state never entered
         renders no sample."""
-        reset_breakers()
-        try:
-            registry = breakers()
-            registry.cooldown_s = 0.0
-            key = ("corpus", "emb", "m", "index")
-            with QueryService(obs_engine) as service:
-                for _ in range(registry.threshold):
-                    registry.record_failure(key)  # trips open
-                text = service.metrics()
-                assert 'repro_breaker_transitions_total{to="open"} 1' in text
-                assert 'to="half_open"' not in text and 'to="closed"' not in text
-                assert registry.allow(key)  # half-open trial after zero cooldown
-                registry.record_success(key)  # recovers
-                text = service.metrics()
+        registry = obs_engine.breakers
+        registry.cooldown_s = 0.0
+        key = ("corpus", "emb", "m", "index")
+        with QueryService(obs_engine) as service:
+            for _ in range(registry.threshold):
+                registry.record_failure(key)  # trips open
+            text = service.metrics()
             assert 'repro_breaker_transitions_total{to="open"} 1' in text
-            assert 'repro_breaker_transitions_total{to="half_open"} 1' in text
-            assert 'repro_breaker_transitions_total{to="closed"} 1' in text
-            assert 'repro_breaker_trips{path="corpus/emb/m/index"} 1.0' in text
-            assert 'repro_breaker_closes{path="corpus/emb/m/index"} 1.0' in text
-            assert registry.get(key).half_opens == 1
-        finally:
-            reset_breakers()
+            assert 'to="half_open"' not in text and 'to="closed"' not in text
+            assert registry.allow(key)  # half-open trial after zero cooldown
+            registry.record_success(key)  # recovers
+            text = service.metrics()
+        assert 'repro_breaker_transitions_total{to="open"} 1' in text
+        assert 'repro_breaker_transitions_total{to="half_open"} 1' in text
+        assert 'repro_breaker_transitions_total{to="closed"} 1' in text
+        assert 'repro_breaker_trips{path="corpus/emb/m/index"} 1.0' in text
+        assert 'repro_breaker_closes{path="corpus/emb/m/index"} 1.0' in text
+        assert registry.get(key).half_opens == 1
+
+
+    def test_another_engines_breakers_render_nothing(self, obs_engine):
+        """A service renders its own engine's breakers only: a path tripped
+        on another engine shows no sample and leaves the count at zero."""
+        from _service_utils import make_engine
+
+        other = make_engine()
+        for _ in range(other.breakers.threshold):
+            other.breakers.record_failure(("corpus", "emb", "m", "index"))
+        with QueryService(obs_engine) as service:
+            text = service.metrics()
+        assert "repro_breakers_open_total 0" in text
+        assert 'path="corpus/emb/m/index"' not in text
+        assert "repro_breaker_transitions_total" not in text
 
 
 def _families(text: str) -> dict[str, list[str]]:

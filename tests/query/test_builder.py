@@ -49,6 +49,17 @@ class TestConstruction:
                 top_k=1, strategy=strategy,
             )
 
+    def test_auto_is_rejected_at_build_time(self, engine):
+        """The planner is the one chooser: ``"auto"`` is no label, and a
+        join that names no strategy is the way to let the planner pick."""
+        q = engine.query("feed")
+        with pytest.raises(PlanError, match="unknown strategy 'auto'.*omit it"):
+            q.ejoin(
+                "words", left_on="text", right_on="word", model="hash",
+                top_k=1, strategy="auto",
+            )
+        q.ejoin("words", left_on="text", right_on="word", model="hash", top_k=1)
+
     def test_builder_immutability(self, engine):
         base = engine.query("feed")
         filtered = base.where(Col("views") > 100)
