@@ -58,13 +58,14 @@ def drive_workload(service, *, clients: int, queries: int) -> None:
 
     def client(c: int) -> None:
         try:
-            with service.session(f"client-{c}") as session:
-                for qvec in qvecs[c * per_client : (c + 1) * per_client]:
-                    session.execute(
-                        session.query("docs").esimilar(
-                            "emb", qvec, model="encoder", top_k=10
-                        )
-                    )
+            mine = qvecs[c * per_client : (c + 1) * per_client]
+            for i, qvec in enumerate(mine, 1):
+                service.submit(
+                    service.engine.query("docs").esimilar(
+                        "emb", qvec, model="encoder", top_k=10
+                    ),
+                    tag=f"client-{c}/q{i}",
+                )
         except Exception as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
 

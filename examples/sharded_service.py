@@ -57,15 +57,15 @@ def main() -> None:
         # One deterministic stream per worker: numpy Generators are not
         # thread-safe, so threads must not share one.
         rng = repro.rng(f"example/traffic/{worker}")
-        with service.session(f"user-{worker}") as session:
-            for _ in range(QUERIES_PER_CLIENT):
-                qvec = hot[int(rng.integers(len(hot)))]
-                out = session.execute(
-                    session.query("docs")
-                    .esimilar("emb", qvec, model="encoder", top_k=5)
-                    .select(["doc_id", "similarity"])
-                )
-                results.append(out)
+        for i in range(1, QUERIES_PER_CLIENT + 1):
+            qvec = hot[int(rng.integers(len(hot)))]
+            out = service.submit(
+                engine.query("docs")
+                .esimilar("emb", qvec, model="encoder", top_k=5)
+                .select(["doc_id", "similarity"]),
+                tag=f"user-{worker}/q{i}",
+            )
+            results.append(out)
 
     results: list = []
     threads = [

@@ -61,7 +61,7 @@ class SourceState:
     """Derived state of every plain ``Scan(table)`` source, and the one
     version rule it follows.  An :class:`~repro.query.builder.Engine`
     owns one and hands it to every context it mints, so state built by
-    one query amortizes across every later query and concurrent session.
+    one query amortizes across every later query and concurrent client.
 
     An entry is keyed ``(table, column, model, representation)`` — the
     representation one of ``"unit"`` (the unit-row matrix), ``"caps"``
@@ -79,7 +79,7 @@ class SourceState:
     nothing; and state never pairs with rows of another registration or
     vectors of another model.
 
-    Builds hold a per-entry lock, so sessions racing a cold source build
+    Builds hold a per-entry lock, so clients racing a cold source build
     it once while unrelated sources never serialize; :attr:`lock`
     guards the bookkeeping (and a memo's ``put``).
     """
@@ -374,7 +374,7 @@ def _execute_eselect(
     query = eselect_query(node, ctx.store_for)
     with span("planner.eselect") as sp:
         # Scan sources share one normalize-once matrix across queries and
-        # sessions; eselect's exact-rescore contract makes the shared and
+        # clients; eselect's exact-rescore contract makes the shared and
         # inline-normalized paths bit-identical.
         shared = store_key is not None
         result = eselect(

@@ -24,7 +24,7 @@ from .base import EmbeddingModel
 class EmbeddingStore:
     """Materialised item → embedding mapping for one model.
 
-    Thread-safe: concurrent sessions of the query service share one store
+    Thread-safe: concurrent clients of the query service share one store
     per model, so the get-or-embed path is serialized by an internal lock —
     two threads racing on the same new items embed them exactly once, and
     readers never observe a half-updated ``items``/``vectors`` pair.

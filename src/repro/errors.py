@@ -116,10 +116,6 @@ class ServiceOverloadError(ServiceError):
     within the submission's backpressure timeout."""
 
 
-class SessionClosedError(ServiceError):
-    """A query was submitted through a closed session handle."""
-
-
 class DeadlineExceededError(ServiceError):
     """A query's deadline expired, or was provably unmeetable, before a
     result could be produced.

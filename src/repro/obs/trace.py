@@ -2,7 +2,7 @@
 
 The service opens one :class:`QueryScope` per submission; it carries the
 query's trace, deadline, tag and retry budget, and every layer below —
-plan cache, coalescer, engine, physical planner — reads it (:func:`span`,
+optimizer, coalescer, engine, physical planner — reads it (:func:`span`,
 :func:`current_scope`) without any parameter threading.  It works
 because the service executes queries on the submitting (caller) thread,
 so the scope set at dispatch is visible to everything the query runs on

@@ -69,7 +69,7 @@ class Engine:
         self._indexes: dict[tuple[str, str], VectorIndex] = {}
         self._index_epoch = 0
         #: Every scan source's derived state and the embed-once stores,
-        #: shared by every context (so every query and session) this
+        #: shared by every context (so every query and client) this
         #: engine mints, and the circuit breakers of its access paths.
         self.sources = SourceState()
         self.breakers = BreakerRegistry()
@@ -152,10 +152,10 @@ class Engine:
         Keyword arguments are forwarded to the service constructor
         (``max_inflight``, ``coalesce``, the result cache's size,
         tracing, ...); anything unspecified keeps its component's default.
-        Use :meth:`QueryService.submit` for plain exact serving,
-        :meth:`QueryService.submit_qos` for deadline/priority terms, and
-        wrap the service in :class:`~repro.service.AsyncQueryService` for
-        asyncio clients.
+        Clients call :meth:`QueryService.submit` for plain exact serving
+        and :meth:`QueryService.submit_qos` for deadline/priority terms,
+        each naming its query with ``tag=``; wrap the service in
+        :class:`~repro.service.AsyncQueryService` for asyncio clients.
         """
         from ..service import QueryService
 

@@ -1,67 +1,20 @@
-"""Table catalog: named registry of base tables with basic statistics.
+"""Table catalog: named registry of base tables and their versions.
 
-The optimizer reads cardinalities and per-column statistics from here when
-costing plans (Section IV's cost model parametrization).
+The optimizer reads a table's cardinality from here (the E-join side
+swap); a filter's selectivity is measured from its pre-filter bitmap when
+the planner prices an access path, never estimated from column statistics.
+Every registration bumps the table's version, which keys the service's
+result cache and the shard maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SchemaError
-from .schema import DataType
 from .table import Table
-
-
-@dataclass
-class ColumnStats:
-    """Lightweight per-column statistics for costing and selectivity."""
-
-    n_distinct: int
-    min_value: float | None = None
-    max_value: float | None = None
-
-    @classmethod
-    def compute(cls, table: Table, name: str) -> "ColumnStats":
-        col = table.column(name)
-        if col.dtype is DataType.TENSOR:
-            return cls(n_distinct=len(col))
-        data = col.data
-        if data.dtype == object:
-            return cls(n_distinct=len(set(data.tolist())))
-        if len(data) == 0:
-            return cls(n_distinct=0)
-        return cls(
-            n_distinct=int(len(np.unique(data))),
-            min_value=float(np.min(data)),
-            max_value=float(np.max(data)),
-        )
-
-    def estimate_range_selectivity(self, lo: float | None, hi: float | None) -> float:
-        """Uniformity-assumption selectivity of ``lo <= x <= hi``."""
-        if self.min_value is None or self.max_value is None:
-            return 1.0
-        span = self.max_value - self.min_value
-        if span <= 0:
-            return 1.0
-        lo = self.min_value if lo is None else max(lo, self.min_value)
-        hi = self.max_value if hi is None else min(hi, self.max_value)
-        if hi < lo:
-            return 0.0
-        return float((hi - lo) / span)
-
-
-@dataclass
-class CatalogEntry:
-    table: Table
-    stats: dict[str, ColumnStats] = field(default_factory=dict)
-
-    def column_stats(self, name: str) -> ColumnStats:
-        if name not in self.stats:
-            self.stats[name] = ColumnStats.compute(self.table, name)
-        return self.stats[name]
 
 
 @dataclass(frozen=True)
@@ -113,14 +66,14 @@ class Catalog:
     """Named registry of base tables."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, CatalogEntry] = {}
+        self._tables: dict[str, Table] = {}
         self._versions: dict[str, int] = {}
         self._shard_maps: dict[tuple[str, int, int], ShardMap] = {}
 
     def register(self, name: str, table: Table, *, replace: bool = False) -> None:
-        if name in self._entries and not replace:
+        if name in self._tables and not replace:
             raise SchemaError(f"table {name!r} already registered")
-        self._entries[name] = CatalogEntry(table)
+        self._tables[name] = table
         # Monotonic per-name version: never reset on drop, so any cache
         # keyed by (name, version) is invalidated by re-registration even
         # through a drop/register cycle.
@@ -132,20 +85,16 @@ class Catalog:
         return self._versions[name]
 
     def drop(self, name: str) -> None:
-        if name not in self._entries:
+        if name not in self._tables:
             raise SchemaError(f"table {name!r} is not registered")
-        del self._entries[name]
+        del self._tables[name]
 
     def get(self, name: str) -> Table:
-        if name not in self._entries:
+        if name not in self._tables:
             raise SchemaError(
-                f"unknown table {name!r}; have {sorted(self._entries)}"
+                f"unknown table {name!r}; have {sorted(self._tables)}"
             )
-        return self._entries[name].table
-
-    def entry(self, name: str) -> CatalogEntry:
-        self.get(name)
-        return self._entries[name]
+        return self._tables[name]
 
     def cardinality(self, name: str) -> int:
         return self.get(name).num_rows
@@ -169,7 +118,7 @@ class Catalog:
         return cached
 
     def names(self) -> list[str]:
-        return sorted(self._entries)
+        return sorted(self._tables)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._tables

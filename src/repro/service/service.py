@@ -1,12 +1,13 @@
 """The concurrent query service fronting :class:`repro.query.Engine`.
 
 ``QueryService`` is the serving layer the ROADMAP's "heavy traffic"
-north-star lands on: clients open lightweight sessions and submit
-declarative queries from their own threads; the service keys each request
-once and answers it from the result cache when it can — on the
-caller's thread, with nothing an execution needs — and otherwise applies
-admission control (bounded in-flight work, backpressure rejections),
-skips the optimizer through the plan cache, fuses concurrent same-source
+north-star lands on: clients submit declarative queries from their own
+threads (:meth:`QueryService.submit`, with a ``tag`` naming client and
+query); the service keys each request once and answers it from the
+result cache when it can — on the caller's thread, with nothing an
+execution needs — and otherwise applies admission control (bounded
+in-flight work, backpressure rejections), optimizes the plan as
+:meth:`QueryBuilder.execute` does, fuses concurrent same-source
 E-selections into shared scans via the coalescing scheduler, and drives
 the engine's morsel scheduler with per-query tags so scheduled work is
 attributable per query.
@@ -30,9 +31,10 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 
+from ..algebra.optimizer import Optimizer
 from ..algebra.physical_planner import ExecutionReport, execute
 from ..config import get_config
-from ..errors import DeadlineExceededError, ServiceError, SessionClosedError
+from ..errors import DeadlineExceededError, ServiceError
 from ..obs.capture import WorkloadRecorder
 from ..obs.critical_path import SlowQueryLog
 from ..obs.export import METRIC_HELP, prometheus_text, snapshot_rows, traces_jsonl
@@ -45,113 +47,19 @@ from ..reliability.faults import active_injector, maybe_inject
 from ..reliability.health import ServiceHealth
 from .admission import AdmissionController
 from .coalescer import CoalescingScheduler, SharedScanRequest
-from .plan_cache import PlanCache, fingerprint
 from .qos import DEFAULT_PRIORITY, ExecTimeTracker, QueryResponse
-from .result_cache import ResultCache, params_signature, table_versions
+from .result_cache import (
+    ResultCache,
+    fingerprint,
+    params_signature,
+    table_versions,
+)
 
 
 def _given(**kwargs) -> dict:
     """The keywords a caller actually passed: ``None`` leaves a setting to
     the default of the constructor that consumes it."""
     return {name: value for name, value in kwargs.items() if value is not None}
-
-
-class SessionHandle:
-    """A client's handle onto the service (context-manager friendly).
-
-    Sessions are cheap — one per connected client — and carry per-session
-    counters plus the tag prefix that attributes engine morsels to the
-    session's queries.
-    """
-
-    def __init__(self, service: "QueryService", name: str) -> None:
-        self.service = service
-        self.name = name
-        self.queries = 0
-        self.errors = 0
-        self._closed = False
-        self._lock = threading.Lock()
-
-    def query(self, table_name: str) -> QueryBuilder:
-        """Start building a declarative query against the shared catalog."""
-        return self.service.engine.query(table_name)
-
-    def execute(
-        self,
-        query: "QueryBuilder | object",
-        *,
-        timeout_s: float | None = None,
-        explain_analyze: bool = False,
-    ) -> Table:
-        """Submit a query (builder or logical plan) and block for its result.
-
-        With ``explain_analyze=True`` the return value is the full
-        :class:`~repro.service.qos.QueryResponse` (carrying the rendered
-        span tree in ``.explain``) instead of the bare table.
-        """
-        response = self.execute_qos(
-            query, timeout_s=timeout_s, explain_analyze=explain_analyze
-        )
-        return response if explain_analyze else response.table
-
-    def execute_qos(
-        self,
-        query: "QueryBuilder | object",
-        *,
-        deadline_s: float | None = None,
-        priority: int = DEFAULT_PRIORITY,
-        timeout_s: float | None = None,
-        explain_analyze: bool = False,
-    ) -> QueryResponse:
-        """Submit with QoS terms; block for the annotated response.
-
-        Args:
-            deadline_s: deadline relative to now (seconds).  The query is
-                shed with ``DeadlineExceededError`` if it provably cannot
-                meet it; a late-but-started query still returns (with
-                ``deadline_met=False``).
-            priority: larger values win admission and scheduling first.
-            timeout_s: admission backpressure bound (overload wait).
-            explain_analyze: force-trace this query and attach the
-                rendered span tree to ``response.explain``.
-        """
-        seq = self._next_seq()
-        try:
-            return self.service.submit_qos(
-                query,
-                deadline_s=deadline_s,
-                priority=priority,
-                tag=f"{self.name}/q{seq}",
-                timeout_s=timeout_s,
-                explain_analyze=explain_analyze,
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            with self._lock:
-                self.errors += 1
-            raise
-
-    def _next_seq(self) -> int:
-        with self._lock:
-            if self._closed:
-                raise SessionClosedError(f"session {self.name!r} is closed")
-            self.queries += 1
-            return self.queries
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "SessionHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass
@@ -234,7 +142,6 @@ class QueryService:
         config = get_config()
         self.engine = engine
         self.admission = AdmissionController(**_given(max_inflight=max_inflight))
-        self.plans = PlanCache()
         self.results = ResultCache(**_given(capacity=result_cache_size))
         self.coalescer = (
             CoalescingScheduler(engine, **_given(max_batch=coalesce_max_batch))
@@ -253,7 +160,6 @@ class QueryService:
         #: Singleflight slots: one execution's future, that duplicates wait on.
         self._inflight_results: dict[tuple, Future] = {}
         self._singleflight_lock = threading.Lock()
-        self._sessions = 0
         self._closed = False
         self.tracer = Tracer(
             **_given(enabled=obs_enabled, sample_rate=obs_sample_rate)
@@ -272,16 +178,6 @@ class QueryService:
         port = config.obs_http_port if http_port is None else http_port
         if port is not None:
             self.serve_http(port=port)
-
-    # ------------------------------------------------------------------
-    # Sessions
-    # ------------------------------------------------------------------
-    def session(self, name: str | None = None) -> SessionHandle:
-        """Open a cheap per-client session handle."""
-        with self._stats_lock:
-            self._sessions += 1
-            seq = self._sessions
-        return SessionHandle(self, name or f"session-{seq}")
 
     # ------------------------------------------------------------------
     # Submission
@@ -347,7 +243,9 @@ class QueryService:
             deadline_s: deadline relative to now, in seconds (``None``:
                 no deadline).
             priority: larger values win admission first among waiters.
-            tag: morsel-attribution tag for the engine scheduler.
+            tag: names the query to the engine scheduler's per-tag
+                morsel counts, the trace and the workload capture; a
+                client passes its own (``f"client-{c}/q{i}"``).
             timeout_s: admission backpressure bound.
             explain_analyze: force-trace this query (bypassing sampling);
                 ``response.explain`` renders the span tree when read.
@@ -506,9 +404,10 @@ class QueryService:
     def _run_admitted(
         self, plan, keyed: tuple, key: tuple, deadline: float | None, queued: bool
     ) -> tuple[Table, bool]:
-        """An admitted miss: probe again if it queued, plan it, shed it if
-        its deadline is provably unmeetable, then wait for an identical
-        execution already running or run it and store the result."""
+        """An admitted miss: probe again if it queued, optimize it as
+        :meth:`QueryBuilder.execute` does, shed it if its deadline is
+        provably unmeetable, then wait for an identical execution already
+        running or run it and store the result."""
         if queued:
             # An identical query may have finished while this one waited.
             # Probed through ``keyed``, so the versions are read now: a
@@ -518,9 +417,8 @@ class QueryService:
                 sp.set(hit=cached is not None)
             if cached is not None:
                 return cached, True
-        optimized = self.plans.optimize(
-            plan, catalog=self.engine.catalog, shape=keyed[0]
-        )
+        with span("plan.optimize"):
+            optimized = Optimizer(catalog=self.engine.catalog).optimize(plan)
         remaining = None if deadline is None else deadline - time.perf_counter()
         estimate = None if remaining is None else self.qos_tracker.estimate()
         if estimate is not None and estimate > remaining:
@@ -642,7 +540,6 @@ class QueryService:
                 "direct": stats.direct,
                 "result_cache_hits": stats.result_cache_hits,
                 "singleflight_hits": stats.singleflight_hits,
-                "sessions": self._sessions,
             }
             outcomes = {
                 "completed": stats.completed,
@@ -659,7 +556,6 @@ class QueryService:
             "service": service,
             "qos": qos,
             "admission": admission,
-            "plan_cache": self.plans.stats_snapshot(),
             "result_cache": self.results.stats_snapshot(),
         }
         if self.coalescer is not None:

@@ -67,10 +67,9 @@ def _drive(service: QueryService, builders, n_clients: int = 8):
 
     def client(worker: int) -> None:
         try:
-            with service.session(f"chaos-{worker}") as session:
-                barrier.wait()
-                for i in range(worker, len(builders), n_clients):
-                    results[i] = session.execute(builders[i])
+            barrier.wait()
+            for n, i in enumerate(range(worker, len(builders), n_clients), 1):
+                results[i] = service.submit(builders[i], tag=f"chaos-{worker}/q{n}")
         except BaseException as exc:  # noqa: BLE001 - collected for assert
             errors.append(exc)
 
@@ -215,16 +214,15 @@ def test_permanent_faults_fail_fast_and_cleanly(query_vectors):
         )
     )
     builders = _builders(engine, query_vectors[:6])
-    with service.session("perm") as session:
-        failures = 0
-        results = []
-        for b in builders:
-            try:
-                results.append(session.execute(b))
-            except PermanentFault:
-                failures += 1
-        assert failures == 2
-        assert len(results) == 4
+    failures = 0
+    results = []
+    for n, b in enumerate(builders, 1):
+        try:
+            results.append(service.submit(b, tag=f"perm/q{n}"))
+        except PermanentFault:
+            failures += 1
+    assert failures == 2
+    assert len(results) == 4
     snapshot = service.stats_snapshot()
     assert snapshot["service"]["failed"] == 2
     assert snapshot["service"]["completed"] == 4
@@ -233,8 +231,7 @@ def test_permanent_faults_fail_fast_and_cleanly(query_vectors):
 def test_health_snapshot_reports_ok_when_quiet(query_vectors):
     engine = make_engine()
     service = QueryService(engine, coalesce=False)
-    with service.session("quiet") as session:
-        session.execute(_builders(engine, query_vectors[:1])[0])
+    service.submit(_builders(engine, query_vectors[:1])[0], tag="quiet/q1")
     health = service.health()
     assert health.status == "ok"
     assert health.open_breakers == 0

@@ -32,7 +32,6 @@ ALLOWED = {
     "SelectionResult": "type: what eselect / quantized_eselect return",
     "SearchResult": "type: what VectorIndex.search returns",
     "QueryResponse": "type: what QueryService.submit_qos returns",
-    "SessionHandle": "type: what QueryService.session returns",
     "DirtyStringWorkload": "type: what generate_dirty_strings returns",
     "install_injector": "hook: arms the process-global fault injector",
     "clear_injector": "hook: disarms it (tests/conftest.py, every test)",
@@ -50,7 +49,7 @@ DELETED_MODULES = (
     "relational/operators", "algebra/costing.py", "core/calibration.py",
     "index/ivfpq.py", "index/filtering.py", "relational/io.py",
     "workloads/selectivity.py", "reliability/runtime.py", "obs/adapter.py",
-    "core/parallel.py", "service/semantic_cache.py",
+    "core/parallel.py", "service/semantic_cache.py", "service/plan_cache.py",
 )
 DELETED = (
     "HashJoin", "Scan", "Sort", "Limit", "Aggregate", "AggSpec", "Filter",
@@ -82,6 +81,8 @@ DELETED = (
     # Breakers and models belong to an engine (or a context): no
     # process-wide registry of either.
     "breakers", "reset_breakers", "default_registry",
+    # Clients submit with a tag; no session handle wraps submit_qos.
+    "SessionHandle",
 )
 
 pytestmark = pytest.mark.skipif(

@@ -111,13 +111,13 @@ class TestRecorder:
     def test_records_land_as_jsonl(self, tmp_path, obs_engine, query_vectors):
         path = tmp_path / "wl.jsonl"
         with QueryService(obs_engine, capture_path=str(path)) as service:
-            with service.session("cap") as session:
-                for qvec in query_vectors[:4]:
-                    session.execute(
-                        service.engine.query("corpus").esimilar(
-                            "emb", qvec, model=MODEL, top_k=5
-                        )
-                    )
+            for i, qvec in enumerate(query_vectors[:4], 1):
+                service.submit(
+                    service.engine.query("corpus").esimilar(
+                        "emb", qvec, model=MODEL, top_k=5
+                    ),
+                    tag=f"cap/q{i}",
+                )
             stats = service.recorder.stats_snapshot()
         records = load_workload(path)
         assert len(records) == 4 == stats["records"]
@@ -201,22 +201,22 @@ class TestCaptureOverhead:
 
         def drive(service):
             latencies = []
-            with service.session("ovh") as session:
-                for qvec in qvecs[:20]:  # warmup
-                    session.execute(
-                        service.engine.query("corpus").esimilar(
-                            "emb", qvec, model=MODEL, top_k=5
-                        )
-                    )
-                import time
-
-                for qvec in qvecs:
-                    query = service.engine.query("corpus").esimilar(
+            for i, qvec in enumerate(qvecs[:20], 1):  # warmup
+                service.submit(
+                    service.engine.query("corpus").esimilar(
                         "emb", qvec, model=MODEL, top_k=5
-                    )
-                    t0 = time.perf_counter()
-                    session.execute(query)
-                    latencies.append(time.perf_counter() - t0)
+                    ),
+                    tag=f"ovh/q{i}",
+                )
+            import time
+
+            for i, qvec in enumerate(qvecs, 21):
+                query = service.engine.query("corpus").esimilar(
+                    "emb", qvec, model=MODEL, top_k=5
+                )
+                t0 = time.perf_counter()
+                service.submit(query, tag=f"ovh/q{i}")
+                latencies.append(time.perf_counter() - t0)
             return latency_percentiles(latencies)["p50"]
 
         with QueryService(make_engine(), result_cache_size=0) as service:
@@ -240,13 +240,12 @@ class TestCaptureOverhead:
         import pstats
 
         def capture_calls(service) -> int:
-            with service.session("calls") as session:
-                for qvec in query_vectors[:2]:  # warm up
-                    session.execute(_query(service, qvec))
-                profile = cProfile.Profile()
-                profile.enable()
-                session.execute(_query(service, query_vectors[2]))
-                profile.disable()
+            for i, qvec in enumerate(query_vectors[:2], 1):  # warm up
+                service.submit(_query(service, qvec), tag=f"calls/q{i}")
+            profile = cProfile.Profile()
+            profile.enable()
+            service.submit(_query(service, query_vectors[2]), tag="calls/q3")
+            profile.disable()
             return sum(
                 1
                 for file, _, _ in pstats.Stats(profile).stats
@@ -279,14 +278,15 @@ class TestReplay:
 
             def client(c):
                 try:
-                    with service.session(f"c{c}") as session:
-                        barrier.wait()
-                        for qvec in qvecs[c * per_client : (c + 1) * per_client]:
-                            session.execute(
-                                service.engine.query("corpus").esimilar(
-                                    "emb", qvec, model=MODEL, top_k=5
-                                )
-                            )
+                    barrier.wait()
+                    mine = qvecs[c * per_client : (c + 1) * per_client]
+                    for i, qvec in enumerate(mine, 1):
+                        service.submit(
+                            service.engine.query("corpus").esimilar(
+                                "emb", qvec, model=MODEL, top_k=5
+                            ),
+                            tag=f"c{c}/q{i}",
+                        )
                 except Exception as exc:  # noqa: BLE001
                     errors.append(exc)
 
@@ -324,13 +324,13 @@ class TestReplay:
     def test_replay_detects_changed_results(self, tmp_path, query_vectors):
         path = tmp_path / "wl.jsonl"
         with QueryService(make_engine(), capture_path=str(path)) as service:
-            with service.session("s") as session:
-                for qvec in query_vectors[:3]:
-                    session.execute(
-                        service.engine.query("corpus").esimilar(
-                            "emb", qvec, model=MODEL, top_k=5
-                        )
-                    )
+            for i, qvec in enumerate(query_vectors[:3], 1):
+                service.submit(
+                    service.engine.query("corpus").esimilar(
+                        "emb", qvec, model=MODEL, top_k=5
+                    ),
+                    tag=f"s/q{i}",
+                )
         records = load_workload(path)
         records[1]["digest"] = "0" * 64  # simulate a changed result
         with QueryService(make_engine(), result_cache_size=0) as fresh:

@@ -147,13 +147,13 @@ class TestServiceSlowQueries:
         with QueryService(
             obs_engine, obs_enabled=True, obs_sample_rate=1.0, slow_k=4
         ) as service:
-            with service.session("slow") as session:
-                for qvec in query_vectors[:6]:
-                    session.execute(
-                        service.engine.query("corpus").esimilar(
-                            "emb", qvec, model=MODEL, top_k=5
-                        )
-                    )
+            for i, qvec in enumerate(query_vectors[:6], 1):
+                service.submit(
+                    service.engine.query("corpus").esimilar(
+                        "emb", qvec, model=MODEL, top_k=5
+                    ),
+                    tag=f"slow/q{i}",
+                )
             entries = service.slow_queries()
         assert 0 < len(entries) <= 4
         walls = [e["wall_s"] for e in entries]
@@ -164,10 +164,10 @@ class TestServiceSlowQueries:
 
     def test_untraced_service_has_empty_slow_log(self, obs_engine, query_vectors):
         with QueryService(obs_engine, obs_enabled=False) as service:
-            with service.session("s") as session:
-                session.execute(
-                    service.engine.query("corpus").esimilar(
-                        "emb", query_vectors[0], model=MODEL, top_k=5
-                    )
-                )
+            service.submit(
+                service.engine.query("corpus").esimilar(
+                    "emb", query_vectors[0], model=MODEL, top_k=5
+                ),
+                tag="s/q1",
+            )
             assert service.slow_queries() == []

@@ -19,10 +19,9 @@ def _query(service, qvec, *, top_k=5):
 def test_explain_analyze_renders_the_span_tree(obs_engine, query_vectors):
     # obs disabled entirely: explain_analyze must still force a trace.
     with QueryService(obs_engine, obs_enabled=False) as service:
-        with service.session("cli") as session:
-            response = session.execute(
-                _query(service, query_vectors[0]), explain_analyze=True
-            )
+        response = service.submit(
+            _query(service, query_vectors[0]), tag="cli/q1", explain_analyze=True
+        )
     assert response.table.num_rows == 5
     assert response.query_id is not None
     text = response.explain
@@ -30,7 +29,7 @@ def test_explain_analyze_renders_the_span_tree(obs_engine, query_vectors):
     assert lines[0].startswith(f"EXPLAIN ANALYZE {response.query_id} ")
     assert "tag=cli/q" in lines[0]
     assert "status=ok" in lines[0]
-    for name in ("query", "admission", "plan.cache", "cache.lookup", "execute"):
+    for name in ("query", "admission", "plan.optimize", "cache.lookup", "execute"):
         assert name in text, f"span {name!r} missing from:\n{text}"
     # The coalesced single query still records the shared scan + rescore.
     assert "coalesce.scan" in text
@@ -40,23 +39,23 @@ def test_explain_analyze_renders_the_span_tree(obs_engine, query_vectors):
 
 def test_explain_analyze_shows_cache_hit(obs_engine, query_vectors):
     with QueryService(obs_engine, obs_enabled=False) as service:
-        with service.session("cli") as session:
-            query = _query(service, query_vectors[1])
-            first = session.execute(query, explain_analyze=True)
-            second = session.execute(query, explain_analyze=True)
+        query = _query(service, query_vectors[1])
+        first = service.submit(query, tag="cli/q1", explain_analyze=True)
+        second = service.submit(query, tag="cli/q2", explain_analyze=True)
     assert "hit=false" in first.explain
     assert "hit=true" in second.explain
     assert second.query_id != first.query_id
-    # A cache hit never reaches the engine: no execute span.
+    # A cache hit never reaches the engine and plans nothing.
     assert "execute" not in second.explain
+    assert "plan.optimize" in first.explain
+    assert "plan.optimize" not in second.explain
 
 
 def test_explain_analyze_direct_path(obs_engine, query_vectors):
     with QueryService(obs_engine, coalesce=False, obs_enabled=False) as service:
-        with service.session("cli") as session:
-            response = session.execute(
-                _query(service, query_vectors[2]), explain_analyze=True
-            )
+        response = service.submit(
+            _query(service, query_vectors[2]), tag="cli/q1", explain_analyze=True
+        )
     assert "mode=direct" in response.explain
     assert "planner.eselect" in response.explain
 
@@ -80,11 +79,10 @@ def test_explain_analyze_ejoin_shows_engine_run():
     engine.executor = ExecutionEngine(n_threads=2)
 
     with QueryService(engine, obs_enabled=False) as service:
-        with service.session("cli") as session:
-            query = service.engine.query("corpus").ejoin(
-                "other", left_on="emb", right_on="emb", model=MODEL, top_k=3
-            )
-            response = session.execute(query, explain_analyze=True)
+        query = service.engine.query("corpus").ejoin(
+            "other", left_on="emb", right_on="emb", model=MODEL, top_k=3
+        )
+        response = service.submit(query, tag="cli/q1", explain_analyze=True)
     assert "planner.ejoin" in response.explain
     assert "engine.run" in response.explain
     # engine.run nests under the planner span, which nests under execute.
@@ -96,21 +94,19 @@ def test_explain_analyze_ejoin_shows_engine_run():
 
 def test_plain_execute_still_returns_a_table(obs_engine, query_vectors):
     with QueryService(obs_engine, obs_enabled=False) as service:
-        with service.session("cli") as session:
-            table = session.execute(_query(service, query_vectors[3]))
+        table = service.submit(_query(service, query_vectors[3]), tag="cli/q1")
     assert table.num_rows == 5
 
 
 def test_failed_query_trace_retires_with_status(obs_engine, query_vectors):
     with QueryService(obs_engine, obs_sample_rate=1.0) as service:
-        with service.session("cli") as session:
-            # Wrong query dimensionality: fails during execution, inside
-            # the trace scope, not at build time.
-            bad = service.engine.query("corpus").esimilar(
-                "emb", query_vectors[0][: DIM // 2], model=MODEL, top_k=5
-            )
-            with pytest.raises(Exception):
-                session.execute(bad, explain_analyze=True)
+        # Wrong query dimensionality: fails during execution, inside the
+        # trace scope, not at build time.
+        bad = service.engine.query("corpus").esimilar(
+            "emb", query_vectors[0][: DIM // 2], model=MODEL, top_k=5
+        )
+        with pytest.raises(Exception):
+            service.submit(bad, tag="cli/q1", explain_analyze=True)
         traces = service.recent_traces()
     assert traces, "failed query must still retire into the ring"
     assert traces[-1].status == "failed"

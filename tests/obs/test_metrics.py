@@ -209,15 +209,14 @@ class TestServiceExposition:
         running submissions never wait on a whole flattening."""
         with QueryService(obs_engine) as service:
             held = []
-            for layer in (service.admission, service.plans, service.results,
-                          service.coalescer):
+            for layer in (service.admission, service.results, service.coalescer):
                 def spy(snapshot=layer.stats_snapshot):
                     held.append(service._stats_lock.locked())
                     return snapshot()
 
                 layer.stats_snapshot = spy
             text = service.metrics()
-        assert held == [False] * 4
+        assert held == [False] * 3
         assert 'repro_queries_total{outcome="completed"} 0\n' in text
 
     def test_one_help_and_one_type_per_family(self, obs_engine, query_vectors, tmp_path):

@@ -33,12 +33,12 @@ def serving(obs_engine):
 class TestRoutes:
     def test_metrics_route_is_valid_exposition(self, serving, query_vectors):
         service, url = serving
-        with service.session("s") as session:
-            session.execute(
-                service.engine.query("corpus").esimilar(
-                    "emb", query_vectors[0], model=MODEL, top_k=5
-                )
-            )
+        service.submit(
+            service.engine.query("corpus").esimilar(
+                "emb", query_vectors[0], model=MODEL, top_k=5
+            ),
+            tag="s/q1",
+        )
         status, headers, body = _get(url + "/metrics")
         assert status == 200
         assert headers["Content-Type"] == METRICS_CONTENT_TYPE
@@ -67,13 +67,13 @@ class TestRoutes:
 
     def test_traces_and_slow_routes(self, serving, query_vectors):
         service, url = serving
-        with service.session("s") as session:
-            for qvec in query_vectors[:3]:
-                session.execute(
-                    service.engine.query("corpus").esimilar(
-                        "emb", qvec, model=MODEL, top_k=5
-                    )
-                )
+        for i, qvec in enumerate(query_vectors[:3], 1):
+            service.submit(
+                service.engine.query("corpus").esimilar(
+                    "emb", qvec, model=MODEL, top_k=5
+                ),
+                tag=f"s/q{i}",
+            )
         _, _, traces_body = _get(url + "/traces")
         lines = [line for line in traces_body.splitlines() if line]
         assert len(lines) == 3
@@ -102,18 +102,18 @@ class TestRoutes:
 
         def traffic():
             try:
-                with service.session("bg") as session:
-                    i = 0
-                    while not stop.is_set():
-                        session.execute(
-                            service.engine.query("corpus").esimilar(
-                                "emb",
-                                query_vectors[i % len(query_vectors)],
-                                model=MODEL,
-                                top_k=5,
-                            )
-                        )
-                        i += 1
+                i = 0
+                while not stop.is_set():
+                    i += 1
+                    service.submit(
+                        service.engine.query("corpus").esimilar(
+                            "emb",
+                            query_vectors[i % len(query_vectors)],
+                            model=MODEL,
+                            top_k=5,
+                        ),
+                        tag=f"bg/q{i}",
+                    )
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 

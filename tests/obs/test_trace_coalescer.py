@@ -17,11 +17,10 @@ TOP_K = 5
 
 
 def _explain(service, i, vector):
-    with service.session(f"c{i}") as session:
-        query = service.engine.query("corpus").esimilar(
-            "emb", vector, model=MODEL, top_k=TOP_K
-        )
-        return session.execute(query, explain_analyze=True)
+    query = service.engine.query("corpus").esimilar(
+        "emb", vector, model=MODEL, top_k=TOP_K
+    )
+    return service.submit(query, tag=f"c{i}/q1", explain_analyze=True)
 
 
 def _run_clients(service, vectors):

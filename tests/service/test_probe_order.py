@@ -234,10 +234,10 @@ def test_expired_deadline_is_shed_although_the_answer_is_cached():
 
 @pytest.mark.parametrize("door", ["submit", "front"])
 def test_a_miss_is_keyed_exactly_once(monkeypatch, door):
-    import repro.service.plan_cache as plan_cache_mod
     import repro.service.service as service_mod
+    from repro.algebra.optimizer import Optimizer
 
-    calls = {"fingerprint": 0, "params_signature": 0}
+    calls = {"fingerprint": 0, "params_signature": 0, "optimize": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -246,14 +246,15 @@ def test_a_miss_is_keyed_exactly_once(monkeypatch, door):
 
         return counted
 
-    counted_fingerprint = counting("fingerprint", plan_cache_mod.fingerprint)
-    monkeypatch.setattr(plan_cache_mod, "fingerprint", counted_fingerprint)
-    monkeypatch.setattr(service_mod, "fingerprint", counted_fingerprint)
+    monkeypatch.setattr(
+        service_mod, "fingerprint", counting("fingerprint", service_mod.fingerprint)
+    )
     monkeypatch.setattr(
         service_mod,
         "params_signature",
         counting("params_signature", service_mod.params_signature),
     )
+    monkeypatch.setattr(Optimizer, "optimize", counting("optimize", Optimizer.optimize))
     engine = make_engine()
     service = QueryService(engine)
     qvec = unit_vectors(1, DIM, stream=f"probe/once-{door}")[0]
@@ -268,8 +269,7 @@ def test_a_miss_is_keyed_exactly_once(monkeypatch, door):
 
         response = asyncio.run(go())
     assert not response.cache_hit
-    assert calls == {"fingerprint": 1, "params_signature": 1}
-    assert service.stats_snapshot()["plan_cache"]["misses"] == 1
+    assert calls == {"fingerprint": 1, "params_signature": 1, "optimize": 1}
 
 
 def test_cached_submit_stays_inside_its_call_budget():

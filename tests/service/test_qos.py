@@ -176,7 +176,7 @@ def test_generous_deadline_met_and_counted():
     assert snap["deadline_met"] == 1
 
 
-@pytest.mark.parametrize("door", ["submit_qos", "session", "async"])
+@pytest.mark.parametrize("door", ["submit_qos", "async"])
 def test_sheds_unmeetable(door):
     """Every QoS door sheds a deadline the warm tracker proves unmeetable,
     before anything executes."""
@@ -194,7 +194,6 @@ def test_sheds_unmeetable(door):
 
     submit = {
         "submit_qos": lambda: service.submit_qos(query, deadline_s=5.0),
-        "session": lambda: service.session().execute_qos(query, deadline_s=5.0),
         "async": lambda: asyncio.run(front()),
     }[door]
     with pytest.raises(DeadlineExceededError):
@@ -293,7 +292,6 @@ def test_snapshot_has_the_keys_the_benchmark_reads():
         "service": (
             "submitted", "result_cache_hits", "singleflight_hits", "coalesced"
         ),
-        "plan_cache": ("hits", "misses"),
         "coalescer": ("groups", "coalesced_queries"),
         "admission": ("rejected",),
     }
@@ -304,6 +302,23 @@ def test_snapshot_has_the_keys_the_benchmark_reads():
         if key not in snap.get(section, {})
     ]
     assert not missing, missing
+
+
+def test_no_plan_cache_or_session_counters():
+    """A miss is optimized afresh and clients submit directly, so no
+    snapshot block or metric row reports a plan cache or sessions."""
+    engine = make_engine()
+    service = QueryService(engine)
+    query = _topk(engine, unit_vectors(1, DIM, stream="qos/no-plan-cache")[0])
+    service.submit(query, tag="client-0/q1")
+    service.submit(query, tag="client-0/q2")
+    snap = service.stats_snapshot()
+    assert "plan_cache" not in snap
+    assert "sessions" not in snap["service"]
+    text = service.metrics()
+    assert "repro_plan_cache_" not in text
+    assert "repro_service_sessions" not in text
+    assert "repro_service_submitted 2.0\n" in text
 
 
 #: Keywords no constructor takes, because nothing set them: seven service

@@ -1,4 +1,4 @@
-"""QueryService end to end: sessions, mixed concurrent traffic, stats."""
+"""QueryService end to end: mixed concurrent traffic, caches, stats."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.errors import ServiceError, ServiceOverloadError, SessionClosedError
+from repro.errors import ServiceError, ServiceOverloadError
 from repro.query import Engine
 from repro.service import QueryService
 
@@ -65,10 +65,9 @@ def test_mixed_concurrent_traffic_matches_serial(query_vectors):
 
     def client(worker: int):
         try:
-            with service.session(f"client-{worker}") as session:
-                barrier.wait()
-                for i in range(worker, len(builders), 8):
-                    results[i] = session.execute(builders[i])
+            barrier.wait()
+            for n, i in enumerate(range(worker, len(builders), 8), 1):
+                results[i] = service.submit(builders[i], tag=f"client-{worker}/q{n}")
         except BaseException as exc:
             errors.append(exc)
 
@@ -88,7 +87,17 @@ def test_mixed_concurrent_traffic_matches_serial(query_vectors):
     assert snapshot["admission"]["peak_inflight"] <= 8
 
 
-def test_repeated_traffic_hits_caches(query_vectors):
+def test_repeated_traffic_hits_caches(query_vectors, monkeypatch):
+    from repro.algebra.optimizer import Optimizer
+
+    optimized = []
+    original = Optimizer.optimize
+
+    def counted(self, plan):
+        optimized.append(plan)
+        return original(self, plan)
+
+    monkeypatch.setattr(Optimizer, "optimize", counted)
     engine = make_engine()
     service = QueryService(engine, coalesce=False)
     builder = lambda i=0: engine.query("corpus").esimilar(
@@ -98,11 +107,10 @@ def test_repeated_traffic_hits_caches(query_vectors):
     again = service.submit(builder())
     assert again is first  # exact semantic-cache hit returns the cached table
     assert service.stats.result_cache_hits == 1
-    # A cached answer plans nothing; the next payload of the shape reuses
-    # the optimized template.
-    assert (service.plans.stats.hits, service.plans.stats.misses) == (0, 1)
+    # A cached answer plans nothing; each miss is optimized once.
+    assert len(optimized) == 1
     service.submit(builder(1))
-    assert (service.plans.stats.hits, service.plans.stats.misses) == (1, 1)
+    assert len(optimized) == 2
 
 
 def test_singleflight_suppresses_concurrent_duplicates(
@@ -190,25 +198,14 @@ def test_admission_backpressure_rejects(query_vectors):
     assert service.admission.stats.rejected == 1
 
 
-def test_session_lifecycle(query_vectors):
+def test_shutdown_refuses_new_submissions(query_vectors):
     engine = make_engine()
     service = QueryService(engine, coalesce=False)
-    session = service.session("s1")
-    session.execute(
-        session.query("corpus").esimilar(
+    service.submit(
+        engine.query("corpus").esimilar(
             "emb", query_vectors[0], model=MODEL, top_k=2
         )
     )
-    session.close()
-    with pytest.raises(SessionClosedError):
-        session.execute(
-            session.query("corpus").esimilar(
-                "emb", query_vectors[1], model=MODEL, top_k=2
-            )
-        )
-    assert session.queries == 1  # closed submissions are not counted
-    assert session.errors == 0
-
     service.shutdown()
     with pytest.raises(ServiceError):
         service.submit(
@@ -227,11 +224,75 @@ def test_per_query_morsel_tagging(query_vectors):
     # workers; pin two so tagging is exercised regardless of host CPUs.
     engine.executor = ExecutionEngine(n_threads=2)
     service = QueryService(engine, coalesce=False)
-    with service.session("tagged") as session:
-        session.execute(
-            session.query("other").ejoin(
-                "corpus", left_on="emb", right_on="emb", model=MODEL, top_k=2
-            )
-        )
+    service.submit(
+        engine.query("other").ejoin(
+            "corpus", left_on="emb", right_on="emb", model=MODEL, top_k=2
+        ),
+        tag="tagged/q1",
+    )
     tags = engine.executor.stats.by_tag
     assert any(tag.startswith("tagged/q") for tag in tags), tags
+
+
+@pytest.mark.parametrize("door", ["eselect", "builder", "service", "coalesced"])
+def test_a_huge_finite_query_answers_as_its_direction(door):
+    """A query whose every cell is finite but whose fp32 squared norm
+    overflows is scaled by a power of two, not divided down to a zero
+    vector: ``q * 2**70`` answers exactly as ``q``, scores included."""
+    import numpy as np
+
+    from repro.core import TopKCondition, eselect
+    from repro.embedding import HashingEmbedder
+    from repro.relational import Catalog, DataType, Field, Table
+    from repro.relational.column import Column
+
+    rows = np.random.default_rng(7).standard_normal((50, 4)).astype(np.float32)
+    q = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float32)
+    catalog = Catalog()
+    catalog.register(
+        "t",
+        Table.from_columns(
+            [
+                Column(Field("id", DataType.INT64), np.arange(50)),
+                Column(Field("emb", DataType.TENSOR, dim=4), rows),
+            ]
+        ),
+    )
+    engine = Engine(catalog)
+    engine.models.register(MODEL, HashingEmbedder(dim=4))
+    service = QueryService(engine, coalesce=door == "coalesced")
+
+    def answer(query):
+        if door == "eselect":
+            result = eselect(rows, query, TopKCondition(3))
+            return result.ids, result.scores
+        builder = engine.query("t").esimilar("emb", query, model=MODEL, top_k=3)
+        table = builder.execute() if door == "builder" else service.submit(builder)
+        return table.array("id"), table.array("similarity")
+
+    want_ids, want_scores = answer(q)
+    got_ids, got_scores = answer(q * np.float32(2.0**70))
+    assert np.array_equal(got_ids, want_ids)
+    assert got_scores.tobytes() == want_scores.tobytes()
+    assert want_scores[0] > 0
+
+
+@pytest.mark.parametrize("door", ["eselect", "builder", "service", "coalesced"])
+def test_a_query_holding_inf_is_still_rejected(door):
+    """Only a finite query is scaled down: an infinite cell raises
+    ``JoinError`` at every door, as before."""
+    import numpy as np
+
+    from repro.core import TopKCondition, eselect
+    from repro.errors import JoinError
+
+    engine = make_engine()
+    service = QueryService(engine, coalesce=door == "coalesced")
+    q = np.zeros(16, dtype=np.float32)
+    q[3] = np.inf
+    with pytest.raises(JoinError, match="non-finite"):
+        if door == "eselect":
+            eselect(engine.catalog.get("corpus").array("emb"), q, TopKCondition(3))
+        else:
+            builder = engine.query("corpus").esimilar("emb", q, model=MODEL, top_k=3)
+            builder.execute() if door == "builder" else service.submit(builder)

@@ -60,14 +60,14 @@ def _run_concurrent(engine, service, queries):
 
     def client(chunk):
         try:
-            with service.session() as session:
-                barrier.wait()
-                for qi in chunk:
-                    results[qi] = session.execute(
-                        engine.query("corpus").esimilar(
-                            "emb", queries[qi], model=MODEL, top_k=K
-                        )
-                    )
+            barrier.wait()
+            for n, qi in enumerate(chunk, 1):
+                results[qi] = service.submit(
+                    engine.query("corpus").esimilar(
+                        "emb", queries[qi], model=MODEL, top_k=K
+                    ),
+                    tag=f"client-{chunk[0]}/q{n}",
+                )
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
@@ -120,11 +120,11 @@ def test_shutdown_releases_all_segments():
     service.shard_pool.min_rows = 1
     prefix = service.shard_pool.segment_prefix
     queries = unit_vectors(4, 16, stream="shard-svc/shutdown").astype(np.float32)
-    with service.session() as session:
-        for q in queries:
-            session.execute(
-                engine.query("corpus").esimilar("emb", q, model=MODEL, top_k=3)
-            )
+    for n, q in enumerate(queries, 1):
+        service.submit(
+            engine.query("corpus").esimilar("emb", q, model=MODEL, top_k=3),
+            tag=f"shutdown/q{n}",
+        )
     service.shutdown()
     assert leaked_segments(prefix) == []
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import DimensionalityError
+from repro.errors import DimensionalityError, JoinError
 from repro.vector import normalize_rows, normalize_vector
 from repro.vector.norms import l2_norms
 
@@ -58,3 +58,26 @@ class TestNormalizeVector:
     def test_requires_1d(self):
         with pytest.raises(DimensionalityError):
             normalize_vector(np.ones((2, 2)))
+
+
+class TestLargeMagnitudes:
+    """A finite row whose fp32 squared norm overflows (above ~1.8e19) is
+    scaled by a power of two before it is normalized: exact, so it keeps
+    the unscaled row's bits; a NaN or infinite cell still raises."""
+
+    def test_scaled_row_normalizes_to_the_same_bits(self):
+        rows = np.random.default_rng(2).standard_normal((6, 8)).astype(np.float32)
+        scaled = rows.copy()
+        scaled[3] *= np.float32(2.0**70)
+        assert normalize_rows(scaled).tobytes() == normalize_rows(rows).tobytes()
+
+    def test_scaled_vector_normalizes_to_the_same_bits(self):
+        vec = np.random.default_rng(3).standard_normal(8).astype(np.float32)
+        big = normalize_vector(vec * np.float32(2.0**70))
+        assert big.tobytes() == normalize_vector(vec).tobytes()
+
+    def test_a_row_holding_inf_still_raises(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        rows[1, 2] = np.inf
+        with pytest.raises(JoinError, match="non-finite"):
+            normalize_rows(rows)
