@@ -36,3 +36,19 @@ class TestCatalog:
 
     def test_cardinality(self, catalog):
         assert catalog.cardinality("people") == 5
+
+
+class TestVersion:
+    def test_every_register_bumps_the_version(self, catalog, people_table):
+        assert catalog.version("people") == 1
+        catalog.register("people", people_table, replace=True)
+        assert catalog.version("people") == 2
+
+    def test_a_drop_does_not_reset_the_version(self, catalog, people_table):
+        """A result cache keyed by ``(name, version)`` must miss after a
+        drop/register cycle, so the count carries over the drop."""
+        catalog.drop("people")
+        with pytest.raises(SchemaError, match="unknown table"):
+            catalog.version("people")
+        catalog.register("people", people_table)
+        assert catalog.version("people") == 2

@@ -113,6 +113,33 @@ def test_repeated_traffic_hits_caches(query_vectors, monkeypatch):
     assert len(optimized) == 2
 
 
+def test_a_miss_is_optimized_as_the_builder_does(query_vectors, monkeypatch):
+    """An admitted miss runs exactly the plan ``QueryBuilder.execute``
+    would: ``Optimizer(catalog).optimize(plan)``, with the same answer."""
+    from repro.algebra.optimizer import Optimizer
+
+    engine = make_engine()
+    service = QueryService(engine, coalesce=False)
+    builders = _mixed_builders(engine, query_vectors[:4])
+    expected = [
+        Optimizer(catalog=engine.catalog).optimize(b.plan) for b in builders
+    ]
+    ran = []
+    original = QueryService._execute
+
+    def checked(self, optimized):
+        # Compared before running: an unoptimized E-join is a slow NLJ.
+        assert optimized == expected[len(ran)]
+        assert optimized.explain() == builders[len(ran)].optimized_plan().explain()
+        ran.append(optimized)
+        return original(self, optimized)
+
+    monkeypatch.setattr(QueryService, "_execute", checked)
+    for builder in builders:
+        assert_tables_equal(service.submit(builder), builder.execute())
+    assert len(ran) == len(builders)
+
+
 def test_singleflight_suppresses_concurrent_duplicates(
     query_vectors, monkeypatch
 ):
