@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core.caps import CapPartition, build_caps
+from ..core.caps import SELECTIONS_PER_BUILD, CapPartition, build_caps
 from ..core.conditions import ThresholdCondition, TopKCondition
 from ..core.cost_model import CostParams, choose_access_path
 from ..core.eselect import eselect
@@ -81,12 +81,15 @@ class SourceState:
 
     Builds hold a per-entry lock, so clients racing a cold source build
     it once while unrelated sources never serialize; :attr:`lock`
-    guards the bookkeeping (and a memo's ``put``).
+    guards the bookkeeping (and a memo's ``put``).  An entry built only
+    once its uses have paid for it (the caps of a selection source)
+    counts those uses per registration under the same rule (:meth:`tally`).
     """
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
         self._entries: dict[tuple, tuple] = {}
+        self._tallies: dict[tuple, tuple] = {}
         self._build_locks: dict[tuple, threading.Lock] = {}
         self._embed_stores: dict[str, EmbeddingStore] = {}
 
@@ -101,14 +104,26 @@ class SourceState:
         with self._build_lock(key) if derive else nullcontext():
             with self.lock:
                 entry = self._entries.get(key)
-            # ``!=`` on the tail: the store by identity, the tag by value.
-            if entry is None or entry[0] is not table or entry[2:] != (store, tag):
+            if not _valid(entry, table, store, tag):
                 if derive is None:
                     return None
                 entry = (table, derive(store), store, tag)
                 with self.lock:
                     self._entries[key] = entry
             return entry[1]
+
+    def tally(self, key: tuple, table: Table, store: EmbeddingStore) -> int:
+        """One more use of the state under ``key`` that is not built for
+        ``table`` and ``store`` yet: how many there have been (``0``: it is
+        built).  A new table object or store starts the count again."""
+        with self.lock:
+            if _valid(self._entries.get(key), table, store, None):
+                return 0
+            # Kept like an entry, the count in the state's place.
+            tally = self._tallies.get(key)
+            n = tally[1] + 1 if _valid(tally, table, store, None) else 1
+            self._tallies[key] = (table, n, store, None)
+            return n
 
     def entries(self, representation: str) -> dict[tuple, tuple]:
         """``(table, column, model) -> entry`` of one representation: a copy."""
@@ -125,6 +140,13 @@ class SourceState:
             if lock is None:
                 lock = self._build_locks[key] = threading.Lock()
             return lock
+
+
+def _valid(entry: tuple | None, table: Table, store: EmbeddingStore, tag) -> bool:
+    """Whether ``entry`` was derived from this very ``table`` and ``store``
+    for an equal ``tag`` (the tail's ``==``: the store by identity, the tag
+    by value)."""
+    return entry is not None and entry[0] is table and entry[2:] == (store, tag)
 
 
 @dataclass
@@ -218,6 +240,28 @@ class ExecutionContext:
             lambda store: build_caps(self.normalized_matrix_for(key, table, store))
         )
         return self._source(key, "caps", table, store, derive)
+
+    def selection_caps(self, key: tuple, table: Table) -> CapPartition | None:
+        """The cap partition a selection over a scan source prescreens on:
+        the ``"caps"`` entry once one has landed.  Until then each call is
+        one dense selection against this registration, and the
+        :data:`~repro.core.caps.SELECTIONS_PER_BUILD`-th starts the build
+        on a daemon thread, off every request's path; a build that raises
+        leaves this registration dense."""
+        store = self.store_for(key[2])
+        part = self.cap_partition_for(key, table, store, cached=True)
+        misses = 0 if part is not None else self.sources.tally((*key, "caps"), table, store)
+        if misses == SELECTIONS_PER_BUILD:
+            unit = self.normalized_matrix_for(key, table, store)
+
+            def build() -> None:
+                try:
+                    self._source(key, "caps", table, store, lambda _: build_caps(unit))
+                except Exception:  # the registration stays dense
+                    pass
+
+            threading.Thread(target=build, name="repro-caps-build", daemon=True).start()
+        return part
 
     def topk_memo_for(
         self,
@@ -376,14 +420,19 @@ def _execute_eselect(
         # Scan sources share one normalize-once matrix across queries and
         # clients; eselect's exact-rescore contract makes the shared and
         # inline-normalized paths bit-identical.
+        # They prescreen on the source's caps once those have landed.
         shared = store_key is not None
         result = eselect(
             ctx.normalized_matrix_for(store_key, table) if shared else vectors,
             query, node.condition, assume_normalized=shared,
+            caps=ctx.selection_caps(store_key, table) if shared else None,
         )
         report.strategies.append(result.stats.strategy)
         report.join_stats.append(result.stats)
-        sp.set(strategy=result.stats.strategy, rows=table.num_rows)
+        sp.set(
+            strategy=result.stats.strategy, rows=table.num_rows,
+            prescreen=result.stats.extra["prescreen"],
+        )
     return materialize_selection(table, result.ids, result.scores, node.score_column)
 
 

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from ..config import get_config
-from ..index.ivf import kmeans, probe_lists
-from .conditions import TopKCondition
+from ..index.ivf import kmeans, nearest_centroids, probe_lists
+from .conditions import ThresholdCondition, TopKCondition
 from .scan import PRESCREEN_MARGIN, ScanResult, _last_of_full_rows, fold_topk, fp32_dot_slack
 
 #: Rows a cap holds on average: ``ejoin_vectors``-shaped rows keep 0.65% of
@@ -43,6 +43,14 @@ DECLINE_SHARE = 0.25
 
 #: Caps a source needs (4,096 rows) before a partition repays its build.
 MIN_CAPS = 64
+
+#: Dense selections a source serves before its caps are built, off-thread:
+#: about one build's worth.  One build over one dense top-10 / threshold
+#: selection (one BLAS thread, 256 clustered 128-d centres) is 0.73 s /
+#: 2.1 ms = 345 on ``serve_scan``'s 150,000 rows and 3.0 / 0.11 ms = 27 on
+#: 4,096; the larger, so no source up to 150,000 rows builds before its
+#: misses have paid for it.
+SELECTIONS_PER_BUILD = 345
 
 #: Cells phase 2 compares at once: 256 KB of scores, few calls, in cache.
 RUN_CELLS = 1 << 16
@@ -99,9 +107,7 @@ def build_caps(unit_rows: np.ndarray) -> CapPartition | None:
     rng = get_config().rng("caps")
     sample = np.sort(rng.choice(n, min(n, SAMPLE_PER_CAP * n_caps), replace=False))
     centroids = kmeans(unit_rows[sample], n_caps, n_iters=CAP_ITERS, rng=rng)
-    assign = np.concatenate([  # 4,096 rows (~10 MB of scores) at a time
-        np.argmax(unit_rows[lo : lo + 4096] @ centroids.T, axis=1) for lo in range(0, n, 4096)
-    ])
+    assign = nearest_centroids(unit_rows, centroids)
     ids = np.argsort(assign, kind="stable")
     rows, counts = unit_rows[ids], np.bincount(assign)
     starts = np.concatenate(([0], np.cumsum(counts[counts > 0])))
@@ -185,7 +191,9 @@ def cap_join(
 ) -> ScanResult | None:
     """One left task joined on the caps its bounds keep, as ``scan_candidates``
     leaves cells (``.triples``, ``.hits``), or ``None``: they keep over
-    :data:`DECLINE_SHARE`, or the task's state overruns ``allowance`` bytes."""
+    :data:`DECLINE_SHARE`, or the task's state overruns ``allowance`` bytes.
+    ``condition`` is a top-k or threshold condition, or a threshold floor per
+    query row (a scalar serves every row)."""
     n_q, n = len(queries), len(part.ids)
     sizes = np.diff(part.starts)
     topk = isinstance(condition, TopKCondition)
@@ -207,8 +215,10 @@ def cap_join(
         floors = _last_of_full_rows(found[0][0], found[0][2], n_q, k)[1]
         if condition.min_similarity is not None:
             floors = np.maximum(floors, np.float32(condition.min_similarity))
-    else:
+    elif isinstance(condition, ThresholdCondition):
         floors = np.float32(condition.threshold)
+    else:
+        floors = np.asarray(condition, np.float32)
     rows, caps = keep(part, s, floors)
     kept += int(sizes[caps].sum())
     run = max(1, int(min(RUN_CELLS, room // (2 * RUN_CELL_BYTES))))  # a run: < 2 * run cells

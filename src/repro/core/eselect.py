@@ -8,7 +8,9 @@ term removable by prefetching exactly as in the join.
 
 :func:`eselect` is scan-based and exact under any condition.  It runs as
 **prescreen + exact rescore**: a fast BLAS pass produces approximate scores
-whose only job is to select a provable candidate superset, and the
+whose only job is to select a provable candidate superset — over every
+row, or only the rows a cap partition's bounds keep
+(:func:`~repro.core.caps.cap_join`) — and the
 emitted rows are then re-scored with the
 shape-stable :func:`~repro.vector.kernels.stable_dot_scores` kernel.
 Emitted ids and scores are therefore a pure function of the data and the
@@ -35,11 +37,13 @@ from .conditions import (
     TopKCondition,
     validate_condition,
 )
+from .caps import CapPartition, cap_join
 from .nlj import _as_matrix
 from .result import JoinStats
 from .scan import (
     PRESCREEN_MARGIN,
     TOPK_PRESCREEN_PAD,
+    ScanResult,
     dense_score_block,
     merge_topk,
     prove_topk,
@@ -136,7 +140,34 @@ class GroupSelection(NamedTuple):
     select: Callable[[int], tuple[np.ndarray, np.ndarray, int, bool]]
     unique: int  # distinct query vectors: rows of the stacked scan operand
     blocks: int
+    cells: int  # score cells the prescreen computed (cap centres included)
+    prescreen: str  # "caps" or "dense"
     fanned: object | None  # what ``scan=`` answered (``None``: in process)
+
+
+def _cap_prescreen(
+    part: CapPartition, queries: np.ndarray, topk_rows, kpad: int, thr_rows, floors,
+    allowance: float,
+) -> ScanResult | None:
+    """What the dense pass would find, from the caps: each top-k row's
+    ``kpad`` best cells, each threshold row's cells over its floor — or
+    ``None`` if either :func:`~repro.core.caps.cap_join` declines.  A cell
+    the caps drop scores exactly under its row's floor less
+    :data:`PRESCREEN_MARGIN`, so :func:`exact_select` proves on these
+    candidates what it proves on the dense pass's."""
+    empty = np.empty(0, dtype=np.int64)
+    none = (empty, empty, np.empty(0, dtype=np.float32))
+    top = thr = ScanResult(none, none)
+    if topk_rows:
+        top = cap_join(part, TopKCondition(kpad), queries[topk_rows], allowance)
+    if thr_rows and top is not None:
+        thr = cap_join(part, floors, queries[thr_rows], allowance)
+    if top is None or thr is None:
+        return None
+    return ScanResult(
+        top.triples, thr.hits, blocks=top.blocks + thr.blocks, cells=top.cells + thr.cells,
+        peak_bytes=max(top.peak_bytes, thr.peak_bytes),
+    )
 
 
 def select_group(
@@ -146,6 +177,7 @@ def select_group(
     *,
     scan: Callable | None = None,
     budget_bytes: int | None = None,
+    caps: CapPartition | None = None,
 ) -> GroupSelection:
     """Exact E-selections of a group of requests over one scan of
     ``normalized`` — everything that makes a served selection exact.
@@ -153,15 +185,20 @@ def select_group(
     Request ``i`` is the unit query ``qvecs[i]`` under ``conditions[i]``.
     Equal vectors share a scan row (which may then need both top-k
     candidates and threshold hits), the relation streams once for the
-    group, and :func:`exact_select` finalizes each request on its row's
-    candidates — so no answer depends on who shared the scan.
+    group — or only the rows its cap partition keeps — and
+    :func:`exact_select` finalizes each request on its row's candidates,
+    so no answer depends on who shared the scan or how it was prescreened.
     :func:`eselect` is a group of one.
 
     Args:
         scan: a drop-in for the in-process pass, called like
             :meth:`repro.shard.ShardPool.scan_candidates` without its key
             and answering like it; ``None`` from it declines.
-        budget_bytes: cap on one score block of the in-process pass.
+        budget_bytes: cap on one score block of the in-process pass, and
+            on the bound state of the caps'.
+        caps: the cap partition of ``normalized``
+            (:func:`~repro.core.caps.build_caps`); the group prescreens on
+            it before ``scan``, and runs the dense pass if it declines.
     """
     n = len(normalized)
     row_of: dict[bytes, int] = {}
@@ -185,22 +222,29 @@ def select_group(
     floors = np.asarray([thr_floor[urow] for urow in thr_rows], dtype=np.float32)
     kpad = max(1, min(n, kmax + TOPK_PRESCREEN_PAD))
 
-    fanned = None if scan is None else scan(
-        queries, n_rows=n, topk_rows=topk_rows, kpad=kpad,
-        thr_rows=thr_rows, thr_floors=floors,
-    )
+    found = fanned = None
+    if caps is not None:
+        allowance = np.inf if budget_bytes is None else budget_bytes
+        found = _cap_prescreen(caps, queries, topk_rows, kpad, thr_rows, floors, allowance)
+    prescreen = "dense" if found is None else "caps"
+    if found is None and scan is not None:
+        fanned = scan(
+            queries, n_rows=n, topk_rows=topk_rows, kpad=kpad,
+            thr_rows=thr_rows, thr_floors=floors,
+        )
     if fanned is not None:
         cand_ids, cand_floor = fanned.heap_ids, fanned.heap_floor
-        thr_hits, blocks = fanned.thr_hits, fanned.blocks
+        thr_hits, blocks, cells = fanned.thr_hits, fanned.blocks, len(queries) * n
     else:
-        found = scan_candidates(
-            dense_score_block(normalized, queries),
-            0, n, len(queries), topk_rows, kpad, thr_rows, floors,
-            budget_bytes=budget_bytes,
-        )
+        if found is None:
+            found = scan_candidates(
+                dense_score_block(normalized, queries),
+                0, n, len(queries), topk_rows, kpad, thr_rows, floors,
+                budget_bytes=budget_bytes,
+            )
         cand_ids, cand_floor = merge_topk([found.triples], len(topk_rows), kpad)
         thr_hits = split_rows(found.hits[0], found.hits[1], len(thr_rows))
-        blocks = found.blocks
+        blocks, cells = found.blocks, found.cells
     topk_of = dict(zip(topk_rows, zip(cand_ids, cand_floor)))
     hits_of = dict(zip(thr_rows, thr_hits))
 
@@ -214,7 +258,7 @@ def select_group(
         )
         return ids, scores, len(candidates), rescanned
 
-    return GroupSelection(select, len(queries), blocks, fanned)
+    return GroupSelection(select, len(queries), blocks, cells, prescreen, fanned)
 
 
 def eselect(
@@ -224,6 +268,7 @@ def eselect(
     *,
     model: EmbeddingModel | None = None,
     assume_normalized: bool = False,
+    caps: CapPartition | None = None,
 ) -> SelectionResult:
     """Scan-based E-selection: exact, expression-flexible.
 
@@ -234,6 +279,8 @@ def eselect(
         assume_normalized: skip row normalization when the relation is
             already unit-normalized (e.g. a context-cached normalized
             matrix shared across queries).
+        caps: the cap partition of the unit rows to prescreen on
+            (:func:`select_group`'s).
     """
     validate_condition(condition)
     stats = JoinStats(strategy="eselect/scan")
@@ -246,8 +293,10 @@ def eselect(
             f"relation dim {matrix.shape[1]} != query dim {qvec.shape[0]}"
         )
     normalized = matrix if assume_normalized else normalize_rows(matrix)
-    stats.similarity_evaluations = len(normalized)
-    ids, scores, _, _ = select_group(normalized, [qvec], [condition]).select(0)
+    group = select_group(normalized, [qvec], [condition], caps=caps)
+    ids, scores, _, _ = group.select(0)
+    stats.similarity_evaluations = group.cells
+    stats.extra["prescreen"] = group.prescreen
     stats.seconds = time.perf_counter() - start
     stats.pairs_emitted = len(ids)
     return SelectionResult(ids, scores, stats)

@@ -21,6 +21,33 @@ from ..vector.topk import top_k_per_row
 from .base import SearchResult, VectorIndex
 
 
+#: Rows :func:`nearest_centroids` scores at once: 1,024 x 2,343 centroids is
+#: 9.6 MB of scores, where one product of a ``serve_scan``-shaped cap build's
+#: 37,488 sampled rows held 351 MB; the build took 0.89 s instead of 0.70 s
+#: (one BLAS thread) and made the same partition.
+ASSIGN_ROWS = 1024
+
+
+def nearest_centroids(
+    data: np.ndarray, centroids: np.ndarray, *, spherical: bool = True
+) -> np.ndarray:
+    """Each row's nearest centroid, :data:`ASSIGN_ROWS` rows at a time: by
+    dot product (spherical), else by Euclidean distance."""
+    if spherical:
+        chunks = [
+            np.argmax(data[lo : lo + ASSIGN_ROWS] @ centroids.T, axis=1)
+            for lo in range(0, len(data), ASSIGN_ROWS)
+        ]
+    else:
+        # argmin ||x - c||^2 == argmax (x.c - ||c||^2 / 2)
+        half = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
+        chunks = [
+            np.argmax(data[lo : lo + ASSIGN_ROWS] @ centroids.T - half, axis=1)
+            for lo in range(0, len(data), ASSIGN_ROWS)
+        ]
+    return np.concatenate([np.empty(0, np.intp), *chunks])
+
+
 def kmeans(
     data: np.ndarray,
     n_clusters: int,
@@ -45,14 +72,7 @@ def kmeans(
     n_clusters = min(n_clusters, n)
     centroids = data[rng.choice(n, size=n_clusters, replace=False)].copy()
     for _ in range(n_iters):
-        if spherical:
-            assign = np.argmax(data @ centroids.T, axis=1)
-        else:
-            # argmin ||x - c||^2 == argmax (x.c - ||c||^2 / 2)
-            obj = data @ centroids.T - 0.5 * np.einsum(
-                "ij,ij->i", centroids, centroids
-            )
-            assign = np.argmax(obj, axis=1)
+        assign = nearest_centroids(data, centroids, spherical=spherical)
         order = np.argsort(assign, kind="stable")
         grouped = data[order]
         bounds = np.searchsorted(assign[order], np.arange(n_clusters + 1))
@@ -160,7 +180,7 @@ class IVFFlatIndex(VectorIndex):
             n_iters=self.kmeans_iters,
             rng=self._rng,
         )
-        assign = np.argmax(data @ self._centroids.T, axis=1)
+        assign = nearest_centroids(data, self._centroids)
         # Stable sort: ids stay ascending within each list.
         self._packed_ids = np.argsort(assign, kind="stable")
         self._packed = data[self._packed_ids]

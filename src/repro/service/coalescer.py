@@ -270,6 +270,7 @@ class CoalescingScheduler:
             [req.node.condition for req in requests],
             scan=None if self.shard_pool is None else shard_scan,
             budget_bytes=ctx.engine.buffer_budget_bytes,
+            caps=ctx.selection_caps(key, table),
         )
         shard_res = group.fanned
         with self._lock:
@@ -296,7 +297,11 @@ class CoalescingScheduler:
                     unique_vectors=group.unique,
                     blocks=group.blocks,
                     rows=n,
-                    bytes_scanned=int(n) * int(normalized.shape[1]) * 4,
+                    prescreen=group.prescreen,
+                    cells=group.cells,
+                    # fp32 rows scored per query vector: the relation once
+                    # for a dense pass, the kept rows and centres on caps.
+                    bytes_scanned=group.cells // group.unique * normalized.shape[1] * 4,
                     shards=0 if shard_res is None else shard_res.n_shards,
                 )
                 if shard_res is not None:

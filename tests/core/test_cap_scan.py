@@ -9,6 +9,7 @@ import importlib
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra import physical_planner
-from repro.core import ThresholdCondition, TopKCondition, tensor_join
+from repro.core import ThresholdCondition, TopKCondition, eselect, select_group, tensor_join
 from repro.core import caps as caps_module
 from repro.core import quantized_join
 from repro.core.caps import CapPartition, build_caps, cap_join
@@ -261,6 +262,81 @@ def test_rerank_candidates_are_the_code_scanned_tasks(
         assert extra["rerank_candidates"] > 0
     else:
         assert extra["cap_tasks"] >= 1 and extra["rerank_candidates"] == 0
+
+
+def test_threshold_floors_per_row_take_one_call(clustered_join, clustered_part):
+    """A threshold task takes a floor per query row: one call over rows at
+    three floors holds each row's pairs over its own floor, and no pair
+    under it."""
+    left, _, exact = clustered_join
+    floors = np.array([0.95, 0.9, 0.8], np.float32)[np.arange(len(left)) % 3]
+    scan = cap_join(clustered_part, floors, left, np.inf)
+    assert scan is not None
+    rows, ids, scores = scan.hits
+    want = np.nonzero(exact >= floors[:, None] + SWAP_TOLERANCE)
+    assert set(zip(*(i.tolist() for i in want))) <= set(zip(rows.tolist(), ids.tolist()))
+    assert (exact[rows, ids] >= floors[rows] - SWAP_TOLERANCE).all()
+    assert np.abs(scores - exact[rows, ids]).max() <= SWAP_TOLERANCE
+
+
+def test_build_caps_assigns_in_chunks():
+    """The build's transient scores stay a few chunks of rows x caps, not
+    the sample's or the source's whole score matrix (40,000 rows x 625
+    caps: 100 MB in one product, 5.6 MB chunked)."""
+    rows = clustered(40_000, 2)
+    tracemalloc.start()
+    try:
+        part = build_caps(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part is not None and len(part.radius) == 625
+    assert peak <= 3 * rows.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Served selections prescreen on the caps
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("rows", ["clustered", "grid-copies"])
+def test_a_selection_group_on_the_caps_equals_the_dense_group(
+    clustered_join, exact_join, rows
+):
+    """Top-k rows at ``k + 32`` and threshold rows at their own floors,
+    duplicate vectors, ``min_similarity`` and exactly tied scores: every
+    request's ids and scores are the dense group's, bit for bit."""
+    right = clustered_join[1] if rows == "clustered" else exact_join[1]
+    part = build_caps(right)
+    assert part is not None
+    queries = (clustered_join[0] if rows == "clustered" else exact_join[0])[:6]
+    qvecs = [queries[i % 4] for i in range(len(queries) + 2)]
+    conditions = [
+        TopKCondition(5), ThresholdCondition(0.875), TopKCondition(9, min_similarity=0.9),
+        ThresholdCondition(0.95), TopKCondition(1), ThresholdCondition(0.9),
+        TopKCondition(5), ThresholdCondition(0.8),
+    ]
+    dense = select_group(right, qvecs, conditions)
+    capped = select_group(right, qvecs, conditions, caps=part)
+    assert (dense.prescreen, capped.prescreen) == ("dense", "caps")
+    assert capped.cells < 0.25 * dense.cells == 0.25 * dense.unique * len(right)
+    for i in range(len(conditions)):
+        for got, want in zip(capped.select(i)[:2], dense.select(i)[:2]):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [ThresholdCondition(-1.0), TopKCondition(1_000)],  # k + 32 over a quarter of 4,000
+    ids=["threshold-minus-one", "topk-over-the-decline-share"],
+)
+def test_a_declining_selection_scans_dense(clustered_join, clustered_part, condition):
+    left, right, _ = clustered_join
+    capped = eselect(right, left[0], condition, assume_normalized=True, caps=clustered_part)
+    dense = eselect(right, left[0], condition, assume_normalized=True)
+    assert capped.stats.extra["prescreen"] == "dense"
+    assert capped.stats.similarity_evaluations == len(right)
+    assert np.array_equal(capped.ids, dense.ids) and np.array_equal(capped.scores, dense.scores)
+    if isinstance(condition, ThresholdCondition):
+        assert np.array_equal(capped.ids, np.arange(len(right)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import IndexError_, IndexNotBuiltError
 from repro.index import FlatIndex, IVFFlatIndex, kmeans
+from repro.index.ivf import ASSIGN_ROWS
 from repro.vector import normalize_rows
 from repro.workloads import unit_vectors
 from repro.workloads.synthetic import clustered_vectors
@@ -94,6 +95,20 @@ class TestKMeans:
         )
         got = kmeans(data, 40, n_iters=6, rng=np.random.default_rng(seed), spherical=spherical)
         assert empty > 0
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spherical", [True, False])
+    def test_chunked_assignment_equals_one_full_product(self, spherical):
+        """Rows are assigned ``ASSIGN_ROWS`` at a time; the centroids equal
+        the reference's, which scores every row against them in one GEMM."""
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((3 * ASSIGN_ROWS - 72, DIM)).astype(np.float32)
+        if spherical:
+            data = normalize_rows(data)
+        want, _ = self.reference(
+            data, 64, n_iters=3, rng=np.random.default_rng(5), spherical=spherical
+        )
+        got = kmeans(data, 64, n_iters=3, rng=np.random.default_rng(5), spherical=spherical)
         assert np.array_equal(got, want)
 
 

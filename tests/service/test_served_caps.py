@@ -1,0 +1,208 @@
+"""Served E-selections on the source's caps, built off-thread.
+
+A scan source's partition is built on a daemon thread once the source has
+served ``SELECTIONS_PER_BUILD`` dense selections against one registration
+(lowered here).  Until it lands every selection scans dense; after, groups
+and serial selections prescreen on it — and every answer stays bit for bit
+the dense one's.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.algebra import physical_planner
+from repro.embedding import HashingEmbedder
+from repro.query import Engine
+from repro.relational import Catalog, DataType, Field, Schema, Table
+from repro.service import QueryService
+from repro.service import coalescer as coalescer_module
+from repro.vector.norms import normalize_rows
+
+from _service_utils import assert_tables_equal
+
+pytestmark = pytest.mark.service
+
+DIM = 16
+N_ROWS = 8_192
+KEY = ("corpus", "vec", "m")
+TRIGGER = 3
+
+
+def clustered(n: int, seed: int) -> np.ndarray:
+    """Unit rows around 48 fixed directions: a source the caps pay on."""
+    rng = np.random.default_rng(seed)
+    around = normalize_rows(np.random.default_rng(7).standard_normal((48, DIM)))
+    noise = rng.standard_normal((n, DIM)) * (0.25 / DIM**0.5)
+    return normalize_rows((around[rng.integers(0, 48, n)] + noise).astype(np.float32))
+
+
+def corpus(seed: int = 2) -> Table:
+    schema = Schema((Field("id", DataType.INT64), Field("vec", DataType.TENSOR, dim=DIM)))
+    return Table.from_arrays(schema, {"id": np.arange(N_ROWS), "vec": clustered(N_ROWS, seed)})
+
+
+def make_engine(table: Table | None = None) -> Engine:
+    catalog = Catalog()
+    catalog.register("corpus", corpus() if table is None else table)
+    engine = Engine(catalog)
+    engine.models.register("m", HashingEmbedder(dim=DIM))
+    return engine
+
+
+def query(engine: Engine, vector, **terms):
+    return engine.query("corpus").esimilar("vec", vector, model="m", **terms)
+
+
+def run(engine: Engine, vector, **terms):
+    """A serial selection's table and the prescreen it ran."""
+    builder = query(engine, vector, **terms)
+    return builder.execute(), builder.last_report.join_stats[-1].extra["prescreen"]
+
+
+def wait_for_builds() -> None:
+    for thread in threading.enumerate():
+        if thread.name == "repro-caps-build":
+            thread.join(60)
+            assert not thread.is_alive(), "a cap build never finished"
+
+
+def partition(engine: Engine):
+    return engine.context().cap_partition_for(KEY, engine.catalog.get("corpus"), cached=True)
+
+
+def land_caps(engine: Engine, vectors) -> None:
+    """Serve ``TRIGGER`` dense selections, then wait for the build."""
+    for vector in vectors[:TRIGGER]:
+        assert run(engine, vector, top_k=3)[1] == "dense"
+    wait_for_builds()
+    assert partition(engine) is not None
+
+
+@pytest.fixture(autouse=True)
+def trigger(monkeypatch):
+    monkeypatch.setattr(physical_planner, "SELECTIONS_PER_BUILD", TRIGGER)
+
+
+@pytest.fixture()
+def vectors() -> np.ndarray:
+    return clustered(64, 9)
+
+
+def dense_reference(table: Table, specs) -> list[Table]:
+    """Each spec's answer from an engine that never builds caps."""
+    engine = make_engine(table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(physical_planner, "SELECTIONS_PER_BUILD", 10**9)
+        answers = [run(engine, vector, **terms) for vector, terms in specs]
+    assert all(prescreen == "dense" for _, prescreen in answers)
+    return [table for table, _ in answers]
+
+
+def test_mixed_groups_on_the_caps_equal_serial_dense_answers(
+    vectors, hold_scan_slots, monkeypatch
+):
+    engine = make_engine()
+    land_caps(engine, vectors)
+    specs = [
+        (vectors[10], {"top_k": 5}),
+        (vectors[10], {"threshold": 0.9}),  # a duplicate vector, a threshold
+        (vectors[11], {"top_k": 8, "min_similarity": 0.95}),
+        (vectors[12], {"threshold": 0.97}),
+        (vectors[10], {"top_k": 2}),
+        (vectors[13], {"top_k": 1}),
+    ]
+    want = dense_reference(engine.catalog.get("corpus"), specs)
+    prescreens = []
+    select_group = coalescer_module.select_group
+
+    def spy(*args, **kwargs):
+        group = select_group(*args, **kwargs)
+        prescreens.append((len(args[1]), group.prescreen))
+        return group
+
+    monkeypatch.setattr(coalescer_module, "select_group", spy)
+    service = QueryService(engine, coalesce=True, result_cache_size=0)
+    try:
+        held = hold_scan_slots(service, lambda i: query(engine, vectors[40 + i], top_k=1))
+        got = held.run_queued([lambda b=query(engine, v, **t): service.submit(b) for v, t in specs])
+    finally:
+        service.shutdown()
+    assert (len(specs), "caps") in prescreens
+    for i, (a, b) in enumerate(zip(want, got)):
+        assert_tables_equal(a, b, context=f"request {i}")
+    for i, (vector, terms) in enumerate(specs):  # serial, on the caps
+        table, prescreen = run(engine, vector, **terms)
+        assert prescreen == "caps"
+        assert_tables_equal(want[i], table, context=f"serial {i}")
+
+
+def test_a_failing_build_leaves_selections_dense_and_quiet(vectors, monkeypatch, capsys):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+    def broken(rows):
+        raise RuntimeError("injected cap build fault")
+
+    monkeypatch.setattr(physical_planner, "build_caps", broken)
+    engine = make_engine()
+    specs = [(vector, {"top_k": 4} if i % 2 else {"threshold": 0.95})
+             for i, vector in enumerate(vectors[:8])]
+    got = []
+    for vector, terms in specs:
+        got.append(run(engine, vector, **terms))
+        wait_for_builds()
+    assert [prescreen for _, prescreen in got] == ["dense"] * len(specs)
+    assert KEY not in engine.sources.entries("caps")
+    want = dense_reference(engine.catalog.get("corpus"), specs)
+    for i, ((table, _), reference) in enumerate(zip(got, want)):
+        assert_tables_equal(reference, table, context=f"request {i}")
+    assert hooked == [] and capsys.readouterr().err == ""
+
+
+def test_a_table_replaced_mid_build_never_serves_the_stale_partition(vectors, monkeypatch):
+    started, release = threading.Event(), threading.Event()
+    build_caps = physical_planner.build_caps
+
+    def slow(rows):
+        started.set()
+        assert release.wait(60)
+        return build_caps(rows)
+
+    monkeypatch.setattr(physical_planner, "build_caps", slow)
+    engine = make_engine()
+    old = engine.catalog.get("corpus")
+    for vector in vectors[:TRIGGER]:
+        run(engine, vector, top_k=3)
+    assert started.wait(60)
+    new = corpus(seed=5)
+    engine.catalog.register("corpus", new, replace=True)
+    specs = [(vector, {"top_k": 5}) for vector in vectors[20:20 + 2 * TRIGGER]]
+    got = [run(engine, specs[0][0], **specs[0][1])]
+    release.set()
+    wait_for_builds()
+    # The old registration's partition landed; the new one is not served it.
+    assert engine.sources.entries("caps")[KEY][0] is old
+    assert partition(engine) is None
+    got += [run(engine, vector, **terms) for vector, terms in specs[1:TRIGGER]]
+    assert [prescreen for _, prescreen in got] == ["dense"] * TRIGGER
+    wait_for_builds()  # the new registration's own build, on its own count
+    own = partition(engine)
+    assert own is not None and engine.sources.entries("caps")[KEY][0] is new
+    got += [run(engine, vector, **terms) for vector, terms in specs[TRIGGER:]]
+    assert all(prescreen == "caps" for _, prescreen in got[TRIGGER:])
+    for i, (reference, (table, _)) in enumerate(zip(dense_reference(new, specs), got)):
+        assert_tables_equal(reference, table, context=f"request {i}")
+
+
+def test_registering_the_same_object_again_keeps_the_partition(vectors):
+    engine = make_engine()
+    land_caps(engine, vectors)
+    part = partition(engine)
+    engine.catalog.register("corpus", engine.catalog.get("corpus"), replace=True)
+    assert run(engine, vectors[30], top_k=5)[1] == "caps"
+    wait_for_builds()
+    assert partition(engine) is part

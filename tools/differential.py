@@ -16,9 +16,12 @@ is ``{"ids", "scores", "oracle"}`` under ``<family>/<case>``::
 ``select``: E-selections under six conditions (threshold, attained
 threshold, top-k, + ``min_similarity``, k >= n, a tie past the prescreen
 pad) on random, tied, block-edge-duplicated, empty, one-row and NaN
-tables, through ``eselect``, ``QueryBuilder.execute``, coalesced groups of
-1-8 behind held scan slots, a 2-shard service and int8 / PQ
-``quantized_eselect``; the digest covers ids and scores.  ``scan_join``:
+tables, and on two clustered tables of >= 4,096 rows (one with twins and
+copies) whose cap partitions are built first, adding a threshold of -1
+and a top-k past the caps' decline share; through ``eselect``,
+``QueryBuilder.execute``, coalesced groups of 1-8 behind held scan slots,
+a 2-shard service and int8 / PQ ``quantized_eselect``; the digest covers
+ids and scores.  ``scan_join``:
 fp32, fp16, int8 and PQ scan joins under six conditions on grid (exact
 arithmetic), random, tripled, empty and one-row sides x :data:`MODES`,
 every fp32 / int8 / PQ join offered the right side's cap partition (kept
@@ -127,6 +130,12 @@ KEY_PATHS = {
 #: Paths with an index registered on the right side (built over m1).
 INDEXED = ("index", "auto-index")
 EQUI_CASES = 240
+#: ``repro.core.scan.TOPK_PRESCREEN_PAD``: a top-k with ``k`` + this over a
+#: quarter of a table's rows makes its caps decline.
+TOPK_PAD = 32
+#: Clustered select conditions the caps decline: a threshold of -1, and a
+#: top-k whose k + TOPK_PAD passes a quarter of the rows.
+CAPS_DECLINE = ("thr-all", "topk-decline")
 
 
 def unit(rows, dtype=np.float64):
@@ -231,6 +240,13 @@ def _select_tables():
         for edge in range(32, 700, 32):  # twins on both sides of a block edge
             dups[edge] = dups[edge - 1]
         out[f"dups{seed}"] = dups
+    # Clustered tables a cap partition prunes (>= 4,096 rows), one with
+    # twins on both sides of every 32nd row and 60 copies of a row.
+    out["clustered"] = _clustered(4_096, 70)
+    twins = _clustered(4_608, 71)
+    twins[np.arange(32, 4_608, 32)] = twins[np.arange(31, 4_607, 32)]
+    twins[np.arange(0, 480, 8)] = twins[3]
+    out["clustered-twins"] = twins
     return out
 
 
@@ -240,6 +256,10 @@ def _select_cases(name, rows):
     queries = [rng.standard_normal(DIM).astype(np.float32)]
     # A stored row as the query: its copies tie at the top exactly.
     queries.append(rows[3 % len(rows)].copy() if len(rows) else queries[0] + 1)
+    capped = len(rows) >= 4_096  # a source whose caps are built
+    if capped:  # near a cluster, as a served query is
+        queries[0] = rows[100] + np.float32(0.05) * queries[0]
+    cases = []
     for q, query in enumerate(queries):
         unit_query = query / max(float(np.linalg.norm(query)), 1e-12)
         scores = np.sort(unit(rows, np.float32) @ unit_query) if len(rows) else np.zeros(1)
@@ -251,8 +271,19 @@ def _select_cases(name, rows):
             "k-ge-n": {"top_k": len(rows) + 7},
             "topk-wide": {"top_k": 40},
         }
-        for label, cond in conditions.items():
-            yield f"{name}/q{q}/{label}", query, cond
+        if capped:  # what the caps keep, and two conditions they decline
+            conditions["thr"] = {"threshold": 0.9}
+            conditions["topk-min"]["min_similarity"] = 0.95
+            # Not k >= n: ordering every row puts two rows whose fp32 exact
+            # scores are equal in id order, which the float64 oracle ranks
+            # apart (clustered-twins/q0, on the parent as on this checkout).
+            del conditions["k-ge-n"]
+            conditions["thr-all"] = {"threshold": -1.0}
+            conditions["topk-decline"] = {"top_k": len(rows) // 4 - TOPK_PAD + 1}
+        cases += [(f"{name}/q{q}/{label}", query, cond) for label, cond in conditions.items()]
+    if capped:  # what the caps decline last, so the groups before it run on them
+        cases.sort(key=lambda case: case[0].rsplit("/", 1)[1] in CAPS_DECLINE)
+    return cases
 
 
 def selections(raw: bool):
@@ -311,22 +342,37 @@ def selections(raw: bool):
     poisoned = tables["plain0"].copy()
     poisoned[9] = np.nan
     tables["nonfinite-row"] = poisoned
-    catalog = Catalog()
-    for name, rows in tables.items():
-        catalog.register(name, table(rows))
-    engine = Engine(catalog)
-    engine.models.register("m", HashingEmbedder(dim=DIM))
-    # Thread count from REPRO_THREADS; near-free dispatch and no row floor
-    # so the pool fans out even these tables.
-    engine.executor = ExecutionEngine(buffer_budget_bytes=SELECT_BUDGET_BYTES)
-    engine.cost_params = replace(engine.cost_params, shard_dispatch=1e-9)
+    capped = [name for name in tables if name.startswith("clustered")]
     common = dict(coalesce=True, result_cache_size=0, max_inflight=256)
-    coalesced = QueryService(engine, **common)
-    sharded = QueryService(engine, shard_procs=2, **common)
-    sharded.shard_pool.min_rows = 1
+    served: dict = {}  # table name -> (engine, coalesced, sharded)
+    services = []
+    complaints = []
+    # The clustered tables' engine has no budget, so the caps' bound state
+    # fits; their partitions are built before any selection runs.
+    for names, budget in (
+        ([name for name in tables if name not in capped], SELECT_BUDGET_BYTES), (capped, None),
+    ):
+        catalog = Catalog()
+        for name in names:
+            catalog.register(name, table(tables[name]))
+        engine = Engine(catalog)
+        engine.models.register("m", HashingEmbedder(dim=DIM))
+        # Thread count from REPRO_THREADS; near-free dispatch and no row
+        # floor so the pool fans out even these tables.
+        engine.executor = ExecutionEngine(buffer_budget_bytes=budget)
+        engine.cost_params = replace(engine.cost_params, shard_dispatch=1e-9)
+        coalesced = QueryService(engine, **common)
+        sharded = QueryService(engine, shard_procs=2, **common)
+        sharded.shard_pool.min_rows = 1
+        services += [coalesced, sharded]
+        served.update((name, (engine, coalesced, sharded)) for name in names)
+    for name in capped:
+        engine = served[name][0]
+        if engine.context().cap_partition_for((name, "emb", "m"), engine.catalog.get(name)) is None:
+            complaints.append(f"{name}: the partition declined")
 
     def build(name, query, cond):
-        return engine.query(name).esimilar("emb", query, model="m", **cond)
+        return served[name][0].query(name).esimilar("emb", query, model="m", **cond)
 
     def blocker(name):
         def make(i):
@@ -335,9 +381,11 @@ def selections(raw: bool):
         return make
 
     out: dict[str, dict] = {}
+    prescreens = set()  # what the planner's selections on the caps ran
     bad = np.full(DIM, np.nan, np.float32)
     try:
         for name, rows in tables.items():
+            _, coalesced, sharded = served[name]
             cases = list(_select_cases(name, rows))
             grouped = name != "nonfinite-row"
             if not grouped:
@@ -353,7 +401,10 @@ def selections(raw: bool):
                 out[f"{case}/eselect"] = outcome(
                     lambda: eselect(rows, query, condition(cond)), *terms
                 )
-                out[f"{case}/execute"] = outcome(build(name, query, cond).execute, *terms)
+                builder = build(name, query, cond)
+                out[f"{case}/execute"] = outcome(builder.execute, *terms)
+                if name in capped:
+                    prescreens.add(builder.last_report.join_stats[-1].extra.get("prescreen"))
                 for method in ("int8", "pq"):
                     out[f"{case}/{method}"] = outcome(
                         lambda: quantized_eselect(store(name, method), query, condition(cond)),
@@ -386,13 +437,18 @@ def selections(raw: bool):
                     for (case, query, cond), result in zip(members, got):
                         out[f"{case}/{label}{len(members)}"] = record(result, rows, query, cond)
                 start, size = start + size, size % 8 + 1
-        complaints = misses(out, "not the oracle's")
+        complaints += misses(out, "not the oracle's")
+        coalesced, sharded = served["plain0"][1:]
         if not coalesced.stats_snapshot()["coalescer"]["fallbacks"]:
             complaints.append("no coalesced group rescanned its ties")
         if not sharded.stats_snapshot()["coalescer"]["sharded_groups"]:
             complaints.append("no group ran on the shards")
+        # A checkout whose selections report their prescreen ran some on
+        # the caps.
+        if prescreens - {None} and "caps" not in prescreens:
+            complaints.append("no selection of a clustered table ran on its caps")
     finally:
-        for service in (coalesced, sharded):
+        for service in services:
             service.shutdown()
     return out, complaints
 
