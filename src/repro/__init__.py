@@ -10,8 +10,8 @@ A hybrid vector-relational engine in pure Python/NumPy:
 * :mod:`repro.core` — the paper's contribution: E-join operators, tensor
   formulation, quantized access paths, cost model, access-path
   selection,
-* :mod:`repro.engine` — morsel-driven parallel executor: work-stealing
-  scheduling over GIL-releasing kernels,
+* :mod:`repro.engine` — morsel-driven parallel executor: a fork-join on
+  one persistent thread pool per engine, over GIL-releasing kernels,
 * :mod:`repro.algebra` — extended relational algebra and optimizer,
 * :mod:`repro.query` — declarative query builder,
 * :mod:`repro.service` — concurrent query service: admission control,

@@ -48,8 +48,9 @@ class ReproConfig:
         default_threads: Worker count for data-parallel operators.  ``None``
             means "use all available CPUs".
         default_morsel_rows: Upper bound on morsel size (tuples) handed to
-            engine workers; small enough that work stealing balances skew,
-            large enough that the per-morsel BLAS call dominates dispatch.
+            engine workers; small enough that an idle worker's next morsel
+            absorbs skew, large enough that the per-morsel BLAS call
+            dominates dispatch.
         default_buffer_budget_bytes: Process-wide Figure 7 buffer budget for
             dense join intermediates.  ``None`` leaves batch shapes to the
             operator defaults.
@@ -59,15 +60,13 @@ class ReproConfig:
         fault_seed: Seed for the deterministic injection schedule.
             ``None`` derives a stream seed from the global ``seed``.
         fault_kinds: Comma-separated fault kinds to draw from:
-            ``transient``, ``permanent``, ``latency``, ``hang``, ``kill``.
+            ``transient``, ``permanent``, ``latency``; any other kind is a
+            ``ValueError`` when the injector is built.
         retry_max_attempts: Attempts (1 initial + retries) a transient
             failure is given at morsel/dispatch granularity.
         retry_base_ms: Base backoff before the first retry; subsequent
             waits use decorrelated jitter from this base.
         retry_cap_ms: Upper bound on any single backoff sleep.
-        watchdog_stall_s: Heartbeat age after which the engine watchdog
-            declares a worker stuck, re-enqueues its in-flight morsel and
-            respawns a replacement thread.  ``0`` disables the watchdog.
         obs_capture_path: Workload-capture (flight recorder) JSONL file.
             Empty (the default) disables capture entirely.
         obs_http_port: TCP port for the live introspection endpoint.
@@ -84,7 +83,6 @@ class ReproConfig:
     retry_max_attempts: int = 3
     retry_base_ms: float = 1.0
     retry_cap_ms: float = 50.0
-    watchdog_stall_s: float = 5.0
     obs_capture_path: str = ""
     obs_http_port: int | None = None
 

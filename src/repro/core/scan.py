@@ -377,7 +377,7 @@ def scan_join(
             cells go to ``stats.extra["rerank_candidates"]``.
         engine: runs the left blocks — self-contained tasks over shared
             read-only operands, results in block order; ``None`` is one
-            worker.  A join whose whole work does not repay one scheduler
+            worker.  A join whose whole work does not repay one engine
             run stays on the caller's thread.  ``stats.extra["morsels"]``
             counts the left blocks.
         caps: the right side's :class:`~repro.core.caps.CapPartition`: a

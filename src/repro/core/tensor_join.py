@@ -13,8 +13,8 @@ conditions fold into the scan's bounded reducer, so the budget also covers
 the candidate state, end to end.  There is no re-rank: the GEMM's own scores are the emitted scores.
 
 Left blocks are independent tasks; handing the join an
-:class:`~repro.engine.ExecutionEngine` schedules them on its
-work-stealing workers, and the block shape is
+:class:`~repro.engine.ExecutionEngine` runs them on its
+thread pool, and the block shape is
 :func:`repro.vector.select.scan_shape`'s for that engine.
 """
 

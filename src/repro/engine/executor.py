@@ -1,27 +1,35 @@
-"""The execution engine: morsel scheduling and the numbers a shape needs.
+"""The execution engine: a fork-join over morsels, and the numbers a shape needs.
 
 One :class:`ExecutionEngine` instance owns what the physical join
 operators used to decide ad hoc: how the left relation is partitioned
-(morsels) and who runs them (the work-stealing scheduler).  It also
-carries the three numbers the one shape rule
+(morsels) and who runs them (one persistent thread pool per engine).  It
+also carries the three numbers the one shape rule
 (:func:`repro.vector.select.scan_shape`) takes from an executor — worker
 count, morsel size, Figure 7 buffer budget.  Operators stay pure
 functions over row ranges; the engine decides placement.
+
+The parallelism is the paper's (§IV-C / §V-A): the left relation is cut
+into blocks that run independently, and their results are concatenated
+in order.  Python threads suffice because the tasks wrap NumPy/BLAS
+kernels that release the GIL.  A thread cannot die abruptly and a hung
+one can only be abandoned, which the query deadline already bounds; so
+the pool is not supervised, and a transient fault is answered by re-running
+the pure task under the run's retry policy.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Callable, Sequence
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from ..config import cpu_count, get_config
 from ..obs.trace import QueryScope, current_scope, span
-from ..reliability.retry import RetryPolicy
-from ..reliability.watchdog import WatchdogPolicy
+from ..reliability.faults import maybe_inject
+from ..reliability.retry import BoundRetry, RetryPolicy
 from ..vector.select import task_rows, worth_scheduling
 from .morsel import Morsel, make_morsels
-from .scheduler import SchedulerStats, WorkStealingScheduler
 
 #: Cap on distinct per-tag counters retained in :class:`EngineStats`.
 #: A long-running service tags every query uniquely; without a bound the
@@ -32,7 +40,7 @@ MAX_TRACKED_TAGS = 1024
 
 @dataclass
 class EngineStats:
-    """Cumulative scheduling counters across an engine's lifetime.
+    """Cumulative run counters across an engine's lifetime.
 
     Updates go through :meth:`record` under an internal lock: a service
     runs many queries on one engine concurrently, and per-tag morsel
@@ -44,32 +52,21 @@ class EngineStats:
 
     runs: int = 0
     morsels_dispatched: int = 0
-    steals: int = 0
     retries: int = 0
-    watchdog_stalls: int = 0
-    worker_deaths: int = 0
-    worker_respawns: int = 0
-    reenqueued_tasks: int = 0
     #: query/group tag -> morsels dispatched under that tag.
     by_tag: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def record(self, run_stats: SchedulerStats, *, tag: str | None = None) -> None:
-        """Fold one scheduler run into the cumulative counters."""
+    def record(self, morsels: int, retries: int, *, tag: str | None = None) -> None:
+        """Fold one run into the cumulative counters."""
         with self._lock:
             self.runs += 1
-            self.morsels_dispatched += run_stats.n_tasks
-            self.steals += run_stats.steals
-            self.retries += run_stats.retries
-            self.watchdog_stalls += run_stats.watchdog_stalls
-            self.worker_deaths += run_stats.worker_deaths
-            self.worker_respawns += run_stats.worker_respawns
-            self.reenqueued_tasks += run_stats.reenqueued_tasks
+            self.morsels_dispatched += morsels
+            self.retries += retries
             if tag is not None:
-                self.by_tag[tag] = self.by_tag.get(tag, 0) + run_stats.n_tasks
+                self.by_tag[tag] = self.by_tag.get(tag, 0) + morsels
                 while (
                     len(self.by_tag) - ("<evicted>" in self.by_tag)
                     > MAX_TRACKED_TAGS
@@ -93,18 +90,13 @@ class EngineStats:
             return {
                 "runs": self.runs,
                 "morsels_dispatched": self.morsels_dispatched,
-                "steals": self.steals,
                 "retries": self.retries,
-                "watchdog_stalls": self.watchdog_stalls,
-                "worker_deaths": self.worker_deaths,
-                "worker_respawns": self.worker_respawns,
-                "reenqueued_tasks": self.reenqueued_tasks,
                 "tagged_queries": len(self.by_tag),
             }
 
 
 class ExecutionEngine:
-    """Morsel-driven parallel executor for E-join operators.
+    """Morsel-driven fork-join executor for E-join operators.
 
     Args:
         n_threads: worker count; ``None`` uses the configured CPU count.
@@ -113,6 +105,11 @@ class ExecutionEngine:
         buffer_budget_bytes: Figure 7 budget of the joins run on this
             engine (a join's own ``buffer_budget_bytes=`` overrides it);
             ``None`` uses the configured default.
+
+    The engine's ``n_threads`` workers are one thread pool, created by the
+    first run that schedules and shared by every concurrent run.  Its
+    threads end when the engine is collected: they hold no reference to
+    it.
     """
 
     def __init__(
@@ -142,7 +139,8 @@ class ExecutionEngine:
         #: object is shared by every bound view, so retry counters
         #: accumulate across the engine's lifetime.
         self.retry_policy = RetryPolicy.from_config()
-        self.watchdog = WatchdogPolicy.from_config()
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -168,45 +166,98 @@ class ExecutionEngine:
         Returns per-morsel results in input (sequence) order, so callers
         can concatenate them and obtain exactly the single-threaded result.
         With ``row_work`` given, a map whose whole work does not repay a
-        scheduler run stays inline, as a scan join's blocks do.
+        run on the pool stays inline, as a scan join's blocks do.
         """
         morsels = self.morsels_for(n_rows, row_work=row_work)
         if row_work is not None and not worth_scheduling(n_rows * row_work):
-            return [task(m) for m in morsels]  # not worth one scheduler run
+            return [task(m) for m in morsels]  # not worth one run
         return self.run([lambda m=m: task(m) for m in morsels])
 
     def run(self, tasks: Sequence[Callable[[], object]]) -> list:
-        """Schedule an arbitrary ordered task batch on the engine's workers.
+        """Run an ordered batch of independent tasks; results keep task order.
 
-        Used by operators whose natural work unit is not a tuple range
-        (e.g. the tensor join's left GEMM blocks).  Results keep task
-        order.
+        One task, or a one-thread engine, runs inline on the caller's
+        thread; otherwise the tasks go to the engine's pool.  Every attempt
+        passes the ``engine.worker`` fault site under this run's retry
+        policy, bound to the ambient query scope's deadline and retry
+        budget: tasks are pure, so a transient re-run is bit-safe.  The
+        first exception ends the run: its tasks not yet started never
+        start, those running finish, and the exception (the first in task
+        order, if several were raised) re-raises here with its traceback.
+        Another run's tasks are not touched.
+
+        No task calls back into :meth:`run` — a task blocking on the pool
+        it occupies could starve it.  The callers (``scan_join``'s left
+        blocks, ``index_join``'s probe batches and ``prefetch_nlj``'s
+        morsels via :meth:`map_morsels`) schedule kernels only.
         """
-        run_stats = SchedulerStats()
-        scheduler = WorkStealingScheduler(self.n_threads)
-        # Bind the retry policy to this run: the ambient query scope's
-        # deadline and per-query budget (opened by the service on this
-        # thread) bound backoff, and its tag attributes the run; a
-        # standalone run gets its own budget and no tag.
+        # The scope's tag attributes the run; a standalone run gets its own
+        # budget and no tag.  The span lives on the calling thread, the one
+        # carrying the ambient query trace.
         scope = current_scope() or QueryScope()
         bound = self.retry_policy.bind(
             deadline=scope.deadline, budget=scope.retry_budget()
         )
-        # The span lives on the *dispatching* thread — the one carrying
-        # the ambient query trace; worker threads never see the scope,
-        # which is fine because the run's stats summarize their morsels.
         with span("engine.run") as sp:
-            results = scheduler.run(
-                tasks, stats=run_stats, retry=bound, watchdog=self.watchdog
-            )
-            sp.set(
-                tag=scope.tag,
-                morsels=run_stats.n_tasks,
-                steals=run_stats.steals,
-                retries=run_stats.retries,
-            )
-        self.stats.record(run_stats, tag=scope.tag)
+            if self.n_threads == 1 or len(tasks) <= 1:
+                results = [_attempt(bound, task) for task in tasks]
+            else:
+                results = _fork_join(self._workers(), bound, tasks)
+            sp.set(tag=scope.tag, morsels=len(tasks), retries=bound.local_retries)
+        self.stats.record(len(tasks), bound.local_retries, tag=scope.tag)
         return results
+
+    def _workers(self) -> ThreadPoolExecutor:
+        """The engine's pool, created on first use.  Its worker threads
+        hold it weakly and exit once the engine (its one owner) is gone."""
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    self.n_threads, thread_name_prefix="repro-engine"
+                )
+            return self._pool
+
+
+def _attempt(bound: BoundRetry, task: Callable[[], object]):
+    """Run one task through the fault site, re-running it on a transient
+    failure within the bound policy."""
+
+    def once():
+        maybe_inject("engine.worker")
+        return task()
+
+    return bound.call(once)
+
+
+def _fork_join(
+    pool: ThreadPoolExecutor, bound: BoundRetry, tasks: Sequence[Callable[[], object]]
+) -> list:
+    """Submit every task to ``pool``; results in task order.  On a failure
+    the run's queued tasks are cancelled, its running ones finish, and the
+    first exception in task order re-raises."""
+    failed = threading.Event()
+
+    def execute(task):
+        if failed.is_set():
+            return None  # the run has failed: a queued task never starts
+        try:
+            return _attempt(bound, task)
+        except BaseException:
+            failed.set()
+            raise
+
+    futures = [pool.submit(execute, task) for task in tasks]
+    wait(futures, return_when=FIRST_EXCEPTION)
+    if failed.is_set():
+        for future in futures:
+            future.cancel()
+        wait(futures)  # no task of the run outlives it
+        raise next(
+            future.exception()
+            for future in futures
+            if not future.cancelled() and future.exception()
+        )
+    return [future.result() for future in futures]
 
 
 def serial_engine() -> ExecutionEngine:

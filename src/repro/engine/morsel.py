@@ -1,8 +1,8 @@
 """Morsels: fixed-size row ranges as the unit of scheduling.
 
 Morsel-driven execution (Leis et al., SIGMOD'14) decomposes an operator's
-input into many small contiguous tuple ranges — far more than there are
-workers — so the scheduler can rebalance skew at runtime instead of
+input into contiguous tuple ranges, several per worker, so a pool whose
+idle workers take the next queued morsel absorbs skew instead of
 committing to one static partition per thread.  Both join condition
 families here are *per left tuple*, so any morselization of the left
 relation preserves exact results; morsels carry a sequence number so
@@ -23,8 +23,8 @@ from ..errors import JoinError
 class Morsel:
     """A contiguous range ``[start, stop)`` of left-relation rows.
 
-    ``seq`` is the morsel's position in input order; schedulers return
-    results sorted by it, making execution order unobservable.
+    ``seq`` is the morsel's position in input order; the engine returns
+    results in it, making execution order unobservable.
     """
 
     seq: int

@@ -97,16 +97,6 @@ class PermanentFault(PermanentError):
     """A deterministic, injected permanent fault (chaos testing)."""
 
 
-class WorkerKilledFault(ReproError):
-    """An injected abrupt engine-worker death (chaos testing).
-
-    Deliberately *not* transient: the worker thread that draws this
-    fault exits without completing or releasing its claimed morsel, so
-    recovery is the watchdog's job (re-enqueue + respawn), never the
-    retry wrapper's.
-    """
-
-
 class ServiceError(ReproError):
     """The concurrent query service was misused or failed internally."""
 
@@ -131,7 +121,7 @@ class ShardError(ServiceError):
     """The shard-process pool failed past its respawn budget.
 
     Raised when a coalesced scan cannot complete on the worker pool —
-    every raise site has already exhausted watchdog respawns.  The
+    every raise site has already exhausted the pool's respawns.  The
     coalescer treats it as a signal to fall back to the in-process scan,
     which is exact, so queries survive a wedged pool at reduced
     throughput rather than failing.

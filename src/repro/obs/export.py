@@ -72,8 +72,8 @@ def snapshot_rows(rows: list, paths: dict, name: str, path: str, snap: dict) -> 
     """Append every numeric leaf of ``snap`` to ``rows`` as a gauge row.
 
     Nested keys join with ``_`` under ``name``, sanitized to the
-    Prometheus name charset (``stats_snapshot()["engine"]["steals"]``
-    becomes ``repro_engine_steals``); booleans read 0/1, strings and
+    Prometheus name charset (``stats_snapshot()["engine"]["runs"]``
+    becomes ``repro_engine_runs``); booleans read 0/1, strings and
     ``None`` are skipped.  ``paths`` maps each name to the path it was
     read from, its HELP text when :data:`METRIC_HELP` has none.
     """

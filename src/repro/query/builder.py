@@ -94,7 +94,6 @@ class Engine:
             config.retry_max_attempts,
             config.retry_base_ms,
             config.retry_cap_ms,
-            config.watchdog_stall_s,
         )
 
     @property

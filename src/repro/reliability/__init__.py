@@ -1,4 +1,4 @@
-"""Reliability layer: fault injection, retries, breakers, watchdog.
+"""Reliability layer: fault injection, retries, breakers, health.
 
 Breaker state is per engine (:class:`~repro.reliability.breaker.BreakerRegistry`,
 owned by each :class:`~repro.query.Engine`); the fault injector is the one
@@ -7,7 +7,7 @@ process-wide piece, armed by tests and the chaos shard.
 See ``docs/RELIABILITY.md`` for the fault model and the
 exactness-under-retry argument.  The short version: morsels, kernel
 calls, and store builds are pure, so every recovery mechanism here
-(retry, re-enqueue, plan fallback to the exact path) preserves
+(retry, plan fallback to the exact path) preserves
 bit-identical results — the layer trades latency for availability,
 never accuracy.
 """
@@ -15,14 +15,12 @@ never accuracy.
 from .faults import active_injector, clear_injector, install_injector, maybe_inject
 from .health import ServiceHealth
 from .retry import BoundRetry, RetryBudget, RetryPolicy
-from .watchdog import WatchdogPolicy
 
 __all__ = [
     "BoundRetry",
     "RetryBudget",
     "RetryPolicy",
     "ServiceHealth",
-    "WatchdogPolicy",
     "active_injector",
     "clear_injector",
     "install_injector",

@@ -14,10 +14,7 @@ hit consults a deterministic schedule:
 * the injected *kind* is drawn from the configured list: ``transient``
   (raise :class:`~repro.errors.TransientFault` — the retry layer's
   food), ``permanent`` (:class:`~repro.errors.PermanentFault` — trips
-  circuit breakers), ``latency`` (sleep a spike), ``hang`` (block the
-  calling worker long enough that the watchdog must route around it),
-  and ``kill`` (:class:`~repro.errors.WorkerKilledFault` — an abrupt
-  worker death only the watchdog recovers).
+  circuit breakers) and ``latency`` (sleep a spike).
 
 Exactness under injection is the point: faults only ever abort, delay,
 or re-execute *pure* work (morsels, kernel calls, store builds), so a
@@ -31,10 +28,10 @@ import time
 import zlib
 
 from ..config import get_config, mix32
-from ..errors import PermanentFault, TransientFault, WorkerKilledFault
+from ..errors import PermanentFault, TransientFault
 
 #: Fault kinds the injector can draw.
-KINDS = ("transient", "permanent", "latency", "hang", "kill")
+KINDS = ("transient", "permanent", "latency")
 
 
 class FaultStats:
@@ -66,8 +63,6 @@ class FaultInjector:
         sites: iterable of site names to arm (``None``: every site).
         kinds: fault kinds to rotate through on injection.
         latency_s: duration of an injected latency spike.
-        hang_s: duration of an injected hang (watchdog-bounded in
-            practice; this is just the worst case).
         max_faults: hard cap on total injections (``None``: unbounded).
         sleep: clock hook for tests (defaults to ``time.sleep``).
     """
@@ -80,7 +75,6 @@ class FaultInjector:
         sites=None,
         kinds=("transient",),
         latency_s: float = 0.001,
-        hang_s: float = 30.0,
         max_faults: int | None = None,
         sleep=time.sleep,
     ) -> None:
@@ -93,7 +87,6 @@ class FaultInjector:
             raise ValueError(f"unknown fault kinds {sorted(unknown)}; have {KINDS}")
         self.kinds = kinds
         self.latency_s = max(0.0, float(latency_s))
-        self.hang_s = max(0.0, float(hang_s))
         self.max_faults = max_faults
         self._sleep = sleep
         self._counts: dict[str, int] = {}
@@ -149,11 +142,6 @@ class FaultInjector:
         if kind == "latency":
             self._sleep(self.latency_s)
             return
-        if kind == "hang":
-            self._sleep(self.hang_s)
-            return
-        if kind == "kill":
-            raise WorkerKilledFault(f"injected worker kill at {site}")
         if kind == "permanent":
             raise PermanentFault(f"injected permanent fault at {site}")
         raise TransientFault(f"injected transient fault at {site}")

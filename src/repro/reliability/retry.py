@@ -9,8 +9,8 @@ idempotency tokens, just run it again.
 Three guards keep retries from becoming a liability:
 
 * **typing** — only :class:`~repro.errors.TransientError` subclasses are
-  retried; permanent faults, planner bugs, and worker kills propagate on
-  the first attempt;
+  retried; permanent faults and planner bugs propagate on the first
+  attempt;
 * **budgets** — a per-query :class:`RetryBudget` caps the *total* number
   of re-executions a single query may consume across all its morsels, so
   a fault storm cannot multiply one query's work unboundedly;

@@ -9,7 +9,7 @@ execution needs — and otherwise applies admission control (bounded
 in-flight work, backpressure rejections), optimizes the plan as
 :meth:`QueryBuilder.execute` does, fuses concurrent same-source
 E-selections into shared scans via the coalescing scheduler, and drives
-the engine's morsel scheduler with per-query tags so scheduled work is
+the engine's morsel runs with per-query tags so scheduled work is
 attributable per query.
 
 On top of that sits the **QoS layer** (:meth:`QueryService.submit_qos`):
@@ -243,7 +243,7 @@ class QueryService:
             deadline_s: deadline relative to now, in seconds (``None``:
                 no deadline).
             priority: larger values win admission first among waiters.
-            tag: names the query to the engine scheduler's per-tag
+            tag: names the query to the engine's per-tag
                 morsel counts, the trace and the workload capture; a
                 client passes its own (``f"client-{c}/q{i}"``).
             timeout_s: admission backpressure bound.
@@ -447,7 +447,7 @@ class QueryService:
             return result, False
 
         # Engine runs already retry at morsel granularity; this outer layer
-        # covers transient faults raised *outside* a scheduler run — kernel
+        # covers transient faults raised *outside* an engine run — kernel
         # calls made inline on this thread, store builds, the
         # ``service.dispatch`` injection site itself.  Queries are pure, so
         # whole-query re-execution is as bit-safe as morsel re-execution;
@@ -581,25 +581,18 @@ class QueryService:
 
         ``status`` is ``"degraded"`` (not an error — the service still
         serves) whenever a circuit breaker of this service's engine is
-        routing around a failing access path or the watchdog has observed
-        worker loss; breaker,
-        retry, watchdog, fault-injection, QoS, and service counters come
-        along so the cause is visible in the same picture.
+        routing around a failing access path or a shard worker process
+        has died or stalled; breaker, retry, fault-injection, QoS, service
+        and shard counters come along so the cause is visible in the same
+        picture.
         """
         return self._health(self.admission.stats_snapshot())
 
     def _health(self, admission: dict) -> ServiceHealth:
         """:meth:`health` over an admission snapshot already read, so a
         scrape reads admission once."""
-        engine_snap = self.engine.executor.stats.snapshot()
         registry = self.engine.breakers
         open_breakers = registry.open_count()
-        watchdog = {
-            "stalls": engine_snap["watchdog_stalls"],
-            "worker_deaths": engine_snap["worker_deaths"],
-            "respawns": engine_snap["worker_respawns"],
-            "reenqueued_tasks": engine_snap["reenqueued_tasks"],
-        }
         injector = active_injector()
         with self._stats_lock:
             service = {
@@ -616,7 +609,6 @@ class QueryService:
         status = (
             "ok"
             if open_breakers == 0
-            and engine_snap["worker_deaths"] == 0
             and shard.get("worker_deaths", 0) == 0
             and shard.get("stalls", 0) == 0
             else "degraded"
@@ -626,7 +618,6 @@ class QueryService:
             breakers=registry.snapshot(),
             open_breakers=open_breakers,
             retries=self.engine.executor.retry_policy.stats.snapshot(),
-            watchdog=watchdog,
             faults=injector.stats.snapshot() if injector is not None else {},
             qos=qos,
             service=service,
@@ -650,7 +641,7 @@ class QueryService:
         rows, plus the snapshot path each gauge family was read from.
 
         The sources: :meth:`stats_snapshot`, :meth:`health`'s retries,
-        watchdog, faults and per-path breakers, the tracer's counters,
+        faults and per-path breakers, the tracer's counters,
         the recorder's snapshot and the slow-log length.
         """
         rows: list = []
@@ -662,9 +653,7 @@ class QueryService:
         ]
         snapshot_rows(rows, paths, "repro", "stats_snapshot()", snapshot)
         health = self._health(snapshot["admission"])
-        for prefix, field in (
-            ("retry", "retries"), ("watchdog", "watchdog"), ("fault", "faults")
-        ):
+        for prefix, field in (("retry", "retries"), ("fault", "faults")):
             snapshot_rows(
                 rows, paths, f"repro_{prefix}", f"health().{field}",
                 getattr(health, field),

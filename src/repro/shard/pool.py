@@ -13,13 +13,12 @@ The pool owns everything multiprocess about sharded execution:
   fold under one total order (score desc, id asc;
   :func:`~repro.core.scan.merge_topk`), so the candidate set is
   independent of reply arrival order and identical to a serial scan's;
-* **self-healing** — a watchdog with the same policy semantics as the
-  in-process engine's (:mod:`repro.reliability.watchdog`): heartbeats
-  mark progress, silent workers past the stall tolerance are terminated,
-  dead workers are respawned with every published store replayed, and
-  their task is re-dispatched.  Past the respawn budget the pool raises
-  :class:`~repro.errors.ShardError`, which callers treat as "fall back
-  to the exact in-process scan".
+* **self-healing** — worker processes, unlike threads, can die, so the
+  pool watches them: heartbeats mark progress, silent workers past the
+  stall tolerance are terminated, dead workers are respawned with every
+  published store replayed, and their task is re-dispatched.  Past the
+  respawn budget the pool raises :class:`~repro.errors.ShardError`,
+  which callers treat as "fall back to the exact in-process scan".
 
 Exactness: workers only produce candidate supersets.  The front door's
 margin guard and float64 exact rescore make the final rows a pure
@@ -39,7 +38,6 @@ from ..core.cost_model import choose_shard_fanout
 from ..core.scan import merge_topk
 from ..errors import ShardError
 from ..relational.catalog import ShardMap
-from ..reliability.watchdog import WatchdogPolicy
 from .envelope import make_task, open_task
 from .store import SegmentOwner
 from .worker import worker_main
@@ -137,7 +135,11 @@ class ShardPool:
         self.engine = engine  # repro.query.Engine
         self.n_procs = int(n_procs)
         self.min_rows = min_rows
-        self.policy = WatchdogPolicy(stall_s=stall_s, max_respawns=max_respawns)
+        self.stall_s = max(0.0, float(stall_s))
+        self.max_respawns = max(0, int(max_respawns))
+        #: How often a scan waiting on replies re-checks its workers: a
+        #: quarter of the stall tolerance, at most 50 ms.
+        self.poll_s = min(self.stall_s / 4.0, 0.05) if self.stall_s else 0.05
         self._mp = multiprocessing.get_context(start_method)
         self._owner = SegmentOwner()
         self.segment_prefix = self._owner.prefix
@@ -324,13 +326,12 @@ class ShardPool:
             kpad=int(max(1, kpad)),
             thr_rows=thr_rows,
             thr_floors=np.asarray(thr_floors, dtype=np.float32),
-            heartbeat_s=self.policy.stall_s / 4.0 if self.policy.enabled
-            else 1.0,
+            heartbeat_s=self.stall_s / 4.0 if self.stall_s else 1.0,
         )
         self.stats.scans += 1
         self.stats.tasks += self.n_procs
         pending: dict[int, dict] = {}
-        respawn_budget = self.policy.max_respawns
+        respawn_budget = self.max_respawns
         for worker in list(self._workers):
             try:
                 worker.conn.send(task)
@@ -340,7 +341,7 @@ class ShardPool:
                 if respawn_budget <= 0:
                     raise ShardError(
                         f"shard worker {worker.shard_id} died and the "
-                        f"respawn budget ({self.policy.max_respawns}) is "
+                        f"respawn budget ({self.max_respawns}) is "
                         f"exhausted"
                     )
                 respawn_budget -= 1
@@ -390,24 +391,22 @@ class ShardPool:
     ) -> dict:
         """Await one reply per shard, healing dead/stuck workers.
 
-        Same watchdog semantics as the in-process engine: heartbeats (or
-        any message) mark progress; a worker silent past the stall
-        tolerance is terminated and respawned; respawns are budgeted per
-        scan (shared with dispatch-time deaths), and exhausting the
-        budget raises :class:`ShardError`.
+        Heartbeats (or any message) mark progress; a worker silent past
+        the stall tolerance is terminated and respawned; respawns are
+        budgeted per scan (shared with dispatch-time deaths), and
+        exhausting the budget raises :class:`ShardError`.
         """
         replies: dict[int, dict] = {}
         now = time.perf_counter()
         last_progress = {sid: now for sid in pending}
         respawns_left = respawn_budget
-        poll_s = self.policy.poll_s
 
         def heal(shard_id: int, *, stalled: bool, reason: str) -> None:
             nonlocal respawns_left
             if respawns_left <= 0:
                 raise ShardError(
                     f"shard worker {shard_id} {reason} and the respawn "
-                    f"budget ({self.policy.max_respawns}) is exhausted"
+                    f"budget ({self.max_respawns}) is exhausted"
                 )
             respawns_left -= 1
             worker = self._respawn(shard_id, stalled=stalled)
@@ -450,13 +449,13 @@ class ShardPool:
                 if not worker.proc.is_alive():
                     heal(shard_id, stalled=False, reason="died")
                 elif (
-                    self.policy.enabled
+                    self.stall_s
                     and time.perf_counter() - last_progress[shard_id]
-                    > self.policy.stall_s
+                    > self.stall_s
                 ):
                     heal(shard_id, stalled=True, reason="stalled")
             if not progressed:
-                time.sleep(min(poll_s, 0.002))
+                time.sleep(min(self.poll_s, 0.002))
         return replies
 
     # ------------------------------------------------------------------

@@ -77,14 +77,15 @@ MAX_BLOCK_ROWS = 1024
 #: GEMM alone: 63-row tasks 74-77 GFLOP/s, 125 rows 96-98, 250 rows
 #: 107-110, 500 rows 117-124, 1,000 rows 119-130 — at 500 the tax is
 #: under a tenth.
-#: Tall tasks give up :data:`MORSELS_PER_WORKER`'s stealing slack, which
+#: Tall tasks give up :data:`MORSELS_PER_WORKER`'s balancing slack, which
 #: a join pays for in scheduling jitter whatever its size: only a join
 #: whose work the :data:`MIN_TASK_WORK` floor was not already rationing
 #: takes them (834 x 8,000 x 64 on two workers keeps four 209-row tasks:
 #: ``ejoin_strings`` read 9.35 ms an op so, 9.63 in two of 417).
 WIDE_TASK_ROWS = 500
 
-#: Tasks per worker a cut left side aims for, so stealing has slack.
+#: Tasks per worker a cut left side aims for, so a worker that finishes
+#: early takes queued work off a slow one.
 MORSELS_PER_WORKER = 4
 
 #: Multiply-adds (score cells x dim) under which a task is not worth
@@ -125,7 +126,7 @@ def task_rows(
     without one: fewer tasks per worker first, then fewer tasks than
     workers, down to one — for one worker exactly as for many, which is
     what keeps a lone worker's score blocks wide.  One worker and no
-    price means nobody to steal and nothing to size a cut by: its tasks
+    price means nothing to balance and nothing to size a cut by: its tasks
     are ``morsel_rows``.
     """
     if row_work is None and workers == 1:
@@ -151,7 +152,7 @@ def blocks_per_cap_task(edge: int, row_bytes: int) -> int:
 
 
 def worth_scheduling(work: int) -> bool:
-    """Whether ``work`` multiply-adds repay one scheduler run."""
+    """Whether ``work`` multiply-adds repay one run on the engine's pool."""
     return work >= MIN_TASK_WORK
 
 

@@ -2,19 +2,16 @@
 
 The acceptance contract these tests pin down: with deterministic faults
 injected into kernels, workers, and the dispatcher, every result the
-service returns is bit-identical to fault-free serial execution; kills
-and hangs are recovered within the watchdog's bound instead of hanging
-the query.
+service returns is bit-identical to fault-free serial execution, and a
+permanent fault fails its query alone.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
-from repro.config import configure, get_config
 from repro.errors import PermanentFault
 from repro.reliability.faults import FaultInjector, install_injector
 from repro.service import QueryService
@@ -130,75 +127,6 @@ def test_latency_spikes_only_slow_never_corrupt(query_vectors):
         assert_tables_equal(got, want, context=f"query {i}")
 
 
-@pytest.mark.usefixtures("schedule_every_task")
-def test_worker_kills_recovered_bit_identically(query_vectors):
-    """Abrupt worker deaths: watchdog/sweep recovery, results exact."""
-    configure(default_threads=4, default_morsel_rows=32)
-    try:
-        serial = [
-            b.execute() for b in _builders(make_engine(), query_vectors[:12])
-        ]
-        engine = make_engine()
-        service = QueryService(engine, coalesce=True)
-        injector = install_injector(
-            FaultInjector(
-                0.3,
-                seed=2,
-                sites=("engine.worker",),
-                kinds=("transient", "kill"),
-            )
-        )
-        results, errors = _drive(service, _builders(engine, query_vectors[:12]))
-        assert errors == []
-        assert injector.stats.snapshot()["by_kind"].get("kill", 0) >= 1
-        for i, (got, want) in enumerate(zip(results, serial)):
-            assert_tables_equal(got, want, context=f"query {i}")
-    finally:
-        configure(default_threads=None, default_morsel_rows=1024)
-
-
-@pytest.mark.usefixtures("schedule_every_task")
-def test_injected_hangs_bounded_by_watchdog(query_vectors):
-    """A hang far longer than any query must not set the pace: the
-    watchdog stalls the hung worker out and re-runs its morsel."""
-    config = get_config()
-    saved = (config.default_threads, config.default_morsel_rows)
-    configure(default_threads=4, default_morsel_rows=16, watchdog_stall_s=0.05)
-    try:
-        serial = [
-            b.execute() for b in _builders(make_engine(), query_vectors[:6])
-        ]
-        engine = make_engine()
-        service = QueryService(engine, coalesce=False)
-        injector = install_injector(
-            FaultInjector(
-                0.3,
-                seed=21,
-                sites=("engine.worker",),
-                kinds=("hang",),
-                hang_s=30.0,
-                max_faults=2,
-            )
-        )
-        start = time.perf_counter()
-        results, errors = _drive(
-            service, _builders(engine, query_vectors[:6]), n_clients=3
-        )
-        elapsed = time.perf_counter() - start
-        assert errors == []
-        assert injector.stats.snapshot()["by_kind"].get("hang", 0) >= 1
-        assert elapsed < 15.0, f"queries hung for {elapsed:.1f}s"
-        assert engine.executor.stats.watchdog_stalls >= 1
-        for i, (got, want) in enumerate(zip(results, serial)):
-            assert_tables_equal(got, want, context=f"query {i}")
-    finally:
-        configure(
-            default_threads=saved[0],
-            default_morsel_rows=saved[1],
-            watchdog_stall_s=5.0,
-        )
-
-
 def test_permanent_faults_fail_fast_and_cleanly(query_vectors):
     """Permanent faults are not retried: the query fails immediately,
     later queries are unaffected, and counters stay consistent."""
@@ -243,7 +171,6 @@ def test_health_snapshot_reports_ok_when_quiet(query_vectors):
         "breakers",
         "open_breakers",
         "retries",
-        "watchdog",
         "faults",
         "qos",
         "service",

@@ -148,7 +148,9 @@ print(*report.strategies)
 
 
 class TestConfigure:
-    @pytest.mark.parametrize("name", ["rng", "default_precision", "work_stealing"])
+    @pytest.mark.parametrize(
+        "name", ["rng", "default_precision", "work_stealing", "watchdog_stall_s"]
+    )
     def test_rejects_unknown_fields(self, name):
         """A method name or a removed setting is no field: ``configure``
         raises rather than store a value nothing reads."""

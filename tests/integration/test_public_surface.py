@@ -50,6 +50,7 @@ DELETED_MODULES = (
     "index/ivfpq.py", "index/filtering.py", "relational/io.py",
     "workloads/selectivity.py", "reliability/runtime.py", "obs/adapter.py",
     "core/parallel.py", "service/semantic_cache.py", "service/plan_cache.py",
+    "engine/scheduler.py", "reliability/watchdog.py",
 )
 DELETED = (
     "HashJoin", "Scan", "Sort", "Limit", "Aggregate", "AggSpec", "Filter",
@@ -83,6 +84,10 @@ DELETED = (
     "breakers", "reset_breakers", "default_registry",
     # Clients submit with a tag; no session handle wraps submit_qos.
     "SessionHandle",
+    # The engine is a fork-join on one thread pool: nothing steals, and
+    # nothing supervises threads that cannot die.
+    "WorkStealingScheduler", "SchedulerStats", "WatchdogPolicy",
+    "WorkerKilledFault",
 )
 
 pytestmark = pytest.mark.skipif(

@@ -241,6 +241,6 @@ class TestServiceExposition:
             assert help_text == METRIC_HELP.get(family) or help_text.startswith(
                 ("stats_snapshot()[", "health().", "recorder.stats_snapshot()[")
             ), (family, help_text)
-        assert families["repro_engine_steals"][0].endswith(
-            'stats_snapshot()["engine"]["steals"]'
+        assert families["repro_engine_runs"][0].endswith(
+            'stats_snapshot()["engine"]["runs"]'
         )

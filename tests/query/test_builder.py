@@ -184,7 +184,6 @@ class TestExecutorTracksConfig:
             ("retry_max_attempts", 7, lambda ex: ex.retry_policy.max_attempts),
             ("retry_base_ms", 4.0, lambda ex: ex.retry_policy.base_s * 1000.0),
             ("retry_cap_ms", 80.0, lambda ex: ex.retry_policy.cap_s * 1000.0),
-            ("watchdog_stall_s", 0.25, lambda ex: ex.watchdog.stall_s),
         ],
     )
     def test_configure_after_first_query_reaches_the_executor(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PermanentFault, TransientFault, WorkerKilledFault
+from repro.config import configure, get_config
+from repro.errors import PermanentFault, TransientFault
 from repro.reliability.faults import (
     KINDS,
     FaultInjector,
@@ -54,9 +55,21 @@ def test_site_filter():
     assert injector.decide("kernel.gemm") is not None
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown fault kinds"):
-        FaultInjector(0.5, kinds=("transient", "meteor"))
+@pytest.mark.parametrize("kind", ["meteor", "kill", "hang"])
+def test_unknown_kind_rejected(kind):
+    """At either door: the constructor and ``REPRO_FAULT_KINDS``'s field.
+    The message names the kinds that exist."""
+    have = r"have \('transient', 'permanent', 'latency'\)"
+    with pytest.raises(ValueError, match=f"unknown fault kinds.*{kind}.*{have}"):
+        FaultInjector(0.5, kinds=("transient", kind))
+    config = get_config()
+    saved = (config.fault_rate, config.fault_kinds)
+    try:
+        configure(fault_rate=0.5, fault_kinds=f"transient,{kind}")
+        with pytest.raises(ValueError, match=f"unknown fault kinds.*{kind}.*{have}"):
+            FaultInjector.from_config()
+    finally:
+        configure(fault_rate=saved[0], fault_kinds=saved[1])
 
 
 def test_kind_selection_stays_within_configured():
@@ -78,8 +91,6 @@ def test_hit_raises_typed_faults():
         FaultInjector(1.0, kinds=("transient",)).hit("engine.worker")
     with pytest.raises(PermanentFault):
         FaultInjector(1.0, kinds=("permanent",)).hit("engine.worker")
-    with pytest.raises(WorkerKilledFault):
-        FaultInjector(1.0, kinds=("kill",)).hit("engine.worker")
 
 
 def test_latency_kind_sleeps_with_injected_clock():

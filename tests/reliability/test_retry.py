@@ -212,30 +212,20 @@ def test_from_config_picks_up_knobs():
 
 
 def test_settings_come_only_from_the_config():
-    """The retry and watchdog settings have no constructor defaults of
-    their own: ``from_config()`` is the one door to the config fields."""
+    """The retry settings have no constructor defaults of their own:
+    ``from_config()`` is the one door to the config fields."""
     from repro.config import configure, get_config
-    from repro.reliability.watchdog import WatchdogPolicy
 
     with pytest.raises(TypeError):
         RetryPolicy()
-    with pytest.raises(TypeError):
-        WatchdogPolicy()
     config = get_config()
-    saved = (
-        config.retry_max_attempts, config.retry_base_ms,
-        config.retry_cap_ms, config.watchdog_stall_s,
-    )
+    saved = (config.retry_max_attempts, config.retry_base_ms, config.retry_cap_ms)
     try:
-        configure(
-            retry_max_attempts=5, retry_base_ms=2.0,
-            retry_cap_ms=40.0, watchdog_stall_s=7.5,
-        )
+        configure(retry_max_attempts=5, retry_base_ms=2.0, retry_cap_ms=40.0)
         policy = RetryPolicy.from_config()
         assert (policy.max_attempts, policy.base_s, policy.cap_s) == (5, 0.002, 0.04)
-        assert WatchdogPolicy.from_config().stall_s == 7.5
     finally:
         configure(
             retry_max_attempts=saved[0], retry_base_ms=saved[1],
-            retry_cap_ms=saved[2], watchdog_stall_s=saved[3],
+            retry_cap_ms=saved[2],
         )

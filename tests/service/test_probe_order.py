@@ -303,7 +303,12 @@ def test_loop_probes_race_dispatchers_and_a_writer():
     """Hits answered on the loop, misses executing on dispatchers and a
     writer re-registering the table, all at once and with the interpreter
     switching threads far more often than it normally does: every request
-    is counted exactly once and every answer is one catalog version's."""
+    is counted exactly once and every answer is one catalog version's.
+
+    The writer is paced by requests, not by the clock: the clients signal
+    it after every ``per_version``-th completed request, so each version
+    serves several repeats of each vector and some are cache hits however
+    fast or slow the box runs."""
     import sys
 
     engine = make_engine()
@@ -315,20 +320,30 @@ def test_loop_probes_race_dispatchers_and_a_writer():
         engine.catalog.register("corpus", table, replace=True)
         truths.append([_topk(engine, q).execute() for q in pool])
     n_clients, per_client = 12, 40
+    per_version = 24  # completed requests between two re-registrations
     stop = threading.Event()
+    bumps = threading.Semaphore(0)
+    completed = 0
 
     def writer():
         version = 0
-        while not stop.wait(0.002):
+        while True:
+            bumps.acquire()
+            if stop.is_set():
+                return
             version = (version + 1) % len(tables)
             engine.catalog.register("corpus", tables[version], replace=True)
 
     async def client(front, c):
+        nonlocal completed
         answers = []
         for i in range(per_client):
             j = (c + i) % len(pool)
             response = await front.submit(_topk(engine, pool[j]))
             answers.append((j, response.table))
+            completed += 1
+            if completed % per_version == 0:
+                bumps.release()
             if i % 4 == 0:
                 await asyncio.sleep(0)
         return answers
@@ -349,6 +364,7 @@ def test_loop_probes_race_dispatchers_and_a_writer():
         batches, front_stats = asyncio.run(go())
     finally:
         stop.set()
+        bumps.release()
         thread.join(30.0)
         sys.setswitchinterval(interval)
     assert not thread.is_alive()
