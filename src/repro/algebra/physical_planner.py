@@ -237,9 +237,15 @@ class ExecutionContext:
         source's unit-row matrix, valid for what that matrix is; ``None``:
         the source declined one, or (``cached``) none is built yet."""
         derive = None if cached else (
-            lambda store: build_caps(self.normalized_matrix_for(key, table, store))
+            lambda store: self._build_caps(key, self.normalized_matrix_for(key, table, store))
         )
         return self._source(key, "caps", table, store, derive)
+
+    def _build_caps(self, key: tuple, unit: np.ndarray) -> CapPartition | None:
+        """:func:`~repro.core.caps.build_caps` of a source's unit rows; the
+        partition makes its cap-ordered copy under the source's build lock."""
+        part = build_caps(unit)
+        return part and replace(part, lock=self.sources._build_lock((*key, "caps")))
 
     def selection_caps(self, key: tuple, table: Table) -> CapPartition | None:
         """The cap partition a selection over a scan source prescreens on:
@@ -256,7 +262,7 @@ class ExecutionContext:
 
             def build() -> None:
                 try:
-                    self._source(key, "caps", table, store, lambda _: build_caps(unit))
+                    self._source(key, "caps", table, store, lambda _: self._build_caps(key, unit))
                 except Exception:  # the registration stays dense
                     pass
 
@@ -431,7 +437,7 @@ def _execute_eselect(
         report.join_stats.append(result.stats)
         sp.set(
             strategy=result.stats.strategy, rows=table.num_rows,
-            prescreen=result.stats.extra["prescreen"],
+            prescreen=result.stats.extra["prescreen"], probe=result.stats.extra["probe"],
         )
     return materialize_selection(table, result.ids, result.scores, node.score_column)
 

@@ -142,6 +142,7 @@ class GroupSelection(NamedTuple):
     blocks: int
     cells: int  # score cells the prescreen computed (cap centres included)
     prescreen: str  # "caps" or "dense"
+    probe: str  # the caps' probe order ("rows", "caps" or both); "dense" off them
     fanned: object | None  # what ``scan=`` answered (``None``: in process)
 
 
@@ -167,6 +168,7 @@ def _cap_prescreen(
     return ScanResult(
         top.triples, thr.hits, blocks=top.blocks + thr.blocks, cells=top.cells + thr.cells,
         peak_bytes=max(top.peak_bytes, thr.peak_bytes),
+        probe="+".join(sorted({top.probe, thr.probe} - {""})),
     )
 
 
@@ -226,7 +228,7 @@ def select_group(
     if caps is not None:
         allowance = np.inf if budget_bytes is None else budget_bytes
         found = _cap_prescreen(caps, queries, topk_rows, kpad, thr_rows, floors, allowance)
-    prescreen = "dense" if found is None else "caps"
+    prescreen, probe = ("dense", "dense") if found is None else ("caps", found.probe)
     if found is None and scan is not None:
         fanned = scan(
             queries, n_rows=n, topk_rows=topk_rows, kpad=kpad,
@@ -258,7 +260,7 @@ def select_group(
         )
         return ids, scores, len(candidates), rescanned
 
-    return GroupSelection(select, len(queries), blocks, cells, prescreen, fanned)
+    return GroupSelection(select, len(queries), blocks, cells, prescreen, probe, fanned)
 
 
 def eselect(
@@ -296,7 +298,7 @@ def eselect(
     group = select_group(normalized, [qvec], [condition], caps=caps)
     ids, scores, _, _ = group.select(0)
     stats.similarity_evaluations = group.cells
-    stats.extra["prescreen"] = group.prescreen
+    stats.extra["prescreen"], stats.extra["probe"] = group.prescreen, group.probe
     stats.seconds = time.perf_counter() - start
     stats.pairs_emitted = len(ids)
     return SelectionResult(ids, scores, stats)

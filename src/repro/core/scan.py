@@ -97,6 +97,9 @@ class ScanResult:
     #: The largest score block plus what the select held beside it (chunk
     #: maxima, pooled top-k triples).
     peak_bytes: int = 0
+    #: The order a cap task probed in (``"rows"`` / ``"caps"``,
+    #: :func:`repro.core.caps.cap_join`); ``""`` for a dense pass.
+    probe: str = ""
 
 
 def _unchanged(left: np.ndarray) -> np.ndarray:
@@ -516,6 +519,7 @@ def scan_join(
         stats.extra["rerank_candidates"] = sum(part[6] for part in parts)
     if caps is not None:
         stats.extra["cap_tasks"] = sum(part[5] for part in parts)
+        stats.extra["probe"] = "+".join(sorted({part[3].probe for part in parts} - {""})) or "dense"
     return JoinResult(
         np.concatenate([part[0] + l0 for l0, part in zip(starts, parts)]),
         np.concatenate([part[1] for part in parts]),

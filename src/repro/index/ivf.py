@@ -17,7 +17,6 @@ from ..config import get_config
 from ..errors import IndexError_
 from ..vector.norms import normalize_rows
 from ..vector.select import BLOCK_BYTES, TopKReducer, select_above
-from ..vector.topk import top_k_per_row
 from .base import SearchResult, VectorIndex
 
 
@@ -200,14 +199,15 @@ class IVFFlatIndex(VectorIndex):
         return allowed
 
     def _probe_lists(self, queries: np.ndarray) -> np.ndarray:
-        """The ``nprobe`` closest lists of each unit query, ``(n, nprobe)``."""
+        """The ``nprobe`` closest lists of each unit query, ``(n, nprobe)``,
+        in no particular order (the probe's fold orders what they hold)."""
         step = max(1, BLOCK_BYTES // (4 * len(self._centroids)))
-        return np.concatenate(
-            [
-                top_k_per_row(queries[lo : lo + step] @ self._centroids.T, self.nprobe)
-                for lo in range(0, len(queries), step)
-            ]
-        )
+        k = min(self.nprobe, len(self._centroids))
+        picks = [
+            np.argpartition(queries[lo : lo + step] @ -self._centroids.T, k - 1, axis=1)[:, :k]
+            for lo in range(0, len(queries), step)
+        ]
+        return np.concatenate(picks)
 
     def search(
         self,

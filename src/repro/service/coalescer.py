@@ -298,6 +298,7 @@ class CoalescingScheduler:
                     blocks=group.blocks,
                     rows=n,
                     prescreen=group.prescreen,
+                    probe=group.probe,
                     cells=group.cells,
                     # fp32 rows scored per query vector: the relation once
                     # for a dense pass, the kept rows and centres on caps.

@@ -107,9 +107,9 @@ class TestPlanner:
             assert np.array_equal(out.array(column), cold.array(column))
 
     def test_selection_span_names_its_scan_only(self, ctx):
-        """``planner.eselect`` carries what ran, over how many rows and on
-        which prescreen: a selection has no precision to pick and no
-        fallback edge."""
+        """``planner.eselect`` carries what ran, over how many rows, on
+        which prescreen and in which probe order: a selection has no
+        precision to pick and no fallback edge."""
         from repro.obs.trace import QueryScope, Trace
 
         plan = ESelectNode(
@@ -120,7 +120,9 @@ class TestPlanner:
         with QueryScope(trace):
             execute(plan, ctx)
         (span,) = trace.find("planner.eselect")
-        assert span.attrs == {"strategy": "eselect/scan", "rows": 300, "prescreen": "dense"}
+        assert span.attrs == {
+            "strategy": "eselect/scan", "rows": 300, "prescreen": "dense", "probe": "dense",
+        }
 
 
 class TestStoreAmortization:

@@ -295,6 +295,66 @@ def test_build_caps_assigns_in_chunks():
 
 
 # ---------------------------------------------------------------------------
+# The two probe orders: row by row from the unit rows, cap by cap on the copy
+# ---------------------------------------------------------------------------
+ORDER_CONDITIONS = {
+    "topk": TopKCondition(5),
+    "topk-min": TopKCondition(12, min_similarity=0.9),
+    "threshold": ThresholdCondition(0.875),
+    "floors": np.array([0.95, 0.875, 0.8], np.float32),  # a floor per row, cycled
+}
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 3, 64])
+@pytest.mark.parametrize("condition", list(ORDER_CONDITIONS), ids=list(ORDER_CONDITIONS))
+@pytest.mark.parametrize("rows", ["clustered", "tied"])
+def test_the_two_probe_orders_agree(clustered_join, exact_join, rows, condition, n_q):
+    """Both orders keep the same pairs and return the same candidates, with
+    fp32 scores equal up to the rounding of a GEMV against a GEMM."""
+    left, right = (clustered_join if rows == "clustered" else exact_join)[:2]
+    part = build_caps(right)
+    assert part is not None
+    queries, condition = left[:n_q], ORDER_CONDITIONS[condition]
+    if isinstance(condition, np.ndarray):
+        condition = condition[np.arange(n_q) % 3]
+    by_rows = cap_join(part, condition, queries, np.inf, probe="rows")
+    by_caps = cap_join(part, condition, queries, np.inf, probe="caps")
+    assert (by_rows.probe, by_caps.probe) == ("rows", "caps")
+    assert by_rows.cells == by_caps.cells
+    for got, want in zip(by_rows.triples[:2], by_caps.triples[:2]):
+        assert np.array_equal(got, want)
+    apart = np.abs(by_rows.triples[2] - by_caps.triples[2]).max(initial=0.0)
+    assert apart <= (0.0 if rows == "tied" else SWAP_TOLERANCE)
+    if n_q in (1, 64):  # one row goes row by row; 64 rows share their caps
+        assert cap_join(part, condition, queries, np.inf).probe == ("rows" if n_q == 1 else "caps")
+
+
+@pytest.mark.parametrize("probe", ["rows", "caps"])
+def test_either_order_answers_empty_and_declines_k_over_n(
+    clustered_join, clustered_part, probe
+):
+    left, right, exact = clustered_join
+    assert exact[:3].max() < 0.9999
+    empty = cap_join(clustered_part, ThresholdCondition(0.9999), left[:3], np.inf, probe=probe)
+    assert empty is not None and all(len(column) == 0 for column in empty.hits)
+    too_many = TopKCondition(len(right))
+    assert cap_join(clustered_part, too_many, left[:3], np.inf, probe=probe) is None
+
+
+def test_only_a_cap_major_probe_makes_the_copy(clustered_join):
+    left, right, _ = clustered_join
+    part = build_caps(right)
+    assert part._packed is None  # the build checks row by row
+    assert cap_join(part, TopKCondition(5), left[:1], np.inf).probe == "rows"
+    assert part._packed is None
+    assert cap_join(part, TopKCondition(5), left, np.inf).probe == "caps"
+    packed = part._packed
+    assert np.array_equal(packed, right[part.ids])
+    cap_join(part, ThresholdCondition(0.9), left, np.inf)
+    assert part.packed() is packed
+
+
+# ---------------------------------------------------------------------------
 # Served selections prescreen on the caps
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("rows", ["clustered", "grid-copies"])

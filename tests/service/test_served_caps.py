@@ -4,17 +4,23 @@ A scan source's partition is built on a daemon thread once the source has
 served ``SELECTIONS_PER_BUILD`` dense selections against one registration
 (lowered here).  Until it lands every selection scans dense; after, groups
 and serial selections prescreen on it — and every answer stays bit for bit
-the dense one's.
+the dense one's.  A served selection probes its caps row by row from the
+unit rows, so it never makes the partition's cap-ordered copy; the first
+join on the source makes it, once.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.algebra import physical_planner
+from repro.core import ThresholdCondition, TopKCondition, select_group
+from repro.core.caps import cap_join
 from repro.embedding import HashingEmbedder
 from repro.query import Engine
 from repro.relational import Catalog, DataType, Field, Schema, Table
@@ -48,6 +54,10 @@ def corpus(seed: int = 2) -> Table:
 def make_engine(table: Table | None = None) -> Engine:
     catalog = Catalog()
     catalog.register("corpus", corpus() if table is None else table)
+    schema = Schema((Field("pid", DataType.INT64), Field("vec", DataType.TENSOR, dim=DIM)))
+    catalog.register(
+        "probes", Table.from_arrays(schema, {"pid": np.arange(300), "vec": clustered(300, 4)})
+    )
     engine = Engine(catalog)
     engine.models.register("m", HashingEmbedder(dim=DIM))
     return engine
@@ -59,8 +69,15 @@ def query(engine: Engine, vector, **terms):
 
 def run(engine: Engine, vector, **terms):
     """A serial selection's table and the prescreen it ran."""
+    return run_probe(engine, vector, **terms)[:2]
+
+
+def run_probe(engine: Engine, vector, **terms):
+    """A serial selection's table, its prescreen and its probe order."""
     builder = query(engine, vector, **terms)
-    return builder.execute(), builder.last_report.join_stats[-1].extra["prescreen"]
+    table = builder.execute()
+    extra = builder.last_report.join_stats[-1].extra
+    return table, extra["prescreen"], extra["probe"]
 
 
 def wait_for_builds() -> None:
@@ -206,3 +223,97 @@ def test_registering_the_same_object_again_keeps_the_partition(vectors):
     assert run(engine, vectors[30], top_k=5)[1] == "caps"
     wait_for_builds()
     assert partition(engine) is part
+
+
+# ---------------------------------------------------------------------------
+# The cap-ordered copy: made by the first join, never by a selection
+# ---------------------------------------------------------------------------
+def join(engine: Engine):
+    """A top-5 join of 300 rows on the corpus: a cap-major task."""
+    builder = (
+        engine.query("probes")
+        .ejoin("corpus", left_on="vec", right_on="vec", model="m", top_k=5, strategy="tensor")
+        .select(["pid", "id", "similarity"])
+    )
+    table = builder.execute()
+    return table, builder.last_report.join_stats[-1].extra
+
+
+class CountingRows(np.ndarray):
+    """Unit rows that count (and slow down) each gather of all of them: the
+    cap-ordered copy."""
+
+    copies: list = []
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray) and len(index) == len(self):
+            self.copies.append(threading.get_ident())
+            time.sleep(0.05)
+        return np.asarray(super().__getitem__(index))
+
+
+def test_served_selections_leave_no_copy_and_the_first_join_makes_it(vectors):
+    engine = make_engine()
+    land_caps(engine, vectors)
+    part = partition(engine)
+    for i, vector in enumerate(vectors[TRIGGER:TRIGGER + 12]):
+        terms = {"top_k": 5} if i % 2 else {"threshold": 0.99 if i % 4 == 0 else 0.9}
+        _, prescreen, probe = run_probe(engine, vector, **terms)
+        assert (prescreen, probe) == ("caps", "rows")
+    assert part._packed is None
+    _, extra = join(engine)
+    assert extra["cap_tasks"] >= 1 and extra["probe"] == "caps"
+    packed = part._packed
+    assert packed is not None and partition(engine) is part
+    join(engine)
+    assert part._packed is packed
+
+
+def test_racing_first_joins_copy_once_under_the_build_lock(vectors):
+    """More first joins than cores, switching often: one copy, made under
+    the source's build lock (a lock-free check-then-copy makes several)."""
+    engine = make_engine()
+    land_caps(engine, vectors)
+    part = partition(engine)
+    # The partition's lock is the source's build lock, not one of its own.
+    assert part.lock is engine.sources._build_lock((*KEY, "caps"))
+    CountingRows.copies = []
+    object.__setattr__(part, "unit", part.unit.view(CountingRows))
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(join(engine))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 4 and all(extra["probe"] == "caps" for _, extra in got)
+    assert len(CountingRows.copies) == 1
+    for i, (table, _) in enumerate(got[1:]):
+        assert_tables_equal(got[0][0], table, context=f"racing join {i + 1}")
+
+
+def test_a_row_major_task_over_its_allowance_declines_as_a_cap_major_one(vectors):
+    engine = make_engine()
+    land_caps(engine, vectors)
+    part = partition(engine)
+    unit = engine.context().normalized_matrix_for(KEY, engine.catalog.get("corpus"))
+    budget = 2_048  # the bound state (1,152 bytes) fits; no gathered block or run does
+    conditions = [TopKCondition(5), ThresholdCondition(0.9)]
+    for condition in conditions:
+        capped = select_group(unit, [vectors[40]], [condition], budget_bytes=budget, caps=part)
+        dense = select_group(unit, [vectors[40]], [condition], budget_bytes=budget)
+        assert (capped.prescreen, capped.probe) == ("dense", "dense")
+        for got, want in zip(capped.select(0)[:2], dense.select(0)[:2]):
+            assert np.array_equal(got, want)
+        free = select_group(unit, [vectors[40]], [condition], caps=part)
+        assert (free.prescreen, free.probe) == ("caps", "rows")
+    assert part._packed is None
+    for condition in conditions:  # the same task forced cap by cap declines too
+        for probe in ("rows", "caps"):
+            assert cap_join(part, condition, vectors[40:41], np.inf, probe=probe) is not None
+            assert cap_join(part, condition, vectors[40:41], budget, probe=probe) is None

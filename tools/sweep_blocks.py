@@ -30,7 +30,13 @@ bound test (``caps.keep``), the phase-1 probe (``probe_lists``), the
 phase-2 probe (``caps.probe_flat``) and the rest (centre GEMM, nearest
 caps, folds), for 500 and 1,000 left rows; and the 1,000-row join on a
 2-thread engine as one cap task (``blocks_per_cap_task``) against two
-500-row ones, interleaved, median and wins::
+500-row ones, interleaved, median and wins.  The last table times one cap
+task probed in each order (``cap_join(probe=)``: row by row from the unit
+rows, cap by cap on the cap-ordered copy) for 1-1,000 query rows on
+``serve_scan``'s 150,000 x 128 corpus (a served top-10's ``k + 32``, a
+threshold at the 10th-best score) and ``ejoin_vectors``' 40,000 x 128
+right side (top-8, the 8th-best score), beside the ``(row, cap)`` pairs
+the order is picked on and the order ``cap_join`` picks::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/sweep_blocks.py --caps
 
@@ -258,6 +264,44 @@ def sweep_cap_tasks(n_left, n_right, dim, repeat, rows):
               f"| {1e3 * np.median(times[False]):.1f} | {tasks[False]} | {wins}/{2 * repeat} |")
 
 
+def sweep_probe_orders(shapes, n_lefts, repeat):
+    """One row per ``(shape, condition, query rows)``: one cap task probed
+    row by row and cap by cap (min of ``repeat``, interleaved; the
+    cap-ordered copy made beforehand), the ``(row, cap)`` pairs the order
+    is picked on, and the pick."""
+    print(f"\n## probe orders: one cap task, one thread, min of {repeat}")
+    print("| shape | condition | query rows | pairs | rows ms | caps ms | faster | picked |")
+    print("|---|---|---|---|---|---|---|---|")
+    for name, rows, k, kth in shapes:
+        left, right = rows[: max(n_lefts)], rows[max(n_lefts) :]
+        part = caps.build_caps(right)
+        if part is None:
+            print(f"\n({name}: no partition, the source declined)")
+            continue
+        part.packed()
+        floor = float(np.sort(left[:32] @ right.T, axis=1)[:, -kth].mean())
+        conditions = {f"top-{k}": TopKCondition(k), "threshold": ThresholdCondition(floor)}
+        for label, condition in conditions.items():
+            for n in n_lefts:
+                best = {"rows": np.inf, "caps": np.inf}
+                for _ in range(repeat):
+                    for probe in best:
+                        scan, took = _timed(
+                            lambda: caps.cap_join(part, condition, left[:n], np.inf, probe=probe)
+                        )
+                        best[probe] = min(best[probe], took)
+                s = left[:n] @ part.axes[:, :-2].T
+                pairs = (
+                    caps._nearest_caps(s, part.sizes, k)
+                    if label != "threshold" else caps.keep(part, s, np.float32(floor))
+                )[1]
+                picked = caps.cap_join(part, condition, left[:n], np.inf).probe
+                print(
+                    f"| {name} | {label} | {n} | {len(pairs)} | {1e3 * best['rows']:.2f} "
+                    f"| {1e3 * best['caps']:.2f} | {min(best, key=best.get)} | {picked} |"
+                )
+
+
 def sweep_access(n_lefts, ks, lists, repeat, rows):
     """One row per ``(n_left, k)``: IVF, cap and dense ms, the pick, regret."""
     left, right = rows[: max(n_lefts)], rows[max(n_lefts) :]
@@ -338,9 +382,18 @@ def main() -> int:
         if args.quick:
             sweep_caps(64, 4200, 16, 1, settings[:2])
             sweep_cap_tasks(200, 4200, 16, 1, embedding_like_vectors(4400, 16, rank=16, seed=5)[0])
+            rows = embedding_like_vectors(4400, 16, rank=16, seed=5)[0]
+            sweep_probe_orders([("toy", rows, 8, 8)], (1, 8), 1)
         else:
             sweep_caps(500, 40_000, 128, args.repeat, settings)
             sweep_cap_tasks(1000, 40_000, 128, args.repeat, ejoin_vectors_like(41_000, 128, 5))
+            # serve_scan's corpus at a served top-10's k + 32 and a threshold
+            # at its 10th-best score; ejoin_vectors' right side at top-8.
+            shapes = [
+                ("serve_scan", ejoin_vectors_like(151_000, 128, 5), 10 + TOPK_PRESCREEN_PAD, 10),
+                ("ejoin_vectors", ejoin_vectors_like(41_000, 128, 5), 8, 8),
+            ]
+            sweep_probe_orders(shapes, (1, 2, 4, 8, 32, 256, 1000), args.repeat)
             return 0
     if args.quick:
         sweep(96, 3000, 16, 2, (24, 48, 96), 1)
