@@ -5,18 +5,19 @@ GEMM scores them (Ram & Gray's cone trees, KDD 2012).  Cap ``c`` has a unit
 centre and ``m``, its lowest member cosine; a unit query with ``s = q . c``
 scores no member above ``ub = 1`` if ``s >= m``, else ``s m + sqrt(1 - s^2)
 sqrt(1 - m^2)`` = ``cos(max(0, alpha - theta))``.  A cap is kept when ``ub``
-reaches ``f = floor - margin``, tested in fp32 as one centre GEMM plus a
-rank-2 update (:func:`keep`).  A threshold task keeps the ``(row, cap)``
-pairs that reach it; a top-k task each row's nearest caps until they hold
-``k`` rows (phase 1), then every cap that reaches its k-th score (phase 2,
-``prove_topk``'s rule).  A task of many rows probes cap by cap
-(``probe_lists``, :func:`probe_flat`) on a cap-ordered copy of the rows,
-made by the first such task; one of a row or two — a served selection —
-gathers each row's kept members from the unit rows and scores them with
-one GEMV (:func:`probe_rows`).  The bound is on the exact score and a task
-scores its kept cells from the unit rows, so the fp32, int8 and PQ scan
-joins share one partition.  Each constant quotes rows of
-``tools/sweep_blocks.py --caps`` (one thread)."""
+reaches ``f = floor - margin``, tested in fp32 as one centre product plus a
+rank-2 update (:func:`keep`).  A join task probes cap by cap on a
+cap-ordered copy of the rows, made by the first such task: a threshold task
+keeps the ``(row, cap)`` pairs that reach its floor; a top-k task each row's
+nearest caps until they hold ``k`` rows (``probe_lists``), then every cap
+reaching its k-th score (:func:`probe_flat`).  A task of a few rows — a
+served selection — takes one pass a row from the unit rows
+(:func:`probe_by_rows`): a centre GEMV, a top-k row's nearest
+:data:`NEIGHBOURHOOD` rows scored for its floor, one bound test, one gather
+and GEMV.  The bound is on the exact score and a task scores its kept cells
+from the unit rows, so the fp32, int8 and PQ scan joins share one
+partition.  Each constant quotes ``tools/sweep_blocks.py --caps`` (one
+thread)."""
 
 from __future__ import annotations
 
@@ -60,6 +61,18 @@ MIN_CAPS = 64
 #: (250-290, min of 3 builds and of 40 selections, alternated runs).
 SELECTIONS_PER_BUILD = 345
 
+#: Rows a top-k row scores from its nearest caps (``k`` at least) for the
+#: k-th score its bound test keeps caps at.  Median member cells a served
+#: top-10 scores: 588 / 587 / 586 / 1,102 at 64 / 128 / 256-512 / 1,024 on
+#: ``serve_scan``'s rows (~590 a cluster), 157 / 157 / 311 / 587 at 64 /
+#: 128 / 256 / 512 on ``ejoin_vectors``' (~156); 732-1,232 at ``k + 32``.
+NEIGHBOURHOOD = 128
+
+#: Query rows a task probes row by row at most, ms rows / caps: a top-10 on
+#: ``serve_scan``'s rows 0.58 / 0.92 at 2, 1.11 / 1.20 at 4, 2.24 / 1.68 at
+#: 8; a threshold 0.36 / 0.50, 0.70 / 0.66, 1.37 / 1.01.
+ROW_MAJOR_ROWS = 4
+
 #: Cells phase 2 compares at once: 256 KB of scores, few calls, in cache.
 RUN_CELLS = 1 << 16
 
@@ -74,13 +87,13 @@ class CapPartition:
     """Unit rows grouped by cap: cap ``c``'s ``sizes[c]`` members are rows
     ``ids[starts[c]:starts[c + 1]]`` of ``unit``, the source's own unit-row
     matrix (not a copy), with float64 unit ``centres[c]`` and ``radius[c]``
-    its lowest member cosine ``m``.  ``axes[c]`` is ``[centre, m, sqrt(1 -
-    m^2)]`` in fp32: what :func:`keep` multiplies.  ``kept_share`` is the
-    share of a top-8 join's cells the bounds kept when :func:`build_caps`
-    checked the partition on its own rows.  The cap-ordered copy of the
-    members that a cap-major probe reads (:meth:`packed`) is made under
-    ``lock`` — a planner's partition takes its source's build lock — by the
-    first such probe: a source that only serves selections never holds it."""
+    its lowest member cosine ``m``; :func:`keep` multiplies the fp32
+    ``centre_rows`` (contiguous) and ``reach`` (``[m, sqrt(1 - m^2)]``).
+    ``kept_share`` is the share of a top-8 join's cells the bounds kept when
+    :func:`build_caps` checked the partition on its own rows.  The first
+    cap-major probe makes the cap-ordered copy (:meth:`packed`) under
+    ``lock``, a planner's partition's source build lock: a source that only
+    serves selections never holds it."""
 
     unit: np.ndarray
     ids: np.ndarray
@@ -89,14 +102,15 @@ class CapPartition:
     radius: np.ndarray
     kept_share: float = 0.0
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-    axes: np.ndarray = field(init=False, repr=False, compare=False)
+    centre_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    reach: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
     _packed: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = self.radius
-        axes = np.column_stack((self.centres, m, np.sqrt(1.0 - m * m)))
-        object.__setattr__(self, "axes", axes.astype(np.float32))
+        m, fp32 = self.radius, np.float32
+        object.__setattr__(self, "centre_rows", np.ascontiguousarray(self.centres, fp32))
+        object.__setattr__(self, "reach", np.column_stack((m, np.sqrt(1 - m * m))).astype(fp32))
         object.__setattr__(self, "sizes", np.diff(self.starts))
 
     def packed(self) -> np.ndarray:
@@ -126,8 +140,9 @@ class CapPartition:
 def build_caps(unit_rows: np.ndarray) -> CapPartition | None:
     """A source's caps — a seeded sample's spherical :func:`kmeans`, rows to
     their nearest centroid, recentred, measured — or ``None``: no gain.
-    Each cap is measured on its members gathered from ``unit_rows``, and the
-    check runs row by row, so the build copies no rows."""
+    Caps are measured on members gathered from ``unit_rows`` (no copy);
+    the check counts what a top-8 task on 256 rows scores: each row's
+    nearest caps holding 8 rows, and every cap reaching their 8th score."""
     n, n_caps = len(unit_rows), len(unit_rows) // ROWS_PER_CAP
     if n_caps < MIN_CAPS:
         return None
@@ -146,10 +161,14 @@ def build_caps(unit_rows: np.ndarray) -> CapPartition | None:
         radius.append((members @ centres[-1]).min())
     part = CapPartition(unit_rows, ids, starts, np.array(centres), np.clip(radius, -1.0, 1.0))
     check = unit_rows[rng.choice(n, min(n, 256), replace=False)]
-    scan = cap_join(part, TopKCondition(8), check, np.inf, probe="rows")
-    if scan is None:
+    s = check @ part.centre_rows.T
+    rows, caps = _nearest_caps(s, part.sizes, 8)
+    cuts = np.searchsorted(rows, np.arange(len(check) + 1))
+    kth = [np.partition(_score(part, q, caps[a:b])[1], -8)[-8]
+           for q, a, b in zip(check, cuts, cuts[1:])]
+    kept = int(part.sizes[np.append(caps, keep(part, s, np.array(kth, np.float32))[1])].sum())
+    if kept > DECLINE_SHARE * len(check) * n:
         return None
-    kept = scan.cells - len(check) * len(part.radius)  # less the centre products
     return replace(part, kept_share=kept / (len(check) * n))
 
 
@@ -159,9 +178,10 @@ def keep(part: CapPartition, s: np.ndarray, floors) -> tuple[np.ndarray, np.ndar
     cosines (``-inf``: probed already), becomes ``s - reach`` by one rank-2
     update.  A floor over 1 keeps nothing; a cap with ``m <= -f`` reaches
     round the sphere and is kept outright."""
-    f = np.broadcast_to(np.asarray(floors, np.float64), (len(s),)) - PRESCREEN_MARGIN
-    g = np.clip(f, -1.0, 1.0)
-    s += np.column_stack((-g, np.sqrt(1.0 - g * g))).astype(np.float32) @ part.axes[:, -2:].T
+    f = np.asarray(floors, np.float64).reshape(-1) - PRESCREEN_MARGIN
+    g = np.minimum(np.maximum(f, -1.0), 1.0)
+    s += np.array((-g, np.sqrt(1.0 - g * g)), np.float32).T @ part.reach.T
+    f = f if len(f) == len(s) else np.full(len(s), f[0])
     s[f > 1.0] = -np.inf
     low = np.flatnonzero(f <= -part.radius.min())
     if len(low):
@@ -213,148 +233,137 @@ def probe_flat(part: CapPartition, queries: np.ndarray, rows, caps, floors, run:
     return found, widest
 
 
-def probe_rows(part: CapPartition, queries: np.ndarray, rows, caps) -> list[tuple]:
-    """The row-major probe: each query row's cells on its ``(row, cap)``
-    pairs (sorted by row) as ``(ids, scores)``, the members gathered from
-    the unit rows through ``ids`` in one step and scored by one GEMV."""
-    first, cells = part.starts[caps], part.sizes[caps]
-    held = np.concatenate(([0], np.cumsum(cells)))
-    ids = part.ids[np.repeat(first - held[:-1], cells) + np.arange(held[-1])]
-    cuts = held[np.searchsorted(rows, np.arange(len(queries) + 1))].tolist()
-    return [
-        (ids[a:b], np.take(part.unit, ids[a:b], axis=0) @ q)
-        for q, a, b in zip(queries, cuts, cuts[1:])
-    ]
+def _score(part: CapPartition, q: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``caps``' members gathered from the unit rows, scored by one GEMV."""
+    cells = part.sizes[caps]
+    ends = np.cumsum(cells)
+    ids = part.ids[np.repeat(part.starts[caps] - ends + cells, cells) + np.arange(ends[-1])]
+    return ids, np.take(part.unit, ids, axis=0) @ q
 
 
-def _row_triples(first, second, kth, floors, k) -> tuple:
-    """The rows' triples from their row-major cells: a top-k row's ``k``
-    best of its phase-1 cells down to its ``kth`` score and its phase-2
-    cells over its floor, by ``(score desc, id asc)``; a threshold row's
-    cells over its floor by id."""
-    found = []
-    for row, (ids, scores) in enumerate(second):
-        hit = scores >= floors[row]
-        ids, scores = ids[hit], scores[hit]
-        if first:
-            ids1, scores1 = first[row]
-            top = scores1 >= kth[row]
-            ids, scores = np.concatenate((ids1[top], ids)), np.concatenate((scores1[top], scores))
-            order = np.lexsort((ids, -scores))[:k]
-        else:
-            order = np.argsort(ids, kind="stable")
-        found.append((np.full(len(order), row), ids[order], scores[order]))
-    return tuple(np.concatenate(column) for column in zip(*found))
+def _nearest(s: np.ndarray, sizes: np.ndarray, need: int) -> np.ndarray:
+    """One row's nearest caps, nearest first, until they hold ``need`` rows."""
+    j = min(len(s), 4 * -(-need // ROWS_PER_CAP))
+    while True:
+        near = np.argpartition(s, len(s) - j)[len(s) - j :]
+        near = near[np.argsort(-s[near], kind="stable")]
+        held = np.cumsum(sizes[near])
+        if held[-1] >= need or j == len(s):
+            return near[: np.searchsorted(held, need) + 1]
+        j = min(len(s), 4 * j)
 
 
-def _by_rows(n_q: int, caps: np.ndarray, probe: str | None) -> bool:
-    """Whether a task of ``n_q`` query rows probes row by row, given
-    ``caps``, the ``(row, cap)`` pairs it holds (a top-k task's nearest
-    caps, a threshold task's kept ones): while its other rows are no more
-    than the caps a row holds, ``n_q - 1 <= pairs / n_q``.  A row costs one
-    gather and one GEMV, a cap one GEMM, and the cap order adds a strip,
-    a select and folds; ``tools/sweep_blocks.py --caps`` (one thread, ms
-    rows / caps order; ``serve_scan``'s 150,000 x 128 at its served top-10's
-    ``k + 32``, ``ejoin_vectors``' 40,000 x 128 at top-8):
+def probe_by_rows(part: CapPartition, queries, ks, floors, allowance) -> ScanResult | None:
+    """One pass a query row, from the unit rows.  Row ``i`` at ``ks[i] >
+    0`` is a top-k row: its nearest caps holding :data:`NEIGHBOURHOOD` rows
+    are scored, and its floor is their k-th score less ``2 *
+    PRESCREEN_MARGIN`` (or ``floors[i]``, a ``min_similarity``, if higher);
+    else a threshold row at ``floors[i]``.  The other caps take one bound
+    test (:func:`keep`: at a top-k row's floor, a threshold row's less the
+    margin); what it keeps is gathered and scored by one GEMV.  A top-k row
+    drops only cells under its floor, a margin under its k-th exact score,
+    so ``prove_topk`` proves its candidates there.  Returns each row's cells
+    at or over its floor (``.triples`` = ``.hits``, by row; a threshold
+    row's by id) and ``.floors``; ``None`` by :func:`cap_join`'s rules
+    (``k`` or scored cells over :data:`DECLINE_SHARE`, state or a gathered
+    block over ``allowance``)."""
+    n_q, n, sizes = len(queries), len(part.ids), part.sizes
+    held = STATE_BYTES * n_q * len(sizes)
+    if held >= allowance or max(ks, default=0) > DECLINE_SHARE * n:
+        return None
+    member = 4 * (part.unit.shape[1] + 1) + 8  # a gathered row, its score and id
+    room, quota, out = allowance - held, DECLINE_SHARE * n_q * n, np.array(floors, np.float32)
+    found, kept, blocks, widest, none = [], 0, 0, 0, (part.ids[:0], np.empty(0, np.float32))
 
-    - one row: 1.04 / 1.37 (top-42), 0.53 / 0.59 (threshold, 11 caps); 0.29
-      / 0.56 and 0.26 / 0.30 on 40,000 rows;
-    - two rows: 1.16 / 1.38, 0.97 / 1.07; 0.51 / 0.92, 0.43 / 0.49;
-    - 8 rows: 3.10 / 2.65 (top-42, caps picked), 1.83 / 1.98 (threshold,
-      73 caps, rows picked); 1.18 / 1.40 at top-8, where the rule picks caps;
-    - 32 rows: 14.0 / 9.05, 5.51 / 5.59; 3.61 / 3.22, 1.93 / 1.86;
-    - 1,000 rows: 510 / 149, 144 / 60.9; 80.8 / 27.5, 50.6 / 17.7.
+    def take(q: np.ndarray, caps: np.ndarray) -> list | None:
+        """``caps``' members scored (``[]``: none), or ``None``: too many."""
+        nonlocal kept, blocks, widest
+        cells = int(sizes[caps].sum())
+        kept, widest = kept + cells, max(widest, cells)
+        if kept > quota or member * cells > room:
+            return None
+        blocks += cells > 0
+        return [_score(part, q, caps)] if cells else []
 
-    So the orders cross at 4-32 rows, between a served group (1-2 rows)
-    and a join task (500-1,000); the rule errs toward the cap order for a
-    top-k task of 3-8 rows (by at most 0.4 ms), whose phase-2 caps it
-    cannot count yet."""
-    return probe == "rows" if probe else n_q * (n_q - 1) <= len(caps)
+    for row, (q, k) in enumerate(zip(queries, ks)):
+        s, parts, floor = part.centre_rows @ q, [], float(out[row])  # a GEMV: no GEMM packing
+        if k:
+            near = _nearest(s, sizes, max(k, NEIGHBOURHOOD))
+            if (parts := take(q, near)) is None:
+                return None
+            kth = np.partition(parts[0][1], -k)[-k]
+            out[row] = max(out[row], kth - np.float32(2 * PRESCREEN_MARGIN))
+            s[near] = -np.inf
+            floor = float(out[row]) + PRESCREEN_MARGIN  # keep() takes the margin off
+        if (more := take(q, keep(part, s[None], floor)[1])) is None:
+            return None
+        ids, scores = (np.concatenate(c) for c in zip(*parts, *more, none))
+        hit = np.flatnonzero(scores >= out[row])
+        if not k:
+            hit = hit[np.argsort(ids[hit], kind="stable")]
+        found.append((np.full(len(hit), row), ids[hit], scores[hit]))
+    triples = tuple(np.concatenate(column) for column in zip(*found))
+    return ScanResult(
+        triples, triples, blocks=blocks, cells=n_q * len(sizes) + kept,
+        peak_bytes=held + member * widest, probe="rows", floors=out,
+    )
 
 
-def cap_join(
-    part: CapPartition, condition, queries: np.ndarray, allowance: float,
-    probe: str | None = None,
-) -> ScanResult | None:
+def cap_join(part: CapPartition, condition, queries: np.ndarray, allowance: float,
+             probe: str | None = None) -> ScanResult | None:
     """One left task joined on the caps its bounds keep, as ``scan_candidates``
     leaves cells (``.triples``, ``.hits``), or ``None``: they keep over
     :data:`DECLINE_SHARE`, or the task's state overruns ``allowance`` bytes.
     ``condition`` is a top-k or threshold condition, or a threshold floor per
-    query row (a scalar serves every row).
-
-    A task of a few rows probes row by row (:func:`probe_rows`), one of many
-    cap by cap (``probe_lists``, :func:`probe_flat`) on the cap-ordered
-    copy (:func:`_by_rows`); ``probe`` (``"rows"`` / ``"caps"``) forces the
-    order.  Both orders keep the same pairs and charge their widest block —
-    a row's gathered members, a padded strip or a run — beside the bound
-    state."""
-    n_q, n = len(queries), len(part.ids)
-    sizes = part.sizes
+    query row (a scalar serves every row).  Up to :data:`ROW_MAJOR_ROWS`
+    rows probe row by row (:func:`probe_by_rows`, cut to ``k``), more cap
+    by cap (``probe_lists``, :func:`probe_flat`); ``probe`` (``"rows"`` /
+    ``"caps"``) forces the order.  Each charges its widest block (gathered
+    members, a padded strip or a run) beside the bound state."""
+    n_q, n, sizes = len(queries), len(part.ids), part.sizes
     topk = isinstance(condition, TopKCondition)
-    k = condition.k if topk else None
+    k, floors = (condition.k, condition.min_similarity) if topk else (0, condition)
+    if isinstance(condition, ThresholdCondition):
+        floors = condition.threshold
+    floors = np.broadcast_to(np.asarray(-np.inf if floors is None else floors, np.float32), (n_q,))
+    if (probe or ("rows" if n_q <= ROW_MAJOR_ROWS else "caps")) == "rows":
+        scan = probe_by_rows(part, queries, [k] * n_q, floors, allowance)
+        if scan is not None and topk:
+            scan.triples = scan.hits = fold_topk([scan.triples], n_q, k)
+        return scan
     held = STATE_BYTES * n_q * len(sizes)
     if held >= allowance or (topk and min(k, n) > DECLINE_SHARE * n):
         return None
     room = allowance - held
-    member_bytes = 4 * (part.unit.shape[1] + 1) + 8  # a gathered row, its score and id
-    s = queries @ part.axes[:, :-2].T
-    first, found, kept, blocks, peak = [], [], 0, 0, 0
+    s = queries @ part.centre_rows.T
+    found, kept, blocks, peak = [], 0, 0, 0
     if topk:
         rows, caps = _nearest_caps(s, sizes, min(k, n))
-        by_rows = _by_rows(n_q, caps, probe)
         cells = np.bincount(rows, weights=sizes[caps], minlength=n_q)
-        kept = int(cells.sum())
-        if by_rows:
-            peak = member_bytes * int(cells.max(initial=0))
-            if peak > room:
-                return None
-            first = probe_rows(part, queries, rows, caps)
-            kth = np.array([np.partition(f, len(f) - k)[len(f) - k] for _, f in first], np.float32)
-            floors, blocks = kth, n_q
-        else:
-            peak = 4 * n_q * int(cells.max(initial=0))  # probe_lists' padded strip
-            if peak > room:
-                return None
-            packed, ids, starts = part.packed(), part.ids, part.starts
-            found.append(probe_lists(queries, packed, ids, starts, rows, caps, k=k))
-            floors = _last_of_full_rows(found[0][0], found[0][2], n_q, k)[1]
-            blocks = len(np.unique(caps))
-        if condition.min_similarity is not None:
-            floors = np.maximum(floors, np.float32(condition.min_similarity))
-    elif isinstance(condition, ThresholdCondition):
-        floors = np.float32(condition.threshold)
-    else:
-        floors = np.asarray(condition, np.float32)
+        kept, peak = int(cells.sum()), 4 * n_q * int(cells.max(initial=0))  # a padded strip
+        if peak > room:
+            return None
+        found.append(probe_lists(queries, part.packed(), part.ids, part.starts, rows, caps, k=k))
+        floors = np.maximum(floors, _last_of_full_rows(found[0][0], found[0][2], n_q, k)[1])
+        blocks = len(np.unique(caps))
     rows, caps = keep(part, s, floors)
-    if not topk:
-        by_rows = _by_rows(n_q, caps, probe)
     kept += int(sizes[caps].sum())
     if kept > DECLINE_SHARE * n_q * n:
         return None
-    if by_rows:
-        cells = np.bincount(rows, weights=sizes[caps], minlength=n_q)
-        peak = max(peak, member_bytes * int(cells.max(initial=0)))
-        if peak > room:
-            return None
-        second = probe_rows(part, queries, rows, caps)
-        floors = np.broadcast_to(floors, (n_q,))
-        triples = _row_triples(first, second, kth if topk else None, floors, k)
-        blocks += int(np.count_nonzero(cells))
+    run = max(1, int(min(RUN_CELLS, room // (2 * RUN_CELL_BYTES))))  # a run: < 2 * run cells
+    if sizes[caps].max(initial=0) > run:
+        return None
+    hits, widest = probe_flat(part, queries, rows, caps, floors, run)
+    peak, blocks = max(peak, RUN_CELL_BYTES * widest), blocks + len(np.unique(caps))
+    if topk:
+        triples = fold_topk(found + hits, n_q, k)
     else:
-        run = max(1, int(min(RUN_CELLS, room // (2 * RUN_CELL_BYTES))))  # a run: < 2 * run cells
-        if sizes[caps].max(initial=0) > run:
-            return None
-        hits, widest = probe_flat(part, queries, rows, caps, floors, run)
-        peak, blocks = max(peak, RUN_CELL_BYTES * widest), blocks + len(np.unique(caps))
-        if topk:
-            triples = fold_topk(found + hits, n_q, k)
-        else:
-            hits = hits or [(rows, rows, np.empty(0, np.float32))]
-            rows, ids, scores = (np.concatenate(column) for column in zip(*hits))
-            order = np.lexsort((ids, rows))
-            triples = rows[order], ids[order], scores[order]
+        hits = hits or [(rows, rows, np.empty(0, np.float32))]
+        rows, ids, scores = (np.concatenate(column) for column in zip(*hits))
+        order = np.lexsort((ids, rows))
+        triples = rows[order], ids[order], scores[order]
     # Centre products count as evaluations; the widest block sits beside the state.
     return ScanResult(
         triples, triples, blocks=blocks, cells=n_q * len(sizes) + kept, peak_bytes=held + peak,
-        probe="rows" if by_rows else "caps",
+        probe="caps",
     )

@@ -37,13 +37,12 @@ from .conditions import (
     TopKCondition,
     validate_condition,
 )
-from .caps import CapPartition, cap_join
+from .caps import CapPartition, probe_by_rows
 from .nlj import _as_matrix
 from .result import JoinStats
 from .scan import (
     PRESCREEN_MARGIN,
     TOPK_PRESCREEN_PAD,
-    ScanResult,
     dense_score_block,
     merge_topk,
     prove_topk,
@@ -142,34 +141,8 @@ class GroupSelection(NamedTuple):
     blocks: int
     cells: int  # score cells the prescreen computed (cap centres included)
     prescreen: str  # "caps" or "dense"
-    probe: str  # the caps' probe order ("rows", "caps" or both); "dense" off them
+    probe: str  # "rows" on the caps (one pass a query row), "dense" off them
     fanned: object | None  # what ``scan=`` answered (``None``: in process)
-
-
-def _cap_prescreen(
-    part: CapPartition, queries: np.ndarray, topk_rows, kpad: int, thr_rows, floors,
-    allowance: float,
-) -> ScanResult | None:
-    """What the dense pass would find, from the caps: each top-k row's
-    ``kpad`` best cells, each threshold row's cells over its floor — or
-    ``None`` if either :func:`~repro.core.caps.cap_join` declines.  A cell
-    the caps drop scores exactly under its row's floor less
-    :data:`PRESCREEN_MARGIN`, so :func:`exact_select` proves on these
-    candidates what it proves on the dense pass's."""
-    empty = np.empty(0, dtype=np.int64)
-    none = (empty, empty, np.empty(0, dtype=np.float32))
-    top = thr = ScanResult(none, none)
-    if topk_rows:
-        top = cap_join(part, TopKCondition(kpad), queries[topk_rows], allowance)
-    if thr_rows and top is not None:
-        thr = cap_join(part, floors, queries[thr_rows], allowance)
-    if top is None or thr is None:
-        return None
-    return ScanResult(
-        top.triples, thr.hits, blocks=top.blocks + thr.blocks, cells=top.cells + thr.cells,
-        peak_bytes=max(top.peak_bytes, thr.peak_bytes),
-        probe="+".join(sorted({top.probe, thr.probe} - {""})),
-    )
 
 
 def select_group(
@@ -210,43 +183,46 @@ def select_group(
         queries[urow] = qvec
     if not np.isfinite(queries).all():
         raise JoinError("a query vector holds a non-finite value")
-    kmax = 0
-    topk_set: set[int] = set()
+    k_of: dict[int, int] = {}
     thr_floor: dict[int, float] = {}
     for urow, condition in zip(urows, conditions):
         if isinstance(condition, TopKCondition):
-            topk_set.add(urow)
-            kmax = max(kmax, condition.k)
+            k_of[urow] = max(k_of.get(urow, 0), condition.k)
         else:
             floor = condition.threshold - PRESCREEN_MARGIN
             thr_floor[urow] = min(thr_floor.get(urow, floor), floor)
-    topk_rows, thr_rows = sorted(topk_set), sorted(thr_floor)
+    topk_rows, thr_rows = sorted(k_of), sorted(thr_floor)
     floors = np.asarray([thr_floor[urow] for urow in thr_rows], dtype=np.float32)
-    kpad = max(1, min(n, kmax + TOPK_PRESCREEN_PAD))
 
+    kpad = max(1, min(n, max(k_of.values(), default=0) + TOPK_PRESCREEN_PAD))
     found = fanned = None
     if caps is not None:
-        allowance = np.inf if budget_bytes is None else budget_bytes
-        found = _cap_prescreen(caps, queries, topk_rows, kpad, thr_rows, floors, allowance)
-    prescreen, probe = ("dense", "dense") if found is None else ("caps", found.probe)
-    if found is None and scan is not None:
+        # Each top-k row at its own k: the probe hands back the floor it proved.
+        found = probe_by_rows(
+            caps, queries[topk_rows + thr_rows],
+            [k_of[urow] for urow in topk_rows] + [0] * len(thr_rows),
+            np.concatenate((np.full(len(topk_rows), -np.inf), floors)),
+            np.inf if budget_bytes is None else budget_bytes,
+        )
+    on_caps = found is not None
+    if not on_caps and scan is not None:
         fanned = scan(
-            queries, n_rows=n, topk_rows=topk_rows, kpad=kpad,
-            thr_rows=thr_rows, thr_floors=floors,
+            queries, n_rows=n, topk_rows=topk_rows, kpad=kpad, thr_rows=thr_rows, thr_floors=floors,
         )
     if fanned is not None:
-        cand_ids, cand_floor = fanned.heap_ids, fanned.heap_floor
-        thr_hits, blocks, cells = fanned.thr_hits, fanned.blocks, len(queries) * n
+        cand_ids, cand_floor, thr_hits = fanned.heap_ids, fanned.heap_floor, fanned.thr_hits
+    elif on_caps:
+        rows, cand_floor = split_rows(*found.triples[:2], len(found.floors)), found.floors
+        cand_ids, thr_hits = rows[: len(topk_rows)], rows[len(topk_rows) :]
     else:
-        if found is None:
-            found = scan_candidates(
-                dense_score_block(normalized, queries),
-                0, n, len(queries), topk_rows, kpad, thr_rows, floors,
-                budget_bytes=budget_bytes,
-            )
+        found = scan_candidates(
+            dense_score_block(normalized, queries),
+            0, n, len(queries), topk_rows, kpad, thr_rows, floors, budget_bytes=budget_bytes,
+        )
         cand_ids, cand_floor = merge_topk([found.triples], len(topk_rows), kpad)
         thr_hits = split_rows(found.hits[0], found.hits[1], len(thr_rows))
-        blocks, cells = found.blocks, found.cells
+    prescreen, probe = ("caps", found.probe) if on_caps else ("dense", "dense")
+    blocks, cells = (fanned.blocks, len(queries) * n) if fanned else (found.blocks, found.cells)
     topk_of = dict(zip(topk_rows, zip(cand_ids, cand_floor)))
     hits_of = dict(zip(thr_rows, thr_hits))
 

@@ -100,6 +100,9 @@ class ScanResult:
     #: The order a cap task probed in (``"rows"`` / ``"caps"``,
     #: :func:`repro.core.caps.cap_join`); ``""`` for a dense pass.
     probe: str = ""
+    #: Per row, a floor no dropped cell reaches: a row-major cap probe's
+    #: (:func:`repro.core.caps.probe_by_rows`); ``None`` for any other pass.
+    floors: np.ndarray | None = None
 
 
 def _unchanged(left: np.ndarray) -> np.ndarray:

@@ -62,7 +62,10 @@ def kmeans(
     product-quantizer codebooks, whose subspace slices are not unit
     vectors): assignment by Euclidean distance with plain mean updates.
     Empty clusters are reseeded from random points either way.  A stable
-    sort gathers each cluster's rows in input order, as a mask would.
+    sort gathers each cluster's rows in input order, as a mask would.  The
+    loop stops at a fixed point — an assignment equal to the last one, whose
+    update reseeded nothing, would recompute the same centroids — so the
+    centroids and ``rng`` end as after all ``n_iters``.
     """
     if n_clusters < 1:
         raise IndexError_(f"n_clusters must be >= 1, got {n_clusters}")
@@ -70,11 +73,15 @@ def kmeans(
     n = data.shape[0]
     n_clusters = min(n_clusters, n)
     centroids = data[rng.choice(n, size=n_clusters, replace=False)].copy()
+    last = None
     for _ in range(n_iters):
         assign = nearest_centroids(data, centroids, spherical=spherical)
+        if last is not None and np.array_equal(assign, last):
+            break
         order = np.argsort(assign, kind="stable")
         grouped = data[order]
         bounds = np.searchsorted(assign[order], np.arange(n_clusters + 1))
+        last = assign if (np.diff(bounds) > 0).all() else None  # None: one is reseeded
         for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if lo == hi:
                 centroids[c] = data[int(rng.integers(n))]

@@ -84,11 +84,13 @@ class Engine:
 
     @staticmethod
     def _current_executor_signature() -> tuple:
-        from ..config import cpu_count, get_config
+        from ..config import get_config
 
+        # The knobs only: the machine's CPU count costs a system call on
+        # every query, and a rebuild does not follow it anyway.
         config = get_config()
         return (
-            cpu_count(),
+            config.default_threads,
             config.default_morsel_rows,
             config.default_buffer_budget_bytes,
             config.retry_max_attempts,

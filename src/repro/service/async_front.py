@@ -266,7 +266,8 @@ class AsyncQueryService:
             finally:
                 with self._cond:
                     self._busy -= 1
-                    self._cond.notify_all()
+                    if self._closed:  # only close()'s drain wait needs waking
+                        self._cond.notify_all()
 
     def _dispatch(self, pending: _Pending) -> None:
         if (

@@ -21,7 +21,7 @@ from repro.algebra import physical_planner
 from repro.core import ThresholdCondition, TopKCondition, eselect, select_group, tensor_join
 from repro.core import caps as caps_module
 from repro.core import quantized_join
-from repro.core.caps import CapPartition, build_caps, cap_join
+from repro.core.caps import STATE_BYTES, CapPartition, build_caps, cap_join, probe_by_rows
 from repro.core.quantized_join import QuantizedRelation, quantized_tensor_join
 from repro.embedding import HashingEmbedder
 from repro.engine import ExecutionEngine
@@ -299,6 +299,7 @@ def test_build_caps_assigns_in_chunks():
 # ---------------------------------------------------------------------------
 ORDER_CONDITIONS = {
     "topk": TopKCondition(5),
+    "topk-40": TopKCondition(40),
     "topk-min": TopKCondition(12, min_similarity=0.9),
     "threshold": ThresholdCondition(0.875),
     "floors": np.array([0.95, 0.875, 0.8], np.float32),  # a floor per row, cycled
@@ -309,8 +310,11 @@ ORDER_CONDITIONS = {
 @pytest.mark.parametrize("condition", list(ORDER_CONDITIONS), ids=list(ORDER_CONDITIONS))
 @pytest.mark.parametrize("rows", ["clustered", "tied"])
 def test_the_two_probe_orders_agree(clustered_join, exact_join, rows, condition, n_q):
-    """Both orders keep the same pairs and return the same candidates, with
-    fp32 scores equal up to the rounding of a GEMV against a GEMM."""
+    """What a join keeps of either order's cells is the same pairs, with fp32
+    scores equal up to the rounding of a GEMV against a GEMM, and the float64
+    oracle's: each top-k row's ``k`` best, each threshold row's pairs over
+    its floor.  (The one-pass row probe scores a neighbourhood before its
+    bound test, so the cells the two orders score differ.)"""
     left, right = (clustered_join if rows == "clustered" else exact_join)[:2]
     part = build_caps(right)
     assert part is not None
@@ -320,11 +324,26 @@ def test_the_two_probe_orders_agree(clustered_join, exact_join, rows, condition,
     by_rows = cap_join(part, condition, queries, np.inf, probe="rows")
     by_caps = cap_join(part, condition, queries, np.inf, probe="caps")
     assert (by_rows.probe, by_caps.probe) == ("rows", "caps")
-    assert by_rows.cells == by_caps.cells
-    for got, want in zip(by_rows.triples[:2], by_caps.triples[:2]):
+    floor = getattr(condition, "min_similarity", None)
+    kept = [t if floor is None else tuple(c[t[2] >= floor] for c in t)
+            for t in (by_rows.triples, by_caps.triples)]
+    for got, want in zip(kept[0][:2], kept[1][:2]):
         assert np.array_equal(got, want)
-    apart = np.abs(by_rows.triples[2] - by_caps.triples[2]).max(initial=0.0)
+    apart = np.abs(kept[0][2] - kept[1][2]).max(initial=0.0)
     assert apart <= (0.0 if rows == "tied" else SWAP_TOLERANCE)
+    exact = oracle(queries, right)
+    got_rows, ids, scores = kept[0]
+    assert np.abs(scores - exact[got_rows, ids]).max(initial=0.0) <= SWAP_TOLERANCE
+    if isinstance(condition, TopKCondition):
+        kth = -np.sort(-exact, axis=1)[:, condition.k - 1]
+        assert (exact[got_rows, ids] >= kth[got_rows] - SWAP_TOLERANCE).all()
+        if floor is None:
+            assert (np.bincount(got_rows, minlength=n_q) == condition.k).all()
+    else:
+        floors = np.broadcast_to(getattr(condition, "threshold", condition), (n_q,))
+        want = np.nonzero(exact >= floors[:, None] + SWAP_TOLERANCE)
+        assert set(zip(*(i.tolist() for i in want))) <= set(zip(got_rows.tolist(), ids.tolist()))
+        assert (exact[got_rows, ids] >= floors[got_rows] - SWAP_TOLERANCE).all()
     if n_q in (1, 64):  # one row goes row by row; 64 rows share their caps
         assert cap_join(part, condition, queries, np.inf).probe == ("rows" if n_q == 1 else "caps")
 
@@ -361,9 +380,10 @@ def test_only_a_cap_major_probe_makes_the_copy(clustered_join):
 def test_a_selection_group_on_the_caps_equals_the_dense_group(
     clustered_join, exact_join, rows
 ):
-    """Top-k rows at ``k + 32`` and threshold rows at their own floors,
-    duplicate vectors, ``min_similarity`` and exactly tied scores: every
-    request's ids and scores are the dense group's, bit for bit."""
+    """Top-k rows at their own ``k`` and threshold rows at their own floors
+    (4 probe rows, row by row), duplicate vectors, ``min_similarity`` and
+    exactly tied scores: every request's ids and scores are the dense
+    group's, bit for bit."""
     right = clustered_join[1] if rows == "clustered" else exact_join[1]
     part = build_caps(right)
     assert part is not None
@@ -376,16 +396,39 @@ def test_a_selection_group_on_the_caps_equals_the_dense_group(
     ]
     dense = select_group(right, qvecs, conditions)
     capped = select_group(right, qvecs, conditions, caps=part)
-    assert (dense.prescreen, capped.prescreen) == ("dense", "caps")
+    assert (dense.prescreen, capped.prescreen, capped.probe) == ("dense", "caps", "rows")
     assert capped.cells < 0.25 * dense.cells == 0.25 * dense.unique * len(right)
     for i in range(len(conditions)):
         for got, want in zip(capped.select(i)[:2], dense.select(i)[:2]):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("rows", ["clustered", "grid-copies"])
+def test_a_larger_group_probes_each_row_at_its_own_k(clustered_join, exact_join, rows):
+    """A group of 12 vectors (6 asked top-k and 6 a threshold, each twice)
+    still probes row by row, each top-k row at its own ``k``, and answers
+    every request as the dense group, bit for bit, with no rescan."""
+    right = clustered_join[1] if rows == "clustered" else exact_join[1]
+    part = build_caps(right)
+    assert part is not None
+    queries = (clustered_join[0] if rows == "clustered" else exact_join[0])[:12]
+    conditions = [
+        TopKCondition(5), ThresholdCondition(0.875), TopKCondition(9, min_similarity=0.9),
+        ThresholdCondition(0.95), TopKCondition(1), ThresholdCondition(0.9),
+    ] * 4
+    qvecs = [queries[i % 12] for i in range(len(conditions))]
+    dense = select_group(right, qvecs, conditions)
+    capped = select_group(right, qvecs, conditions, caps=part)
+    assert (capped.prescreen, capped.probe) == ("caps", "rows")
+    for i in range(len(conditions)):
+        got, want = capped.select(i), dense.select(i)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert not got[3]
+
+
 @pytest.mark.parametrize(
     "condition",
-    [ThresholdCondition(-1.0), TopKCondition(1_000)],  # k + 32 over a quarter of 4,000
+    [ThresholdCondition(-1.0), TopKCondition(1_001)],  # k over a quarter of 4,000
     ids=["threshold-minus-one", "topk-over-the-decline-share"],
 )
 def test_a_declining_selection_scans_dense(clustered_join, clustered_part, condition):
@@ -592,3 +635,57 @@ def test_sessions_racing_a_cold_source_build_once(engine, monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert len(calls) == 1 and len(got) == 6
     assert all(part is got[0] for part in got) and got[0] is not None
+
+
+@pytest.mark.parametrize(
+    "seed, n, kept", [(1, 4_000, 30_365), (2, 8_192, 43_909), (3, 4_000, 24_745)]
+)
+def test_the_build_check_counts_what_a_top8_task_keeps(seed, n, kept):
+    """The build counts the cells a top-8 task on 256 of its rows keeps
+    without scoring its phase 2: the counts pinned here are what the full
+    row-major task the check ran before scored on these rows."""
+    part = build_caps(clustered(n, seed))
+    assert part is not None
+    assert part.kept_share == kept / (256 * n)
+
+
+def test_a_served_topk_proves_at_its_own_k_without_a_rescan(clustered_join, clustered_part):
+    """Each top-k row asks the caps for its own ``k`` and hands its floor to
+    the proof, which holds on every row: no rescan, a few candidates past
+    ``k``, the dense group's answers."""
+    left, right, _ = clustered_join
+    conditions = [TopKCondition(k) for k in (1, 5, 10, 40)]
+    for start in range(0, 60, 4):
+        qvecs = list(left[start : start + 4])
+        capped = select_group(right, qvecs, conditions, caps=clustered_part)
+        dense = select_group(right, qvecs, conditions)
+        assert (capped.prescreen, capped.probe) == ("caps", "rows")
+        for i, condition in enumerate(conditions):
+            ids, scores, candidates, rescanned = capped.select(i)
+            assert not rescanned and condition.k <= candidates < condition.k + 64
+            want = dense.select(i)
+            assert np.array_equal(ids, want[0]) and np.array_equal(scores, want[1])
+
+
+def test_five_hundred_served_queries_equal_the_dense_ones(clustered_join, clustered_part):
+    right = clustered_join[1]
+    conditions = [TopKCondition(10), ThresholdCondition(0.95), TopKCondition(3)]
+    for i, q in enumerate(clustered(500, 21)):
+        condition = conditions[i % 3]
+        capped = select_group(right, [q], [condition], caps=clustered_part)
+        assert capped.prescreen == "caps"
+        got, want = capped.select(0), select_group(right, [q], [condition]).select(0)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert not got[3]
+
+
+@pytest.mark.parametrize("k, floor", [(5, -np.inf), (0, 0.9)], ids=["topk", "threshold"])
+def test_a_row_gathered_block_over_its_allowance_declines(clustered_join, clustered_part, k, floor):
+    """A row probe charges its widest gathered block (a member row, its
+    score and id) beside the bound state: an allowance one byte short of
+    both declines."""
+    query = clustered_join[0][:1]
+    free = probe_by_rows(clustered_part, query, [k], [floor], np.inf)
+    assert free is not None and free.peak_bytes > STATE_BYTES * len(clustered_part.radius)
+    assert probe_by_rows(clustered_part, query, [k], [floor], free.peak_bytes) is not None
+    assert probe_by_rows(clustered_part, query, [k], [floor], free.peak_bytes - 1) is None

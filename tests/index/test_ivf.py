@@ -112,6 +112,32 @@ class TestKMeans:
         assert np.array_equal(got, want)
 
 
+    @pytest.mark.parametrize("spherical", [True, False], ids=["spherical", "euclidean-pq"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_fixed_point_stops_the_loop_bit_identically(self, spherical, seed, monkeypatch):
+        """Well-separated clusters settle in a few iterations; the loop stops
+        there with the reference's centroids after every iteration, and its
+        generator in the same state.  Euclidean runs are the PQ codebooks'
+        (4-d subspace slices of rows that are not unit)."""
+        from repro.index import ivf as ivf_module
+
+        dim = DIM if spherical else 4
+        data, _ = clustered_vectors(800, dim, n_clusters=10, noise=0.05, seed=seed)
+        if not spherical:
+            scale = np.random.default_rng(seed).uniform(0.5, 2.0, (800, 1))
+            data = (data * scale).astype(np.float32)
+        calls = []
+        nearest = ivf_module.nearest_centroids
+        monkeypatch.setattr(
+            ivf_module, "nearest_centroids", lambda *a, **k: calls.append(1) or nearest(*a, **k)
+        )
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want, _ = self.reference(data, 10, n_iters=30, rng=want_rng, spherical=spherical)
+        got = kmeans(data, 10, n_iters=30, rng=got_rng, spherical=spherical)
+        assert len(calls) < 30
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 class TestIVFIndex:
     def test_validation(self):
         with pytest.raises(IndexError_):

@@ -73,7 +73,7 @@ def test_fp32_bound_keeps_every_pair_the_float64_rule_keeps(case):
         np.zeros((n_caps, dim), np.float32), np.arange(n_caps), np.arange(n_caps + 1),
         centres, radius,
     )
-    s = queries @ part.axes[:, :-2].T
+    s = queries @ part.centre_rows.T
     s[probed] = -np.inf
     rows, caps = caps_module.keep(part, s, floors)
     assert np.all(np.diff(rows) >= 0)

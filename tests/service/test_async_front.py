@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -214,6 +215,51 @@ def test_close_drain_completes_all_queued():
     stats = front_stats(service)
     assert stats["completed"] == 6
     assert stats["rejected_on_close"] == 0
+
+
+class CountingCondition(threading.Condition):
+    """A condition that counts the waits it returns from."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.wakes = 0
+
+    def wait(self, timeout=None):
+        woke = super().wait(timeout)
+        self.wakes += 1  # the lock is held again here
+        return woke
+
+
+def _until_waiting(cond: threading.Condition, n: int) -> None:
+    deadline = time.perf_counter() + 30
+    while len(cond._waiters) < n:
+        assert time.perf_counter() < deadline, "dispatchers never went idle"
+        time.sleep(0.001)
+
+
+def test_a_dispatch_wakes_no_idle_dispatcher():
+    """One queued miss wakes the one dispatcher that takes it; finishing it
+    wakes nobody (the other dispatcher sleeps through), until close()."""
+    engine = make_engine()
+    service = QueryService(engine)
+    qvec = unit_vectors(1, DIM, stream="front/wakes")[0]
+    front = AsyncQueryService(service, workers=2)
+    front._cond = cond = CountingCondition()
+    front.start()
+    _until_waiting(cond, 2)
+
+    async def go():
+        response = await front.submit(_topk(engine, qvec))
+        _until_waiting(cond, 2)
+        with cond:
+            wakes = cond.wakes
+        await front.close()
+        return response, wakes
+
+    response, wakes = _run(go())
+    assert response.table.num_rows == 5
+    assert wakes == 1
+    assert front_stats(service)["completed"] == 1
 
 
 def test_submit_before_start_raises():

@@ -11,6 +11,7 @@ join on the source makes it, once.
 
 from __future__ import annotations
 
+import importlib
 import sys
 import threading
 import time
@@ -155,6 +156,28 @@ def test_mixed_groups_on_the_caps_equal_serial_dense_answers(
         table, prescreen = run(engine, vector, **terms)
         assert prescreen == "caps"
         assert_tables_equal(want[i], table, context=f"serial {i}")
+
+
+def test_served_topk_on_the_caps_proves_at_its_own_k_without_a_rescan(vectors, monkeypatch):
+    """Each served top-k asks the caps for its own ``k`` (no pad) and proves
+    on the floor the probe hands back: no selection rescans, and every
+    answer is the dense reference's."""
+    eselect_module = importlib.import_module("repro.core.eselect")
+    engine = make_engine()
+    land_caps(engine, vectors)
+    specs = [(vector, {"top_k": (1, 5, 10, 40)[i % 4]}) for i, vector in enumerate(vectors[20:60])]
+    want = dense_reference(engine.catalog.get("corpus"), specs)
+    rescans = []
+    exact_select = eselect_module.exact_select
+    monkeypatch.setattr(
+        eselect_module, "exact_select",
+        lambda *args: (lambda out: rescans.append(out[2]) or out)(exact_select(*args)),
+    )
+    for i, (vector, terms) in enumerate(specs):
+        table, prescreen, probe = run_probe(engine, vector, **terms)
+        assert (prescreen, probe) == ("caps", "rows")
+        assert_tables_equal(want[i], table, context=f"request {i}")
+    assert rescans == [False] * len(specs)
 
 
 def test_a_failing_build_leaves_selections_dense_and_quiet(vectors, monkeypatch, capsys):

@@ -30,13 +30,18 @@ bound test (``caps.keep``), the phase-1 probe (``probe_lists``), the
 phase-2 probe (``caps.probe_flat``) and the rest (centre GEMM, nearest
 caps, folds), for 500 and 1,000 left rows; and the 1,000-row join on a
 2-thread engine as one cap task (``blocks_per_cap_task``) against two
-500-row ones, interleaved, median and wins.  The last table times one cap
-task probed in each order (``cap_join(probe=)``: row by row from the unit
-rows, cap by cap on the cap-ordered copy) for 1-1,000 query rows on
-``serve_scan``'s 150,000 x 128 corpus (a served top-10's ``k + 32``, a
-threshold at the 10th-best score) and ``ejoin_vectors``' 40,000 x 128
-right side (top-8, the 8th-best score), beside the ``(row, cap)`` pairs
-the order is picked on and the order ``cap_join`` picks::
+500-row ones, interleaved, median and wins.  Then the one-row table behind
+``caps.NEIGHBOURHOOD``: a served miss's one-pass row probe
+(``caps.probe_by_rows``) on ``serve_scan``'s 150,000 x 128 corpus and
+``ejoin_vectors``' 40,000 x 128 right side, for a top-10 at its own ``k``
+and at ``k + 32`` (what a served top-10 asked before) and a threshold at
+the 10th-best score, for neighbourhoods of 64-1,024 rows: median cells,
+probe and served ms, rescans.  The last table, behind
+``caps.ROW_MAJOR_ROWS``, times one cap task probed in each order
+(``cap_join(probe=)``: row by row from the unit rows, cap by cap on the
+cap-ordered copy) for 1-1,000 query rows on the same two right sides (a
+top-10 or top-8, a threshold at the 10th- or 8th-best score), beside the
+order ``cap_join`` picks::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/sweep_blocks.py --caps
 
@@ -66,6 +71,7 @@ from repro.core import scan as scan_module
 from repro.core.conditions import ThresholdCondition, TopKCondition
 from repro.core.cost_model import choose_access_path
 from repro.core.index_join import index_join
+from repro.core.eselect import select_group
 from repro.core.scan import TOPK_PRESCREEN_PAD
 from repro.core.tensor_join import dense_scorer, tensor_join
 from repro.engine import ExecutionEngine
@@ -267,19 +273,18 @@ def sweep_cap_tasks(n_left, n_right, dim, repeat, rows):
 def sweep_probe_orders(shapes, n_lefts, repeat):
     """One row per ``(shape, condition, query rows)``: one cap task probed
     row by row and cap by cap (min of ``repeat``, interleaved; the
-    cap-ordered copy made beforehand), the ``(row, cap)`` pairs the order
-    is picked on, and the pick."""
+    cap-ordered copy made beforehand), and the order ``cap_join`` picks."""
     print(f"\n## probe orders: one cap task, one thread, min of {repeat}")
-    print("| shape | condition | query rows | pairs | rows ms | caps ms | faster | picked |")
-    print("|---|---|---|---|---|---|---|---|")
-    for name, rows, k, kth in shapes:
+    print("| shape | condition | query rows | rows ms | caps ms | faster | picked |")
+    print("|---|---|---|---|---|---|---|")
+    for name, rows, k in shapes:
         left, right = rows[: max(n_lefts)], rows[max(n_lefts) :]
         part = caps.build_caps(right)
         if part is None:
             print(f"\n({name}: no partition, the source declined)")
             continue
         part.packed()
-        floor = float(np.sort(left[:32] @ right.T, axis=1)[:, -kth].mean())
+        floor = float(np.sort(left[:32] @ right.T, axis=1)[:, -k].mean())
         conditions = {f"top-{k}": TopKCondition(k), "threshold": ThresholdCondition(floor)}
         for label, condition in conditions.items():
             for n in n_lefts:
@@ -290,16 +295,61 @@ def sweep_probe_orders(shapes, n_lefts, repeat):
                             lambda: caps.cap_join(part, condition, left[:n], np.inf, probe=probe)
                         )
                         best[probe] = min(best[probe], took)
-                s = left[:n] @ part.axes[:, :-2].T
-                pairs = (
-                    caps._nearest_caps(s, part.sizes, k)
-                    if label != "threshold" else caps.keep(part, s, np.float32(floor))
-                )[1]
                 picked = caps.cap_join(part, condition, left[:n], np.inf).probe
                 print(
-                    f"| {name} | {label} | {n} | {len(pairs)} | {1e3 * best['rows']:.2f} "
+                    f"| {name} | {label} | {n} | {1e3 * best['rows']:.2f} "
                     f"| {1e3 * best['caps']:.2f} | {min(best, key=best.get)} | {picked} |"
                 )
+
+
+def sweep_one_row(shapes, neighbourhoods, n_queries, repeat):
+    """One row per ``(shape, request, neighbourhood)``: a served miss's
+    one-pass row probe (``caps.probe_by_rows``) over ``n_queries`` query
+    rows — median cells scored past the centres, the probes that declined
+    (and scanned dense when served), probe ms and served ms (``select_group``:
+    probe, exact re-score and proof) per query, min of ``repeat`` — and the
+    rescans its floors left.  A top-10 at ``k`` is
+    what a served top-10 asks; at ``k + 32``, what it asked before; a
+    threshold (at the 10th-best score) scores no neighbourhood."""
+    print(f"\n## one row: served misses on the caps, one thread, {n_queries} queries, min of {repeat}")
+    print("| shape | request | neighbourhood | cells | declined | probe ms | served ms | rescans |")
+    print("|---|---|---|---|---|---|---|---|")
+    default = caps.NEIGHBOURHOOD
+    for name, rows in shapes:
+        queries, right = rows[:n_queries], rows[n_queries:]
+        part = caps.build_caps(right)
+        if part is None:
+            print(f"\n({name}: no partition, the source declined)")
+            continue
+        floor = float(np.sort(queries[:32] @ right.T, axis=1)[:, -10].mean())
+        requests = {
+            "top-10 at k": (TopKCondition(10), 10, -np.inf),
+            f"top-10 at k + {TOPK_PRESCREEN_PAD}": (
+                TopKCondition(10 + TOPK_PRESCREEN_PAD), 10 + TOPK_PRESCREEN_PAD, -np.inf
+            ),
+            "threshold": (ThresholdCondition(floor), 0, floor - scan_module.PRESCREEN_MARGIN),
+        }
+        for label, (condition, k, low) in requests.items():
+            for size in neighbourhoods if k else neighbourhoods[:1]:
+                caps.NEIGHBOURHOOD = size
+
+                def probe():
+                    return [caps.probe_by_rows(part, q[None], [k], [low], np.inf) for q in queries]
+
+                def served():
+                    return [select_group(right, [q], [condition], caps=part).select(0)
+                            for q in queries]
+
+                scans, probe_s = min((_timed(probe) for _ in range(repeat)), key=lambda r: r[1])
+                answers, served_s = min((_timed(served) for _ in range(repeat)), key=lambda r: r[1])
+                ran = [scan.cells - len(part.radius) for scan in scans if scan is not None]
+                print(
+                    f"| {name} | {label} | {size if k else '-'} "
+                    f"| {np.median(ran) if ran else np.nan:.0f} | {n_queries - len(ran)} "
+                    f"| {1e3 * probe_s / n_queries:.3f} | {1e3 * served_s / n_queries:.3f} "
+                    f"| {sum(answer[3] for answer in answers)} |"
+                )
+    caps.NEIGHBOURHOOD = default
 
 
 def sweep_access(n_lefts, ks, lists, repeat, rows):
@@ -383,17 +433,18 @@ def main() -> int:
             sweep_caps(64, 4200, 16, 1, settings[:2])
             sweep_cap_tasks(200, 4200, 16, 1, embedding_like_vectors(4400, 16, rank=16, seed=5)[0])
             rows = embedding_like_vectors(4400, 16, rank=16, seed=5)[0]
-            sweep_probe_orders([("toy", rows, 8, 8)], (1, 8), 1)
+            sweep_probe_orders([("toy", rows, 8)], (1, 8), 1)
+            sweep_one_row([("toy", rows)], (64, 256), 8, 1)
         else:
             sweep_caps(500, 40_000, 128, args.repeat, settings)
             sweep_cap_tasks(1000, 40_000, 128, args.repeat, ejoin_vectors_like(41_000, 128, 5))
-            # serve_scan's corpus at a served top-10's k + 32 and a threshold
-            # at its 10th-best score; ejoin_vectors' right side at top-8.
-            shapes = [
-                ("serve_scan", ejoin_vectors_like(151_000, 128, 5), 10 + TOPK_PRESCREEN_PAD, 10),
-                ("ejoin_vectors", ejoin_vectors_like(41_000, 128, 5), 8, 8),
-            ]
-            sweep_probe_orders(shapes, (1, 2, 4, 8, 32, 256, 1000), args.repeat)
+            # serve_scan's corpus at a served top-10 and a threshold at its
+            # 10th-best score; ejoin_vectors' right side at top-8.
+            serve_rows, join_rows = ejoin_vectors_like(151_000, 128, 5), ejoin_vectors_like(41_000, 128, 5)
+            sweep_one_row([("serve_scan", serve_rows[:150_500]), ("ejoin_vectors", join_rows[:40_500])],
+                          (64, 128, 256, 512, 1024), 500, args.repeat)
+            shapes = [("serve_scan", serve_rows, 10), ("ejoin_vectors", join_rows, 8)]
+            sweep_probe_orders(shapes, (1, 2, 4, 8, 16, 32, 256, 1000), args.repeat)
             return 0
     if args.quick:
         sweep(96, 3000, 16, 2, (24, 48, 96), 1)
