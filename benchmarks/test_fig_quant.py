@@ -1,22 +1,20 @@
-"""fig_quant: quantized access paths vs the fp32 tensor join.
+"""fig_quant: the int8 access path vs the fp32 tensor join.
 
 Carries the paper's precision ablation (Section V-A-2) past fp16: int8
-scalar quantization and product quantization shrink the scanned operand
-4x / 192x, and the quantized joins replace the exact per-block top-k
-merge with a cheap approximate prescreen plus an exact fp32 re-rank of
-each row's ``k + 32`` best codes, proved complete by the quantizer's
-error bound or rescanned at a fixed floor.  What that buys, and what this
-figure gates, is footprint: at an equal (tight, Figure-7-regime) buffer
-budget the scan reads >= 3.9x (int8) / >= 30x (PQ) fewer bytes while
-recall@10 stays >= 0.95 — the footprint a query buys by naming the
-``tensor-int8`` / ``tensor-pq`` strategy.  It does not buy wall-clock in NumPy — the int8
-join casts to fp32 and runs the same GEMM, the rows its bound cannot
-prove scan twice, and PQ's bound proves none — so the ``speedup`` column
-is reported, not gated.
+scalar quantization shrinks the scanned operand 4x, and the quantized
+join replaces the exact per-block top-k merge with a cheap approximate
+prescreen plus an exact fp32 re-rank of each row's ``k + 32`` best codes,
+proved complete by the quantizer's error bound or rescanned at a fixed
+floor.  What that buys, and what this figure gates, is bytes scanned: at
+an equal (tight, Figure-7-regime) buffer budget the scan reads >= 3.9x
+fewer bytes while recall@10 stays >= 0.95 — what a query buys by naming
+the ``tensor-int8`` strategy.  It buys no memory (the fp32 rows stay
+resident for the re-rank) and no wall-clock in NumPy — the join casts to
+fp32 and runs the same GEMM, and the rows its bound cannot prove scan
+twice — so the ``speedup`` column is reported, not gated.
 
 The workload mimics real embedding geometry (clustered, low-rank,
-decaying spectrum — the structure PQ exploits; an isotropic cloud is
-PQ's worst case and nobody quantizes one in practice).
+decaying spectrum).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ K = 10
 #: Equal Figure-7 buffer budget for every path: the memory-constrained
 #: regime compressed access paths exist for.
 BUDGET = pick(512 << 10, 16 << 10)
-PQ_PARAMS = dict(m=8, ks=pick(256, 16))
 
 
 def _workload() -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +62,7 @@ def test_fig_quant_report():
     condition = TopKCondition(K)
     report = FigureReport(
         "fig_quant",
-        f"Quantized tensor-join scans vs fp32 at an equal "
+        f"int8 tensor-join scan vs fp32 at an equal "
         f"{BUDGET >> 10} KiB buffer budget (top-{K}, {DIM}-D)",
         (
             "path",
@@ -83,40 +80,27 @@ def test_fig_quant_report():
     fp32_mb = right.nbytes / 1e6
     report.add("tensor-fp32", fp32_mb, 0.0, t_fp32, 1.0, 1.0)
 
-    measured: dict[str, tuple[float, float]] = {}
-    rescanned: dict[str, int] = {}
-    for path, method, params in (
-        ("tensor-int8", "int8", {}),
-        ("tensor-pq", "pq", PQ_PARAMS),
-    ):
-        store = QuantizedRelation.build(right, method, **params)
-        result, seconds = time_call(
-            quantized_tensor_join, left, store, condition, repeat=2,
-            buffer_budget_bytes=BUDGET,
-        )
-        rescanned[method] = result.stats.extra["rescanned_rows"]
-        recall = _recall(result, ref)
-        report.add(
-            path,
-            store.code_bytes / 1e6,
-            store.build_seconds,
-            seconds,
-            speedup(t_fp32, seconds),
-            recall,
-        )
-        measured[method] = (fp32_mb / (store.code_bytes / 1e6), recall)
-
+    store = QuantizedRelation.build(right, "int8")
+    result, seconds = time_call(
+        quantized_tensor_join, left, store, condition, repeat=2,
+        buffer_budget_bytes=BUDGET,
+    )
+    recall = _recall(result, ref)
+    report.add(
+        "tensor-int8",
+        store.code_bytes / 1e6,
+        store.build_seconds,
+        seconds,
+        speedup(t_fp32, seconds),
+        recall,
+    )
     report.note(
-        f"rows rescanned at a fixed floor: int8 {rescanned['int8']}, pq "
-        f"{rescanned['pq']} of {N_LEFT}; scores of emitted pairs are exact "
-        "fp32 after re-ranking"
+        f"rows rescanned at a fixed floor: int8 {result.stats.extra['rescanned_rows']} "
+        f"of {N_LEFT}; scores of emitted pairs are exact fp32 after re-ranking"
     )
     report.emit()
 
     if not SMOKE:
-        fewer_bytes = {"int8": 3.9, "pq": 30.0}
-        for method, (shrink, recall) in measured.items():
-            assert shrink >= fewer_bytes[method], (
-                f"{method} scans only {shrink:.1f}x fewer bytes than fp32"
-            )
-            assert recall >= 0.95, f"{method} recall {recall:.3f} < 0.95"
+        shrink = fp32_mb / (store.code_bytes / 1e6)
+        assert shrink >= 3.9, f"int8 scans only {shrink:.1f}x fewer bytes than fp32"
+        assert recall >= 0.95, f"int8 recall {recall:.3f} < 0.95"

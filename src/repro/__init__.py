@@ -5,7 +5,7 @@ A hybrid vector-relational engine in pure Python/NumPy:
 * :mod:`repro.relational` — columnar relational substrate,
 * :mod:`repro.embedding` — embedding models (``E_mu``), training, caching,
 * :mod:`repro.vector` — cosine kernels (scalar / vectorized / GEMM) and
-  quantized representations (int8, product quantization),
+  the int8 quantized representation,
 * :mod:`repro.index` — flat, IVF and HNSW vector indexes,
 * :mod:`repro.core` — the paper's contribution: E-join operators, tensor
   formulation, quantized access paths, cost model, access-path

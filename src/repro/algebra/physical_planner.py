@@ -65,7 +65,7 @@ class SourceState:
 
     An entry is keyed ``(table, column, model, representation)`` — the
     representation one of ``"unit"`` (the unit-row matrix), ``"caps"``
-    (its cap partition), ``"int8"`` / ``"pq"`` (quantized stores) and
+    (its cap partition), ``"int8"`` (the quantized store) and
     ``"memo"`` (the top-k memo) — and is ``(source table, state,
     embed-once store, tag)``.  It is valid for *one registration* of the
     table under *one model object*: a lookup hits iff the entry was
@@ -308,56 +308,6 @@ def _scan_store_key(
 def _probe_k(condition) -> int:
     """Candidates a probe fetches per row, as the cost model prices it."""
     return condition.k if isinstance(condition, TopKCondition) else DEFAULT_PROBE_K
-
-
-#: Breaker fallback chain for quantized scan precisions.  Each step down
-#: is strictly more exact, ending on the fp32 scan — so routing around a
-#: failing access path never weakens results, only speed.
-_PRECISION_FALLBACK = {"pq": "int8", "int8": "fp32"}
-
-
-def _quantized_scan(
-    store_key: tuple | None,
-    precision: str,
-    report: "ExecutionReport",
-    run: Callable[[str], object],
-    breakers: BreakerRegistry,
-):
-    """Run a scan at the first precision of the ``pq -> int8`` chain whose
-    breaker lets it through and which does not fail.
-
-    ``store_key`` is the ``(table, column, model)`` access-path identity
-    in ``breakers``; uncacheable sources (``None``) carry no breaker state
-    and keep the hinted precision.  ``run(precision)`` builds (or fetches)
-    the store and scans it; a failure feeds that access path's breaker, is
-    reported as a fallback and moves one step down the chain — an input error
-    (:class:`~repro.errors.JoinError`) is raised as it is.  Returns the
-    result, or ``None`` once the chain has ended on the exact fp32 scan,
-    which the caller runs.
-    """
-    while precision in _PRECISION_FALLBACK:
-        key = None if store_key is None else (*store_key, precision)
-        if key is not None and not breakers.allow(key):
-            precision = _PRECISION_FALLBACK[precision]
-            continue
-        try:
-            result = run(precision)
-        except Exception as exc:
-            # An input error (a NaN row, mismatched dimensions) is not the
-            # path's failure: every scan down the chain raises it again.
-            # A budget too small is the path's — its candidate state is
-            # the larger.
-            if isinstance(exc, JoinError) and not isinstance(exc, BufferBudgetError):
-                raise
-            if key is not None:
-                breakers.record_failure(key)
-                report.fallbacks.append("/".join(map(str, key)))
-            precision = _PRECISION_FALLBACK[precision]
-            continue
-        if key is not None:
-            breakers.record_success(key)
-        return result
-    return None
 
 
 @dataclass
@@ -726,7 +676,7 @@ def _execute_ejoin_impl(
             left_vectors, right_vectors, node.condition, strategy=strategy, engine=ctx.engine
         )
         return finish(result, right)
-    # Every scan of a plain source -- fp32, int8 and PQ -- scores only the
+    # Every scan of a plain source -- fp32 and int8 -- scores only the
     # rows its caps do not prove out.
     caps = None if store_key is None else ctx.cap_partition_for(store_key, right, store)
 
@@ -737,19 +687,31 @@ def _execute_ejoin_impl(
         )
 
     result = None
-    if precision != "fp32":
-        # The access path's circuit breaker walks the chain
-        # pq -> int8 -> fp32 past open or failing paths.
-        def quantized(precision: str):
+    # A hinted int8 scan, unless its access path's breaker is open or it
+    # fails: then the exact fp32 scan below answers.  An uncacheable
+    # source has no breaker.
+    breaker_key = None if store_key is None else (*store_key, precision)
+    if precision != "fp32" and (breaker_key is None or ctx.breakers.allow(breaker_key)):
+        try:
             if not right.num_rows:  # no rows to encode: nothing to scan
-                return scan(left_vectors, unit_rows(np.empty((0, 0), np.float32)), precision)
-            if store_key is None:
-                codes = QuantizedRelation.build(right_vectors, precision)
+                codes = unit_rows(np.empty((0, 0), np.float32))
+            elif store_key is None:
+                codes = QuantizedRelation.build(right_vectors, precision).representation()
             else:
-                codes = ctx.quant_store_for(store_key, right, precision, store)
-            return scan(left_vectors, codes.representation(), precision)
-
-        result = _quantized_scan(store_key, precision, report, quantized, ctx.breakers)
+                codes = ctx.quant_store_for(store_key, right, precision, store).representation()
+            result = scan(left_vectors, codes, precision)
+        except Exception as exc:
+            # An input error (a NaN row, mismatched dimensions) is not the
+            # path's failure: the fp32 scan raises it again.  A budget too
+            # small is the path's -- its candidate state is the larger.
+            if isinstance(exc, JoinError) and not isinstance(exc, BufferBudgetError):
+                raise
+            if breaker_key is not None:
+                ctx.breakers.record_failure(breaker_key)
+                report.fallbacks.append("/".join(map(str, breaker_key)))
+        else:
+            if breaker_key is not None:
+                ctx.breakers.record_success(breaker_key)
     if result is not None:
         return finish(result, right)
     # A key's top-k pairs against one registration of a plain scan are a

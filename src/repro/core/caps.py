@@ -15,7 +15,7 @@ served selection — takes one pass a row from the unit rows
 (:func:`probe_by_rows`): a centre GEMV, a top-k row's nearest
 :data:`NEIGHBOURHOOD` rows scored for its floor, one bound test, one gather
 and GEMV.  The bound is on the exact score and a task scores its kept cells
-from the unit rows, so the fp32, int8 and PQ scan joins share one
+from the unit rows, so the fp32 and int8 scan joins share one
 partition.  Each constant quotes ``tools/sweep_blocks.py --caps`` (one
 thread)."""
 

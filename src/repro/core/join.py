@@ -28,7 +28,7 @@ from .tensor_join import tensor_join
 
 #: Every strategy :func:`ejoin` takes: ``label -> (access path, what it
 #: reads, engine)``.  A scan reads one representation of the right side
-#: (``fp32`` unit rows or ``int8`` / ``pq`` codes), an NLJ one kernel.
+#: (``fp32`` unit rows or ``int8`` codes), an NLJ one kernel.
 #: ``"threads"`` builds an ``ExecutionEngine(n_threads)`` when the caller
 #: hands none and names its worker count in the label
 #: (``parallel-tensor/<n>t``); ``None`` runs on the caller's engine, if any.
@@ -39,7 +39,6 @@ STRATEGIES = {
     "nlj-scalar": ("nlj", Kernel.SCALAR, None),
     "tensor": ("scan", "fp32", None),
     "tensor-int8": ("scan", "int8", None),
-    "tensor-pq": ("scan", "pq", None),
     "parallel-tensor": ("scan", "fp32", "threads"),
     "index": ("index", None, None),
 }
@@ -117,8 +116,8 @@ def ejoin(
         engine: execution engine the physical operators schedule on; a
             multi-threaded engine parallelizes the scan strategies (and
             ``parallel-tensor`` builds one from ``n_threads`` when absent).
-        caps: the ``tensor`` / ``parallel-tensor`` / ``tensor-int8`` /
-            ``tensor-pq`` scans' cap partition of ``right``
+        caps: the ``tensor`` / ``parallel-tensor`` / ``tensor-int8``
+            scans' cap partition of ``right``
             (:func:`~repro.core.tensor_join.tensor_join`).
 
     Returns:

@@ -1,17 +1,16 @@
-"""Quantized tensor join: compressed code scan plus exact fp32 re-rank.
+"""Quantized tensor join: int8 code scan plus exact fp32 re-rank.
 
 The paper's precision ablation (Section V-A-2) stops at fp16; this module
-carries the operand-byte lever to int8 scalar quantization and product
-quantization.  The join becomes a two-phase scan:
+carries the operand-byte lever to int8 scalar quantization.  The join
+becomes a two-phase scan:
 
-1. **Approximate pass** — the right relation is scanned as codes
-   (``dim`` bytes/row for int8, ``m`` bytes/row for PQ) block by block
-   under the Figure 7 buffer budget.  The operator is
-   :func:`repro.core.scan.scan_join`, the body every scan join shares;
-   this module hands it the codes representation
+1. **Approximate pass** — the right relation is scanned as codes (``dim``
+   bytes a row) block by block under the Figure 7 buffer budget.  The
+   operator is :func:`repro.core.scan.scan_join`, the body every scan join
+   shares; this module hands it the codes representation
    (:meth:`QuantizedRelation.representation`): the quantizer's ``scorer``
-   (a BLAS GEMM over casted codes, or an ADC sparse product) with its
-   per-query ``bias``, and the quantizer's error ``bound``.
+   (a BLAS GEMM over casted codes) with its per-query ``bias``, and the
+   quantizer's error ``bound``.
 2. **Exact re-rank** — each left row's best ``k +``
    :data:`~repro.core.scan.TOPK_PRESCREEN_PAD` approximate candidates
    (or, for threshold joins, everything above ``threshold -
@@ -34,16 +33,15 @@ every task the caps decline.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..embedding.base import EmbeddingModel
 from ..engine import ExecutionEngine
 from ..errors import DimensionalityError, JoinError
 from ..vector.norms import finite_norms, normalize_rows
-from ..vector.quant import Int8Quantizer, ProductQuantizer, VectorQuantizer
+from ..vector.quant import Int8Quantizer
 from .caps import CapPartition
 from .conditions import JoinCondition, validate_condition
 from .eselect import SelectionResult, _as_query
@@ -52,7 +50,7 @@ from .result import JoinResult, JoinStats
 from .scan import Representation, scan_join
 
 #: Quantization methods the join understands.
-QUANT_METHODS = ("int8", "pq")
+QUANT_METHODS = ("int8",)
 
 #: Upper bound on transient gather bytes during the exact re-rank.
 _RERANK_CHUNK_BYTES = 4 << 20
@@ -60,7 +58,7 @@ _RERANK_CHUNK_BYTES = 4 << 20
 
 @dataclass
 class QuantizedRelation:
-    """A relation stored as quantizer codes plus fp32 rows for re-ranking.
+    """A relation stored as int8 codes plus fp32 rows for re-ranking.
 
     The codes are what the approximate scan streams (the compressed access
     path); the unit-normalized fp32 rows are touched only for the sparse
@@ -68,14 +66,10 @@ class QuantizedRelation:
     wrappers use.
     """
 
-    quantizer: VectorQuantizer
+    quantizer: Int8Quantizer
     codes: np.ndarray
     vectors: np.ndarray
-    method: str
     build_seconds: float = 0.0
-    #: What the quantizer's scorer streams (``quantizer.scan_rows(codes)``:
-    #: the codes, or PQ's one-hot CSR), built once per relation.
-    scan_rows: object = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -87,11 +81,7 @@ class QuantizedRelation:
     @property
     def code_bytes(self) -> int:
         """Bytes the approximate scan streams."""
-        total = int(self.codes.nbytes)
-        if sparse.issparse(self.scan_rows):
-            # CSR column indices are part of the scanned representation.
-            total += int(self.scan_rows.indices.nbytes)
-        return total
+        return int(self.codes.nbytes)
 
     @classmethod
     def build(
@@ -99,59 +89,39 @@ class QuantizedRelation:
         vectors: np.ndarray,
         method: str = "int8",
         *,
-        quantizer: VectorQuantizer | None = None,
         assume_normalized: bool = False,
-        **params,
     ) -> "QuantizedRelation":
-        """Fit (unless a fitted quantizer is supplied), encode, and index."""
+        """Normalize, fit a quantizer on the unit rows and encode them."""
         start = time.perf_counter()
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2:
             raise DimensionalityError(
                 f"expected (n, d) vectors, got shape {vectors.shape}"
             )
-        if method not in QUANT_METHODS:
-            raise JoinError(
-                f"unknown quantization method {method!r}; have {QUANT_METHODS}"
-            )
+        _check_method(method)
         if assume_normalized:
             finite_norms(vectors)  # the rejection normalize_rows makes
         normalized = vectors if assume_normalized else normalize_rows(vectors)
-        if quantizer is None:
-            dim = vectors.shape[1]
-            quantizer = (
-                Int8Quantizer(dim) if method == "int8" else ProductQuantizer(dim, **params)
-            )
-        freshly_fitted = not quantizer.fitted
-        if freshly_fitted:
-            quantizer.fit(normalized)
-        if isinstance(quantizer, ProductQuantizer) and freshly_fitted:
-            # fit() already tracked residuals over exactly these rows; skip
-            # the second full decode pass.
-            codes = quantizer.encode(normalized, _track=False)
-        else:
-            codes = quantizer.encode(normalized)
+        quantizer = Int8Quantizer(vectors.shape[1]).fit(normalized)
         return cls(
             quantizer=quantizer,
-            codes=codes,
+            codes=quantizer.encode(normalized),
             vectors=normalized,
-            method=method,
             build_seconds=time.perf_counter() - start,
-            scan_rows=quantizer.scan_rows(codes),
         )
 
     def representation(self) -> Representation:
-        """The codes as a scan streams them: the quantizer's ``scorer``
-        over :attr:`scan_rows` (a BLAS GEMM over casted codes, or an ADC
-        sparse product) with its per-query ``bias`` and error ``bound``,
-        re-ranked against the fp32 rows; left rows are normalized first."""
+        """The codes as a scan streams them: the quantizer's ``scorer`` (a
+        BLAS GEMM over casted codes) with its per-query ``bias`` and error
+        ``bound``, re-ranked against the fp32 rows; left rows are
+        normalized first."""
 
         def scorer(lb: np.ndarray, width: int):
             score, bias = self.quantizer.scorer(lb)
-            return (lambda r0, r1: score(self.scan_rows[r0:r1])), bias
+            return (lambda r0, r1: score(self.codes[r0:r1])), bias
 
         return Representation(
-            self.scan_rows,
+            self.codes,
             scorer,
             row_bytes=self.quantizer.bytes_per_code,
             # Any pair whose exact score reaches a floor has an approximate
@@ -159,6 +129,13 @@ class QuantizedRelation:
             bound=self.quantizer.score_error_bound(),
             rerank=lambda lb, li, ri: _exact_scores(lb, li, self.vectors, ri),
             prepare=normalize_rows,
+        )
+
+
+def _check_method(method: str) -> None:
+    if method not in QUANT_METHODS:
+        raise JoinError(
+            f"unknown quantization method {method!r}; have {QUANT_METHODS}"
         )
 
 
@@ -190,7 +167,6 @@ def quantized_tensor_join(
     batch_right: int | None = None,
     buffer_budget_bytes: int | None = None,
     engine: ExecutionEngine | None = None,
-    quantizer: VectorQuantizer | None = None,
     caps: CapPartition | None = None,
 ) -> JoinResult:
     """Quantized-code scan E-join with exact fp32 re-ranking.
@@ -201,11 +177,10 @@ def quantized_tensor_join(
             :class:`QuantizedRelation` (so repeated joins amortize the
             fit/encode build exactly like an index build).
         condition: threshold or top-k join condition.
-        method: ``"int8"`` (``None``) or ``"pq"``.  Ignored (taken from
-            the store) when ``right`` is pre-built.
+        method: ``"int8"`` (or ``None``), the one quantization method.
         buffer_budget_bytes: Figure 7 budget covering the approximate
-            score block, the per-row candidate pool (and PQ lookup
-            tables); split across workers under a multi-threaded engine.
+            score block and the per-row candidate pool; split across
+            workers under a multi-threaded engine.
         caps: the cap partition of ``right``'s unit rows
             (:func:`repro.core.caps.build_caps`): a left block scores only
             the caps its bounds keep, if few, and skips the codes.
@@ -218,29 +193,16 @@ def quantized_tensor_join(
         prove on their first candidates).
     """
     validate_condition(condition)
-    if isinstance(right, QuantizedRelation):
-        store = right
-        if method is not None and method != store.method:
-            raise JoinError(
-                f"method {method!r} conflicts with pre-built "
-                f"{store.method!r} store"
-            )
-        method = store.method
-    else:
-        method = "int8" if method is None else method
-        store = None
-    if method not in QUANT_METHODS:
-        raise JoinError(
-            f"unknown quantization method {method!r}; have {QUANT_METHODS}"
-        )
-
-    stats = JoinStats(strategy=f"tensor-{method}")
+    if method is not None:
+        _check_method(method)
+    store = right if isinstance(right, QuantizedRelation) else None
+    stats = JoinStats(strategy="tensor-int8")
     start = time.perf_counter()
     if store is None:
         left_m, right_m = _as_matrices(left, right, model, stats)
         stats.n_right = len(right_m)
         if right_m.size:
-            store = QuantizedRelation.build(right_m, method, quantizer=quantizer)
+            store = QuantizedRelation.build(right_m)
             stats.extra["build_seconds"] = store.build_seconds
     else:
         left_m = _as_matrix(left, model, stats)

@@ -5,8 +5,8 @@ score a block of the relation against every query row, prune the score
 block to qualifying cells *immediately*, keep a bounded buffer.  That loop
 is :func:`scan_candidates` and nothing else in the package walks right
 blocks.  Callers differ only in the *representation* scanned — the
-``score_block`` closure they hand in (fp32 rows, an fp16 upcast, int8
-codes or PQ one-hot rows through the quantizer's ``scorer``), with its
+``score_block`` closure they hand in (fp32 rows, an fp16 upcast, or int8
+codes through the quantizer's ``scorer``), with its
 score-error ``bound`` and per-query ``bias`` — and in their exact
 finalizer: served scans (:func:`~repro.core.eselect.select_group`, over
 its own pass or the shard workers') re-score candidates with the
@@ -23,7 +23,7 @@ scan each left block with the representation's scorer, finalize, run the
 blocks inline or on the engine, add up the parts.  What it scans is one
 :class:`Representation` of the right side — fp32 unit rows
 (:func:`~repro.core.tensor_join.unit_rows`), fp16 rows
-(:func:`~repro.core.precision.fp16_rows`) or int8 / PQ codes
+(:func:`~repro.core.precision.fp16_rows`) or int8 codes
 (:meth:`~repro.core.quantized_join.QuantizedRelation.representation`) —
 so the paper's precision ablation (Section V-A-2) changes data, not code.
 """
@@ -413,7 +413,7 @@ def scan_join(
     for keep in keeps:
         # The budget covers the score block plus the per-row candidate
         # state (a threshold block's, its candidates); operand blocks
-        # (query rows, code blocks, PQ lookup tables) are not charged.
+        # (query rows, code blocks) are not charged.
         try:
             bl, br = scan_shape(
                 stats.n_left, n_right, batch_left=batch_left, batch_right=batch_right,

@@ -27,23 +27,13 @@ from .base import SearchResult, VectorIndex
 ASSIGN_ROWS = 1024
 
 
-def nearest_centroids(
-    data: np.ndarray, centroids: np.ndarray, *, spherical: bool = True
-) -> np.ndarray:
-    """Each row's nearest centroid, :data:`ASSIGN_ROWS` rows at a time: by
-    dot product (spherical), else by Euclidean distance."""
-    if spherical:
-        chunks = [
-            np.argmax(data[lo : lo + ASSIGN_ROWS] @ centroids.T, axis=1)
-            for lo in range(0, len(data), ASSIGN_ROWS)
-        ]
-    else:
-        # argmin ||x - c||^2 == argmax (x.c - ||c||^2 / 2)
-        half = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
-        chunks = [
-            np.argmax(data[lo : lo + ASSIGN_ROWS] @ centroids.T - half, axis=1)
-            for lo in range(0, len(data), ASSIGN_ROWS)
-        ]
+def nearest_centroids(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each row's nearest centroid by dot product, :data:`ASSIGN_ROWS` rows
+    at a time."""
+    chunks = [
+        np.argmax(data[lo : lo + ASSIGN_ROWS] @ centroids.T, axis=1)
+        for lo in range(0, len(data), ASSIGN_ROWS)
+    ]
     return np.concatenate([np.empty(0, np.intp), *chunks])
 
 
@@ -53,19 +43,14 @@ def kmeans(
     *,
     n_iters: int = 10,
     rng: np.random.Generator | None = None,
-    spherical: bool = True,
 ) -> np.ndarray:
-    """K-means clustering; spherical by default, plain Lloyd otherwise.
-
-    Spherical (the coarse-quantizer default for unit vectors): assignment
-    by argmax dot with mean-and-renormalize updates.  Non-spherical (the
-    product-quantizer codebooks, whose subspace slices are not unit
-    vectors): assignment by Euclidean distance with plain mean updates.
-    Empty clusters are reseeded from random points either way.  A stable
-    sort gathers each cluster's rows in input order, as a mask would.  The
-    loop stops at a fixed point — an assignment equal to the last one, whose
-    update reseeded nothing, would recompute the same centroids — so the
-    centroids and ``rng`` end as after all ``n_iters``.
+    """Spherical k-means, the coarse quantizer of unit vectors: assignment
+    by argmax dot with mean-and-renormalize updates.  Empty clusters are
+    reseeded from random points.  A stable sort gathers each cluster's rows
+    in input order, as a mask would.  The loop stops at a fixed point — an
+    assignment equal to the last one, whose update reseeded nothing, would
+    recompute the same centroids — so the centroids and ``rng`` end as after
+    all ``n_iters``.
     """
     if n_clusters < 1:
         raise IndexError_(f"n_clusters must be >= 1, got {n_clusters}")
@@ -75,7 +60,7 @@ def kmeans(
     centroids = data[rng.choice(n, size=n_clusters, replace=False)].copy()
     last = None
     for _ in range(n_iters):
-        assign = nearest_centroids(data, centroids, spherical=spherical)
+        assign = nearest_centroids(data, centroids)
         if last is not None and np.array_equal(assign, last):
             break
         order = np.argsort(assign, kind="stable")
@@ -87,8 +72,7 @@ def kmeans(
                 centroids[c] = data[int(rng.integers(n))]
             else:
                 centroids[c] = grouped[lo:hi].mean(axis=0)
-        if spherical:
-            centroids = normalize_rows(centroids)
+        centroids = normalize_rows(centroids)
     return centroids
 
 

@@ -1,13 +1,13 @@
 """Per-access-path circuit breakers feeding the physical planner.
 
 A breaker guards one *access path* — keyed by
-``(table, column, model, precision)`` for quantized scan paths and
+``(table, column, model, "int8")`` for the quantized scan path and
 ``(table, column, model, "index")`` for index probes — in the
 :class:`BreakerRegistry` of the engine that runs the path (its contexts'
 ``breakers``).  The planner asks :meth:`BreakerRegistry.allow` before
 committing to a path; a tripped breaker makes the path unavailable, and
-the planner falls back down its chain (pq → int8 → fp32 scan; index →
-exact tensor scan).  Because the fallback target is the *exact* path,
+the planner falls back to the exact fp32 scan (from int8 codes or from
+an index).  Because the fallback target is the *exact* path,
 breaker fallbacks never weaken the exactness contract — they trade speed
 for availability, not accuracy.
 

@@ -55,7 +55,8 @@ class SharedScanRequest:
     #: when unsampled).  The group *leader* runs the shared scan on its own
     #: thread, so follower traces cannot see it ambiently; the leader
     #: attributes the work back by appending completed *foreign* spans
-    #: (``coalesce.scan``, ``rescore``) to every member's trace.
+    #: (``coalesce.scan``, ``rescore``, ``materialize``) to every member's
+    #: trace.
     trace: object | None = None
 
     @classmethod
@@ -322,24 +323,24 @@ class CoalescingScheduler:
         # wrapper (e.g. projecting a missing column) must not poison the
         # other queries that happened to share its scan.
         for i, req in enumerate(requests):
-            demux_t0 = time.perf_counter()
-            demux_c0 = time.thread_time()
+            marks = [(time.perf_counter(), time.thread_time())]
             candidates = 0
             try:
                 ids, scores, candidates, rescanned = group.select(i)
                 if rescanned:
                     with self._lock:
                         self.stats.fallbacks += 1
+                marks.append((time.perf_counter(), time.thread_time()))
                 req.result = materialize_selection(
                     table, ids, scores, req.node.score_column, req.wrappers
                 )
             except Exception as exc:
                 req.error = exc
+            marks.append((time.perf_counter(), time.thread_time()))
             if req.trace is not None:
-                req.trace.add_span(
-                    "rescore",
-                    wall_s=time.perf_counter() - demux_t0,
-                    cpu_s=time.thread_time() - demux_c0,
-                    candidates=candidates,
-                    rows=0 if req.result is None else len(req.result),
-                )
+                # The proof and the output table as two spans, so neither
+                # is charged the other's cost; a failed proof has no table.
+                rows = 0 if req.result is None else len(req.result)
+                laps = (("rescore", {"candidates": candidates}), ("materialize", {"rows": rows}))
+                for (name, attrs), (w0, c0), (w1, c1) in zip(laps, marks, marks[1:]):
+                    req.trace.add_span(name, wall_s=w1 - w0, cpu_s=c1 - c0, **attrs)

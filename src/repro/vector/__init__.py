@@ -8,14 +8,12 @@ from .kernels import (
     stable_dot_scores,
 )
 from .norms import normalize_rows, normalize_vector
-from .quant import Int8Quantizer, ProductQuantizer, VectorQuantizer, int8_dot
+from .quant import Int8Quantizer, int8_dot
 from .topk import top_k_indices, top_k_per_row
 
 __all__ = [
     "Int8Quantizer",
     "Kernel",
-    "ProductQuantizer",
-    "VectorQuantizer",
     "int8_dot",
     "cosine_matrix_gemm",
     "cosine_matrix_vectorized",

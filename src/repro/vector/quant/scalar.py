@@ -8,7 +8,8 @@ spans the fitted min/max at 255 steps (Milvus/FAISS ``SQ8``).  Codes cost
 Scoring is asymmetric: queries stay fp32 and are folded into the affine
 map once (:meth:`Int8Quantizer.prepare_queries`), after which a block of
 approximate similarities is one BLAS GEMM over the casted code block —
-numerically identical to ``q . decode(code)``.  The symmetric
+numerically identical to ``q . decode(code)`` (ADC, the asymmetric distance
+computation FAISS/Milvus use for their SQ8 index family).  The symmetric
 :func:`int8_dot` kernel computes exact int32 code dot products by chunking
 the GEMM so every partial sum stays inside the 2^24 integer window of
 fp32, where BLAS accumulation is exact.
@@ -20,7 +21,6 @@ import numpy as np
 
 from ...errors import DimensionalityError
 from ..kernels import row_major_scores
-from .base import VectorQuantizer
 
 #: Smallest per-dimension scale; guards constant dimensions.
 MIN_SCALE = 1e-12
@@ -38,28 +38,49 @@ THIN_QUERIES = 64
 _EXACT_CHUNK = 1024
 
 
-class Int8Quantizer(VectorQuantizer):
-    """Per-dimension min/max affine int8 quantizer."""
+class Int8Quantizer:
+    """Per-dimension min/max affine int8 quantizer.
+
+    :meth:`score_error_bound` is a *sound* upper bound on ``|q . x - q .
+    decode(encode(x))|`` for unit-norm queries over every row encoded:
+    threshold scans subtract it from the predicate so the code pass never
+    drops a true match, and a top-k row is proved complete when its
+    dropped cells' floor plus the bound sits under its k-th exact score
+    (:func:`repro.core.scan.prove_topk`).
+    """
 
     def __init__(self, dim: int) -> None:
-        super().__init__(dim)
+        if dim <= 0:
+            raise DimensionalityError(f"dim must be positive, got {dim}")
+        self.dim = int(dim)
         self.lo: np.ndarray | None = None
         self.scale: np.ndarray | None = None
         self._max_residual = 0.0
 
     @property
     def bytes_per_code(self) -> int:
+        """Stored bytes per encoded vector (the memory-traffic lever)."""
         return self.dim
+
+    def _require_fitted(self) -> None:
+        if self.scale is None:
+            raise DimensionalityError("Int8Quantizer is not fitted; call fit() first")
+
+    def _check_matrix(self, data: np.ndarray) -> np.ndarray:
+        data = np.asarray(data, dtype=np.float32)
+        if data.ndim != 2 or data.shape[1] != self.dim:
+            raise DimensionalityError(
+                f"expected (n, {self.dim}) matrix, got shape {data.shape}"
+            )
+        return data
 
     def fit(self, data: np.ndarray) -> "Int8Quantizer":
         data = self._check_matrix(data)
         if len(data) == 0:
             raise DimensionalityError("cannot fit Int8Quantizer on 0 rows")
-        self.lo = data.min(axis=0)
-        self.scale = np.maximum((data.max(axis=0) - self.lo) / 255.0, MIN_SCALE)
-        self.lo = self.lo.astype(np.float32)
-        self.scale = self.scale.astype(np.float32)
-        self._fitted = True
+        lo = data.min(axis=0)
+        self.scale = np.maximum((data.max(axis=0) - lo) / 255.0, MIN_SCALE).astype(np.float32)
+        self.lo = lo.astype(np.float32)
         return self
 
     def encode(self, data: np.ndarray) -> np.ndarray:
@@ -146,6 +167,15 @@ class Int8Quantizer(VectorQuantizer):
         return scores
 
     def scorer(self, queries: np.ndarray):
+        """Fold ``queries`` into the codes once: ``(score, bias)``.
+
+        ``score(block) + bias[:, None] == queries @ decode(block).T`` for a
+        row range of codes, any strides: ranking within a query does not
+        need the per-query bias, so a scan adds it to the cells it keeps
+        instead of to every cell.  A block is the caller's until it asks
+        for the next one (``score`` may reuse its buffer), and a scorer is
+        one thread's.
+        """
         weights, bias = self.prepare_queries(queries)
         if len(weights) <= THIN_QUERIES:
             return (

@@ -313,10 +313,9 @@ def _triple_order(rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.n
     the signed integer of the same order (``-0.0`` first normalised to
     ``+0.0``, which the float compare calls equal).  Ids are only looked
     at inside runs of equal keys, where a second key — the run's number
-    ``<< 32`` plus the id — restores ``id asc``; PQ scores tie in almost
-    every run, fp32 and int8 ones in almost none.  12,500 triples sort in
-    0.4 ms where the three-key lexsort takes 2.6 (36,000: 1.2 vs 10.6; the
-    twelve folds of a 500-row PQ top-8 task 24 ms vs 70).  A row past 2^31
+    ``<< 32`` plus the id — restores ``id asc``; fp32 and int8 scores tie
+    in almost no run.  12,500 triples sort in 0.4 ms where the three-key
+    lexsort takes 2.6 (36,000: 1.2 vs 10.6).  A row past 2^31
     or an id outside ``[0, 2^32)`` does not fit a key: the lexsort itself
     runs.
     """

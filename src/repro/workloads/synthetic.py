@@ -86,9 +86,9 @@ def embedding_like_vectors(
 
     Trained embeddings concentrate variance in a few leading directions
     (a decaying singular spectrum) and live near a low-dimensional,
-    clustered manifold — exactly the structure product quantization
-    exploits (a flat isotropic cloud is PQ's worst case: the quantization
-    residual and the ranking signal are then the *same* noise).  Vectors
+    clustered manifold — the structure indexes and cap bounds exploit (a
+    flat isotropic cloud is their worst case: every row then scores alike
+    against every probe).  Vectors
     are drawn around ``n_clusters`` centroids in a ``rank``-dimensional
     latent space whose axes are scaled ``(i + 1) ** -spectrum_decay``,
     then rotated into ``dim`` dimensions and unit-normalized.

@@ -1,6 +1,6 @@
 """Quantized access paths in the planner: a strategy hint picks them.
 
-Only the label (``tensor-int8`` / ``tensor-pq``) puts a scan on codes; an
+Only the label (``tensor-int8``) puts a scan on codes; an
 unhinted join scans fp32 and a selection always reads the unit rows.
 """
 
@@ -68,13 +68,13 @@ class TestPlanner:
         execute(join_plan, ctx, report=report)
         assert report.strategies == ["tensor"]
 
-    @pytest.mark.parametrize("method", ["int8", "pq"])
+    @pytest.mark.parametrize("method", ["int8"])
     @pytest.mark.parametrize(
         "condition", [TopKCondition(3), ThresholdCondition(0.5)], ids=["topk", "threshold"]
     )
     def test_quantized_results_close_to_fp32(self, ctx, join_plan, method, condition):
         """A hinted code scan answers the fp32 scan's pairs: a top-k row
-        is proved or rescanned (PQ's included), a threshold re-ranked."""
+        is proved or rescanned, a threshold re-ranked."""
         from dataclasses import replace
 
         plan = replace(join_plan, right=ScanNode("base_wide"), condition=condition)
@@ -86,7 +86,7 @@ class TestPlanner:
         for column in ("l_id", "r_id"):
             assert got.array(column).tolist() == ref.array(column).tolist()
 
-    @pytest.mark.parametrize("method", ["int8", "pq"])
+    @pytest.mark.parametrize("method", ["int8"])
     def test_selection_reads_unit_rows_beside_a_built_store(self, ctx, join_plan, method):
         """A hinted join that encoded the source does not pull a later
         selection onto its codes: the selection runs ``eselect`` on the
@@ -126,11 +126,11 @@ class TestPlanner:
 
 
 class TestStoreAmortization:
-    @pytest.mark.parametrize("method", ["int8", "pq"])
+    @pytest.mark.parametrize("method", ["int8"])
     def test_hinted_quantized_scan_builds_store_once(
         self, ctx, join_plan, method, monkeypatch
     ):
-        """A ``tensor-int8``/``tensor-pq`` hint goes through the context's
+        """A ``tensor-int8`` hint goes through the context's
         store cache: two executions encode once and share the entry, a
         re-registered table encodes again."""
         from dataclasses import replace
@@ -171,7 +171,7 @@ class TestStoreAmortization:
         execute(hinted, ctx, report=ExecutionReport())
         assert builds == [method, method]
 
-    @pytest.mark.parametrize("method", ["int8", "pq"])
+    @pytest.mark.parametrize("method", ["int8"])
     def test_hinted_quantized_scan_of_an_empty_source_is_empty(self, ctx, join_plan, method):
         """No rows means nothing to encode: the hinted code scan answers
         empty under its own label (it used to fail fitting the quantizer)."""

@@ -132,7 +132,7 @@ def test_reregistering_the_same_table_keeps_the_state(setup):
     assert ctx.quant_store_for(key, engine.catalog.get("r"), "int8") is store
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 def test_quantized_store_reranks_from_the_unit_matrix(setup, method):
     """A source keeps one unit-row matrix: its quantized store re-ranks from
     that very buffer, and both are rebuilt together on a re-registration
@@ -280,7 +280,6 @@ def test_memo_answers_a_repeated_feed_without_scanning():
         "threshold",
         "index",
         pytest.param("int8", marks=pytest.mark.quant),
-        pytest.param("pq", marks=pytest.mark.quant),
         "filtered-right",
         "tensor-left",
     ],
@@ -302,7 +301,6 @@ def test_other_paths_neither_read_nor_fill_the_memo(path):
             "threshold": dict(threshold=0.6, top_k=None),
             "index": dict(strategy="index"),
             "int8": dict(strategy="tensor-int8"),
-            "pq": dict(strategy="tensor-pq"),
             "filtered-right": dict(right=target.query("w").where(Col("wid") < 500)),
             "tensor-left": dict(left_on="emb"),
         }.get(path, {})
@@ -446,7 +444,6 @@ def test_a_model_replaced_mid_query_leaves_no_mismatched_memo_rows(monkeypatch):
         "tensor",
         "parallel-tensor",
         pytest.param("tensor-int8", marks=pytest.mark.quant),
-        pytest.param("tensor-pq", marks=pytest.mark.quant),
     ],
 )
 def test_a_replaced_model_answers_like_a_fresh_engine(strategy):

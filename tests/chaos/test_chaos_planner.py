@@ -1,9 +1,9 @@
 """Chaos: planner access paths route around injected faults via breakers.
 
-Fallback never changes answers, only speed: every fallback target in the
-chain of a hinted code scan (pq -> int8 -> fp32 scan) and of an index
-(index -> scan) is an exact path, so the results under faults must be
-bit-identical to a clean fp32/scan run.
+Fallback never changes answers, only speed: the fallback target of a
+hinted code scan (int8 -> fp32 scan) and of an index (index -> scan) is
+an exact path, so the results under faults must be bit-identical to a
+clean fp32/scan run.
 """
 
 from __future__ import annotations
@@ -67,11 +67,12 @@ def make_join(**kwargs) -> EJoinNode:
     )
 
 
-@pytest.mark.parametrize("forced", [None, "tensor-int8", "tensor-pq"])
+@pytest.mark.parametrize("forced", [None, "tensor-int8", "tensor", "parallel-tensor"])
 def test_an_input_error_is_raised_once_and_trips_no_breaker(forced, monkeypatch):
     """A NaN row is the caller's error, not the quantized path's: the
-    ``JoinError`` leaves the first scan that meets it — no breaker
-    failure, no fallback entry, no second scan raising it again."""
+    ``JoinError`` leaves the first scan that meets it, whichever scan the
+    hint names — no breaker failure, no fallback entry, no second scan
+    raising it again."""
     from repro.algebra import physical_planner
     from repro.errors import JoinError
 
@@ -137,25 +138,6 @@ def test_quant_build_faults_fall_back_to_exact_and_trip_breaker():
     assert checks_after == checks_before
 
 
-def test_pq_build_faults_walk_the_whole_chain_to_exact():
-    """With every store build failing, a hinted pq join names both paths
-    it fell past, answers from the exact scan, and trips both breakers."""
-    reference = execute(make_join(), make_ctx())
-    ctx = make_ctx()
-    install_injector(
-        FaultInjector(1.0, seed=6, sites=("quant.build",), kinds=("permanent",))
-    )
-    for _ in range(3):
-        report = ExecutionReport()
-        out = execute(make_join(strategy_hint="tensor-pq"), ctx, report=report)
-        assert report.fallbacks == ["base/emb/hash/pq", "base/emb/hash/int8"]
-        assert report.strategies == ["tensor"]
-        assert_tables_equal(out, reference, context="pq -> int8 -> fp32")
-    snapshot = ctx.breakers.snapshot()
-    assert snapshot["base/emb/hash/pq"]["state"] == "open"
-    assert snapshot["base/emb/hash/int8"]["state"] == "open"
-
-
 def test_selection_has_no_fallback_edge():
     """A selection reads the unit rows whatever the quantized paths'
     health: it never builds a store, consults a breaker or reports a
@@ -168,9 +150,8 @@ def test_selection_has_no_fallback_edge():
     )
     reference = execute(select, make_ctx())
     ctx = make_ctx()
-    for precision in ("pq", "int8"):
-        for _ in range(3):
-            ctx.breakers.record_failure(("base", "emb", "hash", precision))
+    for _ in range(3):
+        ctx.breakers.record_failure(("base", "emb", "hash", "int8"))
     injector = install_injector(
         FaultInjector(1.0, seed=7, sites=("quant.build",), kinds=("permanent",))
     )
@@ -181,23 +162,7 @@ def test_selection_has_no_fallback_edge():
     assert injector.stats.snapshot()["by_site"].get("quant.build", 0) == 0
 
 
-def test_pq_faults_walk_the_chain_down_to_int8():
-    """A hinted pq scan falls to int8 (still quantized) when only the pq
-    path is broken, not all the way to fp32."""
-    ctx = make_ctx()
-    # Pre-open only the pq breaker; int8 stays healthy.
-    for _ in range(3):
-        ctx.breakers.record_failure(("base", "emb", "hash", "pq"))
-    report = ExecutionReport()
-    out = execute(make_join(strategy_hint="tensor-pq"), ctx, report=report)
-    assert report.strategies == ["tensor-int8"]
-    assert report.fallbacks == []
-    exact = execute(make_join(), make_ctx())
-    for column in ("l_id", "r_id"):
-        assert out.array(column).tolist() == exact.array(column).tolist()
-
-
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 def test_a_tripped_code_breaker_stays_with_its_context(method):
     """A code path tripped on one context is closed on another: that one
     builds its own store and scans the codes its hint names."""
@@ -207,7 +172,7 @@ def test_a_tripped_code_breaker_stays_with_its_context(method):
     hinted = make_join(strategy_hint=f"tensor-{method}")
     report = ExecutionReport()
     execute(hinted, tripped, report=report)
-    assert report.strategies == [{"int8": "tensor", "pq": "tensor-int8"}[method]]
+    assert report.strategies == ["tensor"]
     healthy = make_ctx()
     report = ExecutionReport()
     execute(hinted, healthy, report=report)
@@ -262,15 +227,14 @@ def test_index_breaker_success_closes_again():
     assert registry.snapshot()["base/emb/hash/index"]["state"] == "closed"
 
 
-def test_join_walks_the_chain_past_a_tripped_pq_breaker():
-    """A hinted pq join walks past an open pq breaker to int8, past a
-    failing int8 build to the exact scan, naming the path that failed,
-    straight to the exact scan once int8 has tripped too, and back onto
-    int8 when it heals."""
+def test_int8_join_falls_to_exact_and_heals():
+    """A hinted int8 join falls past a failing int8 build to the exact
+    scan, naming the path that failed, goes straight to the exact scan
+    once int8 has tripped, and back onto int8 when it heals."""
     from repro.reliability.faults import clear_injector
 
     ctx = make_ctx()
-    join = make_join(strategy_hint="tensor-pq")
+    join = make_join(strategy_hint="tensor-int8")
 
     def run():
         report = ExecutionReport()
@@ -282,30 +246,25 @@ def test_join_walks_the_chain_past_a_tripped_pq_breaker():
             for key, entry in ctx.breakers.snapshot().items()
         }
 
-    assert run()[1].strategies == ["tensor-pq"]
     exact = execute(make_join(strategy_hint="tensor"), make_ctx())
-
-    for _ in range(3):
-        ctx.breakers.record_failure(("base", "emb", "hash", "pq"))
-    assert states() == {"pq": "open"}
     install_injector(
         FaultInjector(1.0, seed=5, sites=("quant.build",), kinds=("permanent",))
     )
-    # pq is open, int8 cannot build: the exact scan answers, and int8
-    # trips on the third failure.
+    # int8 cannot build: the exact scan answers, and int8 trips on the
+    # third failure.
     for _ in range(3):
         out, report = run()
         assert report.fallbacks == ["base/emb/hash/int8"]
         assert report.strategies == ["tensor"]
         assert_tables_equal(out, exact, context="int8 fallback")
-    assert states() == {"pq": "open", "int8": "open"}
-    # Both open: the join touches no quantized path and reports none.
+    assert states() == {"int8": "open"}
+    # Open: the join touches no quantized path and reports none.
     _, report = run()
     assert report.fallbacks == [] and report.strategies == ["tensor"]
 
-    # int8 heals (pq stays tripped): the join settles on int8.
+    # int8 heals: the join settles on int8.
     clear_injector()
     ctx.breakers.record_success(("base", "emb", "hash", "int8"))
     _, report = run()
     assert report.fallbacks == [] and report.strategies == ["tensor-int8"]
-    assert states() == {"pq": "open", "int8": "closed"}
+    assert states() == {"int8": "closed"}

@@ -1,4 +1,4 @@
-"""Cap bounds (``repro.core.caps``): an fp32, int8 or PQ scan join that
+"""Cap bounds (``repro.core.caps``): an fp32 or int8 scan join that
 scores only the right rows its cap partition cannot prove out equals the
 dense join and a float64 oracle, and declines — to the dense join, bit for
 bit — wherever the partition would not pay."""
@@ -67,16 +67,13 @@ def oracle(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def joined(left, right, condition, part, representation="fp32", **keywords):
-    """The dense join and the join offered ``part``, in fp32 or on int8 / PQ
+    """The dense join and the join offered ``part``, in fp32 or on int8
     codes of ``right``."""
     if representation == "fp32":
         join, keywords = tensor_join, dict(keywords, assume_normalized=True)
     else:
         join = quantized_tensor_join
-        right = QuantizedRelation.build(
-            right, representation, assume_normalized=True,
-            **({"m": 4, "ks": 16, "seed": 3} if representation == "pq" else {}),
-        )
+        right = QuantizedRelation.build(right, representation, assume_normalized=True)
     return join(left, right, condition, **keywords), join(
         left, right, condition, caps=part, **keywords
     )
@@ -111,7 +108,7 @@ def clustered_part(clustered_join, small_sources):  # built after MIN_CAPS is lo
     return part
 
 
-@pytest.mark.parametrize("representation", ["fp32", "int8", "pq"])
+@pytest.mark.parametrize("representation", ["fp32", "int8"])
 @pytest.mark.parametrize(
     "condition",
     [
@@ -229,7 +226,7 @@ def test_explicit_batch_edges_run_the_dense_loop(clustered_join, clustered_part)
 
 
 @pytest.mark.parametrize("every_other", [False, True], ids=["all-on-caps", "every-other"])
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 @pytest.mark.parametrize("condition", [TopKCondition(5), ThresholdCondition(0.9)], ids=["topk", "threshold"])
 def test_rerank_candidates_are_the_code_scanned_tasks(
     clustered_join, clustered_part, condition, method, every_other, monkeypatch,
@@ -449,7 +446,7 @@ def test_uniform_rows_decline():
     assert build_caps(unit_vectors(6_000, DIM, seed=5)) is None
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 def test_a_declining_source_still_scans_codes(method, monkeypatch):
     """Uniform rows' partition, built with the source check waved through:
     every task's bounds keep all its cells, so each declines and the codes
@@ -571,9 +568,9 @@ def test_the_planner_joins_on_the_partition(engine):
             <= SWAP_TOLERANCE).all()
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 def test_a_forced_quantized_join_runs_on_the_partition(engine, method):
-    """The one partition the fp32 scan uses serves a forced int8 / PQ join
+    """The one partition the fp32 scan uses serves a forced int8 join
     of the same source, with the fp32 join's ids."""
     out, stats = _join(engine, f"tensor-{method}")
     assert stats.strategy == f"tensor-{method}" and stats.extra["cap_tasks"] > 0

@@ -65,7 +65,6 @@ class TestDispatch:
         assert scans == {
             "tensor": ("fp32", None),
             "tensor-int8": ("int8", None),
-            "tensor-pq": ("pq", None),
             "parallel-tensor": ("fp32", "threads"),
         }
         for condition in (THRESHOLD, TopKCondition(3)):
@@ -85,7 +84,7 @@ class TestDispatch:
     def test_strategy_names_constant(self):
         """Every label names one path; none asks ``ejoin`` to choose one."""
         assert "auto" not in STRATEGIES and "tensor" in STRATEGIES
-        assert len(STRATEGIES) == 8
+        assert len(STRATEGIES) == 7
 
     def test_defaults_to_the_fp32_scan(self):
         """With no label ``ejoin`` runs the one-worker fp32 scan whatever

@@ -26,6 +26,40 @@ class TestQuantize:
         half = quantize_fp16(left).astype(np.float32)
         assert np.abs(full - half).max() < 2.0**-10
 
+    def test_hostile_magnitudes_in_one_slab(self):
+        """Rows of norm 1e6, with cells past fp16's 65,504 and with cells
+        whose squares overflow fp32 (~3e20), inside one 4,096-row slab:
+        each is normalised before the fp16 cast, so the rows come out
+        finite and equal to the whole-matrix reference, and the fp16 join
+        stays within its error bound of the fp32 one."""
+        from repro.core.precision import _QUANTIZE_ROWS
+        from repro.workloads import unit_vectors
+
+        dim = 16
+        matrix = unit_vectors(_QUANTIZE_ROWS + 900, dim, seed=7)
+        hostile = _QUANTIZE_ROWS + np.array([3, 400, 899])  # the second slab
+        matrix[hostile[0]] *= 1e6
+        matrix[hostile[1]] = np.linspace(-9e4, 9e4, dim)
+        matrix[hostile[2]] = 3e20 * np.sign(np.arange(dim) - 7.5)
+        assert np.abs(matrix[hostile[1]]).max() > np.finfo(np.float16).max
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.square(matrix[hostile[2]])).all()
+
+        half = quantize_fp16(matrix)
+        assert np.isfinite(half).all()
+        assert np.array_equal(half, normalize_rows(matrix).astype(np.float16))
+
+        left = np.vstack([matrix[hostile], unit_vectors(29, dim, seed=8)])
+        condition = TopKCondition(5)
+        full = tensor_join(left, matrix, condition).sorted()
+        reduced = tensor_join_fp16(left, matrix, condition).sorted()
+        bound = precision_error_bound(dim)
+        assert np.array_equal(full.left_ids, reduced.left_ids)
+        for row in range(len(left)):
+            want = np.sort(full.scores[full.left_ids == row])
+            got = np.sort(reduced.scores[reduced.left_ids == row])
+            assert np.abs(want - got).max() <= bound, row
+
 
 class TestErrorBound:
     def test_monotone_in_dim(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the quantized tensor join (int8/PQ scan + fp32 re-rank)."""
+"""Unit tests for the quantized tensor join (int8 scan + fp32 re-rank)."""
 
 import numpy as np
 import pytest
@@ -15,12 +15,11 @@ from repro.core import (
 from repro.core.scan import TOPK_PRESCREEN_PAD
 from repro.engine import ExecutionEngine, serial_engine
 from repro.errors import DimensionalityError, JoinError
-from repro.vector import ProductQuantizer
 from repro.workloads import embedding_like_vectors, unit_vectors
 
 pytestmark = pytest.mark.quant
 
-METHODS = ("int8", "pq")
+METHODS = ("int8",)
 
 
 @pytest.fixture()
@@ -144,12 +143,6 @@ class TestStoreAndStats:
             left.nbytes + right.nbytes
         )
 
-    def test_pq_store_records_code_bytes(self, relations):
-        _, right = relations
-        store = QuantizedRelation.build(right, "pq", m=4, ks=16)
-        assert store.quantizer.bytes_per_code == 4
-        assert store.codes.nbytes == len(right) * 4
-
     def test_rerank_candidates_tracked(self, relations):
         """Each row re-ranks ``k + TOPK_PRESCREEN_PAD`` codes, and a row
         the bound cannot prove re-ranks what its second pass kept."""
@@ -166,39 +159,22 @@ class TestStoreAndStats:
         threshold = quantized_tensor_join(left, right, ThresholdCondition(0.4), method="int8")
         assert threshold.stats.extra["rescanned_rows"] == 0
 
-    def test_pq_scan_builds_the_one_hot_once(self, relations, monkeypatch):
-        """PQ's one-hot CSR is built with the store; the fixed-floor pass
-        of the rows its bound cannot prove scans it again, never rebuilds."""
-        left, right = relations
-        built = []
-        onehot = ProductQuantizer.onehot
-        monkeypatch.setattr(
-            ProductQuantizer, "onehot",
-            lambda self, codes: built.append(len(codes)) or onehot(self, codes),
-        )
-        store = QuantizedRelation.build(right, "pq", m=4, ks=16)
-        assert built == [len(right)]
-        condition = TopKCondition(5)
-        got = quantized_tensor_join(left, store, condition, buffer_budget_bytes=8 << 10)
-        assert got.stats.extra["rescanned_rows"] > 0
-        assert got.pairs() == tensor_join(left, right, condition).pairs()
-        quantized_eselect(store, left[0], condition)
-        assert built == [len(right)]  # a join and a selection, one build
-
-    def test_method_conflict_with_store(self, relations):
-        _, right = relations
-        store = QuantizedRelation.build(right, "int8")
-        with pytest.raises(JoinError, match="conflicts"):
-            quantized_tensor_join(
-                right[:5], store, TopKCondition(1), method="pq"
-            )
-
     def test_unknown_method(self, relations):
+        """int8 is the one method: any other, ``"pq"`` included, is refused
+        at every door, a pre-built store's too."""
         left, right = relations
-        with pytest.raises(JoinError, match="unknown quantization method"):
-            quantized_tensor_join(
-                left, right, TopKCondition(1), method="fp8"
-            )
+        store = QuantizedRelation.build(right, "int8")
+        for method in ("fp8", "pq"):
+            for call in (
+                lambda: QuantizedRelation.build(right, method),
+                lambda: quantized_tensor_join(left, right, TopKCondition(1), method=method),
+                lambda: quantized_tensor_join(left, store, TopKCondition(1), method=method),
+                lambda: quantized_eselect(store, left[0], TopKCondition(1), method=method),
+            ):
+                with pytest.raises(
+                    JoinError, match=rf"unknown quantization method '{method}'; have \('int8',\)"
+                ):
+                    call()
 
     def test_dim_mismatch(self, relations):
         left, right = relations
@@ -233,7 +209,7 @@ class TestDispatch:
     def test_ejoin_strategy_names(self, relations):
         left, right = relations
         ref = tensor_join(left, right, TopKCondition(3)).pairs()
-        for strategy in ("tensor-int8", "tensor-pq"):
+        for strategy in ("tensor-int8",):
             got = ejoin(left, right, TopKCondition(3), strategy=strategy)
             assert got.stats.strategy == strategy
             assert got.pairs() == ref

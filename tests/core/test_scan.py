@@ -24,6 +24,7 @@ from repro.core import (
     TopKCondition,
     ejoin,
     eselect,
+    precision_error_bound,
     prefetch_nlj,
     quantized_eselect,
     quantized_tensor_join,
@@ -33,6 +34,7 @@ from repro.core import (
     tensor_join_non_batched,
 )
 from repro.core.eselect import PRESCREEN_MARGIN, TOPK_PRESCREEN_PAD
+from repro.core.precision import fp16_rows, quantize_fp16
 from repro.core.scan import (
     dense_score_block,
     merge_topk,
@@ -41,6 +43,7 @@ from repro.core.scan import (
     scan_candidates,
     split_rows,
 )
+from repro.core.tensor_join import unit_rows
 from repro.embedding import HashingEmbedder
 from repro.errors import JoinError
 from repro.engine import ExecutionEngine
@@ -48,7 +51,7 @@ from repro.query import Engine
 from repro.relational import Catalog, DataType, Field, Table
 from repro.relational.column import Column
 from repro.service import QueryService
-from repro.vector import Int8Quantizer, ProductQuantizer, stable_dot_scores
+from repro.vector import Int8Quantizer, stable_dot_scores
 from repro.vector.norms import normalize_rows, normalize_vector
 from repro.workloads import unit_vectors
 
@@ -73,10 +76,31 @@ def queries() -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Part A — the core against a float64 oracle, per representation
 # ---------------------------------------------------------------------------
+#: The :class:`~repro.core.scan.Representation` each scan join is handed,
+#: from its own constructor: the fp16 rows' scanned scores are the emitted
+#: ones (no re-rank), so their provable error is the precision bound.
+_CONSTRUCTED = {
+    "fp32-unit-rows": lambda corpus: (unit_rows(corpus), 0.0),
+    "fp16-rows": lambda corpus: (
+        fp16_rows(quantize_fp16(corpus)), precision_error_bound(DIM)
+    ),
+    "int8-store": lambda corpus: (
+        QuantizedRelation.build(corpus, assume_normalized=True).representation(), None
+    ),
+}
+
+
 def _representation(name: str, corpus: np.ndarray, q: np.ndarray):
     """``(score_block, bound, bias)``: the closure the core scans, the
     representation's provable score error and the per-query constant the
     closure leaves out."""
+    if name in _CONSTRUCTED:
+        # One scorer per task, as a scan join calls it: a dense scorer
+        # hands out views of one buffer, so this also checks that the core
+        # is done with a block before it asks for the next.
+        representation, bound = _CONSTRUCTED[name](corpus)
+        score_block, bias = representation.scorer(representation.prepare(q), len(corpus))
+        return score_block, representation.bound if bound is None else bound, bias
     if name == "fp32":
         return dense_score_block(corpus, q), 0.0, None
     if name == "fp16":
@@ -85,18 +109,15 @@ def _representation(name: str, corpus: np.ndarray, q: np.ndarray):
         return (
             lambda a, b: row_major_scores(half[a:b].astype(np.float32), q)
         ), float(resid) + 1e-5, None
-    if name == "int8":
-        quantizer = Int8Quantizer(DIM).fit(corpus)
-    else:
-        quantizer = ProductQuantizer(DIM, m=4, ks=16, seed=5).fit(corpus)
-    rows = quantizer.scan_rows(quantizer.encode(corpus))
+    quantizer = Int8Quantizer(DIM).fit(corpus)
+    rows = quantizer.encode(corpus)
     score, bias = quantizer.scorer(q)
     return (
         lambda a, b: score(rows[a:b])
     ), float(quantizer.score_error_bound()), bias
 
 
-@pytest.mark.parametrize("representation", ["fp32", "fp16", "int8", "pq"])
+@pytest.mark.parametrize("representation", ["fp32", "fp16", "int8", *_CONSTRUCTED])
 @pytest.mark.parametrize("n_queries", GROUP_SIZES)
 @pytest.mark.parametrize(
     "lo,hi,block_rows",
@@ -140,7 +161,7 @@ def test_candidates_are_a_superset_of_the_oracle_answer(
             # The completeness guard accepts these candidates as they are.
             assert set(answer.tolist()) <= set(ids.tolist())
             proved += 1
-    if representation == "fp32":
+    if representation in ("fp32", "fp32-unit-rows"):
         assert proved == len(topk_rows)  # no error bound: never needs the rescan
     hit_rows, hit_ids, hit_scores = scan.hits
     # Returned scores carry the bias: they are the approximate scores.
@@ -499,23 +520,38 @@ def test_fp32_joins_equal_the_oracle_and_each_other(join_inputs, case, shape, th
 @pytest.mark.usefixtures("schedule_every_task")
 @pytest.mark.parametrize("threads", ENGINES)
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize(
+    "method, door",
+    [
+        pytest.param("int8", "store", id="int8"),
+        pytest.param("int8", "unit-store", id="int8-unit-store"),
+        pytest.param("int8", "rows", id="int8-rows"),
+    ],
+)
 @pytest.mark.parametrize(
     "case", ["topk-ties", "threshold-attained", "k-beyond-n", "min-similarity"]
 )
-def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, threads):
+def test_quantized_joins_equal_the_oracle(join_inputs, case, method, door, shape, threads):
     """Threshold results are exactly the oracle's set (sound prescreen,
     exact re-rank); a top-k is the oracle's at default settings too (each
-    row proved by the error bound or rescanned at a fixed floor)."""
+    row proved by the error bound or rescanned at a fixed floor).  The
+    codes come through each door a caller has: a store built from raw
+    rows, one built from unit rows as they are (the planner's
+    ``assume_normalized`` build) and the raw rows themselves, which the
+    join and the selection encode on every call."""
     left, right, scores = join_inputs
     condition = _join_conditions(scores)[case]
     want_l, want_r = _oracle_join(scores, condition)
     n_threads = ENGINES[threads]
     engine = None if n_threads is None else ExecutionEngine(n_threads=n_threads)
-    store = QuantizedRelation.build(right, method, m=4, ks=8, seed=3)
+    store = {
+        "store": lambda: QuantizedRelation.build(right, method),
+        "unit-store": lambda: QuantizedRelation.build(right / 2, method, assume_normalized=True),
+        "rows": lambda: right,
+    }[door]()
     results = {
         "quantized_tensor_join": quantized_tensor_join(
-            left, store, condition, engine=engine, **SHAPES[shape]
+            left, store, condition, method=method, engine=engine, **SHAPES[shape]
         ),
         "ejoin": ejoin(
             left, right, condition, strategy=f"tensor-{method}",
@@ -531,20 +567,22 @@ def test_quantized_joins_equal_the_oracle(join_inputs, case, method, shape, thre
     # The selection is the join of one left row.
     budget = SHAPES[shape].get("buffer_budget_bytes")
     for row in (0, 3):
-        got = quantized_eselect(store, left[row], condition, buffer_budget_bytes=budget)
+        got = quantized_eselect(
+            store, left[row], condition, method=method, buffer_budget_bytes=budget
+        )
         _assert_selection(got, scores[row], condition, f"row {row}")
         assert got.stats.strategy == f"eselect/{method}"
         _assert_within_budget(got.stats, SHAPES[shape])
 
 
 @pytest.mark.quant
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 def test_quantized_threshold_pool_stays_inside_the_budget(corpus, queries, method):
     """A threshold block's hits are re-ranked and filtered before they
     pool, so what the scan holds across blocks is emitted pairs: the pool
-    of candidates used to sit outside the budget (0.6 MB int8, 4.3 MB PQ
-    against 64 KiB on this 64 x 3,300 join)."""
-    store = QuantizedRelation.build(corpus, method, m=4, ks=16, seed=5)
+    of candidates used to sit outside the budget (0.6 MB int8 against 64
+    KiB on this 64 x 3,300 join)."""
+    store = QuantizedRelation.build(corpus, method)
     condition, budget = ThresholdCondition(0.3), 64 * 1024
     free = quantized_tensor_join(queries, store, condition)
     tight = quantized_tensor_join(queries, store, condition, buffer_budget_bytes=budget)
@@ -669,7 +707,7 @@ def _clustered(n: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.quant
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 @pytest.mark.parametrize("table", ["clustered", "thrice"])
 def test_quantized_topk_is_exact(method, table):
     """At default settings a quantized top-k join and selection are the
@@ -679,7 +717,7 @@ def test_quantized_topk_is_exact(method, table):
     queries, right = _clustered(64, 18), _clustered(N_PLAIN, 17)
     if table == "thrice":
         right = np.repeat(right[: N_PLAIN // 3], 3, axis=0)
-    store = QuantizedRelation.build(right, method, m=8, ks=64, seed=3)
+    store = QuantizedRelation.build(right, method)
     scores = (
         normalize_rows(queries).astype(np.float64) @ normalize_rows(right).astype(np.float64).T
     )
@@ -706,7 +744,7 @@ def _poisoned(rows: np.ndarray) -> np.ndarray:
 @pytest.mark.quant
 def test_every_entry_point_rejects_a_non_finite_row_or_query(join_inputs):
     """One NaN cell used to take a reducer slot (``tensor_join``: a pair
-    short), poison the fitted range (int8 / PQ: no rows at all) or blank a
+    short), poison the fitted range (int8: no rows at all) or blank a
     selection silently; every front door now raises a typed error."""
     left, right, _ = join_inputs
     condition = TopKCondition(J_K)
@@ -719,7 +757,7 @@ def test_every_entry_point_rejects_a_non_finite_row_or_query(join_inputs):
         "tensor_join/inf": lambda: tensor_join(left, inf_right, condition),
         "tensor_join_fp16": lambda: tensor_join_fp16(left, bad_right, condition),
         "int8_join": lambda: quantized_tensor_join(left, bad_right, condition, method="int8"),
-        "pq_join/left": lambda: quantized_tensor_join(bad_left, right, condition, method="pq"),
+        "int8_join/left": lambda: quantized_tensor_join(bad_left, right, condition, method="int8"),
         "build/assume_normalized": lambda: QuantizedRelation.build(
             bad_right, "int8", assume_normalized=True
         ),

@@ -56,18 +56,14 @@ class TestKMeans:
         assert agreement / len(vectors) > 0.8
 
     @staticmethod
-    def reference(data, n_clusters, *, n_iters, rng, spherical):
+    def reference(data, n_clusters, *, n_iters, rng):
         """The per-cluster mask loop ``kmeans`` replaced, and how many
         clusters it found empty."""
         n = data.shape[0]
         centroids = data[rng.choice(n, size=n_clusters, replace=False)].copy()
         empty = 0
         for _ in range(n_iters):
-            if spherical:
-                assign = np.argmax(data @ centroids.T, axis=1)
-            else:
-                obj = data @ centroids.T - 0.5 * np.einsum("ij,ij->i", centroids, centroids)
-                assign = np.argmax(obj, axis=1)
+            assign = np.argmax(data @ centroids.T, axis=1)
             for c in range(n_clusters):
                 members = data[assign == c]
                 if len(members) == 0:
@@ -75,65 +71,47 @@ class TestKMeans:
                     centroids[c] = data[int(rng.integers(n))]
                 else:
                     centroids[c] = members.mean(axis=0)
-            if spherical:
-                centroids = normalize_rows(centroids)
+            centroids = normalize_rows(centroids)
         return centroids, empty
 
-    @pytest.mark.parametrize("spherical", [True, False])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_bit_identical_to_the_mask_loop(self, spherical, seed):
+    def test_bit_identical_to_the_mask_loop(self, seed):
         rng = np.random.default_rng(seed)
         spread = rng.standard_normal((500, DIM)).astype(np.float32)
         # Rows repeated many times over: equal initial centroids tie, and
         # all but the first of them are left empty and reseeded.
         repeated = rng.standard_normal((6, DIM)).astype(np.float32)[rng.integers(0, 6, 300)]
-        data = np.concatenate([spread, repeated])
-        if spherical:
-            data = normalize_rows(data)
-        want, empty = self.reference(
-            data, 40, n_iters=6, rng=np.random.default_rng(seed), spherical=spherical
-        )
-        got = kmeans(data, 40, n_iters=6, rng=np.random.default_rng(seed), spherical=spherical)
+        data = normalize_rows(np.concatenate([spread, repeated]))
+        want, empty = self.reference(data, 40, n_iters=6, rng=np.random.default_rng(seed))
+        got = kmeans(data, 40, n_iters=6, rng=np.random.default_rng(seed))
         assert empty > 0
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("spherical", [True, False])
-    def test_chunked_assignment_equals_one_full_product(self, spherical):
+    def test_chunked_assignment_equals_one_full_product(self):
         """Rows are assigned ``ASSIGN_ROWS`` at a time; the centroids equal
         the reference's, which scores every row against them in one GEMM."""
         rng = np.random.default_rng(4)
-        data = rng.standard_normal((3 * ASSIGN_ROWS - 72, DIM)).astype(np.float32)
-        if spherical:
-            data = normalize_rows(data)
-        want, _ = self.reference(
-            data, 64, n_iters=3, rng=np.random.default_rng(5), spherical=spherical
-        )
-        got = kmeans(data, 64, n_iters=3, rng=np.random.default_rng(5), spherical=spherical)
+        data = normalize_rows(rng.standard_normal((3 * ASSIGN_ROWS - 72, DIM)).astype(np.float32))
+        want, _ = self.reference(data, 64, n_iters=3, rng=np.random.default_rng(5))
+        got = kmeans(data, 64, n_iters=3, rng=np.random.default_rng(5))
         assert np.array_equal(got, want)
 
-
-    @pytest.mark.parametrize("spherical", [True, False], ids=["spherical", "euclidean-pq"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_a_fixed_point_stops_the_loop_bit_identically(self, spherical, seed, monkeypatch):
+    def test_a_fixed_point_stops_the_loop_bit_identically(self, seed, monkeypatch):
         """Well-separated clusters settle in a few iterations; the loop stops
         there with the reference's centroids after every iteration, and its
-        generator in the same state.  Euclidean runs are the PQ codebooks'
-        (4-d subspace slices of rows that are not unit)."""
+        generator in the same state."""
         from repro.index import ivf as ivf_module
 
-        dim = DIM if spherical else 4
-        data, _ = clustered_vectors(800, dim, n_clusters=10, noise=0.05, seed=seed)
-        if not spherical:
-            scale = np.random.default_rng(seed).uniform(0.5, 2.0, (800, 1))
-            data = (data * scale).astype(np.float32)
+        data, _ = clustered_vectors(800, DIM, n_clusters=10, noise=0.05, seed=seed)
         calls = []
         nearest = ivf_module.nearest_centroids
         monkeypatch.setattr(
             ivf_module, "nearest_centroids", lambda *a, **k: calls.append(1) or nearest(*a, **k)
         )
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want, _ = self.reference(data, 10, n_iters=30, rng=want_rng, spherical=spherical)
-        got = kmeans(data, 10, n_iters=30, rng=got_rng, spherical=spherical)
+        want, _ = self.reference(data, 10, n_iters=30, rng=want_rng)
+        got = kmeans(data, 10, n_iters=30, rng=got_rng)
         assert len(calls) < 30
         assert np.array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state

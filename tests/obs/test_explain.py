@@ -31,9 +31,11 @@ def test_explain_analyze_renders_the_span_tree(obs_engine, query_vectors):
     assert "status=ok" in lines[0]
     for name in ("query", "admission", "plan.optimize", "cache.lookup", "execute"):
         assert name in text, f"span {name!r} missing from:\n{text}"
-    # The coalesced single query still records the shared scan + rescore.
+    # The coalesced single query still records the shared scan, its
+    # rescore and its output table.
     assert "coalesce.scan" in text
     assert "rescore" in text
+    assert "materialize" in text
     assert "ms wall" in text and "ms cpu" in text
 
 

@@ -1,5 +1,6 @@
 """Trace attribution through the coalescer: every member of a shared scan
-gets the scan and its own rescore on its own trace, under concurrency."""
+gets the scan, its own rescore and its own materialize on its own trace,
+under concurrency."""
 
 from __future__ import annotations
 
@@ -81,13 +82,18 @@ def test_coalesced_demux_attributes_spans_per_query(
         assert trace is not None
         scans = [s for s in trace.spans if s.name == "coalesce.scan"]
         rescores = [s for s in trace.spans if s.name == "rescore"]
+        tables = [s for s in trace.spans if s.name == "materialize"]
         assert len(scans) == 1, response.explain
         assert len(rescores) == 1, response.explain
+        assert len(tables) == 1, response.explain
         scan = scans[0]
         assert scan.attrs["rows"] == 400
         assert scan.attrs["bytes_scanned"] > 0
         assert scan.attrs["batch"] == len(vectors)
-        assert rescores[0].attrs["rows"] == TOP_K
+        # The proof's span counts candidates, the table's span rows.
+        assert rescores[0].attrs["candidates"] >= TOP_K
+        assert "rows" not in rescores[0].attrs
+        assert tables[0].attrs == {"rows": TOP_K}
         assert "coalesce.scan" in response.explain
         batches.append(scan.attrs["batch"])
     # Queued behind held slots, released together: ONE shared scan.
@@ -119,6 +125,7 @@ def test_sixty_four_clients_sampled_tracing():
         assert trace.status == "ok"
         assert len([s for s in trace.spans if s.name == "coalesce.scan"]) == 1
         assert len([s for s in trace.spans if s.name == "rescore"]) == 1
+        assert len([s for s in trace.spans if s.name == "materialize"]) == 1
     # All 64 retired into the ring (sampling rate 1.0, ring large enough).
     assert len(retained) == 64
     assert {t.query_id for t in retained} == set(ids)

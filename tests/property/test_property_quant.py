@@ -2,7 +2,7 @@
 
 Executable claims:
 
-* int8/PQ approximate scores never stray past the quantizer's error bound
+* int8 approximate scores never stray past the quantizer's error bound
   (the soundness the threshold prescreen and the top-k proof rely on);
 * a re-ranked quantized top-k at default settings selects, row by row,
   neighbours as good as the fp32 oracle's — on arbitrary rows and on
@@ -23,7 +23,7 @@ from repro.core import (
     tensor_join,
 )
 from repro.vector import normalize_rows
-from repro.vector.quant import Int8Quantizer, ProductQuantizer
+from repro.vector.quant import Int8Quantizer
 from repro.workloads import embedding_like_vectors
 from repro.workloads.synthetic import clustered_vectors
 
@@ -41,19 +41,13 @@ def relation(min_rows=2, max_rows=40, dim=8):
     )
 
 
-def _quantizer(method: str, dim: int):
-    if method == "int8":
-        return Int8Quantizer(dim)
-    return ProductQuantizer(dim, m=4, ks=16, seed=99)
-
-
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 @given(data=relation(), queries=relation(max_rows=6))
 @settings(max_examples=25, deadline=None)
 def test_score_error_within_bound(method, data, queries):
     base = normalize_rows(data)
     probes = normalize_rows(queries)
-    quant = _quantizer(method, 8).fit(base)
+    quant = Int8Quantizer(8).fit(base)
     approx = probes @ quant.decode(quant.encode(base)).T
     exact = probes @ base.T
     assert np.abs(approx - exact).max() <= quant.score_error_bound() + 1e-5
@@ -79,7 +73,7 @@ def _assert_same_match_quality(got, ref) -> None:
         np.testing.assert_allclose(got_scores[lid], expected, atol=1e-5)
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 @given(data=relation(min_rows=3), queries=relation(max_rows=5), k=st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_topk_equals_fp32(method, data, queries, k):
@@ -88,7 +82,7 @@ def test_topk_equals_fp32(method, data, queries, k):
     _assert_same_match_quality(got, ref)
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 @given(
     data=relation(min_rows=3),
     queries=relation(max_rows=5),
@@ -108,7 +102,7 @@ def test_threshold_join_equals_fp32(method, data, queries, threshold):
         assert abs(float(scores[li, ri]) - threshold) <= 1e-5
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 @given(seed=st.integers(0, 50))
 @settings(max_examples=8, deadline=None)
 def test_topk_equals_fp32_on_synthetic_workloads(method, seed):

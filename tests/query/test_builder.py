@@ -38,16 +38,21 @@ class TestConstruction:
                 threshold=0.9, top_k=1,
             )
 
-    @pytest.mark.parametrize("strategy", ["tensor_int8", "tensor-fp16"])
+    @pytest.mark.parametrize("strategy", ["tensor_int8", "tensor-fp16", "tensor-pq"])
     def test_unknown_strategy_rejected_at_build_time(self, engine, strategy):
         """A typo or a removed label fails when the plan is built, naming
-        the valid labels -- not at ``execute()``, deep in the join."""
+        the 7 valid labels -- not at ``execute()``, deep in the join."""
         q = engine.query("feed")
-        with pytest.raises(PlanError, match="unknown strategy.*'tensor-int8'"):
+        with pytest.raises(PlanError, match="unknown strategy.*'tensor-int8'") as raised:
             q.ejoin(
                 "words", left_on="text", right_on="word", model="hash",
                 top_k=1, strategy=strategy,
             )
+        labels = (
+            "naive-nlj", "nlj", "nlj-scalar", "tensor", "tensor-int8",
+            "parallel-tensor", "index",
+        )
+        assert f"unknown strategy {strategy!r}; have {labels}" in str(raised.value)
 
     def test_auto_is_rejected_at_build_time(self, engine):
         """The planner is the one chooser: ``"auto"`` is no label, and a

@@ -90,21 +90,21 @@ def test_half_open_failure_reopens_and_restarts_cooldown():
 def test_registry_keys_are_independent():
     clock = FakeClock()
     registry = BreakerRegistry(threshold=1, cooldown_s=30.0, clock=clock)
-    bad = ("docs", "text", "hash64", "pq")
+    bad = ("docs", "text", "hash64", "index")
     good = ("docs", "text", "hash64", "int8")
     registry.record_failure(bad)
     assert not registry.allow(bad)
     assert registry.allow(good)
     assert registry.open_count() == 1
     snap = registry.snapshot()
-    assert snap["docs/text/hash64/pq"]["state"] == OPEN
+    assert snap["docs/text/hash64/index"]["state"] == OPEN
     assert snap["docs/text/hash64/int8"]["state"] == CLOSED
 
 
 def test_registry_reset_drops_state():
     registry = BreakerRegistry(threshold=1, cooldown_s=30.0)
-    registry.record_failure(("t", "c", "m", "pq"))
+    registry.record_failure(("t", "c", "m", "int8"))
     assert registry.open_count() == 1
     registry.reset()
     assert registry.open_count() == 0
-    assert registry.allow(("t", "c", "m", "pq"))
+    assert registry.allow(("t", "c", "m", "int8"))

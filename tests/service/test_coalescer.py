@@ -379,7 +379,7 @@ def test_fallback_path_still_exact(
     assert service.coalescer.stats.fallbacks >= 6
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
+@pytest.mark.parametrize("method", ["int8"])
 def test_selection_coalesces_beside_an_encoded_source(service_engine, query_vectors, method):
     """A hinted join that encoded ``corpus`` leaves later selections on the
     shared scan: what a selection reads is no setting, so nothing turns

@@ -113,11 +113,12 @@ def test_table_version_invalidates(service_engine, query_vectors):
     assert len(cache) == 0
 
 
-@pytest.mark.parametrize("method", ["int8", "pq"])
-def test_strategy_hint_separates_cached_joins(method):
-    """What a scan reads is named by the plan's strategy hint, so it is
-    part of the result-cache key: a hinted code join and the fp32 join of
-    the same shape are cached apart, each hit its own serial answer."""
+@pytest.mark.parametrize("hint", ["tensor-int8", "parallel-tensor"], ids=["int8", "parallel-tensor"])
+def test_strategy_hint_separates_cached_joins(hint):
+    """What a scan reads, and on how many workers, is named by the plan's
+    strategy hint, so it is part of the result-cache key: a hinted code or
+    threaded join and the unhinted join of the same shape are cached
+    apart, each hit its own serial answer."""
     engine = make_engine()
     service = engine.serve(coalesce=False)
 
@@ -127,7 +128,7 @@ def test_strategy_hint_separates_cached_joins(method):
             strategy=strategy,
         )
 
-    for hits, strategy in enumerate((None, f"tensor-{method}")):
+    for hits, strategy in enumerate((None, hint)):
         service.submit(join(strategy))
         assert service.stats.result_cache_hits == hits  # the other one missed
         cached = service.submit(join(strategy))

@@ -1,11 +1,11 @@
-"""Unit tests for the int8/PQ vector quantizers."""
+"""Unit tests for the int8 vector quantizer."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DimensionalityError
 from repro.vector import normalize_rows
-from repro.vector.quant import Int8Quantizer, ProductQuantizer, int8_dot
+from repro.vector.quant import Int8Quantizer, int8_dot
 from repro.workloads import unit_vectors
 
 pytestmark = pytest.mark.quant
@@ -89,71 +89,7 @@ class TestInt8Dot:
             int8_dot(np.zeros((2, 3), np.int8), np.zeros((2, 4), np.int8))
 
 
-class TestProductQuantizer:
-    def test_codes_shape_and_footprint(self, data):
-        pq = ProductQuantizer(24, m=6, ks=16, seed=5).fit(data)
-        codes = pq.encode(data)
-        assert codes.dtype == np.uint8
-        assert codes.shape == (len(data), 6)
-        assert pq.bytes_per_code == 6
-
-    def test_adc_equals_decode_dot(self, data, queries):
-        pq = ProductQuantizer(24, m=4, ks=32, seed=5).fit(data)
-        codes = pq.encode(data)
-        adc = pq.adc_scores(queries, codes)
-        expected = queries @ pq.decode(codes).T
-        np.testing.assert_allclose(adc, expected, atol=1e-4)
-
-    def test_score_error_bound_holds(self, data, queries):
-        pq = ProductQuantizer(24, m=4, ks=32, seed=5).fit(data)
-        codes = pq.encode(data)
-        approx = queries @ pq.decode(codes).T
-        exact = queries @ data.T
-        assert np.abs(approx - exact).max() <= pq.score_error_bound()
-
-    def test_ragged_subspaces(self):
-        data = unit_vectors(100, 10, seed=7)
-        pq = ProductQuantizer(10, m=4, ks=8, seed=5).fit(data)
-        widths = [b - a for a, b in pq.subspaces]
-        assert sum(widths) == 10
-        assert max(widths) - min(widths) <= 1
-        assert pq.decode(pq.encode(data)).shape == (100, 10)
-
-    def test_ks_capped_by_training_rows(self):
-        data = unit_vectors(12, 8, seed=9)
-        pq = ProductQuantizer(8, m=2, ks=64, seed=5).fit(data)
-        assert pq.ks_eff == 12
-        assert pq.encode(data).max() < 12
-
-    def test_structured_data_quantizes_better_than_range(self, queries):
-        # Clustered low-rank data: PQ residuals far below vector norms.
-        from repro.workloads import embedding_like_vectors
-
-        data, _ = embedding_like_vectors(
-            2000, 24, rank=8, n_clusters=16, noise=0.3, seed=13
-        )
-        pq = ProductQuantizer(24, m=4, ks=64, seed=5).fit(data)
-        assert pq.mean_residual < 0.35
-
-    def test_invalid_params(self):
-        with pytest.raises(DimensionalityError):
-            ProductQuantizer(8, m=9)
-        with pytest.raises(DimensionalityError):
-            ProductQuantizer(8, m=2, ks=1)
-        with pytest.raises(DimensionalityError):
-            ProductQuantizer(8, m=2, ks=512)
-
-
 class TestKmeansFlag:
-    def test_non_spherical_centroids_not_unit(self):
-        from repro.index.ivf import kmeans
-
-        rng = np.random.default_rng(17)
-        data = rng.standard_normal((200, 6)).astype(np.float32) * 0.2
-        cents = kmeans(data, 8, rng=np.random.default_rng(1), spherical=False)
-        norms = np.linalg.norm(cents, axis=1)
-        assert (norms < 0.9).any()  # means of small vectors stay small
-
     def test_spherical_default_unit(self):
         from repro.index.ivf import kmeans
 

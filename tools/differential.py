@@ -2,7 +2,7 @@
 oracle, one comparison against the parent checkout.
 
 The paper's E-join rewrites are algebraic equivalences: a plan may move
-between access paths (scan, caps, int8 / PQ, index, coalesced, sharded)
+between access paths (scan, caps, int8, index, coalesced, sharded)
 without changing its answer.  Four case families hold that, each a plain
 function in :data:`FAMILIES` returning ``(records, complaints)``; a record
 is ``{"ids", "scores", "oracle"}`` under ``<family>/<case>``::
@@ -20,11 +20,11 @@ tables, and on two clustered tables of >= 4,096 rows (one with twins and
 copies) whose cap partitions are built first, adding a threshold of -1
 and a top-k past the caps' decline share; through ``eselect``,
 ``QueryBuilder.execute``, coalesced groups of 1-8 behind held scan slots,
-a 2-shard service and int8 / PQ ``quantized_eselect``; the digest covers
+a 2-shard service and int8 ``quantized_eselect``; the digest covers
 ids and scores.  ``scan_join``:
-fp32, fp16, int8 and PQ scan joins under six conditions on grid (exact
+fp32, fp16 and int8 scan joins under six conditions on grid (exact
 arithmetic), random, tripled, empty and one-row sides x :data:`MODES`,
-every fp32 / int8 / PQ join offered the right side's cap partition (kept
+every fp32 / int8 join offered the right side's cap partition (kept
 on the clustered tables, declined on every other), plus ``auto/`` planner
 joins with an IVF index registered, cold and with the caps cached.
 ``ejoin_keys``: 45 sequences of 12 string E-joins on one engine (Zipf
@@ -35,7 +35,7 @@ at op 9), each also asked of a cold engine.  ``equi_join``: 240 seeded
 The oracle (NumPy float64, no ``repro``) is one, :func:`meets_oracle`: a
 selection is a one-row join.  A selection's top-k is the oracle's ids in
 order, a threshold's up to rows within ``THRESHOLD_SLACK`` of it; an int8
-/ PQ top-k holds each row's oracle set, two ids trading places only within
+top-k holds each row's oracle set, two ids trading places only within
 ``SWAP_TOLERANCE``; every scan join holds its scores within its
 representation's error and no pair the oracle puts clearly in or out is
 missing or spurious (grid tables: exact).  A string join's ``oracle`` is
@@ -85,7 +85,7 @@ MODES = {"serial": None, "1t": {"n_threads": 1}, "2t": {"n_threads": 2}, "env": 
 TOLERANCE = 1e-5
 #: How far from a threshold an oracle score may lie and still go either way.
 THRESHOLD_SLACK = 1e-6
-#: How far apart two pairs' float64 scores may be for an int8 / PQ top-k,
+#: How far apart two pairs' float64 scores may be for an int8 top-k,
 #: re-ranked in fp32, to order them the other way: a dim-16 dot product's
 #: fp32 rounding, ``DIM`` unit roundoffs (~9.5e-7).
 SWAP_TOLERANCE = DIM * 2.0**-24
@@ -94,7 +94,7 @@ SWAP_TOLERANCE = DIM * 2.0**-24
 ULP = 2.0**-23
 #: What the wide clustered table joins on: answers of a few pairs a row.
 #: Not ``topk-min``: its 10th place is two pairs 4.4e-8 apart in float64
-#: (row 1,270), which the fp32 scores of an int8 / PQ join on the caps
+#: (row 1,270), which the fp32 scores of an int8 join on the caps
 #: order the other way, so :func:`meets_oracle`'s set rule cannot hold.
 WIDE_CONDITIONS = ("topk",)
 #: The auto cases: the planner joins a clustered table with no strategy and
@@ -121,7 +121,6 @@ KEY_PATHS = {
     "tensor": {"strategy": "tensor"},
     "parallel": {"strategy": "parallel-tensor"},
     "int8": {"strategy": "tensor-int8"},
-    "pq": {"strategy": "tensor-pq"},
     "filtered": {},
     "tensor-left": {"left_on": "emb"},
     "index": {"strategy": "index"},
@@ -326,12 +325,10 @@ def selections(raw: bool):
 
     stores: dict = {}
 
-    def store(name, method):
-        if (name, method) not in stores:
-            stores[name, method] = QuantizedRelation.build(
-                tables[name], method, m=4, ks=16, seed=3
-            )
-        return stores[name, method]
+    def store(name):
+        if name not in stores:
+            stores[name] = QuantizedRelation.build(tables[name], "int8")
+        return stores[name]
 
     def condition(cond):
         if "threshold" in cond:
@@ -405,11 +402,9 @@ def selections(raw: bool):
                 out[f"{case}/execute"] = outcome(builder.execute, *terms)
                 if name in capped:
                     prescreens.add(builder.last_report.join_stats[-1].extra.get("prescreen"))
-                for method in ("int8", "pq"):
-                    out[f"{case}/{method}"] = outcome(
-                        lambda: quantized_eselect(store(name, method), query, condition(cond)),
-                        *terms,
-                    )
+                out[f"{case}/int8"] = outcome(
+                    lambda: quantized_eselect(store(name), query, condition(cond)), *terms
+                )
                 if query is bad or not grouped:
                     # Never queued behind held slots: a NaN query is not
                     # coalesced and a NaN table's scan fails.
@@ -565,23 +560,13 @@ def scan_joins(raw: bool):
     complaints: list[str] = []
     for name, (left, right, exact) in _join_tables().items():
         scores = unit(left) @ unit(right).T
-        stores = {
-            method: QuantizedRelation.build(right, method, m=4, ks=16, seed=3)
-            for method in ("int8", "pq")
-            if len(right)
-        }
+        store = QuantizedRelation.build(right, "int8") if len(right) else right
         offered = {"caps": build_caps(normalize_rows(right)) if len(right) else None}
         joins = {
             "fp32": (tensor_join, right, offered, TOLERANCE),
             "fp16": (tensor_join_fp16, right, {}, precision_error_bound(DIM)),
             # Default settings: every top-k row proved or rescanned.
-            **{
-                method: (
-                    quantized_tensor_join, stores.get(method, right),
-                    {"method": method, **offered}, TOLERANCE,
-                )
-                for method in ("int8", "pq")
-            },
+            "int8": (quantized_tensor_join, store, {"method": "int8", **offered}, TOLERANCE),
         }
         clustered = name.startswith("clustered")
         if clustered:
@@ -604,9 +589,9 @@ def scan_joins(raw: bool):
                     except Exception as exc:
                         out[case] = {"ids": f"error:{type(exc).__name__}"}
                         continue
-                    # A clustered table's int8 / PQ scores come from cap
-                    # GEMMs as its fp32 scores do: only the re-rank's are stable.
-                    stable = exact or (representation in ("int8", "pq") and not clustered)
+                    # A clustered table's int8 scores come from cap GEMMs as
+                    # its fp32 scores do: only the re-rank's are stable.
+                    stable = exact or (representation == "int8" and not clustered)
                     ids = got.left_ids.astype(np.int64), got.right_ids.astype(np.int64)
                     record = out[case] = {"ids": sha(*ids)}
                     if stable or raw:
@@ -626,7 +611,7 @@ def scan_joins(raw: bool):
                     why = _join_check(
                         scores, cond, exact, slack, got.left_ids, got.right_ids, got.scores,
                     )
-                    if representation in ("int8", "pq") and "top_k" in cond:
+                    if representation == "int8" and "top_k" in cond:
                         record["oracle"] = meets_oracle(
                             scores, cond, got.left_ids, got.right_ids, SWAP_TOLERANCE
                         )
@@ -658,7 +643,7 @@ def _auto_tables() -> dict:
 
 def _auto_records(out, complaints, raw) -> None:
     """The auto cases.  A scan's answer is held to the oracle (a top-k to
-    the int8 / PQ set rule); ``path`` records whether the index answered."""
+    the int8 set rule); ``path`` records whether the index answered."""
     from repro.embedding import HashingEmbedder
     from repro.engine import ExecutionEngine
     from repro.index import IVFFlatIndex
