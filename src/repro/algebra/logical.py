@@ -42,10 +42,6 @@ class LogicalNode:
             lines.append(child.explain(depth + 1))
         return "\n".join(lines)
 
-    def visible_columns(self) -> set[str] | None:
-        """Columns this subtree exposes, or None if unknown (no catalog)."""
-        return None
-
 
 @dataclass(frozen=True)
 class ScanNode(LogicalNode):

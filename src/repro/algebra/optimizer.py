@@ -11,51 +11,10 @@ from dataclasses import dataclass, field
 
 from ..errors import OptimizerError
 from ..relational.catalog import Catalog
-from .logical import (
-    EJoinNode,
-    EmbedNode,
-    EquiJoinNode,
-    ESelectNode,
-    FilterNode,
-    LimitNode,
-    LogicalNode,
-    ProjectNode,
-    ScanNode,
-)
+from .logical import LogicalNode
 from .rules import RewriteRule, default_rules
 
 _MAX_PASSES = 32
-
-
-def visible_columns(node: LogicalNode, catalog: Catalog | None) -> set[str] | None:
-    """Columns a subtree exposes, or None when unknowable."""
-    if isinstance(node, ScanNode):
-        if catalog is None or node.table_name not in catalog:
-            return None
-        return set(catalog.get(node.table_name).schema.names)
-    if isinstance(node, FilterNode):
-        return visible_columns(node.child, catalog)
-    if isinstance(node, LimitNode):
-        return visible_columns(node.child, catalog)
-    if isinstance(node, ProjectNode):
-        return set(node.names)
-    if isinstance(node, EmbedNode):
-        base = visible_columns(node.child, catalog)
-        if base is None:
-            return None
-        return base | {node.output_column}
-    if isinstance(node, ESelectNode):
-        base = visible_columns(node.child, catalog)
-        if base is None:
-            return None
-        return base | {node.score_column}
-    if isinstance(node, (EJoinNode, EquiJoinNode)):
-        left = visible_columns(node.children()[0], catalog)
-        right = visible_columns(node.children()[1], catalog)
-        if left is None or right is None:
-            return None
-        return left | right
-    return None
 
 
 @dataclass
@@ -79,7 +38,6 @@ class Optimizer:
         *,
         catalog: Catalog | None = None,
     ) -> None:
-        self.catalog = catalog
         self.rules = default_rules(catalog) if rules is None else list(rules)
         self.trace = OptimizationTrace()
 
@@ -109,40 +67,8 @@ class Optimizer:
             node = node.with_children(new_children)
         # Then try rules at this node.
         for rule in self.rules:
-            result = self._try_rule(rule, node)
+            result = rule.apply(node)
             if result is not None:
                 self.trace.record(rule, node, result)
                 return result, True
         return node, changed
-
-    def _try_rule(self, rule: RewriteRule, node: LogicalNode) -> LogicalNode | None:
-        # Rules that need column visibility get it injected lazily.
-        from .rules import PushFilterIntoEJoin
-
-        if isinstance(rule, PushFilterIntoEJoin):
-            return self._push_filter_into_ejoin(node)
-        return rule.apply(node)
-
-    def _push_filter_into_ejoin(self, node: LogicalNode) -> LogicalNode | None:
-        """Catalog-aware variant of the single-side filter pushdown."""
-        if not isinstance(node, FilterNode):
-            return None
-        child = node.child
-        if not isinstance(child, EJoinNode):
-            return None
-        cols = node.predicate.columns()
-        left_cols = visible_columns(child.left, self.catalog)
-        right_cols = visible_columns(child.right, self.catalog)
-        in_left = left_cols is not None and cols <= left_cols
-        in_right = right_cols is not None and cols <= right_cols
-        if in_left and in_right:
-            return None  # ambiguous (shared names); keep above the join
-        if in_left:
-            return child.with_children(
-                [FilterNode(child.left, node.predicate), child.right]
-            )
-        if in_right:
-            return child.with_children(
-                [child.left, FilterNode(child.right, node.predicate)]
-            )
-        return None

@@ -60,8 +60,8 @@ from .logical import (
 class SourceState:
     """Derived state of every plain ``Scan(table)`` source, and the one
     version rule it follows.  An :class:`~repro.query.builder.Engine`
-    owns one and hands it to every context it mints, so state built by
-    one query amortizes across every later query and concurrent client.
+    owns one, so state built by one query amortizes across every later
+    query and concurrent client.
 
     An entry is keyed ``(table, column, model, representation)`` — the
     representation one of ``"unit"`` (the unit-row matrix), ``"caps"``
@@ -152,7 +152,9 @@ def _valid(entry: tuple | None, table: Table, store: EmbeddingStore, tag) -> boo
 @dataclass
 class ExecutionContext:
     """Everything physical planning needs: data, models, indexes, costs,
-    and the access paths' derived state and circuit breakers."""
+    the executor, and the access paths' derived state and circuit
+    breakers.  :class:`~repro.query.builder.Engine` is one: every query
+    on an engine runs against the engine itself."""
 
     catalog: Catalog
     models: ModelRegistry = field(default_factory=ModelRegistry)
@@ -160,23 +162,32 @@ class ExecutionContext:
     indexes: dict[tuple[str, str], VectorIndex] = field(default_factory=dict)
     cost_params: CostParams = field(default_factory=CostParams)
     #: Morsel-driven executor every engine-executed physical operator
-    #: schedules on (thread count / buffer budget come from the config).
-    engine: ExecutionEngine = field(default_factory=ExecutionEngine)
-    #: Access-path state of every scan source and the embed-once stores,
-    #: shared by every context one :class:`~repro.query.builder.Engine`
-    #: mints.
+    #: schedules on, built with the context (thread count and buffer
+    #: budget read from the config then); assign one to pin it.
+    executor: ExecutionEngine = field(default_factory=ExecutionEngine)
+    #: Access-path state of every scan source and the embed-once stores.
     sources: SourceState = field(default_factory=SourceState)
-    #: Circuit breakers of the access paths, owned by the same engine.
+    #: Circuit breakers of the access paths.
     breakers: BreakerRegistry = field(default_factory=BreakerRegistry)
+    #: Counter of index registrations (a result-cache key component).
+    index_epoch: int = field(default=0, init=False)
 
-    def store_for(self, model_name: str) -> EmbeddingStore:
+    def embed_store_for(self, model_name: str) -> EmbeddingStore:
         """The embed-once store of the model registered as ``model_name``."""
         return self.sources.store_for(model_name, self.models.get(model_name))
 
     def register_index(
         self, table_name: str, column: str, index: VectorIndex
     ) -> None:
+        """Attach a built vector index to ``table_name.column``.
+
+        Bumps :attr:`index_epoch`: a new index can change the physical
+        access path (and thus results, for approximate indexes), so any
+        cached results keyed on the epoch stop matching.
+        """
+        self.catalog.get(table_name)  # validate the table exists
         self.indexes[(table_name, column)] = index
+        self.index_epoch += 1
 
     def _source(
         self, key: tuple, representation: str, table: Table,
@@ -185,7 +196,7 @@ class ExecutionContext:
         """:meth:`SourceState.get` for the ``(table, column, model)``
         source ``key``; ``store`` defaults to the registered model's."""
         if store is None:
-            store = self.store_for(key[2])
+            store = self.embed_store_for(key[2])
         return self.sources.get((*key, representation), table, store, derive, tag)
 
     def quant_store_for(
@@ -254,7 +265,7 @@ class ExecutionContext:
         :data:`~repro.core.caps.SELECTIONS_PER_BUILD`-th starts the build
         on a daemon thread, off every request's path; a build that raises
         leaves this registration dense."""
-        store = self.store_for(key[2])
+        store = self.embed_store_for(key[2])
         part = self.cap_partition_for(key, table, store, cached=True)
         misses = 0 if part is not None else self.sources.tally((*key, "caps"), table, store)
         if misses == SELECTIONS_PER_BUILD:
@@ -284,7 +295,7 @@ class ExecutionContext:
         codes the caller holds, is no longer the registered model's."""
         width = min(condition.k, table.num_rows)
         too_wide = TopKMemo.bytes_per_key(width) > 4 * store.model.dim
-        if too_wide or store is not self.store_for(key[2]):
+        if too_wide or store is not self.embed_store_for(key[2]):
             return None
         return self._source(
             key, "memo", table, store, lambda _: TopKMemo(width),
@@ -371,7 +382,7 @@ def _execute_eselect(
         if store_key is not None
         else _embed_column(table, node.column, node.model_name, ctx)
     )
-    query = eselect_query(node, ctx.store_for)
+    query = eselect_query(node, ctx.embed_store_for)
     with span("planner.eselect") as sp:
         # Scan sources share one normalize-once matrix across queries and
         # clients; eselect's exact-rescore contract makes the shared and
@@ -466,7 +477,7 @@ def _encode_column(
     (``store`` if given): ``store.vectors[codes]`` is its embedding, equal
     values share a code."""
     if store is None:
-        store = ctx.store_for(model_name)
+        store = ctx.embed_store_for(model_name)
     return store, store.add_items(table.array(column).tolist())
 
 
@@ -625,7 +636,7 @@ def _execute_ejoin_impl(
         try:
             result = index_join(
                 left_vectors, index, node.condition, allowed=bitmap,
-                engine=ctx.engine,
+                engine=ctx.executor,
             )
         except Exception:
             # Probe failure: trip the breaker toward open and fall back
@@ -673,7 +684,7 @@ def _execute_ejoin_impl(
         if right_vectors is None:
             right_vectors = _embed_column(right, node.right_column, node.model_name, ctx, store)
         result = ejoin(
-            left_vectors, right_vectors, node.condition, strategy=strategy, engine=ctx.engine
+            left_vectors, right_vectors, node.condition, strategy=strategy, engine=ctx.executor
         )
         return finish(result, right)
     # Every scan of a plain source -- fp32 and int8 -- scores only the
@@ -683,7 +694,7 @@ def _execute_ejoin_impl(
     def scan(left_rows, representation, precision: str, caps=caps):
         return run_scan(
             strategy, precision, left_rows, representation, node.condition,
-            engine=ctx.engine, caps=caps,
+            engine=ctx.executor, caps=caps,
         )
 
     result = None

@@ -28,12 +28,44 @@ from ..relational.catalog import Catalog
 from .logical import (
     EJoinNode,
     EmbedNode,
+    EquiJoinNode,
     ESelectNode,
     FilterNode,
+    LimitNode,
     LogicalNode,
+    ProjectNode,
     ScanNode,
     walk,
 )
+
+
+def visible_columns(node: LogicalNode, catalog: Catalog | None) -> set[str] | None:
+    """Columns a subtree exposes, or None when unknowable."""
+    if isinstance(node, ScanNode):
+        if catalog is None or node.table_name not in catalog:
+            return None
+        return set(catalog.get(node.table_name).schema.names)
+    if isinstance(node, (FilterNode, LimitNode)):
+        return visible_columns(node.child, catalog)
+    if isinstance(node, ProjectNode):
+        return set(node.names)
+    if isinstance(node, EmbedNode):
+        base = visible_columns(node.child, catalog)
+        if base is None:
+            return None
+        return base | {node.output_column}
+    if isinstance(node, ESelectNode):
+        base = visible_columns(node.child, catalog)
+        if base is None:
+            return None
+        return base | {node.score_column}
+    if isinstance(node, (EJoinNode, EquiJoinNode)):
+        left = visible_columns(node.children()[0], catalog)
+        right = visible_columns(node.children()[1], catalog)
+        if left is None or right is None:
+            return None
+        return left | right
+    return None
 
 
 class RewriteRule(abc.ABC):
@@ -68,9 +100,14 @@ class PushFilterBelowEmbed(RewriteRule):
 
 
 class PushFilterIntoEJoin(RewriteRule):
-    """Filter above an E-join moves to the input that owns its columns."""
+    """Filter above an E-join moves to the input that owns its columns
+    (:func:`visible_columns`, the catalog giving a scan's); a predicate
+    both inputs could answer (shared names) stays above the join."""
 
     name = "push-filter-into-ejoin"
+
+    def __init__(self, catalog: Catalog | None = None) -> None:
+        self._catalog = catalog
 
     def apply(self, node: LogicalNode) -> LogicalNode | None:
         if not isinstance(node, FilterNode):
@@ -79,15 +116,15 @@ class PushFilterIntoEJoin(RewriteRule):
         if not isinstance(child, EJoinNode):
             return None
         cols = node.predicate.columns()
-        left_cols = child.left.visible_columns()
-        right_cols = child.right.visible_columns()
-        if left_cols is not None and cols <= left_cols:
-            new_left = FilterNode(child.left, node.predicate)
-            return child.with_children([new_left, child.right])
-        if right_cols is not None and cols <= right_cols:
-            new_right = FilterNode(child.right, node.predicate)
-            return child.with_children([child.left, new_right])
-        return None
+        left_cols = visible_columns(child.left, self._catalog)
+        right_cols = visible_columns(child.right, self._catalog)
+        in_left = left_cols is not None and cols <= left_cols
+        in_right = right_cols is not None and cols <= right_cols
+        if in_left == in_right:
+            return None  # neither input, or ambiguous: keep above the join
+        if in_left:
+            return child.with_children([FilterNode(child.left, node.predicate), child.right])
+        return child.with_children([child.left, FilterNode(child.right, node.predicate)])
 
 
 class PushFilterBelowESelect(RewriteRule):
@@ -103,8 +140,6 @@ class PushFilterBelowESelect(RewriteRule):
     name = "push-filter-below-eselect"
 
     def apply(self, node: LogicalNode) -> LogicalNode | None:
-        from ..core.conditions import ThresholdCondition
-
         if not isinstance(node, FilterNode):
             return None
         child = node.child
@@ -199,7 +234,7 @@ def default_rules(catalog: Catalog | None = None) -> list[RewriteRule]:
     rules: list[RewriteRule] = [
         PushFilterBelowEmbed(),
         PushFilterBelowESelect(),
-        PushFilterIntoEJoin(),
+        PushFilterIntoEJoin(catalog),
         PrefetchEmbeddings(),
     ]
     if catalog is not None:

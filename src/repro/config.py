@@ -41,7 +41,9 @@ class ReproConfig:
     through :func:`configure`, CI or ``python -m repro.bench`` through a
     ``REPRO_*`` variable — or it is a deployment setting (a path, a port).
     Every other tunable is a keyword argument of the constructor that
-    consumes it; ``docs/TUNING.md`` lists both kinds.
+    consumes it; ``docs/TUNING.md`` lists both kinds.  An engine reads
+    its fields when it is built: a later :func:`configure` reaches the
+    engines built after it.
 
     Attributes:
         seed: Global base seed for all random streams.
@@ -62,11 +64,6 @@ class ReproConfig:
         fault_kinds: Comma-separated fault kinds to draw from:
             ``transient``, ``permanent``, ``latency``; any other kind is a
             ``ValueError`` when the injector is built.
-        retry_max_attempts: Attempts (1 initial + retries) a transient
-            failure is given at morsel/dispatch granularity.
-        retry_base_ms: Base backoff before the first retry; subsequent
-            waits use decorrelated jitter from this base.
-        retry_cap_ms: Upper bound on any single backoff sleep.
         obs_capture_path: Workload-capture (flight recorder) JSONL file.
             Empty (the default) disables capture entirely.
         obs_http_port: TCP port for the live introspection endpoint.
@@ -80,9 +77,6 @@ class ReproConfig:
     fault_rate: float = 0.0
     fault_seed: int | None = None
     fault_kinds: str = "transient"
-    retry_max_attempts: int = 3
-    retry_base_ms: float = 1.0
-    retry_cap_ms: float = 50.0
     obs_capture_path: str = ""
     obs_http_port: int | None = None
 

@@ -104,15 +104,14 @@ class Trace:
         self._lock = threading.Lock()
 
     def add_span(
-        self, name: str, *, wall_s: float, cpu_s: float = 0.0, **attrs
+        self, name: str, *, start: float, wall_s: float, cpu_s: float = 0.0, **attrs
     ) -> int:
         """Append a completed span from a foreign thread (coalescer leader).
 
-        The span is parented at the root and stamped as ending "now" on
-        the trace's clock, so explain trees show where the shared work
-        landed inside this query's timeline.
+        ``start`` is the :func:`time.perf_counter` reading the work began
+        at, so the span lands where it ran inside this query's timeline
+        however late it is appended.  It is parented at the root.
         """
-        end_s = time.perf_counter() - self._t0
         with self._lock:
             index = len(self.spans)
             parent = 0 if self.spans else -1
@@ -121,7 +120,7 @@ class Trace:
                     index,
                     parent,
                     name,
-                    max(0.0, end_s - wall_s),
+                    max(0.0, start - self._t0),
                     wall_s,
                     cpu_s,
                     dict(attrs),

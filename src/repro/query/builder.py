@@ -18,12 +18,17 @@ Example::
         .select(["caption", "text", "similarity"])
         .execute()
     )
+
+The engine is the execution context every query runs against, built
+once: the config fields its executor reads (threads, morsel size, buffer
+budget) are read when the engine is built, so a later
+``repro.config.configure(...)`` reaches engines built after it.  Assign
+``engine.executor`` to pin another executor.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..algebra.logical import (
     EJoinNode,
@@ -40,108 +45,20 @@ from ..algebra.optimizer import Optimizer
 from ..algebra.physical_planner import (
     ExecutionContext,
     ExecutionReport,
-    SourceState,
     execute,
 )
 from ..core.conditions import ThresholdCondition, TopKCondition
-from ..core.cost_model import CostParams
 from ..core.join import STRATEGIES
-from ..embedding.cache import EmbeddingStore
-from ..embedding.registry import ModelRegistry
-from ..engine import ExecutionEngine
 from ..errors import PlanError
-from ..index.base import VectorIndex
-from ..relational.catalog import Catalog
 from ..relational.expressions import Expression
 from ..relational.table import Table
-from ..reliability.breaker import BreakerRegistry
 
 
-@dataclass
-class Engine:
-    """Query engine: catalog + model registry + index registry + optimizer."""
-
-    catalog: Catalog
-    models: ModelRegistry = field(default_factory=ModelRegistry)
-    cost_params: CostParams = field(default_factory=CostParams)
-
-    def __post_init__(self) -> None:
-        self._indexes: dict[tuple[str, str], VectorIndex] = {}
-        self._index_epoch = 0
-        #: Every scan source's derived state and the embed-once stores,
-        #: shared by every context (so every query and client) this
-        #: engine mints, and the circuit breakers of its access paths.
-        self.sources = SourceState()
-        self.breakers = BreakerRegistry()
-        # One morsel-driven executor is shared by every query on this
-        # engine (built lazily so later ``repro.configure(...)`` calls
-        # still take effect): cumulative scheduling stats in one place,
-        # attributed per query by the tag of the ambient query scope.
-        self._executor_lock = threading.Lock()
-        self._executor: ExecutionEngine | None = None
-        self._executor_signature: tuple | None = None
-        self._executor_pinned = False
-
-    @staticmethod
-    def _current_executor_signature() -> tuple:
-        from ..config import get_config
-
-        # The knobs only: the machine's CPU count costs a system call on
-        # every query, and a rebuild does not follow it anyway.
-        config = get_config()
-        return (
-            config.default_threads,
-            config.default_morsel_rows,
-            config.default_buffer_budget_bytes,
-            config.retry_max_attempts,
-            config.retry_base_ms,
-            config.retry_cap_ms,
-        )
-
-    @property
-    def executor(self) -> ExecutionEngine:
-        """The engine's shared morsel executor.
-
-        Built lazily from the current configuration and rebuilt (with
-        fresh stats) when the relevant config knobs change afterwards —
-        so ``repro.configure(default_threads=...)`` keeps working on an
-        already-constructed engine.  Assigning an executor explicitly
-        pins it, disabling config tracking.
-        """
-        with self._executor_lock:
-            if self._executor is not None and self._executor_pinned:
-                return self._executor
-            signature = self._current_executor_signature()
-            if self._executor is None or signature != self._executor_signature:
-                self._executor = ExecutionEngine()
-                self._executor_signature = signature
-            return self._executor
-
-    @executor.setter
-    def executor(self, engine: ExecutionEngine) -> None:
-        with self._executor_lock:
-            self._executor = engine
-            self._executor_pinned = True
-
-    def embed_store_for(self, model_name: str) -> EmbeddingStore:
-        """Shared embed-once store for ``model_name`` (get-or-create)."""
-        return self.sources.store_for(model_name, self.models.get(model_name))
-
-    def register_index(self, table: str, column: str, index: VectorIndex) -> None:
-        """Attach a built vector index to ``table.column``.
-
-        Bumps :attr:`index_epoch`: a new index can change the physical
-        access path (and thus results, for approximate indexes), so any
-        cached results keyed on the epoch stop matching.
-        """
-        self.catalog.get(table)  # validate the table exists
-        self._indexes[(table, column)] = index
-        self._index_epoch += 1
-
-    @property
-    def index_epoch(self) -> int:
-        """Counter of index registrations (result-cache key component)."""
-        return self._index_epoch
+class Engine(ExecutionContext):
+    """Query engine: the execution context every query on it runs
+    against (catalog, models, indexes, costs, executor, scan-source state
+    and breakers, each built once with the engine), plus the two doors
+    :meth:`query` and :meth:`serve`."""
 
     def query(self, table_name: str) -> "QueryBuilder":
         self.catalog.get(table_name)  # validate early
@@ -161,20 +78,6 @@ class Engine:
         from ..service import QueryService
 
         return QueryService(self, **kwargs)
-
-    def context(self) -> ExecutionContext:
-        """A context over this engine's catalog, models, registered indexes
-        (a snapshot), executor, scan-source state (shared, so state one
-        query builds amortizes across every later one) and breakers."""
-        return ExecutionContext(
-            self.catalog,
-            models=self.models,
-            indexes=dict(self._indexes),
-            cost_params=self.cost_params,
-            engine=self.executor,
-            sources=self.sources,
-            breakers=self.breakers,
-        )
 
 
 @dataclass
@@ -304,7 +207,7 @@ class QueryBuilder:
         """Optimize (by default) and run the query to a materialized table."""
         plan = self.optimized_plan() if optimize else self.plan
         report = ExecutionReport()
-        result = execute(plan, self.engine.context(), report=report)
+        result = execute(plan, self.engine, report=report)
         self._last_report = report
         return result
 

@@ -125,8 +125,8 @@ class CircuitBreaker:
 
 class BreakerRegistry:
     """All breakers of one engine, keyed by access-path tuple: each
-    :class:`~repro.query.Engine` owns one and hands it to every context it
-    mints, so one engine's failing path never gates another's."""
+    :class:`~repro.query.Engine` owns one, so one engine's failing path
+    never gates another's."""
 
     def __init__(
         self,

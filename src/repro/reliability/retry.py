@@ -34,6 +34,14 @@ import time
 from ..config import get_config
 from ..errors import TransientError
 
+#: Attempts (1 initial + retries) a transiently-failing unit of work gets.
+MAX_ATTEMPTS = 3
+#: Base backoff before the first retry; later sleeps use decorrelated
+#: jitter from this base.
+BASE_S = 0.001
+#: Upper bound on any single backoff sleep.
+CAP_S = 0.050
+
 
 class RetryStats:
     """Thread-safe counters shared by every bound policy of one engine."""
@@ -108,12 +116,10 @@ class RetryPolicy:
 
     @classmethod
     def from_config(cls) -> "RetryPolicy":
-        config = get_config()
+        """The engine's policy: the module constants, the jitter stream
+        seeded from the config's root seed."""
         return cls(
-            config.retry_max_attempts,
-            config.retry_base_ms / 1000.0,
-            config.retry_cap_ms / 1000.0,
-            seed=config.stream_seed("retry-jitter"),
+            MAX_ATTEMPTS, BASE_S, CAP_S, seed=get_config().stream_seed("retry-jitter")
         )
 
     def bind(

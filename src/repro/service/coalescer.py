@@ -244,9 +244,9 @@ class CoalescingScheduler:
     ) -> None:
         scan_t0 = time.perf_counter()
         scan_c0 = time.thread_time()
-        ctx = self.engine.context()
-        table = ctx.catalog.get(key[0])
-        normalized = ctx.normalized_matrix_for(key, table)
+        engine = self.engine
+        table = engine.catalog.get(key[0])
+        normalized = engine.normalized_matrix_for(key, table)
         n = len(normalized)
 
         with self._lock:
@@ -270,8 +270,8 @@ class CoalescingScheduler:
             [req.qvec for req in requests],
             [req.node.condition for req in requests],
             scan=None if self.shard_pool is None else shard_scan,
-            budget_bytes=ctx.engine.buffer_budget_bytes,
-            caps=ctx.selection_caps(key, table),
+            budget_bytes=engine.executor.buffer_budget_bytes,
+            caps=engine.selection_caps(key, table),
         )
         shard_res = group.fanned
         with self._lock:
@@ -292,6 +292,7 @@ class CoalescingScheduler:
             if req.trace is not None:
                 req.trace.add_span(
                     "coalesce.scan",
+                    start=scan_t0,
                     wall_s=scan_wall,
                     cpu_s=scan_cpu,
                     batch=len(requests),
@@ -307,12 +308,14 @@ class CoalescingScheduler:
                     shards=0 if shard_res is None else shard_res.n_shards,
                 )
                 if shard_res is not None:
-                    # One foreign span per shard worker: the member trace
-                    # shows where the fanned-out scan actually spent its
-                    # time, even though the work ran in other processes.
+                    # One foreign span per shard worker, from the group
+                    # scan's start: the member trace shows where the
+                    # fanned-out scan actually spent its time, even though
+                    # the work ran in other processes.
                     for sid, wall in enumerate(shard_res.shard_walls):
                         req.trace.add_span(
                             "shard.scan",
+                            start=scan_t0,
                             wall_s=wall,
                             cpu_s=wall,
                             shard=sid,
@@ -343,4 +346,4 @@ class CoalescingScheduler:
                 rows = 0 if req.result is None else len(req.result)
                 laps = (("rescore", {"candidates": candidates}), ("materialize", {"rows": rows}))
                 for (name, attrs), (w0, c0), (w1, c1) in zip(laps, marks, marks[1:]):
-                    req.trace.add_span(name, wall_s=w1 - w0, cpu_s=c1 - c0, **attrs)
+                    req.trace.add_span(name, start=w0, wall_s=w1 - w0, cpu_s=c1 - c0, **attrs)

@@ -100,14 +100,12 @@ class QueryService:
         coalesce: enable cross-query shared-scan batching (group commit:
             requests arriving while a source's scan slots are busy share
             the next scan).
-        coalesce_max_batch: max queries fused into one shared scan.
         result_cache_size: result cache capacity (0 disables).
         obs_enabled: master switch for per-query trace sampling.
         obs_sample_rate: fraction of submissions traced (deterministic
             counter-hash schedule; ``explain_analyze`` bypasses it).
         capture_path: JSONL workload-capture file; empty/``None`` (the
             default) disables the flight recorder entirely.
-        slow_k: slow-query log capacity (top-K slowest retired traces).
         http_port: start the live introspection endpoint on this port
             (``0`` picks a free one; ``None``, the default, serves
             nothing until :meth:`serve_http` is called).
@@ -130,12 +128,10 @@ class QueryService:
         *,
         max_inflight: int | None = None,
         coalesce: bool = True,
-        coalesce_max_batch: int | None = None,
         result_cache_size: int | None = None,
         obs_enabled: bool | None = None,
         obs_sample_rate: float | None = None,
         capture_path: str | None = None,
-        slow_k: int | None = None,
         http_port: int | None = None,
         shard_procs: int = 0,
     ) -> None:
@@ -143,11 +139,7 @@ class QueryService:
         self.engine = engine
         self.admission = AdmissionController(**_given(max_inflight=max_inflight))
         self.results = ResultCache(**_given(capacity=result_cache_size))
-        self.coalescer = (
-            CoalescingScheduler(engine, **_given(max_batch=coalesce_max_batch))
-            if coalesce
-            else None
-        )
+        self.coalescer = CoalescingScheduler(engine) if coalesce else None
         self.shard_pool = None
         if shard_procs and self.coalescer is not None:
             from ..shard import ShardPool
@@ -167,7 +159,7 @@ class QueryService:
         #: The one distribution no ``*Stats`` snapshot holds.
         self._latency = Histogram()
         self._query_ids = itertools.count(1)
-        self.slow_log = SlowQueryLog(**_given(k=slow_k))
+        self.slow_log = SlowQueryLog()
         capture = (
             config.obs_capture_path if capture_path is None else capture_path
         )
@@ -496,10 +488,9 @@ class QueryService:
                 return self.coalescer.submit(request)
         with self._stats_lock:
             self.stats.direct += 1
-        ctx = self.engine.context()
         report = ExecutionReport()
         with span("execute") as sp:
-            result = execute(optimized, ctx, report=report)
+            result = execute(optimized, self.engine, report=report)
             sp.set(
                 mode="direct",
                 strategies=report.strategies,

@@ -213,8 +213,8 @@ class ShardPool:
 
     def _publish_locked(self, key: tuple) -> _Manifest:
         table_name = key[0]
-        ctx = self.engine.context()
-        normalized = ctx.normalized_matrix_for(key, ctx.catalog.get(table_name))
+        engine = self.engine
+        normalized = engine.normalized_matrix_for(key, engine.catalog.get(table_name))
         manifest = self._manifests.get(key)
         if manifest is not None:
             if manifest.matrix is normalized:
@@ -255,14 +255,13 @@ class ShardPool:
     # ------------------------------------------------------------------
     def should_shard(self, n_rows: int, n_queries: int, dim: int) -> bool:
         """Is fanning this scan out cheaper than staying in-process?"""
-        params = getattr(self.engine, "cost_params", None)
         return (
             choose_shard_fanout(
                 n_rows,
                 max(1, n_queries),
                 dim,
                 self.n_procs,
-                params=params,
+                params=self.engine.cost_params,
                 min_rows=self.min_rows,
             )
             > 1

@@ -66,7 +66,7 @@ def run(engine: Engine, strategy: str | None = None, k: int = K):
 
 def cached(engine: Engine):
     """The right source's cap partition if one is cached (``None`` else)."""
-    ctx = engine.context()
+    ctx = engine
     return ctx.cap_partition_for(KEY, engine.catalog.get("r"), cached=True)
 
 
@@ -174,12 +174,10 @@ def test_each_engine_owns_its_index_breaker():
 
 
 def test_an_engines_contexts_carry_its_one_registry(engine):
-    """Every context an engine mints reads the engine's breakers; a context
-    built bare gets a registry of its own."""
+    """Each engine has a registry of its own, and so does each context
+    built bare."""
     from repro.algebra import ExecutionContext
 
-    assert engine.context().breakers is engine.breakers
-    assert engine.context().breakers is engine.context().breakers
     assert make_engine(clustered(64, 4)).breakers is not engine.breakers
     bare = ExecutionContext(engine.catalog)
     assert bare.breakers is not engine.breakers

@@ -11,7 +11,7 @@ from repro.algebra import (
     ScanNode,
     walk,
 )
-from repro.algebra.optimizer import visible_columns
+from repro.algebra.rules import visible_columns
 from repro.algebra.rules import PushFilterBelowEmbed, default_rules
 from repro.algebra.rules import OrderEJoinInputs, PrefetchEmbeddings
 from repro.core import ThresholdCondition, TopKCondition

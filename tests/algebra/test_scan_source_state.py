@@ -86,7 +86,7 @@ def test_buffer_mutated_in_place_then_reregistered_is_rescanned(setup, strategy)
 
 def test_state_is_keyed_on_the_registered_table(setup):
     engine, base, _ = setup
-    ctx = engine.context()
+    ctx = engine
     key = ("r", "emb", "m")
     table = engine.catalog.get("r")
     matrix = ctx.normalized_matrix_for(key, table)
@@ -104,7 +104,7 @@ def test_state_comes_from_the_table_the_caller_holds(setup):
     """A registration that lands between a query's fetch of the table and
     its state lookup must not pair the new matrix with the old rows."""
     engine, base, _ = setup
-    ctx = engine.context()
+    ctx = engine
     key = ("r", "emb", "m")
     held = engine.catalog.get("r")
     bigger = unit_vectors(N + 500, DIM, seed=33)
@@ -120,7 +120,7 @@ def test_reregistering_the_same_table_keeps_the_state(setup):
     """Registering the very same table object again (a refresh that changed
     nothing) bumps the version but must not re-normalize or re-encode."""
     engine, _, _ = setup
-    ctx = engine.context()
+    ctx = engine
     key = ("r", "emb", "m")
     table = engine.catalog.get("r")
     matrix = ctx.normalized_matrix_for(key, table)
@@ -141,7 +141,7 @@ def test_quantized_store_reranks_from_the_unit_matrix(setup, method):
     key = ("r", "emb", "m")
 
     def state():
-        ctx, table = engine.context(), engine.catalog.get("r")
+        ctx, table = engine, engine.catalog.get("r")
         store = ctx.quant_store_for(key, table, method)
         matrix = ctx.normalized_matrix_for(key, table)
         assert np.shares_memory(store.vectors, matrix)

@@ -614,7 +614,7 @@ def test_sessions_racing_a_cold_source_build_once(engine, monkeypatch):
     got = []
     threads = [
         threading.Thread(
-            target=lambda ctx=engine.context(): got.append(
+            target=lambda ctx=engine: got.append(
                 ctx.cap_partition_for(("r", "vec", "m"), table)
             )
         )

@@ -325,7 +325,7 @@ def _assert_same(reference, got, context):
 def _attained_score(engine, table, vector, rank: int) -> float:
     """The ``rank``-th best exact score of ``vector`` over ``table`` — a
     threshold some row attains exactly."""
-    ctx = engine.context()
+    ctx = engine
     normalized = ctx.normalized_matrix_for(
         (table, "emb", MODEL), ctx.catalog.get(table)
     )

@@ -42,4 +42,4 @@ class TestRegistry:
         first.models.register("m", HashingEmbedder(dim=8))
         assert "m" not in second.models
         with pytest.raises(EmbeddingError, match="unknown model"):
-            second.store_for("m")
+            second.embed_store_for("m")

@@ -245,12 +245,12 @@ def test_embedding_store_ids_and_views_stable_across_growth():
 
 def test_scope_tags_share_one_engines_stats():
     engine = _make_engine()
-    ctx_a = engine.context()
-    ctx_b = engine.context()
+    ctx_a = engine
+    ctx_b = engine
     with QueryScope(tag="qa"):
-        ctx_a.engine.run([lambda: 1, lambda: 2])
+        ctx_a.executor.run([lambda: 1, lambda: 2])
     with QueryScope(tag="qb"):
-        ctx_b.engine.run([lambda: 3])
+        ctx_b.executor.run([lambda: 3])
     stats = engine.executor.stats
     assert stats.by_tag == {"qa": 2, "qb": 1}
     assert stats.morsels_dispatched == 3

@@ -149,7 +149,8 @@ print(*report.strategies)
 
 class TestConfigure:
     @pytest.mark.parametrize(
-        "name", ["rng", "default_precision", "work_stealing", "watchdog_stall_s"]
+        "name",
+        ["rng", "default_precision", "work_stealing", "watchdog_stall_s", "retry_max_attempts"],
     )
     def test_rejects_unknown_fields(self, name):
         """A method name or a removed setting is no field: ``configure``

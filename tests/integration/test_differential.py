@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,3 +155,26 @@ def test_a_threshold_row_within_its_slack_is_tolerated():
     assert not meets(scores, cond, np.zeros(2), [2, 3])  # 2e-6 under: clearly out
     assert not meets(scores, cond, np.zeros(1), [0])  # 0.9 missing
     assert not meets(scores, cond, np.zeros(2), [2, 0])  # not ascending
+
+
+@pytest.mark.parametrize("own", [True, False])
+def test_run_invokes_the_roots_own_script(monkeypatch, tmp_path, own):
+    """``run(root)`` emits with ``root``'s own ``tools/differential.py``
+    on ``root``'s ``src/`` (this file where the root has none)."""
+    script = tmp_path / "tools" / "differential.py"
+    if own:
+        script.parent.mkdir()
+        script.write_text("")
+    calls = []
+
+    def fake_run(argv, env, **kwargs):
+        calls.append((argv, env["PYTHONPATH"]))
+        Path(argv[argv.index("--emit") + 1]).write_text('{"a/b": {"ids": "x"}}')
+        return SimpleNamespace(returncode=0, stderr="complaint: a/b\n")
+
+    monkeypatch.setattr(differential.subprocess, "run", fake_run)
+    records, complaints = differential.run(tmp_path)
+    assert records == {"a/b": {"ids": "x"}} and complaints == ["complaint: a/b"]
+    ((argv, path),) = calls
+    assert argv[1] == str(script if own else ROOT / "tools" / "differential.py")
+    assert path == str(tmp_path / "src")

@@ -145,8 +145,9 @@ class TestServiceSlowQueries:
         self, obs_engine, query_vectors
     ):
         with QueryService(
-            obs_engine, obs_enabled=True, obs_sample_rate=1.0, slow_k=4
+            obs_engine, obs_enabled=True, obs_sample_rate=1.0
         ) as service:
+            service.slow_log.k = 4
             for i, qvec in enumerate(query_vectors[:6], 1):
                 service.submit(
                     service.engine.query("corpus").esimilar(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -98,9 +99,9 @@ class TestTracesJsonlDeterminism:
             with span("query"):
                 with span("scan"):
                     pass
-        # Foreign shard spans land after the fact, stamped as ending now:
-        # their start can precede already-recorded spans.
-        trace.add_span("shard.scan", wall_s=5.0, shard=1)
+        # Foreign shard spans land after the fact: their start can precede
+        # already-recorded spans.
+        trace.add_span("shard.scan", start=time.perf_counter() - 5.0, wall_s=5.0, shard=1)
         line = traces_jsonl([trace]).strip()
         data = json.loads(line)
         keys = [(s["start_s"], s["index"]) for s in data["spans"]]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.obs.trace import (
@@ -100,7 +102,9 @@ class TestForeignSpans:
         trace = Trace("q1", "t")
         with QueryScope(trace):
             pass
-        trace.add_span("coalesce.scan", wall_s=0.01, cpu_s=0.008, batch=4)
+        trace.add_span(
+            "coalesce.scan", start=time.perf_counter() - 0.01, wall_s=0.01, cpu_s=0.008, batch=4
+        )
         foreign = trace.spans[-1]
         assert foreign.parent == 0
         assert foreign.start_s >= 0.0
@@ -109,7 +113,7 @@ class TestForeignSpans:
 
     def test_foreign_span_on_empty_trace_is_a_root(self):
         trace = Trace("q1", "t")
-        trace.add_span("rescore", wall_s=0.001)
+        trace.add_span("rescore", start=time.perf_counter(), wall_s=0.001)
         assert trace.spans[0].parent == -1
 
 

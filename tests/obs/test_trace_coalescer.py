@@ -129,3 +129,24 @@ def test_sixty_four_clients_sampled_tracing():
     # All 64 retired into the ring (sampling rate 1.0, ring large enough).
     assert len(retained) == 64
     assert {t.query_id for t in retained} == set(ids)
+
+
+def test_foreign_spans_land_where_they_ran(query_vectors, hold_scan_slots):
+    """Each member's foreign spans are placed at the moment their work
+    began, not back from the moment they were appended: the shared scan
+    ends before the member's rescore starts, and the rescore before its
+    materialize starts."""
+    vectors = query_vectors[:4]
+    with QueryService(make_engine(), result_cache_size=0, obs_enabled=False) as service:
+        alone = _explain(service, 99, query_vectors[4])
+        held = hold_scan_slots(service, lambda i: blocker(service.engine, i))
+        grouped = held.run_queued(
+            [lambda i=i, v=v: _explain(service, i, v) for i, v in enumerate(vectors)]
+        )
+    slack = 1e-9  # float rounding of start + wall
+    for response in [alone, *grouped]:
+        (scan,) = response.trace.find("coalesce.scan")
+        (rescore,) = response.trace.find("rescore")
+        (table,) = response.trace.find("materialize")
+        assert scan.start_s + scan.wall_s <= rescore.start_s + slack, response.explain
+        assert rescore.start_s + rescore.wall_s <= table.start_s + slack, response.explain

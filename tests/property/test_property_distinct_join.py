@@ -118,7 +118,7 @@ def _join(engine: Engine, condition, strategy):
         prefetch=True, strategy_hint=strategy,
     )
     report = ExecutionReport()
-    out = execute(plan, engine.context(), report=report)
+    out = execute(plan, engine, report=report)
     return out, report.join_stats[-1]
 
 

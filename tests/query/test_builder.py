@@ -177,31 +177,3 @@ class TestExplain:
     def test_embed_node_via_builder(self, engine):
         out = engine.query("words").embed("word", "hash", output="vec").execute()
         assert "vec" in out.schema
-
-
-class TestExecutorTracksConfig:
-    """``Engine.executor`` is rebuilt when a setting its constructor reads
-    changes — the reliability ones included, not only threads and budget."""
-
-    @pytest.mark.parametrize(
-        "field, value, read",
-        [
-            ("retry_max_attempts", 7, lambda ex: ex.retry_policy.max_attempts),
-            ("retry_base_ms", 4.0, lambda ex: ex.retry_policy.base_s * 1000.0),
-            ("retry_cap_ms", 80.0, lambda ex: ex.retry_policy.cap_s * 1000.0),
-        ],
-    )
-    def test_configure_after_first_query_reaches_the_executor(
-        self, engine, field, value, read
-    ):
-        from repro.config import configure, get_config
-
-        first = engine.executor
-        assert engine.executor is first  # unchanged config: same executor
-        saved = getattr(get_config(), field)
-        try:
-            configure(**{field: value})
-            assert read(engine.executor) == value
-            assert engine.executor is not first
-        finally:
-            configure(**{field: saved})

@@ -8,7 +8,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PermanentFault, TransientFault
-from repro.reliability.retry import RetryBudget, RetryPolicy, RetryStats
+from repro.reliability.retry import (
+    BASE_S,
+    CAP_S,
+    MAX_ATTEMPTS,
+    RetryBudget,
+    RetryPolicy,
+    RetryStats,
+)
 
 
 class FakeClock:
@@ -186,46 +193,15 @@ def test_deadline_with_room_allows_retry():
     assert len(clock.sleeps) == 2
 
 
-def test_from_config_picks_up_knobs():
-    from repro.config import configure, get_config
-
-    original = get_config()
-    saved = (
-        original.retry_max_attempts,
-        original.retry_base_ms,
-        original.retry_cap_ms,
-    )
-    try:
-        configure(
-            retry_max_attempts=5, retry_base_ms=2.0, retry_cap_ms=100.0
-        )
-        policy = RetryPolicy.from_config()
-        assert policy.max_attempts == 5
-        assert policy.base_s == pytest.approx(0.002)
-        assert policy.cap_s == pytest.approx(0.1)
-    finally:
-        configure(
-            retry_max_attempts=saved[0],
-            retry_base_ms=saved[1],
-            retry_cap_ms=saved[2],
-        )
-
-
-def test_settings_come_only_from_the_config():
-    """The retry settings have no constructor defaults of their own:
-    ``from_config()`` is the one door to the config fields."""
-    from repro.config import configure, get_config
+def test_the_engine_policy_is_the_module_constants():
+    """The retry settings have no constructor defaults of their own and
+    no config fields: ``from_config()`` builds the engine's policy from
+    the module constants, its jitter stream seeded from the config."""
+    from repro.config import get_config
 
     with pytest.raises(TypeError):
         RetryPolicy()
-    config = get_config()
-    saved = (config.retry_max_attempts, config.retry_base_ms, config.retry_cap_ms)
-    try:
-        configure(retry_max_attempts=5, retry_base_ms=2.0, retry_cap_ms=40.0)
-        policy = RetryPolicy.from_config()
-        assert (policy.max_attempts, policy.base_s, policy.cap_s) == (5, 0.002, 0.04)
-    finally:
-        configure(
-            retry_max_attempts=saved[0], retry_base_ms=saved[1],
-            retry_cap_ms=saved[2],
-        )
+    policy = RetryPolicy.from_config()
+    assert (policy.max_attempts, policy.base_s, policy.cap_s) == (MAX_ATTEMPTS, BASE_S, CAP_S)
+    assert (MAX_ATTEMPTS, BASE_S, CAP_S) == (3, 0.001, 0.05)
+    assert policy.seed == get_config().stream_seed("retry-jitter")

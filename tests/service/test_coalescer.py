@@ -187,7 +187,8 @@ def test_max_batch_splits_a_long_queue(
     service_engine, query_vectors, hold_scan_slots
 ):
     serial = [_serial(service_engine, q, top_k=2) for q in query_vectors[:10]]
-    service = _service(service_engine, coalesce_max_batch=4)
+    service = _service(service_engine)
+    service.coalescer.max_batch = 4
     got, held = _grouped(
         service, hold_scan_slots,
         [_build(service_engine, q, {"top_k": 2}) for q in query_vectors[:10]],
@@ -232,7 +233,8 @@ def test_followers_arriving_while_the_slot_frees_lose_nobody(
     from repro.engine import ExecutionEngine
 
     service_engine.executor = ExecutionEngine(n_threads=1)
-    service = _service(service_engine, coalesce_max_batch=3)
+    service = _service(service_engine)
+    service.coalescer.max_batch = 3
     serial = [_serial(service_engine, q, top_k=3) for q in query_vectors]
     failures = []
 

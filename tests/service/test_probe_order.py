@@ -299,6 +299,45 @@ def test_cached_submit_stays_inside_its_call_budget():
     assert stats.total_calls <= 120, stats.total_calls
 
 
+def test_a_served_miss_stays_inside_its_call_budget(monkeypatch):
+    """The miss path, counted instead of timed: one sampled-out coalesced
+    selection on a source whose caps have landed (``test_served_caps``'
+    corpus), a top-10 and a threshold, each with a fresh query vector.
+    While every query ran on a context copied from the engine, and the
+    engine re-read the config for its executor, these misses made 785 and
+    665 calls; now 704 and 584.  The budgets sit about 10% over those,
+    room for drift across NumPy versions."""
+    from test_served_caps import TRIGGER, clustered, land_caps, make_engine as caps_engine
+
+    from repro.algebra import physical_planner
+
+    monkeypatch.setattr(physical_planner, "SELECTIONS_PER_BUILD", TRIGGER)
+    engine = caps_engine()
+    vectors = clustered(64, 9)
+    land_caps(engine, vectors)
+    service = QueryService(engine, obs_sample_rate=0.0)
+    budgets = {"top_k": (10, 775), "threshold": (0.9, 645)}
+    fresh = iter(vectors[TRIGGER:])
+
+    def miss(name, value):
+        return engine.query("corpus").esimilar("vec", next(fresh), model="m", **{name: value})
+
+    for name, (value, _) in budgets.items():  # warm: every lazy import done
+        service.submit(miss(name, value))
+    counts = {}
+    for name, (value, budget) in budgets.items():
+        query = miss(name, value)
+        profile = cProfile.Profile()
+        profile.enable()
+        service.submit(query)
+        profile.disable()
+        stats = pstats.Stats(profile)
+        called = {f"{file.rsplit('/', 1)[-1]}:{fn}" for file, _, fn in stats.stats}
+        assert {"coalescer.py:_execute_group", "caps.py:probe_by_rows"} <= called, name
+        counts[name] = (stats.total_calls, budget)
+    assert all(n <= budget for n, budget in counts.values()), counts
+
+
 def test_loop_probes_race_dispatchers_and_a_writer():
     """Hits answered on the loop, misses executing on dispatchers and a
     writer re-registering the table, all at once and with the interpreter

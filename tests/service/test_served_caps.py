@@ -89,7 +89,7 @@ def wait_for_builds() -> None:
 
 
 def partition(engine: Engine):
-    return engine.context().cap_partition_for(KEY, engine.catalog.get("corpus"), cached=True)
+    return engine.cap_partition_for(KEY, engine.catalog.get("corpus"), cached=True)
 
 
 def land_caps(engine: Engine, vectors) -> None:
@@ -324,7 +324,7 @@ def test_a_row_major_task_over_its_allowance_declines_as_a_cap_major_one(vectors
     engine = make_engine()
     land_caps(engine, vectors)
     part = partition(engine)
-    unit = engine.context().normalized_matrix_for(KEY, engine.catalog.get("corpus"))
+    unit = engine.normalized_matrix_for(KEY, engine.catalog.get("corpus"))
     budget = 2_048  # the bound state (1,152 bytes) fits; no gathered block or run does
     conditions = [TopKCondition(5), ThresholdCondition(0.9)]
     for condition in conditions:

@@ -49,5 +49,5 @@ def make_engine(vectors: np.ndarray | None = None) -> Engine:
 
 def normalized_for(engine: Engine) -> np.ndarray:
     """The engine's normalized scan matrix for the corpus key."""
-    ctx = engine.context()
+    ctx = engine
     return ctx.normalized_matrix_for(KEY, ctx.catalog.get(KEY[0]))

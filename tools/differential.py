@@ -43,10 +43,10 @@ missing or spurious (grid tables: exact).  A string join's ``oracle`` is
 feeds an E-join).
 
 ``--emit FILE`` writes what must not depend on the thread count and exits
-1 on any complaint (stderr).  ``--parent DIR`` runs this file with
-``--raw`` (every score's digest, and the bits ``near`` needs) on the
-parent's ``src/`` and on this checkout's, and sorts each case by
-:func:`compare`.  Exit status 1 on a difference or a complaint of this
+1 on any complaint (stderr).  ``--parent DIR`` runs each checkout's own
+``tools/differential.py`` (this file where the parent has none) with
+``--raw`` (every score's digest, and the bits ``near`` needs) on that
+checkout's ``src/``, and sorts each case by :func:`compare`.  Exit status 1 on a difference or a complaint of this
 checkout's.  An exception digests as its type name.
 """
 
@@ -365,7 +365,7 @@ def selections(raw: bool):
         served.update((name, (engine, coalesced, sharded)) for name in names)
     for name in capped:
         engine = served[name][0]
-        if engine.context().cap_partition_for((name, "emb", "m"), engine.catalog.get(name)) is None:
+        if engine.cap_partition_for((name, "emb", "m"), engine.catalog.get(name)) is None:
             complaints.append(f"{name}: the partition declined")
 
     def build(name, query, cond):
@@ -982,12 +982,17 @@ def compare(parent: dict, change: dict) -> dict[str, list[str]]:
 
 
 def run(root: Path) -> tuple[dict[str, dict], list[str]]:
-    """This file's raw records and complaints on ``root``'s ``src/``."""
+    """``root``'s raw records and complaints: its own copy of this file on
+    its own ``src/`` (this file where it has none), so each side runs the
+    cases written against its API and a deleted case shows as removed."""
+    script = root / "tools" / "differential.py"
+    if not script.is_file():
+        script = Path(__file__)
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         emitted = Path(tmp) / "records.json"
         done = subprocess.run(
-            [sys.executable, __file__, "--emit", str(emitted), "--raw"],
+            [sys.executable, str(script), "--emit", str(emitted), "--raw"],
             env=env, stderr=subprocess.PIPE, text=True,
         )
         if done.returncode not in (0, 1):
