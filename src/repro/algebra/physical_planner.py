@@ -158,17 +158,25 @@ class ExecutionContext:
 
     catalog: Catalog
     models: ModelRegistry = field(default_factory=ModelRegistry)
-    #: (table_name, column_name) -> built vector index over that column.
-    indexes: dict[tuple[str, str], VectorIndex] = field(default_factory=dict)
     cost_params: CostParams = field(default_factory=CostParams)
+    # The rest is built with the context, never passed in: indexes come
+    # through register_index, and no two contexts share their state.
+    #: (table_name, column_name) -> built vector index over that column.
+    indexes: dict[tuple[str, str], VectorIndex] = field(
+        default_factory=dict, init=False
+    )
     #: Morsel-driven executor every engine-executed physical operator
-    #: schedules on, built with the context (thread count and buffer
-    #: budget read from the config then); assign one to pin it.
-    executor: ExecutionEngine = field(default_factory=ExecutionEngine)
+    #: schedules on (thread count and buffer budget read from the config
+    #: when the context is built); assign one to pin it.
+    executor: ExecutionEngine = field(
+        default_factory=ExecutionEngine, init=False
+    )
     #: Access-path state of every scan source and the embed-once stores.
-    sources: SourceState = field(default_factory=SourceState)
+    sources: SourceState = field(default_factory=SourceState, init=False)
     #: Circuit breakers of the access paths.
-    breakers: BreakerRegistry = field(default_factory=BreakerRegistry)
+    breakers: BreakerRegistry = field(
+        default_factory=BreakerRegistry, init=False
+    )
     #: Counter of index registrations (a result-cache key component).
     index_epoch: int = field(default=0, init=False)
 

@@ -301,13 +301,13 @@ def test_cached_submit_stays_inside_its_call_budget():
 
 def test_a_served_miss_stays_inside_its_call_budget(monkeypatch):
     """The miss path, counted instead of timed: one sampled-out coalesced
-    selection on a source whose caps have landed (``test_served_caps``'
+    selection on a source whose caps have landed (``_caps_utils``'
     corpus), a top-10 and a threshold, each with a fresh query vector.
     While every query ran on a context copied from the engine, and the
     engine re-read the config for its executor, these misses made 785 and
     665 calls; now 704 and 584.  The budgets sit about 10% over those,
     room for drift across NumPy versions."""
-    from test_served_caps import TRIGGER, clustered, land_caps, make_engine as caps_engine
+    from _caps_utils import TRIGGER, clustered, land_caps, make_engine as caps_engine
 
     from repro.algebra import physical_planner
 
