@@ -266,18 +266,20 @@ class ExecutionContext:
         part = build_caps(unit)
         return part and replace(part, lock=self.sources._build_lock((*key, "caps")))
 
-    def selection_caps(self, key: tuple, table: Table) -> CapPartition | None:
-        """The cap partition a selection over a scan source prescreens on:
-        the ``"caps"`` entry once one has landed.  Until then each call is
+    def selection_source(self, key: tuple, table: Table) -> tuple[np.ndarray, CapPartition | None]:
+        """What a selection over a scan source runs on: its unit rows and
+        the cap partition to prescreen on, the ``"caps"`` entry once one
+        has landed (whose rows are the unit rows).  Until then each call is
         one dense selection against this registration, and the
         :data:`~repro.core.caps.SELECTIONS_PER_BUILD`-th starts the build
         on a daemon thread, off every request's path; a build that raises
         leaves this registration dense."""
         store = self.embed_store_for(key[2])
         part = self.cap_partition_for(key, table, store, cached=True)
-        misses = 0 if part is not None else self.sources.tally((*key, "caps"), table, store)
-        if misses == SELECTIONS_PER_BUILD:
-            unit = self.normalized_matrix_for(key, table, store)
+        if part is not None:
+            return part.unit, part
+        unit = self.normalized_matrix_for(key, table, store)
+        if self.sources.tally((*key, "caps"), table, store) == SELECTIONS_PER_BUILD:
 
             def build() -> None:
                 try:
@@ -286,7 +288,7 @@ class ExecutionContext:
                     pass
 
             threading.Thread(target=build, name="repro-caps-build", daemon=True).start()
-        return part
+        return unit, None
 
     def topk_memo_for(
         self,
@@ -385,23 +387,18 @@ def _execute_eselect(
     # A plain table scan source keeps its unit rows in the context; only
     # other sources embed here.
     store_key = _scan_store_key(node.child, node.column, node.model_name)
-    vectors = (
-        None
-        if store_key is not None
-        else _embed_column(table, node.column, node.model_name, ctx)
-    )
+    shared, caps = store_key is not None, None
+    if not shared:
+        vectors = _embed_column(table, node.column, node.model_name, ctx)
     query = eselect_query(node, ctx.embed_store_for)
     with span("planner.eselect") as sp:
         # Scan sources share one normalize-once matrix across queries and
         # clients; eselect's exact-rescore contract makes the shared and
         # inline-normalized paths bit-identical.
         # They prescreen on the source's caps once those have landed.
-        shared = store_key is not None
-        result = eselect(
-            ctx.normalized_matrix_for(store_key, table) if shared else vectors,
-            query, node.condition, assume_normalized=shared,
-            caps=ctx.selection_caps(store_key, table) if shared else None,
-        )
+        if shared:
+            vectors, caps = ctx.selection_source(store_key, table)
+        result = eselect(vectors, query, node.condition, assume_normalized=shared, caps=caps)
         report.strategies.append(result.stats.strategy)
         report.join_stats.append(result.stats)
         sp.set(

@@ -183,12 +183,13 @@ def keep(part: CapPartition, s: np.ndarray, floors) -> tuple[np.ndarray, np.ndar
     s += np.array((-g, np.sqrt(1.0 - g * g)), np.float32).T @ part.reach.T
     f = f if len(f) == len(s) else np.full(len(s), f[0])
     s[f > 1.0] = -np.inf
-    low = np.flatnonzero(f <= -part.radius.min())
+    low = (f <= -part.radius.min()).nonzero()[0]
     if len(low):
         wide = s[low]
         wide[(part.radius <= -f[low, None]) & (wide > -np.inf)] = np.inf
         s[low] = wide
-    return np.divmod(np.flatnonzero(s >= -fp32_dot_slack(part.unit.shape[1])), s.shape[1])
+    kept = (s >= -fp32_dot_slack(part.unit.shape[1])).ravel().nonzero()[0]
+    return np.divmod(kept, s.shape[1])
 
 
 def _nearest_caps(s: np.ndarray, sizes: np.ndarray, need: int):
@@ -236,20 +237,20 @@ def probe_flat(part: CapPartition, queries: np.ndarray, rows, caps, floors, run:
 def _score(part: CapPartition, q: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``caps``' members gathered from the unit rows, scored by one GEMV."""
     cells = part.sizes[caps]
-    ends = np.cumsum(cells)
-    ids = part.ids[np.repeat(part.starts[caps] - ends + cells, cells) + np.arange(ends[-1])]
-    return ids, np.take(part.unit, ids, axis=0) @ q
+    ends = cells.cumsum()
+    ids = part.ids[(part.starts[caps] - ends + cells).repeat(cells) + np.arange(ends[-1])]
+    return ids, part.unit.take(ids, axis=0) @ q
 
 
 def _nearest(s: np.ndarray, sizes: np.ndarray, need: int) -> np.ndarray:
     """One row's nearest caps, nearest first, until they hold ``need`` rows."""
     j = min(len(s), 4 * -(-need // ROWS_PER_CAP))
     while True:
-        near = np.argpartition(s, len(s) - j)[len(s) - j :]
-        near = near[np.argsort(-s[near], kind="stable")]
-        held = np.cumsum(sizes[near])
+        near = s.argpartition(len(s) - j)[len(s) - j :]
+        near = near[(-s[near]).argsort(kind="stable")]
+        held = sizes[near].cumsum()
         if held[-1] >= need or j == len(s):
-            return near[: np.searchsorted(held, need) + 1]
+            return near[: held.searchsorted(need) + 1]
         j = min(len(s), 4 * j)
 
 
@@ -273,7 +274,7 @@ def probe_by_rows(part: CapPartition, queries, ks, floors, allowance) -> ScanRes
         return None
     member = 4 * (part.unit.shape[1] + 1) + 8  # a gathered row, its score and id
     room, quota, out = allowance - held, DECLINE_SHARE * n_q * n, np.array(floors, np.float32)
-    found, kept, blocks, widest, none = [], 0, 0, 0, (part.ids[:0], np.empty(0, np.float32))
+    hits, kept, blocks, widest, none = [], 0, 0, 0, (part.ids[:0], np.empty(0, np.float32))
 
     def take(q: np.ndarray, caps: np.ndarray) -> list | None:
         """``caps``' members scored (``[]``: none), or ``None``: too many."""
@@ -297,12 +298,14 @@ def probe_by_rows(part: CapPartition, queries, ks, floors, allowance) -> ScanRes
             floor = float(out[row]) + PRESCREEN_MARGIN  # keep() takes the margin off
         if (more := take(q, keep(part, s[None], floor)[1])) is None:
             return None
-        ids, scores = (np.concatenate(c) for c in zip(*parts, *more, none))
-        hit = np.flatnonzero(scores >= out[row])
+        scored = parts + more
+        ids, scores = scored[0] if len(scored) == 1 else map(np.concatenate, zip(*scored, none))
+        hit = (scores >= out[row]).nonzero()[0]
         if not k:
-            hit = hit[np.argsort(ids[hit], kind="stable")]
-        found.append((np.full(len(hit), row), ids[hit], scores[hit]))
-    triples = tuple(np.concatenate(column) for column in zip(*found))
+            hit = hit[ids[hit].argsort(kind="stable")]
+        hits.append((ids[hit], scores[hit]))
+    ids, scores = hits[0] if n_q == 1 else map(np.concatenate, zip(*hits))
+    triples = np.arange(n_q).repeat([len(i) for i, _ in hits]), ids, scores
     return ScanResult(
         triples, triples, blocks=blocks, cells=n_q * len(sizes) + kept,
         peak_bytes=held + member * widest, probe="rows", floors=out,

@@ -122,7 +122,7 @@ def exact_select(
         return candidates[keep], exact[keep], False
     (_, ids, scores), failed, _ = prove_topk(
         np.zeros(len(candidates), dtype=np.intp), candidates,
-        np.full(1, floor, dtype=np.float32), condition.k, len(normalized),
+        np.array([floor], dtype=np.float32), condition.k, len(normalized),
         lambda _, ids: stable_dot_scores(normalized[ids], qvec),
         lambda _: (dense_score_block(normalized, qvec[None, :]), None),
     )
@@ -176,39 +176,41 @@ def select_group(
             it before ``scan``, and runs the dense pass if it declines.
     """
     n = len(normalized)
-    row_of: dict[bytes, int] = {}
-    urows = [row_of.setdefault(np.asarray(q).tobytes(), len(row_of)) for q in qvecs]
-    queries = np.empty((len(row_of), normalized.shape[1]), dtype=np.float32)
-    for urow, qvec in zip(urows, qvecs):
-        queries[urow] = qvec
+    queries, urows = np.asarray(qvecs, dtype=np.float32), [0]
+    if len(queries) > 1:  # equal vectors share a scan row
+        row_of: dict[bytes, int] = {}
+        urows = [row_of.setdefault(q.tobytes(), len(row_of)) for q in queries]
+        if len(row_of) < len(urows):
+            queries = queries[[urows.index(urow) for urow in range(len(row_of))]]
     if not np.isfinite(queries).all():
         raise JoinError("a query vector holds a non-finite value")
     k_of: dict[int, int] = {}
     thr_floor: dict[int, float] = {}
     for urow, condition in zip(urows, conditions):
         if isinstance(condition, TopKCondition):
-            k_of[urow] = max(k_of.get(urow, 0), condition.k)
-        else:
-            floor = condition.threshold - PRESCREEN_MARGIN
-            thr_floor[urow] = min(thr_floor.get(urow, floor), floor)
+            if condition.k > k_of.get(urow, 0):
+                k_of[urow] = condition.k
+        elif (floor := condition.threshold - PRESCREEN_MARGIN) < thr_floor.get(urow, np.inf):
+            thr_floor[urow] = floor
     topk_rows, thr_rows = sorted(k_of), sorted(thr_floor)
-    floors = np.asarray([thr_floor[urow] for urow in thr_rows], dtype=np.float32)
+    # The top-k rows' floors, then the threshold rows'.
+    row_floors = np.array([-np.inf] * len(topk_rows) + [thr_floor[u] for u in thr_rows], np.float32)
+    floors = row_floors[len(topk_rows) :]
 
-    kpad = max(1, min(n, max(k_of.values(), default=0) + TOPK_PRESCREEN_PAD))
     found = fanned = None
     if caps is not None:
         # Each top-k row at its own k: the probe hands back the floor it proved.
         found = probe_by_rows(
             caps, queries[topk_rows + thr_rows],
-            [k_of[urow] for urow in topk_rows] + [0] * len(thr_rows),
-            np.concatenate((np.full(len(topk_rows), -np.inf), floors)),
+            [k_of[urow] for urow in topk_rows] + [0] * len(thr_rows), row_floors,
             np.inf if budget_bytes is None else budget_bytes,
         )
     on_caps = found is not None
-    if not on_caps and scan is not None:
-        fanned = scan(
-            queries, n_rows=n, topk_rows=topk_rows, kpad=kpad, thr_rows=thr_rows, thr_floors=floors,
-        )
+    if not on_caps:
+        kpad = max(1, min(n, max(k_of.values(), default=0) + TOPK_PRESCREEN_PAD))
+        if scan is not None:
+            fanned = scan(queries, n_rows=n, topk_rows=topk_rows, kpad=kpad,
+                          thr_rows=thr_rows, thr_floors=floors)
     if fanned is not None:
         cand_ids, cand_floor, thr_hits = fanned.heap_ids, fanned.heap_floor, fanned.thr_hits
     elif on_caps:

@@ -41,6 +41,7 @@ from ..vector.kernels import row_major_scores
 from ..vector.select import (
     TRIPLE_BYTES,
     TopKReducer,
+    best_per_row,
     blocks_per_cap_task,
     maxima_bytes,
     scan_shape,
@@ -157,6 +158,8 @@ def _take_rows(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def split_rows(rows: np.ndarray, values: np.ndarray, n_rows: int) -> list[np.ndarray]:
     """``values`` cut into one array per row, ``rows`` being sorted."""
+    if n_rows == 1:
+        return [values]
     bounds = np.searchsorted(rows, np.arange(n_rows + 1))
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -255,10 +258,10 @@ def fold_topk(parts: list[Triples], n_rows: int, k: int) -> Triples:
     """Each row's ``k`` best of ``parts`` by ``(score desc, id asc)`` —
     the reducer's total order, so the fold does not depend on how the
     candidates were cut into parts or in which order parts arrive."""
-    reducer = TopKReducer(n_rows, max(1, k))
-    for part in parts:
-        reducer.merge(*part)
-    return reducer.finalize()
+    rows, ids, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    scores = scores.astype(np.float32, copy=False)
+    keep, _ = best_per_row(rows, ids, scores, max(1, k), n_rows)
+    return rows[keep], ids[keep], scores[keep]
 
 
 def merge_topk(
@@ -326,11 +329,12 @@ def prove_topk(
     """
     n_rows = len(floors)
     held = np.bincount(rows, minlength=n_rows)
-    reducer = TopKReducer(n_rows, k)
-    reducer.merge(rows, ids, rescore(rows, ids))
-    rows, ids, exact = reducer.finalize()
-    kth = reducer.floor  # a row's k-th exact score, -inf below k candidates
-    failed = np.flatnonzero((floors + bound + PRESCREEN_MARGIN > kth) & (held < n))
+    exact = rescore(rows, ids).astype(np.float32, copy=False)
+    keep, at_kth = best_per_row(rows, ids, exact, k, n_rows)
+    kth = np.full(n_rows, -np.inf, dtype=np.float32)  # -inf below k candidates
+    kth[rows[at_kth]] = exact[at_kth]
+    rows, ids, exact = rows[keep], ids[keep], exact[keep]
+    failed = ((floors + bound + PRESCREEN_MARGIN > kth) & (held < n)).nonzero()[0]
     if not len(failed):
         return (rows, ids, exact), failed, None
     bars = kth[failed] - PRESCREEN_MARGIN

@@ -8,7 +8,7 @@ BLAS without copying; ``STRING``/``CONTEXT`` columns are object arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime
 
 import numpy as np
@@ -87,6 +87,14 @@ class Column:
         self.data = coerce_values(self.field, self.data)
 
     @classmethod
+    def _typed(cls, field: Field, data: np.ndarray) -> "Column":
+        """A column of ``data`` already in ``field``'s layout (rows of a
+        column's data): no coercion."""
+        column = object.__new__(cls)
+        column.field, column.data = field, data
+        return column
+
+    @classmethod
     def from_values(cls, name: str, dtype: DataType, values, *, dim: int = 0) -> "Column":
         return cls(Field(name, dtype, dim=dim), values)
 
@@ -103,7 +111,7 @@ class Column:
 
     def take(self, indices: np.ndarray) -> "Column":
         """Row-subset by integer positions (late materialization helper)."""
-        return Column(self.field, self.data[np.asarray(indices)])
+        return Column._typed(self.field, self.data[np.asarray(indices)])
 
     def mask(self, bitmap: np.ndarray) -> "Column":
         """Row-subset by boolean bitmap."""
@@ -112,11 +120,10 @@ class Column:
             raise SchemaError(
                 f"bitmap length {len(bitmap)} != column length {len(self)}"
             )
-        return Column(self.field, self.data[bitmap])
+        return Column._typed(self.field, self.data[bitmap])
 
     def rename(self, name: str) -> "Column":
-        f = self.field
-        return Column(Field(name, f.dtype, f.dim, f.nullable), self.data)
+        return Column._typed(replace(self.field, name=name), self.data)
 
     def concat(self, other: "Column") -> "Column":
         return Column.concat_all([self, other])

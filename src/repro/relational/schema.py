@@ -16,7 +16,7 @@ requires:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,17 +38,7 @@ class DataType(enum.Enum):
     @property
     def numpy_dtype(self) -> np.dtype:
         """Physical NumPy dtype used to store values of this type."""
-        mapping = {
-            DataType.INT64: np.dtype(np.int64),
-            DataType.FLOAT32: np.dtype(np.float32),
-            DataType.FLOAT64: np.dtype(np.float64),
-            DataType.BOOL: np.dtype(np.bool_),
-            DataType.DATE: np.dtype(np.int64),
-            DataType.STRING: np.dtype(object),
-            DataType.TENSOR: np.dtype(np.float32),
-            DataType.CONTEXT: np.dtype(object),
-        }
-        return mapping[self]
+        return _NUMPY_DTYPES[self._value_]
 
     @property
     def is_numeric(self) -> bool:
@@ -63,6 +53,14 @@ class DataType(enum.Enum):
     def is_context_rich(self) -> bool:
         """True for types opaque to relational predicates (need a model)."""
         return self in (DataType.STRING, DataType.CONTEXT)
+
+
+#: Each type's physical dtype by its value (a member hashes in Python, a string in C).
+_NUMPY_DTYPES = {
+    **{name: np.dtype(name) for name in ("int64", "float32", "float64", "bool")},
+    "date": np.dtype(np.int64), "tensor": np.dtype(np.float32),
+    "string": np.dtype(object), "context": np.dtype(object),
+}
 
 
 @dataclass(frozen=True)
@@ -99,20 +97,23 @@ class Schema:
     """Ordered, name-unique collection of fields."""
 
     fields: tuple[Field, ...] = field(default_factory=tuple)
+    #: The fields' names, in order.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: Each name's position in ``fields``.
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
-        if len(names) != len(set(names)):
+        names = tuple([f.name for f in self.fields])
+        positions = {name: i for i, name in enumerate(names)}
+        if len(positions) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate column names in schema: {dupes}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def of(cls, *fields: Field) -> "Schema":
         return cls(tuple(fields))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -121,20 +122,17 @@ class Schema:
         return iter(self.fields)
 
     def __contains__(self, name: str) -> bool:
-        return any(f.name == name for f in self.fields)
+        return name in self._positions
 
     def field(self, name: str) -> Field:
         """Look up a field by name, raising :class:`SchemaError` if absent."""
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise SchemaError(f"unknown column {name!r}; have {list(self.names)}")
+        return self.fields[self.index_of(name)]
 
     def index_of(self, name: str) -> int:
-        for i, f in enumerate(self.fields):
-            if f.name == name:
-                return i
-        raise SchemaError(f"unknown column {name!r}; have {list(self.names)}")
+        position = self._positions.get(name)
+        if position is None:
+            raise SchemaError(f"unknown column {name!r}; have {list(self.names)}")
+        return position
 
     def select(self, names: list[str] | tuple[str, ...]) -> "Schema":
         """Projection: a new schema with the given columns, in given order."""
@@ -154,11 +152,7 @@ class Schema:
         """Return a schema with columns renamed per ``mapping``."""
         for old in mapping:
             self.field(old)
-        renamed = tuple(
-            Field(mapping.get(f.name, f.name), f.dtype, f.dim, f.nullable)
-            for f in self.fields
-        )
-        return Schema(renamed)
+        return Schema(tuple(replace(f, name=mapping.get(f.name, f.name)) for f in self.fields))
 
     def concat(self, other: "Schema", *, prefixes: tuple[str, str] | None = None) -> "Schema":
         """Schema of a join output.
@@ -168,22 +162,9 @@ class Schema:
         """
         overlap = set(self.names) & set(other.names)
         if overlap and prefixes is None:
-            raise SchemaError(
-                f"join schemas overlap on {sorted(overlap)}; provide prefixes"
-            )
-        if prefixes is None:
-            return Schema(self.fields + other.fields)
-        lp, rp = prefixes
-
-        def _apply(fields: tuple[Field, ...], prefix: str) -> tuple[Field, ...]:
-            return tuple(
-                Field(
-                    prefix + f.name if f.name in overlap else f.name,
-                    f.dtype,
-                    f.dim,
-                    f.nullable,
-                )
-                for f in fields
-            )
-
-        return Schema(_apply(self.fields, lp) + _apply(other.fields, rp))
+            raise SchemaError(f"join schemas overlap on {sorted(overlap)}; provide prefixes")
+        sides = zip(prefixes or ("", ""), (self.fields, other.fields))
+        return Schema(tuple(
+            replace(f, name=prefix + f.name) if f.name in overlap else f
+            for prefix, fields in sides for f in fields
+        ))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SchemaError, TypeMismatchError
-from .column import Column, coerce_values
+from .column import Column
 from .schema import DataType, Schema
 
 
@@ -37,16 +37,21 @@ class Table:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
+    def _derived(cls, schema: Schema, columns: dict[str, Column]) -> "Table":
+        """A table of ``columns`` derived from a valid table's: named as in
+        ``schema``, of one length, in its fields' layouts — nothing to check."""
+        table = object.__new__(cls)
+        table.schema, table.columns = schema, columns
+        return table
+
+    @classmethod
     def from_columns(cls, columns: list[Column]) -> "Table":
         schema = Schema(tuple(c.field for c in columns))
         return cls(schema, {c.name: c for c in columns})
 
     @classmethod
     def from_arrays(cls, schema: Schema, arrays: dict[str, np.ndarray]) -> "Table":
-        cols = {
-            f.name: Column(f, coerce_values(f, arrays[f.name])) for f in schema
-        }
-        return cls(schema, cols)
+        return cls(schema, {f.name: Column(f, arrays[f.name]) for f in schema})
 
     @classmethod
     def from_dicts(cls, schema: Schema, rows: list[dict]) -> "Table":
@@ -63,13 +68,10 @@ class Table:
 
     @classmethod
     def empty(cls, schema: Schema) -> "Table":
-        arrays = {}
-        for f in schema:
-            if f.dtype is DataType.TENSOR:
-                arrays[f.name] = np.empty((0, f.dim), dtype=np.float32)
-            else:
-                arrays[f.name] = np.empty(0, dtype=f.dtype.numpy_dtype)
-        return cls.from_arrays(schema, arrays)
+        return cls.from_arrays(schema, {
+            f.name: np.empty((0, f.dim) if f.dtype is DataType.TENSOR else 0, f.dtype.numpy_dtype)
+            for f in schema
+        })
 
     # ------------------------------------------------------------------
     # Introspection
@@ -113,13 +115,13 @@ class Table:
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "Table":
         indices = np.asarray(indices)
-        return Table(
+        return Table._derived(
             self.schema,
             {name: col.take(indices) for name, col in self.columns.items()},
         )
 
     def mask(self, bitmap: np.ndarray) -> "Table":
-        return Table(
+        return Table._derived(
             self.schema,
             {name: col.mask(bitmap) for name, col in self.columns.items()},
         )
@@ -136,20 +138,16 @@ class Table:
     # ------------------------------------------------------------------
     def select(self, names: list[str]) -> "Table":
         schema = self.schema.select(names)
-        return Table(schema, {n: self.columns[n] for n in names})
+        return Table._derived(schema, {n: self.columns[n] for n in names})
 
     def with_column(self, column: Column) -> "Table":
         """Return a table with one more column appended."""
-        if column.name in self.columns:
-            raise SchemaError(f"column {column.name!r} already exists")
+        schema = self.schema.add(column.field)  # a name already there raises
         if self.schema.fields and len(column) != self.num_rows:
             raise SchemaError(
                 f"column length {len(column)} != table length {self.num_rows}"
             )
-        schema = self.schema.add(column.field)
-        cols = dict(self.columns)
-        cols[column.name] = column
-        return Table(schema, cols)
+        return Table._derived(schema, {**self.columns, column.name: column})
 
     def drop(self, name: str) -> "Table":
         schema = self.schema.drop(name)

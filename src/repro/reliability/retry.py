@@ -146,17 +146,17 @@ class BoundRetry:
         self.deadline = deadline
         self.budget = budget
         self.local_retries = 0
-        self._rng = random.Random(policy.seed)
+        self._rng: random.Random | None = None  # made by the first backoff
         self._lock = threading.Lock()
 
     def _backoff(self, prev_s: float) -> float:
         """Decorrelated jitter: uniform over [base, prev*3], capped."""
         policy = self.policy
         with self._lock:
+            if self._rng is None:
+                self._rng = random.Random(policy.seed)
             hi = max(policy.base_s, min(policy.cap_s, prev_s * 3.0))
-            return min(
-                policy.cap_s, self._rng.uniform(policy.base_s, hi)
-            )
+            return min(policy.cap_s, self._rng.uniform(policy.base_s, hi))
 
     def call(self, fn):
         """Run ``fn()``; re-run on transient failure within the guards."""

@@ -71,8 +71,7 @@ class SharedScanRequest:
         query = eselect_query(node, store_for)
         if query.ndim != 1 or not np.isfinite(query).all():
             return None
-        qvec = normalize_vector(np.asarray(query, dtype=np.float32))
-        return cls(node, wrappers, qvec, trace=current_trace())
+        return cls(node, wrappers, normalize_vector(query), trace=current_trace())
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -82,15 +81,19 @@ class SharedScanRequest:
 
 
 class _Group:
-    """Requests that share one scan; its first request's thread leads."""
+    """Requests that share one scan; its first request's thread leads.
+
+    Only a queued group is waited on: a group that takes a free slot runs
+    at once and no follower can join it, so it has no events."""
 
     __slots__ = ("requests", "go", "done")
 
-    def __init__(self, leader: SharedScanRequest) -> None:
+    def __init__(self, leader: SharedScanRequest, queued: bool) -> None:
         self.requests = [leader]
-        #: Set when a freed slot is handed to this (queued) group.
-        self.go = threading.Event()
-        self.done = threading.Event()
+        #: Set when a freed slot is handed to this queued group.
+        self.go = threading.Event() if queued else None
+        #: Set when its followers' results are in.
+        self.done = threading.Event() if queued else None
 
 
 def _fail(requests: list[SharedScanRequest], exc: Exception) -> None:
@@ -183,18 +186,19 @@ class CoalescingScheduler:
         key = request.key
         slots = self.engine.executor.n_threads
         with self._lock:
-            source = self._sources.setdefault(key, _Source())
+            source = self._sources.get(key)
+            if source is None:
+                source = self._sources[key] = _Source()
             leads = True
             if source.running < slots:
                 source.running += 1
-                group = _Group(request)
-                group.go.set()
+                group = _Group(request, queued=False)
             elif source.queue and len(source.queue[-1].requests) < self.max_batch:
                 group = source.queue[-1]
                 group.requests.append(request)
                 leads = False
             else:
-                group = _Group(request)
+                group = _Group(request, queued=True)
                 source.queue.append(group)
         with span("coalesce.wait") as sp:
             if leads:
@@ -211,17 +215,15 @@ class CoalescingScheduler:
         """Scan for ``group`` once it holds a slot, then pass the slot on."""
         requests = group.requests
         try:
-            group.go.wait()
+            if group.go is not None:
+                group.go.wait()
             self._execute_group(key, requests)
         except Exception as exc:
             _fail(requests, exc)
         except BaseException as exc:
             # KeyboardInterrupt / SystemExit belong to this thread alone:
             # the followers get a typed error instead of a hang.
-            _fail(
-                requests[1:],
-                ServiceError(f"shared scan leader interrupted: {exc!r}"),
-            )
+            _fail(requests[1:], ServiceError(f"shared scan leader interrupted: {exc!r}"))
             raise
         finally:
             with self._lock:
@@ -234,25 +236,19 @@ class CoalescingScheduler:
                     source.running -= 1
                     if not source.running:
                         del self._sources[key]
-            group.done.set()
+            if group.done is not None:
+                group.done.set()
 
     # ------------------------------------------------------------------
     # Shared scan execution (runs on the leader's thread)
     # ------------------------------------------------------------------
-    def _execute_group(
-        self, key: tuple, requests: list[SharedScanRequest]
-    ) -> None:
-        scan_t0 = time.perf_counter()
-        scan_c0 = time.thread_time()
+    def _execute_group(self, key: tuple, requests: list[SharedScanRequest]) -> None:
+        # Only sampled requests are timed: they alone get spans.
+        traced = [req for req in requests if req.trace is not None]
+        scan_lap = _lap() if traced else None
         engine = self.engine
         table = engine.catalog.get(key[0])
-        normalized = engine.normalized_matrix_for(key, table)
-        n = len(normalized)
-
-        with self._lock:
-            self.stats.groups += 1
-            self.stats.coalesced_queries += len(requests)
-            self.stats.max_batch = max(self.stats.max_batch, len(requests))
+        normalized, caps = engine.selection_source(key, table)
 
         # Fan out to the shard-process pool when one is attached and its
         # cost model says the table is big enough to amortize dispatch; a
@@ -265,85 +261,78 @@ class CoalescingScheduler:
                 with self._lock:
                     self.stats.shard_fallbacks += 1
 
-        group = select_group(
-            normalized,
-            [req.qvec for req in requests],
-            [req.node.condition for req in requests],
-            scan=None if self.shard_pool is None else shard_scan,
-            budget_bytes=engine.executor.buffer_budget_bytes,
-            caps=engine.selection_caps(key, table),
+        group, fallbacks = None, 0
+        try:
+            group = select_group(
+                normalized, [req.qvec for req in requests],
+                [req.node.condition for req in requests],
+                scan=None if self.shard_pool is None else shard_scan,
+                budget_bytes=engine.executor.buffer_budget_bytes, caps=caps,
+            )
+            if traced:
+                _attribute_scan(traced, len(requests), group, scan_lap, normalized.shape)
+            # Each request's exact selection from the shared candidates, under
+            # its own score column and wrappers — and each fails alone: a bad
+            # wrapper (e.g. projecting a missing column) must not poison the
+            # other queries that happened to share its scan.
+            for i, req in enumerate(requests):
+                marks = None if req.trace is None else [_lap()]
+                candidates = 0
+                try:
+                    ids, scores, candidates, rescanned = group.select(i)
+                    fallbacks += rescanned
+                    if marks:
+                        marks.append(_lap())
+                    req.result = materialize_selection(
+                        table, ids, scores, req.node.score_column, req.wrappers
+                    )
+                except Exception as exc:
+                    req.error = exc
+                if marks:
+                    # The proof and the output table as two spans, so neither
+                    # is charged the other's cost; a failed proof has no table.
+                    marks.append(_lap())
+                    rows = 0 if req.result is None else len(req.result)
+                    laps = ("rescore", {"candidates": candidates}), ("materialize", {"rows": rows})
+                    for (name, attrs), (w0, c0), (w1, c1) in zip(laps, marks, marks[1:]):
+                        req.trace.add_span(name, start=w0, wall_s=w1 - w0, cpu_s=c1 - c0, **attrs)
+        finally:
+            with self._lock:  # the group's counts in one hold, however far it got
+                stats = self.stats
+                stats.groups += 1
+                stats.coalesced_queries += len(requests)
+                stats.max_batch = max(stats.max_batch, len(requests))
+                if group is not None:
+                    # Concurrent clients asking the same (hot) question share
+                    # one scan row: the service-level embed-once prefetch.
+                    stats.deduped_queries += len(requests) - group.unique
+                    stats.shared_scan_blocks += group.blocks
+                    stats.sharded_groups += group.fanned is not None
+                stats.fallbacks += fallbacks
+
+
+def _lap() -> tuple[float, float]:
+    return time.perf_counter(), time.thread_time()
+
+
+def _attribute_scan(traced, batch: int, group, scan_lap: tuple, shape) -> None:
+    """Attribute a group's shared scan to its sampled members: it ran once
+    on the leader's thread, but each sampled trace receives a completed
+    foreign span describing the batch it rode in — and, when it fanned
+    out, one per shard worker from when that worker began (``perf_counter``
+    is one monotonic clock across processes)."""
+    (scan_t0, scan_c0), shard_res = scan_lap, group.fanned
+    scan_wall, scan_cpu = time.perf_counter() - scan_t0, time.thread_time() - scan_c0
+    for req in traced:
+        req.trace.add_span(
+            "coalesce.scan", start=scan_t0, wall_s=scan_wall, cpu_s=scan_cpu, batch=batch,
+            unique_vectors=group.unique, blocks=group.blocks, rows=shape[0],
+            prescreen=group.prescreen, probe=group.probe, cells=group.cells,
+            # fp32 rows scored per query vector: the relation once for a
+            # dense pass, the kept rows and centres on caps.
+            bytes_scanned=group.cells // group.unique * shape[1] * 4,
+            shards=0 if shard_res is None else shard_res.n_shards,
         )
-        shard_res = group.fanned
-        with self._lock:
-            # Concurrent clients asking the same (hot) question share one
-            # scan row — the service-level analogue of the embed-once
-            # prefetch.
-            self.stats.deduped_queries += len(requests) - group.unique
-            self.stats.shared_scan_blocks += group.blocks
-            if shard_res is not None:
-                self.stats.sharded_groups += 1
-
-        # Attribute the shared scan to every member query: the scan ran
-        # once on the leader's thread, but each sampled trace receives a
-        # completed foreign span describing the batch it rode in.
-        scan_wall = time.perf_counter() - scan_t0
-        scan_cpu = time.thread_time() - scan_c0
-        for req in requests:
-            if req.trace is not None:
-                req.trace.add_span(
-                    "coalesce.scan",
-                    start=scan_t0,
-                    wall_s=scan_wall,
-                    cpu_s=scan_cpu,
-                    batch=len(requests),
-                    unique_vectors=group.unique,
-                    blocks=group.blocks,
-                    rows=n,
-                    prescreen=group.prescreen,
-                    probe=group.probe,
-                    cells=group.cells,
-                    # fp32 rows scored per query vector: the relation once
-                    # for a dense pass, the kept rows and centres on caps.
-                    bytes_scanned=group.cells // group.unique * normalized.shape[1] * 4,
-                    shards=0 if shard_res is None else shard_res.n_shards,
-                )
-                if shard_res is not None:
-                    # One foreign span per shard worker, from the group
-                    # scan's start: the member trace shows where the
-                    # fanned-out scan actually spent its time, even though
-                    # the work ran in other processes.
-                    for sid, wall in enumerate(shard_res.shard_walls):
-                        req.trace.add_span(
-                            "shard.scan",
-                            start=scan_t0,
-                            wall_s=wall,
-                            cpu_s=wall,
-                            shard=sid,
-                        )
-
-        # Each request's exact selection from the shared candidates, under
-        # its own score column and wrappers — and each fails alone: a bad
-        # wrapper (e.g. projecting a missing column) must not poison the
-        # other queries that happened to share its scan.
-        for i, req in enumerate(requests):
-            marks = [(time.perf_counter(), time.thread_time())]
-            candidates = 0
-            try:
-                ids, scores, candidates, rescanned = group.select(i)
-                if rescanned:
-                    with self._lock:
-                        self.stats.fallbacks += 1
-                marks.append((time.perf_counter(), time.thread_time()))
-                req.result = materialize_selection(
-                    table, ids, scores, req.node.score_column, req.wrappers
-                )
-            except Exception as exc:
-                req.error = exc
-            marks.append((time.perf_counter(), time.thread_time()))
-            if req.trace is not None:
-                # The proof and the output table as two spans, so neither
-                # is charged the other's cost; a failed proof has no table.
-                rows = 0 if req.result is None else len(req.result)
-                laps = (("rescore", {"candidates": candidates}), ("materialize", {"rows": rows}))
-                for (name, attrs), (w0, c0), (w1, c1) in zip(laps, marks, marks[1:]):
-                    req.trace.add_span(name, start=w0, wall_s=w1 - w0, cpu_s=c1 - c0, **attrs)
+        if shard_res is not None:
+            for sid, (began, wall) in enumerate(zip(shard_res.shard_starts, shard_res.shard_walls)):
+                req.trace.add_span("shard.scan", start=began, wall_s=wall, cpu_s=wall, shard=sid)

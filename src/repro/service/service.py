@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 from ..algebra.optimizer import Optimizer
@@ -60,6 +59,16 @@ def _given(**kwargs) -> dict:
     """The keywords a caller actually passed: ``None`` leaves a setting to
     the default of the constructor that consumes it."""
     return {name: value for name, value in kwargs.items() if value is not None}
+
+
+class _Flight:
+    """One execution's outcome for identical queries arriving while it runs
+    (singleflight); the first of them makes the event they wait on."""
+
+    __slots__ = ("result", "error", "landed")
+
+    def __init__(self) -> None:
+        self.result = self.error = self.landed = None
 
 
 @dataclass
@@ -149,8 +158,8 @@ class QueryService:
         self.stats = ServiceStats()
         self.qos_tracker = ExecTimeTracker()
         self._stats_lock = threading.Lock()
-        #: Singleflight slots: one execution's future, that duplicates wait on.
-        self._inflight_results: dict[tuple, Future] = {}
+        #: Singleflight slots: one execution's outcome, that duplicates wait on.
+        self._inflight_results: dict[tuple, _Flight] = {}
         self._singleflight_lock = threading.Lock()
         self._closed = False
         self.tracer = Tracer(
@@ -369,8 +378,7 @@ class QueryService:
                 return cached, True
         # A shed or a rejection is admission's count alone: never admitted,
         # so the service counts it nowhere.
-        with span("admission") as sp:
-            sp.set(priority=priority)
+        with span("admission", priority=priority):
             queued = self.admission.acquire(
                 timeout_s=timeout_s, priority=priority, deadline=deadline
             )
@@ -430,13 +438,17 @@ class QueryService:
             slot = self._inflight_results.get(key)
             owner = slot is None
             if owner:
-                slot = self._inflight_results[key] = Future()
+                slot = self._inflight_results[key] = _Flight()
+            elif slot.landed is None:
+                slot.landed = threading.Event()
         if not owner:
             with span("singleflight.wait"):
-                result = slot.result()  # the owner's error raises here
+                slot.landed.wait()
+                if slot.error is not None:
+                    raise slot.error  # the owner's error
             with self._stats_lock:
                 self.stats.singleflight_hits += 1
-            return result, False
+            return slot.result, False
 
         # Engine runs already retry at morsel granularity; this outer layer
         # covers transient faults raised *outside* an engine run — kernel
@@ -457,23 +469,23 @@ class QueryService:
             result = retry.call(attempt)
             exec_seconds = time.perf_counter() - exec_start
             self.qos_tracker.observe(exec_seconds)
-            with span("cache.store") as sp:
-                sp.set(cost_s=exec_seconds)
+            with span("cache.store", cost_s=exec_seconds):
                 self.results.store(key, result)
-            slot.set_result(result)
+            slot.result = result
         except BaseException as exc:
-            # Waiters still get a resolved future — for an interrupt a
-            # clean service error, not the interpreter-level interrupt,
-            # which belongs to the thread that received it.
-            slot.set_exception(
-                exc
-                if isinstance(exc, Exception)
-                else ServiceError("execution interrupted")
+            # Waiters still get an outcome — for an interrupt a clean
+            # service error, not the interpreter-level interrupt, which
+            # belongs to the thread that received it.
+            slot.error = (
+                exc if isinstance(exc, Exception) else ServiceError("execution interrupted")
             )
             raise
         finally:
             with self._singleflight_lock:
                 del self._inflight_results[key]
+                landed = slot.landed
+            if landed is not None:
+                landed.set()
         return result, False
 
     def _execute(self, optimized) -> Table:
@@ -483,19 +495,14 @@ class QueryService:
         if request is not None:
             with self._stats_lock:
                 self.stats.coalesced += 1
-            with span("execute") as sp:
-                sp.set(mode="coalesced")
+            with span("execute", mode="coalesced"):
                 return self.coalescer.submit(request)
         with self._stats_lock:
             self.stats.direct += 1
         report = ExecutionReport()
         with span("execute") as sp:
             result = execute(optimized, self.engine, report=report)
-            sp.set(
-                mode="direct",
-                strategies=report.strategies,
-                fallbacks=len(report.fallbacks),
-            )
+            sp.set(mode="direct", strategies=report.strategies, fallbacks=len(report.fallbacks))
         return result
 
     # ------------------------------------------------------------------

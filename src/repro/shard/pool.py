@@ -54,6 +54,7 @@ class ShardScanResult:
     blocks: int
     rows: int
     shard_walls: list[float]      # per-shard worker-side scan seconds
+    shard_starts: list[float]     # when each worker began (``perf_counter``)
 
 
 class _Worker:
@@ -354,6 +355,7 @@ class ShardPool:
         blocks = 0
         rows = 0
         walls: list[float] = [0.0] * self.n_procs
+        starts: list[float] = [0.0] * self.n_procs
         for shard_id in sorted(replies):
             payload = replies[shard_id]
             parts.append((
@@ -368,6 +370,7 @@ class ShardPool:
             blocks += int(payload["blocks"])
             rows += int(payload["rows"])
             walls[shard_id] = float(payload["wall_s"])
+            starts[shard_id] = float(payload["start_s"])
         self.stats.rows_scanned += rows
 
         heap_ids, heap_floor = merge_topk(parts, len(topk_rows), kpad)
@@ -383,6 +386,7 @@ class ShardPool:
             blocks=blocks,
             rows=rows,
             shard_walls=walls,
+            shard_starts=starts,
         )
 
     def _collect(

@@ -71,6 +71,7 @@ def _run_scan(conn, shard_id: int, tables: dict, payload: dict) -> dict:
         thr_hits=split_rows(hit_rows, hit_ids, len(payload["thr_rows"])),
         rows=int(hi - lo),
         blocks=scan.blocks,
+        start_s=started,
         wall_s=time.perf_counter() - started,
     )
 

@@ -336,6 +336,25 @@ def _triple_order(rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.n
     return order
 
 
+def best_per_row(
+    rows: np.ndarray, ids: np.ndarray, scores: np.ndarray, k: int, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of each row's ``k`` best triples in ``(row, score desc, id
+    asc)`` order, and of the ``k``-th of each row holding ``k``; one row
+    (of ``n_rows``) sorts by ``np.lexsort((ids, -scores))``, whose float
+    compare ties ``-0.0`` with ``+0.0`` as :func:`_triple_order`'s key does."""
+    if n_rows == 1:
+        order = np.lexsort((ids, -scores))
+        return order[:k], order[k - 1 : k]
+    order = _triple_order(rows, ids, scores)
+    sorted_rows = rows[order]
+    position = np.arange(len(rows))
+    first = np.ones(len(rows), dtype=bool)  # a row's first sorted triple
+    first[1:] = sorted_rows[1:] != sorted_rows[:-1]
+    rank = position - np.maximum.accumulate(np.where(first, position, 0))
+    return order[rank < k], order[rank == k - 1]
+
+
 class TopKReducer:
     """Running per-row top-k over streamed score blocks.
 
@@ -343,8 +362,8 @@ class TopKReducer:
     sorted by ``(row, score desc, id asc)`` — a total order, so results do
     not depend on block shape or arrival order and score ties go to the
     smallest id — plus the survivors of recent blocks, folded in by one
-    flat sort (:func:`_triple_order`) once they outgrow :data:`POOL_FACTOR` times the
-    retained set.  ``floor[row]`` is the score a new cell must reach to
+    flat sort (:func:`best_per_row`) once they outgrow :data:`POOL_FACTOR`
+    times the retained set.  ``floor[row]`` is the score a new cell must reach to
     matter: the row's k-th best as of the last fold, ``-inf`` until it
     holds k.
 
@@ -384,12 +403,8 @@ class TopKReducer:
     def push(self, block: np.ndarray, offset: int = 0) -> None:
         """Fold a score block whose column ``j`` is candidate ``offset + j``."""
         if block.shape[0] != self.n_rows:
-            raise DimensionalityError(
-                f"expected {self.n_rows} rows, got {block.shape[0]}"
-            )
-        rows, cols, scores = select_above(
-            block, self.floor, k=self.k if self._cold else None
-        )
+            raise DimensionalityError(f"expected {self.n_rows} rows, got {block.shape[0]}")
+        rows, cols, scores = select_above(block, self.floor, k=self.k if self._cold else None)
         self.merge(rows, cols + offset, scores, scratch=maxima_bytes(*block.shape))
 
     def merge(
@@ -405,29 +420,17 @@ class TopKReducer:
         self._size += len(rows)
         self._folded = False
         self.peak_bytes = max(self.peak_bytes, scratch + self._size * TRIPLE_BYTES)
-        if self._size > self._cap or (
-            self._cold and self._size >= self.n_rows * self.k
-        ):
+        if self._size > self._cap or (self._cold and self._size >= self.n_rows * self.k):
             self._fold()
 
     def _fold(self) -> None:
         """Keep each row's ``k`` best triples and raise the floors."""
-        rows, ids, scores = (
-            self._triples[0]
-            if len(self._triples) == 1
-            else (np.concatenate(c) for c in zip(*self._triples))
-        )
-        order = _triple_order(rows, ids, scores)
-        sorted_rows = rows[order]
-        position = np.arange(len(rows))
-        first = np.ones(len(rows), dtype=bool)  # a row's first sorted triple
-        first[1:] = sorted_rows[1:] != sorted_rows[:-1]
-        rank = position - np.maximum.accumulate(np.where(first, position, 0))
-        keep = order[rank < self.k]
+        triples = self._triples
+        rows, ids, scores = triples[0] if len(triples) == 1 else map(np.concatenate, zip(*triples))
+        keep, kth = best_per_row(rows, ids, scores, self.k, self.n_rows)
         self._triples = [(rows[keep], ids[keep], scores[keep])]
         self._size = len(keep)
         self._folded = True
-        kth = order[rank == self.k - 1]  # rows holding a full complement
         self.floor[rows[kth]] = np.maximum(self.floor[rows[kth]], scores[kth])
         self._cold = bool(np.isneginf(self.floor).any())
 

@@ -184,6 +184,55 @@ def test_singleflight_suppresses_concurrent_duplicates(
     assert service.stats.singleflight_hits == 1
 
 
+@pytest.mark.parametrize("failure", ["error", "interrupt"])
+def test_a_singleflight_duplicate_gets_the_owners_failure(query_vectors, monkeypatch, failure):
+    """A duplicate parked on an execution that fails raises that failure —
+    the owner's own error object, or for an interrupt (which belongs to the
+    owner's thread) a service error — and is not counted as a hit."""
+    import repro.service.service as svc_mod
+
+    engine = make_engine()
+    service = QueryService(engine, coalesce=False, result_cache_size=0)
+    release, entered = threading.Event(), threading.Event()
+    raised = RuntimeError("owner failed") if failure == "error" else KeyboardInterrupt()
+
+    def failing(self, optimized):
+        entered.set()
+        assert release.wait(timeout=30.0), "never released"
+        raise raised
+
+    monkeypatch.setattr(svc_mod.QueryService, "_execute", failing)
+    builder = lambda: engine.query("corpus").esimilar(
+        "emb", query_vectors[0], model=MODEL, top_k=3
+    )
+    outcomes: dict = {}
+
+    def submit(name):
+        try:
+            outcomes[name] = service.submit(builder())
+        except BaseException as exc:  # surfaced below
+            outcomes[name] = exc
+
+    owner = threading.Thread(target=submit, args=("owner",), daemon=True)
+    owner.start()
+    assert entered.wait(timeout=30.0)  # the owner holds the singleflight slot
+    follower = threading.Thread(target=submit, args=("dup",), daemon=True)
+    follower.start()
+    time.sleep(0.05)  # the follower parks on the in-flight slot
+    release.set()
+    owner.join(timeout=30.0)
+    follower.join(timeout=30.0)
+    assert not owner.is_alive() and not follower.is_alive()
+    assert outcomes["owner"] is raised
+    if failure == "error":
+        assert outcomes["dup"] is raised
+    else:
+        assert isinstance(outcomes["dup"], ServiceError), outcomes["dup"]
+        assert "interrupted" in str(outcomes["dup"])
+    assert service.stats.singleflight_hits == 0
+    assert not service._inflight_results  # the slot is gone either way
+
+
 def test_admission_backpressure_rejects(query_vectors):
     engine = make_engine()
     service = QueryService(engine, max_inflight=1, coalesce=False)

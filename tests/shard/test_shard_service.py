@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,44 @@ class TestShardedService:
         assert "repro_shard_procs" in text
         assert "repro_shard_scans" in text
         assert "repro_shard_alive" in text
+
+
+def test_shard_spans_start_where_the_shards_did(sharded_setup, hold_scan_slots, monkeypatch):
+    """A member of a 2-shard group gets one ``shard.scan`` span per worker,
+    placed when that worker began — a fan-out held back after the group
+    scan started shows the delay — and ended before the member's rescore
+    starts."""
+    delay_s, slack = 0.05, 1e-6  # slack: float rounding of start + wall
+    engine, service, _, _ = sharded_setup
+    scan_candidates = service.shard_pool.scan_candidates
+
+    def late(*args, **kwargs):
+        time.sleep(delay_s)
+        return scan_candidates(*args, **kwargs)
+
+    monkeypatch.setattr(service.shard_pool, "scan_candidates", late)
+
+    fresh = unit_vectors(2, 16, stream="shard-svc/spans").astype(np.float32)  # no cached answer
+
+    def explain(i):
+        query = engine.query("corpus").esimilar("emb", fresh[i], model=MODEL, top_k=K)
+        return service.submit(query, tag=f"spans/q{i}", explain_analyze=True)
+
+    def blocker(i):
+        vector = np.random.default_rng(48_000 + i).standard_normal(16).astype(np.float32)
+        return engine.query("corpus").esimilar("emb", vector, model=MODEL, top_k=1)
+
+    held = hold_scan_slots(service, blocker)
+    members = held.run_queued([lambda i=i: explain(i) for i in (0, 1)])
+    for response in members:
+        (scan,) = response.trace.find("coalesce.scan")
+        (rescore,) = response.trace.find("rescore")
+        assert scan.attrs["batch"] == 2 and scan.attrs["shards"] == 2, response.explain
+        shards = response.trace.find("shard.scan")
+        assert sorted(span.attrs["shard"] for span in shards) == [0, 1], response.explain
+        for span in shards:
+            assert span.start_s >= scan.start_s + delay_s, response.explain
+            assert span.start_s + span.wall_s <= rescore.start_s + slack, response.explain
 
 
 def test_shutdown_releases_all_segments():

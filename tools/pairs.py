@@ -5,9 +5,12 @@ PR is judged by (ROADMAP, "How a PR claims a gain") wants the two
 checkouts *interleaved*, so a slow stretch of the box falls on both.  This
 runs every workload on the parent checkout and on this one, same seed,
 order flipped each pair, saves both sets in ``repeat.py``'s format and
-prints its table (second set = this checkout), per-pair wins, and one row
+prints its table (second set = this checkout), per-pair wins, one row
 per workload shape from each record's ``client.shape_p50_ms`` (normalised
-median [q1, q3] a side, change vs parent, pairs the change won)::
+median [q1, q3] a side, change vs parent, pairs the change won), and for a
+``serve_*`` workload each side's raw ops/s before its caps land and after
+(the median over runs of the median of ``client.slice_ops_per_s_raw``
+over slices 1-2, and over slices 3-10)::
 
     python tools/pairs.py --parent /root/scratch/parent -n 5 --first-seed 2100 \\
         --save /root/scratch/pairs
@@ -51,6 +54,7 @@ def one_run(root: Path, workload: str, seed: int) -> dict:
             "values": {name: m["value"] for name, m in result["metrics"].items()},
             "raw": record["raw"], "sizes": record["sizes"],
             "shapes": record["client"].get("shape_p50_ms", {}),
+            "slices": record["client"]["slice_ops_per_s_raw"],
             "box_factor": record["client"]["box"]["factor"],
             "wall_s": record["wall_s"], "failed": result["failed"]}
 
@@ -91,6 +95,7 @@ def main() -> int:
             print(f"{workload:14} {metric['name']:12} change better in "
                   f"{sum(w < 0 for w in worse)}/{len(worse)} pairs")
     shape_table(sets, names)
+    window_table(sets, [name for name in names if name.startswith("serve_")])
     return 0 if ok else 1
 
 
@@ -112,6 +117,28 @@ def shape_table(sets: dict[str, list[dict]], names: list[str]) -> None:
             print(f"| {workload} | {shape} | {cells[0]} | {cells[1]} "
                   f"| {100 * (quartiles[1][0] / quartiles[0][0] - 1):+.1f}% "
                   f"| {won}/{len(change)} |")
+
+
+#: Timed slices before a served source's caps land (dense misses) and after.
+WINDOWS = {"slices 1-2": slice(0, 2), "slices 3-10": slice(2, 10)}
+
+
+def window_table(sets: dict[str, list[dict]], names: list[str]) -> None:
+    """Raw ops/s a side in the build window and after it: a gain on the
+    landed caps' misses shows in the second, a cheaper build in the first."""
+    if not names:
+        return
+    print("| workload | window | parent ops/s | change ops/s | change vs parent |")
+    print("|---|---|---|---|---|")
+    for workload in names:
+        for window, cut in WINDOWS.items():
+            parent, change = (
+                float(np.median([np.median(r["slices"][cut]) for r in sets[s]
+                                 if r["workload"] == workload]))
+                for s in ("parent", "change")
+            )
+            print(f"| {workload} | {window} | {parent:.1f} | {change:.1f} "
+                  f"| {100 * (change / parent - 1):+.1f}% |")
 
 
 if __name__ == "__main__":
