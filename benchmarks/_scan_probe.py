@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import FigureReport, time_call
+from _report import FigureReport, time_call
 from repro.core import JoinCondition, index_join, tensor_join
 from repro.index import HNSWIndex
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureReport, time_call
 from repro.core import TopKCondition, eselect
 from repro.embedding import HashingEmbedder
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 DIM = 64

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureReport, time_call
 from repro.core import (
     TopKCondition,
     precision_error_bound,
@@ -21,6 +20,7 @@ from repro.core import (
 )
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 DIM = 256

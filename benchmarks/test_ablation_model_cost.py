@@ -14,10 +14,10 @@ latency and shows that:
 
 from __future__ import annotations
 
-from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, naive_nlj, prefetch_nlj
 from repro.embedding import HashingEmbedder
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 N_LEFT = 40

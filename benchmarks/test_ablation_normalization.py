@@ -10,11 +10,11 @@ vector indexes).
 
 from __future__ import annotations
 
-from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, tensor_join
 from repro.vector import normalize_rows
 from repro.workloads import random_vectors
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 DIM = 100

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, naive_nlj, prefetch_nlj
 from repro.embedding import HashingEmbedder
 from repro.vector import Kernel
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 SIZES = pick([(100, 100), (200, 100), (200, 200)], [(20, 20)])

@@ -13,12 +13,12 @@ import os
 
 import pytest
 
-from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, prefetch_nlj
 from repro.engine import ExecutionEngine
 from repro.vector import Kernel
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 DIM = 100

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, prefetch_nlj
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import SMOKE, pick
 
 DIM = 100

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 
-from repro.bench import FigureReport, time_call
 from repro.core import TopKCondition, prefetch_nlj, tensor_join
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import SMOKE, pick
 
 OPS_CLUSTERS = pick([25_600, 2_560_000, 25_600_000], [25_600])

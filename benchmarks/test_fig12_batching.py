@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 
-from repro.bench import FigureReport, time_call
 from repro.core import TopKCondition, tensor_join, tensor_join_non_batched
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 OPS_CLUSTERS = pick([25_600, 2_560_000, 25_600_000], [25_600])

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, tensor_join
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import SMOKE, pick
 
 DIM = 100

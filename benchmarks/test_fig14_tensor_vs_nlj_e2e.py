@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureReport, speedup, time_call
 from repro.core import ThresholdCondition, prefetch_nlj, tensor_join
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, speedup, time_call
 from _smoke import SMOKE, pick
 
 DIM = 100

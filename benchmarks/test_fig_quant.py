@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import FigureReport, speedup, time_call
 from repro.core import (
     QuantizedRelation,
     TopKCondition,
@@ -30,6 +29,7 @@ from repro.core import (
 )
 from repro.workloads import embedding_like_vectors
 
+from _report import FigureReport, speedup, time_call
 from _smoke import SMOKE, pick
 
 N_LEFT = pick(2_048, 64)

@@ -19,11 +19,11 @@ import time
 import numpy as np
 
 from _scan_probe import probe_with_prefilter, scan_with_filter
-from repro.bench import FigureReport, time_call
 from repro.core import ThresholdCondition, TopKCondition, index_join, tensor_join
 from repro.index import HNSWIndex
 from repro.workloads import unit_vectors
 
+from _report import FigureReport, time_call
 from _smoke import pick
 
 DIM = 64

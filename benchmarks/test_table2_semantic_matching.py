@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import FigureReport, time_call
 from repro.embedding import FastTextModel, generate_corpus
+
+from _report import FigureReport, time_call
 
 PROBE_WORDS = ["dbms", "postgres", "clothes"]
 TOP_K = 15

@@ -108,7 +108,6 @@ def main() -> None:
     engine = build_engine()
     service = engine.serve(
         capture_path=str(capture),
-        obs_enabled=True,
         obs_sample_rate=1.0,
         http_port=args.port,
     )

@@ -15,14 +15,16 @@ A hybrid vector-relational engine in pure Python/NumPy:
 * :mod:`repro.algebra` — extended relational algebra and optimizer,
 * :mod:`repro.query` — declarative query builder,
 * :mod:`repro.service` — concurrent query service: admission control,
-  cross-query shared-scan batching, plan + exact-key result caches, and
+  cross-query shared-scan batching, an exact-key result cache, and
   a QoS layer (deadlines, priorities, shedding of unmeetable work, an
   asyncio submission front),
 * :mod:`repro.obs` — unified observability: per-service metrics, per-query
   span tracing with a bounded ring, Prometheus/JSONL exporters, and
   ``EXPLAIN ANALYZE``,
-* :mod:`repro.workloads` — seeded synthetic workload generators,
-* :mod:`repro.bench` — figure/table reproduction harness.
+* :mod:`repro.workloads` — seeded synthetic workload generators.
+
+The paper's figures and tables are reproduced by ``benchmarks/`` (one
+pytest file each), outside the library.
 
 Quickstart::
 

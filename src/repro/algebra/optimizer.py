@@ -30,7 +30,13 @@ class OptimizationTrace:
 
 
 class Optimizer:
-    """Bottom-up fixpoint rewriter."""
+    """Bottom-up fixpoint rewriter.
+
+    Built once per owner (a service keeps one): the rules are fixed at
+    construction and read the catalog when they fire, and each
+    :meth:`optimize` call keeps its trace local, so concurrent calls
+    share nothing mutable.
+    """
 
     def __init__(
         self,
@@ -39,28 +45,32 @@ class Optimizer:
         catalog: Catalog | None = None,
     ) -> None:
         self.rules = default_rules(catalog) if rules is None else list(rules)
-        self.trace = OptimizationTrace()
 
-    def optimize(self, plan: LogicalNode) -> LogicalNode:
-        """Rewrite to fixpoint; raises if rules fail to converge."""
-        self.trace = OptimizationTrace()
+    def optimize(
+        self, plan: LogicalNode, trace: OptimizationTrace | None = None
+    ) -> LogicalNode:
+        """Rewrite to fixpoint, recording each rewrite in ``trace`` when
+        one is given; raises if rules fail to converge."""
+        trace = OptimizationTrace() if trace is None else trace
         current = plan
         for _ in range(_MAX_PASSES):
-            rewritten, changed = self._apply_once(current)
+            rewritten, changed = self._apply_once(current, trace)
             if not changed:
                 return rewritten
             current = rewritten
         raise OptimizerError(
             f"optimizer did not converge within {_MAX_PASSES} passes; "
-            f"trace: {self.trace.steps[-5:]}"
+            f"trace: {trace.steps[-5:]}"
         )
 
-    def _apply_once(self, node: LogicalNode) -> tuple[LogicalNode, bool]:
+    def _apply_once(
+        self, node: LogicalNode, trace: OptimizationTrace
+    ) -> tuple[LogicalNode, bool]:
         # Rewrite children first (bottom-up).
         changed = False
         new_children = []
         for child in node.children():
-            rewritten, child_changed = self._apply_once(child)
+            rewritten, child_changed = self._apply_once(child, trace)
             new_children.append(rewritten)
             changed = changed or child_changed
         if changed:
@@ -69,6 +79,6 @@ class Optimizer:
         for rule in self.rules:
             result = rule.apply(node)
             if result is not None:
-                self.trace.record(rule, node, result)
+                trace.record(rule, node, result)
                 return result, True
         return node, changed

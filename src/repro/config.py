@@ -38,8 +38,8 @@ class ReproConfig:
     """Process-wide settings: what a run turns without touching code.
 
     A value lives here only while something sets it — a test or benchmark
-    through :func:`configure`, CI or ``python -m repro.bench`` through a
-    ``REPRO_*`` variable — or it is a deployment setting (a path, a port).
+    through :func:`configure`, CI or a benchmark run through a ``REPRO_*``
+    variable — or it is a deployment setting (a path, a port).
     Every other tunable is a keyword argument of the constructor that
     consumes it; ``docs/TUNING.md`` lists both kinds.  An engine reads
     its fields when it is built: a later :func:`configure` reaches the
@@ -49,10 +49,6 @@ class ReproConfig:
         seed: Global base seed for all random streams.
         default_threads: Worker count for data-parallel operators.  ``None``
             means "use all available CPUs".
-        default_morsel_rows: Upper bound on morsel size (tuples) handed to
-            engine workers; small enough that an idle worker's next morsel
-            absorbs skew, large enough that the per-morsel BLAS call
-            dominates dispatch.
         default_buffer_budget_bytes: Process-wide Figure 7 buffer budget for
             dense join intermediates.  ``None`` leaves batch shapes to the
             operator defaults.
@@ -72,7 +68,6 @@ class ReproConfig:
 
     seed: int = DEFAULT_SEED
     default_threads: int | None = None
-    default_morsel_rows: int = 1024
     default_buffer_budget_bytes: int | None = None
     fault_rate: float = 0.0
     fault_seed: int | None = None
@@ -109,17 +104,14 @@ def _env_number(name: str, parse):
 def _config_from_env() -> ReproConfig:
     """Build the process-wide config, honouring ``REPRO_*`` overrides.
 
-    The benchmark harness (``python -m repro.bench``) forwards its
-    thread-count/budget knobs to the pytest subprocess through these
-    variables, so figure runs exercise the engine at the requested scale.
+    A figure benchmark run (``python -m pytest benchmarks/...``) takes its
+    thread count and buffer budget from these variables, so figure runs
+    exercise the engine at the requested scale.
     """
     config = ReproConfig()
     threads = _env_number("REPRO_THREADS", int)
     if threads is not None:
         config.default_threads = max(1, threads)
-    morsel_rows = _env_number("REPRO_MORSEL_ROWS", int)
-    if morsel_rows is not None:
-        config.default_morsel_rows = max(1, morsel_rows)
     # Conversion and positivity both live inside the guarded parse, so
     # "nan"/"inf"/zero/negative are rejected like any other malformed value.
     def _budget(raw: str) -> int:

@@ -37,6 +37,11 @@ from .morsel import Morsel, make_morsels
 #: cap the oldest tags fold into the ``"<evicted>"`` aggregate.
 MAX_TRACKED_TAGS = 1024
 
+#: Default upper bound on rows per morsel: small enough that an idle
+#: worker's next morsel absorbs skew, large enough that the per-morsel
+#: BLAS call dominates dispatch.
+MORSEL_ROWS = 1024
+
 
 @dataclass
 class EngineStats:
@@ -100,8 +105,8 @@ class ExecutionEngine:
 
     Args:
         n_threads: worker count; ``None`` uses the configured CPU count.
-        morsel_rows: upper bound on rows per morsel; ``None`` uses the
-            configured default.
+        morsel_rows: upper bound on rows per morsel (default
+            :data:`MORSEL_ROWS`).
         buffer_budget_bytes: Figure 7 budget of the joins run on this
             engine (a join's own ``buffer_budget_bytes=`` overrides it);
             ``None`` uses the configured default.
@@ -116,16 +121,14 @@ class ExecutionEngine:
         self,
         *,
         n_threads: int | None = None,
-        morsel_rows: int | None = None,
+        morsel_rows: int = MORSEL_ROWS,
         buffer_budget_bytes: int | None = None,
     ) -> None:
         config = get_config()
         self.n_threads = (
             cpu_count() if n_threads is None else max(1, int(n_threads))
         )
-        self.morsel_rows = (
-            config.default_morsel_rows if morsel_rows is None else morsel_rows
-        )
+        self.morsel_rows = morsel_rows
         if self.morsel_rows < 1:
             raise ValueError(f"morsel_rows must be >= 1, got {self.morsel_rows}")
         self.buffer_budget_bytes = (

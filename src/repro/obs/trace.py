@@ -314,12 +314,10 @@ class Tracer:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         sample_rate: float = 0.01,
         ring_size: int = 256,
         seed: int | None = None,
     ) -> None:
-        self.enabled = bool(enabled)
         self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
         self.ring: deque[Trace] = deque(maxlen=max(1, int(ring_size)))
         self.seed = (
@@ -340,7 +338,7 @@ class Tracer:
         ``force`` (the ``explain_analyze`` path) bypasses sampling.
         """
         if not force:
-            if not self.enabled or self._threshold <= 0:
+            if self._threshold <= 0:
                 return None
             with self._lock:
                 n = self._n

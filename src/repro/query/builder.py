@@ -41,7 +41,7 @@ from ..algebra.logical import (
     ProjectNode,
     ScanNode,
 )
-from ..algebra.optimizer import Optimizer
+from ..algebra.optimizer import OptimizationTrace, Optimizer
 from ..algebra.physical_planner import (
     ExecutionContext,
     ExecutionReport,
@@ -195,12 +195,12 @@ class QueryBuilder:
         """Textual plan; shows the rewrite trace when optimizing."""
         if not optimize:
             return self.plan.explain()
-        optimizer = Optimizer(catalog=self.engine.catalog)
-        optimized = optimizer.optimize(self.plan)
+        trace = OptimizationTrace()
+        optimized = Optimizer(catalog=self.engine.catalog).optimize(self.plan, trace)
         lines = [optimized.explain()]
-        if optimizer.trace.steps:
+        if trace.steps:
             lines.append("-- rewrites applied:")
-            lines.extend(f"--   {s}" for s in optimizer.trace.steps)
+            lines.extend(f"--   {s}" for s in trace.steps)
         return "\n".join(lines)
 
     def execute(self, *, optimize: bool = True) -> Table:

@@ -4,7 +4,7 @@ The optimizer reads a table's cardinality from here (the E-join side
 swap); a filter's selectivity is measured from its pre-filter bitmap when
 the planner prices an access path, never estimated from column statistics.
 Every registration bumps the table's version, which keys the service's
-result cache and the shard maps.
+result cache.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._versions: dict[str, int] = {}
-        self._shard_maps: dict[tuple[str, int, int], ShardMap] = {}
 
     def register(self, name: str, table: Table, *, replace: bool = False) -> None:
         if name in self._tables and not replace:
@@ -98,24 +97,6 @@ class Catalog:
 
     def cardinality(self, name: str) -> int:
         return self.get(name).num_rows
-
-    def shard_map(self, name: str, n_shards: int) -> ShardMap:
-        """Row-range partitioning of ``name`` at its current version.
-
-        Cached by ``(name, version, n_shards)``: re-registering a table
-        bumps its version, so stale maps are never returned and holders
-        can compare ``map.version`` against :meth:`version` to detect
-        invalidation.
-        """
-        version = self.version(name)
-        key = (name, version, int(n_shards))
-        cached = self._shard_maps.get(key)
-        if cached is None:
-            cached = ShardMap.build(
-                name, version, self.cardinality(name), int(n_shards)
-            )
-            self._shard_maps[key] = cached
-        return cached
 
     def names(self) -> list[str]:
         return sorted(self._tables)

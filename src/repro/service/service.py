@@ -110,9 +110,9 @@ class QueryService:
             requests arriving while a source's scan slots are busy share
             the next scan).
         result_cache_size: result cache capacity (0 disables).
-        obs_enabled: master switch for per-query trace sampling.
         obs_sample_rate: fraction of submissions traced (deterministic
-            counter-hash schedule; ``explain_analyze`` bypasses it).
+            counter-hash schedule; ``0.0`` traces none;
+            ``explain_analyze`` bypasses it).
         capture_path: JSONL workload-capture file; empty/``None`` (the
             default) disables the flight recorder entirely.
         http_port: start the live introspection endpoint on this port
@@ -138,7 +138,6 @@ class QueryService:
         max_inflight: int | None = None,
         coalesce: bool = True,
         result_cache_size: int | None = None,
-        obs_enabled: bool | None = None,
         obs_sample_rate: float | None = None,
         capture_path: str | None = None,
         http_port: int | None = None,
@@ -146,6 +145,8 @@ class QueryService:
     ) -> None:
         config = get_config()
         self.engine = engine
+        #: The rules, built once; every miss optimizes with them.
+        self._optimizer = Optimizer(catalog=engine.catalog)
         self.admission = AdmissionController(**_given(max_inflight=max_inflight))
         self.results = ResultCache(**_given(capacity=result_cache_size))
         self.coalescer = CoalescingScheduler(engine) if coalesce else None
@@ -162,9 +163,7 @@ class QueryService:
         self._inflight_results: dict[tuple, _Flight] = {}
         self._singleflight_lock = threading.Lock()
         self._closed = False
-        self.tracer = Tracer(
-            **_given(enabled=obs_enabled, sample_rate=obs_sample_rate)
-        )
+        self.tracer = Tracer(**_given(sample_rate=obs_sample_rate))
         #: The one distribution no ``*Stats`` snapshot holds.
         self._latency = Histogram()
         self._query_ids = itertools.count(1)
@@ -418,7 +417,7 @@ class QueryService:
             if cached is not None:
                 return cached, True
         with span("plan.optimize"):
-            optimized = Optimizer(catalog=self.engine.catalog).optimize(plan)
+            optimized = self._optimizer.optimize(plan)
         remaining = None if deadline is None else deadline - time.perf_counter()
         estimate = None if remaining is None else self.qos_tracker.estimate()
         if estimate is not None and estimate > remaining:

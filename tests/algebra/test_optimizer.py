@@ -11,6 +11,7 @@ from repro.algebra import (
     ScanNode,
     walk,
 )
+from repro.algebra.optimizer import OptimizationTrace
 from repro.algebra.rules import visible_columns
 from repro.algebra.rules import PushFilterBelowEmbed, default_rules
 from repro.algebra.rules import OrderEJoinInputs, PrefetchEmbeddings
@@ -164,9 +165,19 @@ class TestOptimizer:
         )
 
     def test_trace_records_rewrites(self, catalog):
+        trace = OptimizationTrace()
+        Optimizer(catalog=catalog).optimize(make_ejoin(), trace)
+        assert any("prefetch" in s for s in trace.steps)
+
+    def test_each_call_keeps_its_own_trace(self, catalog):
+        """One optimizer serves many calls: a call's trace holds its own
+        rewrites only, and the optimizer keeps none."""
         optimizer = Optimizer(catalog=catalog)
-        optimizer.optimize(make_ejoin())
-        assert any("prefetch" in s for s in optimizer.trace.steps)
+        first, second = OptimizationTrace(), OptimizationTrace()
+        optimizer.optimize(make_ejoin(), first)
+        optimizer.optimize(ScanNode("people"), second)
+        assert first.steps and second.steps == []
+        assert not hasattr(optimizer, "trace")
 
     def test_filter_below_embed_end_to_end(self, catalog):
         plan = FilterNode(

@@ -5,34 +5,23 @@ import pytest
 
 from repro.config import configure, get_config
 from repro.engine import ExecutionEngine, serial_engine
+from repro.engine.executor import MORSEL_ROWS
 
 
 @pytest.fixture()
 def restore_config():
     config = get_config()
-    saved = (
-        config.default_threads,
-        config.default_morsel_rows,
-        config.default_buffer_budget_bytes,
-    )
+    saved = (config.default_threads, config.default_buffer_budget_bytes)
     yield config
-    (
-        config.default_threads,
-        config.default_morsel_rows,
-        config.default_buffer_budget_bytes,
-    ) = saved
+    config.default_threads, config.default_buffer_budget_bytes = saved
 
 
 class TestEngineConstruction:
     def test_defaults_from_config(self, restore_config):
-        configure(
-            default_threads=3,
-            default_morsel_rows=77,
-            default_buffer_budget_bytes=4096,
-        )
+        configure(default_threads=3, default_buffer_budget_bytes=4096)
         engine = ExecutionEngine()
         assert engine.n_threads == 3
-        assert engine.morsel_rows == 77
+        assert engine.morsel_rows == MORSEL_ROWS
         assert engine.buffer_budget_bytes == 4096
 
     def test_explicit_arguments_win(self, restore_config):

@@ -1,13 +1,33 @@
-"""Unit tests for the benchmark harness."""
+"""Unit tests for the figure harness (``benchmarks/_report.py``) and the
+rules it stands on."""
 
+import ast
 import json
-import os
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.bench import FigureReport, speedup, time_call
-from repro.bench.harness import git_revision
+ROOT = Path(__file__).resolve().parents[2]
+BENCHMARKS = ROOT / "benchmarks"
+SRC = ROOT / "src" / "repro"
+
+sys.path.insert(0, str(BENCHMARKS))
+
+from _report import FigureReport, speedup, time_call  # noqa: E402
+
+
+def _imported_modules(path: Path, package: tuple[str, ...] = ()):
+    """Absolute dotted name of every module (and ``from`` target) that
+    ``path`` imports; ``package`` is the package the file lives in."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join([*base, *filter(None, [node.module])])
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
 class TestTimeCall:
@@ -66,8 +86,17 @@ class TestFigureReport:
 
     def test_save(self, tmp_path):
         path = self.make().save(tmp_path)
-        assert path.exists()
-        assert "figX" in path.read_text()
+        assert path == tmp_path / "figx.txt"
+        assert path.read_text().startswith(self.make().render() + "\n")
+
+    def test_saved_report_ends_with_its_environment(self, tmp_path):
+        """The last line is the end-to-end harness's environment dict, in
+        the JSON form its records carry."""
+        *_, last = self.make().save(tmp_path).read_text().splitlines()
+        tag, _, payload = last.partition(" ")
+        assert tag == "env:"
+        env = json.loads(payload)
+        assert {"nproc", "blas_threads", "repro_threads", "numpy", "git_rev"} <= set(env)
 
     def test_empty_report_renders(self):
         report = FigureReport("figY", "empty", ("col",))
@@ -83,55 +112,26 @@ class TestFigureReport:
             "note: a note"
         )
 
-    def test_to_json_golden(self):
-        payload = self.make().to_json()
-        assert sorted(payload) == [
-            "columns", "config", "created_at", "figure", "git_rev", "notes",
-            "rows", "title",
-        ]
-        assert payload["rows"] == [[1, 2.5], ["row", 0.000123]]
 
+class TestOneTimer:
+    def test_no_pytest_benchmark_under_benchmarks(self):
+        """``time_call`` is the one timer: no figure takes the ``benchmark``
+        fixture or imports pytest-benchmark."""
+        for path in BENCHMARKS.glob("*.py"):
+            for module in _imported_modules(path):
+                assert module.split(".")[0] != "pytest_benchmark", path.name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                    assert "benchmark" not in names, f"{path.name}:{node.name}"
 
-class TestMachineReadableReport:
-    def make(self):
-        report = FigureReport("figX", "demo", ("name", "seconds"))
-        report.add("fp32", np.float32(1.5))  # NumPy scalars must serialize
-        report.add("int8", 0.75)
-        report.note("provenance note")
-        return report
-
-    def test_save_json_writes_bench_file(self, tmp_path):
-        path = self.make().save_json(tmp_path)
-        assert path.name == "BENCH_figx.json"
-        payload = json.loads(path.read_text())
-        assert payload["figure"] == "figX"
-        assert payload["columns"] == ["name", "seconds"]
-        assert payload["rows"] == [["fp32", 1.5], ["int8", 0.75]]
-        assert payload["notes"] == ["provenance note"]
-
-    def test_json_carries_config_and_revision(self, tmp_path):
-        payload = json.loads(self.make().save_json(tmp_path).read_text())
-        config = payload["config"]
-        assert "buffer_budget_bytes" in config
-        assert not {"precision", "work_stealing"} & config.keys()  # no such settings
-        # A number carries its environment: resolved workers, usable CPUs,
-        # BLAS threads as set.
-        assert isinstance(config["threads"], int) and config["threads"] >= 1
-        assert isinstance(config["cpus"], int) and config["cpus"] >= 1
-        assert config["openblas_num_threads"] == os.environ.get(
-            "OPENBLAS_NUM_THREADS"
-        )
-        assert "omp_num_threads" in config
-        assert isinstance(payload["git_rev"], str) and payload["git_rev"]
-        assert payload["created_at"]
-
-    def test_json_next_to_text_report(self, tmp_path):
-        report = self.make()
-        report.save(tmp_path)
-        report.save_json(tmp_path)
-        assert (tmp_path / "figx.txt").exists()
-        assert (tmp_path / "BENCH_figx.json").exists()
-
-    def test_git_revision_is_stringy(self):
-        rev = git_revision()
-        assert isinstance(rev, str) and rev
+    def test_library_does_not_import_its_harness(self):
+        """Nothing under ``src/repro`` imports a module of ``benchmarks/``
+        (the figure harness, its helpers, the end-to-end harness)."""
+        harness = {path.stem for path in BENCHMARKS.rglob("*.py")}
+        harness |= {path.name for path in BENCHMARKS.iterdir() if path.is_dir()}
+        for path in SRC.rglob("*.py"):
+            parts = path.relative_to(SRC).parts
+            for module in _imported_modules(path, ("repro", *parts[:-1])):
+                assert module.split(".")[0] not in harness, f"{path}: imports {module}"

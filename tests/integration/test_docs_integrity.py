@@ -1,7 +1,9 @@
 """Documentation integrity: every doc (``docs/*.md`` and the README) must
 name modules and objects that exist, every paper figure keeps its
-benchmark, and the README lists every example."""
+benchmark, its committed report and its scorecard row, and the README
+lists every example."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -82,3 +84,68 @@ class TestExamples:
             if path.name == "semantic_search_table2.py":
                 continue  # listed in the table by name
             assert path.stem in readme or path.name in readme, path.name
+
+
+def _emitted_reports(path: Path) -> list[str]:
+    """Figure ids of the reports a benchmark file builds: the first
+    argument of each ``FigureReport(...)`` or ``run_sweep(...)`` call."""
+    ids = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("FigureReport", "run_sweep")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            ids.append(node.args[0].value)
+    return ids
+
+
+def _scorecard() -> dict[str, list[str]]:
+    """Rows of README's scorecard table: figure id -> its other cells."""
+    rows, inside = {}, False
+    for line in (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            inside = line.strip() == "### Scorecard"
+            continue
+        if not inside or not line.startswith("| `"):
+            continue
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[1:]
+    return rows
+
+
+BENCH_FILES = sorted((REPO_ROOT / "benchmarks").glob("test_*.py"))
+VERDICTS = ("holds", "differs", "not comparable")
+
+
+class TestFigureArtefacts:
+    @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.stem)
+    def test_every_report_is_committed_and_scored(self, path):
+        """Each report a figure benchmark emits has a committed full-size
+        ``bench_results/<figure>.txt`` ending with its provenance line,
+        and one README scorecard row: claim, measured value, verdict (with
+        its reason when the claim does not hold)."""
+        _skip_unless_checkout()
+        figures = _emitted_reports(path)
+        assert figures, f"{path.name} emits no report"
+        scorecard = _scorecard()
+        for figure in figures:
+            artefact = REPO_ROOT / "bench_results" / f"{figure.lower()}.txt"
+            assert artefact.is_file(), f"{artefact.name} is not committed"
+            last = artefact.read_text(encoding="utf-8").splitlines()[-1]
+            assert last.startswith("env: {"), f"{artefact.name} has no provenance line"
+            assert figure in scorecard, f"README scorecard has no `{figure}` row"
+            claim, measured, verdict = scorecard[figure]
+            assert claim and measured, figure
+            kind = next((v for v in VERDICTS if verdict.startswith(v)), None)
+            assert kind is not None, f"{figure}: verdict {verdict!r}"
+            assert kind == "holds" or len(verdict) > len(kind) + 2, (
+                f"{figure}: '{kind}' needs its reason"
+            )
+
+    def test_scorecard_rows_are_experiments(self):
+        _skip_unless_checkout()
+        emitted = {f for path in BENCH_FILES for f in _emitted_reports(path)}
+        assert set(_scorecard()) == emitted

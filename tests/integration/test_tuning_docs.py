@@ -30,9 +30,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 TUNING = REPO_ROOT / "docs" / "TUNING.md"
 CONFIG = REPO_ROOT / "src" / "repro" / "config.py"
 
-#: Where an environment variable's witness may live: a test, a benchmark,
-#: a CI job or the bench CLI has to *set* it.
-WITNESS_DIRS = ("tests", "benchmarks", ".github/workflows", "src/repro/bench")
+#: Where an environment variable's witness may live: a test, a benchmark
+#: or a CI job has to *set* it.
+WITNESS_DIRS = ("tests", "benchmarks", ".github/workflows")
 #: Deployment settings (a path, a port) stay without a witness.
 DEPLOYMENT_ENV = {"REPRO_OBS_CAPTURE", "REPRO_OBS_HTTP_PORT"}
 #: Read outside ``config.py`` (``benchmarks/_smoke.py``).
@@ -150,8 +150,8 @@ def test_every_service_keyword_is_documented():
 
 def test_every_env_knob_has_a_witness():
     """No witness, no knob: a ``REPRO_*`` variable ``config.py`` reads is
-    set by a test, a benchmark, a CI job or the bench CLI — or it is one
-    of the two deployment settings."""
+    set by a test, a benchmark or a CI job — or it is one of the two
+    deployment settings."""
     _skip_unless_checkout()
     this_file = Path(__file__).resolve()
     witnessed: set[str] = set()
@@ -161,9 +161,8 @@ def test_every_env_knob_has_a_witness():
                 witnessed.update(ENV_NAME.findall(path.read_text("utf-8")))
     orphans = _read_by_config() - witnessed - DEPLOYMENT_ENV
     assert not orphans, (
-        f"config.py reads {sorted(orphans)}, which no test, benchmark, CI "
-        "job or bench CLI sets: make each a constructor argument or add "
-        "its witness"
+        f"config.py reads {sorted(orphans)}, which no test, benchmark or "
+        "CI job sets: make each a constructor argument or add its witness"
     )
 
 

@@ -144,9 +144,7 @@ class TestServiceSlowQueries:
     def test_slow_queries_populated_from_traced_queries(
         self, obs_engine, query_vectors
     ):
-        with QueryService(
-            obs_engine, obs_enabled=True, obs_sample_rate=1.0
-        ) as service:
+        with QueryService(obs_engine, obs_sample_rate=1.0) as service:
             service.slow_log.k = 4
             for i, qvec in enumerate(query_vectors[:6], 1):
                 service.submit(
@@ -164,7 +162,7 @@ class TestServiceSlowQueries:
             assert entry["hotspots"]
 
     def test_untraced_service_has_empty_slow_log(self, obs_engine, query_vectors):
-        with QueryService(obs_engine, obs_enabled=False) as service:
+        with QueryService(obs_engine, obs_sample_rate=0.0) as service:
             service.submit(
                 service.engine.query("corpus").esimilar(
                     "emb", query_vectors[0], model=MODEL, top_k=5

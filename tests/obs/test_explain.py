@@ -17,8 +17,8 @@ def _query(service, qvec, *, top_k=5):
 
 
 def test_explain_analyze_renders_the_span_tree(obs_engine, query_vectors):
-    # obs disabled entirely: explain_analyze must still force a trace.
-    with QueryService(obs_engine, obs_enabled=False) as service:
+    # sampling off: explain_analyze must still force a trace.
+    with QueryService(obs_engine, obs_sample_rate=0.0) as service:
         response = service.submit(
             _query(service, query_vectors[0]), tag="cli/q1", explain_analyze=True
         )
@@ -40,7 +40,7 @@ def test_explain_analyze_renders_the_span_tree(obs_engine, query_vectors):
 
 
 def test_explain_analyze_shows_cache_hit(obs_engine, query_vectors):
-    with QueryService(obs_engine, obs_enabled=False) as service:
+    with QueryService(obs_engine, obs_sample_rate=0.0) as service:
         query = _query(service, query_vectors[1])
         first = service.submit(query, tag="cli/q1", explain_analyze=True)
         second = service.submit(query, tag="cli/q2", explain_analyze=True)
@@ -54,7 +54,7 @@ def test_explain_analyze_shows_cache_hit(obs_engine, query_vectors):
 
 
 def test_explain_analyze_direct_path(obs_engine, query_vectors):
-    with QueryService(obs_engine, coalesce=False, obs_enabled=False) as service:
+    with QueryService(obs_engine, coalesce=False, obs_sample_rate=0.0) as service:
         response = service.submit(
             _query(service, query_vectors[2]), tag="cli/q1", explain_analyze=True
         )
@@ -80,7 +80,7 @@ def test_explain_analyze_ejoin_shows_engine_run():
     engine.models.register(MODEL, HashingEmbedder(dim=DIM))
     engine.executor = ExecutionEngine(n_threads=2)
 
-    with QueryService(engine, obs_enabled=False) as service:
+    with QueryService(engine, obs_sample_rate=0.0) as service:
         query = service.engine.query("corpus").ejoin(
             "other", left_on="emb", right_on="emb", model=MODEL, top_k=3
         )
@@ -95,7 +95,7 @@ def test_explain_analyze_ejoin_shows_engine_run():
 
 
 def test_plain_execute_still_returns_a_table(obs_engine, query_vectors):
-    with QueryService(obs_engine, obs_enabled=False) as service:
+    with QueryService(obs_engine, obs_sample_rate=0.0) as service:
         table = service.submit(_query(service, query_vectors[3]), tag="cli/q1")
     assert table.num_rows == 5
 

@@ -54,10 +54,8 @@ def test_sampled_out_tracing_overhead_under_three_percent():
     engine = _make_engine()
     vectors = unit_vectors(16, DIM, stream="obs-tests/ovh-queries")
     common = dict(coalesce=False, result_cache_size=0)
-    with QueryService(engine, obs_enabled=False, **common) as off:
-        with QueryService(
-            engine, obs_enabled=True, obs_sample_rate=1e-6, **common
-        ) as sampled:
+    with QueryService(engine, obs_sample_rate=0.0, **common) as off:
+        with QueryService(engine, obs_sample_rate=1e-6, **common) as sampled:
             for i in range(WARMUP):
                 _timed_submit(off, vectors[i % len(vectors)])
                 _timed_submit(sampled, vectors[i % len(vectors)])
@@ -91,7 +89,6 @@ def test_sampled_out_path_traces_nothing():
         engine,
         coalesce=False,
         result_cache_size=0,
-        obs_enabled=True,
         obs_sample_rate=1e-6,
     ) as service:
         for qvec in vectors:
@@ -108,7 +105,6 @@ def test_full_tracing_produces_complete_traces():
         engine,
         coalesce=False,
         result_cache_size=0,
-        obs_enabled=True,
         obs_sample_rate=1.0,
     ) as service:
         for qvec in vectors:
@@ -139,10 +135,10 @@ def test_sampled_out_miss_makes_at_most_two_more_calls(obs_engine, query_vectors
     sampling decision), and full tracing makes many more, so the count
     resolves what a timer cannot."""
     common = dict(coalesce=False, result_cache_size=0)
-    with QueryService(obs_engine, obs_enabled=False, **common) as off, QueryService(
-        obs_engine, obs_enabled=True, obs_sample_rate=1e-6, **common
+    with QueryService(obs_engine, obs_sample_rate=0.0, **common) as off, QueryService(
+        obs_engine, obs_sample_rate=1e-6, **common
     ) as sampled, QueryService(
-        obs_engine, obs_enabled=True, obs_sample_rate=1.0, **common
+        obs_engine, obs_sample_rate=1.0, **common
     ) as traced:
         services = (off, sampled, traced)
         for qvec in query_vectors[:2]:  # warm every service alike

@@ -24,9 +24,7 @@ def _get(url: str):
 
 @pytest.fixture
 def serving(obs_engine):
-    with QueryService(
-        obs_engine, obs_enabled=True, obs_sample_rate=1.0, http_port=0
-    ) as service:
+    with QueryService(obs_engine, obs_sample_rate=1.0, http_port=0) as service:
         yield service, service.serve_http().url
 
 

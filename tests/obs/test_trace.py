@@ -119,8 +119,8 @@ class TestForeignSpans:
 
 class TestSampling:
     def test_deterministic_for_a_pinned_seed(self):
-        a = Tracer(enabled=True, sample_rate=0.3, seed=7)
-        b = Tracer(enabled=True, sample_rate=0.3, seed=7)
+        a = Tracer(sample_rate=0.3, seed=7)
+        b = Tracer(sample_rate=0.3, seed=7)
         seq_a = [a.maybe_trace(f"q{i}", "t") is not None for i in range(200)]
         seq_b = [b.maybe_trace(f"q{i}", "t") is not None for i in range(200)]
         assert seq_a == seq_b
@@ -129,15 +129,15 @@ class TestSampling:
         assert a.sampled == sum(seq_a)
 
     def test_rate_bounds(self):
-        never = Tracer(enabled=True, sample_rate=0.0, seed=7)
+        never = Tracer(sample_rate=0.0, seed=7)
         assert all(never.maybe_trace(f"q{i}", "t") is None for i in range(50))
-        always = Tracer(enabled=True, sample_rate=1.0, seed=7)
+        always = Tracer(sample_rate=1.0, seed=7)
         assert all(
             always.maybe_trace(f"q{i}", "t") is not None for i in range(50)
         )
 
     def test_disabled_still_honours_force(self):
-        tracer = Tracer(enabled=False, sample_rate=1.0, seed=7)
+        tracer = Tracer(sample_rate=0.0, seed=7)
         assert tracer.maybe_trace("q1", "t") is None
         forced = tracer.maybe_trace("q1", "t", force=True)
         assert isinstance(forced, Trace)
@@ -145,7 +145,7 @@ class TestSampling:
 
 class TestRing:
     def test_ring_keeps_newest_oldest_first(self):
-        tracer = Tracer(enabled=True, sample_rate=1.0, ring_size=4, seed=7)
+        tracer = Tracer(sample_rate=1.0, ring_size=4, seed=7)
         for i in range(10):
             tracer.record(Trace(f"q{i}", "t"))
         recent = tracer.recent()

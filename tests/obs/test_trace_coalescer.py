@@ -65,7 +65,7 @@ def test_coalesced_demux_attributes_spans_per_query(
     with QueryService(
         make_engine(),
         result_cache_size=0,
-        obs_enabled=False,
+        obs_sample_rate=0.0,
     ) as service:
         held = hold_scan_slots(service, lambda i: blocker(service.engine, i))
         responses = held.run_queued(
@@ -110,7 +110,6 @@ def test_sixty_four_clients_sampled_tracing():
     with QueryService(
         make_engine(),
         result_cache_size=0,
-        obs_enabled=True,
         obs_sample_rate=1.0,
     ) as service:
         responses = _run_clients(service, vectors)
@@ -137,7 +136,7 @@ def test_foreign_spans_land_where_they_ran(query_vectors, hold_scan_slots):
     ends before the member's rescore starts, and the rescore before its
     materialize starts."""
     vectors = query_vectors[:4]
-    with QueryService(make_engine(), result_cache_size=0, obs_enabled=False) as service:
+    with QueryService(make_engine(), result_cache_size=0, obs_sample_rate=0.0) as service:
         alone = _explain(service, 99, query_vectors[4])
         held = hold_scan_slots(service, lambda i: blocker(service.engine, i))
         grouped = held.run_queued(

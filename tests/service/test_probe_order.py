@@ -307,9 +307,10 @@ def test_a_served_miss_stays_inside_its_call_budget(monkeypatch):
     engine re-read the config for its executor, these misses made 785 and
     665 calls; then 704 and 584.  Since the one-batch top-k fold, typed
     row takes, thread events only where someone waits and the one-row
-    probe's folded NumPy calls they make 389 and 344.  The budgets sit
-    about 10% over those, room for drift across NumPy versions, and at
-    least 35% under 704 and 584."""
+    probe's folded NumPy calls they made 389 and 344, and with the
+    service's optimizer rules built once 383 and 338.  The budgets sit
+    about 10% over 389 and 344, room for drift across NumPy versions, and
+    at least 35% under 704 and 584."""
     from _caps_utils import TRIGGER, clustered, land_caps, make_engine as caps_engine
 
     from repro.algebra import physical_planner

@@ -1,10 +1,9 @@
-"""ShardMap partitioning and its catalog-version-keyed cache."""
+"""ShardMap partitioning."""
 
 from __future__ import annotations
 
 import pytest
 
-from _shard_utils import make_engine
 from repro.errors import SchemaError
 from repro.relational.catalog import ShardMap
 
@@ -35,21 +34,3 @@ class TestShardMapBuild:
         with pytest.raises(SchemaError):
             ShardMap.build("t", 1, -1, 2)
 
-
-class TestCatalogShardMaps:
-    def test_cached_per_name_version_and_shard_count(self):
-        engine = make_engine()
-        catalog = engine.catalog
-        first = catalog.shard_map("corpus", 4)
-        assert catalog.shard_map("corpus", 4) is first
-        assert catalog.shard_map("corpus", 2) is not first
-        assert first.version == catalog.version("corpus")
-
-    def test_version_bump_invalidates(self):
-        engine = make_engine()
-        catalog = engine.catalog
-        stale = catalog.shard_map("corpus", 2)
-        catalog.register("corpus", catalog.get("corpus"), replace=True)
-        fresh = catalog.shard_map("corpus", 2)
-        assert fresh is not stale
-        assert fresh.version == stale.version + 1
