@@ -111,7 +111,7 @@ def _scorecard() -> dict[str, list[str]]:
             continue
         if not inside or not line.startswith("| `"):
             continue
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
         rows[cells[0].strip("`")] = cells[1:]
     return rows
 
