@@ -44,11 +44,6 @@ def speedup(baseline_s: float, optimized_s: float) -> float:
     return baseline_s / optimized_s
 
 
-def provenance() -> str:
-    """The line every saved report ends with."""
-    return "env: " + json.dumps(environment(ROOT))
-
-
 @dataclass
 class FigureReport:
     """Accumulates rows for one figure/table and renders them."""
@@ -95,10 +90,12 @@ class FigureReport:
         return "\n".join(lines)
 
     def save(self, directory: Path = RESULTS_DIR) -> Path:
-        """Write the rendered table and the provenance line."""
+        """Write the rendered table, then one provenance line: ``env:``
+        and the environment as JSON."""
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{self.figure.lower().replace(' ', '_')}.txt"
-        path.write_text(f"{self.render()}\n{provenance()}\n", encoding="utf-8")
+        env = json.dumps(environment(ROOT))
+        path.write_text(f"{self.render()}\nenv: {env}\n", encoding="utf-8")
         return path
 
     def emit(self) -> None:
