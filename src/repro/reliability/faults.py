@@ -168,11 +168,6 @@ def active_injector() -> FaultInjector | None:
     return _active
 
 
-def reload_from_config() -> FaultInjector | None:
-    """Rebuild the process injector from the current config knobs."""
-    return install_injector(FaultInjector.from_config())
-
-
 def maybe_inject(site: str) -> None:
     """The per-site hook: free when no injector is installed."""
     injector = _active
@@ -183,4 +178,4 @@ def maybe_inject(site: str) -> None:
 # Arm at import when the environment asks for it (the CI chaos shard
 # exports REPRO_FAULT_RATE before pytest starts).
 if get_config().fault_rate > 0.0:
-    reload_from_config()
+    install_injector(FaultInjector.from_config())

@@ -164,13 +164,9 @@ class AsyncQueryService:
             self._closed = True
             if not drain:
                 while self._heap:
-                    entry = heapq.heappop(self._heap)
-                    pending = entry[2]
+                    pending = heapq.heappop(self._heap)[2]
                     self.stats.rejected_on_close += 1
-                    _resolve(
-                        pending,
-                        error=ServiceError("async front closed before dispatch"),
-                    )
+                    _resolve(pending, error=ServiceError("async front closed before dispatch"))
             self._cond.notify_all()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._join)
@@ -209,31 +205,31 @@ class AsyncQueryService:
         the service at dispatch.  ``explain_analyze=True`` force-traces
         the query; ``response.explain`` renders the span tree when read.
         """
+        # Unlocked, as the probe below never held the lock either: a close
+        # after this check still answers a hit; a miss checks again when queued.
+        if self._closed:
+            raise ServiceError("async front is closed")
+        if not self._threads:
+            raise ServiceError("async front not started (use `async with` or .start())")
+        began = time.perf_counter()
         pending = _Pending(
             query,
             priority,
-            None if deadline_s is None else time.perf_counter() + float(deadline_s),
+            None if deadline_s is None else began + float(deadline_s),
             tag,
             timeout_s,
             explain_analyze,
         )
-        with self._cond:
-            if self._closed:
-                raise ServiceError("async front is closed")
-            if not self._threads:
-                raise ServiceError(
-                    "async front not started (use `async with` or .start())"
-                )
-            self.stats.submitted += 1
         try:
             pending.keyed, _, cached = self.service.probe(query)
         except Exception:
             cached = None  # the dispatcher's submit fails it, counted
         if cached is not None:
-            return self._serve(pending, cached)
+            return self._serve(pending, cached, began)
         pending.loop = asyncio.get_running_loop()
         pending.future = pending.loop.create_future()
         with self._cond:
+            self.stats.submitted += 1
             if self._closed:  # closed while the probe ran: nobody would pop it
                 self.stats.rejected_on_close += 1
                 raise ServiceError("async front closed before dispatch")
@@ -296,9 +292,12 @@ class AsyncQueryService:
             return
         _resolve(pending, result=response)
 
-    def _serve(self, pending: _Pending, cached=None) -> QueryResponse:
+    def _serve(self, pending: _Pending, cached=None, probed_at=None) -> QueryResponse:
         """The service's answer plus the front's count of it: on a
-        dispatcher for a queued miss, on the event loop for ``cached``."""
+        dispatcher for a queued miss, on the event loop for ``cached`` (what
+        the loop's probe, begun at ``probed_at``, found).  A hit's count of
+        ``submitted`` goes with its outcome's, in one hold."""
+        hit = cached is not None
         try:
             response = self.service.submit_qos(
                 pending.query,
@@ -311,12 +310,14 @@ class AsyncQueryService:
                 tag=pending.tag,
                 timeout_s=pending.timeout_s,
                 explain_analyze=pending.explain_analyze,
-                probed=(pending.keyed, cached),
+                probed=(pending.keyed, cached, probed_at),
             )
         except BaseException:
             with self._cond:
+                self.stats.submitted += hit
                 self.stats.failed += 1
             raise
         with self._cond:
+            self.stats.submitted += hit
             self.stats.completed += 1
         return response

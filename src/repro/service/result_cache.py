@@ -90,11 +90,10 @@ def _key(node: LogicalNode, params: list | None, tables: set | None) -> tuple:
             at = _QUERY_AT[cls]
             own = (*own[:at], len(params), *own[at + 1 :])
             params.append(node.query)
-    return (
-        cls.__name__,
-        own,
-        *[_key(child, params, tables) for child in node.children()],
-    )
+    children = node.children()
+    if not children:  # a leaf: no comprehension to run
+        return (cls.__name__, own)
+    return (cls.__name__, own, *[_key(child, params, tables) for child in children])
 
 
 def structure(node: LogicalNode) -> tuple:
@@ -129,7 +128,7 @@ def fingerprint(plan: LogicalNode) -> Fingerprint:
 def table_versions(tables: tuple, catalog: Catalog) -> tuple:
     """(name, version) now, for the base tables a plan reads
     (``fingerprint(plan).tables``)."""
-    return tuple((name, catalog.version(name)) for name in tables)
+    return tuple([(name, catalog.version(name)) for name in tables])
 
 
 def _param_signature(param) -> tuple:
@@ -141,7 +140,7 @@ def _param_signature(param) -> tuple:
 
 
 def params_signature(params: list) -> tuple:
-    return tuple(_param_signature(p) for p in params)
+    return tuple(map(_param_signature, params))
 
 
 @dataclass
@@ -186,30 +185,20 @@ class ResultCache:
             return snap
 
     # ------------------------------------------------------------------
-    # Internals (called with the lock held)
-    # ------------------------------------------------------------------
-    def _live(self, key: tuple, now: float) -> _Entry | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if now >= entry.expires_at:
-            self.stats.expirations += 1
-            del self._entries[key]
-            return None
-        return entry
-
-    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def lookup(self, key: tuple) -> Table | None:
         """Cached result under ``key``: ``(plan fingerprint, table
         versions, params_signature(payloads))``."""
         with self._lock:
-            entry = self._live(key, time.monotonic())
+            entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.exact_hits += 1
-                return entry.result
+                if time.monotonic() < entry.expires_at:
+                    self._entries.move_to_end(key)
+                    self.stats.exact_hits += 1
+                    return entry.result
+                self.stats.expirations += 1
+                del self._entries[key]
             self.stats.misses += 1
             return None
 
@@ -240,7 +229,3 @@ class ResultCache:
                 del self._entries[key]
             self.stats.invalidations += len(doomed)
             return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()

@@ -39,7 +39,7 @@ from ..obs.critical_path import SlowQueryLog
 from ..obs.export import METRIC_HELP, prometheus_text, snapshot_rows, traces_jsonl
 from ..obs.metrics import Histogram
 from ..obs.server import ObservabilityServer
-from ..obs.trace import QueryScope, Tracer, current_scope, span
+from ..obs.trace import QueryScope, Tracer, current_scope, current_trace, span
 from ..query.builder import Engine, QueryBuilder
 from ..relational.table import Table
 from ..reliability.faults import active_injector, maybe_inject
@@ -228,7 +228,10 @@ class QueryService:
         A request is keyed once and looked up in the result cache before
         anything else is spent on it: a cached answer takes no execution
         slot, no retry budget and no optimized plan, and returns on the
-        calling thread.  Only a miss is admitted, planned and executed.
+        calling thread.  When nothing traces, sheds or captures it (sampled
+        out, no deadline, no recorder), it completes in one step, with no
+        query scope and no span.  Only a miss is admitted, planned and
+        executed.
 
         The deadline sheds a query, always *before* execution, with
         :class:`~repro.errors.DeadlineExceededError` when it has already
@@ -250,8 +253,9 @@ class QueryService:
             explain_analyze: force-trace this query (bypassing sampling);
                 ``response.explain`` renders the span tree when read.
             probed: the async front's hand-off, not a caller's argument —
-                what :meth:`probe` already returned for this query
-                (``(keyed, cached)``), so it is not keyed twice.
+                what its :meth:`probe` returned for this query and the
+                ``perf_counter`` reading it started at (``(keyed, cached,
+                probed_at)``), so it is not keyed twice.
         """
         if self._closed:
             raise ServiceError("service is shut down")
@@ -264,6 +268,19 @@ class QueryService:
         query_id = f"q{next(self._query_ids)}"
         trace = self.tracer.maybe_trace(query_id, tag, force=explain_analyze)
         recorder = self.recorder
+        keyed, cached, probed_at = probed or (None, None, None)
+        key = None
+        if trace is None and deadline is None and recorder is None:
+            # Nothing to trace, shed or capture: a cached answer completes
+            # here, in one step, and a miss goes on already keyed.
+            if cached is None:
+                try:
+                    keyed, key, cached = self.probe(plan, keyed)
+                except Exception as exc:
+                    self._count_failed(exc, submitted=1)
+                    raise
+            if cached is not None:
+                return self._complete(cached, True, start, None, query_id, None, submitted=1)
         arrival_s = recorder.offset() if recorder is not None else 0.0
         response = None
         error: BaseException | None = None
@@ -273,26 +290,9 @@ class QueryService:
             # parameters.
             with QueryScope(trace, deadline=deadline, tag=tag):
                 table, cache_hit = self._submit_scoped(
-                    plan, priority, deadline, start, timeout_s, probed
+                    plan, priority, deadline, start, timeout_s, keyed, key, cached, probed_at
                 )
-            now = time.perf_counter()
-            response = QueryResponse(
-                table,
-                latency_s=now - start,
-                deadline_met=None if deadline is None else now <= deadline,
-                cache_hit=cache_hit,
-                query_id=query_id,
-                trace=trace,
-            )
-            # The one completion step, for a cached answer and an executed one.
-            with self._stats_lock:
-                self.stats.completed += 1
-                self.stats.result_cache_hits += cache_hit
-                if response.deadline_met is True:
-                    self.stats.deadline_met += 1
-                elif response.deadline_met is False:
-                    self.stats.deadline_missed += 1
-            self._latency.observe(response.latency_s)
+            response = self._complete(table, cache_hit, start, deadline, query_id, trace)
         except BaseException as exc:
             error = exc
             raise
@@ -305,18 +305,36 @@ class QueryService:
             if recorder is not None:
                 try:
                     recorder.record(
-                        plan=plan,
-                        tag=tag,
-                        query_id=query_id,
-                        arrival_s=arrival_s,
-                        deadline_s=deadline_s,
-                        priority=priority,
-                        response=response,
+                        plan=plan, tag=tag, query_id=query_id, arrival_s=arrival_s,
+                        deadline_s=deadline_s, priority=priority, response=response,
                         error=error,
                     )
                 except Exception:
                     # A full disk must degrade capture, never serving.
                     pass
+        return response
+
+    def _complete(
+        self, table: Table, cache_hit: bool, start: float, deadline: float | None,
+        query_id: str, trace, submitted: int = 0,
+    ) -> QueryResponse:
+        """The one completion step, for a cached answer and an executed one:
+        the response, one hold of ``_stats_lock`` (``submitted`` counts a
+        hit that :meth:`submit_qos` answered before any scope) and the
+        latency."""
+        now = time.perf_counter()
+        met = None if deadline is None else now <= deadline
+        response = QueryResponse(
+            table, now - start, met, cache_hit, query_id=query_id, trace=trace
+        )
+        with self._stats_lock:
+            stats = self.stats
+            stats.submitted += submitted
+            stats.completed += 1
+            stats.result_cache_hits += cache_hit
+            stats.deadline_met += met is True
+            stats.deadline_missed += met is False
+        self._latency.observe(response.latency_s)
         return response
 
     def probe(self, query, keyed: tuple | None = None) -> tuple:
@@ -347,30 +365,31 @@ class QueryService:
         return keyed, key, self.results.lookup(key)
 
     def _submit_scoped(
-        self,
-        plan,
-        priority: int,
-        deadline: float | None,
-        start: float,
-        timeout_s: float | None,
-        probed: tuple | None,
+        self, plan, priority: int, deadline: float | None, start: float,
+        timeout_s: float | None, keyed, key, cached, probed_at,
     ) -> tuple[Table, bool]:
-        """One submission inside its query scope: key once, probe, and only
-        on a miss admit it and :meth:`_run_admitted`.  Returns the answer
-        and whether the result cache gave it."""
-        keyed, cached = probed or (None, None)
-        key = None
+        """One submission inside its query scope: key once, probe (unless
+        :meth:`submit_qos` missed already, with ``key``, or the front's probe
+        begun at ``probed_at`` found ``cached``), and only on a miss admit it
+        and :meth:`_run_admitted`.  Returns the answer and whether it hit."""
         # An already-expired deadline skips the probe: admission sheds it
         # below, whether or not the answer is cached.
         if deadline is None or start < deadline:
-            try:
-                with span("cache.lookup") as sp:
-                    if cached is None:
+            if cached is not None:
+                # The front probed on its event loop before this trace
+                # existed: the span covers that probe, up to this call.
+                trace = current_trace()
+                if trace is not None:
+                    wall_s = start - probed_at
+                    trace.add_span("cache.lookup", start=probed_at, wall_s=wall_s, hit=True)
+            elif key is None:
+                try:
+                    with span("cache.lookup") as sp:
                         keyed, key, cached = self.probe(plan, keyed)
-                    sp.set(hit=cached is not None)
-            except Exception as exc:
-                self._count_failed(exc, submitted=1)
-                raise
+                        sp.set(hit=cached is not None)
+                except Exception as exc:
+                    self._count_failed(exc, submitted=1)
+                    raise
             if cached is not None:
                 with self._stats_lock:  # never admitted, so not yet counted
                     self.stats.submitted += 1

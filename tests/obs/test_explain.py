@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+import time
+
 import pytest
 from _service_utils import DIM, MODEL
 
-from repro.service import QueryService
+from repro.service import AsyncQueryService, QueryService
 
 pytestmark = pytest.mark.obs
 
@@ -51,6 +54,40 @@ def test_explain_analyze_shows_cache_hit(obs_engine, query_vectors):
     assert "execute" not in second.explain
     assert "plan.optimize" in first.explain
     assert "plan.optimize" not in second.explain
+
+
+def test_a_front_hit_times_its_probe_in_cache_lookup(obs_engine, query_vectors):
+    """The async front answers a hit from the probe it ran on its event
+    loop, before the query's trace exists; the sampled trace's
+    ``cache.lookup`` span is placed over that probe, so its wall covers
+    the probe's own measured time (here padded by a sleep)."""
+    with QueryService(obs_engine, obs_sample_rate=1.0) as service:
+        query = _query(service, query_vectors[4])
+        service.submit(query)
+        probe, probes = service.probe, []
+
+        def slow_probe(*args, **kwargs):
+            began = time.perf_counter()
+            time.sleep(0.02)
+            try:
+                return probe(*args, **kwargs)
+            finally:
+                probes.append(time.perf_counter() - began)
+
+        service.probe = slow_probe
+
+        async def through_front():
+            async with AsyncQueryService(service, workers=1) as front:
+                return await front.submit(query, tag="front/hit")
+
+        response = asyncio.run(through_front())
+    assert response.cache_hit and response.trace is not None
+    assert len(probes) == 1  # the loop's probe, and no second one
+    lookups = response.trace.find("cache.lookup")
+    assert [s.attrs for s in lookups] == [{"hit": True}]
+    assert [s.name for s in response.trace.spans] == ["query", "cache.lookup"]
+    assert lookups[0].parent == 0
+    assert lookups[0].wall_s >= probes[0]
 
 
 def test_explain_analyze_direct_path(obs_engine, query_vectors):

@@ -14,6 +14,7 @@ import pstats
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from _service_utils import DIM, MODEL, assert_tables_equal, make_corpus_table, make_engine
@@ -179,34 +180,69 @@ def test_reregistered_table_is_a_miss_never_the_old_answer():
     assert service.submit_qos(_topk(engine, qvec)).cache_hit
 
 
-def test_table_reregistered_while_the_miss_is_queued_in_the_front():
-    """The front keys a miss on the loop and the dispatcher executes it
-    later: the versions are read again at pickup, so the answer is the new
-    table's, stored under the new table's key."""
+def _raw(engine):
+    """A raw query string: the model registered as ``MODEL`` embeds it."""
+    return engine.query("corpus").esimilar("emb", "a raw query string", model=MODEL, top_k=5)
+
+
+def _reregister(engine):
+    engine.catalog.register(
+        "corpus", make_corpus_table(stream="probe/window-v2"), replace=True
+    )
+
+
+def _replace_model(engine):
+    from repro.embedding import HashingEmbedder
+
+    engine.models.register(MODEL, HashingEmbedder(dim=DIM, seed=9), replace=True)
+
+
+@pytest.mark.parametrize(
+    "change, build",
+    [
+        (_reregister, lambda engine: _topk(engine, unit_vectors(1, DIM, stream="probe/window")[0])),
+        (_replace_model, _raw),
+    ],
+    ids=["table", "model"],
+)
+def test_a_version_change_while_the_miss_is_queued_in_the_front(change, build):
+    """The front keys a miss on the loop and a dispatcher executes it
+    later; in between its table is re-registered or its model replaced.
+    The versions are read again at pickup, so the answer is serial
+    execution's on the new version alone, it is stored under the new
+    version's key (the key the loop saw holds nothing), and a later
+    request on the new version gets that answer, never the old one."""
     engine = make_engine()
     service = QueryService(engine)
-    qvec, blocked_q = unit_vectors(2, DIM, stream="probe/rereg-queued")
+    blocked_q = unit_vectors(1, DIM, stream="probe/window-blocker")[0]
+    old = build(engine).execute()
+    _, old_key, _ = service.probe(build(engine))
     blocked = _BlockedExecution(service)
 
     async def go():
         async with AsyncQueryService(service, workers=1) as front:
             stuck = asyncio.ensure_future(front.submit(_topk(engine, blocked_q)))
             await asyncio.get_running_loop().run_in_executor(None, blocked.wait_entered)
-            queued = asyncio.ensure_future(front.submit(_topk(engine, qvec)))
+            queued = asyncio.ensure_future(front.submit(build(engine)))
             await asyncio.sleep(0)
             assert front.queued == 1  # keyed under the old versions, not yet run
-            engine.catalog.register(
-                "corpus", make_corpus_table(stream="probe/rereg-queued-v2"), replace=True
-            )
+            change(engine)
             blocked.release()
             await stuck
-            return await queued
+            response = await queued
+            later = await front.submit(build(engine))
+            return response, later
 
-    response = asyncio.run(go())
-    fresh = _topk(engine, qvec).execute()
-    assert_tables_equal(fresh, response.table, context="queued across re-registration")
-    again = service.submit_qos(_topk(engine, qvec))
-    assert again.cache_hit and again.table is response.table
+    response, later = asyncio.run(go())
+    new = build(engine).execute()
+    assert not np.array_equal(old.array("id"), new.array("id"))
+    assert not response.cache_hit
+    assert_tables_equal(new, response.table, context="queued across the change")
+    _, new_key, stored = service.probe(build(engine))
+    assert new_key != old_key and stored is response.table
+    assert service.results.lookup(old_key) is None
+    assert later.cache_hit and later.table is response.table
+    assert service.submit_qos(build(engine)).table is response.table
 
 
 def test_expired_deadline_is_shed_although_the_answer_is_cached():
@@ -272,12 +308,28 @@ def test_a_miss_is_keyed_exactly_once(monkeypatch, door):
     assert calls == {"fingerprint": 1, "params_signature": 1, "optimize": 1}
 
 
+def _profiled_calls(profile) -> tuple[int, set]:
+    stats = pstats.Stats(profile)
+    return stats.total_calls, {
+        f"{file.rsplit('/', 1)[-1]}:{name}" for file, _, name in stats.stats
+    }
+
+
+#: What only the miss path may call: the query scope (and its span), the
+#: scoped submission, admission's wait and the plan copy it once made.
+_MISS_ONLY = {
+    "trace.py:__enter__", "service.py:_submit_scoped", "dataclasses.py:replace",
+    "threading.py:wait", "admission.py:acquire",
+}
+
+
 def test_cached_submit_stays_inside_its_call_budget():
     """The hit path, counted instead of timed: a sampled-out cached
-    ``submit`` makes at most 120 Python-level calls (about 200 when the
-    probe sat behind admission and the plan cache) and none of the three
-    that mean it waited for, or rebuilt, something only an execution
-    needs."""
+    ``submit`` completes in one step — probe, one completion — and makes
+    at most 60 Python-level calls.  It made about 200 when the probe sat
+    behind admission and the plan cache, 67 while a hit still entered the
+    query scope, the scoped submission and a no-op span, and 54 since;
+    the budget sits about 10% over that."""
     engine = make_engine()
     service = QueryService(engine, obs_sample_rate=0.0)
     query = _topk(engine, unit_vectors(1, DIM, stream="probe/budget")[0])
@@ -288,15 +340,42 @@ def test_cached_submit_stays_inside_its_call_budget():
     table = service.submit(query)
     profile.disable()
     assert table is service.submit(query)
-    stats = pstats.Stats(profile)
-    called = {
-        f"{file.rsplit('/', 1)[-1]}:{name}" for file, _, name in stats.stats
-    }
-    assert "service.py:submit_qos" in called and "result_cache.py:lookup" in called
-    assert not called & {
-        "dataclasses.py:replace", "threading.py:wait", "admission.py:acquire"
-    }
-    assert stats.total_calls <= 120, stats.total_calls
+    total, called = _profiled_calls(profile)
+    assert {"service.py:submit_qos", "service.py:_complete", "result_cache.py:lookup"} <= called
+    assert not called & _MISS_ONLY
+    assert total <= 60, total
+
+
+def test_a_front_hit_stays_inside_its_call_budget():
+    """The same through the async front: a sampled-out cached
+    ``AsyncQueryService.submit`` is answered on the event loop from its
+    own probe, counted in one hold of the front's lock, and makes at most
+    66 Python-level calls (76 while the service re-entered the miss
+    path's scope for it; 60 since; about 10% over that)."""
+    engine = make_engine()
+    service = QueryService(engine, obs_sample_rate=0.0)
+    query = _topk(engine, unit_vectors(1, DIM, stream="probe/front-budget")[0])
+
+    async def go():
+        async with AsyncQueryService(service, workers=1) as front:
+            for _ in range(3):
+                await front.submit(query)
+            profile = cProfile.Profile()
+            profile.enable()
+            response = await front.submit(query)
+            profile.disable()
+            return response, profile, front.stats.snapshot()
+
+    response, profile, front_stats = asyncio.run(go())
+    assert response.cache_hit
+    assert (front_stats["submitted"], front_stats["completed"]) == (4, 4)
+    total, called = _profiled_calls(profile)
+    assert {
+        "async_front.py:submit", "service.py:submit_qos", "service.py:_complete",
+        "result_cache.py:lookup",
+    } <= called
+    assert not called & _MISS_ONLY
+    assert total <= 66, total
 
 
 def test_a_served_miss_stays_inside_its_call_budget(monkeypatch):
@@ -307,8 +386,9 @@ def test_a_served_miss_stays_inside_its_call_budget(monkeypatch):
     engine re-read the config for its executor, these misses made 785 and
     665 calls; then 704 and 584.  Since the one-batch top-k fold, typed
     row takes, thread events only where someone waits and the one-row
-    probe's folded NumPy calls they made 389 and 344, and with the
-    service's optimizer rules built once 383 and 338.  The budgets sit
+    probe's folded NumPy calls they made 389 and 344, with the
+    service's optimizer rules built once 383 and 338, and with the
+    result-cache key's and lookup's folded calls 374 and 329.  The budgets sit
     about 10% over 389 and 344, room for drift across NumPy versions, and
     at least 35% under 704 and 584."""
     from _caps_utils import TRIGGER, clustered, land_caps, make_engine as caps_engine
