@@ -8,9 +8,11 @@ sqrt(1 - m^2)`` = ``cos(max(0, alpha - theta))``.  A cap is kept when ``ub``
 reaches ``f = floor - margin``, tested in fp32 as one centre product plus a
 rank-2 update (:func:`keep`).  A join task probes cap by cap on a
 cap-ordered copy of the rows, made by the first such task: a threshold task
-keeps the ``(row, cap)`` pairs that reach its floor; a top-k task each row's
-nearest caps until they hold ``k`` rows (``probe_lists``), then every cap
-reaching its k-th score (:func:`probe_flat`).  A task of a few rows — a
+scores the ``(row, cap)`` pairs that reach its floor; a top-k task each
+row's nearest caps until they hold ``k`` rows, then every cap reaching its
+k-th score (by one partition).  Each phase scores its pairs into one flat
+buffer, one GEMM a cap (``index.ivf.score_pairs``), and keeps the cells
+at a row's floor by one compare.  A task of a few rows — a
 served selection — takes one pass a row from the unit rows
 (:func:`probe_by_rows`): a centre GEMV, a top-k row's nearest
 :data:`NEIGHBOURHOOD` rows scored for its floor, one bound test, one gather
@@ -28,9 +30,11 @@ from functools import partial
 import numpy as np
 
 from ..config import get_config
-from ..index.ivf import kmeans, nearest_centroids, probe_lists
+from ..index.ivf import (
+    RUN_CELLS, cells_over, kmeans, kth_scores, nearest_centroids, runs, score_pairs,
+)
 from .conditions import ThresholdCondition, TopKCondition
-from .scan import PRESCREEN_MARGIN, ScanResult, _last_of_full_rows, fold_topk, fp32_dot_slack
+from .scan import PRESCREEN_MARGIN, ScanResult, fold_topk, fp32_dot_slack
 
 #: Rows a cap holds on average: ``ejoin_vectors``-shaped rows keep 0.65% of
 #: a top-8 join's cells at 32 (420 ms to build; bounds outgrow a 500-row
@@ -73,12 +77,9 @@ NEIGHBOURHOOD = 128
 #: 8; a threshold 0.36 / 0.50, 0.70 / 0.66, 1.37 / 1.01.
 ROW_MAJOR_ROWS = 4
 
-#: Cells phase 2 compares at once: 256 KB of scores, few calls, in cache.
-RUN_CELLS = 1 << 16
-
 #: Bytes a ``(left row, cap)`` pair holds in the bound test (fp32 cosine,
-#: its rank-2 update, a mask byte) and a phase-2 cell in its run (score in
-#: the GEMM output and the run, the row's floor, a mask byte).
+#: its rank-2 update, a mask byte) and a phase-2 cell in its run (a score in
+#: the run's buffer, the row's floor beside it, a mask byte; and 4 spare).
 STATE_BYTES, RUN_CELL_BYTES = 9, 13
 
 
@@ -206,34 +207,6 @@ def _nearest_caps(s: np.ndarray, sizes: np.ndarray, need: int):
     return rows[order], caps[order]
 
 
-def probe_flat(part: CapPartition, queries: np.ndarray, rows, caps, floors, run: int):
-    """Phase 2: the cells of the ``(row, cap)`` pairs that reach their row's
-    floor, as ``(rows, ids, scores)`` parts, and the most cells compared at
-    once.  Each cap costs one GEMM of the rows that probe it, as in
-    ``probe_lists``; the GEMMs' output is compared with each pair's floor in
-    runs of whole pairs starting every ``run`` cells: no strip padded to its
-    widest row, no select pass."""
-    order = np.argsort(caps, kind="stable")
-    rows, caps = rows[order], caps[order]
-    floor = np.broadcast_to(np.asarray(floors, np.float32), (len(queries),))[rows]
-    first, cells = part.starts[caps], part.sizes[caps]
-    held = np.concatenate(([0], np.cumsum(cells)))
-    ends = {*(np.flatnonzero(np.diff(held[:-1] // run)) + 1).tolist(), len(rows)}
-    edges = np.union1d(np.flatnonzero(np.diff(caps)) + 1, [0, *ends]).tolist()
-    found, blocks, lo, widest = [], [], 0, 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        cap = part.packed()[first[a] : first[a] + cells[a]]
-        blocks.append((queries[rows[a:b]] @ cap.T).ravel())
-        if b in ends:
-            scores = np.concatenate(blocks)
-            hit = np.flatnonzero(scores >= np.repeat(floor[lo:b], cells[lo:b]))
-            pair = lo + np.searchsorted(held[lo + 1 : b + 1] - held[lo], hit, side="right")
-            col = hit - held[pair] + held[lo]
-            found.append((rows[pair], part.ids[first[pair] + col], scores[hit]))
-            widest, blocks, lo = max(widest, len(scores)), [], b
-    return found, widest
-
-
 def _score(part: CapPartition, q: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``caps``' members gathered from the unit rows, scored by one GEMV."""
     cells = part.sizes[caps]
@@ -320,9 +293,9 @@ def cap_join(part: CapPartition, condition, queries: np.ndarray, allowance: floa
     ``condition`` is a top-k or threshold condition, or a threshold floor per
     query row (a scalar serves every row).  Up to :data:`ROW_MAJOR_ROWS`
     rows probe row by row (:func:`probe_by_rows`, cut to ``k``), more cap
-    by cap (``probe_lists``, :func:`probe_flat`); ``probe`` (``"rows"`` /
+    by cap (phase 2 in runs of whole pairs); ``probe`` (``"rows"`` /
     ``"caps"``) forces the order.  Each charges its widest block (gathered
-    members, a padded strip or a run) beside the bound state."""
+    members, phase 1's padded strip or a run) beside the bound state."""
     n_q, n, sizes = len(queries), len(part.ids), part.sizes
     topk = isinstance(condition, TopKCondition)
     k, floors = (condition.k, condition.min_similarity) if topk else (0, condition)
@@ -346,9 +319,9 @@ def cap_join(part: CapPartition, condition, queries: np.ndarray, allowance: floa
         kept, peak = int(cells.sum()), 4 * n_q * int(cells.max(initial=0))  # a padded strip
         if peak > room:
             return None
-        found.append(probe_lists(queries, part.packed(), part.ids, part.starts, rows, caps, k=k))
-        floors = np.maximum(floors, _last_of_full_rows(found[0][0], found[0][2], n_q, k)[1])
-        blocks = len(np.unique(caps))
+        pairs = score_pairs(part.packed(), part.starts, queries, rows, caps)
+        floors = np.maximum(floors, kth_scores(pairs, n_q, k))
+        found, blocks = [cells_over(part.ids, part.starts, pairs, floors)], len(np.unique(caps))
     rows, caps = keep(part, s, floors)
     kept += int(sizes[caps].sum())
     if kept > DECLINE_SHARE * n_q * n:
@@ -356,13 +329,20 @@ def cap_join(part: CapPartition, condition, queries: np.ndarray, allowance: floa
     run = max(1, int(min(RUN_CELLS, room // (2 * RUN_CELL_BYTES))))  # a run: < 2 * run cells
     if sizes[caps].max(initial=0) > run:
         return None
-    hits, widest = probe_flat(part, queries, rows, caps, floors, run)
-    peak, blocks = max(peak, RUN_CELL_BYTES * widest), blocks + len(np.unique(caps))
+    order = np.argsort(caps, kind="stable")  # phase 2: runs of whole pairs, by cap
+    rows, caps = rows[order], caps[order]
+    ends = np.concatenate(([0], np.cumsum(sizes[caps])))
+    cuts = runs(ends, run)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        pairs = score_pairs(part.packed(), part.starts, queries, rows[a:b], caps[a:b])
+        found.append(cells_over(part.ids, part.starts, pairs, floors))
+    peak = max(peak, RUN_CELL_BYTES * int(np.diff(ends[cuts]).max(initial=0)))
+    blocks += len(np.unique(caps))
     if topk:
-        triples = fold_topk(found + hits, n_q, k)
+        triples = fold_topk(found, n_q, k)
     else:
-        hits = hits or [(rows, rows, np.empty(0, np.float32))]
-        rows, ids, scores = (np.concatenate(column) for column in zip(*hits))
+        none = rows[:0], rows[:0], np.empty(0, np.float32)
+        rows, ids, scores = map(np.concatenate, zip(*found, none))
         order = np.lexsort((ids, rows))
         triples = rows[order], ids[order], scores[order]
     # Centre products count as evaluations; the widest block sits beside the state.

@@ -43,6 +43,7 @@ from ..vector.select import (
     TopKReducer,
     best_per_row,
     blocks_per_cap_task,
+    fold_topk,
     maxima_bytes,
     scan_shape,
     select_above,
@@ -252,16 +253,6 @@ def scan_candidates(
         rows, ids, found = scan.triples
         scan.triples = rows, ids, found + bias[topk_rows[rows]]
     return scan
-
-
-def fold_topk(parts: list[Triples], n_rows: int, k: int) -> Triples:
-    """Each row's ``k`` best of ``parts`` by ``(score desc, id asc)`` —
-    the reducer's total order, so the fold does not depend on how the
-    candidates were cut into parts or in which order parts arrive."""
-    rows, ids, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    scores = scores.astype(np.float32, copy=False)
-    keep, _ = best_per_row(rows, ids, scores, max(1, k), n_rows)
-    return rows[keep], ids[keep], scores[keep]
 
 
 def merge_topk(

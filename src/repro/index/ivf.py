@@ -16,7 +16,7 @@ import numpy as np
 from ..config import get_config
 from ..errors import IndexError_
 from ..vector.norms import normalize_rows
-from ..vector.select import BLOCK_BYTES, TopKReducer, select_above
+from ..vector.select import BLOCK_BYTES, fold_topk
 from .base import SearchResult, VectorIndex
 
 
@@ -25,6 +25,10 @@ from .base import SearchResult, VectorIndex
 #: 37,488 sampled rows held 351 MB; the build took 0.89 s instead of 0.70 s
 #: (one BLAS thread) and made the same partition.
 ASSIGN_ROWS = 1024
+
+#: Cells :func:`kth_scores` and :func:`cells_over` move at once, and a cap
+#: task's phase 2 scores at most: 256 KB of scores, few calls, in cache.
+RUN_CELLS = 1 << 16
 
 
 def nearest_centroids(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -76,58 +80,66 @@ def kmeans(
     return centroids
 
 
-def probe_lists(
-    queries: np.ndarray, packed: np.ndarray, packed_ids: np.ndarray, starts: np.ndarray,
-    pair_rows: np.ndarray, pair_lists: np.ndarray, *, k: int,
-    packed_ok: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The list-major probe: query row ``pair_rows[i]`` scores list
-    ``pair_lists[i]`` (``packed[starts[c]:starts[c + 1]]``, ids
-    ``packed_ids[...]``; ``packed_ok`` masks rows out), pairs sorted by row.
-    Each list costs one GEMM of the rows that probe it; a row's lists fill
-    its strip of one ``-inf``-padded ``(n_queries, widest)`` matrix in the
-    order given; one :func:`select_above` pass and one :class:`TopKReducer`
-    fold give each row's ``k`` best ``(rows, ids, scores)`` by ``(row,
-    score desc, id asc)``."""
-    n_q = len(queries)
-    sizes = np.diff(starts)[pair_lists]
-    lead = np.cumsum(sizes) - sizes  # each pair's strip, all rows end to end
-    edges = np.append(lead, sizes.sum())[np.searchsorted(pair_rows, np.arange(n_q + 1))]
-    width = int(np.diff(edges).max(initial=0))
-    pairs = np.argsort(pair_lists, kind="stable")  # grouped by list
-    bounds = np.searchsorted(pair_lists[pairs], np.arange(len(starts)))
-    grouped, cells, row = queries[pair_rows[pairs]], sizes[pairs], pair_rows[pairs]
-    # Blocks hold their pairs' cells pair after pair; runs of ~64K cells are
-    # scattered into the strips at once (small index arrays, few calls).
-    held = np.concatenate(([0], np.cumsum(cells)))
-    shift = row * width + lead[pairs] - edges[row] - held[:-1]
-    scores = np.full(n_q * width, -np.inf, np.float32)
+def score_pairs(packed: np.ndarray, starts: np.ndarray, queries: np.ndarray, rows, lists) -> tuple:
+    """The list-major kernel: query row ``rows[i]`` scores list ``lists[i]``
+    (``packed[starts[c]:starts[c + 1]]``).  Pairs are grouped by list, rows
+    in order within a list, and each list costs one GEMM of the rows that
+    probe it, written into one flat fp32 buffer.  Returns ``(rows, lists,
+    held, flat)`` in that order: pair ``p`` owns ``flat[held[p]:held[p +
+    1]]``, one cell a member of its list."""
+    order = np.argsort(lists, kind="stable")
+    rows, lists = rows[order], lists[order]
+    held = np.concatenate(([0], np.cumsum(np.diff(starts)[lists])))
+    flat, grouped = np.empty(held[-1], np.float32), queries[rows]
+    cuts = np.flatnonzero(np.diff(lists, prepend=-1, append=-1))
+    first = lists[cuts[:-1]]  # each group's list
+    edges = cuts[:-1], cuts[1:], starts[first], starts[first + 1]
+    for a, b, s, e in zip(*(edge.tolist() for edge in edges)):
+        np.dot(grouped[a:b], packed[s:e].T, out=flat[held[a] : held[b]].reshape(b - a, e - s))
+    return rows, lists, held, flat
 
-    def put(first: int, last: int, blocks: list) -> None:
-        at = np.repeat(shift[first:last], cells[first:last]) + np.arange(held[first], held[last])
-        scores[at] = np.concatenate([np.empty(0, np.float32), *blocks])
 
-    blocks, first = [], 0
-    probed = np.flatnonzero(np.diff(bounds) * np.diff(starts))
-    for lo, hi, s, e in zip(
-        *(edge[probed].tolist() for edge in (bounds[:-1], bounds[1:], starts[:-1], starts[1:]))
-    ):
-        blocks.append(grouped[lo:hi] @ packed[s:e].T)
-        if packed_ok is not None:
-            blocks[-1][:, ~packed_ok[s:e]] = -np.inf
-        blocks[-1] = blocks[-1].ravel()
-        if held[hi] - held[first] >= 1 << 16:
-            put(first, hi, blocks)
-            blocks, first = [], hi
-    put(first, len(pairs), blocks)
-    rows, cols, found = select_above(scores.reshape(n_q, width), -np.inf, k=k)
-    real = found > -np.inf  # drop strip padding and masked rows
-    rows, at, found = rows[real], edges[rows[real]] + cols[real], found[real]
-    slot = np.searchsorted(lead, at, side="right") - 1
-    ids = packed_ids[starts[pair_lists[slot]] + at - lead[slot]]
-    reducer = TopKReducer(n_q, k)
-    reducer.merge(rows, ids, found)
-    return reducer.finalize()
+def runs(held: np.ndarray, run: int) -> list[int]:
+    """Cuts into :func:`score_pairs`' pairs: a run of whole pairs starts
+    where one's first cell passes a multiple of ``run`` cells."""
+    return [*np.flatnonzero(np.diff(held[:-1] // run, prepend=-1)).tolist(), len(held) - 1]
+
+
+def kth_scores(pairs: tuple, n_rows: int, k: int) -> np.ndarray:
+    """Each row's ``k``-th best cell of :func:`score_pairs`' buffer
+    (``-inf``: fewer than ``k``), by one partition of a ``-inf``-padded
+    ``(n_rows, widest)`` strip filled :data:`RUN_CELLS` cells at a time."""
+    rows, _, held, flat = pairs
+    cells = np.diff(held)
+    per_row = np.bincount(rows, cells, n_rows).astype(np.int64)
+    width = max(k, int(per_row.max(initial=0)))
+    by_row = np.argsort(rows, kind="stable")
+    ends = np.empty_like(cells)  # where each pair ends, the rows' cells laid end to end
+    ends[by_row] = np.cumsum(cells[by_row])
+    shift = rows * width + ends - cells - (np.cumsum(per_row) - per_row)[rows] - held[:-1]
+    strip = np.full(n_rows * width, -np.inf, np.float32)
+    cuts = runs(held, RUN_CELLS)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        at = np.repeat(shift[a:b], cells[a:b]) + np.arange(held[a], held[b])
+        strip[at] = flat[held[a] : held[b]]
+    strip = strip.reshape(n_rows, width)
+    strip.partition(width - k, axis=1)
+    return strip[:, width - k].copy()
+
+
+def cells_over(ids: np.ndarray, starts: np.ndarray, pairs: tuple, floors: np.ndarray):
+    """The ``(rows, ids, scores)`` of every cell of :func:`score_pairs`'
+    buffer at or over its row's floor: a compare a run of :data:`RUN_CELLS`
+    cells, one ``searchsorted`` back to ``ids`` (each packed row's id)."""
+    rows, lists, held, flat = pairs
+    cells, cuts = np.diff(held), runs(held, RUN_CELLS)
+    hit = [np.empty(0, np.int64)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        floor = np.repeat(floors[rows[a:b]], cells[a:b])
+        hit.append(held[a] + np.flatnonzero(flat[held[a] : held[b]] >= floor))
+    hit = np.concatenate(hit)
+    pair = np.searchsorted(held, hit, side="right") - 1
+    return rows[pair], ids[starts[lists[pair]] + hit - held[pair]], flat[hit]
 
 
 class IVFFlatIndex(VectorIndex):
@@ -245,8 +257,10 @@ class IVFFlatIndex(VectorIndex):
         k: int,
         packed_ok: np.ndarray | None,
     ) -> list[SearchResult]:
-        """:func:`probe_lists` over one slice of queries and their lists;
-        the same lists and counts as a loop of :meth:`search`."""
+        """One slice of queries and their lists through :func:`score_pairs`:
+        members ``packed_ok`` masks out score ``-inf``, each row's floor is
+        its k-th score, and :func:`fold_topk` folds the cells at or over it.
+        The same lists and counts as a loop of :meth:`search`."""
         n_q, nlist = len(queries), len(self._centroids)
         totals = np.diff(self._starts)[probe].sum(axis=1)
         self.stats.count(
@@ -254,11 +268,16 @@ class IVFFlatIndex(VectorIndex):
             distances=n_q * nlist + int(totals.sum()),
             hops=probe.shape[1] * int(np.count_nonzero(totals)),
         )
-        rows, ids, found = probe_lists(
-            queries, self._packed, self._packed_ids, self._starts,
-            np.repeat(np.arange(n_q), probe.shape[1]), probe.ravel(),
-            k=k, packed_ok=packed_ok,
-        )
+        rows = np.repeat(np.arange(n_q), probe.shape[1])
+        pairs = score_pairs(self._packed, self._starts, queries, rows, probe.ravel())
+        _, lists, held, flat = pairs
+        if packed_ok is not None:
+            at = np.repeat(self._starts[lists] - held[:-1], np.diff(held)) + np.arange(held[-1])
+            flat[~packed_ok[at]] = -np.inf
+        # Over -inf: masked rows never reach a floor, even a row's short of k.
+        floors = np.maximum(kth_scores(pairs, n_q, k), np.finfo(np.float32).min)
+        found = cells_over(self._packed_ids, self._starts, pairs, floors)
+        rows, ids, found = fold_topk([found], n_q, k)
         cuts = np.searchsorted(rows, np.arange(1, n_q))
         return [
             SearchResult(ids=i, scores=f)

@@ -280,7 +280,9 @@ class QueryService:
                     self._count_failed(exc, submitted=1)
                     raise
             if cached is not None:
-                return self._complete(cached, True, start, None, query_id, None, submitted=1)
+                # A front's hit is timed from its probe, which found it.
+                began = start if probed_at is None else probed_at
+                return self._complete(cached, True, began, None, query_id, None, submitted=1)
         arrival_s = recorder.offset() if recorder is not None else 0.0
         response = None
         error: BaseException | None = None

@@ -355,6 +355,17 @@ def best_per_row(
     return order[rank < k], order[rank == k - 1]
 
 
+def fold_topk(parts: list[tuple], n_rows: int, k: int) -> tuple[np.ndarray, ...]:
+    """Each row's ``k`` best of ``(rows, ids, scores)`` ``parts`` by
+    ``(score desc, id asc)`` — the reducer's total order, so the fold does
+    not depend on how the candidates were cut into parts or in which order
+    parts arrive."""
+    rows, ids, scores = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    scores = scores.astype(np.float32, copy=False)
+    keep, _ = best_per_row(rows, ids, scores, max(1, k), n_rows)
+    return rows[keep], ids[keep], scores[keep]
+
+
 class TopKReducer:
     """Running per-row top-k over streamed score blocks.
 

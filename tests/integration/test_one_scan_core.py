@@ -3,10 +3,12 @@
 
 ``select_above`` and ``TopKReducer`` are what a "score a block, prune it,
 keep a bounded buffer" loop is made of.  Every scan join and served scan
-reaches them through :func:`repro.core.scan.scan_candidates`; the only
-other loop is the IVF probe, which walks inverted lists, not right blocks.
-A new access path that names either primitive is growing its own block
-loop — hand ``scan_candidates`` a ``score_block`` closure instead.
+reaches them through :func:`repro.core.scan.scan_candidates`.  The
+list-major kernel under the IVF probe and a cap task
+(:func:`repro.index.ivf.score_pairs`) walks inverted lists, not right
+blocks, and needs neither: it reads its top-k by a partition.  A new
+access path that names either primitive is growing its own block loop —
+hand ``scan_candidates`` a ``score_block`` closure instead.
 
 Which ``(batch_left, batch_right)`` a scan runs is
 :func:`repro.vector.select.scan_shape`'s decision alone: the constants it
@@ -30,7 +32,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 PRIMITIVES = {"select_above", "TopKReducer"}
-ALLOWED = {"vector/select.py", "core/scan.py", "index/ivf.py"}
+ALLOWED = {"vector/select.py", "core/scan.py"}
 
 
 #: What the shape rule weighs; ``index/ivf.py`` sizes its probe slices

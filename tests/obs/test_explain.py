@@ -56,6 +56,28 @@ def test_explain_analyze_shows_cache_hit(obs_engine, query_vectors):
     assert "plan.optimize" not in second.explain
 
 
+def _front_hit(service, query, probes: list):
+    """``query``'s answer, already cached, through an async front whose
+    probe is padded by a 20 ms sleep; ``probes`` gets each probe's time."""
+    probe = service.probe
+
+    def slow_probe(*args, **kwargs):
+        began = time.perf_counter()
+        time.sleep(0.02)
+        try:
+            return probe(*args, **kwargs)
+        finally:
+            probes.append(time.perf_counter() - began)
+
+    service.probe = slow_probe
+
+    async def through_front():
+        async with AsyncQueryService(service, workers=1) as front:
+            return await front.submit(query, tag="front/hit")
+
+    return asyncio.run(through_front())
+
+
 def test_a_front_hit_times_its_probe_in_cache_lookup(obs_engine, query_vectors):
     """The async front answers a hit from the probe it ran on its event
     loop, before the query's trace exists; the sampled trace's
@@ -64,23 +86,8 @@ def test_a_front_hit_times_its_probe_in_cache_lookup(obs_engine, query_vectors):
     with QueryService(obs_engine, obs_sample_rate=1.0) as service:
         query = _query(service, query_vectors[4])
         service.submit(query)
-        probe, probes = service.probe, []
-
-        def slow_probe(*args, **kwargs):
-            began = time.perf_counter()
-            time.sleep(0.02)
-            try:
-                return probe(*args, **kwargs)
-            finally:
-                probes.append(time.perf_counter() - began)
-
-        service.probe = slow_probe
-
-        async def through_front():
-            async with AsyncQueryService(service, workers=1) as front:
-                return await front.submit(query, tag="front/hit")
-
-        response = asyncio.run(through_front())
+        probes = []
+        response = _front_hit(service, query, probes)
     assert response.cache_hit and response.trace is not None
     assert len(probes) == 1  # the loop's probe, and no second one
     lookups = response.trace.find("cache.lookup")
@@ -88,6 +95,23 @@ def test_a_front_hit_times_its_probe_in_cache_lookup(obs_engine, query_vectors):
     assert [s.name for s in response.trace.spans] == ["query", "cache.lookup"]
     assert lookups[0].parent == 0
     assert lookups[0].wall_s >= probes[0]
+
+
+def test_an_untraced_front_hit_is_timed_from_its_probe(obs_engine, query_vectors):
+    """A hit the front answers in one step (sampled out, no deadline) is
+    timed from the front's probe, not from after it: its latency and the
+    ``repro_query_latency_seconds`` histogram cover the padded probe."""
+    with QueryService(obs_engine, obs_sample_rate=0.0) as service:
+        query = _query(service, query_vectors[5])
+        service.submit(query)
+        before = service._latency.snapshot()
+        probes = []
+        response = _front_hit(service, query, probes)
+        after = service._latency.snapshot()
+    assert response.cache_hit and response.trace is None and len(probes) == 1
+    assert response.latency_s >= probes[0] >= 0.02
+    assert after["count"] == before["count"] + 1
+    assert after["sum"] - before["sum"] == pytest.approx(response.latency_s)
 
 
 def test_explain_analyze_direct_path(obs_engine, query_vectors):

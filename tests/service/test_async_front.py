@@ -58,24 +58,43 @@ def _stash_front_stats(monkeypatch):
 
 
 def test_many_idle_connections_over_bounded_dispatch():
-    """Far more concurrent coroutines than dispatcher threads or slots."""
+    """Far more concurrent coroutines than dispatcher threads or slots.
+    The dispatched queries wait on a gate, opened once every submission is
+    queued (the two dispatchers hold one each at most), so the peak does
+    not depend on how fast the loop enqueues against the drain."""
     engine = make_engine()
     service = QueryService(engine, max_inflight=2)
     vecs = unit_vectors(40, DIM, stream="front/many")
+    gate, workers = threading.Event(), 2
 
     async def go():
-        async with AsyncQueryService(service, workers=2) as front:
+        async with AsyncQueryService(service, workers=workers) as front:
+            dispatch = front._dispatch
+
+            def held(pending):
+                gate.wait(60)  # bounded: a gate never opened fails the peak, not the run
+                dispatch(pending)
+
+            async def open_gate():
+                for _ in range(20_000):  # ~20 s at most
+                    if front.queued >= len(vecs) - workers:
+                        break
+                    await asyncio.sleep(0.001)
+                gate.set()
+
+            front._dispatch = held
+
             responses = await asyncio.gather(
-                *(front.submit(_topk(engine, v)) for v in vecs)
+                *(front.submit(_topk(engine, v)) for v in vecs), open_gate()
             )
-        return responses
+        return responses[:-1]
 
     responses = _run(go())
     assert len(responses) == 40
     assert all(r.table.num_rows == 5 for r in responses)
     stats = front_stats(service)
     assert stats["completed"] == 40
-    assert stats["queued_peak"] >= 30  # coroutines queued, not threaded
+    assert stats["queued_peak"] >= len(vecs) - workers  # coroutines queued, not threaded
 
 
 def test_priority_order_drains_high_first():

@@ -26,9 +26,12 @@ cells its bounds keep, and the 500 x 40,000 x 128 join on one thread
 dense and on the caps (min of ``--repeat``; no task declines for its
 share, so uniform rows show what the decline saves).  Two more tables
 follow on ``ejoin_vectors``-shaped rows: one cap task's time split into the
-bound test (``caps.keep``), the phase-1 probe (``probe_lists``), the
-phase-2 probe (``caps.probe_flat``) and the rest (centre GEMM, nearest
-caps, folds), for 500 and 1,000 left rows; and the 1,000-row join on a
+bound test (``caps.keep``), the two phases' calls of the list-major kernel
+(``score_pairs``, ``kth_scores``, ``cells_over``: phase 1 is a top-k
+task's first buffer, its k-th scores and the cells at them; phase 2 the
+kept caps' buffers, run by run, and the cells at each row's floor) and the
+rest (centre GEMM, nearest caps, runs, the fold), for 500 and 1,000 left
+rows; and the 1,000-row join on a
 2-thread engine as one cap task (``blocks_per_cap_task``) against two
 500-row ones, interleaved, median and wins.  Then the one-row table behind
 ``caps.NEIGHBOURHOOD``: a served miss's one-pass row probe
@@ -222,15 +225,19 @@ def sweep_cap_tasks(n_left, n_right, dim, repeat, rows):
     eighth = np.sort(left[:128] @ right.T, axis=1)[:, -8]
     conditions = {"top-8": TopKCondition(8), "threshold": ThresholdCondition(float(np.median(eighth)))}
     spent: dict[str, float] = {}
-    phases = {"keep": "bound test", "probe_lists": "phase 1", "probe_flat": "phase 2"}
-    originals = {name: getattr(caps, name) for name in phases}
+    phases = ("bound test", "phase 1", "phase 2")
+    names, now = ("keep", "score_pairs", "kth_scores", "cells_over"), {"phase": ""}
+    originals = {name: getattr(caps, name) for name in names}
     for name, call in originals.items():
         def timed(*args, _call=call, _name=name, **kwargs):
+            phase = "bound test" if _name == "keep" else now["phase"]
             start = time.perf_counter()
             try:
                 return _call(*args, **kwargs)
             finally:
-                spent[_name] = spent.get(_name, 0.0) + time.perf_counter() - start
+                spent[phase] = spent.get(phase, 0.0) + time.perf_counter() - start
+                if _name == "cells_over":  # phase 1 ends with its one read of the cells
+                    now["phase"] = "phase 2"
         setattr(caps, name, timed)
     print(f"\n## one cap task: {n_right} x {dim}, {len(part.radius)} caps, one thread, min of {repeat}")
     print("| condition | left rows | total ms | bound test ms | phase 1 ms | phase 2 ms | rest ms |")
@@ -240,6 +247,7 @@ def sweep_cap_tasks(n_left, n_right, dim, repeat, rows):
             best = None
             for _ in range(repeat):
                 spent.clear()
+                now["phase"] = "phase 1" if label == "top-8" else "phase 2"
                 _, took = _timed(lambda: caps.cap_join(part, condition, left[:n], np.inf))
                 if best is None or took < best[0]:
                     best = took, dict(spent)
